@@ -678,6 +678,17 @@ impl TelemetryReport {
                 lines.push(format!("STAT persist:trips {}", p.trips));
                 lines.push(format!("STAT persist:rearms {}", p.rearms));
                 lines.push(format!("STAT persist:segments {}", p.segments));
+                lines.push(format!("STAT persist:commits {}", p.commits));
+                lines.push(format!("STAT persist:commit_records {}", p.commit_records));
+                lines.push(format!(
+                    "STAT persist:sync_us:p50 {}",
+                    p.sync_us.quantile(0.5)
+                ));
+                lines.push(format!(
+                    "STAT persist:sync_us:p99 {}",
+                    p.sync_us.quantile(0.99)
+                ));
+                lines.push(format!("STAT persist:sync_us:max {}", p.sync_us.max));
             }
         }
         lines.extend(self.profile_lines());
@@ -1153,7 +1164,7 @@ impl TelemetryReport {
         };
         exp.int_value("camp_persist_state", &[], state_code);
         let p = self.persist.clone().unwrap_or_default();
-        let persist_counters: [(&str, &str, u64); 7] = [
+        let persist_counters: [(&str, &str, u64); 9] = [
             (
                 "camp_persist_errors_total",
                 "append-log I/O errors (append, fsync, repair)",
@@ -1173,6 +1184,16 @@ impl TelemetryReport {
                 "camp_persist_records_total",
                 "records appended to the durability log",
                 p.records,
+            ),
+            (
+                "camp_persist_commits_total",
+                "fsyncs that made appended records durable (all but snapshot syncs)",
+                p.commits,
+            ),
+            (
+                "camp_persist_commit_records_total",
+                "records covered by those fsyncs (per commit = group size)",
+                p.commit_records,
             ),
             (
                 "camp_persist_dropped_total",
@@ -1200,6 +1221,12 @@ impl TelemetryReport {
             MetricKind::Gauge,
         );
         exp.int_value("camp_persist_segments", &[], p.segments);
+        exp.family(
+            "camp_persist_sync_us",
+            "wall time of each fsync of the durability log, microseconds",
+            MetricKind::Summary,
+        );
+        exp.summary("camp_persist_sync_us", &[], &p.sync_us);
         exp.render()
     }
 }
@@ -1295,6 +1322,14 @@ mod tests {
                 trips: 1,
                 rearms: 1,
                 segments: 2,
+                commits: 5,
+                commit_records: 40,
+                sync_us: {
+                    let h = Histogram::new();
+                    h.record(300);
+                    h.record(900);
+                    h.snapshot()
+                },
             }),
         }
     }
@@ -1336,6 +1371,10 @@ mod tests {
             "STAT persist:recovered 31",
             "STAT persist:quarantined 3",
             "STAT persist:segments 2",
+            "STAT persist:commits 5",
+            "STAT persist:commit_records 40",
+            "STAT persist:sync_us:p50 303",
+            "STAT persist:sync_us:max 900",
             "STAT profile:sample_modulus 64",
             "STAT profile:0.5x:hit_ratio 0.7500",
             "STAT profile:0.5x:est_miss_cost 640",
@@ -1456,6 +1495,10 @@ mod tests {
             "camp_persist_dropped_total 2",
             "camp_persist_quarantined_total 3",
             "camp_persist_segments 2",
+            "camp_persist_commits_total 5",
+            "camp_persist_commit_records_total 40",
+            "# TYPE camp_persist_sync_us summary",
+            "camp_persist_sync_us_count 2",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }

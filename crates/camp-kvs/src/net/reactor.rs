@@ -38,6 +38,23 @@
 //! (replacing the ConnRegistry nudge). The epoll wait timeout is derived
 //! from the wheel, so a worker with nothing due blocks fully.
 //!
+//! # Park, commit, flush
+//!
+//! Under `--data-dir --fsync always` a reply may not leave before the
+//! record it acknowledges is on stable storage. A connection's cycle
+//! therefore splits at the flush: after `process`, if
+//! [`Shared::needs_commit`] says unsynced records exist, a cycle that
+//! belongs to a batch *parks* the connection (`(slot, gen, step)`) and
+//! moves on; once the whole run queue has been processed the worker
+//! finishes the parked connections in order — commit, flush, stamp spans,
+//! re-derive interest — so the first commit syncs once for every record
+//! the wakeup appended and the rest find nothing to do. A cycle outside a
+//! batch (a fresh registration, a delay resume, an idle eviction) and the
+//! farewell flushes of `close` and `sever_all` commit inline. Without
+//! `--data-dir`, or when a connection's wakeup appended nothing and
+//! nothing else is pending, the check is one lock-free load that reads
+//! `false` and the cycle is the unsplit one.
+//!
 //! # Drain and sever
 //!
 //! When a drain begins, each worker closes its listener *first* — no
@@ -292,6 +309,10 @@ struct Worker {
     /// Connections with events pending from the current batch; entries
     /// re-validate `(slot, gen)` when run.
     run_queue: Vec<(usize, u32)>,
+    /// Connections of the current batch whose replies wait behind the
+    /// `--fsync always` barrier: processed, not yet flushed. Entries
+    /// re-validate `(slot, gen)` when finished.
+    parked: Vec<(usize, u32, Step)>,
     /// The drain sweep tick has been armed since the drain began.
     drain_armed: bool,
 }
@@ -323,6 +344,7 @@ impl Worker {
             wheel: TimerWheel::new(Instant::now()),
             pool: SegmentPool::default(),
             run_queue: Vec::new(),
+            parked: Vec::new(),
             drain_armed: false,
         })
     }
@@ -405,7 +427,7 @@ impl Worker {
     fn enqueue(&mut self, token: u64, readiness: u32) {
         let slot = usize::try_from(token & u32::MAX as u64).unwrap_or(usize::MAX);
         let gen = (token >> 32) as u32;
-        if slot >= self.slots.len() || self.gens[slot] != gen || self.slots[slot].is_none() {
+        if !self.is_live(slot, gen) {
             return; // stale: the slot was recycled within this batch
         }
         // A delayed connection has no read interest; an ERR/HUP event for
@@ -436,14 +458,45 @@ impl Worker {
             // ordering: Relaxed — statistics counter.
             .fetch_add(queue.len() as u64, Ordering::Relaxed);
         for &(slot, gen) in &queue {
-            if slot < self.slots.len() && self.gens[slot] == gen && self.slots[slot].is_some() {
-                self.cycle(slot, now);
+            if self.is_live(slot, gen) {
+                self.cycle(slot, now, true);
             }
         }
         // Hand the allocation back for the next batch.
         let mut queue = queue;
         queue.clear();
         self.run_queue = queue;
+        self.finish_parked();
+    }
+
+    fn is_live(&self, slot: usize, gen: u32) -> bool {
+        slot < self.slots.len() && self.gens[slot] == gen && self.slots[slot].is_some()
+    }
+
+    /// Finishes every connection the batch parked behind the ack barrier.
+    /// The first commit syncs for the whole wakeup (and for whatever other
+    /// workers appended meanwhile); the rest see nothing unsynced.
+    fn finish_parked(&mut self) {
+        if self.parked.is_empty() {
+            return;
+        }
+        let mut parked = std::mem::take(&mut self.parked);
+        for (slot, gen, step) in parked.drain(..) {
+            if !self.is_live(slot, gen) {
+                continue;
+            }
+            #[cfg(test)]
+            // ordering: Relaxed — test-only switch, set before any traffic.
+            if self.shared.flush_before_commit.load(Ordering::Relaxed) {
+                // MUTATION: the acks leave first, the sync follows.
+                self.finish(slot, step);
+                self.shared.commit_before_flush();
+                continue;
+            }
+            self.shared.commit_before_flush();
+            self.finish(slot, step);
+        }
+        self.parked = parked;
     }
 
     /// The worker's own listener is readable: accept until it would
@@ -596,13 +649,57 @@ impl Worker {
         // Run one cycle right away: fast clients may already have a
         // command in the socket buffer, and rejections flush-and-close
         // without waiting for an event.
-        self.cycle(slot, now);
+        self.cycle(slot, now, false);
     }
 
     /// One run-to-completion round for a connection: fill from the
-    /// socket, process every complete command, flush the coalesced
-    /// replies, then re-derive epoll interest.
-    fn cycle(&mut self, slot: usize, now: Instant) {
+    /// socket, process every complete command, then [`Worker::finish`] —
+    /// at once, or, for a `batched` cycle whose replies wait on the ack
+    /// barrier, after the batch's one commit (see the module docs).
+    fn cycle(&mut self, slot: usize, now: Instant, batched: bool) {
+        let step = {
+            let Some(entry) = self.slots[slot].as_mut() else {
+                return;
+            };
+            let conn = &mut entry.conn;
+            // Read only when the machine can make use of bytes: not while
+            // closing, not mid-delay, not past the write high-water mark.
+            let readable = !conn.close_after_flush
+                && conn.delayed_until.is_none()
+                && !conn.peer_eof
+                && conn.pending_out_len() <= OUT_HIGH_WATER;
+            let filled = if readable {
+                conn.fill_from(&mut entry.stream).map(|_| ())
+            } else {
+                Ok(())
+            };
+            match filled {
+                Ok(()) => Some(conn.process(&self.shared, &mut self.pool, now)),
+                Err(err) => {
+                    kvlog!(LogLevel::Debug, "connection_error", error = err);
+                    None
+                }
+            }
+        };
+        let Some(step) = step else {
+            self.close(slot, false);
+            return;
+        };
+        if batched {
+            if self.shared.needs_commit() {
+                self.parked.push((slot, self.gens[slot], step));
+                return;
+            }
+        } else {
+            self.shared.commit_before_flush();
+        }
+        self.finish(slot, step);
+    }
+
+    /// The second half of a cycle: flush the coalesced replies, stamp the
+    /// spans they complete, then re-derive epoll interest from `step`.
+    /// Whatever the replies acknowledge must be committed by now.
+    fn finish(&mut self, slot: usize, step: Step) {
         let shared = Arc::clone(&self.shared);
         // ordering: SeqCst — drain control plane; see the event-loop checks.
         let draining = shared.draining.load(Ordering::SeqCst);
@@ -614,19 +711,6 @@ impl Worker {
                 return;
             };
             let conn = &mut entry.conn;
-            // Read only when the machine can make use of bytes: not while
-            // closing, not mid-delay, not past the write high-water mark.
-            let readable = !conn.close_after_flush
-                && conn.delayed_until.is_none()
-                && !conn.peer_eof
-                && conn.pending_out_len() <= OUT_HIGH_WATER;
-            if readable {
-                if let Err(err) = conn.fill_from(&mut entry.stream) {
-                    kvlog!(LogLevel::Debug, "connection_error", error = err);
-                    break 'compute After::Close;
-                }
-            }
-            let step = conn.process(&shared, pool, now);
             let flushed = match conn.flush_to(&mut entry.stream, pool, &shared) {
                 Ok(flushed) => flushed,
                 Err(err) => {
@@ -711,9 +795,11 @@ impl Worker {
             return;
         };
         // Best-effort farewell flush (the legacy BufWriter flushed on
-        // drop, ignoring errors); then dropping the stream closes the fd,
+        // drop, ignoring errors), behind the ack barrier like any other
+        // flush; then dropping the stream closes the fd,
         // which also deregisters it from epoll; the generation bump
         // invalidates in-flight tokens and pending timers.
+        self.shared.commit_before_flush();
         let _ = entry
             .conn
             .flush_to(&mut entry.stream, &mut self.pool, &self.shared);
@@ -760,11 +846,8 @@ impl Worker {
             match timer {
                 Timer::Idle { slot, gen } => self.fire_idle(slot, gen, now),
                 Timer::Resume { slot, gen } => {
-                    if slot < self.slots.len()
-                        && self.gens[slot] == gen
-                        && self.slots[slot].is_some()
-                    {
-                        self.cycle(slot, now);
+                    if self.is_live(slot, gen) {
+                        self.cycle(slot, now, false);
                     }
                 }
                 Timer::DrainTick => {
@@ -791,7 +874,7 @@ impl Worker {
             if let Some(entry) = self.slots[slot].as_mut() {
                 entry.conn.evict_idle(&self.shared);
             }
-            self.cycle(slot, now);
+            self.cycle(slot, now, false);
         } else {
             self.wheel.schedule(deadline, Timer::Idle { slot, gen });
         }
@@ -830,6 +913,7 @@ impl Worker {
     /// and drain the intake.
     fn sever_all(&mut self) {
         self.close_listener();
+        self.shared.commit_before_flush();
         for slot in 0..self.slots.len() {
             if let Some(entry) = self.slots[slot].as_mut() {
                 let _ = entry

@@ -13,13 +13,36 @@
 //!
 //! Every successful mutation (`set`/`add`/`replace`/`incr`/`decr`/
 //! `delete`/`touch`/`flush_all`) appends one checksummed record to the
-//! active segment *after* the shard lock is released — the log is an
-//! ordered journal of acknowledged effects, not a write-ahead log, so
-//! the hot path with persistence disabled is byte-identical. On boot,
+//! active segment *after* the shard lock is released, in the order the
+//! writer mutex admits the appenders — the log is a journal of effects
+//! the client is about to be told of, not a write-ahead log, so the hot
+//! path with persistence disabled is byte-identical. On boot,
 //! [`Persist::open`] replays every segment in index order through the
 //! scanner, truncates the torn tail a crash left behind, quarantines
 //! corrupt mid-log records, and rebuilds both the sharded store and the
 //! per-item CAMP costs before any listener opens.
+//!
+//! # The `--fsync always` ack barrier
+//!
+//! `always` promises that an *acknowledged* write survives a crash, and
+//! a write is acknowledged when its reply reaches the socket, not when
+//! the append returns. So the sync only has to precede the flush, and
+//! one sync covers every record appended before it. A caller that holds
+//! its replies back (the reactor) says so once with
+//! [`Persist::defer_sync_to_commit`]; appends then only mark the writer
+//! dirty, and the caller calls [`Persist::commit`] before it flushes:
+//! take the writer lock, return at once if nothing is unsynced,
+//! otherwise one `sync()` for everything appended so far by any worker.
+//! The mutex is the queue — a second worker whose records the first
+//! worker's sync covered finds the writer clean and returns without a
+//! syscall — and [`Persist::needs_commit`] is the lock-free "did I
+//! append anything that still needs it?" (see [`state`]'s
+//! `UnsyncedFlag` for which way that read can be stale, and its
+//! camp-check harness). A caller that never defers (the legacy engine,
+//! whose `BufWriter` writes through to the socket when full; tests; the
+//! benchmark ledger) keeps the sync inline after every record. Rotation
+//! syncs the segment it leaves before creating the next, in every mode,
+//! because the backend can only sync its active file.
 //!
 //! # Degraded state
 //!
@@ -31,6 +54,7 @@
 //! live item), so the log matches the live store the moment it heals.
 
 pub mod io;
+mod powerloss;
 pub mod record;
 mod state;
 
@@ -47,13 +71,13 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use camp_core::rng::Rng64;
-use camp_telemetry::{kvlog, LogLevel};
+use camp_telemetry::{kvlog, Histogram, HistogramSnapshot, LogLevel};
 
 use crate::fault::FaultPlan;
 use crate::shard::ShardedStore;
 use crate::sync::lock;
 
-use self::state::EngineState;
+use self::state::{EngineState, UnsyncedFlag};
 
 /// Segment file extension (files are named `seg-<index>.camplog`).
 const SEGMENT_SUFFIX: &str = ".camplog";
@@ -64,12 +88,15 @@ pub const MIN_SEGMENT_BYTES: u64 = 4096;
 /// When to fsync the active segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncMode {
-    /// fsync after every record: an acknowledged write survives a crash.
+    /// fsync before any reply that depends on it is sent: an
+    /// acknowledged write survives a crash (see the module docs for how
+    /// many records one sync covers).
     Always,
     /// fsync on a background interval (default 100 ms): bounded loss.
     #[default]
     Interval,
-    /// Never fsync explicitly: the OS page cache decides.
+    /// No fsync on behalf of a write: the OS page cache decides.
+    /// (Rotation and compaction still sync what they leave behind.)
     Never,
 }
 
@@ -180,6 +207,16 @@ pub struct PersistSnapshot {
     pub rearms: u64,
     /// Segment files currently in the log (including the active one).
     pub segments: u64,
+    /// Syncs that made appended records durable (an inline or group
+    /// `always` sync, an interval tick, the sync before a rotation, the
+    /// seal) — every successful fsync but a snapshot's.
+    pub commits: u64,
+    /// Records those syncs covered — every record but a snapshot's;
+    /// `commit_records / commits` is the mean group size.
+    pub commit_records: u64,
+    /// Wall time of every `fsync` the engine issued, in microseconds —
+    /// where the time the `set` handler histogram no longer contains went.
+    pub sync_us: HistogramSnapshot,
 }
 
 impl Default for PersistSnapshot {
@@ -198,6 +235,9 @@ impl Default for PersistSnapshot {
             trips: 0,
             rearms: 0,
             segments: 0,
+            commits: 0,
+            commit_records: 0,
+            sync_us: HistogramSnapshot::empty(),
         }
     }
 }
@@ -217,8 +257,9 @@ struct LogWriter {
     segments: Vec<(u64, PathBuf)>,
     /// Reusable encode buffer.
     scratch: Vec<u8>,
-    /// Whether bytes were appended since the last successful fsync.
-    dirty: bool,
+    /// Records appended one by one to the active segment since the last
+    /// successful fsync (mirrored lock-free by [`Persist::unsynced`]).
+    unsynced_records: u64,
 }
 
 /// The append-only persistence engine. One per server; shared between
@@ -229,10 +270,18 @@ pub struct Persist {
     writer: Mutex<LogWriter>,
     options: PersistOptions,
     engine: EngineState,
+    /// `--fsync always` only: the caller promised to [`Persist::commit`]
+    /// before it acknowledges, so appends do not sync inline.
+    defer_sync: bool,
+    /// Lock-free mirror of `unsynced_records > 0`.
+    unsynced: UnsyncedFlag,
     errors: AtomicU64,
     bytes: AtomicU64,
     fsyncs: AtomicU64,
     records: AtomicU64,
+    commits: AtomicU64,
+    commit_records: AtomicU64,
+    sync_us: Histogram,
     recovered: AtomicU64,
     quarantined: AtomicU64,
     torn_bytes: AtomicU64,
@@ -405,14 +454,19 @@ impl Persist {
                 consecutive_errors: 0,
                 segments,
                 scratch: Vec::new(),
-                dirty: false,
+                unsynced_records: 0,
             }),
             options,
             engine: EngineState::new(),
+            defer_sync: false,
+            unsynced: UnsyncedFlag::new(),
             errors: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             records: AtomicU64::new(0),
+            commits: AtomicU64::new(0),
+            commit_records: AtomicU64::new(0),
+            sync_us: Histogram::new(),
             recovered: AtomicU64::new(summary.records),
             quarantined: AtomicU64::new(summary.quarantined),
             torn_bytes: AtomicU64::new(summary.torn_bytes),
@@ -425,6 +479,36 @@ impl Persist {
     #[must_use]
     pub fn is_degraded(&self) -> bool {
         self.engine.is_degraded()
+    }
+
+    /// The caller promises to call [`Persist::commit`] before it
+    /// acknowledges any mutation, so `--fsync always` appends stop
+    /// syncing inline (other modes never did; this is a no-op for them).
+    /// The reactor makes the promise; it goes away with the legacy
+    /// engine, the one caller that cannot.
+    pub(crate) fn defer_sync_to_commit(&mut self) {
+        self.defer_sync = self.options.fsync == FsyncMode::Always;
+    }
+
+    /// Lock-free: whether a reply about to be sent may depend on records
+    /// no fsync has covered. Only ever true under a deferred
+    /// `--fsync always`; never false for the caller's own unsynced record.
+    #[must_use]
+    pub fn needs_commit(&self) -> bool {
+        self.defer_sync && self.unsynced.get()
+    }
+
+    /// The ack barrier: returns once every record appended before the
+    /// call is on stable storage (or its fsync failure has been counted —
+    /// as with the inline sync, the reply is still sent). One sync covers
+    /// all workers' records; a caller whose records an earlier `commit`
+    /// covered returns without a syscall. Also the interval mode's
+    /// background flush.
+    pub fn commit(&self) {
+        let w = &mut *lock(&self.writer);
+        if w.unsynced_records > 0 {
+            self.sync_locked(w);
+        }
     }
 
     /// Logs a successful store (`set`/`add`/`replace`/arith rewrite).
@@ -480,21 +564,15 @@ impl Persist {
         match w.backend.append(&w.scratch) {
             Ok(()) => {
                 w.committed += len;
-                w.dirty = true;
+                w.unsynced_records += 1;
+                self.unsynced.mark();
                 w.consecutive_errors = 0;
                 // ordering: Relaxed(x2) — statistics counters; durability
                 // state travels through the writer lock, not these.
                 self.bytes.fetch_add(len, Ordering::Relaxed);
                 self.records.fetch_add(1, Ordering::Relaxed);
-                if self.options.fsync == FsyncMode::Always {
-                    match w.backend.sync() {
-                        Ok(()) => {
-                            w.dirty = false;
-                            // ordering: Relaxed — statistics counter.
-                            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => self.note_io_error_locked(w),
-                    }
+                if self.options.fsync == FsyncMode::Always && !self.defer_sync {
+                    self.sync_locked(w);
                 }
                 if w.committed >= self.options.segment_bytes {
                     self.rotate_locked(w, store);
@@ -512,6 +590,43 @@ impl Persist {
         }
     }
 
+    /// One timed `fsync` of the active segment; every sync the engine
+    /// issues goes through here so `persist:sync_us` sees them all.
+    fn timed_sync(&self, backend: &mut dyn IoBackend) -> stdio::Result<()> {
+        let started = Instant::now();
+        let result = backend.sync();
+        self.sync_us
+            .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
+        if result.is_ok() {
+            // ordering: Relaxed — statistics counter.
+            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        }
+        result
+    }
+
+    /// Syncs the active segment's unsynced records: on success
+    /// they count as one commit and the writer is clean; on failure the
+    /// error is counted and they stay unsynced for the next attempt.
+    fn sync_locked(&self, w: &mut LogWriter) {
+        match self.timed_sync(w.backend.as_mut()) {
+            Ok(()) => {
+                // ordering: Relaxed(x2) — statistics counters.
+                self.commits.fetch_add(1, Ordering::Relaxed);
+                self.commit_records
+                    .fetch_add(w.unsynced_records, Ordering::Relaxed);
+                self.mark_clean_locked(w);
+            }
+            Err(_) => self.note_io_error_locked(w),
+        }
+    }
+
+    /// Nothing in the active segment is waiting for a sync any more:
+    /// it was synced, or the segment is fresh, or it was given up on.
+    fn mark_clean_locked(&self, w: &mut LogWriter) {
+        w.unsynced_records = 0;
+        self.unsynced.clear();
+    }
+
     fn note_io_error_locked(&self, w: &mut LogWriter) {
         // ordering: Relaxed — statistics counter.
         self.errors.fetch_add(1, Ordering::Relaxed);
@@ -522,6 +637,9 @@ impl Persist {
     }
 
     fn trip_locked(&self, w: &mut LogWriter) {
+        // Re-arm rebuilds the log from the live store, so nothing in the
+        // abandoned segment is worth a sync (or a parked reply) any more.
+        self.mark_clean_locked(w);
         if self.engine.trip() {
             kvlog!(
                 LogLevel::Warn,
@@ -548,12 +666,20 @@ impl Persist {
     }
 
     fn roll_locked(&self, w: &mut LogWriter) -> stdio::Result<()> {
+        // The backend can only sync its active file: whatever the
+        // outgoing segment still owes (an interval tail, or a deferred
+        // `always` batch the rotation landed in) is synced now or never.
+        // A failed sync is counted and the roll goes on — the next
+        // segment must still open.
+        if w.unsynced_records > 0 {
+            self.sync_locked(w);
+        }
         let index = w.seg_index + 1;
         let path = segment_path(&w.dir, index);
         w.backend.create(&path)?;
         w.seg_index = index;
         w.committed = 0;
-        w.dirty = false;
+        self.mark_clean_locked(w);
         w.segments.push((index, path));
         Ok(())
     }
@@ -591,7 +717,6 @@ impl Persist {
                     self.trip_locked(w);
                 }
                 w.committed = 0;
-                w.dirty = false;
                 Err(err)
             }
         }
@@ -604,7 +729,7 @@ impl Persist {
         const FLUSH_BYTES: usize = 256 * 1024;
         let LogWriter {
             backend, scratch, ..
-        } = w;
+        } = &mut *w;
         scratch.clear();
         record::encode_into(&Record::Clear, scratch);
         let mut written = 0u64;
@@ -643,13 +768,11 @@ impl Persist {
             written += scratch.len() as u64;
             scratch.clear();
         }
-        backend.sync()?;
+        self.timed_sync(backend.as_mut())?;
         w.committed = written;
-        w.dirty = false;
-        // ordering: Relaxed(x3) — statistics counters.
+        // ordering: Relaxed(x2) — statistics counters.
         self.bytes.fetch_add(written, Ordering::Relaxed);
         self.records.fetch_add(records, Ordering::Relaxed);
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -672,7 +795,7 @@ impl Persist {
         }
         w.seg_index = index;
         w.committed = 0;
-        w.dirty = false;
+        self.mark_clean_locked(w);
         w.segments.push((index, path.clone()));
         match self.snapshot_locked(w, store) {
             Ok(()) => {
@@ -713,26 +836,6 @@ impl Persist {
         }
     }
 
-    /// Fsyncs the active segment if it has unsynced bytes (the interval
-    /// mode's background flush).
-    pub fn sync_now(&self) {
-        if self.is_degraded() {
-            return;
-        }
-        let w = &mut *lock(&self.writer);
-        if !w.dirty {
-            return;
-        }
-        match w.backend.sync() {
-            Ok(()) => {
-                w.dirty = false;
-                // ordering: Relaxed — statistics counter.
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => self.note_io_error_locked(w),
-        }
-    }
-
     /// Appends a [`Record::Seal`] and fsyncs: the drain path's clean
     /// shutdown marker. Recovery reports `sealed = true` when the newest
     /// segment ends with one.
@@ -746,13 +849,11 @@ impl Persist {
         let len = w.scratch.len() as u64;
         if w.backend.append(&w.scratch).is_ok() {
             w.committed += len;
-            // ordering: Relaxed(x3) — statistics counters.
+            w.unsynced_records += 1;
+            // ordering: Relaxed(x2) — statistics counters.
             self.bytes.fetch_add(len, Ordering::Relaxed);
             self.records.fetch_add(1, Ordering::Relaxed);
-            if w.backend.sync().is_ok() {
-                w.dirty = false;
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
+            self.sync_locked(w);
         }
     }
 
@@ -793,7 +894,7 @@ impl Persist {
             } else if self.options.fsync == FsyncMode::Interval
                 && last_fsync.elapsed() >= self.options.fsync_interval
             {
-                self.sync_now();
+                self.commit();
                 last_fsync = Instant::now();
             }
         }
@@ -803,6 +904,7 @@ impl Persist {
     /// (one brief lock for the segment count).
     #[must_use]
     pub fn snapshot(&self) -> PersistSnapshot {
+        let sync_us = self.sync_us.snapshot();
         let segments = lock(&self.writer).segments.len() as u64;
         PersistSnapshot {
             state: if self.is_degraded() {
@@ -810,7 +912,7 @@ impl Persist {
             } else {
                 "active"
             },
-            // ordering: Relaxed(x8) — statistics counters; the snapshot
+            // ordering: Relaxed(x10) — statistics counters; the snapshot
             // is advisory and never gates an operation.
             errors: self.errors.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
@@ -824,6 +926,9 @@ impl Persist {
             trips: self.engine.trips(),
             rearms: self.engine.rearms(),
             segments,
+            commits: self.commits.load(Ordering::Relaxed),
+            commit_records: self.commit_records.load(Ordering::Relaxed),
+            sync_us,
         }
     }
 }
@@ -1024,6 +1129,172 @@ mod tests {
             9,
             "costs survive compaction"
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Appends `n` small sets (`key-<i>`), mirroring them into `store`.
+    fn append_sets(persist: &Persist, store: &ShardedStore, n: u32) {
+        for i in 0..n {
+            let key = format!("key-{i:04}");
+            store.set(key.as_bytes(), b"value", 0, 0, 3).expect("set");
+            persist.append_set(store, key.as_bytes(), b"value", 0, 0, 3);
+        }
+    }
+
+    #[test]
+    fn always_syncs_every_record_unless_the_caller_defers_to_commit() {
+        let dir = temp_dir("inline");
+        let store = sharded();
+        let opts = PersistOptions {
+            fsync: FsyncMode::Always,
+            ..PersistOptions::new(&dir)
+        };
+        let persist = open_plain(opts.clone(), &store);
+        append_sets(&persist, &store, 10);
+        assert!(
+            !persist.needs_commit(),
+            "inline sync leaves nothing to commit"
+        );
+        let snap = persist.snapshot();
+        assert_eq!((snap.records, snap.fsyncs), (10, 10));
+        assert_eq!((snap.commits, snap.commit_records), (10, 10));
+        assert_eq!(snap.sync_us.count, 10);
+        drop(persist);
+        fs::remove_dir_all(&dir).ok();
+
+        let dir = temp_dir("deferred");
+        let store = sharded();
+        let mut persist = open_plain(
+            PersistOptions {
+                data_dir: dir.clone(),
+                ..opts
+            },
+            &store,
+        );
+        persist.defer_sync_to_commit();
+        assert!(!persist.needs_commit());
+        append_sets(&persist, &store, 10);
+        assert!(persist.needs_commit());
+        assert_eq!(persist.snapshot().fsyncs, 0, "appends must not sync inline");
+        persist.commit();
+        assert!(!persist.needs_commit());
+        // A second barrier with nothing new appended costs no syscall.
+        persist.commit();
+        let snap = persist.snapshot();
+        assert_eq!((snap.records, snap.fsyncs), (10, 1));
+        assert_eq!((snap.commits, snap.commit_records), (1, 10));
+        drop(persist);
+        let recovered = sharded();
+        let _reopened = open_plain(options(&dir), &recovered);
+        assert_eq!(recovered.len(), 10);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn deferral_is_an_always_mode_promise_only() {
+        let dir = temp_dir("defer-interval");
+        let store = sharded();
+        let mut persist = open_plain(
+            PersistOptions {
+                fsync: FsyncMode::Interval,
+                ..PersistOptions::new(&dir)
+            },
+            &store,
+        );
+        persist.defer_sync_to_commit();
+        append_sets(&persist, &store, 3);
+        assert!(
+            !persist.needs_commit(),
+            "interval mode never parks a reply behind a sync"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rotation_syncs_the_segment_it_leaves() {
+        // Interval mode with no background thread: the only fsyncs are the
+        // ones rotation issues for the outgoing segment's unsynced tail.
+        let dir = temp_dir("roll-sync");
+        let store = sharded();
+        let opts = PersistOptions {
+            fsync: FsyncMode::Interval,
+            segment_bytes: MIN_SEGMENT_BYTES,
+            keep_segments: 64,
+            ..PersistOptions::new(&dir)
+        };
+        let persist = open_plain(opts, &store);
+        append_sets(&persist, &store, 400);
+        let snap = persist.snapshot();
+        assert!(snap.segments >= 3, "expected rotations, got {snap:?}");
+        assert_eq!(snap.snapshots, 0);
+        assert_eq!(
+            snap.fsyncs,
+            snap.segments - 1,
+            "one sync per segment left behind"
+        );
+        assert_eq!(snap.commits, snap.fsyncs);
+        // Everything but the active segment's tail has been committed.
+        assert!(snap.commit_records < snap.records);
+        persist.commit();
+        let snap = persist.snapshot();
+        assert_eq!(snap.commit_records, snap.records);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_sync_at_rotation_is_counted_and_the_next_segment_still_opens() {
+        let dir = temp_dir("roll-sync-fault");
+        let store = sharded();
+        let plan = FaultPlan {
+            fsync_fail_rate: 1.0,
+            seed: 7,
+            ..FaultPlan::default()
+        };
+        let opts = PersistOptions {
+            fsync: FsyncMode::Interval,
+            segment_bytes: MIN_SEGMENT_BYTES,
+            keep_segments: 64,
+            ..PersistOptions::new(&dir)
+        };
+        let persist = Persist::open(opts, &plan, &store).expect("open");
+        append_sets(&persist, &store, 400);
+        let snap = persist.snapshot();
+        assert!(snap.segments >= 3, "rotation must go on: {snap:?}");
+        assert_eq!(snap.state, "active", "an append resets the error streak");
+        assert_eq!(
+            snap.errors,
+            snap.segments - 1,
+            "each failed rotation sync is one counted error"
+        );
+        assert_eq!((snap.fsyncs, snap.commits), (0, 0));
+        assert_eq!(snap.records, 400, "appends kept landing in new segments");
+        drop(persist);
+        let recovered = sharded();
+        let _reopened = open_plain(options(&dir), &recovered);
+        assert_eq!(recovered.len(), 400);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rotation_mid_batch_commits_the_deferred_records_it_strands() {
+        let dir = temp_dir("roll-deferred");
+        let store = sharded();
+        let mut persist = open_plain(
+            PersistOptions {
+                fsync: FsyncMode::Always,
+                segment_bytes: MIN_SEGMENT_BYTES,
+                keep_segments: 64,
+                ..PersistOptions::new(&dir)
+            },
+            &store,
+        );
+        persist.defer_sync_to_commit();
+        append_sets(&persist, &store, 400);
+        persist.commit();
+        let snap = persist.snapshot();
+        assert!(snap.segments >= 3);
+        assert_eq!(snap.fsyncs, snap.segments, "one per rotation, one commit");
+        assert_eq!(snap.commit_records, 400, "no record escaped a sync");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,8 +11,15 @@
 //! the append-side law "every append is either persisted or counted
 //! dropped", and the paired mutation tests prove the checker catches the
 //! blind-store variants of both transitions.
+//!
+//! [`UnsyncedFlag`] is the lock-free half of the `--fsync always` ack
+//! barrier: the writer lock owns the truth ("bytes were appended since the
+//! last fsync returned"), the flag mirrors it so a reactor worker can ask
+//! "does anything I appended still need a sync?" without taking the lock.
+//! Its harness models two workers doing append → park → commit → ack and
+//! checks that no ack ever leaves ahead of the sync that covers it.
 
-use camp_check::sync::atomic::{AtomicU64, Ordering};
+use camp_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 const STATE_ACTIVE: u64 = 0;
 const STATE_DEGRADED: u64 = 1;
@@ -120,6 +127,54 @@ impl EngineState {
     }
 }
 
+/// Lock-free mirror of the writer's "appended since the last successful
+/// fsync" bit. Written only under the writer lock; read without it by
+/// [`crate::persist::Persist::needs_commit`].
+///
+/// The read may be stale in one direction only: a worker can see `true`
+/// for bytes another worker's sync already covered (it then takes the
+/// lock, finds nothing dirty, and returns), but never `false` while a
+/// record *it* appended is unsynced — its own `mark` is in the flag's
+/// modification order, so its later load returns that store or a newer
+/// one, and every newer `clear` ran after a sync that started after the
+/// append (both under the writer lock).
+#[derive(Debug)]
+pub(crate) struct UnsyncedFlag(AtomicBool);
+
+impl UnsyncedFlag {
+    /// A flag for a log with nothing appended yet.
+    pub(crate) const fn new() -> UnsyncedFlag {
+        UnsyncedFlag(AtomicBool::new(false))
+    }
+
+    /// Bytes were appended (call under the writer lock).
+    pub(crate) fn mark(&self) {
+        // ordering: Relaxed — the appender's own later `get` is ordered by
+        // coherence on this one location; other threads learn of the
+        // append through the writer lock, not through this store.
+        self.0.store(true, Ordering::Relaxed);
+    }
+
+    /// Nothing appended so far is waiting for a sync any more (call under
+    /// the writer lock): `sync()` has returned `Ok` — never earlier, the
+    /// harness's mutation — or the segment was left behind or given up on
+    /// after a counted error.
+    pub(crate) fn clear(&self) {
+        // ordering: Release — pairs with the Acquire load in `get`: a
+        // worker that reads `false` and skips the lock also observes the
+        // completed fsync (and, in the model, the synced sequence) that
+        // preceded this store.
+        self.0.store(false, Ordering::Release);
+    }
+
+    /// Whether unsynced bytes may exist (see the type docs for which way
+    /// the answer can be stale).
+    pub(crate) fn get(&self) -> bool {
+        // ordering: Acquire — pairs with the Release store in `clear`.
+        self.0.load(Ordering::Acquire)
+    }
+}
+
 /// Deliberately broken transition variants for the model harnesses (see
 /// the module docs): each reproduces the state machine without the CAS,
 /// and the paired harness asserts `camp-check` catches the resulting
@@ -157,11 +212,13 @@ impl EngineState {
 
 #[cfg(all(test, camp_check))]
 mod model_tests {
-    use std::sync::Arc;
+    use std::sync::{Arc, PoisonError};
 
+    use camp_check::sync::atomic::{AtomicU64, Ordering};
+    use camp_check::sync::{Mutex, MutexGuard};
     use camp_check::Checker;
 
-    use super::EngineState;
+    use super::{EngineState, UnsyncedFlag};
 
     /// The conservation law every interleaving must satisfy once the dust
     /// settles: transitions alternate, so the counters and the final state
@@ -314,5 +371,187 @@ mod model_tests {
                 |s: Arc<EngineState>| assert_conserved(&s),
             )
             .assert_pass("sampled transition sweep");
+    }
+
+    // ---- the `--fsync always` ack barrier -------------------------------
+
+    /// What the writer lock guards in the model: how many records the log
+    /// holds and whether any of them postdate the last sync.
+    struct ModelWriter {
+        appended: u64,
+        dirty: bool,
+    }
+
+    /// `Persist`'s barrier in miniature: the writer lock, the real
+    /// [`UnsyncedFlag`], and a disk that remembers the highest record
+    /// sequence a completed sync covered.
+    struct ModelLog {
+        writer: Mutex<ModelWriter>,
+        flag: UnsyncedFlag,
+        /// Stored Relaxed by the syncing worker, loaded Relaxed at ack: it
+        /// is only ever as fresh as the barrier's own happens-before edges
+        /// (the writer lock, or the flag's Release/Acquire pair) make it.
+        synced_seq: AtomicU64,
+    }
+
+    /// Where `commit` clears the dirty state relative to the sync.
+    #[derive(Clone, Copy)]
+    enum ClearWhen {
+        /// After `sync()` returned — the shipped protocol.
+        AfterSync,
+        /// MUTATION: before the sync has finished.
+        BeforeSync,
+    }
+
+    impl ModelLog {
+        fn new() -> ModelLog {
+            ModelLog {
+                writer: Mutex::new(ModelWriter {
+                    appended: 0,
+                    dirty: false,
+                }),
+                flag: UnsyncedFlag::new(),
+                synced_seq: AtomicU64::new(0),
+            }
+        }
+
+        /// The shim `Mutex` is not the type `crate::sync::lock` takes; a
+        /// failed schedule may poison it, which the next one shrugs off.
+        fn lock_writer(&self) -> MutexGuard<'_, ModelWriter> {
+            self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// `append_locked` with the inline sync deferred: returns the
+        /// record's sequence number.
+        fn append(&self) -> u64 {
+            let mut w = self.lock_writer();
+            w.appended += 1;
+            w.dirty = true;
+            self.flag.mark();
+            w.appended
+        }
+
+        /// `Persist::commit`: one sync covers every record appended so
+        /// far; a worker whose records are already covered returns
+        /// without one.
+        fn commit(&self, clear: ClearWhen) {
+            let mut w = self.lock_writer();
+            if !w.dirty {
+                return;
+            }
+            if matches!(clear, ClearWhen::BeforeSync) {
+                w.dirty = false;
+                self.flag.clear();
+            }
+            // ordering: Relaxed — see the field docs; the model's fsync.
+            self.synced_seq.store(w.appended, Ordering::Relaxed);
+            if matches!(clear, ClearWhen::AfterSync) {
+                w.dirty = false;
+                self.flag.clear();
+            }
+        }
+
+        /// One reactor worker's wakeup: append, park, commit if the
+        /// lock-free check says so, then ack — at which point the sync
+        /// must already cover the record.
+        fn append_commit_ack(&self, clear: ClearWhen) {
+            let seq = self.append();
+            if self.flag.get() {
+                self.commit(clear);
+            }
+            // ordering: Relaxed — see the field docs.
+            let synced = self.synced_seq.load(Ordering::Relaxed);
+            assert!(
+                synced >= seq,
+                "ack left before its sync: record {seq}, synced through {synced}"
+            );
+        }
+    }
+
+    fn barrier_workers(clear: ClearWhen) -> Vec<Box<dyn Fn(Arc<ModelLog>) + Send + Sync>> {
+        vec![
+            Box::new(move |log: Arc<ModelLog>| log.append_commit_ack(clear)),
+            Box::new(move |log: Arc<ModelLog>| log.append_commit_ack(clear)),
+        ]
+    }
+
+    /// Two workers race append → park → commit → ack. At every ack the
+    /// synced sequence covers the acked record — whether the worker synced
+    /// itself, found its records covered under the lock, or skipped the
+    /// lock because the flag read `false` — and once both are done the
+    /// flag and the lock-guarded truth agree.
+    #[test]
+    fn ack_never_leaves_before_the_sync_that_covers_it() {
+        Checker::new()
+            .preemption_bound(2)
+            .check_threads_setup(
+                ModelLog::new,
+                barrier_workers(ClearWhen::AfterSync),
+                |log: Arc<ModelLog>| {
+                    let w = log.lock_writer();
+                    assert_eq!(w.appended, 2);
+                    assert!(!w.dirty && !log.flag.get(), "a record was left unsynced");
+                },
+            )
+            .assert_pass("group-commit ack barrier");
+    }
+
+    /// `needs_commit`'s lock-free read may say `true` for records another
+    /// worker's sync already covered, but never `false` for the reader's
+    /// own unsynced record: a worker that appends and does *not* commit
+    /// must still see the flag set, whatever a racing committer does.
+    #[test]
+    fn own_unsynced_record_is_never_reported_clean() {
+        Checker::new()
+            .preemption_bound(2)
+            .check_threads_setup(
+                ModelLog::new,
+                vec![
+                    Box::new(|log: Arc<ModelLog>| {
+                        let seq = log.append();
+                        let flagged = log.flag.get();
+                        // ordering: Relaxed — see the field docs.
+                        let synced = log.synced_seq.load(Ordering::Relaxed);
+                        assert!(
+                            flagged || synced >= seq,
+                            "flag read clean over an unsynced record {seq} (synced {synced})"
+                        );
+                    }),
+                    Box::new(|log: Arc<ModelLog>| {
+                        log.append();
+                        log.commit(ClearWhen::AfterSync);
+                    }),
+                ],
+                |_log: Arc<ModelLog>| {},
+            )
+            .assert_pass("needs_commit is only ever spuriously true");
+    }
+
+    /// Mutation: clearing the dirty state before the sync has returned
+    /// lets the other worker's lock-free check read `false` and ack a
+    /// record no sync covers yet. The checker must find that schedule and
+    /// replay it.
+    #[test]
+    fn clear_before_sync_mutation_is_caught_and_replays() {
+        let after = |_log: Arc<ModelLog>| {};
+        let failure = Checker::new()
+            .preemption_bound(2)
+            .check_threads_setup(ModelLog::new, barrier_workers(ClearWhen::BeforeSync), after)
+            .expect_fail("clear-before-sync mutation")
+            .clone();
+        assert!(
+            failure.error.contains("ack left before its sync"),
+            "unexpected failure: {failure}"
+        );
+        let replayed = Checker::new()
+            .replay_threads_setup(
+                &failure.trace,
+                ModelLog::new,
+                barrier_workers(ClearWhen::BeforeSync),
+                after,
+            )
+            .expect_fail("replay of the early-ack counterexample")
+            .clone();
+        assert_eq!(replayed.error, failure.error, "replay diverged");
     }
 }

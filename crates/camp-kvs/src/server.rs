@@ -34,6 +34,7 @@ use crate::metrics::{
     CmdKind, FaultKind, ReactorStats, RecorderSink, RejectCause, ServerMetrics, TelemetryReport,
 };
 use crate::net::epoll::ReusePortListener;
+use crate::persist::{IoBackend, Persist};
 use crate::protocol::{
     parse_command_limited, Command, SetHeader, SetVerb, StatsScope, DEFAULT_MAX_VALUE_LEN,
 };
@@ -213,7 +214,11 @@ pub(crate) struct Shared {
     pub(crate) reactor_stats: ReactorStats,
     /// The durability engine (`--data-dir`); `None` = memory-only, with
     /// the write path byte-identical to a build without persistence.
-    pub(crate) persist: Option<Arc<crate::persist::Persist>>,
+    pub(crate) persist: Option<Arc<Persist>>,
+    /// Test-only mutation switch: the reactor flushes parked replies
+    /// *before* committing, which the power-loss test must catch.
+    #[cfg(test)]
+    pub(crate) flush_before_commit: AtomicBool,
 }
 
 impl Shared {
@@ -225,6 +230,16 @@ impl Shared {
     ///
     /// Propagates persistence-open failures (unusable `--data-dir`).
     pub(crate) fn new(options: &ServerOptions) -> io::Result<Shared> {
+        Shared::with_backend(options, None)
+    }
+
+    /// [`Shared::new`] with the persistence log on an explicit
+    /// [`IoBackend`] (`None` = the one `Persist::open` picks; tests pass
+    /// a backend that can lose power).
+    pub(crate) fn with_backend(
+        options: &ServerOptions,
+        backend: Option<Box<dyn IoBackend>>,
+    ) -> io::Result<Shared> {
         let workers = if options.legacy_threads {
             1
         } else {
@@ -235,12 +250,24 @@ impl Shared {
         store.set_trace_sink(Some(Arc::new(RecorderSink::new(Arc::clone(&recorder)))));
         let persist = match options.persist.as_ref() {
             Some(persist_options) => {
-                let plan = options.fault_plan.clone().unwrap_or_default();
-                Some(Arc::new(crate::persist::Persist::open(
-                    persist_options.clone(),
-                    &plan,
-                    &store,
-                )?))
+                let mut persist = match backend {
+                    Some(backend) => {
+                        Persist::open_with_backend(persist_options.clone(), backend, &store)?
+                    }
+                    None => {
+                        let plan = options.fault_plan.clone().unwrap_or_default();
+                        Persist::open(persist_options.clone(), &plan, &store)?
+                    }
+                };
+                // The reactor holds every reply in the connection's output
+                // rope until it chooses to flush, so it can put one sync in
+                // front of a whole wakeup's replies. The legacy engine's
+                // BufWriter writes through to the socket when full, so it
+                // cannot hold replies back and keeps the per-record sync.
+                if !options.legacy_threads {
+                    persist.defer_sync_to_commit();
+                }
+                Some(Arc::new(persist))
             }
             None => None,
         };
@@ -260,12 +287,30 @@ impl Shared {
             recorder,
             reactor_stats: ReactorStats::new(workers),
             persist,
+            #[cfg(test)]
+            flush_before_commit: AtomicBool::new(false),
         })
     }
 
     /// The registry stripe for `key` — same hash partition as the store.
     fn iq_stripe(&self, key: &[u8]) -> usize {
         self.store.shard_index(key)
+    }
+
+    /// Whether replies about to be flushed may depend on `--fsync always`
+    /// records no sync has covered yet (never true without `--data-dir`).
+    pub(crate) fn needs_commit(&self) -> bool {
+        self.persist.as_ref().is_some_and(|p| p.needs_commit())
+    }
+
+    /// The ack barrier: call in front of a flush. Costs one lock-free
+    /// load unless replies really are waiting on a sync.
+    pub(crate) fn commit_before_flush(&self) {
+        if let Some(persist) = self.persist.as_ref() {
+            if persist.needs_commit() {
+                persist.commit();
+            }
+        }
     }
 
     fn stopping(&self) -> bool {
@@ -455,8 +500,18 @@ impl Server {
     ///
     /// Returns any I/O error from binding either listener.
     pub fn start_with(addr: &str, options: ServerOptions) -> io::Result<Server> {
-        let policy = options.config.eviction.to_string();
         let shared = Arc::new(Shared::new(&options)?);
+        Server::start_shared(addr, &options, shared)
+    }
+
+    /// Starts the engine `options` selects over an already-built `shared`
+    /// (which must have been built from the same options).
+    pub(crate) fn start_shared(
+        addr: &str,
+        options: &ServerOptions,
+        shared: Arc<Shared>,
+    ) -> io::Result<Server> {
+        let policy = options.config.eviction.to_string();
         // The persistence maintenance thread (interval fsync, degraded
         // retry) starts before the listeners: telemetry and re-arm work
         // even if binding fails later and the Server is dropped.

@@ -5,10 +5,13 @@
 //! The main test runs 25 seeded rounds. Each round boots the daemon
 //! out-of-process (so the kill is a genuine `SIGKILL`, not an in-process
 //! shortcut), verifies the recovered state against the ledger of every
-//! write ever sent, then hammers sets from a writer thread until the main
-//! thread kills the process at a seeded random point — which can land in
+//! write ever sent, then hammers sets from three writer threads — disjoint
+//! key ranges, eight pipelined sets per round trip, so `--fsync always`
+//! forms commit groups across connections and workers — until the main
+//! thread kills the process at a seeded random point, which can land in
 //! the middle of a disk write, leaving a torn tail for the next boot to
-//! truncate. Rounds alternate `--fsync always` and `--fsync interval`:
+//! truncate. A write counts as acknowledged only once its `STORED` line
+//! has been read. Rounds alternate `--fsync always` and `--fsync interval`:
 //!
 //! * a value served after recovery must byte-match `v-<key>-<seq>` for a
 //!   sequence number that was actually sent (no corruption, no invented
@@ -34,15 +37,21 @@ use std::time::Duration;
 use camp_core::rng::Rng64;
 use camp_core::Precision;
 use camp_kvs::client::Client;
-use camp_kvs::persist::PersistOptions;
+use camp_kvs::persist::{FsyncMode, PersistOptions};
 use camp_kvs::server::{Server, ServerOptions};
 use camp_kvs::slab::SlabConfig;
 use camp_kvs::store::{EvictionMode, StoreConfig};
 
 /// SIGKILL rounds (each one verified by the next boot's recovery).
 const ROUNDS: usize = 25;
-/// Distinct keys the writer cycles through.
-const KEYS: u64 = 64;
+/// Concurrent writer connections, each on its own key range.
+const WRITERS: u64 = 3;
+/// Distinct keys each writer cycles through.
+const KEYS_PER_WRITER: u64 = 21;
+/// Distinct keys overall.
+const KEYS: u64 = WRITERS * KEYS_PER_WRITER;
+/// Sets each writer pipelines per round trip.
+const PIPELINE: u64 = 8;
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -162,11 +171,8 @@ impl Wire {
         Ok(())
     }
 
-    /// Sends one `set` and waits for the reply; `Ok(true)` is an ack.
-    fn set(&mut self, key: &str, value: &str) -> io::Result<bool> {
-        let mut request = Vec::new();
-        write!(request, "set {key} 0 0 {}\r\n{value}\r\n", value.len())?;
-        self.writer.write_all(&request)?;
+    /// Reads one storage reply; `Ok(true)` is an ack.
+    fn read_stored(&mut self) -> io::Result<bool> {
         let mut line = Vec::new();
         self.read_line(&mut line)?;
         Ok(line == b"STORED")
@@ -210,11 +216,55 @@ struct Ledger {
     durable: BTreeMap<u64, u64>,
 }
 
-/// Per-round counters the writer thread fills in while it hammers sets.
+/// Per-round counters a writer thread fills in while it hammers sets.
 #[derive(Default)]
 struct RoundLog {
     sent: BTreeMap<u64, u64>,
     acked: BTreeMap<u64, u64>,
+}
+
+/// One writer: streams batches of `PIPELINE` sets over its own key range
+/// (`writer * KEYS_PER_WRITER ..`) until the socket dies under it. A
+/// sequence number is logged as sent before its batch leaves, and as
+/// acked only when its own `STORED` line has been read.
+fn hammer_sets(addr: &str, writer: u64, first_seq: u64) -> RoundLog {
+    let mut log = RoundLog::default();
+    let Ok(mut wire) = dial(addr) else {
+        return log;
+    };
+    let mut seq = first_seq;
+    let mut request = Vec::new();
+    let mut batch = Vec::new();
+    loop {
+        request.clear();
+        batch.clear();
+        for _ in 0..PIPELINE {
+            let k = writer * KEYS_PER_WRITER + seq % KEYS_PER_WRITER;
+            let value = value_for(k, seq);
+            write!(
+                request,
+                "set {} 0 0 {}\r\n{value}\r\n",
+                key_name(k),
+                value.len()
+            )
+            .expect("write to a Vec");
+            log.sent.insert(k, seq);
+            batch.push((k, seq));
+            seq += 1;
+        }
+        if wire.writer.write_all(&request).is_err() {
+            return log; // the SIGKILL landed
+        }
+        for &(k, seq) in &batch {
+            match wire.read_stored() {
+                Ok(true) => {
+                    log.acked.insert(k, seq);
+                }
+                Ok(false) => {} // e.g. rejected under memory pressure
+                Err(_) => return log,
+            }
+        }
+    }
 }
 
 /// Reads back every key and checks it against the ledger. Returns how
@@ -286,47 +336,34 @@ fn sigkill_rounds_recover_prefix_consistent_state() {
         let daemon = spawn_daemon(&dir, fsync);
         verify_recovery(&daemon.addr, &mut ledger, round);
 
-        // Writer thread: stream sets until the socket dies under it. The
-        // round log rides back through the join handle — the main thread
-        // only reads it after `join()`, so no lock is needed.
-        let addr = daemon.addr.clone();
+        // Writer threads: stream sets until the socket dies under them.
+        // The round logs ride back through the join handles — the main
+        // thread only reads them after `join()`, so no lock is needed.
         let first_seq = next_seq;
-        let writer = std::thread::spawn(move || {
-            let mut log = RoundLog::default();
-            let Ok(mut wire) = dial(&addr) else {
-                return log;
-            };
-            let mut seq = first_seq;
-            loop {
-                let k = seq % KEYS;
-                log.sent.insert(k, seq);
-                match wire.set(&key_name(k), &value_for(k, seq)) {
-                    Ok(true) => {
-                        log.acked.insert(k, seq);
-                    }
-                    Ok(false) => {}  // e.g. rejected under memory pressure
-                    Err(_) => break, // the SIGKILL landed
-                }
-                seq += 1;
-            }
-            log
-        });
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|writer| {
+                let addr = daemon.addr.clone();
+                std::thread::spawn(move || hammer_sets(&addr, writer, first_seq))
+            })
+            .collect();
 
-        // Let the writer run for a seeded slice, then pull the plug.
+        // Let the writers run for a seeded slice, then pull the plug.
         std::thread::sleep(Duration::from_millis(rng.range_u64(30, 220)));
         daemon.sigkill();
-        let log = writer.join().expect("writer thread");
-        for (&k, &seq) in &log.sent {
-            let entry = ledger.max_sent.entry(k).or_insert(0);
-            *entry = (*entry).max(seq);
-        }
-        if always {
-            for (&k, &seq) in &log.acked {
-                let entry = ledger.durable.entry(k).or_insert(0);
+        for writer in writers {
+            let log = writer.join().expect("writer thread");
+            for (&k, &seq) in &log.sent {
+                let entry = ledger.max_sent.entry(k).or_insert(0);
                 *entry = (*entry).max(seq);
+                next_seq = next_seq.max(seq + 1);
+            }
+            if always {
+                for (&k, &seq) in &log.acked {
+                    let entry = ledger.durable.entry(k).or_insert(0);
+                    *entry = (*entry).max(seq);
+                }
             }
         }
-        next_seq = log.sent.values().copied().max().unwrap_or(next_seq) + 1;
     }
 
     // One last boot to verify the final kill's recovery, then clean up.
@@ -384,4 +421,58 @@ fn warm_restart_preserves_values_and_flags_end_to_end() {
     client.quit().unwrap();
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--legacy-threads` cannot hold replies behind a commit barrier (its
+/// `BufWriter` writes through to the socket when full), so under
+/// `--fsync always` it must keep syncing after every record, while the
+/// reactor shares one sync among a pipelined batch.
+#[test]
+fn legacy_engine_syncs_per_record_and_the_reactor_shares_syncs() {
+    let persist_counters = |legacy_threads: bool| {
+        let dir = temp_dir(if legacy_threads { "legacy" } else { "reactor" });
+        let mut options = ServerOptions::new(StoreConfig {
+            slab: SlabConfig::small(64 * 1024, 16),
+            eviction: EvictionMode::Camp(Precision::Bits(5)),
+        });
+        options.legacy_threads = legacy_threads;
+        options.persist = Some(PersistOptions {
+            fsync: FsyncMode::Always,
+            ..PersistOptions::new(&dir)
+        });
+        let server = Server::start_with("127.0.0.1:0", options).expect("boot");
+        // 8 round trips of 8 pipelined sets: far below one 64 MiB segment.
+        let mut wire = dial(&server.local_addr().to_string()).expect("dial");
+        for round in 0..8u64 {
+            let mut request = Vec::new();
+            for i in 0..PIPELINE {
+                write!(request, "set k{i} 0 0 2\r\nv{round}\r\n").expect("write to a Vec");
+            }
+            wire.writer.write_all(&request).expect("send batch");
+            for _ in 0..PIPELINE {
+                assert!(wire.read_stored().expect("reply"));
+            }
+        }
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let detail = client.stats_detail().expect("stats detail");
+        client.quit().expect("quit");
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+        let stat = |name: &str| -> u64 { detail[name].parse().expect("numeric stat") };
+        assert_eq!(stat("persist:errors"), 0);
+        (stat("persist:fsyncs"), stat("persist:records"))
+    };
+
+    let (fsyncs, records) = persist_counters(true);
+    assert_eq!(records, 8 * PIPELINE);
+    assert!(
+        fsyncs >= records,
+        "legacy engine must sync per record: {fsyncs} fsyncs for {records} records"
+    );
+    let (fsyncs, records) = persist_counters(false);
+    assert_eq!(records, 8 * PIPELINE);
+    assert!(
+        fsyncs < records / 2,
+        "reactor must share syncs: {fsyncs} fsyncs for {records} records"
+    );
 }

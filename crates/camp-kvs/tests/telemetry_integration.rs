@@ -3,11 +3,12 @@
 //! against every eviction mode.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 use camp_core::Precision;
 use camp_kvs::client::Client;
+use camp_kvs::persist::{FsyncMode, PersistOptions};
 use camp_kvs::server::{Server, ServerOptions};
 use camp_kvs::slab::SlabConfig;
 use camp_kvs::store::{EvictionMode, StoreConfig};
@@ -171,6 +172,11 @@ fn every_mode_exposes_the_universal_families() {
             "camp_shard_items{shard=\"0\"}",
             "camp_iq_miss_registry_size 0",
             "camp_build_info{",
+            // The durability families keep their all-zero "disabled" row.
+            "camp_persist_state 0",
+            "camp_persist_commits_total 0",
+            "camp_persist_commit_records_total 0",
+            "camp_persist_sync_us_count 0",
         ] {
             assert!(
                 body.contains(needle),
@@ -398,4 +404,100 @@ fn summary_breaks_down_per_shard() {
     assert_eq!(shard_items, parse_u64(&stats, "curr_items"));
     client.quit().unwrap();
     server.shutdown();
+}
+
+/// The value of an unlabelled Prometheus sample.
+fn sample(body: &str, name: &str) -> u64 {
+    body.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("missing sample {name} in:\n{body}"))
+        .parse()
+        .unwrap_or_else(|_| panic!("sample {name} is not an integer"))
+}
+
+/// Commit accounting under `--fsync always`: once every reply has been
+/// read, every mutation record the log holds has been covered by exactly
+/// one commit (rotations included; no compaction snapshot in this run, so
+/// there are no snapshot records to subtract), the syncs were shared, every
+/// fsync is in the `sync_us` histogram, and `stats detail` agrees with the
+/// exposition.
+#[test]
+fn commit_accounting_is_self_consistent_under_fsync_always() {
+    let dir = std::env::temp_dir().join(format!("camp-telemetry-commit-{}", std::process::id()));
+    let mut opts = options(EvictionMode::Camp(Precision::Bits(5)), 2);
+    opts.workers = 2;
+    opts.persist = Some(PersistOptions {
+        fsync: FsyncMode::Always,
+        // Small segments, generous retention: rotations, never a snapshot.
+        segment_bytes: 8 * 1024,
+        keep_segments: 1024,
+        ..PersistOptions::new(&dir)
+    });
+    let server = Server::start_with("127.0.0.1:0", opts).expect("start server");
+
+    // Three connections, each pipelining a mix of every mutating verb.
+    let mut mutations = 0u64;
+    let streams: Vec<TcpStream> = (0..3)
+        .map(|_| TcpStream::connect(server.local_addr()).expect("connect"))
+        .collect();
+    for round in 0..20u32 {
+        for (conn, stream) in streams.iter().enumerate() {
+            let mut batch = Vec::new();
+            for i in 0..8u32 {
+                write!(batch, "set c{conn}-k{i} 0 0 4\r\n{round:04}\r\n").unwrap();
+            }
+            write!(batch, "incr c{conn}-k0 1\r\n").unwrap();
+            write!(batch, "touch c{conn}-k1 0\r\n").unwrap();
+            write!(batch, "delete c{conn}-k2\r\n").unwrap();
+            write!(batch, "get c{conn}-k3\r\n").unwrap();
+            (&*stream).write_all(&batch).expect("send batch");
+            mutations += 11;
+        }
+        for stream in &streams {
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            // 8 STORED, incr value, TOUCHED, DELETED, then VALUE/data/END.
+            for _ in 0..14 {
+                line.clear();
+                assert!(reader.read_line(&mut line).expect("reply") > 0);
+            }
+            assert_eq!(line.trim_end(), "END");
+        }
+    }
+    drop(streams);
+
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let detail = client.stats_detail().expect("stats detail");
+    let records = parse_u64(&detail, "persist:records");
+    let commits = parse_u64(&detail, "persist:commits");
+    let fsyncs = parse_u64(&detail, "persist:fsyncs");
+    assert_eq!(parse_u64(&detail, "persist:errors"), 0);
+    assert_eq!(parse_u64(&detail, "persist:snapshots"), 0);
+    assert!(parse_u64(&detail, "persist:segments") >= 3, "{detail:?}");
+    assert_eq!(records, mutations, "one record per acknowledged mutation");
+    assert_eq!(
+        parse_u64(&detail, "persist:commit_records"),
+        records,
+        "every record was covered by exactly one commit"
+    );
+    assert_eq!(commits, fsyncs, "no snapshot, no seal: every fsync commits");
+    assert!(
+        commits < records / 2,
+        "{commits} commits for {records} records: no group formed"
+    );
+    let p50 = parse_u64(&detail, "persist:sync_us:p50");
+    let p99 = parse_u64(&detail, "persist:sync_us:p99");
+    let max = parse_u64(&detail, "persist:sync_us:max");
+    assert!(p50 <= p99 && p99 <= max, "{p50} {p99} {max}");
+
+    let body = scrape(&server);
+    assert_eq!(sample(&body, "camp_persist_records_total"), records);
+    assert_eq!(sample(&body, "camp_persist_commits_total"), commits);
+    assert_eq!(sample(&body, "camp_persist_commit_records_total"), records);
+    assert_eq!(sample(&body, "camp_persist_fsyncs_total"), fsyncs);
+    assert_eq!(sample(&body, "camp_persist_sync_us_count"), fsyncs);
+
+    client.quit().unwrap();
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
