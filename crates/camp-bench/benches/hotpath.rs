@@ -6,6 +6,12 @@
 //! caller formats a `VALUE` block around it) and the visitor one
 //! (`Store::get_with` + `resp::append_value` serialize straight from the
 //! arena chunk into a reusable buffer). The second is the live hot path.
+//!
+//! The `store` group times what surrounds the policy decision on the
+//! benchmark's evicting workloads — fingerprint, index probe, key compare,
+//! slab write, eviction hand-off — on a BG-sized keyspace four times the
+//! store's memory: `get_hit`, `get_miss`, and `set_evicting` (a cyclic
+//! scan, so every set misses and evicts).
 
 use std::hint::black_box;
 use std::io::Write;
@@ -15,9 +21,82 @@ use camp_kvs::protocol::{parse_command, Command};
 use camp_kvs::resp;
 use camp_kvs::slab::SlabConfig;
 use camp_kvs::store::{EvictionMode, Store, StoreConfig};
+use camp_workload::BgConfig;
 
 const PARSE_LINES: u64 = 100_000;
 const GET_OPS: u64 = 100_000;
+const STORE_OPS: u64 = 100_000;
+
+/// The `store` group: one distinct key per BG trace key, with the trace's
+/// sizes and costs, against a store a quarter the keyspace's size.
+fn store_group() {
+    let trace = BgConfig::paper_scaled(20_000, 100_000, 7).generate();
+    let mut pairs: Vec<(Vec<u8>, usize, u64)> = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    for record in trace.iter() {
+        if seen.insert(record.key) {
+            pairs.push((
+                record.key.to_string().into_bytes(),
+                record.size as usize,
+                record.cost,
+            ));
+        }
+    }
+    let slab_size: u32 = 64 * 1024;
+    let memory = trace.stats().unique_bytes / 4;
+    let value = vec![0xCDu8; pairs.iter().map(|p| p.1).max().unwrap_or(1)];
+    let mut store = Store::new(StoreConfig {
+        slab: SlabConfig::small(slab_size, (memory / u64::from(slab_size)).max(4) as u32),
+        eviction: "camp:5".parse().expect("policy name"),
+    });
+    let mut next = 0usize;
+    let mut set_next = |store: &mut Store| {
+        let (key, size, cost) = &pairs[next % pairs.len()];
+        next += 1;
+        store.set(key, &value[..*size], 0, 0, *cost).is_ok()
+    };
+    // One full cycle: the store is full and every further set evicts.
+    for _ in 0..pairs.len() {
+        set_next(&mut store);
+    }
+
+    let group = Group::new("store", STORE_OPS, 10);
+    group.case("set_evicting", || {
+        let evictions = store.stats().evictions;
+        let mut stored = 0u64;
+        for _ in 0..STORE_OPS {
+            stored += u64::from(set_next(&mut store));
+        }
+        assert!(store.stats().evictions - evictions > STORE_OPS / 2);
+        stored
+    });
+    let resident: Vec<&[u8]> = pairs
+        .iter()
+        .map(|p| &p.0[..])
+        .filter(|key| store.contains(key))
+        .collect();
+    group.case("get_hit", || {
+        let mut bytes = 0u64;
+        for i in 0..STORE_OPS as usize {
+            let key = resident[i % resident.len()];
+            bytes += store
+                .get_with(black_box(key), |item| item.value.len() as u64)
+                .expect("resident");
+        }
+        bytes
+    });
+    let absent: Vec<Vec<u8>> = (0..4096)
+        .map(|i| format!("absent-{i}").into_bytes())
+        .collect();
+    group.case("get_miss", || {
+        let mut hits = 0u64;
+        for i in 0..STORE_OPS as usize {
+            let key = &absent[i % absent.len()];
+            hits += u64::from(store.get_with(black_box(key), |_| ()).is_some());
+        }
+        hits
+    });
+}
 
 fn main() {
     let group = Group::new("parse", PARSE_LINES, 20);
@@ -117,4 +196,6 @@ fn main() {
         }
         bytes
     });
+
+    store_group();
 }

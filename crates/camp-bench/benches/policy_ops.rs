@@ -60,6 +60,33 @@ fn main() {
         drive(&mut policy, &requests)
     });
 
+    // What the key type costs: the same stream through the same CAMP, keyed
+    // by the `u64` the server's fingerprint gives it versus by owned key
+    // bytes (one clone per reference, as a byte-keyed store must make).
+    let group = Group::new("policy", requests.len() as u64, 10);
+    let mode: EvictionMode = "camp:5".parse().expect("policy name");
+    group.case("camp_reference_u64", || {
+        let mut policy = mode.build::<u64>(capacity);
+        drive(&mut *policy, &requests)
+    });
+    let byte_keys: Vec<Box<[u8]>> = requests
+        .iter()
+        .map(|r| r.key.to_string().into_bytes().into_boxed_slice())
+        .collect();
+    group.case("camp_reference_bytes", || {
+        let mut policy = mode.build::<Box<[u8]>>(capacity);
+        let mut evicted = Vec::new();
+        let mut hits = 0u64;
+        for (req, key) in requests.iter().zip(&byte_keys) {
+            evicted.clear();
+            let req = CacheRequest::new(key.clone(), req.size, req.cost);
+            if !policy.reference(req, &mut evicted).is_miss() {
+                hits += 1;
+            }
+        }
+        hits
+    });
+
     // The hit path in isolation: everything resident, no evictions — the
     // regime where CAMP's "no heap update unless the head changes" shines.
     let group = Group::new("hit_path", requests.len() as u64, 10);

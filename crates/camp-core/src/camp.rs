@@ -20,11 +20,11 @@
 //! most one queue-width of priority and vanishes under rounding.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
 use crate::arena::{Arena, EntryId};
+use crate::hash::FoldHashMap;
 use crate::heap::OctonaryHeap;
 use crate::lru_list::{Linked, Links, LruList};
 use crate::rounding::{Precision, RatioRounder};
@@ -167,11 +167,11 @@ impl CampBuilder {
             None => RatioRounder::new(self.precision),
         };
         Camp {
-            map: HashMap::with_capacity(self.initial_entries),
+            map: FoldHashMap::with_capacity_and_hasher(self.initial_entries, Default::default()),
             arena: Arena::with_capacity(self.initial_entries),
             queues: Vec::new(),
             free_queues: Vec::new(),
-            queue_by_ratio: HashMap::new(),
+            queue_by_ratio: FoldHashMap::default(),
             heap: OctonaryHeap::new(),
             rounder,
             l: 0,
@@ -190,6 +190,12 @@ impl CampBuilder {
 /// by LRU order within a queue. Use `V = ()` when only the eviction decisions
 /// matter (e.g. trace-driven simulation).
 ///
+/// The key map is hashed by the unseeded [`crate::hash::FoldHasher`], not
+/// by the standard library's randomly keyed SipHash: it is fast, and it
+/// gives no protection against keys chosen to collide. Feed it keys an
+/// adversary cannot pick — trace ids, or a seeded hash of the external key
+/// (the KVS server passes its per-process key fingerprint).
+///
 /// # Examples
 ///
 /// ```
@@ -206,11 +212,11 @@ impl CampBuilder {
 /// assert!(!cache.contains("profile-1"));
 /// ```
 pub struct Camp<K, V = ()> {
-    map: HashMap<K, EntryId>,
+    map: FoldHashMap<K, EntryId>,
     arena: Arena<Entry<K, V>>,
     queues: Vec<Option<Queue>>,
     free_queues: Vec<u32>,
-    queue_by_ratio: HashMap<u64, u32>,
+    queue_by_ratio: FoldHashMap<u64, u32>,
     heap: OctonaryHeap<u128>,
     rounder: RatioRounder,
     l: u128,

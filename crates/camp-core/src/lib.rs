@@ -53,6 +53,7 @@
 
 pub mod arena;
 pub mod camp;
+pub mod hash;
 pub mod heap;
 pub mod lru_list;
 pub mod rng;

@@ -10,6 +10,16 @@
 //! Events carry a *hash* of the key rather than the key itself: trace
 //! consumers need identity (to correlate admissions with later evictions)
 //! but must not exfiltrate cached payload keys into logs or metrics.
+//!
+//! What "the key" is depends on who drives the policy. The simulator's keys
+//! are the trace's `u64` ids, so its events carry `key_hash(&id)`. The KVS
+//! server keys its policies by a seeded 64-bit fingerprint of the wire key
+//! (`camp_kvs::shard::ShardedStore::fingerprint`), so there
+//! [`PolicyEvent::key_hash`] is `key_hash(&fingerprint)`: stable for the
+//! life of the process, different in the next one (the seed is random).
+//! To follow a wire key through a server's events, or to line a server's
+//! decisions up against a simulator run, map the key through that method
+//! first.
 
 use std::hash::{Hash, Hasher};
 
@@ -75,7 +85,9 @@ pub type SharedTraceSink = std::sync::Arc<dyn TraceSink>;
 
 /// A stable, process-deterministic hash for trace events. Uses the
 /// standard library's default hasher with its fixed initial state, so the
-/// same key always maps to the same hash within (and across) runs.
+/// same key always maps to the same hash within (and across) runs. (On the
+/// KVS server the key handed in is itself a per-process fingerprint; see
+/// the module docs.)
 #[must_use]
 pub fn key_hash<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut hasher = std::hash::DefaultHasher::new();

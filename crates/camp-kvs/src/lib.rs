@@ -62,6 +62,7 @@
 pub mod buddy;
 pub mod client;
 pub mod fault;
+mod fingerprint;
 pub mod item;
 pub mod metrics;
 pub mod net;

@@ -470,6 +470,8 @@ pub struct TelemetryReport {
     pub iq_miss_registry_size: u64,
     /// Registry entries dropped by the TTL sweep so far.
     pub iq_sweep_reclaimed: u64,
+    /// `iqget` misses not registered because their stripe was full.
+    pub iq_misses_dropped: u64,
     /// Merged shadow-cache estimates (0.5×/1×/2× capacity), across shards.
     pub shadow: Vec<ShadowEstimate>,
     /// The shadow profiler's spatial sampling modulus (1-in-N keys).
@@ -558,6 +560,10 @@ impl TelemetryReport {
             self.totals.slab_evictions
         ));
         lines.push(format!("STAT evictions:expired {}", self.totals.expired));
+        lines.push(format!(
+            "STAT store:fingerprint_collisions {}",
+            self.totals.fingerprint_collisions
+        ));
         for (command, snap) in &self.latencies {
             lines.push(format!("STAT latency:{command}:count {}", snap.count));
             lines.push(format!(
@@ -621,6 +627,7 @@ impl TelemetryReport {
             "STAT iq_sweep_reclaimed {}",
             self.iq_sweep_reclaimed
         ));
+        lines.push(format!("STAT iq_misses_dropped {}", self.iq_misses_dropped));
         for (i, w) in self.reactor_workers.iter().enumerate() {
             lines.push(format!(
                 "STAT reactor:worker{i} live={} wakeups={} timer_fires={} write_pauses={} \
@@ -843,6 +850,16 @@ impl TelemetryReport {
             t.slab_evictions,
         );
         exp.int_value("camp_evictions_total", &[("cause", "expired")], t.expired);
+        exp.family(
+            "camp_store_fingerprint_collisions_total",
+            "capacity evictions caused by two keys sharing a 64-bit fingerprint",
+            MetricKind::Counter,
+        );
+        exp.int_value(
+            "camp_store_fingerprint_collisions_total",
+            &[],
+            t.fingerprint_collisions,
+        );
 
         exp.family("camp_items", "live items", MetricKind::Gauge);
         exp.int_value("camp_items", &[], self.curr_items as u64);
@@ -965,6 +982,12 @@ impl TelemetryReport {
             &[],
             self.iq_sweep_reclaimed,
         );
+        exp.family(
+            "camp_iq_misses_dropped_total",
+            "iqget misses not registered because their registry stripe was full",
+            MetricKind::Counter,
+        );
+        exp.int_value("camp_iq_misses_dropped_total", &[], self.iq_misses_dropped);
 
         exp.family(
             "camp_slab_class_slabs",
@@ -1273,6 +1296,7 @@ mod tests {
             lock_poison_recovered: 1,
             iq_miss_registry_size: 5,
             iq_sweep_reclaimed: 2,
+            iq_misses_dropped: 1,
             shadow: vec![ShadowEstimate {
                 scale: (1, 2),
                 capacity: 512,

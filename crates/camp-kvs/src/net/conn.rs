@@ -47,7 +47,8 @@ use crate::metrics::{CmdKind, FaultKind, RejectCause};
 use crate::protocol::{parse_command_limited, Command};
 use crate::server::{cmd_kind, execute, Shared};
 
-/// Bytes added to the read buffer per `read` call while filling.
+/// Spare room a `read` call is offered while filling. A read that returns
+/// less than it was offered has drained the socket.
 const READ_CHUNK: usize = 16 * 1024;
 /// Cap on bytes ingested per fill round, so one firehose connection
 /// cannot starve its worker's other connections.
@@ -199,9 +200,13 @@ impl OutRope {
 /// One client connection's entire protocol state.
 #[derive(Debug)]
 pub(crate) struct Connection {
-    /// Read buffer; `buf[pos..]` is unconsumed input.
+    /// Read buffer; `buf[pos..filled]` is unconsumed input and
+    /// `buf[filled..]` is spare room — already initialised, so a `read`
+    /// lands in it without a zero-fill (zeroing happens only when the
+    /// buffer grows).
     buf: Vec<u8>,
     pos: usize,
+    filled: usize,
     /// Output rope: sealed segments awaiting flush plus the active tail.
     out: OutRope,
     /// Reusable get-serialization scratch (same role as legacy
@@ -239,6 +244,7 @@ impl Connection {
         Connection {
             buf: Vec::new(),
             pos: 0,
+            filled: 0,
             out: OutRope::default(),
             response: Vec::new(),
             faults: shared
@@ -281,7 +287,9 @@ impl Connection {
     /// socket-facing equivalent).
     #[cfg(test)]
     pub(crate) fn ingest(&mut self, bytes: &[u8]) {
+        self.buf.truncate(self.filled);
         self.buf.extend_from_slice(bytes);
+        self.filled = self.buf.len();
         self.buffered_at = Some(Instant::now());
     }
 
@@ -309,13 +317,17 @@ impl Connection {
     /// where only reads blocked with an empty line buffer noticed the
     /// drain flag — and gets severed at the deadline instead.
     pub(crate) fn drain_closable(&self) -> bool {
-        self.pos >= self.buf.len() && !self.has_pending_out() && self.delayed_until.is_none()
+        self.pos >= self.filled && !self.has_pending_out() && self.delayed_until.is_none()
     }
 
-    /// Reads the socket until it would block (or the per-round cap), never
-    /// blocking. Tolerates short reads by construction: whatever fragment
-    /// arrives is appended and `process` decides whether it adds up to a
-    /// complete command yet.
+    /// Reads the socket until a read comes back short (or the per-round
+    /// cap), never blocking. Epoll here is level-triggered: a read that
+    /// returns less than the room it was offered has drained the socket,
+    /// and whatever arrives later — more bytes or the peer's FIN — raises
+    /// the event again, so the common small request costs one `read`, not
+    /// a second one just to see `EAGAIN`. Tolerates short reads by
+    /// construction: whatever fragment arrives is appended and `process`
+    /// decides whether it adds up to a complete command yet.
     ///
     /// # Errors
     ///
@@ -324,33 +336,27 @@ impl Connection {
     pub(crate) fn fill_from(&mut self, stream: &mut impl Read) -> io::Result<Fill> {
         let mut round = 0;
         loop {
-            let len = self.buf.len();
-            self.buf.resize(len + READ_CHUNK, 0);
-            match stream.read(&mut self.buf[len..]) {
+            if self.buf.len() < self.filled + READ_CHUNK {
+                self.buf.resize(self.filled + READ_CHUNK, 0);
+            }
+            let room = &mut self.buf[self.filled..];
+            let offered = room.len();
+            match stream.read(room) {
                 Ok(0) => {
-                    self.buf.truncate(len);
                     self.peer_eof = true;
                     return Ok(Fill::Eof);
                 }
                 Ok(n) => {
-                    self.buf.truncate(len + n);
+                    self.filled += n;
                     self.buffered_at = Some(Instant::now());
                     round += n;
-                    if round >= READ_ROUND_MAX {
+                    if n < offered || round >= READ_ROUND_MAX {
                         return Ok(Fill::Open);
                     }
                 }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    self.buf.truncate(len);
-                    return Ok(Fill::Open);
-                }
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => {
-                    self.buf.truncate(len);
-                }
-                Err(err) => {
-                    self.buf.truncate(len);
-                    return Err(err);
-                }
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return Ok(Fill::Open),
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(err),
             }
         }
     }
@@ -467,7 +473,7 @@ impl Connection {
                 }
                 self.delayed_until = None;
             }
-            if self.pos >= self.buf.len() {
+            if self.pos >= self.filled {
                 self.compact();
                 return if self.peer_eof {
                     Step::Close
@@ -475,13 +481,15 @@ impl Connection {
                     Step::NeedRead
                 };
             }
-            let newline = self.buf[self.pos..].iter().position(|&b| b == b'\n');
+            let newline = self.buf[self.pos..self.filled]
+                .iter()
+                .position(|&b| b == b'\n');
             let (line_end, line_wire) = match newline {
                 Some(n) => (self.pos + n, n + 1),
                 // No newline yet: with the peer gone, hand the partial
                 // line to the parser (what an un-timed blocking read did
                 // at EOF); otherwise wait for the rest.
-                None if self.peer_eof => (self.buf.len(), self.buf.len() - self.pos),
+                None if self.peer_eof => (self.filled, self.filled - self.pos),
                 None => {
                     self.compact();
                     return Step::NeedRead;
@@ -512,7 +520,7 @@ impl Connection {
                     let (block, consumed, wire_bytes): (&[u8], usize, u64) = match &command {
                         Command::Set { header } => {
                             let needed = line_wire + header.bytes + 2;
-                            if self.buf.len() - self.pos < needed {
+                            if self.filled - self.pos < needed {
                                 if self.peer_eof {
                                     // Mid-block EOF: nothing is stored and
                                     // nothing more can be parsed (legacy
@@ -646,14 +654,16 @@ impl Connection {
     /// Drops the consumed prefix once it is worth the memmove, and returns
     /// oversized buffers to a modest footprint when fully drained.
     fn compact(&mut self) {
-        if self.pos >= self.buf.len() {
-            self.buf.clear();
+        if self.pos >= self.filled {
             self.pos = 0;
+            self.filled = 0;
             if self.buf.capacity() > SHRINK_AT {
+                self.buf.truncate(SHRINK_TO);
                 self.buf.shrink_to(SHRINK_TO);
             }
         } else if self.pos >= COMPACT_AT {
-            self.buf.drain(..self.pos);
+            self.buf.copy_within(self.pos..self.filled, 0);
+            self.filled -= self.pos;
             self.pos = 0;
         }
     }
@@ -904,6 +914,93 @@ mod tests {
             b"STORED\r\nVALUE s 0 4\r\nbody\r\nEND\r\n".to_vec()
         );
         assert!(rounds > 0, "short writes never surfaced");
+    }
+
+    /// Hands out one scripted result per `read` call and counts the calls;
+    /// past the script it would block, as a drained socket does.
+    struct Scripted {
+        reads: VecDeque<io::Result<Vec<u8>>>,
+        calls: usize,
+    }
+
+    impl Scripted {
+        fn new(reads: Vec<io::Result<Vec<u8>>>) -> Scripted {
+            Scripted {
+                reads: reads.into(),
+                calls: 0,
+            }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let bytes = self
+                .reads
+                .pop_front()
+                .unwrap_or_else(|| Err(io::ErrorKind::WouldBlock.into()))?;
+            assert!(bytes.len() <= buf.len(), "script exceeds the room offered");
+            buf[..bytes.len()].copy_from_slice(&bytes);
+            Ok(bytes.len())
+        }
+    }
+
+    #[test]
+    fn a_short_fragment_costs_exactly_one_read() {
+        let shared = test_shared(None);
+        let mut conn = Connection::new(1, &shared);
+        let mut io = Scripted::new(vec![Ok(b"version\r\n".to_vec())]);
+        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Open);
+        assert_eq!(io.calls, 1, "no second read just to see EAGAIN");
+        assert_eq!(step(&mut conn, &shared), Step::NeedRead);
+        assert!(flushed(&mut conn, &shared).starts_with(b"VERSION"));
+        // The next readiness round reuses the initialised buffer.
+        let mut io = Scripted::new(vec![Ok(b"version\r\n".to_vec())]);
+        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Open);
+        assert_eq!(io.calls, 1);
+        assert_eq!(conn.buf.len(), READ_CHUNK, "no regrowth between rounds");
+    }
+
+    #[test]
+    fn a_read_that_fills_the_room_is_followed_by_another() {
+        let shared = test_shared(None);
+        let mut conn = Connection::new(1, &shared);
+        let mut wire = b"set big 0 0 16400\r\n".to_vec();
+        wire.resize(READ_CHUNK, b'x');
+        let rest = {
+            let mut rest = vec![b'x'; 16_400 - (READ_CHUNK - 19)];
+            rest.extend_from_slice(b"\r\nget big\r\n");
+            rest
+        };
+        let mut io = Scripted::new(vec![Ok(wire), Ok(rest)]);
+        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Open);
+        assert_eq!(io.calls, 2, "a full read may have left bytes behind");
+        assert_eq!(step(&mut conn, &shared), Step::NeedRead);
+        let reply = flushed(&mut conn, &shared);
+        assert!(reply.starts_with(b"STORED\r\nVALUE big 0 16400\r\n"));
+        // An interrupted read is retried, a would-block ends the round.
+        let mut io = Scripted::new(vec![
+            Err(io::ErrorKind::Interrupted.into()),
+            Err(io::ErrorKind::WouldBlock.into()),
+        ]);
+        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Open);
+        assert_eq!(io.calls, 2);
+    }
+
+    #[test]
+    fn data_then_eof_over_two_rounds_still_reports_eof() {
+        let shared = test_shared(None);
+        let mut conn = Connection::new(1, &shared);
+        // Round one: the final command, short, so the FIN behind it is
+        // not looked for; level-triggered epoll raises the event again.
+        let mut io = Scripted::new(vec![Ok(b"version".to_vec()), Ok(Vec::new())]);
+        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Open);
+        assert_eq!(io.calls, 1);
+        assert_eq!(step(&mut conn, &shared), Step::NeedRead);
+        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Eof);
+        assert!(conn.peer_eof);
+        assert_eq!(step(&mut conn, &shared), Step::Close);
+        assert!(flushed(&mut conn, &shared).starts_with(b"VERSION"));
     }
 
     #[test]

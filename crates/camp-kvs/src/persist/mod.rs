@@ -1034,6 +1034,62 @@ mod tests {
     }
 
     #[test]
+    fn recovery_of_colliding_sets_rebuilds_the_last_writer_state() {
+        // 4-bit fingerprints: 64 keys fight over 16 slots, so most sets
+        // evict a colliding resident. The journal records the sets, not the
+        // evictions; replaying it through the same store logic must end
+        // where the live store did — last writer per slot.
+        let colliding = || {
+            ShardedStore::with_fingerprint_bits(
+                StoreConfig {
+                    slab: SlabConfig::small(16 * 1024, 64),
+                    eviction: EvictionMode::Camp(Precision::Bits(5)),
+                },
+                1,
+                4,
+            )
+        };
+        let keys: Vec<String> = (0..64).map(|i| format!("key-{i}")).collect();
+        let state = |store: &ShardedStore| -> Vec<Option<Vec<u8>>> {
+            keys.iter()
+                .map(|key| store.get(key.as_bytes()).map(|hit| hit.value))
+                .collect()
+        };
+        let dir = temp_dir("colliding");
+        let store = colliding();
+        let persist = open_plain(options(&dir), &store);
+        for round in 0..3 {
+            for (i, key) in keys.iter().enumerate() {
+                let value = format!("{key}@{round}");
+                store
+                    .set(key.as_bytes(), value.as_bytes(), 0, 0, i as u64)
+                    .expect("set");
+                persist.append_set(&store, key.as_bytes(), value.as_bytes(), 0, 0, i as u64);
+            }
+        }
+        assert!(store.stats().fingerprint_collisions > 100);
+        let live = state(&store);
+        assert_eq!(live.iter().flatten().count(), store.len());
+        assert!(store.len() <= 16);
+        for (key, value) in keys.iter().zip(&live) {
+            if let Some(value) = value {
+                assert_eq!(value, format!("{key}@2").as_bytes(), "never another key's");
+            }
+        }
+        persist.seal();
+        drop(persist);
+
+        let recovered = colliding();
+        let _reopened = open_plain(options(&dir), &recovered);
+        assert_eq!(state(&recovered), live);
+        assert_eq!(
+            recovered.stats().fingerprint_collisions,
+            store.stats().fingerprint_collisions
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn torn_tail_is_truncated_and_counted() {
         let dir = temp_dir("torn");
         let store = sharded();

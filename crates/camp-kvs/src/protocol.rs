@@ -43,8 +43,9 @@
 //! borrowed from the caller's line buffer, and a multi-key `get` collects
 //! its keys into a [`KeyList`] whose first [`INLINE_KEYS`] entries live
 //! inline on the stack (only a pathological request with more keys spills
-//! to the heap). The server converts a key to an owned `Box<[u8]>` only at
-//! the store boundary, when an item is actually inserted.
+//! to the heap). The server never owns a key: it hashes the borrowed bytes
+//! once into a fingerprint, and the only copy is the one `set` writes into
+//! the slab item.
 
 use std::fmt;
 

@@ -10,9 +10,10 @@
 //! timestamp, and a later `iqset` for the same key uses the elapsed
 //! microseconds as the pair's cost — "the difference between these two
 //! timestamps is used as the cost of the key-value pair" (§4) — unless the
-//! client supplied an explicit cost hint. The miss registry is striped with
-//! the same hash the store uses for sharding, so `iqget`/`iqset` traffic on
-//! different shards never contends on a single registry lock.
+//! client supplied an explicit cost hint. The miss registry is keyed by the
+//! key's fingerprint and striped like the store's shards, so `iqget`/`iqset`
+//! traffic on different shards never contends on a single registry lock,
+//! and a command hashes its key once for the registry and the store alike.
 //!
 //! Every command is timed at this layer into per-command lock-free
 //! histograms ([`ServerMetrics`]); `stats detail` reports the quantiles and
@@ -30,6 +31,7 @@ use std::time::{Duration, Instant};
 use camp_telemetry::{kvlog, FlightRecorder, LogLevel, RequestSpan};
 
 use crate::fault::{FaultAction, FaultPlan, FaultState};
+use crate::fingerprint::FingerprintMap;
 use crate::metrics::{
     CmdKind, FaultKind, ReactorStats, RecorderSink, RejectCause, ServerMetrics, TelemetryReport,
 };
@@ -46,6 +48,17 @@ use crate::sync::{lock, ConnGauge};
 /// issues the paired `iqset` (crashed, gave up) would otherwise leak its
 /// registry entry forever; the sweep drops entries past this age.
 const IQ_MISS_TTL: Duration = Duration::from_secs(120);
+
+/// Most unmatched misses one registry stripe remembers (~2 MiB of
+/// fixed-size entries). Past it, new misses go unrecorded — their `iqset`
+/// falls back to its hint or cost 0, as for an expired entry — so an
+/// `iqget`-only client walking unique keys cannot grow the registry
+/// without limit inside one TTL period.
+const IQ_STRIPE_CAP: usize = 1 << 16;
+
+/// Shortest gap between sweeps of a *full* stripe: a full stripe sweeps
+/// ahead of the TTL schedule, but not on every miss (a sweep is O(cap)).
+const IQ_FULL_SWEEP_GAP: Duration = Duration::from_secs(1);
 
 /// Granularity of a connection's blocking reads: the socket read timeout
 /// is capped at this tick so a blocked connection periodically wakes to
@@ -64,14 +77,16 @@ const DEFAULT_DRAIN: Duration = Duration::from_secs(5);
 /// One lock-striped partition of the IQ miss registry.
 #[derive(Debug)]
 struct IqStripe {
-    misses: HashMap<Vec<u8>, Instant>,
+    misses: FingerprintMap<Instant>,
     last_sweep: Instant,
 }
 
-/// IQ miss registry: key -> time of the `iqget` miss, partitioned into one
-/// stripe per store shard (indexed by [`ShardedStore::shard_index`], so a
-/// key's registry stripe and store shard are guarded by different locks but
-/// partition identically).
+/// IQ miss registry: key fingerprint -> time of the `iqget` miss,
+/// partitioned into one stripe per store shard (indexed by
+/// [`ShardedStore::shard_of`], so a key's registry stripe and store shard
+/// are guarded by different locks but partition identically). Two keys
+/// sharing a fingerprint share a timer: the later `iqset` measures from the
+/// later miss, a cost error no larger than the gap between the two misses.
 #[derive(Debug)]
 struct IqRegistry {
     stripes: Vec<Mutex<IqStripe>>,
@@ -79,6 +94,8 @@ struct IqRegistry {
     /// exposition gauge: it measures clients that armed the cost timer and
     /// never came back).
     swept: AtomicU64,
+    /// Misses not recorded because their stripe was full of live entries.
+    dropped: AtomicU64,
 }
 
 impl IqRegistry {
@@ -87,21 +104,25 @@ impl IqRegistry {
             stripes: (0..stripes)
                 .map(|_| {
                     Mutex::new(IqStripe {
-                        misses: HashMap::new(),
+                        misses: FingerprintMap::default(),
                         last_sweep: Instant::now(),
                     })
                 })
                 .collect(),
             swept: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
         }
     }
 
-    /// Records a miss timestamp, sweeping the stripe's expired entries at
-    /// most once per TTL period (amortized O(1) per record).
-    fn record_miss(&self, stripe: usize, key: Vec<u8>) {
+    /// Records a miss timestamp, sweeping the stripe's expired entries once
+    /// per TTL period, or sooner while it is full (amortized O(1) per
+    /// record). A stripe still full after its sweep drops the miss.
+    fn record_miss(&self, stripe: usize, fp: u64) {
         let mut guard = lock(&self.stripes[stripe]);
         let now = Instant::now();
-        if now.duration_since(guard.last_sweep) >= IQ_MISS_TTL {
+        let since_sweep = now.duration_since(guard.last_sweep);
+        let full = guard.misses.len() >= IQ_STRIPE_CAP;
+        if since_sweep >= IQ_MISS_TTL || (full && since_sweep >= IQ_FULL_SWEEP_GAP) {
             let before = guard.misses.len();
             guard
                 .misses
@@ -113,19 +134,24 @@ impl IqRegistry {
             }
             guard.last_sweep = now;
         }
-        guard.misses.insert(key, now);
+        if guard.misses.len() >= IQ_STRIPE_CAP && !guard.misses.contains_key(&fp) {
+            // ordering: Relaxed — statistics counter.
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        guard.misses.insert(fp, now);
     }
 
-    /// Consumes the registered miss time for `key`, if any and not expired.
-    fn take(&self, stripe: usize, key: &[u8]) -> Option<Instant> {
+    /// Consumes the registered miss time for `fp`, if any and not expired.
+    fn take(&self, stripe: usize, fp: u64) -> Option<Instant> {
         lock(&self.stripes[stripe])
             .misses
-            .remove(key)
+            .remove(&fp)
             .filter(|started| started.elapsed() < IQ_MISS_TTL)
     }
 
-    fn discard(&self, stripe: usize, key: &[u8]) {
-        lock(&self.stripes[stripe]).misses.remove(key);
+    fn discard(&self, stripe: usize, fp: u64) {
+        lock(&self.stripes[stripe]).misses.remove(&fp);
     }
 
     fn clear(&self) {
@@ -290,11 +316,6 @@ impl Shared {
             #[cfg(test)]
             flush_before_commit: AtomicBool::new(false),
         })
-    }
-
-    /// The registry stripe for `key` — same hash partition as the store.
-    fn iq_stripe(&self, key: &[u8]) -> usize {
-        self.store.shard_index(key)
     }
 
     /// Whether replies about to be flushed may depend on `--fsync always`
@@ -1176,18 +1197,17 @@ pub(crate) fn execute<W: Write>(
         }
         Command::IqGet { key } => {
             response.clear();
+            let h = shared.store.hash(key);
             let hit = shared
                 .store
-                .get_with(key, |item| {
+                .shard(h)
+                .get_with_hashed(h, |item| {
                     crate::resp::append_value(response, key, item.flags, item.value);
                 })
                 .is_some();
             if !hit {
-                // Register the miss time for the cost computation — the one
-                // place the get path needs an owned key.
-                shared
-                    .iq_misses
-                    .record_miss(shared.iq_stripe(key), key.to_vec());
+                // Register the miss time for the cost computation.
+                shared.iq_misses.record_miss(shared.store.shard_of(h), h.fp);
             }
             response.extend_from_slice(b"END\r\n");
             writer.write_all(response)?;
@@ -1206,27 +1226,25 @@ pub(crate) fn execute<W: Write>(
             writeln_crlf(writer, if deleted { "DELETED" } else { "NOT_FOUND" })?;
         }
         Command::Arith { key, delta, up } => {
-            let result = if up {
-                shared.store.incr(key, delta)
-            } else {
-                shared.store.decr(key, delta)
-            };
-            match result {
-                Some(value) => {
+            let h = shared.store.hash(key);
+            // Bound first: a guard in the `match` scrutinee would be held
+            // through the arm, and the journal append below may compact —
+            // which locks every shard.
+            let rewritten = shared.store.shard(h).add_signed(h, delta, up);
+            match rewritten {
+                Some((value, (flags, expires_at, cost))) => {
                     let text = value.to_string();
                     if let Some(persist) = shared.persist.as_ref() {
                         // The rewrite keeps the item's flags, TTL and CAMP
                         // cost; log the same so recovery does too.
-                        if let Some((flags, expires_at, cost)) = shared.store.peek_meta(key) {
-                            persist.append_set(
-                                &shared.store,
-                                key,
-                                text.as_bytes(),
-                                flags,
-                                expires_at,
-                                cost,
-                            );
-                        }
+                        persist.append_set(
+                            &shared.store,
+                            key,
+                            text.as_bytes(),
+                            flags,
+                            expires_at,
+                            cost,
+                        );
                     }
                     writeln_crlf(writer, &text)?;
                 }
@@ -1276,8 +1294,9 @@ pub(crate) fn execute<W: Write>(
                 shared.metrics.reset();
                 shared.recorder.reset_derived();
                 shared.reactor_stats.reset();
-                // ordering: Relaxed — statistics counter reset.
+                // ordering: Relaxed(x2) — statistics counter resets.
                 shared.iq_misses.swept.store(0, Ordering::Relaxed);
+                shared.iq_misses.dropped.store(0, Ordering::Relaxed);
                 kvlog!(LogLevel::Info, "stats_reset");
                 writeln_crlf(writer, "RESET")?;
             }
@@ -1384,8 +1403,9 @@ fn telemetry_report(shared: &Shared) -> TelemetryReport {
         faults_injected: shared.metrics.faults_snapshot(),
         lock_poison_recovered: crate::sync::poison_recovered_total(),
         iq_miss_registry_size: shared.iq_misses.len() as u64,
-        // ordering: Relaxed — statistics counter.
+        // ordering: Relaxed(x2) — statistics counters.
         iq_sweep_reclaimed: shared.iq_misses.swept.load(Ordering::Relaxed),
+        iq_misses_dropped: shared.iq_misses.dropped.load(Ordering::Relaxed),
         shadow: shared.store.shadow_estimates(),
         shadow_sample_modulus: shared.store.shadow_sample_modulus(),
         spans_recorded: shared.recorder.spans_recorded(),
@@ -1471,38 +1491,35 @@ fn serve_metrics_once(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()>
 
 fn apply_set(header: &SetHeader<'_>, data: &[u8], shared: &Shared) -> &'static str {
     let iq = header.verb == SetVerb::IqSet;
+    // The key's one hash: the registry stripe, the shard, the index and
+    // the policy all take it from here.
+    let h = shared.store.hash(header.key);
     // Cost: explicit hint, else the IQ registry's elapsed time, else 0.
     let cost = match header.cost_hint {
-        Some(hint) => hint,
-        None if iq => {
-            let started = shared
-                .iq_misses
-                .take(shared.iq_stripe(header.key), header.key);
-            started
-                .map(|t| u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX))
-                .unwrap_or(0)
+        Some(hint) => {
+            if iq {
+                // The hint supersedes the registry entry.
+                shared.iq_misses.discard(shared.store.shard_of(h), h.fp);
+            }
+            hint
         }
+        None if iq => shared
+            .iq_misses
+            .take(shared.store.shard_of(h), h.fp)
+            .map(|t| u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX))
+            .unwrap_or(0),
         None => 0,
     };
-    if iq && header.cost_hint.is_some() {
-        // The hint supersedes the registry entry.
-        shared
-            .iq_misses
-            .discard(shared.iq_stripe(header.key), header.key);
-    }
     let expires_at = expiry_to_absolute(header.exptime);
+    let mut shard = shared.store.shard(h);
     let result = match header.verb {
-        SetVerb::Set | SetVerb::IqSet => shared
-            .store
-            .set(header.key, data, header.flags, expires_at, cost)
+        SetVerb::Set | SetVerb::IqSet => shard
+            .set_hashed(h, data, header.flags, expires_at, cost)
             .map(|()| true),
-        SetVerb::Add => shared
-            .store
-            .add(header.key, data, header.flags, expires_at, cost),
-        SetVerb::Replace => shared
-            .store
-            .replace(header.key, data, header.flags, expires_at, cost),
+        SetVerb::Add => shard.add_hashed(h, data, header.flags, expires_at, cost),
+        SetVerb::Replace => shard.replace_hashed(h, data, header.flags, expires_at, cost),
     };
+    drop(shard);
     match result {
         Ok(true) => {
             // Log only acknowledged stores, after the shard lock is
@@ -1606,6 +1623,54 @@ mod tests {
         let relative = expiry_to_absolute(60);
         assert!(relative > unix_now() + 50 && relative <= unix_now() + 61);
         assert_eq!(expiry_to_absolute(4_000_000_000), 4_000_000_000);
+    }
+
+    #[test]
+    fn iq_registry_stripe_is_capped_and_keeps_its_timers() {
+        let registry = IqRegistry::new(1);
+        // An early miss whose `iqset` comes back after the flood.
+        registry.record_miss(0, u64::MAX);
+        for fp in 0..4 * IQ_STRIPE_CAP as u64 {
+            registry.record_miss(0, fp);
+        }
+        assert!(registry.len() <= IQ_STRIPE_CAP, "len {}", registry.len());
+        // ordering: Relaxed — test read of a statistics counter.
+        let dropped = registry.dropped.load(Ordering::Relaxed);
+        assert_eq!(dropped, 3 * IQ_STRIPE_CAP as u64 + 1);
+        // Re-recording a key the full stripe already holds is not a drop.
+        registry.record_miss(0, 7);
+        assert_eq!(registry.dropped.load(Ordering::Relaxed), dropped);
+        // The recorded entry still prices its pair; a dropped one costs 0.
+        let started = registry
+            .take(0, u64::MAX)
+            .expect("recorded before the flood");
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(started.elapsed().as_micros() > 0);
+        assert!(registry.take(0, 4 * IQ_STRIPE_CAP as u64 - 1).is_none());
+        assert_eq!(registry.len(), IQ_STRIPE_CAP - 1);
+    }
+
+    #[test]
+    fn a_full_iq_stripe_sweeps_ahead_of_the_ttl_schedule() {
+        let now = Instant::now();
+        let (Some(expired), Some(swept_recently)) = (
+            now.checked_sub(IQ_MISS_TTL + Duration::from_secs(1)),
+            now.checked_sub(IQ_FULL_SWEEP_GAP * 2),
+        ) else {
+            return; // the monotonic clock is younger than the TTL
+        };
+        let registry = IqRegistry::new(1);
+        {
+            let mut stripe = lock(&registry.stripes[0]);
+            stripe.misses = (0..IQ_STRIPE_CAP as u64).map(|fp| (fp, expired)).collect();
+            stripe.last_sweep = swept_recently;
+        }
+        registry.record_miss(0, u64::MAX);
+        assert_eq!(registry.len(), 1, "the abandoned entries were swept");
+        // ordering: Relaxed(x2) — test reads of statistics counters.
+        assert_eq!(registry.swept.load(Ordering::Relaxed), IQ_STRIPE_CAP as u64);
+        assert_eq!(registry.dropped.load(Ordering::Relaxed), 0);
+        assert!(registry.take(0, u64::MAX).is_some());
     }
 
     #[test]

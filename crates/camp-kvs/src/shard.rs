@@ -11,12 +11,18 @@
 //! advance in lockstep and global eviction quality is preserved to within
 //! partition noise (measured by the `extension-policies` experiments and
 //! the concurrency tests).
+//!
+//! The sharded store owns the one fingerprint seed: a key is hashed once,
+//! *before* any lock is taken, the shard is picked from the fingerprint's
+//! high half, and the same fingerprint then keys that shard's index (whose
+//! table uses the low bits) and policy — so every shard is built with a
+//! copy of this store's fingerprinter and none hashes the key again.
 
-use std::hash::{BuildHasher, RandomState};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use camp_policies::{PolicyStats, ShadowEstimate, ShadowProfiler, SharedTraceSink};
 
+use crate::fingerprint::{Fingerprinter, Hashed};
 use crate::slab::SlabConfig;
 use crate::store::{GetResult, Store, StoreConfig, StoreError, StoreStats};
 use crate::sync::lock;
@@ -53,7 +59,7 @@ pub struct ShardSnapshot {
 #[derive(Debug)]
 pub struct ShardedStore {
     shards: Vec<Mutex<Store>>,
-    hasher: RandomState,
+    fingerprinter: Fingerprinter,
 }
 
 impl ShardedStore {
@@ -67,6 +73,22 @@ impl ShardedStore {
     /// Panics if `shards` is zero.
     #[must_use]
     pub fn new(config: StoreConfig, shards: usize) -> Self {
+        ShardedStore::with_fingerprinter(config, shards, Fingerprinter::random())
+    }
+
+    /// Test seam: like [`ShardedStore::new`] with fingerprints truncated
+    /// to `bits` bits under a fixed seed (see
+    /// [`Store::with_fingerprint_bits`]); every key lands in shard 0.
+    #[cfg(test)]
+    pub(crate) fn with_fingerprint_bits(config: StoreConfig, shards: usize, bits: u32) -> Self {
+        ShardedStore::with_fingerprinter(config, shards, Fingerprinter::truncated(bits))
+    }
+
+    fn with_fingerprinter(
+        config: StoreConfig,
+        shards: usize,
+        fingerprinter: Fingerprinter,
+    ) -> Self {
         assert!(shards > 0, "at least one shard is required");
         let shards_u32 = shards as u32;
         let base = config.slab.max_slabs / shards_u32;
@@ -82,10 +104,10 @@ impl ShardedStore {
                         },
                         eviction: config.eviction.clone(),
                     };
-                    Mutex::new(Store::new(shard_config))
+                    Mutex::new(Store::with_fingerprinter(shard_config, fingerprinter))
                 })
                 .collect(),
-            hasher: RandomState::new(),
+            fingerprinter,
         }
     }
 
@@ -95,10 +117,41 @@ impl ShardedStore {
         self.shards.len()
     }
 
+    /// The 64-bit fingerprint every structure of this store files `key`
+    /// under: stable for this instance's lifetime, different in every
+    /// process (the seed is random). Eviction-trace events identify keys
+    /// as `key_hash(&fingerprint)`; this is the map from a wire key to
+    /// that identity.
+    #[must_use]
+    pub fn fingerprint(&self, key: &[u8]) -> u64 {
+        self.fingerprinter.fingerprint(key)
+    }
+
     /// The shard index `key` hashes to (stable for this store instance).
     #[must_use]
     pub fn shard_index(&self, key: &[u8]) -> usize {
-        (self.hasher.hash_one(key) % self.shards.len() as u64) as usize
+        self.shard_of(self.hash(key))
+    }
+
+    /// `key` with its fingerprint: the server hashes once per command, then
+    /// calls the shard's `*_hashed` entry points through
+    /// [`ShardedStore::shard`].
+    #[inline]
+    pub(crate) fn hash<'a>(&self, key: &'a [u8]) -> Hashed<'a> {
+        self.fingerprinter.hash(key)
+    }
+
+    /// The shard (and IQ-registry stripe) of a hashed key: taken from the
+    /// fingerprint's high half, since the shard's own table indexes
+    /// buckets with the low bits.
+    #[inline]
+    pub(crate) fn shard_of(&self, h: Hashed<'_>) -> usize {
+        ((h.fp >> 32) % self.shards.len() as u64) as usize
+    }
+
+    /// Locks the shard a hashed key lives in.
+    pub(crate) fn shard(&self, h: Hashed<'_>) -> MutexGuard<'_, Store> {
+        lock(&self.shards[self.shard_of(h)])
     }
 
     /// The active policy name of each shard, in shard order.
@@ -107,13 +160,13 @@ impl ShardedStore {
         self.shards.iter().map(|s| lock(s).policy_name()).collect()
     }
 
-    fn shard_for(&self, key: &[u8]) -> &Mutex<Store> {
-        &self.shards[self.shard_index(key)]
-    }
-
     /// Looks up `key` in its shard (recency updated there).
     pub fn get(&self, key: &[u8]) -> Option<GetResult> {
-        lock(self.shard_for(key)).get(key)
+        self.get_with(key, |item| GetResult {
+            value: item.value.to_vec(),
+            flags: item.flags,
+            cost: item.cost,
+        })
     }
 
     /// Copy-free lookup: applies `f` to the item inside its slab chunk
@@ -125,7 +178,8 @@ impl ShardedStore {
         key: &[u8],
         f: impl FnOnce(&crate::item::Item<'_>) -> R,
     ) -> Option<R> {
-        lock(self.shard_for(key)).get_with(key, f)
+        let h = self.hash(key);
+        self.shard(h).get_with_hashed(h, f)
     }
 
     /// Stores a pair in its shard.
@@ -141,12 +195,14 @@ impl ShardedStore {
         expires_at: u64,
         cost: u64,
     ) -> Result<(), StoreError> {
-        lock(self.shard_for(key)).set(key, value, flags, expires_at, cost)
+        let h = self.hash(key);
+        self.shard(h).set_hashed(h, value, flags, expires_at, cost)
     }
 
     /// Deletes `key` from its shard.
     pub fn delete(&self, key: &[u8]) -> bool {
-        lock(self.shard_for(key)).delete(key)
+        let h = self.hash(key);
+        self.shard(h).delete_hashed(h)
     }
 
     /// Stores only if absent (`add`), atomically within the shard.
@@ -162,7 +218,8 @@ impl ShardedStore {
         expires_at: u64,
         cost: u64,
     ) -> Result<bool, StoreError> {
-        lock(self.shard_for(key)).add(key, value, flags, expires_at, cost)
+        let h = self.hash(key);
+        self.shard(h).add_hashed(h, value, flags, expires_at, cost)
     }
 
     /// Stores only if present (`replace`), atomically within the shard.
@@ -178,22 +235,29 @@ impl ShardedStore {
         expires_at: u64,
         cost: u64,
     ) -> Result<bool, StoreError> {
-        lock(self.shard_for(key)).replace(key, value, flags, expires_at, cost)
+        let h = self.hash(key);
+        self.shard(h)
+            .replace_hashed(h, value, flags, expires_at, cost)
     }
 
     /// Atomic numeric increment within the shard.
     pub fn incr(&self, key: &[u8], delta: u64) -> Option<u64> {
-        lock(self.shard_for(key)).incr(key, delta)
+        let h = self.hash(key);
+        let rewritten = self.shard(h).add_signed(h, delta, true);
+        rewritten.map(|(next, _)| next)
     }
 
     /// Atomic numeric decrement within the shard (floored at zero).
     pub fn decr(&self, key: &[u8], delta: u64) -> Option<u64> {
-        lock(self.shard_for(key)).decr(key, delta)
+        let h = self.hash(key);
+        let rewritten = self.shard(h).add_signed(h, delta, false);
+        rewritten.map(|(next, _)| next)
     }
 
     /// Updates a resident key's expiry.
     pub fn touch(&self, key: &[u8], expires_at: u64) -> bool {
-        lock(self.shard_for(key)).touch(key, expires_at)
+        let h = self.hash(key);
+        self.shard(h).touch_hashed(h, expires_at)
     }
 
     /// Drops every item from every shard.
@@ -206,7 +270,8 @@ impl ShardedStore {
     /// Whether `key` is resident.
     #[must_use]
     pub fn contains(&self, key: &[u8]) -> bool {
-        lock(self.shard_for(key)).contains(key)
+        let h = self.hash(key);
+        self.shard(h).contains_hashed(h)
     }
 
     /// Visits every resident item across shards (see
@@ -224,7 +289,8 @@ impl ShardedStore {
     /// stats side effects (see [`Store::peek_meta`]).
     #[must_use]
     pub fn peek_meta(&self, key: &[u8]) -> Option<(u32, u64, u64)> {
-        lock(self.shard_for(key)).peek_meta(key)
+        let h = self.hash(key);
+        self.shard(h).peek_meta_hashed(h)
     }
 
     /// Total live items across shards.
@@ -254,6 +320,7 @@ impl ShardedStore {
             total.slab_reassignments += s.slab_reassignments;
             total.slab_reclaims += s.slab_reclaims;
             total.expired += s.expired;
+            total.fingerprint_collisions += s.fingerprint_collisions;
         }
         total
     }

@@ -20,14 +20,38 @@
 //! Because chunk rounding makes physical usage exceed logical usage, slab
 //! exhaustion fires first and the policy acts as a pure victim selector,
 //! exactly as in the paper's IQ Twemcache modification.
-
-use std::collections::HashMap;
+//!
+//! ## One key copy, one hash
+//!
+//! As in Twemcache, the key lives once — in the slab item — and the hash
+//! table points at items. A wire key is hashed once into a seeded 64-bit
+//! *fingerprint* (see `fingerprint.rs`); the index maps fingerprint →
+//! chunk with a pass-through hasher, and the policy (the same
+//! `EvictionPolicy<u64>` instantiation the simulator and the shadow
+//! profiler run) is keyed by the fingerprint too. A lookup is
+//! `index.get(&fp)` followed by comparing the key bytes the item stores:
+//! a hit reads the chunk it must serialize anyway, a miss usually touches
+//! no chunk, and an eviction moves a `Copy` `u64` from the policy to the
+//! index — no key box, no clone, no byte hashing. Per resident item that
+//! is 8 B of key in the index and 8 B in the policy entry, where byte keys
+//! cost two heap boxes (index and policy map), a third clone in the policy
+//! arena and three 16-byte fat pointers.
+//!
+//! Two distinct keys share a fingerprint about once in 2⁶⁴ pairs (n²/2⁶⁵
+//! for n residents: 3·10⁻⁶ at ten million items). The store handles that
+//! as a cache may: the fingerprint's slot holds one key at a time. Reading
+//! (`get`, `delete`, `touch`, `incr`, `decr`, `replace`) key A while B
+//! holds the slot is a miss; writing (`set`, `add`) A evicts B through the
+//! policy — a traced eviction, counted in [`StoreStats::evictions`] and
+//! [`StoreStats::fingerprint_collisions`]. No operation ever returns
+//! another key's value.
 
 pub use camp_policies::EvictionMode;
 use camp_policies::{
     AccessOutcome, CacheRequest, EvictionPolicy, PolicyStats, ShadowProfiler, SharedTraceSink,
 };
 
+use crate::fingerprint::{FingerprintMap, Fingerprinter, Hashed};
 use crate::item::Item;
 use crate::slab::{ChunkRef, SlabAllocator, SlabConfig, SlabError};
 
@@ -90,6 +114,10 @@ pub struct StoreStats {
     pub slab_reclaims: u64,
     /// Items dropped because they had expired.
     pub expired: u64,
+    /// Residents evicted because a different key with the same 64-bit
+    /// fingerprint was stored (also counted in `evictions`). Zero in
+    /// normal operation: expect one per ~2⁶⁴ resident key pairs.
+    pub fingerprint_collisions: u64,
 }
 
 /// Errors a store operation can produce.
@@ -148,17 +176,19 @@ pub struct GetResult {
 /// ```
 pub struct Store {
     slabs: SlabAllocator,
-    /// Chunk locations, keyed by the wire key. Residency here is the source
-    /// of truth; the policy mirrors it for victim selection.
-    index: HashMap<Box<[u8]>, ChunkRef>,
-    policy: Box<dyn EvictionPolicy<Box<[u8]>> + Send>,
+    /// Chunk locations, keyed by key fingerprint; the chunk holds the key
+    /// bytes. Residency here is the source of truth; the policy mirrors it
+    /// (under the same fingerprints) for victim selection.
+    index: FingerprintMap<ChunkRef>,
+    policy: Box<dyn EvictionPolicy<u64> + Send>,
+    fingerprinter: Fingerprinter,
     mode: EvictionMode,
     stats: StoreStats,
     /// Reusable item-encoding scratch: the set path allocates nothing once
     /// this buffer's capacity covers the largest item seen.
     encode_buf: Vec<u8>,
     /// Reusable victim list handed to `EvictionPolicy::reference`.
-    evicted_scratch: Vec<Box<[u8]>>,
+    evicted_scratch: Vec<u64>,
     /// Online miss-ratio/cost-miss profiler: spatially sampled shadow
     /// caches at 0.5×/1×/2× capacity, fed from the get/set/delete paths.
     profiler: ShadowProfiler,
@@ -183,12 +213,27 @@ impl Store {
     /// calcified and forcing a random slab eviction.
     const MAX_EVICTIONS_PER_ALLOC: usize = 1024;
 
-    /// Creates a store.
+    /// Creates a store with its own random fingerprint seed.
     #[must_use]
     pub fn new(config: StoreConfig) -> Self {
+        Store::with_fingerprinter(config, Fingerprinter::random())
+    }
+
+    /// Test seam: a store whose fingerprints keep only `bits` bits (under
+    /// a fixed seed), so distinct keys collide often and the collision
+    /// semantics can be exercised.
+    #[cfg(test)]
+    pub(crate) fn with_fingerprint_bits(config: StoreConfig, bits: u32) -> Self {
+        Store::with_fingerprinter(config, Fingerprinter::truncated(bits))
+    }
+
+    /// Creates a store that fingerprints keys like its siblings: a
+    /// [`crate::shard::ShardedStore`] hands every shard its one seed.
+    pub(crate) fn with_fingerprinter(config: StoreConfig, fingerprinter: Fingerprinter) -> Self {
         Store {
             slabs: SlabAllocator::new(config.slab),
-            index: HashMap::new(),
+            index: FingerprintMap::default(),
+            fingerprinter,
             policy: config.eviction.build(policy_budget(&config.slab)),
             profiler: ShadowProfiler::new(&config.eviction, policy_budget(&config.slab)),
             mode: config.eviction,
@@ -284,6 +329,21 @@ impl Store {
         self.get_at(key, unix_now())
     }
 
+    /// The chunk holding exactly `h.key`, with its decoded item. A free
+    /// function over the two fields so callers can go on to mutate the
+    /// policy while the item borrows the slab.
+    #[inline]
+    fn lookup<'s>(
+        index: &FingerprintMap<ChunkRef>,
+        slabs: &'s SlabAllocator,
+        h: Hashed<'_>,
+    ) -> Option<(ChunkRef, Item<'s>)> {
+        let &chunk = index.get(&h.fp)?;
+        let item = Item::decode(slabs.read(chunk));
+        // A different key under the same fingerprint is not this key.
+        (item.key == h.key).then_some((chunk, item))
+    }
+
     /// Like [`Store::get`] with an explicit clock (for tests and replay).
     pub fn get_at(&mut self, key: &[u8], now: u64) -> Option<GetResult> {
         self.get_with_at(key, now, |item| GetResult {
@@ -298,10 +358,18 @@ impl Store {
     /// is updated and expired items are dropped, exactly like
     /// [`Store::get`], but no bytes are copied out of the arena — the
     /// server's get path serializes the wire response from inside the
-    /// visitor. This path is allocation-free: the policy is touched with
-    /// the index's own key box, not a fresh one.
+    /// visitor. This path is allocation-free.
     pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(&Item<'_>) -> R) -> Option<R> {
         self.get_with_at(key, unix_now(), f)
+    }
+
+    /// [`Store::get_with`] for a key fingerprinted by the caller.
+    pub(crate) fn get_with_hashed<R>(
+        &mut self,
+        h: Hashed<'_>,
+        f: impl FnOnce(&Item<'_>) -> R,
+    ) -> Option<R> {
+        self.get_with_at_hashed(h, unix_now(), f)
     }
 
     /// Like [`Store::get_with`] with an explicit clock.
@@ -311,39 +379,63 @@ impl Store {
         now: u64,
         f: impl FnOnce(&Item<'_>) -> R,
     ) -> Option<R> {
-        let Some((stored_key, &chunk)) = self.index.get_key_value(key) else {
+        self.get_with_at_hashed(self.fingerprinter.hash(key), now, f)
+    }
+
+    fn get_with_at_hashed<R>(
+        &mut self,
+        h: Hashed<'_>,
+        now: u64,
+        f: impl FnOnce(&Item<'_>) -> R,
+    ) -> Option<R> {
+        self.debug_check(h);
+        let Some((chunk, item)) = Self::lookup(&self.index, &self.slabs, h) else {
             self.stats.get_misses += 1;
             // The miss cost is unknown until the pair is set; charging zero
             // undercounts est_miss_cost equally at every scale, so the
             // cross-scale deltas the profiler exists for are unaffected.
-            self.profiler.record_get(key, 0, 0);
+            self.profiler.record_get(&h.fp, 0, 0);
             return None;
         };
-        let item = Item::decode(self.slabs.read(chunk));
         if item.expires_at == 0 || item.expires_at > now {
-            self.policy.touch(stored_key);
+            self.policy.touch(&h.fp);
             self.stats.get_hits += 1;
             self.profiler.record_get(
-                key,
-                Item::encoded_len(key.len(), item.value.len()) as u64,
+                &h.fp,
+                Item::encoded_len(h.key.len(), item.value.len()) as u64,
                 item.cost,
             );
             return Some(f(&item));
         }
         // Expired: drop it lazily.
-        self.remove_entry(key);
+        self.remove_entry(h.fp);
         self.slabs.free(chunk);
         self.stats.expired += 1;
         self.stats.get_misses += 1;
-        self.profiler.record_get(key, 0, 0);
-        self.profiler.record_delete(key);
+        self.profiler.record_get(&h.fp, 0, 0);
+        self.profiler.record_delete(&h.fp);
         None
     }
 
     /// Whether `key` is resident (no recency update, no expiry check).
     #[must_use]
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.index.contains_key(key)
+        self.contains_hashed(self.fingerprinter.hash(key))
+    }
+
+    pub(crate) fn contains_hashed(&self, h: Hashed<'_>) -> bool {
+        Self::lookup(&self.index, &self.slabs, h).is_some()
+    }
+
+    /// A caller-made [`Hashed`] must come from this store's fingerprinter
+    /// (a sharded store shares one with its shards).
+    #[inline]
+    fn debug_check(&self, h: Hashed<'_>) {
+        debug_assert_eq!(
+            h.fp,
+            self.fingerprinter.fingerprint(h.key),
+            "key hashed under another store's seed"
+        );
     }
 
     /// Visits every resident item in place (no recency update, no expiry
@@ -356,12 +448,15 @@ impl Store {
     }
 
     /// A resident key's `(flags, expires_at, cost)` without touching
-    /// recency, stats or the profiler. The persistence layer uses this to
-    /// carry an item's metadata through `incr`/`decr` rewrites.
+    /// recency, stats or the profiler — the one read of an item's expiry
+    /// (recovery tests check a journaled `touch` with it).
     #[must_use]
     pub fn peek_meta(&self, key: &[u8]) -> Option<(u32, u64, u64)> {
-        let &chunk = self.index.get(key)?;
-        let item = Item::decode(self.slabs.read(chunk));
+        self.peek_meta_hashed(self.fingerprinter.hash(key))
+    }
+
+    pub(crate) fn peek_meta_hashed(&self, h: Hashed<'_>) -> Option<(u32, u64, u64)> {
+        let (_, item) = Self::lookup(&self.index, &self.slabs, h)?;
         Some((item.flags, item.expires_at, item.cost))
     }
 
@@ -380,6 +475,20 @@ impl Store {
         expires_at: u64,
         cost: u64,
     ) -> Result<(), StoreError> {
+        self.set_hashed(self.fingerprinter.hash(key), value, flags, expires_at, cost)
+    }
+
+    /// [`Store::set`] for a key fingerprinted by the caller.
+    pub(crate) fn set_hashed(
+        &mut self,
+        h: Hashed<'_>,
+        value: &[u8],
+        flags: u32,
+        expires_at: u64,
+        cost: u64,
+    ) -> Result<(), StoreError> {
+        self.debug_check(h);
+        let key = h.key;
         let total = Item::encoded_len(key.len(), value.len());
         let total = u32::try_from(total).map_err(|_| StoreError::ValueTooLarge {
             requested: u32::MAX,
@@ -392,15 +501,20 @@ impl Store {
             }
             Err(SlabError::NoMemory { .. }) => unreachable!("class_for never reports memory"),
         };
-        // Replace semantics: drop the old item first, keeping its key box
-        // so a replace reuses it instead of allocating a fresh one.
-        let recycled_key = match self.remove_entry(key) {
-            Some((old_key, old_chunk)) => {
-                self.free_chunk(old_chunk, class);
-                Some(old_key)
+        // Whatever holds the fingerprint's slot leaves first: this key's
+        // old item (replace semantics), or — once in ~2⁶⁴ pairs — another
+        // key's, which is evicted so the slot never holds two keys.
+        if let Some(&old_chunk) = self.index.get(&h.fp) {
+            if Item::decode(self.slabs.read(old_chunk)).key == key {
+                self.remove_entry(h.fp);
+            } else {
+                self.policy.evict(&h.fp);
+                self.index.remove(&h.fp);
+                self.stats.evictions += 1;
+                self.stats.fingerprint_collisions += 1;
             }
-            None => None,
-        };
+            self.free_chunk(old_chunk, class);
+        }
         let chunk = self.allocate_with_eviction(total, class)?;
         let item = Item {
             key,
@@ -411,15 +525,12 @@ impl Store {
         };
         item.encode_to(&mut self.encode_buf);
         self.slabs.write(chunk, &self.encode_buf);
-        // Register with the policy; the key box is *moved* into the request
-        // (recycled from a replaced entry when possible). The policy may
-        // evict on its own logical budget (rare — slab exhaustion normally
-        // fires first, above).
-        let policy_key: Box<[u8]> = recycled_key.unwrap_or_else(|| Box::from(key));
+        // Register with the policy, which may evict on its own logical
+        // budget (rare — slab exhaustion normally fires first, above).
         let mut evicted = std::mem::take(&mut self.evicted_scratch);
         evicted.clear();
         let outcome = self.policy.reference(
-            CacheRequest::new(policy_key, u64::from(total), cost),
+            CacheRequest::new(h.fp, u64::from(total), cost),
             &mut evicted,
         );
         for victim in evicted.drain(..) {
@@ -435,9 +546,9 @@ impl Store {
             self.slabs.free(chunk);
             return Err(StoreError::OutOfMemory);
         }
-        self.index.insert(Box::from(key), chunk);
+        self.index.insert(h.fp, chunk);
         self.stats.sets += 1;
-        self.profiler.record_set(key, u64::from(total), cost);
+        self.profiler.record_set(&h.fp, u64::from(total), cost);
         Ok(())
     }
 
@@ -455,10 +566,23 @@ impl Store {
         expires_at: u64,
         cost: u64,
     ) -> Result<bool, StoreError> {
-        if self.contains(key) {
+        self.add_hashed(self.fingerprinter.hash(key), value, flags, expires_at, cost)
+    }
+
+    /// [`Store::add`] for a key fingerprinted by the caller.
+    pub(crate) fn add_hashed(
+        &mut self,
+        h: Hashed<'_>,
+        value: &[u8],
+        flags: u32,
+        expires_at: u64,
+        cost: u64,
+    ) -> Result<bool, StoreError> {
+        if self.contains_hashed(h) {
             return Ok(false);
         }
-        self.set(key, value, flags, expires_at, cost).map(|()| true)
+        self.set_hashed(h, value, flags, expires_at, cost)
+            .map(|()| true)
     }
 
     /// Stores the pair only if `key` is already resident (memcached
@@ -475,10 +599,23 @@ impl Store {
         expires_at: u64,
         cost: u64,
     ) -> Result<bool, StoreError> {
-        if !self.contains(key) {
+        self.replace_hashed(self.fingerprinter.hash(key), value, flags, expires_at, cost)
+    }
+
+    /// [`Store::replace`] for a key fingerprinted by the caller.
+    pub(crate) fn replace_hashed(
+        &mut self,
+        h: Hashed<'_>,
+        value: &[u8],
+        flags: u32,
+        expires_at: u64,
+        cost: u64,
+    ) -> Result<bool, StoreError> {
+        if !self.contains_hashed(h) {
             return Ok(false);
         }
-        self.set(key, value, flags, expires_at, cost).map(|()| true)
+        self.set_hashed(h, value, flags, expires_at, cost)
+            .map(|()| true)
     }
 
     /// Atomically adds `delta` to a numeric ASCII value (memcached `incr`).
@@ -486,19 +623,29 @@ impl Store {
     /// is not an unsigned decimal number. Flags, expiry and cost are
     /// preserved.
     pub fn incr(&mut self, key: &[u8], delta: u64) -> Option<u64> {
-        self.add_signed(key, delta, true)
+        self.add_signed(self.fingerprinter.hash(key), delta, true)
+            .map(|(next, _)| next)
     }
 
     /// Memcached `decr`: like [`Store::incr`] but subtracting, floored at
     /// zero (memcached semantics).
     pub fn decr(&mut self, key: &[u8], delta: u64) -> Option<u64> {
-        self.add_signed(key, delta, false)
+        self.add_signed(self.fingerprinter.hash(key), delta, false)
+            .map(|(next, _)| next)
     }
 
-    fn add_signed(&mut self, key: &[u8], delta: u64, up: bool) -> Option<u64> {
-        let &chunk = self.index.get(key)?;
+    /// `incr` (`up`) or `decr` for a key fingerprinted by the caller. Beside
+    /// the new value it hands back the `(flags, expires_at, cost)` the
+    /// rewrite kept, so the server can journal the rewrite without taking
+    /// the shard lock a second time.
+    pub(crate) fn add_signed(
+        &mut self,
+        h: Hashed<'_>,
+        delta: u64,
+        up: bool,
+    ) -> Option<(u64, (u32, u64, u64))> {
         let (current, flags, cost, expires_at) = {
-            let item = Item::decode(self.slabs.read(chunk));
+            let (_, item) = Self::lookup(&self.index, &self.slabs, h)?;
             let text = std::str::from_utf8(item.value).ok()?;
             let current: u64 = text.trim().parse().ok()?;
             (current, item.flags, item.cost, item.expires_at)
@@ -509,15 +656,19 @@ impl Store {
             current.saturating_sub(delta)
         };
         let rendered = next.to_string();
-        self.set(key, rendered.as_bytes(), flags, expires_at, cost)
+        self.set_hashed(h, rendered.as_bytes(), flags, expires_at, cost)
             .ok()?;
-        Some(next)
+        Some((next, (flags, expires_at, cost)))
     }
 
     /// Updates the expiry of a resident key in place (memcached `touch`).
     /// Returns whether the key was resident.
     pub fn touch(&mut self, key: &[u8], expires_at: u64) -> bool {
-        let Some(&chunk) = self.index.get(key) else {
+        self.touch_hashed(self.fingerprinter.hash(key), expires_at)
+    }
+
+    pub(crate) fn touch_hashed(&mut self, h: Hashed<'_>, expires_at: u64) -> bool {
+        let Some((chunk, _)) = Self::lookup(&self.index, &self.slabs, h) else {
             return false;
         };
         // The expiry lives at a fixed header offset: after the key length
@@ -543,29 +694,29 @@ impl Store {
 
     /// Deletes `key`. Returns whether it was resident.
     pub fn delete(&mut self, key: &[u8]) -> bool {
-        match self.remove_entry(key) {
-            Some((_old_key, chunk)) => {
-                let class = chunk.class();
-                self.free_chunk(chunk, class);
-                self.stats.deletes += 1;
-                self.profiler.record_delete(key);
-                true
-            }
-            None => false,
-        }
+        self.delete_hashed(self.fingerprinter.hash(key))
     }
 
-    /// Removes `key` from both the index and the policy, handing back the
-    /// index's owned key box (callers reuse it to avoid re-allocating) and
-    /// the chunk. The policy lookup uses that same box — nothing is
-    /// allocated here.
-    fn remove_entry(&mut self, key: &[u8]) -> Option<(Box<[u8]>, ChunkRef)> {
-        let (stored_key, chunk) = self.index.remove_entry(key)?;
+    pub(crate) fn delete_hashed(&mut self, h: Hashed<'_>) -> bool {
+        let Some((chunk, _)) = Self::lookup(&self.index, &self.slabs, h) else {
+            return false;
+        };
+        self.remove_entry(h.fp);
+        self.free_chunk(chunk, chunk.class());
+        self.stats.deletes += 1;
+        self.profiler.record_delete(&h.fp);
+        true
+    }
+
+    /// Removes the fingerprint from both the index and the policy (an
+    /// explicit removal: no eviction trace), handing back the chunk.
+    fn remove_entry(&mut self, fp: u64) -> Option<ChunkRef> {
+        let chunk = self.index.remove(&fp)?;
         // The policy may not know the key (e.g. replaced while the policy
         // had already evicted it on its own budget) — residency in the
         // index is what counts.
-        self.policy.remove(&stored_key);
-        Some((stored_key, chunk))
+        self.policy.remove(&fp);
+        Some(chunk)
     }
 
     /// Frees a chunk; if its slab empties and a different class needs
@@ -602,13 +753,11 @@ impl Store {
                         // item cannot fit.
                         return Err(StoreError::OutOfMemory);
                     };
-                    // Report the eviction while the policy still holds the
-                    // entry's metadata; remove_entry's own policy.remove then
-                    // finds nothing and is a no-op.
+                    // `evict` reports to the trace sink, then removes.
                     self.policy.evict(&victim);
                     // lint:allow(unwrap-in-lib) — victim() only returns keys
                     // the policy owns, and policy and index move in lockstep.
-                    let (_, chunk) = self.remove_entry(&victim).expect("victim is resident");
+                    let chunk = self.index.remove(&victim).expect("victim is resident");
                     self.free_chunk(chunk, class);
                     self.stats.evictions += 1;
                 }
@@ -619,10 +768,14 @@ impl Store {
             return Err(StoreError::OutOfMemory);
         };
         for chunk in victims {
-            let key: Box<[u8]> = Item::decode(self.slabs.read(chunk)).key.into();
-            // lint:allow(unwrap-in-lib) — every chunk in a reassigned slab
-            // was written through insert, which indexed it.
-            self.remove_entry(&key).expect("slab item is indexed");
+            // The one place a stored key is fingerprinted again.
+            let fp = self
+                .fingerprinter
+                .fingerprint(Item::decode(self.slabs.read(chunk)).key);
+            // lint:allow(unwrap-in-lib) — every live chunk was written by
+            // `set`, which indexed it under its key's fingerprint.
+            let indexed = self.remove_entry(fp).expect("slab item is indexed");
+            debug_assert_eq!(indexed, chunk, "fingerprint slot holds another chunk");
             self.slabs.free(chunk);
             self.stats.slab_evictions += 1;
         }
@@ -649,6 +802,7 @@ fn unix_now() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camp_core::rng::Rng64;
     use camp_core::Precision;
 
     fn small_store(mode: EvictionMode) -> Store {
@@ -963,6 +1117,304 @@ mod tests {
         store.set(b"k", b"v", 0, 0, 1).unwrap();
         assert!(store.delete(b"k"));
         assert_eq!(sink.evicts.load(Ordering::Relaxed), 0);
+    }
+
+    /// A store whose fingerprints keep 4 bits: 16 slots, collisions galore.
+    fn colliding_store(mode: EvictionMode) -> Store {
+        Store::with_fingerprint_bits(
+            StoreConfig {
+                slab: SlabConfig::small(4096, 4),
+                eviction: mode,
+            },
+            4,
+        )
+    }
+
+    /// Two distinct keys the store files under one fingerprint.
+    fn colliding_pair(store: &Store) -> (Vec<u8>, Vec<u8>) {
+        let a = b"key-0".to_vec();
+        let b = (1..)
+            .map(|i| format!("key-{i}").into_bytes())
+            .find(|k| store.fingerprinter.fingerprint(k) == store.fingerprinter.fingerprint(&a))
+            .unwrap();
+        (a, b)
+    }
+
+    /// Index, policy and slab must agree on what is resident.
+    fn assert_layers_agree(store: &Store, context: &str) {
+        let slab_items: u64 = store.slab_census().iter().map(|&(_, _, n)| n).sum();
+        assert_eq!(store.len(), store.policy.len(), "{context}: policy");
+        assert_eq!(store.len() as u64, slab_items, "{context}: slab");
+    }
+
+    #[test]
+    fn a_colliding_absent_key_is_a_miss_for_every_reading_verb() {
+        for mode in all_modes() {
+            let mut store = colliding_store(mode.clone());
+            let (a, b) = colliding_pair(&store);
+            store.set(&b, b"41", 5, 0, 9).unwrap();
+            assert!(!store.contains(&a), "{mode}");
+            assert!(store.get(&a).is_none(), "{mode}: get");
+            assert!(store.peek_meta(&a).is_none(), "{mode}: peek_meta");
+            assert!(!store.delete(&a), "{mode}: delete");
+            assert!(!store.touch(&a, 77), "{mode}: touch");
+            assert_eq!(store.incr(&a, 1), None, "{mode}: incr");
+            assert_eq!(store.decr(&a, 1), None, "{mode}: decr");
+            assert!(
+                !store.replace(&a, b"x", 0, 0, 1).unwrap(),
+                "{mode}: replace"
+            );
+            // None of that disturbed the resident.
+            let hit = store.get(&b).unwrap();
+            assert_eq!((&hit.value[..], hit.flags, hit.cost), (&b"41"[..], 5, 9));
+            assert_eq!(store.incr(&b, 1), Some(42), "{mode}");
+            let stats = store.stats();
+            assert_eq!((stats.evictions, stats.fingerprint_collisions), (0, 0));
+            assert_eq!(stats.deletes, 0);
+            assert_layers_agree(&store, &mode.to_string());
+        }
+    }
+
+    #[test]
+    fn storing_a_colliding_key_evicts_the_resident_through_the_policy() {
+        use std::sync::atomic::Ordering;
+        for mode in all_modes() {
+            let sink = std::sync::Arc::new(CountingSink::default());
+            let mut store = colliding_store(mode.clone());
+            store.set_trace_sink(Some(sink.clone()));
+            let (a, b) = colliding_pair(&store);
+            store.set(&b, b"bee", 0, 0, 1).unwrap();
+            // `add` sees no A, so it stores — and B has to go.
+            assert!(store.add(&a, b"ay", 0, 0, 1).unwrap(), "{mode}");
+            assert!(!store.contains(&b), "{mode}: B evicted");
+            assert_eq!(store.get(&a).unwrap().value, b"ay", "{mode}");
+            assert!(store.get(&b).is_none(), "{mode}");
+            assert_eq!(store.len(), 1, "{mode}");
+            assert_layers_agree(&store, &mode.to_string());
+            let stats = store.stats();
+            assert_eq!(stats.evictions, 1, "{mode}");
+            assert_eq!(stats.fingerprint_collisions, 1, "{mode}");
+            assert_eq!(sink.evicts.load(Ordering::Relaxed), 1, "{mode}: traced");
+            // A plain replace of A itself is not a collision.
+            store.set(&a, b"ay2", 0, 0, 1).unwrap();
+            assert_eq!(store.stats().fingerprint_collisions, 1, "{mode}");
+            // And `set` of B takes the slot back.
+            store.set(&b, b"bee2", 0, 0, 1).unwrap();
+            assert_eq!(store.get(&b).unwrap().value, b"bee2", "{mode}");
+            assert!(store.get(&a).is_none(), "{mode}");
+            assert_eq!(store.stats().fingerprint_collisions, 2, "{mode}");
+            assert_eq!(sink.evicts.load(Ordering::Relaxed), 2, "{mode}");
+            assert_layers_agree(&store, &mode.to_string());
+        }
+    }
+
+    #[test]
+    fn sixteen_slots_never_serve_another_keys_value() {
+        for mode in all_modes() {
+            let mut store = colliding_store(mode.clone());
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            for step in 0..4_000u32 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let k = state % 200;
+                let key = format!("key-{k}");
+                if state & (1 << 40) == 0 {
+                    // The value names its key, and is large enough that the
+                    // four slabs hold fewer than 16 items: slab pressure
+                    // evicts alongside the collisions.
+                    let value = format!("{key}:{}", "v".repeat(1000));
+                    store
+                        .set(key.as_bytes(), value.as_bytes(), 0, 0, k)
+                        .unwrap();
+                } else if let Some(hit) = store.get(key.as_bytes()) {
+                    assert!(
+                        hit.value.starts_with(format!("{key}:").as_bytes()),
+                        "{mode}: get({key}) returned {:?}",
+                        String::from_utf8_lossy(&hit.value)
+                    );
+                }
+                assert!(store.len() <= 16, "{mode}: one key per fingerprint");
+                if step % 64 == 0 {
+                    assert_layers_agree(&store, &mode.to_string());
+                }
+            }
+            let stats = store.stats();
+            assert!(stats.fingerprint_collisions > 0, "{mode}");
+            assert!(stats.evictions > stats.fingerprint_collisions, "{mode}");
+            assert_layers_agree(&store, &mode.to_string());
+        }
+    }
+
+    // --------------------------------------------- reply-for-reply differential
+
+    /// One verb of the store API with its arguments.
+    #[derive(Debug, Clone)]
+    enum Call {
+        Get,
+        Set(Vec<u8>, u32),
+        Add(Vec<u8>, u32),
+        Replace(Vec<u8>, u32),
+        Delete,
+        Incr(u64),
+        Decr(u64),
+        Touch,
+    }
+
+    /// What the caller of a verb sees.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Reply {
+        Value(Option<(Vec<u8>, u32)>),
+        Stored(bool),
+        Found(bool),
+        Number(Option<u64>),
+    }
+
+    type Model = std::collections::HashMap<Vec<u8>, (Vec<u8>, u32)>;
+
+    /// The reference semantics: what `call` on `key` replies and leaves behind.
+    fn model_apply(model: &mut Model, key: &[u8], call: &Call) -> Reply {
+        let present = model.contains_key(key);
+        match call {
+            Call::Get => Reply::Value(model.get(key).cloned()),
+            Call::Set(value, flags) => {
+                model.insert(key.to_vec(), (value.clone(), *flags));
+                Reply::Stored(true)
+            }
+            Call::Add(value, flags) => {
+                if !present {
+                    model.insert(key.to_vec(), (value.clone(), *flags));
+                }
+                Reply::Stored(!present)
+            }
+            Call::Replace(value, flags) => {
+                if present {
+                    model.insert(key.to_vec(), (value.clone(), *flags));
+                }
+                Reply::Stored(present)
+            }
+            Call::Delete => Reply::Found(model.remove(key).is_some()),
+            Call::Touch => Reply::Found(present),
+            Call::Incr(delta) | Call::Decr(delta) => {
+                let number = model.get_mut(key).and_then(|(value, _)| {
+                    let current: u64 = std::str::from_utf8(value).ok()?.parse().ok()?;
+                    let next = match call {
+                        Call::Incr(_) => current.wrapping_add(*delta),
+                        _ => current.saturating_sub(*delta),
+                    };
+                    *value = next.to_string().into_bytes();
+                    Some(next)
+                });
+                Reply::Number(number)
+            }
+        }
+    }
+
+    fn store_apply(store: &mut Store, key: &[u8], call: &Call) -> Reply {
+        const FAR: u64 = 4_000_000_000;
+        match call {
+            Call::Get => Reply::Value(store.get(key).map(|hit| (hit.value, hit.flags))),
+            Call::Set(value, flags) => {
+                store.set(key, value, *flags, 0, 1).expect("set fits");
+                Reply::Stored(true)
+            }
+            Call::Add(value, flags) => {
+                Reply::Stored(store.add(key, value, *flags, 0, 1).expect("fits"))
+            }
+            Call::Replace(value, flags) => {
+                Reply::Stored(store.replace(key, value, *flags, 0, 1).expect("fits"))
+            }
+            Call::Delete => Reply::Found(store.delete(key)),
+            Call::Touch => Reply::Found(store.touch(key, FAR)),
+            Call::Incr(delta) => Reply::Number(store.incr(key, *delta)),
+            Call::Decr(delta) => Reply::Number(store.decr(key, *delta)),
+        }
+    }
+
+    fn random_call(rng: &mut Rng64, key: &[u8]) -> Call {
+        // Numbers (for incr/decr) or text that names its key, in two size
+        // classes only, so 64 keys never press on the slabs.
+        let value = |rng: &mut Rng64| match rng.range_u64(0, 3) {
+            0 => rng.range_u64(0, 1_000).to_string().into_bytes(),
+            1 => [key, b"="].concat(),
+            _ => [key, &[b'='; 90][..]].concat(),
+        };
+        let flags = rng.next_u64() as u32;
+        match rng.range_u64(0, 16) {
+            0..=4 => Call::Get,
+            5..=7 => Call::Set(value(rng), flags),
+            8..=9 => Call::Add(value(rng), flags),
+            10 => Call::Replace(value(rng), flags),
+            11..=12 => Call::Delete,
+            13 => Call::Incr(rng.range_u64(0, 50)),
+            14 => Call::Decr(rng.range_u64(0, 50)),
+            _ => Call::Touch,
+        }
+    }
+
+    /// Random verbs over 64 keys, reply for reply against a `HashMap` model.
+    /// With full fingerprints nothing is ever evicted here, so every reply
+    /// must equal the model's. With fingerprints cut to 4 bits the 64 keys
+    /// fight over 16 slots: a reply may then also be the one the verb gives
+    /// for an absent key (a cache may forget), but never anything else — in
+    /// particular never another key's value.
+    #[test]
+    fn every_reply_matches_the_model_or_is_a_legal_miss() {
+        let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("k{i}").into_bytes()).collect();
+        for mode in ["lru", "camp", "gdsf", "arc"] {
+            for truncated in [false, true] {
+                for seed in 0..6u64 {
+                    let config = StoreConfig {
+                        slab: SlabConfig::small(8 * 1024, 8),
+                        eviction: mode.parse().expect("policy name"),
+                    };
+                    let mut store = if truncated {
+                        Store::with_fingerprint_bits(config, 4)
+                    } else {
+                        Store::new(config)
+                    };
+                    let mut model = Model::new();
+                    let mut forgotten = 0u32;
+                    let mut rng = Rng64::seed_from_u64(0xF1_69E2 ^ seed);
+                    for step in 0..3_000 {
+                        let key = &keys[rng.range_usize(0, keys.len())];
+                        let call = random_call(&mut rng, key);
+                        let got = store_apply(&mut store, key, &call);
+                        let mut as_if_present = model.clone();
+                        if got == model_apply(&mut as_if_present, key, &call) {
+                            model = as_if_present;
+                            continue;
+                        }
+                        let context = format!(
+                            "{mode} truncated={truncated} seed={seed} step={step}: {call:?} on {}",
+                            String::from_utf8_lossy(key)
+                        );
+                        assert!(truncated, "{context}: {got:?} is not the model's reply");
+                        forgotten += 1;
+                        model.remove(key);
+                        assert_eq!(
+                            got,
+                            model_apply(&mut model, key, &call),
+                            "{context}: neither the model's reply nor a miss"
+                        );
+                    }
+                    let stats = store.stats();
+                    if truncated {
+                        assert!(forgotten > 0 && stats.fingerprint_collisions > 0);
+                        assert!(store.len() <= 16);
+                    } else {
+                        assert_eq!(stats.evictions + stats.slab_evictions, 0);
+                        assert_eq!(stats.fingerprint_collisions, 0);
+                        assert_eq!(store.len(), model.len());
+                    }
+                    for key in &keys {
+                        if store.contains(key) {
+                            assert!(model.contains_key(key), "{mode}: resident unknown to model");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -352,3 +352,79 @@ fn huge_announced_length_is_survivable() {
     client.quit().unwrap();
     server.shutdown();
 }
+
+/// `incr` with persistence on, through journal compactions: the journal
+/// append that crosses a segment boundary snapshots the store, which locks
+/// every shard — so `execute` must not still hold the key's shard lock
+/// when it appends. Runs on a side thread so that a regression (a hung
+/// worker that also wedges shutdown) fails the test instead of hanging it.
+#[test]
+fn incr_journals_through_compactions_without_deadlock() {
+    use camp_kvs::persist::PersistOptions;
+    use camp_kvs::server::ServerOptions;
+
+    let dir = std::env::temp_dir().join(format!("camp-incr-compact-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let data_dir = dir.clone();
+    let options = move |legacy_threads: bool| {
+        let mut options = ServerOptions::new(StoreConfig {
+            slab: SlabConfig::small(16 * 1024, 8),
+            eviction: EvictionMode::Camp(Precision::Bits(5)),
+        });
+        options.legacy_threads = legacy_threads;
+        options.persist = Some(PersistOptions {
+            segment_bytes: 4096,
+            keep_segments: 1,
+            ..PersistOptions::new(&data_dir)
+        });
+        options
+    };
+
+    let (done, finished) = std::sync::mpsc::channel();
+    let body = move || {
+        let mut expected = 0;
+        for legacy_threads in [false, true] {
+            let server = Server::start_with("127.0.0.1:0", options(legacy_threads)).expect("boot");
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            if expected == 0 {
+                assert!(client.set(b"n", b"0", 7, 0).expect("set"));
+            }
+            for _ in 0..400 {
+                expected += 1;
+                assert_eq!(client.incr(b"n", 1).expect("incr reply"), Some(expected));
+            }
+            assert_eq!(
+                client.decr(b"n", 1).expect("decr reply"),
+                Some(expected - 1)
+            );
+            expected -= 1;
+            let detail = client.stats_detail().expect("stats detail");
+            let snapshots: u64 = detail["persist:snapshots"].parse().expect("numeric");
+            assert!(snapshots > 0, "no compaction ran: {detail:?}");
+            assert_eq!(detail["persist:errors"], "0");
+            client.quit().expect("quit");
+            server.shutdown();
+        }
+        // The journaled rewrites kept the value and the flags.
+        let server = Server::start_with("127.0.0.1:0", options(false)).expect("warm boot");
+        let mut client = Client::connect(server.local_addr()).expect("reconnect");
+        let value = client.get(b"n").expect("get").expect("counter recovered");
+        assert_eq!(value.data, expected.to_string().as_bytes());
+        assert_eq!(value.flags, 7);
+        client.quit().expect("quit");
+        server.shutdown();
+        done.send(()).expect("report");
+    };
+    let worker = std::thread::spawn(body);
+    match finished.recv_timeout(std::time::Duration::from_secs(30)) {
+        Ok(()) => worker.join().expect("body finished"),
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("incr through a compaction hung (shard lock held across the journal append?)")
+        }
+        // The body panicked before reporting: surface its message.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("body panicked"))
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -8,7 +8,9 @@
 //! wrapper around any [`EvictionPolicy`], so the ablation benches can
 //! measure it over CAMP, LRU and GDS alike.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+use camp_core::hash::FoldHashMap;
 
 use crate::policy::{
     AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, SharedTraceSink,
@@ -62,7 +64,7 @@ pub enum AdmissionRule {
 pub struct Admission<P, K = u64> {
     inner: P,
     rule: AdmissionRule,
-    ghost: HashMap<K, u64>,
+    ghost: FoldHashMap<K, u64>,
     ghost_order: VecDeque<K>,
     bypassed: u64,
 }
@@ -81,7 +83,7 @@ impl<K: CacheKey, P: EvictionPolicy<K>> Admission<P, K> {
         Admission {
             inner,
             rule,
-            ghost: HashMap::new(),
+            ghost: FoldHashMap::default(),
             ghost_order: VecDeque::new(),
             bypassed: 0,
         }

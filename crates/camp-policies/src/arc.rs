@@ -15,9 +15,10 @@
 //! which is why the paper positions it as complementary rather than
 //! competing.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use camp_core::arena::{Arena, EntryId};
+use camp_core::hash::FoldHashMap;
 use camp_core::lru_list::{Linked, Links, LruList};
 
 use crate::policy::{
@@ -69,8 +70,8 @@ impl<K> Linked for Node<K> {
 /// LRU order, with O(1) membership and lazy mid-list deletion.
 #[derive(Debug)]
 struct GhostList<K> {
-    map: HashMap<K, (u64, u64)>, // key -> (size, stamp)
-    order: VecDeque<(K, u64)>,   // (key, stamp)
+    map: FoldHashMap<K, (u64, u64)>, // key -> (size, stamp)
+    order: VecDeque<(K, u64)>,       // (key, stamp)
     bytes: u64,
     next_stamp: u64,
 }
@@ -78,7 +79,7 @@ struct GhostList<K> {
 impl<K: CacheKey> Default for GhostList<K> {
     fn default() -> Self {
         GhostList {
-            map: HashMap::new(),
+            map: FoldHashMap::default(),
             order: VecDeque::new(),
             bytes: 0,
             next_stamp: 0,
@@ -148,7 +149,7 @@ pub struct Arc<K = u64> {
     used: u64,
     t1_bytes: u64,
     t2_bytes: u64,
-    residents: HashMap<K, Resident>,
+    residents: FoldHashMap<K, Resident>,
     t1: LruList,
     t2: LruList,
     arena: Arena<Node<K>>,
@@ -167,7 +168,7 @@ impl<K: CacheKey> Arc<K> {
             used: 0,
             t1_bytes: 0,
             t2_bytes: 0,
-            residents: HashMap::new(),
+            residents: FoldHashMap::default(),
             t1: LruList::new(),
             t2: LruList::new(),
             arena: Arena::new(),

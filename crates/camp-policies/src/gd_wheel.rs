@@ -17,9 +17,8 @@
 //! forward; when every low slot is empty, the next non-empty higher-wheel
 //! slot is migrated down, advancing `L`.
 
-use std::collections::HashMap;
-
 use camp_core::arena::{Arena, EntryId};
+use camp_core::hash::FoldHashMap;
 use camp_core::lru_list::{Linked, Links, LruList};
 use camp_core::rounding::{Precision, RatioRounder};
 
@@ -69,7 +68,7 @@ impl<K> Linked for Entry<K> {
 /// ```
 #[derive(Debug)]
 pub struct GdWheel<K = u64> {
-    map: HashMap<K, EntryId>,
+    map: FoldHashMap<K, EntryId>,
     arena: Arena<Entry<K>>,
     /// `LEVELS * WHEEL_SLOTS` LRU queues, row-major by level.
     slots: Vec<LruList>,
@@ -93,7 +92,7 @@ impl<K: CacheKey> GdWheel<K> {
     #[must_use]
     pub fn new(capacity: u64) -> Self {
         GdWheel {
-            map: HashMap::new(),
+            map: FoldHashMap::default(),
             arena: Arena::new(),
             slots: vec![LruList::new(); LEVELS * WHEEL_SLOTS],
             rounder: RatioRounder::new(Precision::Infinite),

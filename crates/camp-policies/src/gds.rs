@@ -13,9 +13,8 @@
 //! paper's "∞" configuration — but a precision can be supplied to study the
 //! rounding in isolation from CAMP's queue structure.
 
-use std::collections::HashMap;
-
 use camp_core::arena::{Arena, EntryId};
+use camp_core::hash::FoldHashMap;
 use camp_core::heap::OctonaryHeap;
 use camp_core::rounding::{Precision, RatioRounder};
 
@@ -50,7 +49,7 @@ struct Entry<K> {
 /// ```
 #[derive(Debug)]
 pub struct Gds<K = u64> {
-    map: HashMap<K, EntryId>,
+    map: FoldHashMap<K, EntryId>,
     arena: Arena<Entry<K>>,
     /// Heap ids are arena slot indices; this table resolves them back to
     /// generation-checked handles in O(1).
@@ -75,7 +74,7 @@ impl<K: CacheKey> Gds<K> {
     #[must_use]
     pub fn with_precision(capacity: u64, precision: Precision) -> Self {
         Gds {
-            map: HashMap::new(),
+            map: FoldHashMap::default(),
             arena: Arena::new(),
             by_slot: Vec::new(),
             heap: OctonaryHeap::new(),

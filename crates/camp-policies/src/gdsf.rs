@@ -12,9 +12,8 @@
 //! machinery as [`crate::gds::Gds`]; frequencies are capped to keep the
 //! priority arithmetic exact.
 
-use std::collections::HashMap;
-
 use camp_core::arena::{Arena, EntryId};
+use camp_core::hash::FoldHashMap;
 use camp_core::heap::OctonaryHeap;
 use camp_core::rounding::{Precision, RatioRounder};
 
@@ -59,7 +58,7 @@ struct Entry<K> {
 /// ```
 #[derive(Debug)]
 pub struct Gdsf<K = u64> {
-    map: HashMap<K, EntryId>,
+    map: FoldHashMap<K, EntryId>,
     arena: Arena<Entry<K>>,
     by_slot: Vec<Option<EntryId>>,
     heap: OctonaryHeap<u128>,
@@ -75,7 +74,7 @@ impl<K: CacheKey> Gdsf<K> {
     #[must_use]
     pub fn new(capacity: u64) -> Self {
         Gdsf {
-            map: HashMap::new(),
+            map: FoldHashMap::default(),
             arena: Arena::new(),
             by_slot: Vec::new(),
             heap: OctonaryHeap::new(),

@@ -8,8 +8,7 @@
 //! was designed to rule out, which makes LFU a useful contrast in the
 //! extension experiments.
 
-use std::collections::HashMap;
-
+use camp_core::hash::FoldHashMap;
 use camp_core::heap::OctonaryHeap;
 
 use crate::policy::{
@@ -50,8 +49,8 @@ pub struct Lfu<K = u64> {
     capacity: u64,
     used: u64,
     clock: u64,
-    residents: HashMap<K, Resident>,
-    by_heap_id: HashMap<u32, K>,
+    residents: FoldHashMap<K, Resident>,
+    by_heap_id: FoldHashMap<u32, K>,
     heap: OctonaryHeap<u128>,
     ids: IdAllocator,
     sink: Option<SharedTraceSink>,
@@ -65,8 +64,8 @@ impl<K: CacheKey> Lfu<K> {
             capacity,
             used: 0,
             clock: 0,
-            residents: HashMap::new(),
-            by_heap_id: HashMap::new(),
+            residents: FoldHashMap::default(),
+            by_heap_id: FoldHashMap::default(),
             heap: OctonaryHeap::new(),
             ids: IdAllocator::default(),
             sink: None,

@@ -21,8 +21,9 @@
 //! interchangeable in the simulator, benchmarks, and the KVS server.
 //!
 //! Every policy is generic over its key type ([`CacheKey`]): the simulator
-//! drives them with `u64` trace keys, the KVS server with `Box<[u8]>`
-//! wire keys — same instances, no glue layer.
+//! drives them with `u64` trace keys, the KVS server with `u64`
+//! fingerprints of its wire keys — the same instantiation, no glue layer
+//! (owned byte keys such as `Box<[u8]>` work too).
 //!
 //! ```
 //! use camp_core::{Camp, Precision};

@@ -5,9 +5,8 @@
 //! regardless of cost or size. Built on the same arena + intrusive list as
 //! CAMP's queues, so per-operation costs are directly comparable.
 
-use std::collections::HashMap;
-
 use camp_core::arena::{Arena, EntryId};
+use camp_core::hash::FoldHashMap;
 use camp_core::lru_list::{Linked, Links, LruList};
 
 use crate::policy::{
@@ -51,7 +50,7 @@ impl<K> Linked for Entry<K> {
 /// ```
 #[derive(Debug)]
 pub struct Lru<K = u64> {
-    map: HashMap<K, EntryId>,
+    map: FoldHashMap<K, EntryId>,
     arena: Arena<Entry<K>>,
     list: LruList,
     capacity: u64,
@@ -64,7 +63,7 @@ impl<K: CacheKey> Lru<K> {
     #[must_use]
     pub fn new(capacity: u64) -> Self {
         Lru {
-            map: HashMap::new(),
+            map: FoldHashMap::default(),
             arena: Arena::new(),
             list: LruList::new(),
             capacity,

@@ -11,8 +11,9 @@
 //! Like LRU (and unlike CAMP), LRU-K is blind to sizes and costs beyond byte
 //! accounting, which is exactly why the paper contrasts it with CAMP.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use camp_core::hash::FoldHashMap;
 use camp_core::heap::OctonaryHeap;
 
 use crate::policy::{
@@ -55,12 +56,12 @@ pub struct LruK<K = u64> {
     capacity: u64,
     used: u64,
     clock: u64,
-    residents: HashMap<K, Resident>,
-    by_heap_id: HashMap<u32, K>,
+    residents: FoldHashMap<K, Resident>,
+    by_heap_id: FoldHashMap<u32, K>,
     heap: OctonaryHeap<u128>,
     ids: IdAllocator,
     /// Retained reference history for evicted keys, bounded FIFO.
-    ghosts: HashMap<K, VecDeque<u64>>,
+    ghosts: FoldHashMap<K, VecDeque<u64>>,
     ghost_order: VecDeque<K>,
     ghost_capacity: usize,
     sink: Option<SharedTraceSink>,
@@ -83,11 +84,11 @@ impl<K: CacheKey> LruK<K> {
             capacity,
             used: 0,
             clock: 0,
-            residents: HashMap::new(),
-            by_heap_id: HashMap::new(),
+            residents: FoldHashMap::default(),
+            by_heap_id: FoldHashMap::default(),
             heap: OctonaryHeap::new(),
             ids: IdAllocator::default(),
-            ghosts: HashMap::new(),
+            ghosts: FoldHashMap::default(),
             ghost_order: VecDeque::new(),
             ghost_capacity: Self::DEFAULT_GHOSTS,
             sink: None,

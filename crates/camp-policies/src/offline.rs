@@ -10,8 +10,7 @@
 //! optimal (optimal variable-size caching is NP-hard), but it remains the
 //! standard reference bound.
 
-use std::collections::HashMap;
-
+use camp_core::hash::FoldHashMap;
 use camp_core::heap::OctonaryHeap;
 
 use crate::policy::{
@@ -48,8 +47,8 @@ pub struct BeladyMin<K = u64> {
     /// trace position `i` (usize::MAX when never referenced again).
     next_use: Vec<usize>,
     expected: Vec<K>,
-    residents: HashMap<K, (u32, u64, u64)>, // key -> (heap id, size, cost)
-    by_heap_id: HashMap<u32, K>,
+    residents: FoldHashMap<K, (u32, u64, u64)>, // key -> (heap id, size, cost)
+    by_heap_id: FoldHashMap<u32, K>,
     /// Max-heap on next use, expressed as a min-heap on the complement.
     heap: OctonaryHeap<u64>,
     ids: IdAllocator,
@@ -61,7 +60,7 @@ impl<K: CacheKey> BeladyMin<K> {
     #[must_use]
     pub fn from_keys(capacity: u64, keys: &[K]) -> Self {
         let mut next_use = vec![usize::MAX; keys.len()];
-        let mut last_seen: HashMap<&K, usize> = HashMap::new();
+        let mut last_seen: FoldHashMap<&K, usize> = FoldHashMap::default();
         for (i, key) in keys.iter().enumerate().rev() {
             if let Some(&later) = last_seen.get(key) {
                 next_use[i] = later;
@@ -74,8 +73,8 @@ impl<K: CacheKey> BeladyMin<K> {
             clock: 0,
             next_use,
             expected: keys.to_vec(),
-            residents: HashMap::new(),
-            by_heap_id: HashMap::new(),
+            residents: FoldHashMap::default(),
+            by_heap_id: FoldHashMap::default(),
             heap: OctonaryHeap::new(),
             ids: IdAllocator::default(),
             sink: None,

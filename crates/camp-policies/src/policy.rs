@@ -8,8 +8,10 @@
 //! the benchmark harness.
 //!
 //! The trait is generic over the key type. The simulator uses the default
-//! `u64` trace keys; the KVS server drives the *same* policy implementations
-//! over `Box<[u8]>` protocol keys. Two extra methods serve the server's
+//! `u64` trace keys, and so does the KVS server: it hashes each wire key
+//! once into a 64-bit fingerprint and drives the *same* `u64` instantiation
+//! with it (byte keys such as `Box<[u8]>` still work — the benchmark's
+//! ledger times that instantiation). Two extra methods serve the server's
 //! slab store, where memory pressure (not the policy's byte budget) decides
 //! *when* to evict: [`EvictionPolicy::victim`] exposes the next eviction
 //! candidate without mutating, and [`EvictionPolicy::touch`] applies the
@@ -20,8 +22,8 @@ use camp_core::{Camp, InsertOutcome};
 pub use camp_core::trace::{key_hash, PolicyEvent, PolicyEventKind, SharedTraceSink, TraceSink};
 
 /// Keys an eviction policy can manage: hashable, clonable (for eviction
-/// reporting), and debuggable. Blanket-implemented; `u64` trace keys and
-/// the server's `Box<[u8]>` protocol keys both qualify.
+/// reporting), and debuggable. Blanket-implemented; `u64` trace keys, the
+/// server's `u64` key fingerprints and `Box<[u8]>` byte keys all qualify.
 pub trait CacheKey: Eq + std::hash::Hash + Clone + std::fmt::Debug {}
 
 impl<T: Eq + std::hash::Hash + Clone + std::fmt::Debug> CacheKey for T {}
@@ -130,6 +132,12 @@ impl AccessOutcome {
 /// allocation). `touch` and `victim` split that cycle apart for callers —
 /// like the slab store — that decide admission and eviction timing
 /// themselves.
+///
+/// Every policy in this crate keeps its keys in a
+/// [`camp_core::hash::FoldHashMap`]: unseeded, so not resistant to keys
+/// chosen to collide. Callers holding externally chosen byte or string
+/// keys should hand the policy a seeded hash of them, as the KVS server
+/// does with its key fingerprint.
 pub trait EvictionPolicy<K: CacheKey = u64> {
     /// Short, stable, human-readable policy name (e.g. `"camp(p=5)"`).
     fn name(&self) -> String;

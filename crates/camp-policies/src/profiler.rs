@@ -5,10 +5,10 @@
 //! if this cache were half / the same / twice its size?" while the real
 //! cache serves traffic. It keeps one *shadow policy* per hypothetical
 //! scale, driven only by a deterministic spatial sample of the request
-//! stream: a key is sampled iff `hash(key) mod M < T` (a fast in-repo
-//! multiply-fold hash — the gate runs on *every* lookup, so it must cost
-//! nanoseconds, not a full SipHash), giving sampling
-//! rate `R = T / M`. Each shadow cache is sized to `capacity × scale × R`,
+//! stream: a key is sampled iff `hash(key) mod M < T` (the workspace's
+//! [`FoldHasher`] — the gate runs on *every* lookup of every shard, so it
+//! must cost nanoseconds, not a full SipHash; an even spread of
+//! `hash mod M` is all it needs), giving sampling rate `R = T / M`. Each shadow cache is sized to `capacity × scale × R`,
 //! so a sample that fits it behaves (in expectation) like the full stream
 //! against a `capacity × scale` cache. Estimated totals scale back by
 //! `1/R`.
@@ -26,48 +26,10 @@
 //!   pair into the shadow policies (their own eviction logic then decides
 //!   what a smaller or larger cache would have kept).
 
+use camp_core::hash::FoldHasher;
+
 use crate::policy::{CacheRequest, EvictionPolicy};
 use crate::spec::EvictionMode;
-
-/// Multiply-fold constant for [`SampleHasher`] (the FxHash multiplier:
-/// an odd constant with well-spread bits).
-const SAMPLE_HASH_K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-/// The sampling gate's hasher: a multiply-rotate fold over 8-byte chunks
-/// with a splitmix64 finalizer. The gate runs on every lookup of every
-/// shard, so it must cost nanoseconds — a full SipHash (`key_hash`) here
-/// shows up as whole percents of server throughput. Determinism and an
-/// even spread of `finish() % modulus` are the only requirements; this
-/// is not a defense against adversarial keys (neither is the sample).
-#[derive(Default)]
-struct SampleHasher(u64);
-
-impl std::hash::Hasher for SampleHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
-            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(SAMPLE_HASH_K);
-        }
-        let mut tail = 0u64;
-        for &byte in chunks.remainder() {
-            tail = (tail << 8) | u64::from(byte);
-        }
-        self.0 = (self.0.rotate_left(5) ^ tail).wrapping_mul(SAMPLE_HASH_K);
-    }
-
-    fn finish(&self) -> u64 {
-        // splitmix64 finalizer: full avalanche so the low bits taken by
-        // `% modulus` depend on every input bit.
-        let mut x = self.0;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        x
-    }
-}
 
 /// Default sampling modulus: keys are sampled at rate 1/64.
 pub const DEFAULT_SAMPLE_MODULUS: u64 = 64;
@@ -221,7 +183,7 @@ impl ShadowProfiler {
     /// Whether `key` falls in the spatial sample.
     fn sampled<K: std::hash::Hash + ?Sized>(&self, key: &K) -> Option<u64> {
         use std::hash::Hasher as _;
-        let mut hasher = SampleHasher::default();
+        let mut hasher = FoldHasher::default();
         key.hash(&mut hasher);
         let h = hasher.finish();
         (h % self.modulus == 0).then_some(h)
@@ -412,7 +374,7 @@ mod tests {
         // Find a sampled key.
         let gate = |bytes: &[u8]| {
             use std::hash::{Hash, Hasher};
-            let mut hasher = SampleHasher::default();
+            let mut hasher = FoldHasher::default();
             bytes.hash(&mut hasher);
             hasher.finish()
         };

@@ -6,8 +6,8 @@
 //! is `Clone + PartialEq + FromStr + Display` configuration data, while the
 //! policies it [builds](EvictionMode::build) are stateful caches. Because
 //! [`EvictionMode::build`] is generic over the key type, the same mode value
-//! can instantiate a `u64`-keyed policy for the simulator and a
-//! `Box<[u8]>`-keyed one for the KVS server.
+//! can instantiate a `u64`-keyed policy — for the simulator's trace ids and
+//! the KVS server's key fingerprints alike — or a byte-keyed one.
 
 use std::fmt;
 use std::str::FromStr;

@@ -12,9 +12,10 @@
 //! `A1out` remembers up to `KOUT` (default 50%) of the capacity's worth of
 //! evicted bytes, as recommended in the original paper.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use camp_core::arena::{Arena, EntryId};
+use camp_core::hash::FoldHashMap;
 use camp_core::lru_list::{Linked, Links, LruList};
 
 use crate::policy::{
@@ -82,12 +83,12 @@ pub struct TwoQ<K = u64> {
     kout: u64,
     used: u64,
     a1in_bytes: u64,
-    residents: HashMap<K, Resident>,
+    residents: FoldHashMap<K, Resident>,
     a1in: VecDeque<K>,
     am: LruList,
     am_arena: Arena<AmNode<K>>,
     a1out: VecDeque<(K, u64)>, // (key, size)
-    a1out_set: HashMap<K, u64>,
+    a1out_set: FoldHashMap<K, u64>,
     a1out_bytes: u64,
     sink: Option<SharedTraceSink>,
 }
@@ -109,12 +110,12 @@ impl<K: CacheKey> TwoQ<K> {
             kout,
             used: 0,
             a1in_bytes: 0,
-            residents: HashMap::new(),
+            residents: FoldHashMap::default(),
             a1in: VecDeque::new(),
             am: LruList::new(),
             am_arena: Arena::new(),
             a1out: VecDeque::new(),
-            a1out_set: HashMap::new(),
+            a1out_set: FoldHashMap::default(),
             a1out_bytes: 0,
             sink: None,
         }
