@@ -6,6 +6,15 @@ fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
+/// A scratch directory of the calling test's own: tests run in parallel
+/// (and other checkouts' runs share `$TMP`), so none may share or delete
+/// another's.
+fn scratch_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("camp-repro-cli-{test}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
 #[test]
 fn table1_prints_the_paper_rows() {
     let output = repro().arg("table1").output().expect("run repro table1");
@@ -18,8 +27,7 @@ fn table1_prints_the_paper_rows() {
 
 #[test]
 fn csv_export_writes_files() {
-    let dir = std::env::temp_dir().join("camp-repro-cli");
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch_dir("csv_export_writes_files");
     let output = repro()
         .args(["table1", "--out", dir.to_str().unwrap()])
         .output()
@@ -32,7 +40,7 @@ fn csv_export_writes_files() {
 
 #[test]
 fn custom_experiment_runs_on_a_generated_trace() {
-    let dir = std::env::temp_dir().join("camp-repro-cli");
+    let dir = scratch_dir("custom_experiment_runs_on_a_generated_trace");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("mini.trace");
     // A small trace written through the library (the CLI route is covered
@@ -51,7 +59,7 @@ fn custom_experiment_runs_on_a_generated_trace() {
     assert!(stdout.contains("camp(p=5)"), "{stdout}");
     // --plot rendered a chart with a legend.
     assert!(stdout.contains("* camp(p=5)"), "{stdout}");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

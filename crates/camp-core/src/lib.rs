@@ -16,8 +16,9 @@
 //!   global eviction candidate in `O(log #queues)` — and is only updated when
 //!   a head actually changes.
 //!
-//! The central type is [`Camp`]; [`ShardedCamp`] is its hash-partitioned,
-//! thread-safe form (the paper's §4.1 scaling recipe).
+//! The central type is [`Camp`]. It is single-threaded by design; the
+//! paper's §4.1 scaling recipe (hash-partitioned, independently locked
+//! shards) lives in `camp-kvs::ShardedStore`, the one the server runs.
 //!
 //! ## Quick start
 //!
@@ -58,10 +59,8 @@ pub mod heap;
 pub mod lru_list;
 pub mod rng;
 pub mod rounding;
-pub mod sharded;
 pub mod trace;
 
 pub use crate::camp::{Camp, CampBuilder, CampStats, EntryMeta, InsertOutcome, QueueInfo};
 pub use crate::rounding::Precision;
-pub use crate::sharded::ShardedCamp;
 pub use crate::trace::{key_hash, PolicyEvent, PolicyEventKind, SharedTraceSink, TraceSink};

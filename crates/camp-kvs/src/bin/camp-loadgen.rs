@@ -6,7 +6,6 @@
 //!              [--duration-secs S] [--warmup-secs S] [--get-ratio R]
 //!              [--keys N] [--value-bytes N] [--seed N]
 //!              [--retries N] [--expect-errors] [--verify]
-//!              [--worker-sweep LIST] [--server-bin PATH]
 //!              [--out FILE] [--label TEXT]
 //! ```
 //!
@@ -52,25 +51,18 @@
 //! skips prefill and measurement entirely and runs verification alone:
 //! the read-your-crashed-writes check a recovery harness wants.
 //!
-//! The report is written to `--out` (default `BENCH_server.json`):
+//! The report is written to `--out` (default `loadgen-report.json`):
 //! ops/sec, p50/p90/p99/max per command class, hit ratio, error and
 //! resilience counters, and the trajectory samples, plus the full config
-//! so before/after runs are comparable.
-//!
-//! `--worker-sweep 1,2,4` measures multi-core scaling instead of a single
-//! run: for each worker count the loadgen spawns its own `camp-kvsd`
-//! (`--server-bin`, default: the `camp-kvsd` sitting next to this binary)
-//! on an ephemeral port, waits for the `camp_kvsd_ready` banner on the
-//! child's stderr, runs the configured workload against it, and tears the
-//! server down. The report becomes a `scaling` array — ops/sec, speedup
-//! and parallel efficiency per worker count — and a compact table is
-//! printed, one line per point. `--addr` is ignored in sweep mode.
+//! so before/after runs are comparable. The repo's benchmark is
+//! `campbench` (`bench/`); this is the many-connection load tool the soak,
+//! chaos and crash harnesses drive.
 
 #![forbid(unsafe_code)]
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, ExitCode, Stdio};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,8 +85,6 @@ struct Config {
     retries: u32,
     expect_errors: bool,
     verify: bool,
-    worker_sweep: Option<Vec<usize>>,
-    server_bin: Option<String>,
     out: String,
     label: String,
 }
@@ -115,16 +105,14 @@ impl Default for Config {
             retries: 0,
             expect_errors: false,
             verify: false,
-            worker_sweep: None,
-            server_bin: None,
-            out: "BENCH_server.json".to_owned(),
+            out: "loadgen-report.json".to_owned(),
             label: String::new(),
         }
     }
 }
 
 fn usage() -> &'static str {
-    "usage: camp-loadgen [--addr ADDR] [--connections N] [--threads N]\n                    [--pipeline DEPTH]\n                    [--duration-secs S] [--warmup-secs S] [--get-ratio R]\n                    [--keys N] [--value-bytes N] [--seed N]\n                    [--retries N] [--expect-errors] [--verify]\n                    [--worker-sweep LIST] [--server-bin PATH]\n                    [--out FILE] [--label TEXT]\n\ndefaults: --addr 127.0.0.1:11311 --connections 4 --threads 0 --pipeline 16\n          --duration-secs 5 --warmup-secs 0.5 --get-ratio 0.9\n          --keys 10000 --value-bytes 100 --seed 42 --retries 0\n          --out BENCH_server.json\n\n--threads N multiplexes the connections over N threads (0 = one thread per\n  connection); lets one machine hold thousands of server connections open\n--retries N re-issues a failed batch up to N times over a fresh connection\n--expect-errors records errors/retries/reconnects in the report instead of\n  treating them as suspicious (for runs against a --chaos server); the exit\n  code stays 0 unless zero ops completed\n--verify reads back a deterministic keyspace sample after the run and\n  byte-compares every returned value; any mismatch fails the run. With\n  --duration-secs 0 the verification pass runs alone (no prefill, no\n  measurement) — the read-back check for crash-recovery harnesses\n--worker-sweep 1,2,4 spawns one camp-kvsd per worker count on an ephemeral\n  port, runs the workload against each, and reports a scaling table (ops/s,\n  speedup, parallel efficiency); --addr is ignored and --verify is skipped\n--server-bin PATH the camp-kvsd to spawn in sweep mode (default: the\n  camp-kvsd binary next to camp-loadgen)\n"
+    "usage: camp-loadgen [--addr ADDR] [--connections N] [--threads N]\n                    [--pipeline DEPTH]\n                    [--duration-secs S] [--warmup-secs S] [--get-ratio R]\n                    [--keys N] [--value-bytes N] [--seed N]\n                    [--retries N] [--expect-errors] [--verify]\n                    [--out FILE] [--label TEXT]\n\ndefaults: --addr 127.0.0.1:11311 --connections 4 --threads 0 --pipeline 16\n          --duration-secs 5 --warmup-secs 0.5 --get-ratio 0.9\n          --keys 10000 --value-bytes 100 --seed 42 --retries 0\n          --out loadgen-report.json\n\n--threads N multiplexes the connections over N threads (0 = one thread per\n  connection); lets one machine hold thousands of server connections open\n--retries N re-issues a failed batch up to N times over a fresh connection\n--expect-errors records errors/retries/reconnects in the report instead of\n  treating them as suspicious (for runs against a --chaos server); the exit\n  code stays 0 unless zero ops completed\n--verify reads back a deterministic keyspace sample after the run and\n  byte-compares every returned value; any mismatch fails the run. With\n  --duration-secs 0 the verification pass runs alone (no prefill, no\n  measurement) — the read-back check for crash-recovery harnesses\n"
 }
 
 fn parse_args() -> Result<Config, String> {
@@ -189,19 +177,6 @@ fn parse_args() -> Result<Config, String> {
             }
             "--expect-errors" => config.expect_errors = true,
             "--verify" => config.verify = true,
-            "--worker-sweep" => {
-                let list = value("--worker-sweep")?;
-                let counts = list
-                    .split(',')
-                    .map(|t| t.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|_| "bad --worker-sweep (expected e.g. 1,2,4)".to_owned())?;
-                if counts.is_empty() || counts.contains(&0) {
-                    return Err("--worker-sweep needs positive worker counts".to_owned());
-                }
-                config.worker_sweep = Some(counts);
-            }
-            "--server-bin" => config.server_bin = Some(value("--server-bin")?),
             "--out" => config.out = value("--out")?,
             "--label" => config.label = value("--label")?,
             "--help" | "-h" => {
@@ -612,7 +587,7 @@ fn worker(config: Config, totals: Arc<Totals>, worker_id: u64, value: Arc<Vec<u8
                 Err(err) => {
                     slot.conn = None;
                     if config.retries == 0 {
-                        // Legacy behavior: a dead connection ends the
+                        // Without retries a dead connection ends the
                         // worker (the others keep going).
                         eprintln!("camp-loadgen: worker {worker_id}: {err}");
                         // ordering: Relaxed — statistics counter.
@@ -927,168 +902,6 @@ fn render_report(
     )
 }
 
-/// The camp-kvsd to spawn in sweep mode when `--server-bin` is not given:
-/// the binary sitting next to this one (both land in the same cargo
-/// target directory).
-fn default_server_bin() -> String {
-    std::env::current_exe()
-        .ok()
-        .and_then(|exe| exe.parent().map(|dir| dir.join("camp-kvsd")))
-        .map(|path| path.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "camp-kvsd".to_owned())
-}
-
-/// Spawns `bin --workers N` on an ephemeral port and waits for the
-/// `camp_kvsd_ready` banner on its stderr, returning the child and the
-/// bound address. Remaining stderr is drained by a detached thread so a
-/// chatty server never blocks on a full pipe.
-fn spawn_server(bin: &str, workers: usize) -> io::Result<(Child, String)> {
-    let mut child = Command::new(bin)
-        .args([
-            "--listen",
-            "127.0.0.1:0",
-            "--workers",
-            &workers.to_string(),
-            "--log-level",
-            "info",
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .map_err(|err| io::Error::new(err.kind(), format!("spawning {bin}: {err}")))?;
-    let stderr = child.stderr.take().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::BrokenPipe, "child stderr was not captured")
-    })?;
-    let mut reader = BufReader::new(stderr);
-    let mut line = String::new();
-    let mut addr = None;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            break; // EOF: the server died before becoming ready.
-        }
-        if line.contains("event=camp_kvsd_ready") {
-            addr = line
-                .split_whitespace()
-                .find_map(|token| token.strip_prefix("addr="))
-                .map(str::to_owned);
-            break;
-        }
-    }
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-            sink.clear();
-        }
-    });
-    match addr {
-        Some(addr) => Ok((child, addr)),
-        None => {
-            let _ = child.kill();
-            let _ = child.wait();
-            Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("{bin} --workers {workers} exited without a ready banner"),
-            ))
-        }
-    }
-}
-
-/// One measured point of the worker sweep.
-struct SweepPoint {
-    workers: usize,
-    stats: RunStats,
-}
-
-fn render_sweep_report(config: &Config, server_bin: &str, points: &[SweepPoint]) -> String {
-    let base = &points[0];
-    let scaling: Vec<String> = points
-        .iter()
-        .map(|point| {
-            let speedup = point.stats.ops_per_sec() / base.stats.ops_per_sec().max(1.0);
-            let efficiency =
-                speedup / (point.workers as f64 / base.workers as f64);
-            format!(
-                "{{\"workers\": {}, \"ops_per_sec\": {:.1}, \"total_ops\": {}, \"hit_ratio\": {:.4}, \"errors\": {}, \"speedup\": {speedup:.3}, \"efficiency\": {efficiency:.3}}}",
-                point.workers,
-                point.stats.ops_per_sec(),
-                point.stats.total_ops,
-                point.stats.hit_ratio,
-                point.stats.errors,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"camp-loadgen worker sweep\",\n  \"label\": \"{}\",\n  \"server_bin\": \"{}\",\n  \"config\": {{\"connections\": {}, \"threads\": {}, \"pipeline\": {}, \"get_ratio\": {}, \"keys\": {}, \"value_bytes\": {}, \"duration_secs\": {}, \"warmup_secs\": {}, \"seed\": {}}},\n  \"scaling\": [{}]\n}}\n",
-        escape_json(&config.label),
-        escape_json(server_bin),
-        config.connections,
-        config.threads,
-        config.pipeline,
-        config.get_ratio,
-        config.keys,
-        config.value_bytes,
-        config.duration_secs,
-        config.warmup_secs,
-        config.seed,
-        scaling.join(", "),
-    )
-}
-
-/// Sweep mode: one spawned server + measured run per worker count.
-fn run_worker_sweep(config: &Config, sweep: &[usize]) -> ExitCode {
-    let server_bin = config.server_bin.clone().unwrap_or_else(default_server_bin);
-    let value = Arc::new(vec![b'x'; config.value_bytes]);
-    let mut points: Vec<SweepPoint> = Vec::new();
-    for &workers in sweep {
-        let (mut child, addr) = match spawn_server(&server_bin, workers) {
-            Ok(spawned) => spawned,
-            Err(err) => {
-                eprintln!("camp-loadgen: sweep point --workers {workers}: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut run = config.clone();
-        run.addr = addr;
-        let result = prefill(&run, &value).map(|()| measure(&run, &value));
-        let _ = child.kill();
-        let _ = child.wait();
-        match result {
-            Ok(stats) => points.push(SweepPoint { workers, stats }),
-            Err(err) => {
-                eprintln!("camp-loadgen: sweep point --workers {workers}: prefill failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let report = render_sweep_report(config, &server_bin, &points);
-    if let Err(err) = std::fs::write(&config.out, &report) {
-        eprintln!("camp-loadgen: writing {} failed: {err}", config.out);
-        return ExitCode::FAILURE;
-    }
-    let base_rate = points[0].stats.ops_per_sec().max(1.0);
-    let base_workers = points[0].workers as f64;
-    println!("camp-loadgen: worker sweep ({} points)", points.len());
-    println!("  workers      ops/sec  speedup  efficiency");
-    for point in &points {
-        let speedup = point.stats.ops_per_sec() / base_rate;
-        let efficiency = speedup / (point.workers as f64 / base_workers);
-        println!(
-            "  {:>7}  {:>11.0}  {:>6.2}x  {:>9.0}%",
-            point.workers,
-            point.stats.ops_per_sec(),
-            speedup,
-            efficiency * 100.0,
-        );
-    }
-    println!("  report written to {}", config.out);
-    if points.iter().any(|p| p.stats.total_ops == 0) {
-        eprintln!("camp-loadgen: a sweep point completed no operations");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let config = match parse_args() {
         Ok(config) => config,
@@ -1097,9 +910,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(sweep) = config.worker_sweep.clone() {
-        return run_worker_sweep(&config, &sweep);
-    }
     let value = Arc::new(vec![b'x'; config.value_bytes]);
     // `--verify --duration-secs 0` is a pure read-back pass: nothing is
     // written, so a recovery harness can check exactly what survived.

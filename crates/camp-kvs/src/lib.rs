@@ -19,10 +19,9 @@
 //!   recipe);
 //! * [`net`] — the event-driven core: a dependency-free epoll wrapper,
 //!   timer wheel, per-connection state machine and N-worker reactor;
-//! * [`server`] / [`client`] — the TCP server (epoll reactor by default,
-//!   thread-per-connection behind `legacy_threads`; graceful drain,
-//!   overload protection, idle eviction) and a blocking client with
-//!   reconnect/retry resilience;
+//! * [`server`] / [`client`] — the TCP server (the epoll reactor;
+//!   graceful drain, overload protection, idle eviction) and a blocking
+//!   client with reconnect/retry resilience;
 //! * [`persist`] — crash-safe durability: a checksummed append-only log
 //!   with rotating segments, warm restarts that rebuild CAMP costs, and
 //!   graceful degradation when the disk is sick;

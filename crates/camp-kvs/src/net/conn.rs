@@ -1,10 +1,8 @@
 //! The per-connection protocol state machine: nonblocking buffers in,
 //! nonblocking buffers out, no socket in sight.
 //!
-//! [`Connection`] is the reactor's replacement for the legacy
-//! thread-per-connection `handle_connection` loop, restructured as a
-//! run-to-completion state machine over a read buffer and an output
-//! *rope*: the reactor appends whatever the socket had into the read
+//! [`Connection`] is a run-to-completion state machine over a read
+//! buffer and an output *rope*: the reactor appends whatever the socket had into the read
 //! buffer ([`Connection::fill_from`]), [`Connection::process`] consumes
 //! complete commands from it and appends replies to the rope's active
 //! tail segment (sealing the tail into the flush queue whenever it
@@ -24,9 +22,8 @@
 //! event — rare, so the re-parse is cheap) until the full data block and
 //! its CRLF terminator have arrived. That is what keeps PR 4's chaos
 //! invariant intact under `EAGAIN`/short reads: the fault decision for a
-//! storage command fires *after* the complete data block, exactly as the
-//! legacy blocking path ordered it, so an injected error or delay can
-//! never desynchronize the stream.
+//! storage command fires *after* the complete data block, so an injected
+//! error or delay can never desynchronize the stream.
 //!
 //! Lifecycle semantics are expressed as data, not threads: a chaos delay
 //! parks the connection behind [`Step::Delayed`] (the reactor schedules a
@@ -209,8 +206,8 @@ pub(crate) struct Connection {
     filled: usize,
     /// Output rope: sealed segments awaiting flush plus the active tail.
     out: OutRope,
-    /// Reusable get-serialization scratch (same role as legacy
-    /// `response`): VALUE blocks accumulate here before one bulk append.
+    /// Reusable get-serialization scratch: VALUE blocks accumulate here
+    /// before one bulk append.
     response: Vec<u8>,
     faults: Option<FaultState>,
     /// A Delay was already decided for the currently-pending command;
@@ -238,8 +235,7 @@ pub(crate) struct Connection {
 }
 
 impl Connection {
-    /// `id` seeds the connection's deterministic fault stream, exactly as
-    /// the legacy per-thread path did.
+    /// `id` seeds the connection's deterministic fault stream.
     pub(crate) fn new(id: u64, shared: &Shared) -> Connection {
         Connection {
             buf: Vec::new(),
@@ -313,9 +309,8 @@ impl Connection {
 
     /// Whether a drain may close this connection now: nothing buffered in
     /// either direction and no command in flight. A connection holding a
-    /// partial command line is *not* closable — same as the legacy path,
-    /// where only reads blocked with an empty line buffer noticed the
-    /// drain flag — and gets severed at the deadline instead.
+    /// partial command line is *not* closable and gets severed at the
+    /// deadline instead.
     pub(crate) fn drain_closable(&self) -> bool {
         self.pos >= self.filled && !self.has_pending_out() && self.delayed_until.is_none()
     }
@@ -428,7 +423,7 @@ impl Connection {
     }
 
     /// Evicts the connection for exceeding the idle deadline: explicit
-    /// error reply, then close once it flushes (legacy `evict_idle`).
+    /// error reply, then close once it flushes.
     pub(crate) fn evict_idle(&mut self, shared: &Shared) {
         shared.metrics.record_rejected(RejectCause::IdleTimeout);
         kvlog!(
@@ -465,8 +460,7 @@ impl Connection {
                 self.out.seal(pool);
             }
             // An in-force chaos delay pauses the whole connection —
-            // pipelined commands behind the delayed one wait, exactly as
-            // the legacy thread slept.
+            // pipelined commands behind the delayed one wait.
             if let Some(until) = self.delayed_until {
                 if now < until {
                     return Step::Delayed(until);
@@ -523,8 +517,7 @@ impl Connection {
                             if self.filled - self.pos < needed {
                                 if self.peer_eof {
                                     // Mid-block EOF: nothing is stored and
-                                    // nothing more can be parsed (legacy
-                                    // UnexpectedEof).
+                                    // nothing more can be parsed.
                                     return Step::Close;
                                 }
                                 self.compact();
@@ -534,8 +527,7 @@ impl Connection {
                             let terminator = &self.buf[start + header.bytes..self.pos + needed];
                             if terminator != b"\r\n" {
                                 // The stream is desynchronized; reading on
-                                // would misparse data as commands (legacy
-                                // InvalidData: close the connection).
+                                // would misparse data as commands.
                                 kvlog!(
                                     LogLevel::Debug,
                                     "connection_error",
@@ -555,8 +547,7 @@ impl Connection {
                     // Chaos: decided once per command, after its data
                     // block; a Delay stashes the fact that the decision
                     // already happened so the resume does not re-roll the
-                    // per-connection RNG (determinism parity with the
-                    // sleeping legacy thread).
+                    // per-connection RNG.
                     if !self.fault_decided {
                         if let (Some(plan), Some(state)) =
                             (shared.fault_plan.as_ref(), self.faults.as_mut())
@@ -581,8 +572,7 @@ impl Connection {
                                 }
                                 FaultAction::Drop => {
                                     // Vanish pre-response; replies already
-                                    // buffered still flush, like the legacy
-                                    // BufWriter did on drop.
+                                    // buffered still flush on close.
                                     shared.metrics.record_fault(FaultKind::Drop);
                                     return Step::Close;
                                 }
@@ -640,7 +630,7 @@ impl Connection {
                     self.pos += line_wire;
                     if err.is_fatal() {
                         // The refused data block is still on the wire;
-                        // reading on would desync (legacy: close). Today
+                        // reading on would desync. Today
                         // the only fatal parse error is an oversize value.
                         shared.metrics.record_rejected(RejectCause::ValueTooLarge);
                         return Step::Close;

@@ -38,9 +38,9 @@
 //! syscall — and [`Persist::needs_commit`] is the lock-free "did I
 //! append anything that still needs it?" (see [`state`]'s
 //! `UnsyncedFlag` for which way that read can be stale, and its
-//! camp-check harness). A caller that never defers (the legacy engine,
-//! whose `BufWriter` writes through to the socket when full; tests; the
-//! benchmark ledger) keeps the sync inline after every record. Rotation
+//! camp-check harness). A caller that never defers (direct `append_*`
+//! callers: tests, the benchmark ledger) keeps the sync inline after
+//! every record. Rotation
 //! syncs the segment it leaves before creating the next, in every mode,
 //! because the backend can only sync its active file.
 //!
@@ -484,8 +484,8 @@ impl Persist {
     /// The caller promises to call [`Persist::commit`] before it
     /// acknowledges any mutation, so `--fsync always` appends stop
     /// syncing inline (other modes never did; this is a no-op for them).
-    /// The reactor makes the promise; it goes away with the legacy
-    /// engine, the one caller that cannot.
+    /// The server always makes the promise; direct `append_*` callers
+    /// (tests, the benchmark ledger) do not and keep the inline sync.
     pub(crate) fn defer_sync_to_commit(&mut self) {
         self.defer_sync = self.options.fsync == FsyncMode::Always;
     }

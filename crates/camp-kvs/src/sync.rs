@@ -10,8 +10,8 @@
 //! of inferred.
 //!
 //! [`ConnGauge`] is the single authority for the `max_conns` cap: every
-//! accept path reserves a slot through the same compare-exchange loop, so
-//! the cap is exact under accept bursts. (The legacy accept loop used to
+//! worker's accept reserves a slot through the same compare-exchange loop,
+//! so the cap is exact under accept bursts. (An earlier accept loop used to
 //! check the count and increment it separately, which over-admitted under
 //! a burst — a race the `camp-check` reservation harness below catches in
 //! its mutated form.)
@@ -77,13 +77,13 @@ impl ConnGauge {
     pub(crate) fn try_reserve(&self) -> bool {
         if self.cap == 0 {
             // ordering: Relaxed — pure counter when uncapped; connection
-            // state is transferred through the accept handoff, not here.
+            // state never leaves the accepting worker.
             self.live.fetch_add(1, Ordering::Relaxed);
             return true;
         }
         // ordering: Relaxed(x2) — the CAS only needs atomicity: the gauge
-        // carries no payload, it is the payload. Acquire/Release would
-        // order nothing that the accept handoff doesn't already order.
+        // carries no payload, it is the payload: the connection it admits
+        // stays on the accepting worker, so there is nothing to order.
         self.live
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
                 (live < self.cap).then_some(live + 1)
@@ -106,7 +106,7 @@ impl ConnGauge {
     }
 }
 
-/// The pre-gauge admission check exactly as the legacy accept loop shipped
+/// The pre-gauge admission check exactly as an earlier accept loop shipped
 /// it: read the count, compare, then increment separately. Kept (model
 /// builds only) as the mutation the reservation harness must catch — two
 /// racing accepts can both pass the comparison and over-admit.

@@ -200,11 +200,17 @@ fn slowloris_client_is_evicted_at_the_idle_deadline() {
 
 /// A 100-connection burst against an 8-connection cap: every connection
 /// past the cap gets an explicit `SERVER_ERROR` (never a silent stall)
-/// and the rejection counter matches exactly. Shared by the per-worker
-/// SO_REUSEPORT intake path and the single-accept-thread fallback — the
-/// accept-side reservation accounting must be identical on both.
-fn burst_rejects_exactly_92(options: ServerOptions) {
-    let server = start(options);
+/// and the rejection counter matches exactly. Two reactor workers, each
+/// with its own SO_REUSEPORT listener: the cap is one shared counter, so
+/// the 8/92 split must hold exactly no matter which listener the kernel
+/// routes each connection to.
+#[test]
+fn connection_burst_past_max_conns_is_rejected_explicitly() {
+    let server = start(ServerOptions {
+        max_conns: 8,
+        workers: 2,
+        ..base_options()
+    });
     let addr = server.local_addr();
     let mut streams = Vec::new();
     for _ in 0..100 {
@@ -261,31 +267,6 @@ fn burst_rejects_exactly_92(options: ServerOptions) {
     drop(held);
     drop(conn);
     server.shutdown();
-}
-
-/// The burst on the default intake path: two reactor workers, each with
-/// its own SO_REUSEPORT listener. The cap is one shared counter, so the
-/// 8/92 split must hold exactly no matter which listener the kernel
-/// routes each connection to.
-#[test]
-fn connection_burst_past_max_conns_is_rejected_explicitly() {
-    burst_rejects_exactly_92(ServerOptions {
-        max_conns: 8,
-        workers: 2,
-        ..base_options()
-    });
-}
-
-/// The same burst through the `--single-listener` fallback: one blocking
-/// accept thread feeding both workers must account identically.
-#[test]
-fn connection_burst_is_rejected_identically_on_the_single_listener_path() {
-    burst_rejects_exactly_92(ServerOptions {
-        max_conns: 8,
-        workers: 2,
-        single_listener: true,
-        ..base_options()
-    });
 }
 
 /// Once a drain begins, the per-worker listeners close before anything

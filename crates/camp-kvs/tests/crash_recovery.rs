@@ -423,53 +423,40 @@ fn warm_restart_preserves_values_and_flags_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--legacy-threads` cannot hold replies behind a commit barrier (its
-/// `BufWriter` writes through to the socket when full), so under
-/// `--fsync always` it must keep syncing after every record, while the
-/// reactor shares one sync among a pipelined batch.
+/// Under `--fsync always` the reactor shares one sync among a pipelined
+/// batch: it commits once per wakeup, before the replies leave.
 #[test]
-fn legacy_engine_syncs_per_record_and_the_reactor_shares_syncs() {
-    let persist_counters = |legacy_threads: bool| {
-        let dir = temp_dir(if legacy_threads { "legacy" } else { "reactor" });
-        let mut options = ServerOptions::new(StoreConfig {
-            slab: SlabConfig::small(64 * 1024, 16),
-            eviction: EvictionMode::Camp(Precision::Bits(5)),
-        });
-        options.legacy_threads = legacy_threads;
-        options.persist = Some(PersistOptions {
-            fsync: FsyncMode::Always,
-            ..PersistOptions::new(&dir)
-        });
-        let server = Server::start_with("127.0.0.1:0", options).expect("boot");
-        // 8 round trips of 8 pipelined sets: far below one 64 MiB segment.
-        let mut wire = dial(&server.local_addr().to_string()).expect("dial");
-        for round in 0..8u64 {
-            let mut request = Vec::new();
-            for i in 0..PIPELINE {
-                write!(request, "set k{i} 0 0 2\r\nv{round}\r\n").expect("write to a Vec");
-            }
-            wire.writer.write_all(&request).expect("send batch");
-            for _ in 0..PIPELINE {
-                assert!(wire.read_stored().expect("reply"));
-            }
+fn the_reactor_shares_syncs_among_a_pipelined_batch() {
+    let dir = temp_dir("group-commit");
+    let mut options = ServerOptions::new(StoreConfig {
+        slab: SlabConfig::small(64 * 1024, 16),
+        eviction: EvictionMode::Camp(Precision::Bits(5)),
+    });
+    options.persist = Some(PersistOptions {
+        fsync: FsyncMode::Always,
+        ..PersistOptions::new(&dir)
+    });
+    let server = Server::start_with("127.0.0.1:0", options).expect("boot");
+    // 8 round trips of 8 pipelined sets: far below one 64 MiB segment.
+    let mut wire = dial(&server.local_addr().to_string()).expect("dial");
+    for round in 0..8u64 {
+        let mut request = Vec::new();
+        for i in 0..PIPELINE {
+            write!(request, "set k{i} 0 0 2\r\nv{round}\r\n").expect("write to a Vec");
         }
-        let mut client = Client::connect(server.local_addr()).expect("connect");
-        let detail = client.stats_detail().expect("stats detail");
-        client.quit().expect("quit");
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
-        let stat = |name: &str| -> u64 { detail[name].parse().expect("numeric stat") };
-        assert_eq!(stat("persist:errors"), 0);
-        (stat("persist:fsyncs"), stat("persist:records"))
-    };
-
-    let (fsyncs, records) = persist_counters(true);
-    assert_eq!(records, 8 * PIPELINE);
-    assert!(
-        fsyncs >= records,
-        "legacy engine must sync per record: {fsyncs} fsyncs for {records} records"
-    );
-    let (fsyncs, records) = persist_counters(false);
+        wire.writer.write_all(&request).expect("send batch");
+        for _ in 0..PIPELINE {
+            assert!(wire.read_stored().expect("reply"));
+        }
+    }
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let detail = client.stats_detail().expect("stats detail");
+    client.quit().expect("quit");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+    let stat = |name: &str| -> u64 { detail[name].parse().expect("numeric stat") };
+    assert_eq!(stat("persist:errors"), 0);
+    let (fsyncs, records) = (stat("persist:fsyncs"), stat("persist:records"));
     assert_eq!(records, 8 * PIPELINE);
     assert!(
         fsyncs < records / 2,
