@@ -12,13 +12,23 @@
 //! slab write, eviction hand-off — on a BG-sized keyspace four times the
 //! store's memory: `get_hit`, `get_miss`, and `set_evicting` (a cyclic
 //! scan, so every set misses and evicts).
+//!
+//! The `conn` group times everything a reactor worker does with a
+//! connection's bytes except the syscalls: `process_pipeline32` feeds a
+//! [`Loopback`] connection 32 pipelined `iqget`/`iqset` commands per cycle
+//! — line framing, parse, execute against an evicting store, per-command
+//! timing and tallying, the publish, reply serialization into the output
+//! rope, the flush into a `Vec`, span recording. Against the `store` and
+//! `parse` rows it shows the per-command fixed cost no other row does.
 
 use std::hint::black_box;
 use std::io::Write;
 
 use camp_bench::micro::Group;
+use camp_kvs::net::Loopback;
 use camp_kvs::protocol::{parse_command, Command};
 use camp_kvs::resp;
+use camp_kvs::server::ServerOptions;
 use camp_kvs::slab::SlabConfig;
 use camp_kvs::store::{EvictionMode, Store, StoreConfig};
 use camp_workload::BgConfig;
@@ -26,6 +36,8 @@ use camp_workload::BgConfig;
 const PARSE_LINES: u64 = 100_000;
 const GET_OPS: u64 = 100_000;
 const STORE_OPS: u64 = 100_000;
+const CONN_CYCLES: u64 = 4_000;
+const PIPELINE: u64 = 32;
 
 /// The `store` group: one distinct key per BG trace key, with the trace's
 /// sizes and costs, against a store a quarter the keyspace's size.
@@ -95,6 +107,47 @@ fn store_group() {
             hits += u64::from(store.get_with(black_box(key), |_| ()).is_some());
         }
         hits
+    });
+}
+
+/// The `conn` group: one connection, 32 commands per cycle, on a keyspace
+/// four times the store's memory so every `iqset` evicts.
+fn conn_group() {
+    const KEYS: u64 = 40_000;
+    const VALUE: usize = 100;
+    let mut options = ServerOptions::new(StoreConfig {
+        slab: SlabConfig::small(64 * 1024, 16),
+        eviction: "camp:5".parse().expect("policy name"),
+    });
+    options.workers = 1;
+    let mut conn = Loopback::new(&options).expect("no data dir, nothing to open");
+    // One wire batch per cycle: 16 x (iqget k, iqset k) on a sliding window
+    // of keys, costs from a small set so CAMP keeps several queues.
+    let batches: Vec<Vec<u8>> = (0..CONN_CYCLES)
+        .map(|cycle| {
+            let mut wire = Vec::new();
+            for i in 0..PIPELINE / 2 {
+                let key = (cycle * (PIPELINE / 2) + i) % KEYS;
+                let cost = 1 + (key % 5) * 400;
+                let _ = write!(wire, "iqget key-{key:08}\r\n");
+                let _ = write!(wire, "iqset key-{key:08} 0 0 {VALUE} {cost}\r\n");
+                wire.extend_from_slice(&[0xEF; VALUE]);
+                wire.extend_from_slice(b"\r\n");
+            }
+            wire
+        })
+        .collect();
+    let mut replies = Vec::new();
+    let group = Group::new("conn", CONN_CYCLES * PIPELINE, 10);
+    group.case("process_pipeline32", || {
+        let mut bytes = 0u64;
+        for wire in &batches {
+            replies.clear();
+            conn.exchange(black_box(wire), &mut replies)
+                .expect("vec sink");
+            bytes += replies.len() as u64;
+        }
+        bytes
     });
 }
 
@@ -198,4 +251,5 @@ fn main() {
     });
 
     store_group();
+    conn_group();
 }

@@ -1,10 +1,12 @@
-//! Telemetry overhead: the cost of one histogram record, and the store get
-//! path with and without the timing wrapper the server puts around it.
+//! Telemetry overhead: the cost of one histogram record — shared
+//! (`record`: three relaxed `fetch_add`s and one `fetch_max`) and
+//! worker-local (`local_record`: four plain adds through `&mut`) — of
+//! publishing a local tally (`absorb`), and the store get path with and
+//! without a timing wrapper around it.
 //!
-//! The acceptance bar for the telemetry layer is that recording is within
-//! noise on the get path: a record is three relaxed `fetch_add`s and one
-//! `fetch_max` against a store operation that hashes, locks a shard and
-//! copies the value out.
+//! The server's per-command path uses `local_record` plus one clock read
+//! and pays `absorb` once per connection cycle; `record` is what it paid
+//! per command before, and what the cold paths (fsync timing) still use.
 //!
 //! Run with `cargo bench -p camp-bench --bench telemetry`.
 
@@ -14,7 +16,7 @@ use std::time::Instant;
 use camp_bench::micro::Group;
 use camp_kvs::slab::SlabConfig;
 use camp_kvs::store::{EvictionMode, Store, StoreConfig};
-use camp_telemetry::Histogram;
+use camp_telemetry::{Histogram, LocalHistogram};
 
 const OPS: u64 = 1_000_000;
 
@@ -27,9 +29,29 @@ fn histogram_record_cost() {
         }
         histogram.count()
     });
+    let mut local = LocalHistogram::new();
+    group.case("local_record", || {
+        for i in 0..OPS {
+            local.record(i & 0xFFFF);
+        }
+        local.count()
+    });
+    let mut local = LocalHistogram::new();
+    group.case("absorb", || {
+        // One publish per 32 observations (a pipelined connection cycle),
+        // latencies spread over a handful of buckets as real ones are;
+        // the time is per observation, publish included.
+        for cycle in 0..OPS / 32 {
+            for i in 0..32 {
+                local.record((cycle + i) & 0x7);
+            }
+            histogram.absorb(&mut local);
+        }
+        histogram.count()
+    });
     group.case("record+clock", || {
-        // What the server actually does per command: read the clock twice
-        // and record the difference.
+        // A shared record around a timed region: two clock reads and the
+        // four RMWs.
         let mut acc = 0u64;
         for _ in 0..OPS {
             let started = Instant::now();

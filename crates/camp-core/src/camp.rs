@@ -448,7 +448,7 @@ impl<K: Eq + Hash + Clone, V> Camp<K, V> {
             self.stats.rejected += 1;
             return InsertOutcome::RejectedTooLarge;
         }
-        let updating = if let Some(&old_id) = self.map.get(&key) {
+        let updating = if let Some(old_id) = self.map.remove(&key) {
             self.detach(old_id);
             true
         } else {
@@ -530,8 +530,23 @@ impl<K: Eq + Hash + Clone, V> Camp<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let id = *self.map.get(key)?;
-        Some(self.detach(id))
+        let id = self.map.remove(key)?;
+        Some(self.detach(id).value)
+    }
+
+    /// Removes resident `key` *as an eviction* the caller decided on (a
+    /// store out of memory evicting [`Camp::victim`]): [`Camp::remove`],
+    /// reported to the trace sink as an eviction at the current `L`. The
+    /// one map probe yields the entry the event is built from.
+    pub fn evict<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let id = self.map.remove(key)?;
+        let entry = self.detach(id);
+        self.trace_eviction(&entry);
+        Some(entry.value)
     }
 
     /// The pair CAMP would evict next (smallest priority `H`, LRU within its
@@ -668,6 +683,14 @@ impl<K: Eq + Hash + Clone, V> Camp<K, V> {
         };
         debug_assert!(new_l >= self.l, "L must be non-decreasing");
         self.l = new_l;
+        self.trace_eviction(&entry);
+        evicted.push((entry.key, entry.value));
+        true
+    }
+
+    /// Reports `entry` (just removed) to the trace sink as an eviction at
+    /// the current `L`.
+    fn trace_eviction(&self, entry: &Entry<K, V>) {
         if let Some(sink) = &self.sink {
             sink.record(&PolicyEvent {
                 kind: PolicyEventKind::Evict,
@@ -675,16 +698,15 @@ impl<K: Eq + Hash + Clone, V> Camp<K, V> {
                 size: entry.size,
                 cost: entry.cost,
                 ratio: entry.ratio,
-                queue: queue_idx,
+                queue: entry.queue,
                 l_value: self.l_for_trace(),
             });
         }
-        evicted.push((entry.key, entry.value));
-        true
     }
 
-    /// Unlinks `id` from its queue and drops it, returning the value.
-    fn detach(&mut self, id: EntryId) -> V {
+    /// Unlinks `id` (already out of the key map) from its queue and hands
+    /// back the entry.
+    fn detach(&mut self, id: EntryId) -> Entry<K, V> {
         let queue_idx = self.arena.get(id).expect("detach: stale entry").queue;
         let queue = self.queues[queue_idx as usize]
             .as_mut()
@@ -692,12 +714,11 @@ impl<K: Eq + Hash + Clone, V> Camp<K, V> {
         let was_head = queue.list.front() == Some(id);
         queue.list.unlink(&mut self.arena, id);
         let entry = self.arena.remove(id).expect("detach: stale entry");
-        self.map.remove(&entry.key);
         self.used -= entry.size;
         if was_head {
             self.retire_or_update_queue(queue_idx);
         }
-        entry.value
+        entry
     }
 
     /// After a queue's head was removed: delete the queue if it emptied,
@@ -1152,6 +1173,43 @@ mod tests {
         c.set_trace_sink(None);
         c.insert(5, 0, 10, 4);
         assert_eq!(sink.snapshot().len(), 5);
+        c.check_invariants();
+    }
+
+    #[test]
+    fn evict_reports_what_entry_meta_would_and_removes_like_remove() {
+        use crate::trace::{CollectingSink, PolicyEventKind};
+        let mut c = cache(100);
+        let sink = std::sync::Arc::new(CollectingSink::default());
+        for k in 0..6u64 {
+            c.insert(k, k, 10, 1 + k * 7);
+        }
+        c.get(&3);
+        c.set_trace_sink(Some(sink.clone()));
+        let victim = *c.victim().unwrap();
+        let meta = c.entry_meta(&victim).unwrap();
+        let l = u64::try_from(c.l_value()).unwrap();
+        let used = c.used_bytes();
+        assert_eq!(c.evict(&victim), Some(victim));
+        assert_eq!(
+            sink.snapshot(),
+            vec![PolicyEvent {
+                kind: PolicyEventKind::Evict,
+                key_hash: key_hash(&victim),
+                size: meta.size,
+                cost: meta.cost,
+                ratio: meta.rounded_ratio,
+                queue: meta.queue,
+                l_value: l,
+            }]
+        );
+        assert!(!c.contains(&victim));
+        assert_eq!(c.used_bytes(), used - meta.size);
+        assert_eq!(c.evict(&victim), None, "absent: nothing to report");
+        assert_eq!(sink.snapshot().len(), 1);
+        // An explicit remove stays out of the trace.
+        assert_eq!(c.remove(&3), Some(3));
+        assert_eq!(sink.snapshot().len(), 1);
         c.check_invariants();
     }
 

@@ -2,21 +2,26 @@
 //! snapshot/rendering layer behind `stats`, `stats detail`, and the
 //! `--metrics-addr` Prometheus exposition.
 //!
-//! Recording sits on the per-request hot path, so [`ServerMetrics`] is
-//! atomics all the way down: each command's latency goes into a lock-free
-//! [`Histogram`] and the connection counters are plain `AtomicU64`s — no
-//! mutex is taken that the seed server did not already take. Reading is the
-//! cold path: [`TelemetryReport`] gathers a point-in-time copy of
-//! everything (store counters, per-shard rows, policy internals, IQ
-//! registry gauges) and renders it as either memcached `STAT` lines or
-//! Prometheus text, so both protocols speak one vocabulary.
+//! Recording sits on the per-request hot path, so it costs no shared
+//! write there: each reactor worker counts its commands in a plain
+//! [`WorkerTally`] it owns through `&mut`, and publishes the tally into
+//! the shared [`ServerMetrics`] — lock-free [`Histogram`]s and
+//! `AtomicU64`s — once per connection cycle, before that cycle's replies
+//! are flushed and before any `stats`/`trace` command in it executes. A
+//! reader therefore lags a worker by at most one cycle, and never past a
+//! reply a client has seen. Reading is the cold path: [`TelemetryReport`]
+//! gathers a point-in-time copy of everything (store counters, per-shard
+//! rows, policy internals, IQ registry gauges) and renders it as either
+//! memcached `STAT` lines or Prometheus text, so both protocols speak one
+//! vocabulary.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use camp_policies::{PolicyEvent, PolicyEventKind, ShadowEstimate, TraceSink};
 use camp_telemetry::{
-    EvictionTrace, Exposition, FlightRecorder, Histogram, HistogramSnapshot, MetricKind,
+    EvictionTrace, Exposition, FlightRecorder, Histogram, HistogramSnapshot, LocalHistogram,
+    MetricKind,
 };
 
 use crate::persist::PersistSnapshot;
@@ -69,7 +74,12 @@ impl CmdKind {
     /// flight recorder (which stores fixed-width words, not enums).
     #[must_use]
     pub fn code(self) -> u8 {
-        CmdKind::ALL.iter().position(|&k| k == self).unwrap_or(5) as u8
+        self as u8
+    }
+
+    /// This kind's position in [`CmdKind::ALL`] (its discriminant).
+    fn index(self) -> usize {
+        self as usize
     }
 
     /// Inverse of [`CmdKind::code`]; unknown bytes decode as `Other`.
@@ -164,6 +174,9 @@ pub struct ServerMetrics {
     /// Segments batched into each scatter-gather (`writev`) flush call —
     /// the distribution proves how deep the iovec batching runs.
     pub flush_segments: Histogram,
+    /// Request spans not recorded because their connection already held
+    /// the cap of spans awaiting a flush (a reader that stopped reading).
+    pub spans_dropped: AtomicU64,
 }
 
 impl ServerMetrics {
@@ -173,32 +186,42 @@ impl ServerMetrics {
         ServerMetrics::default()
     }
 
-    fn index(kind: CmdKind) -> usize {
-        CmdKind::ALL.iter().position(|&k| k == kind).unwrap_or(5)
-    }
-
-    /// Records one command's handling latency in microseconds. Wait-free.
-    pub fn record_latency(&self, kind: CmdKind, micros: u64) {
-        self.latency[Self::index(kind)].record(micros);
+    /// Publishes everything `tally` holds and leaves it empty. Called by
+    /// the worker that owns the tally; safe against every other worker
+    /// doing the same (each word moves by an atomic RMW).
+    pub fn absorb(&self, tally: &mut WorkerTally) {
+        if !std::mem::take(&mut tally.dirty) {
+            return;
+        }
+        for (shared, local) in self.latency.iter().zip(&mut tally.latency) {
+            shared.absorb(local);
+        }
+        for (shared, local) in self.bytes_read.iter().zip(&mut tally.bytes_read) {
+            let bytes = std::mem::take(local);
+            if bytes > 0 {
+                // ordering: Relaxed — statistics counter.
+                shared.fetch_add(bytes, Ordering::Relaxed);
+            }
+        }
+        self.flush_segments.absorb(&mut tally.flush_segments);
+        let dropped = std::mem::take(&mut tally.spans_dropped);
+        if dropped > 0 {
+            // ordering: Relaxed — statistics counter.
+            self.spans_dropped.fetch_add(dropped, Ordering::Relaxed);
+        }
     }
 
     /// The histogram backing `kind` (snapshots, merges, tests).
     #[must_use]
     pub fn latency(&self, kind: CmdKind) -> &Histogram {
-        &self.latency[Self::index(kind)]
-    }
-
-    /// Adds wire bytes consumed by one command of class `kind`. Wait-free.
-    pub fn record_bytes(&self, kind: CmdKind, bytes: u64) {
-        // ordering: Relaxed — statistics counter.
-        self.bytes_read[Self::index(kind)].fetch_add(bytes, Ordering::Relaxed);
+        &self.latency[kind.index()]
     }
 
     /// Wire bytes consumed so far by commands of class `kind`.
     #[must_use]
     pub fn bytes_read(&self, kind: CmdKind) -> u64 {
         // ordering: Relaxed — statistics counter.
-        self.bytes_read[Self::index(kind)].load(Ordering::Relaxed)
+        self.bytes_read[kind.index()].load(Ordering::Relaxed)
     }
 
     /// Per-command byte counters, in [`CmdKind::ALL`] order.
@@ -270,7 +293,7 @@ impl ServerMetrics {
         for histogram in &self.latency {
             histogram.reset();
         }
-        // ordering: Relaxed(x6) — statistics counters; a racing
+        // ordering: Relaxed(x7) — statistics counters; a racing
         // recorder landing just after the zeroing is a normal race
         // between `stats reset` and live traffic.
         for counter in &self.bytes_read {
@@ -285,6 +308,7 @@ impl ServerMetrics {
         self.connections_opened.store(0, Ordering::Relaxed);
         self.connections_closed.store(0, Ordering::Relaxed);
         self.protocol_errors.store(0, Ordering::Relaxed);
+        self.spans_dropped.store(0, Ordering::Relaxed);
         self.flush_segments.reset();
     }
 
@@ -295,6 +319,50 @@ impl ServerMetrics {
             .iter()
             .map(|&kind| (kind.name(), self.latency(kind).snapshot()))
             .collect()
+    }
+}
+
+/// One reactor worker's not-yet-published observations: plain counters
+/// and [`LocalHistogram`]s the worker bumps through `&mut` while it
+/// processes and flushes a connection, then hands to
+/// [`ServerMetrics::absorb`]. Nothing here is shared, so nothing here is
+/// atomic.
+#[derive(Debug, Default)]
+pub struct WorkerTally {
+    latency: [LocalHistogram; 6],
+    bytes_read: [u64; 6],
+    flush_segments: LocalHistogram,
+    spans_dropped: u64,
+    /// Whether anything was recorded since the last publish.
+    dirty: bool,
+}
+
+impl WorkerTally {
+    /// Counts one executed command: its wire bytes (command line plus any
+    /// data block, terminators included) and its handling latency.
+    #[inline]
+    pub fn command(&mut self, kind: CmdKind, wire_bytes: u64, micros: u64) {
+        self.latency[kind.index()].record(micros);
+        self.bytes(kind, wire_bytes);
+    }
+
+    /// Counts wire bytes consumed without a command having executed (a
+    /// rejected line, a command an injected fault answered or dropped).
+    pub fn bytes(&mut self, kind: CmdKind, wire_bytes: u64) {
+        self.bytes_read[kind.index()] += wire_bytes;
+        self.dirty = true;
+    }
+
+    /// Counts one scatter-gather flush call of `segments` segments.
+    pub fn flush(&mut self, segments: u64) {
+        self.flush_segments.record(segments);
+        self.dirty = true;
+    }
+
+    /// Counts one request span dropped at the pending-span cap.
+    pub fn span_dropped(&mut self) {
+        self.spans_dropped += 1;
+        self.dirty = true;
     }
 }
 
@@ -474,6 +542,9 @@ pub struct TelemetryReport {
     pub shadow_sample_modulus: u64,
     /// Request spans recorded by the flight recorder so far.
     pub spans_recorded: u64,
+    /// Request spans dropped at a connection's pending-span cap — with
+    /// `spans_recorded`, every command that executed.
+    pub spans_dropped: u64,
     /// Spans promoted to the slow-request log so far.
     pub slow_recorded: u64,
     /// The active `--slow-log` threshold, if one is set.
@@ -649,6 +720,7 @@ impl TelemetryReport {
             self.flush_segments.max
         ));
         lines.push(format!("STAT trace:spans_recorded {}", self.spans_recorded));
+        lines.push(format!("STAT trace:spans_dropped {}", self.spans_dropped));
         lines.push(format!("STAT trace:slow_recorded {}", self.slow_recorded));
         lines.push(format!(
             "STAT trace:slow_threshold_us {}",
@@ -1059,11 +1131,16 @@ impl TelemetryReport {
         );
         exp.summary("camp_l_value", &[], &self.l_values);
 
-        let trace_counters: [(&str, &str, u64); 4] = [
+        let trace_counters: [(&str, &str, u64); 5] = [
             (
                 "camp_trace_spans_total",
                 "request spans recorded by the flight recorder",
                 self.spans_recorded,
+            ),
+            (
+                "camp_trace_spans_dropped_total",
+                "request spans dropped at a connection's pending-span cap",
+                self.spans_dropped,
             ),
             (
                 "camp_trace_slow_total",
@@ -1303,6 +1380,7 @@ mod tests {
             }],
             shadow_sample_modulus: 64,
             spans_recorded: 11,
+            spans_dropped: 5,
             slow_recorded: 2,
             slow_threshold_us: Some(500),
             trace_admits: 9,
@@ -1380,6 +1458,7 @@ mod tests {
             "STAT reactor:worker0 live=3 wakeups=100 timer_fires=6 write_pauses=1 accepts=12 events=150",
             "STAT reactor:flush_segments:count 2",
             "STAT trace:spans_recorded 11",
+            "STAT trace:spans_dropped 5",
             "STAT trace:slow_recorded 2",
             "STAT trace:slow_threshold_us 500",
             "STAT trace:admits 9",
@@ -1413,8 +1492,9 @@ mod tests {
 
     #[test]
     fn cmd_kind_codes_round_trip() {
-        for kind in CmdKind::ALL {
+        for (position, kind) in CmdKind::ALL.into_iter().enumerate() {
             assert_eq!(CmdKind::from_code(kind.code()), kind);
+            assert_eq!(kind.index(), position, "ALL is in discriminant order");
         }
         assert_eq!(CmdKind::from_code(200), CmdKind::Other);
     }
@@ -1464,9 +1544,10 @@ mod tests {
             queue: 0,
             l_value: 3,
         });
-        assert_eq!(recorder.admits_recorded(), 1);
-        assert_eq!(recorder.evicts_recorded(), 1);
-        assert_eq!(recorder.eviction_cost_snapshot().count, 1);
+        let ring = recorder.evictions_snapshot();
+        assert_eq!(ring.len(), 2);
+        assert!(ring[0].admit && !ring[1].admit);
+        assert_eq!((ring[1].cost, ring[1].l_value), (5, 3));
     }
 
     #[test]
@@ -1496,6 +1577,7 @@ mod tests {
             "camp_eviction_cost_count 2",
             "# TYPE camp_l_value summary",
             "camp_trace_spans_total 11",
+            "camp_trace_spans_dropped_total 5",
             "camp_trace_slow_total 2",
             "camp_trace_admits_total 9",
             "camp_trace_evictions_total 4",
@@ -1527,10 +1609,21 @@ mod tests {
     #[test]
     fn metrics_record_and_reset() {
         let metrics = ServerMetrics::new();
-        metrics.record_latency(CmdKind::Get, 100);
-        metrics.record_latency(CmdKind::Set, 200);
-        metrics.record_bytes(CmdKind::Get, 10);
-        metrics.record_bytes(CmdKind::Get, 15);
+        let mut tally = WorkerTally::default();
+        tally.command(CmdKind::Get, 10, 100);
+        tally.command(CmdKind::Set, 0, 200);
+        tally.bytes(CmdKind::Get, 15);
+        tally.flush(3);
+        tally.span_dropped();
+        // Nothing is visible until the worker publishes; then all of it
+        // is, and the tally starts over.
+        assert_eq!(metrics.total_requests(), 0);
+        metrics.absorb(&mut tally);
+        metrics.absorb(&mut tally);
+        assert_eq!(metrics.flush_segments.snapshot().sum, 3);
+        assert_eq!(metrics.spans_dropped.load(Ordering::Relaxed), 1);
+        tally.command(CmdKind::Delete, 7, 1);
+        assert_eq!(metrics.latency(CmdKind::Delete).count(), 0);
         metrics.connections_opened.fetch_add(1, Ordering::Relaxed);
         metrics.record_rejected(RejectCause::MaxConns);
         metrics.record_rejected(RejectCause::MaxConns);
@@ -1562,6 +1655,12 @@ mod tests {
         metrics.reset();
         assert_eq!(metrics.latency(CmdKind::Get).count(), 0);
         assert_eq!(metrics.bytes_read(CmdKind::Get), 0);
+        assert_eq!(metrics.spans_dropped.load(Ordering::Relaxed), 0);
+        // What a worker had not published yet survives the reset.
+        metrics.absorb(&mut tally);
+        assert_eq!(metrics.latency(CmdKind::Delete).count(), 1);
+        assert_eq!(metrics.bytes_read(CmdKind::Delete), 7);
+        metrics.reset();
         assert_eq!(metrics.rejected(RejectCause::MaxConns), 0);
         assert_eq!(metrics.faults_snapshot()[0], ("drop", 0));
         assert_eq!(metrics.connections_opened.load(Ordering::Relaxed), 0);

@@ -40,9 +40,9 @@ use std::time::Instant;
 use camp_telemetry::{kvlog, LogLevel, RequestSpan};
 
 use crate::fault::{FaultAction, FaultState};
-use crate::metrics::{CmdKind, FaultKind, RejectCause};
+use crate::metrics::{CmdKind, FaultKind, RejectCause, WorkerTally};
 use crate::protocol::{parse_command_limited, Command};
-use crate::server::{cmd_kind, execute, Shared};
+use crate::server::{cmd_kind, execute, ServerOptions, Shared, Stamp};
 
 /// Spare room a `read` call is offered while filling. A read that returns
 /// less than it was offered has drained the socket.
@@ -67,7 +67,8 @@ const SEG_RECYCLE_CAP: usize = 64 * 1024;
 /// `IOV_MAX` of 1024; the flush loop re-enters for any remainder).
 const MAX_IOV: usize = 64;
 /// Cap on spans awaiting their flushed stamp; a write-paused connection
-/// drops further spans rather than growing without bound.
+/// drops further spans (counted in `trace:spans_dropped`) rather than
+/// growing without bound.
 const PENDING_SPAN_CAP: usize = 4096;
 
 /// What [`Connection::process`] wants from the reactor next.
@@ -279,9 +280,8 @@ impl Connection {
         conn
     }
 
-    /// Appends bytes to the read buffer (test seam; `fill_from` is the
-    /// socket-facing equivalent).
-    #[cfg(test)]
+    /// Appends bytes to the read buffer as one arrived fragment (the
+    /// socket-free twin of `fill_from`, for tests and [`Loopback`]).
     pub(crate) fn ingest(&mut self, bytes: &[u8]) {
         self.buf.truncate(self.filled);
         self.buf.extend_from_slice(bytes);
@@ -370,7 +370,7 @@ impl Connection {
         &mut self,
         stream: &mut impl Write,
         pool: &mut SegmentPool,
-        shared: &Shared,
+        tally: &mut WorkerTally,
     ) -> io::Result<bool> {
         // Seal the active tail so the flush sees one uniform segment
         // queue; the next round's replies start on a recycled segment.
@@ -390,7 +390,7 @@ impl Connection {
                 iov[n_iov] = IoSlice::new(bytes);
                 n_iov += 1;
             }
-            shared.metrics.flush_segments.record(n_iov as u64);
+            tally.flush(n_iov as u64);
             match stream.write_vectored(&iov[..n_iov]) {
                 Ok(0) => {
                     return Err(io::Error::new(
@@ -408,18 +408,20 @@ impl Connection {
     }
 
     /// Stamps the `flushed` phase on every span whose reply just reached
-    /// the socket and records them into `ring` of the flight recorder.
-    /// The reactor calls this after a full write-buffer drain (and once
-    /// more at close, so spans stuck behind a slow reader are not lost).
+    /// the socket and records them, as one batch, into `ring` of the
+    /// flight recorder. The reactor calls this after a full write-buffer
+    /// drain (and once more at close, so spans stuck behind a slow reader
+    /// are not lost).
     pub(crate) fn finish_spans(&mut self, shared: &Shared, ring: usize) {
         if self.pending_spans.is_empty() {
             return;
         }
         let flushed_us = shared.recorder.micros_since_boot(Instant::now());
-        for mut span in self.pending_spans.drain(..) {
+        for span in &mut self.pending_spans {
             span.flushed_us = flushed_us.max(span.executed_us);
-            shared.recorder.record_span(ring, &span);
         }
+        shared.recorder.record_spans(ring, &self.pending_spans);
+        self.pending_spans.clear();
     }
 
     /// Evicts the connection for exceeding the idle deadline: explicit
@@ -442,17 +444,32 @@ impl Connection {
     /// next. Run-to-completion: one call drains everything actionable.
     ///
     /// `now` is the batch timestamp stamped once per reactor wakeup —
-    /// coarse checks (chaos delays, liveness stamps) use it; per-command
-    /// latency still reads the clock around `execute`.
+    /// chaos delays, liveness stamps and item expiry use it as is. The
+    /// commands are timed off one clock read each: a command's turn runs
+    /// from the end of the one before it (for the first of the call, from
+    /// the arrival of the bytes) to its own end, so its latency covers
+    /// its own parse, and the spans of a pipelined batch tile the cycle
+    /// with no gap. What is counted goes into `tally`, the calling
+    /// worker's own; the caller publishes it before it flushes the
+    /// replies, and `process` itself does so before a `stats` or `trace`
+    /// command runs, so those see every command ahead of them.
     pub(crate) fn process(
         &mut self,
         shared: &Shared,
         pool: &mut SegmentPool,
-        now: Instant,
+        tally: &mut WorkerTally,
+        now: Stamp,
     ) -> Step {
         if self.close_after_flush {
             return Step::Close;
         }
+        let recorder = &shared.recorder;
+        // A cycle that read nothing (a delay resume, a drain sweep) starts
+        // its first command now, not when the bytes once arrived.
+        let buffered_at = self.buffered_at.unwrap_or(now.at);
+        let buffered_us = recorder.micros_since_boot(buffered_at);
+        let mut started = buffered_at.max(now.at);
+        let mut started_us = recorder.micros_since_boot(started);
         loop {
             // Seal a grown tail so the next flush scatter-gathers bounded
             // segments instead of one unbounded contiguous buffer.
@@ -462,7 +479,7 @@ impl Connection {
             // An in-force chaos delay pauses the whole connection —
             // pipelined commands behind the delayed one wait.
             if let Some(until) = self.delayed_until {
-                if now < until {
+                if now.at < until {
                     return Step::Delayed(until);
                 }
                 self.delayed_until = None;
@@ -543,7 +560,6 @@ impl Connection {
                         }
                         _ => (&[], line_wire, line_wire as u64),
                     };
-                    shared.metrics.record_bytes(kind, wire_bytes);
                     // Chaos: decided once per command, after its data
                     // block; a Delay stashes the fact that the decision
                     // already happened so the resume does not re-roll the
@@ -556,17 +572,18 @@ impl Connection {
                                 FaultAction::None => {}
                                 FaultAction::Delay(dur) => {
                                     shared.metrics.record_fault(FaultKind::Delay);
-                                    let until = now + dur;
+                                    let until = now.at + dur;
                                     self.fault_decided = true;
                                     self.delayed_until = Some(until);
                                     return Step::Delayed(until);
                                 }
                                 FaultAction::Error => {
                                     shared.metrics.record_fault(FaultKind::Error);
+                                    tally.bytes(kind, wire_bytes);
                                     self.out
                                         .tail
                                         .extend_from_slice(b"SERVER_ERROR injected fault\r\n");
-                                    self.last_complete = now;
+                                    self.last_complete = now.at;
                                     self.pos += consumed;
                                     continue;
                                 }
@@ -574,13 +591,19 @@ impl Connection {
                                     // Vanish pre-response; replies already
                                     // buffered still flush on close.
                                     shared.metrics.record_fault(FaultKind::Drop);
+                                    tally.bytes(kind, wire_bytes);
                                     return Step::Close;
                                 }
                             }
                         }
                     }
                     self.fault_decided = false;
-                    let started = Instant::now();
+                    if matches!(command, Command::Stats { .. } | Command::Trace) {
+                        // What this worker counted so far — the commands
+                        // pipelined ahead of this one included — must be
+                        // in what the command reports.
+                        shared.metrics.absorb(tally);
+                    }
                     // Infallible: the sink is a Vec. `unwrap_or` (not
                     // unwrap) keeps the request path panic-free per the
                     // workspace rule; the false arm is unreachable.
@@ -590,25 +613,31 @@ impl Connection {
                         &mut self.out.tail,
                         &mut self.response,
                         shared,
+                        Stamp {
+                            at: started,
+                            unix_secs: now.unix_secs,
+                        },
                     )
                     .unwrap_or(false);
+                    // The command's one clock read: its end, and the next
+                    // command's start.
                     let executed_at = Instant::now();
-                    let micros =
-                        u64::try_from((executed_at - started).as_micros()).unwrap_or(u64::MAX);
-                    shared.metrics.record_latency(kind, micros);
+                    let executed_us = recorder.micros_since_boot(executed_at);
+                    tally.command(kind, wire_bytes, executed_us.saturating_sub(started_us));
                     if self.pending_spans.len() < PENDING_SPAN_CAP {
-                        let recorder = &shared.recorder;
                         self.pending_spans.push(RequestSpan {
                             conn_id: self.id,
                             cmd: kind.code(),
                             wire_bytes,
-                            buffered_us: recorder
-                                .micros_since_boot(self.buffered_at.unwrap_or(started)),
-                            parsed_us: recorder.micros_since_boot(started),
-                            executed_us: recorder.micros_since_boot(executed_at),
+                            buffered_us,
+                            parsed_us: started_us,
+                            executed_us,
                             flushed_us: 0, // stamped by `finish_spans`
                         });
+                    } else {
+                        tally.span_dropped();
                     }
+                    (started, started_us) = (executed_at, executed_us);
                     self.last_complete = executed_at;
                     self.pos += consumed;
                     if !keep {
@@ -616,9 +645,7 @@ impl Connection {
                     }
                 }
                 Err(err) => {
-                    shared
-                        .metrics
-                        .record_bytes(CmdKind::Other, line_wire as u64);
+                    tally.bytes(CmdKind::Other, line_wire as u64);
                     // ordering: Relaxed — statistics counter.
                     shared
                         .metrics
@@ -635,7 +662,7 @@ impl Connection {
                         shared.metrics.record_rejected(RejectCause::ValueTooLarge);
                         return Step::Close;
                     }
-                    self.last_complete = now;
+                    self.last_complete = now.at;
                 }
             }
         }
@@ -659,12 +686,64 @@ impl Connection {
     }
 }
 
+/// A connection and everything a reactor worker would bring to it, with
+/// no socket and no event loop: each [`Loopback::exchange`] takes the bytes
+/// one readiness event would have delivered through exactly the path a
+/// worker runs — parse, execute against a real store, tally, publish,
+/// flush, record spans — and leaves the replies in a buffer. It exists so
+/// that path's cost per command can be measured apart from the kernel's
+/// share of a request (`conn/process_pipeline32` in the hot-path
+/// benchmarks).
+#[derive(Debug)]
+pub struct Loopback {
+    shared: Shared,
+    conn: Connection,
+    pool: SegmentPool,
+    tally: WorkerTally,
+}
+
+impl Loopback {
+    /// A fresh server state (store, metrics, flight recorder) with one
+    /// connection into it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates persistence-open failures when `options` asks for a
+    /// data directory.
+    pub fn new(options: &ServerOptions) -> io::Result<Loopback> {
+        let shared = Shared::new(options)?;
+        Ok(Loopback {
+            conn: Connection::new(1, &shared),
+            shared,
+            pool: SegmentPool::default(),
+            tally: WorkerTally::default(),
+        })
+    }
+
+    /// Runs one worker cycle over `input`, appending the replies to
+    /// `replies` (which never blocks, so the cycle always completes).
+    ///
+    /// # Errors
+    ///
+    /// None in practice: a `Vec` sink accepts every write.
+    pub fn exchange(&mut self, input: &[u8], replies: &mut Vec<u8>) -> io::Result<()> {
+        self.conn.ingest(input);
+        self.conn
+            .process(&self.shared, &mut self.pool, &mut self.tally, Stamp::now());
+        self.shared.metrics.absorb(&mut self.tally);
+        self.conn
+            .flush_to(replies, &mut self.pool, &mut self.tally)?;
+        self.conn.finish_spans(&self.shared, 0);
+        self.shared.metrics.absorb(&mut self.tally);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::metrics::FaultKind;
-    use crate::server::ServerOptions;
     use crate::slab::SlabConfig;
     use crate::store::{EvictionMode, StoreConfig};
     use camp_core::Precision;
@@ -679,17 +758,23 @@ mod tests {
         Shared::new(&options).expect("test shared state without persistence")
     }
 
-    /// Runs `process` with a throwaway pool and a fresh batch timestamp.
+    /// Runs `process` with a throwaway pool and a fresh batch timestamp,
+    /// publishing what it tallied as the reactor would before a flush.
     fn step(conn: &mut Connection, shared: &Shared) -> Step {
         let mut pool = SegmentPool::default();
-        conn.process(shared, &mut pool, Instant::now())
+        let mut tally = WorkerTally::default();
+        let step = conn.process(shared, &mut pool, &mut tally, Stamp::now());
+        shared.metrics.absorb(&mut tally);
+        step
     }
 
     fn flushed(conn: &mut Connection, shared: &Shared) -> Vec<u8> {
         let mut pool = SegmentPool::default();
+        let mut tally = WorkerTally::default();
         let mut sink = Vec::new();
-        conn.flush_to(&mut sink, &mut pool, shared)
+        conn.flush_to(&mut sink, &mut pool, &mut tally)
             .expect("vec sink");
+        shared.metrics.absorb(&mut tally);
         sink
     }
 
@@ -894,8 +979,12 @@ mod tests {
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
         // Drive the partial-write loop until fully flushed.
         let mut pool = SegmentPool::default();
+        let mut tally = WorkerTally::default();
         let mut rounds = 0;
-        while !conn.flush_to(&mut io, &mut pool, &shared).expect("flush") {
+        while !conn
+            .flush_to(&mut io, &mut pool, &mut tally)
+            .expect("flush")
+        {
             rounds += 1;
             assert!(rounds < 100, "flush failed to make progress");
         }
@@ -1089,8 +1178,12 @@ mod tests {
             max_iovs: 0,
             rounds: 0,
         };
+        let mut tally = WorkerTally::default();
         let mut spins = 0;
-        while !conn.flush_to(&mut io, &mut pool, &shared).expect("flush") {
+        while !conn
+            .flush_to(&mut io, &mut pool, &mut tally)
+            .expect("flush")
+        {
             spins += 1;
             assert!(spins < 100, "flush failed to make progress");
         }
@@ -1114,7 +1207,9 @@ mod tests {
             conn.out.seal(&mut pool);
         }
         let mut sink = Vec::new();
-        assert!(conn.flush_to(&mut sink, &mut pool, &shared).expect("flush"));
+        assert!(conn
+            .flush_to(&mut sink, &mut pool, &mut WorkerTally::default())
+            .expect("flush"));
         assert_eq!(sink.len(), 400);
         assert!(
             pool.pooled() >= 4,
@@ -1141,7 +1236,12 @@ mod tests {
         let burst = "version\r\n".repeat(4000);
         conn.ingest(burst.as_bytes());
         assert_eq!(
-            conn.process(&shared, &mut pool, Instant::now()),
+            conn.process(
+                &shared,
+                &mut pool,
+                &mut WorkerTally::default(),
+                Stamp::now()
+            ),
             Step::NeedRead
         );
         assert!(

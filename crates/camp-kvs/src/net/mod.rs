@@ -19,10 +19,13 @@
 //!   event processing with one clock read per wakeup, drain/sever
 //!   orchestration.
 //!
-//! `server::Server` is the public face of this machinery.
+//! `server::Server` is the public face of this machinery; [`Loopback`]
+//! drives one connection's share of it in memory, for measuring it.
 
 pub mod epoll;
 pub mod timer;
 
 pub(crate) mod conn;
 pub(crate) mod reactor;
+
+pub use conn::Loopback;

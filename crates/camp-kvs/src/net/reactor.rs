@@ -18,10 +18,15 @@
 //! # Batched events, tokens and timers
 //!
 //! Each `epoll_wait` wakeup drains up to [`EVENT_BATCH`] events into a
-//! per-worker run queue and stamps **one** clock read for the whole
-//! batch: connection cycles triggered by the batch share that timestamp
-//! for chaos-delay checks and liveness stamps (per-command latency spans
-//! still read the clock around `execute`). Connections live in a slot
+//! per-worker run queue and stamps **one** [`Stamp`] (monotonic clock and
+//! wall-clock second) for the whole batch: connection cycles triggered by
+//! the batch share it for chaos-delay checks, liveness stamps and item
+//! expiry, and each command then costs one further clock read — its end,
+//! which is the next command's start. What a cycle counts (per-command
+//! latency and bytes, flush sizes, dropped spans) goes into the worker's
+//! own [`WorkerTally`] and is published into the shared metrics once per
+//! cycle, before the cycle's replies are flushed: a `stats` reader lags a
+//! worker by at most one cycle and never past a reply. Connections live in a slot
 //! table; the epoll registration token packs `(generation << 32) | slot`
 //! so a stale event for a recycled slot is recognized and dropped —
 //! queued entries re-validate the generation at run time, which also
@@ -38,7 +43,7 @@
 //! [`Shared::needs_commit`] says unsynced records exist, a cycle that
 //! belongs to a batch *parks* the connection (`(slot, gen, step)`) and
 //! moves on; once the whole run queue has been processed the worker
-//! finishes the parked connections in order — commit, flush, stamp spans,
+//! finishes the parked connections in order — commit, flush, record spans,
 //! re-derive interest — so the first commit syncs once for every record
 //! the wakeup appended and the rest find nothing to do. A cycle outside a
 //! batch (a fresh registration, a delay resume, an idle eviction) and the
@@ -69,12 +74,13 @@ use std::time::{Duration, Instant};
 
 use camp_telemetry::{kvlog, LogLevel};
 
+use crate::metrics::WorkerTally;
 use crate::net::conn::{Connection, SegmentPool, Step};
 use crate::net::epoll::{
     Epoll, EpollEvent, ReusePortListener, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
 };
 use crate::net::timer::TimerWheel;
-use crate::server::Shared;
+use crate::server::{Shared, Stamp};
 
 /// Epoll token reserved for the worker's wake-up stream.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -218,6 +224,8 @@ struct Worker {
     wheel: TimerWheel<Timer>,
     /// Recycled output segments shared by this worker's connections.
     pool: SegmentPool,
+    /// What this worker has counted and not yet published.
+    tally: WorkerTally,
     /// Connections with events pending from the current batch; entries
     /// re-validate `(slot, gen)` when run.
     run_queue: Vec<(usize, u32)>,
@@ -253,6 +261,7 @@ impl Worker {
             live: 0,
             wheel: TimerWheel::new(Instant::now()),
             pool: SegmentPool::default(),
+            tally: WorkerTally::default(),
             run_queue: Vec::new(),
             parked: Vec::new(),
             drain_armed: false,
@@ -270,9 +279,9 @@ impl Worker {
                     break;
                 }
             };
-            // One clock read per batch: every cycle this wakeup triggers
-            // shares the stamp instead of re-reading the clock per event.
-            let now = Instant::now();
+            // One stamp per batch: every cycle this wakeup triggers shares
+            // it instead of re-reading the clocks per event.
+            let now = Stamp::now();
             if n > 0 {
                 self.shared
                     .reactor_stats
@@ -296,7 +305,10 @@ impl Worker {
             if accept_ready {
                 self.accept_ready(now);
             }
-            self.fire_timers(Instant::now());
+            self.fire_timers(Stamp {
+                at: Instant::now(),
+                ..now
+            });
             // ordering: SeqCst — shutdown/sever control plane: rare, and the
             // simplest reasoning wins over saving a fence at drain time.
             if self.shared.draining.load(Ordering::SeqCst) {
@@ -355,7 +367,7 @@ impl Worker {
     /// Runs every connection queued from the current batch, re-validating
     /// `(slot, gen)` — an earlier cycle may have closed and recycled a
     /// slot that still has a queued entry.
-    fn run_queued(&mut self, now: Instant) {
+    fn run_queued(&mut self, now: Stamp) {
         if self.run_queue.is_empty() {
             return;
         }
@@ -410,7 +422,7 @@ impl Worker {
 
     /// The worker's own listener is readable: accept until it would
     /// block (or the round cap).
-    fn accept_ready(&mut self, now: Instant) {
+    fn accept_ready(&mut self, now: Stamp) {
         for _ in 0..ACCEPT_ROUND_MAX {
             // ordering: SeqCst(x3) — shutdown/drain/sever control plane;
             // see the event-loop checks.
@@ -461,7 +473,7 @@ impl Worker {
     /// the cap gets the overload reply from [`Connection::rejected`] and
     /// is never counted), epoll registration, idle timer, and one
     /// immediate cycle.
-    fn register(&mut self, stream: TcpStream, now: Instant) {
+    fn register(&mut self, stream: TcpStream, now: Stamp) {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
@@ -516,7 +528,7 @@ impl Worker {
             .fetch_add(1, Ordering::Relaxed);
         if counted && !self.shared.idle_timeout.is_zero() {
             self.wheel.schedule(
-                now + self.shared.idle_timeout,
+                now.at + self.shared.idle_timeout,
                 Timer::Idle {
                     slot,
                     gen: self.gens[slot],
@@ -530,10 +542,11 @@ impl Worker {
     }
 
     /// One run-to-completion round for a connection: fill from the
-    /// socket, process every complete command, then [`Worker::finish`] —
-    /// at once, or, for a `batched` cycle whose replies wait on the ack
-    /// barrier, after the batch's one commit (see the module docs).
-    fn cycle(&mut self, slot: usize, now: Instant, batched: bool) {
+    /// socket, process every complete command, publish what that counted,
+    /// then [`Worker::finish`] — at once, or, for a `batched` cycle whose
+    /// replies wait on the ack barrier, after the batch's one commit (see
+    /// the module docs).
+    fn cycle(&mut self, slot: usize, now: Stamp, batched: bool) {
         let step = {
             let Some(entry) = self.slots[slot].as_mut() else {
                 return;
@@ -551,13 +564,16 @@ impl Worker {
                 Ok(())
             };
             match filled {
-                Ok(()) => Some(conn.process(&self.shared, &mut self.pool, now)),
+                Ok(()) => Some(conn.process(&self.shared, &mut self.pool, &mut self.tally, now)),
                 Err(err) => {
                     kvlog!(LogLevel::Debug, "connection_error", error = err);
                     None
                 }
             }
         };
+        // Before any reply of this cycle can leave: whoever reads one can
+        // already read the counters it moved.
+        self.shared.metrics.absorb(&mut self.tally);
         let Some(step) = step else {
             self.close(slot, false);
             return;
@@ -582,13 +598,18 @@ impl Worker {
         let draining = shared.draining.load(Ordering::SeqCst);
         let worker = self.index;
         let pool = &mut self.pool;
+        let tally = &mut self.tally;
         let mut resume_at: Option<Instant> = None;
         let after = 'compute: {
             let Some(entry) = self.slots[slot].as_mut() else {
                 return;
             };
             let conn = &mut entry.conn;
-            let flushed = match conn.flush_to(&mut entry.stream, pool, &shared) {
+            let flushed = conn.flush_to(&mut entry.stream, pool, tally);
+            // The flush counted itself; nothing stays unpublished while
+            // the worker sleeps.
+            shared.metrics.absorb(tally);
+            let flushed = match flushed {
                 Ok(flushed) => flushed,
                 Err(err) => {
                     kvlog!(LogLevel::Debug, "connection_error", error = err);
@@ -678,7 +699,8 @@ impl Worker {
         self.shared.commit_before_flush();
         let _ = entry
             .conn
-            .flush_to(&mut entry.stream, &mut self.pool, &self.shared);
+            .flush_to(&mut entry.stream, &mut self.pool, &mut self.tally);
+        self.shared.metrics.absorb(&mut self.tally);
         entry.conn.recycle_out(&mut self.pool);
         // Spans still awaiting their flushed stamp get it now rather than
         // being lost with the connection.
@@ -707,9 +729,9 @@ impl Worker {
         drop(entry);
     }
 
-    fn fire_timers(&mut self, now: Instant) {
+    fn fire_timers(&mut self, now: Stamp) {
         let mut due = Vec::new();
-        self.wheel.expire(now, &mut due);
+        self.wheel.expire(now.at, &mut due);
         if !due.is_empty() {
             self.shared
                 .reactor_stats
@@ -736,7 +758,7 @@ impl Worker {
     /// The idle deadline fired: evict if the connection really has been
     /// idle the whole time, else re-arm at the true deadline (completed
     /// commands push it forward).
-    fn fire_idle(&mut self, slot: usize, gen: u32, now: Instant) {
+    fn fire_idle(&mut self, slot: usize, gen: u32, now: Stamp) {
         if slot >= self.slots.len() || self.gens[slot] != gen {
             return;
         }
@@ -746,7 +768,7 @@ impl Worker {
             }
             _ => return,
         };
-        if now >= deadline {
+        if now.at >= deadline {
             if let Some(entry) = self.slots[slot].as_mut() {
                 entry.conn.evict_idle(&self.shared);
             }
@@ -793,7 +815,7 @@ impl Worker {
             if let Some(entry) = self.slots[slot].as_mut() {
                 let _ = entry
                     .conn
-                    .flush_to(&mut entry.stream, &mut self.pool, &self.shared);
+                    .flush_to(&mut entry.stream, &mut self.pool, &mut self.tally);
                 let _ = entry.stream.shutdown(std::net::Shutdown::Both);
                 self.close(slot, true);
             }

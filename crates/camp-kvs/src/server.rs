@@ -17,11 +17,12 @@
 //! traffic on different shards never contends on a single registry lock,
 //! and a command hashes its key once for the registry and the store alike.
 //!
-//! Every command is timed at this layer into per-command lock-free
-//! histograms ([`ServerMetrics`]); `stats detail` reports the quantiles and
-//! the policies' internal gauges, and [`ServerOptions::metrics_addr`]
-//! additionally serves the whole [`TelemetryReport`] as Prometheus text
-//! over plain HTTP for scraping.
+//! Every command is timed by the reactor worker that runs it, into that
+//! worker's own tally, published into the shared per-command histograms
+//! ([`ServerMetrics`]) once per connection cycle; `stats detail` reports
+//! the quantiles and the policies' internal gauges, and
+//! [`ServerOptions::metrics_addr`] additionally serves the whole
+//! [`TelemetryReport`] as Prometheus text over plain HTTP for scraping.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -29,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use camp_telemetry::{kvlog, FlightRecorder, LogLevel, RequestSpan};
+use camp_telemetry::{duration_micros, kvlog, FlightRecorder, LogLevel, RequestSpan};
 
 use crate::fault::FaultPlan;
 use crate::fingerprint::FingerprintMap;
@@ -39,7 +40,7 @@ use crate::net::reactor::Reactor;
 use crate::persist::{IoBackend, Persist};
 use crate::protocol::{Command, SetHeader, SetVerb, StatsScope, DEFAULT_MAX_VALUE_LEN};
 use crate::shard::ShardedStore;
-use crate::store::{StoreConfig, StoreError, StoreStats};
+use crate::store::{unix_now, StoreConfig, StoreError, StoreStats};
 use crate::sync::{lock, ConnGauge};
 
 /// How long an unmatched `iqget` miss is remembered. A client that never
@@ -60,6 +61,26 @@ const IQ_FULL_SWEEP_GAP: Duration = Duration::from_secs(1);
 
 /// Default drain deadline for [`Server::shutdown`].
 const DEFAULT_DRAIN: Duration = Duration::from_secs(5);
+
+/// The two clocks a command may consult, read by the reactor rather than
+/// by the command: `at` is when the command's turn began (the previous
+/// command's end, or the arrival of the bytes for the first of a cycle),
+/// `unix_secs` the wall clock as of the reactor wakeup that is serving it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stamp {
+    pub(crate) at: Instant,
+    pub(crate) unix_secs: u64,
+}
+
+impl Stamp {
+    /// Reads both clocks.
+    pub(crate) fn now() -> Stamp {
+        Stamp {
+            at: Instant::now(),
+            unix_secs: unix_now(),
+        }
+    }
+}
 
 /// One lock-striped partition of the IQ miss registry.
 #[derive(Debug)]
@@ -101,19 +122,20 @@ impl IqRegistry {
         }
     }
 
-    /// Records a miss timestamp, sweeping the stripe's expired entries once
-    /// per TTL period, or sooner while it is full (amortized O(1) per
+    /// Records a miss at time `now`, sweeping the stripe's expired entries
+    /// once per TTL period, or sooner while it is full (amortized O(1) per
     /// record). A stripe still full after its sweep drops the miss.
-    fn record_miss(&self, stripe: usize, fp: u64) {
+    fn record_miss(&self, stripe: usize, fp: u64, now: Instant) {
         let mut guard = lock(&self.stripes[stripe]);
-        let now = Instant::now();
-        let since_sweep = now.duration_since(guard.last_sweep);
+        // Saturating: `now` is the caller's stamp, which another worker's
+        // later-stamped sweep or miss may already have passed.
+        let since_sweep = now.saturating_duration_since(guard.last_sweep);
         let full = guard.misses.len() >= IQ_STRIPE_CAP;
         if since_sweep >= IQ_MISS_TTL || (full && since_sweep >= IQ_FULL_SWEEP_GAP) {
             let before = guard.misses.len();
             guard
                 .misses
-                .retain(|_, started| now.duration_since(*started) < IQ_MISS_TTL);
+                .retain(|_, started| now.saturating_duration_since(*started) < IQ_MISS_TTL);
             let reclaimed = (before - guard.misses.len()) as u64;
             if reclaimed > 0 {
                 // ordering: Relaxed — statistics counter.
@@ -129,12 +151,11 @@ impl IqRegistry {
         guard.misses.insert(fp, now);
     }
 
-    /// Consumes the registered miss time for `fp`, if any and not expired.
-    fn take(&self, stripe: usize, fp: u64) -> Option<Instant> {
-        lock(&self.stripes[stripe])
-            .misses
-            .remove(&fp)
-            .filter(|started| started.elapsed() < IQ_MISS_TTL)
+    /// Consumes the miss registered for `fp`, if any and not expired at
+    /// `now`, returning how long ago it was.
+    fn take(&self, stripe: usize, fp: u64, now: Instant) -> Option<Duration> {
+        let started = lock(&self.stripes[stripe]).misses.remove(&fp)?;
+        Some(now.saturating_duration_since(started)).filter(|&age| age < IQ_MISS_TTL)
     }
 
     fn discard(&self, stripe: usize, fp: u64) {
@@ -656,7 +677,8 @@ pub(crate) fn cmd_kind(command: &Command) -> CmdKind {
 /// (the connection's in-memory write buffer, where the I/O is infallible;
 /// the reactor flushes it once per wakeup).
 /// `data` is the already-read set data block (empty otherwise); `response`
-/// is the connection's reusable get-serialization buffer. Returns false
+/// is the connection's reusable get-serialization buffer; `now` is the
+/// only clock the command sees (expiry, IQ miss timing). Returns false
 /// when the connection should close.
 pub(crate) fn execute<W: Write>(
     command: &Command<'_>,
@@ -664,6 +686,7 @@ pub(crate) fn execute<W: Write>(
     writer: &mut W,
     response: &mut Vec<u8>,
     shared: &Shared,
+    now: Stamp,
 ) -> io::Result<bool> {
     match *command {
         Command::Get { ref keys } => {
@@ -673,9 +696,13 @@ pub(crate) fn execute<W: Write>(
             // write delivers the whole reply.
             response.clear();
             for key in keys.iter() {
-                shared.store.get_with(key, |item| {
-                    crate::resp::append_value(response, key, item.flags, item.value);
-                });
+                let h = shared.store.hash(key);
+                shared
+                    .store
+                    .shard(h)
+                    .get_with_at_hashed(h, now.unix_secs, |item| {
+                        crate::resp::append_value(response, key, item.flags, item.value);
+                    });
             }
             response.extend_from_slice(b"END\r\n");
             writer.write_all(response)?;
@@ -686,19 +713,21 @@ pub(crate) fn execute<W: Write>(
             let hit = shared
                 .store
                 .shard(h)
-                .get_with_hashed(h, |item| {
+                .get_with_at_hashed(h, now.unix_secs, |item| {
                     crate::resp::append_value(response, key, item.flags, item.value);
                 })
                 .is_some();
             if !hit {
                 // Register the miss time for the cost computation.
-                shared.iq_misses.record_miss(shared.store.shard_of(h), h.fp);
+                shared
+                    .iq_misses
+                    .record_miss(shared.store.shard_of(h), h.fp, now.at);
             }
             response.extend_from_slice(b"END\r\n");
             writer.write_all(response)?;
         }
         Command::Set { ref header } => {
-            let reply = apply_set(header, data, shared);
+            let reply = apply_set(header, data, shared, now);
             writeln_crlf(writer, reply)?;
         }
         Command::Delete { key } => {
@@ -737,7 +766,7 @@ pub(crate) fn execute<W: Write>(
             }
         }
         Command::Touch { key, exptime } => {
-            let expires_at = expiry_to_absolute(exptime);
+            let expires_at = expiry_to_absolute(exptime, now.unix_secs);
             let touched = shared.store.touch(key, expires_at);
             if touched {
                 if let Some(persist) = shared.persist.as_ref() {
@@ -840,8 +869,9 @@ fn trace_lines(shared: &Shared) -> Vec<String> {
         recorder.spans_recorded()
     ));
     lines.push(format!("TRACE slow_recorded {}", recorder.slow_recorded()));
-    lines.push(format!("TRACE admits {}", recorder.admits_recorded()));
-    lines.push(format!("TRACE evictions {}", recorder.evicts_recorded()));
+    let decisions = shared.store.eviction_totals();
+    lines.push(format!("TRACE admits {}", decisions.admits));
+    lines.push(format!("TRACE evictions {}", decisions.evictions));
     let spans = recorder.spans_snapshot();
     let skip = spans.len().saturating_sub(TRACE_DUMP_SPANS);
     for span in &spans[skip..] {
@@ -871,6 +901,7 @@ fn trace_lines(shared: &Shared) -> Vec<String> {
 /// and the Prometheus exposition.
 fn telemetry_report(shared: &Shared) -> TelemetryReport {
     let shards = shared.store.per_shard();
+    let decisions = shared.store.eviction_totals();
     TelemetryReport {
         version: env!("CARGO_PKG_VERSION"),
         policy: shards.first().map(|s| s.policy.clone()).unwrap_or_default(),
@@ -894,12 +925,14 @@ fn telemetry_report(shared: &Shared) -> TelemetryReport {
         shadow: shared.store.shadow_estimates(),
         shadow_sample_modulus: shared.store.shadow_sample_modulus(),
         spans_recorded: shared.recorder.spans_recorded(),
+        // ordering: Relaxed — statistics counter.
+        spans_dropped: shared.metrics.spans_dropped.load(Ordering::Relaxed),
         slow_recorded: shared.recorder.slow_recorded(),
         slow_threshold_us: shared.recorder.slow_threshold_us(),
-        trace_admits: shared.recorder.admits_recorded(),
-        trace_evicts: shared.recorder.evicts_recorded(),
-        eviction_costs: shared.recorder.eviction_cost_snapshot(),
-        l_values: shared.recorder.l_value_snapshot(),
+        trace_admits: decisions.admits,
+        trace_evicts: decisions.evictions,
+        eviction_costs: decisions.eviction_costs,
+        l_values: decisions.l_values,
         reactor_workers: shared.reactor_stats.snapshot(),
         flush_segments: shared.metrics.flush_segments.snapshot(),
         persist: shared.persist.as_ref().map(|p| p.snapshot()),
@@ -974,7 +1007,7 @@ fn serve_metrics_once(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()>
     writer.flush()
 }
 
-fn apply_set(header: &SetHeader<'_>, data: &[u8], shared: &Shared) -> &'static str {
+fn apply_set(header: &SetHeader<'_>, data: &[u8], shared: &Shared, now: Stamp) -> &'static str {
     let iq = header.verb == SetVerb::IqSet;
     // The key's one hash: the registry stripe, the shard, the index and
     // the policy all take it from here.
@@ -990,12 +1023,11 @@ fn apply_set(header: &SetHeader<'_>, data: &[u8], shared: &Shared) -> &'static s
         }
         None if iq => shared
             .iq_misses
-            .take(shared.store.shard_of(h), h.fp)
-            .map(|t| u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX))
-            .unwrap_or(0),
+            .take(shared.store.shard_of(h), h.fp, now.at)
+            .map_or(0, duration_micros),
         None => 0,
     };
-    let expires_at = expiry_to_absolute(header.exptime);
+    let expires_at = expiry_to_absolute(header.exptime, now.unix_secs);
     let mut shard = shared.store.shard(h);
     let result = match header.verb {
         SetVerb::Set | SetVerb::IqSet => shard
@@ -1028,23 +1060,17 @@ fn apply_set(header: &SetHeader<'_>, data: &[u8], shared: &Shared) -> &'static s
 }
 
 /// Memcached expiry semantics: 0 = never; values up to 30 days are
-/// relative seconds; larger values are absolute unix timestamps.
-fn expiry_to_absolute(exptime: u64) -> u64 {
+/// seconds relative to `now_secs` (the wall clock); larger values are
+/// absolute unix timestamps.
+fn expiry_to_absolute(exptime: u64, now_secs: u64) -> u64 {
     const THIRTY_DAYS: u64 = 60 * 60 * 24 * 30;
     if exptime == 0 {
         0
     } else if exptime <= THIRTY_DAYS {
-        unix_now() + exptime
+        now_secs + exptime
     } else {
         exptime
     }
-}
-
-fn unix_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 fn writeln_crlf<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
@@ -1073,34 +1099,40 @@ mod tests {
 
     #[test]
     fn expiry_semantics() {
-        assert_eq!(expiry_to_absolute(0), 0);
-        let relative = expiry_to_absolute(60);
-        assert!(relative > unix_now() + 50 && relative <= unix_now() + 61);
-        assert_eq!(expiry_to_absolute(4_000_000_000), 4_000_000_000);
+        assert_eq!(expiry_to_absolute(0, 1_000), 0);
+        assert_eq!(expiry_to_absolute(60, 1_000), 1_060);
+        assert_eq!(expiry_to_absolute(4_000_000_000, 1_000), 4_000_000_000);
     }
 
     #[test]
     fn iq_registry_stripe_is_capped_and_keeps_its_timers() {
         let registry = IqRegistry::new(1);
         // An early miss whose `iqset` comes back after the flood.
-        registry.record_miss(0, u64::MAX);
+        let t0 = Instant::now();
+        registry.record_miss(0, u64::MAX, t0);
         for fp in 0..4 * IQ_STRIPE_CAP as u64 {
-            registry.record_miss(0, fp);
+            registry.record_miss(0, fp, t0);
         }
         assert!(registry.len() <= IQ_STRIPE_CAP, "len {}", registry.len());
         // ordering: Relaxed — test read of a statistics counter.
         let dropped = registry.dropped.load(Ordering::Relaxed);
         assert_eq!(dropped, 3 * IQ_STRIPE_CAP as u64 + 1);
         // Re-recording a key the full stripe already holds is not a drop.
-        registry.record_miss(0, 7);
+        registry.record_miss(0, 7, t0);
         assert_eq!(registry.dropped.load(Ordering::Relaxed), dropped);
-        // The recorded entry still prices its pair; a dropped one costs 0.
-        let started = registry
-            .take(0, u64::MAX)
-            .expect("recorded before the flood");
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(started.elapsed().as_micros() > 0);
-        assert!(registry.take(0, 4 * IQ_STRIPE_CAP as u64 - 1).is_none());
+        // The recorded entry still prices its pair, from the clock the
+        // caller hands in; a dropped one costs 0, and so does one whose
+        // pair comes back after the TTL.
+        let later = t0 + Duration::from_millis(2);
+        assert_eq!(
+            registry.take(0, u64::MAX, later),
+            Some(Duration::from_millis(2))
+        );
+        assert!(registry
+            .take(0, 4 * IQ_STRIPE_CAP as u64 - 1, later)
+            .is_none());
+        assert!(registry.take(0, 7, t0 + IQ_MISS_TTL).is_none());
+        registry.record_miss(0, 7, t0);
         assert_eq!(registry.len(), IQ_STRIPE_CAP - 1);
     }
 
@@ -1119,12 +1151,12 @@ mod tests {
             stripe.misses = (0..IQ_STRIPE_CAP as u64).map(|fp| (fp, expired)).collect();
             stripe.last_sweep = swept_recently;
         }
-        registry.record_miss(0, u64::MAX);
+        registry.record_miss(0, u64::MAX, now);
         assert_eq!(registry.len(), 1, "the abandoned entries were swept");
         // ordering: Relaxed(x2) — test reads of statistics counters.
         assert_eq!(registry.swept.load(Ordering::Relaxed), IQ_STRIPE_CAP as u64);
         assert_eq!(registry.dropped.load(Ordering::Relaxed), 0);
-        assert!(registry.take(0, u64::MAX).is_some());
+        assert!(registry.take(0, u64::MAX, now).is_some());
     }
 
     #[test]

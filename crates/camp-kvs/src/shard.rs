@@ -24,7 +24,9 @@ use camp_policies::{PolicyStats, ShadowEstimate, ShadowProfiler, SharedTraceSink
 
 use crate::fingerprint::{Fingerprinter, Hashed};
 use crate::slab::SlabConfig;
-use crate::store::{GetResult, Store, StoreConfig, StoreError, StoreStats};
+use crate::store::{
+    unix_now, EvictionTotals, GetResult, Store, StoreConfig, StoreError, StoreStats,
+};
 use crate::sync::lock;
 
 /// One shard's telemetry snapshot (see [`ShardedStore::per_shard`]).
@@ -178,8 +180,8 @@ impl ShardedStore {
         key: &[u8],
         f: impl FnOnce(&crate::item::Item<'_>) -> R,
     ) -> Option<R> {
-        let h = self.hash(key);
-        self.shard(h).get_with_hashed(h, f)
+        let (h, now) = (self.hash(key), unix_now());
+        self.shard(h).get_with_at_hashed(h, now, f)
     }
 
     /// Stores a pair in its shard.
@@ -321,6 +323,17 @@ impl ShardedStore {
             total.slab_reclaims += s.slab_reclaims;
             total.expired += s.expired;
             total.fingerprint_collisions += s.fingerprint_collisions;
+        }
+        total
+    }
+
+    /// Traced-decision totals summed across shards (see
+    /// [`Store::eviction_totals`]).
+    #[must_use]
+    pub fn eviction_totals(&self) -> EvictionTotals {
+        let mut total = EvictionTotals::default();
+        for shard in &self.shards {
+            total.merge(&lock(shard).eviction_totals());
         }
         total
     }

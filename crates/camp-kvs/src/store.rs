@@ -46,10 +46,15 @@
 //! [`StoreStats::fingerprint_collisions`]. No operation ever returns
 //! another key's value.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 pub use camp_policies::EvictionMode;
 use camp_policies::{
-    AccessOutcome, CacheRequest, EvictionPolicy, PolicyStats, ShadowProfiler, SharedTraceSink,
+    AccessOutcome, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind, PolicyStats,
+    ShadowProfiler, SharedTraceSink, TraceSink,
 };
+use camp_telemetry::{HistogramSnapshot, LocalHistogram};
 
 use crate::fingerprint::{FingerprintMap, Fingerprinter, Hashed};
 use crate::item::Item;
@@ -118,6 +123,87 @@ pub struct StoreStats {
     /// fingerprint was stored (also counted in `evictions`). Zero in
     /// normal operation: expect one per ~2⁶⁴ resident key pairs.
     pub fingerprint_collisions: u64,
+}
+
+/// Totals and distributions over the decisions a store's policy reported
+/// while a trace sink was attached: `trace:admits`, `trace:evictions`, the
+/// eviction-cost summary and the `L` trajectory of the telemetry surface.
+/// An eviction is tallied here exactly when it is traced — capacity
+/// victims, policy-budget victims and fingerprint collisions are; items
+/// lost to a slab reassignment or to expiry are not — so with a sink
+/// attached from the start `evictions` equals [`StoreStats::evictions`]
+/// and `admits` equals [`StoreStats::sets`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct EvictionTotals {
+    /// Admission decisions.
+    pub admits: u64,
+    /// Eviction decisions.
+    pub evictions: u64,
+    /// Miss cost of every evicted pair.
+    pub eviction_costs: HistogramSnapshot,
+    /// The policy's `L` at every decision that had one (`L > 0`).
+    pub l_values: HistogramSnapshot,
+}
+
+impl EvictionTotals {
+    /// Adds `other` (another shard's totals) into `self`.
+    pub fn merge(&mut self, other: &EvictionTotals) {
+        self.admits += other.admits;
+        self.evictions += other.evictions;
+        self.eviction_costs.merge(&other.eviction_costs);
+        self.l_values.merge(&other.l_values);
+    }
+}
+
+/// The live form of [`EvictionTotals`]: plain counters and histograms one
+/// store owns, written only through `&mut Store` (so, in a sharded store,
+/// under the shard lock that every policy call already holds).
+#[derive(Debug, Default)]
+struct EvictionTally {
+    admits: u64,
+    evictions: u64,
+    eviction_costs: LocalHistogram,
+    l_values: LocalHistogram,
+}
+
+impl EvictionTally {
+    fn record(&mut self, event: &PolicyEvent) {
+        match event.kind {
+            PolicyEventKind::Admit => self.admits += 1,
+            PolicyEventKind::Evict => {
+                self.evictions += 1;
+                self.eviction_costs.record(event.cost);
+            }
+        }
+        if event.l_value > 0 {
+            self.l_values.record(event.l_value);
+        }
+    }
+}
+
+thread_local! {
+    /// Decisions reported on this thread that their store has not tallied
+    /// yet. A policy reports through `&self` from inside the store call
+    /// that drives it, so the events cannot reach the store's plain tally
+    /// by reference; they wait here — thread-local, so still no shared
+    /// write — until that same call collects them before it returns.
+    static TAPPED: RefCell<Vec<PolicyEvent>> = const { RefCell::new(Vec::new()) };
+}
+
+/// What a store hands its policy as the trace sink: every decision goes
+/// straight on to the sink the store's owner attached, and a copy is left
+/// in [`TAPPED`] for the store's own tally.
+#[derive(Debug)]
+struct Tap {
+    attached: SharedTraceSink,
+}
+
+impl TraceSink for Tap {
+    fn record(&self, event: &PolicyEvent) {
+        self.attached.record(event);
+        TAPPED.with_borrow_mut(|events| events.push(*event));
+    }
 }
 
 /// Errors a store operation can produce.
@@ -192,9 +278,11 @@ pub struct Store {
     /// Online miss-ratio/cost-miss profiler: spatially sampled shadow
     /// caches at 0.5×/1×/2× capacity, fed from the get/set/delete paths.
     profiler: ShadowProfiler,
-    /// The eviction-trace sink attached to the policy, kept so policy
-    /// rebuilds (`flush_all`) can re-attach it.
+    /// The eviction-trace sink attached to the policy (wrapped in a
+    /// [`Tap`]), kept so policy rebuilds (`flush_all`) can re-attach it.
     sink: Option<SharedTraceSink>,
+    /// Tallies over the decisions the policy reported through that sink.
+    trace: EvictionTally,
 }
 
 impl std::fmt::Debug for Store {
@@ -241,14 +329,42 @@ impl Store {
             encode_buf: Vec::new(),
             evicted_scratch: Vec::new(),
             sink: None,
+            trace: EvictionTally::default(),
         }
     }
 
     /// Attaches (or detaches) the eviction-trace sink. The sink survives
-    /// `flush_all`'s policy rebuild.
+    /// `flush_all`'s policy rebuild. While one is attached the store also
+    /// tallies what it is told ([`Store::eviction_totals`]).
     pub fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.policy.set_trace_sink(sink.clone());
-        self.sink = sink;
+        self.sink = sink.map(|attached| Arc::new(Tap { attached }) as SharedTraceSink);
+        self.policy.set_trace_sink(self.sink.clone());
+    }
+
+    /// Totals over the policy decisions traced so far (since the last
+    /// [`Store::reset_stats`]).
+    #[must_use]
+    pub fn eviction_totals(&self) -> EvictionTotals {
+        EvictionTotals {
+            admits: self.trace.admits,
+            evictions: self.trace.evictions,
+            eviction_costs: self.trace.eviction_costs.snapshot(),
+            l_values: self.trace.l_values.snapshot(),
+        }
+    }
+
+    /// Moves the decisions the policy reported during the current call
+    /// from [`TAPPED`] into this store's tally. Every path that can make
+    /// the policy report ends here before it returns, so the buffer only
+    /// ever holds the calling store's own events.
+    fn tally_tapped(&mut self) {
+        if self.sink.is_some() {
+            TAPPED.with_borrow_mut(|events| {
+                for event in events.drain(..) {
+                    self.trace.record(&event);
+                }
+            });
+        }
     }
 
     /// The online shadow profiler (hit-ratio and cost-miss estimates at
@@ -306,6 +422,7 @@ impl Store {
     /// re-baselines measurement, `flush_all` empties the cache.
     pub fn reset_stats(&mut self) {
         self.stats = StoreStats::default();
+        self.trace = EvictionTally::default();
         self.policy.reset_instrumentation();
         // Re-baseline the profiler's counters but keep its shadow caches
         // warm — estimates stay meaningful right after a reset.
@@ -363,15 +480,6 @@ impl Store {
         self.get_with_at(key, unix_now(), f)
     }
 
-    /// [`Store::get_with`] for a key fingerprinted by the caller.
-    pub(crate) fn get_with_hashed<R>(
-        &mut self,
-        h: Hashed<'_>,
-        f: impl FnOnce(&Item<'_>) -> R,
-    ) -> Option<R> {
-        self.get_with_at_hashed(h, unix_now(), f)
-    }
-
     /// Like [`Store::get_with`] with an explicit clock.
     pub fn get_with_at<R>(
         &mut self,
@@ -382,7 +490,10 @@ impl Store {
         self.get_with_at_hashed(self.fingerprinter.hash(key), now, f)
     }
 
-    fn get_with_at_hashed<R>(
+    /// [`Store::get_with_at`] for a key fingerprinted by the caller — the
+    /// server's entry point, which reads the clock once per connection
+    /// cycle rather than once per lookup.
+    pub(crate) fn get_with_at_hashed<R>(
         &mut self,
         h: Hashed<'_>,
         now: u64,
@@ -480,6 +591,20 @@ impl Store {
 
     /// [`Store::set`] for a key fingerprinted by the caller.
     pub(crate) fn set_hashed(
+        &mut self,
+        h: Hashed<'_>,
+        value: &[u8],
+        flags: u32,
+        expires_at: u64,
+        cost: u64,
+    ) -> Result<(), StoreError> {
+        // Storing is the one path on which the policy admits and evicts.
+        let stored = self.store_item(h, value, flags, expires_at, cost);
+        self.tally_tapped();
+        stored
+    }
+
+    fn store_item(
         &mut self,
         h: Hashed<'_>,
         value: &[u8],
@@ -792,7 +917,8 @@ fn policy_budget(slab: &SlabConfig) -> u64 {
     u64::from(slab.slab_size) * u64::from(slab.max_slabs)
 }
 
-fn unix_now() -> u64 {
+/// The wall clock in whole seconds since the epoch (item expiry's unit).
+pub(crate) fn unix_now() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -1106,6 +1232,51 @@ mod tests {
         let admits_before = sink.admits.load(Ordering::Relaxed);
         store.set(b"fresh", b"v", 0, 0, 1).unwrap();
         assert!(sink.admits.load(Ordering::Relaxed) > admits_before);
+    }
+
+    #[test]
+    fn traced_decisions_are_tallied_per_store_and_reset_with_the_stats() {
+        use std::sync::atomic::Ordering;
+        let sink = std::sync::Arc::new(CountingSink::default());
+        let mut traced = small_store(EvictionMode::Camp(Precision::Bits(5)));
+        let mut other = small_store(EvictionMode::Lru);
+        let mut untraced = small_store(EvictionMode::Lru);
+        traced.set_trace_sink(Some(sink.clone()));
+        other.set_trace_sink(Some(sink.clone()));
+        // Interleaved on one thread: each store tallies its own decisions.
+        for i in 0..400u32 {
+            let key = format!("key-{i:04}");
+            let cost = 1 + u64::from(i % 5) * 100;
+            traced.set(key.as_bytes(), &[0u8; 60], 0, 0, cost).unwrap();
+            other.set(key.as_bytes(), &[0u8; 200], 0, 0, cost).unwrap();
+            untraced
+                .set(key.as_bytes(), &[0u8; 60], 0, 0, cost)
+                .unwrap();
+            let _ = traced.get(key.as_bytes());
+        }
+        assert!(traced.delete(b"key-0399"));
+        // An oversized item fails after evicting: still tallied.
+        assert!(other.set(b"big", &[0u8; 8192], 0, 0, 1).is_err());
+        let mut sum = EvictionTotals::default();
+        for store in [&traced, &other] {
+            let (totals, stats) = (store.eviction_totals(), store.stats());
+            assert!(stats.evictions > 0);
+            assert_eq!(totals.admits, stats.sets);
+            assert_eq!(totals.evictions, stats.evictions);
+            assert_eq!(totals.eviction_costs.count, totals.evictions);
+            assert!(totals.eviction_costs.max <= 401);
+            sum.merge(&totals);
+        }
+        assert_eq!(sum.admits, sink.admits.load(Ordering::Relaxed));
+        assert_eq!(sum.evictions, sink.evicts.load(Ordering::Relaxed));
+        // CAMP reports its L with every decision once it has left zero;
+        // LRU has none to report.
+        let camp = traced.eviction_totals();
+        assert!(camp.l_values.count > 0 && camp.l_values.count <= camp.admits + camp.evictions);
+        assert_eq!(other.eviction_totals().l_values.count, 0);
+        assert_eq!(untraced.eviction_totals(), EvictionTotals::default());
+        traced.reset_stats();
+        assert_eq!(traced.eviction_totals(), EvictionTotals::default());
     }
 
     #[test]

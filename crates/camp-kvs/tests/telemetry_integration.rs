@@ -501,3 +501,352 @@ fn commit_accounting_is_self_consistent_under_fsync_always() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// One raw connection that counts what it writes: a batch goes out in one
+/// `write`, closed by a `version` sentinel, and every reply line up to the
+/// sentinel's comes back.
+struct RawConn {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    commands: u64,
+    bytes: u64,
+}
+
+impl RawConn {
+    fn connect(server: &Server) -> RawConn {
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_nodelay(true).ok();
+        RawConn {
+            reader: BufReader::new(stream.try_clone().expect("clone")),
+            stream,
+            commands: 0,
+            bytes: 0,
+        }
+    }
+
+    /// Sends `batch` (`commands` complete commands) plus the sentinel and
+    /// returns the reply lines ahead of the sentinel's.
+    fn roundtrip(&mut self, mut batch: Vec<u8>, commands: u64) -> Vec<String> {
+        batch.extend_from_slice(b"version\r\n");
+        self.stream.write_all(&batch).expect("send batch");
+        self.commands += commands + 1;
+        self.bytes += batch.len() as u64;
+        let mut lines = Vec::new();
+        loop {
+            let mut line = String::new();
+            assert!(self.reader.read_line(&mut line).expect("reply") > 0, "EOF");
+            let line = line.trim_end().to_owned();
+            if line.starts_with("VERSION ") {
+                return lines;
+            }
+            lines.push(line);
+        }
+    }
+
+    /// `stats detail` as a table (shard rows keep their `k=v` text).
+    fn stats_detail(&mut self) -> BTreeMap<String, String> {
+        stat_table(&self.roundtrip(b"stats detail\r\n".to_vec(), 1))
+    }
+
+    /// Half-closes and waits for the server's close: past it, everything
+    /// this connection's commands counted — their spans included, which
+    /// are recorded after the flush — is visible.
+    fn finish(mut self) -> (u64, u64) {
+        self.stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut rest = Vec::new();
+        self.reader.read_to_end(&mut rest).expect("drain to EOF");
+        assert!(rest.is_empty(), "unread replies: {rest:?}");
+        (self.commands, self.bytes)
+    }
+}
+
+fn stat_table(lines: &[String]) -> BTreeMap<String, String> {
+    lines
+        .iter()
+        .filter_map(|l| l.strip_prefix("STAT "))
+        .filter_map(|l| l.split_once(' '))
+        .map(|(k, v)| (k.to_owned(), v.to_owned()))
+        .collect()
+}
+
+/// Sums field `name=` over the `shard:<i>` rows of a `stats` table.
+fn shard_sum(table: &BTreeMap<String, String>, shards: usize, name: &str) -> u64 {
+    (0..shards)
+        .map(|i| {
+            let row = &table[&format!("shard:{i}")];
+            span_field(row, name)
+        })
+        .sum()
+}
+
+const DATA_COMMANDS: [&str; 5] = ["get", "iqget", "set", "iqset", "delete"];
+
+fn latency_total(table: &BTreeMap<String, String>) -> u64 {
+    DATA_COMMANDS
+        .iter()
+        .chain(&["other"])
+        .map(|c| parse_u64(table, &format!("latency:{c}:count")))
+        .sum()
+}
+
+/// Every identity the metrics imply, on two workers and four shards, with
+/// the worker-local tallies, the per-shard eviction histograms and the
+/// batched span recording all in play. Checked at quiescence: every load
+/// connection has been closed by the server (so its spans are recorded)
+/// and the reporting connection works strictly one reply at a time.
+///
+/// Which evictions are traced: capacity victims, victims of the policy's
+/// own byte budget and fingerprint collisions each emit one event and
+/// each count in `evictions`; items lost to a slab reassignment
+/// (`slab_evictions`) or to expiry emit none. So `trace:evictions` equals
+/// `evictions`, and `trace:admits` equals `cmd_set`.
+#[test]
+fn metric_identities_hold_at_quiescence() {
+    const SHARDS: usize = 4;
+    let mut opts = options(EvictionMode::Camp(Precision::Bits(5)), SHARDS);
+    opts.workers = 2;
+    let server = Server::start_with("127.0.0.1:0", opts).expect("start server");
+
+    // Three connections x pipeline 32: iqget (miss or hit), iqset with a
+    // cost hint, get, delete, over far more keys than 128 KiB holds, in
+    // two value sizes so slabs change class as well. One round carries a
+    // `stats detail` and a `trace` in the middle of the pipeline.
+    let mut conns: Vec<RawConn> = (0..3).map(|_| RawConn::connect(&server)).collect();
+    let mut mid_pipeline_seen = 0;
+    for round in 0..24u32 {
+        for (c, conn) in conns.iter_mut().enumerate() {
+            let mut batch = Vec::new();
+            let len = if round < 12 { 40 } else { 700 };
+            for i in 0..8u32 {
+                let key = format!("k{c}-{}", (round * 8 + i) % 150);
+                let cost = 1 + u64::from(i % 4) * 300;
+                write!(batch, "iqget {key}\r\n").unwrap();
+                write!(batch, "iqset {key} 0 0 {len} {cost}\r\n").unwrap();
+                batch.extend(std::iter::repeat_n(b'x', len));
+                batch.extend_from_slice(b"\r\n");
+                write!(batch, "get k{c}-{}\r\n", (round * 5 + i) % 150).unwrap();
+                if i % 2 == 0 {
+                    write!(batch, "delete k{c}-{}\r\n", (round * 3 + i) % 150).unwrap();
+                } else {
+                    write!(batch, "get k{}-{i}\r\n", (c + 1) % 3).unwrap();
+                }
+                if round == 7 && i == 3 {
+                    batch.extend_from_slice(b"stats detail\r\n");
+                }
+                if round == 7 && i == 5 {
+                    batch.extend_from_slice(b"trace\r\n");
+                }
+            }
+            let commands = if round == 7 { 34 } else { 32 };
+            let lines = conn.roundtrip(batch, commands);
+            if round == 7 {
+                // Both dumps arrived whole, between ordinary replies.
+                assert!(lines
+                    .iter()
+                    .any(|l| l.starts_with("STAT latency:iqset:count ")));
+                assert!(lines.iter().any(|l| l.starts_with("TRACE spans_recorded ")));
+                mid_pipeline_seen += 1;
+            }
+        }
+    }
+    assert_eq!(mid_pipeline_seen, 3);
+
+    // Far more pipelined commands in one write than a connection may hold
+    // spans for: the excess must be counted, not lost.
+    let burst = b"get absent\r\n".repeat(12_000);
+    conns[0].roundtrip(burst, 12_000);
+
+    let mut sent_commands = 0;
+    let mut sent_bytes = 0;
+    for conn in conns {
+        let (commands, bytes) = conn.finish();
+        sent_commands += commands;
+        sent_bytes += bytes;
+    }
+
+    // A `stats` pipelined behind 31 gets in the same write counts all 31.
+    let mut reporter = RawConn::connect(&server);
+    let before = reporter.stats_detail();
+    let mut batch = b"get absent\r\n".repeat(31);
+    batch.extend_from_slice(b"stats detail\r\n");
+    let behind = stat_table(&reporter.roundtrip(batch, 32));
+    assert_eq!(
+        parse_u64(&behind, "latency:get:count"),
+        parse_u64(&before, "latency:get:count") + 31
+    );
+    assert_eq!(
+        parse_u64(&behind, "get_misses"),
+        parse_u64(&before, "get_misses") + 31
+    );
+
+    let detail = reporter.stats_detail();
+    // Everything sent so far but the `stats detail` that is reporting.
+    let completed = sent_commands + reporter.commands - 2;
+    let completed_bytes = sent_bytes + reporter.bytes - "stats detail\r\nversion\r\n".len() as u64;
+
+    // Every command was timed once and spanned once (recorded or dropped).
+    assert_eq!(latency_total(&detail), completed);
+    let recorded = parse_u64(&detail, "trace:spans_recorded");
+    let dropped = parse_u64(&detail, "trace:spans_dropped");
+    assert_eq!(recorded + dropped, completed);
+    assert!(dropped > 0, "the 12 000-deep burst dropped no span");
+    // Every byte the clients wrote was attributed to a command class.
+    let bytes_read: u64 = DATA_COMMANDS
+        .iter()
+        .chain(&["other"])
+        .map(|c| parse_u64(&detail, &format!("bytes_read:{c}")))
+        .sum();
+    assert_eq!(bytes_read, completed_bytes);
+    // Single-key lookups: each one is a hit or a miss.
+    let (hits, misses) = (
+        parse_u64(&detail, "get_hits"),
+        parse_u64(&detail, "get_misses"),
+    );
+    assert_eq!(
+        parse_u64(&detail, "latency:get:count") + parse_u64(&detail, "latency:iqget:count"),
+        hits + misses
+    );
+    assert!(hits > 0 && misses > 0);
+    assert_eq!(
+        parse_u64(&detail, "latency:iqset:count"),
+        parse_u64(&detail, "cmd_set")
+    );
+    // The per-shard eviction tallies against the per-shard store counters.
+    let evictions = parse_u64(&detail, "evictions");
+    assert!(evictions > 0, "no eviction pressure: {detail:?}");
+    assert_eq!(parse_u64(&detail, "trace:evictions"), evictions);
+    assert_eq!(
+        parse_u64(&detail, "trace:admits"),
+        parse_u64(&detail, "cmd_set")
+    );
+    assert_eq!(
+        parse_u64(&detail, "evictions:capacity"),
+        evictions,
+        "one name, one value"
+    );
+    // Shard rows sum to the totals.
+    assert_eq!(shard_sum(&detail, SHARDS, "hits="), hits);
+    assert_eq!(shard_sum(&detail, SHARDS, "misses="), misses);
+    assert_eq!(
+        shard_sum(&detail, SHARDS, "evictions="),
+        evictions + parse_u64(&detail, "slab_evictions")
+    );
+    assert_eq!(
+        shard_sum(&detail, SHARDS, "items="),
+        parse_u64(&detail, "curr_items")
+    );
+
+    // STAT and Prometheus agree value for value. Since `detail` only that
+    // one `stats detail` + sentinel completed (2 commands, 23 bytes).
+    let mut body = scrape(&server);
+    for _ in 0..200 {
+        // Its two spans are recorded just after its reply was flushed.
+        if sample(&body, "camp_trace_spans_total") == recorded + 2 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        body = scrape(&server);
+    }
+    assert_eq!(sample(&body, "camp_trace_spans_total"), recorded + 2);
+    assert_eq!(sample(&body, "camp_trace_spans_dropped_total"), dropped);
+    for command in DATA_COMMANDS {
+        assert_eq!(
+            sample(&body, &format!("camp_{command}_latency_us_count")),
+            parse_u64(&detail, &format!("latency:{command}:count"))
+        );
+        assert_eq!(
+            sample(
+                &body,
+                &format!("camp_bytes_read_total{{cmd=\"{command}\"}}")
+            ),
+            parse_u64(&detail, &format!("bytes_read:{command}"))
+        );
+    }
+    assert_eq!(
+        sample(&body, "camp_other_latency_us_count"),
+        parse_u64(&detail, "latency:other:count") + 2
+    );
+    assert_eq!(
+        sample(&body, "camp_bytes_read_total{cmd=\"other\"}"),
+        parse_u64(&detail, "bytes_read:other") + 23
+    );
+    for (family, stat) in [
+        ("camp_get_hits_total", "get_hits"),
+        ("camp_get_misses_total", "get_misses"),
+        ("camp_cmd_set_total", "cmd_set"),
+        ("camp_deletes_total", "deletes"),
+        ("camp_evictions_total{cause=\"capacity\"}", "evictions"),
+        (
+            "camp_evictions_total{cause=\"slab_reassign\"}",
+            "slab_evictions",
+        ),
+        ("camp_evictions_total{cause=\"expired\"}", "expired"),
+        ("camp_trace_admits_total", "trace:admits"),
+        ("camp_trace_evictions_total", "trace:evictions"),
+        ("camp_items", "curr_items"),
+        (
+            "camp_reactor_flush_writev_segments_count",
+            "reactor:flush_segments:count",
+        ),
+    ] {
+        // The flush histogram moved by the one flush since `detail`.
+        let moved = u64::from(stat == "reactor:flush_segments:count");
+        assert_eq!(
+            sample(&body, family),
+            parse_u64(&detail, stat) + moved,
+            "{family}"
+        );
+    }
+    // The histograms over the traced decisions: one cost per eviction,
+    // one L per decision made after L left zero.
+    assert_eq!(sample(&body, "camp_eviction_cost_count"), evictions);
+    let l_count = sample(&body, "camp_l_value_count");
+    assert!(l_count > 0 && l_count <= evictions + parse_u64(&detail, "cmd_set"));
+    for shard in 0..SHARDS {
+        let row = &detail[&format!("shard:{shard}")];
+        assert_eq!(
+            sample(
+                &body,
+                &format!("camp_shard_hits_total{{shard=\"{shard}\"}}")
+            ),
+            span_field(row, "hits=")
+        );
+        assert_eq!(
+            sample(
+                &body,
+                &format!("camp_shard_evictions_total{{shard=\"{shard}\"}}")
+            ),
+            span_field(row, "evictions=")
+        );
+    }
+
+    // `stats reset` leaves nothing behind to surface later: the only
+    // things counted afterwards are the reset and its sentinel.
+    assert_eq!(
+        reporter.roundtrip(b"stats reset\r\n".to_vec(), 1),
+        ["RESET"]
+    );
+    let after = reporter.stats_detail();
+    for command in DATA_COMMANDS {
+        assert_eq!(parse_u64(&after, &format!("latency:{command}:count")), 0);
+        assert_eq!(parse_u64(&after, &format!("bytes_read:{command}")), 0);
+    }
+    assert_eq!(parse_u64(&after, "latency:other:count"), 2);
+    assert_eq!(parse_u64(&after, "bytes_read:other"), 22);
+    for stat in [
+        "trace:admits",
+        "trace:evictions",
+        "trace:spans_dropped",
+        "evictions",
+        "get_misses",
+        "cmd_set",
+    ] {
+        assert_eq!(parse_u64(&after, stat), 0, "{stat}");
+    }
+    assert!(parse_u64(&after, "curr_items") > 0, "contents survive");
+
+    reporter.finish();
+    server.shutdown();
+}

@@ -146,6 +146,16 @@ impl<K: CacheKey> Gds<K> {
         self.heap.insert(idx, self.l + u128::from(ratio));
     }
 
+    /// Removes `key` from every structure, handing back its entry.
+    fn detach(&mut self, key: &K) -> Option<Entry<K>> {
+        let id = self.map.remove(key)?;
+        self.heap.remove(id.index());
+        self.by_slot[id.index() as usize] = None;
+        let entry = self.arena.remove(id).expect("live entry");
+        self.used -= entry.size;
+        Some(entry)
+    }
+
     fn evict_one(&mut self, evicted: &mut Vec<K>) -> bool {
         let Some((idx, h)) = self.heap.pop() else {
             return false;
@@ -240,13 +250,16 @@ impl<K: CacheKey> EvictionPolicy<K> for Gds<K> {
     }
 
     fn remove(&mut self, key: &K) -> bool {
-        let Some(id) = self.map.remove(key) else {
+        self.detach(key).is_some()
+    }
+
+    fn evict(&mut self, key: &K) -> bool {
+        let Some(entry) = self.detach(key) else {
             return false;
         };
-        self.heap.remove(id.index());
-        self.by_slot[id.index() as usize] = None;
-        let entry = self.arena.remove(id).expect("live entry");
-        self.used -= entry.size;
+        if let Some(sink) = &self.sink {
+            sink.record(&self.event_for(PolicyEventKind::Evict, &entry));
+        }
         true
     }
 

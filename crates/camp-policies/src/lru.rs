@@ -107,12 +107,12 @@ impl<K: CacheKey> Lru<K> {
         true
     }
 
-    fn detach(&mut self, key: &K) -> Option<u64> {
+    fn detach(&mut self, key: &K) -> Option<Entry<K>> {
         let id = self.map.remove(key)?;
         self.list.unlink(&mut self.arena, id);
         let entry = self.arena.remove(id).expect("live entry");
         self.used -= entry.size;
-        Some(entry.size)
+        Some(entry)
     }
 }
 
@@ -192,6 +192,21 @@ impl<K: CacheKey> EvictionPolicy<K> for Lru<K> {
 
     fn trace_sink(&self) -> Option<&SharedTraceSink> {
         self.sink.as_ref()
+    }
+
+    fn evict(&mut self, key: &K) -> bool {
+        let Some(entry) = self.detach(key) else {
+            return false;
+        };
+        if let Some(sink) = &self.sink {
+            sink.record(&PolicyEvent::basic(
+                PolicyEventKind::Evict,
+                key_hash(key),
+                entry.size,
+                entry.cost,
+            ));
+        }
+        true
     }
 
     fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {

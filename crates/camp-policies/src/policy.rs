@@ -197,6 +197,10 @@ pub trait EvictionPolicy<K: CacheKey = u64> {
     /// metadata is still resident). Callers evicting under external
     /// pressure — the slab store's allocation loop — use this; explicit
     /// deletes use `remove` and stay out of the eviction telemetry.
+    ///
+    /// The default looks the key up twice (once for the event, once to
+    /// remove it); the policies the server runs hot — CAMP, LRU, GDS —
+    /// override it to build the event from the entry one lookup removes.
     fn evict(&mut self, key: &K) -> bool {
         if let Some(event) = self.eviction_event(key) {
             if let Some(sink) = self.trace_sink() {
@@ -317,6 +321,10 @@ impl<K: CacheKey> EvictionPolicy<K> for Camp<K, ()> {
 
     fn trace_sink(&self) -> Option<&SharedTraceSink> {
         Camp::trace_sink(self)
+    }
+
+    fn evict(&mut self, key: &K) -> bool {
+        Camp::evict(self, key).is_some()
     }
 
     fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {
@@ -505,6 +513,53 @@ mod tests {
                 PolicyEventKind::Admit => self.admits.fetch_add(1, Ordering::Relaxed),
                 PolicyEventKind::Evict => self.evicts.fetch_add(1, Ordering::Relaxed),
             };
+        }
+    }
+
+    /// Whether `evict` is the trait default or a policy's own single-lookup
+    /// override, the sink sees exactly the event `eviction_event` describes
+    /// and the key is gone afterwards.
+    #[test]
+    fn evict_reports_exactly_the_eviction_event() {
+        use crate::spec::EvictionMode;
+
+        #[derive(Debug, Default)]
+        struct Collecting(std::sync::Mutex<Vec<PolicyEvent>>);
+        impl Collecting {
+            fn events(&self) -> std::sync::MutexGuard<'_, Vec<PolicyEvent>> {
+                self.0
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+            }
+        }
+        impl TraceSink for Collecting {
+            fn record(&self, event: &PolicyEvent) {
+                self.events().push(*event);
+            }
+        }
+
+        for name in EvictionMode::all_names() {
+            let mode: EvictionMode = name.parse().unwrap();
+            let mut policy: Box<dyn EvictionPolicy> = mode.build(1 << 16);
+            let mut evicted = Vec::new();
+            for key in 0..40u64 {
+                policy.reference(CacheRequest::new(key, 200, 1 + key % 9 * 50), &mut evicted);
+                policy.touch(&(key / 2));
+            }
+            let sink = std::sync::Arc::new(Collecting::default());
+            policy.set_trace_sink(Some(sink.clone()));
+            for _ in 0..5 {
+                let victim = policy.victim().expect("resident keys remain");
+                let expected = policy.eviction_event(&victim);
+                let (len, used) = (policy.len(), policy.used_bytes());
+                assert!(policy.evict(&victim), "{name}");
+                assert_eq!(sink.events().pop(), expected, "{name}");
+                assert!(!policy.contains(&victim), "{name}");
+                assert_eq!(policy.len(), len - 1, "{name}");
+                assert!(policy.used_bytes() < used, "{name}");
+                assert!(!policy.evict(&victim), "{name}: absent key");
+                assert!(sink.events().is_empty(), "{name}");
+            }
         }
     }
 

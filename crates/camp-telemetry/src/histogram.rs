@@ -13,6 +13,13 @@
 //! no mutex anywhere. Cross-shard (or cross-histogram) aggregation goes
 //! through [`Histogram::merge_from`] or [`HistogramSnapshot::merge`]; the
 //! concurrent property tests assert merge equals the sum of its parts.
+//!
+//! A writer that owns its observations outright — one reactor worker, one
+//! store shard under its lock — records into a plain [`LocalHistogram`]
+//! through `&mut` instead: no atomics at all. It either publishes the lot
+//! into a shared [`Histogram`] now and then ([`Histogram::absorb`], which
+//! pays the four RMWs once per touched bucket rather than once per
+//! observation) or is read in place under whatever lock owns it.
 
 use camp_check::sync::atomic::{AtomicU64, Ordering};
 
@@ -104,6 +111,25 @@ impl Histogram {
         }
     }
 
+    /// Model-checking constructor: only the first `buckets` (exact) buckets,
+    /// so a snapshot is a handful of loads instead of ~980 scheduling
+    /// points and a harness with a snapshotting reader stays tractable.
+    /// Holds values below `buckets` (at most [`SUB_BUCKETS`]) only;
+    /// `record`, `absorb` and `snapshot` are byte-for-byte the production
+    /// ones.
+    #[cfg(camp_check)]
+    #[must_use]
+    pub fn new_for_model(buckets: u64) -> Histogram {
+        Histogram {
+            buckets: (0..buckets.min(SUB_BUCKETS))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
+    }
+
     /// Records one observation. Wait-free; relaxed atomics only.
     pub fn record(&self, value: u64) {
         // ordering: Relaxed(x4) — independent statistics counters. Each word
@@ -139,6 +165,30 @@ impl Histogram {
             .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
         self.max
             .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
+    /// Moves every observation `local` holds into `self` and leaves `local`
+    /// empty: one `fetch_add` per bucket the local touched, then the three
+    /// summary words. Safe against concurrent `record`s, `absorb`s and
+    /// snapshots — every word moves by an atomic RMW, so nothing is lost;
+    /// a snapshot racing an absorb sees the usual skew, bounded by the
+    /// batch being moved.
+    pub fn absorb(&self, local: &mut LocalHistogram) {
+        if local.count == 0 {
+            return;
+        }
+        // ordering: Relaxed throughout — the same independent statistics
+        // counters `record` updates, moved in bulk; readers tolerate skew.
+        for &index in &local.touched {
+            let bucket = &mut local.buckets[usize::from(index)];
+            self.buckets[usize::from(index)].fetch_add(*bucket, Ordering::Relaxed);
+            *bucket = 0;
+        }
+        local.touched.clear();
+        self.count.fetch_add(local.count, Ordering::Relaxed);
+        self.sum.fetch_add(local.sum, Ordering::Relaxed);
+        self.max.fetch_max(local.max, Ordering::Relaxed);
+        (local.count, local.sum, local.max) = (0, 0, 0);
     }
 
     /// Zeroes every bucket and counter. Each word is cleared atomically;
@@ -199,6 +249,143 @@ impl Histogram {
     }
 }
 
+/// Deliberately broken `absorb` for the model-checking harnesses: the bulk
+/// move done with load-then-store pairs, which is only right for a sole
+/// writer — exactly the assumption `absorb` must not make, since every
+/// worker absorbs into the same shared histogram.
+#[cfg(camp_check)]
+impl Histogram {
+    /// [`Histogram::absorb`] with every atomic RMW weakened to a separate
+    /// load and store.
+    pub fn absorb_mutated_load_store(&self, local: &mut LocalHistogram) {
+        // MUTATION: load + store is not atomic — concurrent absorbs race.
+        // ordering: Relaxed throughout — same strength as the real
+        // `absorb`; the mutation under test is the lost RMW atomicity.
+        for &index in &local.touched {
+            let shared = &self.buckets[usize::from(index)];
+            let moved = std::mem::take(&mut local.buckets[usize::from(index)]);
+            shared.store(shared.load(Ordering::Relaxed) + moved, Ordering::Relaxed);
+        }
+        local.touched.clear();
+        self.count.store(
+            self.count.load(Ordering::Relaxed) + local.count,
+            Ordering::Relaxed,
+        );
+        self.sum.store(
+            self.sum.load(Ordering::Relaxed) + local.sum,
+            Ordering::Relaxed,
+        );
+        self.max.store(
+            self.max.load(Ordering::Relaxed).max(local.max),
+            Ordering::Relaxed,
+        );
+        (local.count, local.sum, local.max) = (0, 0, 0);
+    }
+}
+
+/// A [`Histogram`] for one owner: the same buckets, plain `u64`s, recorded
+/// through `&mut`. Exclusivity is the borrow checker's business, not a
+/// convention — there is no atomic here to get wrong.
+///
+/// It remembers which buckets it has touched, so publishing
+/// ([`Histogram::absorb`]) and reading ([`LocalHistogram::snapshot`]) cost
+/// what was recorded, not the full bucket range — and its bucket array
+/// only reaches as far as the largest value seen, so a tally of
+/// microsecond latencies is a few hundred bytes, not the shared
+/// histogram's 8 KiB.
+///
+/// # Examples
+///
+/// ```
+/// use camp_telemetry::{Histogram, LocalHistogram};
+///
+/// let shared = Histogram::new();
+/// let mut mine = LocalHistogram::new();
+/// mine.record(100);
+/// mine.record(200);
+/// shared.absorb(&mut mine);
+/// assert_eq!(mine.count(), 0);
+/// assert_eq!(shared.snapshot().sum, 300);
+/// ```
+#[derive(Clone)]
+pub struct LocalHistogram {
+    /// Buckets `0..=` the highest index recorded so far.
+    buckets: Vec<u64>,
+    /// Indices of the non-zero buckets, in first-touched order.
+    touched: Vec<u16>,
+    count: u64,
+    sum: u64,
+    max: u64,
+}
+
+// `touched` holds bucket indices as `u16`.
+const _: () = assert!(BUCKET_COUNT <= u16::MAX as usize);
+
+impl std::fmt::Debug for LocalHistogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LocalHistogram")
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("max", &self.max)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        LocalHistogram::new()
+    }
+}
+
+impl LocalHistogram {
+    /// Creates an empty histogram (no buckets until something is recorded).
+    #[must_use]
+    pub fn new() -> LocalHistogram {
+        LocalHistogram {
+            buckets: Vec::new(),
+            touched: Vec::new(),
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+
+    /// Records one observation.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        let index = bucket_index(value);
+        if index >= self.buckets.len() {
+            self.buckets.resize(index + 1, 0);
+        }
+        let bucket = &mut self.buckets[index];
+        if *bucket == 0 {
+            self.touched.push(index as u16);
+        }
+        *bucket += 1;
+        self.count += 1;
+        // Wraps like the shared histogram's `fetch_add` does.
+        self.sum = self.sum.wrapping_add(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Observations held (recorded and not yet absorbed or cleared).
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// A copy for quantile readout and cross-owner merging.
+    #[must_use]
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let mut snapshot = HistogramSnapshot::empty();
+        for &index in &self.touched {
+            snapshot.buckets[usize::from(index)] = self.buckets[usize::from(index)];
+        }
+        (snapshot.count, snapshot.sum, snapshot.max) = (self.count, self.sum, self.max);
+        snapshot
+    }
+}
+
 /// An owned, immutable copy of a [`Histogram`]'s state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -209,6 +396,12 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// Largest observed value (exact, not bucketed).
     pub max: u64,
+}
+
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
+        HistogramSnapshot::empty()
+    }
 }
 
 impl HistogramSnapshot {
@@ -372,6 +565,38 @@ mod tests {
         let mut sa = Histogram::new().snapshot();
         sa.merge(&b.snapshot());
         assert_eq!(sa.count, 300);
+    }
+
+    #[test]
+    fn local_histogram_agrees_with_the_shared_one() {
+        let shared = Histogram::new();
+        let mut local = LocalHistogram::new();
+        for v in (0..2000u64).map(|v| v * v % 7919) {
+            shared.record(v);
+            local.record(v);
+        }
+        assert_eq!(local.snapshot(), shared.snapshot());
+        assert_eq!(local.count(), 2000);
+        assert_eq!(LocalHistogram::new().snapshot(), HistogramSnapshot::empty());
+    }
+
+    #[test]
+    fn absorb_moves_everything_and_empties_the_local() {
+        let direct = Histogram::new();
+        let absorbed = Histogram::new();
+        let mut local = LocalHistogram::new();
+        // Several publish rounds, the last one empty.
+        for round in 0..4u64 {
+            for v in 0..50 * round {
+                direct.record(v * 31 + round);
+                local.record(v * 31 + round);
+            }
+            absorbed.absorb(&mut local);
+            assert_eq!(local.snapshot(), HistogramSnapshot::empty());
+            assert!(local.touched.is_empty());
+        }
+        absorbed.absorb(&mut local);
+        assert_eq!(absorbed.snapshot(), direct.snapshot());
     }
 
     #[test]

@@ -46,6 +46,8 @@ pub mod logger;
 pub mod trace;
 
 pub use crate::expose::{Exposition, MetricKind};
-pub use crate::histogram::{Histogram, HistogramSnapshot};
+pub use crate::histogram::{Histogram, HistogramSnapshot, LocalHistogram};
 pub use crate::logger::{set_level, LogLevel};
-pub use crate::trace::{EvictionTrace, FlightRecorder, RequestSpan, TraceRecord, TraceRing};
+pub use crate::trace::{
+    duration_micros, EvictionTrace, FlightRecorder, RequestSpan, TraceRecord, TraceRing,
+};

@@ -13,15 +13,17 @@
 //! * **Eviction events** ([`EvictionTrace`]) — one per admission or
 //!   eviction decision made by the cache policy, carrying the victim's key
 //!   hash, size, cost, rounded cost/size ratio, queue index and the
-//!   policy's `L` value at the time of the decision. Costs and `L` values
-//!   are simultaneously folded into [`Histogram`]s for Prometheus
-//!   exposition.
+//!   policy's `L` value at the time of the decision. (The totals and the
+//!   cost/`L` distributions over these events are tallied by whoever owns
+//!   the policy — each store shard, under its own lock — not here.)
 //!
 //! # Ring-buffer design
 //!
 //! [`TraceRing`] is a fixed-capacity multi-producer ring of 8-word
 //! records. Writers take a ticket with one `fetch_add` on a shared counter
-//! and then publish through a per-slot sequence word, seqlock style: a
+//! (a batch of `n` records takes its `n` consecutive tickets with one
+//! `fetch_add(n)`) and then publish through a per-slot sequence word,
+//! seqlock style: a
 //! single `compare_exchange` *claims* the slot by moving the sequence from
 //! its previous even value to the odd value `2t + 1`, the record's words
 //! are stored, and the even value `2t + 2` releases the slot (`t` is the
@@ -58,9 +60,7 @@
 //! ```
 
 use camp_check::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-use crate::histogram::Histogram;
+use std::time::{Duration, Instant};
 
 /// Words of payload per ring slot. Both record types fit with room spare;
 /// widening this is a wire-format change for [`TraceRing`] snapshots.
@@ -199,6 +199,12 @@ impl TraceRecord {
     }
 }
 
+impl From<RequestSpan> for TraceRecord {
+    fn from(span: RequestSpan) -> TraceRecord {
+        TraceRecord::Span(span)
+    }
+}
+
 /// One ring slot: a seqlock word plus the payload words.
 #[derive(Debug)]
 struct Slot {
@@ -281,11 +287,34 @@ impl TraceRing {
     /// (and counted in [`TraceRing::lapped`]) only when the slot is owned
     /// by a writer a full ring-lap away.
     pub fn record(&self, record: &TraceRecord) {
-        let words = record.encode();
         // ordering: Relaxed — the ticket only needs atomicity; slot
-        // ownership is established by the claim CAS below, not by any
-        // ordering on the ticket counter.
+        // ownership is established by the claim CAS in `write`, not by
+        // any ordering on the ticket counter.
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
+        self.write(ticket, record.encode());
+    }
+
+    /// Appends `records` in order under consecutive tickets taken with one
+    /// `fetch_add` — what a writer holding a whole batch (a connection's
+    /// spans at flush time) pays instead of one ticket RMW per record.
+    /// Each record is then published exactly as [`TraceRing::record`]
+    /// publishes its one; a batch longer than the ring laps itself and
+    /// keeps its newest records, like any other writer would.
+    pub fn record_batch<T: Copy + Into<TraceRecord>>(&self, records: &[T]) {
+        if records.is_empty() {
+            return;
+        }
+        // ordering: Relaxed — as in `record`: the tickets only need
+        // atomicity, each slot is claimed by its own CAS.
+        let first = self.head.fetch_add(records.len() as u64, Ordering::Relaxed);
+        for (ticket, &record) in (first..).zip(records) {
+            self.write(ticket, record.into().encode());
+        }
+    }
+
+    /// Publishes `words` in the slot `ticket` maps to (the caller took the
+    /// ticket from `head`).
+    fn write(&self, ticket: u64, words: [u64; RECORD_WORDS]) {
         let slot = &self.slots[(ticket & self.mask) as usize];
         let claim = ticket * 2 + 1;
         // ordering: Relaxed — advisory read; the CAS re-validates it.
@@ -414,6 +443,27 @@ impl TraceRing {
     }
 }
 
+/// Deliberately broken `record_batch` for the model-checking harness.
+#[cfg(camp_check)]
+impl TraceRing {
+    /// The batch protocol with an off-by-one in the claim: `n` tickets
+    /// taken, `n + 1` slots written. The extra write lands on a ticket
+    /// some other writer owns — two writers then publish different records
+    /// under one sequence number, which a reader accepts as a torn one.
+    pub fn record_batch_mutated_overclaim<T: Copy + Into<TraceRecord>>(&self, records: &[T]) {
+        let Some((&last, _)) = records.split_last() else {
+            return;
+        };
+        // ordering: Relaxed — as in the real `record_batch`.
+        let first = self.head.fetch_add(records.len() as u64, Ordering::Relaxed);
+        for (ticket, &record) in (first..).zip(records) {
+            self.write(ticket, record.into().encode());
+        }
+        // MUTATION: one more slot than tickets claimed.
+        self.write(first + records.len() as u64, last.into().encode());
+    }
+}
+
 /// Spans retained per worker ring.
 const SPAN_RING_CAPACITY: usize = 1024;
 /// Slow-request spans retained (survive fast-path overwrites).
@@ -422,7 +472,7 @@ const SLOW_RING_CAPACITY: usize = 256;
 const EVICTION_RING_CAPACITY: usize = 4096;
 
 /// The assembled flight recorder: per-worker span rings, the slow-request
-/// ring, the eviction-decision ring, and the derived cost/`L` histograms.
+/// ring and the eviction-decision ring.
 ///
 /// One instance serves the whole server; every method takes `&self` and is
 /// safe to call from any thread.
@@ -436,10 +486,6 @@ pub struct FlightRecorder {
     /// `u64::MAX` disables the slow log.
     slow_threshold_us: AtomicU64,
     slow_total: AtomicU64,
-    admit_total: AtomicU64,
-    evict_total: AtomicU64,
-    eviction_costs: Histogram,
-    l_values: Histogram,
 }
 
 impl FlightRecorder {
@@ -456,25 +502,15 @@ impl FlightRecorder {
             evictions: TraceRing::new(EVICTION_RING_CAPACITY),
             slow_threshold_us: AtomicU64::new(slow_threshold_us.unwrap_or(u64::MAX)),
             slow_total: AtomicU64::new(0),
-            admit_total: AtomicU64::new(0),
-            evict_total: AtomicU64::new(0),
-            eviction_costs: Histogram::new(),
-            l_values: Histogram::new(),
         }
     }
 
     /// Microseconds between recorder boot and `at` (0 if `at` precedes
     /// boot). Span phases should all be stamped through this one clock.
     ///
-    /// Stays in `u64` arithmetic (`Duration::as_micros` divides in
-    /// `u128`): this runs several times per request on the hot path.
     #[must_use]
     pub fn micros_since_boot(&self, at: Instant) -> u64 {
-        let elapsed = at.saturating_duration_since(self.boot);
-        elapsed
-            .as_secs()
-            .saturating_mul(1_000_000)
-            .saturating_add(u64::from(elapsed.subsec_micros()))
+        duration_micros(at.saturating_duration_since(self.boot))
     }
 
     /// The active slow-log threshold in microseconds, if enabled.
@@ -502,20 +538,30 @@ impl FlightRecorder {
         }
     }
 
-    /// Records one eviction-policy decision and folds it into the cost and
-    /// `L` histograms.
+    /// Records a connection's completed spans into the ring for
+    /// `ring_index` (wrapped) under one ticket claim, promoting those that
+    /// cross the threshold to the slow ring — [`FlightRecorder::record_span`]
+    /// for a writer that holds a batch.
+    pub fn record_spans(&self, ring_index: usize, spans: &[RequestSpan]) {
+        self.spans[ring_index % self.spans.len()].record_batch(spans);
+        // ordering: Relaxed — configuration read, as in `record_span`.
+        let threshold = self.slow_threshold_us.load(Ordering::Relaxed);
+        if threshold == u64::MAX {
+            return;
+        }
+        let mut slow = 0;
+        for span in spans.iter().filter(|span| span.total_us() >= threshold) {
+            slow += 1;
+            self.slow.record(&TraceRecord::Span(*span));
+        }
+        if slow > 0 {
+            // ordering: Relaxed — statistics counter.
+            self.slow_total.fetch_add(slow, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one eviction-policy decision in the eviction ring.
     pub fn record_eviction(&self, event: &EvictionTrace) {
-        if event.admit {
-            // ordering: Relaxed — statistics counter.
-            self.admit_total.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // ordering: Relaxed — statistics counter.
-            self.evict_total.fetch_add(1, Ordering::Relaxed);
-            self.eviction_costs.record(event.cost);
-        }
-        if event.l_value > 0 {
-            self.l_values.record(event.l_value);
-        }
         self.evictions.record(&TraceRecord::Eviction(*event));
     }
 
@@ -575,44 +621,25 @@ impl FlightRecorder {
         self.slow_total.load(Ordering::Relaxed)
     }
 
-    /// Total admission events recorded.
-    #[must_use]
-    pub fn admits_recorded(&self) -> u64 {
-        // ordering: Relaxed — statistics counter.
-        self.admit_total.load(Ordering::Relaxed)
-    }
-
-    /// Total eviction events recorded.
-    #[must_use]
-    pub fn evicts_recorded(&self) -> u64 {
-        // ordering: Relaxed — statistics counter.
-        self.evict_total.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the eviction cost distribution.
-    #[must_use]
-    pub fn eviction_cost_snapshot(&self) -> crate::histogram::HistogramSnapshot {
-        self.eviction_costs.snapshot()
-    }
-
-    /// Snapshot of the `L`-value trajectory (one sample per decision).
-    #[must_use]
-    pub fn l_value_snapshot(&self) -> crate::histogram::HistogramSnapshot {
-        self.l_values.snapshot()
-    }
-
-    /// Zeroes the derived counters and histograms (`stats reset`). Ring
-    /// contents are left in place — the flight recorder's whole point is
-    /// surviving until someone looks.
+    /// Zeroes the slow-request counter (`stats reset`). Ring contents are
+    /// left in place — the flight recorder's whole point is surviving
+    /// until someone looks.
     pub fn reset_derived(&self) {
-        // ordering: Relaxed(x3) — statistics counters; reset tolerates
-        // racing increments by design.
+        // ordering: Relaxed — statistics counter; reset tolerates racing
+        // increments by design.
         self.slow_total.store(0, Ordering::Relaxed);
-        self.admit_total.store(0, Ordering::Relaxed);
-        self.evict_total.store(0, Ordering::Relaxed);
-        self.eviction_costs.reset();
-        self.l_values.reset();
     }
+}
+
+/// `duration` in whole microseconds, saturating. Stays in `u64`
+/// arithmetic (`Duration::as_micros` divides in `u128`): span stamps and
+/// command latencies take this once per request on the hot path.
+#[must_use]
+pub fn duration_micros(duration: Duration) -> u64 {
+    duration
+        .as_secs()
+        .saturating_mul(1_000_000)
+        .saturating_add(u64::from(duration.subsec_micros()))
 }
 
 /// Records an ad-hoc [`EvictionTrace`] during debugging sessions. Not for
@@ -707,40 +734,59 @@ mod tests {
     }
 
     #[test]
-    fn eviction_events_feed_histograms_and_reset() {
-        let recorder = FlightRecorder::new(1, None);
-        for cost in [10, 20, 40] {
-            recorder.record_eviction(&EvictionTrace {
-                admit: false,
-                key_hash: cost,
-                size: 100,
-                cost,
-                ratio: cost / 100,
-                queue: 0,
-                l_value: cost * 2,
-            });
+    fn a_batch_lands_like_the_same_records_one_by_one() {
+        let one_by_one = TraceRing::new(8);
+        let batched = TraceRing::new(8);
+        let spans: Vec<RequestSpan> = (0..20).map(span).collect();
+        for s in &spans {
+            one_by_one.record(&TraceRecord::Span(*s));
         }
-        recorder.record_eviction(&EvictionTrace {
-            admit: true,
-            key_hash: 1,
+        // Uneven batches, one of them longer than the ring, one empty.
+        batched.record_batch(&spans[..3]);
+        batched.record_batch::<RequestSpan>(&[]);
+        batched.record_batch(&spans[3..15]);
+        batched.record_batch(&spans[15..]);
+        assert_eq!(batched.pushed(), 20);
+        assert_eq!(batched.lapped(), 0);
+        assert_eq!(batched.snapshot(), one_by_one.snapshot());
+    }
+
+    #[test]
+    fn batched_spans_are_promoted_like_single_ones() {
+        let recorder = FlightRecorder::new(1, Some(25));
+        let fast = RequestSpan {
+            flushed_us: 110,
+            ..span(1)
+        };
+        recorder.record_spans(0, &[span(1), fast, span(2)]);
+        recorder.record_spans(0, &[]);
+        assert_eq!(recorder.spans_recorded(), 3);
+        assert_eq!(recorder.slow_recorded(), 2);
+        assert_eq!(recorder.slow_snapshot(), vec![span(1), span(2)]);
+        recorder.reset_derived();
+        assert_eq!(recorder.slow_recorded(), 0);
+        assert_eq!(recorder.slow_snapshot().len(), 2, "rings survive a reset");
+        // With the slow log off nothing is promoted.
+        let quiet = FlightRecorder::new(1, None);
+        quiet.record_spans(0, &[span(1)]);
+        assert_eq!((quiet.spans_recorded(), quiet.slow_recorded()), (1, 0));
+    }
+
+    #[test]
+    fn eviction_events_land_in_their_ring() {
+        let recorder = FlightRecorder::new(1, None);
+        let event = EvictionTrace {
+            admit: false,
+            key_hash: 7,
             size: 100,
-            cost: 1000,
-            ratio: 10,
+            cost: 40,
+            ratio: 0,
             queue: 0,
             l_value: 80,
-        });
-        assert_eq!(recorder.evicts_recorded(), 3);
-        assert_eq!(recorder.admits_recorded(), 1);
-        let costs = recorder.eviction_cost_snapshot();
-        assert_eq!(costs.count, 3); // Admissions don't count as costs.
-        assert_eq!(costs.sum, 70);
-        assert_eq!(recorder.l_value_snapshot().count, 4);
-        assert_eq!(recorder.evictions_snapshot().len(), 4);
-        recorder.reset_derived();
-        assert_eq!(recorder.evicts_recorded(), 0);
-        assert_eq!(recorder.eviction_cost_snapshot().count, 0);
-        // Ring contents survive a derived reset.
-        assert_eq!(recorder.evictions_snapshot().len(), 4);
+        };
+        recorder.record_eviction(&event);
+        assert_eq!(recorder.evictions_snapshot(), vec![event]);
+        assert_eq!(recorder.spans_recorded(), 0);
     }
 
     #[test]
@@ -751,6 +797,8 @@ mod tests {
         assert!(b >= a);
         // An instant before boot clamps to zero rather than wrapping.
         assert_eq!(recorder.micros_since_boot(recorder.boot), 0);
+        assert_eq!(duration_micros(Duration::new(3, 4_999)), 3_000_004);
+        assert_eq!(duration_micros(Duration::MAX), u64::MAX);
     }
 
     #[test]
@@ -770,6 +818,6 @@ mod tests {
             }
         );
         assert_eq!(recorder.spans_recorded(), 1);
-        assert_eq!(recorder.evicts_recorded(), 1);
+        assert_eq!(recorder.evictions_snapshot().len(), 1);
     }
 }
