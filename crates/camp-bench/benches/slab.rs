@@ -3,33 +3,11 @@
 
 use camp_bench::micro::Group;
 use camp_core::Precision;
-use camp_kvs::buddy::BuddyAllocator;
 use camp_kvs::slab::{SlabAllocator, SlabConfig};
 use camp_kvs::store::{EvictionMode, Store, StoreConfig};
 
 fn main() {
     let group = Group::new("slab", 10_000, 20);
-    // The §5 allocator comparison: slab classes vs buddy blocks under the
-    // same mixed-size churn.
-    group.case("buddy_alloc_free_churn", || {
-        let mut buddy = BuddyAllocator::new(16 << 20, 64);
-        let mut live = Vec::new();
-        let mut state = 99u64;
-        for _ in 0..10_000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let size = 64 + (state % 2048) as u32;
-            if live.len() > 4_000 {
-                let idx = (state % live.len() as u64) as usize;
-                buddy.free(live.swap_remove(idx));
-            }
-            if let Ok(block) = buddy.allocate(size) {
-                live.push(block);
-            }
-        }
-        live.len()
-    });
     group.case("alloc_free_churn", || {
         let mut slabs = SlabAllocator::new(SlabConfig::small(1 << 20, 16));
         let mut live = Vec::new();

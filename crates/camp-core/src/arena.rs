@@ -33,7 +33,8 @@ pub struct EntryId {
 }
 
 impl EntryId {
-    /// The slot index within the arena. Only meaningful for diagnostics.
+    /// The slot index within the arena: dense, recycled, and unique among
+    /// live entries ([`Arena::id_at`] maps it back to the handle).
     #[must_use]
     pub fn index(self) -> u32 {
         self.index
@@ -195,6 +196,18 @@ impl<T> Arena<T> {
         self.get(id).is_some()
     }
 
+    /// The handle of the live entry in slot `index`, if that slot holds one
+    /// — the way back from a dense `u32` name (a heap id, say) taken with
+    /// [`EntryId::index`] to the generation-checked handle.
+    #[must_use]
+    pub fn id_at(&self, index: u32) -> Option<EntryId> {
+        let slot = self.slots.get(index as usize)?;
+        slot.value.as_ref().map(|_| EntryId {
+            index,
+            generation: slot.generation,
+        })
+    }
+
     /// Returns references to two *distinct* entries at once.
     ///
     /// Useful when re-linking list neighbours. Returns `None` if either
@@ -334,6 +347,18 @@ mod tests {
         assert!(!arena.contains(a));
         assert_eq!(arena.remove(a), None);
         assert_eq!(arena.get(b), Some(&"new"));
+    }
+
+    #[test]
+    fn id_at_resolves_live_slots_to_their_current_handle() {
+        let mut arena = Arena::new();
+        let a = arena.insert("old");
+        assert_eq!(arena.id_at(a.index()), Some(a));
+        arena.remove(a);
+        assert_eq!(arena.id_at(a.index()), None, "vacant slot");
+        let b = arena.insert("new");
+        assert_eq!(arena.id_at(a.index()), Some(b), "recycled: new generation");
+        assert_eq!(arena.id_at(7), None, "never allocated");
     }
 
     #[test]

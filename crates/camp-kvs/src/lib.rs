@@ -8,8 +8,6 @@
 //! * [`slab`] — Twemcache's slab allocator (1 MiB slabs, 1.25x class
 //!   growth, calcification + random slab eviction), with real backing
 //!   memory;
-//! * [`buddy`] — the §5 alternative space manager (binary buddy system,
-//!   immune to calcification);
 //! * [`item`] — the on-chunk item encoding (header + key + value);
 //! * [`store`] — the cache store: hash index + slab memory + pluggable
 //!   LRU/CAMP eviction driven by slab exhaustion;
@@ -58,7 +56,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod buddy;
 pub mod client;
 pub mod fault;
 mod fingerprint;

@@ -4,7 +4,6 @@
 //! memory. Seeded random exploration via `camp_core::rng::Rng64`.
 
 use camp_core::rng::Rng64;
-use camp_kvs::buddy::BuddyAllocator;
 use camp_kvs::protocol::{parse_command, parse_command_limited};
 use camp_kvs::slab::{SlabAllocator, SlabConfig};
 use camp_kvs::store::{EvictionMode, Store, StoreConfig, StoreError};
@@ -306,39 +305,5 @@ fn slab_allocator_conserves_chunks() {
             let census_items: u64 = slabs.class_census().iter().map(|&(_, _, n)| n).sum();
             assert_eq!(census_items as usize, live.len());
         }
-    }
-}
-
-/// The buddy allocator conserves bytes exactly and coalesces fully.
-#[test]
-fn buddy_conserves_bytes() {
-    for seed in 0..24u64 {
-        let mut rng = Rng64::seed_from_u64(0xB0DD ^ seed);
-        let ops: Vec<(bool, u32)> = (0..rng.range_usize(1, 300))
-            .map(|_| (rng.chance(0.5), rng.range_u64(1, 5_000) as u32))
-            .collect();
-        let arena = 1u32 << 15;
-        let mut buddy = BuddyAllocator::new(arena, 64);
-        let mut live = Vec::new();
-        for &(free_first, size) in &ops {
-            if free_first && !live.is_empty() {
-                let block = live.swap_remove(live.len() / 2);
-                buddy.free(block);
-            } else if let Ok(block) = buddy.allocate(size) {
-                live.push(block);
-            }
-            let block_bytes: u64 = live
-                .iter()
-                .map(|b| u64::from(buddy.block_size(b.order())))
-                .sum();
-            assert_eq!(buddy.live_bytes(), block_bytes);
-            assert_eq!(buddy.live_blocks(), live.len());
-        }
-        for block in live {
-            buddy.free(block);
-        }
-        assert_eq!(buddy.live_bytes(), 0);
-        // Full coalescing: the whole arena is allocatable again.
-        assert!(buddy.allocate(arena).is_ok());
     }
 }

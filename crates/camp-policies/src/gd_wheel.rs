@@ -17,25 +17,23 @@
 //! forward; when every low slot is empty, the next non-empty higher-wheel
 //! slot is migrated down, advancing `L`.
 
-use camp_core::arena::{Arena, EntryId};
-use camp_core::hash::FoldHashMap;
+use camp_core::arena::EntryId;
 use camp_core::lru_list::{Linked, Links, LruList};
 use camp_core::rounding::{Precision, RatioRounder};
 
-use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind,
-    SharedTraceSink,
-};
+use crate::keyed::{Keyed, Ordering, Slot, Slots};
+use crate::policy::CacheKey;
 
 const WHEEL_BITS: u32 = 8;
 const WHEEL_SLOTS: usize = 1 << WHEEL_BITS; // 256
-const LEVELS: usize = 8; // 8 levels x 8 bits: the full u64 priority space
+/// 8 levels x 8 bits: the full `u64` priority space, so the clock can never
+/// saturate within a feasible trace (saturation would degenerate the wheel
+/// into near-LRU, a failure mode long high-cost traces would otherwise hit).
+const LEVELS: usize = 8;
 
-#[derive(Debug)]
-struct Entry<K> {
-    key: K,
-    size: u64,
-    cost: u64,
+/// Per pair: its priority and where it is bucketed.
+#[derive(Debug, Default)]
+pub(crate) struct Spoke {
     ratio: u64,
     deadline: u64,
     level: u8,
@@ -43,12 +41,151 @@ struct Entry<K> {
     links: Links,
 }
 
-impl<K> Linked for Entry<K> {
+impl<K> Linked for Slot<K, Spoke> {
     fn links(&self) -> &Links {
-        &self.links
+        &self.node.links
     }
     fn links_mut(&mut self) -> &mut Links {
-        &mut self.links
+        &mut self.node.links
+    }
+}
+
+/// GD-Wheel's order: hierarchical cost wheels around the clock `L`.
+#[derive(Debug)]
+pub struct Wheels {
+    /// `LEVELS * WHEEL_SLOTS` LRU queues, row-major by level.
+    buckets: Vec<LruList>,
+    rounder: RatioRounder,
+    l: u64,
+    migrations: u64,
+}
+
+impl Default for Wheels {
+    fn default() -> Self {
+        Wheels {
+            buckets: vec![LruList::new(); LEVELS * WHEEL_SLOTS],
+            rounder: RatioRounder::new(Precision::Infinite),
+            l: 0,
+            migrations: 0,
+        }
+    }
+}
+
+impl Wheels {
+    fn digit(value: u64, level: usize) -> usize {
+        ((value >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize
+    }
+
+    /// The wheel level for a deadline: the highest base-256 digit in which
+    /// it differs from the clock (stale deadlines map to level 0).
+    #[inline] // not generic, but called from code instantiated downstream
+    fn level_for(&self, deadline: u64) -> usize {
+        let diff = deadline ^ self.l;
+        if diff == 0 || deadline <= self.l {
+            return 0;
+        }
+        let high_bit = 63 - diff.leading_zeros();
+        ((high_bit / WHEEL_BITS) as usize).min(LEVELS - 1)
+    }
+
+    fn place<K>(&mut self, slots: &mut Slots<K, Spoke>, id: EntryId) {
+        let node = &mut slots.get_mut(id).expect("live entry").node;
+        let level = self.level_for(node.deadline);
+        let slot = if node.deadline <= self.l {
+            // Stale entry: first in line at the current hand.
+            Self::digit(self.l, 0)
+        } else {
+            Self::digit(node.deadline, level)
+        };
+        node.level = level as u8;
+        node.slot = slot as u16;
+        self.buckets[level * WHEEL_SLOTS + slot].push_back(slots, id);
+    }
+
+    /// The first non-empty bucket in clock order, if any: `(level, index)`.
+    fn next_bucket(&self) -> Option<(usize, usize)> {
+        for level in 0..LEVELS {
+            let hand = Self::digit(self.l, level);
+            for off in 0..WHEEL_SLOTS {
+                let index = level * WHEEL_SLOTS + (hand + off) % WHEEL_SLOTS;
+                if !self.buckets[index].is_empty() {
+                    return Some((level, index));
+                }
+            }
+        }
+        None
+    }
+}
+
+impl Ordering for Wheels {
+    type Node = Spoke;
+
+    fn name(&self) -> String {
+        "gd-wheel".to_owned()
+    }
+
+    fn admit<K>(&mut self, slots: &mut Slots<K, Spoke>, id: EntryId) {
+        let entry = slots.get_mut(id).expect("live entry");
+        entry.node.ratio = self.rounder.rounded_ratio(entry.cost, entry.size);
+        entry.node.deadline = self.l.saturating_add(entry.node.ratio);
+        self.place(slots, id);
+    }
+
+    fn hit<K>(&mut self, slots: &mut Slots<K, Spoke>, id: EntryId) {
+        // Hit: refresh the deadline and re-bucket (O(1), no migration).
+        self.forget(slots, id);
+        let node = &mut slots.get_mut(id).expect("live entry").node;
+        node.deadline = self.l.saturating_add(node.ratio);
+        self.place(slots, id);
+    }
+
+    fn victim<K>(&self, slots: &Slots<K, Spoke>) -> Option<EntryId> {
+        let (level, index) = self.next_bucket()?;
+        let bucket = &self.buckets[index];
+        if level == 0 {
+            return bucket.front();
+        }
+        // A higher-level slot would be migrated first; its earliest-deadline
+        // entry is the one the clock advances to.
+        bucket
+            .iter(slots)
+            .min_by_key(|&id| slots.get(id).map(|e| e.node.deadline))
+    }
+
+    fn forget<K>(&mut self, slots: &mut Slots<K, Spoke>, id: EntryId) {
+        let node = &slots.get(id).expect("live entry").node;
+        let index = node.level as usize * WHEEL_SLOTS + node.slot as usize;
+        self.buckets[index].unlink(slots, id);
+    }
+
+    fn evict<K>(&mut self, slots: &mut Slots<K, Spoke>) -> Option<EntryId> {
+        loop {
+            let (level, index) = self.next_bucket()?;
+            if level == 0 {
+                let id = self.buckets[index].pop_front(slots)?;
+                self.l = self.l.max(slots.get(id)?.node.deadline);
+                return Some(id);
+            }
+            // Migration: advance the clock to the earliest deadline in the
+            // slot, then re-bucket every entry one level down.
+            let ids: Vec<EntryId> = self.buckets[index].iter(slots).collect();
+            let min_deadline = ids
+                .iter()
+                .filter_map(|&id| slots.get(id).map(|e| e.node.deadline))
+                .min()
+                .expect("non-empty slot");
+            self.l = self.l.max(min_deadline);
+            self.migrations += ids.len() as u64;
+            for id in ids {
+                self.buckets[index].unlink(slots, id);
+                self.place(slots, id);
+            }
+        }
+    }
+
+    /// The trace `queue` field carries the entry's wheel level.
+    fn event_fields(&self, node: &Spoke) -> (u64, u32, u64) {
+        (node.ratio, u32::from(node.level), self.l)
     }
 }
 
@@ -66,278 +203,27 @@ impl<K> Linked for Entry<K> {
 /// wheel.reference(CacheRequest::new(3, 50, 1), &mut evicted);
 /// assert_eq!(evicted, vec![2]); // the cheap pair went first
 /// ```
-#[derive(Debug)]
-pub struct GdWheel<K = u64> {
-    map: FoldHashMap<K, EntryId>,
-    arena: Arena<Entry<K>>,
-    /// `LEVELS * WHEEL_SLOTS` LRU queues, row-major by level.
-    slots: Vec<LruList>,
-    rounder: RatioRounder,
-    l: u64,
-    capacity: u64,
-    used: u64,
-    migrations: u64,
-    sink: Option<SharedTraceSink>,
-}
+pub type GdWheel<K = u64> = Keyed<K, Wheels>;
 
 impl<K: CacheKey> GdWheel<K> {
-    /// The largest priority the wheels can represent. With eight 8-bit
-    /// levels this is the whole `u64` space, so the clock can never
-    /// saturate within a feasible trace (saturation would degenerate the
-    /// wheel into near-LRU, a failure mode long high-cost traces would
-    /// otherwise hit).
-    pub const MAX_PRIORITY: u64 = u64::MAX;
-
-    /// Creates a GD-Wheel cache with the given byte capacity.
-    #[must_use]
-    pub fn new(capacity: u64) -> Self {
-        GdWheel {
-            map: FoldHashMap::default(),
-            arena: Arena::new(),
-            slots: vec![LruList::new(); LEVELS * WHEEL_SLOTS],
-            rounder: RatioRounder::new(Precision::Infinite),
-            l: 0,
-            capacity,
-            used: 0,
-            migrations: 0,
-            sink: None,
-        }
-    }
-
-    /// Builds the trace event for `entry` at the current clock (the trace
-    /// `queue` field carries the entry's wheel level).
-    fn event_for(&self, kind: PolicyEventKind, entry: &Entry<K>) -> PolicyEvent {
-        PolicyEvent {
-            kind,
-            key_hash: key_hash(&entry.key),
-            size: entry.size,
-            cost: entry.cost,
-            ratio: entry.ratio,
-            queue: u32::from(entry.level),
-            l_value: self.l,
-        }
-    }
-
     /// Total entries migrated between wheels so far — the overhead CAMP's
     /// design eliminates (§5).
     #[must_use]
     pub fn migrations(&self) -> u64 {
-        self.migrations
+        self.ordering.migrations
     }
 
     /// The global clock (non-decreasing).
     #[must_use]
     pub fn l_value(&self) -> u64 {
-        self.l
-    }
-
-    fn digit(value: u64, level: usize) -> usize {
-        ((value >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize
-    }
-
-    /// The wheel level for a deadline: the highest base-256 digit in which
-    /// it differs from the clock (stale deadlines map to level 0).
-    fn level_for(&self, deadline: u64) -> usize {
-        let diff = deadline ^ self.l;
-        if diff == 0 || deadline <= self.l {
-            return 0;
-        }
-        let high_bit = 63 - diff.leading_zeros();
-        ((high_bit / WHEEL_BITS) as usize).min(LEVELS - 1)
-    }
-
-    fn place(&mut self, id: EntryId) {
-        let deadline = self.arena.get(id).expect("live entry").deadline;
-        let level = self.level_for(deadline);
-        let slot = if deadline <= self.l {
-            // Stale entry: first in line at the current hand.
-            Self::digit(self.l, 0)
-        } else {
-            Self::digit(deadline, level)
-        };
-        {
-            let entry = self.arena.get_mut(id).expect("live entry");
-            entry.level = level as u8;
-            entry.slot = slot as u16;
-        }
-        self.slots[level * WHEEL_SLOTS + slot].push_back(&mut self.arena, id);
-    }
-
-    fn unplace(&mut self, id: EntryId) {
-        let (level, slot) = {
-            let entry = self.arena.get(id).expect("live entry");
-            (entry.level as usize, entry.slot as usize)
-        };
-        self.slots[level * WHEEL_SLOTS + slot].unlink(&mut self.arena, id);
-    }
-
-    /// The first non-empty slot in clock order, if any.
-    fn next_slot(&self) -> Option<(usize, usize)> {
-        for level in 0..LEVELS {
-            let hand = Self::digit(self.l, level);
-            for off in 0..WHEEL_SLOTS {
-                let slot = (hand + off) % WHEEL_SLOTS;
-                if !self.slots[level * WHEEL_SLOTS + slot].is_empty() {
-                    return Some((level, slot));
-                }
-            }
-        }
-        None
-    }
-
-    fn on_hit(&mut self, key: &K) -> bool {
-        let Some(&id) = self.map.get(key) else {
-            return false;
-        };
-        // Hit: refresh the deadline and re-bucket (O(1), no migration).
-        self.unplace(id);
-        let ratio = self.arena.get(id).expect("live entry").ratio;
-        let deadline = self.l.saturating_add(ratio);
-        self.arena.get_mut(id).expect("live entry").deadline = deadline;
-        self.place(id);
-        true
-    }
-
-    fn evict_one(&mut self, evicted: &mut Vec<K>) -> bool {
-        loop {
-            let Some((level, slot)) = self.next_slot() else {
-                return false;
-            };
-            if level == 0 {
-                let list = &mut self.slots[slot];
-                let id = list.pop_front(&mut self.arena).expect("non-empty slot");
-                let entry = self.arena.remove(id).expect("live entry");
-                self.map.remove(&entry.key);
-                self.used -= entry.size;
-                self.l = self.l.max(entry.deadline);
-                if let Some(sink) = &self.sink {
-                    sink.record(&self.event_for(PolicyEventKind::Evict, &entry));
-                }
-                evicted.push(entry.key);
-                return true;
-            }
-            // Migration: advance the clock to the earliest deadline in the
-            // slot, then re-bucket every entry one level down.
-            let index = level * WHEEL_SLOTS + slot;
-            let ids: Vec<EntryId> = self.slots[index].iter(&self.arena).collect();
-            let min_deadline = ids
-                .iter()
-                .filter_map(|&id| self.arena.get(id).map(|e| e.deadline))
-                .min()
-                .expect("non-empty slot");
-            self.l = self.l.max(min_deadline);
-            self.migrations += ids.len() as u64;
-            for id in ids {
-                self.slots[index].unlink(&mut self.arena, id);
-                self.place(id);
-            }
-        }
-    }
-}
-
-impl<K: CacheKey> EvictionPolicy<K> for GdWheel<K> {
-    fn name(&self) -> String {
-        "gd-wheel".to_owned()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome {
-        assert!(req.size > 0, "key-value pairs have positive size");
-        if self.on_hit(&req.key) {
-            return AccessOutcome::Hit;
-        }
-        if req.size > self.capacity {
-            return AccessOutcome::MissBypassed;
-        }
-        while self.used + req.size > self.capacity {
-            let ok = self.evict_one(evicted);
-            debug_assert!(ok, "byte accounting out of sync");
-        }
-        let ratio = self.rounder.rounded_ratio(req.cost, req.size);
-        let deadline = self.l.saturating_add(ratio);
-        let id = self.arena.insert(Entry {
-            key: req.key.clone(),
-            size: req.size,
-            cost: req.cost,
-            ratio,
-            deadline,
-            level: 0,
-            slot: 0,
-            links: Links::new(),
-        });
-        self.place(id);
-        if let Some(sink) = &self.sink {
-            let entry = self.arena.get(id).expect("just inserted");
-            sink.record(&self.event_for(PolicyEventKind::Admit, entry));
-        }
-        self.map.insert(req.key, id);
-        self.used += req.size;
-        AccessOutcome::MissInserted
-    }
-
-    fn touch(&mut self, key: &K) -> bool {
-        self.on_hit(key)
-    }
-
-    fn victim(&self) -> Option<K> {
-        let (level, slot) = self.next_slot()?;
-        let list = &self.slots[level * WHEEL_SLOTS + slot];
-        if level == 0 {
-            return list
-                .front()
-                .and_then(|id| self.arena.get(id))
-                .map(|e| e.key.clone());
-        }
-        // A higher-level slot would be migrated first; its earliest-deadline
-        // entry is the one the clock advances to.
-        list.iter(&self.arena)
-            .filter_map(|id| self.arena.get(id))
-            .min_by_key(|e| e.deadline)
-            .map(|e| e.key.clone())
-    }
-
-    fn remove(&mut self, key: &K) -> bool {
-        let Some(id) = self.map.remove(key) else {
-            return false;
-        };
-        self.unplace(id);
-        let entry = self.arena.remove(id).expect("live entry");
-        self.used -= entry.size;
-        true
-    }
-
-    fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.sink = sink;
-    }
-
-    fn trace_sink(&self) -> Option<&SharedTraceSink> {
-        self.sink.as_ref()
-    }
-
-    fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {
-        let entry = self.arena.get(*self.map.get(key)?)?;
-        Some(self.event_for(PolicyEventKind::Evict, entry))
+        self.ordering.l
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{AccessOutcome, CacheRequest, EvictionPolicy};
 
     fn touch(c: &mut GdWheel, key: u64, size: u64, cost: u64) -> (AccessOutcome, Vec<u64>) {
         let mut evicted = Vec::new();
@@ -458,7 +344,7 @@ mod tests {
             touch(&mut c, key, 10, 10_000_000); // very expensive churn
         }
         assert!(
-            c.l_value() < GdWheel::<u64>::MAX_PRIORITY / 2,
+            c.l_value() < u64::MAX / 2,
             "clock saturating: {}",
             c.l_value()
         );

@@ -1,4 +1,5 @@
-//! Exact Greedy Dual Size (GDS): the algorithm CAMP approximates.
+//! Exact Greedy Dual Size (GDS), the algorithm CAMP approximates, and its
+//! frequency-aware variant GDSF.
 //!
 //! GDS (Cao & Irani) keeps one priority-queue node *per cached pair* and
 //! updates the heap on every hit, so each operation costs `O(log n)` in the
@@ -13,22 +14,132 @@
 //! paper's "∞" configuration — but a precision can be supplied to study the
 //! rounding in isolation from CAMP's queue structure.
 
-use camp_core::arena::{Arena, EntryId};
-use camp_core::hash::FoldHashMap;
+use camp_core::arena::EntryId;
 use camp_core::heap::OctonaryHeap;
 use camp_core::rounding::{Precision, RatioRounder};
 
-use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind,
-    SharedTraceSink,
-};
+use crate::keyed::{Keyed, Ordering, Slots};
+use crate::policy::CacheKey;
 
-#[derive(Debug)]
-struct Entry<K> {
-    key: K,
-    size: u64,
-    cost: u64,
+/// Frequencies beyond this no longer raise the priority (overflow guard;
+/// in practice hit counts this high mean the pair is effectively pinned
+/// until `L` catches up).
+const MAX_FREQUENCY: u64 = 1 << 20;
+
+#[derive(Debug, Default)]
+pub(crate) struct Priced {
     ratio: u64,
+    /// References so far; counted (and used) only under `FREQUENCY`.
+    frequency: u64,
+}
+
+/// Greedy-dual order: a heap of `H(p) = L + ratio(p)` with one node per
+/// pair (heap ids are arena slot indices) and the inflation term `L`. With
+/// `FREQUENCY` the ratio is weighted by the pair's reference count — the
+/// one thing that separates GDSF from GDS.
+#[derive(Debug)]
+pub struct GreedyDual<const FREQUENCY: bool> {
+    heap: OctonaryHeap<u128>,
+    rounder: RatioRounder,
+    l: u128,
+}
+
+impl<const FREQUENCY: bool> GreedyDual<FREQUENCY> {
+    fn priority(&self, node: &Priced) -> u128 {
+        let weight = if FREQUENCY {
+            node.frequency.min(MAX_FREQUENCY)
+        } else {
+            1
+        };
+        self.l + u128::from(node.ratio) * u128::from(weight)
+    }
+}
+
+impl<const FREQUENCY: bool> Default for GreedyDual<FREQUENCY> {
+    fn default() -> Self {
+        GreedyDual {
+            heap: OctonaryHeap::new(),
+            rounder: RatioRounder::new(Precision::Infinite),
+            l: 0,
+        }
+    }
+}
+
+impl<const FREQUENCY: bool> Ordering for GreedyDual<FREQUENCY> {
+    type Node = Priced;
+
+    fn name(&self) -> String {
+        match (FREQUENCY, self.rounder.precision()) {
+            (true, _) => "gdsf".to_owned(),
+            (false, Precision::Infinite) => "gds".to_owned(),
+            (false, p) => format!("gds(p={p})"),
+        }
+    }
+
+    fn admit<K>(&mut self, slots: &mut Slots<K, Priced>, id: EntryId) {
+        let entry = slots.get_mut(id).expect("live entry");
+        entry.node = Priced {
+            ratio: self.rounder.rounded_ratio(entry.cost, entry.size),
+            frequency: 1,
+        };
+        let priority = self.priority(&entry.node);
+        self.heap.insert(id.index(), priority);
+    }
+
+    fn hit<K>(&mut self, slots: &mut Slots<K, Priced>, id: EntryId) {
+        // Hit: Algorithm 1 line 2 — L <- min_{q in M \ {p}} H(q), then
+        // H(p) <- L + ratio(p). Removing p first makes the heap minimum
+        // exactly that excluded minimum.
+        let idx = id.index();
+        self.heap.remove(idx).expect("resident key has a heap node");
+        if let Some((_, &min)) = self.heap.peek() {
+            debug_assert!(min >= self.l);
+            self.l = min;
+        }
+        let node = &mut slots.get_mut(id).expect("live entry").node;
+        if FREQUENCY {
+            node.frequency = node.frequency.saturating_add(1);
+        }
+        let priority = self.priority(node);
+        self.heap.insert(idx, priority);
+    }
+
+    fn victim<K>(&self, slots: &Slots<K, Priced>) -> Option<EntryId> {
+        let (idx, _) = self.heap.peek()?;
+        slots.id_at(idx)
+    }
+
+    fn forget<K>(&mut self, _slots: &mut Slots<K, Priced>, id: EntryId) {
+        self.heap.remove(id.index());
+    }
+
+    fn evict<K>(&mut self, slots: &mut Slots<K, Priced>) -> Option<EntryId> {
+        let (idx, h) = self.heap.pop()?;
+        // Algorithm 1 line 6: L <- min over the remaining pairs.
+        let new_l = self.heap.peek().map_or(h, |(_, &min)| min);
+        debug_assert!(new_l >= self.l);
+        self.l = new_l;
+        slots.id_at(idx)
+    }
+
+    fn event_fields(&self, node: &Priced) -> (u64, u32, u64) {
+        (node.ratio, 0, u64::try_from(self.l).unwrap_or(u64::MAX))
+    }
+
+    // No `queue_count`: a greedy-dual cache has no queues; its heap has one
+    // node per resident pair.
+
+    fn heap_node_visits(&self) -> Option<u64> {
+        Some(self.heap.node_visits())
+    }
+
+    fn heap_update_ops(&self) -> Option<u64> {
+        Some(self.heap.update_ops())
+    }
+
+    fn reset_instrumentation(&mut self) {
+        self.heap.reset_counters();
+    }
 }
 
 /// The Greedy Dual Size cache.
@@ -47,256 +158,63 @@ struct Entry<K> {
 /// assert_eq!(evicted, vec![2]);
 /// assert!(gds.contains(&1));
 /// ```
-#[derive(Debug)]
-pub struct Gds<K = u64> {
-    map: FoldHashMap<K, EntryId>,
-    arena: Arena<Entry<K>>,
-    /// Heap ids are arena slot indices; this table resolves them back to
-    /// generation-checked handles in O(1).
-    by_slot: Vec<Option<EntryId>>,
-    heap: OctonaryHeap<u128>,
-    rounder: RatioRounder,
-    l: u128,
-    capacity: u64,
-    used: u64,
-    sink: Option<SharedTraceSink>,
-}
+pub type Gds<K = u64> = Keyed<K, GreedyDual<false>>;
+
+/// GDSF — Greedy Dual Size *Frequency* (Cherkasova), the GDS variant
+/// deployed in the Squid web proxy.
+///
+/// GDSF extends GDS's priority with an access-frequency factor:
+/// `H(p) = L + freq(p) · cost(p) / size(p)`. Frequently re-referenced pairs
+/// climb faster, which protects hot small objects beyond what recency alone
+/// gives. The CAMP paper's lineage (Greedy Dual → GDS → CAMP) makes GDSF
+/// the natural "what if we also track frequency" comparison point, so it is
+/// provided as an extension baseline. Frequencies are capped to keep the
+/// priority arithmetic exact.
+///
+/// # Examples
+///
+/// ```
+/// use camp_policies::{CacheRequest, EvictionPolicy, Gdsf};
+///
+/// let mut gdsf = Gdsf::new(100);
+/// let mut evicted = Vec::new();
+/// // Two equal-cost pairs; one is hit repeatedly.
+/// gdsf.reference(CacheRequest::new(1, 40, 10), &mut evicted);
+/// gdsf.reference(CacheRequest::new(2, 40, 10), &mut evicted);
+/// for _ in 0..5 {
+///     gdsf.reference(CacheRequest::new(1, 40, 10), &mut evicted);
+/// }
+/// // The in-frequent pair goes first.
+/// gdsf.reference(CacheRequest::new(3, 40, 10), &mut evicted);
+/// assert_eq!(evicted, vec![2]);
+/// assert!(gdsf.contains(&1));
+/// ```
+pub type Gdsf<K = u64> = Keyed<K, GreedyDual<true>>;
 
 impl<K: CacheKey> Gds<K> {
-    /// Creates a GDS cache with exact (unrounded) integerized ratios.
-    #[must_use]
-    pub fn new(capacity: u64) -> Self {
-        Gds::with_precision(capacity, Precision::Infinite)
-    }
-
     /// Creates a GDS cache that rounds ratios to `precision` — useful for
     /// isolating the effect of rounding from CAMP's queue structure.
+    /// ([`Gds::new`] is exact: [`Precision::Infinite`].)
     #[must_use]
     pub fn with_precision(capacity: u64, precision: Precision) -> Self {
-        Gds {
-            map: FoldHashMap::default(),
-            arena: Arena::new(),
-            by_slot: Vec::new(),
-            heap: OctonaryHeap::new(),
-            rounder: RatioRounder::new(precision),
-            l: 0,
-            capacity,
-            used: 0,
-            sink: None,
-        }
+        let mut gds = Gds::new(capacity);
+        gds.ordering.rounder = RatioRounder::new(precision);
+        gds
     }
+}
 
-    /// Builds the trace event for `entry` at the current `L`.
-    fn event_for(&self, kind: PolicyEventKind, entry: &Entry<K>) -> PolicyEvent {
-        PolicyEvent {
-            kind,
-            key_hash: key_hash(&entry.key),
-            size: entry.size,
-            cost: entry.cost,
-            ratio: entry.ratio,
-            queue: 0,
-            l_value: u64::try_from(self.l).unwrap_or(u64::MAX),
-        }
-    }
-
+impl<K: CacheKey, const FREQUENCY: bool> Keyed<K, GreedyDual<FREQUENCY>> {
     /// The global inflation term `L` (non-decreasing).
     #[must_use]
     pub fn l_value(&self) -> u128 {
-        self.l
-    }
-
-    /// The key with the minimum priority (the next victim), if any.
-    #[must_use]
-    pub fn victim(&self) -> Option<K> {
-        let (idx, _) = self.heap.peek()?;
-        self.entry_by_heap_id(idx).map(|e| e.key.clone())
-    }
-
-    /// The current priority of a resident key.
-    #[must_use]
-    pub fn priority_of(&self, key: &K) -> Option<u128> {
-        let id = *self.map.get(key)?;
-        self.heap.key_of(id.index()).copied()
-    }
-
-    fn entry_by_heap_id(&self, idx: u32) -> Option<&Entry<K>> {
-        let id = (*self.by_slot.get(idx as usize)?)?;
-        self.arena.get(id)
-    }
-
-    fn track_slot(&mut self, id: EntryId) {
-        let idx = id.index() as usize;
-        if self.by_slot.len() <= idx {
-            self.by_slot.resize(idx + 1, None);
-        }
-        self.by_slot[idx] = Some(id);
-    }
-
-    fn on_hit(&mut self, id: EntryId) {
-        // Hit: Algorithm 1 line 2 — L <- min_{q in M \ {p}} H(q), then
-        // H(p) <- L + ratio(p). Removing p first makes the heap minimum
-        // exactly that excluded minimum.
-        let idx = id.index();
-        self.heap.remove(idx).expect("resident key has a heap node");
-        if let Some((_, &min)) = self.heap.peek() {
-            debug_assert!(min >= self.l);
-            self.l = min;
-        }
-        let ratio = self.arena.get(id).expect("live entry").ratio;
-        self.heap.insert(idx, self.l + u128::from(ratio));
-    }
-
-    /// Removes `key` from every structure, handing back its entry.
-    fn detach(&mut self, key: &K) -> Option<Entry<K>> {
-        let id = self.map.remove(key)?;
-        self.heap.remove(id.index());
-        self.by_slot[id.index() as usize] = None;
-        let entry = self.arena.remove(id).expect("live entry");
-        self.used -= entry.size;
-        Some(entry)
-    }
-
-    fn evict_one(&mut self, evicted: &mut Vec<K>) -> bool {
-        let Some((idx, h)) = self.heap.pop() else {
-            return false;
-        };
-        let id = self.by_slot[idx as usize]
-            .take()
-            .expect("heap id maps to a live entry");
-        let entry = self.arena.remove(id).expect("live entry");
-        self.map.remove(&entry.key);
-        self.used -= entry.size;
-        // Algorithm 1 line 6: L <- min over the remaining pairs.
-        let new_l = match self.heap.peek() {
-            Some((_, &min)) => min,
-            None => h,
-        };
-        debug_assert!(new_l >= self.l);
-        self.l = new_l;
-        if let Some(sink) = &self.sink {
-            sink.record(&self.event_for(PolicyEventKind::Evict, &entry));
-        }
-        evicted.push(entry.key);
-        true
-    }
-}
-
-impl<K: CacheKey> EvictionPolicy<K> for Gds<K> {
-    fn name(&self) -> String {
-        match self.rounder.precision() {
-            Precision::Infinite => "gds".to_owned(),
-            p => format!("gds(p={p})"),
-        }
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome {
-        assert!(req.size > 0, "key-value pairs have positive size");
-        if let Some(&id) = self.map.get(&req.key) {
-            self.on_hit(id);
-            return AccessOutcome::Hit;
-        }
-        if req.size > self.capacity {
-            return AccessOutcome::MissBypassed;
-        }
-        while self.used + req.size > self.capacity {
-            let ok = self.evict_one(evicted);
-            debug_assert!(ok, "byte accounting out of sync");
-        }
-        let ratio = self.rounder.rounded_ratio(req.cost, req.size);
-        let h = self.l + u128::from(ratio);
-        let id = self.arena.insert(Entry {
-            key: req.key.clone(),
-            size: req.size,
-            cost: req.cost,
-            ratio,
-        });
-        self.track_slot(id);
-        self.heap.insert(id.index(), h);
-        if let Some(sink) = &self.sink {
-            let entry = self.arena.get(id).expect("just inserted");
-            sink.record(&self.event_for(PolicyEventKind::Admit, entry));
-        }
-        self.map.insert(req.key, id);
-        self.used += req.size;
-        AccessOutcome::MissInserted
-    }
-
-    fn touch(&mut self, key: &K) -> bool {
-        let Some(&id) = self.map.get(key) else {
-            return false;
-        };
-        self.on_hit(id);
-        true
-    }
-
-    fn victim(&self) -> Option<K> {
-        Gds::victim(self)
-    }
-
-    fn remove(&mut self, key: &K) -> bool {
-        self.detach(key).is_some()
-    }
-
-    fn evict(&mut self, key: &K) -> bool {
-        let Some(entry) = self.detach(key) else {
-            return false;
-        };
-        if let Some(sink) = &self.sink {
-            sink.record(&self.event_for(PolicyEventKind::Evict, &entry));
-        }
-        true
-    }
-
-    fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.sink = sink;
-    }
-
-    fn trace_sink(&self) -> Option<&SharedTraceSink> {
-        self.sink.as_ref()
-    }
-
-    fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {
-        let entry = self.arena.get(*self.map.get(key)?)?;
-        Some(self.event_for(PolicyEventKind::Evict, entry))
-    }
-
-    fn queue_count(&self) -> Option<usize> {
-        // GDS has no queues; its heap has one node per resident pair.
-        None
-    }
-
-    fn heap_node_visits(&self) -> Option<u64> {
-        Some(self.heap.node_visits())
-    }
-
-    fn heap_update_ops(&self) -> Option<u64> {
-        Some(self.heap.update_ops())
-    }
-
-    fn reset_instrumentation(&mut self) {
-        self.heap.reset_counters();
+        self.ordering.l
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{AccessOutcome, CacheRequest, EvictionPolicy};
 
     fn touch(gds: &mut Gds, key: u64, size: u64, cost: u64) -> (AccessOutcome, Vec<u64>) {
         let mut evicted = Vec::new();
@@ -327,21 +245,6 @@ mod tests {
             }
         }
         panic!("expensive pair never aged out under GDS");
-    }
-
-    #[test]
-    fn hit_raises_priority() {
-        let mut gds = Gds::new(100);
-        touch(&mut gds, 1, 10, 100);
-        touch(&mut gds, 2, 10, 100);
-        let p1_before = gds.priority_of(&1).unwrap();
-        // Advance L by churning evictions.
-        for k in 10..40 {
-            touch(&mut gds, k, 10, 1);
-        }
-        let (out, _) = touch(&mut gds, 1, 10, 100);
-        assert_eq!(out, AccessOutcome::Hit);
-        assert!(gds.priority_of(&1).unwrap() >= p1_before);
     }
 
     #[test]
@@ -405,5 +308,105 @@ mod tests {
         assert!(gds.heap_node_visits().unwrap() > 0);
         gds.reset_instrumentation();
         assert_eq!(gds.heap_node_visits(), Some(0));
+    }
+}
+
+#[cfg(test)]
+mod gdsf_tests {
+    use super::*;
+    use crate::policy::{AccessOutcome, CacheRequest, EvictionPolicy};
+
+    fn touch(c: &mut Gdsf, key: u64, size: u64, cost: u64) -> (AccessOutcome, Vec<u64>) {
+        let mut ev = Vec::new();
+        let out = c.reference(CacheRequest::new(key, size, cost), &mut ev);
+        (out, ev)
+    }
+
+    #[test]
+    fn frequency_raises_priority() {
+        let mut c = Gdsf::new(120);
+        touch(&mut c, 1, 40, 10);
+        touch(&mut c, 2, 40, 10);
+        touch(&mut c, 3, 40, 10);
+        for _ in 0..4 {
+            touch(&mut c, 1, 40, 10);
+        }
+        // 2 and 3 are single-hit: one of them (LRU-arbitrary under ties)
+        // goes before 1 does.
+        let (_, ev) = touch(&mut c, 4, 40, 10);
+        assert_eq!(ev.len(), 1);
+        assert_ne!(ev[0], 1, "the frequent pair must survive");
+    }
+
+    #[test]
+    fn still_respects_cost() {
+        let mut c = Gdsf::new(120);
+        touch(&mut c, 1, 40, 10_000); // expensive, referenced once
+        touch(&mut c, 2, 40, 1);
+        touch(&mut c, 3, 40, 1);
+        let (_, ev) = touch(&mut c, 4, 40, 1);
+        assert_eq!(ev, vec![2], "cheap unreferenced pair goes first");
+        assert!(c.contains(&1));
+    }
+
+    #[test]
+    fn l_is_non_decreasing() {
+        let mut c = Gdsf::new(200);
+        let mut last = 0u128;
+        let mut state = 3u64;
+        for _ in 0..5_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            touch(&mut c, state % 40, 10 + state % 20, 1 + state % 500);
+            assert!(c.l_value() >= last);
+            last = c.l_value();
+        }
+    }
+
+    #[test]
+    fn capacity_respected_and_remove_works() {
+        let mut c = Gdsf::new(100);
+        for k in 0..50 {
+            touch(&mut c, k, 10, 5);
+            assert!(c.used_bytes() <= 100);
+        }
+        let resident: Vec<u64> = (0..50).filter(|&k| c.contains(&k)).collect();
+        assert_eq!(resident.len(), 10);
+        assert!(EvictionPolicy::remove(&mut c, &resident[0]));
+        assert_eq!(c.len(), 9);
+    }
+
+    #[test]
+    fn touch_bumps_frequency() {
+        let mut c = Gdsf::new(120);
+        touch(&mut c, 1, 40, 10);
+        touch(&mut c, 2, 40, 10);
+        touch(&mut c, 3, 40, 10);
+        assert!(EvictionPolicy::touch(&mut c, &1));
+        assert!(EvictionPolicy::touch(&mut c, &1));
+        assert!(!EvictionPolicy::touch(&mut c, &9));
+        // 1 now sits at L + 3 * ratio. At frequency 1 (plain GDS) it would
+        // tie with key 4 and be gone by the fourth of these admissions.
+        for k in 4..=7 {
+            touch(&mut c, k, 40, 10);
+        }
+        assert!(c.contains(&1));
+    }
+
+    #[test]
+    fn victim_is_minimum_priority() {
+        let mut c = Gdsf::new(120);
+        touch(&mut c, 1, 40, 100);
+        touch(&mut c, 2, 40, 1);
+        touch(&mut c, 3, 40, 50);
+        assert_eq!(c.victim(), Some(2));
+    }
+
+    #[test]
+    fn oversized_bypasses() {
+        let mut c = Gdsf::new(100);
+        let (out, _) = touch(&mut c, 1, 101, 5);
+        assert_eq!(out, AccessOutcome::MissBypassed);
     }
 }

@@ -8,22 +8,65 @@
 //! was designed to rule out, which makes LFU a useful contrast in the
 //! extension experiments.
 
-use camp_core::hash::FoldHashMap;
+use camp_core::arena::EntryId;
 use camp_core::heap::OctonaryHeap;
 
-use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind,
-    SharedTraceSink,
-};
-use crate::util::IdAllocator;
+use crate::keyed::{Keyed, Ordering, Slots};
 
-#[derive(Debug)]
-struct Resident {
-    heap_id: u32,
-    size: u64,
-    /// Retained for trace events only; LFU ignores cost when evicting.
-    cost: u64,
-    frequency: u64,
+/// Frequency order: a heap keyed `frequency ‖ last-use clock`, one node per
+/// pair (heap ids are arena slot indices). The per-pair state is the
+/// frequency; cost is ignored.
+#[derive(Debug, Default)]
+pub struct Frequency {
+    heap: OctonaryHeap<u128>,
+    /// Ticks once per admission and hit, so equal frequencies order by
+    /// recency and no two heap keys are equal.
+    clock: u64,
+}
+
+impl Frequency {
+    fn tick(&mut self, frequency: u64) -> u128 {
+        self.clock += 1;
+        (u128::from(frequency) << 64) | u128::from(self.clock)
+    }
+}
+
+impl Ordering for Frequency {
+    type Node = u64;
+
+    fn name(&self) -> String {
+        "lfu".to_owned()
+    }
+
+    fn admit<K>(&mut self, slots: &mut Slots<K, u64>, id: EntryId) {
+        slots.get_mut(id).expect("live entry").node = 1;
+        let key = self.tick(1);
+        self.heap.insert(id.index(), key);
+    }
+
+    fn hit<K>(&mut self, slots: &mut Slots<K, u64>, id: EntryId) {
+        let frequency = &mut slots.get_mut(id).expect("live entry").node;
+        *frequency = frequency.saturating_add(1);
+        let key = self.tick(*frequency);
+        self.heap.update(id.index(), key);
+    }
+
+    fn victim<K>(&self, slots: &Slots<K, u64>) -> Option<EntryId> {
+        let (idx, _) = self.heap.peek()?;
+        slots.id_at(idx)
+    }
+
+    fn forget<K>(&mut self, _slots: &mut Slots<K, u64>, id: EntryId) {
+        self.heap.remove(id.index());
+    }
+
+    fn heap_node_visits(&self) -> Option<u64> {
+        Some(self.heap.node_visits())
+    }
+
+    fn reset_instrumentation(&mut self) {
+        self.heap.reset_counters();
+    }
 }
 
 /// The LFU replacement policy.
@@ -44,189 +87,12 @@ struct Resident {
 /// assert_eq!(evicted, vec![2]);
 /// assert!(cache.contains(&1));
 /// ```
-#[derive(Debug)]
-pub struct Lfu<K = u64> {
-    capacity: u64,
-    used: u64,
-    clock: u64,
-    residents: FoldHashMap<K, Resident>,
-    by_heap_id: FoldHashMap<u32, K>,
-    heap: OctonaryHeap<u128>,
-    ids: IdAllocator,
-    sink: Option<SharedTraceSink>,
-}
-
-impl<K: CacheKey> Lfu<K> {
-    /// Creates an LFU cache with the given byte capacity.
-    #[must_use]
-    pub fn new(capacity: u64) -> Self {
-        Lfu {
-            capacity,
-            used: 0,
-            clock: 0,
-            residents: FoldHashMap::default(),
-            by_heap_id: FoldHashMap::default(),
-            heap: OctonaryHeap::new(),
-            ids: IdAllocator::default(),
-            sink: None,
-        }
-    }
-
-    /// The recorded frequency of a resident key.
-    #[must_use]
-    pub fn frequency_of(&self, key: &K) -> Option<u64> {
-        self.residents.get(key).map(|r| r.frequency)
-    }
-
-    fn heap_key(frequency: u64, last_used: u64) -> u128 {
-        (u128::from(frequency) << 64) | u128::from(last_used)
-    }
-
-    fn on_hit(&mut self, key: &K) -> bool {
-        self.clock += 1;
-        let now = self.clock;
-        let Some(resident) = self.residents.get_mut(key) else {
-            return false;
-        };
-        resident.frequency = resident.frequency.saturating_add(1);
-        let heap_key = Self::heap_key(resident.frequency, now);
-        let heap_id = resident.heap_id;
-        self.heap.update(heap_id, heap_key);
-        true
-    }
-
-    fn evict_one(&mut self, evicted: &mut Vec<K>) -> bool {
-        let Some((heap_id, _)) = self.heap.pop() else {
-            return false;
-        };
-        let key = self
-            .by_heap_id
-            .remove(&heap_id)
-            .expect("heap id maps to a resident");
-        let resident = self.residents.remove(&key).expect("resident entry");
-        self.used -= resident.size;
-        self.ids.release(heap_id);
-        if let Some(sink) = &self.sink {
-            sink.record(&PolicyEvent::basic(
-                PolicyEventKind::Evict,
-                key_hash(&key),
-                resident.size,
-                resident.cost,
-            ));
-        }
-        evicted.push(key);
-        true
-    }
-}
-
-impl<K: CacheKey> EvictionPolicy<K> for Lfu<K> {
-    fn name(&self) -> String {
-        "lfu".to_owned()
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.residents.len()
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        self.residents.contains_key(key)
-    }
-
-    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome {
-        assert!(req.size > 0, "key-value pairs have positive size");
-        if self.on_hit(&req.key) {
-            return AccessOutcome::Hit;
-        }
-        if req.size > self.capacity {
-            return AccessOutcome::MissBypassed;
-        }
-        let now = self.clock;
-        while self.used + req.size > self.capacity {
-            let ok = self.evict_one(evicted);
-            debug_assert!(ok, "byte accounting out of sync");
-        }
-        let heap_id = self.ids.allocate();
-        self.heap.insert(heap_id, Self::heap_key(1, now));
-        self.by_heap_id.insert(heap_id, req.key.clone());
-        if let Some(sink) = &self.sink {
-            sink.record(&PolicyEvent::basic(
-                PolicyEventKind::Admit,
-                key_hash(&req.key),
-                req.size,
-                req.cost,
-            ));
-        }
-        self.residents.insert(
-            req.key,
-            Resident {
-                heap_id,
-                size: req.size,
-                cost: req.cost,
-                frequency: 1,
-            },
-        );
-        self.used += req.size;
-        AccessOutcome::MissInserted
-    }
-
-    fn touch(&mut self, key: &K) -> bool {
-        self.on_hit(key)
-    }
-
-    fn victim(&self) -> Option<K> {
-        let (heap_id, _) = self.heap.peek()?;
-        self.by_heap_id.get(&heap_id).cloned()
-    }
-
-    fn remove(&mut self, key: &K) -> bool {
-        let Some(resident) = self.residents.remove(key) else {
-            return false;
-        };
-        self.heap.remove(resident.heap_id);
-        self.by_heap_id.remove(&resident.heap_id);
-        self.ids.release(resident.heap_id);
-        self.used -= resident.size;
-        true
-    }
-
-    fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.sink = sink;
-    }
-
-    fn trace_sink(&self) -> Option<&SharedTraceSink> {
-        self.sink.as_ref()
-    }
-
-    fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {
-        let resident = self.residents.get(key)?;
-        Some(PolicyEvent::basic(
-            PolicyEventKind::Evict,
-            key_hash(key),
-            resident.size,
-            resident.cost,
-        ))
-    }
-
-    fn heap_node_visits(&self) -> Option<u64> {
-        Some(self.heap.node_visits())
-    }
-
-    fn reset_instrumentation(&mut self) {
-        self.heap.reset_counters();
-    }
-}
+pub type Lfu<K = u64> = Keyed<K, Frequency>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{AccessOutcome, CacheRequest, EvictionPolicy};
 
     fn touch(c: &mut Lfu, key: u64) -> (AccessOutcome, Vec<u64>) {
         let mut ev = Vec::new();
@@ -284,11 +150,11 @@ mod tests {
         for _ in 0..5 {
             touch(&mut c, 7);
         }
-        assert_eq!(c.frequency_of(&7), Some(5));
         for k in 0..20 {
             touch(&mut c, k);
             assert!(c.used_bytes() <= 40);
         }
+        assert!(c.contains(&7), "five references outrank every newcomer");
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod admission;
 pub mod arc;
 pub mod gd_wheel;
 pub mod gds;
-pub mod gdsf;
+pub mod keyed;
 pub mod lfu;
 pub mod lru;
 pub mod lru_k;
@@ -76,8 +76,8 @@ mod util;
 pub use crate::admission::{Admission, AdmissionRule};
 pub use crate::arc::Arc;
 pub use crate::gd_wheel::GdWheel;
-pub use crate::gds::Gds;
-pub use crate::gdsf::Gdsf;
+pub use crate::gds::{Gds, Gdsf};
+pub use crate::keyed::Keyed;
 pub use crate::lfu::Lfu;
 pub use crate::lru::Lru;
 pub use crate::lru_k::LruK;

@@ -3,19 +3,22 @@
 //! The paper's simulator (§3) drives each algorithm the same way: a request
 //! generator references a key; on a miss it inserts the missing pair, which
 //! may evict residents. [`EvictionPolicy::reference`] captures exactly that
-//! interaction, so CAMP, LRU, GDS, Pooled-LRU and the related-work policies
-//! are interchangeable inside the simulator, the KVS server, the tests, and
-//! the benchmark harness.
+//! interaction, so every policy is interchangeable inside the simulator, the
+//! KVS server, the tests, and the benchmark harness. Two extra methods serve
+//! the server's slab store, where memory pressure (not the policy's byte
+//! budget) decides *when* to evict: [`EvictionPolicy::victim`] exposes the
+//! next candidate without mutating, and [`EvictionPolicy::touch`] applies
+//! the hit path of `reference` on its own (the store's `get`).
 //!
-//! The trait is generic over the key type. The simulator uses the default
-//! `u64` trace keys, and so does the KVS server: it hashes each wire key
-//! once into a 64-bit fingerprint and drives the *same* `u64` instantiation
-//! with it (byte keys such as `Box<[u8]>` still work — the benchmark's
-//! ledger times that instantiation). Two extra methods serve the server's
-//! slab store, where memory pressure (not the policy's byte budget) decides
-//! *when* to evict: [`EvictionPolicy::victim`] exposes the next eviction
-//! candidate without mutating, and [`EvictionPolicy::touch`] applies the
-//! hit path of `reference` on its own (the store's `get`).
+//! Implementations: CAMP (the adapter below); the keyed front
+//! ([`crate::Keyed`]: LRU, GDS, GDSF, LFU, GD-Wheel — one cache, five
+//! orderings); and LRU-K, 2Q, ARC, pooled LRU, admission and Belady, whose
+//! state (ghost lists, pools, the future) the front does not model.
+//!
+//! The trait is generic over the key type. The simulator uses `u64` trace
+//! keys and so does the KVS server, over a 64-bit fingerprint of each wire
+//! key (byte keys such as `Box<[u8]>` still work — the benchmark's ledger
+//! times that instantiation).
 
 use camp_core::{Camp, InsertOutcome};
 
@@ -199,8 +202,8 @@ pub trait EvictionPolicy<K: CacheKey = u64> {
     /// deletes use `remove` and stay out of the eviction telemetry.
     ///
     /// The default looks the key up twice (once for the event, once to
-    /// remove it); the policies the server runs hot — CAMP, LRU, GDS —
-    /// override it to build the event from the entry one lookup removes.
+    /// remove it); CAMP and the keyed front override it to build the event
+    /// from the entry one lookup removes.
     fn evict(&mut self, key: &K) -> bool {
         if let Some(event) = self.eviction_event(key) {
             if let Some(sink) = self.trace_sink() {

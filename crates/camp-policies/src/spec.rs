@@ -16,8 +16,7 @@ use camp_core::{Camp, Precision};
 
 use crate::arc::Arc;
 use crate::gd_wheel::GdWheel;
-use crate::gds::Gds;
-use crate::gdsf::Gdsf;
+use crate::gds::{Gds, Gdsf};
 use crate::lfu::Lfu;
 use crate::lru::Lru;
 use crate::lru_k::LruK;

@@ -66,65 +66,6 @@ impl SimMetrics {
             self.missed_cost as f64 / self.total_cost as f64
         }
     }
-
-    /// Renders the run as a Prometheus text exposition, using the same
-    /// `camp_*` metric vocabulary as the server's `--metrics-addr` endpoint
-    /// (`camp_get_hits_total`, `camp_get_misses_total`, ...) so dashboards
-    /// built against one work against the other. `labels` is attached to
-    /// every sample — pass e.g. `[("policy", "camp:5"), ("trace", name)]`
-    /// to distinguish sweep arms.
-    #[must_use]
-    pub fn render_prometheus(&self, labels: &[(&str, &str)]) -> String {
-        use camp_telemetry::{Exposition, MetricKind};
-        let mut exp = Exposition::new();
-        let counters: [(&str, &str, u64); 6] = [
-            (
-                "camp_sim_requests_total",
-                "trace rows processed",
-                self.requests as u64,
-            ),
-            (
-                "camp_sim_cold_requests_total",
-                "first-touch requests, excluded from the rates",
-                self.cold_requests as u64,
-            ),
-            ("camp_get_hits_total", "non-cold hits", self.hits),
-            ("camp_get_misses_total", "non-cold misses", self.misses),
-            (
-                "camp_sim_bypassed_total",
-                "misses the policy declined to insert",
-                self.bypassed,
-            ),
-            (
-                "camp_sim_missed_cost_total",
-                "summed cost over non-cold missed requests",
-                self.missed_cost,
-            ),
-        ];
-        for (name, help, value) in counters {
-            exp.family(name, help, MetricKind::Counter);
-            exp.int_value(name, labels, value);
-        }
-        exp.family(
-            "camp_sim_total_cost",
-            "summed cost over all non-cold requests",
-            MetricKind::Counter,
-        );
-        exp.int_value("camp_sim_total_cost", labels, self.total_cost);
-        exp.family(
-            "camp_sim_miss_rate",
-            "non-cold misses over non-cold requests",
-            MetricKind::Gauge,
-        );
-        exp.value("camp_sim_miss_rate", labels, self.miss_rate());
-        exp.family(
-            "camp_sim_cost_miss_ratio",
-            "the paper's primary metric: missed cost over total cost",
-            MetricKind::Gauge,
-        );
-        exp.value("camp_sim_cost_miss_ratio", labels, self.cost_miss_ratio());
-        exp.render()
-    }
 }
 
 #[cfg(test)]
@@ -154,32 +95,5 @@ mod tests {
         assert_eq!(m.miss_rate(), 0.0);
         assert_eq!(m.hit_rate(), 0.0);
         assert_eq!(m.cost_miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn prometheus_rendering_shares_the_server_vocabulary() {
-        let m = SimMetrics {
-            requests: 10,
-            cold_requests: 2,
-            hits: 6,
-            misses: 2,
-            bypassed: 1,
-            missed_cost: 50,
-            total_cost: 200,
-        };
-        let text = m.render_prometheus(&[("policy", "camp:5")]);
-        for needle in [
-            "# TYPE camp_get_hits_total counter",
-            "camp_get_hits_total{policy=\"camp:5\"} 6",
-            "camp_get_misses_total{policy=\"camp:5\"} 2",
-            "camp_sim_cost_miss_ratio{policy=\"camp:5\"} 0.25",
-            "camp_sim_miss_rate{policy=\"camp:5\"} 0.25",
-            "camp_sim_requests_total{policy=\"camp:5\"} 10",
-        ] {
-            assert!(text.contains(needle), "missing {needle} in:\n{text}");
-        }
-        // Unlabelled rendering is valid exposition too.
-        let bare = SimMetrics::default().render_prometheus(&[]);
-        assert!(bare.contains("camp_get_hits_total 0"));
     }
 }

@@ -19,7 +19,7 @@ use camp_telemetry::{Histogram, LocalHistogram};
 /// tag, so any torn mix of two records fails an equality test against both.
 fn ev(tag: u64) -> TraceRecord {
     TraceRecord::Eviction(EvictionTrace {
-        admit: tag % 2 == 0,
+        admit: tag.is_multiple_of(2),
         key_hash: 0x1000 + tag,
         size: 0x2000 + tag,
         cost: 0x3000 + tag,
