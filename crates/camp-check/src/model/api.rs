@@ -34,7 +34,7 @@ pub struct Failure {
     /// Executions explored up to and including the failing one.
     pub schedules: u64,
     /// The replayable choice sequence (`T0 T2 R1 ...`); feed it back to
-    /// [`Checker::replay`] / [`Checker::replay_threads`].
+    /// [`Checker::replay`] / [`Checker::replay_threads_setup`].
     pub trace: String,
     /// Human-readable step log of the failing execution.
     pub steps: Vec<String>,

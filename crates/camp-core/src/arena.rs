@@ -99,17 +99,6 @@ impl<T> Arena<T> {
         }
     }
 
-    /// Creates an empty arena with room for `capacity` entries before
-    /// reallocating.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Arena {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-
     /// Number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -419,7 +408,7 @@ mod tests {
 
     #[test]
     fn len_tracks_inserts_and_removes() {
-        let mut arena = Arena::with_capacity(8);
+        let mut arena = Arena::new();
         assert!(arena.is_empty());
         let mut ids = Vec::new();
         for i in 0..100 {

@@ -173,6 +173,13 @@ impl<K: Ord, const D: usize> DaryHeap<K, D> {
         }
     }
 
+    /// Removes every element at once. No sift runs, so the visit and
+    /// operation counters are untouched.
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.positions.clear();
+    }
+
     /// Total heap nodes visited by sift operations since construction (or the
     /// last [`DaryHeap::reset_counters`]).
     ///
@@ -459,6 +466,14 @@ mod tests {
         heap.pop();
         heap.remove(0);
         assert_eq!(heap.update_ops(), 5);
+        // `clear` is not a heap operation: no op counted, no node visited.
+        heap.insert(0, 4);
+        let counters = (heap.update_ops(), heap.node_visits());
+        heap.clear();
+        assert!(heap.is_empty() && !heap.contains(0));
+        assert_eq!((heap.update_ops(), heap.node_visits()), counters);
+        heap.insert(0, 5); // ids are free again
+        heap.validate();
         heap.reset_counters();
         assert_eq!(heap.update_ops(), 0);
         assert_eq!(heap.node_visits(), 0);

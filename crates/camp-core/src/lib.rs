@@ -16,9 +16,12 @@
 //!   global eviction candidate in `O(log #queues)` — and is only updated when
 //!   a head actually changes.
 //!
-//! The central type is [`Camp`]. It is single-threaded by design; the
-//! paper's §4.1 scaling recipe (hash-partitioned, independently locked
-//! shards) lives in `camp-kvs::ShardedStore`, the one the server runs.
+//! The central type is [`Camp`]: that structure, an [`keyed::Ordering`],
+//! inside the [`Keyed`] front — the cache body (`camp-policies` reuses it
+//! for five baselines) behind the [`policy::EvictionPolicy`] trait. It is
+//! single-threaded by design; the paper's §4.1 scaling recipe
+//! (hash-partitioned, independently locked shards) lives in
+//! `camp-kvs::ShardedStore`, the one the server runs.
 //!
 //! ## Quick start
 //!
@@ -56,11 +59,14 @@ pub mod arena;
 pub mod camp;
 pub mod hash;
 pub mod heap;
+pub mod keyed;
 pub mod lru_list;
+pub mod policy;
 pub mod rng;
 pub mod rounding;
 pub mod trace;
 
-pub use crate::camp::{Camp, CampBuilder, CampStats, EntryMeta, InsertOutcome, QueueInfo};
+pub use crate::camp::{Camp, CampBuilder, EntryMeta, QueueInfo};
+pub use crate::keyed::{InsertOutcome, Keyed};
 pub use crate::rounding::Precision;
 pub use crate::trace::{key_hash, PolicyEvent, PolicyEventKind, SharedTraceSink, TraceSink};

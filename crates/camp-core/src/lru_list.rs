@@ -59,6 +59,16 @@ pub trait Linked {
     fn links_mut(&mut self) -> &mut Links;
 }
 
+/// Bare links are their own node: an entry that is nothing but its links.
+impl Linked for Links {
+    fn links(&self) -> &Links {
+        self
+    }
+    fn links_mut(&mut self) -> &mut Links {
+        self
+    }
+}
+
 /// A doubly-linked queue of arena entries, LRU at the front.
 ///
 /// The list stores only head/tail/len; the links live inside the entries, so

@@ -16,7 +16,7 @@
 //! with connection intake load-balanced across cores by the kernel.
 //!
 //! `--policy` accepts any spec understood by
-//! [`EvictionMode`](camp_kvs::store::EvictionMode) — `lru`, `camp`,
+//! [`camp_kvs::store::EvictionMode`] — `lru`, `camp`,
 //! `camp:BITS`, `camp:inf`, `gds`, `gdsf`, `lfu`, `lru-k:K`, `2q`, `arc`,
 //! `gd-wheel`, `pooled-lru[:B1,B2,..]` — so the daemon runs the same
 //! pluggable policy layer as the simulator. Speaks the memcached-style text

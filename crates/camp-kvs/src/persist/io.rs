@@ -89,7 +89,7 @@ impl IoBackend for RealFs {
 /// Deterministic disk-fault injector wrapping another backend.
 ///
 /// Fault decisions come from a dedicated `Rng64` stream seeded from the
-/// chaos plan's seed xor [`DISK_STREAM_SALT`], so a given `--chaos`
+/// chaos plan's seed xor `DISK_STREAM_SALT`, so a given `--chaos`
 /// spec replays the identical fault schedule run after run. A faulted
 /// append may first push a *prefix* of the buffer into the inner
 /// backend — a genuine torn record on disk, which is what recovery's

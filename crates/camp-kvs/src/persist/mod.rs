@@ -29,14 +29,14 @@
 //! the append returns. So the sync only has to precede the flush, and
 //! one sync covers every record appended before it. A caller that holds
 //! its replies back (the reactor) says so once with
-//! [`Persist::defer_sync_to_commit`]; appends then only mark the writer
+//! `Persist::defer_sync_to_commit`; appends then only mark the writer
 //! dirty, and the caller calls [`Persist::commit`] before it flushes:
 //! take the writer lock, return at once if nothing is unsynced,
 //! otherwise one `sync()` for everything appended so far by any worker.
 //! The mutex is the queue — a second worker whose records the first
 //! worker's sync covered finds the writer clean and returns without a
 //! syscall — and [`Persist::needs_commit`] is the lock-free "did I
-//! append anything that still needs it?" (see [`state`]'s
+//! append anything that still needs it?" (see `state`'s
 //! `UnsyncedFlag` for which way that read can be stale, and its
 //! camp-check harness). A caller that never defers (direct `append_*`
 //! callers: tests, the benchmark ledger) keeps the sync inline after

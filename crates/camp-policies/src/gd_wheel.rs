@@ -8,7 +8,7 @@
 //! procedure CAMP avoids entirely (CAMP's rounded cost-to-size ratio never
 //! changes while a pair is resident). This implementation exists so that the
 //! migration overhead and the approximation behaviour can be measured
-//! against CAMP — see [`GdWheel::migrations`].
+//! against CAMP — see [`Migrations::migrations`].
 //!
 //! Structure: `LEVELS` wheels of `W = 256` slots. A pair with priority
 //! (deadline) `d` lives on the wheel whose base-256 digit is the highest one
@@ -21,7 +21,7 @@ use camp_core::arena::EntryId;
 use camp_core::lru_list::{Linked, Links, LruList};
 use camp_core::rounding::{Precision, RatioRounder};
 
-use crate::keyed::{Keyed, Ordering, Slot, Slots};
+use crate::keyed::{Keyed, Ordering, Slots};
 use crate::policy::CacheKey;
 
 const WHEEL_BITS: u32 = 8;
@@ -33,7 +33,7 @@ const LEVELS: usize = 8;
 
 /// Per pair: its priority and where it is bucketed.
 #[derive(Debug, Default)]
-pub(crate) struct Spoke {
+pub struct Spoke {
     ratio: u64,
     deadline: u64,
     level: u8,
@@ -41,12 +41,12 @@ pub(crate) struct Spoke {
     links: Links,
 }
 
-impl<K> Linked for Slot<K, Spoke> {
+impl Linked for Spoke {
     fn links(&self) -> &Links {
-        &self.node.links
+        &self.links
     }
     fn links_mut(&mut self) -> &mut Links {
-        &mut self.node.links
+        &mut self.links
     }
 }
 
@@ -72,6 +72,12 @@ impl Default for Wheels {
 }
 
 impl Wheels {
+    /// The global clock (non-decreasing).
+    #[must_use]
+    pub fn l_value(&self) -> u64 {
+        self.l
+    }
+
     fn digit(value: u64, level: usize) -> usize {
         ((value >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize
     }
@@ -183,6 +189,10 @@ impl Ordering for Wheels {
         }
     }
 
+    fn clear(&mut self) {
+        self.buckets.fill(LruList::new());
+    }
+
     /// The trace `queue` field carries the entry's wheel level.
     fn event_fields(&self, node: &Spoke) -> (u64, u32, u64) {
         (node.ratio, u32::from(node.level), self.l)
@@ -205,18 +215,18 @@ impl Ordering for Wheels {
 /// ```
 pub type GdWheel<K = u64> = Keyed<K, Wheels>;
 
-impl<K: CacheKey> GdWheel<K> {
+/// `GdWheel::migrations`. A trait because [`Keyed`] is `camp-core`'s type:
+/// its aliases cannot carry inherent methods in this crate.
+pub trait Migrations {
     /// Total entries migrated between wheels so far — the overhead CAMP's
     /// design eliminates (§5).
     #[must_use]
-    pub fn migrations(&self) -> u64 {
-        self.ordering.migrations
-    }
+    fn migrations(&self) -> u64;
+}
 
-    /// The global clock (non-decreasing).
-    #[must_use]
-    pub fn l_value(&self) -> u64 {
-        self.ordering.l
+impl<K: CacheKey> Migrations for GdWheel<K> {
+    fn migrations(&self) -> u64 {
+        self.ordering().migrations
     }
 }
 
@@ -285,8 +295,8 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             touch(&mut c, state % 50, 5 + state % 10, 1 + state % 1000);
-            assert!(c.l_value() >= last);
-            last = c.l_value();
+            assert!(c.ordering().l_value() >= last);
+            last = c.ordering().l_value();
         }
     }
 
@@ -344,9 +354,9 @@ mod tests {
             touch(&mut c, key, 10, 10_000_000); // very expensive churn
         }
         assert!(
-            c.l_value() < u64::MAX / 2,
+            c.ordering().l_value() < u64::MAX / 2,
             "clock saturating: {}",
-            c.l_value()
+            c.ordering().l_value()
         );
         // Cost discrimination still works at this point.
         key += 1;

@@ -26,8 +26,9 @@ use crate::policy::CacheKey;
 /// until `L` catches up).
 const MAX_FREQUENCY: u64 = 1 << 20;
 
+/// Per pair: its integerized ratio and, for GDSF, its reference count.
 #[derive(Debug, Default)]
-pub(crate) struct Priced {
+pub struct Priced {
     ratio: u64,
     /// References so far; counted (and used) only under `FREQUENCY`.
     frequency: u64,
@@ -45,6 +46,20 @@ pub struct GreedyDual<const FREQUENCY: bool> {
 }
 
 impl<const FREQUENCY: bool> GreedyDual<FREQUENCY> {
+    fn rounding_to(precision: Precision) -> Self {
+        GreedyDual {
+            heap: OctonaryHeap::new(),
+            rounder: RatioRounder::new(precision),
+            l: 0,
+        }
+    }
+
+    /// The global inflation term `L` (non-decreasing).
+    #[must_use]
+    pub fn l_value(&self) -> u128 {
+        self.l
+    }
+
     fn priority(&self, node: &Priced) -> u128 {
         let weight = if FREQUENCY {
             node.frequency.min(MAX_FREQUENCY)
@@ -57,11 +72,7 @@ impl<const FREQUENCY: bool> GreedyDual<FREQUENCY> {
 
 impl<const FREQUENCY: bool> Default for GreedyDual<FREQUENCY> {
     fn default() -> Self {
-        GreedyDual {
-            heap: OctonaryHeap::new(),
-            rounder: RatioRounder::new(Precision::Infinite),
-            l: 0,
-        }
+        GreedyDual::rounding_to(Precision::Infinite)
     }
 }
 
@@ -111,6 +122,10 @@ impl<const FREQUENCY: bool> Ordering for GreedyDual<FREQUENCY> {
 
     fn forget<K>(&mut self, _slots: &mut Slots<K, Priced>, id: EntryId) {
         self.heap.remove(id.index());
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
     }
 
     fn evict<K>(&mut self, slots: &mut Slots<K, Priced>) -> Option<EntryId> {
@@ -191,23 +206,19 @@ pub type Gds<K = u64> = Keyed<K, GreedyDual<false>>;
 /// ```
 pub type Gdsf<K = u64> = Keyed<K, GreedyDual<true>>;
 
-impl<K: CacheKey> Gds<K> {
+/// `Gds::with_precision`. A trait because [`Keyed`] is `camp-core`'s type:
+/// its aliases cannot carry inherent functions in this crate.
+pub trait WithPrecision {
     /// Creates a GDS cache that rounds ratios to `precision` — useful for
     /// isolating the effect of rounding from CAMP's queue structure.
     /// ([`Gds::new`] is exact: [`Precision::Infinite`].)
     #[must_use]
-    pub fn with_precision(capacity: u64, precision: Precision) -> Self {
-        let mut gds = Gds::new(capacity);
-        gds.ordering.rounder = RatioRounder::new(precision);
-        gds
-    }
+    fn with_precision(capacity: u64, precision: Precision) -> Self;
 }
 
-impl<K: CacheKey, const FREQUENCY: bool> Keyed<K, GreedyDual<FREQUENCY>> {
-    /// The global inflation term `L` (non-decreasing).
-    #[must_use]
-    pub fn l_value(&self) -> u128 {
-        self.ordering.l
+impl<K: CacheKey> WithPrecision for Gds<K> {
+    fn with_precision(capacity: u64, precision: Precision) -> Self {
+        Keyed::with_ordering(capacity, GreedyDual::rounding_to(precision))
     }
 }
 
@@ -259,8 +270,8 @@ mod tests {
             let key = state % 60;
             let cost = [1u64, 100, 10_000][(state % 3) as usize];
             touch(&mut gds, key, 10 + state % 20, cost);
-            assert!(gds.l_value() >= last);
-            last = gds.l_value();
+            assert!(gds.ordering().l_value() >= last);
+            last = gds.ordering().l_value();
         }
     }
 
@@ -270,7 +281,7 @@ mod tests {
         touch(&mut gds, 1, 10, 100);
         touch(&mut gds, 2, 10, 1);
         touch(&mut gds, 3, 10, 50);
-        assert_eq!(gds.victim(), Some(2));
+        assert_eq!(gds.victim(), Some(&2));
         let (_, ev) = touch(&mut gds, 4, 10, 200);
         assert_eq!(ev, vec![2]);
     }
@@ -359,8 +370,8 @@ mod gdsf_tests {
             state ^= state >> 7;
             state ^= state << 17;
             touch(&mut c, state % 40, 10 + state % 20, 1 + state % 500);
-            assert!(c.l_value() >= last);
-            last = c.l_value();
+            assert!(c.ordering().l_value() >= last);
+            last = c.ordering().l_value();
         }
     }
 
@@ -400,7 +411,7 @@ mod gdsf_tests {
         touch(&mut c, 1, 40, 100);
         touch(&mut c, 2, 40, 1);
         touch(&mut c, 3, 40, 50);
-        assert_eq!(c.victim(), Some(2));
+        assert_eq!(c.victim(), Some(&2));
     }
 
     #[test]

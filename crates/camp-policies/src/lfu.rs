@@ -60,6 +60,10 @@ impl Ordering for Frequency {
         self.heap.remove(id.index());
     }
 
+    fn clear(&mut self) {
+        self.heap.clear();
+    }
+
     fn heap_node_visits(&self) -> Option<u64> {
         Some(self.heap.node_visits())
     }

@@ -1,7 +1,8 @@
 //! # camp-policies — eviction policies around CAMP
 //!
-//! The shared [`EvictionPolicy`] trait plus every replacement algorithm the
-//! CAMP paper evaluates against or surveys:
+//! Every replacement algorithm the CAMP paper evaluates against or surveys
+//! ([`Lru`], [`Gds`], [`Gdsf`], [`Lfu`] and [`GdWheel`] as orderings on the
+//! [`Keyed`] front CAMP itself runs on):
 //!
 //! * [`Lru`] — the size-aware LRU baseline (§3);
 //! * [`Gds`] — exact Greedy Dual Size, the algorithm CAMP approximates (§2);
@@ -16,9 +17,9 @@
 //! * [`admission`] — admission-control wrappers (the paper's future work,
 //!   §6).
 //!
-//! The CAMP algorithm itself lives in [`camp_core`] and implements
-//! [`EvictionPolicy`] through this crate, so all policies are drop-in
-//! interchangeable in the simulator, benchmarks, and the KVS server.
+//! CAMP, the [`EvictionPolicy`] trait and the front live in [`camp_core`]
+//! (re-exported here as [`policy`] and [`keyed`]), so all policies are
+//! drop-in interchangeable in the simulator, benchmarks, and the KVS server.
 //!
 //! Every policy is generic over its key type ([`CacheKey`]): the simulator
 //! drives them with `u64` trace keys, the KVS server with `u64`

@@ -6,18 +6,9 @@
 //! CAMP's queues, so per-operation costs are directly comparable.
 
 use camp_core::arena::EntryId;
-use camp_core::lru_list::{Linked, Links, LruList};
+use camp_core::lru_list::{Links, LruList};
 
-use crate::keyed::{Keyed, Ordering, Slot, Slots};
-
-impl<K> Linked for Slot<K, Links> {
-    fn links(&self) -> &Links {
-        &self.node
-    }
-    fn links_mut(&mut self) -> &mut Links {
-        &mut self.node
-    }
-}
+use crate::keyed::{Keyed, Ordering, Slots};
 
 /// Recency order: one intrusive list, LRU at the front. Cost is ignored.
 #[derive(Debug, Default)]
@@ -46,6 +37,10 @@ impl Ordering for Recency {
 
     fn forget<K>(&mut self, slots: &mut Slots<K, Links>, id: EntryId) {
         self.list.unlink(slots, id);
+    }
+
+    fn clear(&mut self) {
+        self.list = LruList::new();
     }
 
     fn queue_count(&self) -> Option<usize> {
@@ -148,7 +143,7 @@ mod tests {
         }
         touch(&mut lru, 2, 10); // refresh 2
         let mut order = Vec::new();
-        while let Some(key) = lru.victim() {
+        while let Some(&key) = lru.victim() {
             order.push(key);
             assert!(EvictionPolicy::remove(&mut lru, &key));
         }

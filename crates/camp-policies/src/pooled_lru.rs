@@ -165,10 +165,11 @@ impl<K: CacheKey> EvictionPolicy<K> for PooledLru<K> {
                 fa.total_cmp(&fb)
             })
             .and_then(Lru::victim)
+            .cloned()
     }
 
     fn remove(&mut self, key: &K) -> bool {
-        self.pools.iter_mut().any(|p| p.remove(key))
+        self.pools.iter_mut().any(|p| p.remove(key).is_some())
     }
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {

@@ -53,11 +53,6 @@ fn main() {
         println!("next victim would be: {victim}");
     }
 
-    let stats = cache.stats();
-    println!(
-        "stats: {} hits, {} misses, {} insertions, {} evictions",
-        stats.hits, stats.misses, stats.insertions, stats.evictions
-    );
     println!(
         "internals: L = {}, heap ops = {}, heap node visits = {}",
         cache.l_value(),
