@@ -755,6 +755,9 @@ impl TelemetryReport {
                 lines.push(format!("STAT persist:segments {}", p.segments));
                 lines.push(format!("STAT persist:commits {}", p.commits));
                 lines.push(format!("STAT persist:commit_records {}", p.commit_records));
+                lines.push(format!("STAT persist:writes {}", p.writes));
+                lines.push(format!("STAT persist:reserves {}", p.reserves));
+                lines.push(format!("STAT persist:reserved_bytes {}", p.reserved_bytes));
                 lines.push(format!(
                     "STAT persist:sync_us:p50 {}",
                     p.sync_us.quantile(0.5)
@@ -1260,7 +1263,7 @@ impl TelemetryReport {
         };
         exp.int_value("camp_persist_state", &[], state_code);
         let p = self.persist.clone().unwrap_or_default();
-        let persist_counters: [(&str, &str, u64); 9] = [
+        let persist_counters: [(&str, &str, u64); 12] = [
             (
                 "camp_persist_errors_total",
                 "append-log I/O errors (append, fsync, repair)",
@@ -1290,6 +1293,21 @@ impl TelemetryReport {
                 "camp_persist_commit_records_total",
                 "records covered by those fsyncs (per commit = group size)",
                 p.commit_records,
+            ),
+            (
+                "camp_persist_writes_total",
+                "write calls that carried records (one per commit, plus snapshot flushes)",
+                p.writes,
+            ),
+            (
+                "camp_persist_reserves_total",
+                "runway reservations (zeros written and synced ahead of the records)",
+                p.reserves,
+            ),
+            (
+                "camp_persist_reserved_bytes_total",
+                "zero bytes those reservations wrote",
+                p.reserved_bytes,
             ),
             (
                 "camp_persist_dropped_total",
@@ -1422,6 +1440,9 @@ mod tests {
                 segments: 2,
                 commits: 5,
                 commit_records: 40,
+                writes: 6,
+                reserves: 2,
+                reserved_bytes: 8192,
                 sync_us: {
                     let h = Histogram::new();
                     h.record(300);
@@ -1472,6 +1493,9 @@ mod tests {
             "STAT persist:segments 2",
             "STAT persist:commits 5",
             "STAT persist:commit_records 40",
+            "STAT persist:writes 6",
+            "STAT persist:reserves 2",
+            "STAT persist:reserved_bytes 8192",
             "STAT persist:sync_us:p50 303",
             "STAT persist:sync_us:max 900",
             "STAT profile:sample_modulus 64",
@@ -1599,6 +1623,9 @@ mod tests {
             "camp_persist_segments 2",
             "camp_persist_commits_total 5",
             "camp_persist_commit_records_total 40",
+            "camp_persist_writes_total 6",
+            "camp_persist_reserves_total 2",
+            "camp_persist_reserved_bytes_total 8192",
             "# TYPE camp_persist_sync_us summary",
             "camp_persist_sync_us_count 2",
         ] {

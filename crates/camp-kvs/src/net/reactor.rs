@@ -37,20 +37,23 @@
 //!
 //! # Park, commit, flush
 //!
-//! Under `--data-dir --fsync always` a reply may not leave before the
-//! record it acknowledges is on stable storage. A connection's cycle
-//! therefore splits at the flush: after `process`, if
-//! [`Shared::needs_commit`] says unsynced records exist, a cycle that
-//! belongs to a batch *parks* the connection (`(slot, gen, step)`) and
-//! moves on; once the whole run queue has been processed the worker
-//! finishes the parked connections in order — commit, flush, record spans,
-//! re-derive interest — so the first commit syncs once for every record
-//! the wakeup appended and the rest find nothing to do. A cycle outside a
-//! batch (a fresh registration, a delay resume, an idle eviction) and the
-//! farewell flushes of `close` and `sever_all` commit inline. Without
-//! `--data-dir`, or when a connection's wakeup appended nothing and
-//! nothing else is pending, the check is one lock-free load that reads
-//! `false` and the cycle is the unsplit one.
+//! Under `--data-dir` a reply may not leave before the record it
+//! acknowledges has been handed to the kernel — and, under `--fsync
+//! always`, is on stable storage. Handlers only *encode* their records
+//! into the log's pending buffer; the barrier is what writes them. A
+//! connection's cycle therefore splits at the flush, in every `--fsync`
+//! mode: after `process`, if [`Shared::needs_commit`] says uncommitted
+//! records exist, a cycle that belongs to a batch *parks* the connection
+//! (`(slot, gen, step)`) and moves on; once the whole run queue has been
+//! processed the worker finishes the parked connections in order — commit,
+//! flush, record spans, re-derive interest — so the first commit issues
+//! one `write` (and under `always` one sync) for every record the wakeup
+//! appended and the rest find nothing to do. A cycle outside a batch (a
+//! fresh registration, a delay resume, an idle eviction) and the farewell
+//! flushes of `close` and `sever_all` commit inline. Without `--data-dir`,
+//! or when a connection's wakeup appended nothing and nothing else is
+//! pending, the check is one lock-free load that reads `false` and the
+//! cycle is the unsplit one.
 //!
 //! # Drain and sever
 //!
@@ -395,8 +398,9 @@ impl Worker {
     }
 
     /// Finishes every connection the batch parked behind the ack barrier.
-    /// The first commit syncs for the whole wakeup (and for whatever other
-    /// workers appended meanwhile); the rest see nothing unsynced.
+    /// The first commit writes (and under `always` syncs) for the whole
+    /// wakeup, and for whatever other workers appended meanwhile; the rest
+    /// see nothing owed.
     fn finish_parked(&mut self) {
         if self.parked.is_empty() {
             return;
@@ -409,7 +413,7 @@ impl Worker {
             #[cfg(test)]
             // ordering: Relaxed — test-only switch, set before any traffic.
             if self.shared.flush_before_commit.load(Ordering::Relaxed) {
-                // MUTATION: the acks leave first, the sync follows.
+                // MUTATION: the acks leave first, the commit follows.
                 self.finish(slot, step);
                 self.shared.commit_before_flush();
                 continue;

@@ -10,7 +10,8 @@
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use camp_core::rng::Rng64;
@@ -25,27 +26,50 @@ const DISK_STREAM_SALT: u64 = 0xD15C_FA17;
 ///
 /// One file is "active" at a time: [`create`](IoBackend::create) opens
 /// it, [`append`](IoBackend::append)/[`sync`](IoBackend::sync)/
-/// [`truncate`](IoBackend::truncate) operate on it. On an `append`
-/// error an arbitrary prefix of the buffer may have reached the file —
-/// exactly what a real short write does — and the caller repairs by
-/// truncating back to its last committed offset.
+/// [`truncate`](IoBackend::truncate)/[`reserve`](IoBackend::reserve)
+/// operate on it. On an `append` error an arbitrary prefix of the buffer
+/// may have reached the file — exactly what a real short write does —
+/// and the caller repairs by truncating back to its last committed
+/// offset.
 pub trait IoBackend: fmt::Debug + Send {
     /// Opens `path` as the new active file (created empty if absent).
     fn create(&mut self, path: &Path) -> io::Result<()>;
-    /// Appends `buf` to the active file.
+    /// Writes `buf` where the active file's records end.
     fn append(&mut self, buf: &[u8]) -> io::Result<()>;
     /// Flushes the active file's data to stable storage.
     fn sync(&mut self) -> io::Result<()>;
-    /// Truncates the active file to `len` bytes.
+    /// Truncates the active file to `len` bytes; the next `append` lands
+    /// there, and whatever runway was reserved past it is gone.
     fn truncate(&mut self, len: u64) -> io::Result<()>;
     /// Removes a (non-active) segment file.
     fn remove(&mut self, path: &Path) -> io::Result<()>;
+    /// Extends the active file's *runway* by `bytes`: zeros, written and
+    /// synced, starting where the runway so far ends (or where the
+    /// records end, if they have passed it), which later `append`s
+    /// overwrite in place. Returns the file offset the runway now ends
+    /// at. A backend that does not reserve — the default — returns
+    /// `Ok(0)` and its files simply grow.
+    fn reserve(&mut self, bytes: u64) -> io::Result<u64> {
+        let _ = bytes;
+        Ok(0)
+    }
 }
 
 /// The production backend: buffered-nothing, straight `std::fs`.
+///
+/// The active file is written by position, not `O_APPEND`: `cursor` is
+/// where the records end, `reserved` where the zeroed runway ends. An
+/// `append` that stays below `reserved` overwrites blocks that are
+/// already allocated, written and inside the synced file size, so the
+/// `fdatasync` after it has no metadata to journal; one that passes it
+/// grows the file like any append would.
 #[derive(Debug, Default)]
 pub struct RealFs {
     active: Option<File>,
+    /// Offset the next `append` writes at.
+    cursor: u64,
+    /// End of the runway (`<= cursor` when there is none).
+    reserved: u64,
 }
 
 impl RealFs {
@@ -55,22 +79,34 @@ impl RealFs {
         RealFs::default()
     }
 
-    fn active(&mut self) -> io::Result<&mut File> {
+    fn active(&self) -> io::Result<&File> {
         self.active
-            .as_mut()
+            .as_ref()
             .ok_or_else(|| io::Error::other("persist: no active segment file"))
     }
 }
 
 impl IoBackend for RealFs {
     fn create(&mut self, path: &Path) -> io::Result<()> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let file = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(path)?;
+        // What `O_APPEND` used to mean for a file that already exists
+        // (segment indices are never reused, so this is 0 in practice).
+        self.cursor = file.metadata()?.len();
+        self.reserved = self.cursor;
         self.active = Some(file);
         Ok(())
     }
 
     fn append(&mut self, buf: &[u8]) -> io::Result<()> {
-        self.active()?.write_all(buf)
+        // On failure the cursor stays put: the caller's `truncate`
+        // decides where the log resumes.
+        self.active()?.write_all_at(buf, self.cursor)?;
+        self.cursor += buf.len() as u64;
+        Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -78,11 +114,32 @@ impl IoBackend for RealFs {
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.active()?.set_len(len)
+        self.active()?.set_len(len)?;
+        self.cursor = len;
+        self.reserved = len;
+        Ok(())
     }
 
     fn remove(&mut self, path: &Path) -> io::Result<()> {
         fs::remove_file(path)
+    }
+
+    fn reserve(&mut self, bytes: u64) -> io::Result<u64> {
+        // A small fixed buffer, however long the runway: no allocation.
+        let zeros = [0u8; 16 * 1024];
+        let file = self.active()?;
+        let end = self.reserved.max(self.cursor) + bytes;
+        let mut at = end - bytes;
+        while at < end {
+            let chunk = (end - at).min(zeros.len() as u64);
+            file.write_all_at(&zeros[..chunk as usize], at)?;
+            at += chunk;
+        }
+        // The one sync that pays for the new blocks and the new file
+        // size, so the commits that land in them do not.
+        file.sync_data()?;
+        self.reserved = end;
+        Ok(end)
     }
 }
 
@@ -94,7 +151,8 @@ impl IoBackend for RealFs {
 /// append may first push a *prefix* of the buffer into the inner
 /// backend — a genuine torn record on disk, which is what recovery's
 /// torn-tail rule exists to absorb. `create`/`truncate`/`remove` pass
-/// through unfaulted: they are the repair path.
+/// through unfaulted: they are the repair path. So does `reserve`,
+/// which carries no record.
 #[derive(Debug)]
 pub struct FaultFs {
     inner: Box<dyn IoBackend>,
@@ -152,16 +210,20 @@ impl IoBackend for FaultFs {
     fn remove(&mut self, path: &Path) -> io::Result<()> {
         self.inner.remove(path)
     }
+
+    fn reserve(&mut self, bytes: u64) -> io::Result<u64> {
+        self.inner.reserve(bytes)
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use std::path::PathBuf;
 
     /// An in-memory backend for observing exactly what reached "disk".
     #[derive(Debug, Default)]
-    struct MemFs {
+    pub(in crate::persist) struct MemFs {
         bytes: Vec<u8>,
         syncs: u64,
         removed: Vec<PathBuf>,
@@ -278,6 +340,33 @@ mod tests {
         assert_eq!(fs::read(&path).expect("read"), b"hello");
         backend.remove(&path).expect("remove");
         assert!(!path.exists());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn real_fs_appends_overwrite_the_runway_they_reserved() {
+        let dir = std::env::temp_dir().join(format!("camp-persist-rsv-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("seg-test.camplog");
+        let mut backend = RealFs::new();
+        backend.create(&path).expect("create");
+        assert_eq!(backend.reserve(100_000).expect("reserve"), 100_000);
+        assert_eq!(fs::read(&path).expect("read"), vec![0u8; 100_000]);
+        backend.append(b"hello ").expect("append");
+        backend.append(b"world").expect("append");
+        let bytes = fs::read(&path).expect("read");
+        assert_eq!(bytes.len(), 100_000, "written in place, not at the end");
+        assert_eq!(&bytes[..11], b"hello world");
+        assert!(bytes[11..].iter().all(|&b| b == 0));
+        // More runway starts where the last one ended...
+        assert_eq!(backend.reserve(50).expect("reserve"), 100_050);
+        // ...a repair takes it all away, and appends resume at the cut...
+        backend.truncate(6).expect("truncate");
+        backend.append(b"there").expect("append");
+        assert_eq!(fs::read(&path).expect("read"), b"hello there");
+        // ...and a reserve after plain growth starts at the records' end.
+        assert_eq!(backend.reserve(4).expect("reserve"), 15);
+        assert_eq!(fs::read(&path).expect("read"), b"hello there\0\0\0\0");
         fs::remove_dir_all(&dir).ok();
     }
 }

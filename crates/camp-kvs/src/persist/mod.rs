@@ -22,27 +22,46 @@
 //! corrupt mid-log records, and rebuilds both the sharded store and the
 //! per-item CAMP costs before any listener opens.
 //!
-//! # The `--fsync always` ack barrier
+//! # The commit path and the ack barrier
 //!
-//! `always` promises that an *acknowledged* write survives a crash, and
-//! a write is acknowledged when its reply reaches the socket, not when
-//! the append returns. So the sync only has to precede the flush, and
-//! one sync covers every record appended before it. A caller that holds
-//! its replies back (the reactor) says so once with
-//! `Persist::defer_sync_to_commit`; appends then only mark the writer
-//! dirty, and the caller calls [`Persist::commit`] before it flushes:
-//! take the writer lock, return at once if nothing is unsynced,
-//! otherwise one `sync()` for everything appended so far by any worker.
-//! The mutex is the queue — a second worker whose records the first
-//! worker's sync covered finds the writer clean and returns without a
-//! syscall — and [`Persist::needs_commit`] is the lock-free "did I
-//! append anything that still needs it?" (see `state`'s
+//! An `append_*` only *encodes*: the frame joins the writer's `pending`
+//! buffer under the writer mutex. A **commit** is what reaches the
+//! kernel — one `write` carrying every pending frame of every worker,
+//! then, under `--fsync always`, one `fdatasync` — so a commit costs two
+//! calls however many records it carries. `always` promises that an
+//! *acknowledged* write survives a crash, the other modes that it
+//! survives the process (it has been `write`-n), and a write is
+//! acknowledged when its reply reaches the socket, not when the append
+//! returns; so the commit only has to precede the flush. A caller that
+//! holds its replies back (the reactor) says so once with
+//! `Persist::defer_to_commit` and calls [`Persist::commit`] before it
+//! flushes: take the writer lock, return at once if nothing is owed,
+//! otherwise write and sync for everything appended so far by any
+//! worker. The mutex is the queue — a second worker whose records the
+//! first worker's commit carried finds the writer clean and returns
+//! without a syscall — and [`Persist::needs_commit`] is the lock-free
+//! "did I append anything a commit still owes?" (see `state`'s
 //! `UnsyncedFlag` for which way that read can be stale, and its
-//! camp-check harness). A caller that never defers (direct `append_*`
-//! callers: tests, the benchmark ledger) keeps the sync inline after
-//! every record. Rotation
-//! syncs the segment it leaves before creating the next, in every mode,
-//! because the backend can only sync its active file.
+//! camp-check harness). A caller that never made the promise (direct
+//! `append_*` callers: tests, the benchmark ledger) gets the same commit
+//! at once, inside the append. Rotation, the seal, a snapshot and the
+//! interval tick commit whatever is pending first; rotation syncs the
+//! segment it leaves before creating the next, in every mode, because
+//! the backend can only sync its active file.
+//!
+//! # Segment life cycle
+//!
+//! *Create* opens an empty file; *reserve* asks the backend for a runway
+//! of written-and-synced zeros ahead of the records
+//! ([`IoBackend::reserve`]: the whole segment plus a record of slack
+//! when that is under 1 MiB, else 1 MiB at a time as the records near
+//! its end); commits *overwrite* the runway in place, so the `fdatasync`
+//! behind each finds no new block and no new file size to journal;
+//! *rotate* commits, cuts the unused zeros off and moves on. A failed
+//! write cuts the file back to the last good byte — runway included, so
+//! no frame of the failed batch can outlive it — and the segment grows
+//! the plain way until the next rotation. Recovery reads a zero tail as
+//! the clean end of the log ([`record::scan`]).
 //!
 //! # Degraded state
 //!
@@ -84,6 +103,16 @@ const SEGMENT_SUFFIX: &str = ".camplog";
 
 /// Floor for `--segment-bytes`: below this, rotation overhead dominates.
 pub const MIN_SEGMENT_BYTES: u64 = 4096;
+
+/// The most runway one `reserve` asks for: boot, a rotation and the
+/// reactor stall for a write-and-sync of this many zeros, never of a
+/// whole 64 MiB segment.
+const RUNWAY_CHUNK: u64 = 1 << 20;
+/// Runway past `segment_bytes`: the record that trips the rotation ends
+/// beyond it.
+const RUNWAY_SLACK: u64 = 8 * 1024;
+/// Extend the runway once the records come this close to its end.
+const RUNWAY_LOW_WATER: u64 = RUNWAY_CHUNK / 4;
 
 /// When to fsync the active segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -185,11 +214,11 @@ pub struct PersistSnapshot {
     pub state: &'static str,
     /// I/O errors observed (append, fsync, repair).
     pub errors: u64,
-    /// Payload bytes successfully appended.
+    /// Record bytes successfully written.
     pub bytes: u64,
     /// Successful fsyncs.
     pub fsyncs: u64,
-    /// Records successfully appended.
+    /// Records successfully written.
     pub records: u64,
     /// Records dropped while degraded.
     pub dropped: u64,
@@ -214,6 +243,14 @@ pub struct PersistSnapshot {
     /// Records those syncs covered — every record but a snapshot's;
     /// `commit_records / commits` is the mean group size.
     pub commit_records: u64,
+    /// `write` calls that carried records: one per commit that had any
+    /// pending, plus a snapshot's flushes.
+    pub writes: u64,
+    /// Runway reservations (each a write of zeros and a sync of its own,
+    /// not counted in `fsyncs`).
+    pub reserves: u64,
+    /// Zero bytes those reservations wrote.
+    pub reserved_bytes: u64,
     /// Wall time of every `fsync` the engine issued, in microseconds —
     /// where the time the `set` handler histogram no longer contains went.
     pub sync_us: HistogramSnapshot,
@@ -237,6 +274,9 @@ impl Default for PersistSnapshot {
             segments: 0,
             commits: 0,
             commit_records: 0,
+            writes: 0,
+            reserves: 0,
+            reserved_bytes: 0,
             sync_us: HistogramSnapshot::empty(),
         }
     }
@@ -249,17 +289,88 @@ struct LogWriter {
     dir: PathBuf,
     /// Index of the active segment.
     seg_index: u64,
-    /// Logical bytes successfully appended to the active segment; the
-    /// repair target after a failed (possibly short) write.
+    /// Bytes a `write` has landed in the active segment: where the next
+    /// one goes, and the repair target after a failed (possibly short)
+    /// one.
     committed: u64,
     consecutive_errors: u32,
     /// All live segments in index order; the active one is last.
     segments: Vec<(u64, PathBuf)>,
-    /// Reusable encode buffer.
-    scratch: Vec<u8>,
-    /// Records appended one by one to the active segment since the last
-    /// successful fsync (mirrored lock-free by [`Persist::unsynced`]).
+    /// Encoded frames no `write` has carried yet: everything appended
+    /// since the last commit (and a snapshot's flush buffer).
+    pending: Vec<u8>,
+    /// Records in `pending`.
+    pending_records: u64,
+    /// Records written to the active segment since the last successful
+    /// fsync.
     unsynced_records: u64,
+    /// Where the active segment's runway ends; 0 when it has none (the
+    /// backend does not reserve, or a failed write cut it off).
+    runway_end: u64,
+    /// `write` calls that carried records.
+    writes: u64,
+    /// Runway reservations, and the zero bytes they wrote.
+    reserves: u64,
+    reserved_bytes: u64,
+}
+
+impl LogWriter {
+    /// Makes segment `index` the active one: create it and reset what is
+    /// accounted per segment.
+    fn start_segment(&mut self, index: u64) -> stdio::Result<()> {
+        let path = segment_path(&self.dir, index);
+        self.backend.create(&path)?;
+        self.seg_index = index;
+        self.committed = 0;
+        self.unsynced_records = 0;
+        self.runway_end = 0;
+        self.segments.push((index, path));
+        Ok(())
+    }
+
+    /// The one place record bytes reach the backend: a single `append`
+    /// of everything pending, which is dropped either way.
+    fn write_pending(&mut self) -> stdio::Result<()> {
+        let result = self.backend.append(&self.pending);
+        self.pending.clear();
+        self.writes += u64::from(result.is_ok());
+        result
+    }
+
+    /// Forgets what is pending without writing it.
+    fn discard_pending(&mut self) {
+        self.pending.clear();
+        self.pending_records = 0;
+    }
+
+    /// Cuts the active segment back to `len` bytes of records. Whatever
+    /// runway lay past them goes with the cut (even a failed one: the
+    /// segment then grows the plain way, which is always correct).
+    fn truncate(&mut self, len: u64) -> stdio::Result<()> {
+        self.committed = len;
+        self.runway_end = 0;
+        self.backend.truncate(len)
+    }
+
+    /// Extends the active segment's runway by up to [`RUNWAY_CHUNK`],
+    /// never past `segment_bytes` plus [`RUNWAY_SLACK`]. After a failure
+    /// the segment goes on without one.
+    fn extend_runway(&mut self, segment_bytes: u64) -> stdio::Result<()> {
+        let goal = segment_bytes.saturating_add(RUNWAY_SLACK);
+        let from = self.runway_end.max(self.committed);
+        if from >= goal {
+            return Ok(());
+        }
+        let want = RUNWAY_CHUNK.min(goal - from);
+        // Stays 0 behind a failure, and for a backend that does not reserve.
+        self.runway_end = 0;
+        self.runway_end = self.backend.reserve(want)?;
+        if self.runway_end != 0 {
+            self.reserves += 1;
+            self.reserved_bytes += want;
+        }
+        Ok(())
+    }
 }
 
 /// The append-only persistence engine. One per server; shared between
@@ -270,10 +381,11 @@ pub struct Persist {
     writer: Mutex<LogWriter>,
     options: PersistOptions,
     engine: EngineState,
-    /// `--fsync always` only: the caller promised to [`Persist::commit`]
-    /// before it acknowledges, so appends do not sync inline.
-    defer_sync: bool,
-    /// Lock-free mirror of `unsynced_records > 0`.
+    /// The caller promised to [`Persist::commit`] before it
+    /// acknowledges, so appends do not commit inline.
+    deferred: bool,
+    /// Lock-free mirror of "a commit owes something": frames are
+    /// pending, or (`--fsync always`) written records are unsynced.
     unsynced: UnsyncedFlag,
     errors: AtomicU64,
     bytes: AtomicU64,
@@ -330,8 +442,8 @@ struct Recovered {
     next_index: u64,
 }
 
-/// Replays every segment into `store`, truncating the newest segment's
-/// torn tail.
+/// Replays every segment into `store`, cutting the newest segment back
+/// to where its log ends (a torn tail, unused reserved zeros, or both).
 fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
     let segments = list_segments(dir)?;
     let mut summary = RecoverySummary {
@@ -373,11 +485,11 @@ fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
         summary.torn_bytes += scan.torn_bytes;
         if Some(pos) == last_index {
             summary.sealed = scan.sealed;
-            if scan.torn_bytes > 0 {
-                // Physically truncate the torn tail so the crash leaves
-                // no trace for the next scan.
+            if scan.valid_len < bytes.len() as u64 {
+                // Physically cut the torn tail (and the zeros reserved
+                // past it) so the crash leaves no trace for the next scan.
                 let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len((bytes.len() as u64).saturating_sub(scan.torn_bytes))?;
+                file.set_len(scan.valid_len)?;
             }
         }
     }
@@ -421,20 +533,15 @@ impl Persist {
     /// Same as [`Persist::open`].
     pub fn open_with_backend(
         options: PersistOptions,
-        mut backend: Box<dyn IoBackend>,
+        backend: Box<dyn IoBackend>,
         store: &ShardedStore,
     ) -> stdio::Result<Persist> {
         fs::create_dir_all(&options.data_dir)?;
         let Recovered {
             summary,
-            mut segments,
+            segments,
             next_index,
         } = recover_into(&options.data_dir, store)?;
-        // Always start a fresh segment: recovered segments are immutable
-        // history, never appended to again.
-        let active = segment_path(&options.data_dir, next_index);
-        backend.create(&active)?;
-        segments.push((next_index, active));
         kvlog!(
             LogLevel::Info,
             "persist_recovered",
@@ -445,22 +552,33 @@ impl Persist {
             sealed = summary.sealed,
             items = store.len() as u64,
         );
+        let mut writer = LogWriter {
+            backend,
+            dir: options.data_dir.clone(),
+            seg_index: next_index,
+            committed: 0,
+            consecutive_errors: 0,
+            segments,
+            pending: Vec::new(),
+            pending_records: 0,
+            unsynced_records: 0,
+            runway_end: 0,
+            writes: 0,
+            reserves: 0,
+            reserved_bytes: 0,
+        };
+        // Always start a fresh segment: recovered segments are immutable
+        // history, never appended to again. A disk that cannot take its
+        // runway is counted, not fatal: appends will say the rest.
+        writer.start_segment(next_index)?;
+        let reserve_failed = writer.extend_runway(options.segment_bytes).is_err();
         Ok(Persist {
-            writer: Mutex::new(LogWriter {
-                backend,
-                dir: options.data_dir.clone(),
-                seg_index: next_index,
-                committed: 0,
-                consecutive_errors: 0,
-                segments,
-                scratch: Vec::new(),
-                unsynced_records: 0,
-            }),
+            writer: Mutex::new(writer),
             options,
             engine: EngineState::new(),
-            defer_sync: false,
+            deferred: false,
             unsynced: UnsyncedFlag::new(),
-            errors: AtomicU64::new(0),
+            errors: AtomicU64::new(u64::from(reserve_failed)),
             bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             records: AtomicU64::new(0),
@@ -482,33 +600,31 @@ impl Persist {
     }
 
     /// The caller promises to call [`Persist::commit`] before it
-    /// acknowledges any mutation, so `--fsync always` appends stop
-    /// syncing inline (other modes never did; this is a no-op for them).
+    /// acknowledges any mutation, so appends stop committing inline.
     /// The server always makes the promise; direct `append_*` callers
-    /// (tests, the benchmark ledger) do not and keep the inline sync.
-    pub(crate) fn defer_sync_to_commit(&mut self) {
-        self.defer_sync = self.options.fsync == FsyncMode::Always;
+    /// (tests, the benchmark ledger) do not, and every append of theirs
+    /// is its own commit.
+    pub(crate) fn defer_to_commit(&mut self) {
+        self.deferred = true;
     }
 
     /// Lock-free: whether a reply about to be sent may depend on records
-    /// no fsync has covered. Only ever true under a deferred
-    /// `--fsync always`; never false for the caller's own unsynced record.
+    /// no commit has carried. Only ever true for a caller that deferred;
+    /// never false for the caller's own uncommitted record.
     #[must_use]
     pub fn needs_commit(&self) -> bool {
-        self.defer_sync && self.unsynced.get()
+        self.deferred && self.unsynced.get()
     }
 
     /// The ack barrier: returns once every record appended before the
-    /// call is on stable storage (or its fsync failure has been counted —
-    /// as with the inline sync, the reply is still sent). One sync covers
-    /// all workers' records; a caller whose records an earlier `commit`
-    /// covered returns without a syscall. Also the interval mode's
-    /// background flush.
+    /// call has been written and — under `--fsync always` — is on stable
+    /// storage (or the failure has been counted: the reply is still
+    /// sent). One `write` and one sync cover all workers' records; a
+    /// caller whose records an earlier `commit` carried returns without
+    /// a syscall.
     pub fn commit(&self) {
         let w = &mut *lock(&self.writer);
-        if w.unsynced_records > 0 {
-            self.sync_locked(w);
-        }
+        self.commit_locked(w, self.options.fsync == FsyncMode::Always);
     }
 
     /// Logs a successful store (`set`/`add`/`replace`/arith rewrite).
@@ -558,35 +674,60 @@ impl Persist {
     }
 
     fn append_locked(&self, w: &mut LogWriter, store: &ShardedStore, rec: &Record<'_>) {
-        w.scratch.clear();
-        record::encode_into(rec, &mut w.scratch);
-        let len = w.scratch.len() as u64;
-        match w.backend.append(&w.scratch) {
-            Ok(()) => {
-                w.committed += len;
-                w.unsynced_records += 1;
-                self.unsynced.mark();
-                w.consecutive_errors = 0;
-                // ordering: Relaxed(x2) — statistics counters; durability
-                // state travels through the writer lock, not these.
-                self.bytes.fetch_add(len, Ordering::Relaxed);
-                self.records.fetch_add(1, Ordering::Relaxed);
-                if self.options.fsync == FsyncMode::Always && !self.defer_sync {
-                    self.sync_locked(w);
+        record::encode_into(rec, &mut w.pending);
+        w.pending_records += 1;
+        self.unsynced.mark();
+        if w.committed + w.pending.len() as u64 >= self.options.segment_bytes {
+            self.rotate_locked(w, store);
+        } else if !self.deferred {
+            self.commit_locked(w, self.options.fsync == FsyncMode::Always);
+        }
+    }
+
+    /// One commit: write what is pending, then — if `sync` — sync what
+    /// is written, then settle what the barrier still owes.
+    fn commit_locked(&self, w: &mut LogWriter, sync: bool) {
+        if !w.pending.is_empty() {
+            let len = w.pending.len() as u64;
+            let records = std::mem::take(&mut w.pending_records);
+            match w.write_pending() {
+                Ok(()) => {
+                    w.committed += len;
+                    w.unsynced_records += records;
+                    w.consecutive_errors = 0;
+                    // ordering: Relaxed(x2) — statistics counters;
+                    // durability state travels through the writer lock.
+                    self.bytes.fetch_add(len, Ordering::Relaxed);
+                    self.records.fetch_add(records, Ordering::Relaxed);
                 }
-                if w.committed >= self.options.segment_bytes {
-                    self.rotate_locked(w, store);
+                Err(_) => {
+                    // A short write may have left whole frames of the
+                    // batch behind: cut the file back to the last good
+                    // byte. That takes the runway with it, so nothing of
+                    // this batch can sit past a later, shorter one.
+                    let repaired = w.truncate(w.committed).is_ok();
+                    self.note_io_error_locked(w);
+                    if !repaired {
+                        self.trip_locked(w);
+                    }
                 }
             }
-            Err(_) => {
-                // A short write may have torn the tail; repair by
-                // truncating back to the last committed offset.
-                let repaired = w.backend.truncate(w.committed).is_ok();
-                self.note_io_error_locked(w);
-                if !repaired {
-                    self.trip_locked(w);
-                }
-            }
+        }
+        if sync && w.unsynced_records > 0 {
+            self.sync_locked(w);
+        }
+        if w.unsynced_records == 0 || self.options.fsync != FsyncMode::Always {
+            self.unsynced.clear();
+        }
+        if w.runway_end != 0 && w.runway_end.saturating_sub(w.committed) < RUNWAY_LOW_WATER {
+            self.reserve_locked(w);
+        }
+    }
+
+    /// Tops the active segment's runway up; a failure is counted.
+    fn reserve_locked(&self, w: &mut LogWriter) {
+        if w.extend_runway(self.options.segment_bytes).is_err() {
+            self.note_io_error_locked(w);
         }
     }
 
@@ -604,9 +745,9 @@ impl Persist {
         result
     }
 
-    /// Syncs the active segment's unsynced records: on success
-    /// they count as one commit and the writer is clean; on failure the
-    /// error is counted and they stay unsynced for the next attempt.
+    /// Syncs the active segment's written records: on success they count
+    /// as one commit and the writer is clean; on failure the error is
+    /// counted and they stay unsynced for the next attempt.
     fn sync_locked(&self, w: &mut LogWriter) {
         match self.timed_sync(w.backend.as_mut()) {
             Ok(()) => {
@@ -620,9 +761,10 @@ impl Persist {
         }
     }
 
-    /// Nothing in the active segment is waiting for a sync any more:
-    /// it was synced, or the segment is fresh, or it was given up on.
+    /// Nothing is waiting for a commit any more: the active segment was
+    /// synced with nothing pending, or it is fresh, or it was given up on.
     fn mark_clean_locked(&self, w: &mut LogWriter) {
+        debug_assert!(w.pending.is_empty());
         w.unsynced_records = 0;
         self.unsynced.clear();
     }
@@ -637,8 +779,10 @@ impl Persist {
     }
 
     fn trip_locked(&self, w: &mut LogWriter) {
-        // Re-arm rebuilds the log from the live store, so nothing in the
-        // abandoned segment is worth a sync (or a parked reply) any more.
+        // Re-arm rebuilds the log from the live store, so nothing pending
+        // or in the abandoned segment is worth a commit (or a parked
+        // reply) any more.
+        w.discard_pending();
         self.mark_clean_locked(w);
         if self.engine.trip() {
             kvlog!(
@@ -666,21 +810,26 @@ impl Persist {
     }
 
     fn roll_locked(&self, w: &mut LogWriter) -> stdio::Result<()> {
-        // The backend can only sync its active file: whatever the
-        // outgoing segment still owes (an interval tail, or a deferred
-        // `always` batch the rotation landed in) is synced now or never.
-        // A failed sync is counted and the roll goes on — the next
-        // segment must still open.
-        if w.unsynced_records > 0 {
-            self.sync_locked(w);
+        // The backend can only write and sync its active file: whatever
+        // the outgoing segment still owes (the batch the rotation landed
+        // in, an interval tail) is committed now or never. A failure is
+        // counted and the roll goes on — the next segment must still
+        // open.
+        self.commit_locked(w, true);
+        if w.runway_end > w.committed {
+            // Best effort: the unused zeros are only disk space, and the
+            // scanner reads them as the end of the log anyway.
+            let _ = w.truncate(w.committed);
         }
-        let index = w.seg_index + 1;
-        let path = segment_path(&w.dir, index);
-        w.backend.create(&path)?;
-        w.seg_index = index;
-        w.committed = 0;
+        self.start_segment_locked(w, w.seg_index + 1)
+    }
+
+    /// Moves on to segment `index` — nothing is owed to the one left
+    /// behind any more — and reserves its first stretch of runway.
+    fn start_segment_locked(&self, w: &mut LogWriter, index: u64) -> stdio::Result<()> {
+        w.start_segment(index)?;
         self.mark_clean_locked(w);
-        w.segments.push((index, path));
+        self.reserve_locked(w);
         Ok(())
     }
 
@@ -713,10 +862,9 @@ impl Persist {
                 Ok(())
             }
             Err(err) => {
-                if w.backend.truncate(0).is_err() {
+                if w.truncate(0).is_err() {
                     self.trip_locked(w);
                 }
-                w.committed = 0;
                 Err(err)
             }
         }
@@ -727,11 +875,8 @@ impl Persist {
     /// snapshot size.
     fn snapshot_locked(&self, w: &mut LogWriter, store: &ShardedStore) -> stdio::Result<()> {
         const FLUSH_BYTES: usize = 256 * 1024;
-        let LogWriter {
-            backend, scratch, ..
-        } = &mut *w;
-        scratch.clear();
-        record::encode_into(&Record::Clear, scratch);
+        debug_assert!(w.pending.is_empty());
+        record::encode_into(&Record::Clear, &mut w.pending);
         let mut written = 0u64;
         let mut records = 1u64;
         let mut failed: Option<stdio::Error> = None;
@@ -747,15 +892,13 @@ impl Persist {
                     cost: item.cost,
                     expires_at: item.expires_at,
                 },
-                scratch,
+                &mut w.pending,
             );
             records += 1;
-            if scratch.len() >= FLUSH_BYTES {
-                match backend.append(scratch) {
-                    Ok(()) => {
-                        written += scratch.len() as u64;
-                        scratch.clear();
-                    }
+            if w.pending.len() >= FLUSH_BYTES {
+                let len = w.pending.len() as u64;
+                match w.write_pending() {
+                    Ok(()) => written += len,
                     Err(err) => failed = Some(err),
                 }
             }
@@ -763,12 +906,12 @@ impl Persist {
         if let Some(err) = failed {
             return Err(err);
         }
-        if !scratch.is_empty() {
-            backend.append(scratch)?;
-            written += scratch.len() as u64;
-            scratch.clear();
+        if !w.pending.is_empty() {
+            let len = w.pending.len() as u64;
+            w.write_pending()?;
+            written += len;
         }
-        self.timed_sync(backend.as_mut())?;
+        self.timed_sync(w.backend.as_mut())?;
         w.committed = written;
         // ordering: Relaxed(x2) — statistics counters.
         self.bytes.fetch_add(written, Ordering::Relaxed);
@@ -786,17 +929,16 @@ impl Persist {
             return true;
         }
         let w = &mut *lock(&self.writer);
+        // What an appender that raced the trip left pending is in the
+        // live store, so the snapshot carries it.
+        w.discard_pending();
         let index = w.seg_index + 1;
-        let path = segment_path(&w.dir, index);
-        if w.backend.create(&path).is_err() {
+        if self.start_segment_locked(w, index).is_err() {
             // ordering: Relaxed — statistics counter.
             self.errors.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        w.seg_index = index;
-        w.committed = 0;
-        self.mark_clean_locked(w);
-        w.segments.push((index, path.clone()));
+        let path = segment_path(&w.dir, index);
         match self.snapshot_locked(w, store) {
             Ok(()) => {
                 let stale: Vec<PathBuf> = w
@@ -827,34 +969,25 @@ impl Persist {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 // Scrap the aborted attempt entirely; the next retry
                 // starts clean.
-                let _ = w.backend.truncate(0);
+                let _ = w.truncate(0);
                 let _ = w.backend.remove(&path);
                 w.segments.retain(|&(i, _)| i != index);
-                w.committed = 0;
                 false
             }
         }
     }
 
-    /// Appends a [`Record::Seal`] and fsyncs: the drain path's clean
-    /// shutdown marker. Recovery reports `sealed = true` when the newest
-    /// segment ends with one.
+    /// Appends a [`Record::Seal`] and commits it with a sync in every
+    /// mode: the drain path's clean shutdown marker. Recovery reports
+    /// `sealed = true` when the newest segment ends with one.
     pub fn seal(&self) {
         if self.is_degraded() {
             return;
         }
         let w = &mut *lock(&self.writer);
-        w.scratch.clear();
-        record::encode_into(&Record::Seal, &mut w.scratch);
-        let len = w.scratch.len() as u64;
-        if w.backend.append(&w.scratch).is_ok() {
-            w.committed += len;
-            w.unsynced_records += 1;
-            // ordering: Relaxed(x2) — statistics counters.
-            self.bytes.fetch_add(len, Ordering::Relaxed);
-            self.records.fetch_add(1, Ordering::Relaxed);
-            self.sync_locked(w);
-        }
+        record::encode_into(&Record::Seal, &mut w.pending);
+        w.pending_records += 1;
+        self.commit_locked(w, true);
     }
 
     /// Asks the background loop to exit at its next tick.
@@ -894,18 +1027,26 @@ impl Persist {
             } else if self.options.fsync == FsyncMode::Interval
                 && last_fsync.elapsed() >= self.options.fsync_interval
             {
-                self.commit();
+                self.commit_locked(&mut lock(&self.writer), true);
                 last_fsync = Instant::now();
             }
         }
     }
 
     /// The telemetry counters, read without blocking appends for long
-    /// (one brief lock for the segment count).
+    /// (one brief lock for what the writer counts itself).
     #[must_use]
     pub fn snapshot(&self) -> PersistSnapshot {
         let sync_us = self.sync_us.snapshot();
-        let segments = lock(&self.writer).segments.len() as u64;
+        let (segments, writes, reserves, reserved_bytes) = {
+            let w = lock(&self.writer);
+            (
+                w.segments.len() as u64,
+                w.writes,
+                w.reserves,
+                w.reserved_bytes,
+            )
+        };
         PersistSnapshot {
             state: if self.is_degraded() {
                 "degraded"
@@ -928,6 +1069,9 @@ impl Persist {
             segments,
             commits: self.commits.load(Ordering::Relaxed),
             commit_records: self.commit_records.load(Ordering::Relaxed),
+            writes,
+            reserves,
+            reserved_bytes,
             sync_us,
         }
     }
@@ -939,6 +1083,7 @@ mod tests {
     use crate::slab::SlabConfig;
     use crate::store::{EvictionMode, StoreConfig};
     use camp_core::Precision;
+    use std::os::unix::fs::FileExt;
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
 
@@ -1089,6 +1234,22 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// One framed set, as the writer encodes it.
+    fn encoded_set(key: &[u8], value: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        record::encode_into(
+            &Record::Set {
+                key,
+                value,
+                flags: 0,
+                cost: 1,
+                expires_at: 0,
+            },
+            &mut frame,
+        );
+        frame
+    }
+
     #[test]
     fn torn_tail_is_truncated_and_counted() {
         let dir = temp_dir("torn");
@@ -1098,15 +1259,20 @@ mod tests {
         persist.append_set(&store, b"good", b"value", 0, 0, 1);
         drop(persist);
         // Simulate a crash mid-write: a frame header promising more
-        // bytes than exist.
+        // bytes than were written, where the next record would have gone —
+        // at the cursor, over the head of the reserved zeros.
         let seg = segment_path(&dir, 0);
         let mut torn = record::MAGIC.to_be_bytes().to_vec();
         torn.extend_from_slice(&100u32.to_be_bytes());
         torn.extend_from_slice(&0u32.to_be_bytes());
         torn.extend_from_slice(&[0xAA; 10]);
-        let before = fs::read(&seg).expect("read segment").len();
-        let mut file = OpenOptions::new().append(true).open(&seg).expect("open");
-        stdio::Write::write_all(&mut file, &torn).expect("tear");
+        let before = encoded_set(b"good", b"value").len();
+        assert!(
+            fs::read(&seg).expect("read segment").len() > before + torn.len(),
+            "the killed writer left its runway behind"
+        );
+        let file = OpenOptions::new().write(true).open(&seg).expect("open");
+        file.write_all_at(&torn, before as u64).expect("tear");
         drop(file);
 
         let recovered = sharded();
@@ -1114,10 +1280,11 @@ mod tests {
         assert_eq!(recovered.get(b"good").expect("survives").value, b"value");
         let snap = reopened.snapshot();
         assert_eq!(snap.torn_bytes, torn.len() as u64);
+        assert_eq!(snap.quarantined, 0);
         assert_eq!(
             fs::read(&seg).expect("reread").len(),
             before,
-            "torn tail physically truncated"
+            "torn tail (and the zeros past it) physically truncated"
         );
         fs::remove_dir_all(&dir).ok();
     }
@@ -1127,28 +1294,134 @@ mod tests {
         let dir = temp_dir("quarantine");
         let store = sharded();
         let persist = open_plain(options(&dir), &store);
+        let mut written = 0;
         for i in 0..10u32 {
             let key = format!("k{i}");
             persist.append_set(&store, key.as_bytes(), b"payload-bytes", 0, 0, 1);
+            written += encoded_set(key.as_bytes(), b"payload-bytes").len();
         }
         drop(persist);
-        // Flip one byte in the middle of the segment.
+        // Flip one byte in the middle of the records (not of the file:
+        // most of that is reserved zeros).
         let seg = segment_path(&dir, 0);
         let mut bytes = fs::read(&seg).expect("read");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
+        bytes[written / 2] ^= 0x40;
         fs::write(&seg, &bytes).expect("rewrite");
 
         let recovered = sharded();
         let reopened = open_plain(options(&dir), &recovered);
         let snap = reopened.snapshot();
         assert!(snap.quarantined >= 1, "corruption must be counted");
+        assert_eq!(snap.torn_bytes, 0, "mid-log is not a torn tail");
         assert!(snap.recovered >= 8, "untouched records still replay");
         for i in 0..10u32 {
             let key = format!("k{i}");
             if let Some(hit) = recovered.get(key.as_bytes()) {
                 assert_eq!(hit.value, b"payload-bytes", "no corrupt value served");
             }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What replaying `dir` applies, and what it reports.
+    fn replay(dir: &Path) -> (ShardedStore, RecoverySummary) {
+        let store = sharded();
+        let summary = recover_into(dir, &store).expect("recover").summary;
+        (store, summary)
+    }
+
+    #[test]
+    fn a_parent_format_segment_with_no_zero_tail_recovers_as_before() {
+        // What a build before the runway wrote: frames back to back, the
+        // file ending with the last one.
+        let dir = temp_dir("parent-format");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let mut segment = Vec::new();
+        for i in 0..20u32 {
+            segment.extend(encoded_set(format!("key-{i}").as_bytes(), b"old-format"));
+        }
+        record::encode_into(&Record::Delete { key: b"key-3" }, &mut segment);
+        record::encode_into(&Record::Seal, &mut segment);
+        let seg = segment_path(&dir, 0);
+        fs::write(&seg, &segment).expect("write fixture");
+
+        let (store, summary) = replay(&dir);
+        assert_eq!(
+            summary,
+            RecoverySummary {
+                segments: 1,
+                records: 22,
+                quarantined: 0,
+                torn_bytes: 0,
+                sealed: true,
+            }
+        );
+        assert_eq!(store.len(), 19);
+        assert_eq!(store.get(b"key-19").expect("hit").value, b"old-format");
+        assert_eq!(fs::read(&seg).expect("reread"), segment, "left untouched");
+
+        // The same journal killed mid-record: the old torn tail.
+        fs::write(&seg, &segment[..segment.len() - 20]).expect("tear");
+        let (store, summary) = replay(&dir);
+        assert_eq!((summary.records, summary.quarantined), (20, 0));
+        assert!(summary.torn_bytes > 0 && !summary.sealed);
+        assert_eq!(store.len(), 20, "the delete was the torn record");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_batch_cut_at_any_byte_replays_exactly_the_whole_frames_before_the_cut() {
+        // A seeded stream: two committed batches, then a last batch that a
+        // power cut tears at byte `cut` — the disk holds its prefix and,
+        // from there on, the zeros reserved (and synced) beforehand.
+        let mut rng = Rng64::seed_from_u64(0x0C07_BA7C);
+        let mut frame = |i: u32| {
+            let value: Vec<u8> = (0..rng.range_usize(1, 40))
+                .map(|_| (rng.next_u64() & 0xFF) as u8)
+                .collect();
+            encoded_set(format!("key-{i:02}").as_bytes(), &value)
+        };
+        let committed: Vec<u8> = (0..12).flat_map(&mut frame).collect();
+        let last: Vec<Vec<u8>> = (12..20).map(&mut frame).collect();
+        let batch: Vec<u8> = last.concat();
+        let runway = committed.len() + batch.len() + 4096;
+
+        let dir = temp_dir("cut");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let seg = segment_path(&dir, 0);
+        for cut in 0..=batch.len() {
+            let mut image = committed.clone();
+            image.extend_from_slice(&batch[..cut]);
+            image.resize(runway, 0);
+            fs::write(&seg, &image).expect("write image");
+
+            // Whole frames before the cut, and where the last one ends.
+            let mut whole = 0;
+            let mut whole_end = 0;
+            for frame in &last {
+                if whole_end + frame.len() > cut {
+                    break;
+                }
+                whole += 1;
+                whole_end += frame.len();
+            }
+            // A torn frame's own trailing zeros cannot be told from the
+            // runway's.
+            let torn = batch[whole_end..cut]
+                .iter()
+                .rposition(|&b| b != 0)
+                .map_or(0, |last| last + 1);
+
+            let (store, summary) = replay(&dir);
+            assert_eq!(summary.records, 12 + whole, "cut {cut}");
+            assert_eq!(summary.quarantined, 0, "cut {cut}");
+            assert_eq!(summary.torn_bytes, torn as u64, "cut {cut}");
+            assert_eq!(store.len() as u64, 12 + whole, "cut {cut}");
+            assert_eq!(
+                fs::read(&seg).expect("reread").len(),
+                committed.len() + whole_end,
+                "cut {cut}: the segment ends with its last whole frame"
+            );
         }
         fs::remove_dir_all(&dir).ok();
     }
@@ -1214,6 +1487,7 @@ mod tests {
         let snap = persist.snapshot();
         assert_eq!((snap.records, snap.fsyncs), (10, 10));
         assert_eq!((snap.commits, snap.commit_records), (10, 10));
+        assert_eq!(snap.writes, 10, "an undeferred append is its own commit");
         assert_eq!(snap.sync_us.count, 10);
         drop(persist);
         fs::remove_dir_all(&dir).ok();
@@ -1227,11 +1501,16 @@ mod tests {
             },
             &store,
         );
-        persist.defer_sync_to_commit();
+        persist.defer_to_commit();
         assert!(!persist.needs_commit());
         append_sets(&persist, &store, 10);
         assert!(persist.needs_commit());
-        assert_eq!(persist.snapshot().fsyncs, 0, "appends must not sync inline");
+        let snap = persist.snapshot();
+        assert_eq!(
+            (snap.writes, snap.fsyncs, snap.records),
+            (0, 0, 0),
+            "a deferred append only encodes"
+        );
         persist.commit();
         assert!(!persist.needs_commit());
         // A second barrier with nothing new appended costs no syscall.
@@ -1239,6 +1518,7 @@ mod tests {
         let snap = persist.snapshot();
         assert_eq!((snap.records, snap.fsyncs), (10, 1));
         assert_eq!((snap.commits, snap.commit_records), (1, 10));
+        assert_eq!(snap.writes, 1, "one write carried the whole batch");
         drop(persist);
         let recovered = sharded();
         let _reopened = open_plain(options(&dir), &recovered);
@@ -1247,23 +1527,37 @@ mod tests {
     }
 
     #[test]
-    fn deferral_is_an_always_mode_promise_only() {
-        let dir = temp_dir("defer-interval");
-        let store = sharded();
-        let mut persist = open_plain(
-            PersistOptions {
-                fsync: FsyncMode::Interval,
-                ..PersistOptions::new(&dir)
-            },
-            &store,
-        );
-        persist.defer_sync_to_commit();
-        append_sets(&persist, &store, 3);
-        assert!(
-            !persist.needs_commit(),
-            "interval mode never parks a reply behind a sync"
-        );
-        fs::remove_dir_all(&dir).ok();
+    fn every_mode_parks_replies_behind_the_write_and_only_always_behind_a_sync() {
+        for fsync in [FsyncMode::Interval, FsyncMode::Never] {
+            let dir = temp_dir("defer-write");
+            let store = sharded();
+            let mut persist = open_plain(
+                PersistOptions {
+                    fsync,
+                    ..PersistOptions::new(&dir)
+                },
+                &store,
+            );
+            persist.defer_to_commit();
+            append_sets(&persist, &store, 3);
+            assert!(
+                persist.needs_commit(),
+                "{fsync}: no reply may precede its record's write"
+            );
+            assert_eq!(persist.snapshot().writes, 0);
+            persist.commit();
+            assert!(!persist.needs_commit());
+            let snap = persist.snapshot();
+            assert_eq!(
+                (snap.writes, snap.records, snap.fsyncs),
+                (1, 3, 0),
+                "{fsync}"
+            );
+            // Written means a SIGKILL cannot take it: the file has it now.
+            let (recovered, summary) = replay(&dir);
+            assert_eq!((recovered.len(), summary.records), (3, 3), "{fsync}");
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -1291,7 +1585,8 @@ mod tests {
         assert_eq!(snap.commits, snap.fsyncs);
         // Everything but the active segment's tail has been committed.
         assert!(snap.commit_records < snap.records);
-        persist.commit();
+        // The interval tick.
+        persist.commit_locked(&mut lock(&persist.writer), true);
         let snap = persist.snapshot();
         assert_eq!(snap.commit_records, snap.records);
         fs::remove_dir_all(&dir).ok();
@@ -1344,13 +1639,155 @@ mod tests {
             },
             &store,
         );
-        persist.defer_sync_to_commit();
+        persist.defer_to_commit();
         append_sets(&persist, &store, 400);
         persist.commit();
         let snap = persist.snapshot();
         assert!(snap.segments >= 3);
         assert_eq!(snap.fsyncs, snap.segments, "one per rotation, one commit");
         assert_eq!(snap.commit_records, 400, "no record escaped a sync");
+        assert_eq!(snap.writes, snap.segments, "nor did one need its own write");
+        assert_eq!(snap.reserves, snap.segments, "each segment got its runway");
+        drop(persist);
+        let (recovered, summary) = replay(&dir);
+        assert_eq!((recovered.len(), summary.records), (400, 400));
+        assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A plan that short-writes every other append or so, on the first
+    /// seed whose schedule fails the first append and passes the second.
+    fn plan_failing_only_the_first_write() -> FaultPlan {
+        (0..)
+            .map(|seed| FaultPlan {
+                iowrite_rate: 0.5,
+                seed,
+                ..FaultPlan::default()
+            })
+            .find(|plan| {
+                let mut fs = FaultFs::new(Box::<io::tests::MemFs>::default(), plan);
+                fs.append(&[0; 64]).is_err() && fs.append(&[0; 64]).is_ok()
+            })
+            .expect("some seed fails one and passes the next")
+    }
+
+    #[test]
+    fn no_frame_of_a_short_written_batch_replays_behind_a_later_shorter_one() {
+        let dir = temp_dir("stale-batch");
+        let store = sharded();
+        let backend = FaultFs::new(
+            Box::new(RealFs::new()),
+            &plan_failing_only_the_first_write(),
+        );
+        let mut persist =
+            Persist::open_with_backend(options(&dir), Box::new(backend), &store).expect("open");
+        persist.defer_to_commit();
+        // Ten records in one write, half of which lands: five whole
+        // frames sit in the file when the write reports failure.
+        for i in 0..10u32 {
+            persist.append_set(
+                &store,
+                format!("lost-{i}").as_bytes(),
+                b"0123456789",
+                0,
+                0,
+                1,
+            );
+        }
+        persist.commit();
+        let snap = persist.snapshot();
+        assert_eq!((snap.errors, snap.records, snap.writes), (1, 0, 0));
+        assert!(!persist.needs_commit(), "nothing left to wait for");
+        // Two records: shorter than what the failed batch left behind.
+        persist.append_set(&store, b"kept-0", b"v", 0, 0, 1);
+        persist.append_set(&store, b"kept-1", b"v", 0, 0, 1);
+        persist.commit();
+        let snap = persist.snapshot();
+        assert_eq!((snap.errors, snap.records, snap.writes), (1, 2, 1));
+        drop(persist); // the crash
+
+        let (recovered, summary) = replay(&dir);
+        assert_eq!(summary.records, 2, "only the batch whose write succeeded");
+        assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
+        assert!(recovered.contains(b"kept-0") && recovered.contains(b"kept-1"));
+        assert_eq!(recovered.len(), 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_seal_is_counted_repaired_and_leaves_the_log_unsealed() {
+        let dir = temp_dir("seal-fault");
+        let store = sharded();
+        let persist = open_plain(options(&dir), &store);
+        append_sets(&persist, &store, 5);
+        drop(persist);
+
+        let plan = FaultPlan {
+            iowrite_rate: 1.0,
+            seed: 3,
+            ..FaultPlan::default()
+        };
+        let opts = PersistOptions {
+            trip_after: 1,
+            ..options(&dir)
+        };
+        let persist = Persist::open(opts, &plan, &sharded()).expect("open");
+        persist.seal(); // half the frame lands, then EIO
+        let snap = persist.snapshot();
+        assert_eq!(
+            (snap.errors, snap.records),
+            (1, 0),
+            "the failure is counted"
+        );
+        assert_eq!(snap.state, "degraded", "and advances the error streak");
+        drop(persist);
+
+        let (recovered, summary) = replay(&dir);
+        assert!(!summary.sealed);
+        assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
+        assert_eq!((recovered.len(), summary.records), (5, 5));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_record_that_outgrows_the_runway_lands_by_plain_growth() {
+        let dir = temp_dir("outgrow");
+        let store = sharded();
+        let opts = PersistOptions {
+            segment_bytes: 8 << 20,
+            ..options(&dir)
+        };
+        let persist = open_plain(opts, &store);
+        let big = vec![0xB1u8; (RUNWAY_CHUNK + RUNWAY_CHUNK / 2) as usize];
+        persist.append_set(&store, b"before", b"small", 0, 0, 1);
+        persist.append_set(&store, b"big", &big, 0, 0, 1);
+        persist.append_set(&store, b"after", b"small", 0, 0, 1);
+        let snap = persist.snapshot();
+        assert_eq!((snap.errors, snap.records, snap.segments), (0, 3, 1));
+        assert_eq!(snap.reserves, 2, "the runway resumes past the big record");
+        assert_eq!(snap.reserved_bytes, 2 * RUNWAY_CHUNK);
+        drop(persist);
+
+        let bytes = fs::read(segment_path(&dir, 0)).expect("read segment");
+        let mut seen = Vec::new();
+        let scan = record::scan(&bytes, |rec| {
+            if let Record::Set { key, value, .. } = rec {
+                seen.push((key.to_vec(), value.len(), value.iter().all(|&b| b == 0xB1)));
+            }
+        });
+        assert_eq!((scan.applied, scan.quarantined, scan.torn_bytes), (3, 0, 0));
+        assert_eq!(
+            seen,
+            vec![
+                (b"before".to_vec(), 5, false),
+                (b"big".to_vec(), big.len(), true),
+                (b"after".to_vec(), 5, false),
+            ]
+        );
+        assert!(
+            scan.valid_len < bytes.len() as u64,
+            "zeros past the records"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

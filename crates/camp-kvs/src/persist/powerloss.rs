@@ -3,11 +3,14 @@
 //! `kill -9` keeps the page cache, so neither `tests/crash_recovery.rs`
 //! nor the benchmark's read-back can see a missing fsync: everything the
 //! process ever `write`-ed is still there after the restart. [`PowerLossFs`]
-//! can: it wraps [`RealFs`], remembers each segment's last-synced length,
-//! and [`PowerHandle::power_loss`] materialises what the disk would hold if
-//! the machine lost power now — every segment cut to that length. It also
-//! decodes what it is asked to write, so a test can ask at any instant
-//! whether a given versioned set is already covered by a completed sync.
+//! can: it wraps [`RealFs`], remembers each segment's last-synced length
+//! and how far its runway of synced zeros reaches, and
+//! [`PowerHandle::power_loss`] materialises what the disk would hold if the
+//! machine lost power now — every segment's synced prefix, then zeros to the
+//! end of its runway (the worst case for a write that was overwriting them:
+//! none of it landed). It also decodes what it is asked to write, however
+//! many records one write carries, so a test can ask at any instant whether
+//! a given versioned set is already covered by a completed sync.
 //!
 //! The tests drive a real reactor over it. The mutation test flips the
 //! reactor's test-only `flush_before_commit` switch and holds the first
@@ -49,6 +52,9 @@ struct Segment {
     len: u64,
     /// Bytes a completed `sync` covers; the rest dies with the power.
     synced_len: u64,
+    /// Where the reserved zeros end: synced when they were written, so
+    /// they survive — as zeros — whatever was being written over them.
+    reserved_to: u64,
 }
 
 #[derive(Debug, Default)]
@@ -72,17 +78,18 @@ impl PowerHandle {
     }
 
     /// Writes into `dest` what the disk would hold if power failed now:
-    /// every segment, cut to its last-synced length. The running server
-    /// is not disturbed (its files are append-only below that length).
+    /// every segment's last-synced prefix, then its reserved zeros. The
+    /// running server is not disturbed (it never rewrites a synced byte).
     fn power_loss(&self, dest: &Path) {
         fs::create_dir_all(dest).expect("create power-loss image dir");
         // Held across the copies so a concurrent compaction cannot remove
         // a segment between reading its length and copying it.
         let disk = lock(&self.0);
         for segment in &disk.segments {
-            let mut survived = vec![0u8; segment.synced_len as usize];
+            let synced = segment.synced_len as usize;
+            let mut survived = vec![0u8; synced.max(segment.reserved_to as usize)];
             File::open(&segment.path)
-                .and_then(|mut file| file.read_exact(&mut survived))
+                .and_then(|mut file| file.read_exact(&mut survived[..synced]))
                 .expect("read a segment's synced prefix");
             let name = segment.path.file_name().expect("segment file name");
             fs::write(dest.join(name), survived).expect("write power-loss image");
@@ -133,6 +140,7 @@ impl IoBackend for PowerLossFs {
             path: path.to_path_buf(),
             len: 0,
             synced_len: 0,
+            reserved_to: 0,
         });
         Ok(())
     }
@@ -180,6 +188,7 @@ impl IoBackend for PowerLossFs {
         let active = disk.segments.last_mut().expect("truncate before create");
         active.len = len;
         active.synced_len = active.synced_len.min(len);
+        active.reserved_to = active.reserved_to.min(len);
         Ok(())
     }
 
@@ -187,6 +196,18 @@ impl IoBackend for PowerLossFs {
         let mut disk = lock(&self.disk);
         disk.segments.retain(|segment| segment.path != path);
         self.inner.remove(path)
+    }
+
+    fn reserve(&mut self, bytes: u64) -> io::Result<u64> {
+        // (The sync inside also covers any records written before it; the
+        // model does not count on that.)
+        let end = self.inner.reserve(bytes)?;
+        let mut disk = lock(&self.disk);
+        disk.segments
+            .last_mut()
+            .expect("reserve before create")
+            .reserved_to = end;
+        Ok(end)
     }
 }
 
@@ -275,6 +296,71 @@ fn dial(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
         .expect("read timeout");
     let reader = BufReader::new(stream.try_clone().expect("clone stream"));
     (stream, reader)
+}
+
+/// One multi-record write is decoded record by record, and the image a
+/// power cut leaves is the synced prefix followed by the reserved zeros —
+/// not the unsynced batch that was overwriting them.
+#[test]
+fn power_loss_image_is_the_synced_prefix_then_the_reserved_zeros() {
+    let dir = temp_dir("model");
+    let image = temp_dir("model-image");
+    fs::create_dir_all(&dir).expect("mkdir");
+    let (mut backend, disk) = PowerLossFs::new(None);
+    backend
+        .create(&dir.join("seg-00000000.camplog"))
+        .expect("create");
+    assert_eq!(backend.reserve(4096).expect("reserve"), 4096);
+    let batch = |keys: &[&str], version: u64| {
+        let value = versioned_value(version);
+        let mut buf = Vec::new();
+        for key in keys {
+            let rec = Record::Set {
+                key: key.as_bytes(),
+                value: value.as_bytes(),
+                flags: 0,
+                cost: 1,
+                expires_at: 0,
+            };
+            record::encode_into(&rec, &mut buf);
+        }
+        buf
+    };
+    let first = batch(&["a", "b", "c"], 1);
+    backend.append(&first).expect("append");
+    assert_eq!(disk.durable_version(b"c"), 0, "written is not yet durable");
+    backend.sync().expect("sync");
+    for key in [b"a", b"b", b"c"] {
+        assert_eq!(disk.durable_version(key), 1, "every record of the write");
+    }
+    backend.append(&batch(&["a", "d"], 2)).expect("append");
+
+    disk.power_loss(&image);
+    let survived = fs::read(image.join("seg-00000000.camplog")).expect("read image");
+    assert_eq!(survived.len(), 4096);
+    assert_eq!(survived[..first.len()], first[..]);
+    assert!(survived[first.len()..].iter().all(|&b| b == 0));
+
+    let recovered = ShardedStore::new(store_config(), 1);
+    let reopened = Persist::open(
+        PersistOptions::new(&image),
+        &FaultPlan::default(),
+        &recovered,
+    )
+    .expect("recover from the image");
+    let snap = reopened.snapshot();
+    assert_eq!(
+        (snap.recovered, snap.quarantined, snap.torn_bytes),
+        (3, 0, 0)
+    );
+    assert_eq!(
+        version_of(&recovered.get(b"a").expect("a").value),
+        Some(1),
+        "the unsynced rewrite died with the power"
+    );
+    assert!(!recovered.contains(b"d"));
+    fs::remove_dir_all(&dir).ok();
+    fs::remove_dir_all(&image).ok();
 }
 
 /// Three connections × pipeline 16 of versioned sets against a reactor

@@ -24,11 +24,13 @@
 //! seal   5 |
 //! ```
 //!
-//! The scanner ([`scan`]) never panics on arbitrary bytes: a record
-//! whose declared span runs past the end of the buffer is the torn tail
-//! of an interrupted write (counted in [`ScanSummary::torn_bytes`]); a
-//! record whose magic, length bound, or checksum fails is quarantined —
-//! counted, then skipped by searching forward for the next magic.
+//! The scanner ([`scan`]) never panics on arbitrary bytes. Where no
+//! verifiable frame starts it asks what lies beyond: nothing but zeros is
+//! the unused end of a reserved segment (clean, counted nowhere); bytes
+//! with no verifiable frame after them are the torn tail of an
+//! interrupted write (counted in [`ScanSummary::torn_bytes`]); bytes
+//! *with* one are mid-log corruption — quarantined, then skipped to that
+//! frame.
 
 /// Per-record framing magic: `"CPLG"` (camp persistence log).
 pub const MAGIC: u32 = 0x4350_4C47;
@@ -84,22 +86,38 @@ pub enum Record<'a> {
     Seal,
 }
 
-/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78), table-driven.
-/// Hand-rolled: the workspace is dependency-free by design.
+/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78), slicing-by-8:
+/// eight table lookups fold eight input bytes per step, and a bytewise
+/// loop finishes the tail. Hand-rolled: the workspace is dependency-free
+/// by design.
 #[must_use]
 pub fn crc32c(bytes: &[u8]) -> u32 {
-    static TABLE: [u32; 256] = build_crc_table();
+    static TABLES: [[u32; 256]; 8] = build_crc_tables();
     let mut crc = !0u32;
-    for &b in bytes {
-        let idx = (crc ^ u32::from(b)) & 0xFF;
-        crc = (crc >> 8) ^ TABLE[idx as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn build_crc_table() -> [u32; 256] {
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
     const POLY: u32 = 0x82F6_3B78;
-    let mut table = [0u32; 256];
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -112,10 +130,20 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 fn push_u16(buf: &mut Vec<u8>, v: u16) {
@@ -251,9 +279,12 @@ pub struct ScanSummary {
     /// Whether the last verified record was a [`Record::Seal`] — i.e.
     /// the segment was closed by a clean shutdown, not a crash.
     pub sealed: bool,
+    /// Where the log ends: everything from this offset on is torn tail
+    /// or unused reserved zeros, and recovery may cut it off.
+    pub valid_len: u64,
 }
 
-/// Searches `buf[from..]` for the next frame magic; `None` ends the scan.
+/// Searches `buf[from..]` for the next frame magic.
 fn resync(buf: &[u8], from: usize) -> Option<usize> {
     let needle = MAGIC.to_be_bytes();
     let mut at = from;
@@ -266,64 +297,85 @@ fn resync(buf: &[u8], from: usize) -> Option<usize> {
     None
 }
 
+/// The payload of the frame at `buf[at..]`, if a whole one with a sane
+/// length and a matching checksum starts there.
+fn frame_at(buf: &[u8], at: usize) -> Option<&[u8]> {
+    if buf.get(at..at + 4)? != MAGIC.to_be_bytes() {
+        return None;
+    }
+    let len = read_u32(buf, at + 4)? as usize;
+    let crc = read_u32(buf, at + 8)?;
+    // Every payload leads with its kind byte. An empty one (whose CRC, 0,
+    // would even match) is a header torn over reserved zeros.
+    if len == 0 || len > MAX_PAYLOAD_LEN {
+        return None;
+    }
+    let start = at + FRAME_HEADER_LEN;
+    let payload = buf.get(start..start + len)?;
+    (crc32c(payload) == crc).then_some(payload)
+}
+
+/// The offset of the first verifiable frame in `buf[from..]`.
+fn next_frame(buf: &[u8], from: usize) -> Option<usize> {
+    let mut at = from;
+    while let Some(hit) = resync(buf, at) {
+        if frame_at(buf, hit).is_some() {
+            return Some(hit);
+        }
+        at = hit + 1;
+    }
+    None
+}
+
 /// Scans one segment's bytes front to back, calling `apply` for every
 /// checksum-verified record. Never panics, always terminates: the
-/// cursor strictly advances, corrupt spans are skipped by searching for
-/// the next frame magic, and a record running past the buffer end is
-/// the torn tail of an interrupted write.
+/// cursor strictly advances.
 ///
-/// The torn-tail rule: a *well-formed header* whose declared span
-/// crosses the end of the buffer — or a trailing fragment too short to
-/// hold a header — is counted as torn bytes (the crash interrupted the
-/// write mid-record); everything else that fails verification is a
-/// quarantined corruption.
+/// Where no verifiable frame starts, what follows decides (the three
+/// end-of-log rules):
+///
+/// 1. nothing but zeros — starting with the twelve a frame header would
+///    occupy — is the unused end of a reserved segment: the log ends
+///    cleanly and nothing is counted;
+/// 2. bytes with no verifiable frame anywhere after them are the **torn
+///    tail** of an interrupted write, counted in `torn_bytes` up to
+///    their last non-zero byte (whatever zeros trail them were reserved,
+///    not torn);
+/// 3. bytes with a verifiable frame after them are mid-log corruption:
+///    one quarantine, and the scan resumes at that frame.
 pub fn scan(buf: &[u8], mut apply: impl FnMut(Record<'_>)) -> ScanSummary {
     let mut summary = ScanSummary::default();
+    // Nothing at or past this offset but zeros.
+    let data_end = buf.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1);
     let mut at = 0usize;
     while at < buf.len() {
-        let remaining = buf.len() - at;
-        if remaining < FRAME_HEADER_LEN {
-            summary.torn_bytes += remaining as u64;
-            break;
-        }
-        let magic_ok = buf[at..at + 4] == MAGIC.to_be_bytes();
-        let len = read_u32(buf, at + 4).unwrap_or(0) as usize;
-        if !magic_ok || len > MAX_PAYLOAD_LEN {
-            // Not a record boundary (or a nonsense length): quarantine
-            // the gap and hunt for the next plausible frame.
-            summary.quarantined += 1;
-            match resync(buf, at + 1) {
-                Some(next) => at = next,
-                None => break,
+        if let Some(payload) = frame_at(buf, at) {
+            match decode_payload(payload) {
+                Some(record) => {
+                    summary.sealed = matches!(record, Record::Seal);
+                    summary.applied += 1;
+                    apply(record);
+                }
+                None => summary.quarantined += 1,
             }
+            at += FRAME_HEADER_LEN + payload.len();
             continue;
         }
-        if remaining < FRAME_HEADER_LEN + len {
-            summary.torn_bytes += remaining as u64;
+        if at >= data_end {
             break;
         }
-        let crc = read_u32(buf, at + 8).unwrap_or(0);
-        let payload = &buf[at + FRAME_HEADER_LEN..at + FRAME_HEADER_LEN + len];
-        if crc32c(payload) != crc {
-            // The length field can't be trusted either; resync rather
-            // than jump a possibly-corrupt span.
-            summary.quarantined += 1;
-            match resync(buf, at + 1) {
-                Some(next) => at = next,
-                None => break,
+        match next_frame(buf, at + 1) {
+            Some(next) => {
+                summary.quarantined += 1;
+                at = next;
             }
-            continue;
-        }
-        match decode_payload(payload) {
-            Some(record) => {
-                summary.sealed = matches!(record, Record::Seal);
-                summary.applied += 1;
-                apply(record);
+            None => {
+                summary.torn_bytes = (data_end - at) as u64;
+                break;
             }
-            None => summary.quarantined += 1,
         }
-        at += FRAME_HEADER_LEN + len;
     }
+    summary.valid_len = at as u64;
     summary
 }
 
@@ -383,6 +435,32 @@ mod tests {
         assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
         assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+    }
+
+    /// The byte-at-a-time form [`crc32c`] replaced, kept as its oracle.
+    fn crc32c_bytewise(bytes: &[u8]) -> u32 {
+        const TABLE: [u32; 256] = build_crc_tables()[0];
+        !bytes.iter().fold(!0u32, |crc, &b| {
+            (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize]
+        })
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_form_at_every_length_and_alignment() {
+        let mut rng = Rng64::seed_from_u64(0xC3C3_2C00);
+        let buffer: Vec<u8> = (0..4096 + 8)
+            .map(|_| (rng.next_u64() & 0xFF) as u8)
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=4096 {
+                let bytes = &buffer[offset..offset + len];
+                assert_eq!(
+                    crc32c(bytes),
+                    crc32c_bytewise(bytes),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -450,6 +528,79 @@ mod tests {
     }
 
     #[test]
+    fn reserved_zeros_end_the_log_cleanly() {
+        let records = sample_records();
+        let log = segment_from(&records[..3]);
+        // A whole runway, a header's worth, less than a header's worth.
+        for zeros in [4096, FRAME_HEADER_LEN, 5, 0] {
+            let mut segment = log.clone();
+            segment.resize(log.len() + zeros, 0);
+            let summary = scan(&segment, |_| {});
+            assert_eq!(
+                summary,
+                ScanSummary {
+                    applied: 3,
+                    valid_len: log.len() as u64,
+                    ..ScanSummary::default()
+                },
+                "{zeros} zeros"
+            );
+        }
+        // A record whose own payload ends in zeros is not cut short.
+        let mut segment = Vec::new();
+        encode_into(
+            &Record::Set {
+                key: b"k",
+                value: &[0; 64],
+                flags: 0,
+                cost: 0,
+                expires_at: 0,
+            },
+            &mut segment,
+        );
+        let len = segment.len();
+        segment.resize(len + 100, 0);
+        let summary = scan(&segment, |_| {});
+        assert_eq!((summary.applied, summary.valid_len), (1, len as u64));
+    }
+
+    #[test]
+    fn zeros_or_garbage_mid_log_are_quarantined_when_a_frame_follows() {
+        let records = sample_records();
+        for gap in [vec![0u8; 600], vec![0x5A; 37]] {
+            let mut segment = segment_from(&records[..2]);
+            segment.extend_from_slice(&gap);
+            segment.extend(segment_from(&records[2..4]));
+            segment.resize(segment.len() + 512, 0);
+            let mut applied = 0u64;
+            let summary = scan(&segment, |_| applied += 1);
+            assert_eq!(applied, 4, "the records past the gap still replay");
+            assert_eq!((summary.quarantined, summary.torn_bytes), (1, 0));
+        }
+    }
+
+    #[test]
+    fn garbage_with_no_frame_after_it_is_the_torn_tail() {
+        let records = sample_records();
+        let log = segment_from(&records[..2]);
+        let mut segment = log.clone();
+        // Half a frame, then the runway it was being written over.
+        segment.extend_from_slice(&records[2][..records[2].len() / 2]);
+        let torn = segment.len() - log.len();
+        segment.resize(segment.len() + 1000, 0);
+        let summary = scan(&segment, |_| {});
+        assert_eq!(
+            summary,
+            ScanSummary {
+                applied: 2,
+                torn_bytes: torn as u64,
+                valid_len: log.len() as u64,
+                ..ScanSummary::default()
+            }
+        );
+    }
+
+    #[test]
     fn corrupt_middle_record_is_quarantined_and_scan_resyncs() {
         let records = sample_records();
         let mut segment = segment_from(&records[..3]);
@@ -484,7 +635,10 @@ mod tests {
         segment.extend_from_slice(&[0u8; 64]);
         let summary = scan(&segment, |_| {});
         assert_eq!(summary.applied, 0);
-        assert!(summary.quarantined >= 1);
+        // Nothing verifiable follows it, so it is a torn tail, counted up
+        // to its last non-zero byte.
+        assert_eq!((summary.quarantined, summary.torn_bytes), (0, 8));
+        assert_eq!(summary.valid_len, 0);
     }
 
     /// The recovery fuzzer (the PR 4/PR 5 fuzzer recipe): 20k seeded

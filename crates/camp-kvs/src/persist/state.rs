@@ -12,12 +12,13 @@
 //! dropped", and the paired mutation tests prove the checker catches the
 //! blind-store variants of both transitions.
 //!
-//! [`UnsyncedFlag`] is the lock-free half of the `--fsync always` ack
-//! barrier: the writer lock owns the truth ("bytes were appended since the
-//! last fsync returned"), the flag mirrors it so a reactor worker can ask
-//! "does anything I appended still need a sync?" without taking the lock.
-//! Its harness models two workers doing append → park → commit → ack and
-//! checks that no ack ever leaves ahead of the sync that covers it.
+//! [`UnsyncedFlag`] is the lock-free half of the ack barrier: the writer
+//! lock owns the truth ("records were appended that no commit has finished
+//! with" — not yet written, or, under `--fsync always`, not yet synced), the
+//! flag mirrors it so a reactor worker can ask "does anything I appended
+//! still need a commit?" without taking the lock. Its harness models two
+//! workers doing append → park → commit (write, then sync) → ack and checks
+//! that no ack ever leaves ahead of the sync that covers it.
 
 use camp_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -127,16 +128,16 @@ impl EngineState {
     }
 }
 
-/// Lock-free mirror of the writer's "appended since the last successful
-/// fsync" bit. Written only under the writer lock; read without it by
+/// Lock-free mirror of the writer's "appended since the last finished
+/// commit" bit. Written only under the writer lock; read without it by
 /// [`crate::persist::Persist::needs_commit`].
 ///
 /// The read may be stale in one direction only: a worker can see `true`
-/// for bytes another worker's sync already covered (it then takes the
-/// lock, finds nothing dirty, and returns), but never `false` while a
-/// record *it* appended is unsynced — its own `mark` is in the flag's
+/// for records another worker's commit already carried (it then takes the
+/// lock, finds nothing owed, and returns), but never `false` while a
+/// record *it* appended is uncommitted — its own `mark` is in the flag's
 /// modification order, so its later load returns that store or a newer
-/// one, and every newer `clear` ran after a sync that started after the
+/// one, and every newer `clear` ran after a commit that started after the
 /// append (both under the writer lock).
 #[derive(Debug)]
 pub(crate) struct UnsyncedFlag(AtomicBool);
@@ -147,7 +148,7 @@ impl UnsyncedFlag {
         UnsyncedFlag(AtomicBool::new(false))
     }
 
-    /// Bytes were appended (call under the writer lock).
+    /// A record was appended (call under the writer lock).
     pub(crate) fn mark(&self) {
         // ordering: Relaxed — the appender's own later `get` is ordered by
         // coherence on this one location; other threads learn of the
@@ -155,10 +156,11 @@ impl UnsyncedFlag {
         self.0.store(true, Ordering::Relaxed);
     }
 
-    /// Nothing appended so far is waiting for a sync any more (call under
-    /// the writer lock): `sync()` has returned `Ok` — never earlier, the
-    /// harness's mutation — or the segment was left behind or given up on
-    /// after a counted error.
+    /// Nothing appended so far is waiting for a commit any more (call
+    /// under the writer lock): the write has returned and, under `--fsync
+    /// always`, `sync()` has returned `Ok` — never earlier, the harness's
+    /// mutation — or the segment was left behind or given up on after a
+    /// counted error.
     pub(crate) fn clear(&self) {
         // ordering: Release — pairs with the Acquire load in `get`: a
         // worker that reads `false` and skips the lock also observes the
@@ -167,7 +169,7 @@ impl UnsyncedFlag {
         self.0.store(false, Ordering::Release);
     }
 
-    /// Whether unsynced bytes may exist (see the type docs for which way
+    /// Whether uncommitted records may exist (see the type docs for which way
     /// the answer can be stale).
     pub(crate) fn get(&self) -> bool {
         // ordering: Acquire — pairs with the Release store in `clear`.
@@ -375,10 +377,12 @@ mod model_tests {
 
     // ---- the `--fsync always` ack barrier -------------------------------
 
-    /// What the writer lock guards in the model: how many records the log
-    /// holds and whether any of them postdate the last sync.
+    /// What the writer lock guards in the model: how many records have
+    /// been appended (encoded into `pending`), how many of them a `write`
+    /// has carried to the file, and whether any postdate the last sync.
     struct ModelWriter {
         appended: u64,
+        written: u64,
         dirty: bool,
     }
 
@@ -394,13 +398,16 @@ mod model_tests {
         synced_seq: AtomicU64,
     }
 
-    /// Where `commit` clears the dirty state relative to the sync.
-    #[derive(Clone, Copy)]
-    enum ClearWhen {
-        /// After `sync()` returned — the shipped protocol.
-        AfterSync,
-        /// MUTATION: before the sync has finished.
-        BeforeSync,
+    /// The order of `commit`'s steps.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Protocol {
+        /// Write, sync, clear — the shipped one.
+        Shipped,
+        /// MUTATION: clear before the sync has finished.
+        ClearBeforeSync,
+        /// MUTATION: sync what the file holds, *then* write what is
+        /// pending — the sync covers none of this commit's records.
+        SyncBeforeWrite,
     }
 
     impl ModelLog {
@@ -408,6 +415,7 @@ mod model_tests {
             ModelLog {
                 writer: Mutex::new(ModelWriter {
                     appended: 0,
+                    written: 0,
                     dirty: false,
                 }),
                 flag: UnsyncedFlag::new(),
@@ -421,8 +429,8 @@ mod model_tests {
             self.writer.lock().unwrap_or_else(PoisonError::into_inner)
         }
 
-        /// `append_locked` with the inline sync deferred: returns the
-        /// record's sequence number.
+        /// `append_locked` with the commit deferred: the record is only
+        /// pending. Returns its sequence number.
         fn append(&self) -> u64 {
             let mut w = self.lock_writer();
             w.appended += 1;
@@ -431,21 +439,29 @@ mod model_tests {
             w.appended
         }
 
-        /// `Persist::commit`: one sync covers every record appended so
-        /// far; a worker whose records are already covered returns
-        /// without one.
-        fn commit(&self, clear: ClearWhen) {
+        /// `Persist::commit`: one write carries every record appended so
+        /// far and one sync covers what the file then holds; a worker
+        /// whose records are already covered returns without either.
+        fn commit(&self, protocol: Protocol) {
             let mut w = self.lock_writer();
             if !w.dirty {
                 return;
             }
-            if matches!(clear, ClearWhen::BeforeSync) {
+            if protocol == Protocol::ClearBeforeSync {
                 w.dirty = false;
                 self.flag.clear();
             }
-            // ordering: Relaxed — see the field docs; the model's fsync.
-            self.synced_seq.store(w.appended, Ordering::Relaxed);
-            if matches!(clear, ClearWhen::AfterSync) {
+            // The model's fsync covers what the file holds when it runs:
+            // everything appended so far, once the write has carried it.
+            let on_disk_at_sync = if protocol == Protocol::SyncBeforeWrite {
+                w.written
+            } else {
+                w.appended
+            };
+            w.written = w.appended;
+            // ordering: Relaxed — see the field docs.
+            self.synced_seq.store(on_disk_at_sync, Ordering::Relaxed);
+            if protocol != Protocol::ClearBeforeSync {
                 w.dirty = false;
                 self.flag.clear();
             }
@@ -454,10 +470,10 @@ mod model_tests {
         /// One reactor worker's wakeup: append, park, commit if the
         /// lock-free check says so, then ack — at which point the sync
         /// must already cover the record.
-        fn append_commit_ack(&self, clear: ClearWhen) {
+        fn append_commit_ack(&self, protocol: Protocol) {
             let seq = self.append();
             if self.flag.get() {
-                self.commit(clear);
+                self.commit(protocol);
             }
             // ordering: Relaxed — see the field docs.
             let synced = self.synced_seq.load(Ordering::Relaxed);
@@ -468,28 +484,53 @@ mod model_tests {
         }
     }
 
-    fn barrier_workers(clear: ClearWhen) -> Vec<Box<dyn Fn(Arc<ModelLog>) + Send + Sync>> {
+    fn barrier_workers(protocol: Protocol) -> Vec<Box<dyn Fn(Arc<ModelLog>) + Send + Sync>> {
         vec![
-            Box::new(move |log: Arc<ModelLog>| log.append_commit_ack(clear)),
-            Box::new(move |log: Arc<ModelLog>| log.append_commit_ack(clear)),
+            Box::new(move |log: Arc<ModelLog>| log.append_commit_ack(protocol)),
+            Box::new(move |log: Arc<ModelLog>| log.append_commit_ack(protocol)),
         ]
     }
 
+    /// Asserts the checker finds the early ack `protocol` allows, and
+    /// that the counterexample replays.
+    fn assert_early_ack_is_caught_and_replays(protocol: Protocol, label: &str) {
+        let after = |_log: Arc<ModelLog>| {};
+        let failure = Checker::new()
+            .preemption_bound(2)
+            .check_threads_setup(ModelLog::new, barrier_workers(protocol), after)
+            .expect_fail(label)
+            .clone();
+        assert!(
+            failure.error.contains("ack left before its sync"),
+            "unexpected failure: {failure}"
+        );
+        let replayed = Checker::new()
+            .replay_threads_setup(
+                &failure.trace,
+                ModelLog::new,
+                barrier_workers(protocol),
+                after,
+            )
+            .expect_fail("replay of the early-ack counterexample")
+            .clone();
+        assert_eq!(replayed.error, failure.error, "replay diverged");
+    }
+
     /// Two workers race append → park → commit → ack. At every ack the
-    /// synced sequence covers the acked record — whether the worker synced
-    /// itself, found its records covered under the lock, or skipped the
-    /// lock because the flag read `false` — and once both are done the
-    /// flag and the lock-guarded truth agree.
+    /// synced sequence covers the acked record — whether the worker wrote
+    /// and synced itself, found its records covered under the lock, or
+    /// skipped the lock because the flag read `false` — and once both are
+    /// done the flag and the lock-guarded truth agree.
     #[test]
     fn ack_never_leaves_before_the_sync_that_covers_it() {
         Checker::new()
             .preemption_bound(2)
             .check_threads_setup(
                 ModelLog::new,
-                barrier_workers(ClearWhen::AfterSync),
+                barrier_workers(Protocol::Shipped),
                 |log: Arc<ModelLog>| {
                     let w = log.lock_writer();
-                    assert_eq!(w.appended, 2);
+                    assert_eq!((w.appended, w.written), (2, 2));
                     assert!(!w.dirty && !log.flag.get(), "a record was left unsynced");
                 },
             )
@@ -519,7 +560,7 @@ mod model_tests {
                     }),
                     Box::new(|log: Arc<ModelLog>| {
                         log.append();
-                        log.commit(ClearWhen::AfterSync);
+                        log.commit(Protocol::Shipped);
                     }),
                 ],
                 |_log: Arc<ModelLog>| {},
@@ -533,25 +574,21 @@ mod model_tests {
     /// replay it.
     #[test]
     fn clear_before_sync_mutation_is_caught_and_replays() {
-        let after = |_log: Arc<ModelLog>| {};
-        let failure = Checker::new()
-            .preemption_bound(2)
-            .check_threads_setup(ModelLog::new, barrier_workers(ClearWhen::BeforeSync), after)
-            .expect_fail("clear-before-sync mutation")
-            .clone();
-        assert!(
-            failure.error.contains("ack left before its sync"),
-            "unexpected failure: {failure}"
+        assert_early_ack_is_caught_and_replays(
+            Protocol::ClearBeforeSync,
+            "clear-before-sync mutation",
         );
-        let replayed = Checker::new()
-            .replay_threads_setup(
-                &failure.trace,
-                ModelLog::new,
-                barrier_workers(ClearWhen::BeforeSync),
-                after,
-            )
-            .expect_fail("replay of the early-ack counterexample")
-            .clone();
-        assert_eq!(replayed.error, failure.error, "replay diverged");
+    }
+
+    /// Mutation: syncing before the pending records have been written
+    /// makes durable only what earlier commits wrote, so the committing
+    /// worker itself acks a record that is still in the page cache. No
+    /// interleaving is even needed; the harness's ack assertion sees it.
+    #[test]
+    fn sync_before_write_mutation_is_caught_and_replays() {
+        assert_early_ack_is_caught_and_replays(
+            Protocol::SyncBeforeWrite,
+            "sync-before-write mutation",
+        );
     }
 }

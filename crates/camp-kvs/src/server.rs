@@ -247,9 +247,9 @@ impl Shared {
                     }
                 };
                 // The reactor holds every reply in the connection's output
-                // rope until it chooses to flush, so it can put one sync in
-                // front of a whole wakeup's replies.
-                persist.defer_sync_to_commit();
+                // rope until it chooses to flush, so it can put one write
+                // and one sync in front of a whole wakeup's replies.
+                persist.defer_to_commit();
                 Some(Arc::new(persist))
             }
             None => None,
@@ -274,14 +274,15 @@ impl Shared {
         })
     }
 
-    /// Whether replies about to be flushed may depend on `--fsync always`
-    /// records no sync has covered yet (never true without `--data-dir`).
+    /// Whether replies about to be flushed may depend on records no commit
+    /// has written — or, under `--fsync always`, synced — yet (never true
+    /// without `--data-dir`).
     pub(crate) fn needs_commit(&self) -> bool {
         self.persist.as_ref().is_some_and(|p| p.needs_commit())
     }
 
     /// The ack barrier: call in front of a flush. Costs one lock-free
-    /// load unless replies really are waiting on a sync.
+    /// load unless replies really are waiting on a commit.
     pub(crate) fn commit_before_flush(&self) {
         if let Some(persist) = self.persist.as_ref() {
             if persist.needs_commit() {

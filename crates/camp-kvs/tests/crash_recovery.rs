@@ -463,3 +463,59 @@ fn the_reactor_shares_syncs_among_a_pipelined_batch() {
         "reactor must share syncs: {fsyncs} fsyncs for {records} records"
     );
 }
+
+/// In every `--fsync` mode the reactor's barrier hands a wakeup's records
+/// to the kernel before it lets their replies go: once a `STORED` has been
+/// read, a SIGKILL cannot lose the write, because the segment file already
+/// holds it (read here through the page cache, with the server still up
+/// and no sync ever asked for).
+#[test]
+fn no_reply_precedes_its_records_write_in_any_fsync_mode() {
+    for fsync in [FsyncMode::Never, FsyncMode::Interval, FsyncMode::Always] {
+        let dir = temp_dir("write-barrier");
+        let mut options = ServerOptions::new(StoreConfig {
+            slab: SlabConfig::small(64 * 1024, 16),
+            eviction: EvictionMode::Camp(Precision::Bits(5)),
+        });
+        options.persist = Some(PersistOptions {
+            fsync,
+            // No background tick inside the test's lifetime.
+            fsync_interval: Duration::from_secs(3600),
+            ..PersistOptions::new(&dir)
+        });
+        let server = Server::start_with("127.0.0.1:0", options).expect("boot");
+        let mut wire = dial(&server.local_addr().to_string()).expect("dial");
+        for round in 0..8u64 {
+            let mut request = Vec::new();
+            for i in 0..PIPELINE {
+                write!(request, "set k{i} 0 0 2\r\nv{round}\r\n").expect("write to a Vec");
+            }
+            wire.writer.write_all(&request).expect("send batch");
+            for _ in 0..PIPELINE {
+                assert!(wire.read_stored().expect("reply"));
+            }
+            let segment = std::fs::read(dir.join("seg-00000000.camplog")).expect("read segment");
+            let scan = camp_kvs::persist::record::scan(&segment, |_| {});
+            assert_eq!(
+                (scan.applied, scan.quarantined, scan.torn_bytes),
+                ((round + 1) * PIPELINE, 0, 0),
+                "--fsync {fsync}: acknowledged sets missing from the file"
+            );
+        }
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let detail = client.stats_detail().expect("stats detail");
+        client.quit().expect("quit");
+        let stat = |name: &str| -> u64 { detail[name].parse().expect("numeric stat") };
+        assert_eq!(stat("persist:records"), 8 * PIPELINE);
+        assert!(
+            stat("persist:writes") < 8 * PIPELINE / 2,
+            "--fsync {fsync}: {} writes for 64 records",
+            stat("persist:writes")
+        );
+        if fsync != FsyncMode::Always {
+            assert_eq!(stat("persist:fsyncs"), 0, "--fsync {fsync}");
+        }
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -176,6 +176,8 @@ fn every_mode_exposes_the_universal_families() {
             "camp_persist_state 0",
             "camp_persist_commits_total 0",
             "camp_persist_commit_records_total 0",
+            "camp_persist_writes_total 0",
+            "camp_persist_reserves_total 0",
             "camp_persist_sync_us_count 0",
         ] {
             assert!(
@@ -418,9 +420,9 @@ fn sample(body: &str, name: &str) -> u64 {
 /// Commit accounting under `--fsync always`: once every reply has been
 /// read, every mutation record the log holds has been covered by exactly
 /// one commit (rotations included; no compaction snapshot in this run, so
-/// there are no snapshot records to subtract), the syncs were shared, every
-/// fsync is in the `sync_us` histogram, and `stats detail` agrees with the
-/// exposition.
+/// there are no snapshot records to subtract), the syncs were shared and no
+/// commit needed a second `write`, every fsync is in the `sync_us` histogram,
+/// and `stats detail` agrees with the exposition.
 #[test]
 fn commit_accounting_is_self_consistent_under_fsync_always() {
     let dir = std::env::temp_dir().join(format!("camp-telemetry-commit-{}", std::process::id()));
@@ -485,6 +487,19 @@ fn commit_accounting_is_self_consistent_under_fsync_always() {
         commits < records / 2,
         "{commits} commits for {records} records: no group formed"
     );
+    // No snapshot flushes here, so every record-carrying write is a commit's.
+    let writes = parse_u64(&detail, "persist:writes");
+    assert!(
+        0 < writes && writes <= commits,
+        "{writes} writes for {commits} commits"
+    );
+    let segments = parse_u64(&detail, "persist:segments");
+    assert_eq!(parse_u64(&detail, "persist:reserves"), segments);
+    assert_eq!(
+        parse_u64(&detail, "persist:reserved_bytes"),
+        segments * (8 + 8) * 1024,
+        "each segment's size plus the slack, in one reservation"
+    );
     let p50 = parse_u64(&detail, "persist:sync_us:p50");
     let p99 = parse_u64(&detail, "persist:sync_us:p99");
     let max = parse_u64(&detail, "persist:sync_us:max");
@@ -495,6 +510,8 @@ fn commit_accounting_is_self_consistent_under_fsync_always() {
     assert_eq!(sample(&body, "camp_persist_commits_total"), commits);
     assert_eq!(sample(&body, "camp_persist_commit_records_total"), records);
     assert_eq!(sample(&body, "camp_persist_fsyncs_total"), fsyncs);
+    assert_eq!(sample(&body, "camp_persist_writes_total"), writes);
+    assert_eq!(sample(&body, "camp_persist_reserves_total"), segments);
     assert_eq!(sample(&body, "camp_persist_sync_us_count"), fsyncs);
 
     client.quit().unwrap();
@@ -799,6 +816,11 @@ fn metric_identities_hold_at_quiescence() {
             "{family}"
         );
     }
+    // No `--data-dir`: the barrier has nothing to write (`persist:writes <=
+    // persist:commits + snapshot flushes` reads 0 <= 0; the run with a data
+    // dir is `commit_accounting_is_self_consistent_under_fsync_always`).
+    assert_eq!(sample(&body, "camp_persist_writes_total"), 0);
+    assert_eq!(sample(&body, "camp_persist_commits_total"), 0);
     // The histograms over the traced decisions: one cost per eviction,
     // one L per decision made after L left zero.
     assert_eq!(sample(&body, "camp_eviction_cost_count"), evictions);
