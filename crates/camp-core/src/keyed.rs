@@ -491,6 +491,10 @@ impl<K: CacheKey, O: Ordering> EvictionPolicy<K> for Keyed<K, O> {
         self.hit(key).is_some()
     }
 
+    fn evict_next(&mut self) -> Option<K> {
+        self.evict_lowest().map(|(key, ())| key)
+    }
+
     fn victim(&self) -> Option<K> {
         Keyed::victim(self).cloned()
     }

@@ -190,6 +190,13 @@ pub trait EvictionPolicy<K: CacheKey = u64> {
     /// key was resident (a miss records nothing).
     fn touch(&mut self, key: &K) -> bool;
 
+    /// Evicts the pair this policy's own eviction would take next and
+    /// returns its key: exactly the step [`EvictionPolicy::reference`]
+    /// takes while over budget, with its bookkeeping (the clock `L`, ghost
+    /// lists, reference histories) and its one eviction trace event. `None`
+    /// when empty.
+    fn evict_next(&mut self) -> Option<K>;
+
     /// The key this policy would evict next, without evicting it. `None`
     /// when empty.
     fn victim(&self) -> Option<K>;

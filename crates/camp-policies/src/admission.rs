@@ -173,6 +173,10 @@ impl<K: CacheKey, P: EvictionPolicy<K>> EvictionPolicy<K> for Admission<P, K> {
         self.inner.touch(key)
     }
 
+    fn evict_next(&mut self) -> Option<K> {
+        self.inner.evict_next()
+    }
+
     fn victim(&self) -> Option<K> {
         self.inner.victim()
     }

@@ -213,25 +213,16 @@ impl<K: CacheKey> Arc<K> {
         id
     }
 
-    /// Whether the next `REPLACE` takes from `T1` (else `T2`).
-    fn replace_from_t1(&self, in_b2: bool) -> bool {
-        let from_t1 = !self.t1.is_empty()
-            && (self.t1_bytes > self.p || (in_b2 && self.t1_bytes >= self.p && self.t1_bytes > 0));
-        from_t1 || self.t2.is_empty()
-    }
-
     /// The ARC `REPLACE` subroutine, generalized to bytes: evict one entry
-    /// from `T1` if it is over target (or at target on a B2 hit), else from
-    /// `T2`, recording it in the matching ghost list.
-    fn replace(&mut self, in_b2: bool, evicted: &mut Vec<K>) -> bool {
-        let list = if self.replace_from_t1(in_b2) {
+    /// from `T1` if it is over target, else from `T2`, recording it in the
+    /// matching ghost list.
+    fn replace(&mut self) -> Option<K> {
+        let list = if (!self.t1.is_empty() && self.t1_bytes > self.p) || self.t2.is_empty() {
             &mut self.t1
         } else {
             &mut self.t2
         };
-        let Some(id) = list.pop_front(&mut self.arena) else {
-            return false;
-        };
+        let id = list.pop_front(&mut self.arena)?;
         let node = self.arena.remove(id).expect("live list node");
         let resident = self
             .residents
@@ -255,8 +246,7 @@ impl<K: CacheKey> Arc<K> {
                 self.b2.push_mru(node.key.clone(), resident.size);
             }
         }
-        evicted.push(node.key);
-        true
+        Some(node.key)
     }
 
     /// Keeps the ghost directories within the classic ARC bounds:
@@ -274,8 +264,7 @@ impl<K: CacheKey> Arc<K> {
 
     fn admit_to_t2(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) {
         while self.used + req.size > self.capacity {
-            let ok = self.replace(false, evicted);
-            debug_assert!(ok, "byte accounting out of sync");
+            evicted.push(self.replace().expect("byte accounting out of sync"));
         }
         let id = Self::push_node(&mut self.arena, &mut self.t2, req.key.clone());
         let resident = Resident {
@@ -378,8 +367,7 @@ impl<K: CacheKey> EvictionPolicy<K> for Arc<K> {
         }
         // Case IV: brand new key — admit into T1.
         while self.used + req.size > self.capacity {
-            let ok = self.replace(false, evicted);
-            debug_assert!(ok, "byte accounting out of sync");
+            evicted.push(self.replace().expect("byte accounting out of sync"));
         }
         let id = Self::push_node(&mut self.arena, &mut self.t1, req.key.clone());
         let resident = Resident {
@@ -406,15 +394,17 @@ impl<K: CacheKey> EvictionPolicy<K> for Arc<K> {
         self.on_hit(key)
     }
 
+    fn evict_next(&mut self) -> Option<K> {
+        self.replace()
+    }
+
     fn victim(&self) -> Option<K> {
-        let list = if self.replace_from_t1(false) {
+        let list = if (!self.t1.is_empty() && self.t1_bytes > self.p) || self.t2.is_empty() {
             &self.t1
         } else {
             &self.t2
         };
         list.front()
-            .or_else(|| self.t1.front())
-            .or_else(|| self.t2.front())
             .and_then(|id| self.arena.get(id))
             .map(|node| node.key.clone())
     }
@@ -521,18 +511,23 @@ mod tests {
     }
 
     #[test]
-    fn touch_promotes_and_victim_matches_replace() {
+    fn touch_promotes_and_evict_next_remembers_like_replace() {
         let mut c = Arc::new(100);
         touch(&mut c, 1);
         assert!(EvictionPolicy::touch(&mut c, &1));
         assert_eq!(c.region_bytes(), (0, 10));
         assert!(!EvictionPolicy::touch(&mut c, &9));
         touch(&mut c, 2);
-        // The victim is the next key REPLACE would take.
-        let expected = EvictionPolicy::victim(&c).unwrap();
-        let mut ev = Vec::new();
-        c.replace(false, &mut ev);
-        assert_eq!(ev, vec![expected]);
+        // REPLACE takes T1's LRU (T1 is over its zero target) into B1, then
+        // T2's into B2: the ghosts a reference-driven eviction leaves.
+        assert_eq!(c.evict_next(), Some(2));
+        assert!(c.b1.contains(&2) && !c.contains(&2));
+        assert_eq!(c.evict_next(), Some(1));
+        assert!(c.b2.contains(&1) && !c.contains(&1));
+        assert_eq!((c.evict_next(), c.used_bytes()), (None, 0));
+        // The B1 ghost comes back straight into T2.
+        touch(&mut c, 2);
+        assert_eq!(c.region_bytes(), (0, 10));
     }
 
     #[test]

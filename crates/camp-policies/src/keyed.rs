@@ -112,10 +112,9 @@ mod tests {
                 }
                 4 => assert_eq!(cache.touch(&key), model.contains_key(&key)),
                 5 => {
-                    let victim = cache.victim().copied();
+                    let victim = cache.evict_next();
                     assert_eq!(victim.is_some(), !model.is_empty());
                     if let Some(victim) = victim {
-                        assert_eq!(cache.evict(&victim), Some(()));
                         assert!(model.remove(&victim).is_some(), "{name}: victim {victim}");
                     }
                 }

@@ -148,10 +148,8 @@ impl<K: CacheKey> LruK<K> {
         true
     }
 
-    fn evict_one(&mut self, evicted: &mut Vec<K>) -> bool {
-        let Some((heap_id, _)) = self.heap.pop() else {
-            return false;
-        };
+    fn evict_one(&mut self) -> Option<K> {
+        let (heap_id, _) = self.heap.pop()?;
         let key = self
             .by_heap_id
             .remove(&heap_id)
@@ -168,8 +166,7 @@ impl<K: CacheKey> LruK<K> {
             ));
         }
         self.record_ghost(key.clone(), resident.history);
-        evicted.push(key);
-        true
+        Some(key)
     }
 }
 
@@ -204,8 +201,7 @@ impl<K: CacheKey> EvictionPolicy<K> for LruK<K> {
         }
         let now = self.clock;
         while self.used + req.size > self.capacity {
-            let ok = self.evict_one(evicted);
-            debug_assert!(ok, "byte accounting out of sync");
+            evicted.push(self.evict_one().expect("byte accounting out of sync"));
         }
         // Resume the ghost history, if retained.
         let mut history = self.ghosts.remove(&req.key).unwrap_or_default();
@@ -240,6 +236,10 @@ impl<K: CacheKey> EvictionPolicy<K> for LruK<K> {
 
     fn touch(&mut self, key: &K) -> bool {
         self.on_hit(key)
+    }
+
+    fn evict_next(&mut self) -> Option<K> {
+        self.evict_one()
     }
 
     fn victim(&self) -> Option<K> {
@@ -354,17 +354,22 @@ mod tests {
     }
 
     #[test]
-    fn touch_and_victim() {
+    fn touch_and_evict_next() {
         let mut c = LruK::new(30, 2);
         touch(&mut c, 1);
         touch(&mut c, 2);
         touch(&mut c, 3);
-        // All one-timers: 1 is oldest, hence the victim.
-        assert_eq!(EvictionPolicy::victim(&c), Some(1));
         assert!(EvictionPolicy::touch(&mut c, &1));
-        // 1 now has two references and outranks the remaining one-timers.
-        assert_eq!(EvictionPolicy::victim(&c), Some(2));
         assert!(!EvictionPolicy::touch(&mut c, &9));
+        // 1 now has two references and outranks the one-timers; the oldest
+        // of those goes, and its history is kept as a ghost.
+        assert_eq!(c.evict_next(), Some(2));
+        assert!(c.ghosts.contains_key(&2) && !c.contains(&2));
+        // So 2 comes back with two references: after the one-timer 3, the
+        // older K-th reference (1's) goes before 2's.
+        touch(&mut c, 2);
+        assert_eq!(c.evict_next(), Some(3));
+        assert_eq!(c.evict_next(), Some(1));
     }
 
     #[test]

@@ -92,10 +92,8 @@ impl<K: CacheKey> BeladyMin<K> {
         u64::MAX - next as u64
     }
 
-    fn evict_one(&mut self, evicted: &mut Vec<K>) -> bool {
-        let Some((heap_id, _)) = self.heap.pop() else {
-            return false;
-        };
+    fn evict_one(&mut self) -> Option<K> {
+        let (heap_id, _) = self.heap.pop()?;
         let key = self
             .by_heap_id
             .remove(&heap_id)
@@ -111,8 +109,7 @@ impl<K: CacheKey> BeladyMin<K> {
                 cost,
             ));
         }
-        evicted.push(key);
-        true
+        Some(key)
     }
 }
 
@@ -165,8 +162,7 @@ impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
             return AccessOutcome::MissBypassed;
         }
         while self.used + req.size > self.capacity {
-            let ok = self.evict_one(evicted);
-            debug_assert!(ok, "byte accounting out of sync");
+            evicted.push(self.evict_one().expect("byte accounting out of sync"));
         }
         let heap_id = self.ids.allocate();
         self.heap.insert(heap_id, Self::heap_key(next));
@@ -189,6 +185,10 @@ impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
     /// touches, so this only reports residency.
     fn touch(&mut self, key: &K) -> bool {
         self.residents.contains_key(key)
+    }
+
+    fn evict_next(&mut self) -> Option<K> {
+        self.evict_one()
     }
 
     fn victim(&self) -> Option<K> {

@@ -145,50 +145,67 @@ mod tests {
         }
     }
 
-    /// Whether `evict` is the trait default or a policy's own single-lookup
-    /// override, the sink sees exactly the event `eviction_event` describes
-    /// and the key is gone afterwards.
-    #[test]
-    fn evict_reports_exactly_the_eviction_event() {
-        use crate::spec::EvictionMode;
+    #[derive(Debug, Default)]
+    struct Collecting(std::sync::Mutex<Vec<PolicyEvent>>);
 
-        #[derive(Debug, Default)]
-        struct Collecting(std::sync::Mutex<Vec<PolicyEvent>>);
-        impl Collecting {
-            fn events(&self) -> std::sync::MutexGuard<'_, Vec<PolicyEvent>> {
-                self.0
+    impl Collecting {
+        /// Everything recorded since the last call.
+        fn take(&self) -> Vec<PolicyEvent> {
+            std::mem::take(
+                &mut self
+                    .0
                     .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            }
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            )
         }
-        impl TraceSink for Collecting {
-            fn record(&self, event: &PolicyEvent) {
-                self.events().push(*event);
-            }
-        }
+    }
 
-        for name in EvictionMode::all_names() {
+    impl TraceSink for Collecting {
+        fn record(&self, event: &PolicyEvent) {
+            self.0
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(*event);
+        }
+    }
+
+    /// For the six front orderings, making room with `evict_next` and then
+    /// admitting with `reference` is the step `reference` takes alone: at
+    /// one capacity, one stream gives the same evicted keys and the same
+    /// trace events, field for field (`L` included).
+    #[test]
+    fn evict_next_until_it_fits_then_reference_is_reference_alone() {
+        use crate::spec::EvictionMode;
+        use camp_core::rng::Rng64;
+        const CAPACITY: u64 = 4_000;
+        for name in ["lru", "camp", "camp:inf", "gds", "gdsf", "lfu", "gd-wheel"] {
             let mode: EvictionMode = name.parse().unwrap();
-            let mut policy: Box<dyn EvictionPolicy> = mode.build(1 << 16);
-            let mut evicted = Vec::new();
-            for key in 0..40u64 {
-                policy.reference(CacheRequest::new(key, 200, 1 + key % 9 * 50), &mut evicted);
-                policy.touch(&(key / 2));
+            let (mut alone, mut stepped) = (mode.build(CAPACITY), mode.build(CAPACITY));
+            let alone_sink = std::sync::Arc::new(Collecting::default());
+            let stepped_sink = std::sync::Arc::new(Collecting::default());
+            alone.set_trace_sink(Some(alone_sink.clone()));
+            stepped.set_trace_sink(Some(stepped_sink.clone()));
+            let mut rng = Rng64::seed_from_u64(0xE71C);
+            let (mut by_reference, mut by_step) = (Vec::new(), Vec::new());
+            let mut evictions = 0;
+            for _ in 0..20_000 {
+                let key = rng.range_u64(0, 300);
+                let cost = [1, 30, 900, 25_000][(key % 4) as usize];
+                let req = CacheRequest::new(key, 1 + key % 60, cost);
+                by_reference.clear();
+                by_step.clear();
+                let outcome = alone.reference(req, &mut by_reference);
+                if !stepped.contains(&key) {
+                    while stepped.used_bytes() + req.size > CAPACITY {
+                        by_step.push(stepped.evict_next().expect("bytes resident"));
+                    }
+                }
+                assert_eq!(stepped.reference(req, &mut by_step), outcome, "{name}");
+                assert_eq!(by_step, by_reference, "{name}");
+                assert_eq!(stepped_sink.take(), alone_sink.take(), "{name}");
+                evictions += by_reference.len();
             }
-            let sink = std::sync::Arc::new(Collecting::default());
-            policy.set_trace_sink(Some(sink.clone()));
-            for _ in 0..5 {
-                let victim = policy.victim().expect("resident keys remain");
-                let expected = policy.eviction_event(&victim);
-                let (len, used) = (policy.len(), policy.used_bytes());
-                assert!(policy.evict(&victim), "{name}");
-                assert_eq!(sink.events().pop(), expected, "{name}");
-                assert!(!policy.contains(&victim), "{name}");
-                assert_eq!(policy.len(), len - 1, "{name}");
-                assert!(policy.used_bytes() < used, "{name}");
-                assert!(!policy.evict(&victim), "{name}: absent key");
-                assert!(sink.events().is_empty(), "{name}");
-            }
+            assert!(evictions > 1_000, "{name}: {evictions} evictions");
         }
     }
 
@@ -216,20 +233,19 @@ mod tests {
                 evicted.len() as u64,
                 "{name}: one Evict event per reference-driven eviction"
             );
-            // Store-pressure eviction: `evict` reports before removing.
-            if let Some(victim) = policy.victim() {
-                let before = sink.evicts.load(Ordering::Relaxed);
-                assert!(policy.evict(&victim), "{name}");
-                assert_eq!(
-                    sink.evicts.load(Ordering::Relaxed),
-                    before + 1,
-                    "{name}: evict() must report to the sink"
-                );
-            }
+            // Store-pressure eviction: `evict_next` reports what it takes.
+            let before = sink.evicts.load(Ordering::Relaxed);
+            let victim = policy.evict_next().expect("resident keys remain");
+            assert!(!policy.contains(&victim), "{name}");
+            assert_eq!(
+                sink.evicts.load(Ordering::Relaxed),
+                before + 1,
+                "{name}: evict_next() must report to the sink"
+            );
             // Explicit delete stays out of the eviction telemetry.
-            if let Some(victim) = policy.victim() {
+            if let Some(resident) = (0..64u64).find(|key| policy.contains(key)) {
                 let before = sink.evicts.load(Ordering::Relaxed);
-                assert!(policy.remove(&victim), "{name}");
+                assert!(policy.remove(&resident), "{name}");
                 assert_eq!(
                     sink.evicts.load(Ordering::Relaxed),
                     before,

@@ -153,6 +153,20 @@ impl<K: CacheKey> EvictionPolicy<K> for PooledLru<K> {
         self.pools.iter_mut().any(|p| p.touch(key))
     }
 
+    fn evict_next(&mut self) -> Option<K> {
+        // The frozen partition has no global eviction order: the fullest
+        // pool (by fill fraction) gives up its LRU pair.
+        self.pools
+            .iter_mut()
+            .filter(|p| !p.is_empty())
+            .max_by(|a, b| {
+                let fa = a.used_bytes() as f64 / (a.capacity().max(1)) as f64;
+                let fb = b.used_bytes() as f64 / (b.capacity().max(1)) as f64;
+                fa.total_cmp(&fb)
+            })
+            .and_then(EvictionPolicy::evict_next)
+    }
+
     fn victim(&self) -> Option<K> {
         // The frozen partition has no global eviction order; offer the LRU
         // tail of the fullest pool (by fill fraction) as the candidate.

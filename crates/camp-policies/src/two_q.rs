@@ -162,24 +162,17 @@ impl<K: CacheKey> TwoQ<K> {
         }
     }
 
-    /// Whether the next reclaim drains the probation FIFO (the 2Q
-    /// `reclaimfor` choice).
-    fn reclaim_from_a1in(&self) -> bool {
-        self.a1in_bytes > self.kin || self.am.is_empty()
-    }
-
     /// Frees one resident entry, preferring the probation FIFO when it is
     /// over its threshold (the 2Q `reclaimfor` routine).
-    fn reclaim_one(&mut self, evicted: &mut Vec<K>) -> bool {
-        let key = if self.reclaim_from_a1in() {
+    fn reclaim_one(&mut self) -> Option<K> {
+        let key = if self.a1in_bytes > self.kin || self.am.is_empty() {
             self.a1in.pop_front()
         } else {
             self.am
                 .pop_front(&mut self.am_arena)
                 .and_then(|id| self.am_arena.remove(id))
                 .map(|node| node.key)
-        };
-        let Some(key) = key else { return false };
+        }?;
         let resident = self.residents.remove(&key).expect("queued key is resident");
         self.used -= resident.size;
         if let Some(sink) = &self.sink {
@@ -191,8 +184,7 @@ impl<K: CacheKey> TwoQ<K> {
             // after proves the key deserves Am.
             self.push_ghost(key.clone(), resident.size);
         }
-        evicted.push(key);
-        true
+        Some(key)
     }
 
     fn push_am(&mut self, key: K) -> EntryId {
@@ -253,8 +245,7 @@ impl<K: CacheKey> EvictionPolicy<K> for TwoQ<K> {
         }
         let remembered = self.a1out_set.remove(&req.key).is_some();
         while self.used + req.size > self.capacity {
-            let ok = self.reclaim_one(evicted);
-            debug_assert!(ok, "byte accounting out of sync");
+            evicted.push(self.reclaim_one().expect("byte accounting out of sync"));
         }
         let region = if remembered { Region::Am } else { Region::A1In };
         let am_id = match region {
@@ -287,8 +278,12 @@ impl<K: CacheKey> EvictionPolicy<K> for TwoQ<K> {
         self.on_hit(key)
     }
 
+    fn evict_next(&mut self) -> Option<K> {
+        self.reclaim_one()
+    }
+
     fn victim(&self) -> Option<K> {
-        if self.reclaim_from_a1in() {
+        if self.a1in_bytes > self.kin || self.am.is_empty() {
             if let Some(key) = self.a1in.front() {
                 return Some(key.clone());
             }
@@ -414,17 +409,20 @@ mod tests {
     }
 
     #[test]
-    fn victim_matches_next_reclaim() {
+    fn evict_next_remembers_probation_victims_like_a_reclaim() {
         let mut c = TwoQ::with_thresholds(40, 10, 40);
         for k in 1..=4 {
             touch(&mut c, k);
         }
-        // The cache is full and probation is over its 10-byte threshold;
-        // the probation FIFO head is the advertised and actual victim.
-        let expected = EvictionPolicy::victim(&c);
-        assert_eq!(expected, Some(1));
-        let (_, ev) = touch(&mut c, 5);
-        assert_eq!(expected, ev.first().copied());
+        // Probation is over its 10-byte threshold: its FIFO head goes, and
+        // A1out remembers it as after a reference-driven reclaim.
+        assert_eq!(c.evict_next(), Some(1));
+        assert!(!c.contains(&1));
+        assert_eq!(c.a1out_len(), 1);
+        // So the next reference admits 1 straight into Am.
+        touch(&mut c, 1);
+        assert_eq!(c.residents.get(&1).map(|r| r.region), Some(Region::Am));
+        assert_eq!(c.a1in_bytes(), 30);
     }
 
     #[test]
