@@ -9,9 +9,9 @@
 //! * **simulator shape** — `reference` per row at a 0.25 cache ratio, the
 //!   way `camp-sim` drives a policy;
 //! * **store shape** — the way `camp-kvs::Store` does: `touch` on a hit,
-//!   `remove` + `reference` on an overwrite, `victim` + `evict` while an
-//!   outside memory budget (tighter than the policy's own, in alternating
-//!   epochs) is over, explicit `remove`s mixed in.
+//!   `remove` + `reference` on an overwrite, `evict_next` while an outside
+//!   memory budget (tighter than the policy's own, in alternating epochs)
+//!   is over, explicit `remove`s mixed in.
 //!
 //! The constants are data, not expectations to be re-derived: if a change is
 //! *meant* to alter decisions, say so in the PR and regenerate them (a
@@ -229,7 +229,7 @@ fn simulator_shape<K: StreamKey>(mode: &'static str, trace: &Trace) -> Pinned {
 
 /// The slab store's shape. `resident` plays the store's index (key → size)
 /// and `budget` its memory: in even epochs it is tighter than the policy's
-/// own capacity, so `victim` + `evict` make the room; in odd epochs there is
+/// own capacity, so `evict_next` makes the room; in odd epochs there is
 /// no outside pressure and `reference` evicts on the policy's budget.
 fn store_shape<K: StreamKey>(mode: &'static str, trace: &Trace) -> Pinned {
     const EPOCH: usize = 4096;
@@ -286,9 +286,8 @@ fn store_shape<K: StreamKey>(mode: &'static str, trace: &Trace) -> Pinned {
             );
         }
         while resident_bytes + size > budget {
-            let victim = replay.policy.victim().expect("bytes resident");
+            let victim = replay.policy.evict_next().expect("bytes resident");
             replay.fnv.fold(victim.id());
-            assert!(replay.policy.evict(&victim), "{mode}: row {row}");
             resident_bytes -= resident.remove(&victim.id()).expect("victim is resident");
             replay.sink.drain_into(&mut replay.fnv);
         }
@@ -360,6 +359,9 @@ fn store_shape_byte_keys() {
 }
 
 // Recorded from the tree at commit f14dbee (PR 19), before the keyed front.
+// The store-shape rows of every mode but lru and lfu were recorded again
+// when that shape stopped evicting by `victim` + `evict(key)` and started
+// calling each policy's own step, `evict_next`.
 // Columns: mode, hash, hits, misses, missed cost, len, used bytes.
 
 macro_rules! pinned {
@@ -407,28 +409,28 @@ pinned! { SIMULATOR_BYTES:
 
 pinned! { STORE_U64:
     "lru" 0xa1d835441e146b2e 94959 81201 270123105 4836 5922643;
-    "camp" 0x281d978d78de34cb 70194 105966 92795904 6130 5921028;
-    "camp:inf" 0xa733be841248b4d3 70180 105980 92807006 6123 5921767;
-    "gds" 0x99074accff52885c 70184 105976 92806903 6124 5922562;
-    "gdsf" 0xf0964bd30308a1e3 72325 103835 92167895 6139 5922904;
+    "camp" 0xf5c4920ee2cac34a 70222 105938 92826566 6129 5923153;
+    "camp:inf" 0x702e4b2516fc099e 70187 105973 92859073 6127 5922444;
+    "gds" 0xb76810053f229b6e 70188 105972 92858874 6127 5922444;
+    "gdsf" 0x2d6068381dce6848 72372 103788 92216160 6138 5922857;
     "lfu" 0xc15169c8d789f2f6 101684 74476 250644367 4879 5918876;
-    "lru-2" 0xe9c3ddbe8ca2847b 98413 77747 261485762 4652 5922729;
-    "2q" 0xc7b9d34649a4cb9b 85978 90182 300191654 4723 5923222;
-    "arc" 0x67981868a3535cf5 102481 73679 246375482 4900 5923426;
-    "gd-wheel" 0x1b0451d6341d7fa5 65039 111121 89737603 6004 5922537;
-    "pooled-lru" 0x9d4b80ce0eed66a5 94907 81253 268661521 4832 5923117;
+    "lru-2" 0x34a8a2d60e2cb68d 105691 70469 235967372 4682 5923068;
+    "2q" 0x03747d092cb3d8ea 86924 89236 296659081 4703 5922786;
+    "arc" 0x64bc49fd017c1e17 102293 73867 246615151 4614 5922531;
+    "gd-wheel" 0x3a0c9fd008eb7e29 70185 105975 92858085 6127 5922444;
+    "pooled-lru" 0x291553ea8f52c5f1 94907 81253 268661521 4832 5923117;
 }
 
 pinned! { STORE_BYTES:
     "lru" 0xf4e6cdd96035727c 17041 26931 90232860 3258 4141259;
-    "camp" 0x3508b7d168dc8e5c 14601 29371 47006851 4085 4140159;
-    "camp:inf" 0x731e77e1378b7a98 14596 29376 47036952 4088 4141813;
-    "gds" 0xfecd39644c4e4f2e 14596 29376 47037051 4089 4141152;
-    "gdsf" 0xc77c3fb20d4c823b 14956 29016 46516446 4092 4142095;
+    "camp" 0x719c138e3bad183b 14616 29356 47045842 4087 4140757;
+    "camp:inf" 0x5677edda05cb5690 14613 29359 47056537 4090 4142399;
+    "gds" 0xb848bd638bc17b05 14613 29359 47066536 4090 4142399;
+    "gdsf" 0x27c4a4b1190fec80 14962 29010 46526142 4097 4141755;
     "lfu" 0xa197aad9eababeab 19785 24187 81289624 3352 4142320;
-    "lru-2" 0x876057a0e8a4a54e 20066 23906 80921855 3263 4142015;
-    "2q" 0xfaccaaf4db927dd5 17089 26883 89818893 3203 4139444;
-    "arc" 0x3d570775e1d0dcf7 19395 24577 82720663 3334 4138648;
-    "gd-wheel" 0xd76022d14b3c3404 14143 29829 47006022 4086 4141706;
-    "pooled-lru" 0x64038191bbbd2325 17019 26953 89631259 3256 4141985;
+    "lru-2" 0x1a39686170bb3331 20563 23409 78551793 3217 4142202;
+    "2q" 0x4984ddf009ed5e4d 17064 26908 90305305 3167 4141213;
+    "arc" 0x900235a1690f8ef8 20351 23621 79102148 3151 4141134;
+    "gd-wheel" 0x33302d272c7d586f 14608 29364 47046543 4089 4142191;
+    "pooled-lru" 0x9c5213faa0e52b90 17019 26953 89631259 3256 4141985;
 }
