@@ -905,7 +905,7 @@ mod tests {
     }
 
     #[test]
-    fn evict_reports_what_entry_meta_would_and_removes_like_remove() {
+    fn evict_lowest_reports_the_victim_at_the_advanced_l() {
         use crate::trace::{CollectingSink, PolicyEventKind};
         let mut c = cache(100);
         let sink = std::sync::Arc::new(CollectingSink::default());
@@ -916,9 +916,13 @@ mod tests {
         c.set_trace_sink(Some(sink.clone()));
         let victim = *c.victim().unwrap();
         let meta = c.entry_meta(&victim).unwrap();
-        let l = u64::try_from(c.l_value()).unwrap();
+        let l_before = c.l_value();
         let used = c.used_bytes();
-        assert_eq!(c.evict(&victim), Some(victim));
+        assert_eq!(c.evict_lowest(), Some((victim, victim)));
+        // Algorithm 1 line 6: L rises to the new minimum, and the event
+        // reports the L the eviction left.
+        assert!(c.l_value() > l_before);
+        let l = u64::try_from(c.l_value()).unwrap();
         assert_eq!(
             sink.snapshot(),
             vec![PolicyEvent {
@@ -933,8 +937,6 @@ mod tests {
         );
         assert!(!c.contains(&victim));
         assert_eq!(c.used_bytes(), used - meta.size);
-        assert_eq!(c.evict(&victim), None, "absent: nothing to report");
-        assert_eq!(sink.snapshot().len(), 1);
         // An explicit remove stays out of the trace.
         assert_eq!(c.remove(&3), Some(3));
         assert_eq!(sink.snapshot().len(), 1);

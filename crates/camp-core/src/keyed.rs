@@ -76,7 +76,7 @@ pub trait Ordering: fmt::Debug {
     fn victim<P>(&self, slots: &Slots<P, Self::Node>) -> Option<EntryId>;
 
     /// Unlinks a pair that is leaving for any reason other than this
-    /// ordering's own choice (explicit delete, eviction picked by the caller).
+    /// ordering's own choice (an explicit delete, or an update).
     fn forget<P>(&mut self, slots: &mut Slots<P, Self::Node>, id: EntryId);
 
     /// Chooses the next victim and unlinks it. Orderings with a clock (`L`)
@@ -398,22 +398,6 @@ impl<K: Eq + Hash + Clone, O: Ordering, V> Keyed<K, O, V> {
         self.detach(key).map(|entry| entry.payload.1)
     }
 
-    /// Removes resident `key` *as an eviction* the caller decided on (a
-    /// store out of memory evicting [`Keyed::victim`]): [`Keyed::remove`],
-    /// reported to the trace sink as an eviction. The one map probe yields
-    /// the entry the event is built from.
-    pub fn evict<Q>(&mut self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let entry = self.detach(key)?;
-        if let Some(sink) = &self.sink {
-            sink.record(&self.event(PolicyEventKind::Evict, &entry));
-        }
-        Some(entry.payload.1)
-    }
-
     /// The key next in line for eviction, if any.
     #[must_use]
     pub fn victim(&self) -> Option<&K> {
@@ -495,28 +479,12 @@ impl<K: CacheKey, O: Ordering> EvictionPolicy<K> for Keyed<K, O> {
         self.evict_lowest().map(|(key, ())| key)
     }
 
-    fn victim(&self) -> Option<K> {
-        Keyed::victim(self).cloned()
-    }
-
     fn remove(&mut self, key: &K) -> bool {
         self.detach(key).is_some()
     }
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
         self.sink = sink;
-    }
-
-    fn trace_sink(&self) -> Option<&SharedTraceSink> {
-        self.sink.as_ref()
-    }
-
-    fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {
-        Some(self.event(PolicyEventKind::Evict, self.slot(key)?))
-    }
-
-    fn evict(&mut self, key: &K) -> bool {
-        Keyed::evict(self, key).is_some()
     }
 
     fn queue_count(&self) -> Option<usize> {

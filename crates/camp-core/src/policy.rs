@@ -6,9 +6,9 @@
 //! interaction, so every policy is interchangeable inside the simulator, the
 //! KVS server, the tests, and the benchmark harness. Two extra methods serve
 //! the server's slab store, where memory pressure (not the policy's byte
-//! budget) decides *when* to evict: [`EvictionPolicy::victim`] exposes the
-//! next candidate without mutating, and [`EvictionPolicy::touch`] applies
-//! the hit path of `reference` on its own (the store's `get`).
+//! budget) decides *when* to evict: [`EvictionPolicy::evict_next`] takes
+//! one step of the policy's own eviction, and [`EvictionPolicy::touch`]
+//! applies the hit path of `reference` on its own (the store's `get`).
 //!
 //! Implementations: the keyed front ([`crate::Keyed`] — one cache, six
 //! orderings: CAMP here, LRU, GDS, GDSF, LFU and GD-Wheel in
@@ -151,9 +151,9 @@ impl AccessOutcome {
 /// Implementations manage a fixed byte budget. `reference` performs the
 /// paper's get-then-insert-on-miss cycle in one call and reports evicted
 /// keys through the caller-supplied buffer (so hot loops can reuse one
-/// allocation). `touch` and `victim` split that cycle apart for callers —
-/// like the slab store — that decide admission and eviction timing
-/// themselves.
+/// allocation). `touch` and `evict_next` split that cycle apart for
+/// callers — like the slab store — that decide *when* to evict
+/// themselves; *what* to evict stays the policy's own decision.
 ///
 /// Every policy in this workspace keeps its keys in a
 /// [`crate::hash::FoldHashMap`]: unseeded, so not resistant to keys
@@ -197,47 +197,14 @@ pub trait EvictionPolicy<K: CacheKey = u64> {
     /// when empty.
     fn evict_next(&mut self) -> Option<K>;
 
-    /// The key this policy would evict next, without evicting it. `None`
-    /// when empty.
-    fn victim(&self) -> Option<K>;
-
-    /// Removes `key` if resident. Returns whether it was.
+    /// Removes `key` if resident (an explicit delete: not traced). Returns
+    /// whether it was.
     fn remove(&mut self, key: &K) -> bool;
 
     /// Attaches (or detaches, with `None`) a [`TraceSink`] that receives
     /// one [`PolicyEvent`] per admission and eviction. The default drops
     /// the sink: a policy opts into tracing by storing it and emitting.
     fn set_trace_sink(&mut self, _sink: Option<SharedTraceSink>) {}
-
-    /// The attached trace sink, if any.
-    fn trace_sink(&self) -> Option<&SharedTraceSink> {
-        None
-    }
-
-    /// How evicting resident `key` would be reported: its metadata as a
-    /// [`PolicyEvent`]. `None` when the key is absent or the policy does
-    /// not model per-entry metadata.
-    fn eviction_event(&self, _key: &K) -> Option<PolicyEvent> {
-        None
-    }
-
-    /// Removes `key` *as an eviction*: like [`EvictionPolicy::remove`],
-    /// but reports the decision to the trace sink first (while the entry's
-    /// metadata is still resident). Callers evicting under external
-    /// pressure — the slab store's allocation loop — use this; explicit
-    /// deletes use `remove` and stay out of the eviction telemetry.
-    ///
-    /// The default looks the key up twice (once for the event, once to
-    /// remove it); the keyed front overrides it to build the event from the
-    /// entry one lookup removes.
-    fn evict(&mut self, key: &K) -> bool {
-        if let Some(event) = self.eviction_event(key) {
-            if let Some(sink) = self.trace_sink() {
-                sink.record(&event);
-            }
-        }
-        self.remove(key)
-    }
 
     /// Number of internal queues/pools, for policies where that is a
     /// meaningful quantity (CAMP: non-empty LRU queues; Pooled-LRU: pools).

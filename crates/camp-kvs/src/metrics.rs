@@ -711,7 +711,7 @@ impl TelemetryReport {
         let collisions = t.fingerprint_collisions;
         rows.stat(Detail, "store:fingerprint_collisions", collisions)
             .family(Counter, "camp_store_fingerprint_collisions_total")
-            .help("capacity evictions caused by two keys sharing a 64-bit fingerprint");
+            .help("residents replaced by another key with the same 64-bit fingerprint");
         for (i, shard) in self.shards.iter().enumerate() {
             let line = (format!("shard:{i}"), ("shard", i.to_string()));
             let s = &shard.stats;

@@ -1181,9 +1181,9 @@ mod tests {
     #[test]
     fn recovery_of_colliding_sets_rebuilds_the_last_writer_state() {
         // 4-bit fingerprints: 64 keys fight over 16 slots, so most sets
-        // evict a colliding resident. The journal records the sets, not the
-        // evictions; replaying it through the same store logic must end
-        // where the live store did — last writer per slot.
+        // replace a colliding resident. The journal records the sets, not
+        // the replacements; replaying it through the same store logic must
+        // end where the live store did — last writer per slot.
         let colliding = || {
             ShardedStore::with_fingerprint_bits(
                 StoreConfig {

@@ -11,15 +11,17 @@
 //!
 //! 1. reuse a free chunk of the item's slab class;
 //! 2. assign a fresh slab to the class while the budget lasts;
-//! 3. evict items chosen by the replacement policy, reclaiming any slab
-//!    that empties for the needed class;
+//! 3. ask the replacement policy to evict, reclaiming any slab that empties
+//!    for the needed class;
 //! 4. if the memory is calcified (evictions never free the right class),
 //!    force a *random slab eviction* and reassign the slab.
 //!
 //! The policy tracks logical item bytes against the physical slab budget.
 //! Because chunk rounding makes physical usage exceed logical usage, slab
-//! exhaustion fires first and the policy acts as a pure victim selector,
-//! exactly as in the paper's IQ Twemcache modification.
+//! exhaustion fires first: the store decides *when* to evict, and the
+//! policy evicts exactly as it would on its own budget
+//! ([`EvictionPolicy::evict_next`]) — CAMP's `L` rises, ARC remembers the
+//! ghost — as in the paper's IQ Twemcache, which evicts through CAMP's heap.
 //!
 //! ## One key copy, one hash
 //!
@@ -41,10 +43,10 @@
 //! for n residents: 3·10⁻⁶ at ten million items). The store handles that
 //! as a cache may: the fingerprint's slot holds one key at a time. Reading
 //! (`get`, `delete`, `touch`, `incr`, `decr`, `replace`) key A while B
-//! holds the slot is a miss; writing (`set`, `add`) A evicts B through the
-//! policy — a traced eviction, counted in [`StoreStats::evictions`] and
-//! [`StoreStats::fingerprint_collisions`]. No operation ever returns
-//! another key's value.
+//! holds the slot is a miss; writing (`set`, `add`) A replaces B as an
+//! overwrite would — no policy decision, so not traced and not an
+//! eviction, but counted in [`StoreStats::fingerprint_collisions`]. No
+//! operation ever returns another key's value.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -119,8 +121,8 @@ pub struct StoreStats {
     pub slab_reclaims: u64,
     /// Items dropped because they had expired.
     pub expired: u64,
-    /// Residents evicted because a different key with the same 64-bit
-    /// fingerprint was stored (also counted in `evictions`). Zero in
+    /// Residents replaced because a different key with the same 64-bit
+    /// fingerprint was stored (an overwrite, not an eviction). Zero in
     /// normal operation: expect one per ~2⁶⁴ resident key pairs.
     pub fingerprint_collisions: u64,
 }
@@ -128,11 +130,11 @@ pub struct StoreStats {
 /// Totals and distributions over the decisions a store's policy reported
 /// while a trace sink was attached: `trace:admits`, `trace:evictions`, the
 /// eviction-cost summary and the `L` trajectory of the telemetry surface.
-/// An eviction is tallied here exactly when it is traced — capacity
-/// victims, policy-budget victims and fingerprint collisions are; items
-/// lost to a slab reassignment or to expiry are not — so with a sink
-/// attached from the start `evictions` equals [`StoreStats::evictions`]
-/// and `admits` equals [`StoreStats::sets`].
+/// An eviction is tallied here exactly when it is traced — every policy
+/// eviction is; items lost to a slab reassignment, to expiry or to a
+/// fingerprint collision are not — so with a sink attached from the start
+/// `evictions` equals [`StoreStats::evictions`] and `admits` equals
+/// [`StoreStats::sets`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EvictionTotals {
@@ -264,7 +266,7 @@ pub struct Store {
     slabs: SlabAllocator,
     /// Chunk locations, keyed by key fingerprint; the chunk holds the key
     /// bytes. Residency here is the source of truth; the policy mirrors it
-    /// (under the same fingerprints) for victim selection.
+    /// (under the same fingerprints) and evicts from it.
     index: FingerprintMap<ChunkRef>,
     policy: Box<dyn EvictionPolicy<u64> + Send>,
     fingerprinter: Fingerprinter,
@@ -628,14 +630,9 @@ impl Store {
         };
         // Whatever holds the fingerprint's slot leaves first: this key's
         // old item (replace semantics), or — once in ~2⁶⁴ pairs — another
-        // key's, which is evicted so the slot never holds two keys.
-        if let Some(&old_chunk) = self.index.get(&h.fp) {
-            if Item::decode(self.slabs.read(old_chunk)).key == key {
-                self.remove_entry(h.fp);
-            } else {
-                self.policy.evict(&h.fp);
-                self.index.remove(&h.fp);
-                self.stats.evictions += 1;
+        // key's, replaced the same way so the slot never holds two keys.
+        if let Some(old_chunk) = self.remove_entry(h.fp) {
+            if Item::decode(self.slabs.read(old_chunk)).key != key {
                 self.stats.fingerprint_collisions += 1;
             }
             self.free_chunk(old_chunk, class);
@@ -872,16 +869,14 @@ impl Store {
                         self.stats.slab_reclaims += 1;
                         continue;
                     }
-                    // Step 4: evict by policy.
-                    let Some(victim) = self.policy.victim() else {
+                    // Step 3: the policy takes one step of its own eviction.
+                    let Some(victim) = self.policy.evict_next() else {
                         // Nothing left to evict and no reusable slab: the
                         // item cannot fit.
                         return Err(StoreError::OutOfMemory);
                     };
-                    // `evict` reports to the trace sink, then removes.
-                    self.policy.evict(&victim);
-                    // lint:allow(unwrap-in-lib) — victim() only returns keys
-                    // the policy owns, and policy and index move in lockstep.
+                    // lint:allow(unwrap-in-lib) — evict_next() only returns
+                    // keys the policy held, and policy and index move in lockstep.
                     let chunk = self.index.remove(&victim).expect("victim is resident");
                     self.free_chunk(chunk, class);
                     self.stats.evictions += 1;
@@ -1290,6 +1285,40 @@ mod tests {
         assert_eq!(sink.evicts.load(Ordering::Relaxed), 0);
     }
 
+    /// Slab pressure evicts through each clocked ordering's own step, so
+    /// `L` (GD-Wheel's clock) moves as it does in the simulator: the
+    /// `l_value` of the `Evict` events never falls, and ends above zero.
+    #[test]
+    fn slab_pressure_advances_the_clock_of_every_clocked_ordering() {
+        #[derive(Debug, Default)]
+        struct EvictionLs(std::sync::Mutex<Vec<u64>>);
+        impl TraceSink for EvictionLs {
+            fn record(&self, event: &PolicyEvent) {
+                if event.kind == PolicyEventKind::Evict {
+                    crate::sync::lock(&self.0).push(event.l_value);
+                }
+            }
+        }
+        for mode in ["camp", "camp:inf", "gds", "gdsf", "gd-wheel"] {
+            let sink = std::sync::Arc::new(EvictionLs::default());
+            let mut store = Store::new(StoreConfig {
+                slab: SlabConfig::small(4096, 8),
+                eviction: mode.parse().unwrap(),
+            });
+            store.set_trace_sink(Some(sink.clone()));
+            for i in 0..5_000u64 {
+                let key = format!("key-{i}");
+                let cost = 1 + i % 7 * 100;
+                store.set(key.as_bytes(), &[0u8; 60], 0, 0, cost).unwrap();
+            }
+            let ls = crate::sync::lock(&sink.0);
+            assert!(ls.len() > 4_000, "{mode}: {} evictions", ls.len());
+            assert_eq!(ls.len() as u64, store.stats().evictions, "{mode}");
+            assert!(ls.windows(2).all(|w| w[0] <= w[1]), "{mode}: L fell");
+            assert!(ls.last() > Some(&0), "{mode}: L never left zero");
+        }
+    }
+
     /// A store whose fingerprints keep 4 bits: 16 slots, collisions galore.
     fn colliding_store(mode: EvictionMode) -> Store {
         Store::with_fingerprint_bits(
@@ -1347,7 +1376,7 @@ mod tests {
     }
 
     #[test]
-    fn storing_a_colliding_key_evicts_the_resident_through_the_policy() {
+    fn storing_a_colliding_key_replaces_the_resident_untraced() {
         use std::sync::atomic::Ordering;
         for mode in all_modes() {
             let sink = std::sync::Arc::new(CountingSink::default());
@@ -1355,17 +1384,18 @@ mod tests {
             store.set_trace_sink(Some(sink.clone()));
             let (a, b) = colliding_pair(&store);
             store.set(&b, b"bee", 0, 0, 1).unwrap();
-            // `add` sees no A, so it stores — and B has to go.
+            // `add` sees no A, so it stores — and B has to go, as an
+            // overwrite of the slot would take it: no policy decision.
             assert!(store.add(&a, b"ay", 0, 0, 1).unwrap(), "{mode}");
-            assert!(!store.contains(&b), "{mode}: B evicted");
+            assert!(!store.contains(&b), "{mode}: B replaced");
             assert_eq!(store.get(&a).unwrap().value, b"ay", "{mode}");
             assert!(store.get(&b).is_none(), "{mode}");
             assert_eq!(store.len(), 1, "{mode}");
             assert_layers_agree(&store, &mode.to_string());
             let stats = store.stats();
-            assert_eq!(stats.evictions, 1, "{mode}");
+            assert_eq!(stats.evictions, 0, "{mode}");
             assert_eq!(stats.fingerprint_collisions, 1, "{mode}");
-            assert_eq!(sink.evicts.load(Ordering::Relaxed), 1, "{mode}: traced");
+            assert_eq!(sink.evicts.load(Ordering::Relaxed), 0, "{mode}: untraced");
             // A plain replace of A itself is not a collision.
             store.set(&a, b"ay2", 0, 0, 1).unwrap();
             assert_eq!(store.stats().fingerprint_collisions, 1, "{mode}");
@@ -1374,7 +1404,8 @@ mod tests {
             assert_eq!(store.get(&b).unwrap().value, b"bee2", "{mode}");
             assert!(store.get(&a).is_none(), "{mode}");
             assert_eq!(store.stats().fingerprint_collisions, 2, "{mode}");
-            assert_eq!(sink.evicts.load(Ordering::Relaxed), 2, "{mode}");
+            assert_eq!(store.stats().evictions, 0, "{mode}");
+            assert_eq!(sink.evicts.load(Ordering::Relaxed), 0, "{mode}");
             assert_layers_agree(&store, &mode.to_string());
         }
     }
@@ -1412,7 +1443,7 @@ mod tests {
             }
             let stats = store.stats();
             assert!(stats.fingerprint_collisions > 0, "{mode}");
-            assert!(stats.evictions > stats.fingerprint_collisions, "{mode}");
+            assert!(stats.evictions > 0, "{mode}");
             assert_layers_agree(&store, &mode.to_string());
         }
     }

@@ -614,11 +614,11 @@ fn latency_total(table: &BTreeMap<String, String>) -> u64 {
 /// connection has been closed by the server (so its spans are recorded)
 /// and the reporting connection works strictly one reply at a time.
 ///
-/// Which evictions are traced: capacity victims, victims of the policy's
-/// own byte budget and fingerprint collisions each emit one event and
-/// each count in `evictions`; items lost to a slab reassignment
-/// (`slab_evictions`) or to expiry emit none. So `trace:evictions` equals
-/// `evictions`, and `trace:admits` equals `cmd_set`.
+/// Which evictions are traced: every policy eviction, under slab pressure
+/// or the policy's own byte budget, emits one event and counts in
+/// `evictions`; items lost to a slab reassignment (`slab_evictions`), to
+/// expiry or to a fingerprint collision emit none. So `trace:evictions`
+/// equals `evictions`, and `trace:admits` equals `cmd_set`.
 #[test]
 fn metric_identities_hold_at_quiescence() {
     const SHARDS: usize = 4;

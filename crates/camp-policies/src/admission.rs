@@ -12,9 +12,7 @@ use std::collections::VecDeque;
 
 use camp_core::hash::FoldHashMap;
 
-use crate::policy::{
-    AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, SharedTraceSink,
-};
+use crate::policy::{AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, SharedTraceSink};
 
 /// The admission decision rules available to [`Admission`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,10 +175,6 @@ impl<K: CacheKey, P: EvictionPolicy<K>> EvictionPolicy<K> for Admission<P, K> {
         self.inner.evict_next()
     }
 
-    fn victim(&self) -> Option<K> {
-        self.inner.victim()
-    }
-
     fn remove(&mut self, key: &K) -> bool {
         self.inner.remove(key)
     }
@@ -203,14 +197,6 @@ impl<K: CacheKey, P: EvictionPolicy<K>> EvictionPolicy<K> for Admission<P, K> {
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
         self.inner.set_trace_sink(sink);
-    }
-
-    fn trace_sink(&self) -> Option<&SharedTraceSink> {
-        self.inner.trace_sink()
-    }
-
-    fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {
-        self.inner.eviction_event(key)
     }
 
     fn policy_stats(&self) -> crate::policy::PolicyStats {

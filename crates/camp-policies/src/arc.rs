@@ -398,17 +398,6 @@ impl<K: CacheKey> EvictionPolicy<K> for Arc<K> {
         self.replace()
     }
 
-    fn victim(&self) -> Option<K> {
-        let list = if (!self.t1.is_empty() && self.t1_bytes > self.p) || self.t2.is_empty() {
-            &self.t1
-        } else {
-            &self.t2
-        };
-        list.front()
-            .and_then(|id| self.arena.get(id))
-            .map(|node| node.key.clone())
-    }
-
     fn remove(&mut self, key: &K) -> bool {
         let Some(resident) = self.residents.remove(key) else {
             return false;
@@ -430,15 +419,6 @@ impl<K: CacheKey> EvictionPolicy<K> for Arc<K> {
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
         self.sink = sink;
-    }
-
-    fn trace_sink(&self) -> Option<&SharedTraceSink> {
-        self.sink.as_ref()
-    }
-
-    fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {
-        let resident = self.residents.get(key)?;
-        Some(Self::event_for(PolicyEventKind::Evict, key, resident))
     }
 
     fn queue_count(&self) -> Option<usize> {

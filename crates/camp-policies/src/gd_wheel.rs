@@ -336,7 +336,7 @@ mod tests {
         assert!(EvictionPolicy::touch(&mut c, &1));
         assert!(!EvictionPolicy::touch(&mut c, &9));
         // The victim matches the next actual eviction.
-        let expected = EvictionPolicy::victim(&c);
+        let expected = c.victim().copied();
         let (_, ev) = touch(&mut c, 4, 10, 5);
         assert_eq!(expected, ev.first().copied());
     }

@@ -170,7 +170,7 @@ mod tests {
         assert!(EvictionPolicy::touch(&mut c, &1));
         assert!(!EvictionPolicy::touch(&mut c, &9));
         // 2 is now the least-frequent, least-recent resident.
-        assert_eq!(EvictionPolicy::victim(&c), Some(2));
+        assert_eq!(c.victim(), Some(&2));
     }
 
     #[test]

@@ -157,7 +157,7 @@ mod tests {
         touch(&mut lru, 2, 10);
         assert!(EvictionPolicy::touch(&mut lru, &1));
         assert!(!EvictionPolicy::touch(&mut lru, &9));
-        assert_eq!(EvictionPolicy::victim(&lru), Some(2));
+        assert_eq!(lru.victim(), Some(&2));
         assert_eq!(lru.len(), 2);
     }
 

@@ -242,11 +242,6 @@ impl<K: CacheKey> EvictionPolicy<K> for LruK<K> {
         self.evict_one()
     }
 
-    fn victim(&self) -> Option<K> {
-        let (heap_id, _) = self.heap.peek()?;
-        self.by_heap_id.get(&heap_id).cloned()
-    }
-
     fn remove(&mut self, key: &K) -> bool {
         let Some(resident) = self.residents.remove(key) else {
             return false;
@@ -260,20 +255,6 @@ impl<K: CacheKey> EvictionPolicy<K> for LruK<K> {
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
         self.sink = sink;
-    }
-
-    fn trace_sink(&self) -> Option<&SharedTraceSink> {
-        self.sink.as_ref()
-    }
-
-    fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {
-        let resident = self.residents.get(key)?;
-        Some(PolicyEvent::basic(
-            PolicyEventKind::Evict,
-            key_hash(key),
-            resident.size,
-            resident.cost,
-        ))
     }
 
     fn heap_node_visits(&self) -> Option<u64> {

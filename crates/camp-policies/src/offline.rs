@@ -191,11 +191,6 @@ impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
         self.evict_one()
     }
 
-    fn victim(&self) -> Option<K> {
-        let (heap_id, _) = self.heap.peek()?;
-        self.by_heap_id.get(&heap_id).cloned()
-    }
-
     fn remove(&mut self, key: &K) -> bool {
         let Some((heap_id, size, _)) = self.residents.remove(key) else {
             return false;
@@ -209,20 +204,6 @@ impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
         self.sink = sink;
-    }
-
-    fn trace_sink(&self) -> Option<&SharedTraceSink> {
-        self.sink.as_ref()
-    }
-
-    fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {
-        let &(_, size, cost) = self.residents.get(key)?;
-        Some(PolicyEvent::basic(
-            PolicyEventKind::Evict,
-            key_hash(key),
-            size,
-            cost,
-        ))
     }
 }
 

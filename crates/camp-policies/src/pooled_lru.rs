@@ -12,9 +12,7 @@
 //! from an idle one, which is exactly the weakness Figures 5d and 8a expose.
 
 use crate::lru::Lru;
-use crate::policy::{
-    AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, SharedTraceSink,
-};
+use crate::policy::{AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, SharedTraceSink};
 
 /// How the available memory is divided among the pools.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +55,6 @@ pub struct PooledLru<K = u64> {
     pools: Vec<Lru<K>>,
     boundaries: Vec<u64>,
     capacity: u64,
-    sink: Option<SharedTraceSink>,
 }
 
 impl<K: CacheKey> PooledLru<K> {
@@ -96,7 +93,6 @@ impl<K: CacheKey> PooledLru<K> {
             pools,
             boundaries: boundaries.to_vec(),
             capacity,
-            sink: None,
         }
     }
 
@@ -167,21 +163,6 @@ impl<K: CacheKey> EvictionPolicy<K> for PooledLru<K> {
             .and_then(EvictionPolicy::evict_next)
     }
 
-    fn victim(&self) -> Option<K> {
-        // The frozen partition has no global eviction order; offer the LRU
-        // tail of the fullest pool (by fill fraction) as the candidate.
-        self.pools
-            .iter()
-            .filter(|p| !p.is_empty())
-            .max_by(|a, b| {
-                let fa = a.used_bytes() as f64 / (a.capacity().max(1)) as f64;
-                let fb = b.used_bytes() as f64 / (b.capacity().max(1)) as f64;
-                fa.total_cmp(&fb)
-            })
-            .and_then(Lru::victim)
-            .cloned()
-    }
-
     fn remove(&mut self, key: &K) -> bool {
         self.pools.iter_mut().any(|p| p.remove(key).is_some())
     }
@@ -191,19 +172,6 @@ impl<K: CacheKey> EvictionPolicy<K> for PooledLru<K> {
         for pool in &mut self.pools {
             pool.set_trace_sink(sink.clone());
         }
-        self.sink = sink;
-    }
-
-    fn trace_sink(&self) -> Option<&SharedTraceSink> {
-        self.sink.as_ref()
-    }
-
-    fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {
-        self.pools.iter().enumerate().find_map(|(i, p)| {
-            let mut event = p.eviction_event(key)?;
-            event.queue = i as u32;
-            Some(event)
-        })
     }
 
     fn queue_count(&self) -> Option<usize> {
@@ -306,16 +274,17 @@ mod tests {
     }
 
     #[test]
-    fn touch_and_victim_cross_pools() {
+    fn touch_and_evict_next_cross_pools() {
         let mut p = PooledLru::new(60, &[1, 100], PoolSplit::Uniform);
         touch(&mut p, 1, 10, 1);
         touch(&mut p, 2, 10, 500);
         assert!(EvictionPolicy::touch(&mut p, &1));
         assert!(EvictionPolicy::touch(&mut p, &2));
         assert!(!EvictionPolicy::touch(&mut p, &9));
-        // Both pools are equally full; victim must be a resident key.
-        let v = EvictionPolicy::victim(&p).unwrap();
-        assert!(p.contains(&v));
+        // Both pools are equally full; one of them gives up its key.
+        let v = p.evict_next().unwrap();
+        assert!(!p.contains(&v) && (v == 1 || v == 2));
+        assert_eq!(p.len(), 1);
     }
 
     #[test]

@@ -282,19 +282,6 @@ impl<K: CacheKey> EvictionPolicy<K> for TwoQ<K> {
         self.reclaim_one()
     }
 
-    fn victim(&self) -> Option<K> {
-        if self.a1in_bytes > self.kin || self.am.is_empty() {
-            if let Some(key) = self.a1in.front() {
-                return Some(key.clone());
-            }
-        }
-        self.am
-            .front()
-            .and_then(|id| self.am_arena.get(id))
-            .map(|node| node.key.clone())
-            .or_else(|| self.a1in.front().cloned())
-    }
-
     fn remove(&mut self, key: &K) -> bool {
         let Some(resident) = self.residents.remove(key) else {
             return false;
@@ -318,15 +305,6 @@ impl<K: CacheKey> EvictionPolicy<K> for TwoQ<K> {
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
         self.sink = sink;
-    }
-
-    fn trace_sink(&self) -> Option<&SharedTraceSink> {
-        self.sink.as_ref()
-    }
-
-    fn eviction_event(&self, key: &K) -> Option<PolicyEvent> {
-        let resident = self.residents.get(key)?;
-        Some(Self::event_for(PolicyEventKind::Evict, key, resident))
     }
 
     fn queue_count(&self) -> Option<usize> {
