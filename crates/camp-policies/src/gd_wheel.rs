@@ -22,7 +22,7 @@ use camp_core::lru_list::{Linked, Links, LruList};
 use camp_core::rounding::{Precision, RatioRounder};
 
 use crate::keyed::{Keyed, Ordering, Slots};
-use crate::policy::CacheKey;
+use crate::policy::{CacheKey, PolicyStats};
 
 const WHEEL_BITS: u32 = 8;
 const WHEEL_SLOTS: usize = 1 << WHEEL_BITS; // 256
@@ -196,6 +196,10 @@ impl Ordering for Wheels {
     /// The trace `queue` field carries the entry's wheel level.
     fn event_fields(&self, node: &Spoke) -> (u64, u32, u64) {
         (node.ratio, u32::from(node.level), self.l)
+    }
+
+    fn extend_stats<K>(&self, _slots: &Slots<K, Spoke>, stats: &mut PolicyStats) {
+        stats.push("l_value", self.l);
     }
 }
 

@@ -19,7 +19,7 @@ use camp_core::heap::OctonaryHeap;
 use camp_core::rounding::{Precision, RatioRounder};
 
 use crate::keyed::{Keyed, Ordering, Slots};
-use crate::policy::CacheKey;
+use crate::policy::{CacheKey, PolicyStats};
 
 /// Frequencies beyond this no longer raise the priority (overflow guard;
 /// in practice hit counts this high mean the pair is effectively pinned
@@ -154,6 +154,10 @@ impl<const FREQUENCY: bool> Ordering for GreedyDual<FREQUENCY> {
 
     fn reset_instrumentation(&mut self) {
         self.heap.reset_counters();
+    }
+
+    fn extend_stats<K>(&self, _slots: &Slots<K, Priced>, stats: &mut PolicyStats) {
+        stats.push("l_value", u64::try_from(self.l).unwrap_or(u64::MAX));
     }
 }
 

@@ -32,10 +32,10 @@ mod tests {
         ];
         let published: [(&str, &str, &[&str]); 7] = [
             ("lru", "lru", &["queue_count"]),
-            ("gds", "gds", &["heap_visits", "heap_updates"]),
-            ("gdsf", "gdsf", &["heap_visits", "heap_updates"]),
+            ("gds", "gds", &["heap_visits", "heap_updates", "l_value"]),
+            ("gdsf", "gdsf", &["heap_visits", "heap_updates", "l_value"]),
             ("lfu", "lfu", &["heap_visits"]),
-            ("gd-wheel", "gd-wheel", &[]),
+            ("gd-wheel", "gd-wheel", &["l_value"]),
             ("camp", "camp(p=5)", &CAMP),
             ("camp:inf", "camp(p=∞)", &CAMP),
         ];
