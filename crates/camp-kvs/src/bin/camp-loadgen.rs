@@ -15,10 +15,7 @@
 //! segment, then reads all `DEPTH` responses — exactly the traffic shape
 //! the server's flush coalescing is built for. Client-side latency is
 //! recorded per command class into `camp-telemetry` histograms (each op in
-//! a batch is charged the batch round-trip, the closed-loop convention),
-//! and the main thread samples the completed-op counter every 250 ms so
-//! the run's throughput *trajectory* — not just the average — lands in the
-//! machine-readable report.
+//! a batch is charged the batch round-trip, the closed-loop convention).
 //!
 //! `--threads` decouples connection count from thread count: each thread
 //! multiplexes its share of connections by writing one batch to every
@@ -53,8 +50,8 @@
 //!
 //! The report is written to `--out` (default `loadgen-report.json`):
 //! ops/sec, p50/p90/p99/max per command class, hit ratio, error and
-//! resilience counters, and the trajectory samples, plus the full config
-//! so before/after runs are comparable. The repo's benchmark is
+//! resilience counters, plus the full config so before/after runs are
+//! comparable. The repo's benchmark is
 //! `campbench` (`bench/`); this is the many-connection load tool the soak,
 //! chaos and crash harnesses drive.
 
@@ -694,7 +691,6 @@ struct RunStats {
     errors: u64,
     batch_retries: u64,
     reconnects: u64,
-    trajectory: Vec<(f64, u64, f64)>,
     get_snap: HistogramSnapshot,
     set_snap: HistogramSnapshot,
 }
@@ -718,7 +714,6 @@ impl RunStats {
             errors: 0,
             batch_retries: 0,
             reconnects: 0,
-            trajectory: Vec::new(),
             get_snap: Histogram::new().snapshot(),
             set_snap: Histogram::new().snapshot(),
         }
@@ -726,7 +721,7 @@ impl RunStats {
 }
 
 /// Runs the full measured phase against `config.addr`: spawns the worker
-/// threads, warms up, re-baselines, samples the trajectory, stops and
+/// threads, warms up, re-baselines, runs for the duration, stops and
 /// joins. The server must already be prefilled.
 fn measure(config: &Config, value: &Arc<Vec<u8>>) -> RunStats {
     let totals = Arc::new(Totals::new());
@@ -765,26 +760,7 @@ fn measure(config: &Config, value: &Arc<Vec<u8>>) -> RunStats {
     let hits_base = totals.hits.load(Ordering::Relaxed);
     let errors_base = totals.errors.load(Ordering::Relaxed);
     let started = Instant::now();
-
-    // Sample the throughput trajectory every 250 ms.
-    let mut trajectory: Vec<(f64, u64, f64)> = Vec::new();
-    let mut last_t = 0.0f64;
-    let mut last_ops = 0u64;
-    while started.elapsed().as_secs_f64() < config.duration_secs {
-        let remaining = config.duration_secs - started.elapsed().as_secs_f64();
-        std::thread::sleep(Duration::from_secs_f64(remaining.clamp(0.0, 0.25)));
-        let t = started.elapsed().as_secs_f64();
-        // ordering: Relaxed — sampling a statistics counter mid-run.
-        let cumulative = totals.ops.load(Ordering::Relaxed) - ops_base;
-        let rate = if t > last_t {
-            (cumulative - last_ops) as f64 / (t - last_t)
-        } else {
-            0.0
-        };
-        trajectory.push((t, cumulative, rate));
-        last_t = t;
-        last_ops = cumulative;
-    }
+    std::thread::sleep(Duration::from_secs_f64(config.duration_secs.max(0.0)));
     // ordering: Relaxed(x2) — stop flag (see the worker loop) and a
     // statistics read; the authoritative counts come after the joins.
     totals.stop.store(true, Ordering::Relaxed);
@@ -812,7 +788,6 @@ fn measure(config: &Config, value: &Arc<Vec<u8>>) -> RunStats {
         // ordering: Relaxed(x2) — statistics counters, post-join.
         batch_retries: totals.batch_retries.load(Ordering::Relaxed),
         reconnects: totals.reconnects.load(Ordering::Relaxed),
-        trajectory,
         get_snap: totals.get_latency.snapshot(),
         set_snap: totals.set_latency.snapshot(),
     }
@@ -846,25 +821,17 @@ fn command_json(name: &str, snap: &HistogramSnapshot) -> String {
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_report(
-    config: &Config,
-    elapsed_secs: f64,
-    total_ops: u64,
-    hit_ratio: f64,
-    errors: u64,
-    resilience: (u64, u64),
-    verify: Option<VerifyStats>,
-    trajectory: &[(f64, u64, f64)],
-    get_snap: &HistogramSnapshot,
-    set_snap: &HistogramSnapshot,
-) -> String {
-    let ops_per_sec = if elapsed_secs > 0.0 {
-        total_ops as f64 / elapsed_secs
-    } else {
-        0.0
-    };
-    let (batch_retries, reconnects) = resilience;
+fn render_report(config: &Config, stats: &RunStats, verify: Option<VerifyStats>) -> String {
+    let RunStats {
+        elapsed_secs,
+        total_ops,
+        hit_ratio,
+        errors,
+        batch_retries,
+        reconnects,
+        ..
+    } = *stats;
+    let ops_per_sec = stats.ops_per_sec();
     let v = verify.unwrap_or_default();
     let verify_json = format!(
         "{{\"enabled\": {}, \"checked\": {}, \"mismatched\": {}, \"missing\": {}}}",
@@ -873,16 +840,8 @@ fn render_report(
         v.mismatched,
         v.missing,
     );
-    let samples: Vec<String> = trajectory
-        .iter()
-        .map(|&(t, cumulative, rate)| {
-            format!(
-                "{{\"t_secs\": {t:.3}, \"cumulative_ops\": {cumulative}, \"interval_ops_per_sec\": {rate:.1}}}"
-            )
-        })
-        .collect();
     format!(
-        "{{\n  \"bench\": \"camp-loadgen\",\n  \"label\": \"{}\",\n  \"addr\": \"{}\",\n  \"config\": {{\"connections\": {}, \"threads\": {}, \"pipeline\": {}, \"get_ratio\": {}, \"keys\": {}, \"value_bytes\": {}, \"duration_secs\": {}, \"warmup_secs\": {}, \"seed\": {}, \"retries\": {}, \"expect_errors\": {}}},\n  \"elapsed_secs\": {elapsed_secs:.3},\n  \"total_ops\": {total_ops},\n  \"ops_per_sec\": {ops_per_sec:.1},\n  \"hit_ratio\": {hit_ratio:.4},\n  \"errors\": {errors},\n  \"resilience\": {{\"batch_retries\": {batch_retries}, \"reconnects\": {reconnects}}},\n  \"verify\": {verify_json},\n  \"commands\": {{{}, {}}},\n  \"trajectory\": [{}]\n}}\n",
+        "{{\n  \"bench\": \"camp-loadgen\",\n  \"label\": \"{}\",\n  \"addr\": \"{}\",\n  \"config\": {{\"connections\": {}, \"threads\": {}, \"pipeline\": {}, \"get_ratio\": {}, \"keys\": {}, \"value_bytes\": {}, \"duration_secs\": {}, \"warmup_secs\": {}, \"seed\": {}, \"retries\": {}, \"expect_errors\": {}}},\n  \"elapsed_secs\": {elapsed_secs:.3},\n  \"total_ops\": {total_ops},\n  \"ops_per_sec\": {ops_per_sec:.1},\n  \"hit_ratio\": {hit_ratio:.4},\n  \"errors\": {errors},\n  \"resilience\": {{\"batch_retries\": {batch_retries}, \"reconnects\": {reconnects}}},\n  \"verify\": {verify_json},\n  \"commands\": {{{}, {}}}\n}}\n",
         escape_json(&config.label),
         escape_json(&config.addr),
         config.connections,
@@ -896,9 +855,8 @@ fn render_report(
         config.seed,
         config.retries,
         config.expect_errors,
-        command_json("get", get_snap),
-        command_json("set", set_snap),
-        samples.join(", "),
+        command_json("get", &stats.get_snap),
+        command_json("set", &stats.set_snap),
     )
 }
 
@@ -940,18 +898,7 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    let report = render_report(
-        &config,
-        stats.elapsed_secs,
-        stats.total_ops,
-        stats.hit_ratio,
-        stats.errors,
-        (stats.batch_retries, stats.reconnects),
-        verify_stats,
-        &stats.trajectory,
-        &stats.get_snap,
-        &stats.set_snap,
-    );
+    let report = render_report(&config, &stats, verify_stats);
     if let Err(err) = std::fs::write(&config.out, &report) {
         eprintln!("camp-loadgen: writing {} failed: {err}", config.out);
         return ExitCode::FAILURE;
