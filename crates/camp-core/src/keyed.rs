@@ -3,9 +3,11 @@
 //!
 //! The paper's evaluation is a controlled experiment — the same cache around
 //! a different priority structure (§2–§3, Fig 4). [`Keyed`] is that cache,
-//! written once: key map, arena of resident pairs, byte budget, oversize
-//! bypass, evict-until-it-fits loop, trace events, the value-carrying API
-//! (`get`/`insert`/…) and the whole [`EvictionPolicy`] surface. What varies
+//! written once: key map, arena of resident pairs (each with its value),
+//! byte budget, oversize bypass, evict-until-it-fits loop, trace events,
+//! the value-carrying API (`get`/`insert`/…) and, for any value type, the
+//! whole [`EvictionPolicy`] surface — so the KVS store's policy, holding
+//! each item's chunk, is also its index. What varies
 //! is an [`Ordering`]: CAMP's multi-queue ([`crate::Camp`]) here, and in
 //! `camp-policies` recency (`Lru`), greedy-dual priority (`Gds`, `Gdsf`),
 //! frequency (`Lfu`) and cost wheels (`GdWheel`).
@@ -24,8 +26,8 @@ use crate::arena::{Arena, EntryId};
 use crate::hash::FoldHashMap;
 use crate::lru_list::{Linked, Links};
 use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind,
-    PolicyStats, SharedTraceSink,
+    key_hash, AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent, PolicyEventKind, PolicyStats,
+    SharedTraceSink,
 };
 
 /// One resident pair: what the front accounts and reports, plus the
@@ -134,9 +136,9 @@ pub enum InsertOutcome {
 
 /// A byte-budgeted cache mapping keys `K` to values `V`, evicting in the
 /// order `O` keeps. Used (and shown) through its aliases: [`crate::Camp`],
-/// and `camp-policies`' `Lru`, `Gds`, `Gdsf`, `Lfu`, `GdWheel`. With
-/// `V = ()` — when only the eviction decisions matter — it is an
-/// [`EvictionPolicy`].
+/// and `camp-policies`' `Lru`, `Gds`, `Gdsf`, `Lfu`, `GdWheel`. It is an
+/// [`EvictionPolicy<K, V>`]; with `V = ()` only the eviction decisions
+/// matter.
 ///
 /// The key map is hashed by the unseeded [`crate::hash::FoldHasher`], not
 /// by the standard library's randomly keyed SipHash: it is fast, and it
@@ -208,21 +210,6 @@ impl<K: Eq + Hash + Clone, O: Ordering, V> Keyed<K, O, V> {
         self.map.is_empty()
     }
 
-    /// Resets the ordering's instrumentation counters (not the contents).
-    pub fn reset_instrumentation(&mut self) {
-        self.ordering.reset_instrumentation();
-    }
-
-    /// Attaches (or detaches, with `None`) a [`TraceSink`] that will
-    /// receive one [`PolicyEvent`] per admission and eviction. The sink is
-    /// invoked inline, so it must be cheap; without one, tracing costs a
-    /// single branch per decision.
-    ///
-    /// [`TraceSink`]: crate::trace::TraceSink
-    pub fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.sink = sink;
-    }
-
     /// Whether `key` is resident. Does not update recency.
     #[must_use]
     pub fn contains<Q>(&self, key: &Q) -> bool
@@ -252,35 +239,15 @@ impl<K: Eq + Hash + Clone, O: Ordering, V> Keyed<K, O, V> {
         self.slot(key).map(|slot| &slot.payload.1)
     }
 
-    /// The hit path: tells the ordering resident `key` was referenced.
-    fn hit<Q>(&mut self, key: &Q) -> Option<EntryId>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let id = *self.map.get(key)?;
-        self.ordering.hit(&mut self.slots, id);
-        Some(id)
-    }
-
     /// Looks `key` up, updating recency and priority on a hit.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let id = self.hit(key)?;
+        let id = *self.map.get(key)?;
+        self.ordering.hit(&mut self.slots, id);
         self.slots.get(id).map(|slot| &slot.payload.1)
-    }
-
-    /// Like [`Keyed::get`] but returns a mutable reference to the value.
-    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let id = self.hit(key)?;
-        self.slots.get_mut(id).map(|slot| &mut slot.payload.1)
     }
 
     /// Inserts `key` with the given value, byte size and cost, evicting
@@ -438,7 +405,7 @@ impl<K: Eq + Hash + Clone, O: Ordering, V> Keyed<K, O, V> {
     }
 }
 
-impl<K: CacheKey, O: Ordering> EvictionPolicy<K> for Keyed<K, O> {
+impl<K: CacheKey, O: Ordering, V> EvictionPolicy<K, V> for Keyed<K, O, V> {
     fn name(&self) -> String {
         self.ordering.name()
     }
@@ -455,32 +422,40 @@ impl<K: CacheKey, O: Ordering> EvictionPolicy<K> for Keyed<K, O> {
         self.map.len()
     }
 
-    fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
+    fn get(&mut self, key: &K) -> Option<&V> {
+        Keyed::get(self, key)
     }
 
-    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome {
-        assert!(req.size > 0, "key-value pairs have positive size");
-        if self.touch(&req.key) {
-            return AccessOutcome::Hit;
-        }
-        let CacheRequest { key, size, cost } = req;
-        match self.store(key, (), size, cost, false, |(key, ())| evicted.push(key)) {
+    fn peek(&self, key: &K) -> Option<&V> {
+        Keyed::peek(self, key)
+    }
+
+    fn admit(
+        &mut self,
+        key: K,
+        value: V,
+        size: u64,
+        cost: u64,
+        evicted: &mut dyn FnMut(K, V),
+    ) -> AccessOutcome {
+        match self.store(key, value, size, cost, false, |(key, v)| evicted(key, v)) {
             InsertOutcome::RejectedTooLarge => AccessOutcome::MissBypassed,
             _ => AccessOutcome::MissInserted,
         }
     }
 
-    fn touch(&mut self, key: &K) -> bool {
-        self.hit(key).is_some()
+    fn take(&mut self, key: &K) -> Option<V> {
+        Keyed::remove(self, key)
     }
 
-    fn evict_next(&mut self) -> Option<K> {
-        self.evict_lowest().map(|(key, ())| key)
+    fn evict(&mut self) -> Option<(K, V)> {
+        self.evict_lowest()
     }
 
-    fn remove(&mut self, key: &K) -> bool {
-        self.detach(key).is_some()
+    fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
+        for (key, value, _) in self.iter() {
+            f(key, value);
+        }
     }
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {

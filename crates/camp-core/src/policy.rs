@@ -4,11 +4,15 @@
 //! generator references a key; on a miss it inserts the missing pair, which
 //! may evict residents. [`EvictionPolicy::reference`] captures exactly that
 //! interaction, so every policy is interchangeable inside the simulator, the
-//! KVS server, the tests, and the benchmark harness. Two extra methods serve
-//! the server's slab store, where memory pressure (not the policy's byte
-//! budget) decides *when* to evict: [`EvictionPolicy::evict_next`] takes
-//! one step of the policy's own eviction, and [`EvictionPolicy::touch`]
-//! applies the hit path of `reference` on its own (the store's `get`).
+//! KVS server, the tests, and the benchmark harness.
+//!
+//! A policy is also a map, holding a value `V` per resident key: `()` in
+//! the simulator, each item's chunk in the KVS server's slab store, whose
+//! one index it is. Implementations write the value methods — `get` and
+//! `admit` (the hit and miss halves of `reference`), `peek`, `take`,
+//! `evict` (one step of the policy's own eviction) and `for_each`;
+//! `reference`, `touch`, `remove`, `evict_next` and `contains` are written
+//! once, here, over them.
 //!
 //! Implementations: the keyed front ([`crate::Keyed`] — one cache, six
 //! orderings: CAMP here, LRU, GDS, GDSF, LFU and GD-Wheel in
@@ -102,7 +106,7 @@ impl PolicyStats {
     /// The gauges every policy can answer (items, bytes, capacity) plus
     /// whichever of the optional instrumentation hooks `policy` implements.
     #[must_use]
-    pub fn universal<K: CacheKey>(policy: &(impl EvictionPolicy<K> + ?Sized)) -> Self {
+    pub fn universal<K: CacheKey, V>(policy: &(impl EvictionPolicy<K, V> + ?Sized)) -> Self {
         let mut stats = PolicyStats::default();
         stats.push("items", policy.len() as u64);
         stats.push("used_bytes", policy.used_bytes());
@@ -146,13 +150,14 @@ impl AccessOutcome {
     }
 }
 
-/// A cache eviction policy driven by a stream of key references.
+/// A cache eviction policy driven by a stream of key references, holding a
+/// value `V` for each resident key.
 ///
 /// Implementations manage a fixed byte budget. `reference` performs the
 /// paper's get-then-insert-on-miss cycle in one call and reports evicted
 /// keys through the caller-supplied buffer (so hot loops can reuse one
-/// allocation). `touch` and `evict_next` split that cycle apart for
-/// callers — like the slab store — that decide *when* to evict
+/// allocation). `get`, `admit`, `take` and `evict` split that cycle apart
+/// for callers — like the slab store — that decide *when* to evict
 /// themselves; *what* to evict stays the policy's own decision.
 ///
 /// Every policy in this workspace keeps its keys in a
@@ -160,7 +165,7 @@ impl AccessOutcome {
 /// chosen to collide. Callers holding externally chosen byte or string
 /// keys should hand the policy a seeded hash of them, as the KVS server
 /// does with its key fingerprint.
-pub trait EvictionPolicy<K: CacheKey = u64> {
+pub trait EvictionPolicy<K: CacheKey = u64, V = ()> {
     /// Short, stable, human-readable policy name (e.g. `"camp(p=5)"`).
     fn name(&self) -> String;
 
@@ -178,28 +183,78 @@ pub trait EvictionPolicy<K: CacheKey = u64> {
         self.len() == 0
     }
 
+    /// The hit path of [`EvictionPolicy::reference`]: the value of a
+    /// resident `key`, after updating its recency/frequency metadata. A
+    /// miss records nothing.
+    fn get(&mut self, key: &K) -> Option<&V>;
+
+    /// The value of a resident `key`, without updating recency.
+    fn peek(&self, key: &K) -> Option<&V>;
+
+    /// The miss path of [`EvictionPolicy::reference`]: makes the absent
+    /// `key` resident with `value`, handing every pair evicted to make room
+    /// to `evicted`. `MissBypassed` (with `value` dropped) when the pair is
+    /// not admitted. The key must not be resident.
+    fn admit(
+        &mut self,
+        key: K,
+        value: V,
+        size: u64,
+        cost: u64,
+        evicted: &mut dyn FnMut(K, V),
+    ) -> AccessOutcome;
+
+    /// Removes `key` if resident (an explicit delete: not traced), handing
+    /// back its value.
+    fn take(&mut self, key: &K) -> Option<V>;
+
+    /// Evicts the pair this policy's own eviction would take next and hands
+    /// it back: exactly the step [`EvictionPolicy::reference`] takes while
+    /// over budget, with its bookkeeping (the clock `L`, ghost lists,
+    /// reference histories) and its one eviction trace event. `None` when
+    /// empty.
+    fn evict(&mut self) -> Option<(K, V)>;
+
+    /// Visits every resident pair once, in an unspecified order.
+    fn for_each(&self, f: &mut dyn FnMut(&K, &V));
+
     /// Whether `key` is resident, without updating recency.
-    fn contains(&self, key: &K) -> bool;
+    fn contains(&self, key: &K) -> bool {
+        self.peek(key).is_some()
+    }
 
     /// References `req.key`: a hit updates recency metadata; a miss inserts
-    /// the pair, appending any evicted keys to `evicted`.
-    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome;
+    /// the pair (with the default value), appending any evicted keys to
+    /// `evicted`.
+    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome
+    where
+        V: Default,
+    {
+        assert!(req.size > 0, "key-value pairs have positive size");
+        if self.get(&req.key).is_some() {
+            return AccessOutcome::Hit;
+        }
+        let CacheRequest { key, size, cost } = req;
+        self.admit(key, V::default(), size, cost, &mut |key, _| {
+            evicted.push(key)
+        })
+    }
 
-    /// Applies the hit path of [`EvictionPolicy::reference`] alone: updates
-    /// recency/frequency metadata for a resident `key`. Returns whether the
-    /// key was resident (a miss records nothing).
-    fn touch(&mut self, key: &K) -> bool;
+    /// [`EvictionPolicy::get`] for its side effect: returns whether `key`
+    /// was resident.
+    fn touch(&mut self, key: &K) -> bool {
+        self.get(key).is_some()
+    }
 
-    /// Evicts the pair this policy's own eviction would take next and
-    /// returns its key: exactly the step [`EvictionPolicy::reference`]
-    /// takes while over budget, with its bookkeeping (the clock `L`, ghost
-    /// lists, reference histories) and its one eviction trace event. `None`
-    /// when empty.
-    fn evict_next(&mut self) -> Option<K>;
+    /// [`EvictionPolicy::evict`], keeping only the key.
+    fn evict_next(&mut self) -> Option<K> {
+        self.evict().map(|(key, _)| key)
+    }
 
-    /// Removes `key` if resident (an explicit delete: not traced). Returns
-    /// whether it was.
-    fn remove(&mut self, key: &K) -> bool;
+    /// [`EvictionPolicy::take`], keeping only whether `key` was resident.
+    fn remove(&mut self, key: &K) -> bool {
+        self.take(key).is_some()
+    }
 
     /// Attaches (or detaches, with `None`) a [`TraceSink`] that receives
     /// one [`PolicyEvent`] per admission and eviction. The default drops

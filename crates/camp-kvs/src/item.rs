@@ -5,8 +5,13 @@
 //! item layout ("the size required to store ki-vi along with some meta-data
 //! header information").
 
+/// Where the expiry sits in the header: after the key length (u16), value
+/// length (u32), flags (u32) and cost (u64) fields. It is the last header
+/// field, and the one the store rewrites in place (memcached `touch`).
+pub(crate) const EXPIRY_OFFSET: usize = 2 + 4 + 4 + 8;
+
 /// The fixed header size in bytes.
-pub const HEADER_LEN: usize = 2 + 4 + 4 + 8 + 8;
+pub const HEADER_LEN: usize = EXPIRY_OFFSET + 8;
 
 /// Reads a big-endian u64 at `at`; the caller has already bounds-checked
 /// `buf` against [`HEADER_LEN`].
@@ -88,8 +93,8 @@ impl<'a> Item<'a> {
         header[0..2].copy_from_slice(&key_len.to_be_bytes());
         header[2..6].copy_from_slice(&value_len.to_be_bytes());
         header[6..10].copy_from_slice(&self.flags.to_be_bytes());
-        header[10..18].copy_from_slice(&self.cost.to_be_bytes());
-        header[18..26].copy_from_slice(&self.expires_at.to_be_bytes());
+        header[10..EXPIRY_OFFSET].copy_from_slice(&self.cost.to_be_bytes());
+        header[EXPIRY_OFFSET..].copy_from_slice(&self.expires_at.to_be_bytes());
         header
     }
 
@@ -107,7 +112,7 @@ impl<'a> Item<'a> {
         let value_len = u32::from_be_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
         let flags = u32::from_be_bytes([buf[6], buf[7], buf[8], buf[9]]);
         let cost = be_u64(buf, 10);
-        let expires_at = be_u64(buf, 18);
+        let expires_at = be_u64(buf, EXPIRY_OFFSET);
         let body = &buf[HEADER_LEN..];
         assert!(
             body.len() >= key_len + value_len,

@@ -366,9 +366,8 @@ impl SlabAllocator {
     /// # Panics
     ///
     /// Panics if the write would cross the chunk boundary.
-    pub fn write_at(&mut self, chunk: ChunkRef, offset: u32, bytes: &[u8]) {
+    pub fn write_at(&mut self, chunk: ChunkRef, offset: usize, bytes: &[u8]) {
         let chunk_size = self.class_sizes[chunk.class as usize] as usize;
-        let offset = offset as usize;
         assert!(
             offset + bytes.len() <= chunk_size,
             "write_at exceeds chunk size"

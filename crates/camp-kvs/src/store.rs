@@ -1,8 +1,8 @@
 //! The cache store: slab-backed item storage with pluggable eviction.
 //!
-//! This is the heart of the Twemcache-like server of the paper's §4: a hash
-//! index over items stored in slab chunks, with eviction decided by any
-//! [`EvictionPolicy`] from the shared policy layer — stock Twemcache LRU,
+//! This is the heart of the Twemcache-like server of the paper's §4: items
+//! stored in slab chunks, indexed and evicted by any [`EvictionPolicy`]
+//! from the shared policy layer — stock Twemcache LRU,
 //! the paper's CAMP, or any of the surveyed baselines (GDS, GDSF, LRU-K,
 //! 2Q, ARC, GD-Wheel, pooled LRU), selected by [`EvictionMode`]. Unlike
 //! the simulator — where capacity is a logical byte budget — eviction here
@@ -20,24 +20,29 @@
 //! Because chunk rounding makes physical usage exceed logical usage, slab
 //! exhaustion fires first: the store decides *when* to evict, and the
 //! policy evicts exactly as it would on its own budget
-//! ([`EvictionPolicy::evict_next`]) — CAMP's `L` rises, ARC remembers the
+//! ([`EvictionPolicy::evict`]) — CAMP's `L` rises, ARC remembers the
 //! ghost — as in the paper's IQ Twemcache, which evicts through CAMP's heap.
 //!
-//! ## One key copy, one hash
+//! ## One key copy, one hash, one index
 //!
-//! As in Twemcache, the key lives once — in the slab item — and the hash
+//! As in Twemcache, the key lives once — in the slab item — and one hash
 //! table points at items. A wire key is hashed once into a seeded 64-bit
-//! *fingerprint* (see `fingerprint.rs`); the index maps fingerprint →
-//! chunk with a pass-through hasher, and the policy (the same
-//! `EvictionPolicy<u64>` instantiation the simulator and the shadow
-//! profiler run) is keyed by the fingerprint too. A lookup is
-//! `index.get(&fp)` followed by comparing the key bytes the item stores:
-//! a hit reads the chunk it must serialize anyway, a miss usually touches
-//! no chunk, and an eviction moves a `Copy` `u64` from the policy to the
-//! index — no key box, no clone, no byte hashing. Per resident item that
-//! is 8 B of key in the index and 8 B in the policy entry, where byte keys
-//! cost two heap boxes (index and policy map), a third clone in the policy
-//! arena and three 16-byte fat pointers.
+//! *fingerprint* (see `fingerprint.rs`). The policy — the same
+//! [`EvictionPolicy`] the simulator and the shadow profiler run, built by
+//! the same [`EvictionMode`] — is keyed by the fingerprint and holds each
+//! item's [`ChunkRef`] as its value: it is the store's only index, so
+//! residency cannot disagree between two maps. A read is `policy.get(&fp)`
+//! followed by the key-bytes and expiry checks on the chunk it returns:
+//! one probe, on a hit reading the chunk it must serialize anyway. A set
+//! is `take` (the old item), the allocation (each policy eviction hands
+//! back its `(fp, chunk)`), then `admit`: two probes, plus one per victim
+//! — no key box, no clone, no byte hashing. Per resident item that is 8 B
+//! of key and a 12 B chunk handle in the policy's entry.
+//!
+//! `get` refreshes the resident's recency before those checks run, so the
+//! two reads a fingerprint's resident turns away — a colliding key's, and
+//! its own once expired (which `take` then removes) — still count as a
+//! reference to it.
 //!
 //! Two distinct keys share a fingerprint about once in 2⁶⁴ pairs (n²/2⁶⁵
 //! for n residents: 3·10⁻⁶ at ten million items). The store handles that
@@ -53,13 +58,13 @@ use std::sync::Arc;
 
 pub use camp_policies::EvictionMode;
 use camp_policies::{
-    AccessOutcome, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind, PolicyStats,
-    ShadowProfiler, SharedTraceSink, TraceSink,
+    AccessOutcome, EvictionPolicy, PolicyEvent, PolicyEventKind, PolicyStats, ShadowProfiler,
+    SharedTraceSink, TraceSink,
 };
 use camp_telemetry::{HistogramSnapshot, LocalHistogram};
 
-use crate::fingerprint::{FingerprintMap, Fingerprinter, Hashed};
-use crate::item::Item;
+use crate::fingerprint::{Fingerprinter, Hashed};
+use crate::item::{Item, EXPIRY_OFFSET};
 use crate::slab::{ChunkRef, SlabAllocator, SlabConfig, SlabError};
 
 /// Store configuration.
@@ -264,19 +269,15 @@ pub struct GetResult {
 /// ```
 pub struct Store {
     slabs: SlabAllocator,
-    /// Chunk locations, keyed by key fingerprint; the chunk holds the key
-    /// bytes. Residency here is the source of truth; the policy mirrors it
-    /// (under the same fingerprints) and evicts from it.
-    index: FingerprintMap<ChunkRef>,
-    policy: Box<dyn EvictionPolicy<u64> + Send>,
+    /// The store's one index: the policy, keyed by key fingerprint, holds
+    /// each resident item's chunk (and the chunk holds the key bytes).
+    policy: Box<dyn EvictionPolicy<u64, ChunkRef> + Send>,
     fingerprinter: Fingerprinter,
     mode: EvictionMode,
     stats: StoreStats,
     /// Reusable item-encoding scratch: the set path allocates nothing once
     /// this buffer's capacity covers the largest item seen.
     encode_buf: Vec<u8>,
-    /// Reusable victim list handed to `EvictionPolicy::reference`.
-    evicted_scratch: Vec<u64>,
     /// Online miss-ratio/cost-miss profiler: spatially sampled shadow
     /// caches at 0.5×/1×/2× capacity, fed from the get/set/delete paths.
     profiler: ShadowProfiler,
@@ -292,7 +293,7 @@ impl std::fmt::Debug for Store {
         f.debug_struct("Store")
             .field("policy", &self.policy.name())
             .field("mode", &self.mode)
-            .field("len", &self.index.len())
+            .field("len", &self.policy.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -322,14 +323,12 @@ impl Store {
     pub(crate) fn with_fingerprinter(config: StoreConfig, fingerprinter: Fingerprinter) -> Self {
         Store {
             slabs: SlabAllocator::new(config.slab),
-            index: FingerprintMap::default(),
             fingerprinter,
-            policy: config.eviction.build(policy_budget(&config.slab)),
+            policy: config.eviction.build_valued(policy_budget(&config.slab)),
             profiler: ShadowProfiler::new(&config.eviction, policy_budget(&config.slab)),
             mode: config.eviction,
             stats: StoreStats::default(),
             encode_buf: Vec::new(),
-            evicted_scratch: Vec::new(),
             sink: None,
             trace: EvictionTally::default(),
         }
@@ -391,13 +390,13 @@ impl Store {
     /// Number of live items.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.policy.len()
     }
 
     /// Whether the store holds no items.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.policy.is_empty()
     }
 
     /// Cumulative counters.
@@ -448,19 +447,24 @@ impl Store {
         self.get_at(key, unix_now())
     }
 
-    /// The chunk holding exactly `h.key`, with its decoded item. A free
-    /// function over the two fields so callers can go on to mutate the
-    /// policy while the item borrows the slab.
+    /// `chunk` with its decoded item, if it holds exactly `h.key`: a
+    /// different key under the same fingerprint is not this key. Over the
+    /// slabs alone, so the get path can go on to update stats while the
+    /// item borrows them.
     #[inline]
-    fn lookup<'s>(
-        index: &FingerprintMap<ChunkRef>,
+    fn holding<'s>(
         slabs: &'s SlabAllocator,
         h: Hashed<'_>,
+        chunk: ChunkRef,
     ) -> Option<(ChunkRef, Item<'s>)> {
-        let &chunk = index.get(&h.fp)?;
         let item = Item::decode(slabs.read(chunk));
-        // A different key under the same fingerprint is not this key.
         (item.key == h.key).then_some((chunk, item))
+    }
+
+    /// The chunk resident for exactly `h.key`, with its decoded item; no
+    /// recency update.
+    fn resident(&self, h: Hashed<'_>) -> Option<(ChunkRef, Item<'_>)> {
+        Self::holding(&self.slabs, h, *self.policy.peek(&h.fp)?)
     }
 
     /// Like [`Store::get`] with an explicit clock (for tests and replay).
@@ -502,7 +506,10 @@ impl Store {
         f: impl FnOnce(&Item<'_>) -> R,
     ) -> Option<R> {
         self.debug_check(h);
-        let Some((chunk, item)) = Self::lookup(&self.index, &self.slabs, h) else {
+        // One probe, which refreshes the resident's recency before the key
+        // and expiry checks (see the module docs).
+        let chunk = self.policy.get(&h.fp).copied();
+        let Some((chunk, item)) = chunk.and_then(|c| Self::holding(&self.slabs, h, c)) else {
             self.stats.get_misses += 1;
             // The miss cost is unknown until the pair is set; charging zero
             // undercounts est_miss_cost equally at every scale, so the
@@ -511,7 +518,6 @@ impl Store {
             return None;
         };
         if item.expires_at == 0 || item.expires_at > now {
-            self.policy.touch(&h.fp);
             self.stats.get_hits += 1;
             self.profiler.record_get(
                 &h.fp,
@@ -521,7 +527,7 @@ impl Store {
             return Some(f(&item));
         }
         // Expired: drop it lazily.
-        self.remove_entry(h.fp);
+        self.policy.take(&h.fp);
         self.slabs.free(chunk);
         self.stats.expired += 1;
         self.stats.get_misses += 1;
@@ -537,7 +543,7 @@ impl Store {
     }
 
     pub(crate) fn contains_hashed(&self, h: Hashed<'_>) -> bool {
-        Self::lookup(&self.index, &self.slabs, h).is_some()
+        self.resident(h).is_some()
     }
 
     /// A caller-made [`Hashed`] must come from this store's fingerprinter
@@ -553,11 +559,11 @@ impl Store {
 
     /// Visits every resident item in place (no recency update, no expiry
     /// filtering, no stats). The persistence layer's compaction snapshot
-    /// walks the store through this; iteration order is the index's.
+    /// walks the store through this, in the order the policy's
+    /// [`EvictionPolicy::for_each`] visits its pairs.
     pub fn for_each_item(&self, mut f: impl FnMut(&Item<'_>)) {
-        for &chunk in self.index.values() {
-            f(&Item::decode(self.slabs.read(chunk)));
-        }
+        self.policy
+            .for_each(&mut |_, &chunk| f(&Item::decode(self.slabs.read(chunk))));
     }
 
     /// A resident key's `(flags, expires_at, cost)` without touching
@@ -569,7 +575,7 @@ impl Store {
     }
 
     pub(crate) fn peek_meta_hashed(&self, h: Hashed<'_>) -> Option<(u32, u64, u64)> {
-        let (_, item) = Self::lookup(&self.index, &self.slabs, h)?;
+        let (_, item) = self.resident(h)?;
         Some((item.flags, item.expires_at, item.cost))
     }
 
@@ -631,7 +637,7 @@ impl Store {
         // Whatever holds the fingerprint's slot leaves first: this key's
         // old item (replace semantics), or — once in ~2⁶⁴ pairs — another
         // key's, replaced the same way so the slot never holds two keys.
-        if let Some(old_chunk) = self.remove_entry(h.fp) {
+        if let Some(old_chunk) = self.policy.take(&h.fp) {
             if Item::decode(self.slabs.read(old_chunk)).key != key {
                 self.stats.fingerprint_collisions += 1;
             }
@@ -647,28 +653,25 @@ impl Store {
         };
         item.encode_to(&mut self.encode_buf);
         self.slabs.write(chunk, &self.encode_buf);
-        // Register with the policy, which may evict on its own logical
-        // budget (rare — slab exhaustion normally fires first, above).
-        let mut evicted = std::mem::take(&mut self.evicted_scratch);
-        evicted.clear();
-        let outcome = self.policy.reference(
-            CacheRequest::new(h.fp, u64::from(total), cost),
-            &mut evicted,
-        );
-        for victim in evicted.drain(..) {
-            if let Some(victim_chunk) = self.index.remove(&victim) {
-                self.free_chunk(victim_chunk, class);
-                self.stats.evictions += 1;
-            }
+        // Admit the chunk into the policy, which may evict on its own
+        // logical budget (rare — slab exhaustion normally fires first,
+        // above — so the list seldom allocates).
+        let mut evicted = Vec::new();
+        let outcome = self
+            .policy
+            .admit(h.fp, chunk, u64::from(total), cost, &mut |_, gone| {
+                evicted.push(gone);
+            });
+        for victim in evicted {
+            self.free_chunk(victim, class);
+            self.stats.evictions += 1;
         }
-        self.evicted_scratch = evicted;
         if outcome == AccessOutcome::MissBypassed {
             // The policy refused the item (can only happen when the whole
             // budget is smaller than one item): undo the allocation.
             self.slabs.free(chunk);
             return Err(StoreError::OutOfMemory);
         }
-        self.index.insert(h.fp, chunk);
         self.stats.sets += 1;
         self.profiler.record_set(&h.fp, u64::from(total), cost);
         Ok(())
@@ -767,7 +770,7 @@ impl Store {
         up: bool,
     ) -> Option<(u64, (u32, u64, u64))> {
         let (current, flags, cost, expires_at) = {
-            let (_, item) = Self::lookup(&self.index, &self.slabs, h)?;
+            let (_, item) = self.resident(h)?;
             let text = std::str::from_utf8(item.value).ok()?;
             let current: u64 = text.trim().parse().ok()?;
             (current, item.flags, item.cost, item.expires_at)
@@ -790,12 +793,9 @@ impl Store {
     }
 
     pub(crate) fn touch_hashed(&mut self, h: Hashed<'_>, expires_at: u64) -> bool {
-        let Some((chunk, _)) = Self::lookup(&self.index, &self.slabs, h) else {
+        let Some((chunk, _)) = self.resident(h) else {
             return false;
         };
-        // The expiry lives at a fixed header offset: after the key length
-        // (u16), value length (u32), flags (u32) and cost (u64) fields.
-        const EXPIRY_OFFSET: u32 = 2 + 4 + 4 + 8;
         self.slabs
             .write_at(chunk, EXPIRY_OFFSET, &expires_at.to_be_bytes());
         true
@@ -803,13 +803,12 @@ impl Store {
 
     /// Drops every item (memcached `flush_all`).
     pub fn flush_all(&mut self) {
-        for (_, chunk) in self.index.drain() {
-            self.slabs.free(chunk);
-        }
+        self.policy
+            .for_each(&mut |_, &chunk| self.slabs.free(chunk));
         // A fresh policy instance is cheaper and simpler than removing every
         // key from the old one. The trace sink survives the rebuild, and the
         // shadow caches restart cold to mirror the emptied store.
-        self.policy = self.mode.build(policy_budget(self.slabs.config()));
+        self.policy = self.mode.build_valued(policy_budget(self.slabs.config()));
         self.policy.set_trace_sink(self.sink.clone());
         self.profiler = ShadowProfiler::new(&self.mode, policy_budget(self.slabs.config()));
     }
@@ -820,25 +819,14 @@ impl Store {
     }
 
     pub(crate) fn delete_hashed(&mut self, h: Hashed<'_>) -> bool {
-        let Some((chunk, _)) = Self::lookup(&self.index, &self.slabs, h) else {
+        let Some((chunk, _)) = self.resident(h) else {
             return false;
         };
-        self.remove_entry(h.fp);
+        self.policy.take(&h.fp);
         self.free_chunk(chunk, chunk.class());
         self.stats.deletes += 1;
         self.profiler.record_delete(&h.fp);
         true
-    }
-
-    /// Removes the fingerprint from both the index and the policy (an
-    /// explicit removal: no eviction trace), handing back the chunk.
-    fn remove_entry(&mut self, fp: u64) -> Option<ChunkRef> {
-        let chunk = self.index.remove(&fp)?;
-        // The policy may not know the key (e.g. replaced while the policy
-        // had already evicted it on its own budget) — residency in the
-        // index is what counts.
-        self.policy.remove(&fp);
-        Some(chunk)
     }
 
     /// Frees a chunk; if its slab empties and a different class needs
@@ -870,14 +858,11 @@ impl Store {
                         continue;
                     }
                     // Step 3: the policy takes one step of its own eviction.
-                    let Some(victim) = self.policy.evict_next() else {
+                    let Some((_, chunk)) = self.policy.evict() else {
                         // Nothing left to evict and no reusable slab: the
                         // item cannot fit.
                         return Err(StoreError::OutOfMemory);
                     };
-                    // lint:allow(unwrap-in-lib) — evict_next() only returns
-                    // keys the policy held, and policy and index move in lockstep.
-                    let chunk = self.index.remove(&victim).expect("victim is resident");
                     self.free_chunk(chunk, class);
                     self.stats.evictions += 1;
                 }
@@ -893,9 +878,9 @@ impl Store {
                 .fingerprinter
                 .fingerprint(Item::decode(self.slabs.read(chunk)).key);
             // lint:allow(unwrap-in-lib) — every live chunk was written by
-            // `set`, which indexed it under its key's fingerprint.
-            let indexed = self.remove_entry(fp).expect("slab item is indexed");
-            debug_assert_eq!(indexed, chunk, "fingerprint slot holds another chunk");
+            // `set`, which admitted it under its key's fingerprint.
+            let held = self.policy.take(&fp).expect("slab item is resident");
+            debug_assert_eq!(held, chunk, "fingerprint slot holds another chunk");
             self.slabs.free(chunk);
             self.stats.slab_evictions += 1;
         }
@@ -995,8 +980,7 @@ mod tests {
                 let key = format!("key-{i:04}");
                 let cost = 1 + u64::from(i % 7) * 100;
                 store.set(key.as_bytes(), &[0u8; 60], 0, 0, cost).unwrap();
-                // Index and policy must agree on the resident set size.
-                assert_eq!(store.len(), store.index.len(), "{mode}");
+                assert_layers_agree(&store, &mode.to_string());
             }
             assert!(store.stats().evictions > 0, "{mode}: no evictions");
             assert!(store.len() < 400, "{mode}");
@@ -1340,11 +1324,15 @@ mod tests {
         (a, b)
     }
 
-    /// Index, policy and slab must agree on what is resident.
+    /// Policy and slab must agree on what is resident: as many pairs as
+    /// live chunks, each chunk filed under its own key's fingerprint.
     fn assert_layers_agree(store: &Store, context: &str) {
         let slab_items: u64 = store.slab_census().iter().map(|&(_, _, n)| n).sum();
-        assert_eq!(store.len(), store.policy.len(), "{context}: policy");
-        assert_eq!(store.len() as u64, slab_items, "{context}: slab");
+        assert_eq!(store.policy.len() as u64, slab_items, "{context}: slab");
+        store.policy.for_each(&mut |&fp, &chunk| {
+            let key = Item::decode(store.slabs.read(chunk)).key;
+            assert_eq!(store.fingerprinter.fingerprint(key), fp, "{context}: chunk");
+        });
     }
 
     #[test]
@@ -1563,7 +1551,8 @@ mod tests {
     #[test]
     fn every_reply_matches_the_model_or_is_a_legal_miss() {
         let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("k{i}").into_bytes()).collect();
-        for mode in ["lru", "camp", "gdsf", "arc"] {
+        let names = EvictionMode::all_names().into_iter().chain(["camp:inf"]);
+        for mode in names {
             for truncated in [false, true] {
                 for seed in 0..6u64 {
                     let config = StoreConfig {

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 use camp_core::hash::FoldHashMap;
 
-use crate::policy::{AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, SharedTraceSink};
+use crate::policy::{AccessOutcome, CacheKey, EvictionPolicy, SharedTraceSink};
 
 /// The admission decision rules available to [`Admission`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +67,7 @@ pub struct Admission<P, K = u64> {
     bypassed: u64,
 }
 
-impl<K: CacheKey, P: EvictionPolicy<K>> Admission<P, K> {
+impl<K: CacheKey, P> Admission<P, K> {
     /// Wraps `inner` with `rule`.
     ///
     /// # Panics
@@ -105,22 +105,23 @@ impl<K: CacheKey, P: EvictionPolicy<K>> Admission<P, K> {
         self.bypassed
     }
 
-    fn admit(&mut self, req: &CacheRequest<K>) -> bool {
+    /// Whether the rule lets the missed pair in.
+    fn approves(&mut self, key: &K, size: u64, cost: u64) -> bool {
         match self.rule {
             AdmissionRule::Always => true,
-            AdmissionRule::SizeBelow(limit) => req.size < limit,
+            AdmissionRule::SizeBelow(limit) => size < limit,
             AdmissionRule::RatioAtLeast { num, den } => {
                 // cost/size >= num/den  <=>  cost*den >= num*size
-                u128::from(req.cost) * u128::from(den) >= u128::from(num) * u128::from(req.size)
+                u128::from(cost) * u128::from(den) >= u128::from(num) * u128::from(size)
             }
             AdmissionRule::SecondMiss { window } => {
-                let count = self.ghost.entry(req.key.clone()).or_insert(0);
+                let count = self.ghost.entry(key.clone()).or_insert(0);
                 if *count > 0 {
-                    self.ghost.remove(&req.key);
+                    self.ghost.remove(key);
                     return true;
                 }
                 *count = 1;
-                self.ghost_order.push_back(req.key.clone());
+                self.ghost_order.push_back(key.clone());
                 while self.ghost.len() > window {
                     if let Some(old) = self.ghost_order.pop_front() {
                         self.ghost.remove(&old);
@@ -134,7 +135,7 @@ impl<K: CacheKey, P: EvictionPolicy<K>> Admission<P, K> {
     }
 }
 
-impl<K: CacheKey, P: EvictionPolicy<K>> EvictionPolicy<K> for Admission<P, K> {
+impl<K: CacheKey, V, P: EvictionPolicy<K, V>> EvictionPolicy<K, V> for Admission<P, K> {
     fn name(&self) -> String {
         format!("{}+admission", self.inner.name())
     }
@@ -151,32 +152,40 @@ impl<K: CacheKey, P: EvictionPolicy<K>> EvictionPolicy<K> for Admission<P, K> {
         self.inner.len()
     }
 
-    fn contains(&self, key: &K) -> bool {
-        self.inner.contains(key)
+    fn get(&mut self, key: &K) -> Option<&V> {
+        self.inner.get(key)
     }
 
-    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome {
-        if self.inner.contains(&req.key) {
-            return self.inner.reference(req, evicted);
-        }
-        if self.admit(&req) {
-            self.inner.reference(req, evicted)
+    fn peek(&self, key: &K) -> Option<&V> {
+        self.inner.peek(key)
+    }
+
+    fn admit(
+        &mut self,
+        key: K,
+        value: V,
+        size: u64,
+        cost: u64,
+        evicted: &mut dyn FnMut(K, V),
+    ) -> AccessOutcome {
+        if self.approves(&key, size, cost) {
+            self.inner.admit(key, value, size, cost, evicted)
         } else {
             self.bypassed += 1;
             AccessOutcome::MissBypassed
         }
     }
 
-    fn touch(&mut self, key: &K) -> bool {
-        self.inner.touch(key)
+    fn take(&mut self, key: &K) -> Option<V> {
+        self.inner.take(key)
     }
 
-    fn evict_next(&mut self) -> Option<K> {
-        self.inner.evict_next()
+    fn evict(&mut self) -> Option<(K, V)> {
+        self.inner.evict()
     }
 
-    fn remove(&mut self, key: &K) -> bool {
-        self.inner.remove(key)
+    fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
+        self.inner.for_each(f);
     }
 
     fn queue_count(&self) -> Option<usize> {
@@ -210,6 +219,7 @@ impl<K: CacheKey, P: EvictionPolicy<K>> EvictionPolicy<K> for Admission<P, K> {
 mod tests {
     use super::*;
     use crate::lru::Lru;
+    use crate::policy::CacheRequest;
 
     fn req(key: u64, size: u64, cost: u64) -> CacheRequest {
         CacheRequest::new(key, size, cost)

@@ -19,12 +19,13 @@ use std::collections::VecDeque;
 
 use camp_core::arena::{Arena, EntryId};
 use camp_core::hash::FoldHashMap;
-use camp_core::lru_list::{Linked, Links, LruList};
+use camp_core::lru_list::LruList;
 
 use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind,
+    key_hash, AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent, PolicyEventKind,
     SharedTraceSink,
 };
+use crate::util::{push_key, KeyNode};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Region {
@@ -32,37 +33,26 @@ enum Region {
     T2,
 }
 
-impl Region {
-    /// Queue index reported in trace events: 0 = recency (T1), 1 = frequency (T2).
-    fn queue_index(self) -> u32 {
-        match self {
-            Region::T1 => 0,
-            Region::T2 => 1,
-        }
-    }
-}
-
 #[derive(Debug)]
-struct Resident {
+struct Resident<V> {
     size: u64,
     /// Retained for trace events only; ARC ignores cost when evicting.
     cost: u64,
     region: Region,
     id: EntryId,
+    value: V,
 }
 
-#[derive(Debug)]
-struct Node<K> {
-    key: K,
-    links: Links,
-}
-
-impl<K> Linked for Node<K> {
-    fn links(&self) -> &Links {
-        &self.links
-    }
-    fn links_mut(&mut self) -> &mut Links {
-        &mut self.links
+impl<V> Resident<V> {
+    /// The trace event for this resident (queue 0 = T1, 1 = T2).
+    fn event(&self, kind: PolicyEventKind, key: &impl CacheKey) -> PolicyEvent {
+        PolicyEvent {
+            queue: match self.region {
+                Region::T1 => 0,
+                Region::T2 => 1,
+            },
+            ..PolicyEvent::basic(kind, key_hash(key), self.size, self.cost)
+        }
     }
 }
 
@@ -88,7 +78,7 @@ impl<K: CacheKey> Default for GhostList<K> {
 }
 
 impl<K: CacheKey> GhostList<K> {
-    fn contains(&self, key: &K) -> bool {
+    fn holds(&self, key: &K) -> bool {
         self.map.contains_key(key)
     }
 
@@ -136,29 +126,29 @@ impl<K: CacheKey> GhostList<K> {
 /// ```
 /// use camp_policies::{Arc, CacheRequest, EvictionPolicy};
 ///
-/// let mut cache = Arc::new(100);
+/// let mut cache: Arc = Arc::new(100);
 /// let mut evicted = Vec::new();
 /// cache.reference(CacheRequest::new(1, 10, 0), &mut evicted);
 /// cache.reference(CacheRequest::new(1, 10, 0), &mut evicted); // promotes to T2
 /// assert!(cache.contains(&1));
 /// ```
 #[derive(Debug)]
-pub struct Arc<K = u64> {
+pub struct Arc<K = u64, V = ()> {
     capacity: u64,
     p: u64,
     used: u64,
     t1_bytes: u64,
     t2_bytes: u64,
-    residents: FoldHashMap<K, Resident>,
+    residents: FoldHashMap<K, Resident<V>>,
     t1: LruList,
     t2: LruList,
-    arena: Arena<Node<K>>,
+    arena: Arena<KeyNode<K>>,
     b1: GhostList<K>,
     b2: GhostList<K>,
     sink: Option<SharedTraceSink>,
 }
 
-impl<K: CacheKey> Arc<K> {
+impl<K: CacheKey, V> Arc<K, V> {
     /// Creates an ARC cache with the given byte capacity.
     #[must_use]
     pub fn new(capacity: u64) -> Self {
@@ -178,19 +168,6 @@ impl<K: CacheKey> Arc<K> {
         }
     }
 
-    /// Builds the trace event for a resident (queue 0 = T1, 1 = T2).
-    fn event_for(kind: PolicyEventKind, key: &K, resident: &Resident) -> PolicyEvent {
-        PolicyEvent {
-            kind,
-            key_hash: key_hash(key),
-            size: resident.size,
-            cost: resident.cost,
-            ratio: 0,
-            queue: resident.region.queue_index(),
-            l_value: 0,
-        }
-    }
-
     /// The current adaptation target: the byte budget ARC aims to give the
     /// recency list `T1`.
     #[must_use]
@@ -202,51 +179,6 @@ impl<K: CacheKey> Arc<K> {
     #[must_use]
     pub fn region_bytes(&self) -> (u64, u64) {
         (self.t1_bytes, self.t2_bytes)
-    }
-
-    fn push_node(arena: &mut Arena<Node<K>>, list: &mut LruList, key: K) -> EntryId {
-        let id = arena.insert(Node {
-            key,
-            links: Links::new(),
-        });
-        list.push_back(arena, id);
-        id
-    }
-
-    /// The ARC `REPLACE` subroutine, generalized to bytes: evict one entry
-    /// from `T1` if it is over target, else from `T2`, recording it in the
-    /// matching ghost list.
-    fn replace(&mut self) -> Option<K> {
-        let list = if (!self.t1.is_empty() && self.t1_bytes > self.p) || self.t2.is_empty() {
-            &mut self.t1
-        } else {
-            &mut self.t2
-        };
-        let id = list.pop_front(&mut self.arena)?;
-        let node = self.arena.remove(id).expect("live list node");
-        let resident = self
-            .residents
-            .remove(&node.key)
-            .expect("listed key is resident");
-        self.used -= resident.size;
-        if let Some(sink) = &self.sink {
-            sink.record(&Self::event_for(
-                PolicyEventKind::Evict,
-                &node.key,
-                &resident,
-            ));
-        }
-        match resident.region {
-            Region::T1 => {
-                self.t1_bytes -= resident.size;
-                self.b1.push_mru(node.key.clone(), resident.size);
-            }
-            Region::T2 => {
-                self.t2_bytes -= resident.size;
-                self.b2.push_mru(node.key.clone(), resident.size);
-            }
-        }
-        Some(node.key)
     }
 
     /// Keeps the ghost directories within the classic ARC bounds:
@@ -261,54 +193,9 @@ impl<K: CacheKey> Arc<K> {
             }
         }
     }
-
-    fn admit_to_t2(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) {
-        while self.used + req.size > self.capacity {
-            evicted.push(self.replace().expect("byte accounting out of sync"));
-        }
-        let id = Self::push_node(&mut self.arena, &mut self.t2, req.key.clone());
-        let resident = Resident {
-            size: req.size,
-            cost: req.cost,
-            region: Region::T2,
-            id,
-        };
-        if let Some(sink) = &self.sink {
-            sink.record(&Self::event_for(
-                PolicyEventKind::Admit,
-                &req.key,
-                &resident,
-            ));
-        }
-        self.residents.insert(req.key, resident);
-        self.used += req.size;
-        self.t2_bytes += req.size;
-    }
-
-    fn on_hit(&mut self, key: &K) -> bool {
-        // Case I: hit in T1 or T2 — promote to T2 MRU.
-        let Some(resident) = self.residents.get_mut(key) else {
-            return false;
-        };
-        let id = resident.id;
-        match resident.region {
-            Region::T1 => {
-                resident.region = Region::T2;
-                let size = resident.size;
-                self.t1.unlink(&mut self.arena, id);
-                self.t2.push_back(&mut self.arena, id);
-                self.t1_bytes -= size;
-                self.t2_bytes += size;
-            }
-            Region::T2 => {
-                self.t2.move_to_back(&mut self.arena, id);
-            }
-        }
-        true
-    }
 }
 
-impl<K: CacheKey> EvictionPolicy<K> for Arc<K> {
+impl<K: CacheKey, V> EvictionPolicy<K, V> for Arc<K, V> {
     fn name(&self) -> String {
         "arc".to_owned()
     }
@@ -325,96 +212,138 @@ impl<K: CacheKey> EvictionPolicy<K> for Arc<K> {
         self.residents.len()
     }
 
-    fn contains(&self, key: &K) -> bool {
-        self.residents.contains_key(key)
+    fn get(&mut self, key: &K) -> Option<&V> {
+        // Case I: hit in T1 or T2 — promote to T2 MRU.
+        let resident = self.residents.get_mut(key)?;
+        match resident.region {
+            Region::T1 => {
+                resident.region = Region::T2;
+                self.t1.unlink(&mut self.arena, resident.id);
+                self.t2.push_back(&mut self.arena, resident.id);
+                self.t1_bytes -= resident.size;
+                self.t2_bytes += resident.size;
+            }
+            Region::T2 => self.t2.move_to_back(&mut self.arena, resident.id),
+        }
+        Some(&resident.value)
     }
 
-    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome {
-        assert!(req.size > 0, "key-value pairs have positive size");
-        if self.on_hit(&req.key) {
-            return AccessOutcome::Hit;
-        }
-        if req.size > self.capacity {
+    fn peek(&self, key: &K) -> Option<&V> {
+        self.residents.get(key).map(|resident| &resident.value)
+    }
+
+    fn admit(
+        &mut self,
+        key: K,
+        value: V,
+        size: u64,
+        cost: u64,
+        evicted: &mut dyn FnMut(K, V),
+    ) -> AccessOutcome {
+        if size > self.capacity {
             return AccessOutcome::MissBypassed;
         }
-        // Case II: ghost hit in B1 — recency is winning, grow p.
-        if self.b1.contains(&req.key) {
+        let region = if self.b1.holds(&key) {
+            // Case II: ghost hit in B1 — recency is winning, grow p.
             let delta = if self.b1.bytes() > 0 {
-                (u128::from(req.size) * u128::from(self.b2.bytes().max(1))
+                (u128::from(size) * u128::from(self.b2.bytes().max(1))
                     / u128::from(self.b1.bytes())) as u64
             } else {
-                req.size
+                size
             };
-            self.p = (self.p + delta.max(req.size)).min(self.capacity);
-            self.b1.remove(&req.key);
-            self.admit_to_t2(req, evicted);
-            self.trim_ghosts();
-            return AccessOutcome::MissInserted;
-        }
-        // Case III: ghost hit in B2 — frequency is winning, shrink p.
-        if self.b2.contains(&req.key) {
+            self.p = (self.p + delta.max(size)).min(self.capacity);
+            self.b1.remove(&key);
+            Region::T2
+        } else if self.b2.holds(&key) {
+            // Case III: ghost hit in B2 — frequency is winning, shrink p.
             let delta = if self.b2.bytes() > 0 {
-                (u128::from(req.size) * u128::from(self.b1.bytes().max(1))
+                (u128::from(size) * u128::from(self.b1.bytes().max(1))
                     / u128::from(self.b2.bytes())) as u64
             } else {
-                req.size
+                size
             };
-            self.p = self.p.saturating_sub(delta.max(req.size));
-            self.b2.remove(&req.key);
-            self.admit_to_t2(req, evicted);
-            self.trim_ghosts();
-            return AccessOutcome::MissInserted;
+            self.p = self.p.saturating_sub(delta.max(size));
+            self.b2.remove(&key);
+            Region::T2
+        } else {
+            // Case IV: brand new key — admit into T1.
+            Region::T1
+        };
+        while self.used + size > self.capacity {
+            let (gone, value) = self.evict().expect("byte accounting out of sync");
+            evicted(gone, value);
         }
-        // Case IV: brand new key — admit into T1.
-        while self.used + req.size > self.capacity {
-            evicted.push(self.replace().expect("byte accounting out of sync"));
-        }
-        let id = Self::push_node(&mut self.arena, &mut self.t1, req.key.clone());
+        let (list, bytes) = match region {
+            Region::T1 => (&mut self.t1, &mut self.t1_bytes),
+            Region::T2 => (&mut self.t2, &mut self.t2_bytes),
+        };
+        *bytes += size;
+        let id = push_key(&mut self.arena, list, key.clone());
         let resident = Resident {
-            size: req.size,
-            cost: req.cost,
-            region: Region::T1,
+            size,
+            cost,
+            region,
             id,
+            value,
         };
         if let Some(sink) = &self.sink {
-            sink.record(&Self::event_for(
-                PolicyEventKind::Admit,
-                &req.key,
-                &resident,
-            ));
+            sink.record(&resident.event(PolicyEventKind::Admit, &key));
         }
-        self.residents.insert(req.key, resident);
-        self.used += req.size;
-        self.t1_bytes += req.size;
+        self.residents.insert(key, resident);
+        self.used += size;
         self.trim_ghosts();
         AccessOutcome::MissInserted
     }
 
-    fn touch(&mut self, key: &K) -> bool {
-        self.on_hit(key)
-    }
-
-    fn evict_next(&mut self) -> Option<K> {
-        self.replace()
-    }
-
-    fn remove(&mut self, key: &K) -> bool {
-        let Some(resident) = self.residents.remove(key) else {
-            return false;
-        };
+    fn take(&mut self, key: &K) -> Option<V> {
+        let resident = self.residents.remove(key)?;
         self.used -= resident.size;
+        let (list, bytes) = match resident.region {
+            Region::T1 => (&mut self.t1, &mut self.t1_bytes),
+            Region::T2 => (&mut self.t2, &mut self.t2_bytes),
+        };
+        *bytes -= resident.size;
+        list.unlink(&mut self.arena, resident.id);
+        self.arena.remove(resident.id);
+        Some(resident.value)
+    }
+
+    /// The ARC `REPLACE` subroutine, generalized to bytes: evict one entry
+    /// from `T1` if it is over target, else from `T2`, recording it in the
+    /// matching ghost list.
+    fn evict(&mut self) -> Option<(K, V)> {
+        let list = if (!self.t1.is_empty() && self.t1_bytes > self.p) || self.t2.is_empty() {
+            &mut self.t1
+        } else {
+            &mut self.t2
+        };
+        let id = list.pop_front(&mut self.arena)?;
+        let node = self.arena.remove(id).expect("live list node");
+        let resident = self
+            .residents
+            .remove(&node.key)
+            .expect("listed key is resident");
+        self.used -= resident.size;
+        if let Some(sink) = &self.sink {
+            sink.record(&resident.event(PolicyEventKind::Evict, &node.key));
+        }
         match resident.region {
             Region::T1 => {
                 self.t1_bytes -= resident.size;
-                self.t1.unlink(&mut self.arena, resident.id);
+                self.b1.push_mru(node.key.clone(), resident.size);
             }
             Region::T2 => {
                 self.t2_bytes -= resident.size;
-                self.t2.unlink(&mut self.arena, resident.id);
+                self.b2.push_mru(node.key.clone(), resident.size);
             }
         }
-        self.arena.remove(resident.id);
-        true
+        Some((node.key, resident.value))
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
+        for (key, resident) in &self.residents {
+            f(key, &resident.value);
+        }
     }
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
@@ -429,6 +358,7 @@ impl<K: CacheKey> EvictionPolicy<K> for Arc<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::CacheRequest;
 
     fn touch(c: &mut Arc, key: u64) -> (AccessOutcome, Vec<u64>) {
         let mut evicted = Vec::new();
@@ -501,9 +431,9 @@ mod tests {
         // REPLACE takes T1's LRU (T1 is over its zero target) into B1, then
         // T2's into B2: the ghosts a reference-driven eviction leaves.
         assert_eq!(c.evict_next(), Some(2));
-        assert!(c.b1.contains(&2) && !c.contains(&2));
+        assert!(c.b1.holds(&2) && !c.contains(&2));
         assert_eq!(c.evict_next(), Some(1));
-        assert!(c.b2.contains(&1) && !c.contains(&1));
+        assert!(c.b2.holds(&1) && !c.contains(&1));
         assert_eq!((c.evict_next(), c.used_bytes()), (None, 0));
         // The B1 ghost comes back straight into T2.
         touch(&mut c, 2);
@@ -535,7 +465,7 @@ mod tests {
 
     #[test]
     fn oversized_bypasses() {
-        let mut c = Arc::new(50);
+        let mut c: Arc = Arc::new(50);
         let mut ev = Vec::new();
         let out = c.reference(CacheRequest::new(1, 51, 0), &mut ev);
         assert_eq!(out, AccessOutcome::MissBypassed);

@@ -23,8 +23,9 @@
 //!
 //! Every policy is generic over its key type ([`CacheKey`]): the simulator
 //! drives them with `u64` trace keys, the KVS server with `u64`
-//! fingerprints of its wire keys — the same instantiation, no glue layer
-//! (owned byte keys such as `Box<[u8]>` work too).
+//! fingerprints of its wire keys — no glue layer (owned byte keys such as
+//! `Box<[u8]>` work too). All but [`BeladyMin`] also hold any value per
+//! key: `()` in the simulator, each item's slab chunk in the server.
 //!
 //! ```
 //! use camp_core::{Camp, Precision};

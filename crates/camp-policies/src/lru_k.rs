@@ -17,18 +17,19 @@ use camp_core::hash::FoldHashMap;
 use camp_core::heap::OctonaryHeap;
 
 use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind,
+    key_hash, AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent, PolicyEventKind,
     SharedTraceSink,
 };
 use crate::util::IdAllocator;
 
 #[derive(Debug)]
-struct Resident {
+struct Resident<V> {
     heap_id: u32,
     size: u64,
     /// Retained for trace events only; LRU-K ignores cost when evicting.
     cost: u64,
     history: VecDeque<u64>,
+    value: V,
 }
 
 /// The LRU-K replacement policy.
@@ -38,7 +39,7 @@ struct Resident {
 /// ```
 /// use camp_policies::{CacheRequest, EvictionPolicy, LruK};
 ///
-/// let mut cache = LruK::new(30, 2);
+/// let mut cache: LruK = LruK::new(30, 2);
 /// let mut evicted = Vec::new();
 /// // Key 1 is referenced twice, keys 2 and 3 once each.
 /// cache.reference(CacheRequest::new(1, 10, 0), &mut evicted);
@@ -51,12 +52,13 @@ struct Resident {
 /// assert!(cache.contains(&1));
 /// ```
 #[derive(Debug)]
-pub struct LruK<K = u64> {
+pub struct LruK<K = u64, V = ()> {
     k: usize,
     capacity: u64,
     used: u64,
+    /// Stamps every hit and every admission, in order.
     clock: u64,
-    residents: FoldHashMap<K, Resident>,
+    residents: FoldHashMap<K, Resident<V>>,
     by_heap_id: FoldHashMap<u32, K>,
     heap: OctonaryHeap<u128>,
     ids: IdAllocator,
@@ -67,7 +69,7 @@ pub struct LruK<K = u64> {
     sink: Option<SharedTraceSink>,
 }
 
-impl<K: CacheKey> LruK<K> {
+impl<K: CacheKey, V> LruK<K, V> {
     /// Default number of retained ghost histories.
     const DEFAULT_GHOSTS: usize = 4096;
 
@@ -101,17 +103,21 @@ impl<K: CacheKey> LruK<K> {
         self.k
     }
 
-    /// Priority key for the eviction heap: pairs with an older (smaller)
-    /// K-th reference time evict first; fewer than K references means
-    /// K-time 0. The last reference time breaks ties LRU-first.
-    fn heap_key(k: usize, history: &VecDeque<u64>) -> u128 {
+    /// Appends the reference at `now` to `history`, keeping the last `k`,
+    /// and returns the eviction-heap priority: pairs with an older
+    /// (smaller) K-th reference time evict first; fewer than K references
+    /// means K-time 0. The last reference time breaks ties LRU-first.
+    fn stamp(k: usize, history: &mut VecDeque<u64>, now: u64) -> u128 {
+        history.push_back(now);
+        while history.len() > k {
+            history.pop_front();
+        }
         let kth = if history.len() >= k {
             history[history.len() - k]
         } else {
             0
         };
-        let last = history.back().copied().unwrap_or(0);
-        (u128::from(kth) << 64) | u128::from(last)
+        (u128::from(kth) << 64) | u128::from(now)
     }
 
     fn record_ghost(&mut self, key: K, history: VecDeque<u64>) {
@@ -130,25 +136,91 @@ impl<K: CacheKey> LruK<K> {
             }
         }
     }
+}
 
-    fn on_hit(&mut self, key: &K) -> bool {
-        self.clock += 1;
-        let now = self.clock;
-        let k = self.k;
-        let Some(resident) = self.residents.get_mut(key) else {
-            return false;
-        };
-        resident.history.push_back(now);
-        while resident.history.len() > k {
-            resident.history.pop_front();
-        }
-        let heap_key = Self::heap_key(k, &resident.history);
-        let heap_id = resident.heap_id;
-        self.heap.update(heap_id, heap_key);
-        true
+impl<K: CacheKey, V> EvictionPolicy<K, V> for LruK<K, V> {
+    fn name(&self) -> String {
+        format!("lru-{}", self.k)
     }
 
-    fn evict_one(&mut self) -> Option<K> {
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    fn used_bytes(&self) -> u64 {
+        self.used
+    }
+
+    fn len(&self) -> usize {
+        self.residents.len()
+    }
+
+    fn get(&mut self, key: &K) -> Option<&V> {
+        let resident = self.residents.get_mut(key)?;
+        self.clock += 1;
+        let priority = Self::stamp(self.k, &mut resident.history, self.clock);
+        self.heap.update(resident.heap_id, priority);
+        Some(&resident.value)
+    }
+
+    fn peek(&self, key: &K) -> Option<&V> {
+        self.residents.get(key).map(|resident| &resident.value)
+    }
+
+    fn admit(
+        &mut self,
+        key: K,
+        value: V,
+        size: u64,
+        cost: u64,
+        evicted: &mut dyn FnMut(K, V),
+    ) -> AccessOutcome {
+        if size > self.capacity {
+            return AccessOutcome::MissBypassed;
+        }
+        while self.used + size > self.capacity {
+            let (gone, value) = self.evict().expect("byte accounting out of sync");
+            evicted(gone, value);
+        }
+        // Resume the ghost history, if retained.
+        let mut history = self.ghosts.remove(&key).unwrap_or_default();
+        self.clock += 1;
+        let priority = Self::stamp(self.k, &mut history, self.clock);
+        let heap_id = self.ids.allocate();
+        self.heap.insert(heap_id, priority);
+        self.by_heap_id.insert(heap_id, key.clone());
+        if let Some(sink) = &self.sink {
+            sink.record(&PolicyEvent::basic(
+                PolicyEventKind::Admit,
+                key_hash(&key),
+                size,
+                cost,
+            ));
+        }
+        self.residents.insert(
+            key,
+            Resident {
+                heap_id,
+                size,
+                cost,
+                history,
+                value,
+            },
+        );
+        self.used += size;
+        AccessOutcome::MissInserted
+    }
+
+    fn take(&mut self, key: &K) -> Option<V> {
+        let resident = self.residents.remove(key)?;
+        self.heap.remove(resident.heap_id);
+        self.by_heap_id.remove(&resident.heap_id);
+        self.ids.release(resident.heap_id);
+        self.used -= resident.size;
+        Some(resident.value)
+    }
+
+    fn evict(&mut self) -> Option<(K, V)> {
         let (heap_id, _) = self.heap.pop()?;
         let key = self
             .by_heap_id
@@ -166,91 +238,13 @@ impl<K: CacheKey> LruK<K> {
             ));
         }
         self.record_ghost(key.clone(), resident.history);
-        Some(key)
-    }
-}
-
-impl<K: CacheKey> EvictionPolicy<K> for LruK<K> {
-    fn name(&self) -> String {
-        format!("lru-{}", self.k)
+        Some((key, resident.value))
     }
 
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.residents.len()
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        self.residents.contains_key(key)
-    }
-
-    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome {
-        assert!(req.size > 0, "key-value pairs have positive size");
-        if self.on_hit(&req.key) {
-            return AccessOutcome::Hit;
+    fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
+        for (key, resident) in &self.residents {
+            f(key, &resident.value);
         }
-        if req.size > self.capacity {
-            return AccessOutcome::MissBypassed;
-        }
-        let now = self.clock;
-        while self.used + req.size > self.capacity {
-            evicted.push(self.evict_one().expect("byte accounting out of sync"));
-        }
-        // Resume the ghost history, if retained.
-        let mut history = self.ghosts.remove(&req.key).unwrap_or_default();
-        history.push_back(now);
-        while history.len() > self.k {
-            history.pop_front();
-        }
-        let heap_id = self.ids.allocate();
-        let key = Self::heap_key(self.k, &history);
-        self.heap.insert(heap_id, key);
-        self.by_heap_id.insert(heap_id, req.key.clone());
-        if let Some(sink) = &self.sink {
-            sink.record(&PolicyEvent::basic(
-                PolicyEventKind::Admit,
-                key_hash(&req.key),
-                req.size,
-                req.cost,
-            ));
-        }
-        self.residents.insert(
-            req.key,
-            Resident {
-                heap_id,
-                size: req.size,
-                cost: req.cost,
-                history,
-            },
-        );
-        self.used += req.size;
-        AccessOutcome::MissInserted
-    }
-
-    fn touch(&mut self, key: &K) -> bool {
-        self.on_hit(key)
-    }
-
-    fn evict_next(&mut self) -> Option<K> {
-        self.evict_one()
-    }
-
-    fn remove(&mut self, key: &K) -> bool {
-        let Some(resident) = self.residents.remove(key) else {
-            return false;
-        };
-        self.heap.remove(resident.heap_id);
-        self.by_heap_id.remove(&resident.heap_id);
-        self.ids.release(resident.heap_id);
-        self.used -= resident.size;
-        true
     }
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
@@ -269,6 +263,7 @@ impl<K: CacheKey> EvictionPolicy<K> for LruK<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::CacheRequest;
 
     fn touch(c: &mut LruK, key: u64) -> (AccessOutcome, Vec<u64>) {
         let mut evicted = Vec::new();

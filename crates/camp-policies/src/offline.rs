@@ -14,14 +14,15 @@ use camp_core::hash::FoldHashMap;
 use camp_core::heap::OctonaryHeap;
 
 use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind,
+    key_hash, AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent, PolicyEventKind,
     SharedTraceSink,
 };
 use crate::util::IdAllocator;
 
 /// The MIN policy. Construct it from the exact key sequence it will be
 /// driven with; [`EvictionPolicy::reference`] must then be called once per
-/// trace row, in order.
+/// trace row, in order. Each `get` (so each `reference` or `touch`)
+/// consumes one row.
 ///
 /// # Examples
 ///
@@ -91,26 +92,6 @@ impl<K: CacheKey> BeladyMin<K> {
         // Farthest next use = smallest heap key.
         u64::MAX - next as u64
     }
-
-    fn evict_one(&mut self) -> Option<K> {
-        let (heap_id, _) = self.heap.pop()?;
-        let key = self
-            .by_heap_id
-            .remove(&heap_id)
-            .expect("heap id maps to a resident");
-        let (_, size, cost) = self.residents.remove(&key).expect("resident entry");
-        self.used -= size;
-        self.ids.release(heap_id);
-        if let Some(sink) = &self.sink {
-            sink.record(&PolicyEvent::basic(
-                PolicyEventKind::Evict,
-                key_hash(&key),
-                size,
-                cost,
-            ));
-        }
-        Some(key)
-    }
 }
 
 impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
@@ -130,76 +111,107 @@ impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
         self.residents.len()
     }
 
-    fn contains(&self, key: &K) -> bool {
-        self.residents.contains_key(key)
-    }
-
+    /// Consumes the next trace row, which must reference `key`, and
+    /// re-prices a resident `key` by its next use: MIN is driven by trace
+    /// position, so each lookup — [`EvictionPolicy::reference`]'s hit path
+    /// — is one row.
+    ///
     /// # Panics
     ///
     /// Panics if called more times than the trace has rows, or with a key
     /// that differs from the trace row at this position.
-    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome {
-        assert!(req.size > 0, "key-value pairs have positive size");
+    fn get(&mut self, key: &K) -> Option<&()> {
         assert!(
             self.clock < self.expected.len(),
             "BeladyMin driven past the end of its trace"
         );
         assert_eq!(
-            self.expected[self.clock], req.key,
+            self.expected[self.clock], *key,
             "BeladyMin must be driven with its construction trace, in order"
         );
         let next = self.next_use[self.clock];
         self.clock += 1;
-        if let Some(&(heap_id, _, _)) = self.residents.get(&req.key) {
-            self.heap.update(heap_id, Self::heap_key(next));
-            return AccessOutcome::Hit;
-        }
-        if req.size > self.capacity {
+        let &(heap_id, _, _) = self.residents.get(key)?;
+        self.heap.update(heap_id, Self::heap_key(next));
+        Some(&())
+    }
+
+    fn peek(&self, key: &K) -> Option<&()> {
+        self.residents.contains_key(key).then_some(&())
+    }
+
+    /// Admits `key` as the miss of the trace row consumed last: its next
+    /// use is that row's, and a pair never referenced again is bypassed.
+    fn admit(
+        &mut self,
+        key: K,
+        (): (),
+        size: u64,
+        cost: u64,
+        evicted: &mut dyn FnMut(K, ()),
+    ) -> AccessOutcome {
+        let next = self
+            .clock
+            .checked_sub(1)
+            .map_or(usize::MAX, |row| self.next_use[row]);
+        // A pair that does not fit, or is never referenced again (inserting
+        // it can only cause damage), stays out.
+        if size > self.capacity || next == usize::MAX {
             return AccessOutcome::MissBypassed;
         }
-        if next == usize::MAX {
-            // Never referenced again: inserting it can only cause damage.
-            return AccessOutcome::MissBypassed;
-        }
-        while self.used + req.size > self.capacity {
-            evicted.push(self.evict_one().expect("byte accounting out of sync"));
+        while self.used + size > self.capacity {
+            let (gone, ()) = self.evict().expect("byte accounting out of sync");
+            evicted(gone, ());
         }
         let heap_id = self.ids.allocate();
         self.heap.insert(heap_id, Self::heap_key(next));
-        self.by_heap_id.insert(heap_id, req.key.clone());
+        self.by_heap_id.insert(heap_id, key.clone());
         if let Some(sink) = &self.sink {
             sink.record(&PolicyEvent::basic(
                 PolicyEventKind::Admit,
-                key_hash(&req.key),
-                req.size,
-                req.cost,
+                key_hash(&key),
+                size,
+                cost,
             ));
         }
-        self.residents
-            .insert(req.key, (heap_id, req.size, req.cost));
-        self.used += req.size;
+        self.residents.insert(key, (heap_id, size, cost));
+        self.used += size;
         AccessOutcome::MissInserted
     }
 
-    /// MIN's bookkeeping is driven by trace position, not by out-of-band
-    /// touches, so this only reports residency.
-    fn touch(&mut self, key: &K) -> bool {
-        self.residents.contains_key(key)
-    }
-
-    fn evict_next(&mut self) -> Option<K> {
-        self.evict_one()
-    }
-
-    fn remove(&mut self, key: &K) -> bool {
-        let Some((heap_id, size, _)) = self.residents.remove(key) else {
-            return false;
-        };
+    fn take(&mut self, key: &K) -> Option<()> {
+        let (heap_id, size, _) = self.residents.remove(key)?;
         self.heap.remove(heap_id);
         self.by_heap_id.remove(&heap_id);
         self.ids.release(heap_id);
         self.used -= size;
-        true
+        Some(())
+    }
+
+    fn evict(&mut self) -> Option<(K, ())> {
+        let (heap_id, _) = self.heap.pop()?;
+        let key = self
+            .by_heap_id
+            .remove(&heap_id)
+            .expect("heap id maps to a resident");
+        let (_, size, cost) = self.residents.remove(&key).expect("resident entry");
+        self.used -= size;
+        self.ids.release(heap_id);
+        if let Some(sink) = &self.sink {
+            sink.record(&PolicyEvent::basic(
+                PolicyEventKind::Evict,
+                key_hash(&key),
+                size,
+                cost,
+            ));
+        }
+        Some((key, ()))
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&K, &())) {
+        for key in self.residents.keys() {
+            f(key, &());
+        }
     }
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
@@ -210,6 +222,7 @@ impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::CacheRequest;
 
     fn run(capacity: u64, keys: &[u64]) -> (usize, usize) {
         let mut min = BeladyMin::from_keys(capacity, keys);

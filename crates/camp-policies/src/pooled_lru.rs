@@ -11,8 +11,10 @@
 //! Unlike CAMP, the partition is frozen: a pool under pressure cannot borrow
 //! from an idle one, which is exactly the weakness Figures 5d and 8a expose.
 
-use crate::lru::Lru;
-use crate::policy::{AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, SharedTraceSink};
+use camp_core::Keyed;
+
+use crate::lru::Recency;
+use crate::policy::{AccessOutcome, CacheKey, EvictionPolicy, SharedTraceSink};
 
 /// How the available memory is divided among the pools.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +41,7 @@ pub enum PoolSplit {
 ///
 /// // The paper's three-pool configuration for costs {1, 100, 10K}, with the
 /// // memory split proportional to the pool's cost value.
-/// let mut pooled = PooledLru::new(
+/// let mut pooled: PooledLru = PooledLru::new(
 ///     10_000,
 ///     &[1, 100, 10_000],
 ///     PoolSplit::ProportionalToLowerBound,
@@ -51,13 +53,14 @@ pub enum PoolSplit {
 /// assert!(pooled.contains(&1));
 /// ```
 #[derive(Debug)]
-pub struct PooledLru<K = u64> {
-    pools: Vec<Lru<K>>,
+pub struct PooledLru<K = u64, V = ()> {
+    /// One LRU cache per cost range.
+    pools: Vec<Keyed<K, Recency, V>>,
     boundaries: Vec<u64>,
     capacity: u64,
 }
 
-impl<K: CacheKey> PooledLru<K> {
+impl<K: CacheKey, V> PooledLru<K, V> {
     /// Creates a pooled cache over the given cost boundaries.
     ///
     /// # Panics
@@ -87,7 +90,7 @@ impl<K: CacheKey> PooledLru<K> {
         assert!(total > 0.0, "weights must not all be zero");
         let pools = weights
             .iter()
-            .map(|&w| Lru::new((capacity as f64 * w / total).floor() as u64))
+            .map(|&w| Keyed::<K, Recency, V>::new((capacity as f64 * w / total).floor() as u64))
             .collect();
         PooledLru {
             pools,
@@ -109,17 +112,17 @@ impl<K: CacheKey> PooledLru<K> {
     /// The byte capacity assigned to each pool.
     #[must_use]
     pub fn pool_capacities(&self) -> Vec<u64> {
-        self.pools.iter().map(EvictionPolicy::capacity).collect()
+        self.pools.iter().map(Keyed::capacity).collect()
     }
 
     /// Per-pool resident byte counts.
     #[must_use]
     pub fn pool_used_bytes(&self) -> Vec<u64> {
-        self.pools.iter().map(EvictionPolicy::used_bytes).collect()
+        self.pools.iter().map(Keyed::used_bytes).collect()
     }
 }
 
-impl<K: CacheKey> EvictionPolicy<K> for PooledLru<K> {
+impl<K: CacheKey, V> EvictionPolicy<K, V> for PooledLru<K, V> {
     fn name(&self) -> String {
         format!("pooled-lru({} pools)", self.pools.len())
     }
@@ -129,27 +132,38 @@ impl<K: CacheKey> EvictionPolicy<K> for PooledLru<K> {
     }
 
     fn used_bytes(&self) -> u64 {
-        self.pools.iter().map(EvictionPolicy::used_bytes).sum()
+        self.pools.iter().map(Keyed::used_bytes).sum()
     }
 
     fn len(&self) -> usize {
-        self.pools.iter().map(EvictionPolicy::len).sum()
+        self.pools.iter().map(Keyed::len).sum()
     }
 
-    fn contains(&self, key: &K) -> bool {
-        self.pools.iter().any(|p| p.contains(key))
+    fn get(&mut self, key: &K) -> Option<&V> {
+        self.pools.iter_mut().find_map(|pool| pool.get(key))
     }
 
-    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome {
-        let pool = self.pool_of(req.cost);
-        self.pools[pool].reference(req, evicted)
+    fn peek(&self, key: &K) -> Option<&V> {
+        self.pools.iter().find_map(|pool| pool.peek(key))
     }
 
-    fn touch(&mut self, key: &K) -> bool {
-        self.pools.iter_mut().any(|p| p.touch(key))
+    fn admit(
+        &mut self,
+        key: K,
+        value: V,
+        size: u64,
+        cost: u64,
+        evicted: &mut dyn FnMut(K, V),
+    ) -> AccessOutcome {
+        let pool = self.pool_of(cost);
+        self.pools[pool].admit(key, value, size, cost, evicted)
     }
 
-    fn evict_next(&mut self) -> Option<K> {
+    fn take(&mut self, key: &K) -> Option<V> {
+        self.pools.iter_mut().find_map(|pool| pool.remove(key))
+    }
+
+    fn evict(&mut self) -> Option<(K, V)> {
         // The frozen partition has no global eviction order: the fullest
         // pool (by fill fraction) gives up its LRU pair.
         self.pools
@@ -160,11 +174,13 @@ impl<K: CacheKey> EvictionPolicy<K> for PooledLru<K> {
                 let fb = b.used_bytes() as f64 / (b.capacity().max(1)) as f64;
                 fa.total_cmp(&fb)
             })
-            .and_then(EvictionPolicy::evict_next)
+            .and_then(Keyed::evict_lowest)
     }
 
-    fn remove(&mut self, key: &K) -> bool {
-        self.pools.iter_mut().any(|p| p.remove(key).is_some())
+    fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
+        for pool in &self.pools {
+            pool.for_each(f);
+        }
     }
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
@@ -182,6 +198,7 @@ impl<K: CacheKey> EvictionPolicy<K> for PooledLru<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::CacheRequest;
 
     fn touch(p: &mut PooledLru, key: u64, size: u64, cost: u64) -> (AccessOutcome, Vec<u64>) {
         let mut evicted = Vec::new();

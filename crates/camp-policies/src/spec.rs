@@ -12,13 +12,13 @@
 use std::fmt;
 use std::str::FromStr;
 
-use camp_core::{Camp, Precision};
+use camp_core::{Camp, Keyed, Precision};
 
 use crate::arc::Arc;
-use crate::gd_wheel::GdWheel;
-use crate::gds::{Gds, Gdsf};
-use crate::lfu::Lfu;
-use crate::lru::Lru;
+use crate::gd_wheel::Wheels;
+use crate::gds::GreedyDual;
+use crate::lfu::Frequency;
+use crate::lru::Recency;
 use crate::lru_k::LruK;
 use crate::policy::{CacheKey, EvictionPolicy};
 use crate::pooled_lru::{PoolSplit, PooledLru};
@@ -100,18 +100,28 @@ impl EvictionMode {
         &self,
         capacity: u64,
     ) -> Box<dyn EvictionPolicy<K> + Send> {
+        self.build_valued(capacity)
+    }
+
+    /// [`EvictionMode::build`] for a policy that holds a `V` per resident
+    /// key — the KVS store's, which holds each item's chunk.
+    #[must_use]
+    pub fn build_valued<K: CacheKey + Send + 'static, V: Send + 'static>(
+        &self,
+        capacity: u64,
+    ) -> Box<dyn EvictionPolicy<K, V> + Send> {
         match self {
-            EvictionMode::Lru => Box::new(Lru::<K>::new(capacity)),
-            EvictionMode::Camp(precision) => Box::new(Camp::<K, ()>::new(capacity, *precision)),
-            EvictionMode::Gds => Box::new(Gds::<K>::new(capacity)),
-            EvictionMode::Gdsf => Box::new(Gdsf::<K>::new(capacity)),
-            EvictionMode::Lfu => Box::new(Lfu::<K>::new(capacity)),
-            EvictionMode::LruK(k) => Box::new(LruK::<K>::new(capacity, *k)),
-            EvictionMode::TwoQ => Box::new(TwoQ::<K>::new(capacity)),
-            EvictionMode::Arc => Box::new(Arc::<K>::new(capacity)),
-            EvictionMode::GdWheel => Box::new(GdWheel::<K>::new(capacity)),
+            EvictionMode::Lru => Box::new(Keyed::<K, Recency, V>::new(capacity)),
+            EvictionMode::Camp(precision) => Box::new(Camp::<K, V>::new(capacity, *precision)),
+            EvictionMode::Gds => Box::new(Keyed::<K, GreedyDual<false>, V>::new(capacity)),
+            EvictionMode::Gdsf => Box::new(Keyed::<K, GreedyDual<true>, V>::new(capacity)),
+            EvictionMode::Lfu => Box::new(Keyed::<K, Frequency, V>::new(capacity)),
+            EvictionMode::LruK(k) => Box::new(LruK::<K, V>::new(capacity, *k)),
+            EvictionMode::TwoQ => Box::new(TwoQ::<K, V>::new(capacity)),
+            EvictionMode::Arc => Box::new(Arc::<K, V>::new(capacity)),
+            EvictionMode::GdWheel => Box::new(Keyed::<K, Wheels, V>::new(capacity)),
             EvictionMode::PooledLru { boundaries, split } => {
-                Box::new(PooledLru::<K>::new(capacity, boundaries, split.clone()))
+                Box::new(PooledLru::<K, V>::new(capacity, boundaries, split.clone()))
             }
         }
     }

@@ -16,12 +16,13 @@ use std::collections::VecDeque;
 
 use camp_core::arena::{Arena, EntryId};
 use camp_core::hash::FoldHashMap;
-use camp_core::lru_list::{Linked, Links, LruList};
+use camp_core::lru_list::LruList;
 
 use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind,
+    key_hash, AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent, PolicyEventKind,
     SharedTraceSink,
 };
+use crate::util::{push_key, KeyNode};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Region {
@@ -29,38 +30,27 @@ enum Region {
     Am,
 }
 
-impl Region {
-    /// Queue index reported in trace events: 0 = probation, 1 = main.
-    fn queue_index(self) -> u32 {
-        match self {
-            Region::A1In => 0,
-            Region::Am => 1,
-        }
-    }
-}
-
 #[derive(Debug)]
-struct Resident {
+struct Resident<V> {
     size: u64,
     /// Retained for trace events only; 2Q ignores cost when evicting.
     cost: u64,
     region: Region,
-    /// Arena handle of the Am list node, when region is Am.
-    am_id: Option<EntryId>,
+    /// The key's node on its region's list.
+    id: EntryId,
+    value: V,
 }
 
-#[derive(Debug)]
-struct AmNode<K> {
-    key: K,
-    links: Links,
-}
-
-impl<K> Linked for AmNode<K> {
-    fn links(&self) -> &Links {
-        &self.links
-    }
-    fn links_mut(&mut self) -> &mut Links {
-        &mut self.links
+impl<V> Resident<V> {
+    /// The trace event for this resident (queue 0 = A1in, 1 = Am).
+    fn event(&self, kind: PolicyEventKind, key: &impl CacheKey) -> PolicyEvent {
+        PolicyEvent {
+            queue: match self.region {
+                Region::A1In => 0,
+                Region::Am => 1,
+            },
+            ..PolicyEvent::basic(kind, key_hash(key), self.size, self.cost)
+        }
     }
 }
 
@@ -71,29 +61,31 @@ impl<K> Linked for AmNode<K> {
 /// ```
 /// use camp_policies::{CacheRequest, EvictionPolicy, TwoQ};
 ///
-/// let mut cache = TwoQ::new(100);
+/// let mut cache: TwoQ = TwoQ::new(100);
 /// let mut evicted = Vec::new();
 /// cache.reference(CacheRequest::new(1, 10, 0), &mut evicted);
 /// assert!(cache.contains(&1)); // in probation (A1in)
 /// ```
 #[derive(Debug)]
-pub struct TwoQ<K = u64> {
+pub struct TwoQ<K = u64, V = ()> {
     capacity: u64,
     kin: u64,
     kout: u64,
     used: u64,
     a1in_bytes: u64,
-    residents: FoldHashMap<K, Resident>,
-    a1in: VecDeque<K>,
+    residents: FoldHashMap<K, Resident<V>>,
+    /// Probation, a FIFO: admitted at the back, reclaimed from the front,
+    /// never moved by a hit — and, being a list, unlinked in O(1).
+    a1in: LruList,
     am: LruList,
-    am_arena: Arena<AmNode<K>>,
+    arena: Arena<KeyNode<K>>,
     a1out: VecDeque<(K, u64)>, // (key, size)
     a1out_set: FoldHashMap<K, u64>,
     a1out_bytes: u64,
     sink: Option<SharedTraceSink>,
 }
 
-impl<K: CacheKey> TwoQ<K> {
+impl<K: CacheKey, V> TwoQ<K, V> {
     /// Creates a 2Q cache with the recommended 25%/50% `Kin`/`Kout` split.
     #[must_use]
     pub fn new(capacity: u64) -> Self {
@@ -111,26 +103,13 @@ impl<K: CacheKey> TwoQ<K> {
             used: 0,
             a1in_bytes: 0,
             residents: FoldHashMap::default(),
-            a1in: VecDeque::new(),
+            a1in: LruList::new(),
             am: LruList::new(),
-            am_arena: Arena::new(),
+            arena: Arena::new(),
             a1out: VecDeque::new(),
             a1out_set: FoldHashMap::default(),
             a1out_bytes: 0,
             sink: None,
-        }
-    }
-
-    /// Builds the trace event for a resident (queue 0 = A1in, 1 = Am).
-    fn event_for(kind: PolicyEventKind, key: &K, resident: &Resident) -> PolicyEvent {
-        PolicyEvent {
-            kind,
-            key_hash: key_hash(key),
-            size: resident.size,
-            cost: resident.cost,
-            ratio: 0,
-            queue: resident.region.queue_index(),
-            l_value: 0,
         }
     }
 
@@ -161,60 +140,9 @@ impl<K: CacheKey> TwoQ<K> {
             }
         }
     }
-
-    /// Frees one resident entry, preferring the probation FIFO when it is
-    /// over its threshold (the 2Q `reclaimfor` routine).
-    fn reclaim_one(&mut self) -> Option<K> {
-        let key = if self.a1in_bytes > self.kin || self.am.is_empty() {
-            self.a1in.pop_front()
-        } else {
-            self.am
-                .pop_front(&mut self.am_arena)
-                .and_then(|id| self.am_arena.remove(id))
-                .map(|node| node.key)
-        }?;
-        let resident = self.residents.remove(&key).expect("queued key is resident");
-        self.used -= resident.size;
-        if let Some(sink) = &self.sink {
-            sink.record(&Self::event_for(PolicyEventKind::Evict, &key, &resident));
-        }
-        if resident.region == Region::A1In {
-            self.a1in_bytes -= resident.size;
-            // Only probation evictions are remembered: a re-reference soon
-            // after proves the key deserves Am.
-            self.push_ghost(key.clone(), resident.size);
-        }
-        Some(key)
-    }
-
-    fn push_am(&mut self, key: K) -> EntryId {
-        let id = self.am_arena.insert(AmNode {
-            key,
-            links: Links::new(),
-        });
-        self.am.push_back(&mut self.am_arena, id);
-        id
-    }
-
-    fn on_hit(&mut self, key: &K) -> bool {
-        let Some(resident) = self.residents.get(key) else {
-            return false;
-        };
-        match resident.region {
-            Region::Am => {
-                // LRU refresh within Am, O(1) on the intrusive list.
-                let id = resident.am_id.expect("Am resident has a node");
-                self.am.move_to_back(&mut self.am_arena, id);
-            }
-            Region::A1In => {
-                // The original 2Q leaves A1in references in place (FIFO).
-            }
-        }
-        true
-    }
 }
 
-impl<K: CacheKey> EvictionPolicy<K> for TwoQ<K> {
+impl<K: CacheKey, V> EvictionPolicy<K, V> for TwoQ<K, V> {
     fn name(&self) -> String {
         "2q".to_owned()
     }
@@ -231,76 +159,101 @@ impl<K: CacheKey> EvictionPolicy<K> for TwoQ<K> {
         self.residents.len()
     }
 
-    fn contains(&self, key: &K) -> bool {
-        self.residents.contains_key(key)
+    fn get(&mut self, key: &K) -> Option<&V> {
+        let resident = self.residents.get(key)?;
+        // An Am hit is an LRU refresh; the original 2Q leaves A1in
+        // references in place (FIFO).
+        if resident.region == Region::Am {
+            self.am.move_to_back(&mut self.arena, resident.id);
+        }
+        Some(&resident.value)
     }
 
-    fn reference(&mut self, req: CacheRequest<K>, evicted: &mut Vec<K>) -> AccessOutcome {
-        assert!(req.size > 0, "key-value pairs have positive size");
-        if self.on_hit(&req.key) {
-            return AccessOutcome::Hit;
-        }
-        if req.size > self.capacity {
+    fn peek(&self, key: &K) -> Option<&V> {
+        self.residents.get(key).map(|resident| &resident.value)
+    }
+
+    fn admit(
+        &mut self,
+        key: K,
+        value: V,
+        size: u64,
+        cost: u64,
+        evicted: &mut dyn FnMut(K, V),
+    ) -> AccessOutcome {
+        if size > self.capacity {
             return AccessOutcome::MissBypassed;
         }
-        let remembered = self.a1out_set.remove(&req.key).is_some();
-        while self.used + req.size > self.capacity {
-            evicted.push(self.reclaim_one().expect("byte accounting out of sync"));
+        let remembered = self.a1out_set.remove(&key).is_some();
+        while self.used + size > self.capacity {
+            let (gone, value) = self.evict().expect("byte accounting out of sync");
+            evicted(gone, value);
         }
-        let region = if remembered { Region::Am } else { Region::A1In };
-        let am_id = match region {
-            Region::Am => Some(self.push_am(req.key.clone())),
-            Region::A1In => {
-                self.a1in.push_back(req.key.clone());
-                self.a1in_bytes += req.size;
-                None
-            }
+        let (region, list) = if remembered {
+            (Region::Am, &mut self.am)
+        } else {
+            self.a1in_bytes += size;
+            (Region::A1In, &mut self.a1in)
         };
+        let id = push_key(&mut self.arena, list, key.clone());
         let resident = Resident {
-            size: req.size,
-            cost: req.cost,
+            size,
+            cost,
             region,
-            am_id,
+            id,
+            value,
         };
         if let Some(sink) = &self.sink {
-            sink.record(&Self::event_for(
-                PolicyEventKind::Admit,
-                &req.key,
-                &resident,
-            ));
+            sink.record(&resident.event(PolicyEventKind::Admit, &key));
         }
-        self.residents.insert(req.key, resident);
-        self.used += req.size;
+        self.residents.insert(key, resident);
+        self.used += size;
         AccessOutcome::MissInserted
     }
 
-    fn touch(&mut self, key: &K) -> bool {
-        self.on_hit(key)
-    }
-
-    fn evict_next(&mut self) -> Option<K> {
-        self.reclaim_one()
-    }
-
-    fn remove(&mut self, key: &K) -> bool {
-        let Some(resident) = self.residents.remove(key) else {
-            return false;
-        };
+    fn take(&mut self, key: &K) -> Option<V> {
+        let resident = self.residents.remove(key)?;
         self.used -= resident.size;
-        match resident.region {
-            Region::Am => {
-                let id = resident.am_id.expect("Am resident has a node");
-                self.am.unlink(&mut self.am_arena, id);
-                self.am_arena.remove(id);
-            }
+        let list = match resident.region {
+            Region::Am => &mut self.am,
             Region::A1In => {
-                if let Some(pos) = self.a1in.iter().position(|k| k == key) {
-                    self.a1in.remove(pos);
-                }
                 self.a1in_bytes -= resident.size;
+                &mut self.a1in
             }
+        };
+        list.unlink(&mut self.arena, resident.id);
+        self.arena.remove(resident.id);
+        Some(resident.value)
+    }
+
+    /// Frees one resident entry, preferring the probation FIFO when it is
+    /// over its threshold (the 2Q `reclaimfor` routine).
+    fn evict(&mut self) -> Option<(K, V)> {
+        let list = if self.a1in_bytes > self.kin || self.am.is_empty() {
+            &mut self.a1in
+        } else {
+            &mut self.am
+        };
+        let id = list.pop_front(&mut self.arena)?;
+        let key = self.arena.remove(id).expect("live list node").key;
+        let resident = self.residents.remove(&key).expect("queued key is resident");
+        self.used -= resident.size;
+        if let Some(sink) = &self.sink {
+            sink.record(&resident.event(PolicyEventKind::Evict, &key));
         }
-        true
+        if resident.region == Region::A1In {
+            self.a1in_bytes -= resident.size;
+            // Only probation evictions are remembered: a re-reference soon
+            // after proves the key deserves Am.
+            self.push_ghost(key.clone(), resident.size);
+        }
+        Some((key, resident.value))
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
+        for (key, resident) in &self.residents {
+            f(key, &resident.value);
+        }
     }
 
     fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
@@ -315,6 +268,7 @@ impl<K: CacheKey> EvictionPolicy<K> for TwoQ<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::CacheRequest;
 
     fn touch(c: &mut TwoQ, key: u64) -> (AccessOutcome, Vec<u64>) {
         let mut evicted = Vec::new();
@@ -415,7 +369,7 @@ mod tests {
 
     #[test]
     fn oversized_bypasses() {
-        let mut c = TwoQ::new(50);
+        let mut c: TwoQ = TwoQ::new(50);
         let mut ev = Vec::new();
         let out = c.reference(CacheRequest::new(1, 51, 0), &mut ev);
         assert_eq!(out, AccessOutcome::MissBypassed);

@@ -1,5 +1,35 @@
 //! Small shared internals for the policy implementations.
 
+use camp_core::arena::{Arena, EntryId};
+use camp_core::lru_list::{Linked, Links, LruList};
+
+/// A key threaded on an intrusive [`LruList`]: the node ARC's and 2Q's
+/// regions are made of.
+#[derive(Debug)]
+pub(crate) struct KeyNode<K> {
+    pub(crate) key: K,
+    links: Links,
+}
+
+impl<K> Linked for KeyNode<K> {
+    fn links(&self) -> &Links {
+        &self.links
+    }
+    fn links_mut(&mut self) -> &mut Links {
+        &mut self.links
+    }
+}
+
+/// Appends `key` at the back (MRU end) of `list`, returning its handle.
+pub(crate) fn push_key<K>(arena: &mut Arena<KeyNode<K>>, list: &mut LruList, key: K) -> EntryId {
+    let id = arena.insert(KeyNode {
+        key,
+        links: Links::new(),
+    });
+    list.push_back(arena, id);
+    id
+}
+
 /// Allocates dense `u32` ids with recycling, for use as heap ids.
 #[derive(Debug, Default)]
 pub(crate) struct IdAllocator {

@@ -1,11 +1,14 @@
 //! Properties every eviction policy must satisfy, checked generically, plus
 //! comparative properties between CAMP and the algorithms it approximates.
 
+use std::collections::HashMap;
+
 use camp_core::rng::Rng64;
 use camp_core::{Camp, Precision};
+use camp_policies::lru::Recency;
 use camp_policies::{
-    AccessOutcome, Admission, AdmissionRule, Arc, CacheRequest, EvictionPolicy, GdWheel, Gds, Gdsf,
-    Lfu, Lru, LruK, PoolSplit, PooledLru, TwoQ,
+    AccessOutcome, Admission, AdmissionRule, Arc, CacheRequest, EvictionMode, EvictionPolicy,
+    GdWheel, Gds, Gdsf, Keyed, Lfu, Lru, LruK, PoolSplit, PooledLru, TwoQ,
 };
 
 fn all_policies(capacity: u64) -> Vec<Box<dyn EvictionPolicy>> {
@@ -164,6 +167,132 @@ fn every_policy_honours_the_contract() {
                     "{} (seed {seed}): used bytes mismatch",
                     policy.name()
                 );
+            }
+        }
+    }
+}
+
+/// What the value-carrying policies below hold per key: the key it was
+/// admitted under and that admission's serial number — `(0, 0)` when
+/// `reference` admitted it with the default value.
+type Stamp = (u64, u64);
+
+/// `all_policies`, each holding a [`Stamp`] per key.
+fn valued_policies(capacity: u64) -> Vec<Box<dyn EvictionPolicy<u64, Stamp>>> {
+    let modes = [
+        "camp", "camp:1", "camp:inf", "lru", "gds", "lru-2", "2q", "arc", "gd-wheel", "gdsf", "lfu",
+    ];
+    let mut policies: Vec<Box<dyn EvictionPolicy<u64, Stamp>>> = modes
+        .iter()
+        .map(|mode| -> Box<dyn EvictionPolicy<u64, Stamp>> {
+            mode.parse::<EvictionMode>().unwrap().build_valued(capacity)
+        })
+        .collect();
+    policies.push(Box::new(PooledLru::new(
+        capacity,
+        &[1, 100, 10_000],
+        PoolSplit::ProportionalToLowerBound,
+    )));
+    policies.push(Box::new(PooledLru::new(
+        capacity,
+        &[1, 100],
+        PoolSplit::Uniform,
+    )));
+    policies.push(Box::new(Admission::new(
+        Keyed::<u64, Recency, Stamp>::new(capacity),
+        AdmissionRule::SecondMiss { window: 32 },
+    )));
+    policies
+}
+
+/// Takes `key` out of the model as it comes back from the policy: it must
+/// be resident there (so nothing comes back twice), and a value handed
+/// back with it must be the one admitted.
+fn hand_back(model: &mut HashMap<u64, (Stamp, u64)>, key: u64, value: Option<Stamp>, at: &str) {
+    let (held, _) = model
+        .remove(&key)
+        .unwrap_or_else(|| panic!("{at}: {key} came back but was not resident"));
+    if let Some(value) = value {
+        assert_eq!(value, held, "{at}: value of {key}");
+    }
+}
+
+/// Values are conserved: a seeded mix of `admit`, `get`, `take`, `evict`
+/// and `reference`, checked against a model of the resident pairs after
+/// every step. What `take`, `evict` and an admission's evictions hand back
+/// is the value admitted for that key, exactly once; `get` and `peek` read
+/// it; `for_each` visits exactly the resident set; sizes sum to
+/// `used_bytes`.
+#[test]
+fn every_policy_hands_back_each_admitted_value_exactly_once() {
+    for seed in 0..32u64 {
+        let mut rng = Rng64::seed_from_u64(0x5EED_7A1E ^ seed);
+        let capacity = rng.range_u64(50, 400);
+        let ops: Vec<(u64, u64)> = (0..400)
+            .map(|_| (rng.range_u64(0, 48), rng.range_u64(0, 10)))
+            .collect();
+        for policy in &mut valued_policies(capacity) {
+            let mut model: HashMap<u64, (Stamp, u64)> = HashMap::new();
+            let mut handed = Vec::new();
+            let mut evicted = Vec::new();
+            for (step, &(key, op)) in ops.iter().enumerate() {
+                let at = format!("{} (seed {seed}, step {step})", policy.name());
+                let req = request_for(key);
+                let resident = model.get(&key).map(|&(value, _)| value);
+                match op {
+                    0..=2 if resident.is_none() => {
+                        let value = (key, step as u64 + 1);
+                        handed.clear();
+                        let outcome =
+                            policy.admit(key, value, req.size, req.cost, &mut |gone, value| {
+                                handed.push((gone, value));
+                            });
+                        for &(gone, value) in &handed {
+                            hand_back(&mut model, gone, Some(value), &at);
+                        }
+                        if outcome == AccessOutcome::MissInserted {
+                            model.insert(key, (value, req.size));
+                        }
+                    }
+                    0..=4 => assert_eq!(policy.get(&key).copied(), resident, "{at}: get"),
+                    5 => {
+                        let taken = policy.take(&key);
+                        assert_eq!(taken, resident, "{at}: take");
+                        if taken.is_some() {
+                            hand_back(&mut model, key, taken, &at);
+                        }
+                    }
+                    6 => match policy.evict() {
+                        Some((gone, value)) => hand_back(&mut model, gone, Some(value), &at),
+                        None => assert!(model.is_empty(), "{at}: evict"),
+                    },
+                    _ => {
+                        evicted.clear();
+                        let outcome = policy.reference(req, &mut evicted);
+                        assert_eq!(outcome == AccessOutcome::Hit, resident.is_some(), "{at}");
+                        for &gone in &evicted {
+                            hand_back(&mut model, gone, None, &at);
+                        }
+                        if outcome == AccessOutcome::MissInserted {
+                            model.insert(key, (Stamp::default(), req.size));
+                        }
+                    }
+                }
+                let mut visited = HashMap::new();
+                policy.for_each(&mut |&key, &value| {
+                    assert!(visited.insert(key, value).is_none(), "{at}: {key} twice");
+                });
+                let expected: HashMap<u64, Stamp> = model
+                    .iter()
+                    .map(|(&key, &(value, _))| (key, value))
+                    .collect();
+                assert_eq!(visited, expected, "{at}: for_each");
+                for (key, value) in &expected {
+                    assert_eq!(policy.peek(key), Some(value), "{at}: peek");
+                }
+                let bytes: u64 = model.values().map(|&(_, size)| size).sum();
+                assert_eq!(policy.used_bytes(), bytes, "{at}: used bytes");
+                assert_eq!(policy.len(), model.len(), "{at}: len");
             }
         }
     }
