@@ -1,11 +1,9 @@
 //! Server hot-path benchmarks: command parsing and get-response
 //! serialization — the per-request work between the socket and the store.
 //!
-//! The `get_serialize` group contrasts the two response paths the server
-//! has had: the copying one (`Store::get` hands back an owned value, the
-//! caller formats a `VALUE` block around it) and the visitor one
-//! (`Store::get_with` + `resp::append_value` serialize straight from the
-//! arena chunk into a reusable buffer). The second is the live hot path.
+//! The `get_serialize` group times the server's read path on a resident
+//! key: `Store::get_with` + `resp::append_value` serialize the `VALUE`
+//! block straight from the arena chunk into the reply buffer.
 //!
 //! The `store` group times what surrounds the policy decision on the
 //! benchmark's evicting workloads — fingerprint, index probe, key compare,
@@ -198,7 +196,7 @@ fn main() {
         cost
     });
 
-    // A resident working set the gets always hit, so both cases measure
+    // A resident working set the gets always hit, so the case measures
     // pure serialize cost rather than miss handling.
     let mut store = Store::new(StoreConfig {
         slab: SlabConfig::small(8 << 20, 8),
@@ -213,26 +211,6 @@ fn main() {
     }
 
     let group = Group::new("get_serialize", GET_OPS, 10);
-    group.case("copying_get_plus_format", || {
-        let mut response = Vec::new();
-        let mut bytes = 0u64;
-        for i in 0..GET_OPS {
-            let key = &keys[(i % 1024) as usize];
-            response.clear();
-            let hit = store.get(key).expect("key is resident");
-            let _ = write!(
-                response,
-                "VALUE {} {} {}\r\n",
-                String::from_utf8_lossy(key),
-                hit.flags,
-                hit.value.len()
-            );
-            response.extend_from_slice(&hit.value);
-            response.extend_from_slice(b"\r\nEND\r\n");
-            bytes += black_box(&response).len() as u64;
-        }
-        bytes
-    });
     group.case("get_with_append_value", || {
         let mut response = Vec::new();
         let mut bytes = 0u64;

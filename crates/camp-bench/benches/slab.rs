@@ -48,7 +48,7 @@ fn main() {
                 state ^= state >> 7;
                 state ^= state << 17;
                 let key = format!("key-{}", state % 30_000);
-                match store.get(key.as_bytes()) {
+                match store.get_with(key.as_bytes(), |_| ()) {
                     Some(_) => hits += 1,
                     None => {
                         let cost = [1u64, 100, 10_000][(state % 3) as usize];

@@ -86,7 +86,7 @@ fn store_get_path() {
         let mut hits = 0u64;
         for _ in 0..20 {
             for key in &keys {
-                if store.get(black_box(key.as_bytes())).is_some() {
+                if store.get_with(black_box(key.as_bytes()), |_| ()).is_some() {
                     hits += 1;
                 }
             }
@@ -99,7 +99,7 @@ fn store_get_path() {
         for _ in 0..20 {
             for key in &keys {
                 let started = Instant::now();
-                if store.get(black_box(key.as_bytes())).is_some() {
+                if store.get_with(black_box(key.as_bytes()), |_| ()).is_some() {
                     hits += 1;
                 }
                 let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);

@@ -1,10 +1,10 @@
 //! Key fingerprints: the one hash a command pays per key.
 //!
 //! A wire key is hashed exactly once, here, into a seeded 64-bit
-//! fingerprint; the shard picker, the store index, the eviction policy,
-//! the shadow profiler and the IQ miss registry are all keyed by that
-//! `u64` and never see the key bytes again (the bytes live once, in the
-//! slab item, where a lookup compares them). The seed is random per
+//! fingerprint; the shard picker, the eviction policy (the store's one
+//! index), the shadow profiler and the shard's IQ cost timers are all
+//! keyed by that `u64` and never see the key bytes again (the bytes live
+//! once, in the slab item, where a lookup compares them). The seed is random per
 //! process, so which keys share a bucket — or, once in ~2⁶⁴ pairs, a whole
 //! fingerprint — cannot be predicted from outside.
 

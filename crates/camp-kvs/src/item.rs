@@ -45,11 +45,18 @@ impl<'a> Item<'a> {
         HEADER_LEN + key_len + value_len
     }
 
-    /// Encodes the item into `buf` (which must be large enough).
+    /// Whether the item has expired by `now` (unix seconds).
+    pub(crate) fn expired(&self, now: u64) -> bool {
+        self.expires_at != 0 && self.expires_at <= now
+    }
+
+    /// Encodes the item into `buf` (which must be large enough) — the
+    /// store passes the slab chunk itself, so a set copies its value once.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer is too small or the key exceeds 64 KiB.
+    /// Panics if the buffer is too small, the key exceeds 64 KiB or the
+    /// value exceeds 4 GiB.
     pub fn encode_into(&self, buf: &mut [u8]) {
         let need = Item::encoded_len(self.key.len(), self.value.len());
         assert!(buf.len() >= need, "buffer too small for item");
@@ -59,29 +66,12 @@ impl<'a> Item<'a> {
         buf[key_end..key_end + self.value.len()].copy_from_slice(self.value);
     }
 
-    /// Encodes the item into a reusable `Vec`, clearing it first. Unlike
-    /// [`Item::encode_into`] this never zero-fills: bytes are appended, so
-    /// a warm buffer costs one `memcpy` per field and no allocation once
-    /// its capacity covers the working set (the store's set hot path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key exceeds 64 KiB or the value exceeds 4 GiB.
-    pub fn encode_to(&self, buf: &mut Vec<u8>) {
-        let need = Item::encoded_len(self.key.len(), self.value.len());
-        buf.clear();
-        buf.reserve(need);
-        buf.extend_from_slice(&self.header());
-        buf.extend_from_slice(self.key);
-        buf.extend_from_slice(self.value);
-    }
-
     /// The encoded fixed header for this item.
     ///
     /// # Panics
     ///
     /// Panics if the key exceeds 64 KiB or the value exceeds 4 GiB — the
-    /// documented contract of both encode entry points.
+    /// documented contract of [`Item::encode_into`].
     fn header(&self) -> [u8; HEADER_LEN] {
         // lint:allow(unwrap-in-lib) — enforces the documented "# Panics"
         // contract; the protocol caps keys at 250 B and values at
@@ -175,24 +165,6 @@ mod tests {
         };
         let mut buf = vec![0u8; 10];
         item.encode_into(&mut buf);
-    }
-
-    #[test]
-    fn encode_to_matches_encode_into() {
-        let item = Item {
-            key: b"user:42",
-            value: b"payload-bytes",
-            flags: 3,
-            cost: 77,
-            expires_at: 9,
-        };
-        let need = Item::encoded_len(item.key.len(), item.value.len());
-        let mut flat = vec![0u8; need];
-        item.encode_into(&mut flat);
-        // A warm (dirty) reusable buffer must produce identical bytes.
-        let mut reused = vec![0xAAu8; 300];
-        item.encode_to(&mut reused);
-        assert_eq!(reused, flat);
     }
 
     #[test]

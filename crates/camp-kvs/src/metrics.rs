@@ -530,12 +530,9 @@ pub struct TelemetryReport {
     pub faults_injected: Vec<(&'static str, u64)>,
     /// Poisoned-mutex recoveries since process start.
     pub lock_poison_recovered: u64,
-    /// Unmatched `iqget` misses currently registered.
+    /// Unmatched `iqget` misses whose cost timers are running, across
+    /// shards.
     pub iq_miss_registry_size: u64,
-    /// Registry entries dropped by the TTL sweep so far.
-    pub iq_sweep_reclaimed: u64,
-    /// `iqget` misses not registered because their stripe was full.
-    pub iq_misses_dropped: u64,
     /// Merged shadow-cache estimates (0.5×/1×/2× capacity), across shards.
     pub shadow: Vec<ShadowEstimate>,
     /// The shadow profiler's spatial sampling modulus (1-in-N keys).
@@ -802,10 +799,10 @@ impl TelemetryReport {
         rows.stat(Detail, "iq_miss_registry_size", self.iq_miss_registry_size)
             .family(Gauge, "camp_iq_miss_registry_size")
             .help("unmatched iqget misses currently registered");
-        rows.stat(Detail, "iq_sweep_reclaimed", self.iq_sweep_reclaimed)
+        rows.stat(Detail, "iq_sweep_reclaimed", t.iq_sweep_reclaimed)
             .family(Counter, "camp_iq_sweep_reclaimed_total")
             .help("iq miss-registry entries dropped by the TTL sweep");
-        rows.stat(Detail, "iq_misses_dropped", self.iq_misses_dropped)
+        rows.stat(Detail, "iq_misses_dropped", t.iq_misses_dropped)
             .family(Counter, "camp_iq_misses_dropped_total")
             .help("iqget misses not registered because their registry stripe was full");
         for (i, w) in self.reactor_workers.iter().enumerate() {
@@ -1141,7 +1138,11 @@ mod tests {
                 policy: "camp(p=5)".to_owned(),
                 policy_stats,
             }],
-            totals: StoreStats::default(),
+            totals: StoreStats {
+                iq_sweep_reclaimed: 2,
+                iq_misses_dropped: 1,
+                ..StoreStats::default()
+            },
             curr_items: 2,
             slab_census: vec![(120, 1, 2)],
             latencies: vec![("get", histogram.snapshot())],
@@ -1157,8 +1158,6 @@ mod tests {
             faults_injected: vec![("drop", 7), ("delay", 8), ("error", 9)],
             lock_poison_recovered: 1,
             iq_miss_registry_size: 5,
-            iq_sweep_reclaimed: 2,
-            iq_misses_dropped: 1,
             shadow: vec![ShadowEstimate {
                 scale: (1, 2),
                 capacity: 512,
@@ -1237,6 +1236,7 @@ mod tests {
             slab_reclaims: base + 8,
             expired: base + 9,
             fingerprint_collisions: base + 10,
+            ..StoreStats::default()
         }
     }
 
@@ -1279,7 +1279,11 @@ mod tests {
                     policy_stats: gauges1,
                 },
             ],
-            totals: store_stats(300),
+            totals: StoreStats {
+                iq_sweep_reclaimed: 9,
+                iq_misses_dropped: 13,
+                ..store_stats(300)
+            },
             curr_items: 7,
             slab_census: vec![(96, 0, 0), (120, 2, 7)],
             latencies: vec![
@@ -1299,8 +1303,6 @@ mod tests {
             faults_injected: vec![("drop", 0), ("delay", 5), ("error", 6)],
             lock_poison_recovered: 0,
             iq_miss_registry_size: 8,
-            iq_sweep_reclaimed: 9,
-            iq_misses_dropped: 13,
             shadow: vec![
                 ShadowEstimate {
                     scale: (1, 1),

@@ -4,11 +4,13 @@
 //! [`Connection`] is a run-to-completion state machine over a read
 //! buffer and an output *rope*: the reactor appends whatever the socket had into the read
 //! buffer ([`Connection::fill_from`]), [`Connection::process`] consumes
-//! complete commands from it and appends replies to the rope's active
-//! tail segment (sealing the tail into the flush queue whenever it
-//! reaches [`SEG_SEAL`]), and the reactor flushes the whole rope back to
-//! the socket with one scatter-gather `write_vectored` — `writev(2)` on a
-//! `TcpStream` — per round ([`Connection::flush_to`]), so a pipelined
+//! complete commands from it, each writing its reply straight into the
+//! rope's active tail segment (a get hit's value is copied there from its
+//! slab chunk, the one copy it gets; the tail is sealed into the flush
+//! queue whenever it reaches [`SEG_SEAL`]), and the reactor flushes the
+//! whole rope back to the socket with one scatter-gather
+//! `write_vectored` — `writev(2)` on a `TcpStream` — per round
+//! ([`Connection::flush_to`]), so a pipelined
 //! burst of N commands still produces one syscall-level write, preserving
 //! PR 3's flush-coalescing behaviour by construction. Unlike the old
 //! single contiguous `out` Vec, a partially flushed rope never memmoves
@@ -205,11 +207,9 @@ pub(crate) struct Connection {
     buf: Vec<u8>,
     pos: usize,
     filled: usize,
-    /// Output rope: sealed segments awaiting flush plus the active tail.
+    /// Output rope: sealed segments awaiting flush plus the active tail,
+    /// which commands write their replies into.
     out: OutRope,
-    /// Reusable get-serialization scratch: VALUE blocks accumulate here
-    /// before one bulk append.
-    response: Vec<u8>,
     faults: Option<FaultState>,
     /// A Delay was already decided for the currently-pending command;
     /// on resume, execute without re-rolling the fault RNG.
@@ -243,7 +243,6 @@ impl Connection {
             pos: 0,
             filled: 0,
             out: OutRope::default(),
-            response: Vec::new(),
             faults: shared
                 .fault_plan
                 .as_ref()
@@ -604,21 +603,16 @@ impl Connection {
                         // in what the command reports.
                         shared.metrics.absorb(tally);
                     }
-                    // Infallible: the sink is a Vec. `unwrap_or` (not
-                    // unwrap) keeps the request path panic-free per the
-                    // workspace rule; the false arm is unreachable.
-                    let keep = execute(
+                    execute(
                         &command,
                         block,
                         &mut self.out.tail,
-                        &mut self.response,
                         shared,
                         Stamp {
                             at: started,
                             unix_secs: now.unix_secs,
                         },
-                    )
-                    .unwrap_or(false);
+                    );
                     // The command's one clock read: its end, and the next
                     // command's start.
                     let executed_at = Instant::now();
@@ -640,9 +634,6 @@ impl Connection {
                     (started, started_us) = (executed_at, executed_us);
                     self.last_complete = executed_at;
                     self.pos += consumed;
-                    if !keep {
-                        return Step::Close;
-                    }
                 }
                 Err(err) => {
                     tally.bytes(CmdKind::Other, line_wire as u64);

@@ -18,7 +18,8 @@
 //! the client is about to be told of, not a write-ahead log, so the hot
 //! path with persistence disabled is byte-identical. On boot,
 //! [`Persist::open`] replays every segment in index order through the
-//! scanner, truncates the torn tail a crash left behind, quarantines
+//! scanner (with the clock stopped, then dropping what has expired by boot
+//! time), truncates the torn tail a crash left behind, quarantines
 //! corrupt mid-log records, and rebuilds both the sharded store and the
 //! per-item CAMP costs before any listener opens.
 //!
@@ -87,13 +88,14 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use camp_core::rng::Rng64;
 use camp_telemetry::{kvlog, Histogram, HistogramSnapshot, LogLevel};
 
 use crate::fault::FaultPlan;
 use crate::shard::ShardedStore;
+use crate::store::unix_now;
 use crate::sync::lock;
 
 use self::state::{EngineState, UnsyncedFlag};
@@ -405,13 +407,6 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:08}{SEGMENT_SUFFIX}"))
 }
 
-fn unix_now() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
 /// Lists `dir`'s segment files in ascending index order.
 fn list_segments(dir: &Path) -> stdio::Result<Vec<(u64, PathBuf)>> {
     let mut segments = Vec::new();
@@ -444,13 +439,18 @@ struct Recovered {
 
 /// Replays every segment into `store`, cutting the newest segment back
 /// to where its log ends (a torn tail, unused reserved zeros, or both).
+///
+/// Every record replays its effect with the clock stopped (the store's
+/// verbs at time 0, where nothing has expired), so a `touch` that extended
+/// a key finds the key its own `set` made, however short that set's TTL
+/// was. What has expired by boot time is then dropped in one pass.
 fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
+    const STOPPED: u64 = 0;
     let segments = list_segments(dir)?;
     let mut summary = RecoverySummary {
         segments: segments.len() as u64,
         ..RecoverySummary::default()
     };
-    let now = unix_now();
     let last_index = segments.len().checked_sub(1);
     for (pos, (_, path)) in segments.iter().enumerate() {
         let bytes = fs::read(path)?;
@@ -462,21 +462,18 @@ fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
                 cost,
                 expires_at,
             } => {
-                if expires_at == 0 || expires_at > now {
-                    // Eviction during replay is legal (smaller memory
-                    // budget than the log's working set): best effort.
-                    let _ = store.set(key, value, flags, expires_at, cost);
-                } else {
-                    // Expired while the server was down.
-                    store.delete(key);
-                }
+                // Eviction during replay is legal (smaller memory budget
+                // than the log's working set): best effort.
+                let _ = store.set(key, value, flags, expires_at, cost);
             }
             Record::Delete { key } => {
-                store.delete(key);
+                let h = store.hash(key);
+                store.shard(h).delete_hashed(h, STOPPED);
             }
             Record::Clear => store.flush_all(),
             Record::Touch { key, expires_at } => {
-                store.touch(key, expires_at);
+                let h = store.hash(key);
+                store.shard(h).touch_hashed(h, expires_at, STOPPED);
             }
             Record::Seal => {}
         });
@@ -493,6 +490,7 @@ fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
             }
         }
     }
+    store.drop_expired(unix_now());
     let next_index = segments.last().map_or(0, |&(index, _)| index + 1);
     Ok(Recovered {
         summary,
@@ -846,19 +844,7 @@ impl Persist {
         self.roll_locked(w)?;
         match self.snapshot_locked(w, store) {
             Ok(()) => {
-                let active = w.seg_index;
-                let stale: Vec<PathBuf> = w
-                    .segments
-                    .iter()
-                    .filter(|&&(index, _)| index != active)
-                    .map(|(_, path)| path.clone())
-                    .collect();
-                w.segments.retain(|&(index, _)| index == active);
-                for path in &stale {
-                    let _ = w.backend.remove(path);
-                }
-                // ordering: Relaxed — statistics counter.
-                self.snapshots.fetch_add(1, Ordering::Relaxed);
+                self.drop_older_segments_locked(w);
                 Ok(())
             }
             Err(err) => {
@@ -868,6 +854,22 @@ impl Persist {
                 Err(err)
             }
         }
+    }
+
+    /// After a snapshot landed in the active segment: forgets and deletes
+    /// every older segment (a failed deletion is harmless — the snapshot
+    /// leads with `Clear`) and counts the snapshot.
+    fn drop_older_segments_locked(&self, w: &mut LogWriter) {
+        let active = w.seg_index;
+        let (kept, stale): (Vec<_>, Vec<_>) = std::mem::take(&mut w.segments)
+            .into_iter()
+            .partition(|&(index, _)| index == active);
+        w.segments = kept;
+        for (_, path) in &stale {
+            let _ = w.backend.remove(path);
+        }
+        // ordering: Relaxed — statistics counter.
+        self.snapshots.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Writes `Clear` + one `Set` per live item into the (fresh) active
@@ -941,19 +943,8 @@ impl Persist {
         let path = segment_path(&w.dir, index);
         match self.snapshot_locked(w, store) {
             Ok(()) => {
-                let stale: Vec<PathBuf> = w
-                    .segments
-                    .iter()
-                    .filter(|&&(i, _)| i != index)
-                    .map(|(_, p)| p.clone())
-                    .collect();
-                w.segments.retain(|&(i, _)| i == index);
-                for p in &stale {
-                    let _ = w.backend.remove(p);
-                }
+                self.drop_older_segments_locked(w);
                 w.consecutive_errors = 0;
-                // ordering: Relaxed — statistics counter.
-                self.snapshots.fetch_add(1, Ordering::Relaxed);
                 self.engine.rearm();
                 kvlog!(
                     LogLevel::Info,
@@ -1113,6 +1104,28 @@ mod tests {
 
     fn open_plain(opts: PersistOptions, store: &ShardedStore) -> Persist {
         Persist::open(opts, &FaultPlan::default(), store).expect("open persist")
+    }
+
+    /// What these tests read back from a recovered store: a live item's
+    /// value, flags and cost.
+    struct Hit {
+        value: Vec<u8>,
+        flags: u32,
+        cost: u64,
+    }
+
+    trait ReadBack {
+        fn get(&self, key: &[u8]) -> Option<Hit>;
+    }
+
+    impl ReadBack for ShardedStore {
+        fn get(&self, key: &[u8]) -> Option<Hit> {
+            self.get_with(key, |item| Hit {
+                value: item.value.to_vec(),
+                flags: item.flags,
+                cost: item.cost,
+            })
+        }
     }
 
     #[test]
@@ -1823,6 +1836,27 @@ mod tests {
         let _reopened = open_plain(options(&dir), &recovered);
         assert!(!recovered.contains(b"stale"));
         assert!(recovered.contains(b"fresh"));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_touch_that_extended_an_expired_set_survives_recovery() {
+        // A set with a 2 s TTL, touched to an hour, and a restart 3 s
+        // later: the live store would still serve the key, so recovery
+        // must too.
+        let dir = temp_dir("touched");
+        let store = sharded();
+        let persist = open_plain(options(&dir), &store);
+        let (set_at, extended) = (unix_now() - 3, unix_now() + 3600);
+        persist.append_set(&store, b"k", b"v", 0, set_at + 2, 1);
+        persist.append_touch(&store, b"k", extended);
+        drop(persist);
+        let recovered = sharded();
+        let _reopened = open_plain(options(&dir), &recovered);
+        let expiry = recovered
+            .peek_meta(b"k")
+            .map(|(_, expires_at, _)| expires_at);
+        assert_eq!(expiry, Some(extended));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -354,7 +354,9 @@ fn power_loss_image_is_the_synced_prefix_then_the_reserved_zeros() {
         (3, 0, 0)
     );
     assert_eq!(
-        version_of(&recovered.get(b"a").expect("a").value),
+        recovered
+            .get_with(b"a", |item| version_of(item.value))
+            .expect("a"),
         Some(1),
         "the unsynced rewrite died with the power"
     );
@@ -436,10 +438,10 @@ fn acked_writes_survive_power_loss_and_syncs_are_shared() {
     assert_eq!(reopened.snapshot().quarantined, 0);
     assert!(!acked_before_cut.is_empty());
     for (key, &version) in &acked_before_cut {
-        let hit = recovered
-            .get(key.as_bytes())
-            .unwrap_or_else(|| panic!("(b) acked key {key} lost at v{version}"));
-        let got = version_of(&hit.value).expect("recovered value parses");
+        let got = recovered
+            .get_with(key.as_bytes(), |item| version_of(item.value))
+            .unwrap_or_else(|| panic!("(b) acked key {key} lost at v{version}"))
+            .expect("recovered value parses");
         assert!(
             got >= version,
             "(b) {key} recovered at v{got}, acked at v{version}"

@@ -1,10 +1,10 @@
 //! Zero-allocation serialization of protocol responses.
 //!
-//! The get hot path appends `VALUE` blocks straight into a reusable
-//! per-connection buffer while the shard lock is held (see
+//! The get hot path appends `VALUE` blocks straight into the connection's
+//! output rope while the shard lock is held (see
 //! [`crate::shard::ShardedStore::get_with`]), so value bytes are copied
-//! exactly once — slab chunk to response buffer — and integers are
-//! formatted without going through `core::fmt`.
+//! exactly once — slab chunk to reply — and integers are formatted without
+//! going through `core::fmt`.
 
 /// Appends the decimal representation of `n` (no allocation, no
 /// `core::fmt` machinery).

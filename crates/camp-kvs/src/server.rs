@@ -8,14 +8,15 @@
 //! shards — the paper's §4.1 vertical-scaling recipe, where threads
 //! touching different partitions never contend.
 //!
-//! The IQ framework's cost computation lives here: `iqget` misses record a
-//! timestamp, and a later `iqset` for the same key uses the elapsed
-//! microseconds as the pair's cost — "the difference between these two
-//! timestamps is used as the cost of the key-value pair" (§4) — unless the
-//! client supplied an explicit cost hint. The miss registry is keyed by the
-//! key's fingerprint and striped like the store's shards, so `iqget`/`iqset`
-//! traffic on different shards never contends on a single registry lock,
-//! and a command hashes its key once for the registry and the store alike.
+//! The IQ framework's cost computation is driven from here: an `iqget`
+//! miss starts a timer, and a later `iqset` for the same key uses the
+//! elapsed microseconds as the pair's cost — "the difference between these
+//! two timestamps is used as the cost of the key-value pair" (§4) — unless
+//! the client supplied an explicit cost hint. The timers live in the key's
+//! shard ([`crate::store`]), so a key command — `iqget` and `iqset`
+//! included — hashes its key once and takes one lock, its shard's (plus
+//! the journal's writer lock under `--data-dir`), and writes its reply
+//! straight into the connection's output rope.
 //!
 //! Every command is timed by the reactor worker that runs it, into that
 //! worker's own tally, published into the shared per-command histograms
@@ -27,13 +28,12 @@
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use camp_telemetry::{duration_micros, kvlog, FlightRecorder, LogLevel, RequestSpan};
 
 use crate::fault::FaultPlan;
-use crate::fingerprint::FingerprintMap;
 use crate::metrics::{CmdKind, ReactorStats, RecorderSink, ServerMetrics, TelemetryReport};
 use crate::net::epoll::ReusePortListener;
 use crate::net::reactor::Reactor;
@@ -41,23 +41,7 @@ use crate::persist::{IoBackend, Persist};
 use crate::protocol::{Command, SetHeader, SetVerb, StatsScope, DEFAULT_MAX_VALUE_LEN};
 use crate::shard::ShardedStore;
 use crate::store::{unix_now, StoreConfig, StoreError, StoreStats};
-use crate::sync::{lock, ConnGauge};
-
-/// How long an unmatched `iqget` miss is remembered. A client that never
-/// issues the paired `iqset` (crashed, gave up) would otherwise leak its
-/// registry entry forever; the sweep drops entries past this age.
-const IQ_MISS_TTL: Duration = Duration::from_secs(120);
-
-/// Most unmatched misses one registry stripe remembers (~2 MiB of
-/// fixed-size entries). Past it, new misses go unrecorded — their `iqset`
-/// falls back to its hint or cost 0, as for an expired entry — so an
-/// `iqget`-only client walking unique keys cannot grow the registry
-/// without limit inside one TTL period.
-const IQ_STRIPE_CAP: usize = 1 << 16;
-
-/// Shortest gap between sweeps of a *full* stripe: a full stripe sweeps
-/// ahead of the TTL schedule, but not on every miss (a sweep is O(cap)).
-const IQ_FULL_SWEEP_GAP: Duration = Duration::from_secs(1);
+use crate::sync::ConnGauge;
 
 /// Default drain deadline for [`Server::shutdown`].
 const DEFAULT_DRAIN: Duration = Duration::from_secs(5);
@@ -82,104 +66,11 @@ impl Stamp {
     }
 }
 
-/// One lock-striped partition of the IQ miss registry.
-#[derive(Debug)]
-struct IqStripe {
-    misses: FingerprintMap<Instant>,
-    last_sweep: Instant,
-}
-
-/// IQ miss registry: key fingerprint -> time of the `iqget` miss,
-/// partitioned into one stripe per store shard (indexed by
-/// [`ShardedStore::shard_of`], so a key's registry stripe and store shard
-/// are guarded by different locks but partition identically). Two keys
-/// sharing a fingerprint share a timer: the later `iqset` measures from the
-/// later miss, a cost error no larger than the gap between the two misses.
-#[derive(Debug)]
-struct IqRegistry {
-    stripes: Vec<Mutex<IqStripe>>,
-    /// Entries dropped by the TTL sweep, cumulatively (a `stats detail` /
-    /// exposition gauge: it measures clients that armed the cost timer and
-    /// never came back).
-    swept: AtomicU64,
-    /// Misses not recorded because their stripe was full of live entries.
-    dropped: AtomicU64,
-}
-
-impl IqRegistry {
-    fn new(stripes: usize) -> IqRegistry {
-        IqRegistry {
-            stripes: (0..stripes)
-                .map(|_| {
-                    Mutex::new(IqStripe {
-                        misses: FingerprintMap::default(),
-                        last_sweep: Instant::now(),
-                    })
-                })
-                .collect(),
-            swept: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Records a miss at time `now`, sweeping the stripe's expired entries
-    /// once per TTL period, or sooner while it is full (amortized O(1) per
-    /// record). A stripe still full after its sweep drops the miss.
-    fn record_miss(&self, stripe: usize, fp: u64, now: Instant) {
-        let mut guard = lock(&self.stripes[stripe]);
-        // Saturating: `now` is the caller's stamp, which another worker's
-        // later-stamped sweep or miss may already have passed.
-        let since_sweep = now.saturating_duration_since(guard.last_sweep);
-        let full = guard.misses.len() >= IQ_STRIPE_CAP;
-        if since_sweep >= IQ_MISS_TTL || (full && since_sweep >= IQ_FULL_SWEEP_GAP) {
-            let before = guard.misses.len();
-            guard
-                .misses
-                .retain(|_, started| now.saturating_duration_since(*started) < IQ_MISS_TTL);
-            let reclaimed = (before - guard.misses.len()) as u64;
-            if reclaimed > 0 {
-                // ordering: Relaxed — statistics counter.
-                self.swept.fetch_add(reclaimed, Ordering::Relaxed);
-            }
-            guard.last_sweep = now;
-        }
-        if guard.misses.len() >= IQ_STRIPE_CAP && !guard.misses.contains_key(&fp) {
-            // ordering: Relaxed — statistics counter.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        guard.misses.insert(fp, now);
-    }
-
-    /// Consumes the miss registered for `fp`, if any and not expired at
-    /// `now`, returning how long ago it was.
-    fn take(&self, stripe: usize, fp: u64, now: Instant) -> Option<Duration> {
-        let started = lock(&self.stripes[stripe]).misses.remove(&fp)?;
-        Some(now.saturating_duration_since(started)).filter(|&age| age < IQ_MISS_TTL)
-    }
-
-    fn discard(&self, stripe: usize, fp: u64) {
-        lock(&self.stripes[stripe]).misses.remove(&fp);
-    }
-
-    fn clear(&self) {
-        for stripe in &self.stripes {
-            lock(stripe).misses.clear();
-        }
-    }
-
-    /// Unmatched misses currently registered, across stripes.
-    fn len(&self) -> usize {
-        self.stripes.iter().map(|s| lock(s).misses.len()).sum()
-    }
-}
-
 /// Shared server state (visible to the `net` reactor modules, which are
 /// the other consumers of the command-execution layer).
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) store: ShardedStore,
-    iq_misses: IqRegistry,
     pub(crate) metrics: ServerMetrics,
     pub(crate) shutdown: AtomicBool,
     /// Set when a drain begins: connections finish in-flight work and
@@ -256,7 +147,6 @@ impl Shared {
         };
         Ok(Shared {
             store,
-            iq_misses: IqRegistry::new(options.shards),
             metrics: ServerMetrics::new(),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -674,78 +564,66 @@ pub(crate) fn cmd_kind(command: &Command) -> CmdKind {
     }
 }
 
-/// Executes one command against `shared`, writing the reply to `writer`
-/// (the connection's in-memory write buffer, where the I/O is infallible;
-/// the reactor flushes it once per wakeup).
-/// `data` is the already-read set data block (empty otherwise); `response`
-/// is the connection's reusable get-serialization buffer; `now` is the
-/// only clock the command sees (expiry, IQ miss timing). Returns false
-/// when the connection should close.
-pub(crate) fn execute<W: Write>(
+/// Executes one command against `shared`, appending the reply to `out`
+/// (the tail of the connection's output rope, which the reactor flushes
+/// once per wakeup). `data` is the already-read set data block (empty
+/// otherwise); `now` is the only clock the command sees (expiry, IQ miss
+/// timing). `quit` never gets here: the connection closes on it first.
+pub(crate) fn execute(
     command: &Command<'_>,
     data: &[u8],
-    writer: &mut W,
-    response: &mut Vec<u8>,
+    out: &mut Vec<u8>,
     shared: &Shared,
     now: Stamp,
-) -> io::Result<bool> {
+) {
     match *command {
         Command::Get { ref keys } => {
-            // Copy-free: each hit's VALUE block is serialized straight from
-            // the slab chunk into `response` (inside the shard lock); all
-            // keys resolve before the writer is touched, then one bulk
-            // write delivers the whole reply.
-            response.clear();
+            // Each hit's VALUE block is serialized straight from the slab
+            // chunk into the rope, inside the shard lock.
             for key in keys.iter() {
                 let h = shared.store.hash(key);
-                shared
-                    .store
-                    .shard(h)
-                    .get_with_at_hashed(h, now.unix_secs, |item| {
-                        crate::resp::append_value(response, key, item.flags, item.value);
-                    });
+                shared.store.shard(h).get_hashed(h, now.unix_secs, |item| {
+                    crate::resp::append_value(out, key, item.flags, item.value);
+                });
             }
-            response.extend_from_slice(b"END\r\n");
-            writer.write_all(response)?;
+            out.extend_from_slice(b"END\r\n");
         }
         Command::IqGet { key } => {
-            response.clear();
             let h = shared.store.hash(key);
-            let hit = shared
-                .store
-                .shard(h)
-                .get_with_at_hashed(h, now.unix_secs, |item| {
-                    crate::resp::append_value(response, key, item.flags, item.value);
-                })
-                .is_some();
-            if !hit {
-                // Register the miss time for the cost computation.
-                shared
-                    .iq_misses
-                    .record_miss(shared.store.shard_of(h), h.fp, now.at);
+            let mut shard = shared.store.shard(h);
+            let hit = shard.get_hashed(h, now.unix_secs, |item| {
+                crate::resp::append_value(out, key, item.flags, item.value);
+            });
+            if hit.is_none() {
+                // Start the pair's cost timer under the same guard.
+                shard.record_iq_miss(h.fp, now.at);
             }
-            response.extend_from_slice(b"END\r\n");
-            writer.write_all(response)?;
+            drop(shard);
+            out.extend_from_slice(b"END\r\n");
         }
         Command::Set { ref header } => {
             let reply = apply_set(header, data, shared, now);
-            writeln_crlf(writer, reply)?;
+            writeln_crlf(out, reply);
         }
         Command::Delete { key } => {
-            let deleted = shared.store.delete(key);
+            let h = shared.store.hash(key);
+            let deleted = shared.store.shard(h).delete_hashed(h, now.unix_secs);
             if deleted {
                 if let Some(persist) = shared.persist.as_ref() {
                     persist.append_delete(&shared.store, key);
                 }
             }
-            writeln_crlf(writer, if deleted { "DELETED" } else { "NOT_FOUND" })?;
+            writeln_crlf(out, if deleted { "DELETED" } else { "NOT_FOUND" });
         }
         Command::Arith { key, delta, up } => {
             let h = shared.store.hash(key);
             // Bound first: a guard in the `match` scrutinee would be held
             // through the arm, and the journal append below may compact —
             // which locks every shard.
-            let rewritten = shared.store.shard(h).add_signed(h, delta, up);
+            let rewritten = shared
+                .store
+                .shard(h)
+                .add_signed(h, delta, up, now.unix_secs);
             match rewritten {
                 Some((value, (flags, expires_at, cost))) => {
                     let text = value.to_string();
@@ -761,76 +639,72 @@ pub(crate) fn execute<W: Write>(
                             cost,
                         );
                     }
-                    writeln_crlf(writer, &text)?;
+                    writeln_crlf(out, &text);
                 }
-                None => writeln_crlf(writer, "NOT_FOUND")?,
+                None => writeln_crlf(out, "NOT_FOUND"),
             }
         }
         Command::Touch { key, exptime } => {
             let expires_at = expiry_to_absolute(exptime, now.unix_secs);
-            let touched = shared.store.touch(key, expires_at);
+            let h = shared.store.hash(key);
+            let touched = shared
+                .store
+                .shard(h)
+                .touch_hashed(h, expires_at, now.unix_secs);
             if touched {
                 if let Some(persist) = shared.persist.as_ref() {
                     persist.append_touch(&shared.store, key, expires_at);
                 }
             }
-            writeln_crlf(writer, if touched { "TOUCHED" } else { "NOT_FOUND" })?;
+            writeln_crlf(out, if touched { "TOUCHED" } else { "NOT_FOUND" });
         }
         Command::FlushAll => {
             shared.store.flush_all();
-            shared.iq_misses.clear();
             if let Some(persist) = shared.persist.as_ref() {
                 persist.append_clear(&shared.store);
             }
             kvlog!(LogLevel::Info, "flush_all");
-            writeln_crlf(writer, "OK")?;
+            writeln_crlf(out, "OK");
         }
         Command::Version => {
-            writeln_crlf(
-                writer,
-                concat!("VERSION camp-kvs/", env!("CARGO_PKG_VERSION")),
-            )?;
+            writeln_crlf(out, concat!("VERSION camp-kvs/", env!("CARGO_PKG_VERSION")));
         }
         Command::Stats { scope } => match scope {
             StatsScope::Summary => {
                 for stat_line in telemetry_report(shared).summary_lines() {
-                    writeln_crlf(writer, &stat_line)?;
+                    writeln_crlf(out, &stat_line);
                 }
-                writeln_crlf(writer, "END")?;
+                writeln_crlf(out, "END");
             }
             StatsScope::Detail => {
                 for stat_line in telemetry_report(shared).detail_lines() {
-                    writeln_crlf(writer, &stat_line)?;
+                    writeln_crlf(out, &stat_line);
                 }
-                writeln_crlf(writer, "END")?;
+                writeln_crlf(out, "END");
             }
             StatsScope::Reset => {
                 shared.store.reset_stats();
                 shared.metrics.reset();
                 shared.recorder.reset_derived();
                 shared.reactor_stats.reset();
-                // ordering: Relaxed(x2) — statistics counter resets.
-                shared.iq_misses.swept.store(0, Ordering::Relaxed);
-                shared.iq_misses.dropped.store(0, Ordering::Relaxed);
                 kvlog!(LogLevel::Info, "stats_reset");
-                writeln_crlf(writer, "RESET")?;
+                writeln_crlf(out, "RESET");
             }
             StatsScope::Profile => {
                 for stat_line in telemetry_report(shared).profile_lines() {
-                    writeln_crlf(writer, &stat_line)?;
+                    writeln_crlf(out, &stat_line);
                 }
-                writeln_crlf(writer, "END")?;
+                writeln_crlf(out, "END");
             }
         },
         Command::Trace => {
             for trace_line in trace_lines(shared) {
-                writeln_crlf(writer, &trace_line)?;
+                writeln_crlf(out, &trace_line);
             }
-            writeln_crlf(writer, "END")?;
+            writeln_crlf(out, "END");
         }
-        Command::Quit => return Ok(false),
+        Command::Quit => {}
     }
-    Ok(true)
 }
 
 /// How many recent spans / eviction events a `trace` dump includes (the
@@ -919,10 +793,7 @@ fn telemetry_report(shared: &Shared) -> TelemetryReport {
         conn_rejected: shared.metrics.rejected_snapshot(),
         faults_injected: shared.metrics.faults_snapshot(),
         lock_poison_recovered: crate::sync::poison_recovered_total(),
-        iq_miss_registry_size: shared.iq_misses.len() as u64,
-        // ordering: Relaxed(x2) — statistics counters.
-        iq_sweep_reclaimed: shared.iq_misses.swept.load(Ordering::Relaxed),
-        iq_misses_dropped: shared.iq_misses.dropped.load(Ordering::Relaxed),
+        iq_miss_registry_size: shared.store.iq_misses_pending() as u64,
         shadow: shared.store.shadow_estimates(),
         shadow_sample_modulus: shared.store.shadow_sample_modulus(),
         spans_recorded: shared.recorder.spans_recorded(),
@@ -1009,33 +880,27 @@ fn serve_metrics_once(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()>
 }
 
 fn apply_set(header: &SetHeader<'_>, data: &[u8], shared: &Shared, now: Stamp) -> &'static str {
-    let iq = header.verb == SetVerb::IqSet;
-    // The key's one hash: the registry stripe, the shard, the index and
-    // the policy all take it from here.
+    // The key's one hash: the shard, its policy and its IQ timers all
+    // take it from here.
     let h = shared.store.hash(header.key);
-    // Cost: explicit hint, else the IQ registry's elapsed time, else 0.
-    let cost = match header.cost_hint {
-        Some(hint) => {
-            if iq {
-                // The hint supersedes the registry entry.
-                shared.iq_misses.discard(shared.store.shard_of(h), h.fp);
-            }
-            hint
-        }
-        None if iq => shared
-            .iq_misses
-            .take(shared.store.shard_of(h), h.fp, now.at)
-            .map_or(0, duration_micros),
-        None => 0,
-    };
     let expires_at = expiry_to_absolute(header.exptime, now.unix_secs);
     let mut shard = shared.store.shard(h);
+    // An `iqset` stops its key's timer either way; a cost hint supersedes
+    // what it measured. Cost: the hint, else the timer, else 0.
+    let timed = match header.verb {
+        SetVerb::IqSet => shard.take_iq_miss(h.fp, now.at),
+        _ => None,
+    };
+    let cost = header
+        .cost_hint
+        .unwrap_or_else(|| timed.map_or(0, duration_micros));
+    let flags = header.flags;
     let result = match header.verb {
         SetVerb::Set | SetVerb::IqSet => shard
-            .set_hashed(h, data, header.flags, expires_at, cost)
+            .set_hashed(h, data, flags, expires_at, cost)
             .map(|()| true),
-        SetVerb::Add => shard.add_hashed(h, data, header.flags, expires_at, cost),
-        SetVerb::Replace => shard.replace_hashed(h, data, header.flags, expires_at, cost),
+        SetVerb::Add => shard.add_hashed(h, data, flags, expires_at, cost, now.unix_secs),
+        SetVerb::Replace => shard.replace_hashed(h, data, flags, expires_at, cost, now.unix_secs),
     };
     drop(shard);
     match result {
@@ -1074,9 +939,9 @@ fn expiry_to_absolute(exptime: u64, now_secs: u64) -> u64 {
     }
 }
 
-fn writeln_crlf<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\r\n")
+fn writeln_crlf(out: &mut Vec<u8>, line: &str) {
+    out.extend_from_slice(line.as_bytes());
+    out.extend_from_slice(b"\r\n");
 }
 
 #[cfg(test)]
@@ -1103,61 +968,6 @@ mod tests {
         assert_eq!(expiry_to_absolute(0, 1_000), 0);
         assert_eq!(expiry_to_absolute(60, 1_000), 1_060);
         assert_eq!(expiry_to_absolute(4_000_000_000, 1_000), 4_000_000_000);
-    }
-
-    #[test]
-    fn iq_registry_stripe_is_capped_and_keeps_its_timers() {
-        let registry = IqRegistry::new(1);
-        // An early miss whose `iqset` comes back after the flood.
-        let t0 = Instant::now();
-        registry.record_miss(0, u64::MAX, t0);
-        for fp in 0..4 * IQ_STRIPE_CAP as u64 {
-            registry.record_miss(0, fp, t0);
-        }
-        assert!(registry.len() <= IQ_STRIPE_CAP, "len {}", registry.len());
-        // ordering: Relaxed — test read of a statistics counter.
-        let dropped = registry.dropped.load(Ordering::Relaxed);
-        assert_eq!(dropped, 3 * IQ_STRIPE_CAP as u64 + 1);
-        // Re-recording a key the full stripe already holds is not a drop.
-        registry.record_miss(0, 7, t0);
-        assert_eq!(registry.dropped.load(Ordering::Relaxed), dropped);
-        // The recorded entry still prices its pair, from the clock the
-        // caller hands in; a dropped one costs 0, and so does one whose
-        // pair comes back after the TTL.
-        let later = t0 + Duration::from_millis(2);
-        assert_eq!(
-            registry.take(0, u64::MAX, later),
-            Some(Duration::from_millis(2))
-        );
-        assert!(registry
-            .take(0, 4 * IQ_STRIPE_CAP as u64 - 1, later)
-            .is_none());
-        assert!(registry.take(0, 7, t0 + IQ_MISS_TTL).is_none());
-        registry.record_miss(0, 7, t0);
-        assert_eq!(registry.len(), IQ_STRIPE_CAP - 1);
-    }
-
-    #[test]
-    fn a_full_iq_stripe_sweeps_ahead_of_the_ttl_schedule() {
-        let now = Instant::now();
-        let (Some(expired), Some(swept_recently)) = (
-            now.checked_sub(IQ_MISS_TTL + Duration::from_secs(1)),
-            now.checked_sub(IQ_FULL_SWEEP_GAP * 2),
-        ) else {
-            return; // the monotonic clock is younger than the TTL
-        };
-        let registry = IqRegistry::new(1);
-        {
-            let mut stripe = lock(&registry.stripes[0]);
-            stripe.misses = (0..IQ_STRIPE_CAP as u64).map(|fp| (fp, expired)).collect();
-            stripe.last_sweep = swept_recently;
-        }
-        registry.record_miss(0, u64::MAX, now);
-        assert_eq!(registry.len(), 1, "the abandoned entries were swept");
-        // ordering: Relaxed(x2) — test reads of statistics counters.
-        assert_eq!(registry.swept.load(Ordering::Relaxed), IQ_STRIPE_CAP as u64);
-        assert_eq!(registry.dropped.load(Ordering::Relaxed), 0);
-        assert!(registry.take(0, u64::MAX, now).is_some());
     }
 
     #[test]

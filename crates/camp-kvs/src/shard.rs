@@ -14,9 +14,9 @@
 //!
 //! The sharded store owns the one fingerprint seed: a key is hashed once,
 //! *before* any lock is taken, the shard is picked from the fingerprint's
-//! high half, and the same fingerprint then keys that shard's index (whose
-//! table uses the low bits) and policy — so every shard is built with a
-//! copy of this store's fingerprinter and none hashes the key again.
+//! high half, and the same fingerprint then keys that shard's policy (whose
+//! table uses the low bits) and IQ cost timers — so every shard is built
+//! with a copy of this store's fingerprinter and none hashes the key again.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -24,9 +24,7 @@ use camp_policies::{PolicyStats, ShadowEstimate, ShadowProfiler, SharedTraceSink
 
 use crate::fingerprint::{Fingerprinter, Hashed};
 use crate::slab::SlabConfig;
-use crate::store::{
-    unix_now, EvictionTotals, GetResult, Store, StoreConfig, StoreError, StoreStats,
-};
+use crate::store::{unix_now, EvictionTotals, Store, StoreConfig, StoreError, StoreStats};
 use crate::sync::lock;
 
 /// One shard's telemetry snapshot (see [`ShardedStore::per_shard`]).
@@ -55,7 +53,7 @@ pub struct ShardSnapshot {
 ///
 /// let store = ShardedStore::new(StoreConfig::camp_with_memory(8 << 20), 4);
 /// store.set(b"k", b"v", 0, 0, 10)?;
-/// assert_eq!(store.get(b"k").expect("resident").value, b"v");
+/// assert_eq!(store.get_with(b"k", |item| item.value.to_vec()), Some(b"v".to_vec()));
 /// # Ok::<(), camp_kvs::store::StoreError>(())
 /// ```
 #[derive(Debug)]
@@ -143,11 +141,10 @@ impl ShardedStore {
         self.fingerprinter.hash(key)
     }
 
-    /// The shard (and IQ-registry stripe) of a hashed key: taken from the
-    /// fingerprint's high half, since the shard's own table indexes
-    /// buckets with the low bits.
+    /// The shard of a hashed key: taken from the fingerprint's high half,
+    /// since the shard's own table indexes buckets with the low bits.
     #[inline]
-    pub(crate) fn shard_of(&self, h: Hashed<'_>) -> usize {
+    fn shard_of(&self, h: Hashed<'_>) -> usize {
         ((h.fp >> 32) % self.shards.len() as u64) as usize
     }
 
@@ -162,26 +159,16 @@ impl ShardedStore {
         self.shards.iter().map(|s| lock(s).policy_name()).collect()
     }
 
-    /// Looks up `key` in its shard (recency updated there).
-    pub fn get(&self, key: &[u8]) -> Option<GetResult> {
-        self.get_with(key, |item| GetResult {
-            value: item.value.to_vec(),
-            flags: item.flags,
-            cost: item.cost,
-        })
-    }
-
-    /// Copy-free lookup: applies `f` to the item inside its slab chunk
-    /// while the shard lock is held (see [`Store::get_with`]). The server's
-    /// get path uses this to serialize the wire response without copying
-    /// the value out of the arena first.
+    /// Copy-free lookup in `key`'s shard (recency updated there): applies
+    /// `f` to the item inside its slab chunk while the shard lock is held
+    /// (see [`Store::get_with`]).
     pub fn get_with<R>(
         &self,
         key: &[u8],
         f: impl FnOnce(&crate::item::Item<'_>) -> R,
     ) -> Option<R> {
         let (h, now) = (self.hash(key), unix_now());
-        self.shard(h).get_with_at_hashed(h, now, f)
+        self.shard(h).get_hashed(h, now, f)
     }
 
     /// Stores a pair in its shard.
@@ -203,8 +190,8 @@ impl ShardedStore {
 
     /// Deletes `key` from its shard.
     pub fn delete(&self, key: &[u8]) -> bool {
-        let h = self.hash(key);
-        self.shard(h).delete_hashed(h)
+        let (h, now) = (self.hash(key), unix_now());
+        self.shard(h).delete_hashed(h, now)
     }
 
     /// Stores only if absent (`add`), atomically within the shard.
@@ -220,8 +207,9 @@ impl ShardedStore {
         expires_at: u64,
         cost: u64,
     ) -> Result<bool, StoreError> {
-        let h = self.hash(key);
-        self.shard(h).add_hashed(h, value, flags, expires_at, cost)
+        let (h, now) = (self.hash(key), unix_now());
+        self.shard(h)
+            .add_hashed(h, value, flags, expires_at, cost, now)
     }
 
     /// Stores only if present (`replace`), atomically within the shard.
@@ -237,36 +225,53 @@ impl ShardedStore {
         expires_at: u64,
         cost: u64,
     ) -> Result<bool, StoreError> {
-        let h = self.hash(key);
+        let (h, now) = (self.hash(key), unix_now());
         self.shard(h)
-            .replace_hashed(h, value, flags, expires_at, cost)
+            .replace_hashed(h, value, flags, expires_at, cost, now)
     }
 
     /// Atomic numeric increment within the shard.
     pub fn incr(&self, key: &[u8], delta: u64) -> Option<u64> {
-        let h = self.hash(key);
-        let rewritten = self.shard(h).add_signed(h, delta, true);
+        let (h, now) = (self.hash(key), unix_now());
+        let rewritten = self.shard(h).add_signed(h, delta, true, now);
         rewritten.map(|(next, _)| next)
     }
 
     /// Atomic numeric decrement within the shard (floored at zero).
     pub fn decr(&self, key: &[u8], delta: u64) -> Option<u64> {
-        let h = self.hash(key);
-        let rewritten = self.shard(h).add_signed(h, delta, false);
+        let (h, now) = (self.hash(key), unix_now());
+        let rewritten = self.shard(h).add_signed(h, delta, false, now);
         rewritten.map(|(next, _)| next)
     }
 
     /// Updates a resident key's expiry.
     pub fn touch(&self, key: &[u8], expires_at: u64) -> bool {
-        let h = self.hash(key);
-        self.shard(h).touch_hashed(h, expires_at)
+        let (h, now) = (self.hash(key), unix_now());
+        self.shard(h).touch_hashed(h, expires_at, now)
     }
 
-    /// Drops every item from every shard.
+    /// Drops every item and IQ cost timer from every shard.
     pub fn flush_all(&self) {
         for shard in &self.shards {
             lock(shard).flush_all();
         }
+    }
+
+    /// Removes every item expired by `now` from every shard (see
+    /// [`Store::drop_expired`]).
+    pub(crate) fn drop_expired(&self, now: u64) {
+        for shard in &self.shards {
+            lock(shard).drop_expired(now);
+        }
+    }
+
+    /// Unmatched `iqget` misses whose cost timers are running, across
+    /// shards.
+    pub(crate) fn iq_misses_pending(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| lock(s).iq_misses_pending())
+            .sum()
     }
 
     /// Whether `key` is resident.
@@ -323,6 +328,8 @@ impl ShardedStore {
             total.slab_reclaims += s.slab_reclaims;
             total.expired += s.expired;
             total.fingerprint_collisions += s.fingerprint_collisions;
+            total.iq_sweep_reclaimed += s.iq_sweep_reclaimed;
+            total.iq_misses_dropped += s.iq_misses_dropped;
         }
         total
     }
@@ -441,8 +448,8 @@ mod tests {
         for i in 0..100u32 {
             let key = format!("key-{i}");
             assert_eq!(
-                store.get(key.as_bytes()).unwrap().value,
-                format!("v{i}").as_bytes()
+                store.get_with(key.as_bytes(), |item| item.value.to_vec()),
+                Some(format!("v{i}").into_bytes())
             );
         }
         assert!(store.delete(b"key-50"));
@@ -504,7 +511,7 @@ mod tests {
                                 store.delete(key.as_bytes());
                             }
                             _ => {
-                                let _ = store.get(key.as_bytes());
+                                let _ = store.get_with(key.as_bytes(), |_| ());
                             }
                         }
                     }
@@ -533,7 +540,40 @@ mod tests {
         store.set(b"a", b"1", 0, 0, 10).unwrap();
         store.set(b"a", b"2", 0, 0, 10).unwrap();
         assert_eq!(store.len(), 1);
-        assert_eq!(store.get(b"a").unwrap().value, b"2");
+        assert_eq!(
+            store.get_with(b"a", |item| item.value.to_vec()),
+            Some(b"2".to_vec())
+        );
+    }
+
+    #[test]
+    fn flush_all_stops_every_iq_timer_and_reset_stats_zeroes_their_counters() {
+        use crate::store::{IQ_MISS_TTL, IQ_SHARD_CAP};
+        let store = sharded(4);
+        let t0 = std::time::Instant::now();
+        // One shard past its cap, then one TTL later: a drop and a sweep.
+        let h = store.hash(b"full");
+        {
+            let mut shard = store.shard(h);
+            for fp in 0..=IQ_SHARD_CAP as u64 {
+                shard.record_iq_miss(fp, t0);
+            }
+            shard.record_iq_miss(h.fp, t0 + IQ_MISS_TTL);
+        }
+        let keys: Vec<String> = (0..8).map(|i| format!("key-{i}")).collect();
+        for key in &keys {
+            let h = store.hash(key.as_bytes());
+            store.shard(h).record_iq_miss(h.fp, t0 + IQ_MISS_TTL);
+        }
+        let stats = store.stats();
+        assert_eq!(stats.iq_misses_dropped, 1);
+        assert_eq!(stats.iq_sweep_reclaimed, IQ_SHARD_CAP as u64);
+        assert_eq!(store.iq_misses_pending(), 1 + keys.len());
+        store.flush_all();
+        assert_eq!(store.iq_misses_pending(), 0);
+        assert!(store.shard(h).take_iq_miss(h.fp, t0).is_none());
+        store.reset_stats();
+        assert_eq!(store.stats(), StoreStats::default());
     }
 
     #[test]
@@ -567,7 +607,7 @@ mod tests {
         for i in 0..2000u32 {
             let key = format!("key-{i}");
             store.set(key.as_bytes(), &[0u8; 40], 0, 0, 1).unwrap();
-            let _ = store.get(key.as_bytes());
+            let _ = store.get_with(key.as_bytes(), |_| ());
         }
         let merged = store.shadow_estimates();
         assert_eq!(merged.len(), 3);

@@ -167,7 +167,7 @@ struct SlabClass {
 ///
 /// let mut slabs = SlabAllocator::new(SlabConfig::small(4096, 4));
 /// let chunk = slabs.allocate(100)?;
-/// slabs.write(chunk, b"hello");
+/// slabs.chunk_mut(chunk)[..5].copy_from_slice(b"hello");
 /// assert_eq!(&slabs.read(chunk)[..5], b"hello");
 /// slabs.free(chunk);
 /// # Ok::<(), camp_kvs::slab::SlabError>(())
@@ -347,34 +347,12 @@ impl SlabAllocator {
         class.free.push(chunk);
     }
 
-    /// Write `bytes` into a chunk (must fit the chunk size).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` exceeds the chunk size.
-    pub fn write(&mut self, chunk: ChunkRef, bytes: &[u8]) {
+    /// A chunk's full contents, writable in place: the store encodes an
+    /// item straight into it, and rewrites a header field through it.
+    pub fn chunk_mut(&mut self, chunk: ChunkRef) -> &mut [u8] {
         let chunk_size = self.class_sizes[chunk.class as usize] as usize;
-        assert!(bytes.len() <= chunk_size, "write exceeds chunk size");
         let offset = chunk.chunk as usize * chunk_size;
-        let slab = &mut self.slabs[chunk.slab as usize];
-        slab.data[offset..offset + bytes.len()].copy_from_slice(bytes);
-    }
-
-    /// Write `bytes` into a chunk starting at `offset` (for in-place header
-    /// updates such as `touch`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the write would cross the chunk boundary.
-    pub fn write_at(&mut self, chunk: ChunkRef, offset: usize, bytes: &[u8]) {
-        let chunk_size = self.class_sizes[chunk.class as usize] as usize;
-        assert!(
-            offset + bytes.len() <= chunk_size,
-            "write_at exceeds chunk size"
-        );
-        let base = chunk.chunk as usize * chunk_size + offset;
-        let slab = &mut self.slabs[chunk.slab as usize];
-        slab.data[base..base + bytes.len()].copy_from_slice(bytes);
+        &mut self.slabs[chunk.slab as usize].data[offset..offset + chunk_size]
     }
 
     /// Read a chunk's full contents.
@@ -496,8 +474,8 @@ mod tests {
         let mut slabs = SlabAllocator::new(SlabConfig::small(4096, 2));
         let a = slabs.allocate(100).unwrap();
         let b = slabs.allocate(100).unwrap();
-        slabs.write(a, b"aaaa");
-        slabs.write(b, b"bbbb");
+        slabs.chunk_mut(a)[..4].copy_from_slice(b"aaaa");
+        slabs.chunk_mut(b)[..4].copy_from_slice(b"bbbb");
         assert_eq!(&slabs.read(a)[..4], b"aaaa");
         assert_eq!(&slabs.read(b)[..4], b"bbbb");
         slabs.free(a);

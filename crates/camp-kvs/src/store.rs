@@ -44,6 +44,20 @@
 //! its own once expired (which `take` then removes) — still count as a
 //! reference to it.
 //!
+//! Every verb — the read, `delete`, `touch`, `add`, `replace`, `incr`,
+//! `decr` — finds its item through that one residency check, at the clock
+//! the caller hands in: an item expired by then is absent, as in
+//! memcached, and the check removes it on the spot (counted in
+//! [`StoreStats::expired`]). A set is written once, encoded straight into
+//! its slab chunk.
+//!
+//! The store also keeps the IQ framework's cost timers for its keys: an
+//! `iqget` miss starts one (`Store::record_iq_miss`) and the paired
+//! `iqset` stops it (`Store::take_iq_miss`), its elapsed microseconds
+//! becoming the pair's cost (§4). In a sharded store each shard times its
+//! own keys, so both commands of the pair take only the lock of the shard
+//! they read or write anyway.
+//!
 //! Two distinct keys share a fingerprint about once in 2⁶⁴ pairs (n²/2⁶⁵
 //! for n residents: 3·10⁻⁶ at ten million items). The store handles that
 //! as a cache may: the fingerprint's slot holds one key at a time. Reading
@@ -55,6 +69,7 @@
 
 use std::cell::RefCell;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 pub use camp_policies::EvictionMode;
 use camp_policies::{
@@ -63,9 +78,25 @@ use camp_policies::{
 };
 use camp_telemetry::{HistogramSnapshot, LocalHistogram};
 
-use crate::fingerprint::{Fingerprinter, Hashed};
-use crate::item::{Item, EXPIRY_OFFSET};
+use crate::fingerprint::{FingerprintMap, Fingerprinter, Hashed};
+use crate::item::{Item, EXPIRY_OFFSET, HEADER_LEN};
 use crate::slab::{ChunkRef, SlabAllocator, SlabConfig, SlabError};
+
+/// How long an unmatched `iqget` miss is timed. A client that never issues
+/// the paired `iqset` (crashed, gave up) would otherwise leak its timer
+/// forever; the sweep drops timers past this age.
+pub(crate) const IQ_MISS_TTL: Duration = Duration::from_secs(120);
+
+/// Most unmatched misses one store times (~2 MiB of fixed-size entries).
+/// Past it, new misses go untimed — their `iqset` falls back to its hint
+/// or cost 0, as for an expired timer — so an `iqget`-only client walking
+/// unique keys cannot grow the timers without limit inside one TTL period.
+pub(crate) const IQ_SHARD_CAP: usize = 1 << 16;
+
+/// Shortest gap between sweeps of a *full* set of timers: a full store
+/// sweeps ahead of the TTL schedule, but not on every miss (a sweep is
+/// O(cap)).
+const IQ_FULL_SWEEP_GAP: Duration = Duration::from_secs(1);
 
 /// Store configuration.
 ///
@@ -130,6 +161,12 @@ pub struct StoreStats {
     /// fingerprint was stored (an overwrite, not an eviction). Zero in
     /// normal operation: expect one per ~2⁶⁴ resident key pairs.
     pub fingerprint_collisions: u64,
+    /// IQ cost timers dropped by the TTL sweep: clients that armed the
+    /// timer with an `iqget` miss and never sent the `iqset`.
+    pub iq_sweep_reclaimed: u64,
+    /// `iqget` misses left untimed because the store already timed as
+    /// many unmatched misses as it keeps.
+    pub iq_misses_dropped: u64,
 }
 
 /// Totals and distributions over the decisions a store's policy reported
@@ -240,18 +277,6 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// A successful `get`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct GetResult {
-    /// The value bytes (copied out of the chunk).
-    pub value: Vec<u8>,
-    /// Client flags.
-    pub flags: u32,
-    /// The cost recorded at set time.
-    pub cost: u64,
-}
-
 /// The slab-backed cache store.
 ///
 /// # Examples
@@ -261,9 +286,8 @@ pub struct GetResult {
 ///
 /// let mut store = Store::new(StoreConfig::camp_with_memory(4 << 20));
 /// store.set(b"user:1", b"alice", 0, 0, 1_000)?;
-/// let hit = store.get(b"user:1").expect("resident");
-/// assert_eq!(hit.value, b"alice");
-/// assert_eq!(hit.cost, 1_000);
+/// let hit = store.get_with(b"user:1", |item| (item.value.to_vec(), item.cost));
+/// assert_eq!(hit, Some((b"alice".to_vec(), 1_000)));
 /// assert_eq!(store.policy_name(), "camp(p=5)");
 /// # Ok::<(), camp_kvs::store::StoreError>(())
 /// ```
@@ -275,9 +299,12 @@ pub struct Store {
     fingerprinter: Fingerprinter,
     mode: EvictionMode,
     stats: StoreStats,
-    /// Reusable item-encoding scratch: the set path allocates nothing once
-    /// this buffer's capacity covers the largest item seen.
-    encode_buf: Vec<u8>,
+    /// IQ cost timers: fingerprint → when its `iqget` missed. Two keys
+    /// sharing a fingerprint share a timer: the later `iqset` measures from
+    /// the later miss, a cost error no larger than the gap between them.
+    iq_misses: FingerprintMap<Instant>,
+    /// When `iq_misses` was last swept of expired timers.
+    iq_last_sweep: Instant,
     /// Online miss-ratio/cost-miss profiler: spatially sampled shadow
     /// caches at 0.5×/1×/2× capacity, fed from the get/set/delete paths.
     profiler: ShadowProfiler,
@@ -328,7 +355,8 @@ impl Store {
             profiler: ShadowProfiler::new(&config.eviction, policy_budget(&config.slab)),
             mode: config.eviction,
             stats: StoreStats::default(),
-            encode_buf: Vec::new(),
+            iq_misses: FingerprintMap::default(),
+            iq_last_sweep: Instant::now(),
             sink: None,
             trace: EvictionTally::default(),
         }
@@ -442,74 +470,83 @@ impl Store {
         self.slabs.config()
     }
 
-    /// Looks up `key`, updating recency. Expired items are dropped.
-    pub fn get(&mut self, key: &[u8]) -> Option<GetResult> {
-        self.get_at(key, unix_now())
+    /// The item stored for exactly `h.key`, expired or not; no recency
+    /// update. A different key under the same fingerprint is not this key.
+    fn resident(&self, h: Hashed<'_>) -> Option<Item<'_>> {
+        let item = Item::decode(self.slabs.read(*self.policy.peek(&h.fp)?));
+        (item.key == h.key).then_some(item)
     }
 
-    /// `chunk` with its decoded item, if it holds exactly `h.key`: a
-    /// different key under the same fingerprint is not this key. Over the
-    /// slabs alone, so the get path can go on to update stats while the
-    /// item borrows them.
-    #[inline]
-    fn holding<'s>(
-        slabs: &'s SlabAllocator,
-        h: Hashed<'_>,
-        chunk: ChunkRef,
-    ) -> Option<(ChunkRef, Item<'s>)> {
-        let item = Item::decode(slabs.read(chunk));
-        (item.key == h.key).then_some((chunk, item))
+    /// The one residency check every verb makes: the chunk holding exactly
+    /// `h.key`, if that item is live at `now`. A read (`reference`) probes
+    /// with `policy.get`, refreshing the slot's recency before the checks
+    /// (see the module docs); the other verbs only peek. An item expired
+    /// by `now` is removed here and is not resident.
+    // Forced inline: as its own call, the check cost a read miss about
+    // 10 % (`store/get_miss`).
+    #[inline(always)]
+    fn live(&mut self, h: Hashed<'_>, now: u64, reference: bool) -> Option<ChunkRef> {
+        self.debug_check(h);
+        let slot = if reference {
+            self.policy.get(&h.fp)
+        } else {
+            self.policy.peek(&h.fp)
+        };
+        let chunk = *slot?;
+        let item = Item::decode(self.slabs.read(chunk));
+        if item.key != h.key {
+            return None;
+        }
+        if !item.expired(now) {
+            return Some(chunk);
+        }
+        self.expire(h.fp, chunk);
+        None
     }
 
-    /// The chunk resident for exactly `h.key`, with its decoded item; no
-    /// recency update.
-    fn resident(&self, h: Hashed<'_>) -> Option<(ChunkRef, Item<'_>)> {
-        Self::holding(&self.slabs, h, *self.policy.peek(&h.fp)?)
+    /// Drops an expired item: lazily, when a verb finds it, or in
+    /// recovery's sweep.
+    fn expire(&mut self, fp: u64, chunk: ChunkRef) {
+        self.policy.take(&fp);
+        self.slabs.free(chunk);
+        self.stats.expired += 1;
+        self.profiler.record_delete(&fp);
     }
 
-    /// Like [`Store::get`] with an explicit clock (for tests and replay).
-    pub fn get_at(&mut self, key: &[u8], now: u64) -> Option<GetResult> {
-        self.get_with_at(key, now, |item| GetResult {
-            value: item.value.to_vec(),
-            flags: item.flags,
-            cost: item.cost,
-        })
+    /// Removes every item expired by `now`, as the residency check would
+    /// on first use. Recovery replays the journal with the clock stopped,
+    /// then calls this once, at boot time.
+    pub(crate) fn drop_expired(&mut self, now: u64) {
+        let mut expired = Vec::new();
+        self.policy.for_each(&mut |&fp, &chunk| {
+            if Item::decode(self.slabs.read(chunk)).expired(now) {
+                expired.push((fp, chunk));
+            }
+        });
+        for (fp, chunk) in expired {
+            self.expire(fp, chunk);
+        }
     }
 
     /// Copy-free lookup: on a live hit, applies `f` to the [`Item`] while
     /// it still resides in its slab chunk and returns the result. Recency
-    /// is updated and expired items are dropped, exactly like
-    /// [`Store::get`], but no bytes are copied out of the arena — the
-    /// server's get path serializes the wire response from inside the
+    /// is updated and an expired item is dropped; no bytes are copied out
+    /// of the arena — the server serializes the wire reply from inside the
     /// visitor. This path is allocation-free.
     pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(&Item<'_>) -> R) -> Option<R> {
-        self.get_with_at(key, unix_now(), f)
+        self.get_hashed(self.fingerprinter.hash(key), unix_now(), f)
     }
 
-    /// Like [`Store::get_with`] with an explicit clock.
-    pub fn get_with_at<R>(
-        &mut self,
-        key: &[u8],
-        now: u64,
-        f: impl FnOnce(&Item<'_>) -> R,
-    ) -> Option<R> {
-        self.get_with_at_hashed(self.fingerprinter.hash(key), now, f)
-    }
-
-    /// [`Store::get_with_at`] for a key fingerprinted by the caller — the
-    /// server's entry point, which reads the clock once per connection
-    /// cycle rather than once per lookup.
-    pub(crate) fn get_with_at_hashed<R>(
+    /// [`Store::get_with`] for a key fingerprinted by the caller, at the
+    /// caller's clock: the server's read, which reads the clock once per
+    /// reactor wakeup rather than once per lookup.
+    pub(crate) fn get_hashed<R>(
         &mut self,
         h: Hashed<'_>,
         now: u64,
         f: impl FnOnce(&Item<'_>) -> R,
     ) -> Option<R> {
-        self.debug_check(h);
-        // One probe, which refreshes the resident's recency before the key
-        // and expiry checks (see the module docs).
-        let chunk = self.policy.get(&h.fp).copied();
-        let Some((chunk, item)) = chunk.and_then(|c| Self::holding(&self.slabs, h, c)) else {
+        let Some(chunk) = self.live(h, now, true) else {
             self.stats.get_misses += 1;
             // The miss cost is unknown until the pair is set; charging zero
             // undercounts est_miss_cost equally at every scale, so the
@@ -517,23 +554,47 @@ impl Store {
             self.profiler.record_get(&h.fp, 0, 0);
             return None;
         };
-        if item.expires_at == 0 || item.expires_at > now {
-            self.stats.get_hits += 1;
-            self.profiler.record_get(
-                &h.fp,
-                Item::encoded_len(h.key.len(), item.value.len()) as u64,
-                item.cost,
-            );
-            return Some(f(&item));
+        let item = Item::decode(self.slabs.read(chunk));
+        self.stats.get_hits += 1;
+        let size = Item::encoded_len(h.key.len(), item.value.len()) as u64;
+        self.profiler.record_get(&h.fp, size, item.cost);
+        Some(f(&item))
+    }
+
+    /// Starts the IQ cost timer of an `iqget` that missed at `now`. The
+    /// timers are swept of expired entries once per TTL period, or sooner
+    /// (at most once per `IQ_FULL_SWEEP_GAP`) while the store times as
+    /// many misses as it keeps; if it still does after the sweep, the miss
+    /// goes untimed (amortized O(1) per miss either way).
+    pub(crate) fn record_iq_miss(&mut self, fp: u64, now: Instant) {
+        // Saturating: `now` is the caller's stamp, which another worker's
+        // later-stamped sweep may already have passed.
+        let since_sweep = now.saturating_duration_since(self.iq_last_sweep);
+        let full = self.iq_misses.len() >= IQ_SHARD_CAP;
+        if since_sweep >= IQ_MISS_TTL || (full && since_sweep >= IQ_FULL_SWEEP_GAP) {
+            let before = self.iq_misses.len();
+            self.iq_misses
+                .retain(|_, started| now.saturating_duration_since(*started) < IQ_MISS_TTL);
+            self.stats.iq_sweep_reclaimed += (before - self.iq_misses.len()) as u64;
+            self.iq_last_sweep = now;
         }
-        // Expired: drop it lazily.
-        self.policy.take(&h.fp);
-        self.slabs.free(chunk);
-        self.stats.expired += 1;
-        self.stats.get_misses += 1;
-        self.profiler.record_get(&h.fp, 0, 0);
-        self.profiler.record_delete(&h.fp);
-        None
+        if self.iq_misses.len() >= IQ_SHARD_CAP && !self.iq_misses.contains_key(&fp) {
+            self.stats.iq_misses_dropped += 1;
+            return;
+        }
+        self.iq_misses.insert(fp, now);
+    }
+
+    /// Stops the IQ cost timer for `fp`, returning how long it ran if it
+    /// was running and had not expired by `now`.
+    pub(crate) fn take_iq_miss(&mut self, fp: u64, now: Instant) -> Option<Duration> {
+        let started = self.iq_misses.remove(&fp)?;
+        Some(now.saturating_duration_since(started)).filter(|&age| age < IQ_MISS_TTL)
+    }
+
+    /// Unmatched `iqget` misses whose timers are running.
+    pub(crate) fn iq_misses_pending(&self) -> usize {
+        self.iq_misses.len()
     }
 
     /// Whether `key` is resident (no recency update, no expiry check).
@@ -575,7 +636,7 @@ impl Store {
     }
 
     pub(crate) fn peek_meta_hashed(&self, h: Hashed<'_>) -> Option<(u32, u64, u64)> {
-        let (_, item) = self.resident(h)?;
+        let item = self.resident(h)?;
         Some((item.flags, item.expires_at, item.cost))
     }
 
@@ -651,8 +712,7 @@ impl Store {
             cost,
             expires_at,
         };
-        item.encode_to(&mut self.encode_buf);
-        self.slabs.write(chunk, &self.encode_buf);
+        item.encode_into(self.slabs.chunk_mut(chunk));
         // Admit the chunk into the policy, which may evict on its own
         // logical budget (rare — slab exhaustion normally fires first,
         // above — so the list seldom allocates).
@@ -691,10 +751,11 @@ impl Store {
         expires_at: u64,
         cost: u64,
     ) -> Result<bool, StoreError> {
-        self.add_hashed(self.fingerprinter.hash(key), value, flags, expires_at, cost)
+        let h = self.fingerprinter.hash(key);
+        self.add_hashed(h, value, flags, expires_at, cost, unix_now())
     }
 
-    /// [`Store::add`] for a key fingerprinted by the caller.
+    /// [`Store::add`] for a key fingerprinted by the caller, at its clock.
     pub(crate) fn add_hashed(
         &mut self,
         h: Hashed<'_>,
@@ -702,8 +763,9 @@ impl Store {
         flags: u32,
         expires_at: u64,
         cost: u64,
+        now: u64,
     ) -> Result<bool, StoreError> {
-        if self.contains_hashed(h) {
+        if self.live(h, now, false).is_some() {
             return Ok(false);
         }
         self.set_hashed(h, value, flags, expires_at, cost)
@@ -724,10 +786,12 @@ impl Store {
         expires_at: u64,
         cost: u64,
     ) -> Result<bool, StoreError> {
-        self.replace_hashed(self.fingerprinter.hash(key), value, flags, expires_at, cost)
+        let h = self.fingerprinter.hash(key);
+        self.replace_hashed(h, value, flags, expires_at, cost, unix_now())
     }
 
-    /// [`Store::replace`] for a key fingerprinted by the caller.
+    /// [`Store::replace`] for a key fingerprinted by the caller, at its
+    /// clock.
     pub(crate) fn replace_hashed(
         &mut self,
         h: Hashed<'_>,
@@ -735,8 +799,9 @@ impl Store {
         flags: u32,
         expires_at: u64,
         cost: u64,
+        now: u64,
     ) -> Result<bool, StoreError> {
-        if !self.contains_hashed(h) {
+        if self.live(h, now, false).is_none() {
             return Ok(false);
         }
         self.set_hashed(h, value, flags, expires_at, cost)
@@ -748,29 +813,31 @@ impl Store {
     /// is not an unsigned decimal number. Flags, expiry and cost are
     /// preserved.
     pub fn incr(&mut self, key: &[u8], delta: u64) -> Option<u64> {
-        self.add_signed(self.fingerprinter.hash(key), delta, true)
+        self.add_signed(self.fingerprinter.hash(key), delta, true, unix_now())
             .map(|(next, _)| next)
     }
 
     /// Memcached `decr`: like [`Store::incr`] but subtracting, floored at
     /// zero (memcached semantics).
     pub fn decr(&mut self, key: &[u8], delta: u64) -> Option<u64> {
-        self.add_signed(self.fingerprinter.hash(key), delta, false)
+        self.add_signed(self.fingerprinter.hash(key), delta, false, unix_now())
             .map(|(next, _)| next)
     }
 
-    /// `incr` (`up`) or `decr` for a key fingerprinted by the caller. Beside
-    /// the new value it hands back the `(flags, expires_at, cost)` the
-    /// rewrite kept, so the server can journal the rewrite without taking
-    /// the shard lock a second time.
+    /// `incr` (`up`) or `decr` for a key fingerprinted by the caller, at
+    /// its clock. Beside the new value it hands back the
+    /// `(flags, expires_at, cost)` the rewrite kept, so the server can
+    /// journal the rewrite without taking the shard lock a second time.
     pub(crate) fn add_signed(
         &mut self,
         h: Hashed<'_>,
         delta: u64,
         up: bool,
+        now: u64,
     ) -> Option<(u64, (u32, u64, u64))> {
+        let chunk = self.live(h, now, false)?;
         let (current, flags, cost, expires_at) = {
-            let (_, item) = self.resident(h)?;
+            let item = Item::decode(self.slabs.read(chunk));
             let text = std::str::from_utf8(item.value).ok()?;
             let current: u64 = text.trim().parse().ok()?;
             (current, item.flags, item.cost, item.expires_at)
@@ -789,20 +856,23 @@ impl Store {
     /// Updates the expiry of a resident key in place (memcached `touch`).
     /// Returns whether the key was resident.
     pub fn touch(&mut self, key: &[u8], expires_at: u64) -> bool {
-        self.touch_hashed(self.fingerprinter.hash(key), expires_at)
+        self.touch_hashed(self.fingerprinter.hash(key), expires_at, unix_now())
     }
 
-    pub(crate) fn touch_hashed(&mut self, h: Hashed<'_>, expires_at: u64) -> bool {
-        let Some((chunk, _)) = self.resident(h) else {
+    /// [`Store::touch`] for a key fingerprinted by the caller, at its clock.
+    pub(crate) fn touch_hashed(&mut self, h: Hashed<'_>, expires_at: u64, now: u64) -> bool {
+        let Some(chunk) = self.live(h, now, false) else {
             return false;
         };
-        self.slabs
-            .write_at(chunk, EXPIRY_OFFSET, &expires_at.to_be_bytes());
+        self.slabs.chunk_mut(chunk)[EXPIRY_OFFSET..HEADER_LEN]
+            .copy_from_slice(&expires_at.to_be_bytes());
         true
     }
 
-    /// Drops every item (memcached `flush_all`).
+    /// Drops every item and every running IQ cost timer (memcached
+    /// `flush_all`).
     pub fn flush_all(&mut self) {
+        self.iq_misses.clear();
         self.policy
             .for_each(&mut |_, &chunk| self.slabs.free(chunk));
         // A fresh policy instance is cheaper and simpler than removing every
@@ -815,11 +885,13 @@ impl Store {
 
     /// Deletes `key`. Returns whether it was resident.
     pub fn delete(&mut self, key: &[u8]) -> bool {
-        self.delete_hashed(self.fingerprinter.hash(key))
+        self.delete_hashed(self.fingerprinter.hash(key), unix_now())
     }
 
-    pub(crate) fn delete_hashed(&mut self, h: Hashed<'_>) -> bool {
-        let Some((chunk, _)) = self.resident(h) else {
+    /// [`Store::delete`] for a key fingerprinted by the caller, at its
+    /// clock.
+    pub(crate) fn delete_hashed(&mut self, h: Hashed<'_>, now: u64) -> bool {
+        let Some(chunk) = self.live(h, now, false) else {
             return false;
         };
         self.policy.take(&h.fp);
@@ -918,6 +990,16 @@ mod tests {
         })
     }
 
+    /// `key`'s value, flags and cost, read as the server reads, at `now`.
+    fn read_at(store: &mut Store, key: &[u8], now: u64) -> Option<(Vec<u8>, u32, u64)> {
+        let h = store.fingerprinter.hash(key);
+        store.get_hashed(h, now, |item| (item.value.to_vec(), item.flags, item.cost))
+    }
+
+    fn read(store: &mut Store, key: &[u8]) -> Option<(Vec<u8>, u32, u64)> {
+        read_at(store, key, unix_now())
+    }
+
     fn all_modes() -> Vec<EvictionMode> {
         EvictionMode::all_names()
             .into_iter()
@@ -931,13 +1013,11 @@ mod tests {
             let mut store = small_store(mode.clone());
             store.set(b"alpha", b"1111", 3, 0, 50).unwrap();
             store.set(b"beta", b"2222", 0, 0, 60).unwrap();
-            let got = store.get(b"alpha").unwrap();
-            assert_eq!(got.value, b"1111", "{mode}");
-            assert_eq!(got.flags, 3);
-            assert_eq!(got.cost, 50);
+            let got = read(&mut store, b"alpha");
+            assert_eq!(got, Some((b"1111".to_vec(), 3, 50)), "{mode}");
             assert!(store.delete(b"alpha"));
             assert!(!store.delete(b"alpha"));
-            assert!(store.get(b"alpha").is_none());
+            assert!(read(&mut store, b"alpha").is_none());
             assert_eq!(store.len(), 1);
             let stats = store.stats();
             assert_eq!(stats.sets, 2);
@@ -954,7 +1034,7 @@ mod tests {
         store.set(b"k", b"old", 0, 0, 1).unwrap();
         store.set(b"k", b"new-and-longer", 0, 0, 2).unwrap();
         assert_eq!(store.len(), 1);
-        assert_eq!(store.get(b"k").unwrap().value, b"new-and-longer");
+        assert_eq!(read(&mut store, b"k").unwrap().0, b"new-and-longer");
     }
 
     #[test]
@@ -1064,20 +1144,11 @@ mod tests {
     }
 
     #[test]
-    fn get_with_drops_expired_items() {
-        let mut store = small_store(EvictionMode::Lru);
-        store.set(b"ttl", b"v", 0, 100, 1).unwrap();
-        assert!(store.get_with_at(b"ttl", 100, |_| ()).is_none());
-        assert_eq!(store.stats().expired, 1);
-        assert_eq!(store.len(), 0);
-    }
-
-    #[test]
     fn expired_items_are_dropped_lazily() {
         let mut store = small_store(EvictionMode::Lru);
         store.set(b"ttl", b"v", 0, 100, 1).unwrap(); // expires at t=100
-        assert!(store.get_at(b"ttl", 99).is_some());
-        assert!(store.get_at(b"ttl", 100).is_none());
+        assert!(read_at(&mut store, b"ttl", 99).is_some());
+        assert!(read_at(&mut store, b"ttl", 100).is_none());
         assert_eq!(store.stats().expired, 1);
         assert_eq!(store.len(), 0);
     }
@@ -1117,9 +1188,9 @@ mod tests {
         let mut store = small_store(EvictionMode::Lru);
         assert!(store.add(b"k", b"v1", 0, 0, 1).unwrap());
         assert!(!store.add(b"k", b"v2", 0, 0, 1).unwrap(), "add on resident");
-        assert_eq!(store.get(b"k").unwrap().value, b"v1");
+        assert_eq!(read(&mut store, b"k").unwrap().0, b"v1");
         assert!(store.replace(b"k", b"v3", 0, 0, 1).unwrap());
-        assert_eq!(store.get(b"k").unwrap().value, b"v3");
+        assert_eq!(read(&mut store, b"k").unwrap().0, b"v3");
         assert!(!store.replace(b"absent", b"x", 0, 0, 1).unwrap());
         assert!(!store.contains(b"absent"));
     }
@@ -1130,10 +1201,10 @@ mod tests {
         store.set(b"n", b"10", 7, 0, 42).unwrap();
         assert_eq!(store.incr(b"n", 5), Some(15));
         assert_eq!(store.decr(b"n", 20), Some(0), "decr floors at zero");
-        assert_eq!(store.get(b"n").unwrap().value, b"0");
+        assert_eq!(read(&mut store, b"n").unwrap().0, b"0");
         // Flags and cost are preserved across the rewrite.
-        let hit = store.get(b"n").unwrap();
-        assert_eq!((hit.flags, hit.cost), (7, 42));
+        let (_, flags, cost) = read(&mut store, b"n").unwrap();
+        assert_eq!((flags, cost), (7, 42));
         // Non-numeric and absent keys fail.
         store.set(b"s", b"hello", 0, 0, 1).unwrap();
         assert_eq!(store.incr(b"s", 1), None);
@@ -1144,13 +1215,69 @@ mod tests {
     fn touch_updates_expiry_in_place() {
         let mut store = small_store(EvictionMode::Lru);
         store.set(b"t", b"v", 0, 100, 1).unwrap();
-        assert!(store.touch(b"t", 500));
+        let h = store.fingerprinter.hash(b"t");
+        assert!(store.touch_hashed(h, 500, 99));
         assert!(
-            store.get_at(b"t", 300).is_some(),
+            read_at(&mut store, b"t", 300).is_some(),
             "touched key must live on"
         );
-        assert!(store.get_at(b"t", 500).is_none());
+        assert!(read_at(&mut store, b"t", 500).is_none());
         assert!(!store.touch(b"missing", 1));
+    }
+
+    #[test]
+    fn iq_timers_are_capped_and_keep_their_start_times() {
+        let mut store = small_store(EvictionMode::Lru);
+        // An early miss whose `iqset` comes back after the flood.
+        let t0 = Instant::now();
+        store.record_iq_miss(u64::MAX, t0);
+        for fp in 0..4 * IQ_SHARD_CAP as u64 {
+            store.record_iq_miss(fp, t0);
+        }
+        let pending = store.iq_misses_pending();
+        assert!(pending <= IQ_SHARD_CAP, "{pending} timers");
+        let dropped = store.stats().iq_misses_dropped;
+        assert_eq!(dropped, 3 * IQ_SHARD_CAP as u64 + 1);
+        // Re-recording a key the full store already times is not a drop.
+        store.record_iq_miss(7, t0);
+        assert_eq!(store.stats().iq_misses_dropped, dropped);
+        // The timed miss still prices its pair, from the clock the caller
+        // hands in; a dropped one costs 0, and so does one whose pair comes
+        // back after the TTL.
+        let later = t0 + Duration::from_millis(2);
+        assert_eq!(
+            store.take_iq_miss(u64::MAX, later),
+            Some(Duration::from_millis(2))
+        );
+        assert!(store
+            .take_iq_miss(4 * IQ_SHARD_CAP as u64 - 1, later)
+            .is_none());
+        assert!(store.take_iq_miss(7, t0 + IQ_MISS_TTL).is_none());
+        store.record_iq_miss(7, t0);
+        assert_eq!(store.iq_misses_pending(), IQ_SHARD_CAP - 1);
+    }
+
+    #[test]
+    fn full_iq_timers_sweep_ahead_of_the_ttl_schedule() {
+        let now = Instant::now();
+        let (Some(expired), Some(swept_recently)) = (
+            now.checked_sub(IQ_MISS_TTL + Duration::from_secs(1)),
+            now.checked_sub(IQ_FULL_SWEEP_GAP * 2),
+        ) else {
+            return; // the monotonic clock is younger than the TTL
+        };
+        let mut store = small_store(EvictionMode::Lru);
+        store.iq_misses = (0..IQ_SHARD_CAP as u64).map(|fp| (fp, expired)).collect();
+        store.iq_last_sweep = swept_recently;
+        store.record_iq_miss(u64::MAX, now);
+        assert_eq!(
+            store.iq_misses_pending(),
+            1,
+            "the abandoned timers were swept"
+        );
+        assert_eq!(store.stats().iq_sweep_reclaimed, IQ_SHARD_CAP as u64);
+        assert_eq!(store.stats().iq_misses_dropped, 0);
+        assert!(store.take_iq_miss(u64::MAX, now).is_some());
     }
 
     #[test]
@@ -1231,7 +1358,7 @@ mod tests {
             untraced
                 .set(key.as_bytes(), &[0u8; 60], 0, 0, cost)
                 .unwrap();
-            let _ = traced.get(key.as_bytes());
+            let _ = read(&mut traced, key.as_bytes());
         }
         assert!(traced.delete(b"key-0399"));
         // An oversized item fails after evicting: still tallied.
@@ -1342,7 +1469,7 @@ mod tests {
             let (a, b) = colliding_pair(&store);
             store.set(&b, b"41", 5, 0, 9).unwrap();
             assert!(!store.contains(&a), "{mode}");
-            assert!(store.get(&a).is_none(), "{mode}: get");
+            assert!(read(&mut store, &a).is_none(), "{mode}: get");
             assert!(store.peek_meta(&a).is_none(), "{mode}: peek_meta");
             assert!(!store.delete(&a), "{mode}: delete");
             assert!(!store.touch(&a, 77), "{mode}: touch");
@@ -1353,8 +1480,7 @@ mod tests {
                 "{mode}: replace"
             );
             // None of that disturbed the resident.
-            let hit = store.get(&b).unwrap();
-            assert_eq!((&hit.value[..], hit.flags, hit.cost), (&b"41"[..], 5, 9));
+            assert_eq!(read(&mut store, &b), Some((b"41".to_vec(), 5, 9)));
             assert_eq!(store.incr(&b, 1), Some(42), "{mode}");
             let stats = store.stats();
             assert_eq!((stats.evictions, stats.fingerprint_collisions), (0, 0));
@@ -1376,8 +1502,8 @@ mod tests {
             // overwrite of the slot would take it: no policy decision.
             assert!(store.add(&a, b"ay", 0, 0, 1).unwrap(), "{mode}");
             assert!(!store.contains(&b), "{mode}: B replaced");
-            assert_eq!(store.get(&a).unwrap().value, b"ay", "{mode}");
-            assert!(store.get(&b).is_none(), "{mode}");
+            assert_eq!(read(&mut store, &a).unwrap().0, b"ay", "{mode}");
+            assert!(read(&mut store, &b).is_none(), "{mode}");
             assert_eq!(store.len(), 1, "{mode}");
             assert_layers_agree(&store, &mode.to_string());
             let stats = store.stats();
@@ -1389,8 +1515,8 @@ mod tests {
             assert_eq!(store.stats().fingerprint_collisions, 1, "{mode}");
             // And `set` of B takes the slot back.
             store.set(&b, b"bee2", 0, 0, 1).unwrap();
-            assert_eq!(store.get(&b).unwrap().value, b"bee2", "{mode}");
-            assert!(store.get(&a).is_none(), "{mode}");
+            assert_eq!(read(&mut store, &b).unwrap().0, b"bee2", "{mode}");
+            assert!(read(&mut store, &a).is_none(), "{mode}");
             assert_eq!(store.stats().fingerprint_collisions, 2, "{mode}");
             assert_eq!(store.stats().evictions, 0, "{mode}");
             assert_eq!(sink.evicts.load(Ordering::Relaxed), 0, "{mode}");
@@ -1417,11 +1543,11 @@ mod tests {
                     store
                         .set(key.as_bytes(), value.as_bytes(), 0, 0, k)
                         .unwrap();
-                } else if let Some(hit) = store.get(key.as_bytes()) {
+                } else if let Some((value, ..)) = read(&mut store, key.as_bytes()) {
                     assert!(
-                        hit.value.starts_with(format!("{key}:").as_bytes()),
+                        value.starts_with(format!("{key}:").as_bytes()),
                         "{mode}: get({key}) returned {:?}",
-                        String::from_utf8_lossy(&hit.value)
+                        String::from_utf8_lossy(&value)
                     );
                 }
                 assert!(store.len() <= 16, "{mode}: one key per fingerprint");
@@ -1438,17 +1564,18 @@ mod tests {
 
     // --------------------------------------------- reply-for-reply differential
 
-    /// One verb of the store API with its arguments.
+    /// One verb of the store API with its arguments. Expiries are absolute
+    /// ticks of the test's clock (0 = never).
     #[derive(Debug, Clone)]
     enum Call {
         Get,
-        Set(Vec<u8>, u32),
-        Add(Vec<u8>, u32),
-        Replace(Vec<u8>, u32),
+        Set(Vec<u8>, u32, u64),
+        Add(Vec<u8>, u32, u64),
+        Replace(Vec<u8>, u32, u64),
         Delete,
         Incr(u64),
         Decr(u64),
-        Touch,
+        Touch(u64),
     }
 
     /// What the caller of a verb sees.
@@ -1460,33 +1587,50 @@ mod tests {
         Number(Option<u64>),
     }
 
-    type Model = std::collections::HashMap<Vec<u8>, (Vec<u8>, u32)>;
+    /// Key → value, flags and expiry.
+    type Model = std::collections::HashMap<Vec<u8>, (Vec<u8>, u32, u64)>;
 
-    /// The reference semantics: what `call` on `key` replies and leaves behind.
-    fn model_apply(model: &mut Model, key: &[u8], call: &Call) -> Reply {
+    /// The reference semantics: what `call` on `key` at `now` replies and
+    /// leaves behind. An item expired by `now` is absent for every verb.
+    fn model_apply(model: &mut Model, key: &[u8], call: &Call, now: u64) -> Reply {
+        if model
+            .get(key)
+            .is_some_and(|&(_, _, at)| at != 0 && at <= now)
+        {
+            model.remove(key);
+        }
         let present = model.contains_key(key);
         match call {
-            Call::Get => Reply::Value(model.get(key).cloned()),
-            Call::Set(value, flags) => {
-                model.insert(key.to_vec(), (value.clone(), *flags));
+            Call::Get => Reply::Value(
+                model
+                    .get(key)
+                    .map(|(value, flags, _)| (value.clone(), *flags)),
+            ),
+            Call::Set(value, flags, at) => {
+                model.insert(key.to_vec(), (value.clone(), *flags, *at));
                 Reply::Stored(true)
             }
-            Call::Add(value, flags) => {
+            Call::Add(value, flags, at) => {
                 if !present {
-                    model.insert(key.to_vec(), (value.clone(), *flags));
+                    model.insert(key.to_vec(), (value.clone(), *flags, *at));
                 }
                 Reply::Stored(!present)
             }
-            Call::Replace(value, flags) => {
+            Call::Replace(value, flags, at) => {
                 if present {
-                    model.insert(key.to_vec(), (value.clone(), *flags));
+                    model.insert(key.to_vec(), (value.clone(), *flags, *at));
                 }
                 Reply::Stored(present)
             }
             Call::Delete => Reply::Found(model.remove(key).is_some()),
-            Call::Touch => Reply::Found(present),
+            Call::Touch(at) => {
+                if let Some(entry) = model.get_mut(key) {
+                    entry.2 = *at;
+                }
+                Reply::Found(present)
+            }
             Call::Incr(delta) | Call::Decr(delta) => {
-                let number = model.get_mut(key).and_then(|(value, _)| {
+                let number = model.get_mut(key).and_then(|(value, ..)| {
                     let current: u64 = std::str::from_utf8(value).ok()?.parse().ok()?;
                     let next = match call {
                         Call::Incr(_) => current.wrapping_add(*delta),
@@ -1500,28 +1644,39 @@ mod tests {
         }
     }
 
-    fn store_apply(store: &mut Store, key: &[u8], call: &Call) -> Reply {
-        const FAR: u64 = 4_000_000_000;
+    /// `call` on `key` through the store's verbs, at the clock `now`.
+    fn store_apply(store: &mut Store, key: &[u8], call: &Call, now: u64) -> Reply {
+        let h = store.fingerprinter.hash(key);
         match call {
-            Call::Get => Reply::Value(store.get(key).map(|hit| (hit.value, hit.flags))),
-            Call::Set(value, flags) => {
-                store.set(key, value, *flags, 0, 1).expect("set fits");
+            Call::Get => {
+                Reply::Value(store.get_hashed(h, now, |item| (item.value.to_vec(), item.flags)))
+            }
+            Call::Set(value, flags, at) => {
+                store
+                    .set_hashed(h, value, *flags, *at, 1)
+                    .expect("set fits");
                 Reply::Stored(true)
             }
-            Call::Add(value, flags) => {
-                Reply::Stored(store.add(key, value, *flags, 0, 1).expect("fits"))
+            Call::Add(value, flags, at) => Reply::Stored(
+                store
+                    .add_hashed(h, value, *flags, *at, 1, now)
+                    .expect("fits"),
+            ),
+            Call::Replace(value, flags, at) => Reply::Stored(
+                store
+                    .replace_hashed(h, value, *flags, *at, 1, now)
+                    .expect("fits"),
+            ),
+            Call::Delete => Reply::Found(store.delete_hashed(h, now)),
+            Call::Touch(at) => Reply::Found(store.touch_hashed(h, *at, now)),
+            Call::Incr(delta) | Call::Decr(delta) => {
+                let up = matches!(call, Call::Incr(_));
+                Reply::Number(store.add_signed(h, *delta, up, now).map(|(next, _)| next))
             }
-            Call::Replace(value, flags) => {
-                Reply::Stored(store.replace(key, value, *flags, 0, 1).expect("fits"))
-            }
-            Call::Delete => Reply::Found(store.delete(key)),
-            Call::Touch => Reply::Found(store.touch(key, FAR)),
-            Call::Incr(delta) => Reply::Number(store.incr(key, *delta)),
-            Call::Decr(delta) => Reply::Number(store.decr(key, *delta)),
         }
     }
 
-    fn random_call(rng: &mut Rng64, key: &[u8]) -> Call {
+    fn random_call(rng: &mut Rng64, key: &[u8], now: u64) -> Call {
         // Numbers (for incr/decr) or text that names its key, in two size
         // classes only, so 64 keys never press on the slabs.
         let value = |rng: &mut Rng64| match rng.range_u64(0, 3) {
@@ -1529,21 +1684,28 @@ mod tests {
             1 => [key, b"="].concat(),
             _ => [key, &[b'='; 90][..]].concat(),
         };
+        // Never, or a few ticks ahead: a key comes round about every four.
+        let expiry = |rng: &mut Rng64| match rng.range_u64(0, 2) {
+            0 => 0,
+            _ => now + rng.range_u64(1, 8),
+        };
         let flags = rng.next_u64() as u32;
         match rng.range_u64(0, 16) {
             0..=4 => Call::Get,
-            5..=7 => Call::Set(value(rng), flags),
-            8..=9 => Call::Add(value(rng), flags),
-            10 => Call::Replace(value(rng), flags),
+            5..=7 => Call::Set(value(rng), flags, expiry(rng)),
+            8..=9 => Call::Add(value(rng), flags, expiry(rng)),
+            10 => Call::Replace(value(rng), flags, expiry(rng)),
             11..=12 => Call::Delete,
             13 => Call::Incr(rng.range_u64(0, 50)),
             14 => Call::Decr(rng.range_u64(0, 50)),
-            _ => Call::Touch,
+            _ => Call::Touch(expiry(rng)),
         }
     }
 
-    /// Random verbs over 64 keys, reply for reply against a `HashMap` model.
-    /// With full fingerprints nothing is ever evicted here, so every reply
+    /// Random verbs over 64 keys, reply for reply against a `HashMap` model,
+    /// on a virtual clock that ticks every sixteen steps or so while items
+    /// expire a few ticks out. With full fingerprints nothing is ever
+    /// evicted here, so every reply
     /// must equal the model's. With fingerprints cut to 4 bits the 64 keys
     /// fight over 16 slots: a reply may then also be the one the verb gives
     /// for an absent key (a cache may forget), but never anything else — in
@@ -1567,17 +1729,20 @@ mod tests {
                     let mut model = Model::new();
                     let mut forgotten = 0u32;
                     let mut rng = Rng64::seed_from_u64(0xF1_69E2 ^ seed);
+                    let mut now = 1_000;
                     for step in 0..3_000 {
+                        now += u64::from(rng.range_u64(0, 16) == 0);
                         let key = &keys[rng.range_usize(0, keys.len())];
-                        let call = random_call(&mut rng, key);
-                        let got = store_apply(&mut store, key, &call);
+                        let call = random_call(&mut rng, key, now);
+                        let got = store_apply(&mut store, key, &call, now);
                         let mut as_if_present = model.clone();
-                        if got == model_apply(&mut as_if_present, key, &call) {
+                        if got == model_apply(&mut as_if_present, key, &call, now) {
                             model = as_if_present;
                             continue;
                         }
                         let context = format!(
-                            "{mode} truncated={truncated} seed={seed} step={step}: {call:?} on {}",
+                            "{mode} truncated={truncated} seed={seed} step={step} now={now}: \
+                             {call:?} on {}",
                             String::from_utf8_lossy(key)
                         );
                         assert!(truncated, "{context}: {got:?} is not the model's reply");
@@ -1585,11 +1750,12 @@ mod tests {
                         model.remove(key);
                         assert_eq!(
                             got,
-                            model_apply(&mut model, key, &call),
+                            model_apply(&mut model, key, &call, now),
                             "{context}: neither the model's reply nor a miss"
                         );
                     }
                     let stats = store.stats();
+                    assert!(stats.expired > 0, "{mode}: nothing expired");
                     if truncated {
                         assert!(forgotten > 0 && stats.fingerprint_collisions > 0);
                         assert!(store.len() <= 16);
@@ -1614,7 +1780,7 @@ mod tests {
         for i in 0..1000u32 {
             let key = format!("key-{i:04}");
             store.set(key.as_bytes(), &[0u8; 60], 0, 0, 1).unwrap();
-            store.get(key.as_bytes());
+            read(&mut store, key.as_bytes());
         }
         let estimates = store.profiler().estimates();
         assert_eq!(estimates.len(), 3, "0.5x/1x/2x scales");

@@ -225,11 +225,11 @@ fn check_store_against_model(eviction: EvictionMode, ops: &[StoreOp]) {
                 }
             }
             StoreOp::Get(key) => {
-                let got = store.get(&[key]);
-                if let Some(result) = &got {
+                let got = store.get_with(&[key], |item| item.value.to_vec());
+                if let Some(value) = &got {
                     let want = model.get(&key);
                     assert_eq!(
-                        Some(&result.value),
+                        Some(value),
                         want,
                         "store returned a value the model disagrees with"
                     );

@@ -1,6 +1,6 @@
 //! The pluggable-policy matrix: the same TCP server booted under each
 //! eviction mode, exercised over the wire, with the stats surface checked
-//! for the per-shard policy names. Plus the striped IQ registry under
+//! for the per-shard policy names. Plus the per-shard IQ cost timers under
 //! concurrent `iqget`/`iqset` traffic across many shards.
 
 use std::sync::Arc;
