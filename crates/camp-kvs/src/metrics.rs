@@ -373,7 +373,8 @@ impl WorkerTally {
 pub struct WorkerStats {
     /// Connections currently owned by this worker.
     pub live_connections: AtomicU64,
-    /// `epoll_wait` returns that delivered at least one event.
+    /// Blocking `epoll_wait` returns that delivered at least one event
+    /// (the zero-timeout polls of a commit group are not wakeups).
     pub epoll_wakeups: AtomicU64,
     /// Timer-wheel timers fired (idle sweeps, fault resumes, drain ticks).
     pub timer_fires: AtomicU64,
@@ -385,6 +386,9 @@ pub struct WorkerStats {
     /// Connection events drained from `epoll_wait` into the batched run
     /// queue.
     pub events_dispatched: AtomicU64,
+    /// Connection cycles run by the zero-timeout polls that gather a
+    /// commit group, after the events of the wakeup that opened it.
+    pub gathered_cycles: AtomicU64,
 }
 
 /// A point-in-time copy of one worker's [`WorkerStats`] row.
@@ -392,7 +396,7 @@ pub struct WorkerStats {
 pub struct WorkerStatsSnapshot {
     /// Connections currently owned by this worker.
     pub live_connections: u64,
-    /// `epoll_wait` returns that delivered at least one event.
+    /// Blocking `epoll_wait` returns that delivered at least one event.
     pub epoll_wakeups: u64,
     /// Timer-wheel timers fired.
     pub timer_fires: u64,
@@ -402,6 +406,8 @@ pub struct WorkerStatsSnapshot {
     pub accepts: u64,
     /// Connection events drained into the batched run queue.
     pub events_dispatched: u64,
+    /// Connection cycles that joined a commit group after its wakeup.
+    pub gathered_cycles: u64,
 }
 
 /// The per-worker reactor counter registry, sized once at startup for the
@@ -438,7 +444,7 @@ impl ReactorStats {
     pub fn snapshot(&self) -> Vec<WorkerStatsSnapshot> {
         self.workers
             .iter()
-            // ordering: Relaxed(x6) — statistics counters; the snapshot
+            // ordering: Relaxed(x7) — statistics counters; the snapshot
             // is advisory and never gates an operation.
             .map(|w| WorkerStatsSnapshot {
                 live_connections: w.live_connections.load(Ordering::Relaxed),
@@ -447,6 +453,7 @@ impl ReactorStats {
                 write_pauses: w.write_pauses.load(Ordering::Relaxed),
                 accepts: w.accepts.load(Ordering::Relaxed),
                 events_dispatched: w.events_dispatched.load(Ordering::Relaxed),
+                gathered_cycles: w.gathered_cycles.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -455,12 +462,13 @@ impl ReactorStats {
     /// are left alone — they track reality, not history.
     pub fn reset(&self) {
         for w in &self.workers {
-            // ordering: Relaxed(x5) — statistics counters; see `snapshot`.
+            // ordering: Relaxed(x6) — statistics counters; see `snapshot`.
             w.epoll_wakeups.store(0, Ordering::Relaxed);
             w.timer_fires.store(0, Ordering::Relaxed);
             w.write_pauses.store(0, Ordering::Relaxed);
             w.accepts.store(0, Ordering::Relaxed);
             w.events_dispatched.store(0, Ordering::Relaxed);
+            w.gathered_cycles.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -825,6 +833,9 @@ impl TelemetryReport {
             rows.field(Detail, &line, "events", w.events_dispatched)
                 .family(Counter, "camp_reactor_events_dispatched_total")
                 .help("connection events drained into the batched run queue, per worker");
+            rows.field(Detail, &line, "gathered", w.gathered_cycles)
+                .family(Counter, "camp_reactor_gathered_cycles_total")
+                .help("connection cycles that joined a commit group after its wakeup, per worker");
         }
         let flush = Value::Hist(&self.flush_segments, FLUSH_PICKS);
         rows.stat(Detail, "reactor:flush_segments", flush)
@@ -1187,6 +1198,7 @@ mod tests {
                 write_pauses: 1,
                 accepts: 12,
                 events_dispatched: 150,
+                gathered_cycles: 40,
             }],
             flush_segments: {
                 let h = Histogram::new();
@@ -1338,6 +1350,7 @@ mod tests {
                     write_pauses: 4,
                     accepts: 5,
                     events_dispatched: 6,
+                    gathered_cycles: 0,
                 },
                 WorkerStatsSnapshot {
                     live_connections: 7,
@@ -1346,6 +1359,7 @@ mod tests {
                     write_pauses: 10,
                     accepts: 11,
                     events_dispatched: 12,
+                    gathered_cycles: 13,
                 },
             ],
             flush_segments: histogram(&[]),
@@ -1435,7 +1449,7 @@ mod tests {
             "STAT conn_rejected:value_too_large 3",
             "STAT faults_injected:drop 7",
             "STAT lock_poison_recovered 1",
-            "STAT reactor:worker0 live=3 wakeups=100 timer_fires=6 write_pauses=1 accepts=12 events=150",
+            "STAT reactor:worker0 live=3 wakeups=100 timer_fires=6 write_pauses=1 accepts=12 events=150 gathered=40",
             "STAT reactor:flush_segments:count 2",
             "STAT trace:spans_recorded 11",
             "STAT trace:spans_dropped 5",
@@ -1502,6 +1516,10 @@ mod tests {
             .worker(0)
             .events_dispatched
             .fetch_add(9, Ordering::Relaxed);
+        stats
+            .worker(1)
+            .gathered_cycles
+            .fetch_add(4, Ordering::Relaxed);
         let snap = stats.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].epoll_wakeups, 5);
@@ -1509,12 +1527,14 @@ mod tests {
         assert_eq!(snap[0].events_dispatched, 9);
         assert_eq!(snap[1].live_connections, 2);
         assert_eq!(snap[1].write_pauses, 1);
+        assert_eq!(snap[1].gathered_cycles, 4);
         stats.reset();
         let snap = stats.snapshot();
         assert_eq!(snap[0].epoll_wakeups, 0);
         assert_eq!(snap[0].accepts, 0);
         assert_eq!(snap[0].events_dispatched, 0);
         assert_eq!(snap[1].write_pauses, 0);
+        assert_eq!(snap[1].gathered_cycles, 0);
         // Gauges survive a reset.
         assert_eq!(snap[1].live_connections, 2);
     }
@@ -1576,6 +1596,7 @@ mod tests {
             "camp_reactor_write_pauses_total{worker=\"0\"} 1",
             "camp_reactor_accepts_total{worker=\"0\"} 12",
             "camp_reactor_events_dispatched_total{worker=\"0\"} 150",
+            "camp_reactor_gathered_cycles_total{worker=\"0\"} 40",
             "# TYPE camp_reactor_flush_writev_segments summary",
             "camp_reactor_flush_writev_segments_count 2",
             "camp_persist_state 1",

@@ -681,9 +681,9 @@ impl Connection {
 /// no socket and no event loop: each [`Loopback::exchange`] takes the bytes
 /// one readiness event would have delivered through exactly the path a
 /// worker runs — parse, execute against a real store, tally, publish,
-/// flush, record spans — and leaves the replies in a buffer. It exists so
-/// that path's cost per command can be measured apart from the kernel's
-/// share of a request (`conn/process_pipeline32` in the hot-path
+/// commit, flush, record spans — and leaves the replies in a buffer. It
+/// exists so that path's cost per command can be measured apart from the
+/// kernel's share of a request (`conn/process_pipeline32` in the hot-path
 /// benchmarks).
 #[derive(Debug)]
 pub struct Loopback {
@@ -722,6 +722,7 @@ impl Loopback {
         self.conn
             .process(&self.shared, &mut self.pool, &mut self.tally, Stamp::now());
         self.shared.metrics.absorb(&mut self.tally);
+        self.shared.commit_before_flush();
         self.conn
             .flush_to(replies, &mut self.pool, &mut self.tally)?;
         self.conn.finish_spans(&self.shared, 0);
@@ -735,6 +736,8 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::metrics::FaultKind;
+    use crate::persist::{FsyncMode, Persist, PersistOptions};
+    use crate::shard::ShardedStore;
     use crate::slab::SlabConfig;
     use crate::store::{EvictionMode, StoreConfig};
     use camp_core::Precision;
@@ -1216,6 +1219,41 @@ mod tests {
         let segment = pool.take();
         assert!(segment.is_empty() && segment.capacity() > 0);
         assert_eq!(pool.pooled(), before - 1);
+    }
+
+    /// A loopback over a data dir acknowledges a write only once a commit
+    /// has carried it, as a worker does: the `set` it answered `STORED` is
+    /// recovered from the directory after the loopback is gone.
+    #[test]
+    fn loopback_commits_before_it_acknowledges() {
+        let dir = std::env::temp_dir().join(format!("camp-loopback-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StoreConfig {
+            slab: SlabConfig::small(64 * 1024, 8),
+            eviction: EvictionMode::Camp(Precision::Bits(5)),
+        };
+        let mut options = ServerOptions::new(config.clone());
+        options.persist = Some(PersistOptions {
+            fsync: FsyncMode::Always,
+            ..PersistOptions::new(&dir)
+        });
+        let mut loopback = Loopback::new(&options).expect("open the data dir");
+        let mut replies = Vec::new();
+        loopback
+            .exchange(b"set k 0 0 5\r\nhello\r\n", &mut replies)
+            .expect("vec sink");
+        assert_eq!(replies, b"STORED\r\n".to_vec());
+        drop(loopback);
+
+        let recovered = ShardedStore::new(config, 1);
+        Persist::open(PersistOptions::new(&dir), &FaultPlan::default(), &recovered)
+            .expect("reopen the data dir");
+        assert_eq!(
+            recovered.get_with(b"k", |item| item.value.to_vec()),
+            Some(b"hello".to_vec()),
+            "an acknowledged set was never written"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

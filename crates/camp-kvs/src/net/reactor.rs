@@ -43,17 +43,19 @@
 //! into the log's pending buffer; the barrier is what writes them. A
 //! connection's cycle therefore splits at the flush, in every `--fsync`
 //! mode: after `process`, if [`Shared::needs_commit`] says uncommitted
-//! records exist, a cycle that belongs to a batch *parks* the connection
-//! (`(slot, gen, step)`) and moves on; once the whole run queue has been
-//! processed the worker finishes the parked connections in order — commit,
-//! flush, record spans, re-derive interest — so the first commit issues
-//! one `write` (and under `always` one sync) for every record the wakeup
-//! appended and the rest find nothing to do. A cycle outside a batch (a
-//! fresh registration, a delay resume, an idle eviction) and the farewell
-//! flushes of `close` and `sever_all` commit inline. Without `--data-dir`,
-//! or when a connection's wakeup appended nothing and nothing else is
-//! pending, the check is one lock-free load that reads `false` and the
-//! cycle is the unsplit one.
+//! records exist, the cycle *parks* the connection (`(slot, gen, step)`
+//! and a flag on its slot), whatever started the cycle. While anything is
+//! parked the worker polls with a zero timeout instead of sleeping, and
+//! what is ready runs and may park too; a parked connection's events are
+//! skipped (level-triggered, they come back) and its timers re-armed.
+//! Once a poll finds nothing to run, or the group has filled
+//! [`EVENT_BATCH`] event slots, the worker finishes the parked
+//! connections in order — commit, flush, record spans, re-derive interest
+//! — so the first commit issues one `write` (and under `always` one sync)
+//! for every record the group appended, and the rest find nothing to do.
+//! Only the farewell flushes of `close` and `sever_all` commit inline.
+//! Without `--data-dir`, or when nothing is pending, the check is one
+//! lock-free load that reads `false` and the worker sleeps as before.
 //!
 //! # Drain and sever
 //!
@@ -195,6 +197,8 @@ struct SlotEntry {
     conn: Connection,
     stream: TcpStream,
     interest: u32,
+    /// Processed, its replies waiting in `Worker::parked` for the commit.
+    parked: bool,
 }
 
 /// Timer payloads; slot/generation pairs make cancellation lazy — a
@@ -232,9 +236,8 @@ struct Worker {
     /// Connections with events pending from the current batch; entries
     /// re-validate `(slot, gen)` when run.
     run_queue: Vec<(usize, u32)>,
-    /// Connections of the current batch whose replies wait behind the
-    /// `--fsync always` barrier: processed, not yet flushed. Entries
-    /// re-validate `(slot, gen)` when finished.
+    /// Connections whose replies wait behind the ack barrier: processed,
+    /// not yet flushed. Entries re-validate `(slot, gen)` when finished.
     parked: Vec<(usize, u32, Step)>,
     /// The drain sweep tick has been armed since the drain began.
     drain_armed: bool,
@@ -273,9 +276,13 @@ impl Worker {
 
     fn run(&mut self) {
         let mut events = [EpollEvent::default(); EVENT_BATCH];
+        // Event slots the parked group may still fill before its commit.
+        let mut room = EVENT_BATCH;
         loop {
-            let timeout = self.park_timeout();
-            let n = match self.epoll.wait(&mut events, timeout) {
+            // Replies wait on a commit: poll, so whatever is ready joins it.
+            let gathering = !self.parked.is_empty();
+            let timeout = if gathering { 0 } else { self.park_timeout() };
+            let n = match self.epoll.wait(&mut events[..room], timeout) {
                 Ok(n) => n,
                 Err(err) => {
                     kvlog!(LogLevel::Error, "reactor_wait_failed", error = err);
@@ -285,14 +292,6 @@ impl Worker {
             // One stamp per batch: every cycle this wakeup triggers shares
             // it instead of re-reading the clocks per event.
             let now = Stamp::now();
-            if n > 0 {
-                self.shared
-                    .reactor_stats
-                    .worker(self.index)
-                    .epoll_wakeups
-                    // ordering: Relaxed — statistics counter.
-                    .fetch_add(1, Ordering::Relaxed);
-            }
             let mut accept_ready = false;
             for event in &events[..n] {
                 let token = event.token();
@@ -304,7 +303,21 @@ impl Worker {
                     self.enqueue(token, event.readiness());
                 }
             }
-            self.run_queued(now);
+            let ran = self.run_queued(now);
+            let w = self.shared.reactor_stats.worker(self.index);
+            // ordering: Relaxed(x2) — statistics counters.
+            if gathering {
+                w.gathered_cycles.fetch_add(ran as u64, Ordering::Relaxed);
+            } else if n > 0 {
+                w.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
+            }
+            room -= ran;
+            // The group is complete once a poll finds nothing more to run,
+            // or it has filled one wakeup's worth of event slots.
+            if self.parked.is_empty() || (gathering && ran == 0) || room == 0 {
+                self.finish_parked();
+                room = EVENT_BATCH;
+            }
             if accept_ready {
                 self.accept_ready(now);
             }
@@ -354,25 +367,29 @@ impl Worker {
         if !self.is_live(slot, gen) {
             return; // stale: the slot was recycled within this batch
         }
+        let Some(entry) = self.slots[slot].as_ref() else {
+            return;
+        };
         // A delayed connection has no read interest; an ERR/HUP event for
         // it would re-fire level-triggered until the resume. Close now —
         // the peer is gone anyway.
-        let delayed = self.slots[slot]
-            .as_ref()
-            .is_some_and(|s| s.conn.delayed_until.is_some());
-        if delayed && readiness & (EPOLLERR | EPOLLHUP) != 0 {
+        if entry.conn.delayed_until.is_some() && readiness & (EPOLLERR | EPOLLHUP) != 0 {
             self.close(slot, false);
             return;
         }
-        self.run_queue.push((slot, gen));
+        // A parked connection waits for its commit; level-triggered
+        // readiness reports this event again after it.
+        if !entry.parked {
+            self.run_queue.push((slot, gen));
+        }
     }
 
     /// Runs every connection queued from the current batch, re-validating
     /// `(slot, gen)` — an earlier cycle may have closed and recycled a
-    /// slot that still has a queued entry.
-    fn run_queued(&mut self, now: Stamp) {
+    /// slot that still has a queued entry — and returns how many ran.
+    fn run_queued(&mut self, now: Stamp) -> usize {
         if self.run_queue.is_empty() {
-            return;
+            return 0;
         }
         let queue = std::mem::take(&mut self.run_queue);
         self.shared
@@ -381,26 +398,32 @@ impl Worker {
             .events_dispatched
             // ordering: Relaxed — statistics counter.
             .fetch_add(queue.len() as u64, Ordering::Relaxed);
+        let mut ran = 0;
         for &(slot, gen) in &queue {
             if self.is_live(slot, gen) {
-                self.cycle(slot, now, true);
+                self.cycle(slot, now);
+                ran += 1;
             }
         }
         // Hand the allocation back for the next batch.
         let mut queue = queue;
         queue.clear();
         self.run_queue = queue;
-        self.finish_parked();
+        ran
     }
 
     fn is_live(&self, slot: usize, gen: u32) -> bool {
         slot < self.slots.len() && self.gens[slot] == gen && self.slots[slot].is_some()
     }
 
-    /// Finishes every connection the batch parked behind the ack barrier.
-    /// The first commit writes (and under `always` syncs) for the whole
-    /// wakeup, and for whatever other workers appended meanwhile; the rest
-    /// see nothing owed.
+    fn is_parked(&self, slot: usize, gen: u32) -> bool {
+        self.is_live(slot, gen) && self.slots[slot].as_ref().is_some_and(|e| e.parked)
+    }
+
+    /// Finishes every connection parked behind the ack barrier. The first
+    /// commit writes (and under `always` syncs) for the whole group, and
+    /// for whatever other workers appended meanwhile; the rest see nothing
+    /// owed.
     fn finish_parked(&mut self) {
         if self.parked.is_empty() {
             return;
@@ -522,6 +545,7 @@ impl Worker {
             conn,
             stream,
             interest: EPOLLIN,
+            parked: false,
         });
         self.live += 1;
         self.shared
@@ -542,15 +566,14 @@ impl Worker {
         // Run one cycle right away: fast clients may already have a
         // command in the socket buffer, and rejections flush-and-close
         // without waiting for an event.
-        self.cycle(slot, now, false);
+        self.cycle(slot, now);
     }
 
     /// One run-to-completion round for a connection: fill from the
     /// socket, process every complete command, publish what that counted,
-    /// then [`Worker::finish`] — at once, or, for a `batched` cycle whose
-    /// replies wait on the ack barrier, after the batch's one commit (see
-    /// the module docs).
-    fn cycle(&mut self, slot: usize, now: Stamp, batched: bool) {
+    /// then [`Worker::finish`] — at once, or, when its replies wait on the
+    /// ack barrier, after the group's one commit (see the module docs).
+    fn cycle(&mut self, slot: usize, now: Stamp) {
         let step = {
             let Some(entry) = self.slots[slot].as_mut() else {
                 return;
@@ -582,13 +605,12 @@ impl Worker {
             self.close(slot, false);
             return;
         };
-        if batched {
-            if self.shared.needs_commit() {
-                self.parked.push((slot, self.gens[slot], step));
-                return;
+        if self.shared.needs_commit() {
+            if let Some(entry) = self.slots[slot].as_mut() {
+                entry.parked = true;
             }
-        } else {
-            self.shared.commit_before_flush();
+            self.parked.push((slot, self.gens[slot], step));
+            return;
         }
         self.finish(slot, step);
     }
@@ -608,6 +630,7 @@ impl Worker {
             let Some(entry) = self.slots[slot].as_mut() else {
                 return;
             };
+            entry.parked = false;
             let conn = &mut entry.conn;
             let flushed = conn.flush_to(&mut entry.stream, pool, tally);
             // The flush counted itself; nothing stays unpublished while
@@ -746,10 +769,16 @@ impl Worker {
         }
         for timer in due {
             match timer {
+                // Its replies wait on the commit: try again after it.
+                Timer::Idle { slot, gen } | Timer::Resume { slot, gen }
+                    if self.is_parked(slot, gen) =>
+                {
+                    self.wheel.schedule(now.at, timer);
+                }
                 Timer::Idle { slot, gen } => self.fire_idle(slot, gen, now),
                 Timer::Resume { slot, gen } => {
                     if self.is_live(slot, gen) {
-                        self.cycle(slot, now, false);
+                        self.cycle(slot, now);
                     }
                 }
                 Timer::DrainTick => {
@@ -776,7 +805,7 @@ impl Worker {
             if let Some(entry) = self.slots[slot].as_mut() {
                 entry.conn.evict_idle(&self.shared);
             }
-            self.cycle(slot, now, false);
+            self.cycle(slot, now);
         } else {
             self.wheel.schedule(deadline, Timer::Idle { slot, gen });
         }

@@ -38,7 +38,9 @@
 //! `Persist::defer_to_commit` and calls [`Persist::commit`] before it
 //! flushes: take the writer lock, return at once if nothing is owed,
 //! otherwise write and sync for everything appended so far by any
-//! worker. The mutex is the queue — a second worker whose records the
+//! worker. The reactor calls it when it runs out of ready connections,
+//! so one commit carries every batch that reached a worker's sockets
+//! before the barrier. The mutex is the queue — a second worker whose records the
 //! first worker's commit carried finds the writer clean and returns
 //! without a syscall — and [`Persist::needs_commit`] is the lock-free
 //! "did I append anything a commit still owes?" (see `state`'s

@@ -14,7 +14,9 @@
 //!
 //! The tests drive a real reactor over it. The mutation test flips the
 //! reactor's test-only `flush_before_commit` switch and holds the first
-//! sync at a gate, so the early ack is observed deterministically.
+//! sync at a gate, so the early ack is observed deterministically. The
+//! gather test holds a rotation's sync the same way, so a second
+//! connection's batch arrives while the worker is mid-cycle.
 
 #![cfg(test)]
 
@@ -30,7 +32,9 @@ use std::time::Duration;
 
 use camp_core::Precision;
 
-use super::{record, FsyncMode, IoBackend, Persist, PersistOptions, RealFs, Record};
+use super::{
+    record, FsyncMode, IoBackend, Persist, PersistOptions, RealFs, Record, MIN_SEGMENT_BYTES,
+};
 use crate::fault::FaultPlan;
 use crate::server::{Server, ServerOptions, Shared};
 use crate::shard::ShardedStore;
@@ -229,12 +233,22 @@ fn store_config() -> StoreConfig {
 /// A two-worker reactor with `--fsync always` over `backend`. Segments
 /// are small enough that the run crosses rotations and a compaction.
 fn start_server(dir: &Path, backend: PowerLossFs, mutate: bool) -> (Server, Arc<Shared>) {
+    start_server_with(dir, 2, 16 * 1024, backend, mutate)
+}
+
+fn start_server_with(
+    dir: &Path,
+    workers: usize,
+    segment_bytes: u64,
+    backend: PowerLossFs,
+    mutate: bool,
+) -> (Server, Arc<Shared>) {
     let mut options = ServerOptions::new(store_config());
     options.shards = 4;
-    options.workers = 2;
+    options.workers = workers;
     options.persist = Some(PersistOptions {
         fsync: FsyncMode::Always,
-        segment_bytes: 16 * 1024,
+        segment_bytes,
         ..PersistOptions::new(dir)
     });
     let shared =
@@ -479,9 +493,8 @@ fn flush_before_commit_mutation_is_caught() {
     let (backend, disk) = PowerLossFs::new(Some(gate));
     let (server, _shared) = start_server(&dir, backend, true);
     let (mut stream, mut reader) = dial(&server);
-    // One round trip first, so the sets arrive as a readiness event of an
-    // established connection — the batched, parking path — and not inside
-    // the registration cycle, which commits inline.
+    // One round trip first, so the sets arrive on an established
+    // connection; they park either way, as every cycle's replies do.
     stream.write_all(b"version\r\n").expect("send version");
     let mut line = String::new();
     reader.read_line(&mut line).expect("read version");
@@ -494,6 +507,75 @@ fn flush_before_commit_mutation_is_caught() {
         "flush-before-commit went unnoticed: every STORED was already durable"
     );
     drop((stream, reader));
+    server.shutdown();
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A batch that reaches its socket while the worker is still busy with an
+/// earlier connection's batch joins that batch's commit instead of paying
+/// for a write and a sync of its own. One worker, two connections: A's
+/// second set trips a segment rotation, whose sync is held at the gate
+/// until B's whole batch sits in B's socket buffer. The rotation is one
+/// commit; A's last set and all of B's sets are the other.
+#[test]
+fn a_batch_that_arrives_before_the_barrier_joins_its_commit() {
+    let dir = temp_dir("gather");
+    let (release, gate): (Sender<()>, Receiver<()>) = mpsc::channel();
+    let (backend, disk) = PowerLossFs::new(Some(gate));
+    let (server, shared) = start_server_with(&dir, 1, MIN_SEGMENT_BYTES, backend, false);
+    let persist = shared.persist.as_ref().expect("persist on");
+    let (mut a, mut a_reader) = dial(&server);
+    let (mut b, mut b_reader) = dial(&server);
+    let expect_replies = |reader: &mut BufReader<TcpStream>, n: usize, reply: &str| {
+        let mut line = String::new();
+        for _ in 0..n {
+            line.clear();
+            reader.read_line(&mut line).expect("read a reply");
+            assert!(line.starts_with(reply), "{line:?}");
+        }
+    };
+    // One round trip each, so both registration cycles are over.
+    for (stream, reader) in [(&mut a, &mut a_reader), (&mut b, &mut b_reader)] {
+        stream.write_all(b"version\r\n").expect("send version");
+        expect_replies(reader, 1, "VERSION");
+    }
+    let before = persist.snapshot();
+
+    // Two sets that overflow the 4 KiB segment, then one for the next.
+    let big = "x".repeat(3000);
+    let mut batch = Vec::new();
+    for key in ["a-big-1", "a-big-2"] {
+        write!(batch, "set {key} 0 0 {}\r\n{big}\r\n", big.len()).expect("encode");
+    }
+    batch.extend_from_slice(b"set a-tail 0 0 1\r\nx\r\n");
+    a.write_all(&batch).expect("send A's batch");
+    // The rotation's write has landed: until the gate opens, the worker
+    // is inside A's cycle, past the wait that returned A's event.
+    let written = || lock(&disk.0).segments.first().map_or(0, |s| s.len);
+    for _ in 0..GATE_TIMEOUT.as_millis() {
+        if written() > 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(written() > 0, "A's sets never reached the disk");
+    let mut batch = Vec::new();
+    for slot in 0..PIPELINE {
+        write!(batch, "set {} 0 0 1\r\nx\r\n", key_name(1, slot)).expect("encode");
+    }
+    b.write_all(&batch).expect("send B's batch");
+    drop(release);
+    expect_replies(&mut a_reader, 3, "STORED");
+    expect_replies(&mut b_reader, PIPELINE, "STORED");
+
+    let after = persist.snapshot();
+    assert_eq!(after.errors, 0);
+    assert_eq!(
+        after.commits - before.commits,
+        2,
+        "the rotation, then one commit for A's tail and B's batch"
+    );
+    drop((a, a_reader, b, b_reader));
     server.shutdown();
     fs::remove_dir_all(&dir).ok();
 }

@@ -139,7 +139,7 @@ impl Shared {
                 };
                 // The reactor holds every reply in the connection's output
                 // rope until it chooses to flush, so it can put one write
-                // and one sync in front of a whole wakeup's replies.
+                // and one sync in front of every reply that was ready.
                 persist.defer_to_commit();
                 Some(Arc::new(persist))
             }
@@ -566,7 +566,7 @@ pub(crate) fn cmd_kind(command: &Command) -> CmdKind {
 
 /// Executes one command against `shared`, appending the reply to `out`
 /// (the tail of the connection's output rope, which the reactor flushes
-/// once per wakeup). `data` is the already-read set data block (empty
+/// once per cycle). `data` is the already-read set data block (empty
 /// otherwise); `now` is the only clock the command sees (expiry, IQ miss
 /// timing). `quit` never gets here: the connection closes on it first.
 pub(crate) fn execute(

@@ -424,7 +424,8 @@ fn warm_restart_preserves_values_and_flags_end_to_end() {
 }
 
 /// Under `--fsync always` the reactor shares one sync among a pipelined
-/// batch: it commits once per wakeup, before the replies leave.
+/// batch: it commits once it runs out of ready work, before the replies
+/// leave.
 #[test]
 fn the_reactor_shares_syncs_among_a_pipelined_batch() {
     let dir = temp_dir("group-commit");
@@ -464,7 +465,7 @@ fn the_reactor_shares_syncs_among_a_pipelined_batch() {
     );
 }
 
-/// In every `--fsync` mode the reactor's barrier hands a wakeup's records
+/// In every `--fsync` mode the reactor's barrier hands a group's records
 /// to the kernel before it lets their replies go: once a `STORED` has been
 /// read, a SIGKILL cannot lose the write, because the segment file already
 /// holds it (read here through the page cache, with the server still up
