@@ -9,7 +9,8 @@
 //! benchmark's evicting workloads — fingerprint, index probe, key compare,
 //! slab write, eviction hand-off — on a BG-sized keyspace four times the
 //! store's memory: `get_hit`, `get_miss`, and `set_evicting` (a cyclic
-//! scan, so every set misses and evicts).
+//! scan, so every set misses and evicts) in 64 KiB slabs, beside
+//! `set_evicting_16k`, the same memory in four times as many slabs.
 //!
 //! The `conn` group times everything a reactor worker does with a
 //! connection's bytes except the syscalls: `process_pipeline32` feeds a
@@ -52,34 +53,46 @@ fn store_group() {
             ));
         }
     }
-    let slab_size: u32 = 64 * 1024;
     let memory = trace.stats().unique_bytes / 4;
     let value = vec![0xCDu8; pairs.iter().map(|p| p.1).max().unwrap_or(1)];
-    let mut store = Store::new(StoreConfig {
-        slab: SlabConfig::small(slab_size, (memory / u64::from(slab_size)).max(4) as u32),
-        eviction: "camp:5".parse().expect("policy name"),
-    });
-    let mut next = 0usize;
-    let mut set_next = |store: &mut Store| {
+    let set = |store: &mut Store, next: usize| {
         let (key, size, cost) = &pairs[next % pairs.len()];
-        next += 1;
         store.set(key, &value[..*size], 0, 0, *cost).is_ok()
     };
     // One full cycle: the store is full and every further set evicts.
-    for _ in 0..pairs.len() {
-        set_next(&mut store);
-    }
+    let full_store = |slab_size: u32| {
+        let mut store = Store::new(StoreConfig {
+            slab: SlabConfig::small(slab_size, (memory / u64::from(slab_size)).max(4) as u32),
+            eviction: "camp:5".parse().expect("policy name"),
+        });
+        for next in 0..pairs.len() {
+            set(&mut store, next);
+        }
+        store
+    };
 
     let group = Group::new("store", STORE_OPS, 10);
-    group.case("set_evicting", || {
-        let evictions = store.stats().evictions;
-        let mut stored = 0u64;
-        for _ in 0..STORE_OPS {
-            stored += u64::from(set_next(&mut store));
-        }
-        assert!(store.stats().evictions - evictions > STORE_OPS / 2);
-        stored
-    });
+    // The same memory and trace in 64 KiB slabs and in 4x as many 16 KiB
+    // slabs: the slab layer's bookkeeping per set should not grow with the
+    // slab count, so the two rows should agree.
+    let mut store = full_store(64 * 1024);
+    let mut small_slabs = full_store(16 * 1024);
+    for (label, evicting) in [
+        ("set_evicting", &mut store),
+        ("set_evicting_16k", &mut small_slabs),
+    ] {
+        let mut next = pairs.len();
+        group.case(label, || {
+            let evictions = evicting.stats().evictions;
+            let mut stored = 0u64;
+            for _ in 0..STORE_OPS {
+                stored += u64::from(set(evicting, next));
+                next += 1;
+            }
+            assert!(evicting.stats().evictions - evictions > STORE_OPS / 2);
+            stored
+        });
+    }
     let resident: Vec<&[u8]> = pairs
         .iter()
         .map(|p| &p.0[..])

@@ -6,22 +6,27 @@
 //! exactly once — slab chunk to reply — and integers are formatted without
 //! going through `core::fmt`.
 
-/// Appends the decimal representation of `n` (no allocation, no
-/// `core::fmt` machinery).
-pub fn push_u64(out: &mut Vec<u8>, n: u64) {
-    // u64::MAX has 20 digits.
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
+/// Writes the decimal representation of `n` into the tail of `buf` and
+/// returns the digits (no allocation, no `core::fmt` machinery). Twenty
+/// bytes hold `u64::MAX`.
+pub fn u64_digits(n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut i = buf.len();
     let mut n = n;
     loop {
         i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
+        buf[i] = b'0' + (n % 10) as u8;
         n /= 10;
         if n == 0 {
             break;
         }
     }
-    out.extend_from_slice(&digits[i..]);
+    &buf[i..]
+}
+
+/// Appends the decimal representation of `n` (no allocation, no
+/// `core::fmt` machinery).
+pub fn push_u64(out: &mut Vec<u8>, n: u64) {
+    out.extend_from_slice(u64_digits(n, &mut [0u8; 20]));
 }
 
 /// Appends one `VALUE <key> <flags> <bytes>\r\n<data>\r\n` block.

@@ -12,7 +12,19 @@
 //! the store may evict items and retry, or force a *random slab eviction*
 //! ([`SlabAllocator::reassign_random_slab`]) that empties a random slab of
 //! another class and re-labels it.
+//!
+//! The store's eviction loop asks for an empty slab of another class
+//! ([`SlabAllocator::find_empty_slab_not_of`]) before every eviction step,
+//! and under steady pressure there almost never is one. The allocator keeps
+//! a count of empty slabs, changed only where a slab's live-chunk count
+//! crosses zero (an allocation or a free), so that question costs O(1)
+//! whenever the answer is "none"; only a non-zero count walks the slabs.
+//! With the class the store already computed, `allocate_in_class` skips
+//! the size-to-class search, so the slab layer's share of an evicting set
+//! no longer grows with the slab count.
 
+#[cfg(test)]
+use std::cell::Cell;
 use std::fmt;
 
 use camp_core::rng::Rng64;
@@ -178,8 +190,14 @@ pub struct SlabAllocator {
     class_sizes: Vec<u32>,
     classes: Vec<SlabClass>,
     slabs: Vec<Slab>,
+    /// Slabs whose `used_count` is zero, of any class.
+    empty_slabs: u32,
     rng: Rng64,
     slab_evictions: u64,
+    /// Slab entries [`SlabAllocator::find_empty_slab_not_of`] has looked
+    /// at: the tests' measure of what the lookup costs.
+    #[cfg(test)]
+    empty_scan_visits: Cell<u64>,
 }
 
 impl SlabAllocator {
@@ -199,8 +217,11 @@ impl SlabAllocator {
             class_sizes,
             classes,
             slabs: Vec::new(),
+            empty_slabs: 0,
             rng: Rng64::seed_from_u64(0x517AB),
             slab_evictions: 0,
+            #[cfg(test)]
+            empty_scan_visits: Cell::new(0),
         }
     }
 
@@ -280,45 +301,50 @@ impl SlabAllocator {
         self.allocate_in_class(class)
     }
 
-    fn allocate_in_class(&mut self, class: u8) -> Result<ChunkRef, SlabError> {
-        if let Some(chunk) = self.classes[class as usize].free.pop() {
-            let slab = &mut self.slabs[chunk.slab as usize];
-            debug_assert!(!slab.used[chunk.chunk as usize]);
-            slab.used[chunk.chunk as usize] = true;
-            slab.used_count += 1;
-            self.classes[class as usize].items += 1;
-            return Ok(chunk);
+    /// [`SlabAllocator::allocate`] for a class the caller already looked
+    /// up with [`SlabAllocator::class_for`].
+    ///
+    /// # Errors
+    ///
+    /// [`SlabError::NoMemory`].
+    pub(crate) fn allocate_in_class(&mut self, class: u8) -> Result<ChunkRef, SlabError> {
+        if self.classes[class as usize].free.is_empty() {
+            self.grow_class(class);
         }
-        if self.slabs.len() < self.config.max_slabs as usize {
-            let slab_index = self.grow_class(class);
-            let chunk = self.classes[class as usize]
-                .free
-                .pop()
-                // lint:allow(unwrap-in-lib) — grow_class just pushed a full
-                // slab of free chunks for this class.
-                .expect("fresh slab has free chunks");
-            let slab = &mut self.slabs[slab_index as usize];
-            slab.used[chunk.chunk as usize] = true;
-            slab.used_count += 1;
-            self.classes[class as usize].items += 1;
-            return Ok(chunk);
+        let class_state = &mut self.classes[class as usize];
+        let Some(chunk) = class_state.free.pop() else {
+            return Err(SlabError::NoMemory { class });
+        };
+        class_state.items += 1;
+        let slab = &mut self.slabs[chunk.slab as usize];
+        debug_assert!(!slab.used[chunk.chunk as usize]);
+        slab.used[chunk.chunk as usize] = true;
+        if slab.used_count == 0 {
+            self.empty_slabs -= 1;
         }
-        Err(SlabError::NoMemory { class })
+        slab.used_count += 1;
+        Ok(chunk)
     }
 
-    /// Assigns a brand-new slab to `class`, returning its index.
-    fn grow_class(&mut self, class: u8) -> u32 {
+    /// Assigns a brand-new, empty slab to `class` if the budget has room.
+    /// Returns whether it did.
+    fn grow_class(&mut self, class: u8) -> bool {
+        if self.slabs.len() >= self.config.max_slabs as usize {
+            return false;
+        }
+        // The budget is a u32, so an index below it always fits.
+        let Ok(slab_index) = u32::try_from(self.slabs.len()) else {
+            return false;
+        };
         let chunk_size = self.class_sizes[class as usize];
         let chunks = self.config.slab_size / chunk_size;
-        // lint:allow(unwrap-in-lib) — callers check slabs.len() < max_slabs
-        // (a u32) before growing, so the index always fits.
-        let slab_index = u32::try_from(self.slabs.len()).expect("slab budget fits u32");
         self.slabs.push(Slab {
             class,
             data: vec![0u8; self.config.slab_size as usize].into_boxed_slice(),
             used: vec![false; chunks as usize],
             used_count: 0,
         });
+        self.empty_slabs += 1;
         let class_state = &mut self.classes[class as usize];
         class_state.slabs.push(slab_index);
         for chunk in (0..chunks).rev() {
@@ -328,7 +354,7 @@ impl SlabAllocator {
                 chunk,
             });
         }
-        slab_index
+        true
     }
 
     /// Returns a chunk to its class's free list.
@@ -342,6 +368,9 @@ impl SlabAllocator {
         assert!(slab.used[chunk.chunk as usize], "double free");
         slab.used[chunk.chunk as usize] = false;
         slab.used_count -= 1;
+        if slab.used_count == 0 {
+            self.empty_slabs += 1;
+        }
         let class = &mut self.classes[chunk.class as usize];
         class.items -= 1;
         class.free.push(chunk);
@@ -364,13 +393,32 @@ impl SlabAllocator {
     }
 
     /// Finds a fully empty slab that belongs to a different class — a free
-    /// candidate for reassignment that costs no evictions.
+    /// candidate for reassignment that costs no evictions. It is the
+    /// lowest-index such slab.
+    ///
+    /// With no empty slab at all (the usual case under memory pressure) it
+    /// answers from the empty-slab count without looking at any slab.
+    /// Otherwise it walks the slabs in index order, so the slab chosen is
+    /// the one a full walk would choose. After [`SlabError::NoMemory`] for
+    /// `needed_class`, no empty slab can be of that class (its chunks would
+    /// be on the class's free list), so a non-zero count always finds one.
     #[must_use]
     pub fn find_empty_slab_not_of(&self, needed_class: u8) -> Option<u32> {
-        (0..self.slabs.len() as u32).find(|&i| {
-            let slab = &self.slabs[i as usize];
-            slab.class != needed_class && slab.used_count == 0
+        if self.empty_slabs == 0 {
+            return None;
+        }
+        (0..).zip(&self.slabs).find_map(|(i, slab)| {
+            #[cfg(test)]
+            self.empty_scan_visits.set(self.empty_scan_visits.get() + 1);
+            (slab.class != needed_class && slab.used_count == 0).then_some(i)
         })
+    }
+
+    /// How many slab entries [`SlabAllocator::find_empty_slab_not_of`] has
+    /// looked at so far.
+    #[cfg(test)]
+    pub(crate) fn empty_scan_visits(&self) -> u64 {
+        self.empty_scan_visits.get()
     }
 
     /// Picks a random slab *not* belonging to `needed_class`, returning its
@@ -419,7 +467,8 @@ impl SlabAllocator {
         let old = &mut self.classes[old_class as usize];
         old.slabs.retain(|&s| s != slab_index);
         old.free.retain(|c| c.slab != slab_index);
-        // Rebuild it under the new class.
+        // Rebuild it under the new class. It was empty and stays empty, so
+        // the empty-slab count does not change.
         let chunk_size = self.class_sizes[new_class as usize];
         let chunks = self.config.slab_size / chunk_size;
         {
@@ -438,6 +487,64 @@ impl SlabAllocator {
             });
         }
         self.slab_evictions += 1;
+    }
+
+    /// Checks every structural invariant of the allocator: the empty-slab
+    /// count equals a recount; each slab's `used_count` equals its used
+    /// chunks; each class lists exactly the slabs labelled with it; each
+    /// class's free list is exactly the unused chunks of its slabs, with no
+    /// chunk repeated; and each class's `items` equals its used chunks.
+    ///
+    /// Compiles to a no-op in release builds, so callers can leave it on
+    /// hot paths unconditionally.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if any invariant is violated.
+    pub fn validate(&self) {
+        #[cfg(debug_assertions)]
+        {
+            let empty = self.slabs.iter().filter(|s| s.used_count == 0).count();
+            assert_eq!(empty, self.empty_slabs as usize, "empty-slab count");
+            let mut seen: Vec<Vec<bool>> = Vec::with_capacity(self.slabs.len());
+            for (i, slab) in self.slabs.iter().enumerate() {
+                let used = slab.used.iter().filter(|&&u| u).count();
+                assert_eq!(used, slab.used_count as usize, "slab {i}: used_count");
+                seen.push(vec![false; slab.used.len()]);
+            }
+            for (class, state) in self.classes.iter().enumerate() {
+                let mut labelled: Vec<u32> = (0..)
+                    .zip(&self.slabs)
+                    .filter(|(_, s)| s.class as usize == class)
+                    .map(|(i, _)| i)
+                    .collect();
+                let mut listed = state.slabs.clone();
+                labelled.sort_unstable();
+                listed.sort_unstable();
+                assert_eq!(listed, labelled, "class {class}: slab list");
+                for chunk in &state.free {
+                    let slab = &self.slabs[chunk.slab as usize];
+                    assert_eq!(chunk.class as usize, class, "class {class}: {chunk:?}");
+                    assert_eq!(slab.class as usize, class, "class {class}: {chunk:?} slab");
+                    let index = chunk.chunk as usize;
+                    assert!(
+                        !slab.used[index],
+                        "class {class}: free list holds used {chunk:?}"
+                    );
+                    assert!(
+                        !std::mem::replace(&mut seen[chunk.slab as usize][index], true),
+                        "class {class}: {chunk:?} is free twice"
+                    );
+                }
+                let (used, unused) = listed.iter().fold((0u64, 0usize), |(u, f), &i| {
+                    let slab = &self.slabs[i as usize];
+                    let live = slab.used_count as usize;
+                    (u + live as u64, f + slab.used.len() - live)
+                });
+                assert_eq!(state.free.len(), unused, "class {class}: free list length");
+                assert_eq!(state.items, used, "class {class}: items");
+            }
+        }
     }
 }
 
@@ -564,5 +671,102 @@ mod tests {
         assert_eq!(total_items, 3);
         let total_slabs: usize = census.iter().map(|&(_, slabs, _)| slabs).sum();
         assert_eq!(total_slabs, 2);
+    }
+
+    /// The lowest-index empty slab of another class, by a full walk.
+    fn first_empty_not_of(slabs: &SlabAllocator, needed_class: u8) -> Option<u32> {
+        (0..)
+            .zip(&slabs.slabs)
+            .find(|(_, s)| s.class != needed_class && s.used_count == 0)
+            .map(|(i, _)| i)
+    }
+
+    #[test]
+    fn validate_holds_through_mixed_op_churn() {
+        // Allocations of four sizes, frees, bare slab growth, empty-slab
+        // reclaims and random slab evictions in a seeded interleaving; the
+        // full invariant set is re-checked after every step, and the
+        // empty-slab lookup must choose what a full walk would.
+        let mut rng = Rng64::seed_from_u64(0x51AB_2014);
+        let mut slabs = SlabAllocator::new(SlabConfig::small(4096, 24));
+        let sizes = [100, 300, 1_000, 3_000];
+        let mut live: Vec<ChunkRef> = Vec::new();
+        let (mut reclaims, mut reassigns, mut grown) = (0u32, 0u32, 0u32);
+        for step in 0..20_000 {
+            let class = slabs
+                .class_for(sizes[rng.range_usize(0, sizes.len())])
+                .unwrap();
+            match rng.range_u64(0, 16) {
+                0..=7 => match slabs.allocate_in_class(class) {
+                    Ok(chunk) => live.push(chunk),
+                    Err(SlabError::NoMemory { .. }) => {
+                        assert!(
+                            slabs
+                                .slabs
+                                .iter()
+                                .all(|s| s.class != class || s.used_count > 0),
+                            "step {step}: an empty slab of the class that ran dry"
+                        );
+                        let found = slabs.find_empty_slab_not_of(class);
+                        assert_eq!(found, first_empty_not_of(&slabs, class), "step {step}");
+                        if let Some(slab) = found {
+                            slabs.complete_reassign(slab, class);
+                            reclaims += 1;
+                        }
+                    }
+                    Err(e) => panic!("step {step}: {e}"),
+                },
+                8..=13 => {
+                    if !live.is_empty() {
+                        slabs.free(live.swap_remove(rng.range_usize(0, live.len())));
+                    }
+                }
+                14 => grown += u32::from(slabs.grow_class(class)),
+                _ => {
+                    if let Some((slab, victims)) = slabs.reassign_random_slab(class) {
+                        live.retain(|c| !victims.contains(c));
+                        for chunk in victims {
+                            slabs.free(chunk);
+                        }
+                        slabs.complete_reassign(slab, class);
+                        reassigns += 1;
+                    }
+                }
+            }
+            slabs.validate();
+            let live_items: u64 = slabs.class_census().iter().map(|c| c.2).sum();
+            assert_eq!(live_items, live.len() as u64, "step {step}");
+        }
+        assert!(
+            reclaims > 0 && reassigns > 0 && grown > 0,
+            "{reclaims} {reassigns} {grown}"
+        );
+        assert_eq!(slabs.slab_count(), 24);
+    }
+
+    #[test]
+    fn no_empty_slab_means_no_walk() {
+        let mut slabs = SlabAllocator::new(SlabConfig::small(1024, 64));
+        while slabs.allocate(100).is_ok() {}
+        assert_eq!(slabs.find_empty_slab_not_of(1), None);
+        assert_eq!(
+            slabs.empty_scan_visits(),
+            0,
+            "a full allocator is not walked"
+        );
+        // Emptying slab 5 makes it the answer, found by a walk up to it.
+        let slab_five: Vec<ChunkRef> = (0..8)
+            .map(|chunk| ChunkRef {
+                class: 0,
+                slab: 5,
+                chunk,
+            })
+            .collect();
+        for chunk in slab_five {
+            slabs.free(chunk);
+        }
+        assert_eq!(slabs.find_empty_slab_not_of(1), Some(5));
+        assert_eq!(slabs.empty_scan_visits(), 6);
+        slabs.validate();
     }
 }

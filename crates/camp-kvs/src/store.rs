@@ -11,8 +11,10 @@
 //!
 //! 1. reuse a free chunk of the item's slab class;
 //! 2. assign a fresh slab to the class while the budget lasts;
-//! 3. ask the replacement policy to evict, reclaiming any slab that empties
-//!    for the needed class;
+//! 3. reassign an empty slab of another class if there is one (the
+//!    allocator answers "none" from a count, without walking the slabs),
+//!    else ask the replacement policy to evict, reclaiming any slab that
+//!    empties for the needed class;
 //! 4. if the memory is calcified (evictions never free the right class),
 //!    force a *random slab eviction* and reassign the slab.
 //!
@@ -704,7 +706,7 @@ impl Store {
             }
             self.free_chunk(old_chunk, class);
         }
-        let chunk = self.allocate_with_eviction(total, class)?;
+        let chunk = self.allocate_with_eviction(class)?;
         let item = Item {
             key,
             value,
@@ -847,9 +849,9 @@ impl Store {
         } else {
             current.saturating_sub(delta)
         };
-        let rendered = next.to_string();
-        self.set_hashed(h, rendered.as_bytes(), flags, expires_at, cost)
-            .ok()?;
+        let mut digits = [0u8; 20];
+        let rendered = crate::resp::u64_digits(next, &mut digits);
+        self.set_hashed(h, rendered, flags, expires_at, cost).ok()?;
         Some((next, (flags, expires_at, cost)))
     }
 
@@ -913,32 +915,28 @@ impl Store {
         }
     }
 
-    /// The §5 allocation protocol.
-    fn allocate_with_eviction(&mut self, total: u32, class: u8) -> Result<ChunkRef, StoreError> {
+    /// The §5 allocation protocol, for a chunk of `class`.
+    fn allocate_with_eviction(&mut self, class: u8) -> Result<ChunkRef, StoreError> {
         for _ in 0..Self::MAX_EVICTIONS_PER_ALLOC {
-            match self.slabs.allocate(total) {
-                Ok(chunk) => return Ok(chunk),
-                Err(SlabError::ItemTooLarge { requested, max }) => {
-                    return Err(StoreError::ValueTooLarge { requested, max })
-                }
-                Err(SlabError::NoMemory { .. }) => {
-                    // A fully empty slab of another class is free memory:
-                    // reassign it without evicting anything.
-                    if let Some(slab) = self.slabs.find_empty_slab_not_of(class) {
-                        self.slabs.complete_reassign(slab, class);
-                        self.stats.slab_reclaims += 1;
-                        continue;
-                    }
-                    // Step 3: the policy takes one step of its own eviction.
-                    let Some((_, chunk)) = self.policy.evict() else {
-                        // Nothing left to evict and no reusable slab: the
-                        // item cannot fit.
-                        return Err(StoreError::OutOfMemory);
-                    };
-                    self.free_chunk(chunk, class);
-                    self.stats.evictions += 1;
-                }
+            if let Ok(chunk) = self.slabs.allocate_in_class(class) {
+                return Ok(chunk);
             }
+            // A fully empty slab of another class is free memory: reassign
+            // it without evicting anything. With none (the steady state
+            // under pressure) the lookup costs O(1).
+            if let Some(slab) = self.slabs.find_empty_slab_not_of(class) {
+                self.slabs.complete_reassign(slab, class);
+                self.stats.slab_reclaims += 1;
+                continue;
+            }
+            // Step 3: the policy takes one step of its own eviction.
+            let Some((_, chunk)) = self.policy.evict() else {
+                // Nothing left to evict and no reusable slab: the item
+                // cannot fit.
+                return Err(StoreError::OutOfMemory);
+            };
+            self.free_chunk(chunk, class);
+            self.stats.evictions += 1;
         }
         // Calcified: force a random slab eviction (Twemcache's mitigation).
         let Some((slab_index, victims)) = self.slabs.reassign_random_slab(class) else {
@@ -959,7 +957,7 @@ impl Store {
         self.slabs.complete_reassign(slab_index, class);
         self.stats.slab_reassignments += 1;
         self.slabs
-            .allocate(total)
+            .allocate_in_class(class)
             .map_err(|_| StoreError::OutOfMemory)
     }
 }
@@ -1212,6 +1210,91 @@ mod tests {
     }
 
     #[test]
+    fn incr_decr_rewrite_the_stored_digits() {
+        let mut store = small_store(EvictionMode::Lru);
+        let max = u64::MAX.to_string();
+        let below_max = (u64::MAX - 1).to_string();
+        let mut check = |before: &[u8], up: bool, delta: u64, next: u64, after: &[u8]| {
+            store.set(b"n", before, 3, 0, 8).unwrap();
+            let reply = if up {
+                store.incr(b"n", delta)
+            } else {
+                store.decr(b"n", delta)
+            };
+            let context = format!("{} {}", String::from_utf8_lossy(before), delta);
+            assert_eq!(reply, Some(next), "{context}");
+            assert_eq!(
+                read(&mut store, b"n"),
+                Some((after.to_vec(), 3, 8)),
+                "{context}"
+            );
+        };
+        check(b"0", true, 0, 0, b"0");
+        check(b"0", false, 1, 0, b"0");
+        check(b"9", true, 1, 10, b"10");
+        check(b"999999999", true, 1, 1_000_000_000, b"1000000000");
+        check(b"10", false, 1, 9, b"9");
+        check(below_max.as_bytes(), true, 1, u64::MAX, max.as_bytes());
+        check(max.as_bytes(), true, 2, 1, b"1");
+        check(b"5", false, 7, 0, b"0");
+    }
+
+    #[test]
+    fn evicting_sets_never_walk_the_slabs_when_none_is_empty() {
+        // 1 024 slabs of 1 KiB, two size classes, mixed costs.
+        let mut store = Store::new(StoreConfig {
+            slab: SlabConfig::small(1024, 1024),
+            eviction: EvictionMode::Camp(Precision::Bits(5)),
+        });
+        let set = |store: &mut Store, i: u32| {
+            let (key, value) = if i.is_multiple_of(3) {
+                (format!("large-{i}"), &[1u8; 400][..])
+            } else {
+                (format!("small-{i}"), &[0u8; 60][..])
+            };
+            let cost = 1 + u64::from(i % 7) * 100;
+            store.set(key.as_bytes(), value, 0, 0, cost).unwrap();
+        };
+        let mut i = 0;
+        while store.stats().evictions == 0 {
+            set(&mut store, i);
+            i += 1;
+        }
+        assert_eq!(store.slabs.slab_count(), 1024);
+        // Steady pressure: about one eviction per set, and no slab empty.
+        let visits = store.slabs.empty_scan_visits();
+        let evictions = store.stats().evictions;
+        for _ in 0..20_000 {
+            set(&mut store, i);
+            i += 1;
+            if i.is_multiple_of(1_000) {
+                assert_layers_agree(&store, "steady");
+            }
+        }
+        let evicted = store.stats().evictions - evictions;
+        assert!(evicted > 15_000, "{evicted} evictions");
+        assert_eq!(
+            store.slabs.empty_scan_visits() - visits,
+            0,
+            "slab entries visited"
+        );
+        // Deleting every large item empties their slabs; small sets then
+        // reclaim those slabs through the walk instead of evicting.
+        let (evictions, reclaims) = (store.stats().evictions, store.stats().slab_reclaims);
+        for j in (0..i).filter(|j| j.is_multiple_of(3)) {
+            store.delete(format!("large-{j}").as_bytes());
+        }
+        while store.stats().slab_reclaims == reclaims {
+            i += u32::from(i.is_multiple_of(3));
+            set(&mut store, i);
+            i += 1;
+            assert_eq!(store.stats().evictions, evictions, "reclaimed, not evicted");
+        }
+        assert_layers_agree(&store, "after deletes");
+        assert!(store.slabs.empty_scan_visits() > visits);
+    }
+
+    #[test]
     fn touch_updates_expiry_in_place() {
         let mut store = small_store(EvictionMode::Lru);
         store.set(b"t", b"v", 0, 100, 1).unwrap();
@@ -1454,6 +1537,7 @@ mod tests {
     /// Policy and slab must agree on what is resident: as many pairs as
     /// live chunks, each chunk filed under its own key's fingerprint.
     fn assert_layers_agree(store: &Store, context: &str) {
+        store.slabs.validate();
         let slab_items: u64 = store.slab_census().iter().map(|&(_, _, n)| n).sum();
         assert_eq!(store.policy.len() as u64, slab_items, "{context}: slab");
         store.policy.for_each(&mut |&fp, &chunk| {
