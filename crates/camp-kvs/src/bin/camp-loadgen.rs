@@ -13,9 +13,12 @@
 //! commands (GET/SET mixed by `--get-ratio`, keys drawn uniformly from
 //! `--keys` via the in-repo `Rng64`), writes the whole batch in one
 //! segment, then reads all `DEPTH` responses — exactly the traffic shape
-//! the server's flush coalescing is built for. Client-side latency is
-//! recorded per command class into `camp-telemetry` histograms (each op in
-//! a batch is charged the batch round-trip, the closed-loop convention).
+//! the server's flush coalescing is built for. Every connection is a
+//! [`camp_kvs::client::Client`]: its batch primitive writes and reads the
+//! wire, and its strict reply reader parses the replies. Client-side
+//! latency is recorded per command class into `camp-telemetry` histograms
+//! (each op in a batch is charged the batch round-trip, the closed-loop
+//! convention).
 //!
 //! `--threads` decouples connection count from thread count: each thread
 //! multiplexes its share of connections by writing one batch to every
@@ -28,15 +31,17 @@
 //! closed-loop convention extended per-thread, and it is why latency
 //! comparisons should hold `--threads` fixed.
 //!
-//! `--retries N` makes the run resilient for chaos testing: a worker whose
-//! connection dies mid-batch reconnects and re-issues the whole batch
-//! (sets and gets are idempotent, so a replay is safe) up to N times
-//! before charging the batch's ops as errors and moving on; the prefill
-//! retries per batch the same way. `--expect-errors` declares that errors
-//! are part of the experiment (a `--chaos` server is on the other side):
-//! the error/retry/reconnect counts land in the report's `resilience`
-//! object and the process still exits 0 — only a run that completes zero
-//! ops fails.
+//! `--retries N` makes the run resilient for chaos testing: it is the
+//! client's retry budget, with `retry_sets` on (sets and gets are
+//! idempotent, so a replay is safe). A connection that dies mid-batch is
+//! re-dialed and the whole batch re-issued, with the client's backoff, up
+//! to N times before the batch's ops are charged as errors; the prefill
+//! retries per batch the same way. The clients' retry and reconnect
+//! counters are the report's `batch_retries` and `reconnects`.
+//! `--expect-errors` declares that errors are part of the experiment (a
+//! `--chaos` server is on the other side): the error/retry/reconnect
+//! counts land in the report's `resilience` object and the process still
+//! exits 0 — only a run that completes zero ops fails.
 //!
 //! `--verify` adds a read-back pass after the measured phase: a
 //! deterministic sample of the keyspace (up to 2000 keys, spread evenly)
@@ -57,14 +62,14 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use camp_core::rng::Rng64;
+use camp_kvs::client::{Client, ClientConfig, Reply};
 use camp_telemetry::{Histogram, HistogramSnapshot};
 
 #[derive(Debug, Clone)]
@@ -193,15 +198,16 @@ fn parse_args() -> Result<Config, String> {
 }
 
 /// Counters and histograms shared by every worker.
+#[derive(Default)]
 struct Totals {
     stop: AtomicBool,
     /// Completed ops (every class).
     ops: AtomicU64,
     gets: AtomicU64,
-    sets: AtomicU64,
     hits: AtomicU64,
     errors: AtomicU64,
-    /// Whole batches re-issued after a connection failure.
+    /// The clients' retried attempts: batches re-issued after a
+    /// connection failure, and re-tried dials.
     batch_retries: AtomicU64,
     /// Successful re-dials after a connection died.
     reconnects: AtomicU64,
@@ -209,220 +215,63 @@ struct Totals {
     set_latency: Histogram,
 }
 
-impl Totals {
-    fn new() -> Totals {
-        Totals {
-            stop: AtomicBool::new(false),
-            ops: AtomicU64::new(0),
-            gets: AtomicU64::new(0),
-            sets: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            batch_retries: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            get_latency: Histogram::new(),
-            set_latency: Histogram::new(),
-        }
+/// The client every connection speaks through: no timeouts, `--retries`
+/// re-issues of a whole batch (sets included — a replayed set stores the
+/// same bytes again) with the client's backoff.
+fn client_config(config: &Config, seed: u64) -> ClientConfig {
+    ClientConfig {
+        retries: config.retries,
+        retry_sets: true,
+        seed,
+        ..ClientConfig::default()
     }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Op {
-    Get,
-    Set,
-}
-
-/// One worker connection (socket halves).
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-fn connect(addr: &str) -> io::Result<Conn> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    Ok(Conn {
-        reader: BufReader::new(stream.try_clone()?),
-        writer: stream,
-    })
 }
 
 fn push_key(buf: &mut Vec<u8>, id: u64) {
     // Fixed-width keys: "key-00001234".
+    buf.clear();
     let _ = write!(buf, "key-{id:08}");
-}
-
-/// Writes one pipelined batch of sets and reads the replies. Any reply
-/// other than STORED is an error (the batch is already on the wire, so
-/// the remaining replies are still consumed).
-fn prefill_batch(
-    conn: &mut Conn,
-    request: &[u8],
-    pending: usize,
-    line: &mut Vec<u8>,
-) -> io::Result<()> {
-    conn.writer.write_all(request)?;
-    let mut bad = 0usize;
-    for _ in 0..pending {
-        read_line(&mut conn.reader, line)?;
-        if line != b"STORED" {
-            bad += 1;
-        }
-    }
-    if bad > 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("prefill: {bad} of {pending} sets not stored"),
-        ));
-    }
-    Ok(())
 }
 
 /// Pre-stores every key so the measured phase runs mostly hits. With
 /// `--retries 0` a single connection pipelines batches of 128 and any
-/// failure is fatal; with retries, batches shrink to 32 (a dropped batch
-/// forfeits less) and each failed batch is re-issued over a fresh
-/// connection up to the retry budget — sets are idempotent, so the replay
-/// is safe. A batch that exhausts its budget is skipped: the keys it
-/// covered just miss during the measured phase.
+/// failure, a set not stored included, is fatal; with retries, batches
+/// shrink to 32 (a dropped batch forfeits less) and the client re-issues
+/// a failed batch over a fresh connection up to the retry budget. A batch
+/// that exhausts its budget is skipped: the keys it covered just miss
+/// during the measured phase.
 fn prefill(config: &Config, value: &[u8]) -> io::Result<()> {
     let batch_size: u64 = if config.retries > 0 { 32 } else { 128 };
-    let mut conn: Option<Conn> = Some(connect(&config.addr)?);
-    let mut request = Vec::new();
-    let mut line = Vec::new();
-    let mut pending = 0usize;
+    let mut client = Client::connect_with(&config.addr, client_config(config, config.seed))?;
+    let mut key = Vec::new();
     let mut skipped = 0u64;
-    for id in 0..config.keys {
-        request.extend_from_slice(b"set ");
-        push_key(&mut request, id);
-        let _ = write!(request, " 0 0 {}\r\n", value.len());
-        request.extend_from_slice(value);
-        request.extend_from_slice(b"\r\n");
-        pending += 1;
-        if pending as u64 == batch_size || id + 1 == config.keys {
-            let mut attempt = 0u32;
-            loop {
-                let ready = match conn.as_mut() {
-                    Some(c) => Ok(c),
-                    None => connect(&config.addr).map(|c| conn.insert(c)),
-                };
-                let result = ready.and_then(|c| prefill_batch(c, &request, pending, &mut line));
-                match result {
-                    Ok(()) => break,
-                    Err(err) if attempt < config.retries => {
-                        conn = None;
-                        attempt += 1;
-                        let _ = err;
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(err) if config.retries > 0 => {
-                        eprintln!("camp-loadgen: prefill batch skipped: {err}");
-                        skipped += pending as u64;
-                        conn = None;
-                        break;
-                    }
-                    Err(err) => return Err(err),
-                }
+    for first in (0..config.keys).step_by(batch_size as usize) {
+        let last = config.keys.min(first + batch_size);
+        for id in first..last {
+            push_key(&mut key, id);
+            client.push_set(&key, value, 0, 0);
+        }
+        let stored = client.collect(|_, reply| match reply {
+            Reply::Line(b"STORED") => Ok(()),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "prefill: a set was not stored",
+            )),
+        });
+        match stored {
+            Ok(()) => {}
+            Err(err) if config.retries > 0 => {
+                eprintln!("camp-loadgen: prefill batch skipped: {err}");
+                skipped += last - first;
             }
-            request.clear();
-            pending = 0;
+            Err(err) => return Err(err),
         }
     }
     if skipped > 0 {
         eprintln!("camp-loadgen: prefill skipped {skipped} keys after retries");
     }
-    if let Some(mut c) = conn {
-        let _ = c.writer.write_all(b"quit\r\n");
-    }
+    let _ = client.quit();
     Ok(())
-}
-
-fn read_line(reader: &mut BufReader<TcpStream>, line: &mut Vec<u8>) -> io::Result<()> {
-    line.clear();
-    let read = reader.read_until(b'\n', line)?;
-    if read == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed the connection",
-        ));
-    }
-    while line.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-        line.pop();
-    }
-    Ok(())
-}
-
-/// Consumes one GET response (VALUE blocks until END); returns whether the
-/// key was a hit, or `None` on a protocol error.
-fn read_get_response(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut Vec<u8>,
-    skip: &mut Vec<u8>,
-) -> io::Result<Option<bool>> {
-    let mut hit = false;
-    loop {
-        read_line(reader, line)?;
-        if line == b"END" {
-            return Ok(Some(hit));
-        }
-        if !line.starts_with(b"VALUE ") {
-            return Ok(None);
-        }
-        // Data-block length is the last space-separated token.
-        let len: usize = line
-            .rsplit(|&b| b == b' ')
-            .next()
-            .and_then(|t| std::str::from_utf8(t).ok())
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad VALUE header"))?;
-        if skip.len() < len + 2 {
-            skip.resize(len + 2, 0);
-        }
-        reader.read_exact(&mut skip[..len + 2])?;
-        hit = true;
-    }
-}
-
-/// Reads the replies for one batch already on the wire; returns (hits,
-/// soft errors). A soft error is an error *reply* (e.g. an injected
-/// SERVER_ERROR) — the connection stays usable; an `Err` means the
-/// connection is dead.
-fn read_batch(
-    conn: &mut Conn,
-    ops: &[Op],
-    line: &mut Vec<u8>,
-    skip: &mut Vec<u8>,
-) -> io::Result<(u64, u64)> {
-    let mut hits = 0u64;
-    let mut soft_errors = 0u64;
-    for &op in ops {
-        match op {
-            Op::Get => match read_get_response(&mut conn.reader, line, skip)? {
-                Some(true) => hits += 1,
-                Some(false) => {}
-                None => soft_errors += 1,
-            },
-            Op::Set => {
-                read_line(&mut conn.reader, line)?;
-                if line != b"STORED" {
-                    soft_errors += 1;
-                }
-            }
-        }
-    }
-    Ok((hits, soft_errors))
-}
-
-/// Writes one batch and reads all its replies.
-fn run_batch(
-    conn: &mut Conn,
-    request: &[u8],
-    ops: &[Op],
-    line: &mut Vec<u8>,
-    skip: &mut Vec<u8>,
-) -> io::Result<(u64, u64)> {
-    conn.writer.write_all(request)?;
-    read_batch(conn, ops, line, skip)
 }
 
 /// What the `--verify` read-back pass found.
@@ -439,251 +288,179 @@ struct VerifyStats {
 
 /// Fetches a deterministic, evenly-spread sample of the keyspace (up to
 /// 2000 keys) over one fresh connection and byte-compares each returned
-/// value against the canonical payload. The VALUE header is parsed
-/// strictly — an unexpected key, a bad length, or wrong data bytes all
-/// count as a mismatch.
+/// value against the canonical payload. A reply the client's strict
+/// reader refuses (another key, a malformed header or data block) counts
+/// as a mismatch, and the client re-dials for the next key.
 fn verify(config: &Config, value: &[u8]) -> io::Result<VerifyStats> {
-    let mut conn = connect(&config.addr)?;
+    let mut client = Client::connect(&config.addr)?;
     let sample = config.keys.min(2000);
     let mut stats = VerifyStats::default();
-    let mut request = Vec::new();
-    let mut expected_key = Vec::new();
-    let mut line = Vec::new();
-    let mut data = vec![0u8; value.len() + 2];
+    let mut key = Vec::new();
     for i in 0..sample {
-        let id = i * config.keys / sample;
-        request.clear();
-        request.extend_from_slice(b"get ");
-        push_key(&mut request, id);
-        request.extend_from_slice(b"\r\n");
-        conn.writer.write_all(&request)?;
-        expected_key.clear();
-        push_key(&mut expected_key, id);
+        push_key(&mut key, i * config.keys / sample);
         stats.checked += 1;
-
-        read_line(&mut conn.reader, &mut line)?;
-        if line == b"END" {
-            stats.missing += 1;
-            continue;
-        }
-        // Strict header: VALUE <key> <flags> <len>, our key, our length.
-        let mut tokens = line.split(|&b| b == b' ');
-        let well_formed = tokens.next() == Some(b"VALUE")
-            && tokens.next() == Some(expected_key.as_slice())
-            && tokens.next().is_some()
-            && tokens.next().and_then(|t| {
-                std::str::from_utf8(t)
-                    .ok()
-                    .and_then(|t| t.parse::<usize>().ok())
-            }) == Some(value.len())
-            && tokens.next().is_none();
-        if !well_formed {
-            stats.mismatched += 1;
-            // The reply is in an unknown shape; re-dial rather than guess
-            // at how many bytes to skip.
-            conn = connect(&config.addr)?;
-            continue;
-        }
-        conn.reader.read_exact(&mut data)?;
-        let matches = &data[..value.len()] == value && &data[value.len()..] == b"\r\n";
-        read_line(&mut conn.reader, &mut line)?;
-        if !matches || line != b"END" {
-            stats.mismatched += 1;
+        match client.get(&key) {
+            Ok(None) => stats.missing += 1,
+            Ok(Some(found)) if found.data == value => {}
+            Ok(Some(_)) => stats.mismatched += 1,
+            Err(err) if err.kind() == io::ErrorKind::InvalidData => stats.mismatched += 1,
+            Err(err) => return Err(err),
         }
     }
-    let _ = conn.writer.write_all(b"quit\r\n");
+    let _ = client.quit();
     Ok(stats)
 }
 
-/// One multiplexed connection: the socket plus the batch it has in
-/// flight. A worker thread owns several of these and keeps a batch on
-/// the wire on every one of them at all times.
+/// One multiplexed connection: its client (dialed on first use) and the
+/// shape of the batch it has in flight. A worker thread owns several of
+/// these and keeps a batch on the wire on every one of them at all times.
 struct Slot {
-    conn: Option<Conn>,
-    ever_connected: bool,
-    request: Vec<u8>,
-    ops: Vec<Op>,
+    client: Option<Client>,
+    gets: u64,
     started: Instant,
-    /// The batch was written successfully and its replies are pending.
-    wrote: bool,
-}
-
-/// Returns the slot's live connection, dialing one if needed and
-/// counting the re-dial once the slot has ever been connected.
-fn ensure_conn<'a>(
-    conn: &'a mut Option<Conn>,
-    ever_connected: &mut bool,
-    addr: &str,
-    totals: &Totals,
-) -> io::Result<&'a mut Conn> {
-    match conn {
-        Some(ready) => Ok(ready),
-        None => {
-            let dialed = connect(addr)?;
-            if *ever_connected {
-                // ordering: Relaxed — statistics counter.
-                totals.reconnects.fetch_add(1, Ordering::Relaxed);
-            }
-            *ever_connected = true;
-            Ok(conn.insert(dialed))
-        }
-    }
 }
 
 fn worker(config: Config, totals: Arc<Totals>, worker_id: u64, value: Arc<Vec<u8>>, conns: usize) {
-    let mut rng = Rng64::seed_from_u64(config.seed ^ (worker_id.wrapping_mul(0x9E37_79B9)));
     let mut slots: Vec<Slot> = (0..conns)
         .map(|_| Slot {
-            conn: None,
-            ever_connected: false,
-            request: Vec::new(),
-            ops: Vec::with_capacity(config.pipeline),
+            client: None,
+            gets: 0,
             started: Instant::now(),
-            wrote: false,
         })
         .collect();
-    let mut line = Vec::new();
-    let mut skip = Vec::new();
+    if let Err(err) = drive(&config, &totals, worker_id, &value, &mut slots) {
+        // Without retries a dead connection ends the worker (the others
+        // keep going).
+        eprintln!("camp-loadgen: worker {worker_id}: {err}");
+        // ordering: Relaxed — statistics counter.
+        totals.errors.fetch_add(1, Ordering::Relaxed);
+    }
+    for client in slots.into_iter().filter_map(|slot| slot.client) {
+        let counters = client.counters();
+        // ordering: Relaxed(x2) — statistics counters; the final report
+        // reads them after joining every worker.
+        totals
+            .batch_retries
+            .fetch_add(counters.retries, Ordering::Relaxed);
+        totals
+            .reconnects
+            .fetch_add(counters.reconnects, Ordering::Relaxed);
+        let _ = client.quit();
+    }
+}
+
+/// The worker's closed loop. Returns only when the run stops, or with the
+/// error that ended it under `--retries 0`; with retries, a batch whose
+/// budget ran out is charged to the error count and the loop goes on.
+fn drive(
+    config: &Config,
+    totals: &Totals,
+    worker_id: u64,
+    value: &[u8],
+    slots: &mut [Slot],
+) -> io::Result<()> {
+    let mut rng = Rng64::seed_from_u64(config.seed ^ (worker_id.wrapping_mul(0x9E37_79B9)));
+    let mut key = Vec::new();
+    let failed = |err: io::Error| {
+        if config.retries == 0 {
+            return Err(err);
+        }
+        // ordering: Relaxed — statistics counter.
+        totals
+            .errors
+            .fetch_add(config.pipeline as u64, Ordering::Relaxed);
+        Ok(())
+    };
     // ordering: Relaxed — best-effort stop flag: a worker finishing one
     // extra batch after the deadline is fine, and the final counts are
-    // ordered by the join below anyway.
+    // ordered by the join in `measure` anyway.
     while !totals.stop.load(Ordering::Relaxed) {
         // Issue phase: put one batch on the wire per connection before
         // reading anything back, so every connection this thread owns has
         // work in flight at once.
-        for slot in &mut slots {
-            slot.request.clear();
-            slot.ops.clear();
-            slot.wrote = false;
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if slot.client.is_none() {
+                let seed = config.seed ^ (worker_id << 32) ^ i as u64;
+                match Client::connect_with(&config.addr, client_config(config, seed)) {
+                    Ok(client) => slot.client = Some(client),
+                    Err(err) => {
+                        failed(err)?;
+                        continue;
+                    }
+                }
+            }
+            let Some(client) = slot.client.as_mut() else {
+                continue;
+            };
+            slot.gets = 0;
             for _ in 0..config.pipeline {
                 let id = rng.range_u64(0, config.keys);
+                push_key(&mut key, id);
                 if rng.chance(config.get_ratio) {
-                    slot.request.extend_from_slice(b"get ");
-                    push_key(&mut slot.request, id);
-                    slot.request.extend_from_slice(b"\r\n");
-                    slot.ops.push(Op::Get);
+                    client.push_get(&key);
+                    slot.gets += 1;
                 } else {
-                    slot.request.extend_from_slice(b"set ");
-                    push_key(&mut slot.request, id);
-                    let _ = write!(slot.request, " 0 0 {}\r\n", value.len());
-                    slot.request.extend_from_slice(&value);
-                    slot.request.extend_from_slice(b"\r\n");
-                    slot.ops.push(Op::Set);
+                    client.push_set(&key, value, 0, 0);
                 }
             }
             slot.started = Instant::now();
-            let issued = ensure_conn(
-                &mut slot.conn,
-                &mut slot.ever_connected,
-                &config.addr,
-                &totals,
-            )
-            .and_then(|c| c.writer.write_all(&slot.request));
-            match issued {
-                Ok(()) => slot.wrote = true,
-                Err(err) => {
-                    slot.conn = None;
-                    if config.retries == 0 {
-                        // Without retries a dead connection ends the
-                        // worker (the others keep going).
-                        eprintln!("camp-loadgen: worker {worker_id}: {err}");
-                        // ordering: Relaxed — statistics counter.
-                        totals.errors.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    // The collect phase below replays the batch over a
-                    // fresh connection.
+            // A batch that failed to leave is re-issued by `collect`.
+            if let Err(err) = client.send() {
+                if config.retries == 0 {
+                    return Err(err);
                 }
             }
         }
-        // Collect phase: read every slot's replies, re-dialing and
-        // replaying a slot's batch on connection failure up to the retry
-        // budget. Sets and gets are idempotent, so a replay is safe.
-        for slot in &mut slots {
-            let mut attempt = 0u32;
-            let outcome = loop {
-                let result = if slot.wrote {
-                    // Replies for the already-written batch.
-                    slot.wrote = false;
-                    match slot.conn.as_mut() {
-                        Some(c) => read_batch(c, &slot.ops, &mut line, &mut skip),
-                        None => Err(io::Error::new(io::ErrorKind::NotConnected, "no connection")),
-                    }
-                } else {
-                    ensure_conn(
-                        &mut slot.conn,
-                        &mut slot.ever_connected,
-                        &config.addr,
-                        &totals,
-                    )
-                    .and_then(|c| run_batch(c, &slot.request, &slot.ops, &mut line, &mut skip))
-                };
-                match result {
-                    Ok(counts) => break Ok(counts),
-                    Err(err) => {
-                        slot.conn = None;
-                        // ordering: Relaxed(x2) — stop flag (see the
-                        // worker loop) and a statistics counter.
-                        if attempt >= config.retries || totals.stop.load(Ordering::Relaxed) {
-                            break Err(err);
-                        }
-                        totals.batch_retries.fetch_add(1, Ordering::Relaxed);
-                        attempt += 1;
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                }
+        // Collect phase: read every slot's replies; the client re-dials
+        // and re-issues a slot's batch on connection failure up to the
+        // retry budget.
+        for slot in slots.iter_mut() {
+            let Some(client) = slot.client.as_mut() else {
+                continue;
             };
-            let (hits, soft_errors) = match outcome {
-                Ok(counts) => counts,
-                Err(err) => {
-                    if config.retries == 0 {
-                        eprintln!("camp-loadgen: worker {worker_id}: {err}");
-                        // ordering: Relaxed — statistics counter.
-                        totals.errors.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    // Budget exhausted: the batch's ops are errors; move on.
-                    totals
-                        .errors
-                        // ordering: Relaxed — statistics counter.
-                        .fetch_add(slot.ops.len() as u64, Ordering::Relaxed);
-                    continue;
+            let (mut hits, mut soft_errors) = (0u64, 0u64);
+            let collected = client.collect(|i, reply| {
+                if i == 0 {
+                    (hits, soft_errors) = (0, 0);
                 }
-            };
-            let micros = u64::try_from(slot.started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            let mut gets = 0u64;
-            let mut sets = 0u64;
-            for &op in &slot.ops {
-                match op {
-                    Op::Get => {
-                        totals.get_latency.record(micros);
-                        gets += 1;
-                    }
-                    Op::Set => {
-                        totals.set_latency.record(micros);
-                        sets += 1;
-                    }
+                match reply {
+                    Reply::Hit { .. } => hits += 1,
+                    Reply::Miss | Reply::Line(b"STORED") => {}
+                    // An error *reply* (e.g. an injected SERVER_ERROR):
+                    // the connection stays usable.
+                    Reply::Line(_) => soft_errors += 1,
                 }
+                Ok(())
+            });
+            if let Err(err) = collected {
+                failed(err)?;
+                continue;
             }
-            // ordering: Relaxed(x5) — statistics counters; the final
+            let micros = u64::try_from(slot.started.elapsed().as_micros()).unwrap_or(u64::MAX);
+            let gets = slot.gets;
+            let sets = config.pipeline as u64 - gets;
+            for _ in 0..gets {
+                totals.get_latency.record(micros);
+            }
+            for _ in 0..sets {
+                totals.set_latency.record(micros);
+            }
+            // ordering: Relaxed(x4) — statistics counters; the final
             // report reads them after joining every worker.
             totals.ops.fetch_add(gets + sets, Ordering::Relaxed);
             totals.gets.fetch_add(gets, Ordering::Relaxed);
-            totals.sets.fetch_add(sets, Ordering::Relaxed);
             totals.hits.fetch_add(hits, Ordering::Relaxed);
             if soft_errors > 0 {
                 totals.errors.fetch_add(soft_errors, Ordering::Relaxed);
             }
         }
     }
-    for slot in &mut slots {
-        if let Some(conn) = slot.conn.as_mut() {
-            let _ = conn.writer.write_all(b"quit\r\n");
-        }
-    }
+    Ok(())
 }
 
-/// Everything one measured run produces (warmup excluded).
+/// Everything one measured run produces (warmup excluded); all zeros for
+/// a pure-verify run (`--verify --duration-secs 0`).
+#[derive(Default)]
 struct RunStats {
     elapsed_secs: f64,
     total_ops: u64,
@@ -703,28 +480,13 @@ impl RunStats {
             0.0
         }
     }
-
-    /// The all-zero stats a pure-verify run (`--verify --duration-secs 0`)
-    /// reports in place of a measured phase.
-    fn empty() -> RunStats {
-        RunStats {
-            elapsed_secs: 0.0,
-            total_ops: 0,
-            hit_ratio: 0.0,
-            errors: 0,
-            batch_retries: 0,
-            reconnects: 0,
-            get_snap: Histogram::new().snapshot(),
-            set_snap: Histogram::new().snapshot(),
-        }
-    }
 }
 
 /// Runs the full measured phase against `config.addr`: spawns the worker
 /// threads, warms up, re-baselines, runs for the duration, stops and
 /// joins. The server must already be prefilled.
 fn measure(config: &Config, value: &Arc<Vec<u8>>) -> RunStats {
-    let totals = Arc::new(Totals::new());
+    let totals = Arc::new(Totals::default());
     // `--threads 0` keeps the historical one-thread-per-connection shape;
     // otherwise spread the connections over the threads as evenly as
     // possible (the first `connections % threads` threads take one extra).
@@ -873,7 +635,7 @@ fn main() -> ExitCode {
     // written, so a recovery harness can check exactly what survived.
     let pure_verify = config.verify && config.duration_secs <= 0.0;
     let stats = if pure_verify {
-        RunStats::empty()
+        RunStats::default()
     } else {
         if let Err(err) = prefill(&config, &value) {
             eprintln!(

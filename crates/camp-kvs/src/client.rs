@@ -10,6 +10,15 @@
 //! one after a lost reply would double-count. The default configuration
 //! (no timeouts, zero retries) behaves exactly like a plain blocking
 //! client.
+//!
+//! Every key command goes through one pipelined primitive: commands are
+//! queued into a batch ([`Client::push_get`], [`Client::push_set`]), the
+//! batch leaves in one `write` ([`Client::send`]), and [`Client::collect`]
+//! reads the replies in order, one at a time. A single `get` or `set` is a
+//! batch of one. The reply reader is strict and byte-wise: a `VALUE` header
+//! that names another key or is malformed, a data block not closed by CRLF,
+//! or a line a retrieval cannot get is `InvalidData`. Reading a reply
+//! allocates nothing once the client's buffers are warm.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -91,15 +100,56 @@ pub struct ClientCounters {
     pub reconnects: u64,
 }
 
-/// One live connection: socket halves plus the reusable line buffer.
+/// One reply of a pipelined batch, as [`Client::collect`] hands it over.
+/// It borrows the client's reusable buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reply<'a> {
+    /// A retrieval found its key: the data block without its CRLF, and
+    /// the flags.
+    Hit {
+        /// The value bytes.
+        data: &'a [u8],
+        /// The flags stored with them.
+        flags: u32,
+    },
+    /// A retrieval missed (`END` alone).
+    Miss,
+    /// A one-line reply without its CRLF: `STORED`, `NOT_FOUND`, a number,
+    /// or an error line (`SERVER_ERROR …`, which a retrieval can get too).
+    Line(&'a [u8]),
+}
+
+/// What a queued command's reply looks like.
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    /// A retrieval of the key at `request[start..end]`.
+    Value(usize, usize),
+    /// One line.
+    Line,
+}
+
+/// The commands queued on a [`Client`] and not yet collected.
+#[derive(Debug, Default)]
+struct Batch {
+    /// The commands as they go on the wire, so they leave in one `write`.
+    request: Vec<u8>,
+    /// One entry per queued command, in order.
+    replies: Vec<Expect>,
+    /// Some queued command must not be re-issued after a lost reply.
+    once: bool,
+    /// `request` is on the current connection's wire.
+    sent: bool,
+}
+
+/// One live connection (one socket, so one file descriptor) plus the
+/// reusable reply buffers.
 #[derive(Debug)]
 struct Conn {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    /// Reusable response-line buffer: one connection reads thousands of
-    /// lines, so `read_line` fills this in place instead of allocating a
-    /// fresh `Vec` per line.
+    /// The last reply line, without its CRLF.
     line: Vec<u8>,
+    /// The last data block, with its CRLF.
+    data: Vec<u8>,
 }
 
 /// A blocking text-protocol client.
@@ -107,12 +157,23 @@ struct Conn {
 /// # Examples
 ///
 /// ```no_run
-/// use camp_kvs::client::Client;
+/// use camp_kvs::client::{Client, Reply};
 ///
 /// let mut client = Client::connect("127.0.0.1:11211")?;
 /// client.set(b"greeting", b"hello", 0, 0)?;
 /// let value = client.get(b"greeting")?.expect("stored");
 /// assert_eq!(value.data, b"hello");
+///
+/// // Two commands in one write; their replies come back in order.
+/// client.push_set(b"a", b"1", 0, 0);
+/// client.push_get(b"greeting");
+/// client.collect(|i, reply| {
+///     match i {
+///         0 => assert_eq!(reply, Reply::Line(b"STORED")),
+///         _ => assert!(matches!(reply, Reply::Hit { data: b"hello", .. })),
+///     }
+///     Ok(())
+/// })?;
 /// # Ok::<(), std::io::Error>(())
 /// ```
 #[derive(Debug)]
@@ -123,6 +184,7 @@ pub struct Client {
     rng: Rng64,
     retries_total: u64,
     reconnects_total: u64,
+    batch: Batch,
 }
 
 impl Client {
@@ -158,6 +220,7 @@ impl Client {
             rng,
             retries_total: 0,
             reconnects_total: 0,
+            batch: Batch::default(),
         };
         let mut attempt = 0u32;
         client.conn = Some(loop {
@@ -262,16 +325,160 @@ impl Client {
         }
     }
 
+    /// Queues `<verb> <key>` and returns the request so the caller can
+    /// append the rest of the command, CRLFs included.
+    fn queue(
+        &mut self,
+        verb: &[u8],
+        key: &[u8],
+        retrieval: bool,
+        replayable: bool,
+    ) -> &mut Vec<u8> {
+        let batch = &mut self.batch;
+        batch.request.extend_from_slice(verb);
+        batch.request.push(b' ');
+        let start = batch.request.len();
+        batch.request.extend_from_slice(key);
+        batch.replies.push(if retrieval {
+            Expect::Value(start, batch.request.len())
+        } else {
+            Expect::Line
+        });
+        batch.once |= !replayable;
+        &mut batch.request
+    }
+
+    /// Queues a command without a key (`version\r\n`, ...).
+    fn queue_line(&mut self, line: &[u8]) {
+        self.batch.request.extend_from_slice(line);
+        self.batch.replies.push(Expect::Line);
+    }
+
+    fn queue_store(
+        &mut self,
+        verb: &[u8],
+        key: &[u8],
+        value: &[u8],
+        flags: u32,
+        exptime: u64,
+        cost_hint: Option<u64>,
+    ) {
+        let replayable = self.config.retry_sets;
+        let request = self.queue(verb, key, false, replayable);
+        // Writing into a `Vec` cannot fail.
+        let _ = match cost_hint {
+            Some(cost) => write!(request, " {flags} {exptime} {} {cost}\r\n", value.len()),
+            None => write!(request, " {flags} {exptime} {}\r\n", value.len()),
+        };
+        request.extend_from_slice(value);
+        request.extend_from_slice(b"\r\n");
+    }
+
+    /// Queues `get <key>`. Its reply is a [`Reply::Hit`], a [`Reply::Miss`]
+    /// or an error [`Reply::Line`].
+    pub fn push_get(&mut self, key: &[u8]) {
+        self.queue(b"get", key, true, true)
+            .extend_from_slice(b"\r\n");
+    }
+
+    /// Queues `set <key> <flags> <exptime> <len>` and its data block. Its
+    /// reply is a [`Reply::Line`]: `STORED` or an error. A batch holding a
+    /// set is re-issued after a failure only under
+    /// [`ClientConfig::retry_sets`].
+    pub fn push_set(&mut self, key: &[u8], value: &[u8], flags: u32, exptime: u64) {
+        self.queue_store(b"set", key, value, flags, exptime, None);
+    }
+
+    /// Writes the queued batch in one `write`, dialing first if the
+    /// connection is down, and leaves the replies for
+    /// [`Client::collect`]. A client that sent a batch must collect it
+    /// before it issues any other command.
+    ///
+    /// # Errors
+    ///
+    /// Returns the dial or write error; the connection is torn down, and
+    /// `collect` re-issues the batch over a fresh one per the retry
+    /// config.
+    pub fn send(&mut self) -> io::Result<()> {
+        let mut batch = std::mem::take(&mut self.batch);
+        let sent = self
+            .ensure_conn()
+            .and_then(|conn| conn.write_all(&batch.request));
+        if sent.is_err() {
+            self.conn = None;
+        }
+        batch.sent = sent.is_ok();
+        self.batch = batch;
+        sent
+    }
+
+    /// Reads the queued batch's replies in order, sending it first unless
+    /// [`Client::send`] already did, and hands each to `each` with its
+    /// index; then empties the batch. An error from `each` fails the
+    /// attempt like an I/O error does. A failed attempt tears the
+    /// connection down and, per the retry config, re-issues the whole
+    /// batch over a fresh one — unless it holds an `incr`/`decr`, or a
+    /// storage command without `retry_sets` — so on a retry `each` sees
+    /// the replies again from index 0.
+    ///
+    /// # Errors
+    ///
+    /// Returns the last I/O error, the reader's `InvalidData`, or the
+    /// error `each` returned, once the retries are spent.
+    pub fn collect(
+        &mut self,
+        mut each: impl FnMut(usize, Reply<'_>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut batch = std::mem::take(&mut self.batch);
+        let collected = self.run(!batch.once, |conn| {
+            if !std::mem::take(&mut batch.sent) {
+                conn.write_all(&batch.request)?;
+            }
+            for (i, &expect) in batch.replies.iter().enumerate() {
+                each(i, conn.read_reply(expect, &batch.request)?)?;
+            }
+            Ok(())
+        });
+        batch.request.clear();
+        batch.replies.clear();
+        batch.once = false;
+        self.batch = batch;
+        collected
+    }
+
+    /// Collects the queued batch and returns what `read` made of its last
+    /// reply: the single-command methods below queue one command each.
+    fn one<T: Default>(
+        &mut self,
+        mut read: impl FnMut(Reply<'_>) -> io::Result<T>,
+    ) -> io::Result<T> {
+        let mut out = T::default();
+        self.collect(|_, reply| {
+            out = read(reply)?;
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// [`Client::one`] for a command whose reply is one line.
+    fn one_line<T: Default>(
+        &mut self,
+        mut read: impl FnMut(&[u8]) -> io::Result<T>,
+    ) -> io::Result<T> {
+        self.one(|reply| match reply {
+            Reply::Line(line) => read(line),
+            Reply::Hit { .. } | Reply::Miss => Ok(T::default()),
+        })
+    }
+
     /// `get <key>` — returns the value if resident.
     ///
     /// # Errors
     ///
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn get(&mut self, key: &[u8]) -> io::Result<Option<Value>> {
-        self.run(true, |conn| {
-            conn.send_line(b"get", key, None)?;
-            conn.read_get_response(key)
-        })
+        self.push_get(key);
+        self.one(retrieved)
     }
 
     /// `iqget <key>` — like `get`, but a miss arms the server's IQ cost
@@ -281,10 +488,9 @@ impl Client {
     ///
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn iqget(&mut self, key: &[u8]) -> io::Result<Option<Value>> {
-        self.run(true, |conn| {
-            conn.send_line(b"iqget", key, None)?;
-            conn.read_get_response(key)
-        })
+        self.queue(b"iqget", key, true, true)
+            .extend_from_slice(b"\r\n");
+        self.one(retrieved)
     }
 
     /// `set <key> <flags> <exptime> <len>` + data.
@@ -294,10 +500,8 @@ impl Client {
     /// Returns I/O errors; `Ok(false)` when the server replied with an
     /// error status (e.g. the object was too large).
     pub fn set(&mut self, key: &[u8], value: &[u8], flags: u32, exptime: u64) -> io::Result<bool> {
-        let retryable = self.config.retry_sets;
-        self.run(retryable, |conn| {
-            conn.send_set(b"set", key, value, flags, exptime, None)
-        })
+        self.push_set(key, value, flags, exptime);
+        self.one_line(|line| Ok(line == b"STORED"))
     }
 
     /// `iqset`, optionally with an explicit cost hint (the paper's
@@ -314,10 +518,8 @@ impl Client {
         exptime: u64,
         cost_hint: Option<u64>,
     ) -> io::Result<bool> {
-        let retryable = self.config.retry_sets;
-        self.run(retryable, |conn| {
-            conn.send_set(b"iqset", key, value, flags, exptime, cost_hint)
-        })
+        self.queue_store(b"iqset", key, value, flags, exptime, cost_hint);
+        self.one_line(|line| Ok(line == b"STORED"))
     }
 
     /// `add` — stores only if the key is absent. `Ok(false)` when the key
@@ -327,10 +529,8 @@ impl Client {
     ///
     /// Returns I/O errors as `io::Error`.
     pub fn add(&mut self, key: &[u8], value: &[u8], flags: u32, exptime: u64) -> io::Result<bool> {
-        let retryable = self.config.retry_sets;
-        self.run(retryable, |conn| {
-            conn.send_set(b"add", key, value, flags, exptime, None)
-        })
+        self.queue_store(b"add", key, value, flags, exptime, None);
+        self.one_line(|line| Ok(line == b"STORED"))
     }
 
     /// `replace` — stores only if the key is present.
@@ -345,10 +545,8 @@ impl Client {
         flags: u32,
         exptime: u64,
     ) -> io::Result<bool> {
-        let retryable = self.config.retry_sets;
-        self.run(retryable, |conn| {
-            conn.send_set(b"replace", key, value, flags, exptime, None)
-        })
+        self.queue_store(b"replace", key, value, flags, exptime, None);
+        self.one_line(|line| Ok(line == b"STORED"))
     }
 
     /// `incr <key> <delta>` — returns the new value, or `None` when the key
@@ -359,7 +557,7 @@ impl Client {
     ///
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn incr(&mut self, key: &[u8], delta: u64) -> io::Result<Option<u64>> {
-        self.run(false, |conn| conn.arith(b"incr", key, delta))
+        self.arith(b"incr", key, delta)
     }
 
     /// `decr <key> <delta>` — like [`Client::incr`], floored at zero.
@@ -368,7 +566,17 @@ impl Client {
     ///
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn decr(&mut self, key: &[u8], delta: u64) -> io::Result<Option<u64>> {
-        self.run(false, |conn| conn.arith(b"decr", key, delta))
+        self.arith(b"decr", key, delta)
+    }
+
+    fn arith(&mut self, verb: &[u8], key: &[u8], delta: u64) -> io::Result<Option<u64>> {
+        let _ = write!(self.queue(verb, key, false, false), " {delta}\r\n");
+        self.one_line(|line| match line {
+            b"NOT_FOUND" => Ok(None),
+            digits => number(digits)
+                .map(Some)
+                .ok_or_else(|| invalid("bad incr/decr response", digits)),
+        })
     }
 
     /// `touch <key> <exptime>` — updates a resident key's expiry.
@@ -377,11 +585,8 @@ impl Client {
     ///
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn touch(&mut self, key: &[u8], exptime: u64) -> io::Result<bool> {
-        self.run(true, |conn| {
-            conn.send_line(b"touch", key, Some(&exptime.to_string()))?;
-            conn.read_line()?;
-            Ok(conn.line == b"TOUCHED")
-        })
+        let _ = write!(self.queue(b"touch", key, false, true), " {exptime}\r\n");
+        self.one_line(|line| Ok(line == b"TOUCHED"))
     }
 
     /// `flush_all` — drops every item on the server.
@@ -390,18 +595,8 @@ impl Client {
     ///
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn flush_all(&mut self) -> io::Result<()> {
-        self.run(true, |conn| {
-            conn.writer.write_all(b"flush_all\r\n")?;
-            conn.read_line()?;
-            if conn.line == b"OK" {
-                Ok(())
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "flush_all failed",
-                ))
-            }
-        })
+        self.queue_line(b"flush_all\r\n");
+        self.one_line(|line| expect_line(line, b"OK", "flush_all failed"))
     }
 
     /// `version` — the server's version banner.
@@ -410,11 +605,8 @@ impl Client {
     ///
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn version(&mut self) -> io::Result<String> {
-        self.run(true, |conn| {
-            conn.writer.write_all(b"version\r\n")?;
-            conn.read_line()?;
-            Ok(String::from_utf8_lossy(&conn.line).into_owned())
-        })
+        self.queue_line(b"version\r\n");
+        self.one_line(|line| Ok(String::from_utf8_lossy(line).into_owned()))
     }
 
     /// `delete <key>`.
@@ -423,11 +615,9 @@ impl Client {
     ///
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn delete(&mut self, key: &[u8]) -> io::Result<bool> {
-        self.run(true, |conn| {
-            conn.send_line(b"delete", key, None)?;
-            conn.read_line()?;
-            Ok(conn.line == b"DELETED")
-        })
+        self.queue(b"delete", key, false, true)
+            .extend_from_slice(b"\r\n");
+        self.one_line(|line| Ok(line == b"DELETED"))
     }
 
     /// `stats` — returns the STAT table.
@@ -437,7 +627,7 @@ impl Client {
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn stats(&mut self) -> io::Result<BTreeMap<String, String>> {
         self.run(true, |conn| {
-            conn.writer.write_all(b"stats\r\n")?;
+            conn.write_all(b"stats\r\n")?;
             conn.read_stat_table()
         })
     }
@@ -452,7 +642,7 @@ impl Client {
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn stats_detail(&mut self) -> io::Result<BTreeMap<String, String>> {
         self.run(true, |conn| {
-            conn.writer.write_all(b"stats detail\r\n")?;
+            conn.write_all(b"stats detail\r\n")?;
             conn.read_stat_table()
         })
     }
@@ -466,7 +656,7 @@ impl Client {
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn stats_profile(&mut self) -> io::Result<BTreeMap<String, String>> {
         self.run(true, |conn| {
-            conn.writer.write_all(b"stats profile\r\n")?;
+            conn.write_all(b"stats profile\r\n")?;
             conn.read_stat_table()
         })
     }
@@ -481,7 +671,7 @@ impl Client {
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn trace(&mut self) -> io::Result<Vec<String>> {
         self.run(true, |conn| {
-            conn.writer.write_all(b"trace\r\n")?;
+            conn.write_all(b"trace\r\n")?;
             let mut out = Vec::new();
             loop {
                 conn.read_line()?;
@@ -500,18 +690,8 @@ impl Client {
     ///
     /// Returns I/O errors and protocol violations as `io::Error`.
     pub fn stats_reset(&mut self) -> io::Result<()> {
-        self.run(true, |conn| {
-            conn.writer.write_all(b"stats reset\r\n")?;
-            conn.read_line()?;
-            if conn.line == b"RESET" {
-                Ok(())
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "stats reset failed",
-                ))
-            }
-        })
+        self.queue_line(b"stats reset\r\n");
+        self.one_line(|line| expect_line(line, b"RESET", "stats reset failed"))
     }
 
     /// `quit` — asks the server to close the connection.
@@ -521,7 +701,7 @@ impl Client {
     /// Returns any I/O error from the write.
     pub fn quit(mut self) -> io::Result<()> {
         match self.conn.as_mut() {
-            Some(conn) => conn.writer.write_all(b"quit\r\n"),
+            Some(conn) => conn.write_all(b"quit\r\n"),
             None => Ok(()),
         }
     }
@@ -533,56 +713,62 @@ impl Conn {
         stream.set_read_timeout(config.read_timeout)?;
         stream.set_write_timeout(config.write_timeout)?;
         Ok(Conn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
+            reader: BufReader::new(stream),
             line: Vec::new(),
+            data: Vec::new(),
         })
     }
 
-    fn send_line(&mut self, verb: &[u8], key: &[u8], extra: Option<&str>) -> io::Result<()> {
-        self.writer.write_all(verb)?;
-        self.writer.write_all(b" ")?;
-        self.writer.write_all(key)?;
-        if let Some(extra) = extra {
-            self.writer.write_all(b" ")?;
-            self.writer.write_all(extra.as_bytes())?;
-        }
-        self.writer.write_all(b"\r\n")
+    /// Writes `bytes` past the reader, on the same socket.
+    fn write_all(&self, bytes: &[u8]) -> io::Result<()> {
+        let mut stream: &TcpStream = self.reader.get_ref();
+        stream.write_all(bytes)
     }
 
-    fn send_set(
-        &mut self,
-        verb: &[u8],
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-        exptime: u64,
-        cost_hint: Option<u64>,
-    ) -> io::Result<bool> {
-        self.writer.write_all(verb)?;
-        self.writer.write_all(b" ")?;
-        self.writer.write_all(key)?;
-        match cost_hint {
-            Some(cost) => write!(self.writer, " {flags} {exptime} {} {cost}\r\n", value.len())?,
-            None => write!(self.writer, " {flags} {exptime} {}\r\n", value.len())?,
-        }
-        self.writer.write_all(value)?;
-        self.writer.write_all(b"\r\n")?;
+    /// Reads the reply to one command of `request`. A retrieval's reply
+    /// is `END`, an error line, or exactly one `VALUE <key> <flags>
+    /// <bytes>` block for its own key whose data ends in CRLF, then `END`;
+    /// anything else is `InvalidData`.
+    fn read_reply(&mut self, expect: Expect, request: &[u8]) -> io::Result<Reply<'_>> {
         self.read_line()?;
-        Ok(self.line == b"STORED")
-    }
-
-    fn arith(&mut self, verb: &[u8], key: &[u8], delta: u64) -> io::Result<Option<u64>> {
-        self.send_line(verb, key, Some(&delta.to_string()))?;
-        self.read_line()?;
-        if self.line == b"NOT_FOUND" {
-            return Ok(None);
+        let Expect::Value(start, end) = expect else {
+            return Ok(Reply::Line(&self.line));
+        };
+        if self.line == b"END" {
+            return Ok(Reply::Miss);
         }
-        std::str::from_utf8(&self.line)
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Some)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad incr/decr response"))
+        if self.line == b"ERROR"
+            || self.line.starts_with(b"CLIENT_ERROR ")
+            || self.line.starts_with(b"SERVER_ERROR ")
+        {
+            return Ok(Reply::Line(&self.line));
+        }
+        let (flags, block) = value_header(&self.line, &request[start..end])
+            .ok_or_else(|| invalid("unexpected reply to a retrieval", &self.line))?;
+        // The buffer grows with the bytes that arrive, not with the length
+        // the header claims.
+        self.data.clear();
+        (&mut self.reader).take(block).read_to_end(&mut self.data)?;
+        if self.data.len() as u64 != block {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection inside a data block",
+            ));
+        }
+        if !self.data.ends_with(b"\r\n") {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "data block not closed by CRLF",
+            ));
+        }
+        self.read_line()?;
+        if self.line != b"END" {
+            return Err(invalid("VALUE block not closed by END", &self.line));
+        }
+        Ok(Reply::Hit {
+            data: &self.data[..self.data.len() - 2],
+            flags,
+        })
     }
 
     fn read_stat_table(&mut self) -> io::Result<BTreeMap<String, String>> {
@@ -597,45 +783,6 @@ impl Conn {
                 if let Some((name, value)) = rest.split_once(' ') {
                     out.insert(name.to_owned(), value.to_owned());
                 }
-            }
-        }
-    }
-
-    fn read_get_response(&mut self, expected_key: &[u8]) -> io::Result<Option<Value>> {
-        let mut result = None;
-        loop {
-            self.read_line()?;
-            if self.line == b"END" {
-                return Ok(result);
-            }
-            // Parse the header fields out of the reusable line buffer
-            // before `read_exact` needs the reader again.
-            let (key_matches, flags, len) = {
-                let text = String::from_utf8_lossy(&self.line);
-                let Some(rest) = text.strip_prefix("VALUE ") else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected response line: {text}"),
-                    ));
-                };
-                let mut fields = rest.split(' ');
-                let key = fields.next().unwrap_or_default();
-                let flags: u32 = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad flags"))?;
-                let len: usize = fields
-                    .next()
-                    .and_then(|f| f.parse().ok())
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad length"))?;
-                (key.as_bytes() == expected_key, flags, len)
-            };
-            let mut data = vec![0u8; len];
-            self.reader.read_exact(&mut data)?;
-            let mut crlf = [0u8; 2];
-            self.reader.read_exact(&mut crlf)?;
-            if key_matches {
-                result = Some(Value { data, flags });
             }
         }
     }
@@ -655,5 +802,167 @@ impl Conn {
             self.line.pop();
         }
         Ok(())
+    }
+}
+
+/// What `get`/`iqget` make of a retrieval's reply.
+fn retrieved(reply: Reply<'_>) -> io::Result<Option<Value>> {
+    match reply {
+        Reply::Hit { data, flags } => Ok(Some(Value {
+            data: data.to_vec(),
+            flags,
+        })),
+        Reply::Miss => Ok(None),
+        Reply::Line(line) => Err(invalid("unexpected response line", line)),
+    }
+}
+
+/// The flags of `VALUE <key> <flags> <bytes>`, and the length of its data
+/// block with the CRLF, if `line` is exactly that for `key`.
+fn value_header(line: &[u8], key: &[u8]) -> Option<(u32, u64)> {
+    let mut fields = line.split(|&b| b == b' ');
+    if fields.next()? != b"VALUE" || fields.next()? != key {
+        return None;
+    }
+    let flags = number(fields.next()?)?;
+    let block = number::<u64>(fields.next()?)?.checked_add(2)?;
+    fields.next().is_none().then_some((flags, block))
+}
+
+/// A decimal number made of ASCII digits only.
+fn number<T: std::str::FromStr>(digits: &[u8]) -> Option<T> {
+    if digits.is_empty() || !digits.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    std::str::from_utf8(digits).ok()?.parse().ok()
+}
+
+fn expect_line(line: &[u8], expected: &[u8], what: &str) -> io::Result<()> {
+    if line == expected {
+        Ok(())
+    } else {
+        Err(invalid(what, line))
+    }
+}
+
+fn invalid(what: &str, line: &[u8]) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{what}: {}", String::from_utf8_lossy(line)),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::{SocketAddr, TcpListener};
+    use std::thread::JoinHandle;
+
+    use camp_core::Precision;
+
+    use super::*;
+    use crate::server::{Server, ServerOptions};
+    use crate::slab::SlabConfig;
+    use crate::store::{EvictionMode, StoreConfig};
+
+    /// A one-connection server that answers the first command line with
+    /// `reply`, then waits for the client to hang up.
+    fn answer_once(reply: &'static [u8]) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut line = Vec::new();
+            reader.read_until(b'\n', &mut line).expect("read command");
+            (&stream).write_all(reply).expect("reply");
+            let _ = reader.read_to_end(&mut line);
+        });
+        (addr, server)
+    }
+
+    /// Another key's block and a block not closed by CRLF (which a reader
+    /// that compares keys lossily and skips the CRLF unchecked takes for a
+    /// miss and a hit), and every other reply a `get` cannot get: all
+    /// `InvalidData`.
+    #[test]
+    fn a_malformed_retrieval_reply_is_invalid_data() {
+        for reply in [
+            &b"VALUE other 0 5\r\nhello\r\nEND\r\n"[..],
+            b"VALUE k 0 5\r\nhelloXXEND\r\n",
+            b"VALUE k 0\r\nEND\r\n",
+            b"VALUE k x 5\r\nhello\r\nEND\r\n",
+            b"VALUE k 0 +5\r\nhello\r\nEND\r\n",
+            b"VALUE k 0 5 9\r\nhello\r\nEND\r\n",
+            b"VALUE k 0 18446744073709551615\r\nhello\r\nEND\r\n",
+            b"VALUE k 0 5\r\nhello\r\nVALUE k 0 5\r\nhello\r\nEND\r\n",
+            b"STORED\r\n",
+        ] {
+            let (addr, server) = answer_once(reply);
+            let mut client = Client::connect(addr).expect("connect");
+            let err = client.get(b"k").expect_err("malformed reply");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{reply:?}");
+            drop(client);
+            server.join().expect("the one-connection server");
+        }
+    }
+
+    fn live_server() -> Server {
+        let options = ServerOptions::new(StoreConfig {
+            slab: SlabConfig::small(64 * 1024, 16),
+            eviction: EvictionMode::Camp(Precision::Bits(5)),
+        });
+        Server::start_with("127.0.0.1:0", options).expect("start server")
+    }
+
+    #[test]
+    fn a_non_utf8_key_round_trips() {
+        let server = live_server();
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        assert!(client.set(b"k\xff", b"bytes", 3, 0).expect("set"));
+        let found = client.get(b"k\xff").expect("get");
+        assert_eq!(
+            found,
+            Some(Value {
+                data: b"bytes".to_vec(),
+                flags: 3
+            })
+        );
+        client.quit().expect("quit");
+        server.shutdown();
+    }
+
+    /// One write carries the batch; the replies come back in order, and
+    /// the batch is empty again for the next one.
+    #[test]
+    fn a_batch_collects_its_replies_in_order() {
+        let server = live_server();
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        for round in 0..3u32 {
+            client.push_set(b"a", b"one", round, 0);
+            client.push_get(b"a");
+            client.push_get(b"missing");
+            client.send().expect("send");
+            let mut replies = 0;
+            client
+                .collect(|i, reply| {
+                    let expected = match i {
+                        0 => Reply::Line(b"STORED"),
+                        1 => Reply::Hit {
+                            data: b"one",
+                            flags: round,
+                        },
+                        _ => Reply::Miss,
+                    };
+                    assert_eq!(reply, expected, "reply {i}");
+                    replies += 1;
+                    Ok(())
+                })
+                .expect("collect");
+            assert_eq!(replies, 3);
+        }
+        assert_eq!(client.counters(), ClientCounters::default());
+        client.quit().expect("quit");
+        server.shutdown();
     }
 }

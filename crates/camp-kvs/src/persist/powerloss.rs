@@ -22,8 +22,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -35,6 +34,7 @@ use camp_core::Precision;
 use super::{
     record, FsyncMode, IoBackend, Persist, PersistOptions, RealFs, Record, MIN_SEGMENT_BYTES,
 };
+use crate::client::{Client, ClientConfig, Reply};
 use crate::fault::FaultPlan;
 use crate::server::{Server, ServerOptions, Shared};
 use crate::shard::ShardedStore;
@@ -269,47 +269,45 @@ fn key_name(conn: usize, slot: usize) -> String {
 /// Returns the keys whose record no completed sync covered *at the moment
 /// the `STORED` was read*.
 fn pipelined_round(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
+    client: &mut Client,
     conn: usize,
     version: u64,
     disk: &PowerHandle,
 ) -> io::Result<Vec<String>> {
     let value = versioned_value(version);
-    let mut batch = Vec::new();
     for slot in 0..PIPELINE {
-        write!(
-            batch,
-            "set {} 0 0 {}\r\n{value}\r\n",
-            key_name(conn, slot),
-            value.len()
-        )?;
+        client.push_set(key_name(conn, slot).as_bytes(), value.as_bytes(), 0, 0);
     }
-    stream.write_all(&batch)?;
     let mut early = Vec::new();
-    let mut line = String::new();
-    for slot in 0..PIPELINE {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::ErrorKind::UnexpectedEof.into());
-        }
-        assert_eq!(line.trim_end(), "STORED", "set refused: {line:?}");
+    client.collect(|slot, reply| {
+        assert_eq!(reply, Reply::Line(b"STORED"), "set refused");
         let key = key_name(conn, slot);
         if disk.durable_version(key.as_bytes()) < version {
             early.push(key);
         }
-    }
+        Ok(())
+    })?;
     Ok(early)
 }
 
-fn dial(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    stream
-        .set_read_timeout(Some(GATE_TIMEOUT * 2))
-        .expect("read timeout");
-    let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    (stream, reader)
+/// A client that gives up on a reply only well after a gated sync would
+/// have been released.
+fn connect(server: &Server) -> Client {
+    let config = ClientConfig {
+        read_timeout: Some(GATE_TIMEOUT * 2),
+        ..ClientConfig::default()
+    };
+    Client::connect_with(server.local_addr(), config).expect("connect")
+}
+
+/// Collects `client`'s batch; every reply must be `STORED`.
+fn expect_stored(client: &mut Client) {
+    client
+        .collect(|i, reply| {
+            assert_eq!(reply, Reply::Line(b"STORED"), "reply {i}");
+            Ok(())
+        })
+        .expect("read the replies");
 }
 
 /// One multi-record write is decoded record by record, and the image a
@@ -395,15 +393,14 @@ fn acked_writes_survive_power_loss_and_syncs_are_shared() {
     let acked_before_cut = std::thread::scope(|scope| {
         let clients: Vec<_> = (0..CONNS)
             .map(|conn| {
-                let (mut stream, mut reader) = dial(&server);
+                let mut client = connect(&server);
                 let disk = disk.clone();
                 let acks = Arc::clone(&acks);
                 scope.spawn(move || {
                     let mut early = Vec::new();
                     for version in 1..=ROUNDS {
-                        let round_early =
-                            pipelined_round(&mut stream, &mut reader, conn, version, &disk)
-                                .expect("pipelined round");
+                        let round_early = pipelined_round(&mut client, conn, version, &disk)
+                            .expect("pipelined round");
                         early.extend(round_early.into_iter().map(|key| (key, version)));
                         let mut acks = lock(&acks);
                         for slot in 0..PIPELINE {
@@ -492,21 +489,19 @@ fn flush_before_commit_mutation_is_caught() {
     let (release, gate): (Sender<()>, Receiver<()>) = mpsc::channel();
     let (backend, disk) = PowerLossFs::new(Some(gate));
     let (server, _shared) = start_server(&dir, backend, true);
-    let (mut stream, mut reader) = dial(&server);
+    let mut client = connect(&server);
     // One round trip first, so the sets arrive on an established
     // connection; they park either way, as every cycle's replies do.
-    stream.write_all(b"version\r\n").expect("send version");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read version");
-    assert!(line.starts_with("VERSION"), "{line:?}");
-    let early = pipelined_round(&mut stream, &mut reader, 0, 1, &disk).expect("pipelined round");
+    let version = client.version().expect("version");
+    assert!(version.starts_with("VERSION"), "{version:?}");
+    let early = pipelined_round(&mut client, 0, 1, &disk).expect("pipelined round");
     // Open the gate for good: every later sync passes at once.
     drop(release);
     assert!(
         !early.is_empty(),
         "flush-before-commit went unnoticed: every STORED was already durable"
     );
-    drop((stream, reader));
+    drop(client);
     server.shutdown();
     fs::remove_dir_all(&dir).ok();
 }
@@ -524,31 +519,22 @@ fn a_batch_that_arrives_before_the_barrier_joins_its_commit() {
     let (backend, disk) = PowerLossFs::new(Some(gate));
     let (server, shared) = start_server_with(&dir, 1, MIN_SEGMENT_BYTES, backend, false);
     let persist = shared.persist.as_ref().expect("persist on");
-    let (mut a, mut a_reader) = dial(&server);
-    let (mut b, mut b_reader) = dial(&server);
-    let expect_replies = |reader: &mut BufReader<TcpStream>, n: usize, reply: &str| {
-        let mut line = String::new();
-        for _ in 0..n {
-            line.clear();
-            reader.read_line(&mut line).expect("read a reply");
-            assert!(line.starts_with(reply), "{line:?}");
-        }
-    };
+    let mut a = connect(&server);
+    let mut b = connect(&server);
     // One round trip each, so both registration cycles are over.
-    for (stream, reader) in [(&mut a, &mut a_reader), (&mut b, &mut b_reader)] {
-        stream.write_all(b"version\r\n").expect("send version");
-        expect_replies(reader, 1, "VERSION");
+    for client in [&mut a, &mut b] {
+        let version = client.version().expect("version");
+        assert!(version.starts_with("VERSION"), "{version:?}");
     }
     let before = persist.snapshot();
 
     // Two sets that overflow the 4 KiB segment, then one for the next.
     let big = "x".repeat(3000);
-    let mut batch = Vec::new();
     for key in ["a-big-1", "a-big-2"] {
-        write!(batch, "set {key} 0 0 {}\r\n{big}\r\n", big.len()).expect("encode");
+        a.push_set(key.as_bytes(), big.as_bytes(), 0, 0);
     }
-    batch.extend_from_slice(b"set a-tail 0 0 1\r\nx\r\n");
-    a.write_all(&batch).expect("send A's batch");
+    a.push_set(b"a-tail", b"x", 0, 0);
+    a.send().expect("send A's batch");
     // The rotation's write has landed: until the gate opens, the worker
     // is inside A's cycle, past the wait that returned A's event.
     let written = || lock(&disk.0).segments.first().map_or(0, |s| s.len);
@@ -559,14 +545,13 @@ fn a_batch_that_arrives_before_the_barrier_joins_its_commit() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert!(written() > 0, "A's sets never reached the disk");
-    let mut batch = Vec::new();
     for slot in 0..PIPELINE {
-        write!(batch, "set {} 0 0 1\r\nx\r\n", key_name(1, slot)).expect("encode");
+        b.push_set(key_name(1, slot).as_bytes(), b"x", 0, 0);
     }
-    b.write_all(&batch).expect("send B's batch");
+    b.send().expect("send B's batch");
     drop(release);
-    expect_replies(&mut a_reader, 3, "STORED");
-    expect_replies(&mut b_reader, PIPELINE, "STORED");
+    expect_stored(&mut a);
+    expect_stored(&mut b);
 
     let after = persist.snapshot();
     assert_eq!(after.errors, 0);
@@ -575,7 +560,7 @@ fn a_batch_that_arrives_before_the_barrier_joins_its_commit() {
         2,
         "the rotation, then one commit for A's tail and B's batch"
     );
-    drop((a, a_reader, b, b_reader));
+    drop((a, b));
     server.shutdown();
     fs::remove_dir_all(&dir).ok();
 }

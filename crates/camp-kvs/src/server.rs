@@ -626,20 +626,15 @@ pub(crate) fn execute(
                 .add_signed(h, delta, up, now.unix_secs);
             match rewritten {
                 Some((value, (flags, expires_at, cost))) => {
-                    let text = value.to_string();
+                    let mut digits = [0u8; 20];
+                    let digits = crate::resp::u64_digits(value, &mut digits);
                     if let Some(persist) = shared.persist.as_ref() {
                         // The rewrite keeps the item's flags, TTL and CAMP
                         // cost; log the same so recovery does too.
-                        persist.append_set(
-                            &shared.store,
-                            key,
-                            text.as_bytes(),
-                            flags,
-                            expires_at,
-                            cost,
-                        );
+                        persist.append_set(&shared.store, key, digits, flags, expires_at, cost);
                     }
-                    writeln_crlf(out, &text);
+                    out.extend_from_slice(digits);
+                    out.extend_from_slice(b"\r\n");
                 }
                 None => writeln_crlf(out, "NOT_FOUND"),
             }

@@ -27,8 +27,7 @@
 //! exercised too, not just crash-during-append.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -36,7 +35,7 @@ use std::time::Duration;
 
 use camp_core::rng::Rng64;
 use camp_core::Precision;
-use camp_kvs::client::Client;
+use camp_kvs::client::{Client, Reply};
 use camp_kvs::persist::{FsyncMode, PersistOptions};
 use camp_kvs::server::{Server, ServerOptions};
 use camp_kvs::slab::SlabConfig;
@@ -143,68 +142,6 @@ fn spawn_daemon(data_dir: &Path, fsync: &str) -> Daemon {
     Daemon { child, addr }
 }
 
-/// A raw text-protocol connection: no retries, no reconnects, so an `Ok`
-/// from `set` means the server itself acknowledged the write.
-struct Wire {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-fn dial(addr: &str) -> io::Result<Wire> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    Ok(Wire {
-        reader: BufReader::new(stream.try_clone()?),
-        writer: stream,
-    })
-}
-
-impl Wire {
-    fn read_line(&mut self, line: &mut Vec<u8>) -> io::Result<()> {
-        line.clear();
-        if self.reader.read_until(b'\n', line)? == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "closed"));
-        }
-        while line.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-            line.pop();
-        }
-        Ok(())
-    }
-
-    /// Reads one storage reply; `Ok(true)` is an ack.
-    fn read_stored(&mut self) -> io::Result<bool> {
-        let mut line = Vec::new();
-        self.read_line(&mut line)?;
-        Ok(line == b"STORED")
-    }
-
-    /// Fetches one key with a strict parse: anything other than a clean
-    /// miss or a well-formed single-value reply panics (corruption).
-    fn get_strict(&mut self, key: &str) -> io::Result<Option<Vec<u8>>> {
-        let mut request = Vec::new();
-        write!(request, "get {key}\r\n")?;
-        self.writer.write_all(&request)?;
-        let mut line = Vec::new();
-        self.read_line(&mut line)?;
-        if line == b"END" {
-            return Ok(None);
-        }
-        let header = String::from_utf8(line.clone()).expect("utf-8 VALUE header");
-        let tokens: Vec<&str> = header.split(' ').collect();
-        assert_eq!(tokens.len(), 4, "malformed VALUE header: {header:?}");
-        assert_eq!(tokens[0], "VALUE", "malformed reply: {header:?}");
-        assert_eq!(tokens[1], key, "reply names the wrong key: {header:?}");
-        let len: usize = tokens[3].parse().expect("numeric VALUE length");
-        let mut data = vec![0u8; len + 2];
-        self.reader.read_exact(&mut data)?;
-        assert_eq!(&data[len..], b"\r\n", "data block not CRLF-terminated");
-        data.truncate(len);
-        self.read_line(&mut line)?;
-        assert_eq!(line, b"END", "VALUE block not closed by END");
-        Ok(Some(data))
-    }
-}
-
 /// The test's ledger of what has ever been sent to (and acked by) the
 /// daemon, across all rounds.
 #[derive(Default)]
@@ -229,40 +166,31 @@ struct RoundLog {
 /// acked only when its own `STORED` line has been read.
 fn hammer_sets(addr: &str, writer: u64, first_seq: u64) -> RoundLog {
     let mut log = RoundLog::default();
-    let Ok(mut wire) = dial(addr) else {
+    // No retries, no reconnects: an ack is the server's own `STORED`.
+    let Ok(mut client) = Client::connect(addr) else {
         return log;
     };
     let mut seq = first_seq;
-    let mut request = Vec::new();
     let mut batch = Vec::new();
     loop {
-        request.clear();
         batch.clear();
         for _ in 0..PIPELINE {
             let k = writer * KEYS_PER_WRITER + seq % KEYS_PER_WRITER;
-            let value = value_for(k, seq);
-            write!(
-                request,
-                "set {} 0 0 {}\r\n{value}\r\n",
-                key_name(k),
-                value.len()
-            )
-            .expect("write to a Vec");
+            client.push_set(key_name(k).as_bytes(), value_for(k, seq).as_bytes(), 0, 0);
             log.sent.insert(k, seq);
             batch.push((k, seq));
             seq += 1;
         }
-        if wire.writer.write_all(&request).is_err() {
-            return log; // the SIGKILL landed
-        }
-        for &(k, seq) in &batch {
-            match wire.read_stored() {
-                Ok(true) => {
-                    log.acked.insert(k, seq);
-                }
-                Ok(false) => {} // e.g. rejected under memory pressure
-                Err(_) => return log,
+        let collected = client.collect(|i, reply| {
+            // Anything else is e.g. a set rejected under memory pressure.
+            if reply == Reply::Line(b"STORED") {
+                let (k, seq) = batch[i];
+                log.acked.insert(k, seq);
             }
+            Ok(())
+        });
+        if collected.is_err() {
+            return log; // the SIGKILL landed
         }
     }
 }
@@ -270,12 +198,15 @@ fn hammer_sets(addr: &str, writer: u64, first_seq: u64) -> RoundLog {
 /// Reads back every key and checks it against the ledger. Returns how
 /// many keys were present.
 fn verify_recovery(addr: &str, ledger: &mut Ledger, round: usize) -> usize {
-    let mut wire = dial(addr).expect("dial recovered daemon");
+    let mut client = Client::connect(addr).expect("connect to the recovered daemon");
     let mut present = 0usize;
     for k in 0..KEYS {
-        let got = wire
-            .get_strict(&key_name(k))
-            .expect("read from recovered daemon");
+        // The client's reader is strict: a reply naming another key, a
+        // malformed header or a data block not closed by CRLF is an error.
+        let got = client
+            .get(key_name(k).as_bytes())
+            .expect("read from recovered daemon")
+            .map(|value| value.data);
         let max_sent = ledger.max_sent.get(&k).copied().unwrap_or(0);
         let durable = ledger.durable.get(&k).copied().unwrap_or(0);
         match got {
@@ -423,6 +354,21 @@ fn warm_restart_preserves_values_and_flags_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Pipelines `PIPELINE` sets of `k<i>` = `v<round>` in one write; every
+/// reply must be `STORED`.
+fn store_batch(client: &mut Client, round: u64) {
+    let value = format!("v{round}");
+    for i in 0..PIPELINE {
+        client.push_set(format!("k{i}").as_bytes(), value.as_bytes(), 0, 0);
+    }
+    client
+        .collect(|i, reply| {
+            assert_eq!(reply, Reply::Line(b"STORED"), "set {i} of round {round}");
+            Ok(())
+        })
+        .expect("pipelined sets");
+}
+
 /// Under `--fsync always` the reactor shares one sync among a pipelined
 /// batch: it commits once it runs out of ready work, before the replies
 /// leave.
@@ -439,18 +385,10 @@ fn the_reactor_shares_syncs_among_a_pipelined_batch() {
     });
     let server = Server::start_with("127.0.0.1:0", options).expect("boot");
     // 8 round trips of 8 pipelined sets: far below one 64 MiB segment.
-    let mut wire = dial(&server.local_addr().to_string()).expect("dial");
-    for round in 0..8u64 {
-        let mut request = Vec::new();
-        for i in 0..PIPELINE {
-            write!(request, "set k{i} 0 0 2\r\nv{round}\r\n").expect("write to a Vec");
-        }
-        wire.writer.write_all(&request).expect("send batch");
-        for _ in 0..PIPELINE {
-            assert!(wire.read_stored().expect("reply"));
-        }
-    }
     let mut client = Client::connect(server.local_addr()).expect("connect");
+    for round in 0..8u64 {
+        store_batch(&mut client, round);
+    }
     let detail = client.stats_detail().expect("stats detail");
     client.quit().expect("quit");
     server.shutdown();
@@ -485,16 +423,9 @@ fn no_reply_precedes_its_records_write_in_any_fsync_mode() {
             ..PersistOptions::new(&dir)
         });
         let server = Server::start_with("127.0.0.1:0", options).expect("boot");
-        let mut wire = dial(&server.local_addr().to_string()).expect("dial");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
         for round in 0..8u64 {
-            let mut request = Vec::new();
-            for i in 0..PIPELINE {
-                write!(request, "set k{i} 0 0 2\r\nv{round}\r\n").expect("write to a Vec");
-            }
-            wire.writer.write_all(&request).expect("send batch");
-            for _ in 0..PIPELINE {
-                assert!(wire.read_stored().expect("reply"));
-            }
+            store_batch(&mut client, round);
             let segment = std::fs::read(dir.join("seg-00000000.camplog")).expect("read segment");
             let scan = camp_kvs::persist::record::scan(&segment, |_| {});
             assert_eq!(
@@ -503,7 +434,6 @@ fn no_reply_precedes_its_records_write_in_any_fsync_mode() {
                 "--fsync {fsync}: acknowledged sets missing from the file"
             );
         }
-        let mut client = Client::connect(server.local_addr()).expect("connect");
         let detail = client.stats_detail().expect("stats detail");
         client.quit().expect("quit");
         let stat = |name: &str| -> u64 { detail[name].parse().expect("numeric stat") };

@@ -1,6 +1,6 @@
 //! Property tests for the KVS substrate: the protocol parser never panics,
 //! the store matches a reference model under arbitrary operation sequences
-//! (for every pluggable eviction policy), and the two allocators conserve
+//! (for every pluggable eviction policy), and the slab allocator conserves
 //! memory. Seeded random exploration via `camp_core::rng::Rng64`.
 
 use camp_core::rng::Rng64;

@@ -10,11 +10,10 @@
 //! explicit multi-worker reactor spreads connections without mixing up
 //! replies.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use camp_core::Precision;
+use camp_kvs::client::{Client, ClientConfig, Reply};
 use camp_kvs::server::{Server, ServerOptions};
 use camp_kvs::slab::SlabConfig;
 use camp_kvs::store::{EvictionMode, StoreConfig};
@@ -42,30 +41,13 @@ fn max_open_files() -> Option<u64> {
     line.split_whitespace().nth(3)?.parse().ok()
 }
 
-fn read_reply_line(reader: &mut BufReader<TcpStream>) -> String {
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read reply");
-    line.trim_end().to_owned()
-}
-
-fn stat_value(addr: std::net::SocketAddr, name: &str) -> Option<u64> {
-    let mut conn = TcpStream::connect(addr).ok()?;
-    conn.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    conn.write_all(b"stats detail\r\n").ok()?;
-    let mut response = Vec::new();
-    let mut buf = [0u8; 4096];
-    while !response.ends_with(b"END\r\n") {
-        let n = conn.read(&mut buf).ok()?;
-        if n == 0 {
-            return None;
-        }
-        response.extend_from_slice(&buf[..n]);
-    }
-    let text = String::from_utf8_lossy(&response);
-    let prefix = format!("STAT {name} ");
-    text.lines()
-        .find_map(|line| line.strip_prefix(&prefix))
-        .and_then(|rest| rest.trim().parse().ok())
+/// A client that gives up on a reply after five seconds.
+fn connect(addr: std::net::SocketAddr) -> Client {
+    let config = ClientConfig {
+        read_timeout: Some(Duration::from_secs(5)),
+        ..ClientConfig::default()
+    };
+    Client::connect_with(addr, config).expect("connect")
 }
 
 /// Ten thousand concurrent connections through the reactor: a separate
@@ -164,7 +146,9 @@ fn ten_thousand_connection_soak_over_the_reactor() {
     // itself (counted at accept, before the snapshot renders), plus the
     // storm re-dials the loadgen itself reports (one per retried batch,
     // one more per batch that exhausted its retries) and a fixed slack.
-    let opened = stat_value(addr, "connections_opened").expect("stats detail");
+    let opened: u64 = connect(addr).stats_detail().expect("stats detail")["connections_opened"]
+        .parse()
+        .expect("numeric stat");
     let floor = SOAK_CONNS as u64 + 2;
     let ceiling = floor + 200 + field("batch_retries") + errors / 4;
     assert!(
@@ -187,42 +171,46 @@ fn multi_worker_reactor_keeps_conversations_isolated() {
     });
     let addr = server.local_addr();
 
-    let mut conns: Vec<(BufReader<TcpStream>, TcpStream)> = (0..16)
-        .map(|_| {
-            let stream = TcpStream::connect(addr).unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_secs(5)))
-                .unwrap();
-            (BufReader::new(stream.try_clone().unwrap()), stream)
-        })
-        .collect();
+    let mut clients: Vec<Client> = (0..16).map(|_| connect(addr)).collect();
 
-    // Interleave: write every connection's set first, then collect all the
+    // Interleave: send every connection's set first, then collect all the
     // replies, then the same for gets — forcing both workers to hold many
     // in-flight conversations at once.
-    for (i, (_, writer)) in conns.iter_mut().enumerate() {
-        let value = format!("value-{i}");
-        let command = format!("set key-{i} 0 0 {}\r\n{value}\r\n", value.len());
-        writer.write_all(command.as_bytes()).unwrap();
-    }
-    for (reader, _) in conns.iter_mut() {
-        assert_eq!(read_reply_line(reader), "STORED");
-    }
-    for (i, (_, writer)) in conns.iter_mut().enumerate() {
-        writer
-            .write_all(format!("get key-{i}\r\n").as_bytes())
-            .unwrap();
-    }
-    for (i, (reader, _)) in conns.iter_mut().enumerate() {
-        let value = format!("value-{i}");
-        assert_eq!(
-            read_reply_line(reader),
-            format!("VALUE key-{i} 0 {}", value.len())
+    for (i, client) in clients.iter_mut().enumerate() {
+        client.push_set(
+            format!("key-{i}").as_bytes(),
+            format!("value-{i}").as_bytes(),
+            0,
+            0,
         );
-        assert_eq!(read_reply_line(reader), value);
-        assert_eq!(read_reply_line(reader), "END");
+        client.send().expect("send set");
     }
-    drop(conns);
+    for client in &mut clients {
+        client
+            .collect(|_, reply| {
+                assert_eq!(reply, Reply::Line(b"STORED"));
+                Ok(())
+            })
+            .expect("set reply");
+    }
+    for (i, client) in clients.iter_mut().enumerate() {
+        client.push_get(format!("key-{i}").as_bytes());
+        client.send().expect("send get");
+    }
+    for (i, client) in clients.iter_mut().enumerate() {
+        let value = format!("value-{i}");
+        client
+            .collect(|_, reply| {
+                let hit = Reply::Hit {
+                    data: value.as_bytes(),
+                    flags: 0,
+                };
+                assert_eq!(reply, hit);
+                Ok(())
+            })
+            .expect("get reply");
+    }
+    drop(clients);
 
     let report = server.shutdown_with_drain(Duration::from_secs(5));
     assert!(report.is_clean(), "drain not clean: {report:?}");
