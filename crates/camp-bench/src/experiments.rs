@@ -612,7 +612,9 @@ pub fn ablation_pooling(scale: Scale) -> Vec<(String, Table)> {
 /// and admission control next to CAMP on the headline trace.
 #[must_use]
 pub fn extension_policies(scale: Scale) -> Vec<(String, Table)> {
-    use camp_policies::{Admission, AdmissionRule, Arc, GdWheel, Gdsf, Lfu, LruK, TwoQ};
+    use camp_policies::{
+        Admission, AdmissionRule, Arc, GdWheel, Gdsf, Lfu, LruK, LruKCache, TwoQ, TwoQCache,
+    };
     let trace = scale.three_tier_trace();
     let mut table = Table::new(vec!["cache-ratio", "policy", "cost-miss", "miss-rate"]);
     for ratio in [0.1, 0.25, 0.5] {

@@ -195,7 +195,7 @@ impl MultiQueue {
     }
 }
 
-impl Ordering for MultiQueue {
+impl<K> Ordering<K> for MultiQueue {
     type Node = Queued;
 
     fn name(&self) -> String {

@@ -1,5 +1,5 @@
-//! The keyed front: the one cache body shared by every policy whose only
-//! difference is the *order* it evicts in.
+//! The keyed front: the one cache body shared by every online policy whose
+//! only difference is the *order* it evicts in.
 //!
 //! The paper's evaluation is a controlled experiment — the same cache around
 //! a different priority structure (§2–§3, Fig 4). [`Keyed`] is that cache,
@@ -10,13 +10,20 @@
 //! each item's chunk, is also its index. What varies
 //! is an [`Ordering`]: CAMP's multi-queue ([`crate::Camp`]) here, and in
 //! `camp-policies` recency (`Lru`), greedy-dual priority (`Gds`, `Gdsf`),
-//! frequency (`Lfu`) and cost wheels (`GdWheel`).
+//! frequency (`Lfu`), cost wheels (`GdWheel`), and the adaptive orders that
+//! remember evicted keys (`Arc`, `TwoQ`, `LruK`).
 //!
 //! Orderings are handle-native: they are told which [`EntryId`] was
 //! admitted, hit or forgotten, answer with the `EntryId` to evict, keep
-//! their per-pair state in the pair's own slot, and never see a key or a
-//! value — so a caller holding the `EntryId` could drive one with no key
-//! lookup at all.
+//! their per-pair state in the pair's own slot, and never see a value. Most
+//! never see a key either, so a caller holding the `EntryId` could drive one
+//! with no key lookup at all. An ordering that keeps ghosts — keys of pairs
+//! it evicted, consulted when they come back — is handed the key at three
+//! points, all no-ops by default: [`Ordering::arrive`] before the front makes
+//! room for a new pair, [`Ordering::admitting`] once it has, and
+//! [`Ordering::evicted`] after each eviction the ordering chose, with the
+//! departing pair's node. It reads the capacity and the resident total from
+//! the [`Budget`] the front passes it, rather than keeping copies.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -57,15 +64,42 @@ impl<P, N: Linked> Linked for Slot<P, N> {
     }
 }
 
-/// An eviction order over the pairs resident in a [`Keyed`] cache. Methods
-/// name a pair by its [`EntryId`]; the payload `P` is a type parameter they
-/// cannot look inside.
-pub trait Ordering: fmt::Debug {
+/// Where the front's byte budget stands, as an ordering that sizes its own
+/// regions by it (ARC's target, its ghost bounds) reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Budget {
+    /// The front's byte capacity.
+    pub capacity: u64,
+    /// Bytes held by resident pairs.
+    pub used: u64,
+}
+
+/// An eviction order over the pairs resident in a [`Keyed`] cache keyed by
+/// `K`. Methods name a pair by its [`EntryId`]; the payload `P` is a type
+/// parameter they cannot look inside. Keys reach only the three ghost hooks.
+pub trait Ordering<K>: fmt::Debug {
     /// Per-pair state, stored in the pair's slot.
     type Node: fmt::Debug + Default;
 
     /// The policy name this ordering gives its cache.
     fn name(&self) -> String;
+
+    /// A pair for `key`, `size` bytes, is about to be admitted: called
+    /// before the front evicts to make room for it, while the ghosts still
+    /// hold whatever they held when the request arrived.
+    fn arrive(&mut self, _key: &K, _size: u64, _budget: Budget) {}
+
+    /// Room has been made and the pair for `key` inserted under `id` with a
+    /// default node: called just before [`Ordering::admit`], with `budget`
+    /// counting the pair.
+    fn admitting<P>(
+        &mut self,
+        _slots: &mut Slots<P, Self::Node>,
+        _id: EntryId,
+        _key: &K,
+        _budget: Budget,
+    ) {
+    }
 
     /// A pair was just inserted (with a default node): fill the node in from
     /// the slot's size and cost and link it into the order.
@@ -90,7 +124,11 @@ pub trait Ordering: fmt::Debug {
         Some(id)
     }
 
-    /// Every pair is leaving at once: drop all links. Clocks and
+    /// The pair for `key`, `size` bytes, that [`Ordering::evict`] chose has
+    /// left the front, which hands over its node: where ghosts are recorded.
+    fn evicted(&mut self, _key: &K, _size: u64, _node: Self::Node) {}
+
+    /// Every pair is leaving at once: drop all links. Clocks, ghosts and
     /// instrumentation counters stay as they are.
     fn clear(&mut self);
 
@@ -121,7 +159,7 @@ pub trait Ordering: fmt::Debug {
 }
 
 /// The slot of a pair in a [`Keyed<K, O, V>`].
-type Pair<K, V, O> = Slot<(K, V), <O as Ordering>::Node>;
+type Pair<K, V, O> = Slot<(K, V), <O as Ordering<K>>::Node>;
 
 /// What a [`Keyed::insert`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,7 +174,8 @@ pub enum InsertOutcome {
 
 /// A byte-budgeted cache mapping keys `K` to values `V`, evicting in the
 /// order `O` keeps. Used (and shown) through its aliases: [`crate::Camp`],
-/// and `camp-policies`' `Lru`, `Gds`, `Gdsf`, `Lfu`, `GdWheel`. It is an
+/// and `camp-policies`' `Lru`, `Gds`, `Gdsf`, `Lfu`, `GdWheel`, `Arc`,
+/// `TwoQ` and `LruK`. It is an
 /// [`EvictionPolicy<K, V>`]; with `V = ()` only the eviction decisions
 /// matter.
 ///
@@ -146,7 +185,7 @@ pub enum InsertOutcome {
 /// adversary cannot pick — trace ids, or a seeded hash of the external key
 /// (the KVS server passes its per-process key fingerprint).
 #[derive(Debug)]
-pub struct Keyed<K, O: Ordering, V = ()> {
+pub struct Keyed<K, O: Ordering<K>, V = ()> {
     map: FoldHashMap<K, EntryId>,
     pub(crate) slots: Arena<Pair<K, V, O>>,
     pub(crate) ordering: O,
@@ -157,7 +196,7 @@ pub struct Keyed<K, O: Ordering, V = ()> {
 
 // Its own impl: CAMP's ordering is built from a precision, has no default,
 // and so keeps `new` free for [`crate::Camp::new`].
-impl<K: Eq + Hash + Clone, O: Ordering + Default, V> Keyed<K, O, V> {
+impl<K: Eq + Hash + Clone, O: Ordering<K> + Default, V> Keyed<K, O, V> {
     /// Creates an empty cache with the given byte capacity.
     #[must_use]
     pub fn new(capacity: u64) -> Self {
@@ -165,7 +204,7 @@ impl<K: Eq + Hash + Clone, O: Ordering + Default, V> Keyed<K, O, V> {
     }
 }
 
-impl<K: Eq + Hash + Clone, O: Ordering, V> Keyed<K, O, V> {
+impl<K: Eq + Hash + Clone, O: Ordering<K>, V> Keyed<K, O, V> {
     /// Creates an empty cache with the given byte capacity around an
     /// ordering built by the caller.
     #[must_use]
@@ -282,8 +321,8 @@ impl<K: Eq + Hash + Clone, O: Ordering, V> Keyed<K, O, V> {
 
     /// Makes `key` resident with the given value, size and cost: the
     /// oversize test, then (where the caller has not already seen a miss)
-    /// dropping the resident pair, then evicting until it fits, then
-    /// admission — in that order.
+    /// dropping the resident pair, then the ordering's arrival, then
+    /// evicting until it fits, then admission — in that order.
     fn store(
         &mut self,
         key: K,
@@ -297,6 +336,7 @@ impl<K: Eq + Hash + Clone, O: Ordering, V> Keyed<K, O, V> {
             return InsertOutcome::RejectedTooLarge;
         }
         let updating = may_be_resident && self.detach(&key).is_some();
+        self.ordering.arrive(&key, size, self.budget());
         while self.used + size > self.capacity {
             evicted(self.evict_lowest().expect("byte accounting out of sync"));
         }
@@ -306,13 +346,15 @@ impl<K: Eq + Hash + Clone, O: Ordering, V> Keyed<K, O, V> {
             cost,
             node: O::Node::default(),
         });
+        self.used += size;
+        let budget = self.budget();
+        self.ordering.admitting(&mut self.slots, id, &key, budget);
         self.ordering.admit(&mut self.slots, id);
         if let Some(sink) = &self.sink {
             let entry = self.slots.get(id).expect("just inserted");
             sink.record(&self.event(PolicyEventKind::Admit, entry));
         }
         self.map.insert(key, id);
-        self.used += size;
         if updating {
             InsertOutcome::Updated
         } else {
@@ -331,7 +373,17 @@ impl<K: Eq + Hash + Clone, O: Ordering, V> Keyed<K, O, V> {
         if let Some(sink) = &self.sink {
             sink.record(&self.event(PolicyEventKind::Evict, &entry));
         }
+        self.ordering
+            .evicted(&entry.payload.0, entry.size, entry.node);
         Some(entry.payload)
+    }
+
+    /// The byte budget as it stands, for the ordering's ghost hooks.
+    fn budget(&self) -> Budget {
+        Budget {
+            capacity: self.capacity,
+            used: self.used,
+        }
     }
 
     /// Changes the byte capacity. Shrinking evicts until the resident set
@@ -405,7 +457,7 @@ impl<K: Eq + Hash + Clone, O: Ordering, V> Keyed<K, O, V> {
     }
 }
 
-impl<K: CacheKey, O: Ordering, V> EvictionPolicy<K, V> for Keyed<K, O, V> {
+impl<K: CacheKey, O: Ordering<K>, V> EvictionPolicy<K, V> for Keyed<K, O, V> {
     fn name(&self) -> String {
         self.ordering.name()
     }

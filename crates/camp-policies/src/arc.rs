@@ -14,47 +14,19 @@
 //! page deltas. Like LRU and LRU-K — and unlike CAMP — ARC is cost-blind,
 //! which is why the paper positions it as complementary rather than
 //! competing.
+//!
+//! ARC is an [`Ordering`] on the [`Keyed`] front: the front holds the
+//! residents and the byte budget, [`Adaptive`] the lists, the ghosts and `p`.
 
 use std::collections::VecDeque;
 
-use camp_core::arena::{Arena, EntryId};
+use camp_core::arena::EntryId;
 use camp_core::hash::FoldHashMap;
-use camp_core::lru_list::LruList;
 
-use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent, PolicyEventKind,
-    SharedTraceSink,
-};
-use crate::util::{push_key, KeyNode};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Region {
-    T1,
-    T2,
-}
-
-#[derive(Debug)]
-struct Resident<V> {
-    size: u64,
-    /// Retained for trace events only; ARC ignores cost when evicting.
-    cost: u64,
-    region: Region,
-    id: EntryId,
-    value: V,
-}
-
-impl<V> Resident<V> {
-    /// The trace event for this resident (queue 0 = T1, 1 = T2).
-    fn event(&self, kind: PolicyEventKind, key: &impl CacheKey) -> PolicyEvent {
-        PolicyEvent {
-            queue: match self.region {
-                Region::T1 => 0,
-                Region::T2 => 1,
-            },
-            ..PolicyEvent::basic(kind, key_hash(key), self.size, self.cost)
-        }
-    }
-}
+use crate::keyed::{Budget, Keyed, Ordering, Slots};
+use crate::policy::CacheKey;
+use crate::util::Region::{self, First as T1, Second as T2};
+use crate::util::{Listed, TwoLists};
 
 /// A ghost list: remembers keys and sizes of recently evicted entries in
 /// LRU order, with O(1) membership and lazy mid-list deletion.
@@ -119,6 +91,139 @@ impl<K: CacheKey> GhostList<K> {
     }
 }
 
+/// ARC's order: the lists `T1` and `T2`, the ghosts `B1` and `B2`, and the
+/// adaptation target `p`. Trace events carry the list as `queue` (0 = T1,
+/// 1 = T2).
+#[derive(Debug)]
+pub struct Adaptive<K> {
+    p: u64,
+    lists: TwoLists,
+    b1: GhostList<K>,
+    b2: GhostList<K>,
+    /// The list the arriving pair joins, chosen from the ghosts on arrival.
+    joining: Region,
+}
+
+impl<K: CacheKey> Default for Adaptive<K> {
+    fn default() -> Self {
+        Adaptive {
+            p: 0,
+            lists: TwoLists::default(),
+            b1: GhostList::default(),
+            b2: GhostList::default(),
+            joining: T1,
+        }
+    }
+}
+
+impl<K> Adaptive<K> {
+    /// The list the ARC `REPLACE` subroutine, generalized to bytes, evicts
+    /// from: `T1` if it is over target, else `T2`.
+    fn replace_from(&self) -> Region {
+        if (!self.lists.is_empty(T1) && self.lists.bytes(T1) > self.p) || self.lists.is_empty(T2) {
+            T1
+        } else {
+            T2
+        }
+    }
+}
+
+impl<K: CacheKey> Ordering<K> for Adaptive<K> {
+    type Node = Listed;
+
+    fn name(&self) -> String {
+        "arc".to_owned()
+    }
+
+    fn arrive(&mut self, key: &K, size: u64, budget: Budget) {
+        self.joining = if self.b1.holds(key) {
+            // Case II: ghost hit in B1 — recency is winning, grow p.
+            let delta = if self.b1.bytes() > 0 {
+                (u128::from(size) * u128::from(self.b2.bytes().max(1))
+                    / u128::from(self.b1.bytes())) as u64
+            } else {
+                size
+            };
+            self.p = (self.p + delta.max(size)).min(budget.capacity);
+            self.b1.remove(key);
+            T2
+        } else if self.b2.holds(key) {
+            // Case III: ghost hit in B2 — frequency is winning, shrink p.
+            let delta = if self.b2.bytes() > 0 {
+                (u128::from(size) * u128::from(self.b1.bytes().max(1))
+                    / u128::from(self.b2.bytes())) as u64
+            } else {
+                size
+            };
+            self.p = self.p.saturating_sub(delta.max(size));
+            self.b2.remove(key);
+            T2
+        } else {
+            // Case IV: brand new key — admit into T1.
+            T1
+        };
+    }
+
+    /// Keeps the ghost directories within the classic ARC bounds,
+    /// `t1 + b1 <= c` and `t1 + t2 + b1 + b2 <= 2c` (in bytes), as they
+    /// stand once `admit` has put the pair on its list.
+    fn admitting<P>(
+        &mut self,
+        slots: &mut Slots<P, Listed>,
+        id: EntryId,
+        _key: &K,
+        budget: Budget,
+    ) {
+        let size = slots.get(id).expect("live entry").size;
+        let t1 = self.lists.bytes(T1) + if self.joining == T1 { size } else { 0 };
+        while t1 + self.b1.bytes() > budget.capacity && !self.b1.is_empty() {
+            self.b1.pop_lru();
+        }
+        while budget.used + self.b1.bytes() + self.b2.bytes() > 2 * budget.capacity {
+            if self.b2.pop_lru().is_none() && self.b1.pop_lru().is_none() {
+                break;
+            }
+        }
+    }
+
+    fn admit<P>(&mut self, slots: &mut Slots<P, Listed>, id: EntryId) {
+        self.lists.push(slots, id, self.joining);
+    }
+
+    /// Case I: a hit in T1 or T2 moves the pair to T2's MRU end.
+    fn hit<P>(&mut self, slots: &mut Slots<P, Listed>, id: EntryId) {
+        self.lists.requeue(slots, id, T2);
+    }
+
+    fn victim<P>(&self, _slots: &Slots<P, Listed>) -> Option<EntryId> {
+        self.lists.front(self.replace_from())
+    }
+
+    fn forget<P>(&mut self, slots: &mut Slots<P, Listed>, id: EntryId) {
+        self.lists.unlink(slots, id);
+    }
+
+    /// `REPLACE` records its victim in the ghost list matching its list.
+    fn evicted(&mut self, key: &K, size: u64, node: Listed) {
+        match node.region {
+            T1 => self.b1.push_mru(key.clone(), size),
+            T2 => self.b2.push_mru(key.clone(), size),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.lists = TwoLists::default();
+    }
+
+    fn event_fields(&self, node: &Listed) -> (u64, u32, u64) {
+        (0, node.region as u32, 0)
+    }
+
+    fn queue_count(&self) -> Option<usize> {
+        Some(2)
+    }
+}
+
 /// The ARC replacement policy, generalized to byte sizes.
 ///
 /// # Examples
@@ -132,233 +237,37 @@ impl<K: CacheKey> GhostList<K> {
 /// cache.reference(CacheRequest::new(1, 10, 0), &mut evicted); // promotes to T2
 /// assert!(cache.contains(&1));
 /// ```
-#[derive(Debug)]
-pub struct Arc<K = u64, V = ()> {
-    capacity: u64,
-    p: u64,
-    used: u64,
-    t1_bytes: u64,
-    t2_bytes: u64,
-    residents: FoldHashMap<K, Resident<V>>,
-    t1: LruList,
-    t2: LruList,
-    arena: Arena<KeyNode<K>>,
-    b1: GhostList<K>,
-    b2: GhostList<K>,
-    sink: Option<SharedTraceSink>,
-}
+pub type Arc<K = u64, V = ()> = Keyed<K, Adaptive<K>, V>;
 
-impl<K: CacheKey, V> Arc<K, V> {
-    /// Creates an ARC cache with the given byte capacity.
-    #[must_use]
-    pub fn new(capacity: u64) -> Self {
-        Arc {
-            capacity,
-            p: 0,
-            used: 0,
-            t1_bytes: 0,
-            t2_bytes: 0,
-            residents: FoldHashMap::default(),
-            t1: LruList::new(),
-            t2: LruList::new(),
-            arena: Arena::new(),
-            b1: GhostList::default(),
-            b2: GhostList::default(),
-            sink: None,
-        }
-    }
-
+/// `Arc::p_target` and `Arc::region_bytes`. A trait because [`Keyed`] is
+/// `camp-core`'s type: its aliases cannot carry inherent methods in this
+/// crate.
+pub trait ArcCache {
     /// The current adaptation target: the byte budget ARC aims to give the
     /// recency list `T1`.
     #[must_use]
-    pub fn p_target(&self) -> u64 {
-        self.p
-    }
+    fn p_target(&self) -> u64;
 
     /// Resident bytes in `T1` and `T2` respectively.
     #[must_use]
-    pub fn region_bytes(&self) -> (u64, u64) {
-        (self.t1_bytes, self.t2_bytes)
-    }
-
-    /// Keeps the ghost directories within the classic ARC bounds:
-    /// `t1 + b1 <= c` and `t1 + t2 + b1 + b2 <= 2c` (in bytes).
-    fn trim_ghosts(&mut self) {
-        while self.t1_bytes + self.b1.bytes() > self.capacity && !self.b1.is_empty() {
-            self.b1.pop_lru();
-        }
-        while self.used + self.b1.bytes() + self.b2.bytes() > 2 * self.capacity {
-            if self.b2.pop_lru().is_none() && self.b1.pop_lru().is_none() {
-                break;
-            }
-        }
-    }
+    fn region_bytes(&self) -> (u64, u64);
 }
 
-impl<K: CacheKey, V> EvictionPolicy<K, V> for Arc<K, V> {
-    fn name(&self) -> String {
-        "arc".to_owned()
+impl<K: CacheKey, V> ArcCache for Arc<K, V> {
+    fn p_target(&self) -> u64 {
+        self.ordering().p
     }
 
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.residents.len()
-    }
-
-    fn get(&mut self, key: &K) -> Option<&V> {
-        // Case I: hit in T1 or T2 — promote to T2 MRU.
-        let resident = self.residents.get_mut(key)?;
-        match resident.region {
-            Region::T1 => {
-                resident.region = Region::T2;
-                self.t1.unlink(&mut self.arena, resident.id);
-                self.t2.push_back(&mut self.arena, resident.id);
-                self.t1_bytes -= resident.size;
-                self.t2_bytes += resident.size;
-            }
-            Region::T2 => self.t2.move_to_back(&mut self.arena, resident.id),
-        }
-        Some(&resident.value)
-    }
-
-    fn peek(&self, key: &K) -> Option<&V> {
-        self.residents.get(key).map(|resident| &resident.value)
-    }
-
-    fn admit(
-        &mut self,
-        key: K,
-        value: V,
-        size: u64,
-        cost: u64,
-        evicted: &mut dyn FnMut(K, V),
-    ) -> AccessOutcome {
-        if size > self.capacity {
-            return AccessOutcome::MissBypassed;
-        }
-        let region = if self.b1.holds(&key) {
-            // Case II: ghost hit in B1 — recency is winning, grow p.
-            let delta = if self.b1.bytes() > 0 {
-                (u128::from(size) * u128::from(self.b2.bytes().max(1))
-                    / u128::from(self.b1.bytes())) as u64
-            } else {
-                size
-            };
-            self.p = (self.p + delta.max(size)).min(self.capacity);
-            self.b1.remove(&key);
-            Region::T2
-        } else if self.b2.holds(&key) {
-            // Case III: ghost hit in B2 — frequency is winning, shrink p.
-            let delta = if self.b2.bytes() > 0 {
-                (u128::from(size) * u128::from(self.b1.bytes().max(1))
-                    / u128::from(self.b2.bytes())) as u64
-            } else {
-                size
-            };
-            self.p = self.p.saturating_sub(delta.max(size));
-            self.b2.remove(&key);
-            Region::T2
-        } else {
-            // Case IV: brand new key — admit into T1.
-            Region::T1
-        };
-        while self.used + size > self.capacity {
-            let (gone, value) = self.evict().expect("byte accounting out of sync");
-            evicted(gone, value);
-        }
-        let (list, bytes) = match region {
-            Region::T1 => (&mut self.t1, &mut self.t1_bytes),
-            Region::T2 => (&mut self.t2, &mut self.t2_bytes),
-        };
-        *bytes += size;
-        let id = push_key(&mut self.arena, list, key.clone());
-        let resident = Resident {
-            size,
-            cost,
-            region,
-            id,
-            value,
-        };
-        if let Some(sink) = &self.sink {
-            sink.record(&resident.event(PolicyEventKind::Admit, &key));
-        }
-        self.residents.insert(key, resident);
-        self.used += size;
-        self.trim_ghosts();
-        AccessOutcome::MissInserted
-    }
-
-    fn take(&mut self, key: &K) -> Option<V> {
-        let resident = self.residents.remove(key)?;
-        self.used -= resident.size;
-        let (list, bytes) = match resident.region {
-            Region::T1 => (&mut self.t1, &mut self.t1_bytes),
-            Region::T2 => (&mut self.t2, &mut self.t2_bytes),
-        };
-        *bytes -= resident.size;
-        list.unlink(&mut self.arena, resident.id);
-        self.arena.remove(resident.id);
-        Some(resident.value)
-    }
-
-    /// The ARC `REPLACE` subroutine, generalized to bytes: evict one entry
-    /// from `T1` if it is over target, else from `T2`, recording it in the
-    /// matching ghost list.
-    fn evict(&mut self) -> Option<(K, V)> {
-        let list = if (!self.t1.is_empty() && self.t1_bytes > self.p) || self.t2.is_empty() {
-            &mut self.t1
-        } else {
-            &mut self.t2
-        };
-        let id = list.pop_front(&mut self.arena)?;
-        let node = self.arena.remove(id).expect("live list node");
-        let resident = self
-            .residents
-            .remove(&node.key)
-            .expect("listed key is resident");
-        self.used -= resident.size;
-        if let Some(sink) = &self.sink {
-            sink.record(&resident.event(PolicyEventKind::Evict, &node.key));
-        }
-        match resident.region {
-            Region::T1 => {
-                self.t1_bytes -= resident.size;
-                self.b1.push_mru(node.key.clone(), resident.size);
-            }
-            Region::T2 => {
-                self.t2_bytes -= resident.size;
-                self.b2.push_mru(node.key.clone(), resident.size);
-            }
-        }
-        Some((node.key, resident.value))
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
-        for (key, resident) in &self.residents {
-            f(key, &resident.value);
-        }
-    }
-
-    fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.sink = sink;
-    }
-
-    fn queue_count(&self) -> Option<usize> {
-        Some(2)
+    fn region_bytes(&self) -> (u64, u64) {
+        let lists = &self.ordering().lists;
+        (lists.bytes(T1), lists.bytes(T2))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::CacheRequest;
+    use crate::policy::{AccessOutcome, CacheRequest, EvictionPolicy};
 
     fn touch(c: &mut Arc, key: u64) -> (AccessOutcome, Vec<u64>) {
         let mut evicted = Vec::new();
@@ -431,9 +340,9 @@ mod tests {
         // REPLACE takes T1's LRU (T1 is over its zero target) into B1, then
         // T2's into B2: the ghosts a reference-driven eviction leaves.
         assert_eq!(c.evict_next(), Some(2));
-        assert!(c.b1.holds(&2) && !c.contains(&2));
+        assert!(c.ordering().b1.holds(&2) && !c.contains(&2));
         assert_eq!(c.evict_next(), Some(1));
-        assert!(c.b2.holds(&1) && !c.contains(&1));
+        assert!(c.ordering().b2.holds(&1) && !c.contains(&1));
         assert_eq!((c.evict_next(), c.used_bytes()), (None, 0));
         // The B1 ghost comes back straight into T2.
         touch(&mut c, 2);
@@ -459,8 +368,9 @@ mod tests {
         for k in 0..10_000 {
             touch(&mut c, k);
         }
-        assert!(c.b1.bytes() + c.used_bytes() <= 50);
-        assert!(c.b1.bytes() + c.b2.bytes() + c.used_bytes() <= 100);
+        let arc = c.ordering();
+        assert!(arc.b1.bytes() + c.used_bytes() <= 50);
+        assert!(arc.b1.bytes() + arc.b2.bytes() + c.used_bytes() <= 100);
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl Wheels {
         ((high_bit / WHEEL_BITS) as usize).min(LEVELS - 1)
     }
 
-    fn place<K>(&mut self, slots: &mut Slots<K, Spoke>, id: EntryId) {
+    fn place<P>(&mut self, slots: &mut Slots<P, Spoke>, id: EntryId) {
         let node = &mut slots.get_mut(id).expect("live entry").node;
         let level = self.level_for(node.deadline);
         let slot = if node.deadline <= self.l {
@@ -123,29 +123,29 @@ impl Wheels {
     }
 }
 
-impl Ordering for Wheels {
+impl<K> Ordering<K> for Wheels {
     type Node = Spoke;
 
     fn name(&self) -> String {
         "gd-wheel".to_owned()
     }
 
-    fn admit<K>(&mut self, slots: &mut Slots<K, Spoke>, id: EntryId) {
+    fn admit<P>(&mut self, slots: &mut Slots<P, Spoke>, id: EntryId) {
         let entry = slots.get_mut(id).expect("live entry");
         entry.node.ratio = self.rounder.rounded_ratio(entry.cost, entry.size);
         entry.node.deadline = self.l.saturating_add(entry.node.ratio);
         self.place(slots, id);
     }
 
-    fn hit<K>(&mut self, slots: &mut Slots<K, Spoke>, id: EntryId) {
+    fn hit<P>(&mut self, slots: &mut Slots<P, Spoke>, id: EntryId) {
         // Hit: refresh the deadline and re-bucket (O(1), no migration).
-        self.forget(slots, id);
+        Ordering::<K>::forget(self, slots, id);
         let node = &mut slots.get_mut(id).expect("live entry").node;
         node.deadline = self.l.saturating_add(node.ratio);
         self.place(slots, id);
     }
 
-    fn victim<K>(&self, slots: &Slots<K, Spoke>) -> Option<EntryId> {
+    fn victim<P>(&self, slots: &Slots<P, Spoke>) -> Option<EntryId> {
         let (level, index) = self.next_bucket()?;
         let bucket = &self.buckets[index];
         if level == 0 {
@@ -158,13 +158,13 @@ impl Ordering for Wheels {
             .min_by_key(|&id| slots.get(id).map(|e| e.node.deadline))
     }
 
-    fn forget<K>(&mut self, slots: &mut Slots<K, Spoke>, id: EntryId) {
+    fn forget<P>(&mut self, slots: &mut Slots<P, Spoke>, id: EntryId) {
         let node = &slots.get(id).expect("live entry").node;
         let index = node.level as usize * WHEEL_SLOTS + node.slot as usize;
         self.buckets[index].unlink(slots, id);
     }
 
-    fn evict<K>(&mut self, slots: &mut Slots<K, Spoke>) -> Option<EntryId> {
+    fn evict<P>(&mut self, slots: &mut Slots<P, Spoke>) -> Option<EntryId> {
         loop {
             let (level, index) = self.next_bucket()?;
             if level == 0 {
@@ -198,7 +198,7 @@ impl Ordering for Wheels {
         (node.ratio, u32::from(node.level), self.l)
     }
 
-    fn extend_stats<K>(&self, _slots: &Slots<K, Spoke>, stats: &mut PolicyStats) {
+    fn extend_stats<P>(&self, _slots: &Slots<P, Spoke>, stats: &mut PolicyStats) {
         stats.push("l_value", self.l);
     }
 }

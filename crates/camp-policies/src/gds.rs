@@ -76,7 +76,7 @@ impl<const FREQUENCY: bool> Default for GreedyDual<FREQUENCY> {
     }
 }
 
-impl<const FREQUENCY: bool> Ordering for GreedyDual<FREQUENCY> {
+impl<K, const FREQUENCY: bool> Ordering<K> for GreedyDual<FREQUENCY> {
     type Node = Priced;
 
     fn name(&self) -> String {
@@ -87,7 +87,7 @@ impl<const FREQUENCY: bool> Ordering for GreedyDual<FREQUENCY> {
         }
     }
 
-    fn admit<K>(&mut self, slots: &mut Slots<K, Priced>, id: EntryId) {
+    fn admit<P>(&mut self, slots: &mut Slots<P, Priced>, id: EntryId) {
         let entry = slots.get_mut(id).expect("live entry");
         entry.node = Priced {
             ratio: self.rounder.rounded_ratio(entry.cost, entry.size),
@@ -97,7 +97,7 @@ impl<const FREQUENCY: bool> Ordering for GreedyDual<FREQUENCY> {
         self.heap.insert(id.index(), priority);
     }
 
-    fn hit<K>(&mut self, slots: &mut Slots<K, Priced>, id: EntryId) {
+    fn hit<P>(&mut self, slots: &mut Slots<P, Priced>, id: EntryId) {
         // Hit: Algorithm 1 line 2 — L <- min_{q in M \ {p}} H(q), then
         // H(p) <- L + ratio(p). Removing p first makes the heap minimum
         // exactly that excluded minimum.
@@ -115,12 +115,12 @@ impl<const FREQUENCY: bool> Ordering for GreedyDual<FREQUENCY> {
         self.heap.insert(idx, priority);
     }
 
-    fn victim<K>(&self, slots: &Slots<K, Priced>) -> Option<EntryId> {
+    fn victim<P>(&self, slots: &Slots<P, Priced>) -> Option<EntryId> {
         let (idx, _) = self.heap.peek()?;
         slots.id_at(idx)
     }
 
-    fn forget<K>(&mut self, _slots: &mut Slots<K, Priced>, id: EntryId) {
+    fn forget<P>(&mut self, _slots: &mut Slots<P, Priced>, id: EntryId) {
         self.heap.remove(id.index());
     }
 
@@ -128,7 +128,7 @@ impl<const FREQUENCY: bool> Ordering for GreedyDual<FREQUENCY> {
         self.heap.clear();
     }
 
-    fn evict<K>(&mut self, slots: &mut Slots<K, Priced>) -> Option<EntryId> {
+    fn evict<P>(&mut self, slots: &mut Slots<P, Priced>) -> Option<EntryId> {
         let (idx, h) = self.heap.pop()?;
         // Algorithm 1 line 6: L <- min over the remaining pairs.
         let new_l = self.heap.peek().map_or(h, |(_, &min)| min);
@@ -156,7 +156,7 @@ impl<const FREQUENCY: bool> Ordering for GreedyDual<FREQUENCY> {
         self.heap.reset_counters();
     }
 
-    fn extend_stats<K>(&self, _slots: &Slots<K, Priced>, stats: &mut PolicyStats) {
+    fn extend_stats<P>(&self, _slots: &Slots<P, Priced>, stats: &mut PolicyStats) {
         stats.push("l_value", u64::try_from(self.l).unwrap_or(u64::MAX));
     }
 }

@@ -72,7 +72,7 @@ mod tests {
     /// against a model of the resident set: one slot per mapped key and the
     /// reverse, each under the size it was stored with, and the byte budget
     /// equal to their sum.
-    fn check_front<O: Ordering>(cache: &Keyed<u64, O>, model: &HashMap<u64, u64>) {
+    fn check_front<O: Ordering<u64>>(cache: &Keyed<u64, O>, model: &HashMap<u64, u64>) {
         assert_eq!(cache.len(), model.len());
         assert_eq!(cache.iter().count(), model.len());
         for (key, (), slot) in cache.iter() {
@@ -85,7 +85,7 @@ mod tests {
 
     /// 10 000 seeded steps of every way into the front, the model kept from
     /// the outcomes it reports, the invariants checked after each.
-    fn front_holds_under_a_mix<O: Ordering>(mut cache: Keyed<u64, O>) {
+    fn front_holds_under_a_mix<O: Ordering<u64>>(mut cache: Keyed<u64, O>) {
         let name = cache.name();
         let mut rng = Rng64::seed_from_u64(0xF407);
         let mut model: HashMap<u64, u64> = HashMap::new();

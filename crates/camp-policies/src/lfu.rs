@@ -31,32 +31,32 @@ impl Frequency {
     }
 }
 
-impl Ordering for Frequency {
+impl<K> Ordering<K> for Frequency {
     type Node = u64;
 
     fn name(&self) -> String {
         "lfu".to_owned()
     }
 
-    fn admit<K>(&mut self, slots: &mut Slots<K, u64>, id: EntryId) {
+    fn admit<P>(&mut self, slots: &mut Slots<P, u64>, id: EntryId) {
         slots.get_mut(id).expect("live entry").node = 1;
         let key = self.tick(1);
         self.heap.insert(id.index(), key);
     }
 
-    fn hit<K>(&mut self, slots: &mut Slots<K, u64>, id: EntryId) {
+    fn hit<P>(&mut self, slots: &mut Slots<P, u64>, id: EntryId) {
         let frequency = &mut slots.get_mut(id).expect("live entry").node;
         *frequency = frequency.saturating_add(1);
         let key = self.tick(*frequency);
         self.heap.update(id.index(), key);
     }
 
-    fn victim<K>(&self, slots: &Slots<K, u64>) -> Option<EntryId> {
+    fn victim<P>(&self, slots: &Slots<P, u64>) -> Option<EntryId> {
         let (idx, _) = self.heap.peek()?;
         slots.id_at(idx)
     }
 
-    fn forget<K>(&mut self, _slots: &mut Slots<K, u64>, id: EntryId) {
+    fn forget<P>(&mut self, _slots: &mut Slots<P, u64>, id: EntryId) {
         self.heap.remove(id.index());
     }
 

@@ -76,13 +76,13 @@ pub mod two_q;
 mod util;
 
 pub use crate::admission::{Admission, AdmissionRule};
-pub use crate::arc::Arc;
+pub use crate::arc::{Arc, ArcCache};
 pub use crate::gd_wheel::GdWheel;
 pub use crate::gds::{Gds, Gdsf};
 pub use crate::keyed::Keyed;
 pub use crate::lfu::Lfu;
 pub use crate::lru::Lru;
-pub use crate::lru_k::LruK;
+pub use crate::lru_k::{LruK, LruKCache};
 pub use crate::offline::BeladyMin;
 pub use crate::policy::{
     key_hash, AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind,
@@ -91,4 +91,4 @@ pub use crate::policy::{
 pub use crate::pooled_lru::{PoolSplit, PooledLru};
 pub use crate::profiler::{ShadowEstimate, ShadowProfiler};
 pub use crate::spec::EvictionMode;
-pub use crate::two_q::TwoQ;
+pub use crate::two_q::{TwoQ, TwoQCache};

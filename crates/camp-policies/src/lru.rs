@@ -16,26 +16,26 @@ pub struct Recency {
     list: LruList,
 }
 
-impl Ordering for Recency {
+impl<K> Ordering<K> for Recency {
     type Node = Links;
 
     fn name(&self) -> String {
         "lru".to_owned()
     }
 
-    fn admit<K>(&mut self, slots: &mut Slots<K, Links>, id: EntryId) {
+    fn admit<P>(&mut self, slots: &mut Slots<P, Links>, id: EntryId) {
         self.list.push_back(slots, id);
     }
 
-    fn hit<K>(&mut self, slots: &mut Slots<K, Links>, id: EntryId) {
+    fn hit<P>(&mut self, slots: &mut Slots<P, Links>, id: EntryId) {
         self.list.move_to_back(slots, id);
     }
 
-    fn victim<K>(&self, _slots: &Slots<K, Links>) -> Option<EntryId> {
+    fn victim<P>(&self, _slots: &Slots<P, Links>) -> Option<EntryId> {
         self.list.front()
     }
 
-    fn forget<K>(&mut self, slots: &mut Slots<K, Links>, id: EntryId) {
+    fn forget<P>(&mut self, slots: &mut Slots<P, Links>, id: EntryId) {
         self.list.unlink(slots, id);
     }
 

@@ -9,99 +9,38 @@
 //! reference shortly after eviction count toward the K-distance.
 //!
 //! Like LRU (and unlike CAMP), LRU-K is blind to sizes and costs beyond byte
-//! accounting, which is exactly why the paper contrasts it with CAMP.
+//! accounting, which is exactly why the paper contrasts it with CAMP. It is
+//! an [`Ordering`] on the [`Keyed`] front; each pair's slot holds its
+//! reference history.
 
 use std::collections::VecDeque;
 
+use camp_core::arena::EntryId;
 use camp_core::hash::FoldHashMap;
 use camp_core::heap::OctonaryHeap;
 
-use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent, PolicyEventKind,
-    SharedTraceSink,
-};
-use crate::util::IdAllocator;
+use crate::keyed::{Budget, Keyed, Ordering, Slots};
+use crate::policy::CacheKey;
 
+/// Backward K-distance order: a heap keyed `K-th reference ‖ last
+/// reference`, one node per pair (heap ids are arena slot indices), and
+/// the retained histories of evicted keys. The per-pair state is the
+/// pair's last `K` reference times.
 #[derive(Debug)]
-struct Resident<V> {
-    heap_id: u32,
-    size: u64,
-    /// Retained for trace events only; LRU-K ignores cost when evicting.
-    cost: u64,
-    history: VecDeque<u64>,
-    value: V,
-}
-
-/// The LRU-K replacement policy.
-///
-/// # Examples
-///
-/// ```
-/// use camp_policies::{CacheRequest, EvictionPolicy, LruK};
-///
-/// let mut cache: LruK = LruK::new(30, 2);
-/// let mut evicted = Vec::new();
-/// // Key 1 is referenced twice, keys 2 and 3 once each.
-/// cache.reference(CacheRequest::new(1, 10, 0), &mut evicted);
-/// cache.reference(CacheRequest::new(1, 10, 0), &mut evicted);
-/// cache.reference(CacheRequest::new(2, 10, 0), &mut evicted);
-/// cache.reference(CacheRequest::new(3, 10, 0), &mut evicted);
-/// // 2 and 3 have infinite backward 2-distance; 2 is older, so it goes.
-/// cache.reference(CacheRequest::new(4, 10, 0), &mut evicted);
-/// assert_eq!(evicted, vec![2]);
-/// assert!(cache.contains(&1));
-/// ```
-#[derive(Debug)]
-pub struct LruK<K = u64, V = ()> {
+pub struct KDistance<K> {
     k: usize,
-    capacity: u64,
-    used: u64,
     /// Stamps every hit and every admission, in order.
     clock: u64,
-    residents: FoldHashMap<K, Resident<V>>,
-    by_heap_id: FoldHashMap<u32, K>,
     heap: OctonaryHeap<u128>,
-    ids: IdAllocator,
     /// Retained reference history for evicted keys, bounded FIFO.
     ghosts: FoldHashMap<K, VecDeque<u64>>,
     ghost_order: VecDeque<K>,
     ghost_capacity: usize,
-    sink: Option<SharedTraceSink>,
 }
 
-impl<K: CacheKey, V> LruK<K, V> {
+impl<K: CacheKey> KDistance<K> {
     /// Default number of retained ghost histories.
     const DEFAULT_GHOSTS: usize = 4096;
-
-    /// Creates an LRU-K cache with byte capacity `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    #[must_use]
-    pub fn new(capacity: u64, k: usize) -> Self {
-        assert!(k >= 1, "K must be at least 1");
-        LruK {
-            k,
-            capacity,
-            used: 0,
-            clock: 0,
-            residents: FoldHashMap::default(),
-            by_heap_id: FoldHashMap::default(),
-            heap: OctonaryHeap::new(),
-            ids: IdAllocator::default(),
-            ghosts: FoldHashMap::default(),
-            ghost_order: VecDeque::new(),
-            ghost_capacity: Self::DEFAULT_GHOSTS,
-            sink: None,
-        }
-    }
-
-    /// The configured `K`.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
 
     /// Appends the reference at `now` to `history`, keeping the last `k`,
     /// and returns the eviction-heap priority: pairs with an older
@@ -118,6 +57,13 @@ impl<K: CacheKey, V> LruK<K, V> {
             0
         };
         (u128::from(kth) << 64) | u128::from(now)
+    }
+
+    /// Records a reference to the pair `id`, returning its new priority.
+    fn reference<P>(&mut self, slots: &mut Slots<P, VecDeque<u64>>, id: EntryId) -> u128 {
+        self.clock += 1;
+        let history = &mut slots.get_mut(id).expect("live entry").node;
+        Self::stamp(self.k, history, self.clock)
     }
 
     fn record_ghost(&mut self, key: K, history: VecDeque<u64>) {
@@ -138,117 +84,56 @@ impl<K: CacheKey, V> LruK<K, V> {
     }
 }
 
-impl<K: CacheKey, V> EvictionPolicy<K, V> for LruK<K, V> {
+impl<K: CacheKey> Ordering<K> for KDistance<K> {
+    type Node = VecDeque<u64>;
+
     fn name(&self) -> String {
         format!("lru-{}", self.k)
     }
 
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    fn len(&self) -> usize {
-        self.residents.len()
-    }
-
-    fn get(&mut self, key: &K) -> Option<&V> {
-        let resident = self.residents.get_mut(key)?;
-        self.clock += 1;
-        let priority = Self::stamp(self.k, &mut resident.history, self.clock);
-        self.heap.update(resident.heap_id, priority);
-        Some(&resident.value)
-    }
-
-    fn peek(&self, key: &K) -> Option<&V> {
-        self.residents.get(key).map(|resident| &resident.value)
-    }
-
-    fn admit(
+    /// Resumes the ghost history, if retained.
+    fn admitting<P>(
         &mut self,
-        key: K,
-        value: V,
-        size: u64,
-        cost: u64,
-        evicted: &mut dyn FnMut(K, V),
-    ) -> AccessOutcome {
-        if size > self.capacity {
-            return AccessOutcome::MissBypassed;
-        }
-        while self.used + size > self.capacity {
-            let (gone, value) = self.evict().expect("byte accounting out of sync");
-            evicted(gone, value);
-        }
-        // Resume the ghost history, if retained.
-        let mut history = self.ghosts.remove(&key).unwrap_or_default();
-        self.clock += 1;
-        let priority = Self::stamp(self.k, &mut history, self.clock);
-        let heap_id = self.ids.allocate();
-        self.heap.insert(heap_id, priority);
-        self.by_heap_id.insert(heap_id, key.clone());
-        if let Some(sink) = &self.sink {
-            sink.record(&PolicyEvent::basic(
-                PolicyEventKind::Admit,
-                key_hash(&key),
-                size,
-                cost,
-            ));
-        }
-        self.residents.insert(
-            key,
-            Resident {
-                heap_id,
-                size,
-                cost,
-                history,
-                value,
-            },
-        );
-        self.used += size;
-        AccessOutcome::MissInserted
-    }
-
-    fn take(&mut self, key: &K) -> Option<V> {
-        let resident = self.residents.remove(key)?;
-        self.heap.remove(resident.heap_id);
-        self.by_heap_id.remove(&resident.heap_id);
-        self.ids.release(resident.heap_id);
-        self.used -= resident.size;
-        Some(resident.value)
-    }
-
-    fn evict(&mut self) -> Option<(K, V)> {
-        let (heap_id, _) = self.heap.pop()?;
-        let key = self
-            .by_heap_id
-            .remove(&heap_id)
-            .expect("heap id maps to a resident");
-        let resident = self.residents.remove(&key).expect("resident entry");
-        self.used -= resident.size;
-        self.ids.release(heap_id);
-        if let Some(sink) = &self.sink {
-            sink.record(&PolicyEvent::basic(
-                PolicyEventKind::Evict,
-                key_hash(&key),
-                resident.size,
-                resident.cost,
-            ));
-        }
-        self.record_ghost(key.clone(), resident.history);
-        Some((key, resident.value))
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
-        for (key, resident) in &self.residents {
-            f(key, &resident.value);
+        slots: &mut Slots<P, VecDeque<u64>>,
+        id: EntryId,
+        key: &K,
+        _budget: Budget,
+    ) {
+        if let Some(history) = self.ghosts.remove(key) {
+            slots.get_mut(id).expect("live entry").node = history;
         }
     }
 
-    fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.sink = sink;
+    fn admit<P>(&mut self, slots: &mut Slots<P, VecDeque<u64>>, id: EntryId) {
+        let priority = self.reference(slots, id);
+        self.heap.insert(id.index(), priority);
+    }
+
+    fn hit<P>(&mut self, slots: &mut Slots<P, VecDeque<u64>>, id: EntryId) {
+        let priority = self.reference(slots, id);
+        self.heap.update(id.index(), priority);
+    }
+
+    fn victim<P>(&self, slots: &Slots<P, VecDeque<u64>>) -> Option<EntryId> {
+        let (idx, _) = self.heap.peek()?;
+        slots.id_at(idx)
+    }
+
+    fn forget<P>(&mut self, _slots: &mut Slots<P, VecDeque<u64>>, id: EntryId) {
+        self.heap.remove(id.index());
+    }
+
+    fn evict<P>(&mut self, slots: &mut Slots<P, VecDeque<u64>>) -> Option<EntryId> {
+        let (idx, _) = self.heap.pop()?;
+        slots.id_at(idx)
+    }
+
+    fn evicted(&mut self, key: &K, _size: u64, history: VecDeque<u64>) {
+        self.record_ghost(key.clone(), history);
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
     }
 
     fn heap_node_visits(&self) -> Option<u64> {
@@ -260,10 +145,68 @@ impl<K: CacheKey, V> EvictionPolicy<K, V> for LruK<K, V> {
     }
 }
 
+/// The LRU-K replacement policy.
+///
+/// # Examples
+///
+/// ```
+/// use camp_policies::{CacheRequest, EvictionPolicy, LruK, LruKCache};
+///
+/// let mut cache: LruK = LruK::new(30, 2);
+/// let mut evicted = Vec::new();
+/// // Key 1 is referenced twice, keys 2 and 3 once each.
+/// cache.reference(CacheRequest::new(1, 10, 0), &mut evicted);
+/// cache.reference(CacheRequest::new(1, 10, 0), &mut evicted);
+/// cache.reference(CacheRequest::new(2, 10, 0), &mut evicted);
+/// cache.reference(CacheRequest::new(3, 10, 0), &mut evicted);
+/// // 2 and 3 have infinite backward 2-distance; 2 is older, so it goes.
+/// cache.reference(CacheRequest::new(4, 10, 0), &mut evicted);
+/// assert_eq!(evicted, vec![2]);
+/// assert!(cache.contains(&1));
+/// ```
+pub type LruK<K = u64, V = ()> = Keyed<K, KDistance<K>, V>;
+
+/// `LruK::new` and `LruK::k`. A trait because [`Keyed`] is `camp-core`'s
+/// type: its aliases cannot carry inherent functions in this crate.
+pub trait LruKCache {
+    /// Creates an LRU-K cache with byte capacity `capacity`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero.
+    #[must_use]
+    fn new(capacity: u64, k: usize) -> Self;
+
+    /// The configured `K`.
+    #[must_use]
+    fn k(&self) -> usize;
+}
+
+impl<K: CacheKey, V> LruKCache for LruK<K, V> {
+    fn new(capacity: u64, k: usize) -> Self {
+        assert!(k >= 1, "K must be at least 1");
+        Keyed::with_ordering(
+            capacity,
+            KDistance {
+                k,
+                clock: 0,
+                heap: OctonaryHeap::new(),
+                ghosts: FoldHashMap::default(),
+                ghost_order: VecDeque::new(),
+                ghost_capacity: KDistance::<K>::DEFAULT_GHOSTS,
+            },
+        )
+    }
+
+    fn k(&self) -> usize {
+        self.ordering().k
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::CacheRequest;
+    use crate::policy::{AccessOutcome, CacheRequest, EvictionPolicy};
 
     fn touch(c: &mut LruK, key: u64) -> (AccessOutcome, Vec<u64>) {
         let mut evicted = Vec::new();
@@ -340,7 +283,7 @@ mod tests {
         // 1 now has two references and outranks the one-timers; the oldest
         // of those goes, and its history is kept as a ghost.
         assert_eq!(c.evict_next(), Some(2));
-        assert!(c.ghosts.contains_key(&2) && !c.contains(&2));
+        assert!(c.ordering().ghosts.contains_key(&2) && !c.contains(&2));
         // So 2 comes back with two references: after the one-timer 3, the
         // older K-th reference (1's) goes before 2's.
         touch(&mut c, 2);

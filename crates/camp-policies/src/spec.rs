@@ -19,10 +19,10 @@ use crate::gd_wheel::Wheels;
 use crate::gds::GreedyDual;
 use crate::lfu::Frequency;
 use crate::lru::Recency;
-use crate::lru_k::LruK;
+use crate::lru_k::{LruK, LruKCache};
 use crate::policy::{CacheKey, EvictionPolicy};
 use crate::pooled_lru::{PoolSplit, PooledLru};
-use crate::two_q::TwoQ;
+use crate::two_q::{TwoQ, TwoQCache};
 
 /// Default pool boundaries for `pooled-lru` when none are given: the
 /// paper's `{1, 100, 10K}` cost classes.

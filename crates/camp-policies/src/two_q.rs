@@ -10,121 +10,37 @@
 //! This implementation generalizes the page-based original to byte
 //! accounting: `A1in` is capped at `KIN` (default 25%) of the capacity and
 //! `A1out` remembers up to `KOUT` (default 50%) of the capacity's worth of
-//! evicted bytes, as recommended in the original paper.
+//! evicted bytes, as recommended in the original paper. 2Q is an
+//! [`Ordering`] on the [`Keyed`] front, which holds the residents and the
+//! byte budget.
 
 use std::collections::VecDeque;
 
-use camp_core::arena::{Arena, EntryId};
+use camp_core::arena::EntryId;
 use camp_core::hash::FoldHashMap;
-use camp_core::lru_list::LruList;
 
-use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent, PolicyEventKind,
-    SharedTraceSink,
-};
-use crate::util::{push_key, KeyNode};
+use crate::keyed::{Budget, Keyed, Ordering, Slots};
+use crate::policy::CacheKey;
+use crate::util::Region::{self, First as A1IN, Second as AM};
+use crate::util::{Listed, TwoLists};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Region {
-    A1In,
-    Am,
-}
-
+/// 2Q's order: probation `A1in` — a FIFO: admitted at the back, reclaimed
+/// from the front, never moved by a hit — the main LRU `Am`, and the ghost
+/// queue `A1out`. Trace events carry the list as `queue` (0 = A1in,
+/// 1 = Am).
 #[derive(Debug)]
-struct Resident<V> {
-    size: u64,
-    /// Retained for trace events only; 2Q ignores cost when evicting.
-    cost: u64,
-    region: Region,
-    /// The key's node on its region's list.
-    id: EntryId,
-    value: V,
-}
-
-impl<V> Resident<V> {
-    /// The trace event for this resident (queue 0 = A1in, 1 = Am).
-    fn event(&self, kind: PolicyEventKind, key: &impl CacheKey) -> PolicyEvent {
-        PolicyEvent {
-            queue: match self.region {
-                Region::A1In => 0,
-                Region::Am => 1,
-            },
-            ..PolicyEvent::basic(kind, key_hash(key), self.size, self.cost)
-        }
-    }
-}
-
-/// The 2Q replacement policy.
-///
-/// # Examples
-///
-/// ```
-/// use camp_policies::{CacheRequest, EvictionPolicy, TwoQ};
-///
-/// let mut cache: TwoQ = TwoQ::new(100);
-/// let mut evicted = Vec::new();
-/// cache.reference(CacheRequest::new(1, 10, 0), &mut evicted);
-/// assert!(cache.contains(&1)); // in probation (A1in)
-/// ```
-#[derive(Debug)]
-pub struct TwoQ<K = u64, V = ()> {
-    capacity: u64,
+pub struct Probation<K> {
     kin: u64,
     kout: u64,
-    used: u64,
-    a1in_bytes: u64,
-    residents: FoldHashMap<K, Resident<V>>,
-    /// Probation, a FIFO: admitted at the back, reclaimed from the front,
-    /// never moved by a hit — and, being a list, unlinked in O(1).
-    a1in: LruList,
-    am: LruList,
-    arena: Arena<KeyNode<K>>,
+    lists: TwoLists,
     a1out: VecDeque<(K, u64)>, // (key, size)
     a1out_set: FoldHashMap<K, u64>,
     a1out_bytes: u64,
-    sink: Option<SharedTraceSink>,
+    /// The list the arriving pair joins: `Am` if `A1out` remembered it.
+    joining: Region,
 }
 
-impl<K: CacheKey, V> TwoQ<K, V> {
-    /// Creates a 2Q cache with the recommended 25%/50% `Kin`/`Kout` split.
-    #[must_use]
-    pub fn new(capacity: u64) -> Self {
-        TwoQ::with_thresholds(capacity, capacity / 4, capacity / 2)
-    }
-
-    /// Creates a 2Q cache with explicit probation (`kin`) and ghost
-    /// (`kout`) byte thresholds.
-    #[must_use]
-    pub fn with_thresholds(capacity: u64, kin: u64, kout: u64) -> Self {
-        TwoQ {
-            capacity,
-            kin,
-            kout,
-            used: 0,
-            a1in_bytes: 0,
-            residents: FoldHashMap::default(),
-            a1in: LruList::new(),
-            am: LruList::new(),
-            arena: Arena::new(),
-            a1out: VecDeque::new(),
-            a1out_set: FoldHashMap::default(),
-            a1out_bytes: 0,
-            sink: None,
-        }
-    }
-
-    /// Bytes currently in the probation queue.
-    #[must_use]
-    pub fn a1in_bytes(&self) -> u64 {
-        self.a1in_bytes
-    }
-
-    /// Number of keys remembered in the ghost queue.
-    #[must_use]
-    pub fn a1out_len(&self) -> usize {
-        self.a1out_set.len()
-    }
-
+impl<K: CacheKey> Probation<K> {
     fn push_ghost(&mut self, key: K, size: u64) {
         if self.a1out_set.insert(key.clone(), size).is_none() {
             self.a1out.push_back((key, size));
@@ -142,122 +58,62 @@ impl<K: CacheKey, V> TwoQ<K, V> {
     }
 }
 
-impl<K: CacheKey, V> EvictionPolicy<K, V> for TwoQ<K, V> {
+impl<K: CacheKey> Ordering<K> for Probation<K> {
+    type Node = Listed;
+
     fn name(&self) -> String {
         "2q".to_owned()
     }
 
-    fn capacity(&self) -> u64 {
-        self.capacity
+    fn arrive(&mut self, key: &K, _size: u64, _budget: Budget) {
+        self.joining = if self.a1out_set.remove(key).is_some() {
+            AM
+        } else {
+            A1IN
+        };
     }
 
-    fn used_bytes(&self) -> u64 {
-        self.used
+    fn admit<P>(&mut self, slots: &mut Slots<P, Listed>, id: EntryId) {
+        self.lists.push(slots, id, self.joining);
     }
 
-    fn len(&self) -> usize {
-        self.residents.len()
-    }
-
-    fn get(&mut self, key: &K) -> Option<&V> {
-        let resident = self.residents.get(key)?;
+    fn hit<P>(&mut self, slots: &mut Slots<P, Listed>, id: EntryId) {
         // An Am hit is an LRU refresh; the original 2Q leaves A1in
         // references in place (FIFO).
-        if resident.region == Region::Am {
-            self.am.move_to_back(&mut self.arena, resident.id);
+        if slots.get(id).expect("live entry").node.region == AM {
+            self.lists.requeue(slots, id, AM);
         }
-        Some(&resident.value)
     }
 
-    fn peek(&self, key: &K) -> Option<&V> {
-        self.residents.get(key).map(|resident| &resident.value)
-    }
-
-    fn admit(
-        &mut self,
-        key: K,
-        value: V,
-        size: u64,
-        cost: u64,
-        evicted: &mut dyn FnMut(K, V),
-    ) -> AccessOutcome {
-        if size > self.capacity {
-            return AccessOutcome::MissBypassed;
-        }
-        let remembered = self.a1out_set.remove(&key).is_some();
-        while self.used + size > self.capacity {
-            let (gone, value) = self.evict().expect("byte accounting out of sync");
-            evicted(gone, value);
-        }
-        let (region, list) = if remembered {
-            (Region::Am, &mut self.am)
+    /// Prefers the probation FIFO when it is over its threshold (the 2Q
+    /// `reclaimfor` routine).
+    fn victim<P>(&self, _slots: &Slots<P, Listed>) -> Option<EntryId> {
+        let region = if self.lists.bytes(A1IN) > self.kin || self.lists.is_empty(AM) {
+            A1IN
         } else {
-            self.a1in_bytes += size;
-            (Region::A1In, &mut self.a1in)
+            AM
         };
-        let id = push_key(&mut self.arena, list, key.clone());
-        let resident = Resident {
-            size,
-            cost,
-            region,
-            id,
-            value,
-        };
-        if let Some(sink) = &self.sink {
-            sink.record(&resident.event(PolicyEventKind::Admit, &key));
-        }
-        self.residents.insert(key, resident);
-        self.used += size;
-        AccessOutcome::MissInserted
+        self.lists.front(region)
     }
 
-    fn take(&mut self, key: &K) -> Option<V> {
-        let resident = self.residents.remove(key)?;
-        self.used -= resident.size;
-        let list = match resident.region {
-            Region::Am => &mut self.am,
-            Region::A1In => {
-                self.a1in_bytes -= resident.size;
-                &mut self.a1in
-            }
-        };
-        list.unlink(&mut self.arena, resident.id);
-        self.arena.remove(resident.id);
-        Some(resident.value)
+    fn forget<P>(&mut self, slots: &mut Slots<P, Listed>, id: EntryId) {
+        self.lists.unlink(slots, id);
     }
 
-    /// Frees one resident entry, preferring the probation FIFO when it is
-    /// over its threshold (the 2Q `reclaimfor` routine).
-    fn evict(&mut self) -> Option<(K, V)> {
-        let list = if self.a1in_bytes > self.kin || self.am.is_empty() {
-            &mut self.a1in
-        } else {
-            &mut self.am
-        };
-        let id = list.pop_front(&mut self.arena)?;
-        let key = self.arena.remove(id).expect("live list node").key;
-        let resident = self.residents.remove(&key).expect("queued key is resident");
-        self.used -= resident.size;
-        if let Some(sink) = &self.sink {
-            sink.record(&resident.event(PolicyEventKind::Evict, &key));
-        }
-        if resident.region == Region::A1In {
-            self.a1in_bytes -= resident.size;
-            // Only probation evictions are remembered: a re-reference soon
-            // after proves the key deserves Am.
-            self.push_ghost(key.clone(), resident.size);
-        }
-        Some((key, resident.value))
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
-        for (key, resident) in &self.residents {
-            f(key, &resident.value);
+    /// Only probation evictions are remembered: a re-reference soon after
+    /// proves the key deserves Am.
+    fn evicted(&mut self, key: &K, size: u64, node: Listed) {
+        if node.region == A1IN {
+            self.push_ghost(key.clone(), size);
         }
     }
 
-    fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.sink = sink;
+    fn clear(&mut self) {
+        self.lists = TwoLists::default();
+    }
+
+    fn event_fields(&self, node: &Listed) -> (u64, u32, u64) {
+        (0, node.region as u32, 0)
     }
 
     fn queue_count(&self) -> Option<usize> {
@@ -265,10 +121,73 @@ impl<K: CacheKey, V> EvictionPolicy<K, V> for TwoQ<K, V> {
     }
 }
 
+/// The 2Q replacement policy.
+///
+/// # Examples
+///
+/// ```
+/// use camp_policies::{CacheRequest, EvictionPolicy, TwoQ, TwoQCache};
+///
+/// let mut cache: TwoQ = TwoQ::new(100);
+/// let mut evicted = Vec::new();
+/// cache.reference(CacheRequest::new(1, 10, 0), &mut evicted);
+/// assert!(cache.contains(&1)); // in probation (A1in)
+/// ```
+pub type TwoQ<K = u64, V = ()> = Keyed<K, Probation<K>, V>;
+
+/// `TwoQ`'s constructors and readers. A trait because [`Keyed`] is
+/// `camp-core`'s type: its aliases cannot carry inherent functions in this
+/// crate.
+pub trait TwoQCache: Sized {
+    /// Creates a 2Q cache with the recommended 25%/50% `Kin`/`Kout` split.
+    #[must_use]
+    fn new(capacity: u64) -> Self {
+        Self::with_thresholds(capacity, capacity / 4, capacity / 2)
+    }
+
+    /// Creates a 2Q cache with explicit probation (`kin`) and ghost
+    /// (`kout`) byte thresholds.
+    #[must_use]
+    fn with_thresholds(capacity: u64, kin: u64, kout: u64) -> Self;
+
+    /// Bytes currently in the probation queue.
+    #[must_use]
+    fn a1in_bytes(&self) -> u64;
+
+    /// Number of keys remembered in the ghost queue.
+    #[must_use]
+    fn a1out_len(&self) -> usize;
+}
+
+impl<K: CacheKey, V> TwoQCache for TwoQ<K, V> {
+    fn with_thresholds(capacity: u64, kin: u64, kout: u64) -> Self {
+        Keyed::with_ordering(
+            capacity,
+            Probation {
+                kin,
+                kout,
+                lists: TwoLists::default(),
+                a1out: VecDeque::new(),
+                a1out_set: FoldHashMap::default(),
+                a1out_bytes: 0,
+                joining: A1IN,
+            },
+        )
+    }
+
+    fn a1in_bytes(&self) -> u64 {
+        self.ordering().lists.bytes(A1IN)
+    }
+
+    fn a1out_len(&self) -> usize {
+        self.ordering().a1out_set.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::CacheRequest;
+    use crate::policy::{AccessOutcome, CacheRequest, EvictionPolicy};
 
     fn touch(c: &mut TwoQ, key: u64) -> (AccessOutcome, Vec<u64>) {
         let mut evicted = Vec::new();
@@ -353,7 +272,11 @@ mod tests {
         assert_eq!(c.a1out_len(), 1);
         // So the next reference admits 1 straight into Am.
         touch(&mut c, 1);
-        assert_eq!(c.residents.get(&1).map(|r| r.region), Some(Region::Am));
+        let region = c
+            .iter()
+            .find(|(key, ..)| **key == 1)
+            .map(|(.., slot)| slot.node.region);
+        assert_eq!(region, Some(AM));
         assert_eq!(c.a1in_bytes(), 30);
     }
 

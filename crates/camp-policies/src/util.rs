@@ -1,17 +1,29 @@
 //! Small shared internals for the policy implementations.
 
-use camp_core::arena::{Arena, EntryId};
+use camp_core::arena::EntryId;
 use camp_core::lru_list::{Linked, Links, LruList};
 
-/// A key threaded on an intrusive [`LruList`]: the node ARC's and 2Q's
-/// regions are made of.
-#[derive(Debug)]
-pub(crate) struct KeyNode<K> {
-    pub(crate) key: K,
-    links: Links,
+use crate::keyed::Slots;
+
+/// Which of its two lists a resident of ARC (`T1`/`T2`) or 2Q (`A1in`/`Am`)
+/// is on. As a number (0 or 1) it is the `queue` of the pair's trace events.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Region {
+    /// ARC's recency list `T1`; 2Q's probation FIFO `A1in`.
+    #[default]
+    First,
+    /// ARC's frequency list `T2`; 2Q's main LRU `Am`.
+    Second,
 }
 
-impl<K> Linked for KeyNode<K> {
+/// The per-pair state of ARC and 2Q: the pair's list node, and which list.
+#[derive(Debug, Default)]
+pub struct Listed {
+    links: Links,
+    pub(crate) region: Region,
+}
+
+impl Linked for Listed {
     fn links(&self) -> &Links {
         &self.links
     }
@@ -20,14 +32,54 @@ impl<K> Linked for KeyNode<K> {
     }
 }
 
-/// Appends `key` at the back (MRU end) of `list`, returning its handle.
-pub(crate) fn push_key<K>(arena: &mut Arena<KeyNode<K>>, list: &mut LruList, key: K) -> EntryId {
-    let id = arena.insert(KeyNode {
-        key,
-        links: Links::new(),
-    });
-    list.push_back(arena, id);
-    id
+/// The two intrusive lists ARC and 2Q keep their residents on, LRU at each
+/// front, with the bytes on each.
+#[derive(Debug, Default)]
+pub(crate) struct TwoLists {
+    lists: [LruList; 2],
+    bytes: [u64; 2],
+}
+
+impl TwoLists {
+    /// Resident bytes on `region`'s list.
+    pub(crate) fn bytes(&self, region: Region) -> u64 {
+        self.bytes[region as usize]
+    }
+
+    pub(crate) fn is_empty(&self, region: Region) -> bool {
+        self.lists[region as usize].is_empty()
+    }
+
+    /// The least recently linked pair on `region`'s list.
+    pub(crate) fn front(&self, region: Region) -> Option<EntryId> {
+        self.lists[region as usize].front()
+    }
+
+    /// Links `id` at the back (MRU end) of `region`'s list.
+    pub(crate) fn push<P>(&mut self, slots: &mut Slots<P, Listed>, id: EntryId, region: Region) {
+        let slot = slots.get_mut(id).expect("live entry");
+        slot.node.region = region;
+        self.bytes[region as usize] += slot.size;
+        self.lists[region as usize].push_back(slots, id);
+    }
+
+    /// Unlinks `id` from whichever list it is on.
+    pub(crate) fn unlink<P>(&mut self, slots: &mut Slots<P, Listed>, id: EntryId) {
+        let slot = slots.get(id).expect("live entry");
+        let region = slot.node.region;
+        self.bytes[region as usize] -= slot.size;
+        self.lists[region as usize].unlink(slots, id);
+    }
+
+    /// Moves `id` to the back of `region`'s list, from whichever it is on.
+    pub(crate) fn requeue<P>(&mut self, slots: &mut Slots<P, Listed>, id: EntryId, region: Region) {
+        if slots.get(id).expect("live entry").node.region == region {
+            self.lists[region as usize].move_to_back(slots, id);
+        } else {
+            self.unlink(slots, id);
+            self.push(slots, id, region);
+        }
+    }
 }
 
 /// Allocates dense `u32` ids with recycling, for use as heap ids.

@@ -8,7 +8,7 @@ use camp_core::{Camp, Precision};
 use camp_policies::lru::Recency;
 use camp_policies::{
     AccessOutcome, Admission, AdmissionRule, Arc, CacheRequest, EvictionMode, EvictionPolicy,
-    GdWheel, Gds, Gdsf, Keyed, Lfu, Lru, LruK, PoolSplit, PooledLru, TwoQ,
+    GdWheel, Gds, Gdsf, Keyed, Lfu, Lru, LruK, LruKCache, PoolSplit, PooledLru, TwoQ, TwoQCache,
 };
 
 fn all_policies(capacity: u64) -> Vec<Box<dyn EvictionPolicy>> {
