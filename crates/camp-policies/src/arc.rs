@@ -18,78 +18,12 @@
 //! ARC is an [`Ordering`] on the [`Keyed`] front: the front holds the
 //! residents and the byte budget, [`Adaptive`] the lists, the ghosts and `p`.
 
-use std::collections::VecDeque;
-
 use camp_core::arena::EntryId;
-use camp_core::hash::FoldHashMap;
 
 use crate::keyed::{Budget, Keyed, Ordering, Slots};
 use crate::policy::CacheKey;
 use crate::util::Region::{self, First as T1, Second as T2};
-use crate::util::{Listed, TwoLists};
-
-/// A ghost list: remembers keys and sizes of recently evicted entries in
-/// LRU order, with O(1) membership and lazy mid-list deletion.
-#[derive(Debug)]
-struct GhostList<K> {
-    map: FoldHashMap<K, (u64, u64)>, // key -> (size, stamp)
-    order: VecDeque<(K, u64)>,       // (key, stamp)
-    bytes: u64,
-    next_stamp: u64,
-}
-
-impl<K: CacheKey> Default for GhostList<K> {
-    fn default() -> Self {
-        GhostList {
-            map: FoldHashMap::default(),
-            order: VecDeque::new(),
-            bytes: 0,
-            next_stamp: 0,
-        }
-    }
-}
-
-impl<K: CacheKey> GhostList<K> {
-    fn holds(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    fn push_mru(&mut self, key: K, size: u64) {
-        self.remove(&key);
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.map.insert(key.clone(), (size, stamp));
-        self.order.push_back((key, stamp));
-        self.bytes += size;
-    }
-
-    fn remove(&mut self, key: &K) -> Option<u64> {
-        let (size, _) = self.map.remove(key)?;
-        self.bytes -= size;
-        Some(size)
-    }
-
-    fn pop_lru(&mut self) -> Option<K> {
-        while let Some((key, stamp)) = self.order.pop_front() {
-            if let Some(&(size, live_stamp)) = self.map.get(&key) {
-                if live_stamp == stamp {
-                    self.map.remove(&key);
-                    self.bytes -= size;
-                    return Some(key);
-                }
-            }
-        }
-        None
-    }
-
-    fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
+use crate::util::{GhostList, Listed, TwoLists};
 
 /// ARC's order: the lists `T1` and `T2`, the ghosts `B1` and `B2`, and the
 /// adaptation target `p`. Trace events carry the list as `queue` (0 = T1,
@@ -138,9 +72,9 @@ impl<K: CacheKey> Ordering<K> for Adaptive<K> {
     fn arrive(&mut self, key: &K, size: u64, budget: Budget) {
         self.joining = if self.b1.holds(key) {
             // Case II: ghost hit in B1 — recency is winning, grow p.
-            let delta = if self.b1.bytes() > 0 {
-                (u128::from(size) * u128::from(self.b2.bytes().max(1))
-                    / u128::from(self.b1.bytes())) as u64
+            let delta = if self.b1.weight() > 0 {
+                (u128::from(size) * u128::from(self.b2.weight().max(1))
+                    / u128::from(self.b1.weight())) as u64
             } else {
                 size
             };
@@ -149,9 +83,9 @@ impl<K: CacheKey> Ordering<K> for Adaptive<K> {
             T2
         } else if self.b2.holds(key) {
             // Case III: ghost hit in B2 — frequency is winning, shrink p.
-            let delta = if self.b2.bytes() > 0 {
-                (u128::from(size) * u128::from(self.b1.bytes().max(1))
-                    / u128::from(self.b2.bytes())) as u64
+            let delta = if self.b2.weight() > 0 {
+                (u128::from(size) * u128::from(self.b1.weight().max(1))
+                    / u128::from(self.b2.weight())) as u64
             } else {
                 size
             };
@@ -176,14 +110,11 @@ impl<K: CacheKey> Ordering<K> for Adaptive<K> {
     ) {
         let size = slots.get(id).expect("live entry").size;
         let t1 = self.lists.bytes(T1) + if self.joining == T1 { size } else { 0 };
-        while t1 + self.b1.bytes() > budget.capacity && !self.b1.is_empty() {
-            self.b1.pop_lru();
-        }
-        while budget.used + self.b1.bytes() + self.b2.bytes() > 2 * budget.capacity {
-            if self.b2.pop_lru().is_none() && self.b1.pop_lru().is_none() {
-                break;
-            }
-        }
+        self.b1.trim_to(budget.capacity.saturating_sub(t1));
+        // Over the directory bound, B2's oldest go before B1's.
+        let room = (2 * budget.capacity).saturating_sub(budget.used);
+        self.b2.trim_to(room.saturating_sub(self.b1.weight()));
+        self.b1.trim_to(room.saturating_sub(self.b2.weight()));
     }
 
     fn admit<P>(&mut self, slots: &mut Slots<P, Listed>, id: EntryId) {
@@ -206,8 +137,8 @@ impl<K: CacheKey> Ordering<K> for Adaptive<K> {
     /// `REPLACE` records its victim in the ghost list matching its list.
     fn evicted(&mut self, key: &K, size: u64, node: Listed) {
         match node.region {
-            T1 => self.b1.push_mru(key.clone(), size),
-            T2 => self.b2.push_mru(key.clone(), size),
+            T1 => self.b1.push(key.clone(), size, ()),
+            T2 => self.b2.push(key.clone(), size, ()),
         }
     }
 
@@ -369,8 +300,8 @@ mod tests {
             touch(&mut c, k);
         }
         let arc = c.ordering();
-        assert!(arc.b1.bytes() + c.used_bytes() <= 50);
-        assert!(arc.b1.bytes() + arc.b2.bytes() + c.used_bytes() <= 100);
+        assert!(arc.b1.weight() + c.used_bytes() <= 50);
+        assert!(arc.b1.weight() + arc.b2.weight() + c.used_bytes() <= 100);
     }
 
     #[test]

@@ -16,11 +16,11 @@
 use std::collections::VecDeque;
 
 use camp_core::arena::EntryId;
-use camp_core::hash::FoldHashMap;
 use camp_core::heap::OctonaryHeap;
 
 use crate::keyed::{Budget, Keyed, Ordering, Slots};
 use crate::policy::CacheKey;
+use crate::util::GhostList;
 
 /// Backward K-distance order: a heap keyed `K-th reference ‖ last
 /// reference`, one node per pair (heap ids are arena slot indices), and
@@ -32,15 +32,14 @@ pub struct KDistance<K> {
     /// Stamps every hit and every admission, in order.
     clock: u64,
     heap: OctonaryHeap<u128>,
-    /// Retained reference history for evicted keys, bounded FIFO.
-    ghosts: FoldHashMap<K, VecDeque<u64>>,
-    ghost_order: VecDeque<K>,
-    ghost_capacity: usize,
+    /// Retained reference histories of evicted keys, at most
+    /// [`KDistance::GHOSTS`], the oldest evictions forgotten first.
+    ghosts: GhostList<K, VecDeque<u64>>,
 }
 
 impl<K: CacheKey> KDistance<K> {
-    /// Default number of retained ghost histories.
-    const DEFAULT_GHOSTS: usize = 4096;
+    /// Number of retained ghost histories.
+    const GHOSTS: u64 = 4096;
 
     /// Appends the reference at `now` to `history`, keeping the last `k`,
     /// and returns the eviction-heap priority: pairs with an older
@@ -64,23 +63,6 @@ impl<K: CacheKey> KDistance<K> {
         self.clock += 1;
         let history = &mut slots.get_mut(id).expect("live entry").node;
         Self::stamp(self.k, history, self.clock)
-    }
-
-    fn record_ghost(&mut self, key: K, history: VecDeque<u64>) {
-        if self.ghost_capacity == 0 {
-            return;
-        }
-        if self.ghosts.insert(key.clone(), history).is_none() {
-            self.ghost_order.push_back(key);
-        }
-        while self.ghosts.len() > self.ghost_capacity {
-            // Lazy trim: entries may have been re-admitted since queued.
-            if let Some(old) = self.ghost_order.pop_front() {
-                self.ghosts.remove(&old);
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -129,7 +111,8 @@ impl<K: CacheKey> Ordering<K> for KDistance<K> {
     }
 
     fn evicted(&mut self, key: &K, _size: u64, history: VecDeque<u64>) {
-        self.record_ghost(key.clone(), history);
+        self.ghosts.push(key.clone(), 1, history);
+        self.ghosts.trim_to(Self::GHOSTS);
     }
 
     fn clear(&mut self) {
@@ -191,9 +174,7 @@ impl<K: CacheKey, V> LruKCache for LruK<K, V> {
                 k,
                 clock: 0,
                 heap: OctonaryHeap::new(),
-                ghosts: FoldHashMap::default(),
-                ghost_order: VecDeque::new(),
-                ghost_capacity: KDistance::<K>::DEFAULT_GHOSTS,
+                ghosts: GhostList::default(),
             },
         )
     }
@@ -283,12 +264,29 @@ mod tests {
         // 1 now has two references and outranks the one-timers; the oldest
         // of those goes, and its history is kept as a ghost.
         assert_eq!(c.evict_next(), Some(2));
-        assert!(c.ordering().ghosts.contains_key(&2) && !c.contains(&2));
+        assert!(c.ordering().ghosts.holds(&2) && !c.contains(&2));
         // So 2 comes back with two references: after the one-timer 3, the
         // older K-th reference (1's) goes before 2's.
         touch(&mut c, 2);
         assert_eq!(c.evict_next(), Some(3));
         assert_eq!(c.evict_next(), Some(1));
+    }
+
+    /// A ghost hit leaves nothing behind in the retained histories: cycling
+    /// three keys through a two-pair cache, every admission a ghost hit,
+    /// keeps at most the three keys' histories.
+    #[test]
+    fn ghost_bookkeeping_stays_within_the_live_histories() {
+        let mut c = LruK::new(20, 2);
+        for i in 0..300_000 {
+            touch(&mut c, i % 3);
+        }
+        let ghosts = &c.ordering().ghosts;
+        assert!(
+            ghosts.len() <= 3,
+            "{} ghost entries for 3 keys",
+            ghosts.len()
+        );
     }
 
     #[test]

@@ -14,15 +14,12 @@
 //! [`Ordering`] on the [`Keyed`] front, which holds the residents and the
 //! byte budget.
 
-use std::collections::VecDeque;
-
 use camp_core::arena::EntryId;
-use camp_core::hash::FoldHashMap;
 
 use crate::keyed::{Budget, Keyed, Ordering, Slots};
 use crate::policy::CacheKey;
 use crate::util::Region::{self, First as A1IN, Second as AM};
-use crate::util::{Listed, TwoLists};
+use crate::util::{GhostList, Listed, TwoLists};
 
 /// 2Q's order: probation `A1in` — a FIFO: admitted at the back, reclaimed
 /// from the front, never moved by a hit — the main LRU `Am`, and the ghost
@@ -33,29 +30,10 @@ pub struct Probation<K> {
     kin: u64,
     kout: u64,
     lists: TwoLists,
-    a1out: VecDeque<(K, u64)>, // (key, size)
-    a1out_set: FoldHashMap<K, u64>,
-    a1out_bytes: u64,
+    /// Keys evicted from `A1in`, weighed by their bytes, at most `kout`.
+    a1out: GhostList<K>,
     /// The list the arriving pair joins: `Am` if `A1out` remembered it.
     joining: Region,
-}
-
-impl<K: CacheKey> Probation<K> {
-    fn push_ghost(&mut self, key: K, size: u64) {
-        if self.a1out_set.insert(key.clone(), size).is_none() {
-            self.a1out.push_back((key, size));
-            self.a1out_bytes += size;
-        }
-        while self.a1out_bytes > self.kout {
-            let Some((old, old_size)) = self.a1out.pop_front() else {
-                break;
-            };
-            // Lazy deletion: only count entries still in the set.
-            if self.a1out_set.remove(&old).is_some() {
-                self.a1out_bytes -= old_size;
-            }
-        }
-    }
 }
 
 impl<K: CacheKey> Ordering<K> for Probation<K> {
@@ -66,7 +44,7 @@ impl<K: CacheKey> Ordering<K> for Probation<K> {
     }
 
     fn arrive(&mut self, key: &K, _size: u64, _budget: Budget) {
-        self.joining = if self.a1out_set.remove(key).is_some() {
+        self.joining = if self.a1out.remove(key).is_some() {
             AM
         } else {
             A1IN
@@ -104,7 +82,8 @@ impl<K: CacheKey> Ordering<K> for Probation<K> {
     /// proves the key deserves Am.
     fn evicted(&mut self, key: &K, size: u64, node: Listed) {
         if node.region == A1IN {
-            self.push_ghost(key.clone(), size);
+            self.a1out.push(key.clone(), size, ());
+            self.a1out.trim_to(self.kout);
         }
     }
 
@@ -167,9 +146,7 @@ impl<K: CacheKey, V> TwoQCache for TwoQ<K, V> {
                 kin,
                 kout,
                 lists: TwoLists::default(),
-                a1out: VecDeque::new(),
-                a1out_set: FoldHashMap::default(),
-                a1out_bytes: 0,
+                a1out: GhostList::default(),
                 joining: A1IN,
             },
         )
@@ -180,7 +157,7 @@ impl<K: CacheKey, V> TwoQCache for TwoQ<K, V> {
     }
 
     fn a1out_len(&self) -> usize {
-        self.ordering().a1out_set.len()
+        self.ordering().a1out.len()
     }
 }
 
@@ -278,6 +255,32 @@ mod tests {
             .map(|(.., slot)| slot.node.region);
         assert_eq!(region, Some(AM));
         assert_eq!(c.a1in_bytes(), 30);
+    }
+
+    /// A ghost hit hands the key's bytes back to `A1out`, so round after
+    /// round the newest probation victim is still remembered.
+    #[test]
+    fn ghost_hits_leave_a1out_its_full_budget() {
+        let mut c = TwoQ::new(100); // Kin 25, Kout 50: five 10-byte ghosts.
+        let mut next = 0;
+        for round in 1..=6 {
+            // Fresh keys until probation has evicted five of them.
+            let mut victims = Vec::new();
+            while victims.len() < 5 {
+                let (_, evicted) = touch(&mut c, next);
+                next += 1;
+                victims.extend(evicted);
+            }
+            // Then the newest victim again: remembered, so it joins Am.
+            let newest = *victims.last().unwrap();
+            touch(&mut c, newest);
+            let region = c
+                .iter()
+                .find(|(key, ..)| **key == newest)
+                .map(|(.., slot)| slot.node.region);
+            assert_eq!(region, Some(AM), "round {round}: {newest} missed A1out");
+            assert_eq!(c.a1out_len(), 5, "after round {round}");
+        }
     }
 
     #[test]

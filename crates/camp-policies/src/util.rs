@@ -1,9 +1,11 @@
 //! Small shared internals for the policy implementations.
 
-use camp_core::arena::EntryId;
+use camp_core::arena::{Arena, EntryId};
+use camp_core::hash::FoldHashMap;
 use camp_core::lru_list::{Linked, Links, LruList};
 
 use crate::keyed::Slots;
+use crate::policy::CacheKey;
 
 /// Which of its two lists a resident of ARC (`T1`/`T2`) or 2Q (`A1in`/`Am`)
 /// is on. As a number (0 or 1) it is the `queue` of the pair's trace events.
@@ -78,6 +80,99 @@ impl TwoLists {
         } else {
             self.unlink(slots, id);
             self.push(slots, id, region);
+        }
+    }
+}
+
+/// Keys of recently evicted pairs, oldest first, each with a weight and a
+/// payload: ARC's `B1`/`B2` and 2Q's `A1out` weigh a key by its bytes and
+/// carry nothing; LRU-K's retained histories weigh 1 each and carry the
+/// history. Membership, removal and dropping the oldest are O(1), and a
+/// removed key leaves nothing behind.
+#[derive(Debug)]
+pub(crate) struct GhostList<K, T = ()> {
+    map: FoldHashMap<K, EntryId>,
+    ghosts: Arena<Ghost<K, T>>,
+    order: LruList,
+    weight: u64,
+}
+
+#[derive(Debug)]
+struct Ghost<K, T> {
+    key: K,
+    weight: u64,
+    payload: T,
+    links: Links,
+}
+
+impl<K, T> Linked for Ghost<K, T> {
+    fn links(&self) -> &Links {
+        &self.links
+    }
+    fn links_mut(&mut self) -> &mut Links {
+        &mut self.links
+    }
+}
+
+impl<K, T> Default for GhostList<K, T> {
+    fn default() -> Self {
+        GhostList {
+            map: FoldHashMap::default(),
+            ghosts: Arena::new(),
+            order: LruList::new(),
+            weight: 0,
+        }
+    }
+}
+
+impl<K: CacheKey, T> GhostList<K, T> {
+    pub(crate) fn holds(&self, key: &K) -> bool {
+        self.map.contains_key(key)
+    }
+
+    /// The summed weight of the remembered keys.
+    pub(crate) fn weight(&self) -> u64 {
+        self.weight
+    }
+
+    /// Number of remembered keys.
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Remembers `key` as the newest ghost, replacing any older entry.
+    pub(crate) fn push(&mut self, key: K, weight: u64, payload: T) {
+        self.remove(&key);
+        let id = self.ghosts.insert(Ghost {
+            key: key.clone(),
+            weight,
+            payload,
+            links: Links::new(),
+        });
+        self.order.push_back(&mut self.ghosts, id);
+        self.map.insert(key, id);
+        self.weight += weight;
+    }
+
+    /// Forgets `key`, handing back its payload.
+    pub(crate) fn remove(&mut self, key: &K) -> Option<T> {
+        let id = self.map.remove(key)?;
+        self.order.unlink(&mut self.ghosts, id);
+        let ghost = self.ghosts.remove(id).expect("mapped ghost");
+        self.weight -= ghost.weight;
+        Some(ghost.payload)
+    }
+
+    /// Forgets the oldest keys until the weight is at most `limit`.
+    pub(crate) fn trim_to(&mut self, limit: u64) {
+        while self.weight > limit {
+            let id = self
+                .order
+                .pop_front(&mut self.ghosts)
+                .expect("weight counts live ghosts");
+            let ghost = self.ghosts.remove(id).expect("listed ghost");
+            self.map.remove(&ghost.key);
+            self.weight -= ghost.weight;
         }
     }
 }

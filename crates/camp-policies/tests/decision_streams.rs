@@ -386,8 +386,8 @@ pinned! { SIMULATOR_U64:
     "gds" 0xbaa34733bce80de4 74870 125130 91016535 5984 6769255;
     "gdsf" 0x87de1662e2f2a912 78273 121727 88638023 6018 6768917;
     "lfu" 0xd97088180f30b237 135759 64241 216389042 5038 6768188;
-    "lru-2" 0x8579a351641e07db 132473 67527 226834749 5013 6769699;
-    "2q" 0x25a14b243d6b7282 112169 87831 291554325 4980 6769016;
+    "lru-2" 0xe6f38320bf377f95 132629 67371 226340385 5012 6768242;
+    "2q" 0x0826bbd8a35c73e2 120008 79992 266447412 5000 6767364;
     "arc" 0xb274857384b5b4d0 125034 74966 250468142 4968 6767512;
     "gd-wheel" 0x88c74280ef42eb4c 74851 125149 91007644 5981 6766440;
     "pooled-lru" 0xe742e23f17c7a584 107788 92212 306431377 4998 6766886;
@@ -400,8 +400,8 @@ pinned! { SIMULATOR_BYTES:
     "gds" 0x739cf0a9e8df55a6 16006 33994 49723282 4191 4731777;
     "gdsf" 0x109d8943fc2d043f 16406 33594 48623289 4157 4732320;
     "lfu" 0x19d3c830734c0496 24014 25986 86875122 3528 4733844;
-    "lru-2" 0x83df2cdbfe3cc1d2 24514 25486 85520500 3542 4732675;
-    "2q" 0xf51c7c067dc2c962 20177 29823 99710943 3484 4733216;
+    "lru-2" 0x0de9859d3a54880f 24553 25447 85430173 3530 4732323;
+    "2q" 0x00f1e9f5f8ae1198 21725 28275 94518726 3540 4733850;
     "arc" 0x61eadf728ca7afbc 24019 25981 87190927 3496 4733428;
     "gd-wheel" 0xdef0fc3bc304b82e 16002 33998 49713683 4191 4732445;
     "pooled-lru" 0x19258c4dd3a42cf5 19533 30467 101192033 3465 4729200;
@@ -414,8 +414,8 @@ pinned! { STORE_U64:
     "gds" 0xb76810053f229b6e 70188 105972 92858874 6127 5922444;
     "gdsf" 0x2d6068381dce6848 72372 103788 92216160 6138 5922857;
     "lfu" 0xc15169c8d789f2f6 101684 74476 250644367 4879 5918876;
-    "lru-2" 0x34a8a2d60e2cb68d 105691 70469 235967372 4682 5923068;
-    "2q" 0x03747d092cb3d8ea 86924 89236 296659081 4703 5922786;
+    "lru-2" 0x0851d4bfed9d84f7 106286 69874 234168541 4680 5920736;
+    "2q" 0x83457aa06987fd74 98945 77215 257562256 4660 5923146;
     "arc" 0x64bc49fd017c1e17 102293 73867 246615151 4614 5922531;
     "gd-wheel" 0x3a0c9fd008eb7e29 70185 105975 92858085 6127 5922444;
     "pooled-lru" 0x291553ea8f52c5f1 94907 81253 268661521 4832 5923117;
@@ -428,8 +428,8 @@ pinned! { STORE_BYTES:
     "gds" 0xb848bd638bc17b05 14613 29359 47066536 4090 4142399;
     "gdsf" 0x27c4a4b1190fec80 14962 29010 46526142 4097 4141755;
     "lfu" 0xa197aad9eababeab 19785 24187 81289624 3352 4142320;
-    "lru-2" 0x1a39686170bb3331 20563 23409 78551793 3217 4142202;
-    "2q" 0x4984ddf009ed5e4d 17064 26908 90305305 3167 4141213;
+    "lru-2" 0x16f667760fca9879 20636 23336 78459452 3216 4141908;
+    "2q" 0xcf1f7bf94b45b198 18443 25529 85358480 3252 4142009;
     "arc" 0x900235a1690f8ef8 20351 23621 79102148 3151 4141134;
     "gd-wheel" 0x33302d272c7d586f 14608 29364 47046543 4089 4142191;
     "pooled-lru" 0x9c5213faa0e52b90 17019 26953 89631259 3256 4141985;
