@@ -51,6 +51,18 @@ impl<K: CacheKey> Default for Adaptive<K> {
 }
 
 impl<K> Adaptive<K> {
+    /// How far a ghost hit of `size` bytes in a ghost list of `hit` bytes
+    /// moves `p`, the other ghost list holding `other`: `size ·
+    /// max(1, other) / hit`, and at least `size`.
+    fn delta(size: u64, hit: u64, other: u64) -> u64 {
+        let delta = if hit > 0 {
+            (u128::from(size) * u128::from(other.max(1)) / u128::from(hit)) as u64
+        } else {
+            size
+        };
+        delta.max(size)
+    }
+
     /// The list the ARC `REPLACE` subroutine, generalized to bytes, evicts
     /// from: `T1` if it is over target, else `T2`.
     fn replace_from(&self) -> Region {
@@ -70,27 +82,14 @@ impl<K: CacheKey> Ordering<K> for Adaptive<K> {
     }
 
     fn arrive(&mut self, key: &K, size: u64, budget: Budget) {
-        self.joining = if self.b1.holds(key) {
+        let (b1, b2) = (self.b1.weight(), self.b2.weight());
+        self.joining = if self.b1.remove(key).is_some() {
             // Case II: ghost hit in B1 — recency is winning, grow p.
-            let delta = if self.b1.weight() > 0 {
-                (u128::from(size) * u128::from(self.b2.weight().max(1))
-                    / u128::from(self.b1.weight())) as u64
-            } else {
-                size
-            };
-            self.p = (self.p + delta.max(size)).min(budget.capacity);
-            self.b1.remove(key);
+            self.p = (self.p + Self::delta(size, b1, b2)).min(budget.capacity);
             T2
-        } else if self.b2.holds(key) {
+        } else if self.b2.remove(key).is_some() {
             // Case III: ghost hit in B2 — frequency is winning, shrink p.
-            let delta = if self.b2.weight() > 0 {
-                (u128::from(size) * u128::from(self.b1.weight().max(1))
-                    / u128::from(self.b2.weight())) as u64
-            } else {
-                size
-            };
-            self.p = self.p.saturating_sub(delta.max(size));
-            self.b2.remove(key);
+            self.p = self.p.saturating_sub(Self::delta(size, b2, b1));
             T2
         } else {
             // Case IV: brand new key — admit into T1.

@@ -1,6 +1,8 @@
 //! Small shared internals for the policy implementations.
 
-use camp_core::arena::{Arena, EntryId};
+use std::collections::VecDeque;
+
+use camp_core::arena::EntryId;
 use camp_core::hash::FoldHashMap;
 use camp_core::lru_list::{Linked, Links, LruList};
 
@@ -87,13 +89,17 @@ impl TwoLists {
 /// Keys of recently evicted pairs, oldest first, each with a weight and a
 /// payload: ARC's `B1`/`B2` and 2Q's `A1out` weigh a key by its bytes and
 /// carry nothing; LRU-K's retained histories weigh 1 each and carry the
-/// history. Membership, removal and dropping the oldest are O(1), and a
-/// removed key leaves nothing behind.
+/// history. Membership, removal and dropping the oldest are O(1)
+/// (amortized). A removed key's entry keeps its place, emptied, until it
+/// reaches the front or emptied entries become the majority and the list
+/// compacts.
 #[derive(Debug)]
 pub(crate) struct GhostList<K, T = ()> {
-    map: FoldHashMap<K, EntryId>,
-    ghosts: Arena<Ghost<K, T>>,
-    order: LruList,
+    /// Each remembered key's sequence number: its place in `order`.
+    map: FoldHashMap<K, u64>,
+    order: VecDeque<Ghost<K, T>>,
+    /// The sequence number of `order`'s front.
+    head: u64,
     weight: u64,
 }
 
@@ -101,31 +107,23 @@ pub(crate) struct GhostList<K, T = ()> {
 struct Ghost<K, T> {
     key: K,
     weight: u64,
-    payload: T,
-    links: Links,
-}
-
-impl<K, T> Linked for Ghost<K, T> {
-    fn links(&self) -> &Links {
-        &self.links
-    }
-    fn links_mut(&mut self) -> &mut Links {
-        &mut self.links
-    }
+    /// `None` once the key is removed.
+    payload: Option<T>,
 }
 
 impl<K, T> Default for GhostList<K, T> {
     fn default() -> Self {
         GhostList {
             map: FoldHashMap::default(),
-            ghosts: Arena::new(),
-            order: LruList::new(),
+            order: VecDeque::new(),
+            head: 0,
             weight: 0,
         }
     }
 }
 
 impl<K: CacheKey, T> GhostList<K, T> {
+    #[cfg(test)]
     pub(crate) fn holds(&self, key: &K) -> bool {
         self.map.contains_key(key)
     }
@@ -137,42 +135,79 @@ impl<K: CacheKey, T> GhostList<K, T> {
 
     /// Number of remembered keys.
     pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Number of entries held, emptied ones included.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> usize {
         self.order.len()
     }
 
     /// Remembers `key` as the newest ghost, replacing any older entry.
     pub(crate) fn push(&mut self, key: K, weight: u64, payload: T) {
-        self.remove(&key);
-        let id = self.ghosts.insert(Ghost {
-            key: key.clone(),
+        let seq = self.head + self.order.len() as u64;
+        let older = self.map.insert(key.clone(), seq);
+        self.order.push_back(Ghost {
+            key,
             weight,
-            payload,
-            links: Links::new(),
+            payload: Some(payload),
         });
-        self.order.push_back(&mut self.ghosts, id);
-        self.map.insert(key, id);
         self.weight += weight;
+        if let Some(older) = older {
+            self.empty(older);
+        }
     }
 
     /// Forgets `key`, handing back its payload.
     pub(crate) fn remove(&mut self, key: &K) -> Option<T> {
-        let id = self.map.remove(key)?;
-        self.order.unlink(&mut self.ghosts, id);
-        let ghost = self.ghosts.remove(id).expect("mapped ghost");
-        self.weight -= ghost.weight;
-        Some(ghost.payload)
+        let seq = self.map.remove(key)?;
+        Some(self.empty(seq))
     }
 
     /// Forgets the oldest keys until the weight is at most `limit`.
     pub(crate) fn trim_to(&mut self, limit: u64) {
         while self.weight > limit {
-            let id = self
-                .order
-                .pop_front(&mut self.ghosts)
-                .expect("weight counts live ghosts");
-            let ghost = self.ghosts.remove(id).expect("listed ghost");
+            let ghost = self.order.pop_front().expect("weight counts live ghosts");
+            self.head += 1;
             self.map.remove(&ghost.key);
             self.weight -= ghost.weight;
+            self.drop_emptied_front();
+        }
+    }
+
+    /// Takes the payload out of the entry at `seq`, whose key `map` no
+    /// longer points at, then drops emptied entries from the front and
+    /// compacts if they are the majority.
+    fn empty(&mut self, seq: u64) -> T {
+        let ghost = &mut self.order[(seq - self.head) as usize];
+        self.weight -= ghost.weight;
+        let payload = ghost.payload.take().expect("mapped ghost is live");
+        self.drop_emptied_front();
+        if self.order.len() > 2 * self.map.len() + 1 {
+            self.compact();
+        }
+        payload
+    }
+
+    /// Keeps the front entry a live one, so trimming never meets an
+    /// emptied entry.
+    fn drop_emptied_front(&mut self) {
+        while self
+            .order
+            .front()
+            .is_some_and(|ghost| ghost.payload.is_none())
+        {
+            self.order.pop_front();
+            self.head += 1;
+        }
+    }
+
+    /// Drops every emptied entry and renumbers the rest from the front.
+    fn compact(&mut self) {
+        self.order.retain(|ghost| ghost.payload.is_some());
+        for (place, ghost) in self.order.iter().enumerate() {
+            *self.map.get_mut(&ghost.key).expect("live ghost is mapped") = self.head + place as u64;
         }
     }
 }
@@ -203,6 +238,28 @@ impl IdAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ghosts_are_forgotten_oldest_first_across_removals() {
+        let mut ghosts: GhostList<u64, u64> = GhostList::default();
+        for key in 0..10 {
+            ghosts.push(key, 1, key * 100);
+        }
+        // Emptied entries in the middle pile up until the list compacts.
+        for key in [1, 3, 5, 7] {
+            assert_eq!(ghosts.remove(&key), Some(key * 100));
+        }
+        assert_eq!(ghosts.remove(&1), None);
+        assert_eq!((ghosts.len(), ghosts.weight()), (6, 6));
+        assert!(ghosts.entries() <= 2 * ghosts.len() + 1);
+        // A key pushed again is the newest.
+        ghosts.push(4, 1, 404);
+        ghosts.trim_to(3);
+        let held: Vec<u64> = (0..10).filter(|key| ghosts.holds(key)).collect();
+        assert_eq!(held, [4, 8, 9]);
+        assert_eq!(ghosts.remove(&4), Some(404));
+        assert_eq!(ghosts.weight(), 2);
+    }
 
     #[test]
     fn allocates_dense_and_recycles() {
