@@ -18,7 +18,7 @@
 //!
 //! The central type is [`Camp`]: that structure, an [`keyed::Ordering`],
 //! inside the [`Keyed`] front — the cache body (`camp-policies` reuses it
-//! for five baselines) behind the [`policy::EvictionPolicy`] trait. It is
+//! for eight baselines) behind the [`policy::EvictionPolicy`] trait. It is
 //! single-threaded by design; the paper's §4.1 scaling recipe
 //! (hash-partitioned, independently locked shards) lives in
 //! `camp-kvs::ShardedStore`, the one the server runs.

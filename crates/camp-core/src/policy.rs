@@ -14,10 +14,10 @@
 //! `reference`, `touch`, `remove`, `evict_next` and `contains` are written
 //! once, here, over them.
 //!
-//! Implementations: the keyed front ([`crate::Keyed`] — one cache, six
-//! orderings: CAMP here, LRU, GDS, GDSF, LFU and GD-Wheel in
-//! `camp-policies`); and, also in `camp-policies`, LRU-K, 2Q, ARC, pooled
-//! LRU, admission and Belady, whose state (ghost lists, pools, the future)
+//! Implementations: the keyed front ([`crate::Keyed`] — one cache, nine
+//! orderings: CAMP here, LRU, GDS, GDSF, LFU, GD-Wheel, ARC, 2Q and LRU-K
+//! in `camp-policies`); and, also in `camp-policies`, pooled LRU,
+//! admission and Belady, whose state (pools, a wrapped policy, the future)
 //! the front does not model.
 //!
 //! The trait is generic over the key type. The simulator uses `u64` trace

@@ -52,15 +52,11 @@ impl<K: CacheKey> Default for Adaptive<K> {
 
 impl<K> Adaptive<K> {
     /// How far a ghost hit of `size` bytes in a ghost list of `hit` bytes
-    /// moves `p`, the other ghost list holding `other`: `size ·
-    /// max(1, other) / hit`, and at least `size`.
+    /// (its own included) moves `p`, the other ghost list holding `other`:
+    /// `size · max(1, other) / hit`, and at least `size`.
     fn delta(size: u64, hit: u64, other: u64) -> u64 {
-        let delta = if hit > 0 {
-            (u128::from(size) * u128::from(other.max(1)) / u128::from(hit)) as u64
-        } else {
-            size
-        };
-        delta.max(size)
+        let delta = u128::from(size) * u128::from(other.max(1)) / u128::from(hit);
+        (delta as u64).max(size)
     }
 
     /// The list the ARC `REPLACE` subroutine, generalized to bytes, evicts

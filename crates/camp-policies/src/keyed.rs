@@ -1,7 +1,8 @@
 //! The keyed front — [`Keyed`], [`Ordering`] and the slots orderings keep
 //! their per-pair state in — under the path it has always had here. It is
 //! defined in [`camp_core::keyed`], where CAMP's own ordering lives; this
-//! crate adds five more (`lru`, `gds`, `lfu`, `gd_wheel`).
+//! crate adds eight more (`lru`, `gds` and `gdsf`, `lfu`, `gd_wheel`, and
+//! the ghost-keeping `arc`, `two_q` and `lru_k`).
 
 pub use camp_core::keyed::*;
 
@@ -15,7 +16,8 @@ mod tests {
     use super::{Keyed, Ordering};
     use crate::gds::WithPrecision;
     use crate::{
-        AccessOutcome, CacheRequest, EvictionMode, EvictionPolicy, GdWheel, Gds, Gdsf, Lfu, Lru,
+        AccessOutcome, Arc, CacheRequest, EvictionMode, EvictionPolicy, GdWheel, Gds, Gdsf, Lfu,
+        Lru, LruK, LruKCache, TwoQ, TwoQCache,
     };
 
     /// `STAT policy:<i>:*` lines and `camp_policy_*` samples are rendered
@@ -143,7 +145,7 @@ mod tests {
     }
 
     #[test]
-    fn front_invariants_hold_for_all_six_orderings() {
+    fn front_invariants_hold_for_every_ordering() {
         const CAPACITY: u64 = 1_500;
         front_holds_under_a_mix(Lru::new(CAPACITY));
         front_holds_under_a_mix(Gds::new(CAPACITY));
@@ -151,5 +153,8 @@ mod tests {
         front_holds_under_a_mix(Lfu::new(CAPACITY));
         front_holds_under_a_mix(GdWheel::new(CAPACITY));
         front_holds_under_a_mix(Camp::new(CAPACITY, Precision::Bits(5)));
+        front_holds_under_a_mix(Arc::new(CAPACITY));
+        front_holds_under_a_mix(TwoQ::new(CAPACITY));
+        front_holds_under_a_mix(LruK::new(CAPACITY, 2));
     }
 }

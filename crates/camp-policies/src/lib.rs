@@ -1,8 +1,10 @@
 //! # camp-policies — eviction policies around CAMP
 //!
 //! Every replacement algorithm the CAMP paper evaluates against or surveys
-//! ([`Lru`], [`Gds`], [`Gdsf`], [`Lfu`] and [`GdWheel`] as orderings on the
-//! [`Keyed`] front CAMP itself runs on):
+//! ([`Lru`], [`Gds`], [`Gdsf`], [`Lfu`], [`GdWheel`], [`Arc`], [`TwoQ`] and
+//! [`LruK`] as orderings on the [`Keyed`] front CAMP itself runs on; the
+//! last three keep ghosts — keys they evicted — through the front's
+//! `arrive`/`admitting`/`evicted` hooks, in one shared ghost list):
 //!
 //! * [`Lru`] — the size-aware LRU baseline (§3);
 //! * [`Gds`] — exact Greedy Dual Size, the algorithm CAMP approximates (§2);
@@ -42,6 +44,12 @@
 //!     assert!(policy.contains(&7));
 //! }
 //! ```
+//!
+//! [`Keyed`] is `camp-core`'s type, so constructors and readers beyond its
+//! own (`Keyed::new`, `Keyed::with_ordering`) live on small traits:
+//! [`LruKCache`] (`LruK::new(capacity, k)`), [`TwoQCache`] (`TwoQ::new`,
+//! `with_thresholds`), [`ArcCache`], [`gds::WithPrecision`] and
+//! [`gd_wheel::Migrations`].
 //!
 //! Policies can also be resolved by name through [`EvictionMode`], the
 //! configuration surface shared by the `camp-sim` CLI and `camp-kvsd`:

@@ -144,25 +144,30 @@ impl<K: CacheKey, T> GhostList<K, T> {
         self.order.len()
     }
 
-    /// Remembers `key` as the newest ghost, replacing any older entry.
+    /// Remembers `key`, which it does not hold, as the newest ghost.
     pub(crate) fn push(&mut self, key: K, weight: u64, payload: T) {
         let seq = self.head + self.order.len() as u64;
         let older = self.map.insert(key.clone(), seq);
+        debug_assert!(older.is_none(), "a key is remembered once");
         self.order.push_back(Ghost {
             key,
             weight,
             payload: Some(payload),
         });
         self.weight += weight;
-        if let Some(older) = older {
-            self.empty(older);
-        }
     }
 
     /// Forgets `key`, handing back its payload.
     pub(crate) fn remove(&mut self, key: &K) -> Option<T> {
         let seq = self.map.remove(key)?;
-        Some(self.empty(seq))
+        let ghost = &mut self.order[(seq - self.head) as usize];
+        self.weight -= ghost.weight;
+        let payload = ghost.payload.take().expect("mapped ghost is live");
+        self.drop_emptied_front();
+        if self.order.len() > 2 * self.map.len() + 1 {
+            self.compact();
+        }
+        Some(payload)
     }
 
     /// Forgets the oldest keys until the weight is at most `limit`.
@@ -174,20 +179,6 @@ impl<K: CacheKey, T> GhostList<K, T> {
             self.weight -= ghost.weight;
             self.drop_emptied_front();
         }
-    }
-
-    /// Takes the payload out of the entry at `seq`, whose key `map` no
-    /// longer points at, then drops emptied entries from the front and
-    /// compacts if they are the majority.
-    fn empty(&mut self, seq: u64) -> T {
-        let ghost = &mut self.order[(seq - self.head) as usize];
-        self.weight -= ghost.weight;
-        let payload = ghost.payload.take().expect("mapped ghost is live");
-        self.drop_emptied_front();
-        if self.order.len() > 2 * self.map.len() + 1 {
-            self.compact();
-        }
-        payload
     }
 
     /// Keeps the front entry a live one, so trimming never meets an
@@ -252,7 +243,8 @@ mod tests {
         assert_eq!(ghosts.remove(&1), None);
         assert_eq!((ghosts.len(), ghosts.weight()), (6, 6));
         assert!(ghosts.entries() <= 2 * ghosts.len() + 1);
-        // A key pushed again is the newest.
+        // A key pushed again after leaving is the newest.
+        assert_eq!(ghosts.remove(&4), Some(400));
         ghosts.push(4, 1, 404);
         ghosts.trim_to(3);
         let held: Vec<u64> = (0..10).filter(|key| ghosts.holds(key)).collect();
