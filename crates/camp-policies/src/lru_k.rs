@@ -41,28 +41,24 @@ impl<K: CacheKey> KDistance<K> {
     /// Number of retained ghost histories.
     const GHOSTS: u64 = 4096;
 
-    /// Appends the reference at `now` to `history`, keeping the last `k`,
-    /// and returns the eviction-heap priority: pairs with an older
-    /// (smaller) K-th reference time evict first; fewer than K references
-    /// means K-time 0. The last reference time breaks ties LRU-first.
-    fn stamp(k: usize, history: &mut VecDeque<u64>, now: u64) -> u128 {
-        history.push_back(now);
-        while history.len() > k {
-            history.pop_front();
-        }
-        let kth = if history.len() >= k {
-            history[history.len() - k]
-        } else {
-            0
-        };
-        (u128::from(kth) << 64) | u128::from(now)
-    }
-
-    /// Records a reference to the pair `id`, returning its new priority.
+    /// Appends a reference at the next tick to the pair `id`'s history,
+    /// keeping the last `k`, and returns its eviction-heap priority: pairs
+    /// with an older (smaller) K-th reference time evict first; fewer than
+    /// K references means K-time 0. The last reference time breaks ties
+    /// LRU-first.
     fn reference<P>(&mut self, slots: &mut Slots<P, VecDeque<u64>>, id: EntryId) -> u128 {
         self.clock += 1;
         let history = &mut slots.get_mut(id).expect("live entry").node;
-        Self::stamp(self.k, history, self.clock)
+        history.push_back(self.clock);
+        while history.len() > self.k {
+            history.pop_front();
+        }
+        let kth = if history.len() >= self.k {
+            history[history.len() - self.k]
+        } else {
+            0
+        };
+        (u128::from(kth) << 64) | u128::from(self.clock)
     }
 }
 
