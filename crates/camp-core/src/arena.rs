@@ -6,6 +6,12 @@
 //! generation) pair. Freed slots are recycled through a free list; the
 //! generation counter is bumped on every removal so a stale `EntryId` can
 //! never silently alias a recycled slot.
+//!
+//! The same arena holds the `camp-kvs` reactor's connections: a
+//! connection's epoll token is its `EntryId` packed as
+//! `(generation << 32) | index`, decoded with [`Arena::id_at`] and a
+//! generation compare, so an event or timer for a closed connection no
+//! longer resolves.
 
 use std::fmt;
 
@@ -40,8 +46,10 @@ impl EntryId {
         self.index
     }
 
-    /// The generation the handle was minted at. Only meaningful for
-    /// diagnostics.
+    /// The generation the handle was minted at. Together with
+    /// [`EntryId::index`] it names one live entry: an outside name built
+    /// from both (the reactor's epoll token) is stale once the generation
+    /// differs from the one [`Arena::id_at`] reports.
     #[must_use]
     pub fn generation(self) -> u32 {
         self.generation

@@ -16,7 +16,8 @@
 //! * [`shard`] — hash-partitioned multi-shard stores (the §4.1 scaling
 //!   recipe);
 //! * [`net`] — the event-driven core: a dependency-free epoll wrapper,
-//!   timer wheel, per-connection state machine and N-worker reactor;
+//!   a deadline heap, per-connection state machine and N-worker reactor
+//!   (connections in a `camp_core` arena);
 //! * [`server`] / [`client`] — the TCP server (the epoll reactor;
 //!   graceful drain, overload protection, idle eviction) and a blocking
 //!   client with reconnect/retry resilience;

@@ -376,7 +376,7 @@ pub struct WorkerStats {
     /// Blocking `epoll_wait` returns that delivered at least one event
     /// (the zero-timeout polls of a commit group are not wakeups).
     pub epoll_wakeups: AtomicU64,
-    /// Timer-wheel timers fired (idle sweeps, fault resumes, drain ticks).
+    /// Reactor timers fired (idle sweeps, fault resumes, drain ticks).
     pub timer_fires: AtomicU64,
     /// Times backpressure paused reads (pending output over the
     /// high-water mark caused `EPOLLIN` to be withheld).
@@ -398,7 +398,7 @@ pub struct WorkerStatsSnapshot {
     pub live_connections: u64,
     /// Blocking `epoll_wait` returns that delivered at least one event.
     pub epoll_wakeups: u64,
-    /// Timer-wheel timers fired.
+    /// Reactor timers fired.
     pub timer_fires: u64,
     /// Reads paused by output backpressure.
     pub write_pauses: u64,

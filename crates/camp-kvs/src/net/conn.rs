@@ -30,7 +30,7 @@
 //! Lifecycle semantics are expressed as data, not threads: a chaos delay
 //! parks the connection behind [`Step::Delayed`] (the reactor schedules a
 //! timer and stops reading), idle eviction and drain close-outs are
-//! decided by the reactor's timer wheel against [`Connection::last_complete`]
+//! decided by the reactor's timers against [`Connection::last_complete`]
 //! and [`Connection::drain_closable`], and `--max-conns` rejections are
 //! ordinary connections born with a preloaded error reply and
 //! `close_after_flush` set.

@@ -8,7 +8,7 @@
 //! directly against the C runtime that `std` already links, exactly the
 //! way [`crate::signals`] declares its self-pipe syscalls. Everything
 //! above this file (the reactor, the connection state machine, the timer
-//! wheel) is safe code: worker wake-ups ride on `std`'s `UnixStream`
+//! heap) is safe code: worker wake-ups ride on `std`'s `UnixStream`
 //! pairs, and scatter-gather flushes ride on `std`'s `write_vectored`
 //! (which is the `writev(2)` syscall for a `TcpStream`).
 //!

@@ -1,4 +1,4 @@
-//! The event-driven networking core: epoll wrapper, timer wheel,
+//! The event-driven networking core: epoll wrapper, deadline heap,
 //! connection state machine, and the reactor that runs them.
 //!
 //! Layering, bottom up:
@@ -9,13 +9,14 @@
 //!   `socket`/`setsockopt`/`bind`/`listen`/`accept4` calls behind
 //!   [`epoll::ReusePortListener`], the per-worker `SO_REUSEPORT` accept
 //!   socket.
-//! - [`timer`] — a hashed timer wheel; idle eviction, chaos delay
-//!   resumes and the drain sweep are all wheel entries.
+//! - [`timer`] — a min-heap of deadlines; idle eviction, chaos delay
+//!   resumes and the drain sweep are all heap entries.
 //! - `conn` (crate-private) — the per-connection protocol state machine:
 //!   buffers in, a segmented output rope flushed with scatter-gather
 //!   `writev`, no sockets, fully unit-testable.
 //! - `reactor` (crate-private) — N worker event loops, each owning its
-//!   own listener (connections pinned to the accepting worker), batched
+//!   own listener and its connections in a `camp_core::arena::Arena`
+//!   (connections pinned to the accepting worker), batched
 //!   event processing with one clock read per wakeup, drain/sever
 //!   orchestration.
 //!

@@ -26,14 +26,16 @@
 //! latency and bytes, flush sizes, dropped spans) goes into the worker's
 //! own [`WorkerTally`] and is published into the shared metrics once per
 //! cycle, before the cycle's replies are flushed: a `stats` reader lags a
-//! worker by at most one cycle and never past a reply. Connections live in a slot
-//! table; the epoll registration token packs `(generation << 32) | slot`
-//! so a stale event for a recycled slot is recognized and dropped —
-//! queued entries re-validate the generation at run time, which also
-//! covers slots closed earlier in the same batch. Each worker owns a
-//! [`TimerWheel`] driving three deadline kinds: slowloris idle eviction,
-//! chaos delay resumes, and the 50 ms drain sweep. The epoll wait timeout
-//! is derived from the wheel, so a worker with nothing due blocks fully.
+//! worker by at most one cycle and never past a reply. Connections live in
+//! a [`camp_core::arena::Arena`]; the epoll registration token packs the
+//! connection's [`EntryId`] as `(generation << 32) | index`, so a stale
+//! event for a recycled slot is recognized and dropped — the run queue,
+//! the parked list and the timers hold `EntryId`s too, and re-validate
+//! them at run time, which also covers connections closed earlier in the
+//! same batch. Each worker owns a [`Timers`] heap driving three deadline
+//! kinds: slowloris idle eviction, chaos delay resumes, and the 50 ms
+//! drain sweep. The epoll wait timeout is derived from the heap's earliest
+//! deadline, so a worker with nothing due blocks fully.
 //!
 //! # Park, commit, flush
 //!
@@ -43,8 +45,8 @@
 //! into the log's pending buffer; the barrier is what writes them. A
 //! connection's cycle therefore splits at the flush, in every `--fsync`
 //! mode: after `process`, if [`Shared::needs_commit`] says uncommitted
-//! records exist, the cycle *parks* the connection (`(slot, gen, step)`
-//! and a flag on its slot), whatever started the cycle. While anything is
+//! records exist, the cycle *parks* the connection (`(id, step)` and a
+//! flag on its entry), whatever started the cycle. While anything is
 //! parked the worker polls with a zero timeout instead of sleeping, and
 //! what is ready runs and may park too; a parked connection's events are
 //! skipped (level-triggered, they come back) and its timers re-armed.
@@ -77,6 +79,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use camp_core::arena::{Arena, EntryId};
 use camp_telemetry::{kvlog, LogLevel};
 
 use crate::metrics::WorkerTally;
@@ -84,7 +87,7 @@ use crate::net::conn::{Connection, SegmentPool, Step};
 use crate::net::epoll::{
     Epoll, EpollEvent, ReusePortListener, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
 };
-use crate::net::timer::TimerWheel;
+use crate::net::timer::Timers;
 use crate::server::{Shared, Stamp};
 
 /// Epoll token reserved for the worker's wake-up stream.
@@ -190,7 +193,7 @@ impl Reactor {
     }
 }
 
-/// A connection slot: the protocol state machine plus its socket and
+/// A connection's entry: the protocol state machine plus its socket and
 /// current epoll interest.
 #[derive(Debug)]
 struct SlotEntry {
@@ -201,13 +204,24 @@ struct SlotEntry {
     parked: bool,
 }
 
-/// Timer payloads; slot/generation pairs make cancellation lazy — a
-/// fired timer for a recycled slot is recognized and ignored.
-#[derive(Debug, Clone, Copy)]
+/// Timer payloads; arena handles make cancellation lazy — a fired timer
+/// for a closed connection no longer resolves and is ignored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Timer {
-    Idle { slot: usize, gen: u32 },
-    Resume { slot: usize, gen: u32 },
+    Idle(EntryId),
+    Resume(EntryId),
     DrainTick,
+}
+
+/// A connection's epoll token: its handle as `(generation << 32) | index`.
+fn token_of(id: EntryId) -> u64 {
+    (u64::from(id.generation()) << 32) | u64::from(id.index())
+}
+
+/// `epoll_wait`'s timeout for a sleep of `until_due`, rounded up to whole
+/// milliseconds so the worker never wakes before the deadline it slept for.
+fn wait_ms(until_due: Duration) -> i32 {
+    i32::try_from(until_due.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
 }
 
 /// What a processing cycle decided to do with the connection.
@@ -224,21 +238,18 @@ struct Worker {
     wake_rx: UnixStream,
     /// This worker's own accept socket (`None` once a drain closed it).
     listener: Option<ReusePortListener>,
-    slots: Vec<Option<SlotEntry>>,
-    gens: Vec<u32>,
-    free: Vec<usize>,
-    live: usize,
-    wheel: TimerWheel<Timer>,
+    conns: Arena<SlotEntry>,
+    timers: Timers<Timer>,
     /// Recycled output segments shared by this worker's connections.
     pool: SegmentPool,
     /// What this worker has counted and not yet published.
     tally: WorkerTally,
     /// Connections with events pending from the current batch; entries
-    /// re-validate `(slot, gen)` when run.
-    run_queue: Vec<(usize, u32)>,
+    /// re-validate their handle when run.
+    run_queue: Vec<EntryId>,
     /// Connections whose replies wait behind the ack barrier: processed,
-    /// not yet flushed. Entries re-validate `(slot, gen)` when finished.
-    parked: Vec<(usize, u32, Step)>,
+    /// not yet flushed. Entries re-validate their handle when finished.
+    parked: Vec<(EntryId, Step)>,
     /// The drain sweep tick has been armed since the drain began.
     drain_armed: bool,
 }
@@ -261,11 +272,8 @@ impl Worker {
             epoll,
             wake_rx,
             listener: Some(listener),
-            slots: Vec::new(),
-            gens: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            wheel: TimerWheel::new(Instant::now()),
+            conns: Arena::new(),
+            timers: Timers::default(),
             pool: SegmentPool::default(),
             tally: WorkerTally::default(),
             run_queue: Vec::new(),
@@ -345,12 +353,11 @@ impl Worker {
     /// How long the epoll wait may block, bounded by the next timer.
     fn park_timeout(&self) -> i32 {
         let until_due = self
-            .wheel
+            .timers
             .next_timeout(Instant::now())
             .unwrap_or(MAX_PARK)
             .min(MAX_PARK);
-        // Round up: sleeping 0 ms on a sub-millisecond deadline would spin.
-        i32::try_from(until_due.as_millis()).unwrap_or(1000).max(1)
+        wait_ms(until_due)
     }
 
     fn drain_wakeups(&mut self) {
@@ -362,31 +369,32 @@ impl Worker {
     /// delayed connections close immediately; everything else defers to
     /// [`Worker::run_queued`] so the whole batch shares one timestamp.
     fn enqueue(&mut self, token: u64, readiness: u32) {
-        let slot = usize::try_from(token & u32::MAX as u64).unwrap_or(usize::MAX);
-        let gen = (token >> 32) as u32;
-        if !self.is_live(slot, gen) {
-            return; // stale: the slot was recycled within this batch
-        }
-        let Some(entry) = self.slots[slot].as_ref() else {
+        // Stale if the slot is vacant or holds a newer connection: the
+        // token's own closed earlier in this batch.
+        let id = self.conns.id_at(token as u32);
+        let Some(id) = id.filter(|&id| token_of(id) == token) else {
+            return;
+        };
+        let Some(entry) = self.conns.get(id) else {
             return;
         };
         // A delayed connection has no read interest; an ERR/HUP event for
         // it would re-fire level-triggered until the resume. Close now —
         // the peer is gone anyway.
         if entry.conn.delayed_until.is_some() && readiness & (EPOLLERR | EPOLLHUP) != 0 {
-            self.close(slot, false);
+            self.close(id, false);
             return;
         }
         // A parked connection waits for its commit; level-triggered
         // readiness reports this event again after it.
         if !entry.parked {
-            self.run_queue.push((slot, gen));
+            self.run_queue.push(id);
         }
     }
 
     /// Runs every connection queued from the current batch, re-validating
-    /// `(slot, gen)` — an earlier cycle may have closed and recycled a
-    /// slot that still has a queued entry — and returns how many ran.
+    /// each handle — an earlier cycle may have closed a connection that
+    /// still has a queued entry — and returns how many ran.
     fn run_queued(&mut self, now: Stamp) -> usize {
         if self.run_queue.is_empty() {
             return 0;
@@ -399,9 +407,9 @@ impl Worker {
             // ordering: Relaxed — statistics counter.
             .fetch_add(queue.len() as u64, Ordering::Relaxed);
         let mut ran = 0;
-        for &(slot, gen) in &queue {
-            if self.is_live(slot, gen) {
-                self.cycle(slot, now);
+        for &id in &queue {
+            if self.conns.contains(id) {
+                self.cycle(id, now);
                 ran += 1;
             }
         }
@@ -410,14 +418,6 @@ impl Worker {
         queue.clear();
         self.run_queue = queue;
         ran
-    }
-
-    fn is_live(&self, slot: usize, gen: u32) -> bool {
-        slot < self.slots.len() && self.gens[slot] == gen && self.slots[slot].is_some()
-    }
-
-    fn is_parked(&self, slot: usize, gen: u32) -> bool {
-        self.is_live(slot, gen) && self.slots[slot].as_ref().is_some_and(|e| e.parked)
     }
 
     /// Finishes every connection parked behind the ack barrier. The first
@@ -429,20 +429,20 @@ impl Worker {
             return;
         }
         let mut parked = std::mem::take(&mut self.parked);
-        for (slot, gen, step) in parked.drain(..) {
-            if !self.is_live(slot, gen) {
+        for (id, step) in parked.drain(..) {
+            if !self.conns.contains(id) {
                 continue;
             }
             #[cfg(test)]
             // ordering: Relaxed — test-only switch, set before any traffic.
             if self.shared.flush_before_commit.load(Ordering::Relaxed) {
                 // MUTATION: the acks leave first, the commit follows.
-                self.finish(slot, step);
+                self.finish(id, step);
                 self.shared.commit_before_flush();
                 continue;
             }
             self.shared.commit_before_flush();
-            self.finish(slot, step);
+            self.finish(id, step);
         }
         self.parked = parked;
     }
@@ -494,7 +494,7 @@ impl Worker {
         }
     }
 
-    /// Installs an accepted socket into a slot: nonblocking + nodelay,
+    /// Installs an accepted socket in the arena: nonblocking + nodelay,
     /// the `--max-conns` slot reservation (a CAS on the shared gauge, so
     /// bursts across several workers still reject exactly — a socket past
     /// the cap gets the overload reply from [`Connection::rejected`] and
@@ -519,18 +519,16 @@ impl Worker {
             Connection::rejected(&self.shared)
         };
         let counted = conn.counted;
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.slots.push(None);
-                self.gens.push(0);
-                self.slots.len() - 1
-            }
-        };
-        let token = (u64::from(self.gens[slot]) << 32) | slot as u64;
-        if let Err(err) = self.epoll.add(stream.as_raw_fd(), EPOLLIN, token) {
+        let fd = stream.as_raw_fd();
+        let id = self.conns.insert(SlotEntry {
+            conn,
+            stream,
+            interest: EPOLLIN,
+            parked: false,
+        });
+        if let Err(err) = self.epoll.add(fd, EPOLLIN, token_of(id)) {
             kvlog!(LogLevel::Warn, "reactor_register_failed", error = err);
-            self.free.push(slot);
+            self.conns.remove(id);
             if counted {
                 self.shared.conns.release();
                 self.shared
@@ -541,13 +539,6 @@ impl Worker {
             }
             return;
         }
-        self.slots[slot] = Some(SlotEntry {
-            conn,
-            stream,
-            interest: EPOLLIN,
-            parked: false,
-        });
-        self.live += 1;
         self.shared
             .reactor_stats
             .worker(self.index)
@@ -555,27 +546,22 @@ impl Worker {
             // ordering: Relaxed — statistics counter.
             .fetch_add(1, Ordering::Relaxed);
         if counted && !self.shared.idle_timeout.is_zero() {
-            self.wheel.schedule(
-                now.at + self.shared.idle_timeout,
-                Timer::Idle {
-                    slot,
-                    gen: self.gens[slot],
-                },
-            );
+            self.timers
+                .schedule(now.at + self.shared.idle_timeout, Timer::Idle(id));
         }
         // Run one cycle right away: fast clients may already have a
         // command in the socket buffer, and rejections flush-and-close
         // without waiting for an event.
-        self.cycle(slot, now);
+        self.cycle(id, now);
     }
 
     /// One run-to-completion round for a connection: fill from the
     /// socket, process every complete command, publish what that counted,
     /// then [`Worker::finish`] — at once, or, when its replies wait on the
     /// ack barrier, after the group's one commit (see the module docs).
-    fn cycle(&mut self, slot: usize, now: Stamp) {
+    fn cycle(&mut self, id: EntryId, now: Stamp) {
         let step = {
-            let Some(entry) = self.slots[slot].as_mut() else {
+            let Some(entry) = self.conns.get_mut(id) else {
                 return;
             };
             let conn = &mut entry.conn;
@@ -602,23 +588,23 @@ impl Worker {
         // already read the counters it moved.
         self.shared.metrics.absorb(&mut self.tally);
         let Some(step) = step else {
-            self.close(slot, false);
+            self.close(id, false);
             return;
         };
         if self.shared.needs_commit() {
-            if let Some(entry) = self.slots[slot].as_mut() {
+            if let Some(entry) = self.conns.get_mut(id) {
                 entry.parked = true;
             }
-            self.parked.push((slot, self.gens[slot], step));
+            self.parked.push((id, step));
             return;
         }
-        self.finish(slot, step);
+        self.finish(id, step);
     }
 
     /// The second half of a cycle: flush the coalesced replies, stamp the
     /// spans they complete, then re-derive epoll interest from `step`.
     /// Whatever the replies acknowledge must be committed by now.
-    fn finish(&mut self, slot: usize, step: Step) {
+    fn finish(&mut self, id: EntryId, step: Step) {
         let shared = Arc::clone(&self.shared);
         // ordering: SeqCst — drain control plane; see the event-loop checks.
         let draining = shared.draining.load(Ordering::SeqCst);
@@ -627,7 +613,7 @@ impl Worker {
         let tally = &mut self.tally;
         let mut resume_at: Option<Instant> = None;
         let after = 'compute: {
-            let Some(entry) = self.slots[slot].as_mut() else {
+            let Some(entry) = self.conns.get_mut(id) else {
                 return;
             };
             entry.parked = false;
@@ -682,31 +668,24 @@ impl Worker {
             }
         };
         match after {
-            After::Close => self.close(slot, false),
-            After::Keep(interest) => self.set_interest(slot, interest),
+            After::Close => self.close(id, false),
+            After::Keep(interest) => self.set_interest(id, interest),
         }
         if let Some(until) = resume_at {
-            self.wheel.schedule(
-                until,
-                Timer::Resume {
-                    slot,
-                    gen: self.gens[slot],
-                },
-            );
+            self.timers.schedule(until, Timer::Resume(id));
         }
     }
 
-    fn set_interest(&mut self, slot: usize, desired: u32) {
-        let Some(entry) = self.slots[slot].as_mut() else {
+    fn set_interest(&mut self, id: EntryId, desired: u32) {
+        let Some(entry) = self.conns.get_mut(id) else {
             return;
         };
         if entry.interest == desired {
             return;
         }
-        let token = (u64::from(self.gens[slot]) << 32) | slot as u64;
         if self
             .epoll
-            .modify(entry.stream.as_raw_fd(), desired, token)
+            .modify(entry.stream.as_raw_fd(), desired, token_of(id))
             .is_ok()
         {
             entry.interest = desired;
@@ -715,14 +694,15 @@ impl Worker {
 
     /// Closes a connection and recycles its slot; `severed` marks a
     /// forced close at the drain deadline.
-    fn close(&mut self, slot: usize, severed: bool) {
-        let Some(mut entry) = self.slots[slot].take() else {
+    fn close(&mut self, id: EntryId, severed: bool) {
+        // The removal bumps the slot's generation, which invalidates
+        // in-flight tokens and pending timers.
+        let Some(mut entry) = self.conns.remove(id) else {
             return;
         };
         // Best-effort farewell flush, behind the ack barrier like any
         // other flush; then dropping the stream closes the fd, which also
-        // deregisters it from epoll; the generation bump invalidates
-        // in-flight tokens and pending timers.
+        // deregisters it from epoll.
         self.shared.commit_before_flush();
         let _ = entry
             .conn
@@ -732,9 +712,6 @@ impl Worker {
         // Spans still awaiting their flushed stamp get it now rather than
         // being lost with the connection.
         entry.conn.finish_spans(&self.shared, self.index);
-        self.gens[slot] = self.gens[slot].wrapping_add(1);
-        self.free.push(slot);
-        self.live -= 1;
         self.shared
             .reactor_stats
             .worker(self.index)
@@ -758,7 +735,7 @@ impl Worker {
 
     fn fire_timers(&mut self, now: Stamp) {
         let mut due = Vec::new();
-        self.wheel.expire(now.at, &mut due);
+        self.timers.expire(now.at, &mut due);
         if !due.is_empty() {
             self.shared
                 .reactor_stats
@@ -770,15 +747,15 @@ impl Worker {
         for timer in due {
             match timer {
                 // Its replies wait on the commit: try again after it.
-                Timer::Idle { slot, gen } | Timer::Resume { slot, gen }
-                    if self.is_parked(slot, gen) =>
+                Timer::Idle(id) | Timer::Resume(id)
+                    if self.conns.get(id).is_some_and(|e| e.parked) =>
                 {
-                    self.wheel.schedule(now.at, timer);
+                    self.timers.schedule(now.at, timer);
                 }
-                Timer::Idle { slot, gen } => self.fire_idle(slot, gen, now),
-                Timer::Resume { slot, gen } => {
-                    if self.is_live(slot, gen) {
-                        self.cycle(slot, now);
+                Timer::Idle(id) => self.fire_idle(id, now),
+                Timer::Resume(id) => {
+                    if self.conns.contains(id) {
+                        self.cycle(id, now);
                     }
                 }
                 Timer::DrainTick => {
@@ -791,23 +768,20 @@ impl Worker {
     /// The idle deadline fired: evict if the connection really has been
     /// idle the whole time, else re-arm at the true deadline (completed
     /// commands push it forward).
-    fn fire_idle(&mut self, slot: usize, gen: u32, now: Stamp) {
-        if slot >= self.slots.len() || self.gens[slot] != gen {
-            return;
-        }
-        let deadline = match self.slots[slot].as_mut() {
+    fn fire_idle(&mut self, id: EntryId, now: Stamp) {
+        let deadline = match self.conns.get(id) {
             Some(entry) if !entry.conn.close_after_flush => {
                 entry.conn.last_complete + self.shared.idle_timeout
             }
             _ => return,
         };
         if now.at >= deadline {
-            if let Some(entry) = self.slots[slot].as_mut() {
+            if let Some(entry) = self.conns.get_mut(id) {
                 entry.conn.evict_idle(&self.shared);
             }
-            self.cycle(slot, now);
+            self.cycle(id, now);
         } else {
-            self.wheel.schedule(deadline, Timer::Idle { slot, gen });
+            self.timers.schedule(deadline, Timer::Idle(id));
         }
     }
 
@@ -817,22 +791,17 @@ impl Worker {
     /// closable later.
     fn on_draining(&mut self) {
         self.close_listener();
-        let closable: Vec<usize> = self
-            .slots
+        let closable: Vec<EntryId> = self
+            .conns
             .iter()
-            .enumerate()
-            .filter_map(|(slot, entry)| {
-                entry
-                    .as_ref()
-                    .filter(|e| e.conn.drain_closable())
-                    .map(|_| slot)
-            })
+            .filter(|(_, entry)| entry.conn.drain_closable())
+            .map(|(id, _)| id)
             .collect();
-        for slot in closable {
-            self.close(slot, false);
+        for id in closable {
+            self.close(id, false);
         }
-        if self.live > 0 && !self.drain_armed {
-            self.wheel
+        if !self.conns.is_empty() && !self.drain_armed {
+            self.timers
                 .schedule(Instant::now() + DRAIN_TICK, Timer::DrainTick);
             self.drain_armed = true;
         }
@@ -844,14 +813,42 @@ impl Worker {
     fn sever_all(&mut self) {
         self.close_listener();
         self.shared.commit_before_flush();
-        for slot in 0..self.slots.len() {
-            if let Some(entry) = self.slots[slot].as_mut() {
+        let ids: Vec<EntryId> = self.conns.iter().map(|(id, _)| id).collect();
+        for id in ids {
+            if let Some(entry) = self.conns.get_mut(id) {
                 let _ = entry
                     .conn
                     .flush_to(&mut entry.stream, &mut self.pool, &mut self.tally);
                 let _ = entry.stream.shutdown(std::net::Shutdown::Both);
-                self.close(slot, true);
+                self.close(id, true);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_wait_rounds_up_to_whole_milliseconds() {
+        assert_eq!(wait_ms(Duration::from_micros(1_900)), 2);
+        assert_eq!(wait_ms(Duration::from_micros(1)), 1);
+        assert_eq!(wait_ms(Duration::from_millis(3)), 3);
+        assert_eq!(wait_ms(Duration::ZERO), 0);
+        assert_eq!(wait_ms(MAX_PARK), 1000);
+    }
+
+    #[test]
+    fn a_token_names_one_generation_of_one_slot() {
+        let mut arena = Arena::new();
+        let old = arena.insert(());
+        arena.remove(old);
+        let new = arena.insert(());
+        assert_eq!(new.index(), old.index(), "the slot is recycled");
+        // Both tokens decode to the slot, and only the live one matches.
+        assert_eq!(arena.id_at(token_of(new) as u32), Some(new));
+        assert_eq!(arena.id_at(token_of(old) as u32), Some(new));
+        assert_ne!(token_of(new), token_of(old));
     }
 }

@@ -1,131 +1,47 @@
-//! A hashed timer wheel for reactor deadlines.
-//!
-//! Every worker event loop owns one wheel and feeds it three kinds of
-//! deadline: slowloris idle checks, chaos delay resumes, and the 50 ms
-//! drain tick. The wheel hashes each deadline into one of `SLOTS`
-//! tick-wide buckets; [`TimerWheel::expire`] advances the cursor to "now",
-//! draining due entries and re-hashing entries that landed in a bucket
-//! early (deadlines further out than one full rotation park in the last
-//! reachable bucket and re-hash when the cursor reaches them).
-//!
-//! Cancellation is lazy, by design: entries carry whatever payload the
-//! caller chose (the reactor uses `(slot, generation)` pairs) and stale
-//! entries are filtered by the caller when they fire. That keeps
-//! scheduling O(1) with no lookup structure, at the cost of dead entries
-//! occupying a bucket until their tick comes around — cheap, since every
-//! connection has at most a handful of live timers.
+//! A min-heap of reactor deadlines: slowloris idle checks, chaos delay
+//! resumes and the 50 ms drain tick. [`Timers::expire`] pops everything
+//! due before the caller fires any of it, so an entry re-armed at "now"
+//! while firing waits for the next pass. Cancellation is lazy: the
+//! reactor's payloads are connection `EntryId`s, and a fired entry whose
+//! connection is gone is ignored.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::time::{Duration, Instant};
 
-/// Bucket granularity: deadlines are rounded up to the next whole tick.
-const TICK: Duration = Duration::from_millis(1);
-/// One rotation covers `SLOTS` ticks (~512 ms at the 1 ms tick).
-const SLOTS: usize = 512;
-
-/// A hashed timer wheel; `T` is the caller's per-entry payload.
+/// Deadlines ordered earliest first; `T` is the caller's payload.
 #[derive(Debug)]
-pub struct TimerWheel<T> {
-    slots: Vec<Vec<(Instant, T)>>,
-    /// Start of the tick the cursor currently points at.
-    base: Instant,
-    cursor: usize,
-    len: usize,
-}
+pub struct Timers<T: Ord>(BinaryHeap<Reverse<(Instant, T)>>);
 
-impl<T> TimerWheel<T> {
-    /// Creates an empty wheel whose first tick begins at `now`.
-    #[must_use]
-    pub fn new(now: Instant) -> TimerWheel<T> {
-        let mut slots = Vec::with_capacity(SLOTS);
-        slots.resize_with(SLOTS, Vec::new);
-        TimerWheel {
-            slots,
-            base: now,
-            cursor: 0,
-            len: 0,
-        }
-    }
-
-    /// Number of scheduled entries, live and lazily-cancelled alike.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no entries are scheduled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
+impl<T: Ord> Timers<T> {
     /// Schedules `payload` to fire once `deadline` has passed. Deadlines
-    /// already in the past fire on the next [`TimerWheel::expire`] call.
+    /// already in the past fire on the next [`Timers::expire`] call.
     pub fn schedule(&mut self, deadline: Instant, payload: T) {
-        let ticks = if deadline > self.base {
-            let delta = deadline - self.base;
-            // Round up so an entry never fires a tick early.
-            delta.as_micros().div_ceil(TICK.as_micros()) as u64
-        } else {
-            0
-        };
-        // Beyond one rotation: park in the furthest bucket; `expire`
-        // re-hashes it when the cursor arrives and the deadline is still
-        // in the future.
-        let offset = usize::try_from(ticks).unwrap_or(SLOTS - 1).min(SLOTS - 1);
-        let slot = (self.cursor + offset) % SLOTS;
-        self.slots[slot].push((deadline, payload));
-        self.len += 1;
+        self.0.push(Reverse((deadline, payload)));
     }
 
-    /// Advances the cursor up to `now`, appending every due payload to
-    /// `due`. Entries whose deadline is still in the future are re-hashed
-    /// relative to the new cursor position.
+    /// Appends every payload due by `now` to `due`, earliest first.
     pub fn expire(&mut self, now: Instant, due: &mut Vec<T>) {
-        let mut rehash: Vec<(Instant, T)> = Vec::new();
-        let mut visited = 0;
-        while self.base + TICK <= now && visited < SLOTS {
-            let bucket = std::mem::take(&mut self.slots[self.cursor]);
-            for (deadline, payload) in bucket {
-                self.len -= 1;
-                if deadline <= now {
-                    due.push(payload);
-                } else {
-                    rehash.push((deadline, payload));
-                }
+        while let Some(top) = self.0.peek_mut() {
+            if top.0 .0 > now {
+                break;
             }
-            self.cursor = (self.cursor + 1) % SLOTS;
-            self.base += TICK;
-            visited += 1;
-        }
-        if visited == SLOTS {
-            // The loop lapped the whole wheel: jump straight to now rather
-            // than spinning tick-by-tick through a long idle gap.
-            self.base = now;
-        }
-        for (deadline, payload) in rehash {
-            self.schedule(deadline, payload);
+            due.push(PeekMut::pop(top).0 .1);
         }
     }
 
-    /// How long the owner may sleep before the next entry could be due,
-    /// or `None` when the wheel is empty. May wake early (an entry parked
-    /// by the one-rotation cap re-hashes instead of firing); never late.
+    /// How long the owner may sleep before the earliest entry is due, or
+    /// `None` when nothing is scheduled.
     #[must_use]
     pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        if self.len == 0 {
-            return None;
-        }
-        for ahead in 0..SLOTS {
-            let slot = (self.cursor + ahead) % SLOTS;
-            if !self.slots[slot].is_empty() {
-                let opens = self.base + TICK * u32::try_from(ahead).unwrap_or(u32::MAX);
-                // Sleep until the bucket's tick has fully elapsed so the
-                // expire loop actually drains it.
-                let due = opens + TICK;
-                return Some(due.saturating_duration_since(now));
-            }
-        }
-        None
+        let Reverse((deadline, _)) = self.0.peek()?;
+        Some(deadline.saturating_duration_since(now))
+    }
+}
+
+impl<T: Ord> Default for Timers<T> {
+    fn default() -> Self {
+        Timers(BinaryHeap::new())
     }
 }
 
@@ -133,83 +49,86 @@ impl<T> TimerWheel<T> {
 mod tests {
     use super::*;
 
-    fn drain(wheel: &mut TimerWheel<u32>, now: Instant) -> Vec<u32> {
+    fn drain(timers: &mut Timers<u32>, now: Instant) -> Vec<u32> {
         let mut due = Vec::new();
-        wheel.expire(now, &mut due);
+        timers.expire(now, &mut due);
         due
     }
 
     #[test]
     fn fires_once_the_deadline_passes() {
         let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        wheel.schedule(start + Duration::from_millis(10), 1);
-        assert_eq!(drain(&mut wheel, start + Duration::from_millis(5)), vec![]);
+        let mut timers = Timers::default();
+        timers.schedule(start + Duration::from_millis(10), 1);
+        assert_eq!(drain(&mut timers, start + Duration::from_millis(5)), vec![]);
         assert_eq!(
-            drain(&mut wheel, start + Duration::from_millis(11)),
+            drain(&mut timers, start + Duration::from_millis(10)),
             vec![1]
         );
-        assert!(wheel.is_empty());
+        assert_eq!(timers.next_timeout(start), None);
     }
 
     #[test]
-    fn past_deadlines_fire_immediately() {
+    fn past_deadlines_fire_on_the_next_expire() {
         let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        wheel.schedule(start, 7);
-        assert_eq!(drain(&mut wheel, start + Duration::from_millis(2)), vec![7]);
-    }
-
-    #[test]
-    fn far_deadlines_survive_the_rotation_cap() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        // Three rotations out: must park, re-hash, and still not fire early.
-        let far = start + TICK * (SLOTS as u32) * 3;
-        wheel.schedule(far, 9);
-        assert_eq!(drain(&mut wheel, start + TICK * (SLOTS as u32)), vec![]);
-        assert_eq!(drain(&mut wheel, start + TICK * (SLOTS as u32) * 2), vec![]);
-        assert_eq!(drain(&mut wheel, far + Duration::from_millis(1)), vec![9]);
-    }
-
-    #[test]
-    fn long_idle_gaps_do_not_spin() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        wheel.schedule(start + Duration::from_millis(3), 1);
-        // An hour-long jump lands in the lap-detection path and must both
-        // fire the due entry and leave the wheel usable afterwards.
-        let later = start + Duration::from_secs(3600);
-        assert_eq!(drain(&mut wheel, later), vec![1]);
-        wheel.schedule(later + Duration::from_millis(4), 2);
-        assert_eq!(drain(&mut wheel, later + Duration::from_millis(6)), vec![2]);
-    }
-
-    #[test]
-    fn next_timeout_bounds_the_sleep() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::<u32>::new(start);
-        assert_eq!(wheel.next_timeout(start), None);
-        wheel.schedule(start + Duration::from_millis(20), 1);
-        let sleep = wheel.next_timeout(start).expect("entry scheduled");
-        // Never later than the deadline plus one tick of rounding.
-        assert!(sleep <= Duration::from_millis(21), "slept {sleep:?}");
-        // Sleeping that long must make the entry due.
-        let woke = start + sleep;
-        assert_eq!(drain(&mut wheel, woke), vec![1]);
-    }
-
-    #[test]
-    fn interleaved_deadlines_fire_in_cursor_order() {
-        let start = Instant::now();
-        let mut wheel = TimerWheel::new(start);
-        wheel.schedule(start + Duration::from_millis(30), 3);
-        wheel.schedule(start + Duration::from_millis(10), 1);
-        wheel.schedule(start + Duration::from_millis(20), 2);
-        assert_eq!(wheel.len(), 3);
+        let mut timers = Timers::default();
+        timers.schedule(start + Duration::from_millis(3), 7);
+        timers.schedule(start + Duration::from_millis(1), 8);
         assert_eq!(
-            drain(&mut wheel, start + Duration::from_millis(40)),
+            drain(&mut timers, start + Duration::from_millis(5)),
+            vec![8, 7]
+        );
+        timers.schedule(start, 9);
+        assert_eq!(
+            drain(&mut timers, start + Duration::from_millis(5)),
+            vec![9]
+        );
+    }
+
+    #[test]
+    fn next_timeout_is_the_exact_sleep() {
+        let start = Instant::now();
+        let mut timers = Timers::<u32>::default();
+        assert_eq!(timers.next_timeout(start), None);
+        timers.schedule(start + Duration::from_millis(20), 1);
+        timers.schedule(start + Duration::from_millis(30), 2);
+        let sleep = timers.next_timeout(start).expect("entry scheduled");
+        assert_eq!(sleep, Duration::from_millis(20));
+        // Sleeping exactly that long makes the entry due, and only it.
+        assert_eq!(drain(&mut timers, start + sleep), vec![1]);
+        assert_eq!(
+            timers.next_timeout(start + Duration::from_millis(40)),
+            Some(Duration::ZERO)
+        );
+    }
+
+    #[test]
+    fn interleaved_deadlines_fire_in_deadline_order() {
+        let start = Instant::now();
+        let mut timers = Timers::default();
+        timers.schedule(start + Duration::from_millis(30), 3);
+        timers.schedule(start + Duration::from_millis(10), 1);
+        timers.schedule(start + Duration::from_millis(20), 2);
+        assert_eq!(
+            drain(&mut timers, start + Duration::from_millis(40)),
             vec![1, 2, 3]
         );
+    }
+
+    #[test]
+    fn an_entry_rearmed_at_now_while_firing_waits_for_the_next_pass() {
+        let start = Instant::now();
+        let mut timers = Timers::default();
+        timers.schedule(start, 1);
+        let mut due = Vec::new();
+        timers.expire(start, &mut due);
+        // Firing 1 re-arms it at the same instant, as the reactor does for
+        // a parked connection: the pass that collected it is over.
+        for &payload in &due {
+            timers.schedule(start, payload);
+        }
+        assert_eq!(due, vec![1]);
+        assert_eq!(drain(&mut timers, start), vec![1]);
+        assert_eq!(drain(&mut timers, start), vec![]);
     }
 }
