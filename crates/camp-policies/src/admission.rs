@@ -8,11 +8,8 @@
 //! wrapper around any [`EvictionPolicy`], so the ablation benches can
 //! measure it over CAMP, LRU and GDS alike.
 
-use std::collections::VecDeque;
-
-use camp_core::hash::FoldHashMap;
-
 use crate::policy::{AccessOutcome, CacheKey, EvictionPolicy, SharedTraceSink};
+use crate::util::GhostList;
 
 /// The admission decision rules available to [`Admission`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,8 +59,8 @@ pub enum AdmissionRule {
 pub struct Admission<P, K = u64> {
     inner: P,
     rule: AdmissionRule,
-    ghost: FoldHashMap<K, u64>,
-    ghost_order: VecDeque<K>,
+    /// `SecondMiss`'s window: keys missed once, weighing 1 each.
+    ghosts: GhostList<K>,
     bypassed: u64,
 }
 
@@ -81,8 +78,7 @@ impl<K: CacheKey, P> Admission<P, K> {
         Admission {
             inner,
             rule,
-            ghost: FoldHashMap::default(),
-            ghost_order: VecDeque::new(),
+            ghosts: GhostList::default(),
             bypassed: 0,
         }
     }
@@ -115,20 +111,11 @@ impl<K: CacheKey, P> Admission<P, K> {
                 u128::from(cost) * u128::from(den) >= u128::from(num) * u128::from(size)
             }
             AdmissionRule::SecondMiss { window } => {
-                let count = self.ghost.entry(key.clone()).or_insert(0);
-                if *count > 0 {
-                    self.ghost.remove(key);
+                if self.ghosts.remove(key).is_some() {
                     return true;
                 }
-                *count = 1;
-                self.ghost_order.push_back(key.clone());
-                while self.ghost.len() > window {
-                    if let Some(old) = self.ghost_order.pop_front() {
-                        self.ghost.remove(&old);
-                    } else {
-                        break;
-                    }
-                }
+                self.ghosts.push(key.clone(), 1, ());
+                self.ghosts.trim_to(window as u64);
                 false
             }
         }
@@ -300,6 +287,43 @@ mod tests {
         assert_eq!(
             a.reference(req(1, 10, 0), &mut ev),
             AccessOutcome::MissBypassed
+        );
+    }
+
+    #[test]
+    fn second_miss_remembers_a_key_missed_again_after_admission() {
+        // One 10-byte pair fits. A's first mark was spent admitting it at
+        // step 2; its fresh mark from step 6 must outlive X's older one
+        // when Y fills the window.
+        let mut a = Admission::new(Lru::new(10), AdmissionRule::SecondMiss { window: 2 });
+        let mut ev = Vec::new();
+        let outcomes: Vec<AccessOutcome> = [1, 1, 24, 2, 2, 1, 25, 1]
+            .into_iter()
+            .map(|key| a.reference(req(key, 10, 0), &mut ev))
+            .collect();
+        use AccessOutcome::{MissBypassed as Skip, MissInserted as In};
+        assert_eq!(outcomes, [Skip, In, Skip, Skip, In, Skip, Skip, In]);
+    }
+
+    #[test]
+    fn second_miss_window_stays_bounded() {
+        let window = 8;
+        let mut a = Admission::new(Lru::new(10), AdmissionRule::SecondMiss { window });
+        let mut ev = Vec::new();
+        // Each key's second miss comes four misses after its first.
+        for key in 0..100_004 {
+            if key < 100_000 {
+                a.reference(req(key, 10, 0), &mut ev);
+            }
+            if key >= 4 {
+                let again = a.reference(req(key - 4, 10, 0), &mut ev);
+                assert_eq!(again, AccessOutcome::MissInserted, "key {}", key - 4);
+            }
+        }
+        assert!(
+            a.ghosts.entries() <= window,
+            "{} entries",
+            a.ghosts.entries()
         );
     }
 
