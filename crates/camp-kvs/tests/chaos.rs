@@ -9,7 +9,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use camp_core::Precision;
 use camp_kvs::client::{Client, ClientConfig};
@@ -165,6 +165,7 @@ fn slowloris_client_is_evicted_at_the_idle_deadline() {
         ..base_options()
     });
     let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let connected = Instant::now();
     stream
         .set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();
@@ -186,15 +187,53 @@ fn slowloris_client_is_evicted_at_the_idle_deadline() {
             break;
         }
     }
+    // Never early: the deadline is 300 ms after the accept, which
+    // followed the connect.
+    let evicted_after = connected.elapsed();
     let text = String::from_utf8_lossy(&received);
     assert!(
         text.contains("SERVER_ERROR idle timeout"),
         "expected an explicit idle-timeout error, got: {text:?}"
     );
+    assert!(
+        evicted_after >= Duration::from_millis(300),
+        "evicted {evicted_after:?} after connect, before the 300 ms deadline"
+    );
     let mut probe = Client::connect(server.local_addr()).unwrap();
     let detail = stat_table(&mut probe);
     assert_eq!(stat_u64(&detail, "conn_rejected:idle_timeout"), 1);
     let _ = probe.quit();
+    server.shutdown();
+}
+
+/// A connection that completes a command every 100 ms outlives a 300 ms
+/// idle timeout many times over: each idle timer that fires finds a later
+/// completed command and re-arms at the true deadline instead of evicting.
+#[test]
+fn a_connection_that_keeps_completing_commands_is_never_idle_evicted() {
+    let server = start(ServerOptions {
+        idle_timeout: Duration::from_millis(300),
+        ..base_options()
+    });
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let started = Instant::now();
+    while started.elapsed() < Duration::from_millis(1_500) {
+        client.version().expect("answered while active");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    client.version().expect("still answered after 1.5 s");
+    let detail = stat_table(&mut client);
+    assert_eq!(stat_u64(&detail, "conn_rejected:idle_timeout"), 0);
+    // The idle timer fired and was re-armed, more than once.
+    let fires: u64 = detail
+        .iter()
+        .filter(|(key, _)| key.starts_with("reactor:worker"))
+        .flat_map(|(_, row)| row.split(' '))
+        .filter_map(|field| field.strip_prefix("timer_fires="))
+        .map(|n| n.parse::<u64>().expect("timer_fires is a number"))
+        .sum();
+    assert!(fires >= 2, "{fires} timer fires in {detail:?}");
+    let _ = client.quit();
     server.shutdown();
 }
 
