@@ -89,7 +89,8 @@ impl TwoLists {
 /// Keys of recently evicted pairs, oldest first, each with a weight and a
 /// payload: ARC's `B1`/`B2` and 2Q's `A1out` weigh a key by its bytes and
 /// carry nothing; LRU-K's retained histories weigh 1 each and carry the
-/// history. Membership, removal and dropping the oldest are O(1)
+/// history; `Admission`'s `SecondMiss` window holds keys missed once,
+/// weighing 1 each. Membership, removal and dropping the oldest are O(1)
 /// (amortized). A removed key's entry keeps its place, emptied, until it
 /// reaches the front or emptied entries become the majority and the list
 /// compacts.
