@@ -219,7 +219,8 @@ fn token_of(id: EntryId) -> u64 {
 }
 
 /// `epoll_wait`'s timeout for a sleep of `until_due`, rounded up to whole
-/// milliseconds so the worker never wakes before the deadline it slept for.
+/// milliseconds so the timeout never ends before the deadline it waits
+/// for (truncating would wake the worker with nothing due).
 fn wait_ms(until_due: Duration) -> i32 {
     i32::try_from(until_due.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
 }

@@ -224,7 +224,7 @@ fn a_connection_that_keeps_completing_commands_is_never_idle_evicted() {
     client.version().expect("still answered after 1.5 s");
     let detail = stat_table(&mut client);
     assert_eq!(stat_u64(&detail, "conn_rejected:idle_timeout"), 0);
-    // The idle timer fired and was re-armed, more than once.
+    // The idle timer fired, was re-armed, and fired again.
     let fires: u64 = detail
         .iter()
         .filter(|(key, _)| key.starts_with("reactor:worker"))

@@ -295,11 +295,12 @@ mod tests {
         // One 10-byte pair fits. A's first mark was spent admitting it at
         // step 2; its fresh mark from step 6 must outlive X's older one
         // when Y fills the window.
-        let mut a = Admission::new(Lru::new(10), AdmissionRule::SecondMiss { window: 2 });
+        let mut cache = Admission::new(Lru::new(10), AdmissionRule::SecondMiss { window: 2 });
         let mut ev = Vec::new();
-        let outcomes: Vec<AccessOutcome> = [1, 1, 24, 2, 2, 1, 25, 1]
+        let (a, x, b, y) = (1, 2, 3, 4);
+        let outcomes: Vec<AccessOutcome> = [a, a, x, b, b, a, y, a]
             .into_iter()
-            .map(|key| a.reference(req(key, 10, 0), &mut ev))
+            .map(|key| cache.reference(req(key, 10, 0), &mut ev))
             .collect();
         use AccessOutcome::{MissBypassed as Skip, MissInserted as In};
         assert_eq!(outcomes, [Skip, In, Skip, Skip, In, Skip, Skip, In]);
