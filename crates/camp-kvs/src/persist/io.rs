@@ -26,8 +26,8 @@ const DISK_STREAM_SALT: u64 = 0xD15C_FA17;
 ///
 /// One file is "active" at a time: [`create`](IoBackend::create) opens
 /// it, [`append`](IoBackend::append)/[`sync`](IoBackend::sync)/
-/// [`truncate`](IoBackend::truncate)/[`reserve`](IoBackend::reserve)
-/// operate on it. On an `append` error an arbitrary prefix of the buffer
+/// [`truncate`](IoBackend::truncate)/[`reserve`](IoBackend::reserve)/
+/// [`rename`](IoBackend::rename) operate on it. On an `append` error an arbitrary prefix of the buffer
 /// may have reached the file — exactly what a real short write does —
 /// and the caller repairs by truncating back to its last committed
 /// offset.
@@ -43,6 +43,13 @@ pub trait IoBackend: fmt::Debug + Send {
     fn truncate(&mut self, len: u64) -> io::Result<()>;
     /// Removes a (non-active) segment file.
     fn remove(&mut self, path: &Path) -> io::Result<()>;
+    /// Renames the active file from `from` to `to`, then syncs the
+    /// directory, so the new name survives a crash. The file stays the
+    /// active one: appends go on where they were.
+    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
+        fs::rename(from, to)?;
+        File::open(to.parent().unwrap_or(Path::new(".")))?.sync_all()
+    }
     /// Extends the active file's *runway* by `bytes`: zeros, written and
     /// synced, starting where the runway so far ends (or where the
     /// records end, if they have passed it), which later `append`s
@@ -151,8 +158,8 @@ impl IoBackend for RealFs {
 /// append may first push a *prefix* of the buffer into the inner
 /// backend — a genuine torn record on disk, which is what recovery's
 /// torn-tail rule exists to absorb. `create`/`truncate`/`remove` pass
-/// through unfaulted: they are the repair path. So does `reserve`,
-/// which carries no record.
+/// through unfaulted: they are the repair path. So do `reserve`,
+/// which carries no record, and `rename`.
 #[derive(Debug)]
 pub struct FaultFs {
     inner: Box<dyn IoBackend>,
@@ -211,6 +218,10 @@ impl IoBackend for FaultFs {
         self.inner.remove(path)
     }
 
+    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+
     fn reserve(&mut self, bytes: u64) -> io::Result<u64> {
         self.inner.reserve(bytes)
     }
@@ -248,6 +259,9 @@ pub(super) mod tests {
         }
         fn remove(&mut self, path: &Path) -> io::Result<()> {
             self.removed.push(path.to_path_buf());
+            Ok(())
+        }
+        fn rename(&mut self, _from: &Path, _to: &Path) -> io::Result<()> {
             Ok(())
         }
     }
@@ -333,6 +347,12 @@ pub(super) mod tests {
         let mut backend = RealFs::new();
         backend.create(&path).expect("create");
         backend.append(b"hello ").expect("append");
+        backend.sync().expect("sync");
+        // A rename keeps the file active: the next append lands after it.
+        let renamed = dir.join("seg-renamed.camplog");
+        backend.rename(&path, &renamed).expect("rename");
+        assert!(!path.exists());
+        let path = renamed;
         backend.append(b"world").expect("append");
         backend.sync().expect("sync");
         assert_eq!(fs::read(&path).expect("read"), b"hello world");

@@ -66,6 +66,14 @@
 //! the plain way until the next rotation. Recovery reads a zero tail as
 //! the clean end of the log ([`record::scan`]).
 //!
+//! Once `keep_segments` segments are live, a rotation *compacts*: the
+//! next segment is a snapshot of the live store (a [`Record::Clear`] and
+//! one set per item), written and synced under a `.tmp` name that
+//! recovery does not read, then renamed into place with the directory
+//! synced behind it; only then are the older segments deleted. A process
+//! killed mid-snapshot restarts from the older segments, and boot deletes
+//! the half-written file.
+//!
 //! # Degraded state
 //!
 //! After `trip_after` consecutive I/O errors the engine trips to
@@ -104,6 +112,8 @@ use self::state::{EngineState, UnsyncedFlag};
 
 /// Segment file extension (files are named `seg-<index>.camplog`).
 const SEGMENT_SUFFIX: &str = ".camplog";
+/// Appended to a segment's name while its snapshot is being written.
+const TEMP_SUFFIX: &str = ".tmp";
 
 /// Floor for `--segment-bytes`: below this, rotation overhead dominates.
 pub const MIN_SEGMENT_BYTES: u64 = 4096;
@@ -323,12 +333,19 @@ impl LogWriter {
     /// accounted per segment.
     fn start_segment(&mut self, index: u64) -> stdio::Result<()> {
         let path = segment_path(&self.dir, index);
-        self.backend.create(&path)?;
+        self.create_segment(index, &path)?;
+        self.segments.push((index, path));
+        Ok(())
+    }
+
+    /// Creates the file the active segment `index` is written to under
+    /// `path`, which is not its segment name while a snapshot fills it.
+    fn create_segment(&mut self, index: u64, path: &Path) -> stdio::Result<()> {
+        self.backend.create(path)?;
         self.seg_index = index;
         self.committed = 0;
         self.unsynced_records = 0;
         self.runway_end = 0;
-        self.segments.push((index, path));
         Ok(())
     }
 
@@ -409,6 +426,24 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:08}{SEGMENT_SUFFIX}"))
 }
 
+/// Where a snapshot is written before it becomes a segment: a name
+/// [`list_segments`] does not match, so a process that dies mid-snapshot
+/// leaves the older segments as the whole log.
+fn temp_segment_path(dir: &Path, index: u64) -> PathBuf {
+    dir.join(format!("seg-{index:08}{SEGMENT_SUFFIX}{TEMP_SUFFIX}"))
+}
+
+/// Deletes the snapshots a killed process left half-written.
+fn remove_temp_segments(dir: &Path) -> stdio::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.to_str().is_some_and(|p| p.ends_with(TEMP_SUFFIX)) {
+            fs::remove_file(path)?;
+        }
+    }
+    Ok(())
+}
+
 /// Lists `dir`'s segment files in ascending index order.
 fn list_segments(dir: &Path) -> stdio::Result<Vec<(u64, PathBuf)>> {
     let mut segments = Vec::new();
@@ -448,6 +483,7 @@ struct Recovered {
 /// was. What has expired by boot time is then dropped in one pass.
 fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
     const STOPPED: u64 = 0;
+    remove_temp_segments(dir)?;
     let segments = list_segments(dir)?;
     let mut summary = RecoverySummary {
         segments: segments.len() as u64,
@@ -810,18 +846,22 @@ impl Persist {
     }
 
     fn roll_locked(&self, w: &mut LogWriter) -> stdio::Result<()> {
-        // The backend can only write and sync its active file: whatever
-        // the outgoing segment still owes (the batch the rotation landed
-        // in, an interval tail) is committed now or never. A failure is
-        // counted and the roll goes on — the next segment must still
-        // open.
+        self.leave_segment_locked(w);
+        self.start_segment_locked(w, w.seg_index + 1)
+    }
+
+    /// Finishes the active segment before another is created. The backend
+    /// can only write and sync its active file: whatever the outgoing
+    /// segment still owes (the batch the rotation landed in, an interval
+    /// tail) is committed now or never. A failure is counted and the
+    /// rotation goes on — the next segment must still open.
+    fn leave_segment_locked(&self, w: &mut LogWriter) {
         self.commit_locked(w, true);
         if w.runway_end > w.committed {
             // Best effort: the unused zeros are only disk space, and the
             // scanner reads them as the end of the log anyway.
             let _ = w.truncate(w.committed);
         }
-        self.start_segment_locked(w, w.seg_index + 1)
     }
 
     /// Moves on to segment `index` — nothing is owed to the one left
@@ -833,29 +873,52 @@ impl Persist {
         Ok(())
     }
 
-    /// Compaction-by-snapshot: roll to a fresh segment, write a
-    /// [`Record::Clear`] followed by one set per live item, fsync, and
-    /// only then delete the older segments. Because the snapshot *leads*
-    /// with `Clear`, a failed deletion is harmless — replay applies the
-    /// stale history and then wipes it. A failed snapshot truncates the
-    /// aborted segment to zero (removing the dangerous `Clear`) and
-    /// keeps the old segments; if even that repair fails the engine
-    /// trips to degraded so the next re-arm rebuilds from the live
-    /// store.
+    /// Compaction: finish the active segment, then move on to a snapshot
+    /// segment ([`Persist::snapshot_segment_locked`]). A failed snapshot
+    /// keeps the old segments and rolls to a plain segment at the same
+    /// index; if even that cannot be created the engine trips to degraded
+    /// so the next re-arm rebuilds from the live store.
     fn compact_locked(&self, w: &mut LogWriter, store: &ShardedStore) -> stdio::Result<()> {
-        self.roll_locked(w)?;
-        match self.snapshot_locked(w, store) {
-            Ok(()) => {
-                self.drop_older_segments_locked(w);
-                Ok(())
-            }
-            Err(err) => {
-                if w.truncate(0).is_err() {
-                    self.trip_locked(w);
-                }
-                Err(err)
-            }
+        self.leave_segment_locked(w);
+        let index = w.seg_index + 1;
+        let snapshot = self.snapshot_segment_locked(w, store, index);
+        if snapshot.is_err() && self.start_segment_locked(w, index).is_err() {
+            self.trip_locked(w);
         }
+        snapshot
+    }
+
+    /// Makes segment `index` a snapshot of the live store and the active
+    /// segment: a [`Record::Clear`] followed by one set per live item,
+    /// written and synced under a temporary name, renamed to the segment's
+    /// own name (the directory synced behind it), and only then are the
+    /// older segments deleted. Until the rename a crash finds the old
+    /// segments intact and the temporary file ignored, so a snapshot is
+    /// all or nothing. Because it *leads* with `Clear`, a failed deletion
+    /// is harmless — replay applies the stale history and then wipes it.
+    /// Appends go on in the same file. On failure the temporary file is
+    /// removed and the active file is gone: the caller opens another.
+    fn snapshot_segment_locked(
+        &self,
+        w: &mut LogWriter,
+        store: &ShardedStore,
+        index: u64,
+    ) -> stdio::Result<()> {
+        let temp = temp_segment_path(&w.dir, index);
+        let path = segment_path(&w.dir, index);
+        w.create_segment(index, &temp)?;
+        let written = self
+            .snapshot_locked(w, store)
+            .and_then(|()| w.backend.rename(&temp, &path));
+        if let Err(err) = written {
+            let _ = w.backend.remove(&temp);
+            return Err(err);
+        }
+        w.segments.push((index, path));
+        self.mark_clean_locked(w);
+        self.reserve_locked(w);
+        self.drop_older_segments_locked(w);
+        Ok(())
     }
 
     /// After a snapshot landed in the active segment: forgets and deletes
@@ -875,7 +938,7 @@ impl Persist {
     }
 
     /// Writes `Clear` + one `Set` per live item into the (fresh) active
-    /// segment and fsyncs it. On success `w.committed` reflects the
+    /// file and fsyncs it. On success `w.committed` reflects the
     /// snapshot size.
     fn snapshot_locked(&self, w: &mut LogWriter, store: &ShardedStore) -> stdio::Result<()> {
         const FLUSH_BYTES: usize = 256 * 1024;
@@ -923,8 +986,8 @@ impl Persist {
         Ok(())
     }
 
-    /// One degraded-recovery attempt: start a fresh segment and write a
-    /// full snapshot of the live store into it. On success the log
+    /// One degraded-recovery attempt: a fresh segment holding a full
+    /// snapshot of the live store, the way compaction writes one. On success the log
     /// exactly mirrors the cache (no silent gap from the records dropped
     /// while degraded), older segments are deleted, and the engine
     /// re-arms. Returns `true` when the engine is active afterwards.
@@ -937,15 +1000,8 @@ impl Persist {
         // live store, so the snapshot carries it.
         w.discard_pending();
         let index = w.seg_index + 1;
-        if self.start_segment_locked(w, index).is_err() {
-            // ordering: Relaxed — statistics counter.
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let path = segment_path(&w.dir, index);
-        match self.snapshot_locked(w, store) {
+        match self.snapshot_segment_locked(w, store, index) {
             Ok(()) => {
-                self.drop_older_segments_locked(w);
                 w.consecutive_errors = 0;
                 self.engine.rearm();
                 kvlog!(
@@ -958,13 +1014,9 @@ impl Persist {
                 true
             }
             Err(_) => {
-                // ordering: Relaxed — statistics counter.
+                // ordering: Relaxed — statistics counter. The next retry
+                // starts clean: appends are dropped while degraded.
                 self.errors.fetch_add(1, Ordering::Relaxed);
-                // Scrap the aborted attempt entirely; the next retry
-                // starts clean.
-                let _ = w.truncate(0);
-                let _ = w.backend.remove(&path);
-                w.segments.retain(|&(i, _)| i != index);
                 false
             }
         }
@@ -1474,6 +1526,122 @@ mod tests {
             "costs survive compaction"
         );
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// [`RealFs`] that copies the data dir aside just before the
+    /// `kill_at`-th write of at least `big` bytes: the files a process
+    /// killed at that instant leaves (the page cache survives a kill, so
+    /// every write before it is there).
+    #[derive(Debug)]
+    struct KillPoint {
+        inner: RealFs,
+        dir: PathBuf,
+        image: PathBuf,
+        big: usize,
+        kill_at: u32,
+        big_writes: u32,
+    }
+
+    impl IoBackend for KillPoint {
+        fn create(&mut self, path: &Path) -> stdio::Result<()> {
+            self.inner.create(path)
+        }
+        fn append(&mut self, buf: &[u8]) -> stdio::Result<()> {
+            if buf.len() >= self.big {
+                self.big_writes += 1;
+                if self.big_writes == self.kill_at {
+                    fs::create_dir_all(&self.image)?;
+                    for entry in fs::read_dir(&self.dir)? {
+                        let path = entry?.path();
+                        fs::copy(&path, self.image.join(path.file_name().expect("name")))?;
+                    }
+                }
+            }
+            self.inner.append(buf)
+        }
+        fn sync(&mut self) -> stdio::Result<()> {
+            self.inner.sync()
+        }
+        fn truncate(&mut self, len: u64) -> stdio::Result<()> {
+            self.inner.truncate(len)
+        }
+        fn remove(&mut self, path: &Path) -> stdio::Result<()> {
+            self.inner.remove(path)
+        }
+    }
+
+    /// A process killed while a compaction writes its snapshot loses no
+    /// acknowledged write. 2 000 keys of 300 bytes overflow two 256 KiB
+    /// segments, so the third rotation compacts, and its snapshot needs
+    /// three writes; the kill lands before the second. The snapshot's
+    /// `Clear` is on disk by then, followed by a third of the items: were
+    /// that file a segment, recovery would wipe the older history and
+    /// rebuild only that third.
+    #[test]
+    fn a_kill_mid_snapshot_loses_no_acknowledged_write() {
+        const KEYS: u32 = 2_000;
+        const BIG: usize = 256 * 1024;
+        let dir = temp_dir("kill-snapshot");
+        let image = temp_dir("kill-snapshot-image");
+        let config = StoreConfig {
+            slab: SlabConfig::small(64 * 1024, 256),
+            eviction: EvictionMode::Camp(Precision::Bits(5)),
+        };
+        let store = ShardedStore::new(config.clone(), 4);
+        let opts = PersistOptions {
+            segment_bytes: BIG as u64,
+            keep_segments: 2,
+            ..options(&dir)
+        };
+        fs::create_dir_all(&dir).expect("mkdir");
+        let backend = KillPoint {
+            inner: RealFs::new(),
+            dir: dir.clone(),
+            image: image.clone(),
+            big: BIG,
+            kill_at: 2,
+            big_writes: 0,
+        };
+        let persist = Persist::open_with_backend(opts, Box::new(backend), &store).expect("open");
+        let value = [b'v'; 300];
+        // Keys `0..acked` are the ones whose append returned before the
+        // kill: acknowledged.
+        let mut acked = 0;
+        while acked < KEYS {
+            let key = format!("key-{acked:05}");
+            store.set(key.as_bytes(), &value, 0, 0, 1).expect("set");
+            persist.append_set(&store, key.as_bytes(), &value, 0, 0, 1);
+            if image.exists() {
+                break;
+            }
+            acked += 1;
+        }
+        assert!(image.exists(), "no snapshot took a second big write");
+        assert_eq!(store.len(), acked as usize + 1, "the live store evicted");
+        drop(persist);
+
+        let recovered = ShardedStore::new(config, 4);
+        let _reopened = open_plain(options(&image), &recovered);
+        let lost: Vec<u32> = (0..acked)
+            .filter(|i| !recovered.contains(format!("key-{i:05}").as_bytes()))
+            .collect();
+        assert!(
+            lost.is_empty(),
+            "{} of {acked} acknowledged keys lost, the first {:?}",
+            lost.len(),
+            lost.first()
+        );
+        // Boot deleted the half-written snapshot.
+        let names: Vec<String> = fs::read_dir(&image)
+            .expect("read the image")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().all(|n| n.ends_with(SEGMENT_SUFFIX)),
+            "{names:?}"
+        );
+        fs::remove_dir_all(&dir).ok();
+        fs::remove_dir_all(&image).ok();
     }
 
     /// Appends `n` small sets (`key-<i>`), mirroring them into `store`.

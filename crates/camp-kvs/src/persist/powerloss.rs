@@ -202,6 +202,16 @@ impl IoBackend for PowerLossFs {
         self.inner.remove(path)
     }
 
+    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
+        // Held across the rename, so a power cut copies the file under
+        // the name it has on disk.
+        let mut disk = lock(&self.disk);
+        self.inner.rename(from, to)?;
+        let active = disk.segments.last_mut().expect("rename before create");
+        active.path = to.to_path_buf();
+        Ok(())
+    }
+
     fn reserve(&mut self, bytes: u64) -> io::Result<u64> {
         // (The sync inside also covers any records written before it; the
         // model does not count on that.)
