@@ -180,8 +180,10 @@ pub struct ServerMetrics {
     pub connections_closed: AtomicU64,
     /// Lines rejected with `CLIENT_ERROR`.
     pub protocol_errors: AtomicU64,
-    /// Segments batched into each scatter-gather (`writev`) flush call —
-    /// the distribution proves how deep the iovec batching runs.
+    /// `write` calls per flush of a connection's output: 1 when the
+    /// socket took everything at once, more under backpressure. The
+    /// stat keeps its name, `reactor:flush_segments`, from the
+    /// scatter-gather flush it used to count.
     pub flush_segments: Histogram,
     /// Request spans not recorded because their connection already held
     /// the cap of spans awaiting a flush (a reader that stopped reading).
@@ -353,9 +355,9 @@ impl WorkerTally {
         self.dirty = true;
     }
 
-    /// Counts one scatter-gather flush call of `segments` segments.
-    pub fn flush(&mut self, segments: u64) {
-        self.flush_segments.record(segments);
+    /// Counts one flush that made `writes` `write` calls.
+    pub fn flush(&mut self, writes: u64) {
+        self.flush_segments.record(writes);
         self.dirty = true;
     }
 
@@ -564,7 +566,7 @@ pub struct TelemetryReport {
     pub l_values: HistogramSnapshot,
     /// Per-worker reactor internals, in worker order.
     pub reactor_workers: Vec<WorkerStatsSnapshot>,
-    /// Distribution of segments batched per scatter-gather flush call.
+    /// Distribution of `write` calls per flush.
     pub flush_segments: HistogramSnapshot,
     /// Durability engine counters; `None` when `--data-dir` is unset.
     pub persist: Option<PersistSnapshot>,

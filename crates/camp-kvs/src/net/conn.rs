@@ -2,21 +2,17 @@
 //! nonblocking buffers out, no socket in sight.
 //!
 //! [`Connection`] is a run-to-completion state machine over a read
-//! buffer and an output *rope*: the reactor appends whatever the socket had into the read
-//! buffer ([`Connection::fill_from`]), [`Connection::process`] consumes
-//! complete commands from it, each writing its reply straight into the
-//! rope's active tail segment (a get hit's value is copied there from its
-//! slab chunk, the one copy it gets; the tail is sealed into the flush
-//! queue whenever it reaches [`SEG_SEAL`]), and the reactor flushes the
-//! whole rope back to the socket with one scatter-gather
-//! `write_vectored` — `writev(2)` on a `TcpStream` — per round
-//! ([`Connection::flush_to`]), so a pipelined
-//! burst of N commands still produces one syscall-level write, preserving
-//! PR 3's flush-coalescing behaviour by construction. Unlike the old
-//! single contiguous `out` Vec, a partially flushed rope never memmoves
-//! or reallocates what remains: the cursor advances across fixed
-//! segments, and fully drained segments recycle through the worker's
-//! [`SegmentPool`].
+//! buffer and an output buffer, both lent by the worker's [`BufPool`]
+//! and held only while they hold bytes: the reactor appends whatever the
+//! socket had into the read buffer ([`Connection::fill_from`]),
+//! [`Connection::process`] consumes complete commands from it, each
+//! writing its reply straight into the output buffer (a get hit's value
+//! is copied there from its slab chunk, the one copy it gets), and
+//! [`Connection::flush`] sends the whole output with plain `write` calls
+//! from a sent cursor — so a pipelined burst of N commands still leaves
+//! in one syscall, preserving PR 3's flush coalescing by construction. A
+//! buffer goes back to the pool once drained, so an idle connection holds
+//! neither; a partial command keeps its read buffer, moved to the front.
 //!
 //! Because input arrives in arbitrary fragments, the machine never
 //! consumes a command until every byte it needs is present: a `set`
@@ -35,8 +31,7 @@
 //! ordinary connections born with a preloaded error reply and
 //! `close_after_flush` set.
 
-use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::time::Instant;
 
 use camp_telemetry::{kvlog, LogLevel, RequestSpan};
@@ -52,22 +47,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// Cap on bytes ingested per fill round, so one firehose connection
 /// cannot starve its worker's other connections.
 const READ_ROUND_MAX: usize = 256 * 1024;
-/// Consumed-prefix threshold past which the read buffer is compacted.
-const COMPACT_AT: usize = 4 * 1024;
-/// Buffers larger than this are shrunk once fully drained, so a single
-/// 1 MiB `set` does not pin a megabyte per connection forever.
-const SHRINK_AT: usize = 256 * 1024;
-const SHRINK_TO: usize = 16 * 1024;
-/// Output-tail size at which the active segment is sealed into the flush
-/// queue. One oversized reply may overshoot — a reply is never split
-/// across segments, so the parser-facing sink stays a plain `Vec`.
-const SEG_SEAL: usize = 16 * 1024;
-/// Segments whose capacity ballooned past this are dropped instead of
-/// recycled, so one huge reply does not pin its allocation in the pool.
-const SEG_RECYCLE_CAP: usize = 64 * 1024;
-/// Most segments handed to one `write_vectored` call (well under Linux's
-/// `IOV_MAX` of 1024; the flush loop re-enters for any remainder).
-const MAX_IOV: usize = 64;
 /// Cap on spans awaiting their flushed stamp; a write-paused connection
 /// drops further spans (counted in `trace:spans_dropped`) rather than
 /// growing without bound.
@@ -96,120 +75,55 @@ pub(crate) enum Fill {
     Eof,
 }
 
-/// A per-worker recycling pool for drained output segments. Every
-/// connection on a worker seals into and drains from the same pool, so a
-/// worker's steady state allocates no output memory at all: segments
-/// cycle seal → writev → pool → next seal.
+/// A worker's byte buffers, lent to its connections: a read buffer while
+/// one holds input, an output buffer while one holds replies. Buffers
+/// cycle take → fill → drain → put, so a worker's steady state allocates
+/// no buffer memory, and what it keeps is bounded by the pool, not by
+/// its connection count.
 #[derive(Debug, Default)]
-pub(crate) struct SegmentPool {
+pub(crate) struct BufPool {
     free: Vec<Vec<u8>>,
 }
 
-impl SegmentPool {
-    /// Bound on pooled segments per worker (64 × 64 KiB = 4 MiB ceiling).
+impl BufPool {
+    /// Bound on pooled buffers per worker (64 × 64 KiB = 4 MiB ceiling).
     const MAX_FREE: usize = 64;
+    /// Buffers whose capacity grew past this are dropped instead of
+    /// pooled, so one huge request or reply does not pin its allocation.
+    const MAX_CAP: usize = 64 * 1024;
 
-    /// A cleared segment, recycled when one is available.
-    pub(crate) fn take(&mut self) -> Vec<u8> {
+    /// A pooled buffer, or an empty one. Its contents are stale but
+    /// initialised: a reader reads over them without zeroing, a writer
+    /// clears them first.
+    fn take(&mut self) -> Vec<u8> {
         self.free.pop().unwrap_or_default()
     }
 
-    /// Returns a drained segment. Oversized or surplus segments are
+    /// Returns a drained buffer. Oversized or surplus buffers are
     /// dropped — the pool caps per-worker memory, it does not grow it.
-    pub(crate) fn put(&mut self, mut segment: Vec<u8>) {
-        segment.clear();
-        if segment.capacity() > 0
-            && segment.capacity() <= SEG_RECYCLE_CAP
-            && self.free.len() < SegmentPool::MAX_FREE
+    fn put(&mut self, buf: Vec<u8>) {
+        if buf.capacity() > 0
+            && buf.capacity() <= BufPool::MAX_CAP
+            && self.free.len() < BufPool::MAX_FREE
         {
-            self.free.push(segment);
+            self.free.push(buf);
         }
-    }
-
-    #[cfg(test)]
-    fn pooled(&self) -> usize {
-        self.free.len()
-    }
-}
-
-/// The connection's output rope: sealed segments queued oldest-first for
-/// the scatter-gather flush, plus the active tail segment replies append
-/// to. `head_pos` bytes of the front sealed segment are already on the
-/// wire — a partial `writev` just advances this cursor, never memmoving
-/// or reallocating the remainder.
-#[derive(Debug, Default)]
-struct OutRope {
-    sealed: VecDeque<Vec<u8>>,
-    head_pos: usize,
-    /// Unflushed bytes across `sealed` (excludes the tail).
-    sealed_len: usize,
-    tail: Vec<u8>,
-}
-
-impl OutRope {
-    fn len(&self) -> usize {
-        self.sealed_len + self.tail.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Moves the tail into the sealed queue (no-op on an empty tail).
-    fn seal(&mut self, pool: &mut SegmentPool) {
-        if self.tail.is_empty() {
-            return;
-        }
-        self.sealed_len += self.tail.len();
-        let fresh = pool.take();
-        self.sealed
-            .push_back(std::mem::replace(&mut self.tail, fresh));
-    }
-
-    /// Advances the flush cursor by `written` bytes (never more than
-    /// `sealed_len`), recycling fully drained segments into `pool`.
-    fn consume(&mut self, written: usize, pool: &mut SegmentPool) {
-        self.sealed_len -= written;
-        let mut left = written;
-        while left > 0 {
-            let front_left = self.sealed.front().map_or(0, |s| s.len() - self.head_pos);
-            if left >= front_left {
-                left -= front_left;
-                self.head_pos = 0;
-                if let Some(segment) = self.sealed.pop_front() {
-                    pool.put(segment);
-                }
-            } else {
-                self.head_pos += left;
-                left = 0;
-            }
-        }
-    }
-
-    /// Returns every segment to the pool (the connection is closing).
-    fn recycle(&mut self, pool: &mut SegmentPool) {
-        for segment in self.sealed.drain(..) {
-            pool.put(segment);
-        }
-        self.head_pos = 0;
-        self.sealed_len = 0;
-        pool.put(std::mem::take(&mut self.tail));
     }
 }
 
 /// One client connection's entire protocol state.
 #[derive(Debug)]
 pub(crate) struct Connection {
-    /// Read buffer; `buf[pos..filled]` is unconsumed input and
-    /// `buf[filled..]` is spare room — already initialised, so a `read`
-    /// lands in it without a zero-fill (zeroing happens only when the
-    /// buffer grows).
-    buf: Vec<u8>,
+    /// Read buffer, borrowed while it holds input: `input[pos..filled]`
+    /// is unconsumed and `input[filled..]` is spare room — already
+    /// initialised, so a `read` lands in it without a zero-fill.
+    input: Vec<u8>,
     pos: usize,
     filled: usize,
-    /// Output rope: sealed segments awaiting flush plus the active tail,
-    /// which commands write their replies into.
-    out: OutRope,
+    /// Output buffer, borrowed while it holds replies: `out[sent..]` has
+    /// yet to reach the socket.
+    out: Vec<u8>,
+    sent: usize,
     faults: Option<FaultState>,
     /// A Delay was already decided for the currently-pending command;
     /// on resume, execute without re-rolling the fault RNG.
@@ -230,8 +144,8 @@ pub(crate) struct Connection {
     /// When the most recent socket fragment arrived (the `buffered` span
     /// phase for commands completed by that fragment).
     buffered_at: Option<Instant>,
-    /// Spans for executed commands, awaiting the flushed stamp that the
-    /// reactor applies once their replies reach the socket.
+    /// Spans for executed commands, awaiting the flushed stamp that
+    /// [`Connection::flush`] applies once their replies reach the socket.
     pending_spans: Vec<RequestSpan>,
 }
 
@@ -239,10 +153,11 @@ impl Connection {
     /// `id` seeds the connection's deterministic fault stream.
     pub(crate) fn new(id: u64, shared: &Shared) -> Connection {
         Connection {
-            buf: Vec::new(),
+            input: Vec::new(),
             pos: 0,
             filled: 0,
-            out: OutRope::default(),
+            out: Vec::new(),
+            sent: 0,
             faults: shared
                 .fault_plan
                 .as_ref()
@@ -272,7 +187,6 @@ impl Connection {
         );
         let mut conn = Connection::new(0, shared);
         conn.out
-            .tail
             .extend_from_slice(b"SERVER_ERROR too many connections\r\n");
         conn.close_after_flush = true;
         conn.counted = false;
@@ -281,29 +195,25 @@ impl Connection {
 
     /// Appends bytes to the read buffer as one arrived fragment (the
     /// socket-free twin of `fill_from`, for tests and [`Loopback`]).
-    pub(crate) fn ingest(&mut self, bytes: &[u8]) {
-        self.buf.truncate(self.filled);
-        self.buf.extend_from_slice(bytes);
-        self.filled = self.buf.len();
+    pub(crate) fn ingest(&mut self, bytes: &[u8], pool: &mut BufPool) {
+        if self.input.capacity() == 0 {
+            self.input = pool.take();
+        }
+        self.input.truncate(self.filled);
+        self.input.extend_from_slice(bytes);
+        self.filled = self.input.len();
         self.buffered_at = Some(Instant::now());
     }
 
     /// Whether unflushed output remains.
     pub(crate) fn has_pending_out(&self) -> bool {
-        !self.out.is_empty()
+        self.sent < self.out.len()
     }
 
-    /// How much unflushed output is queued across the rope (drives the
-    /// reactor's read-pause high-water mark).
+    /// How much unflushed output is queued (drives the reactor's
+    /// read-pause high-water mark).
     pub(crate) fn pending_out_len(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Returns the rope's segments to the worker pool; the reactor calls
-    /// this when the connection closes so its memory is recycled rather
-    /// than freed.
-    pub(crate) fn recycle_out(&mut self, pool: &mut SegmentPool) {
-        self.out.recycle(pool);
+        self.out.len() - self.sent
     }
 
     /// Whether a drain may close this connection now: nothing buffered in
@@ -315,25 +225,33 @@ impl Connection {
     }
 
     /// Reads the socket until a read comes back short (or the per-round
-    /// cap), never blocking. Epoll here is level-triggered: a read that
-    /// returns less than the room it was offered has drained the socket,
-    /// and whatever arrives later — more bytes or the peer's FIN — raises
-    /// the event again, so the common small request costs one `read`, not
-    /// a second one just to see `EAGAIN`. Tolerates short reads by
-    /// construction: whatever fragment arrives is appended and `process`
-    /// decides whether it adds up to a complete command yet.
+    /// cap), never blocking, into a read buffer borrowed from `pool` if
+    /// the connection holds none. Epoll here is level-triggered: a read
+    /// that returns less than the room it was offered has drained the
+    /// socket, and whatever arrives later — more bytes or the peer's FIN —
+    /// raises the event again, so the common small request costs one
+    /// `read`, not a second one just to see `EAGAIN`. Tolerates short
+    /// reads by construction: whatever fragment arrives is appended and
+    /// `process` decides whether it adds up to a complete command yet.
     ///
     /// # Errors
     ///
     /// Propagates hard socket errors (reset, aborted); `WouldBlock` is a
     /// normal outcome, not an error.
-    pub(crate) fn fill_from(&mut self, stream: &mut impl Read) -> io::Result<Fill> {
+    pub(crate) fn fill_from(
+        &mut self,
+        stream: &mut impl Read,
+        pool: &mut BufPool,
+    ) -> io::Result<Fill> {
+        if self.input.capacity() == 0 {
+            self.input = pool.take();
+        }
         let mut round = 0;
         loop {
-            if self.buf.len() < self.filled + READ_CHUNK {
-                self.buf.resize(self.filled + READ_CHUNK, 0);
+            if self.input.len() < self.filled + READ_CHUNK {
+                self.input.resize(self.filled + READ_CHUNK, 0);
             }
-            let room = &mut self.buf[self.filled..];
+            let room = &mut self.input[self.filled..];
             let offered = room.len();
             match stream.read(room) {
                 Ok(0) => {
@@ -355,62 +273,104 @@ impl Connection {
         }
     }
 
-    /// Writes the unflushed output rope to the socket with scatter-gather
-    /// `write_vectored` calls (a single `writev(2)` per call on a
-    /// `TcpStream`), stopping at `EAGAIN`. A partial write advances the
-    /// cursor across segment boundaries; fully drained segments recycle
-    /// into `pool`. Returns true once the rope is fully drained.
+    /// The one way replies leave, whoever sends them — the end of a
+    /// worker cycle, a farewell at close, the sever, [`Loopback`]: commit
+    /// what the replies acknowledge (the ack barrier), write them, publish
+    /// what was counted, and once the output has drained, stamp the spans
+    /// whose replies just left into `ring` of the flight recorder. Last,
+    /// drained buffers go back to `pool`. Returns true once the output has
+    /// drained.
     ///
     /// # Errors
     ///
     /// Propagates hard socket errors; a zero-length write surfaces as
     /// `WriteZero`.
-    pub(crate) fn flush_to(
+    pub(crate) fn flush(
         &mut self,
         stream: &mut impl Write,
-        pool: &mut SegmentPool,
+        shared: &Shared,
+        pool: &mut BufPool,
         tally: &mut WorkerTally,
+        ring: usize,
     ) -> io::Result<bool> {
-        // Seal the active tail so the flush sees one uniform segment
-        // queue; the next round's replies start on a recycled segment.
-        self.out.seal(pool);
-        while self.out.sealed_len > 0 {
-            let mut iov = [IoSlice::new(&[]); MAX_IOV];
-            let mut n_iov = 0;
-            for (index, segment) in self.out.sealed.iter().enumerate() {
-                if n_iov == MAX_IOV {
-                    break;
-                }
-                let bytes = if index == 0 {
-                    &segment[self.out.head_pos..]
-                } else {
-                    &segment[..]
-                };
-                iov[n_iov] = IoSlice::new(bytes);
-                n_iov += 1;
+        #[cfg(test)]
+        // ordering: Relaxed — test-only switch, set before any traffic.
+        let acks_first = shared
+            .flush_before_commit
+            .load(std::sync::atomic::Ordering::Relaxed);
+        #[cfg(not(test))]
+        let acks_first = false;
+        if !acks_first {
+            shared.commit_before_flush();
+        }
+        let drained = self.write_out(stream, tally);
+        if acks_first {
+            // MUTATION: the acks left first, the commit follows.
+            shared.commit_before_flush();
+        }
+        shared.metrics.absorb(tally);
+        if matches!(drained, Ok(true)) {
+            self.finish_spans(shared, ring);
+        }
+        self.return_drained(pool);
+        drained
+    }
+
+    /// Writes the unsent output with plain `write` calls until it is all
+    /// sent or the socket would block. A partial write just advances the
+    /// cursor. The calls are counted as one flush.
+    fn write_out(&mut self, stream: &mut impl Write, tally: &mut WorkerTally) -> io::Result<bool> {
+        let mut writes = 0;
+        let drained = loop {
+            if !self.has_pending_out() {
+                break Ok(true);
             }
-            tally.flush(n_iov as u64);
-            match stream.write_vectored(&iov[..n_iov]) {
+            writes += 1;
+            match stream.write(&self.out[self.sent..]) {
                 Ok(0) => {
-                    return Err(io::Error::new(
+                    break Err(io::Error::new(
                         io::ErrorKind::WriteZero,
                         "socket accepted zero bytes",
                     ))
                 }
-                Ok(n) => self.out.consume(n, pool),
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Ok(n) => self.sent += n,
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => break Ok(false),
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(err) => return Err(err),
+                Err(err) => break Err(err),
             }
+        };
+        if writes > 0 {
+            tally.flush(writes);
         }
-        Ok(true)
+        drained
     }
 
-    /// Stamps the `flushed` phase on every span whose reply just reached
-    /// the socket and records them, as one batch, into `ring` of the
-    /// flight recorder. The reactor calls this after a full write-buffer
-    /// drain (and once more at close, so spans stuck behind a slow reader
-    /// are not lost).
+    /// Gives back whichever buffer has drained. The read buffer goes
+    /// last, so the next borrower — usually the next cycle's read — takes
+    /// the buffer already initialised to its full room.
+    fn return_drained(&mut self, pool: &mut BufPool) {
+        if !self.has_pending_out() {
+            self.sent = 0;
+            pool.put(std::mem::take(&mut self.out));
+        }
+        if self.pos >= self.filled {
+            (self.pos, self.filled) = (0, 0);
+            pool.put(std::mem::take(&mut self.input));
+        }
+    }
+
+    /// Gives both buffers back, whatever they still hold: the connection
+    /// is closing.
+    pub(crate) fn release(&mut self, pool: &mut BufPool) {
+        self.sent = self.out.len();
+        self.pos = self.filled;
+        self.return_drained(pool);
+    }
+
+    /// Stamps the `flushed` phase on every span awaiting it and records
+    /// them, as one batch, into `ring` of the flight recorder. The flush
+    /// calls this once the output drains, and the reactor once more at
+    /// close, so spans stuck behind a slow reader are not lost.
     pub(crate) fn finish_spans(&mut self, shared: &Shared, ring: usize) {
         if self.pending_spans.is_empty() {
             return;
@@ -432,15 +392,38 @@ impl Connection {
             "idle_connection_evicted",
             timeout_ms = shared.idle_timeout.as_millis(),
         );
-        self.out
-            .tail
-            .extend_from_slice(b"SERVER_ERROR idle timeout\r\n");
+        self.out.extend_from_slice(b"SERVER_ERROR idle timeout\r\n");
         self.close_after_flush = true;
     }
 
+    /// Readies the output for this call's replies: borrows a buffer if
+    /// the connection holds none, and drops the sent prefix of a partly
+    /// flushed one, so a reader that keeps up slowly cannot make it grow
+    /// without bound.
+    fn ready_out(&mut self, pool: &mut BufPool) {
+        if self.out.capacity() == 0 {
+            self.out = pool.take();
+            self.out.clear();
+        } else if self.sent > 0 {
+            self.out.drain(..self.sent);
+            self.sent = 0;
+        }
+    }
+
+    /// Moves a partial command to the front of the read buffer, so the
+    /// buffer only grows with what one command needs.
+    fn keep_partial(&mut self) {
+        if self.pos > 0 {
+            self.input.copy_within(self.pos..self.filled, 0);
+            self.filled -= self.pos;
+            self.pos = 0;
+        }
+    }
+
     /// Consumes every complete command currently buffered, appending the
-    /// replies to the output rope, and says what the reactor should do
-    /// next. Run-to-completion: one call drains everything actionable.
+    /// replies to the output buffer (borrowed from `pool` if need be), and
+    /// says what the reactor should do next. Run-to-completion: one call
+    /// drains everything actionable.
     ///
     /// `now` is the batch timestamp stamped once per reactor wakeup —
     /// chaos delays, liveness stamps and item expiry use it as is. The
@@ -455,12 +438,15 @@ impl Connection {
     pub(crate) fn process(
         &mut self,
         shared: &Shared,
-        pool: &mut SegmentPool,
+        pool: &mut BufPool,
         tally: &mut WorkerTally,
         now: Stamp,
     ) -> Step {
         if self.close_after_flush {
             return Step::Close;
+        }
+        if self.pos < self.filled {
+            self.ready_out(pool);
         }
         let recorder = &shared.recorder;
         // A cycle that read nothing (a delay resume, a drain sweep) starts
@@ -470,11 +456,6 @@ impl Connection {
         let mut started = buffered_at.max(now.at);
         let mut started_us = recorder.micros_since_boot(started);
         loop {
-            // Seal a grown tail so the next flush scatter-gathers bounded
-            // segments instead of one unbounded contiguous buffer.
-            if self.out.tail.len() >= SEG_SEAL {
-                self.out.seal(pool);
-            }
             // An in-force chaos delay pauses the whole connection —
             // pipelined commands behind the delayed one wait.
             if let Some(until) = self.delayed_until {
@@ -484,14 +465,13 @@ impl Connection {
                 self.delayed_until = None;
             }
             if self.pos >= self.filled {
-                self.compact();
                 return if self.peer_eof {
                     Step::Close
                 } else {
                     Step::NeedRead
                 };
             }
-            let newline = self.buf[self.pos..self.filled]
+            let newline = self.input[self.pos..self.filled]
                 .iter()
                 .position(|&b| b == b'\n');
             let (line_end, line_wire) = match newline {
@@ -501,11 +481,11 @@ impl Connection {
                 // at EOF); otherwise wait for the rest.
                 None if self.peer_eof => (self.filled, self.filled - self.pos),
                 None => {
-                    self.compact();
+                    self.keep_partial();
                     return Step::NeedRead;
                 }
             };
-            let mut line = &self.buf[self.pos..line_end];
+            let mut line = &self.input[self.pos..line_end];
             while let [rest @ .., b'\r' | b'\n'] = line {
                 line = rest;
             }
@@ -536,11 +516,11 @@ impl Connection {
                                     // nothing more can be parsed.
                                     return Step::Close;
                                 }
-                                self.compact();
+                                self.keep_partial();
                                 return Step::NeedRead;
                             }
                             let start = self.pos + line_wire;
-                            let terminator = &self.buf[start + header.bytes..self.pos + needed];
+                            let terminator = &self.input[start + header.bytes..self.pos + needed];
                             if terminator != b"\r\n" {
                                 // The stream is desynchronized; reading on
                                 // would misparse data as commands.
@@ -552,7 +532,7 @@ impl Connection {
                                 return Step::Close;
                             }
                             (
-                                &self.buf[start..start + header.bytes],
+                                &self.input[start..start + header.bytes],
                                 needed,
                                 (line_wire + header.bytes + 2) as u64,
                             )
@@ -580,7 +560,6 @@ impl Connection {
                                     shared.metrics.record_fault(FaultKind::Error);
                                     tally.bytes(kind, wire_bytes);
                                     self.out
-                                        .tail
                                         .extend_from_slice(b"SERVER_ERROR injected fault\r\n");
                                     self.last_complete = now.at;
                                     self.pos += consumed;
@@ -606,7 +585,7 @@ impl Connection {
                     execute(
                         &command,
                         block,
-                        &mut self.out.tail,
+                        &mut self.out,
                         shared,
                         Stamp {
                             at: started,
@@ -643,8 +622,8 @@ impl Connection {
                         .protocol_errors
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     kvlog!(LogLevel::Debug, "protocol_error", error = err);
-                    self.out.tail.extend_from_slice(err.to_string().as_bytes());
-                    self.out.tail.extend_from_slice(b"\r\n");
+                    self.out.extend_from_slice(err.to_string().as_bytes());
+                    self.out.extend_from_slice(b"\r\n");
                     self.pos += line_wire;
                     if err.is_fatal() {
                         // The refused data block is still on the wire;
@@ -658,30 +637,14 @@ impl Connection {
             }
         }
     }
-
-    /// Drops the consumed prefix once it is worth the memmove, and returns
-    /// oversized buffers to a modest footprint when fully drained.
-    fn compact(&mut self) {
-        if self.pos >= self.filled {
-            self.pos = 0;
-            self.filled = 0;
-            if self.buf.capacity() > SHRINK_AT {
-                self.buf.truncate(SHRINK_TO);
-                self.buf.shrink_to(SHRINK_TO);
-            }
-        } else if self.pos >= COMPACT_AT {
-            self.buf.copy_within(self.pos..self.filled, 0);
-            self.filled -= self.pos;
-            self.pos = 0;
-        }
-    }
 }
 
 /// A connection and everything a reactor worker would bring to it, with
 /// no socket and no event loop: each [`Loopback::exchange`] takes the bytes
 /// one readiness event would have delivered through exactly the path a
 /// worker runs — parse, execute against a real store, tally, publish,
-/// commit, flush, record spans — and leaves the replies in a buffer. It
+/// then the worker's own flush routine — and leaves the replies
+/// in a buffer. It
 /// exists so that path's cost per command can be measured apart from the
 /// kernel's share of a request (`conn/process_pipeline32` in the hot-path
 /// benchmarks).
@@ -689,7 +652,7 @@ impl Connection {
 pub struct Loopback {
     shared: Shared,
     conn: Connection,
-    pool: SegmentPool,
+    pool: BufPool,
     tally: WorkerTally,
 }
 
@@ -706,7 +669,7 @@ impl Loopback {
         Ok(Loopback {
             conn: Connection::new(1, &shared),
             shared,
-            pool: SegmentPool::default(),
+            pool: BufPool::default(),
             tally: WorkerTally::default(),
         })
     }
@@ -718,15 +681,12 @@ impl Loopback {
     ///
     /// None in practice: a `Vec` sink accepts every write.
     pub fn exchange(&mut self, input: &[u8], replies: &mut Vec<u8>) -> io::Result<()> {
-        self.conn.ingest(input);
+        self.conn.ingest(input, &mut self.pool);
         self.conn
             .process(&self.shared, &mut self.pool, &mut self.tally, Stamp::now());
         self.shared.metrics.absorb(&mut self.tally);
-        self.shared.commit_before_flush();
         self.conn
-            .flush_to(replies, &mut self.pool, &mut self.tally)?;
-        self.conn.finish_spans(&self.shared, 0);
-        self.shared.metrics.absorb(&mut self.tally);
+            .flush(replies, &self.shared, &mut self.pool, &mut self.tally, 0)?;
         Ok(())
     }
 }
@@ -741,6 +701,7 @@ mod tests {
     use crate::slab::SlabConfig;
     use crate::store::{EvictionMode, StoreConfig};
     use camp_core::Precision;
+    use std::collections::VecDeque;
     use std::time::Duration;
 
     fn test_shared(fault_plan: Option<FaultPlan>) -> Shared {
@@ -755,7 +716,7 @@ mod tests {
     /// Runs `process` with a throwaway pool and a fresh batch timestamp,
     /// publishing what it tallied as the reactor would before a flush.
     fn step(conn: &mut Connection, shared: &Shared) -> Step {
-        let mut pool = SegmentPool::default();
+        let mut pool = BufPool::default();
         let mut tally = WorkerTally::default();
         let step = conn.process(shared, &mut pool, &mut tally, Stamp::now());
         shared.metrics.absorb(&mut tally);
@@ -763,20 +724,31 @@ mod tests {
     }
 
     fn flushed(conn: &mut Connection, shared: &Shared) -> Vec<u8> {
-        let mut pool = SegmentPool::default();
-        let mut tally = WorkerTally::default();
         let mut sink = Vec::new();
-        conn.flush_to(&mut sink, &mut pool, &mut tally)
-            .expect("vec sink");
-        shared.metrics.absorb(&mut tally);
+        conn.flush(
+            &mut sink,
+            shared,
+            &mut BufPool::default(),
+            &mut WorkerTally::default(),
+            0,
+        )
+        .expect("vec sink");
         sink
+    }
+
+    /// Hands `bytes` to the connection as one arrived fragment.
+    fn feed(conn: &mut Connection, bytes: &[u8]) {
+        conn.ingest(bytes, &mut BufPool::default());
     }
 
     #[test]
     fn pipelined_burst_yields_one_coalesced_reply_buffer() {
         let shared = test_shared(None);
         let mut conn = Connection::new(1, &shared);
-        conn.ingest(b"set a 0 0 3\r\nAAA\r\nset b 0 0 3\r\nBBB\r\nget a b\r\n");
+        feed(
+            &mut conn,
+            b"set a 0 0 3\r\nAAA\r\nset b 0 0 3\r\nBBB\r\nget a b\r\n",
+        );
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
         assert_eq!(
             flushed(&mut conn, &shared),
@@ -791,10 +763,10 @@ mod tests {
         // Byte-at-a-time: the worst-case short-read stream.
         let wire = b"set frag 7 0 5\r\nhello\r\nget frag\r\n";
         for &byte in &wire[..wire.len() - 1] {
-            conn.ingest(&[byte]);
+            feed(&mut conn, &[byte]);
             assert_eq!(step(&mut conn, &shared), Step::NeedRead);
         }
-        conn.ingest(&wire[wire.len() - 1..]);
+        feed(&mut conn, &wire[wire.len() - 1..]);
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
         assert_eq!(
             flushed(&mut conn, &shared),
@@ -809,7 +781,7 @@ mod tests {
         let plan: FaultPlan = "err=1.0,seed=7".parse().expect("plan");
         let shared = test_shared(Some(plan));
         let mut conn = Connection::new(3, &shared);
-        conn.ingest(b"set k 0 0 5\r\nhel");
+        feed(&mut conn, b"set k 0 0 5\r\nhel");
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
         let injected = shared.metrics.faults_snapshot();
         assert_eq!(
@@ -817,7 +789,7 @@ mod tests {
             0,
             "{injected:?}"
         );
-        conn.ingest(b"lo\r\n");
+        feed(&mut conn, b"lo\r\n");
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
         assert_eq!(
             flushed(&mut conn, &shared),
@@ -836,7 +808,7 @@ mod tests {
         let plan: FaultPlan = "delay=2ms@1.0,seed=9".parse().expect("plan");
         let shared = test_shared(Some(plan));
         let mut conn = Connection::new(4, &shared);
-        conn.ingest(b"set k 0 0 1\r\nx\r\n");
+        feed(&mut conn, b"set k 0 0 1\r\nx\r\n");
         let until = match step(&mut conn, &shared) {
             Step::Delayed(until) => until,
             other => panic!("expected Delayed, got {other:?}"),
@@ -863,7 +835,7 @@ mod tests {
     fn eof_hands_the_partial_final_line_to_the_parser() {
         let shared = test_shared(None);
         let mut conn = Connection::new(1, &shared);
-        conn.ingest(b"version");
+        feed(&mut conn, b"version");
         conn.peer_eof = true;
         assert_eq!(step(&mut conn, &shared), Step::Close);
         let reply = flushed(&mut conn, &shared);
@@ -874,7 +846,7 @@ mod tests {
     fn eof_mid_data_block_stores_nothing() {
         let shared = test_shared(None);
         let mut conn = Connection::new(1, &shared);
-        conn.ingest(b"set gone 0 0 10\r\nhalf");
+        feed(&mut conn, b"set gone 0 0 10\r\nhalf");
         conn.peer_eof = true;
         assert_eq!(step(&mut conn, &shared), Step::Close);
         assert_eq!(shared.store.len(), 0);
@@ -884,7 +856,7 @@ mod tests {
     fn bad_block_terminator_closes_the_connection() {
         let shared = test_shared(None);
         let mut conn = Connection::new(1, &shared);
-        conn.ingest(b"set a 0 0 3\r\nAAAXXget a\r\n");
+        feed(&mut conn, b"set a 0 0 3\r\nAAAXXget a\r\n");
         assert_eq!(step(&mut conn, &shared), Step::Close);
     }
 
@@ -893,7 +865,7 @@ mod tests {
         let shared = test_shared(None);
         let mut conn = Connection::new(1, &shared);
         let line = format!("set big 0 0 {}\r\n", shared.max_value_len + 1);
-        conn.ingest(line.as_bytes());
+        feed(&mut conn, line.as_bytes());
         assert_eq!(step(&mut conn, &shared), Step::Close);
         let reply = flushed(&mut conn, &shared);
         assert!(
@@ -913,7 +885,7 @@ mod tests {
     fn quit_closes_after_flush() {
         let shared = test_shared(None);
         let mut conn = Connection::new(1, &shared);
-        conn.ingest(b"version\r\nquit\r\nget never-processed\r\n");
+        feed(&mut conn, b"version\r\nquit\r\nget never-processed\r\n");
         assert_eq!(step(&mut conn, &shared), Step::Close);
         let reply = flushed(&mut conn, &shared);
         assert!(reply.starts_with(b"VERSION"), "{reply:?}");
@@ -967,16 +939,20 @@ mod tests {
         };
         // Drive fill/process until the input is exhausted.
         while !io.script.is_empty() {
-            assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Open);
+            assert_eq!(
+                conn.fill_from(&mut io, &mut BufPool::default())
+                    .expect("fill"),
+                Fill::Open
+            );
             step(&mut conn, &shared);
         }
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
         // Drive the partial-write loop until fully flushed.
-        let mut pool = SegmentPool::default();
+        let mut pool = BufPool::default();
         let mut tally = WorkerTally::default();
         let mut rounds = 0;
         while !conn
-            .flush_to(&mut io, &mut pool, &mut tally)
+            .flush(&mut io, &shared, &mut pool, &mut tally, 0)
             .expect("flush")
         {
             rounds += 1;
@@ -1022,16 +998,35 @@ mod tests {
     fn a_short_fragment_costs_exactly_one_read() {
         let shared = test_shared(None);
         let mut conn = Connection::new(1, &shared);
+        let mut pool = BufPool::default();
+        let mut tally = WorkerTally::default();
         let mut io = Scripted::new(vec![Ok(b"version\r\n".to_vec())]);
-        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Open);
+        assert_eq!(
+            conn.fill_from(&mut io, &mut pool).expect("fill"),
+            Fill::Open
+        );
         assert_eq!(io.calls, 1, "no second read just to see EAGAIN");
+        let read_buffer = conn.input.as_ptr();
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
-        assert!(flushed(&mut conn, &shared).starts_with(b"VERSION"));
-        // The next readiness round reuses the initialised buffer.
+        let mut sink = Vec::new();
+        assert!(conn
+            .flush(&mut sink, &shared, &mut pool, &mut tally, 0)
+            .expect("vec sink"));
+        assert!(sink.starts_with(b"VERSION"));
+        // The next readiness round borrows the same initialised buffer
+        // back from the pool.
         let mut io = Scripted::new(vec![Ok(b"version\r\n".to_vec())]);
-        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Open);
+        assert_eq!(
+            conn.fill_from(&mut io, &mut pool).expect("fill"),
+            Fill::Open
+        );
         assert_eq!(io.calls, 1);
-        assert_eq!(conn.buf.len(), READ_CHUNK, "no regrowth between rounds");
+        assert_eq!(
+            conn.input.as_ptr(),
+            read_buffer,
+            "the read buffer came back"
+        );
+        assert_eq!(conn.input.len(), READ_CHUNK, "no regrowth between rounds");
     }
 
     #[test]
@@ -1046,7 +1041,11 @@ mod tests {
             rest
         };
         let mut io = Scripted::new(vec![Ok(wire), Ok(rest)]);
-        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Open);
+        assert_eq!(
+            conn.fill_from(&mut io, &mut BufPool::default())
+                .expect("fill"),
+            Fill::Open
+        );
         assert_eq!(io.calls, 2, "a full read may have left bytes behind");
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
         let reply = flushed(&mut conn, &shared);
@@ -1056,7 +1055,11 @@ mod tests {
             Err(io::ErrorKind::Interrupted.into()),
             Err(io::ErrorKind::WouldBlock.into()),
         ]);
-        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Open);
+        assert_eq!(
+            conn.fill_from(&mut io, &mut BufPool::default())
+                .expect("fill"),
+            Fill::Open
+        );
         assert_eq!(io.calls, 2);
     }
 
@@ -1067,10 +1070,18 @@ mod tests {
         // Round one: the final command, short, so the FIN behind it is
         // not looked for; level-triggered epoll raises the event again.
         let mut io = Scripted::new(vec![Ok(b"version".to_vec()), Ok(Vec::new())]);
-        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Open);
+        assert_eq!(
+            conn.fill_from(&mut io, &mut BufPool::default())
+                .expect("fill"),
+            Fill::Open
+        );
         assert_eq!(io.calls, 1);
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
-        assert_eq!(conn.fill_from(&mut io).expect("fill"), Fill::Eof);
+        assert_eq!(
+            conn.fill_from(&mut io, &mut BufPool::default())
+                .expect("fill"),
+            Fill::Eof
+        );
         assert!(conn.peer_eof);
         assert_eq!(step(&mut conn, &shared), Step::Close);
         assert!(flushed(&mut conn, &shared).starts_with(b"VERSION"));
@@ -1100,10 +1111,10 @@ mod tests {
         let mut conn = Connection::new(1, &shared);
         assert!(conn.drain_closable());
         // A partial line in flight blocks the drain close (severed later).
-        conn.ingest(b"get par");
+        feed(&mut conn, b"get par");
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
         assert!(!conn.drain_closable());
-        conn.ingest(b"tial\r\n");
+        feed(&mut conn, b"tial\r\n");
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
         assert!(conn.has_pending_out());
         assert!(!conn.drain_closable());
@@ -1112,39 +1123,25 @@ mod tests {
     }
 
     #[test]
-    fn writev_resumes_across_segment_boundaries_after_partial_writes() {
-        /// Accepts at most `cap` bytes per vectored write and blocks on
-        /// every other call — a congested non-blocking socket whose
-        /// partial writes deliberately land mid-segment.
-        struct Gather {
+    fn a_flush_resumes_at_the_right_byte_after_partial_writes() {
+        /// Accepts at most `cap` bytes per write and blocks on every
+        /// other call — a congested non-blocking socket.
+        struct Congested {
             wrote: Vec<u8>,
             cap: usize,
             block_next: bool,
-            max_iovs: usize,
-            rounds: usize,
+            calls: u64,
         }
-        impl Write for Gather {
+        impl Write for Congested {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.write_vectored(&[IoSlice::new(buf)])
-            }
-            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-                if self.block_next {
-                    self.block_next = false;
+                self.calls += 1;
+                self.block_next = !self.block_next;
+                if !self.block_next {
                     return Err(io::ErrorKind::WouldBlock.into());
                 }
-                self.block_next = true;
-                self.rounds += 1;
-                self.max_iovs = self.max_iovs.max(bufs.len());
-                let mut budget = self.cap;
-                for buf in bufs {
-                    if budget == 0 {
-                        break;
-                    }
-                    let n = budget.min(buf.len());
-                    self.wrote.extend_from_slice(&buf[..n]);
-                    budget -= n;
-                }
-                Ok(self.cap - budget)
+                let n = self.cap.min(buf.len());
+                self.wrote.extend_from_slice(&buf[..n]);
+                Ok(n)
             }
             fn flush(&mut self) -> io::Result<()> {
                 Ok(())
@@ -1153,72 +1150,95 @@ mod tests {
 
         let shared = test_shared(None);
         let mut conn = Connection::new(1, &shared);
-        let mut pool = SegmentPool::default();
-        // Three sealed segments plus a live tail; a 700-byte write cap
-        // splits every 1000-byte segment across two flush rounds.
-        let mut expected = Vec::new();
-        for fill in [b'a', b'b', b'c'] {
-            conn.out.tail.extend_from_slice(&[fill; 1000]);
-            expected.extend_from_slice(&[fill; 1000]);
-            conn.out.seal(&mut pool);
-        }
-        conn.out.tail.extend_from_slice(b"tail");
-        expected.extend_from_slice(b"tail");
-
-        let mut io = Gather {
+        let mut pool = BufPool::default();
+        let mut tally = WorkerTally::default();
+        let mut io = Congested {
             wrote: Vec::new(),
             cap: 700,
             block_next: false,
-            max_iovs: 0,
-            rounds: 0,
+            calls: 0,
         };
-        let mut tally = WorkerTally::default();
-        let mut spins = 0;
+        let mut expected = Vec::new();
+        for fill in [b'a', b'b', b'c'] {
+            conn.out.extend_from_slice(&[fill; 1000]);
+            expected.extend_from_slice(&[fill; 1000]);
+        }
+        // One write lands mid-run, then the socket blocks.
+        assert!(!conn
+            .flush(&mut io, &shared, &mut pool, &mut tally, 0)
+            .expect("flush"));
+        assert_eq!((conn.sent, io.wrote.len()), (700, 700));
+        // More replies join the unsent rest; the sent prefix goes first.
+        feed(&mut conn, b"version\r\n");
+        assert_eq!(step(&mut conn, &shared), Step::NeedRead);
+        assert_eq!(conn.sent, 0, "the sent prefix was dropped");
+        assert_eq!(conn.pending_out_len(), conn.out.len());
+        let mut flushes = 1;
         while !conn
-            .flush_to(&mut io, &mut pool, &mut tally)
+            .flush(&mut io, &shared, &mut pool, &mut tally, 0)
             .expect("flush")
         {
-            spins += 1;
-            assert!(spins < 100, "flush failed to make progress");
+            flushes += 1;
+            assert!(flushes < 100, "flush failed to make progress");
         }
-        assert_eq!(io.wrote, expected);
+        flushes += 1;
+        let (body, version) = io.wrote.split_at(expected.len());
+        assert_eq!(body, &expected[..]);
+        assert!(version.starts_with(b"VERSION "), "{version:?}");
         assert!(!conn.has_pending_out());
-        assert!(
-            io.max_iovs >= 2,
-            "flush never batched multiple segments into one writev: {}",
-            io.max_iovs
-        );
-        assert!(spins > 0, "EAGAIN never surfaced to the caller");
+        // Each flush is one sample of the write calls it made, blocked
+        // calls included.
+        let counted = shared.metrics.flush_segments.snapshot();
+        assert_eq!((counted.count, counted.sum), (flushes, io.calls));
     }
 
     #[test]
-    fn drained_segments_recycle_through_the_pool() {
+    fn drained_buffers_return_to_the_pool_and_an_oversized_one_is_dropped() {
         let shared = test_shared(None);
         let mut conn = Connection::new(1, &shared);
-        let mut pool = SegmentPool::default();
-        for _ in 0..4 {
-            conn.out.tail.extend_from_slice(&[7u8; 100]);
-            conn.out.seal(&mut pool);
-        }
+        let mut pool = BufPool::default();
+        let mut tally = WorkerTally::default();
+        conn.ingest(b"version\r\n", &mut pool);
+        assert_eq!(
+            conn.process(&shared, &mut pool, &mut tally, Stamp::now()),
+            Step::NeedRead
+        );
+        assert!(conn.input.capacity() > 0 && conn.out.capacity() > 0);
         let mut sink = Vec::new();
         assert!(conn
-            .flush_to(&mut sink, &mut pool, &mut WorkerTally::default())
-            .expect("flush"));
-        assert_eq!(sink.len(), 400);
-        assert!(
-            pool.pooled() >= 4,
-            "drained segments were not recycled: {}",
-            pool.pooled()
-        );
+            .flush(&mut sink, &shared, &mut pool, &mut tally, 0)
+            .expect("vec sink"));
+        // An idle connection holds neither buffer; the pool has both.
+        assert_eq!((conn.input.capacity(), conn.out.capacity()), (0, 0));
+        assert_eq!(pool.free.len(), 2);
 
-        // Oversized buffers are dropped rather than hoarded...
-        let before = pool.pooled();
-        pool.put(Vec::with_capacity(SEG_RECYCLE_CAP + 1));
-        assert_eq!(pool.pooled(), before);
-        // ...while recycled segments come back out ready to use.
-        let segment = pool.take();
-        assert!(segment.is_empty() && segment.capacity() > 0);
-        assert_eq!(pool.pooled(), before - 1);
+        // A reply that outgrows the cap is dropped once it drains...
+        feed(&mut conn, b"version\r\n");
+        assert_eq!(step(&mut conn, &shared), Step::NeedRead);
+        conn.out.reserve(BufPool::MAX_CAP + 1);
+        let _ = flushed(&mut conn, &shared);
+        conn.release(&mut pool);
+        assert_eq!(pool.free.len(), 2, "the oversized buffer was pooled");
+        // ...while pooled buffers come back out ready to use.
+        let buf = pool.take();
+        assert!(buf.capacity() > 0);
+        assert_eq!(pool.free.len(), 1);
+    }
+
+    #[test]
+    fn a_partial_command_keeps_its_read_buffer_at_the_front() {
+        let shared = test_shared(None);
+        let mut conn = Connection::new(1, &shared);
+        feed(&mut conn, b"version\r\nget par");
+        assert_eq!(step(&mut conn, &shared), Step::NeedRead);
+        assert!(flushed(&mut conn, &shared).starts_with(b"VERSION"));
+        assert_eq!(&conn.input[conn.pos..conn.filled], b"get par");
+        assert_eq!(conn.pos, 0, "the partial line moved to the front");
+        assert_eq!(conn.out.capacity(), 0, "the drained output went back");
+        feed(&mut conn, b"tial\r\n");
+        assert_eq!(step(&mut conn, &shared), Step::NeedRead);
+        assert_eq!(flushed(&mut conn, &shared), b"END\r\n".to_vec());
+        assert_eq!(conn.input.capacity(), 0, "the drained input went back");
     }
 
     /// A loopback over a data dir acknowledges a write only once a commit
@@ -1254,34 +1274,5 @@ mod tests {
             "an acknowledged set was never written"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn process_seals_oversized_output_into_segments() {
-        let shared = test_shared(None);
-        let mut conn = Connection::new(1, &shared);
-        let mut pool = SegmentPool::default();
-        // Enough pipelined replies to cross SEG_SEAL several times over.
-        let burst = "version\r\n".repeat(4000);
-        conn.ingest(burst.as_bytes());
-        assert_eq!(
-            conn.process(
-                &shared,
-                &mut pool,
-                &mut WorkerTally::default(),
-                Stamp::now()
-            ),
-            Step::NeedRead
-        );
-        assert!(
-            conn.out.sealed.len() >= 2,
-            "large pipelined output never sealed: {} segments",
-            conn.out.sealed.len()
-        );
-        assert!(conn.pending_out_len() > SEG_SEAL);
-        let reply = flushed(&mut conn, &shared);
-        assert!(reply.starts_with(b"VERSION"));
-        assert!(reply.ends_with(b"\r\n"));
-        assert!(!conn.has_pending_out());
     }
 }

@@ -9,8 +9,7 @@
 //! way [`crate::signals`] declares its self-pipe syscalls. Everything
 //! above this file (the reactor, the connection state machine, the timer
 //! heap) is safe code: worker wake-ups ride on `std`'s `UnixStream`
-//! pairs, and scatter-gather flushes ride on `std`'s `write_vectored`
-//! (which is the `writev(2)` syscall for a `TcpStream`).
+//! pairs, and flushes on `std`'s `TcpStream::write`.
 //!
 //! This is one of exactly two modules in the workspace allowed to use
 //! `unsafe` (the other is `signals.rs`); camp-lint's

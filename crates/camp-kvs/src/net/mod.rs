@@ -12,8 +12,9 @@
 //! - [`timer`] — a min-heap of deadlines; idle eviction, chaos delay
 //!   resumes and the drain sweep are all heap entries.
 //! - `conn` (crate-private) — the per-connection protocol state machine:
-//!   buffers in, a segmented output rope flushed with scatter-gather
-//!   `writev`, no sockets, fully unit-testable.
+//!   a read buffer in, one output buffer out, both lent by the worker's
+//!   pool only while they hold bytes; one flush routine that every reply
+//!   leaves through; no sockets, fully unit-testable.
 //! - `reactor` (crate-private) — N worker event loops, each owning its
 //!   own listener and its connections in a `camp_core::arena::Arena`
 //!   (connections pinned to the accepting worker), batched

@@ -32,7 +32,10 @@
 //! event for a recycled slot is recognized and dropped — the run queue,
 //! the parked list and the timers hold `EntryId`s too, and re-validate
 //! them at run time, which also covers connections closed earlier in the
-//! same batch. Each worker owns a [`Timers`] heap driving three deadline
+//! same batch. Each worker also owns one [`BufPool`]: a connection borrows
+//! a read buffer from it while it holds input and an output buffer while
+//! it holds replies, so thousands of idle connections cost the worker no
+//! buffer memory. Each worker owns a [`Timers`] heap driving three deadline
 //! kinds: slowloris idle eviction, chaos delay resumes, and the 50 ms
 //! drain sweep. The epoll wait timeout is derived from the heap's earliest
 //! deadline, so a worker with nothing due blocks fully.
@@ -52,10 +55,11 @@
 //! skipped (level-triggered, they come back) and its timers re-armed.
 //! Once a poll finds nothing to run, or the group has filled
 //! [`EVENT_BATCH`] event slots, the worker finishes the parked
-//! connections in order — commit, flush, record spans, re-derive interest
-//! — so the first commit issues one `write` (and under `always` one sync)
-//! for every record the group appended, and the rest find nothing to do.
-//! Only the farewell flushes of `close` and `sever_all` commit inline.
+//! connections in order. Every reply leaves through one routine,
+//! [`Connection::flush`] — commit, write, publish, stamp spans — whether
+//! a cycle finishes, a connection closes or the sever sweeps it, so the
+//! first parked flush issues one `write` (and under `always` one sync) for
+//! every record the group appended, and the rest find nothing owed.
 //! Without `--data-dir`, or when nothing is pending, the check is one
 //! lock-free load that reads `false` and the worker sleeps as before.
 //!
@@ -83,7 +87,7 @@ use camp_core::arena::{Arena, EntryId};
 use camp_telemetry::{kvlog, LogLevel};
 
 use crate::metrics::WorkerTally;
-use crate::net::conn::{Connection, SegmentPool, Step};
+use crate::net::conn::{BufPool, Connection, Step};
 use crate::net::epoll::{
     Epoll, EpollEvent, ReusePortListener, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
 };
@@ -241,8 +245,8 @@ struct Worker {
     listener: Option<ReusePortListener>,
     conns: Arena<SlotEntry>,
     timers: Timers<Timer>,
-    /// Recycled output segments shared by this worker's connections.
-    pool: SegmentPool,
+    /// The buffers this worker lends its connections.
+    pool: BufPool,
     /// What this worker has counted and not yet published.
     tally: WorkerTally,
     /// Connections with events pending from the current batch; entries
@@ -275,7 +279,7 @@ impl Worker {
             listener: Some(listener),
             conns: Arena::new(),
             timers: Timers::default(),
-            pool: SegmentPool::default(),
+            pool: BufPool::default(),
             tally: WorkerTally::default(),
             run_queue: Vec::new(),
             parked: Vec::new(),
@@ -426,23 +430,8 @@ impl Worker {
     /// for whatever other workers appended meanwhile; the rest see nothing
     /// owed.
     fn finish_parked(&mut self) {
-        if self.parked.is_empty() {
-            return;
-        }
         let mut parked = std::mem::take(&mut self.parked);
         for (id, step) in parked.drain(..) {
-            if !self.conns.contains(id) {
-                continue;
-            }
-            #[cfg(test)]
-            // ordering: Relaxed — test-only switch, set before any traffic.
-            if self.shared.flush_before_commit.load(Ordering::Relaxed) {
-                // MUTATION: the acks leave first, the commit follows.
-                self.finish(id, step);
-                self.shared.commit_before_flush();
-                continue;
-            }
-            self.shared.commit_before_flush();
             self.finish(id, step);
         }
         self.parked = parked;
@@ -573,7 +562,8 @@ impl Worker {
                 && !conn.peer_eof
                 && conn.pending_out_len() <= OUT_HIGH_WATER;
             let filled = if readable {
-                conn.fill_from(&mut entry.stream).map(|_| ())
+                conn.fill_from(&mut entry.stream, &mut self.pool)
+                    .map(|_| ())
             } else {
                 Ok(())
             };
@@ -602,78 +592,59 @@ impl Worker {
         self.finish(id, step);
     }
 
-    /// The second half of a cycle: flush the coalesced replies, stamp the
-    /// spans they complete, then re-derive epoll interest from `step`.
-    /// Whatever the replies acknowledge must be committed by now.
+    /// The second half of a cycle: flush the coalesced replies (which
+    /// commits what they acknowledge first), then re-derive epoll interest
+    /// from `step`.
     fn finish(&mut self, id: EntryId, step: Step) {
-        let shared = Arc::clone(&self.shared);
         // ordering: SeqCst — drain control plane; see the event-loop checks.
-        let draining = shared.draining.load(Ordering::SeqCst);
-        let worker = self.index;
-        let pool = &mut self.pool;
-        let tally = &mut self.tally;
-        let mut resume_at: Option<Instant> = None;
-        let after = 'compute: {
-            let Some(entry) = self.conns.get_mut(id) else {
-                return;
-            };
-            entry.parked = false;
-            let conn = &mut entry.conn;
-            let flushed = conn.flush_to(&mut entry.stream, pool, tally);
-            // The flush counted itself; nothing stays unpublished while
-            // the worker sleeps.
-            shared.metrics.absorb(tally);
-            let flushed = match flushed {
-                Ok(flushed) => flushed,
-                Err(err) => {
-                    kvlog!(LogLevel::Debug, "connection_error", error = err);
-                    break 'compute After::Close;
-                }
-            };
-            if flushed {
-                conn.finish_spans(&shared, worker);
+        let draining = self.shared.draining.load(Ordering::SeqCst);
+        let Some(entry) = self.conns.get_mut(id) else {
+            return;
+        };
+        entry.parked = false;
+        let conn = &mut entry.conn;
+        let flushed = conn.flush(
+            &mut entry.stream,
+            &self.shared,
+            &mut self.pool,
+            &mut self.tally,
+            self.index,
+        );
+        let after = match (flushed, step) {
+            (Err(err), _) => {
+                kvlog!(LogLevel::Debug, "connection_error", error = err);
+                After::Close
             }
-            match step {
-                Step::Close => {
-                    conn.close_after_flush = true;
-                    if flushed {
-                        After::Close
-                    } else {
-                        After::Keep(EPOLLOUT)
-                    }
-                }
-                Step::Delayed(until) => {
-                    resume_at = Some(until);
-                    After::Keep(if flushed { 0 } else { EPOLLOUT })
-                }
-                Step::NeedRead => {
-                    if (conn.close_after_flush && flushed) || (draining && conn.drain_closable()) {
-                        After::Close
-                    } else {
-                        let mut interest = if flushed { 0 } else { EPOLLOUT };
-                        if conn.pending_out_len() <= OUT_HIGH_WATER {
-                            interest |= EPOLLIN;
-                        } else {
-                            // High-water mark hit: stop reading until the
-                            // peer drains some output.
-                            shared
-                                .reactor_stats
-                                .worker(worker)
-                                .write_pauses
-                                // ordering: Relaxed — statistics counter.
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        After::Keep(interest)
-                    }
+            (Ok(true), Step::Close) => After::Close,
+            (Ok(false), Step::Close) => {
+                conn.close_after_flush = true;
+                After::Keep(EPOLLOUT)
+            }
+            (Ok(flushed), Step::Delayed(until)) => {
+                self.timers.schedule(until, Timer::Resume(id));
+                After::Keep(if flushed { 0 } else { EPOLLOUT })
+            }
+            (Ok(flushed), Step::NeedRead) => {
+                if (conn.close_after_flush && flushed) || (draining && conn.drain_closable()) {
+                    After::Close
+                } else if conn.pending_out_len() <= OUT_HIGH_WATER {
+                    After::Keep(if flushed { EPOLLIN } else { EPOLLIN | EPOLLOUT })
+                } else {
+                    // High-water mark hit: stop reading until the peer
+                    // drains some output.
+                    self.shared
+                        .reactor_stats
+                        .worker(self.index)
+                        .write_pauses
+                        // ordering: Relaxed — statistics counter.
+                        .fetch_add(1, Ordering::Relaxed);
+                    After::Keep(EPOLLOUT)
                 }
             }
         };
         match after {
             After::Close => self.close(id, false),
             After::Keep(interest) => self.set_interest(id, interest),
-        }
-        if let Some(until) = resume_at {
-            self.timers.schedule(until, Timer::Resume(id));
         }
     }
 
@@ -704,15 +675,21 @@ impl Worker {
         // Best-effort farewell flush, behind the ack barrier like any
         // other flush; then dropping the stream closes the fd, which also
         // deregisters it from epoll.
-        self.shared.commit_before_flush();
-        let _ = entry
-            .conn
-            .flush_to(&mut entry.stream, &mut self.pool, &mut self.tally);
-        self.shared.metrics.absorb(&mut self.tally);
-        entry.conn.recycle_out(&mut self.pool);
+        let conn = &mut entry.conn;
+        let _ = conn.flush(
+            &mut entry.stream,
+            &self.shared,
+            &mut self.pool,
+            &mut self.tally,
+            self.index,
+        );
         // Spans still awaiting their flushed stamp get it now rather than
         // being lost with the connection.
-        entry.conn.finish_spans(&self.shared, self.index);
+        conn.finish_spans(&self.shared, self.index);
+        conn.release(&mut self.pool);
+        if severed {
+            let _ = entry.stream.shutdown(std::net::Shutdown::Both);
+        }
         self.shared
             .reactor_stats
             .worker(self.index)
@@ -813,16 +790,9 @@ impl Worker {
     /// forcibly close every remaining connection (flushing what we can).
     fn sever_all(&mut self) {
         self.close_listener();
-        self.shared.commit_before_flush();
         let ids: Vec<EntryId> = self.conns.iter().map(|(id, _)| id).collect();
         for id in ids {
-            if let Some(entry) = self.conns.get_mut(id) {
-                let _ = entry
-                    .conn
-                    .flush_to(&mut entry.stream, &mut self.pool, &mut self.tally);
-                let _ = entry.stream.shutdown(std::net::Shutdown::Both);
-                self.close(id, true);
-            }
+            self.close(id, true);
         }
     }
 }

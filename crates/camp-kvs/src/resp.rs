@@ -1,7 +1,7 @@
 //! Zero-allocation serialization of protocol responses.
 //!
 //! The get hot path appends `VALUE` blocks straight into the connection's
-//! output rope while the shard lock is held (see
+//! output buffer while the shard lock is held (see
 //! [`crate::shard::ShardedStore::get_with`]), so value bytes are copied
 //! exactly once — slab chunk to reply — and integers are formatted without
 //! going through `core::fmt`.

@@ -16,7 +16,7 @@
 //! shard ([`crate::store`]), so a key command — `iqget` and `iqset`
 //! included — hashes its key once and takes one lock, its shard's (plus
 //! the journal's writer lock under `--data-dir`), and writes its reply
-//! straight into the connection's output rope.
+//! straight into the connection's output buffer.
 //!
 //! Every command is timed by the reactor worker that runs it, into that
 //! worker's own tally, published into the shared per-command histograms
@@ -138,7 +138,7 @@ impl Shared {
                     }
                 };
                 // The reactor holds every reply in the connection's output
-                // rope until it chooses to flush, so it can put one write
+                // buffer until it chooses to flush, so it can put one write
                 // and one sync in front of every reply that was ready.
                 persist.defer_to_commit();
                 Some(Arc::new(persist))
@@ -565,8 +565,8 @@ pub(crate) fn cmd_kind(command: &Command) -> CmdKind {
 }
 
 /// Executes one command against `shared`, appending the reply to `out`
-/// (the tail of the connection's output rope, which the reactor flushes
-/// once per cycle). `data` is the already-read set data block (empty
+/// (the connection's output buffer, which the reactor flushes once per
+/// cycle). `data` is the already-read set data block (empty
 /// otherwise); `now` is the only clock the command sees (expiry, IQ miss
 /// timing). `quit` never gets here: the connection closes on it first.
 pub(crate) fn execute(
@@ -579,7 +579,7 @@ pub(crate) fn execute(
     match *command {
         Command::Get { ref keys } => {
             // Each hit's VALUE block is serialized straight from the slab
-            // chunk into the rope, inside the shard lock.
+            // chunk into the output buffer, inside the shard lock.
             for key in keys.iter() {
                 let h = shared.store.hash(key);
                 shared.store.shard(h).get_hashed(h, now.unix_secs, |item| {

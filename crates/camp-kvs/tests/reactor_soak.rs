@@ -215,3 +215,73 @@ fn multi_worker_reactor_keeps_conversations_isolated() {
     let report = server.shutdown_with_drain(Duration::from_secs(5));
     assert!(report.is_clean(), "drain not clean: {report:?}");
 }
+
+/// The worker counter `field` of `reactor:worker0`, read from another
+/// connection's `stats detail`.
+fn worker0(addr: std::net::SocketAddr, field: &str) -> u64 {
+    let detail = connect(addr).stats_detail().expect("stats detail");
+    let row = &detail["reactor:worker0"];
+    row.split_whitespace()
+        .find_map(|pair| pair.strip_prefix(&format!("{field}=")))
+        .unwrap_or_else(|| panic!("no {field} in {row}"))
+        .parse()
+        .expect("numeric field")
+}
+
+/// A client that pipelines gets of a 64 KiB value and reads nothing
+/// queues far more than the 1 MiB write high-water mark of replies: the
+/// worker stops reading it (`write_pauses`) and keeps serving others.
+/// Once the client reads, every reply arrives in order and byte-exact,
+/// and the connection still answers.
+#[test]
+fn a_client_that_stops_reading_is_paused_then_served_in_full() {
+    // 256 replies of 64 KiB: 16 MiB, more than loopback's socket buffers
+    // hold on top of the high-water mark.
+    const GETS: usize = 256;
+    let server = start(ServerOptions {
+        workers: 1,
+        ..ServerOptions::new(StoreConfig {
+            slab: SlabConfig::small(1 << 20, 8),
+            eviction: EvictionMode::Camp(Precision::Bits(5)),
+        })
+    });
+    let addr = server.local_addr();
+    let value: Vec<u8> = (0..64 * 1024).map(|i| b'a' + (i % 26) as u8).collect();
+    let mut client = connect(addr);
+    assert!(client.set(b"big", &value, 7, 0).expect("set"));
+    let pauses_before = worker0(addr, "write_pauses");
+
+    for _ in 0..GETS {
+        client.push_get(b"big");
+    }
+    client.send().expect("send the gets");
+    let mut paused = false;
+    for _ in 0..500 {
+        if worker0(addr, "write_pauses") > pauses_before {
+            paused = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(paused, "the unread replies never paused the connection");
+
+    let mut replies = 0;
+    client
+        .collect(|i, reply| {
+            let hit = Reply::Hit {
+                data: &value,
+                flags: 7,
+            };
+            assert_eq!(reply, hit, "reply {i}");
+            replies += 1;
+            Ok(())
+        })
+        .expect("read every reply");
+    assert_eq!(replies, GETS);
+    let version = client.version().expect("version after the backlog");
+    assert!(version.starts_with("VERSION"), "{version:?}");
+    drop(client);
+
+    let report = server.shutdown_with_drain(Duration::from_secs(5));
+    assert!(report.is_clean(), "drain not clean: {report:?}");
+}
