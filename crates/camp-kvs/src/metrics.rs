@@ -181,9 +181,9 @@ pub struct ServerMetrics {
     /// Lines rejected with `CLIENT_ERROR`.
     pub protocol_errors: AtomicU64,
     /// `write` calls per flush of a connection's output: 1 when the
-    /// socket took everything at once, more under backpressure. The
-    /// stat keeps its name, `reactor:flush_segments`, from the
-    /// scatter-gather flush it used to count.
+    /// socket took everything at once, more under backpressure. Reported
+    /// as `reactor:flush_segments`, the name scrapers and the benchmark
+    /// read.
     pub flush_segments: Histogram,
     /// Request spans not recorded because their connection already held
     /// the cap of spans awaiting a flush (a reader that stopped reading).

@@ -10,9 +10,9 @@
 //! is copied there from its slab chunk, the one copy it gets), and
 //! [`Connection::flush`] sends the whole output with plain `write` calls
 //! from a sent cursor — so a pipelined burst of N commands still leaves
-//! in one syscall, preserving PR 3's flush coalescing by construction. A
-//! buffer goes back to the pool once drained, so an idle connection holds
-//! neither; a partial command keeps its read buffer, moved to the front.
+//! in one syscall. A buffer goes back to the pool once drained, so an
+//! idle connection holds neither; a partial command keeps its read
+//! buffer, moved to the front.
 //!
 //! Because input arrives in arbitrary fragments, the machine never
 //! consumes a command until every byte it needs is present: a `set`
@@ -357,14 +357,6 @@ impl Connection {
             (self.pos, self.filled) = (0, 0);
             pool.put(std::mem::take(&mut self.input));
         }
-    }
-
-    /// Gives both buffers back, whatever they still hold: the connection
-    /// is closing.
-    pub(crate) fn release(&mut self, pool: &mut BufPool) {
-        self.sent = self.out.len();
-        self.pos = self.filled;
-        self.return_drained(pool);
     }
 
     /// Stamps the `flushed` phase on every span awaiting it and records
@@ -1197,32 +1189,29 @@ mod tests {
         let shared = test_shared(None);
         let mut conn = Connection::new(1, &shared);
         let mut pool = BufPool::default();
-        let mut tally = WorkerTally::default();
-        conn.ingest(b"version\r\n", &mut pool);
-        assert_eq!(
-            conn.process(&shared, &mut pool, &mut tally, Stamp::now()),
-            Step::NeedRead
-        );
-        assert!(conn.input.capacity() > 0 && conn.out.capacity() > 0);
-        let mut sink = Vec::new();
-        assert!(conn
-            .flush(&mut sink, &shared, &mut pool, &mut tally, 0)
-            .expect("vec sink"));
-        // An idle connection holds neither buffer; the pool has both.
-        assert_eq!((conn.input.capacity(), conn.out.capacity()), (0, 0));
-        assert_eq!(pool.free.len(), 2);
-
-        // A reply that outgrows the cap is dropped once it drains...
-        feed(&mut conn, b"version\r\n");
-        assert_eq!(step(&mut conn, &shared), Step::NeedRead);
-        conn.out.reserve(BufPool::MAX_CAP + 1);
-        let _ = flushed(&mut conn, &shared);
-        conn.release(&mut pool);
-        assert_eq!(pool.free.len(), 2, "the oversized buffer was pooled");
-        // ...while pooled buffers come back out ready to use.
-        let buf = pool.take();
-        assert!(buf.capacity() > 0);
-        assert_eq!(pool.free.len(), 1);
+        // One worker cycle over `version`, all buffers from `pool`; the
+        // reply grows past the pool's cap first if `oversize`.
+        let cycle = |conn: &mut Connection, pool: &mut BufPool, oversize: bool| {
+            let mut tally = WorkerTally::default();
+            conn.ingest(b"version\r\n", pool);
+            conn.process(&shared, pool, &mut tally, Stamp::now());
+            assert!(conn.input.capacity() > 0 && conn.out.capacity() > 0);
+            if oversize {
+                conn.out.reserve(BufPool::MAX_CAP + 1);
+            }
+            assert!(conn
+                .flush(&mut Vec::new(), &shared, pool, &mut tally, 0)
+                .expect("vec sink"));
+            // An idle connection holds neither buffer.
+            assert_eq!((conn.input.capacity(), conn.out.capacity()), (0, 0));
+        };
+        cycle(&mut conn, &mut pool, false);
+        assert_eq!(pool.free.len(), 2, "both buffers came back");
+        cycle(&mut conn, &mut pool, true);
+        assert_eq!(pool.free.len(), 1, "the oversized buffer was pooled");
+        // Pooled buffers come back out ready to use.
+        assert!(pool.take().capacity() > 0);
+        assert!(pool.free.is_empty());
     }
 
     #[test]

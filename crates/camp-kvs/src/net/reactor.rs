@@ -686,7 +686,6 @@ impl Worker {
         // Spans still awaiting their flushed stamp get it now rather than
         // being lost with the connection.
         conn.finish_spans(&self.shared, self.index);
-        conn.release(&mut self.pool);
         if severed {
             let _ = entry.stream.shutdown(std::net::Shutdown::Both);
         }

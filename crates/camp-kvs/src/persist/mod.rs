@@ -436,9 +436,11 @@ fn temp_segment_path(dir: &Path, index: u64) -> PathBuf {
 /// Deletes the snapshots a killed process left half-written.
 fn remove_temp_segments(dir: &Path) -> stdio::Result<()> {
     for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.to_str().is_some_and(|p| p.ends_with(TEMP_SUFFIX)) {
-            fs::remove_file(path)?;
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if name.starts_with("seg-") && name.ends_with(TEMP_SUFFIX) {
+            fs::remove_file(entry.path())?;
         }
     }
     Ok(())
@@ -897,7 +899,7 @@ impl Persist {
     /// all or nothing. Because it *leads* with `Clear`, a failed deletion
     /// is harmless — replay applies the stale history and then wipes it.
     /// Appends go on in the same file. On failure the temporary file is
-    /// removed and the active file is gone: the caller opens another.
+    /// removed, and the caller must open another segment.
     fn snapshot_segment_locked(
         &self,
         w: &mut LogWriter,
@@ -987,10 +989,11 @@ impl Persist {
     }
 
     /// One degraded-recovery attempt: a fresh segment holding a full
-    /// snapshot of the live store, the way compaction writes one. On success the log
-    /// exactly mirrors the cache (no silent gap from the records dropped
-    /// while degraded), older segments are deleted, and the engine
-    /// re-arms. Returns `true` when the engine is active afterwards.
+    /// snapshot of the live store, written the way compaction writes one.
+    /// On success the log exactly mirrors the cache (no silent gap from
+    /// the records dropped while degraded), older segments are deleted,
+    /// and the engine re-arms. Returns `true` when the engine is active
+    /// afterwards.
     pub fn try_rearm(&self, store: &ShardedStore) -> bool {
         if !self.is_degraded() {
             return true;

@@ -20,12 +20,12 @@ const IDLE_CONNS: usize = 4_000;
 /// would cost eight times that.
 const GROWTH_LIMIT: u64 = 8 << 20;
 
-/// A soft resource limit of this process, read from `/proc/self/limits`
+/// The soft RLIMIT_NOFILE of this process, read from `/proc/self/limits`
 /// (`None` if the file or the line is absent).
-fn proc_limit(name: &str) -> Option<u64> {
+fn max_open_files() -> Option<u64> {
     let limits = std::fs::read_to_string("/proc/self/limits").ok()?;
-    let line = limits.lines().find(|l| l.starts_with(name))?;
-    line[name.len()..].split_whitespace().next()?.parse().ok()
+    let line = limits.lines().find(|l| l.starts_with("Max open files"))?;
+    line.split_whitespace().nth(3)?.parse().ok()
 }
 
 /// This process's resident set size in bytes, from `/proc/self/status`.
@@ -65,7 +65,7 @@ fn idle_connection(addr: std::net::SocketAddr) -> TcpStream {
 #[test]
 fn idle_connections_hold_no_buffers() {
     let needed = 2 * IDLE_CONNS as u64 + 512;
-    match proc_limit("Max open files") {
+    match max_open_files() {
         Some(limit) if limit >= needed => {}
         Some(limit) => {
             eprintln!("skipping idle-memory test: RLIMIT_NOFILE soft limit {limit} < {needed}");

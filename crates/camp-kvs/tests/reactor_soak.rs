@@ -6,9 +6,10 @@
 //! two processes split the per-process RLIMIT_NOFILE budget). The test is
 //! gated on that rlimit and skips, loudly, where the limit is too low.
 //!
-//! The other test pins down a behavior the big soak would mask: an
+//! The other tests pin down behaviors the big soak would mask: an
 //! explicit multi-worker reactor spreads connections without mixing up
-//! replies.
+//! replies, and a client that stops reading is paused, then served in
+//! full.
 
 use std::time::Duration;
 
