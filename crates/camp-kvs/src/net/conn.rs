@@ -733,6 +733,11 @@ mod tests {
         conn.ingest(bytes, &mut BufPool::default());
     }
 
+    /// One `fill_from` round from `io` with a throwaway pool.
+    fn fill(conn: &mut Connection, io: &mut impl Read) -> Fill {
+        conn.fill_from(io, &mut BufPool::default()).expect("fill")
+    }
+
     #[test]
     fn pipelined_burst_yields_one_coalesced_reply_buffer() {
         let shared = test_shared(None);
@@ -931,11 +936,7 @@ mod tests {
         };
         // Drive fill/process until the input is exhausted.
         while !io.script.is_empty() {
-            assert_eq!(
-                conn.fill_from(&mut io, &mut BufPool::default())
-                    .expect("fill"),
-                Fill::Open
-            );
+            assert_eq!(fill(&mut conn, &mut io), Fill::Open);
             step(&mut conn, &shared);
         }
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
@@ -1033,11 +1034,7 @@ mod tests {
             rest
         };
         let mut io = Scripted::new(vec![Ok(wire), Ok(rest)]);
-        assert_eq!(
-            conn.fill_from(&mut io, &mut BufPool::default())
-                .expect("fill"),
-            Fill::Open
-        );
+        assert_eq!(fill(&mut conn, &mut io), Fill::Open);
         assert_eq!(io.calls, 2, "a full read may have left bytes behind");
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
         let reply = flushed(&mut conn, &shared);
@@ -1047,11 +1044,7 @@ mod tests {
             Err(io::ErrorKind::Interrupted.into()),
             Err(io::ErrorKind::WouldBlock.into()),
         ]);
-        assert_eq!(
-            conn.fill_from(&mut io, &mut BufPool::default())
-                .expect("fill"),
-            Fill::Open
-        );
+        assert_eq!(fill(&mut conn, &mut io), Fill::Open);
         assert_eq!(io.calls, 2);
     }
 
@@ -1062,18 +1055,10 @@ mod tests {
         // Round one: the final command, short, so the FIN behind it is
         // not looked for; level-triggered epoll raises the event again.
         let mut io = Scripted::new(vec![Ok(b"version".to_vec()), Ok(Vec::new())]);
-        assert_eq!(
-            conn.fill_from(&mut io, &mut BufPool::default())
-                .expect("fill"),
-            Fill::Open
-        );
+        assert_eq!(fill(&mut conn, &mut io), Fill::Open);
         assert_eq!(io.calls, 1);
         assert_eq!(step(&mut conn, &shared), Step::NeedRead);
-        assert_eq!(
-            conn.fill_from(&mut io, &mut BufPool::default())
-                .expect("fill"),
-            Fill::Eof
-        );
+        assert_eq!(fill(&mut conn, &mut io), Fill::Eof);
         assert!(conn.peer_eof);
         assert_eq!(step(&mut conn, &shared), Step::Close);
         assert!(flushed(&mut conn, &shared).starts_with(b"VERSION"));
