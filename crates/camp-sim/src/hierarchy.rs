@@ -104,6 +104,12 @@ impl TwoLevelCache {
     /// References a key through the hierarchy. L1 evictions demote into L2;
     /// L2 hits promote back into L1.
     pub fn reference(&mut self, req: CacheRequest) -> LevelHit {
+        self.access(req).0
+    }
+
+    /// [`TwoLevelCache::reference`], also returning what L1 did with the
+    /// key: a hit exactly when the hierarchy served it from L1.
+    fn access(&mut self, req: CacheRequest) -> (LevelHit, AccessOutcome) {
         let mut l1_evicted = Vec::new();
         let outcome = self.l1.reference(req, &mut l1_evicted);
         let hit = match outcome {
@@ -135,7 +141,7 @@ impl TwoLevelCache {
                 }
             }
         }
-        hit
+        (hit, outcome)
     }
 
     /// The incurred cost of a reference given its [`LevelHit`].
@@ -184,28 +190,19 @@ pub fn simulate_hierarchy(cache: &mut TwoLevelCache, trace: &Trace) -> Hierarchy
     let mut seen: std::collections::HashSet<u64> = Default::default();
     for record in trace {
         let req = CacheRequest::new(record.key, record.size, record.cost);
-        let hit = cache.reference(req);
-        metrics.base.requests += 1;
-        if seen.insert(record.key) {
-            metrics.base.cold_requests += 1;
+        let (hit, outcome) = cache.access(req);
+        let cold = seen.insert(record.key);
+        // An L2 hit is an L1 miss: a miss for the flat rates.
+        metrics.base.record(cold, outcome, record.cost);
+        if cold {
             continue;
         }
-        metrics.base.total_cost += record.cost;
-        metrics.incurred_cost += cache.incurred_cost(record.cost, hit);
+        let incurred = cache.incurred_cost(record.cost, hit);
+        metrics.incurred_cost = metrics.incurred_cost.saturating_add(incurred);
         match hit {
-            LevelHit::L1 => {
-                metrics.base.hits += 1;
-                metrics.l1_hits += 1;
-            }
-            LevelHit::L2 => {
-                metrics.base.misses += 1;
-                metrics.base.missed_cost += record.cost;
-                metrics.l2_hits += 1;
-            }
-            LevelHit::Miss => {
-                metrics.base.misses += 1;
-                metrics.base.missed_cost += record.cost;
-            }
+            LevelHit::L1 => metrics.l1_hits += 1,
+            LevelHit::L2 => metrics.l2_hits += 1,
+            LevelHit::Miss => {}
         }
     }
     metrics

@@ -5,6 +5,8 @@
 //! the primary metric: the summed cost of missed (non-cold) requests divided
 //! by the summed cost of all (non-cold) requests.
 
+use camp_policies::AccessOutcome;
+
 /// Counters accumulated over one simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
@@ -26,6 +28,28 @@ pub struct SimMetrics {
 }
 
 impl SimMetrics {
+    /// Counts one reference with `outcome` and miss cost `cost`. A cold
+    /// one (`first_touch`: its key's first reference) counts only in
+    /// `requests` and `cold_requests`; any other counts in the rates, its
+    /// cost summed saturating. A bypass counts in `bypassed` either way.
+    pub(crate) fn record(&mut self, first_touch: bool, outcome: AccessOutcome, cost: u64) {
+        self.requests += 1;
+        if first_touch {
+            self.cold_requests += 1;
+        } else {
+            self.total_cost = self.total_cost.saturating_add(cost);
+            if outcome.is_miss() {
+                self.misses += 1;
+                self.missed_cost = self.missed_cost.saturating_add(cost);
+            } else {
+                self.hits += 1;
+            }
+        }
+        if outcome == AccessOutcome::MissBypassed {
+            self.bypassed += 1;
+        }
+    }
+
     /// Non-cold requests counted in the rates.
     #[must_use]
     pub fn counted_requests(&self) -> u64 {

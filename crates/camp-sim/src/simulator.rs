@@ -154,22 +154,7 @@ impl<'a> Simulation<'a> {
             evicted.clear();
             let outcome = policy.reference(CacheRequest::new(key, size, cost), &mut evicted);
 
-            let cold = seen.insert(key);
-            metrics.requests += 1;
-            if cold {
-                metrics.cold_requests += 1;
-            } else {
-                metrics.total_cost = metrics.total_cost.saturating_add(cost);
-                if outcome.is_miss() {
-                    metrics.misses += 1;
-                    metrics.missed_cost = metrics.missed_cost.saturating_add(cost);
-                } else {
-                    metrics.hits += 1;
-                }
-            }
-            if outcome == camp_policies::AccessOutcome::MissBypassed {
-                metrics.bypassed += 1;
-            }
+            metrics.record(seen.insert(key), outcome, cost);
 
             if let Some(config) = track {
                 for k in &evicted {

@@ -75,19 +75,9 @@ pub fn windowed_metrics(
             &mut evicted,
         );
         current.len += 1;
-        current.metrics.requests += 1;
-        if seen.insert(record.key) {
-            current.metrics.cold_requests += 1;
-        } else {
-            current.metrics.total_cost = current.metrics.total_cost.saturating_add(record.cost);
-            if outcome.is_miss() {
-                current.metrics.misses += 1;
-                current.metrics.missed_cost =
-                    current.metrics.missed_cost.saturating_add(record.cost);
-            } else {
-                current.metrics.hits += 1;
-            }
-        }
+        current
+            .metrics
+            .record(seen.insert(record.key), outcome, record.cost);
     }
     if current.len > 0 {
         windows.push(current);
@@ -99,7 +89,7 @@ pub fn windowed_metrics(
 mod tests {
     use super::*;
     use camp_core::{Camp, Precision};
-    use camp_policies::Lru;
+    use camp_policies::{Admission, AdmissionRule, Lru};
     use camp_workload::{evolving_workload, BgConfig, Trace};
 
     #[test]
@@ -127,6 +117,32 @@ mod tests {
         let total_missed_cost: u64 = windows.iter().map(|w| w.metrics.missed_cost).sum();
         assert_eq!(total_misses, report.metrics.misses);
         assert_eq!(total_missed_cost, report.metrics.missed_cost);
+    }
+
+    /// Every field of the windows adds up to the whole run's, bypasses
+    /// included, under a policy that declines first misses.
+    #[test]
+    fn window_fields_sum_to_the_simulation_under_a_bypassing_policy() {
+        let fields = |m: &SimMetrics| {
+            let requests = [m.requests, m.cold_requests].map(|n| n as u64);
+            let rest = [m.hits, m.misses, m.bypassed, m.missed_cost, m.total_cost];
+            [requests.as_slice(), rest.as_slice()].concat()
+        };
+        let trace = BgConfig::paper_scaled(300, 20_000, 11).generate();
+        let capacity = trace.stats().unique_bytes / 5;
+        let rule = AdmissionRule::SecondMiss { window: 512 };
+        let mut a = Admission::new(Lru::new(capacity), rule.clone());
+        let windows = windowed_metrics(&mut a, &trace, 3_000);
+        let mut b = Admission::new(Lru::new(capacity), rule);
+        let report = crate::simulator::simulate(&mut b, &trace);
+        let mut sum = vec![0; 7];
+        for window in &windows {
+            for (total, field) in sum.iter_mut().zip(fields(&window.metrics)) {
+                *total += field;
+            }
+        }
+        assert_eq!(sum, fields(&report.metrics));
+        assert!(report.metrics.bypassed > 0, "the policy bypassed nothing");
     }
 
     #[test]
