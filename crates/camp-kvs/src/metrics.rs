@@ -2,17 +2,22 @@
 //! snapshot/rendering layer behind `stats`, `stats detail`, and the
 //! `--metrics-addr` Prometheus exposition.
 //!
-//! Recording sits on the per-request hot path, so it costs no shared
-//! write there: each reactor worker counts its commands in a plain
-//! [`WorkerTally`] it owns through `&mut`, and publishes the tally into
-//! the shared [`ServerMetrics`] — lock-free [`Histogram`]s and
-//! `AtomicU64`s — once per connection cycle, before that cycle's replies
-//! are flushed and before any `stats`/`trace` command in it executes. A
-//! reader therefore lags a worker by at most one cycle, and never past a
-//! reply a client has seen. Reading is the cold path: [`TelemetryReport`]
-//! is a point-in-time copy of everything, which emits each value once as a
-//! row carrying its `STAT` key and its Prometheus family; both protocols
-//! print those rows.
+//! A reactor worker counts one way. Everything it observes — a command's
+//! latency and bytes, a flush, an accept, a wakeup, a rejection, an
+//! injected fault — goes into the plain [`WorkerTally`] it owns through
+//! `&mut`, and [`ServerMetrics::absorb`] moves the tally into the worker's
+//! own row of lock-free [`Histogram`]s and `AtomicU64`s: `absorb` is the
+//! only code that counts into a row (`stats reset` only zeroes them). A
+//! worker publishes before a cycle's replies are flushed, before a
+//! `stats`/`trace` command in the cycle executes, and, if it counted
+//! anything since, before each blocking `epoll_wait`. So a reader never
+//! misses a count behind a reply a client has seen, and a reactor count
+//! never waits for some connection's next cycle. Reading is the cold path:
+//! totals (`connections_opened`, `conn_rejected:*`, latency quantiles) are
+//! sums or merges of the rows taken when read, and [`TelemetryReport`] is a
+//! point-in-time copy of everything, which emits each value once as a row
+//! carrying its `STAT` key and its Prometheus family; both protocols print
+//! those rows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
@@ -161,198 +166,111 @@ impl FaultKind {
     }
 }
 
-/// Lock-free server-side counters and latency histograms.
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
-    latency: [Histogram; 6],
-    /// Wire bytes consumed per command class (command line plus any data
-    /// block, terminators included).
-    bytes_read: [AtomicU64; 6],
-    /// Connections refused or severed, by cause ([`RejectCause::ALL`]
-    /// order).
-    rejected: [AtomicU64; 3],
-    /// Faults injected by the active chaos plan ([`FaultKind::ALL`]
-    /// order).
-    faults: [AtomicU64; 3],
-    /// Connections accepted.
-    pub connections_opened: AtomicU64,
-    /// Connections that have ended.
-    pub connections_closed: AtomicU64,
+/// What a worker counts besides its histograms, one slot each in its
+/// [`WorkerTally`] and in its row of [`ServerMetrics`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Count {
+    /// Wire bytes consumed by commands of a class (command line plus any
+    /// data block, terminators included).
+    BytesRead(CmdKind),
+    /// Connections refused or severed, by cause.
+    Rejected(RejectCause),
+    /// Faults injected by the active chaos plan, by kind.
+    Fault(FaultKind),
+    /// Connections accepted under the `max_conns` cap.
+    Opened,
+    /// Connections counted in `Opened` that have ended.
+    Closed,
     /// Lines rejected with `CLIENT_ERROR`.
-    pub protocol_errors: AtomicU64,
-    /// `write` calls per flush of a connection's output: 1 when the
-    /// socket took everything at once, more under backpressure. Reported
-    /// as `reactor:flush_segments`, the name scrapers and the benchmark
-    /// read.
-    pub flush_segments: Histogram,
+    ProtocolError,
     /// Request spans not recorded because their connection already held
     /// the cap of spans awaiting a flush (a reader that stopped reading).
-    pub spans_dropped: AtomicU64,
+    SpanDropped,
+    /// Sockets accepted by the worker's own `SO_REUSEPORT` listener.
+    Accept,
+    /// Blocking `epoll_wait` returns that delivered at least one event
+    /// (the zero-timeout polls of a commit group are not wakeups).
+    Wakeup,
+    /// Connection events drained from `epoll_wait` into the run queue.
+    Event,
+    /// Connection cycles run by the zero-timeout polls that gather a
+    /// commit group, after the events of the wakeup that opened it.
+    Gathered,
+    /// Reads paused by output backpressure.
+    WritePause,
+    /// Reactor timers fired (idle sweeps, fault resumes, drain ticks).
+    TimerFire,
 }
 
-impl ServerMetrics {
-    /// Fresh, zeroed metrics.
-    #[must_use]
-    pub fn new() -> ServerMetrics {
-        ServerMetrics::default()
-    }
+/// Where each labelled family starts among a row's counter slots.
+const REJECTED: usize = CmdKind::ALL.len();
+const FAULTS: usize = REJECTED + RejectCause::ALL.len();
+const SCALARS: usize = FAULTS + FaultKind::ALL.len();
+/// Counter slots per row.
+const COUNTS: usize = SCALARS + 10;
 
-    /// Publishes everything `tally` holds and leaves it empty. Called by
-    /// the worker that owns the tally; safe against every other worker
-    /// doing the same (each word moves by an atomic RMW).
-    pub fn absorb(&self, tally: &mut WorkerTally) {
-        if !std::mem::take(&mut tally.dirty) {
-            return;
+impl Count {
+    /// This counter's slot in a tally or row.
+    fn slot(self) -> usize {
+        match self {
+            Count::BytesRead(kind) => kind.index(),
+            Count::Rejected(cause) => REJECTED + cause.index(),
+            Count::Fault(kind) => FAULTS + kind.index(),
+            Count::Opened => SCALARS,
+            Count::Closed => SCALARS + 1,
+            Count::ProtocolError => SCALARS + 2,
+            Count::SpanDropped => SCALARS + 3,
+            Count::Accept => SCALARS + 4,
+            Count::Wakeup => SCALARS + 5,
+            Count::Event => SCALARS + 6,
+            Count::Gathered => SCALARS + 7,
+            Count::WritePause => SCALARS + 8,
+            Count::TimerFire => SCALARS + 9,
         }
-        for (shared, local) in self.latency.iter().zip(&mut tally.latency) {
-            shared.absorb(local);
-        }
-        for (shared, local) in self.bytes_read.iter().zip(&mut tally.bytes_read) {
-            let bytes = std::mem::take(local);
-            if bytes > 0 {
-                // ordering: Relaxed — statistics counter.
-                shared.fetch_add(bytes, Ordering::Relaxed);
-            }
-        }
-        self.flush_segments.absorb(&mut tally.flush_segments);
-        let dropped = std::mem::take(&mut tally.spans_dropped);
-        if dropped > 0 {
-            // ordering: Relaxed — statistics counter.
-            self.spans_dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
-    }
-
-    /// The histogram backing `kind` (snapshots, merges, tests).
-    #[must_use]
-    pub fn latency(&self, kind: CmdKind) -> &Histogram {
-        &self.latency[kind.index()]
-    }
-
-    /// Wire bytes consumed so far by commands of class `kind`.
-    #[must_use]
-    pub fn bytes_read(&self, kind: CmdKind) -> u64 {
-        // ordering: Relaxed — statistics counter.
-        self.bytes_read[kind.index()].load(Ordering::Relaxed)
-    }
-
-    /// Per-command byte counters, in [`CmdKind::ALL`] order.
-    #[must_use]
-    pub fn bytes_read_snapshot(&self) -> Vec<(&'static str, u64)> {
-        CmdKind::ALL
-            .iter()
-            .map(|&kind| (kind.name(), self.bytes_read(kind)))
-            .collect()
-    }
-
-    /// Counts one refused or severed connection.
-    pub fn record_rejected(&self, cause: RejectCause) {
-        // ordering: Relaxed — statistics counter.
-        self.rejected[cause.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connections refused or severed for `cause` so far.
-    #[must_use]
-    pub fn rejected(&self, cause: RejectCause) -> u64 {
-        // ordering: Relaxed — statistics counter.
-        self.rejected[cause.index()].load(Ordering::Relaxed)
-    }
-
-    /// Per-cause rejection counters, in [`RejectCause::ALL`] order.
-    #[must_use]
-    pub fn rejected_snapshot(&self) -> Vec<(&'static str, u64)> {
-        RejectCause::ALL
-            .iter()
-            .map(|&cause| (cause.name(), self.rejected(cause)))
-            .collect()
-    }
-
-    /// Counts one injected fault.
-    pub fn record_fault(&self, kind: FaultKind) {
-        // ordering: Relaxed — statistics counter.
-        self.faults[kind.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-kind injected-fault counters, in [`FaultKind::ALL`] order.
-    #[must_use]
-    pub fn faults_snapshot(&self) -> Vec<(&'static str, u64)> {
-        FaultKind::ALL
-            .iter()
-            .zip(&self.faults)
-            // ordering: Relaxed — statistics counter.
-            .map(|(&kind, counter)| (kind.name(), counter.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Total commands timed so far, across every class — the denominator
-    /// a drain report uses to count requests completed while draining.
-    #[must_use]
-    pub fn total_requests(&self) -> u64 {
-        self.latency.iter().map(Histogram::count).sum()
-    }
-
-    /// Zeroes every histogram and counter (the `stats reset` command).
-    pub fn reset(&self) {
-        for histogram in &self.latency {
-            histogram.reset();
-        }
-        // ordering: Relaxed(x7) — statistics counters; a racing
-        // recorder landing just after the zeroing is a normal race
-        // between `stats reset` and live traffic.
-        for counter in &self.bytes_read {
-            counter.store(0, Ordering::Relaxed);
-        }
-        for counter in &self.rejected {
-            counter.store(0, Ordering::Relaxed);
-        }
-        for counter in &self.faults {
-            counter.store(0, Ordering::Relaxed);
-        }
-        self.connections_opened.store(0, Ordering::Relaxed);
-        self.connections_closed.store(0, Ordering::Relaxed);
-        self.protocol_errors.store(0, Ordering::Relaxed);
-        self.spans_dropped.store(0, Ordering::Relaxed);
-        self.flush_segments.reset();
-    }
-
-    /// Snapshots every per-command histogram, in [`CmdKind::ALL`] order.
-    #[must_use]
-    pub fn latency_snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        CmdKind::ALL
-            .iter()
-            .map(|&kind| (kind.name(), self.latency(kind).snapshot()))
-            .collect()
     }
 }
 
 /// One reactor worker's not-yet-published observations: plain counters
-/// and [`LocalHistogram`]s the worker bumps through `&mut` while it
-/// processes and flushes a connection, then hands to
+/// and [`LocalHistogram`]s the worker bumps through `&mut`, then hands to
 /// [`ServerMetrics::absorb`]. Nothing here is shared, so nothing here is
-/// atomic.
+/// atomic. `Default` is the tally of worker 0.
 #[derive(Debug, Default)]
 pub struct WorkerTally {
+    /// The row this tally publishes into.
+    worker: usize,
     latency: [LocalHistogram; 6],
-    bytes_read: [u64; 6],
     flush_segments: LocalHistogram,
-    spans_dropped: u64,
+    counts: [u64; COUNTS],
+    /// The worker's connections, as of the last change.
+    live: u64,
     /// Whether anything was recorded since the last publish.
     dirty: bool,
 }
 
 impl WorkerTally {
-    /// Counts one executed command: its wire bytes (command line plus any
-    /// data block, terminators included) and its handling latency.
+    /// An empty tally for worker `worker`'s row.
+    #[must_use]
+    pub fn new(worker: usize) -> WorkerTally {
+        WorkerTally {
+            worker,
+            ..WorkerTally::default()
+        }
+    }
+
+    /// Counts one executed command: its wire bytes and its handling
+    /// latency.
     #[inline]
     pub fn command(&mut self, kind: CmdKind, wire_bytes: u64, micros: u64) {
         self.latency[kind.index()].record(micros);
-        self.bytes(kind, wire_bytes);
+        self.add(Count::BytesRead(kind), wire_bytes);
+        self.dirty = true;
     }
 
-    /// Counts wire bytes consumed without a command having executed (a
-    /// rejected line, a command an injected fault answered or dropped).
-    pub fn bytes(&mut self, kind: CmdKind, wire_bytes: u64) {
-        self.bytes_read[kind.index()] += wire_bytes;
-        self.dirty = true;
+    /// Adds `n` to `count`.
+    #[inline]
+    pub fn add(&mut self, count: Count, n: u64) {
+        self.counts[count.slot()] += n;
+        self.dirty |= n > 0;
     }
 
     /// Counts one flush that made `writes` `write` calls.
@@ -361,39 +279,178 @@ impl WorkerTally {
         self.dirty = true;
     }
 
-    /// Counts one request span dropped at the pending-span cap.
-    pub fn span_dropped(&mut self) {
-        self.spans_dropped += 1;
+    /// Sets the live-connection gauge: the worker owns `conns` now.
+    pub fn live(&mut self, conns: usize) {
+        self.live = conns as u64;
         self.dirty = true;
     }
 }
 
-/// Live per-worker reactor counters (one row per event-loop worker).
-/// Incremented with relaxed atomics from inside each worker's loop, read
-/// by `stats detail` and the Prometheus exposition.
+/// One worker's published counts; only [`ServerMetrics::absorb`], run by
+/// that worker, adds to them.
 #[derive(Debug, Default)]
-pub struct WorkerStats {
-    /// Connections currently owned by this worker.
-    pub live_connections: AtomicU64,
-    /// Blocking `epoll_wait` returns that delivered at least one event
-    /// (the zero-timeout polls of a commit group are not wakeups).
-    pub epoll_wakeups: AtomicU64,
-    /// Reactor timers fired (idle sweeps, fault resumes, drain ticks).
-    pub timer_fires: AtomicU64,
-    /// Times backpressure paused reads (pending output over the
-    /// high-water mark caused `EPOLLIN` to be withheld).
-    pub write_pauses: AtomicU64,
-    /// Sockets accepted by this worker's own `SO_REUSEPORT` listener.
-    pub accepts: AtomicU64,
-    /// Connection events drained from `epoll_wait` into the batched run
-    /// queue.
-    pub events_dispatched: AtomicU64,
-    /// Connection cycles run by the zero-timeout polls that gather a
-    /// commit group, after the events of the wakeup that opened it.
-    pub gathered_cycles: AtomicU64,
+struct WorkerRow {
+    latency: [Histogram; 6],
+    /// `write` calls per flush of a connection's output: 1 when the socket
+    /// took everything at once, more under backpressure.
+    flush_segments: Histogram,
+    counts: [AtomicU64; COUNTS],
+    live: AtomicU64,
 }
 
-/// A point-in-time copy of one worker's [`WorkerStats`] row.
+impl WorkerRow {
+    fn get(&self, count: Count) -> u64 {
+        // ordering: Relaxed — statistics counter.
+        self.counts[count.slot()].load(Ordering::Relaxed)
+    }
+}
+
+/// The shared metrics: one row per reactor worker, each written by its
+/// worker's [`ServerMetrics::absorb`]. Totals are read as sums (and
+/// histograms as merges) of the rows.
+#[derive(Debug)]
+pub struct ServerMetrics {
+    rows: Vec<WorkerRow>,
+}
+
+impl ServerMetrics {
+    /// Zeroed metrics with one row per worker (at least one).
+    #[must_use]
+    pub fn new(workers: usize) -> ServerMetrics {
+        ServerMetrics {
+            rows: (0..workers.max(1)).map(|_| WorkerRow::default()).collect(),
+        }
+    }
+
+    /// Publishes everything `tally` holds into its worker's row and leaves
+    /// it empty. Called only by the worker that owns the tally.
+    pub fn absorb(&self, tally: &mut WorkerTally) {
+        if !std::mem::take(&mut tally.dirty) {
+            return;
+        }
+        let row = &self.rows[tally.worker];
+        for (shared, local) in row.latency.iter().zip(&mut tally.latency) {
+            shared.absorb(local);
+        }
+        row.flush_segments.absorb(&mut tally.flush_segments);
+        // ordering: Relaxed(x2) — statistics counters. An RMW, not a
+        // store, so a racing `stats reset` is never undone.
+        for (shared, local) in row.counts.iter().zip(&mut tally.counts) {
+            let n = std::mem::take(local);
+            if n > 0 {
+                shared.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        row.live.store(tally.live, Ordering::Relaxed);
+    }
+
+    /// `count` summed over every worker.
+    #[must_use]
+    pub fn total(&self, count: Count) -> u64 {
+        self.rows.iter().map(|row| row.get(count)).sum()
+    }
+
+    /// Totals of a labelled family, `(label, total)` in `all`'s order.
+    fn family<T: Copy>(
+        &self,
+        all: &[T],
+        name: fn(T) -> &'static str,
+        count: fn(T) -> Count,
+    ) -> Vec<(&'static str, u64)> {
+        all.iter()
+            .map(|&label| (name(label), self.total(count(label))))
+            .collect()
+    }
+
+    /// Per-command byte totals, in [`CmdKind::ALL`] order.
+    #[must_use]
+    pub fn bytes_read_snapshot(&self) -> Vec<(&'static str, u64)> {
+        self.family(&CmdKind::ALL, CmdKind::name, Count::BytesRead)
+    }
+
+    /// Per-cause rejection totals, in [`RejectCause::ALL`] order.
+    #[must_use]
+    pub fn rejected_snapshot(&self) -> Vec<(&'static str, u64)> {
+        self.family(&RejectCause::ALL, RejectCause::name, Count::Rejected)
+    }
+
+    /// Per-kind injected-fault totals, in [`FaultKind::ALL`] order.
+    #[must_use]
+    pub fn faults_snapshot(&self) -> Vec<(&'static str, u64)> {
+        self.family(&FaultKind::ALL, FaultKind::name, Count::Fault)
+    }
+
+    /// The rows' histograms picked by `pick`, merged.
+    fn merged(&self, pick: impl Fn(&WorkerRow) -> &Histogram) -> HistogramSnapshot {
+        let mut merged = HistogramSnapshot::empty();
+        for row in &self.rows {
+            merged.merge(&pick(row).snapshot());
+        }
+        merged
+    }
+
+    /// Every per-command latency histogram, merged over the workers, in
+    /// [`CmdKind::ALL`] order.
+    #[must_use]
+    pub fn latency_snapshots(&self) -> Vec<(&'static str, HistogramSnapshot)> {
+        CmdKind::ALL
+            .iter()
+            .map(|&kind| (kind.name(), self.merged(|row| &row.latency[kind.index()])))
+            .collect()
+    }
+
+    /// `write` calls per flush, merged over the workers.
+    #[must_use]
+    pub fn flush_segments(&self) -> HistogramSnapshot {
+        self.merged(|row| &row.flush_segments)
+    }
+
+    /// Total commands timed so far, across every class and worker — the
+    /// denominator a drain report uses to count requests completed while
+    /// draining.
+    #[must_use]
+    pub fn total_requests(&self) -> u64 {
+        let latencies = self.rows.iter().flat_map(|row| &row.latency);
+        latencies.map(Histogram::count).sum()
+    }
+
+    /// Each worker's reactor row, in worker order.
+    #[must_use]
+    pub fn workers(&self) -> Vec<WorkerStatsSnapshot> {
+        self.rows
+            .iter()
+            .map(|row| WorkerStatsSnapshot {
+                // ordering: Relaxed — statistics gauge.
+                live_connections: row.live.load(Ordering::Relaxed),
+                epoll_wakeups: row.get(Count::Wakeup),
+                timer_fires: row.get(Count::TimerFire),
+                write_pauses: row.get(Count::WritePause),
+                accepts: row.get(Count::Accept),
+                events_dispatched: row.get(Count::Event),
+                gathered_cycles: row.get(Count::Gathered),
+            })
+            .collect()
+    }
+
+    /// Zeroes every histogram and counter (the `stats reset` command). The
+    /// live-connection gauges are left alone — they track reality, not
+    /// history — and so is whatever a worker has not published yet.
+    pub fn reset(&self) {
+        for row in &self.rows {
+            for histogram in row.latency.iter().chain([&row.flush_segments]) {
+                histogram.reset();
+            }
+            for counter in &row.counts {
+                // ordering: Relaxed — statistics counter; a publish landing
+                // just after the zeroing is a normal race between `stats
+                // reset` and live traffic.
+                counter.store(0, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// A point-in-time copy of one worker's reactor counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStatsSnapshot {
     /// Connections currently owned by this worker.
@@ -410,69 +467,6 @@ pub struct WorkerStatsSnapshot {
     pub events_dispatched: u64,
     /// Connection cycles that joined a commit group after its wakeup.
     pub gathered_cycles: u64,
-}
-
-/// The per-worker reactor counter registry, sized once at startup for the
-/// resolved worker count.
-#[derive(Debug)]
-pub struct ReactorStats {
-    workers: Vec<WorkerStats>,
-}
-
-impl ReactorStats {
-    /// A registry with `workers` zeroed rows (at least one).
-    #[must_use]
-    pub fn new(workers: usize) -> ReactorStats {
-        ReactorStats {
-            workers: (0..workers.max(1))
-                .map(|_| WorkerStats::default())
-                .collect(),
-        }
-    }
-
-    /// The counter row for worker `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range — worker indices are assigned from
-    /// the same count the registry was sized with.
-    #[must_use]
-    pub fn worker(&self, index: usize) -> &WorkerStats {
-        &self.workers[index]
-    }
-
-    /// Point-in-time copies of every row, in worker order.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<WorkerStatsSnapshot> {
-        self.workers
-            .iter()
-            // ordering: Relaxed(x7) — statistics counters; the snapshot
-            // is advisory and never gates an operation.
-            .map(|w| WorkerStatsSnapshot {
-                live_connections: w.live_connections.load(Ordering::Relaxed),
-                epoll_wakeups: w.epoll_wakeups.load(Ordering::Relaxed),
-                timer_fires: w.timer_fires.load(Ordering::Relaxed),
-                write_pauses: w.write_pauses.load(Ordering::Relaxed),
-                accepts: w.accepts.load(Ordering::Relaxed),
-                events_dispatched: w.events_dispatched.load(Ordering::Relaxed),
-                gathered_cycles: w.gathered_cycles.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Zeroes the event counters (`stats reset`). Live-connection gauges
-    /// are left alone — they track reality, not history.
-    pub fn reset(&self) {
-        for w in &self.workers {
-            // ordering: Relaxed(x6) — statistics counters; see `snapshot`.
-            w.epoll_wakeups.store(0, Ordering::Relaxed);
-            w.timer_fires.store(0, Ordering::Relaxed);
-            w.write_pauses.store(0, Ordering::Relaxed);
-            w.accepts.store(0, Ordering::Relaxed);
-            w.events_dispatched.store(0, Ordering::Relaxed);
-            w.gathered_cycles.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Adapts policy-layer [`PolicyEvent`]s into the flight recorder's
@@ -1505,24 +1499,20 @@ mod tests {
     }
 
     #[test]
-    fn reactor_stats_snapshot_and_reset() {
-        let stats = ReactorStats::new(2);
-        stats
-            .worker(0)
-            .epoll_wakeups
-            .fetch_add(5, Ordering::Relaxed);
-        stats.worker(1).live_connections.store(2, Ordering::Relaxed);
-        stats.worker(1).write_pauses.fetch_add(1, Ordering::Relaxed);
-        stats.worker(0).accepts.fetch_add(3, Ordering::Relaxed);
-        stats
-            .worker(0)
-            .events_dispatched
-            .fetch_add(9, Ordering::Relaxed);
-        stats
-            .worker(1)
-            .gathered_cycles
-            .fetch_add(4, Ordering::Relaxed);
-        let snap = stats.snapshot();
+    fn worker_rows_snapshot_and_reset() {
+        let metrics = ServerMetrics::new(2);
+        let (mut first, mut second) = (WorkerTally::new(0), WorkerTally::new(1));
+        first.add(Count::Wakeup, 5);
+        first.add(Count::Accept, 3);
+        first.add(Count::Event, 9);
+        first.add(Count::Opened, 3);
+        second.live(2);
+        second.add(Count::WritePause, 1);
+        second.add(Count::Gathered, 4);
+        second.add(Count::Opened, 1);
+        metrics.absorb(&mut first);
+        metrics.absorb(&mut second);
+        let snap = metrics.workers();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].epoll_wakeups, 5);
         assert_eq!(snap[0].accepts, 3);
@@ -1530,13 +1520,16 @@ mod tests {
         assert_eq!(snap[1].live_connections, 2);
         assert_eq!(snap[1].write_pauses, 1);
         assert_eq!(snap[1].gathered_cycles, 4);
-        stats.reset();
-        let snap = stats.snapshot();
+        // Totals are sums of the rows.
+        assert_eq!(metrics.total(Count::Opened), 4);
+        metrics.reset();
+        let snap = metrics.workers();
         assert_eq!(snap[0].epoll_wakeups, 0);
         assert_eq!(snap[0].accepts, 0);
         assert_eq!(snap[0].events_dispatched, 0);
         assert_eq!(snap[1].write_pauses, 0);
         assert_eq!(snap[1].gathered_cycles, 0);
+        assert_eq!(metrics.total(Count::Opened), 0);
         // Gauges survive a reset.
         assert_eq!(snap[1].live_connections, 2);
     }
@@ -1623,29 +1616,30 @@ mod tests {
 
     #[test]
     fn metrics_record_and_reset() {
-        let metrics = ServerMetrics::new();
-        let mut tally = WorkerTally::default();
+        let metrics = ServerMetrics::new(2);
+        let mut tally = WorkerTally::new(1);
         tally.command(CmdKind::Get, 10, 100);
         tally.command(CmdKind::Set, 0, 200);
-        tally.bytes(CmdKind::Get, 15);
+        tally.add(Count::BytesRead(CmdKind::Get), 15);
         tally.flush(3);
-        tally.span_dropped();
+        tally.add(Count::SpanDropped, 1);
         // Nothing is visible until the worker publishes; then all of it
         // is, and the tally starts over.
         assert_eq!(metrics.total_requests(), 0);
         metrics.absorb(&mut tally);
         metrics.absorb(&mut tally);
-        assert_eq!(metrics.flush_segments.snapshot().sum, 3);
-        assert_eq!(metrics.spans_dropped.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.flush_segments().sum, 3);
+        assert_eq!(metrics.total(Count::SpanDropped), 1);
         tally.command(CmdKind::Delete, 7, 1);
-        assert_eq!(metrics.latency(CmdKind::Delete).count(), 0);
-        metrics.connections_opened.fetch_add(1, Ordering::Relaxed);
-        metrics.record_rejected(RejectCause::MaxConns);
-        metrics.record_rejected(RejectCause::MaxConns);
-        metrics.record_rejected(RejectCause::ValueTooLarge);
-        metrics.record_fault(FaultKind::Drop);
-        assert_eq!(metrics.rejected(RejectCause::MaxConns), 2);
-        assert_eq!(metrics.rejected(RejectCause::IdleTimeout), 0);
+        let deletes = |metrics: &ServerMetrics| metrics.latency_snapshots()[4].1.count;
+        assert_eq!(deletes(&metrics), 0);
+        let mut other = WorkerTally::new(0);
+        other.add(Count::Opened, 1);
+        other.add(Count::Rejected(RejectCause::MaxConns), 2);
+        other.add(Count::Rejected(RejectCause::ValueTooLarge), 1);
+        other.add(Count::Fault(FaultKind::Drop), 1);
+        other.command(CmdKind::Get, 1, 50);
+        metrics.absorb(&mut other);
         assert_eq!(
             metrics.rejected_snapshot(),
             vec![
@@ -1658,29 +1652,48 @@ mod tests {
             metrics.faults_snapshot(),
             vec![("drop", 1), ("delay", 0), ("error", 0)]
         );
-        assert_eq!(metrics.total_requests(), 2);
-        assert_eq!(metrics.latency(CmdKind::Get).count(), 1);
-        assert_eq!(metrics.latency(CmdKind::Set).count(), 1);
-        assert_eq!(metrics.latency(CmdKind::Delete).count(), 0);
-        assert_eq!(metrics.bytes_read(CmdKind::Get), 25);
-        assert_eq!(metrics.bytes_read(CmdKind::Set), 0);
+        // Both workers' rows add up.
+        assert_eq!(metrics.total_requests(), 3);
+        let latencies = metrics.latency_snapshots();
+        assert_eq!(latencies.len(), 6);
+        assert_eq!(latencies[0], ("get", histogram(&[100, 50])));
+        assert_eq!(latencies[2].1.count, 1);
         let bytes = metrics.bytes_read_snapshot();
         assert_eq!(bytes.len(), 6);
-        assert_eq!(bytes[0], ("get", 25));
+        assert_eq!(bytes[0], ("get", 26));
+        assert_eq!(bytes[2], ("set", 0));
         metrics.reset();
-        assert_eq!(metrics.latency(CmdKind::Get).count(), 0);
-        assert_eq!(metrics.bytes_read(CmdKind::Get), 0);
-        assert_eq!(metrics.spans_dropped.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.total_requests(), 0);
+        assert_eq!(metrics.bytes_read_snapshot()[0], ("get", 0));
+        assert_eq!(metrics.total(Count::SpanDropped), 0);
         // What a worker had not published yet survives the reset.
         metrics.absorb(&mut tally);
-        assert_eq!(metrics.latency(CmdKind::Delete).count(), 1);
-        assert_eq!(metrics.bytes_read(CmdKind::Delete), 7);
+        assert_eq!(deletes(&metrics), 1);
+        assert_eq!(metrics.bytes_read_snapshot()[4], ("delete", 7));
         metrics.reset();
-        assert_eq!(metrics.rejected(RejectCause::MaxConns), 0);
+        assert_eq!(metrics.rejected_snapshot()[0], ("max_conns", 0));
         assert_eq!(metrics.faults_snapshot()[0], ("drop", 0));
-        assert_eq!(metrics.connections_opened.load(Ordering::Relaxed), 0);
-        let snaps = metrics.latency_snapshots();
-        assert_eq!(snaps.len(), 6);
-        assert_eq!(snaps[0].0, "get");
+        assert_eq!(metrics.total(Count::Opened), 0);
+    }
+
+    #[test]
+    fn every_count_has_its_own_slot() {
+        let mut counts: Vec<Count> = CmdKind::ALL.map(Count::BytesRead).to_vec();
+        counts.extend(RejectCause::ALL.map(Count::Rejected));
+        counts.extend(FaultKind::ALL.map(Count::Fault));
+        counts.extend([
+            Count::Opened,
+            Count::Closed,
+            Count::ProtocolError,
+            Count::SpanDropped,
+            Count::Accept,
+            Count::Wakeup,
+            Count::Event,
+            Count::Gathered,
+            Count::WritePause,
+            Count::TimerFire,
+        ]);
+        let slots: Vec<usize> = counts.iter().map(|c| c.slot()).collect();
+        assert_eq!(slots, (0..COUNTS).collect::<Vec<_>>());
     }
 }

@@ -37,7 +37,7 @@ use std::time::Instant;
 use camp_telemetry::{kvlog, LogLevel, RequestSpan};
 
 use crate::fault::{FaultAction, FaultState};
-use crate::metrics::{CmdKind, FaultKind, RejectCause, WorkerTally};
+use crate::metrics::{CmdKind, Count, FaultKind, RejectCause, WorkerTally};
 use crate::protocol::{parse_command_limited, Command};
 use crate::server::{cmd_kind, execute, ServerOptions, Shared, Stamp};
 
@@ -139,6 +139,9 @@ pub(crate) struct Connection {
     /// Whether this connection was counted in `conn_count` and the
     /// opened/closed metrics (max-conns rejections are not).
     pub(crate) counted: bool,
+    /// Why the server is turning this connection away, until `process`
+    /// counts it.
+    refused: Option<RejectCause>,
     /// Server-assigned connection id (span attribution).
     id: u64,
     /// When the most recent socket fragment arrived (the `buffered` span
@@ -168,6 +171,7 @@ impl Connection {
             close_after_flush: false,
             peer_eof: false,
             counted: true,
+            refused: None,
             id,
             buffered_at: None,
             pending_spans: Vec::new(),
@@ -178,7 +182,6 @@ impl Connection {
     /// queued and `close_after_flush` set, uncounted — the reactor flushes
     /// the reply and closes without ever reading a byte.
     pub(crate) fn rejected(shared: &Shared) -> Connection {
-        shared.metrics.record_rejected(RejectCause::MaxConns);
         kvlog!(
             LogLevel::Warn,
             "connection_rejected",
@@ -190,6 +193,7 @@ impl Connection {
             .extend_from_slice(b"SERVER_ERROR too many connections\r\n");
         conn.close_after_flush = true;
         conn.counted = false;
+        conn.refused = Some(RejectCause::MaxConns);
         conn
     }
 
@@ -378,7 +382,6 @@ impl Connection {
     /// Evicts the connection for exceeding the idle deadline: explicit
     /// error reply, then close once it flushes.
     pub(crate) fn evict_idle(&mut self, shared: &Shared) {
-        shared.metrics.record_rejected(RejectCause::IdleTimeout);
         kvlog!(
             LogLevel::Info,
             "idle_connection_evicted",
@@ -386,6 +389,7 @@ impl Connection {
         );
         self.out.extend_from_slice(b"SERVER_ERROR idle timeout\r\n");
         self.close_after_flush = true;
+        self.refused = Some(RejectCause::IdleTimeout);
     }
 
     /// Readies the output for this call's replies: borrows a buffer if
@@ -435,6 +439,9 @@ impl Connection {
         now: Stamp,
     ) -> Step {
         if self.close_after_flush {
+            if let Some(cause) = self.refused.take() {
+                tally.add(Count::Rejected(cause), 1);
+            }
             return Step::Close;
         }
         if self.pos < self.filled {
@@ -542,15 +549,15 @@ impl Connection {
                             match state.decide(plan) {
                                 FaultAction::None => {}
                                 FaultAction::Delay(dur) => {
-                                    shared.metrics.record_fault(FaultKind::Delay);
+                                    tally.add(Count::Fault(FaultKind::Delay), 1);
                                     let until = now.at + dur;
                                     self.fault_decided = true;
                                     self.delayed_until = Some(until);
                                     return Step::Delayed(until);
                                 }
                                 FaultAction::Error => {
-                                    shared.metrics.record_fault(FaultKind::Error);
-                                    tally.bytes(kind, wire_bytes);
+                                    tally.add(Count::Fault(FaultKind::Error), 1);
+                                    tally.add(Count::BytesRead(kind), wire_bytes);
                                     self.out
                                         .extend_from_slice(b"SERVER_ERROR injected fault\r\n");
                                     self.last_complete = now.at;
@@ -560,8 +567,8 @@ impl Connection {
                                 FaultAction::Drop => {
                                     // Vanish pre-response; replies already
                                     // buffered still flush on close.
-                                    shared.metrics.record_fault(FaultKind::Drop);
-                                    tally.bytes(kind, wire_bytes);
+                                    tally.add(Count::Fault(FaultKind::Drop), 1);
+                                    tally.add(Count::BytesRead(kind), wire_bytes);
                                     return Step::Close;
                                 }
                             }
@@ -600,19 +607,15 @@ impl Connection {
                             flushed_us: 0, // stamped by `finish_spans`
                         });
                     } else {
-                        tally.span_dropped();
+                        tally.add(Count::SpanDropped, 1);
                     }
                     (started, started_us) = (executed_at, executed_us);
                     self.last_complete = executed_at;
                     self.pos += consumed;
                 }
                 Err(err) => {
-                    tally.bytes(CmdKind::Other, line_wire as u64);
-                    // ordering: Relaxed — statistics counter.
-                    shared
-                        .metrics
-                        .protocol_errors
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    tally.add(Count::BytesRead(CmdKind::Other), line_wire as u64);
+                    tally.add(Count::ProtocolError, 1);
                     kvlog!(LogLevel::Debug, "protocol_error", error = err);
                     self.out.extend_from_slice(err.to_string().as_bytes());
                     self.out.extend_from_slice(b"\r\n");
@@ -621,7 +624,7 @@ impl Connection {
                         // The refused data block is still on the wire;
                         // reading on would desync. Today
                         // the only fatal parse error is an oversize value.
-                        shared.metrics.record_rejected(RejectCause::ValueTooLarge);
+                        tally.add(Count::Rejected(RejectCause::ValueTooLarge), 1);
                         return Step::Close;
                     }
                     self.last_complete = now.at;
@@ -1165,7 +1168,7 @@ mod tests {
         assert!(!conn.has_pending_out());
         // Each flush is one sample of the write calls it made, blocked
         // calls included.
-        let counted = shared.metrics.flush_segments.snapshot();
+        let counted = shared.metrics.flush_segments();
         assert_eq!((counted.count, counted.sum), (flushes, io.calls));
     }
 

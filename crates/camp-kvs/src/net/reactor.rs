@@ -22,11 +22,16 @@
 //! wall-clock second) for the whole batch: connection cycles triggered by
 //! the batch share it for chaos-delay checks, liveness stamps and item
 //! expiry, and each command then costs one further clock read — its end,
-//! which is the next command's start. What a cycle counts (per-command
-//! latency and bytes, flush sizes, dropped spans) goes into the worker's
-//! own [`WorkerTally`] and is published into the shared metrics once per
-//! cycle, before the cycle's replies are flushed: a `stats` reader lags a
-//! worker by at most one cycle and never past a reply. Connections live in
+//! which is the next command's start. Everything a worker counts goes into
+//! its own [`WorkerTally`]: a cycle's latencies, bytes, flush sizes,
+//! dropped spans, rejections and faults, and the reactor's own accepts,
+//! wakeups, events, gathered cycles, write pauses, timer fires and
+//! connections opened and closed; the live-connection gauge is the
+//! arena's length. The worker publishes the tally into its row of the
+//! shared metrics before a cycle's replies are flushed, and before each
+//! blocking `epoll_wait` if it counted anything since: a `stats` reader
+//! never misses a count behind a reply, and reactor counts never wait for
+//! some connection's next cycle. Connections live in
 //! a [`camp_core::arena::Arena`]; the epoll registration token packs the
 //! connection's [`EntryId`] as `(generation << 32) | index`, so a stale
 //! event for a recycled slot is recognized and dropped — the run queue,
@@ -86,7 +91,7 @@ use std::time::{Duration, Instant};
 use camp_core::arena::{Arena, EntryId};
 use camp_telemetry::{kvlog, LogLevel};
 
-use crate::metrics::WorkerTally;
+use crate::metrics::{Count, WorkerTally};
 use crate::net::conn::{BufPool, Connection, Step};
 use crate::net::epoll::{
     Epoll, EpollEvent, ReusePortListener, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT,
@@ -280,7 +285,7 @@ impl Worker {
             conns: Arena::new(),
             timers: Timers::default(),
             pool: BufPool::default(),
-            tally: WorkerTally::default(),
+            tally: WorkerTally::new(index),
             run_queue: Vec::new(),
             parked: Vec::new(),
             drain_armed: false,
@@ -294,7 +299,13 @@ impl Worker {
         loop {
             // Replies wait on a commit: poll, so whatever is ready joins it.
             let gathering = !self.parked.is_empty();
-            let timeout = if gathering { 0 } else { self.park_timeout() };
+            let timeout = if gathering {
+                0
+            } else {
+                // About to sleep: publish what waits in the tally first.
+                self.shared.metrics.absorb(&mut self.tally);
+                self.park_timeout()
+            };
             let n = match self.epoll.wait(&mut events[..room], timeout) {
                 Ok(n) => n,
                 Err(err) => {
@@ -317,12 +328,10 @@ impl Worker {
                 }
             }
             let ran = self.run_queued(now);
-            let w = self.shared.reactor_stats.worker(self.index);
-            // ordering: Relaxed(x2) — statistics counters.
             if gathering {
-                w.gathered_cycles.fetch_add(ran as u64, Ordering::Relaxed);
+                self.tally.add(Count::Gathered, ran as u64);
             } else if n > 0 {
-                w.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
+                self.tally.add(Count::Wakeup, 1);
             }
             room -= ran;
             // The group is complete once a poll finds nothing more to run,
@@ -405,12 +414,7 @@ impl Worker {
             return 0;
         }
         let queue = std::mem::take(&mut self.run_queue);
-        self.shared
-            .reactor_stats
-            .worker(self.index)
-            .events_dispatched
-            // ordering: Relaxed — statistics counter.
-            .fetch_add(queue.len() as u64, Ordering::Relaxed);
+        self.tally.add(Count::Event, queue.len() as u64);
         let mut ran = 0;
         for &id in &queue {
             if self.conns.contains(id) {
@@ -461,12 +465,7 @@ impl Worker {
                     return;
                 }
             };
-            self.shared
-                .reactor_stats
-                .worker(self.index)
-                .accepts
-                // ordering: Relaxed — statistics counter.
-                .fetch_add(1, Ordering::Relaxed);
+            self.tally.add(Count::Accept, 1);
             self.register(stream, now);
         }
     }
@@ -496,11 +495,6 @@ impl Worker {
         }
         stream.set_nodelay(true).ok();
         let conn = if self.shared.conns.try_reserve() {
-            self.shared
-                .metrics
-                .connections_opened
-                // ordering: Relaxed — statistics counter.
-                .fetch_add(1, Ordering::Relaxed);
             // ordering: Relaxed — unique-id counter; uniqueness needs only
             // atomicity.
             let id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
@@ -521,23 +515,16 @@ impl Worker {
             self.conns.remove(id);
             if counted {
                 self.shared.conns.release();
-                self.shared
-                    .metrics
-                    .connections_opened
-                    // ordering: Relaxed — statistics counter.
-                    .fetch_sub(1, Ordering::Relaxed);
             }
             return;
         }
-        self.shared
-            .reactor_stats
-            .worker(self.index)
-            .live_connections
-            // ordering: Relaxed — statistics counter.
-            .fetch_add(1, Ordering::Relaxed);
-        if counted && !self.shared.idle_timeout.is_zero() {
-            self.timers
-                .schedule(now.at + self.shared.idle_timeout, Timer::Idle(id));
+        self.tally.live(self.conns.len());
+        if counted {
+            self.tally.add(Count::Opened, 1);
+            if !self.shared.idle_timeout.is_zero() {
+                self.timers
+                    .schedule(now.at + self.shared.idle_timeout, Timer::Idle(id));
+            }
         }
         // Run one cycle right away: fast clients may already have a
         // command in the socket buffer, and rejections flush-and-close
@@ -632,12 +619,7 @@ impl Worker {
                 } else {
                     // High-water mark hit: stop reading until the peer
                     // drains some output.
-                    self.shared
-                        .reactor_stats
-                        .worker(self.index)
-                        .write_pauses
-                        // ordering: Relaxed — statistics counter.
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.tally.add(Count::WritePause, 1);
                     After::Keep(EPOLLOUT)
                 }
             }
@@ -672,9 +654,19 @@ impl Worker {
         let Some(mut entry) = self.conns.remove(id) else {
             return;
         };
+        self.tally.live(self.conns.len());
+        if entry.conn.counted {
+            self.shared.conns.release();
+            self.tally.add(Count::Closed, 1);
+            if severed {
+                // ordering: SeqCst — sever accounting read back after join.
+                self.rshared.severed.fetch_add(1, Ordering::SeqCst);
+            }
+        }
         // Best-effort farewell flush, behind the ack barrier like any
-        // other flush; then dropping the stream closes the fd, which also
-        // deregisters it from epoll.
+        // other flush, which also publishes the counts above; then
+        // dropping the stream closes the fd, which also deregisters it
+        // from epoll.
         let conn = &mut entry.conn;
         let _ = conn.flush(
             &mut entry.stream,
@@ -689,38 +681,13 @@ impl Worker {
         if severed {
             let _ = entry.stream.shutdown(std::net::Shutdown::Both);
         }
-        self.shared
-            .reactor_stats
-            .worker(self.index)
-            .live_connections
-            // ordering: Relaxed — statistics counter.
-            .fetch_sub(1, Ordering::Relaxed);
-        if entry.conn.counted {
-            self.shared.conns.release();
-            self.shared
-                .metrics
-                .connections_closed
-                // ordering: Relaxed — statistics counter.
-                .fetch_add(1, Ordering::Relaxed);
-            if severed {
-                // ordering: SeqCst — sever accounting read back after join.
-                self.rshared.severed.fetch_add(1, Ordering::SeqCst);
-            }
-        }
         drop(entry);
     }
 
     fn fire_timers(&mut self, now: Stamp) {
         let mut due = Vec::new();
         self.timers.expire(now.at, &mut due);
-        if !due.is_empty() {
-            self.shared
-                .reactor_stats
-                .worker(self.index)
-                .timer_fires
-                // ordering: Relaxed — statistics counter.
-                .fetch_add(due.len() as u64, Ordering::Relaxed);
-        }
+        self.tally.add(Count::TimerFire, due.len() as u64);
         for timer in due {
             match timer {
                 // Its replies wait on the commit: try again after it.

@@ -18,10 +18,13 @@
 //! the journal's writer lock under `--data-dir`), and writes its reply
 //! straight into the connection's output buffer.
 //!
-//! Every command is timed by the reactor worker that runs it, into that
-//! worker's own tally, published into the shared per-command histograms
-//! ([`ServerMetrics`]) once per connection cycle; `stats detail` reports
-//! the quantiles and the policies' internal gauges, and
+//! A reactor worker counts everything it observes — each command's latency
+//! and bytes, its accepts, wakeups, rejections and faults — into its own
+//! tally, and publishes the tally into its own row of [`ServerMetrics`]
+//! before a cycle's replies leave, before a `stats`/`trace` command runs,
+//! and before it blocks in `epoll_wait` with counts unpublished. `stats
+//! detail` reports the rows' sums, the quantiles of their merged
+//! histograms and the policies' internal gauges, and
 //! [`ServerOptions::metrics_addr`] additionally serves the whole
 //! [`TelemetryReport`] as Prometheus text over plain HTTP for scraping.
 
@@ -34,7 +37,7 @@ use std::time::{Duration, Instant};
 use camp_telemetry::{duration_micros, kvlog, FlightRecorder, LogLevel, RequestSpan};
 
 use crate::fault::FaultPlan;
-use crate::metrics::{CmdKind, ReactorStats, RecorderSink, ServerMetrics, TelemetryReport};
+use crate::metrics::{CmdKind, Count, RecorderSink, ServerMetrics, TelemetryReport};
 use crate::net::epoll::ReusePortListener;
 use crate::net::reactor::Reactor;
 use crate::persist::{IoBackend, Persist};
@@ -92,8 +95,6 @@ pub(crate) struct Shared {
     /// The always-on flight recorder: per-worker request-span rings, the
     /// slow-request log, and the eviction-event ring.
     pub(crate) recorder: Arc<FlightRecorder>,
-    /// Per-worker reactor counters (`stats detail` / Prometheus).
-    pub(crate) reactor_stats: ReactorStats,
     /// The durability engine (`--data-dir`); `None` = memory-only, with
     /// the write path byte-identical to a build without persistence.
     pub(crate) persist: Option<Arc<Persist>>,
@@ -147,7 +148,7 @@ impl Shared {
         };
         Ok(Shared {
             store,
-            metrics: ServerMetrics::new(),
+            metrics: ServerMetrics::new(workers),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             conns: ConnGauge::new(options.max_conns),
@@ -157,7 +158,6 @@ impl Shared {
             idle_timeout: options.idle_timeout,
             fault_plan: options.fault_plan.clone(),
             recorder,
-            reactor_stats: ReactorStats::new(workers),
             persist,
             #[cfg(test)]
             flush_before_commit: AtomicBool::new(false),
@@ -681,7 +681,6 @@ pub(crate) fn execute(
                 shared.store.reset_stats();
                 shared.metrics.reset();
                 shared.recorder.reset_derived();
-                shared.reactor_stats.reset();
                 kvlog!(LogLevel::Info, "stats_reset");
                 writeln_crlf(out, "RESET");
             }
@@ -780,11 +779,9 @@ fn telemetry_report(shared: &Shared) -> TelemetryReport {
         slab_census: shared.store.slab_census(),
         latencies: shared.metrics.latency_snapshots(),
         bytes_read: shared.metrics.bytes_read_snapshot(),
-        // ordering: Relaxed(x3) — statistics counters; the snapshot is
-        // advisory and never gates an operation.
-        connections_opened: shared.metrics.connections_opened.load(Ordering::Relaxed),
-        connections_closed: shared.metrics.connections_closed.load(Ordering::Relaxed),
-        protocol_errors: shared.metrics.protocol_errors.load(Ordering::Relaxed),
+        connections_opened: shared.metrics.total(Count::Opened),
+        connections_closed: shared.metrics.total(Count::Closed),
+        protocol_errors: shared.metrics.total(Count::ProtocolError),
         conn_rejected: shared.metrics.rejected_snapshot(),
         faults_injected: shared.metrics.faults_snapshot(),
         lock_poison_recovered: crate::sync::poison_recovered_total(),
@@ -792,16 +789,15 @@ fn telemetry_report(shared: &Shared) -> TelemetryReport {
         shadow: shared.store.shadow_estimates(),
         shadow_sample_modulus: shared.store.shadow_sample_modulus(),
         spans_recorded: shared.recorder.spans_recorded(),
-        // ordering: Relaxed — statistics counter.
-        spans_dropped: shared.metrics.spans_dropped.load(Ordering::Relaxed),
+        spans_dropped: shared.metrics.total(Count::SpanDropped),
         slow_recorded: shared.recorder.slow_recorded(),
         slow_threshold_us: shared.recorder.slow_threshold_us(),
         trace_admits: decisions.admits,
         trace_evicts: decisions.evictions,
         eviction_costs: decisions.eviction_costs,
         l_values: decisions.l_values,
-        reactor_workers: shared.reactor_stats.snapshot(),
-        flush_segments: shared.metrics.flush_segments.snapshot(),
+        reactor_workers: shared.metrics.workers(),
+        flush_segments: shared.metrics.flush_segments(),
         persist: shared.persist.as_ref().map(|p| p.snapshot()),
         shards,
     }

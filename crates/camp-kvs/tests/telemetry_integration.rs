@@ -872,3 +872,68 @@ fn metric_identities_hold_at_quiescence() {
     reporter.finish();
     server.shutdown();
 }
+
+/// Sums field `name=` over the `reactor:worker<i>` rows of a `stats` table.
+fn worker_sum(table: &BTreeMap<String, String>, workers: usize, name: &str) -> u64 {
+    (0..workers)
+        .map(|i| span_field(&table[&format!("reactor:worker{i}")], name))
+        .sum()
+}
+
+/// Across two workers, every socket a worker accepted was either opened
+/// or refused at the `max_conns` cap, and once the probe is the only
+/// connection left, the live gauges and the opened/closed counts agree
+/// that one connection remains.
+#[test]
+fn accepts_split_into_opened_and_refused_across_workers() {
+    const WORKERS: usize = 2;
+    const MAX_CONNS: usize = 4;
+    const DIALS: usize = 12;
+    let mut opts = options(EvictionMode::Lru, 1);
+    opts.workers = WORKERS;
+    opts.max_conns = MAX_CONNS;
+    let server = Server::start_with("127.0.0.1:0", opts).expect("start server");
+    let mut probe = RawConn::connect(&server);
+    assert!(probe.roundtrip(Vec::new(), 0).is_empty());
+
+    // All dials held open at once: the cap admits three beside the probe.
+    let dials: Vec<(TcpStream, String)> = (0..DIALS)
+        .map(|_| {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("dial");
+            stream.write_all(b"version\r\n").expect("send version");
+            let mut line = String::new();
+            BufReader::new(stream.try_clone().expect("clone"))
+                .read_line(&mut line)
+                .expect("first reply");
+            (stream, line)
+        })
+        .collect();
+    let refused = dials
+        .iter()
+        .filter(|(_, line)| line.starts_with("SERVER_ERROR too many connections"))
+        .count();
+    assert_eq!(refused, DIALS - (MAX_CONNS - 1), "{dials:?}");
+    drop(dials);
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let detail = loop {
+        let detail = probe.stats_detail();
+        let opened = parse_u64(&detail, "connections_opened");
+        let closed = parse_u64(&detail, "connections_closed");
+        if worker_sum(&detail, WORKERS, "live=") == 1 && opened == closed + 1 {
+            break detail;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the closed dials never left the counts: {detail:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    let opened = parse_u64(&detail, "connections_opened");
+    let rejected = parse_u64(&detail, "conn_rejected:max_conns");
+    assert_eq!((opened, rejected), (MAX_CONNS as u64, refused as u64));
+    assert_eq!(worker_sum(&detail, WORKERS, "accepts="), opened + rejected);
+
+    probe.finish();
+    server.shutdown();
+}
