@@ -12,7 +12,8 @@
 //! from a sent cursor — so a pipelined burst of N commands still leaves
 //! in one syscall. A buffer goes back to the pool once drained, so an
 //! idle connection holds neither; a partial command keeps its read
-//! buffer, moved to the front.
+//! buffer, moved to the front. The output is bounded by how far a client
+//! reads, not by how far it pipelines: see [`Connection::OUT_HIGH_WATER`].
 //!
 //! Because input arrives in arbitrary fragments, the machine never
 //! consumes a command until every byte it needs is present: a `set`
@@ -55,8 +56,11 @@ const PENDING_SPAN_CAP: usize = 4096;
 /// What [`Connection::process`] wants from the reactor next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
-    /// All buffered input consumed (or an incomplete command is waiting
-    /// for more bytes): keep read interest.
+    /// All buffered input consumed, or an incomplete command is waiting
+    /// for more bytes: keep read interest. Also returned, with
+    /// [`Connection::backlogged`] set, when the output passed
+    /// [`Connection::OUT_HIGH_WATER`] with complete commands left: those
+    /// wait for the output to drain, not for new bytes.
     NeedRead,
     /// A chaos delay is in force: stop reading, schedule a resume timer
     /// for the instant, then call `process` again.
@@ -134,6 +138,9 @@ pub(crate) struct Connection {
     pub(crate) last_complete: Instant,
     /// Close once the write buffer drains (quit, eviction, rejection...).
     pub(crate) close_after_flush: bool,
+    /// `process` stopped at [`Connection::OUT_HIGH_WATER`] with input
+    /// left: the reactor reads nothing more until that input is answered.
+    pub(crate) backlogged: bool,
     /// The peer closed its write half (sticky).
     pub(crate) peer_eof: bool,
     /// Whether this connection was counted in `conn_count` and the
@@ -169,6 +176,7 @@ impl Connection {
             delayed_until: None,
             last_complete: Instant::now(),
             close_after_flush: false,
+            backlogged: false,
             peer_eof: false,
             counted: true,
             refused: None,
@@ -416,10 +424,17 @@ impl Connection {
         }
     }
 
+    /// Unsent output past which `process` takes no more commands and the
+    /// reactor stops reading, so a client that does not read cannot make
+    /// its replies pile up without bound.
+    pub(crate) const OUT_HIGH_WATER: usize = 1 << 20;
+
     /// Consumes every complete command currently buffered, appending the
     /// replies to the output buffer (borrowed from `pool` if need be), and
     /// says what the reactor should do next. Run-to-completion: one call
-    /// drains everything actionable.
+    /// drains everything actionable, unless the unsent output passes
+    /// [`Connection::OUT_HIGH_WATER`] first; then it stops, `backlogged`,
+    /// and the next call resumes.
     ///
     /// `now` is the batch timestamp stamped once per reactor wakeup —
     /// chaos delays, liveness stamps and item expiry use it as is. The
@@ -444,6 +459,7 @@ impl Connection {
             }
             return Step::Close;
         }
+        self.backlogged = false;
         if self.pos < self.filled {
             self.ready_out(pool);
         }
@@ -469,6 +485,10 @@ impl Connection {
                 } else {
                     Step::NeedRead
                 };
+            }
+            if self.pending_out_len() > Connection::OUT_HIGH_WATER {
+                self.backlogged = true;
+                return Step::NeedRead;
             }
             let newline = self.input[self.pos..self.filled]
                 .iter()
@@ -669,20 +689,25 @@ impl Loopback {
         })
     }
 
-    /// Runs one worker cycle over `input`, appending the replies to
-    /// `replies` (which never blocks, so the cycle always completes).
+    /// Runs worker cycles over `input` until every complete command is
+    /// answered, appending the replies to `replies` (which never blocks,
+    /// so each flush drains and a backlog resumes at once).
     ///
     /// # Errors
     ///
     /// None in practice: a `Vec` sink accepts every write.
     pub fn exchange(&mut self, input: &[u8], replies: &mut Vec<u8>) -> io::Result<()> {
         self.conn.ingest(input, &mut self.pool);
-        self.conn
-            .process(&self.shared, &mut self.pool, &mut self.tally, Stamp::now());
-        self.shared.metrics.absorb(&mut self.tally);
-        self.conn
-            .flush(replies, &self.shared, &mut self.pool, &mut self.tally, 0)?;
-        Ok(())
+        loop {
+            self.conn
+                .process(&self.shared, &mut self.pool, &mut self.tally, Stamp::now());
+            self.shared.metrics.absorb(&mut self.tally);
+            self.conn
+                .flush(replies, &self.shared, &mut self.pool, &mut self.tally, 0)?;
+            if !self.conn.backlogged {
+                return Ok(());
+            }
+        }
     }
 }
 

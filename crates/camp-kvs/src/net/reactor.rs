@@ -112,9 +112,6 @@ const ACCEPT_ROUND_MAX: usize = 256;
 const MAX_PARK: Duration = Duration::from_secs(1);
 /// Drain sweep cadence.
 const DRAIN_TICK: Duration = Duration::from_millis(50);
-/// Unflushed-output level past which a connection stops being read,
-/// so a slow-reading client cannot balloon its write buffer.
-const OUT_HIGH_WATER: usize = 1 << 20;
 
 /// State shared between the server handle and the workers.
 #[derive(Debug)]
@@ -436,9 +433,15 @@ impl Worker {
     fn finish_parked(&mut self) {
         let mut parked = std::mem::take(&mut self.parked);
         for (id, step) in parked.drain(..) {
-            self.finish(id, step);
+            if self.finish(id, step) {
+                self.cycle(id, Stamp::now());
+            }
         }
-        self.parked = parked;
+        // A resumed backlog may have parked again: keep it for the next
+        // group.
+        if self.parked.is_empty() {
+            self.parked = parked;
+        }
     }
 
     /// The worker's own listener is readable: accept until it would
@@ -532,22 +535,34 @@ impl Worker {
         self.cycle(id, now);
     }
 
+    /// Runs [`Worker::cycle_once`] until the connection neither parks nor
+    /// has a backlog whose flush drained: such a backlog goes round again
+    /// at once.
+    fn cycle(&mut self, id: EntryId, mut now: Stamp) {
+        while self.cycle_once(id, now) {
+            now = Stamp::now();
+        }
+    }
+
     /// One run-to-completion round for a connection: fill from the
     /// socket, process every complete command, publish what that counted,
     /// then [`Worker::finish`] — at once, or, when its replies wait on the
     /// ack barrier, after the group's one commit (see the module docs).
-    fn cycle(&mut self, id: EntryId, now: Stamp) {
+    /// Returns what `finish` does.
+    fn cycle_once(&mut self, id: EntryId, now: Stamp) -> bool {
         let step = {
             let Some(entry) = self.conns.get_mut(id) else {
-                return;
+                return false;
             };
             let conn = &mut entry.conn;
             // Read only when the machine can make use of bytes: not while
-            // closing, not mid-delay, not past the write high-water mark.
+            // closing, not mid-delay, not with answers owed or past the
+            // write high-water mark.
             let readable = !conn.close_after_flush
                 && conn.delayed_until.is_none()
                 && !conn.peer_eof
-                && conn.pending_out_len() <= OUT_HIGH_WATER;
+                && !conn.backlogged
+                && conn.pending_out_len() <= Connection::OUT_HIGH_WATER;
             let filled = if readable {
                 conn.fill_from(&mut entry.stream, &mut self.pool)
                     .map(|_| ())
@@ -567,26 +582,27 @@ impl Worker {
         self.shared.metrics.absorb(&mut self.tally);
         let Some(step) = step else {
             self.close(id, false);
-            return;
+            return false;
         };
         if self.shared.needs_commit() {
             if let Some(entry) = self.conns.get_mut(id) {
                 entry.parked = true;
             }
             self.parked.push((id, step));
-            return;
+            return false;
         }
-        self.finish(id, step);
+        self.finish(id, step)
     }
 
     /// The second half of a cycle: flush the coalesced replies (which
     /// commits what they acknowledge first), then re-derive epoll interest
-    /// from `step`.
-    fn finish(&mut self, id: EntryId, step: Step) {
+    /// from `step`. Returns true if the connection has answers owed and
+    /// the socket took every byte: its cycle goes on at once.
+    fn finish(&mut self, id: EntryId, step: Step) -> bool {
         // ordering: SeqCst — drain control plane; see the event-loop checks.
         let draining = self.shared.draining.load(Ordering::SeqCst);
         let Some(entry) = self.conns.get_mut(id) else {
-            return;
+            return false;
         };
         entry.parked = false;
         let conn = &mut entry.conn;
@@ -614,11 +630,13 @@ impl Worker {
             (Ok(flushed), Step::NeedRead) => {
                 if (conn.close_after_flush && flushed) || (draining && conn.drain_closable()) {
                     After::Close
-                } else if conn.pending_out_len() <= OUT_HIGH_WATER {
+                } else if conn.backlogged && flushed {
+                    return true;
+                } else if !conn.backlogged && conn.pending_out_len() <= Connection::OUT_HIGH_WATER {
                     After::Keep(if flushed { EPOLLIN } else { EPOLLIN | EPOLLOUT })
                 } else {
-                    // High-water mark hit: stop reading until the peer
-                    // drains some output.
+                    // Past the high-water mark, or answers owed behind
+                    // it: read nothing until the peer drains some output.
                     self.tally.add(Count::WritePause, 1);
                     After::Keep(EPOLLOUT)
                 }
@@ -628,6 +646,7 @@ impl Worker {
             After::Close => self.close(id, false),
             After::Keep(interest) => self.set_interest(id, interest),
         }
+        false
     }
 
     fn set_interest(&mut self, id: EntryId, desired: u32) {

@@ -286,3 +286,191 @@ fn a_client_that_stops_reading_is_paused_then_served_in_full() {
     let report = server.shutdown_with_drain(Duration::from_secs(5));
     assert!(report.is_clean(), "drain not clean: {report:?}");
 }
+
+/// A `camp-kvsd` child process serving on an ephemeral port, and the
+/// thread that drains its log.
+struct Daemon {
+    child: std::process::Child,
+    addr: std::net::SocketAddr,
+    log: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        // The daemon is gone, so its log has ended.
+        if let Some(log) = self.log.take() {
+            let _ = log.join();
+        }
+    }
+}
+
+impl Daemon {
+    /// Boots the daemon with `args` and waits for the address its
+    /// `camp_kvsd_ready` banner names.
+    fn spawn(args: &[&str]) -> Daemon {
+        use std::io::BufRead;
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_camp-kvsd"))
+            .args(["--listen", "127.0.0.1:0", "--log-level", "info"])
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn camp-kvsd");
+        let stderr = child.stderr.take().expect("piped stderr");
+        let mut lines = std::io::BufReader::new(stderr).lines();
+        let addr = lines
+            .by_ref()
+            .map_while(Result::ok)
+            .find(|line| line.contains("event=camp_kvsd_ready"))
+            .and_then(|line| {
+                line.split_whitespace()
+                    .find_map(|token| token.strip_prefix("addr="))?
+                    .parse()
+                    .ok()
+            });
+        // Keep draining the log so the daemon never blocks on the pipe.
+        let log = Some(std::thread::spawn(move || lines.for_each(drop)));
+        Daemon {
+            child,
+            addr: addr.expect("camp-kvsd exited without a ready banner"),
+            log,
+        }
+    }
+
+    /// The daemon's resident set size in bytes, from `/proc/<pid>/status`.
+    fn vm_rss(&self) -> u64 {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", self.child.id()))
+            .expect("read the daemon's /proc status");
+        let kib: u64 = status
+            .lines()
+            .find_map(|line| line.strip_prefix("VmRSS:"))
+            .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+            .expect("VmRSS line");
+        kib * 1024
+    }
+}
+
+/// Two thousand `get`s of a 64 KiB value pipelined in one write, with
+/// nothing read: the server takes commands only until its unsent output
+/// passes the 1 MiB high-water mark, so it grows by well under the 128 MiB
+/// the gets ask for. Once the client reads, the rest are answered, every
+/// reply in order and byte-exact. The server is a daemon of its own, so
+/// the other tests of this binary, running in parallel threads, cannot
+/// move the memory measured; the test skips where `idle_memory.rs` does.
+#[test]
+fn an_unread_pipeline_queues_a_bounded_backlog() {
+    const GETS: usize = 2_000;
+    const GROWTH_LIMIT: u64 = 16 << 20;
+    let needed = 8_512;
+    match max_open_files() {
+        Some(limit) if limit >= needed => {}
+        Some(limit) => {
+            eprintln!("skipping backlog test: RLIMIT_NOFILE soft limit {limit} < {needed}");
+            return;
+        }
+        None => {
+            eprintln!("skipping backlog test: cannot read /proc/self/limits");
+            return;
+        }
+    }
+    let daemon = Daemon::spawn(&["--workers", "1"]);
+    let value: Vec<u8> = (0..64 * 1024).map(|i| b'a' + (i % 26) as u8).collect();
+    let mut client = connect(daemon.addr);
+    assert!(client.set(b"big", &value, 7, 0).expect("set"));
+    let warm = client.get(b"big").expect("get").map(|hit| hit.data);
+    assert_eq!(warm.as_deref(), Some(&value[..]));
+    let before = daemon.vm_rss();
+    let pauses_before = worker0(daemon.addr, "write_pauses");
+
+    for _ in 0..GETS {
+        client.push_get(b"big");
+    }
+    client.send().expect("send the gets");
+    let mut paused = false;
+    for _ in 0..500 {
+        if worker0(daemon.addr, "write_pauses") > pauses_before {
+            paused = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(paused, "the unread replies never paused the connection");
+    let grown = daemon.vm_rss().saturating_sub(before);
+    eprintln!("{GETS} unread gets grew the server by {} KiB", grown / 1024);
+    assert!(
+        grown < GROWTH_LIMIT,
+        "{GETS} unread gets grew the server by {grown} bytes"
+    );
+
+    let mut replies = 0;
+    client
+        .collect(|i, reply| {
+            let hit = Reply::Hit {
+                data: &value,
+                flags: 7,
+            };
+            assert_eq!(reply, hit, "reply {i}");
+            replies += 1;
+            Ok(())
+        })
+        .expect("read every reply");
+    assert_eq!(replies, GETS);
+    let version = client.version().expect("version after the backlog");
+    assert!(version.starts_with("VERSION"), "{version:?}");
+}
+
+/// A backlog behind the ack barrier: under a data dir, a pipeline that
+/// interleaves sets with gets of a 64 KiB value runs past the high-water
+/// mark again and again, each stretch of it parking for its commit before
+/// its replies leave. Read as it arrives, every reply comes back, in
+/// order.
+#[test]
+fn a_backlog_resumes_through_the_commit_barrier() {
+    const ROUNDS: usize = 300;
+    let dir = std::env::temp_dir().join(format!("camp-soak-backlog-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = start(ServerOptions {
+        workers: 1,
+        persist: Some(camp_kvs::persist::PersistOptions {
+            fsync: camp_kvs::persist::FsyncMode::Always,
+            ..camp_kvs::persist::PersistOptions::new(&dir)
+        }),
+        ..ServerOptions::new(StoreConfig {
+            slab: SlabConfig::small(1 << 20, 16),
+            eviction: EvictionMode::Camp(Precision::Bits(5)),
+        })
+    });
+    let value: Vec<u8> = (0..64 * 1024).map(|i| b'a' + (i % 26) as u8).collect();
+    let mut client = connect(server.local_addr());
+    assert!(client.set(b"big", &value, 7, 0).expect("set"));
+
+    for i in 0..ROUNDS {
+        client.push_get(b"big");
+        client.push_set(format!("k{i}").as_bytes(), b"v", 0, 0);
+    }
+    client.send().expect("send the pipeline");
+    let mut replies = 0;
+    client
+        .collect(|i, reply| {
+            if i % 2 == 0 {
+                let hit = Reply::Hit {
+                    data: &value,
+                    flags: 7,
+                };
+                assert_eq!(reply, hit, "reply {i}");
+            } else {
+                assert_eq!(reply, Reply::Line(b"STORED"), "reply {i}");
+            }
+            replies += 1;
+            Ok(())
+        })
+        .expect("read every reply");
+    assert_eq!(replies, 2 * ROUNDS);
+    drop(client);
+
+    let report = server.shutdown_with_drain(Duration::from_secs(5));
+    assert!(report.is_clean(), "drain not clean: {report:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
