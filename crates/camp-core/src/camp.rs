@@ -292,23 +292,14 @@ impl<K> Ordering<K> for MultiQueue {
         (node.ratio, node.queue, self.l_saturated())
     }
 
-    fn queue_count(&self) -> Option<usize> {
-        Some(self.queue_by_ratio.len())
-    }
-
-    fn heap_node_visits(&self) -> Option<u64> {
-        Some(self.heap.node_visits())
-    }
-
-    fn heap_update_ops(&self) -> Option<u64> {
-        Some(self.heap.update_ops())
-    }
-
     fn reset_instrumentation(&mut self) {
         self.heap.reset_counters();
     }
 
     fn extend_stats<P>(&self, slots: &Slots<P, Queued>, stats: &mut PolicyStats) {
+        stats.push("queue_count", self.queue_by_ratio.len() as u64);
+        stats.push("heap_visits", self.heap.node_visits());
+        stats.push("heap_updates", self.heap.update_ops());
         stats.push("l_value", self.l_saturated());
         stats.push("ratio_multiplier", self.rounder.multiplier());
         for queue in self.census(slots) {
@@ -496,6 +487,13 @@ mod tests {
 
     fn cache(capacity: u64) -> Camp<u64, u64> {
         Camp::new(capacity, Precision::Bits(5))
+    }
+
+    /// Empties `c`'s decision log.
+    fn drained(c: &mut Camp<u64, u64>) -> Vec<PolicyEvent> {
+        let mut events = Vec::new();
+        c.drain_decisions(&mut |event| events.push(event));
+        events
     }
 
     /// `c.check_invariants()` for the tests below.
@@ -873,16 +871,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_sees_admissions_and_evictions() {
-        use crate::trace::{CollectingSink, PolicyEventKind};
+    fn decision_log_sees_admissions_and_evictions() {
+        use crate::trace::PolicyEventKind;
         let mut c = cache(30);
-        let sink = std::sync::Arc::new(CollectingSink::default());
-        c.set_trace_sink(Some(sink.clone()));
+        c.log_decisions(true);
         c.insert(1, 0, 10, 4); // ratio rounds using multiplier = max size
         c.insert(2, 0, 10, 4);
         c.insert(3, 0, 10, 4);
         c.insert(4, 0, 10, 4); // evicts key 1
-        let events = sink.snapshot();
+        let events = drained(&mut c);
         assert_eq!(events.len(), 5, "4 admits + 1 evict: {events:?}");
         let evicts: Vec<_> = events
             .iter()
@@ -897,23 +894,23 @@ mod tests {
         assert_eq!(admit.ratio, evict.ratio, "same queue, same rounded ratio");
         // L advanced on the eviction and the event observed it.
         assert!(evict.l_value >= admit.l_value);
-        // Detaching the sink stops emission.
-        c.set_trace_sink(None);
+        // Draining emptied the log; turning it off stops logging.
+        assert!(drained(&mut c).is_empty());
+        c.log_decisions(false);
         c.insert(5, 0, 10, 4);
-        assert_eq!(sink.snapshot().len(), 5);
+        assert!(drained(&mut c).is_empty());
         c.check_invariants();
     }
 
     #[test]
     fn evict_lowest_reports_the_victim_at_the_advanced_l() {
-        use crate::trace::{CollectingSink, PolicyEventKind};
+        use crate::trace::PolicyEventKind;
         let mut c = cache(100);
-        let sink = std::sync::Arc::new(CollectingSink::default());
         for k in 0..6u64 {
             c.insert(k, k, 10, 1 + k * 7);
         }
         c.get(&3);
-        c.set_trace_sink(Some(sink.clone()));
+        c.log_decisions(true);
         let victim = *c.victim().unwrap();
         let meta = c.entry_meta(&victim).unwrap();
         let l_before = c.l_value();
@@ -924,7 +921,7 @@ mod tests {
         assert!(c.l_value() > l_before);
         let l = u64::try_from(c.l_value()).unwrap();
         assert_eq!(
-            sink.snapshot(),
+            drained(&mut c),
             vec![PolicyEvent {
                 kind: PolicyEventKind::Evict,
                 key_hash: key_hash(&victim),
@@ -937,9 +934,9 @@ mod tests {
         );
         assert!(!c.contains(&victim));
         assert_eq!(c.used_bytes(), used - meta.size);
-        // An explicit remove stays out of the trace.
+        // An explicit remove stays out of the log.
         assert_eq!(c.remove(&3), Some(3));
-        assert_eq!(sink.snapshot().len(), 1);
+        assert!(drained(&mut c).is_empty());
         c.check_invariants();
     }
 

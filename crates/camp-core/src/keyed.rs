@@ -4,10 +4,12 @@
 //! The paper's evaluation is a controlled experiment — the same cache around
 //! a different priority structure (§2–§3, Fig 4). [`Keyed`] is that cache,
 //! written once: key map, arena of resident pairs (each with its value),
-//! byte budget, oversize bypass, evict-until-it-fits loop, trace events,
-//! the value-carrying API (`get`/`insert`/…) and, for any value type, the
-//! whole [`EvictionPolicy`] surface — so the KVS store's policy, holding
-//! each item's chunk, is also its index. What varies
+//! byte budget, oversize bypass, evict-until-it-fits loop, the decision log
+//! (kept only while [`EvictionPolicy::log_decisions`] has it on, emptied by
+//! [`EvictionPolicy::drain_decisions`]), the value-carrying API
+//! (`get`/`insert`/…) and, for any value type, the whole [`EvictionPolicy`]
+//! surface — so the KVS store's policy, holding each item's chunk, is also
+//! its index. What varies
 //! is an [`Ordering`]: CAMP's multi-queue ([`crate::Camp`]) here, and in
 //! `camp-policies` recency (`Lru`), greedy-dual priority (`Gds`, `Gdsf`),
 //! frequency (`Lfu`), cost wheels (`GdWheel`), and the adaptive orders that
@@ -23,7 +25,9 @@
 //! room for a new pair, [`Ordering::admitting`] once it has, and
 //! [`Ordering::evicted`] after each eviction the ordering chose, with the
 //! departing pair's node. It reads the capacity and the resident total from
-//! the [`Budget`] the front passes it, rather than keeping copies.
+//! the [`Budget`] the front passes it, rather than keeping copies. Its
+//! gauges (queue count, heap work, `L`) reach the policy's one stats
+//! report through [`Ordering::extend_stats`].
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -34,7 +38,6 @@ use crate::hash::FoldHashMap;
 use crate::lru_list::{Linked, Links};
 use crate::policy::{
     key_hash, AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent, PolicyEventKind, PolicyStats,
-    SharedTraceSink,
 };
 
 /// One resident pair: what the front accounts and reports, plus the
@@ -45,7 +48,7 @@ pub struct Slot<P, N> {
     payload: P,
     /// Size in bytes.
     pub size: u64,
-    /// Reported in trace events; only cost-aware orderings read it.
+    /// Reported in decision events; only cost-aware orderings read it.
     pub cost: u64,
     /// The ordering's per-pair state.
     pub node: N,
@@ -132,29 +135,18 @@ pub trait Ordering<K>: fmt::Debug {
     /// instrumentation counters stay as they are.
     fn clear(&mut self);
 
-    /// What a trace event about `node` carries beyond size and cost:
+    /// What a decision event about `node` carries beyond size and cost:
     /// `(ratio, queue, l_value)`.
     fn event_fields(&self, _node: &Self::Node) -> (u64, u32, u64) {
         (0, 0, 0)
     }
 
-    /// See [`EvictionPolicy::queue_count`].
-    fn queue_count(&self) -> Option<usize> {
-        None
-    }
-    /// See [`EvictionPolicy::heap_node_visits`].
-    fn heap_node_visits(&self) -> Option<u64> {
-        None
-    }
-    /// See [`EvictionPolicy::heap_update_ops`].
-    fn heap_update_ops(&self) -> Option<u64> {
-        None
-    }
     /// See [`EvictionPolicy::reset_instrumentation`].
     fn reset_instrumentation(&mut self) {}
 
     /// Appends the ordering's own gauges to [`EvictionPolicy::policy_stats`],
-    /// after the universal ones.
+    /// after the universal ones, in the published order: `queue_count`,
+    /// `heap_visits` and `heap_updates` (those it has), then its own.
     fn extend_stats<P>(&self, _slots: &Slots<P, Self::Node>, _stats: &mut PolicyStats) {}
 }
 
@@ -191,7 +183,8 @@ pub struct Keyed<K, O: Ordering<K>, V = ()> {
     pub(crate) ordering: O,
     capacity: u64,
     used: u64,
-    sink: Option<SharedTraceSink>,
+    /// The decision log, while one is kept.
+    log: Option<Vec<PolicyEvent>>,
 }
 
 // Its own impl: CAMP's ordering is built from a precision, has no default,
@@ -215,7 +208,7 @@ impl<K: Eq + Hash + Clone, O: Ordering<K>, V> Keyed<K, O, V> {
             ordering,
             capacity,
             used: 0,
-            sink: None,
+            log: None,
         }
     }
 
@@ -350,9 +343,9 @@ impl<K: Eq + Hash + Clone, O: Ordering<K>, V> Keyed<K, O, V> {
         let budget = self.budget();
         self.ordering.admitting(&mut self.slots, id, &key, budget);
         self.ordering.admit(&mut self.slots, id);
-        if let Some(sink) = &self.sink {
+        if let Some(log) = &mut self.log {
             let entry = self.slots.get(id).expect("just inserted");
-            sink.record(&self.event(PolicyEventKind::Admit, entry));
+            log.push(Self::event(&self.ordering, PolicyEventKind::Admit, entry));
         }
         self.map.insert(key, id);
         if updating {
@@ -370,8 +363,8 @@ impl<K: Eq + Hash + Clone, O: Ordering<K>, V> Keyed<K, O, V> {
         let entry = self.slots.remove(id).expect("orderings name live entries");
         self.map.remove(&entry.payload.0);
         self.used -= entry.size;
-        if let Some(sink) = &self.sink {
-            sink.record(&self.event(PolicyEventKind::Evict, &entry));
+        if let Some(log) = &mut self.log {
+            log.push(Self::event(&self.ordering, PolicyEventKind::Evict, &entry));
         }
         self.ordering
             .evicted(&entry.payload.0, entry.size, entry.node);
@@ -434,7 +427,7 @@ impl<K: Eq + Hash + Clone, O: Ordering<K>, V> Keyed<K, O, V> {
     }
 
     /// Removes every pair. The ordering's clock (`L`), its instrumentation
-    /// counters and the trace sink stay as they are.
+    /// counters and the decision log stay as they are.
     pub fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
@@ -442,9 +435,9 @@ impl<K: Eq + Hash + Clone, O: Ordering<K>, V> Keyed<K, O, V> {
         self.used = 0;
     }
 
-    /// The trace event for `entry` as the ordering stands now.
-    fn event(&self, kind: PolicyEventKind, entry: &Pair<K, V, O>) -> PolicyEvent {
-        let (ratio, queue, l_value) = self.ordering.event_fields(&entry.node);
+    /// The decision event for `entry` as `ordering` stands now.
+    fn event(ordering: &O, kind: PolicyEventKind, entry: &Pair<K, V, O>) -> PolicyEvent {
+        let (ratio, queue, l_value) = ordering.event_fields(&entry.node);
         PolicyEvent {
             kind,
             key_hash: key_hash(&entry.payload.0),
@@ -510,20 +503,16 @@ impl<K: CacheKey, O: Ordering<K>, V> EvictionPolicy<K, V> for Keyed<K, O, V> {
         }
     }
 
-    fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.sink = sink;
+    fn log_decisions(&mut self, on: bool) {
+        if on != self.log.is_some() {
+            self.log = on.then(Vec::new);
+        }
     }
 
-    fn queue_count(&self) -> Option<usize> {
-        self.ordering.queue_count()
-    }
-
-    fn heap_node_visits(&self) -> Option<u64> {
-        self.ordering.heap_node_visits()
-    }
-
-    fn heap_update_ops(&self) -> Option<u64> {
-        self.ordering.heap_update_ops()
+    fn drain_decisions(&mut self, f: &mut dyn FnMut(PolicyEvent)) {
+        if let Some(log) = &mut self.log {
+            log.drain(..).for_each(f);
+        }
     }
 
     fn reset_instrumentation(&mut self) {

@@ -69,4 +69,4 @@ pub mod trace;
 pub use crate::camp::{Camp, CampBuilder, EntryMeta, QueueInfo};
 pub use crate::keyed::{InsertOutcome, Keyed};
 pub use crate::rounding::Precision;
-pub use crate::trace::{key_hash, PolicyEvent, PolicyEventKind, SharedTraceSink, TraceSink};
+pub use crate::trace::{key_hash, PolicyEvent, PolicyEventKind};

@@ -14,6 +14,11 @@
 //! `reference`, `touch`, `remove`, `evict_next` and `contains` are written
 //! once, here, over them.
 //!
+//! A policy reports in two ways, one path each: its decisions go into a
+//! log its caller turns on ([`EvictionPolicy::log_decisions`]) and empties
+//! ([`EvictionPolicy::drain_decisions`]), and its gauges are the rows of
+//! [`EvictionPolicy::policy_stats`].
+//!
 //! Implementations: the keyed front ([`crate::Keyed`] — one cache, nine
 //! orderings: CAMP here, LRU, GDS, GDSF, LFU, GD-Wheel, ARC, 2Q and LRU-K
 //! in `camp-policies`); and, also in `camp-policies`, pooled LRU,
@@ -25,7 +30,7 @@
 //! key (byte keys such as `Box<[u8]>` still work — the benchmark's ledger
 //! times that instantiation).
 
-pub use crate::trace::{key_hash, PolicyEvent, PolicyEventKind, SharedTraceSink, TraceSink};
+pub use crate::trace::{key_hash, PolicyEvent, PolicyEventKind};
 
 /// Keys an eviction policy can manage: hashable, clonable (for eviction
 /// reporting), and debuggable. Blanket-implemented; `u64` trace keys, the
@@ -103,23 +108,14 @@ impl PolicyStats {
         });
     }
 
-    /// The gauges every policy can answer (items, bytes, capacity) plus
-    /// whichever of the optional instrumentation hooks `policy` implements.
+    /// The gauges every policy can answer: items, bytes, capacity. A
+    /// policy with more to say (queues, heap work, `L`) appends it.
     #[must_use]
     pub fn universal<K: CacheKey, V>(policy: &(impl EvictionPolicy<K, V> + ?Sized)) -> Self {
         let mut stats = PolicyStats::default();
         stats.push("items", policy.len() as u64);
         stats.push("used_bytes", policy.used_bytes());
         stats.push("capacity_bytes", policy.capacity());
-        if let Some(queues) = policy.queue_count() {
-            stats.push("queue_count", queues as u64);
-        }
-        if let Some(visits) = policy.heap_node_visits() {
-            stats.push("heap_visits", visits);
-        }
-        if let Some(updates) = policy.heap_update_ops() {
-            stats.push("heap_updates", updates);
-        }
         stats
     }
 
@@ -256,35 +252,27 @@ pub trait EvictionPolicy<K: CacheKey = u64, V = ()> {
         self.take(key).is_some()
     }
 
-    /// Attaches (or detaches, with `None`) a [`TraceSink`] that receives
-    /// one [`PolicyEvent`] per admission and eviction. The default drops
-    /// the sink: a policy opts into tracing by storing it and emitting.
-    fn set_trace_sink(&mut self, _sink: Option<SharedTraceSink>) {}
+    /// Starts (`true`) or stops keeping a log of this policy's decisions:
+    /// one [`PolicyEvent`] per admission and eviction, held until
+    /// [`EvictionPolicy::drain_decisions`]. Stopping drops what the log
+    /// held. The default keeps no log: a policy opts in by logging.
+    fn log_decisions(&mut self, _on: bool) {}
 
-    /// Number of internal queues/pools, for policies where that is a
-    /// meaningful quantity (CAMP: non-empty LRU queues; Pooled-LRU: pools).
-    fn queue_count(&self) -> Option<usize> {
-        None
-    }
-
-    /// Heap nodes visited so far, for heap-based policies (the Figure 4
-    /// metric).
-    fn heap_node_visits(&self) -> Option<u64> {
-        None
-    }
-
-    /// Structural heap operations performed so far.
-    fn heap_update_ops(&self) -> Option<u64> {
-        None
-    }
+    /// Hands every logged decision to `f`, oldest first, and empties the
+    /// log (keeping its buffer). A caller that turned the log on drains it
+    /// after each call that may decide.
+    fn drain_decisions(&mut self, _f: &mut dyn FnMut(PolicyEvent)) {}
 
     /// Resets instrumentation counters (not the cache contents).
     fn reset_instrumentation(&mut self) {}
 
     /// Snapshot of this policy's internal gauges, for the telemetry layer.
     ///
-    /// The default is [`PolicyStats::universal`]; policies with richer
-    /// internals (CAMP's `L`, per-queue lengths) override and extend it.
+    /// The one way a policy's gauges are read. The default is
+    /// [`PolicyStats::universal`]; policies with richer internals extend
+    /// it: queue or pool count (`queue_count`), heap work (`heap_visits`,
+    /// the Figure 4 metric, and `heap_updates`), CAMP's `L` and per-queue
+    /// lengths.
     fn policy_stats(&self) -> PolicyStats {
         PolicyStats::universal(self)
     }

@@ -20,13 +20,10 @@
 //! those rows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock};
+use std::sync::LazyLock;
 
-use camp_policies::{PolicyEvent, PolicyEventKind, ShadowEstimate, TraceSink};
-use camp_telemetry::{
-    EvictionTrace, Exposition, FlightRecorder, Histogram, HistogramSnapshot, LocalHistogram,
-    MetricKind,
-};
+use camp_policies::ShadowEstimate;
+use camp_telemetry::{Exposition, Histogram, HistogramSnapshot, LocalHistogram, MetricKind};
 
 use crate::persist::PersistSnapshot;
 use crate::shard::ShardSnapshot;
@@ -467,37 +464,6 @@ pub struct WorkerStatsSnapshot {
     pub events_dispatched: u64,
     /// Connection cycles that joined a commit group after its wakeup.
     pub gathered_cycles: u64,
-}
-
-/// Adapts policy-layer [`PolicyEvent`]s into the flight recorder's
-/// [`EvictionTrace`] ring. This is the glue the store attaches to every
-/// shard's policy: policies stay clock- and telemetry-free, the recorder
-/// stays policy-agnostic.
-#[derive(Debug, Clone)]
-pub struct RecorderSink {
-    recorder: Arc<FlightRecorder>,
-}
-
-impl RecorderSink {
-    /// A sink feeding `recorder`.
-    #[must_use]
-    pub fn new(recorder: Arc<FlightRecorder>) -> RecorderSink {
-        RecorderSink { recorder }
-    }
-}
-
-impl TraceSink for RecorderSink {
-    fn record(&self, event: &PolicyEvent) {
-        self.recorder.record_eviction(&EvictionTrace {
-            admit: event.kind == PolicyEventKind::Admit,
-            key_hash: event.key_hash,
-            size: event.size,
-            cost: event.cost,
-            ratio: event.ratio,
-            queue: event.queue,
-            l_value: event.l_value,
-        });
-    }
 }
 
 /// A point-in-time copy of every telemetry surface the server exposes,
@@ -1532,26 +1498,6 @@ mod tests {
         assert_eq!(metrics.total(Count::Opened), 0);
         // Gauges survive a reset.
         assert_eq!(snap[1].live_connections, 2);
-    }
-
-    #[test]
-    fn recorder_sink_forwards_policy_events() {
-        let recorder = Arc::new(FlightRecorder::new(1, None));
-        let sink = RecorderSink::new(recorder.clone());
-        sink.record(&PolicyEvent::basic(PolicyEventKind::Admit, 1, 10, 2));
-        sink.record(&PolicyEvent {
-            kind: PolicyEventKind::Evict,
-            key_hash: 2,
-            size: 20,
-            cost: 5,
-            ratio: 1,
-            queue: 0,
-            l_value: 3,
-        });
-        let ring = recorder.evictions_snapshot();
-        assert_eq!(ring.len(), 2);
-        assert!(ring[0].admit && !ring[1].admit);
-        assert_eq!((ring[1].cost, ring[1].l_value), (5, 3));
     }
 
     #[test]

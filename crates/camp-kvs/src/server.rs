@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use camp_telemetry::{duration_micros, kvlog, FlightRecorder, LogLevel, RequestSpan};
 
 use crate::fault::FaultPlan;
-use crate::metrics::{CmdKind, Count, RecorderSink, ServerMetrics, TelemetryReport};
+use crate::metrics::{CmdKind, Count, ServerMetrics, TelemetryReport};
 use crate::net::epoll::ReusePortListener;
 use crate::net::reactor::Reactor;
 use crate::persist::{IoBackend, Persist};
@@ -126,7 +126,7 @@ impl Shared {
         let workers = resolve_workers(options.workers);
         let recorder = Arc::new(FlightRecorder::new(workers, options.slow_log_us));
         let store = ShardedStore::new(options.config.clone(), options.shards);
-        store.set_trace_sink(Some(Arc::new(RecorderSink::new(Arc::clone(&recorder)))));
+        store.set_recorder(Some(Arc::clone(&recorder)));
         let persist = match options.persist.as_ref() {
             Some(persist_options) => {
                 let mut persist = match backend {

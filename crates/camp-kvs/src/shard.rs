@@ -18,9 +18,10 @@
 //! table uses the low bits) and IQ cost timers — so every shard is built
 //! with a copy of this store's fingerprinter and none hashes the key again.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use camp_policies::{PolicyStats, ShadowEstimate, ShadowProfiler, SharedTraceSink};
+use camp_policies::{PolicyStats, ShadowEstimate, ShadowProfiler};
+use camp_telemetry::FlightRecorder;
 
 use crate::fingerprint::{Fingerprinter, Hashed};
 use crate::slab::SlabConfig;
@@ -374,11 +375,11 @@ impl ShardedStore {
         }
     }
 
-    /// Attaches (or detaches) the eviction-trace sink on every shard's
-    /// policy. Each shard keeps its own clone; the sink itself is shared.
-    pub fn set_trace_sink(&self, sink: Option<SharedTraceSink>) {
+    /// Attaches (or detaches) the flight recorder every shard's policy
+    /// decisions go to ([`Store::set_recorder`]); the recorder is shared.
+    pub fn set_recorder(&self, recorder: Option<Arc<FlightRecorder>>) {
         for shard in &self.shards {
-            lock(shard).set_trace_sink(sink.clone());
+            lock(shard).set_recorder(recorder.clone());
         }
     }
 

@@ -69,16 +69,14 @@
 //! eviction, but counted in [`StoreStats::fingerprint_collisions`]. No
 //! operation ever returns another key's value.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use camp_policies::EvictionMode;
 use camp_policies::{
     AccessOutcome, EvictionPolicy, PolicyEvent, PolicyEventKind, PolicyStats, ShadowProfiler,
-    SharedTraceSink, TraceSink,
 };
-use camp_telemetry::{HistogramSnapshot, LocalHistogram};
+use camp_telemetry::{EvictionTrace, FlightRecorder, HistogramSnapshot, LocalHistogram};
 
 use crate::fingerprint::{FingerprintMap, Fingerprinter, Hashed};
 use crate::item::{Item, EXPIRY_OFFSET, HEADER_LEN};
@@ -171,14 +169,16 @@ pub struct StoreStats {
     pub iq_misses_dropped: u64,
 }
 
-/// Totals and distributions over the decisions a store's policy reported
-/// while a trace sink was attached: `trace:admits`, `trace:evictions`, the
-/// eviction-cost summary and the `L` trajectory of the telemetry surface.
-/// An eviction is tallied here exactly when it is traced — every policy
-/// eviction is; items lost to a slab reassignment, to expiry or to a
-/// fingerprint collision are not — so with a sink attached from the start
-/// `evictions` equals [`StoreStats::evictions`] and `admits` equals
-/// [`StoreStats::sets`].
+/// Totals and distributions over the decisions a store's policy made
+/// while a recorder was attached ([`Store::set_recorder`]): `trace:admits`,
+/// `trace:evictions`, the eviction-cost summary and the `L` trajectory of
+/// the telemetry surface. The store drains its policy's decision log after
+/// each set, the one call that can decide, into these tallies and into the
+/// recorder's eviction ring. An eviction is tallied exactly when it is
+/// logged — every policy eviction is; items lost to a slab reassignment,
+/// to expiry or to a fingerprint collision are not — so with a recorder
+/// attached from the start `evictions` equals [`StoreStats::evictions`]
+/// and `admits` equals [`StoreStats::sets`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EvictionTotals {
@@ -228,27 +228,16 @@ impl EvictionTally {
     }
 }
 
-thread_local! {
-    /// Decisions reported on this thread that their store has not tallied
-    /// yet. A policy reports through `&self` from inside the store call
-    /// that drives it, so the events cannot reach the store's plain tally
-    /// by reference; they wait here — thread-local, so still no shared
-    /// write — until that same call collects them before it returns.
-    static TAPPED: RefCell<Vec<PolicyEvent>> = const { RefCell::new(Vec::new()) };
-}
-
-/// What a store hands its policy as the trace sink: every decision goes
-/// straight on to the sink the store's owner attached, and a copy is left
-/// in [`TAPPED`] for the store's own tally.
-#[derive(Debug)]
-struct Tap {
-    attached: SharedTraceSink,
-}
-
-impl TraceSink for Tap {
-    fn record(&self, event: &PolicyEvent) {
-        self.attached.record(event);
-        TAPPED.with_borrow_mut(|events| events.push(*event));
+/// A decision as the flight recorder's eviction ring holds it.
+fn eviction_trace(event: &PolicyEvent) -> EvictionTrace {
+    EvictionTrace {
+        admit: event.kind == PolicyEventKind::Admit,
+        key_hash: event.key_hash,
+        size: event.size,
+        cost: event.cost,
+        ratio: event.ratio,
+        queue: event.queue,
+        l_value: event.l_value,
     }
 }
 
@@ -310,10 +299,10 @@ pub struct Store {
     /// Online miss-ratio/cost-miss profiler: spatially sampled shadow
     /// caches at 0.5×/1×/2× capacity, fed from the get/set/delete paths.
     profiler: ShadowProfiler,
-    /// The eviction-trace sink attached to the policy (wrapped in a
-    /// [`Tap`]), kept so policy rebuilds (`flush_all`) can re-attach it.
-    sink: Option<SharedTraceSink>,
-    /// Tallies over the decisions the policy reported through that sink.
+    /// Where the policy's decisions go; while one is attached the policy
+    /// keeps a decision log, turned on again when `flush_all` rebuilds it.
+    recorder: Option<Arc<FlightRecorder>>,
+    /// Tallies over the decisions drained from that log.
     trace: EvictionTally,
 }
 
@@ -359,20 +348,21 @@ impl Store {
             stats: StoreStats::default(),
             iq_misses: FingerprintMap::default(),
             iq_last_sweep: Instant::now(),
-            sink: None,
+            recorder: None,
             trace: EvictionTally::default(),
         }
     }
 
-    /// Attaches (or detaches) the eviction-trace sink. The sink survives
+    /// Attaches (or detaches) the flight recorder that receives the
+    /// policy's decisions in its eviction ring. The recorder survives
     /// `flush_all`'s policy rebuild. While one is attached the store also
-    /// tallies what it is told ([`Store::eviction_totals`]).
-    pub fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.sink = sink.map(|attached| Arc::new(Tap { attached }) as SharedTraceSink);
-        self.policy.set_trace_sink(self.sink.clone());
+    /// tallies the decisions ([`Store::eviction_totals`]).
+    pub fn set_recorder(&mut self, recorder: Option<Arc<FlightRecorder>>) {
+        self.policy.log_decisions(recorder.is_some());
+        self.recorder = recorder;
     }
 
-    /// Totals over the policy decisions traced so far (since the last
+    /// Totals over the policy decisions recorded so far (since the last
     /// [`Store::reset_stats`]).
     #[must_use]
     pub fn eviction_totals(&self) -> EvictionTotals {
@@ -384,18 +374,17 @@ impl Store {
         }
     }
 
-    /// Moves the decisions the policy reported during the current call
-    /// from [`TAPPED`] into this store's tally. Every path that can make
-    /// the policy report ends here before it returns, so the buffer only
-    /// ever holds the calling store's own events.
-    fn tally_tapped(&mut self) {
-        if self.sink.is_some() {
-            TAPPED.with_borrow_mut(|events| {
-                for event in events.drain(..) {
-                    self.trace.record(&event);
-                }
-            });
-        }
+    /// Empties the policy's decision log into the tally and the
+    /// recorder's eviction ring, in the order the decisions were made.
+    fn drain_decisions(&mut self) {
+        let Some(recorder) = &self.recorder else {
+            return;
+        };
+        let trace = &mut self.trace;
+        self.policy.drain_decisions(&mut |event| {
+            trace.record(&event);
+            recorder.record_eviction(&eviction_trace(&event));
+        });
     }
 
     /// The online shadow profiler (hit-ratio and cost-miss estimates at
@@ -671,7 +660,7 @@ impl Store {
     ) -> Result<(), StoreError> {
         // Storing is the one path on which the policy admits and evicts.
         let stored = self.store_item(h, value, flags, expires_at, cost);
-        self.tally_tapped();
+        self.drain_decisions();
         stored
     }
 
@@ -878,10 +867,10 @@ impl Store {
         self.policy
             .for_each(&mut |_, &chunk| self.slabs.free(chunk));
         // A fresh policy instance is cheaper and simpler than removing every
-        // key from the old one. The trace sink survives the rebuild, and the
+        // key from the old one. The decision log is turned back on, and the
         // shadow caches restart cold to mirror the emptied store.
         self.policy = self.mode.build_valued(policy_budget(self.slabs.config()));
-        self.policy.set_trace_sink(self.sink.clone());
+        self.policy.log_decisions(self.recorder.is_some());
         self.profiler = ShadowProfiler::new(&self.mode, policy_budget(self.slabs.config()));
     }
 
@@ -1380,58 +1369,49 @@ mod tests {
         }
     }
 
-    #[derive(Debug, Default)]
-    struct CountingSink {
-        admits: std::sync::atomic::AtomicU64,
-        evicts: std::sync::atomic::AtomicU64,
+    /// A recorder to attach to a store.
+    fn recorder() -> Arc<FlightRecorder> {
+        Arc::new(FlightRecorder::new(1, None))
     }
 
-    impl camp_policies::TraceSink for CountingSink {
-        fn record(&self, event: &camp_policies::PolicyEvent) {
-            use std::sync::atomic::Ordering;
-            match event.kind {
-                camp_policies::PolicyEventKind::Admit => {
-                    self.admits.fetch_add(1, Ordering::Relaxed)
-                }
-                camp_policies::PolicyEventKind::Evict => {
-                    self.evicts.fetch_add(1, Ordering::Relaxed)
-                }
-            };
-        }
+    /// What `recorder`'s eviction ring holds: `(admits, evictions)`.
+    fn ring_counts(recorder: &FlightRecorder) -> (u64, u64) {
+        let ring = recorder.evictions_snapshot();
+        assert!(ring.len() < 4096, "the ring lapped: counts would be short");
+        let admits = ring.iter().filter(|e| e.admit).count() as u64;
+        (admits, ring.len() as u64 - admits)
     }
 
     #[test]
-    fn trace_sink_sees_pressure_evictions_and_survives_flush() {
-        use std::sync::atomic::Ordering;
-        let sink = std::sync::Arc::new(CountingSink::default());
+    fn recorder_sees_pressure_evictions_and_survives_flush() {
+        let recorder = recorder();
         let mut store = small_store(EvictionMode::Camp(Precision::Bits(5)));
-        store.set_trace_sink(Some(sink.clone()));
+        store.set_recorder(Some(recorder.clone()));
         for i in 0..400u32 {
             let key = format!("key-{i:04}");
             store.set(key.as_bytes(), &[0u8; 60], 0, 0, 1).unwrap();
         }
         assert!(store.stats().evictions > 0);
-        assert!(sink.admits.load(Ordering::Relaxed) >= 400);
+        let (admits, evicts) = ring_counts(&recorder);
+        assert!(admits >= 400);
         assert!(
-            sink.evicts.load(Ordering::Relaxed) >= store.stats().evictions,
-            "every capacity eviction must be traced"
+            evicts >= store.stats().evictions,
+            "every capacity eviction must be recorded"
         );
-        // The sink survives flush_all's policy rebuild.
+        // The recorder survives flush_all's policy rebuild.
         store.flush_all();
-        let admits_before = sink.admits.load(Ordering::Relaxed);
         store.set(b"fresh", b"v", 0, 0, 1).unwrap();
-        assert!(sink.admits.load(Ordering::Relaxed) > admits_before);
+        assert!(ring_counts(&recorder).0 > admits);
     }
 
     #[test]
     fn traced_decisions_are_tallied_per_store_and_reset_with_the_stats() {
-        use std::sync::atomic::Ordering;
-        let sink = std::sync::Arc::new(CountingSink::default());
+        let recorder = recorder();
         let mut traced = small_store(EvictionMode::Camp(Precision::Bits(5)));
         let mut other = small_store(EvictionMode::Lru);
         let mut untraced = small_store(EvictionMode::Lru);
-        traced.set_trace_sink(Some(sink.clone()));
-        other.set_trace_sink(Some(sink.clone()));
+        traced.set_recorder(Some(recorder.clone()));
+        other.set_recorder(Some(recorder.clone()));
         // Interleaved on one thread: each store tallies its own decisions.
         for i in 0..400u32 {
             let key = format!("key-{i:04}");
@@ -1456,8 +1436,7 @@ mod tests {
             assert!(totals.eviction_costs.max <= 401);
             sum.merge(&totals);
         }
-        assert_eq!(sum.admits, sink.admits.load(Ordering::Relaxed));
-        assert_eq!(sum.evictions, sink.evicts.load(Ordering::Relaxed));
+        assert_eq!((sum.admits, sum.evictions), ring_counts(&recorder));
         // CAMP reports its L with every decision once it has left zero;
         // LRU has none to report.
         let camp = traced.eviction_totals();
@@ -1470,42 +1449,106 @@ mod tests {
 
     #[test]
     fn explicit_deletes_emit_no_eviction_trace() {
-        use std::sync::atomic::Ordering;
-        let sink = std::sync::Arc::new(CountingSink::default());
+        let recorder = recorder();
         let mut store = small_store(EvictionMode::Lru);
-        store.set_trace_sink(Some(sink.clone()));
+        store.set_recorder(Some(recorder.clone()));
         store.set(b"k", b"v", 0, 0, 1).unwrap();
         assert!(store.delete(b"k"));
-        assert_eq!(sink.evicts.load(Ordering::Relaxed), 0);
+        assert_eq!(ring_counts(&recorder), (1, 0));
+    }
+
+    /// One seeded step of a mix of every storing verb and `delete`, all on
+    /// numbers (space-padded to vary the size) so `incr`/`decr` apply.
+    fn mixed_step(store: &mut Store, rng: &mut Rng64) {
+        let key = format!("key-{}", rng.range_u64(0, 400));
+        let key = key.as_bytes();
+        let width = rng.range_usize(1, 150);
+        let value = format!("{:>width$}", rng.range_u64(0, 1_000_000));
+        let (value, cost) = (value.as_bytes(), rng.range_u64(0, 1_000));
+        match rng.range_u64(0, 20) {
+            0..=7 => store.set(key, value, 0, 0, cost).unwrap(),
+            8 | 9 => drop(store.add(key, value, 0, 0, cost).unwrap()),
+            10 | 11 => drop(store.replace(key, value, 0, 0, cost).unwrap()),
+            12..=14 => drop(store.incr(key, rng.range_u64(0, 100))),
+            15 | 16 => drop(store.decr(key, rng.range_u64(0, 100))),
+            _ => drop(store.delete(key)),
+        }
+    }
+
+    /// For every mode and storing verb, under slab pressure and across a
+    /// `flush_all`: the tallies equal the store's counters, and the
+    /// recorder's ring holds exactly the decisions the policy logged, in
+    /// order and field for field — those of a twin store (same seed, same
+    /// steps) whose log the test drains itself.
+    #[test]
+    fn tallies_and_ring_are_the_logged_decisions_for_every_mode_and_verb() {
+        let mut modes = all_modes();
+        modes.push("camp:inf".parse().unwrap());
+        for mode in modes {
+            let config = StoreConfig {
+                slab: SlabConfig::small(4096, 4),
+                eviction: mode.clone(),
+            };
+            let fingerprinter = Fingerprinter::random();
+            let mut store = Store::with_fingerprinter(config.clone(), fingerprinter);
+            let mut twin = Store::with_fingerprinter(config, fingerprinter);
+            let recorder = recorder();
+            store.set_recorder(Some(recorder.clone()));
+            twin.policy.log_decisions(true);
+            let mut logged = Vec::new();
+            let (mut rng, mut twin_rng) =
+                (Rng64::seed_from_u64(0x7A11), Rng64::seed_from_u64(0x7A11));
+            for step in 0..1_500 {
+                if step == 750 {
+                    store.flush_all();
+                    twin.flush_all();
+                    twin.policy.log_decisions(true);
+                }
+                mixed_step(&mut store, &mut rng);
+                mixed_step(&mut twin, &mut twin_rng);
+                twin.policy.drain_decisions(&mut |event| logged.push(event));
+            }
+            let (totals, stats) = (store.eviction_totals(), store.stats());
+            assert!(
+                stats.evictions > 100,
+                "{mode}: {} evictions",
+                stats.evictions
+            );
+            assert_eq!(totals.admits, stats.sets, "{mode}");
+            assert_eq!(totals.evictions, stats.evictions, "{mode}");
+            assert_eq!(totals.eviction_costs.count, totals.evictions, "{mode}");
+            let with_l = logged.iter().filter(|e| e.l_value > 0).count() as u64;
+            assert_eq!(totals.l_values.count, with_l, "{mode}");
+            let ring = recorder.evictions_snapshot();
+            assert!(ring.len() < 4096, "{mode}: the ring lapped");
+            let expected: Vec<EvictionTrace> = logged.iter().map(eviction_trace).collect();
+            assert_eq!(ring, expected, "{mode}");
+        }
     }
 
     /// Slab pressure evicts through each clocked ordering's own step, so
     /// `L` (GD-Wheel's clock) moves as it does in the simulator: the
     /// `l_value` of the `Evict` events never falls, and ends above zero.
+    /// (More decisions than a ring holds: the test drains the log itself.)
     #[test]
     fn slab_pressure_advances_the_clock_of_every_clocked_ordering() {
-        #[derive(Debug, Default)]
-        struct EvictionLs(std::sync::Mutex<Vec<u64>>);
-        impl TraceSink for EvictionLs {
-            fn record(&self, event: &PolicyEvent) {
-                if event.kind == PolicyEventKind::Evict {
-                    crate::sync::lock(&self.0).push(event.l_value);
-                }
-            }
-        }
         for mode in ["camp", "camp:inf", "gds", "gdsf", "gd-wheel"] {
-            let sink = std::sync::Arc::new(EvictionLs::default());
             let mut store = Store::new(StoreConfig {
                 slab: SlabConfig::small(4096, 8),
                 eviction: mode.parse().unwrap(),
             });
-            store.set_trace_sink(Some(sink.clone()));
+            store.policy.log_decisions(true);
+            let mut ls = Vec::new();
             for i in 0..5_000u64 {
                 let key = format!("key-{i}");
                 let cost = 1 + i % 7 * 100;
                 store.set(key.as_bytes(), &[0u8; 60], 0, 0, cost).unwrap();
+                store.policy.drain_decisions(&mut |event| {
+                    if event.kind == PolicyEventKind::Evict {
+                        ls.push(event.l_value);
+                    }
+                });
             }
-            let ls = crate::sync::lock(&sink.0);
             assert!(ls.len() > 4_000, "{mode}: {} evictions", ls.len());
             assert_eq!(ls.len() as u64, store.stats().evictions, "{mode}");
             assert!(ls.windows(2).all(|w| w[0] <= w[1]), "{mode}: L fell");
@@ -1575,11 +1618,10 @@ mod tests {
 
     #[test]
     fn storing_a_colliding_key_replaces_the_resident_untraced() {
-        use std::sync::atomic::Ordering;
         for mode in all_modes() {
-            let sink = std::sync::Arc::new(CountingSink::default());
+            let recorder = recorder();
             let mut store = colliding_store(mode.clone());
-            store.set_trace_sink(Some(sink.clone()));
+            store.set_recorder(Some(recorder.clone()));
             let (a, b) = colliding_pair(&store);
             store.set(&b, b"bee", 0, 0, 1).unwrap();
             // `add` sees no A, so it stores — and B has to go, as an
@@ -1593,7 +1635,7 @@ mod tests {
             let stats = store.stats();
             assert_eq!(stats.evictions, 0, "{mode}");
             assert_eq!(stats.fingerprint_collisions, 1, "{mode}");
-            assert_eq!(sink.evicts.load(Ordering::Relaxed), 0, "{mode}: untraced");
+            assert_eq!(ring_counts(&recorder).1, 0, "{mode}: unrecorded");
             // A plain replace of A itself is not a collision.
             store.set(&a, b"ay2", 0, 0, 1).unwrap();
             assert_eq!(store.stats().fingerprint_collisions, 1, "{mode}");
@@ -1603,7 +1645,7 @@ mod tests {
             assert!(read(&mut store, &a).is_none(), "{mode}");
             assert_eq!(store.stats().fingerprint_collisions, 2, "{mode}");
             assert_eq!(store.stats().evictions, 0, "{mode}");
-            assert_eq!(sink.evicts.load(Ordering::Relaxed), 0, "{mode}");
+            assert_eq!(ring_counts(&recorder).1, 0, "{mode}");
             assert_layers_agree(&store, &mode.to_string());
         }
     }

@@ -8,7 +8,7 @@
 //! wrapper around any [`EvictionPolicy`], so the ablation benches can
 //! measure it over CAMP, LRU and GDS alike.
 
-use crate::policy::{AccessOutcome, CacheKey, EvictionPolicy, SharedTraceSink};
+use crate::policy::{AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent};
 use crate::util::GhostList;
 
 /// The admission decision rules available to [`Admission`].
@@ -175,24 +175,16 @@ impl<K: CacheKey, V, P: EvictionPolicy<K, V>> EvictionPolicy<K, V> for Admission
         self.inner.for_each(f);
     }
 
-    fn queue_count(&self) -> Option<usize> {
-        self.inner.queue_count()
-    }
-
-    fn heap_node_visits(&self) -> Option<u64> {
-        self.inner.heap_node_visits()
-    }
-
-    fn heap_update_ops(&self) -> Option<u64> {
-        self.inner.heap_update_ops()
-    }
-
     fn reset_instrumentation(&mut self) {
         self.inner.reset_instrumentation();
     }
 
-    fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.inner.set_trace_sink(sink);
+    fn log_decisions(&mut self, on: bool) {
+        self.inner.log_decisions(on);
+    }
+
+    fn drain_decisions(&mut self, f: &mut dyn FnMut(PolicyEvent)) {
+        self.inner.drain_decisions(f);
     }
 
     fn policy_stats(&self) -> crate::policy::PolicyStats {

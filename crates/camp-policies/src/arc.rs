@@ -21,7 +21,7 @@
 use camp_core::arena::EntryId;
 
 use crate::keyed::{Budget, Keyed, Ordering, Slots};
-use crate::policy::CacheKey;
+use crate::policy::{CacheKey, PolicyStats};
 use crate::util::Region::{self, First as T1, Second as T2};
 use crate::util::{GhostList, Listed, TwoLists};
 
@@ -145,8 +145,8 @@ impl<K: CacheKey> Ordering<K> for Adaptive<K> {
         (0, node.region as u32, 0)
     }
 
-    fn queue_count(&self) -> Option<usize> {
-        Some(2)
+    fn extend_stats<P>(&self, _slots: &Slots<P, Listed>, stats: &mut PolicyStats) {
+        stats.push("queue_count", 2);
     }
 }
 

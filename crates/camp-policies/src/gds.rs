@@ -141,22 +141,15 @@ impl<K, const FREQUENCY: bool> Ordering<K> for GreedyDual<FREQUENCY> {
         (node.ratio, 0, u64::try_from(self.l).unwrap_or(u64::MAX))
     }
 
-    // No `queue_count`: a greedy-dual cache has no queues; its heap has one
-    // node per resident pair.
-
-    fn heap_node_visits(&self) -> Option<u64> {
-        Some(self.heap.node_visits())
-    }
-
-    fn heap_update_ops(&self) -> Option<u64> {
-        Some(self.heap.update_ops())
-    }
-
     fn reset_instrumentation(&mut self) {
         self.heap.reset_counters();
     }
 
+    // No `queue_count`: a greedy-dual cache has no queues; its heap has one
+    // node per resident pair.
     fn extend_stats<P>(&self, _slots: &Slots<P, Priced>, stats: &mut PolicyStats) {
+        stats.push("heap_visits", self.heap.node_visits());
+        stats.push("heap_updates", self.heap.update_ops());
         stats.push("l_value", u64::try_from(self.l).unwrap_or(u64::MAX));
     }
 }
@@ -320,9 +313,9 @@ mod tests {
         for k in 0..100 {
             touch(&mut gds, k, 10, k + 1);
         }
-        assert!(gds.heap_node_visits().unwrap() > 0);
+        assert!(gds.policy_stats().get("heap_visits").unwrap() > 0);
         gds.reset_instrumentation();
-        assert_eq!(gds.heap_node_visits(), Some(0));
+        assert_eq!(gds.policy_stats().get("heap_visits"), Some(0));
     }
 }
 

@@ -12,6 +12,7 @@ use camp_core::arena::EntryId;
 use camp_core::heap::OctonaryHeap;
 
 use crate::keyed::{Keyed, Ordering, Slots};
+use crate::policy::PolicyStats;
 
 /// Frequency order: a heap keyed `frequency ‖ last-use clock`, one node per
 /// pair (heap ids are arena slot indices). The per-pair state is the
@@ -64,12 +65,12 @@ impl<K> Ordering<K> for Frequency {
         self.heap.clear();
     }
 
-    fn heap_node_visits(&self) -> Option<u64> {
-        Some(self.heap.node_visits())
-    }
-
     fn reset_instrumentation(&mut self) {
         self.heap.reset_counters();
+    }
+
+    fn extend_stats<P>(&self, _slots: &Slots<P, u64>, stats: &mut PolicyStats) {
+        stats.push("heap_visits", self.heap.node_visits());
     }
 }
 

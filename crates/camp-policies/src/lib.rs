@@ -94,7 +94,7 @@ pub use crate::lru_k::{LruK, LruKCache};
 pub use crate::offline::BeladyMin;
 pub use crate::policy::{
     key_hash, AccessOutcome, CacheKey, CacheRequest, EvictionPolicy, PolicyEvent, PolicyEventKind,
-    PolicyGauge, PolicyStats, SharedTraceSink, TraceSink,
+    PolicyGauge, PolicyStats,
 };
 pub use crate::pooled_lru::{PoolSplit, PooledLru};
 pub use crate::profiler::{ShadowEstimate, ShadowProfiler};

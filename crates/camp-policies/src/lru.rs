@@ -9,6 +9,7 @@ use camp_core::arena::EntryId;
 use camp_core::lru_list::{Links, LruList};
 
 use crate::keyed::{Keyed, Ordering, Slots};
+use crate::policy::PolicyStats;
 
 /// Recency order: one intrusive list, LRU at the front. Cost is ignored.
 #[derive(Debug, Default)]
@@ -43,8 +44,8 @@ impl<K> Ordering<K> for Recency {
         self.list = LruList::new();
     }
 
-    fn queue_count(&self) -> Option<usize> {
-        Some(1)
+    fn extend_stats<P>(&self, _slots: &Slots<P, Links>, stats: &mut PolicyStats) {
+        stats.push("queue_count", 1);
     }
 }
 

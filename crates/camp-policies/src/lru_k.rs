@@ -19,7 +19,7 @@ use camp_core::arena::EntryId;
 use camp_core::heap::OctonaryHeap;
 
 use crate::keyed::{Budget, Keyed, Ordering, Slots};
-use crate::policy::CacheKey;
+use crate::policy::{CacheKey, PolicyStats};
 use crate::util::GhostList;
 
 /// Backward K-distance order: a heap keyed `K-th reference ‖ last
@@ -115,12 +115,12 @@ impl<K: CacheKey> Ordering<K> for KDistance<K> {
         self.heap.clear();
     }
 
-    fn heap_node_visits(&self) -> Option<u64> {
-        Some(self.heap.node_visits())
-    }
-
     fn reset_instrumentation(&mut self) {
         self.heap.reset_counters();
+    }
+
+    fn extend_stats<P>(&self, _slots: &Slots<P, VecDeque<u64>>, stats: &mut PolicyStats) {
+        stats.push("heap_visits", self.heap.node_visits());
     }
 }
 

@@ -13,10 +13,7 @@
 use camp_core::hash::FoldHashMap;
 use camp_core::heap::OctonaryHeap;
 
-use crate::policy::{
-    key_hash, AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent, PolicyEventKind,
-    SharedTraceSink,
-};
+use crate::policy::{AccessOutcome, CacheKey, EvictionPolicy};
 use crate::util::IdAllocator;
 
 /// The MIN policy. Construct it from the exact key sequence it will be
@@ -48,12 +45,11 @@ pub struct BeladyMin<K = u64> {
     /// trace position `i` (usize::MAX when never referenced again).
     next_use: Vec<usize>,
     expected: Vec<K>,
-    residents: FoldHashMap<K, (u32, u64, u64)>, // key -> (heap id, size, cost)
+    residents: FoldHashMap<K, (u32, u64)>, // key -> (heap id, size)
     by_heap_id: FoldHashMap<u32, K>,
     /// Max-heap on next use, expressed as a min-heap on the complement.
     heap: OctonaryHeap<u64>,
     ids: IdAllocator,
-    sink: Option<SharedTraceSink>,
 }
 
 impl<K: CacheKey> BeladyMin<K> {
@@ -78,7 +74,6 @@ impl<K: CacheKey> BeladyMin<K> {
             by_heap_id: FoldHashMap::default(),
             heap: OctonaryHeap::new(),
             ids: IdAllocator::default(),
-            sink: None,
         }
     }
 
@@ -131,7 +126,7 @@ impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
         );
         let next = self.next_use[self.clock];
         self.clock += 1;
-        let &(heap_id, _, _) = self.residents.get(key)?;
+        let &(heap_id, _) = self.residents.get(key)?;
         self.heap.update(heap_id, Self::heap_key(next));
         Some(&())
     }
@@ -147,7 +142,7 @@ impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
         key: K,
         (): (),
         size: u64,
-        cost: u64,
+        _cost: u64,
         evicted: &mut dyn FnMut(K, ()),
     ) -> AccessOutcome {
         let next = self
@@ -166,21 +161,13 @@ impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
         let heap_id = self.ids.allocate();
         self.heap.insert(heap_id, Self::heap_key(next));
         self.by_heap_id.insert(heap_id, key.clone());
-        if let Some(sink) = &self.sink {
-            sink.record(&PolicyEvent::basic(
-                PolicyEventKind::Admit,
-                key_hash(&key),
-                size,
-                cost,
-            ));
-        }
-        self.residents.insert(key, (heap_id, size, cost));
+        self.residents.insert(key, (heap_id, size));
         self.used += size;
         AccessOutcome::MissInserted
     }
 
     fn take(&mut self, key: &K) -> Option<()> {
-        let (heap_id, size, _) = self.residents.remove(key)?;
+        let (heap_id, size) = self.residents.remove(key)?;
         self.heap.remove(heap_id);
         self.by_heap_id.remove(&heap_id);
         self.ids.release(heap_id);
@@ -194,17 +181,9 @@ impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
             .by_heap_id
             .remove(&heap_id)
             .expect("heap id maps to a resident");
-        let (_, size, cost) = self.residents.remove(&key).expect("resident entry");
+        let (_, size) = self.residents.remove(&key).expect("resident entry");
         self.used -= size;
         self.ids.release(heap_id);
-        if let Some(sink) = &self.sink {
-            sink.record(&PolicyEvent::basic(
-                PolicyEventKind::Evict,
-                key_hash(&key),
-                size,
-                cost,
-            ));
-        }
         Some((key, ()))
     }
 
@@ -212,10 +191,6 @@ impl<K: CacheKey> EvictionPolicy<K> for BeladyMin<K> {
         for key in self.residents.keys() {
             f(key, &());
         }
-    }
-
-    fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        self.sink = sink;
     }
 }
 

@@ -128,51 +128,17 @@ mod tests {
         assert!(AccessOutcome::MissBypassed.is_miss());
     }
 
-    #[derive(Debug, Default)]
-    struct CountingSink {
-        admits: std::sync::atomic::AtomicU64,
-        evicts: std::sync::atomic::AtomicU64,
-    }
-
-    impl TraceSink for CountingSink {
-        fn record(&self, event: &PolicyEvent) {
-            use std::sync::atomic::Ordering;
-            assert!(event.size > 0, "trace events carry the entry size");
-            match event.kind {
-                PolicyEventKind::Admit => self.admits.fetch_add(1, Ordering::Relaxed),
-                PolicyEventKind::Evict => self.evicts.fetch_add(1, Ordering::Relaxed),
-            };
-        }
-    }
-
-    #[derive(Debug, Default)]
-    struct Collecting(std::sync::Mutex<Vec<PolicyEvent>>);
-
-    impl Collecting {
-        /// Everything recorded since the last call.
-        fn take(&self) -> Vec<PolicyEvent> {
-            std::mem::take(
-                &mut self
-                    .0
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            )
-        }
-    }
-
-    impl TraceSink for Collecting {
-        fn record(&self, event: &PolicyEvent) {
-            self.0
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(*event);
-        }
+    /// Empties `policy`'s decision log.
+    fn drained<V>(policy: &mut (impl EvictionPolicy<u64, V> + ?Sized)) -> Vec<PolicyEvent> {
+        let mut events = Vec::new();
+        policy.drain_decisions(&mut |event| events.push(event));
+        events
     }
 
     /// For the six front orderings, making room with `evict_next` and then
     /// admitting with `reference` is the step `reference` takes alone: at
     /// one capacity, one stream gives the same evicted keys and the same
-    /// trace events, field for field (`L` included).
+    /// logged decisions, field for field (`L` included).
     #[test]
     fn evict_next_until_it_fits_then_reference_is_reference_alone() {
         use crate::spec::EvictionMode;
@@ -181,10 +147,8 @@ mod tests {
         for name in ["lru", "camp", "camp:inf", "gds", "gdsf", "lfu", "gd-wheel"] {
             let mode: EvictionMode = name.parse().unwrap();
             let (mut alone, mut stepped) = (mode.build(CAPACITY), mode.build(CAPACITY));
-            let alone_sink = std::sync::Arc::new(Collecting::default());
-            let stepped_sink = std::sync::Arc::new(Collecting::default());
-            alone.set_trace_sink(Some(alone_sink.clone()));
-            stepped.set_trace_sink(Some(stepped_sink.clone()));
+            alone.log_decisions(true);
+            stepped.log_decisions(true);
             let mut rng = Rng64::seed_from_u64(0xE71C);
             let (mut by_reference, mut by_step) = (Vec::new(), Vec::new());
             let mut evictions = 0;
@@ -202,7 +166,7 @@ mod tests {
                 }
                 assert_eq!(stepped.reference(req, &mut by_step), outcome, "{name}");
                 assert_eq!(by_step, by_reference, "{name}");
-                assert_eq!(stepped_sink.take(), alone_sink.take(), "{name}");
+                assert_eq!(drained(&mut *stepped), drained(&mut *alone), "{name}");
                 evictions += by_reference.len();
             }
             assert!(evictions > 1_000, "{name}: {evictions} evictions");
@@ -210,53 +174,55 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_emits_trace_events() {
-        use std::sync::atomic::Ordering;
-
+    fn every_policy_logs_its_decisions() {
         use crate::spec::EvictionMode;
+        let count = |events: &[PolicyEvent], kind| events.iter().filter(|e| e.kind == kind).count();
         for name in EvictionMode::all_names() {
             let mode: EvictionMode = name.parse().unwrap();
             let mut policy: Box<dyn EvictionPolicy> = mode.build(4 << 10);
-            let sink = std::sync::Arc::new(CountingSink::default());
-            policy.set_trace_sink(Some(sink.clone()));
+            policy.log_decisions(true);
             let mut evicted = Vec::new();
             // Churn well past capacity: 64 keys x 256 bytes = 4x the budget.
             for key in 0..64u64 {
                 policy.reference(CacheRequest::new(key, 256, 1 + key % 7), &mut evicted);
                 policy.reference(CacheRequest::new(key, 256, 1 + key % 7), &mut evicted);
             }
-            let admits = sink.admits.load(Ordering::Relaxed);
-            assert!(admits > 0, "{name}: no admissions traced");
+            let events = drained(&mut *policy);
+            assert!(
+                events.iter().all(|e| e.size > 0),
+                "{name}: events carry the size"
+            );
+            assert!(
+                count(&events, PolicyEventKind::Admit) > 0,
+                "{name}: no admissions logged"
+            );
             assert_eq!(
-                sink.evicts.load(Ordering::Relaxed),
-                evicted.len() as u64,
+                count(&events, PolicyEventKind::Evict),
+                evicted.len(),
                 "{name}: one Evict event per reference-driven eviction"
             );
-            // Store-pressure eviction: `evict_next` reports what it takes.
-            let before = sink.evicts.load(Ordering::Relaxed);
+            assert!(drained(&mut *policy).is_empty(), "{name}: draining empties");
+            // Store-pressure eviction: `evict_next` logs what it takes.
             let victim = policy.evict_next().expect("resident keys remain");
             assert!(!policy.contains(&victim), "{name}");
-            assert_eq!(
-                sink.evicts.load(Ordering::Relaxed),
-                before + 1,
-                "{name}: evict_next() must report to the sink"
-            );
-            // Explicit delete stays out of the eviction telemetry.
+            let events = drained(&mut *policy);
+            assert_eq!(events.len(), 1, "{name}: evict_next() must log");
+            assert_eq!(events[0].kind, PolicyEventKind::Evict, "{name}");
+            assert_eq!(events[0].key_hash, key_hash(&victim), "{name}");
+            // Explicit delete stays out of the log.
             if let Some(resident) = (0..64u64).find(|key| policy.contains(key)) {
-                let before = sink.evicts.load(Ordering::Relaxed);
                 assert!(policy.remove(&resident), "{name}");
-                assert_eq!(
-                    sink.evicts.load(Ordering::Relaxed),
-                    before,
-                    "{name}: remove() must not emit"
+                assert!(
+                    drained(&mut *policy).is_empty(),
+                    "{name}: remove() must not log"
                 );
             }
-            // Detaching the sink stops emission.
-            policy.set_trace_sink(None);
-            let before = sink.admits.load(Ordering::Relaxed);
+            // Turning the log off stops logging.
+            policy.log_decisions(false);
             policy.reference(CacheRequest::new(1_000, 256, 3), &mut evicted);
+            policy.log_decisions(true);
             policy.reference(CacheRequest::new(1_000, 256, 3), &mut evicted);
-            assert_eq!(sink.admits.load(Ordering::Relaxed), before, "{name}");
+            assert!(drained(&mut *policy).is_empty(), "{name}");
         }
     }
 }

@@ -14,7 +14,7 @@
 use camp_core::Keyed;
 
 use crate::lru::Recency;
-use crate::policy::{AccessOutcome, CacheKey, EvictionPolicy, SharedTraceSink};
+use crate::policy::{AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent, PolicyStats};
 
 /// How the available memory is divided among the pools.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +46,7 @@ pub enum PoolSplit {
 ///     &[1, 100, 10_000],
 ///     PoolSplit::ProportionalToLowerBound,
 /// );
-/// assert_eq!(pooled.queue_count(), Some(3));
+/// assert_eq!(pooled.policy_stats().get("queue_count"), Some(3));
 ///
 /// let mut evicted = Vec::new();
 /// pooled.reference(CacheRequest::new(1, 10, 10_000), &mut evicted);
@@ -58,6 +58,9 @@ pub struct PooledLru<K = u64, V = ()> {
     pools: Vec<Keyed<K, Recency, V>>,
     boundaries: Vec<u64>,
     capacity: u64,
+    /// The decision log, while one is kept: the pools' decisions, moved
+    /// here after each call that made them.
+    log: Option<Vec<PolicyEvent>>,
 }
 
 impl<K: CacheKey, V> PooledLru<K, V> {
@@ -96,6 +99,7 @@ impl<K: CacheKey, V> PooledLru<K, V> {
             pools,
             boundaries: boundaries.to_vec(),
             capacity,
+            log: None,
         }
     }
 
@@ -107,6 +111,13 @@ impl<K: CacheKey, V> PooledLru<K, V> {
         self.boundaries
             .partition_point(|&b| b <= cost)
             .saturating_sub(1)
+    }
+
+    /// Moves pool `pool`'s new decisions onto the log, if one is kept.
+    fn gather(&mut self, pool: usize) {
+        if let Some(log) = &mut self.log {
+            self.pools[pool].drain_decisions(&mut |event| log.push(event));
+        }
     }
 
     /// The byte capacity assigned to each pool.
@@ -156,7 +167,9 @@ impl<K: CacheKey, V> EvictionPolicy<K, V> for PooledLru<K, V> {
         evicted: &mut dyn FnMut(K, V),
     ) -> AccessOutcome {
         let pool = self.pool_of(cost);
-        self.pools[pool].admit(key, value, size, cost, evicted)
+        let outcome = self.pools[pool].admit(key, value, size, cost, evicted);
+        self.gather(pool);
+        outcome
     }
 
     fn take(&mut self, key: &K) -> Option<V> {
@@ -166,15 +179,16 @@ impl<K: CacheKey, V> EvictionPolicy<K, V> for PooledLru<K, V> {
     fn evict(&mut self) -> Option<(K, V)> {
         // The frozen partition has no global eviction order: the fullest
         // pool (by fill fraction) gives up its LRU pair.
-        self.pools
-            .iter_mut()
-            .filter(|p| !p.is_empty())
-            .max_by(|a, b| {
-                let fa = a.used_bytes() as f64 / (a.capacity().max(1)) as f64;
-                let fb = b.used_bytes() as f64 / (b.capacity().max(1)) as f64;
-                fa.total_cmp(&fb)
-            })
-            .and_then(Keyed::evict_lowest)
+        let fill = |p: &Keyed<K, Recency, V>| p.used_bytes() as f64 / p.capacity().max(1) as f64;
+        let (pool, _) = self
+            .pools
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| !p.is_empty())
+            .max_by(|(_, a), (_, b)| fill(a).total_cmp(&fill(b)))?;
+        let pair = self.pools[pool].evict_lowest();
+        self.gather(pool);
+        pair
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
@@ -183,15 +197,25 @@ impl<K: CacheKey, V> EvictionPolicy<K, V> for PooledLru<K, V> {
         }
     }
 
-    fn set_trace_sink(&mut self, sink: Option<SharedTraceSink>) {
-        // Each pool emits its own events; the wrapper just fans the sink out.
+    fn log_decisions(&mut self, on: bool) {
         for pool in &mut self.pools {
-            pool.set_trace_sink(sink.clone());
+            pool.log_decisions(on);
+        }
+        if on != self.log.is_some() {
+            self.log = on.then(Vec::new);
         }
     }
 
-    fn queue_count(&self) -> Option<usize> {
-        Some(self.pools.len())
+    fn drain_decisions(&mut self, f: &mut dyn FnMut(PolicyEvent)) {
+        if let Some(log) = &mut self.log {
+            log.drain(..).for_each(f);
+        }
+    }
+
+    fn policy_stats(&self) -> PolicyStats {
+        let mut stats = PolicyStats::universal(self);
+        stats.push("queue_count", self.pools.len() as u64);
+        stats
     }
 }
 
@@ -318,5 +342,30 @@ mod tests {
         touch(&mut p, 3, 10, 10_000);
         let (_, ev) = touch(&mut p, 4, 10, 5);
         assert_eq!(ev, vec![1]);
+    }
+
+    /// Evictions alternate between pools as their fill fractions cross;
+    /// the log holds every decision in the order it was made, not pool by
+    /// pool.
+    #[test]
+    fn the_log_keeps_the_order_of_decisions_across_pools() {
+        use crate::policy::{key_hash, PolicyEventKind};
+        let mut p: PooledLru = PooledLru::new(3000, &[1, 100, 10_000], PoolSplit::Uniform);
+        p.log_decisions(true);
+        let mut expected = Vec::new();
+        for (key, cost) in (0..5).map(|k| (k, 1)).chain((10..18).map(|k| (k, 100))) {
+            touch(&mut p, key, 100, cost);
+            expected.push((PolicyEventKind::Admit, key_hash(&key)));
+        }
+        let victims: Vec<u64> = (0..8).map(|_| p.evict_next().unwrap()).collect();
+        assert!(victims.iter().any(|&v| v < 10) && victims.iter().any(|&v| v >= 10));
+        expected.extend(
+            victims
+                .iter()
+                .map(|v| (PolicyEventKind::Evict, key_hash(v))),
+        );
+        let mut logged = Vec::new();
+        p.drain_decisions(&mut |e| logged.push((e.kind, e.key_hash)));
+        assert_eq!(logged, expected);
     }
 }

@@ -17,7 +17,7 @@
 use camp_core::arena::EntryId;
 
 use crate::keyed::{Budget, Keyed, Ordering, Slots};
-use crate::policy::CacheKey;
+use crate::policy::{CacheKey, PolicyStats};
 use crate::util::Region::{self, First as A1IN, Second as AM};
 use crate::util::{GhostList, Listed, TwoLists};
 
@@ -95,8 +95,8 @@ impl<K: CacheKey> Ordering<K> for Probation<K> {
         (0, node.region as u32, 0)
     }
 
-    fn queue_count(&self) -> Option<usize> {
-        Some(2)
+    fn extend_stats<P>(&self, _slots: &Slots<P, Listed>, stats: &mut PolicyStats) {
+        stats.push("queue_count", 2);
     }
 }
 

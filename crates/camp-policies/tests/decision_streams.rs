@@ -1,7 +1,7 @@
 //! Decision streams, pinned: every `EvictionMode` replays one seeded BG
 //! trace in the two shapes its callers drive it in, and everything it
-//! decides — each row's outcome, each evicted key, each [`PolicyEvent`] a
-//! sink sees, field for field — folds into one 64-bit FNV-1a that must equal
+//! decides — each row's outcome, each evicted key, each [`PolicyEvent`] it
+//! logs, field for field — folds into one 64-bit FNV-1a that must equal
 //! a constant recorded from the code *before* the refactor under test. A
 //! policy rewrite that changes one victim, one tie-break or one trace field
 //! anywhere in 200 k rows changes the hash.
@@ -18,12 +18,11 @@
 //! failing run prints the table it measured).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
 
 use camp_core::rng::Rng64;
 use camp_policies::{
     AccessOutcome, CacheKey, CacheRequest, EvictionMode, EvictionPolicy, PolicyEvent,
-    PolicyEventKind, TraceSink,
+    PolicyEventKind,
 };
 use camp_workload::{BgConfig, Trace};
 
@@ -89,28 +88,6 @@ impl Fnv {
     }
 }
 
-#[derive(Debug, Default)]
-struct Collecting(Mutex<Vec<PolicyEvent>>);
-
-impl Collecting {
-    /// Folds (and forgets) everything recorded since the last call.
-    fn drain_into(&self, fnv: &mut Fnv) {
-        let mut events = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        for event in events.drain(..) {
-            fnv.fold_event(&event);
-        }
-    }
-}
-
-impl TraceSink for Collecting {
-    fn record(&self, event: &PolicyEvent) {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(*event);
-    }
-}
-
 /// The two key types the policies are instantiated with.
 trait StreamKey: CacheKey + Send + 'static {
     fn from_id(id: u64) -> Self;
@@ -156,7 +133,6 @@ fn outcome_code(outcome: AccessOutcome) -> u64 {
 struct Replay<K: StreamKey> {
     mode: &'static str,
     policy: Box<dyn EvictionPolicy<K> + Send>,
-    sink: Arc<Collecting>,
     fnv: Fnv,
     evicted: Vec<K>,
     hits: u64,
@@ -168,18 +144,23 @@ impl<K: StreamKey> Replay<K> {
     fn new(mode: &'static str, capacity: u64) -> Self {
         let parsed: EvictionMode = mode.parse().expect("known mode");
         let mut policy = parsed.build::<K>(capacity);
-        let sink = Arc::new(Collecting::default());
-        policy.set_trace_sink(Some(sink.clone()));
+        policy.log_decisions(true);
         Replay {
             mode,
             policy,
-            sink,
             fnv: Fnv::new(),
             evicted: Vec::new(),
             hits: 0,
             misses: 0,
             missed_cost: 0,
         }
+    }
+
+    /// Folds (and forgets) every decision logged since the last call.
+    fn drain(&mut self) {
+        let fnv = &mut self.fnv;
+        self.policy
+            .drain_decisions(&mut |event| fnv.fold_event(&event));
     }
 
     /// `reference`, with the outcome, the evicted keys and the events folded.
@@ -193,7 +174,7 @@ impl<K: StreamKey> Replay<K> {
         for key in &self.evicted {
             self.fnv.fold(key.id());
         }
-        self.sink.drain_into(&mut self.fnv);
+        self.drain();
         outcome
     }
 
@@ -253,7 +234,7 @@ fn store_shape<K: StreamKey>(mode: &'static str, trace: &Trace) -> Pinned {
             let removed = replay.policy.remove(&K::from_id(rec.key));
             assert_eq!(removed, was.is_some(), "{mode}: row {row} delete");
             replay.fnv.fold(u64::from(removed));
-            replay.sink.drain_into(&mut replay.fnv);
+            replay.drain();
             continue;
         }
         let overwrite = dice < 12;
@@ -263,7 +244,7 @@ fn store_shape<K: StreamKey>(mode: &'static str, trace: &Trace) -> Pinned {
                 replay.policy.touch(&K::from_id(rec.key)),
                 "{mode}: row {row}"
             );
-            replay.sink.drain_into(&mut replay.fnv);
+            replay.drain();
             replay.hits += 1;
             continue;
         }
@@ -289,7 +270,7 @@ fn store_shape<K: StreamKey>(mode: &'static str, trace: &Trace) -> Pinned {
             let victim = replay.policy.evict_next().expect("bytes resident");
             replay.fnv.fold(victim.id());
             resident_bytes -= resident.remove(&victim.id()).expect("victim is resident");
-            replay.sink.drain_into(&mut replay.fnv);
+            replay.drain();
         }
         let outcome = replay.reference(rec.key, size, cost);
         for key in &replay.evicted {

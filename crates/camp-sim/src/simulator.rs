@@ -70,11 +70,11 @@ pub struct SimReport {
     pub capacity: u64,
     /// Hit/miss/cost counters.
     pub metrics: SimMetrics,
-    /// Non-empty queue/pool count at the end of the run, if meaningful.
+    /// The `queue_count` gauge (queues or pools) at the end of the run.
     pub queue_count: Option<usize>,
-    /// Heap nodes visited during the run, if the policy has a heap.
+    /// The `heap_visits` gauge: heap nodes visited during the run.
     pub heap_node_visits: Option<u64>,
-    /// Structural heap operations during the run.
+    /// The `heap_updates` gauge: structural heap operations in the run.
     pub heap_update_ops: Option<u64>,
     /// Occupancy series, when requested.
     pub occupancy: Option<OccupancySeries>,
@@ -194,13 +194,14 @@ impl<'a> Simulation<'a> {
             series
         });
 
+        let gauges = policy.policy_stats();
         SimReport {
             policy: policy.name(),
             capacity: policy.capacity(),
             metrics,
-            queue_count: policy.queue_count(),
-            heap_node_visits: policy.heap_node_visits(),
-            heap_update_ops: policy.heap_update_ops(),
+            queue_count: gauges.get("queue_count").map(|n| n as usize),
+            heap_node_visits: gauges.get("heap_visits"),
+            heap_update_ops: gauges.get("heap_updates"),
             occupancy,
             policy_nanos,
         }
