@@ -126,7 +126,6 @@ impl Shared {
         let workers = resolve_workers(options.workers);
         let recorder = Arc::new(FlightRecorder::new(workers, options.slow_log_us));
         let store = ShardedStore::new(options.config.clone(), options.shards);
-        store.set_recorder(Some(Arc::clone(&recorder)));
         let persist = match options.persist.as_ref() {
             Some(persist_options) => {
                 let mut persist = match backend {
@@ -146,6 +145,11 @@ impl Shared {
             }
             None => None,
         };
+        // Replay is not traffic: it is counted as `persist:recovered`, so
+        // the store's counters start from zero and the recorder, attached
+        // only now, sees no replayed decision.
+        store.reset_stats();
+        store.set_recorder(Some(Arc::clone(&recorder)));
         Ok(Shared {
             store,
             metrics: ServerMetrics::new(workers),

@@ -449,3 +449,57 @@ fn removed_flags_fail_like_any_unknown_flag() {
         assert!(!usage.contains(args[0]), "usage still lists {}", args[0]);
     }
 }
+
+/// A warm restart replays the journal into the store, and replay is not
+/// traffic: it is reported as `persist:recovered` alone. The rebooted
+/// server's command and eviction counters start from zero, and its
+/// eviction ring holds no replayed decision, though the replay evicted.
+#[test]
+fn a_warm_restart_does_not_report_replay_as_traffic() {
+    use camp_kvs::persist::PersistOptions;
+    use camp_kvs::server::ServerOptions;
+
+    const SETS: usize = 3_000;
+    let dir = std::env::temp_dir().join(format!("camp-warm-counters-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let options = || {
+        let mut options = ServerOptions::new(StoreConfig {
+            slab: SlabConfig::small(64 * 1024, 16),
+            eviction: EvictionMode::Camp(Precision::Bits(5)),
+        });
+        options.persist = Some(PersistOptions::new(&dir));
+        options
+    };
+    let server = Server::start_with("127.0.0.1:0", options()).expect("boot");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for i in 0..SETS {
+        let key = format!("key-{i}");
+        let cost = Some(1 + (i as u64 % 5) * 100);
+        assert!(client
+            .iqset(key.as_bytes(), &[b'v'; 700], 0, 0, cost)
+            .expect("iqset"));
+    }
+    let before = client.stats_detail().expect("stats detail");
+    assert_eq!(before["cmd_set"], SETS.to_string());
+    assert_ne!(before["evictions"], "0", "the load must evict");
+    client.quit().expect("quit");
+    server.shutdown();
+
+    let server = Server::start_with("127.0.0.1:0", options()).expect("warm boot");
+    let mut client = Client::connect(server.local_addr()).expect("reconnect");
+    let after = client.stats_detail().expect("stats detail");
+    let recovered: usize = after["persist:recovered"].parse().expect("numeric");
+    assert!(recovered >= SETS, "{after:?}");
+    assert_eq!(after["curr_items"], before["curr_items"], "{after:?}");
+    for counter in ["cmd_set", "evictions", "trace:admits", "trace:evictions"] {
+        assert_eq!(after[counter], "0", "{counter} counts the replay");
+    }
+    let trace = client.trace().expect("trace");
+    assert!(
+        !trace.iter().any(|line| line.starts_with("EVICTION")),
+        "replayed decisions in the ring: {trace:?}"
+    );
+    client.quit().expect("quit");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
