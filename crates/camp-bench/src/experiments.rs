@@ -8,14 +8,11 @@
 use camp_core::rounding::{round_regular, round_to_significant_bits};
 use camp_core::{Camp, Precision};
 use camp_policies::{EvictionPolicy, Gds, Lru, PoolSplit, PooledLru};
-use camp_sim::{simulate, OccupancyConfig, Simulation};
+use camp_sim::{simulate, OccupancyConfig, Simulation, DEFAULT_RATIOS};
 use camp_workload::{BgConfig, Trace};
 
 use crate::scale::{Scale, HARNESS_SEED};
 use crate::table::{f, Table};
-
-/// The cache-size-ratio grid shared by the ratio-axis figures.
-pub const RATIO_GRID: [f64; 8] = [0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0];
 
 /// The precision grid of Figures 5a/5b/8c (∞ is appended separately).
 pub const PRECISION_GRID: [u8; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
@@ -90,7 +87,7 @@ pub fn fig4(scale: Scale) -> Vec<(String, Table)> {
         "gds-heap-ops",
         "camp-heap-ops",
     ]);
-    for ratio in RATIO_GRID {
+    for ratio in DEFAULT_RATIOS {
         let cap = capacity(&trace, ratio);
         let mut gds = Gds::new(cap);
         let gds_report = simulate(&mut gds, &trace);
@@ -177,7 +174,7 @@ fn ratio_sweep_three_tier(scale: Scale) -> (Table, Table) {
         "gds",
     ]);
     let mut miss_table = cost_table.clone();
-    for ratio in RATIO_GRID {
+    for ratio in DEFAULT_RATIOS {
         let cap = capacity(&trace, ratio);
         let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
             camp_at(cap, Precision::Bits(5)),
@@ -340,7 +337,7 @@ pub fn fig6d(scale: Scale) -> Vec<(String, Table)> {
 pub fn fig7(scale: Scale) -> Vec<(String, Table)> {
     let trace = scale.variable_size_trace();
     let mut table = Table::new(vec!["cache-ratio", "camp(p=5)", "lru", "gds"]);
-    for ratio in RATIO_GRID {
+    for ratio in DEFAULT_RATIOS {
         let cap = capacity(&trace, ratio);
         let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
             camp_at(cap, Precision::Bits(5)),
@@ -363,7 +360,7 @@ fn equi_size_sweep(scale: Scale) -> (Table, Table) {
     let trace = scale.equi_size_trace();
     let mut cost_table = Table::new(vec!["cache-ratio", "camp(p=5)", "lru", "pooled-range"]);
     let mut miss_table = cost_table.clone();
-    for ratio in RATIO_GRID {
+    for ratio in DEFAULT_RATIOS {
         let cap = capacity(&trace, ratio);
         // The paper's Figure 8 pooling: ranges [1,100), [100,10K), [10K,∞),
         // memory proportional to the lowest cost in each range.

@@ -11,7 +11,8 @@ use camp_workload::{Trace, TraceStats};
 
 use crate::simulator::{simulate, SimReport};
 
-/// The paper's default grid of cache-size ratios.
+/// The paper's default grid of cache-size ratios: the sweeps' and the
+/// ratio axis of every `repro` figure that has one.
 pub const DEFAULT_RATIOS: [f64; 8] = [0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0];
 
 /// Converts a cache-size ratio into a byte capacity for a given trace.
