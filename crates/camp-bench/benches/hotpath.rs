@@ -10,7 +10,16 @@
 //! slab write, eviction hand-off — on a BG-sized keyspace four times the
 //! store's memory: `get_hit`, `get_miss`, and `set_evicting` (a cyclic
 //! scan, so every set misses and evicts) in 64 KiB slabs, beside
-//! `set_evicting_16k`, the same memory in four times as many slabs.
+//! `set_evicting_16k`, the same memory in four times as many slabs, and
+//! `set_evicting_recorded`, the 64 KiB store with a flight recorder
+//! attached as the server attaches one: every set also drains the
+//! policy's decision log into the store's tally and the eviction ring.
+//!
+//! The `persist` group times the journal's CPU work per `durable-set`
+//! record, the workload's 512-byte values under 16-byte keys:
+//! `crc32c_555b` checksums one record's 555-byte payload, and
+//! `encode_set_512b` frames one such `set` (header, fields, checksum)
+//! into a reused buffer, as every append and every snapshot copy does.
 //!
 //! The `conn` group times everything a reactor worker does with a
 //! connection's bytes except the syscalls: `process_pipeline32` feeds a
@@ -22,19 +31,23 @@
 
 use std::hint::black_box;
 use std::io::Write;
+use std::sync::Arc;
 
 use camp_bench::micro::Group;
 use camp_kvs::net::Loopback;
+use camp_kvs::persist::record::{crc32c, encode_into, Record, FRAME_HEADER_LEN};
 use camp_kvs::protocol::{parse_command, Command};
 use camp_kvs::resp;
 use camp_kvs::server::ServerOptions;
 use camp_kvs::slab::SlabConfig;
 use camp_kvs::store::{EvictionMode, Store, StoreConfig};
+use camp_telemetry::FlightRecorder;
 use camp_workload::BgConfig;
 
 const PARSE_LINES: u64 = 100_000;
 const GET_OPS: u64 = 100_000;
 const STORE_OPS: u64 = 100_000;
+const PERSIST_OPS: u64 = 100_000;
 const CONN_CYCLES: u64 = 4_000;
 const PIPELINE: u64 = 32;
 
@@ -77,9 +90,12 @@ fn store_group() {
     // slab count, so the two rows should agree.
     let mut store = full_store(64 * 1024);
     let mut small_slabs = full_store(16 * 1024);
+    let mut recorded = full_store(64 * 1024);
+    recorded.set_recorder(Some(Arc::new(FlightRecorder::new(1, None))));
     for (label, evicting) in [
         ("set_evicting", &mut store),
         ("set_evicting_16k", &mut small_slabs),
+        ("set_evicting_recorded", &mut recorded),
     ] {
         let mut next = pairs.len();
         group.case(label, || {
@@ -118,6 +134,43 @@ fn store_group() {
             hits += u64::from(store.get_with(black_box(key), |_| ()).is_some());
         }
         hits
+    });
+}
+
+/// The `persist` group: one `durable-set` record's checksum, and its
+/// whole encode.
+fn persist_group() {
+    let key = b"key-000000000123";
+    let value = [0xCAu8; 512];
+    let record = Record::Set {
+        key,
+        value: &value,
+        flags: 0,
+        cost: 1,
+        expires_at: 0,
+    };
+    let mut frame = Vec::new();
+    encode_into(&record, &mut frame);
+    let payload = &frame[FRAME_HEADER_LEN..];
+    assert_eq!(payload.len(), 555);
+
+    let group = Group::new("persist", PERSIST_OPS, 10);
+    group.case("crc32c_555b", || {
+        let mut folded = 0u32;
+        for _ in 0..PERSIST_OPS {
+            folded ^= crc32c(black_box(payload));
+        }
+        folded
+    });
+    let mut buf = Vec::with_capacity(frame.len());
+    group.case("encode_set_512b", || {
+        let mut bytes = 0u64;
+        for _ in 0..PERSIST_OPS {
+            buf.clear();
+            encode_into(black_box(&record), &mut buf);
+            bytes += buf.len() as u64;
+        }
+        bytes
     });
 }
 
@@ -242,5 +295,6 @@ fn main() {
     });
 
     store_group();
+    persist_group();
     conn_group();
 }

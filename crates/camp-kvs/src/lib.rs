@@ -48,11 +48,12 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-// `deny`, not `forbid`: the two exceptions are `signals` (installs C
-// handlers over a self-pipe) and `net::epoll` (the epoll syscall shim).
-// Both are individually audited (module-level `allow` with a safety
-// argument at each site) and allowlisted path-exactly by camp-lint's
-// `unsafe-outside-signals` rule.
+// `deny`, not `forbid`: the three exceptions are `signals` (installs C
+// handlers over a self-pipe), `net::epoll` (the epoll syscall shim) and
+// `persist::crc` (calls the SSE4.2 CRC32C kernel once the CPU is known to
+// have it). Each is individually audited (module-level `allow` with a
+// safety argument at each site) and allowlisted path-exactly by
+// camp-lint's `unsafe-outside-signals` rule.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -785,7 +785,7 @@ impl TelemetryReport {
                 .help("epoll_wait returns that delivered events, per worker");
             rows.field(Detail, &line, "timer_fires", w.timer_fires)
                 .family(Counter, "camp_reactor_timer_fires_total")
-                .help("timer-wheel timers fired, per worker");
+                .help("deadline timers fired, per worker");
             rows.field(Detail, &line, "write_pauses", w.write_pauses)
                 .family(Counter, "camp_reactor_write_pauses_total")
                 .help("reads paused by output backpressure, per worker");

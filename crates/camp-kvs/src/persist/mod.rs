@@ -2,7 +2,8 @@
 //! warm restarts.
 //!
 //! Layout mirrors `net/`: [`record`] is the on-disk codec and recovery
-//! scanner, [`io`] is the write-side backend seam (real disk or the
+//! scanner (its CRC32C, in a hardware and a table kernel, is `crc`),
+//! [`io`] is the write-side backend seam (real disk or the
 //! deterministic [`FaultFs`] injector), and this module owns the
 //! [`Persist`] engine: rotating segment files under `--data-dir`,
 //! `--fsync always|interval|never`, compaction-by-snapshot, and a
@@ -83,6 +84,7 @@
 //! with a full snapshot (a [`Record::Clear`] followed by one set per
 //! live item), so the log matches the live store the moment it heals.
 
+mod crc;
 pub mod io;
 mod powerloss;
 pub mod record;
@@ -265,8 +267,11 @@ pub struct PersistSnapshot {
     pub reserves: u64,
     /// Zero bytes those reservations wrote.
     pub reserved_bytes: u64,
-    /// Wall time of every `fsync` the engine issued, in microseconds —
-    /// where the time the `set` handler histogram no longer contains went.
+    /// Wall time of the engine's segment `fsync`s (every commit's and
+    /// every snapshot's), in microseconds — where the time the `set` handler
+    /// histogram no longer contains went. Not in it: the sync behind each
+    /// runway reservation and the directory sync behind a snapshot's
+    /// rename, which the backend issues itself.
     pub sync_us: HistogramSnapshot,
 }
 
@@ -769,8 +774,13 @@ impl Persist {
         }
     }
 
-    /// One timed `fsync` of the active segment; every sync the engine
-    /// issues goes through here so `persist:sync_us` sees them all.
+    /// One timed `fsync` of the active segment: the sync of every commit
+    /// (a rotation's and the seal's included) and of every snapshot goes
+    /// through here, so `persist:sync_us` sees them.
+    /// Two syncs do not: the backend's own `sync_data` behind each runway
+    /// reservation ([`IoBackend::reserve`], counted in `reserves`) and the
+    /// directory `sync_all` behind a snapshot's rename
+    /// ([`IoBackend::rename`]).
     fn timed_sync(&self, backend: &mut dyn IoBackend) -> stdio::Result<()> {
         let started = Instant::now();
         let result = backend.sync();

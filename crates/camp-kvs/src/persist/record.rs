@@ -32,6 +32,8 @@
 //! *with* one are mid-log corruption — quarantined, then skipped to that
 //! frame.
 
+pub use super::crc::crc32c;
+
 /// Per-record framing magic: `"CPLG"` (camp persistence log).
 pub const MAGIC: u32 = 0x4350_4C47;
 
@@ -84,66 +86,6 @@ pub enum Record<'a> {
     },
     /// A clean shutdown sealed the segment here.
     Seal,
-}
-
-/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78), slicing-by-8:
-/// eight table lookups fold eight input bytes per step, and a bytewise
-/// loop finishes the tail. Hand-rolled: the workspace is dependency-free
-/// by design.
-#[must_use]
-pub fn crc32c(bytes: &[u8]) -> u32 {
-    static TABLES: [[u32; 256]; 8] = build_crc_tables();
-    let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        crc = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][(hi & 0xFF) as usize]
-            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
-
-/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the
-/// CRC of byte `b` followed by `k` zero bytes.
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    const POLY: u32 = 0x82F6_3B78;
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ POLY
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
 }
 
 fn push_u16(buf: &mut Vec<u8>, v: u16) {
@@ -428,39 +370,71 @@ mod tests {
         parts.iter().flat_map(|p| p.iter().copied()).collect()
     }
 
-    #[test]
-    fn crc32c_matches_known_vectors() {
-        // RFC 3720 appendix B.4 test vectors.
-        assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+    fn to_hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The byte-at-a-time form [`crc32c`] replaced, kept as its oracle.
-    fn crc32c_bytewise(bytes: &[u8]) -> u32 {
-        const TABLE: [u32; 256] = build_crc_tables()[0];
-        !bytes.iter().fold(!0u32, |crc, &b| {
-            (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize]
-        })
-    }
-
+    /// One frame of each mutating kind, byte for byte as the journal has
+    /// always written them: a checksum kernel or codec change that moves
+    /// one bit here would leave existing data directories unrecoverable.
+    /// The `Set` payload (75 bytes) runs a kernel through nine 8-byte
+    /// words and a 3-byte tail.
     #[test]
-    fn sliced_crc_equals_the_bytewise_form_at_every_length_and_alignment() {
-        let mut rng = Rng64::seed_from_u64(0xC3C3_2C00);
-        let buffer: Vec<u8> = (0..4096 + 8)
-            .map(|_| (rng.next_u64() & 0xFF) as u8)
-            .collect();
-        for offset in 0..8 {
-            for len in 0..=4096 {
-                let bytes = &buffer[offset..offset + len];
-                assert_eq!(
-                    crc32c(bytes),
-                    crc32c_bytewise(bytes),
-                    "offset {offset}, len {len}"
-                );
-            }
+    fn encoded_frames_are_pinned_to_the_journal_format() {
+        let pinned = [
+            (
+                Record::Set {
+                    key: b"user:42",
+                    value: b"{\"name\":\"ada\",\"langs\":[\"rust\",\"c\"],\"k\":1}",
+                    flags: 0x00C0_FFEE,
+                    cost: 2_500,
+                    expires_at: 1_700_000_000,
+                },
+                concat!(
+                    "43504c47", "0000004b", "27146bf7", // magic, len 75, crc
+                    "01", "0007", "00000029", "00c0ffee", // set, key/value len, flags
+                    "00000000000009c4", "000000006553f100", // cost, expires_at
+                    "757365723a3432", // key
+                    "7b226e616d65223a22616461222c226c616e6773223a5b2272757374222c2263225d2c226b223a317d",
+                ),
+            ),
+            (
+                Record::Delete { key: b"user:42" },
+                concat!("43504c47", "0000000a", "04392254", "02", "0007", "757365723a3432"),
+            ),
+            (
+                Record::Touch {
+                    key: b"session:9",
+                    expires_at: 86_400,
+                },
+                concat!(
+                    "43504c47", "00000014", "ecaf6bfc", "04", "0009", "0000000000015180",
+                    "73657373696f6e3a39",
+                ),
+            ),
+            (Record::Clear, concat!("43504c47", "00000001", "412da0a5", "03")),
+        ];
+        let mut segment = Vec::new();
+        for (record, hex) in &pinned {
+            let mut frame = Vec::new();
+            encode_into(record, &mut frame);
+            assert_eq!(to_hex(&frame), *hex, "{record:?}");
+            segment.extend_from_slice(&frame);
         }
+        let mut seen = 0;
+        let summary = scan(&segment, |record| {
+            assert_eq!(record, pinned[seen].0);
+            seen += 1;
+        });
+        assert_eq!(seen, pinned.len());
+        assert_eq!(
+            summary,
+            ScanSummary {
+                applied: pinned.len() as u64,
+                valid_len: segment.len() as u64,
+                ..ScanSummary::default()
+            }
+        );
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! (logging, draining, joining threads) happens on the thread that called
 //! [`SignalWatcher::wait`].
 //!
-//! This is the one module in the crate allowed to use `unsafe`: it only
-//! declares and calls four libc entry points (`signal`, `pipe`, `write`,
-//! `read`) that `std` itself links on every supported platform.
+//! This is one of the three modules in the crate allowed to use `unsafe`
+//! (the crate root names them): it only declares and calls four libc
+//! entry points (`signal`, `pipe`, `write`, `read`) that `std` itself
+//! links on every supported platform.
 #![allow(unsafe_code)]
 
 use std::io;

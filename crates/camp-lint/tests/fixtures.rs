@@ -77,6 +77,7 @@ fn unsafe_outside_signals_fires_everywhere_but_the_sanctuary() {
     assert_fires("unsafe-outside-signals", TEST, UNSAFE_SNIPPET);
     assert_clean("crates/camp-kvs/src/signals.rs", UNSAFE_SNIPPET);
     assert_clean("crates/camp-kvs/src/net/epoll.rs", UNSAFE_SNIPPET);
+    assert_clean("crates/camp-kvs/src/persist/crc.rs", UNSAFE_SNIPPET);
     assert_suppressible(KVS_LIB, UNSAFE_SNIPPET);
 }
 
@@ -91,6 +92,9 @@ fn unsafe_sanctuary_is_path_exact() {
         "crates/camp-kvs/src/net/epoll2.rs",
         "crates/camp-kvs/tests/epoll.rs",
         "vendored/crates/camp-kvs/src/net/epoll.rs",
+        "crates/camp-kvs/src/crc.rs",
+        "crates/camp-kvs/src/persist/crc32c.rs",
+        "crates/camp-core/src/persist/crc.rs",
     ] {
         assert_fires("unsafe-outside-signals", lookalike, UNSAFE_SNIPPET);
     }
