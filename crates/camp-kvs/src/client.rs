@@ -246,12 +246,6 @@ impl Client {
         }
     }
 
-    /// Whether a connection is currently established.
-    #[must_use]
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
     fn dial(&self) -> io::Result<Conn> {
         let mut last_err = None;
         for addr in &self.addrs {

@@ -7,8 +7,8 @@
 //! deterministic [`FaultFs`] injector), and this module owns the
 //! [`Persist`] engine: rotating segment files under `--data-dir`,
 //! `--fsync always|interval|never`, compaction-by-snapshot, and a
-//! degraded-state machine that keeps the cache serving from memory when
-//! the disk is sick.
+//! degraded state that keeps the cache serving from memory when the disk
+//! is sick.
 //!
 //! # Log discipline
 //!
@@ -83,6 +83,18 @@
 //! backoff. Re-arming never replays a gap — it starts a fresh segment
 //! with a full snapshot (a [`Record::Clear`] followed by one set per
 //! live item), so the log matches the live store the moment it heals.
+//!
+//! # One owner
+//!
+//! The writer mutex owns every fact of the journal: the active segment,
+//! what is pending, the armed/degraded state with its trip and re-arm
+//! counts, and every other counter — all fields of one `LogWriter`, whose
+//! methods take `&mut self`. Three atomics sit outside it: a mirror of
+//! the degraded state (stored only under the lock) that lets an append
+//! drop without locking, the `dropped` count that fast path bumps, and
+//! the ack barrier's `UnsyncedFlag`. An appender that read the mirror
+//! just before a trip finds the writer degraded once it holds the lock,
+//! and counts its record dropped there.
 
 mod crc;
 pub mod io;
@@ -99,18 +111,18 @@ use std::io as stdio;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use camp_core::rng::Rng64;
-use camp_telemetry::{kvlog, Histogram, HistogramSnapshot, LogLevel};
+use camp_telemetry::{kvlog, HistogramSnapshot, LocalHistogram, LogLevel};
 
 use crate::fault::FaultPlan;
 use crate::shard::ShardedStore;
 use crate::store::unix_now;
 use crate::sync::lock;
 
-use self::state::{EngineState, UnsyncedFlag};
+use self::state::UnsyncedFlag;
 
 /// Segment file extension (files are named `seg-<index>.camplog`).
 const SEGMENT_SUFFIX: &str = ".camplog";
@@ -301,11 +313,48 @@ impl Default for PersistSnapshot {
     }
 }
 
-/// The mutable write-side state, held under one mutex.
+/// Everything the journal counts, kept by the writer under its lock;
+/// each field means what [`PersistSnapshot`]'s field of that name does.
+#[derive(Debug, Default)]
+struct Counts {
+    errors: u64,
+    bytes: u64,
+    fsyncs: u64,
+    records: u64,
+    commits: u64,
+    commit_records: u64,
+    writes: u64,
+    reserves: u64,
+    reserved_bytes: u64,
+    snapshots: u64,
+    trips: u64,
+    rearms: u64,
+    sync_us: LocalHistogram,
+}
+
+/// What callers read — and the append fast path bumps — without taking
+/// the writer lock. The writer lock owns the truth of the first two;
+/// these only mirror it.
+#[derive(Debug)]
+struct Lockless {
+    /// [`LogWriter::degraded`], stored only under the writer lock.
+    degraded: AtomicBool,
+    /// "A commit owes something": frames are pending, or (`--fsync
+    /// always`) written records are unsynced.
+    unsynced: UnsyncedFlag,
+    /// Appends dropped while degraded.
+    dropped: AtomicU64,
+}
+
+/// The write side: the active segment, what is pending, whether the
+/// engine is degraded and every count it keeps — all of it held under
+/// the writer mutex, so each method's `&mut self` is the proof that the
+/// lock is held.
 #[derive(Debug)]
 struct LogWriter {
     backend: Box<dyn IoBackend>,
-    dir: PathBuf,
+    options: PersistOptions,
+    lockless: Arc<Lockless>,
     /// Index of the active segment.
     seg_index: u64,
     /// Bytes a `write` has landed in the active segment: where the next
@@ -316,7 +365,8 @@ struct LogWriter {
     /// All live segments in index order; the active one is last.
     segments: Vec<(u64, PathBuf)>,
     /// Encoded frames no `write` has carried yet: everything appended
-    /// since the last commit (and a snapshot's flush buffer).
+    /// since the last commit (and a snapshot's flush buffer). Empty while
+    /// degraded.
     pending: Vec<u8>,
     /// Records in `pending`.
     pending_records: u64,
@@ -326,18 +376,17 @@ struct LogWriter {
     /// Where the active segment's runway ends; 0 when it has none (the
     /// backend does not reserve, or a failed write cut it off).
     runway_end: u64,
-    /// `write` calls that carried records.
-    writes: u64,
-    /// Runway reservations, and the zero bytes they wrote.
-    reserves: u64,
-    reserved_bytes: u64,
+    /// Tripped after `trip_after` consecutive I/O errors: appends are
+    /// dropped until a re-arm rebuilds the log.
+    degraded: bool,
+    counts: Counts,
 }
 
 impl LogWriter {
     /// Makes segment `index` the active one: create it and reset what is
     /// accounted per segment.
     fn start_segment(&mut self, index: u64) -> stdio::Result<()> {
-        let path = segment_path(&self.dir, index);
+        let path = segment_path(&self.options.data_dir, index);
         self.create_segment(index, &path)?;
         self.segments.push((index, path));
         Ok(())
@@ -359,7 +408,7 @@ impl LogWriter {
     fn write_pending(&mut self) -> stdio::Result<()> {
         let result = self.backend.append(&self.pending);
         self.pending.clear();
-        self.writes += u64::from(result.is_ok());
+        self.counts.writes += u64::from(result.is_ok());
         result
     }
 
@@ -381,8 +430,8 @@ impl LogWriter {
     /// Extends the active segment's runway by up to [`RUNWAY_CHUNK`],
     /// never past `segment_bytes` plus [`RUNWAY_SLACK`]. After a failure
     /// the segment goes on without one.
-    fn extend_runway(&mut self, segment_bytes: u64) -> stdio::Result<()> {
-        let goal = segment_bytes.saturating_add(RUNWAY_SLACK);
+    fn extend_runway(&mut self) -> stdio::Result<()> {
+        let goal = self.options.segment_bytes.saturating_add(RUNWAY_SLACK);
         let from = self.runway_end.max(self.committed);
         if from >= goal {
             return Ok(());
@@ -392,10 +441,340 @@ impl LogWriter {
         self.runway_end = 0;
         self.runway_end = self.backend.reserve(want)?;
         if self.runway_end != 0 {
-            self.reserves += 1;
-            self.reserved_bytes += want;
+            self.counts.reserves += 1;
+            self.counts.reserved_bytes += want;
         }
         Ok(())
+    }
+
+    /// Encodes `rec` into `pending` (a degraded writer drops it instead:
+    /// the caller read the lock-free mirror before a trip) and commits
+    /// what the segment can no longer hold, or — if `inline` — at once.
+    fn append(&mut self, store: &ShardedStore, rec: &Record<'_>, inline: bool) {
+        if self.degraded {
+            self.lockless.note_dropped();
+            return;
+        }
+        record::encode_into(rec, &mut self.pending);
+        self.pending_records += 1;
+        self.lockless.unsynced.mark();
+        if self.committed + self.pending.len() as u64 >= self.options.segment_bytes {
+            self.rotate(store);
+        } else if inline {
+            self.ack_commit();
+        }
+    }
+
+    /// The commit a reply waits for: a write, and under `--fsync always`
+    /// a sync.
+    fn ack_commit(&mut self) {
+        self.commit(self.options.fsync == FsyncMode::Always);
+    }
+
+    /// One commit: write what is pending, then — if `sync` — sync what
+    /// is written, then settle what the barrier still owes.
+    fn commit(&mut self, sync: bool) {
+        if !self.pending.is_empty() {
+            let len = self.pending.len() as u64;
+            let records = std::mem::take(&mut self.pending_records);
+            match self.write_pending() {
+                Ok(()) => {
+                    self.committed += len;
+                    self.unsynced_records += records;
+                    self.consecutive_errors = 0;
+                    self.counts.bytes += len;
+                    self.counts.records += records;
+                }
+                Err(_) => {
+                    // A short write may have left whole frames of the
+                    // batch behind: cut the file back to the last good
+                    // byte. That takes the runway with it, so nothing of
+                    // this batch can sit past a later, shorter one.
+                    let repaired = self.truncate(self.committed).is_ok();
+                    self.note_io_error();
+                    if !repaired {
+                        self.trip();
+                    }
+                }
+            }
+        }
+        if sync && self.unsynced_records > 0 {
+            self.sync_written();
+        }
+        if self.unsynced_records == 0 || self.options.fsync != FsyncMode::Always {
+            self.lockless.unsynced.clear();
+        }
+        if self.runway_end != 0 && self.runway_end.saturating_sub(self.committed) < RUNWAY_LOW_WATER
+        {
+            self.reserve();
+        }
+    }
+
+    /// Tops the active segment's runway up; a failure is counted.
+    fn reserve(&mut self) {
+        if self.extend_runway().is_err() {
+            self.note_io_error();
+        }
+    }
+
+    /// One timed `fsync` of the active segment: the sync of every commit
+    /// (a rotation's and the seal's included) and of every snapshot goes
+    /// through here, so `persist:sync_us` sees them.
+    /// Two syncs do not: the backend's own `sync_data` behind each runway
+    /// reservation ([`IoBackend::reserve`], counted in `reserves`) and the
+    /// directory `sync_all` behind a snapshot's rename
+    /// ([`IoBackend::rename`]).
+    fn timed_sync(&mut self) -> stdio::Result<()> {
+        let started = Instant::now();
+        let result = self.backend.sync();
+        self.counts
+            .sync_us
+            .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
+        self.counts.fsyncs += u64::from(result.is_ok());
+        result
+    }
+
+    /// Syncs the active segment's written records: on success they count
+    /// as one commit and the writer is clean; on failure the error is
+    /// counted and they stay unsynced for the next attempt.
+    fn sync_written(&mut self) {
+        match self.timed_sync() {
+            Ok(()) => {
+                self.counts.commits += 1;
+                self.counts.commit_records += self.unsynced_records;
+                self.mark_clean();
+            }
+            Err(_) => self.note_io_error(),
+        }
+    }
+
+    /// Nothing is waiting for a commit any more: the active segment was
+    /// synced with nothing pending, or it is fresh, or it was given up on.
+    fn mark_clean(&mut self) {
+        debug_assert!(self.pending.is_empty());
+        self.unsynced_records = 0;
+        self.lockless.unsynced.clear();
+    }
+
+    fn note_io_error(&mut self) {
+        self.counts.errors += 1;
+        self.consecutive_errors = self.consecutive_errors.saturating_add(1);
+        if self.consecutive_errors >= self.options.trip_after {
+            self.trip();
+        }
+    }
+
+    fn trip(&mut self) {
+        // Re-arm rebuilds the log from the live store, so nothing pending
+        // or in the abandoned segment is worth a commit (or a parked
+        // reply) any more.
+        self.discard_pending();
+        self.mark_clean();
+        if self.degraded {
+            return;
+        }
+        self.set_degraded(true);
+        self.counts.trips += 1;
+        kvlog!(
+            LogLevel::Warn,
+            "persist_degraded",
+            consecutive_errors = u64::from(self.consecutive_errors),
+            errors = self.counts.errors,
+            hint = "cache keeps serving from memory; background retry will re-arm the log",
+        );
+    }
+
+    fn set_degraded(&mut self, degraded: bool) {
+        self.degraded = degraded;
+        // ordering: Relaxed — a hint for the append fast path: the writer
+        // lock orders everything it guards, and an appender that reads
+        // `false` checks `degraded` again under that lock.
+        self.lockless.degraded.store(degraded, Ordering::Relaxed);
+    }
+
+    /// Rotates the active segment: a plain roll while few segments are
+    /// live, a compaction snapshot once `keep_segments` accumulate.
+    fn rotate(&mut self, store: &ShardedStore) {
+        let result = if self.segments.len() >= self.options.keep_segments {
+            self.compact(store)
+        } else {
+            self.roll()
+        };
+        if result.is_err() {
+            self.note_io_error();
+        }
+    }
+
+    fn roll(&mut self) -> stdio::Result<()> {
+        self.leave_segment();
+        self.switch_to_segment(self.seg_index + 1)
+    }
+
+    /// Finishes the active segment before another is created. The backend
+    /// can only write and sync its active file: whatever the outgoing
+    /// segment still owes (the batch the rotation landed in, an interval
+    /// tail) is committed now or never. A failure is counted and the
+    /// rotation goes on — the next segment must still open.
+    fn leave_segment(&mut self) {
+        self.commit(true);
+        if self.runway_end > self.committed {
+            // Best effort: the unused zeros are only disk space, and the
+            // scanner reads them as the end of the log anyway.
+            let _ = self.truncate(self.committed);
+        }
+    }
+
+    /// Moves on to segment `index` — nothing is owed to the one left
+    /// behind any more — and reserves its first stretch of runway.
+    fn switch_to_segment(&mut self, index: u64) -> stdio::Result<()> {
+        self.start_segment(index)?;
+        self.mark_clean();
+        self.reserve();
+        Ok(())
+    }
+
+    /// Compaction: finish the active segment, then move on to a snapshot
+    /// segment ([`LogWriter::snapshot_segment`]). A failed snapshot keeps
+    /// the old segments and rolls to a plain segment at the same index; if
+    /// even that cannot be created the engine trips to degraded so the
+    /// next re-arm rebuilds from the live store.
+    fn compact(&mut self, store: &ShardedStore) -> stdio::Result<()> {
+        self.leave_segment();
+        let index = self.seg_index + 1;
+        let snapshot = self.snapshot_segment(store, index);
+        if snapshot.is_err() && self.switch_to_segment(index).is_err() {
+            self.trip();
+        }
+        snapshot
+    }
+
+    /// Makes segment `index` a snapshot of the live store and the active
+    /// segment: a [`Record::Clear`] followed by one set per live item,
+    /// written and synced under a temporary name, renamed to the segment's
+    /// own name (the directory synced behind it), and only then are the
+    /// older segments deleted. Until the rename a crash finds the old
+    /// segments intact and the temporary file ignored, so a snapshot is
+    /// all or nothing. Because it *leads* with `Clear`, a failed deletion
+    /// is harmless — replay applies the stale history and then wipes it.
+    /// Appends go on in the same file. On failure the temporary file is
+    /// removed, and the caller must open another segment.
+    fn snapshot_segment(&mut self, store: &ShardedStore, index: u64) -> stdio::Result<()> {
+        let temp = temp_segment_path(&self.options.data_dir, index);
+        let path = segment_path(&self.options.data_dir, index);
+        self.create_segment(index, &temp)?;
+        let written = self
+            .write_snapshot(store)
+            .and_then(|()| self.backend.rename(&temp, &path));
+        if let Err(err) = written {
+            let _ = self.backend.remove(&temp);
+            return Err(err);
+        }
+        self.segments.push((index, path));
+        self.mark_clean();
+        self.reserve();
+        self.drop_older_segments();
+        Ok(())
+    }
+
+    /// After a snapshot landed in the active segment: forgets and deletes
+    /// every older segment (a failed deletion is harmless — the snapshot
+    /// leads with `Clear`) and counts the snapshot.
+    fn drop_older_segments(&mut self) {
+        let active = self.seg_index;
+        let (kept, stale): (Vec<_>, Vec<_>) = std::mem::take(&mut self.segments)
+            .into_iter()
+            .partition(|&(index, _)| index == active);
+        self.segments = kept;
+        for (_, path) in &stale {
+            let _ = self.backend.remove(path);
+        }
+        self.counts.snapshots += 1;
+    }
+
+    /// Writes `Clear` + one `Set` per live item into the (fresh) active
+    /// file and fsyncs it. On success `committed` reflects the snapshot
+    /// size.
+    fn write_snapshot(&mut self, store: &ShardedStore) -> stdio::Result<()> {
+        const FLUSH_BYTES: usize = 256 * 1024;
+        debug_assert!(self.pending.is_empty());
+        record::encode_into(&Record::Clear, &mut self.pending);
+        let mut written = 0u64;
+        let mut records = 1u64;
+        let mut failed: Option<stdio::Error> = None;
+        store.for_each_item(|item| {
+            if failed.is_some() {
+                return;
+            }
+            record::encode_into(
+                &Record::Set {
+                    key: item.key,
+                    value: item.value,
+                    flags: item.flags,
+                    cost: item.cost,
+                    expires_at: item.expires_at,
+                },
+                &mut self.pending,
+            );
+            records += 1;
+            if self.pending.len() >= FLUSH_BYTES {
+                let len = self.pending.len() as u64;
+                match self.write_pending() {
+                    Ok(()) => written += len,
+                    Err(err) => failed = Some(err),
+                }
+            }
+        });
+        if let Some(err) = failed {
+            return Err(err);
+        }
+        if !self.pending.is_empty() {
+            let len = self.pending.len() as u64;
+            self.write_pending()?;
+            written += len;
+        }
+        self.timed_sync()?;
+        self.committed = written;
+        self.counts.bytes += written;
+        self.counts.records += records;
+        Ok(())
+    }
+
+    /// One re-arm attempt on a degraded writer: a fresh segment holding a
+    /// full snapshot of the live store, written the way compaction writes
+    /// one. Returns whether the engine is active afterwards.
+    fn rearm(&mut self, store: &ShardedStore) -> bool {
+        if !self.degraded {
+            return true;
+        }
+        let index = self.seg_index + 1;
+        match self.snapshot_segment(store, index) {
+            Ok(()) => {
+                self.consecutive_errors = 0;
+                self.set_degraded(false);
+                self.counts.rearms += 1;
+                kvlog!(
+                    LogLevel::Info,
+                    "persist_rearmed",
+                    items = store.len() as u64,
+                    errors = self.counts.errors,
+                );
+                true
+            }
+            Err(_) => {
+                // The next retry starts clean: appends are dropped while
+                // degraded.
+                self.counts.errors += 1;
+                false
+            }
+        }
+    }
+}
+
+impl Lockless {
+    /// Counts one append dropped while degraded.
+    fn note_dropped(&self) {
+        // ordering: Relaxed — statistics counter.
+        self.dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -405,25 +784,14 @@ impl LogWriter {
 #[derive(Debug)]
 pub struct Persist {
     writer: Mutex<LogWriter>,
-    options: PersistOptions,
-    engine: EngineState,
+    lockless: Arc<Lockless>,
+    /// What boot-time recovery found (fixed once `open` returns).
+    recovery: RecoverySummary,
     /// The caller promised to [`Persist::commit`] before it
     /// acknowledges, so appends do not commit inline.
     deferred: bool,
-    /// Lock-free mirror of "a commit owes something": frames are
-    /// pending, or (`--fsync always`) written records are unsynced.
-    unsynced: UnsyncedFlag,
-    errors: AtomicU64,
-    bytes: AtomicU64,
-    fsyncs: AtomicU64,
-    records: AtomicU64,
-    commits: AtomicU64,
-    commit_records: AtomicU64,
-    sync_us: Histogram,
-    recovered: AtomicU64,
-    quarantined: AtomicU64,
-    torn_bytes: AtomicU64,
-    snapshots: AtomicU64,
+    /// The background loop's fsync cadence, under `--fsync interval`.
+    fsync_interval: Option<Duration>,
     stop: AtomicBool,
 }
 
@@ -595,9 +963,17 @@ impl Persist {
             sealed = summary.sealed,
             items = store.len() as u64,
         );
+        let fsync_interval =
+            (options.fsync == FsyncMode::Interval).then_some(options.fsync_interval);
+        let lockless = Arc::new(Lockless {
+            degraded: AtomicBool::new(false),
+            unsynced: UnsyncedFlag::new(),
+            dropped: AtomicU64::new(0),
+        });
         let mut writer = LogWriter {
             backend,
-            dir: options.data_dir.clone(),
+            options,
+            lockless: Arc::clone(&lockless),
             seg_index: next_index,
             committed: 0,
             consecutive_errors: 0,
@@ -606,40 +982,32 @@ impl Persist {
             pending_records: 0,
             unsynced_records: 0,
             runway_end: 0,
-            writes: 0,
-            reserves: 0,
-            reserved_bytes: 0,
+            degraded: false,
+            counts: Counts::default(),
         };
         // Always start a fresh segment: recovered segments are immutable
         // history, never appended to again. A disk that cannot take its
         // runway is counted, not fatal: appends will say the rest.
         writer.start_segment(next_index)?;
-        let reserve_failed = writer.extend_runway(options.segment_bytes).is_err();
+        if writer.extend_runway().is_err() {
+            writer.counts.errors += 1;
+        }
         Ok(Persist {
             writer: Mutex::new(writer),
-            options,
-            engine: EngineState::new(),
+            lockless,
+            recovery: summary,
             deferred: false,
-            unsynced: UnsyncedFlag::new(),
-            errors: AtomicU64::new(u64::from(reserve_failed)),
-            bytes: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            records: AtomicU64::new(0),
-            commits: AtomicU64::new(0),
-            commit_records: AtomicU64::new(0),
-            sync_us: Histogram::new(),
-            recovered: AtomicU64::new(summary.records),
-            quarantined: AtomicU64::new(summary.quarantined),
-            torn_bytes: AtomicU64::new(summary.torn_bytes),
-            snapshots: AtomicU64::new(0),
+            fsync_interval,
             stop: AtomicBool::new(false),
         })
     }
 
-    /// Whether the engine has tripped to `degraded`.
+    /// Whether the engine has tripped to `degraded` (lock-free, so it may
+    /// lag a transition in progress).
     #[must_use]
     pub fn is_degraded(&self) -> bool {
-        self.engine.is_degraded()
+        // ordering: Relaxed — see `LogWriter::set_degraded`.
+        self.lockless.degraded.load(Ordering::Relaxed)
     }
 
     /// The caller promises to call [`Persist::commit`] before it
@@ -656,7 +1024,7 @@ impl Persist {
     /// never false for the caller's own uncommitted record.
     #[must_use]
     pub fn needs_commit(&self) -> bool {
-        self.deferred && self.unsynced.get()
+        self.deferred && self.lockless.unsynced.get()
     }
 
     /// The ack barrier: returns once every record appended before the
@@ -666,8 +1034,7 @@ impl Persist {
     /// caller whose records an earlier `commit` carried returns without
     /// a syscall.
     pub fn commit(&self) {
-        let w = &mut *lock(&self.writer);
-        self.commit_locked(w, self.options.fsync == FsyncMode::Always);
+        lock(&self.writer).ack_commit();
     }
 
     /// Logs a successful store (`set`/`add`/`replace`/arith rewrite).
@@ -709,7 +1076,7 @@ impl Persist {
 
     fn append_record(&self, store: &ShardedStore, rec: &Record<'_>) {
         if self.is_degraded() {
-            self.engine.note_dropped();
+            self.lockless.note_dropped();
             return;
         }
         let writer = &mut *lock(&self.writer);
@@ -717,285 +1084,7 @@ impl Persist {
     }
 
     fn append_locked(&self, w: &mut LogWriter, store: &ShardedStore, rec: &Record<'_>) {
-        record::encode_into(rec, &mut w.pending);
-        w.pending_records += 1;
-        self.unsynced.mark();
-        if w.committed + w.pending.len() as u64 >= self.options.segment_bytes {
-            self.rotate_locked(w, store);
-        } else if !self.deferred {
-            self.commit_locked(w, self.options.fsync == FsyncMode::Always);
-        }
-    }
-
-    /// One commit: write what is pending, then — if `sync` — sync what
-    /// is written, then settle what the barrier still owes.
-    fn commit_locked(&self, w: &mut LogWriter, sync: bool) {
-        if !w.pending.is_empty() {
-            let len = w.pending.len() as u64;
-            let records = std::mem::take(&mut w.pending_records);
-            match w.write_pending() {
-                Ok(()) => {
-                    w.committed += len;
-                    w.unsynced_records += records;
-                    w.consecutive_errors = 0;
-                    // ordering: Relaxed(x2) — statistics counters;
-                    // durability state travels through the writer lock.
-                    self.bytes.fetch_add(len, Ordering::Relaxed);
-                    self.records.fetch_add(records, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    // A short write may have left whole frames of the
-                    // batch behind: cut the file back to the last good
-                    // byte. That takes the runway with it, so nothing of
-                    // this batch can sit past a later, shorter one.
-                    let repaired = w.truncate(w.committed).is_ok();
-                    self.note_io_error_locked(w);
-                    if !repaired {
-                        self.trip_locked(w);
-                    }
-                }
-            }
-        }
-        if sync && w.unsynced_records > 0 {
-            self.sync_locked(w);
-        }
-        if w.unsynced_records == 0 || self.options.fsync != FsyncMode::Always {
-            self.unsynced.clear();
-        }
-        if w.runway_end != 0 && w.runway_end.saturating_sub(w.committed) < RUNWAY_LOW_WATER {
-            self.reserve_locked(w);
-        }
-    }
-
-    /// Tops the active segment's runway up; a failure is counted.
-    fn reserve_locked(&self, w: &mut LogWriter) {
-        if w.extend_runway(self.options.segment_bytes).is_err() {
-            self.note_io_error_locked(w);
-        }
-    }
-
-    /// One timed `fsync` of the active segment: the sync of every commit
-    /// (a rotation's and the seal's included) and of every snapshot goes
-    /// through here, so `persist:sync_us` sees them.
-    /// Two syncs do not: the backend's own `sync_data` behind each runway
-    /// reservation ([`IoBackend::reserve`], counted in `reserves`) and the
-    /// directory `sync_all` behind a snapshot's rename
-    /// ([`IoBackend::rename`]).
-    fn timed_sync(&self, backend: &mut dyn IoBackend) -> stdio::Result<()> {
-        let started = Instant::now();
-        let result = backend.sync();
-        self.sync_us
-            .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
-        if result.is_ok() {
-            // ordering: Relaxed — statistics counter.
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        }
-        result
-    }
-
-    /// Syncs the active segment's written records: on success they count
-    /// as one commit and the writer is clean; on failure the error is
-    /// counted and they stay unsynced for the next attempt.
-    fn sync_locked(&self, w: &mut LogWriter) {
-        match self.timed_sync(w.backend.as_mut()) {
-            Ok(()) => {
-                // ordering: Relaxed(x2) — statistics counters.
-                self.commits.fetch_add(1, Ordering::Relaxed);
-                self.commit_records
-                    .fetch_add(w.unsynced_records, Ordering::Relaxed);
-                self.mark_clean_locked(w);
-            }
-            Err(_) => self.note_io_error_locked(w),
-        }
-    }
-
-    /// Nothing is waiting for a commit any more: the active segment was
-    /// synced with nothing pending, or it is fresh, or it was given up on.
-    fn mark_clean_locked(&self, w: &mut LogWriter) {
-        debug_assert!(w.pending.is_empty());
-        w.unsynced_records = 0;
-        self.unsynced.clear();
-    }
-
-    fn note_io_error_locked(&self, w: &mut LogWriter) {
-        // ordering: Relaxed — statistics counter.
-        self.errors.fetch_add(1, Ordering::Relaxed);
-        w.consecutive_errors = w.consecutive_errors.saturating_add(1);
-        if w.consecutive_errors >= self.options.trip_after {
-            self.trip_locked(w);
-        }
-    }
-
-    fn trip_locked(&self, w: &mut LogWriter) {
-        // Re-arm rebuilds the log from the live store, so nothing pending
-        // or in the abandoned segment is worth a commit (or a parked
-        // reply) any more.
-        w.discard_pending();
-        self.mark_clean_locked(w);
-        if self.engine.trip() {
-            kvlog!(
-                LogLevel::Warn,
-                "persist_degraded",
-                consecutive_errors = u64::from(w.consecutive_errors),
-                // ordering: Relaxed — log-line statistic.
-                errors = self.errors.load(Ordering::Relaxed),
-                hint = "cache keeps serving from memory; background retry will re-arm the log",
-            );
-        }
-    }
-
-    /// Rotates the active segment: a plain roll while few segments are
-    /// live, a compaction snapshot once `keep_segments` accumulate.
-    fn rotate_locked(&self, w: &mut LogWriter, store: &ShardedStore) {
-        let result = if w.segments.len() >= self.options.keep_segments {
-            self.compact_locked(w, store)
-        } else {
-            self.roll_locked(w)
-        };
-        if result.is_err() {
-            self.note_io_error_locked(w);
-        }
-    }
-
-    fn roll_locked(&self, w: &mut LogWriter) -> stdio::Result<()> {
-        self.leave_segment_locked(w);
-        self.start_segment_locked(w, w.seg_index + 1)
-    }
-
-    /// Finishes the active segment before another is created. The backend
-    /// can only write and sync its active file: whatever the outgoing
-    /// segment still owes (the batch the rotation landed in, an interval
-    /// tail) is committed now or never. A failure is counted and the
-    /// rotation goes on — the next segment must still open.
-    fn leave_segment_locked(&self, w: &mut LogWriter) {
-        self.commit_locked(w, true);
-        if w.runway_end > w.committed {
-            // Best effort: the unused zeros are only disk space, and the
-            // scanner reads them as the end of the log anyway.
-            let _ = w.truncate(w.committed);
-        }
-    }
-
-    /// Moves on to segment `index` — nothing is owed to the one left
-    /// behind any more — and reserves its first stretch of runway.
-    fn start_segment_locked(&self, w: &mut LogWriter, index: u64) -> stdio::Result<()> {
-        w.start_segment(index)?;
-        self.mark_clean_locked(w);
-        self.reserve_locked(w);
-        Ok(())
-    }
-
-    /// Compaction: finish the active segment, then move on to a snapshot
-    /// segment ([`Persist::snapshot_segment_locked`]). A failed snapshot
-    /// keeps the old segments and rolls to a plain segment at the same
-    /// index; if even that cannot be created the engine trips to degraded
-    /// so the next re-arm rebuilds from the live store.
-    fn compact_locked(&self, w: &mut LogWriter, store: &ShardedStore) -> stdio::Result<()> {
-        self.leave_segment_locked(w);
-        let index = w.seg_index + 1;
-        let snapshot = self.snapshot_segment_locked(w, store, index);
-        if snapshot.is_err() && self.start_segment_locked(w, index).is_err() {
-            self.trip_locked(w);
-        }
-        snapshot
-    }
-
-    /// Makes segment `index` a snapshot of the live store and the active
-    /// segment: a [`Record::Clear`] followed by one set per live item,
-    /// written and synced under a temporary name, renamed to the segment's
-    /// own name (the directory synced behind it), and only then are the
-    /// older segments deleted. Until the rename a crash finds the old
-    /// segments intact and the temporary file ignored, so a snapshot is
-    /// all or nothing. Because it *leads* with `Clear`, a failed deletion
-    /// is harmless — replay applies the stale history and then wipes it.
-    /// Appends go on in the same file. On failure the temporary file is
-    /// removed, and the caller must open another segment.
-    fn snapshot_segment_locked(
-        &self,
-        w: &mut LogWriter,
-        store: &ShardedStore,
-        index: u64,
-    ) -> stdio::Result<()> {
-        let temp = temp_segment_path(&w.dir, index);
-        let path = segment_path(&w.dir, index);
-        w.create_segment(index, &temp)?;
-        let written = self
-            .snapshot_locked(w, store)
-            .and_then(|()| w.backend.rename(&temp, &path));
-        if let Err(err) = written {
-            let _ = w.backend.remove(&temp);
-            return Err(err);
-        }
-        w.segments.push((index, path));
-        self.mark_clean_locked(w);
-        self.reserve_locked(w);
-        self.drop_older_segments_locked(w);
-        Ok(())
-    }
-
-    /// After a snapshot landed in the active segment: forgets and deletes
-    /// every older segment (a failed deletion is harmless — the snapshot
-    /// leads with `Clear`) and counts the snapshot.
-    fn drop_older_segments_locked(&self, w: &mut LogWriter) {
-        let active = w.seg_index;
-        let (kept, stale): (Vec<_>, Vec<_>) = std::mem::take(&mut w.segments)
-            .into_iter()
-            .partition(|&(index, _)| index == active);
-        w.segments = kept;
-        for (_, path) in &stale {
-            let _ = w.backend.remove(path);
-        }
-        // ordering: Relaxed — statistics counter.
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Writes `Clear` + one `Set` per live item into the (fresh) active
-    /// file and fsyncs it. On success `w.committed` reflects the
-    /// snapshot size.
-    fn snapshot_locked(&self, w: &mut LogWriter, store: &ShardedStore) -> stdio::Result<()> {
-        const FLUSH_BYTES: usize = 256 * 1024;
-        debug_assert!(w.pending.is_empty());
-        record::encode_into(&Record::Clear, &mut w.pending);
-        let mut written = 0u64;
-        let mut records = 1u64;
-        let mut failed: Option<stdio::Error> = None;
-        store.for_each_item(|item| {
-            if failed.is_some() {
-                return;
-            }
-            record::encode_into(
-                &Record::Set {
-                    key: item.key,
-                    value: item.value,
-                    flags: item.flags,
-                    cost: item.cost,
-                    expires_at: item.expires_at,
-                },
-                &mut w.pending,
-            );
-            records += 1;
-            if w.pending.len() >= FLUSH_BYTES {
-                let len = w.pending.len() as u64;
-                match w.write_pending() {
-                    Ok(()) => written += len,
-                    Err(err) => failed = Some(err),
-                }
-            }
-        });
-        if let Some(err) = failed {
-            return Err(err);
-        }
-        if !w.pending.is_empty() {
-            let len = w.pending.len() as u64;
-            w.write_pending()?;
-            written += len;
-        }
-        self.timed_sync(w.backend.as_mut())?;
-        w.committed = written;
-        // ordering: Relaxed(x2) — statistics counters.
-        self.bytes.fetch_add(written, Ordering::Relaxed);
-        self.records.fetch_add(records, Ordering::Relaxed);
-        Ok(())
+        w.append(store, rec, !self.deferred);
     }
 
     /// One degraded-recovery attempt: a fresh segment holding a full
@@ -1005,47 +1094,20 @@ impl Persist {
     /// and the engine re-arms. Returns `true` when the engine is active
     /// afterwards.
     pub fn try_rearm(&self, store: &ShardedStore) -> bool {
-        if !self.is_degraded() {
-            return true;
-        }
-        let w = &mut *lock(&self.writer);
-        // What an appender that raced the trip left pending is in the
-        // live store, so the snapshot carries it.
-        w.discard_pending();
-        let index = w.seg_index + 1;
-        match self.snapshot_segment_locked(w, store, index) {
-            Ok(()) => {
-                w.consecutive_errors = 0;
-                self.engine.rearm();
-                kvlog!(
-                    LogLevel::Info,
-                    "persist_rearmed",
-                    items = store.len() as u64,
-                    // ordering: Relaxed — log-line statistic.
-                    errors = self.errors.load(Ordering::Relaxed),
-                );
-                true
-            }
-            Err(_) => {
-                // ordering: Relaxed — statistics counter. The next retry
-                // starts clean: appends are dropped while degraded.
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
+        lock(&self.writer).rearm(store)
     }
 
     /// Appends a [`Record::Seal`] and commits it with a sync in every
     /// mode: the drain path's clean shutdown marker. Recovery reports
     /// `sealed = true` when the newest segment ends with one.
     pub fn seal(&self) {
-        if self.is_degraded() {
+        let w = &mut *lock(&self.writer);
+        if w.degraded {
             return;
         }
-        let w = &mut *lock(&self.writer);
         record::encode_into(&Record::Seal, &mut w.pending);
         w.pending_records += 1;
-        self.commit_locked(w, true);
+        w.commit(true);
     }
 
     /// Asks the background loop to exit at its next tick.
@@ -1082,55 +1144,44 @@ impl Persist {
                     let jitter = rng.range_u64(0, base / 2 + 1);
                     next_retry = Instant::now() + Duration::from_millis(base + jitter);
                 }
-            } else if self.options.fsync == FsyncMode::Interval
-                && last_fsync.elapsed() >= self.options.fsync_interval
+            } else if self
+                .fsync_interval
+                .is_some_and(|interval| last_fsync.elapsed() >= interval)
             {
-                self.commit_locked(&mut lock(&self.writer), true);
+                lock(&self.writer).commit(true);
                 last_fsync = Instant::now();
             }
         }
     }
 
-    /// The telemetry counters, read without blocking appends for long
-    /// (one brief lock for what the writer counts itself).
+    /// The telemetry counters, read under one brief lock of the writer
+    /// beside the drop counter and the boot-time summary.
     #[must_use]
     pub fn snapshot(&self) -> PersistSnapshot {
-        let sync_us = self.sync_us.snapshot();
-        let (segments, writes, reserves, reserved_bytes) = {
-            let w = lock(&self.writer);
-            (
-                w.segments.len() as u64,
-                w.writes,
-                w.reserves,
-                w.reserved_bytes,
-            )
-        };
+        let w = lock(&self.writer);
+        let c = &w.counts;
         PersistSnapshot {
-            state: if self.is_degraded() {
-                "degraded"
-            } else {
-                "active"
-            },
-            // ordering: Relaxed(x10) — statistics counters; the snapshot
-            // is advisory and never gates an operation.
-            errors: self.errors.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            records: self.records.load(Ordering::Relaxed),
-            dropped: self.engine.dropped(),
-            recovered: self.recovered.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            torn_bytes: self.torn_bytes.load(Ordering::Relaxed),
-            snapshots: self.snapshots.load(Ordering::Relaxed),
-            trips: self.engine.trips(),
-            rearms: self.engine.rearms(),
-            segments,
-            commits: self.commits.load(Ordering::Relaxed),
-            commit_records: self.commit_records.load(Ordering::Relaxed),
-            writes,
-            reserves,
-            reserved_bytes,
-            sync_us,
+            state: if w.degraded { "degraded" } else { "active" },
+            errors: c.errors,
+            bytes: c.bytes,
+            fsyncs: c.fsyncs,
+            records: c.records,
+            // ordering: Relaxed — statistics counter; the snapshot is
+            // advisory and never gates an operation.
+            dropped: self.lockless.dropped.load(Ordering::Relaxed),
+            recovered: self.recovery.records,
+            quarantined: self.recovery.quarantined,
+            torn_bytes: self.recovery.torn_bytes,
+            snapshots: c.snapshots,
+            trips: c.trips,
+            rearms: c.rearms,
+            segments: w.segments.len() as u64,
+            commits: c.commits,
+            commit_records: c.commit_records,
+            writes: c.writes,
+            reserves: c.reserves,
+            reserved_bytes: c.reserved_bytes,
+            sync_us: c.sync_us.snapshot(),
         }
     }
 }
@@ -1143,7 +1194,6 @@ mod tests {
     use camp_core::Precision;
     use std::os::unix::fs::FileExt;
     use std::sync::atomic::AtomicU32;
-    use std::sync::Arc;
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -1782,7 +1832,7 @@ mod tests {
         // Everything but the active segment's tail has been committed.
         assert!(snap.commit_records < snap.records);
         // The interval tick.
-        persist.commit_locked(&mut lock(&persist.writer), true);
+        lock(&persist.writer).commit(true);
         let snap = persist.snapshot();
         assert_eq!(snap.commit_records, snap.records);
         fs::remove_dir_all(&dir).ok();
@@ -2043,6 +2093,10 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// Two trip → re-arm cycles under seeded disk faults. After every
+    /// step the transition counts agree with the state, every append made
+    /// while degraded is counted dropped, and no commit claims a sync or a
+    /// record that was not there.
     #[test]
     fn disk_faults_trip_degraded_and_rearm_restores_the_log() {
         let dir = temp_dir("degraded");
@@ -2057,39 +2111,60 @@ mod tests {
             ..options(&dir)
         };
         let persist = Persist::open(opts, &plan, &store).expect("open");
-        for i in 0..400u32 {
-            let key = format!("key-{i}");
-            store.set(key.as_bytes(), b"value", 0, 0, 5).expect("set");
-            persist.append_set(&store, key.as_bytes(), b"value", 0, 0, 5);
-            if persist.is_degraded() {
-                break;
+        let check = |dropped: u64| {
+            let snap = persist.snapshot();
+            let degraded = snap.state == "degraded";
+            assert_eq!(snap.trips - snap.rearms, u64::from(degraded), "{snap:?}");
+            assert_eq!(snap.dropped, dropped, "{snap:?}");
+            assert!(snap.fsyncs >= snap.commits, "{snap:?}");
+            assert!(snap.records >= snap.commit_records, "{snap:?}");
+            snap
+        };
+        let mut dropped = 0;
+        let mut next = 0u32;
+        for cycle in 1..=2u64 {
+            for _ in 0..400 {
+                let key = format!("key-{next}");
+                next += 1;
+                store.set(key.as_bytes(), b"value", 0, 0, 5).expect("set");
+                persist.append_set(&store, key.as_bytes(), b"value", 0, 0, 5);
+                check(dropped);
+                if persist.is_degraded() {
+                    break;
+                }
             }
-        }
-        assert!(
-            persist.is_degraded(),
-            "a 40% fault rate must trip trip_after=2 within 400 appends"
-        );
-        // Appends while degraded are dropped, not blocked — the cache
-        // itself keeps accepting the write.
-        store.set(b"while-down", b"value", 0, 0, 5).expect("set");
-        persist.append_set(&store, b"while-down", b"value", 0, 0, 5);
-        let snap = persist.snapshot();
-        assert_eq!(snap.state, "degraded");
-        assert!(snap.errors >= 2);
-        assert!(snap.dropped >= 1);
-        // The seeded fault stream is deterministic, so re-arm retries
-        // eventually land a full snapshot.
-        let mut rearmed = false;
-        for _ in 0..500 {
-            if persist.try_rearm(&store) {
-                rearmed = true;
-                break;
+            assert!(
+                persist.is_degraded(),
+                "cycle {cycle}: a 40% fault rate must trip trip_after=2 within 400 appends"
+            );
+            // Appends while degraded are dropped, not blocked — the cache
+            // itself keeps accepting the write.
+            for i in 0..3 {
+                let key = format!("while-down-{cycle}-{i}");
+                store.set(key.as_bytes(), b"value", 0, 0, 5).expect("set");
+                persist.append_set(&store, key.as_bytes(), b"value", 0, 0, 5);
+                dropped += 1;
+                check(dropped);
             }
+            let snap = check(dropped);
+            assert_eq!(snap.state, "degraded");
+            assert_eq!((snap.trips, snap.rearms), (cycle, cycle - 1));
+            assert!(snap.errors >= 2 * cycle);
+            // The seeded fault stream is deterministic, so re-arm retries
+            // eventually land a full snapshot.
+            let rearmed = (0..500).any(|_| {
+                let active = persist.try_rearm(&store);
+                check(dropped);
+                active
+            });
+            assert!(
+                rearmed,
+                "cycle {cycle}: re-arm must eventually succeed at 40% fault rate"
+            );
+            let snap = check(dropped);
+            assert_eq!(snap.state, "active");
+            assert_eq!((snap.trips, snap.rearms), (cycle, cycle));
         }
-        assert!(rearmed, "re-arm must eventually succeed at 40% fault rate");
-        let snap = persist.snapshot();
-        assert_eq!(snap.state, "active");
-        assert!(snap.rearms >= 1);
         drop(persist);
         // The re-armed log is a full snapshot of the live store: every
         // key present at re-arm time recovers, including the ones whose
@@ -2097,7 +2172,50 @@ mod tests {
         let recovered = sharded();
         let _reopened = open_plain(options(&dir), &recovered);
         assert_eq!(recovered.len(), store.len());
-        assert!(recovered.contains(b"while-down"));
+        assert!(recovered.contains(b"while-down-1-0"));
+        assert!(recovered.contains(b"while-down-2-2"));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An appender that read "active" just before another thread tripped
+    /// the engine reaches the writer only after the trip: its record is
+    /// counted dropped, and nothing is left pending for a commit to write
+    /// into the abandoned segment or for a reply to wait on.
+    #[test]
+    fn an_append_that_races_a_trip_is_counted_dropped() {
+        let dir = temp_dir("raced-trip");
+        let store = sharded();
+        let plan = FaultPlan {
+            iowrite_rate: 1.0,
+            seed: 3,
+            ..FaultPlan::default()
+        };
+        let opts = PersistOptions {
+            trip_after: 1,
+            ..options(&dir)
+        };
+        let mut persist = Persist::open(opts, &plan, &store).expect("open");
+        persist.defer_to_commit();
+        persist.append_set(&store, b"first", b"value", 0, 0, 1);
+        persist.commit(); // the write fails, and one error trips the engine
+        assert!(persist.is_degraded());
+        assert!(!persist.needs_commit());
+        let before = persist.snapshot().dropped;
+        let late = Record::Set {
+            key: b"late",
+            value: b"value",
+            flags: 0,
+            cost: 1,
+            expires_at: 0,
+        };
+        persist.append_locked(&mut lock(&persist.writer), &store, &late);
+        assert_eq!(persist.snapshot().dropped, before + 1, "counted dropped");
+        let w = lock(&persist.writer);
+        assert!(w.pending.is_empty(), "the record was left pending");
+        assert_eq!(w.pending_records, 0);
+        drop(w);
+        assert!(!persist.needs_commit(), "a reply would park behind it");
+        drop(persist);
         fs::remove_dir_all(&dir).ok();
     }
 

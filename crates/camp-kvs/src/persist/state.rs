@@ -1,132 +1,17 @@
-//! The persistence engine's armed/degraded state machine, extracted so the
-//! `camp-check` model harnesses can explore it in isolation.
+//! The lock-free half of the persistence engine's ack barrier, extracted
+//! so the `camp-check` model harnesses can explore it in isolation.
 //!
-//! The state word is read on every append (the lock-free fast path that
-//! decides append-vs-drop) and written on the rare trip/re-arm
-//! transitions. Both transitions are compare-exchanges, so the transition
-//! counters below count *actual* state changes: concurrent trippers (or a
-//! re-armer racing a tripper) cannot double-count or lose one. The model
-//! harness in this file checks the conservation law
-//! `trips - rearms == (degraded ? 1 : 0)` over every interleaving, plus
-//! the append-side law "every append is either persisted or counted
-//! dropped", and the paired mutation tests prove the checker catches the
-//! blind-store variants of both transitions.
-//!
-//! [`UnsyncedFlag`] is the lock-free half of the ack barrier: the writer
-//! lock owns the truth ("records were appended that no commit has finished
-//! with" — not yet written, or, under `--fsync always`, not yet synced), the
-//! flag mirrors it so a reactor worker can ask "does anything I appended
-//! still need a commit?" without taking the lock. Its harness models two
-//! workers doing append → park → commit (write, then sync) → ack and checks
-//! that no ack ever leaves ahead of the sync that covers it.
+//! Everything else the engine knows — the pending frames, the armed or
+//! degraded state, every count — lives in the writer behind its one
+//! mutex. [`UnsyncedFlag`] mirrors one fact of it — "records were
+//! appended that no commit has finished with" (not yet written, or, under
+//! `--fsync always`, not yet synced) — so a reactor worker can ask "does
+//! anything I appended still need a commit?" without taking the lock. Its
+//! harness models two workers doing append → park → commit (write, then
+//! sync) → ack and checks that no ack ever leaves ahead of the sync that
+//! covers it.
 
-use camp_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-const STATE_ACTIVE: u64 = 0;
-const STATE_DEGRADED: u64 = 1;
-
-/// Armed/degraded state plus the transition and drop accounting that must
-/// stay consistent with it.
-#[derive(Debug)]
-pub(crate) struct EngineState {
-    state: AtomicU64,
-    /// Successful active→degraded transitions.
-    trips: AtomicU64,
-    /// Successful degraded→active transitions.
-    rearms: AtomicU64,
-    /// Appends dropped because the engine was degraded.
-    dropped: AtomicU64,
-}
-
-impl EngineState {
-    /// A fresh, armed engine.
-    pub(crate) const fn new() -> EngineState {
-        EngineState {
-            state: AtomicU64::new(STATE_ACTIVE),
-            trips: AtomicU64::new(0),
-            rearms: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether the engine has tripped to `degraded`.
-    pub(crate) fn is_degraded(&self) -> bool {
-        // ordering: Acquire — pairs with the Release transitions so an
-        // appender that observes `degraded` also observes everything the
-        // tripping thread published before the trip.
-        self.state.load(Ordering::Acquire) == STATE_DEGRADED
-    }
-
-    /// Trips active→degraded. Returns `true` only for the call that
-    /// actually performed the transition (callers log exactly once).
-    pub(crate) fn trip(&self) -> bool {
-        // ordering: AcqRel/Acquire — the success Release publishes the
-        // tripping thread's writes to appenders that acquire the state;
-        // the Acquire sides order this transition after the prior one.
-        let tripped = self
-            .state
-            .compare_exchange(
-                STATE_ACTIVE,
-                STATE_DEGRADED,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok();
-        if tripped {
-            // ordering: Relaxed — counter; the CAS above already
-            // guarantees at most one increment per actual transition.
-            self.trips.fetch_add(1, Ordering::Relaxed);
-        }
-        tripped
-    }
-
-    /// Re-arms degraded→active. Returns `true` only for the call that
-    /// performed the transition — a racing second re-armer (or a re-arm
-    /// of an engine that never tripped) is a no-op, never a double-arm.
-    pub(crate) fn rearm(&self) -> bool {
-        // ordering: AcqRel/Acquire — mirror of `trip`: the Release
-        // publishes the rebuilt log to appenders, the Acquire orders the
-        // transition after the trip it undoes.
-        let rearmed = self
-            .state
-            .compare_exchange(
-                STATE_DEGRADED,
-                STATE_ACTIVE,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok();
-        if rearmed {
-            // ordering: Relaxed — counter guarded by the CAS above.
-            self.rearms.fetch_add(1, Ordering::Relaxed);
-        }
-        rearmed
-    }
-
-    /// Counts one append dropped while degraded.
-    pub(crate) fn note_dropped(&self) {
-        // ordering: Relaxed — statistics counter.
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Appends dropped while degraded.
-    pub(crate) fn dropped(&self) -> u64 {
-        // ordering: Relaxed — statistics counter.
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Successful degraded→active transitions.
-    pub(crate) fn rearms(&self) -> u64 {
-        // ordering: Relaxed — statistics counter.
-        self.rearms.load(Ordering::Relaxed)
-    }
-
-    /// Successful active→degraded transitions.
-    pub(crate) fn trips(&self) -> u64 {
-        // ordering: Relaxed — statistics counter.
-        self.trips.load(Ordering::Relaxed)
-    }
-}
+use camp_check::sync::atomic::{AtomicBool, Ordering};
 
 /// Lock-free mirror of the writer's "appended since the last finished
 /// commit" bit. Written only under the writer lock; read without it by
@@ -177,41 +62,6 @@ impl UnsyncedFlag {
     }
 }
 
-/// Deliberately broken transition variants for the model harnesses (see
-/// the module docs): each reproduces the state machine without the CAS,
-/// and the paired harness asserts `camp-check` catches the resulting
-/// double-count with a replayable counterexample.
-#[cfg(camp_check)]
-impl EngineState {
-    /// `trip` as a load-then-store: two concurrent trippers can both
-    /// observe `active` and both count a transition.
-    pub(crate) fn trip_mutated_load_store(&self) -> bool {
-        // ordering: Acquire/Release/Relaxed — same strengths as the real
-        // `trip`; the mutation is the lost atomicity, not the orderings.
-        if self.state.load(Ordering::Acquire) == STATE_DEGRADED {
-            return false;
-        }
-        // MUTATION: blind store — the check above is not atomic with it.
-        self.state.store(STATE_DEGRADED, Ordering::Release);
-        self.trips.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// `rearm` as a load-then-store: a re-armer racing a tripper can
-    /// claim a transition that never happened (double-arm).
-    pub(crate) fn rearm_mutated_load_store(&self) -> bool {
-        // ordering: Acquire/Release/Relaxed — same strengths as the real
-        // `rearm`; the mutation is the lost atomicity, not the orderings.
-        if self.state.load(Ordering::Acquire) == STATE_ACTIVE {
-            return false;
-        }
-        // MUTATION: blind store — races a concurrent trip or re-arm.
-        self.state.store(STATE_ACTIVE, Ordering::Release);
-        self.rearms.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-}
-
 #[cfg(all(test, camp_check))]
 mod model_tests {
     use std::sync::{Arc, PoisonError};
@@ -220,162 +70,7 @@ mod model_tests {
     use camp_check::sync::{Mutex, MutexGuard};
     use camp_check::Checker;
 
-    use super::{EngineState, UnsyncedFlag};
-
-    /// The conservation law every interleaving must satisfy once the dust
-    /// settles: transitions alternate, so the counters and the final state
-    /// agree exactly.
-    fn assert_conserved(s: &EngineState) {
-        let expected = u64::from(s.is_degraded());
-        assert_eq!(
-            s.trips() - s.rearms(),
-            expected,
-            "double-arm or lost transition: trips={} rearms={} degraded={}",
-            s.trips(),
-            s.rearms(),
-            expected == 1
-        );
-    }
-
-    /// Two trippers and a re-armer race freely: transition counts must
-    /// match actual state changes, and at most one tripper may win each
-    /// armed window.
-    #[test]
-    fn degraded_rearm_transitions_never_double_count() {
-        Checker::new()
-            .preemption_bound(2)
-            .check_threads_setup(
-                EngineState::new,
-                vec![
-                    Box::new(|s: Arc<EngineState>| {
-                        s.trip();
-                    }),
-                    Box::new(|s: Arc<EngineState>| {
-                        s.trip();
-                    }),
-                    Box::new(|s: Arc<EngineState>| {
-                        s.rearm();
-                    }),
-                ],
-                |s: Arc<EngineState>| {
-                    assert_conserved(&s);
-                    assert!(s.trips() <= 2 && s.rearms() <= 1);
-                },
-            )
-            .assert_pass("trip/trip/rearm conservation");
-    }
-
-    /// The append fast path: every append attempt is either persisted
-    /// (simulated by a counter) or counted as dropped — never lost, even
-    /// while the state flips underneath.
-    #[test]
-    fn appends_are_persisted_or_counted_dropped_never_lost() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        struct World {
-            engine: EngineState,
-            appended: AtomicU64, // plain atomic: out-of-band accounting
-        }
-        Checker::new()
-            .preemption_bound(2)
-            .check_threads_setup(
-                || World {
-                    engine: EngineState::new(),
-                    appended: AtomicU64::new(0),
-                },
-                vec![
-                    Box::new(|w: Arc<World>| {
-                        for _ in 0..2 {
-                            if w.engine.is_degraded() {
-                                w.engine.note_dropped();
-                            } else {
-                                w.appended.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }),
-                    Box::new(|w: Arc<World>| {
-                        w.engine.trip();
-                    }),
-                ],
-                |w: Arc<World>| {
-                    assert_conserved(&w.engine);
-                    assert_eq!(
-                        w.appended.load(Ordering::Relaxed) + w.engine.dropped(),
-                        2,
-                        "an append vanished: neither persisted nor counted dropped"
-                    );
-                },
-            )
-            .assert_pass("append-or-drop accounting");
-    }
-
-    /// Mutation: load-then-store transitions must break the conservation
-    /// law, and the counterexample must replay deterministically.
-    #[test]
-    fn blind_store_transition_mutation_is_caught_and_replays() {
-        let threads = || -> Vec<Box<dyn Fn(Arc<EngineState>) + Send + Sync>> {
-            vec![
-                Box::new(|s: Arc<EngineState>| {
-                    s.trip_mutated_load_store();
-                }),
-                Box::new(|s: Arc<EngineState>| {
-                    s.trip_mutated_load_store();
-                }),
-                Box::new(|s: Arc<EngineState>| {
-                    s.rearm_mutated_load_store();
-                }),
-            ]
-        };
-        let after = |s: Arc<EngineState>| assert_conserved(&s);
-        let failure = Checker::new()
-            .preemption_bound(2)
-            .check_threads_setup(EngineState::new, threads(), after)
-            .expect_fail("load-store transition mutation")
-            .clone();
-        assert!(
-            failure.error.contains("double-arm or lost transition"),
-            "unexpected failure: {failure}"
-        );
-        let replayed = Checker::new()
-            .replay_threads_setup(&failure.trace, EngineState::new, threads(), after)
-            .expect_fail("replay of transition counterexample")
-            .clone();
-        assert_eq!(replayed.error, failure.error, "replay diverged");
-    }
-
-    /// The same conservation harness under seeded-random sampling — the
-    /// shape CI runs with a large schedule budget (`CAMP_CHECK_SAMPLES`,
-    /// default 2 000 locally) to sweep far past the exhaustive bound.
-    #[test]
-    fn sampled_transition_sweep_stays_conserved() {
-        let samples: u64 = std::env::var("CAMP_CHECK_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2_000);
-        Checker::new()
-            .sample_threads_setup(
-                0xCA3A_B0BA,
-                samples,
-                EngineState::new,
-                vec![
-                    Box::new(|s: Arc<EngineState>| {
-                        s.trip();
-                    }),
-                    Box::new(|s: Arc<EngineState>| {
-                        if !s.rearm() {
-                            s.trip();
-                        }
-                    }),
-                    Box::new(|s: Arc<EngineState>| {
-                        s.rearm();
-                    }),
-                ],
-                |s: Arc<EngineState>| assert_conserved(&s),
-            )
-            .assert_pass("sampled transition sweep");
-    }
-
-    // ---- the `--fsync always` ack barrier -------------------------------
+    use super::UnsyncedFlag;
 
     /// What the writer lock guards in the model: how many records have
     /// been appended (encoded into `pending`), how many of them a `write`
@@ -528,13 +223,37 @@ mod model_tests {
             .check_threads_setup(
                 ModelLog::new,
                 barrier_workers(Protocol::Shipped),
-                |log: Arc<ModelLog>| {
-                    let w = log.lock_writer();
-                    assert_eq!((w.appended, w.written), (2, 2));
-                    assert!(!w.dirty && !log.flag.get(), "a record was left unsynced");
-                },
+                assert_both_synced,
             )
             .assert_pass("group-commit ack barrier");
+    }
+
+    /// Once both workers are done, the flag and the lock-guarded truth
+    /// agree: both records written, nothing left unsynced.
+    fn assert_both_synced(log: Arc<ModelLog>) {
+        let w = log.lock_writer();
+        assert_eq!((w.appended, w.written), (2, 2));
+        assert!(!w.dirty && !log.flag.get(), "a record was left unsynced");
+    }
+
+    /// The same ack barrier under seeded-random sampling — the shape CI
+    /// runs with a large schedule budget (`CAMP_CHECK_SAMPLES`, default
+    /// 2 000 locally) to sweep past the exhaustive bound.
+    #[test]
+    fn sampled_ack_barrier_sweep_holds() {
+        let samples: u64 = std::env::var("CAMP_CHECK_SAMPLES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(2_000);
+        Checker::new()
+            .sample_threads_setup(
+                0xCA3A_B0BA,
+                samples,
+                ModelLog::new,
+                barrier_workers(Protocol::Shipped),
+                assert_both_synced,
+            )
+            .assert_pass("sampled ack barrier sweep");
     }
 
     /// `needs_commit`'s lock-free read may say `true` for records another

@@ -231,12 +231,6 @@ impl SlabAllocator {
         &self.config
     }
 
-    /// Number of slab classes.
-    #[must_use]
-    pub fn class_count(&self) -> usize {
-        self.class_sizes.len()
-    }
-
     /// The smallest class whose chunks fit `size` bytes.
     ///
     /// # Errors

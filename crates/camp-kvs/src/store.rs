@@ -125,12 +125,6 @@ impl StoreConfig {
     pub fn camp_with_memory(bytes: u64) -> Self {
         StoreConfig::with_memory(bytes, EvictionMode::default())
     }
-
-    /// An LRU store with the given memory.
-    #[must_use]
-    pub fn lru_with_memory(bytes: u64) -> Self {
-        StoreConfig::with_memory(bytes, EvictionMode::Lru)
-    }
 }
 
 /// Cumulative store counters (`stats` command).
@@ -392,12 +386,6 @@ impl Store {
     #[must_use]
     pub fn profiler(&self) -> &ShadowProfiler {
         &self.profiler
-    }
-
-    /// The eviction policy in use.
-    #[must_use]
-    pub fn eviction_mode(&self) -> &EvictionMode {
-        &self.mode
     }
 
     /// The active policy's self-reported name (e.g. `camp(p=5)`).

@@ -27,7 +27,7 @@
 //!   that name, and each function's *may-acquire* set is the fixpoint
 //!   closure over its callees. Free and associated calls (`helper(...)`,
 //!   `Persist::open(...)`) always resolve; method calls resolve only when
-//!   the receiver chain roots at `self` (`self.engine.trip()`), because a
+//!   the receiver chain roots at `self` (`self.inner.flush()`), because a
 //!   bare-receiver method (`map.insert(...)`) is overwhelmingly a std
 //!   collection call that would alias a same-named workspace function.
 //! * An edge `a → b` means "`b` can be acquired while `a` is held". Any
@@ -216,7 +216,7 @@ fn raw_lock_class(ctx: &FileContext<'_>, dot: usize) -> Option<String> {
 
 /// Whether the method call whose name sits at code position `c` (with the
 /// `.` at `c - 1`) is reached through a receiver chain rooted at `self`
-/// (`self.engine.trip()`), as opposed to a bare local or a temporary
+/// (`self.inner.flush()`), as opposed to a bare local or a temporary
 /// (`map.insert(...)`, `lock(&x).push_back(...)`).
 fn receiver_is_self(ctx: &FileContext<'_>, c: usize) -> bool {
     let mut j = c;

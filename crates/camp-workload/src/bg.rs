@@ -238,13 +238,6 @@ impl BgConfig {
         }
     }
 
-    /// Overrides the trace id stamped on generated rows.
-    #[must_use]
-    pub fn with_trace_id(mut self, trace_id: u32) -> Self {
-        self.trace_id = trace_id;
-        self
-    }
-
     /// Generates the trace.
     ///
     /// # Panics

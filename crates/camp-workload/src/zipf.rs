@@ -34,7 +34,6 @@ pub struct Zipf {
     n: u64,
     theta: f64,
     zetan: f64,
-    zeta2: f64,
     alpha: f64,
     eta: f64,
 }
@@ -60,7 +59,6 @@ impl Zipf {
             n,
             theta,
             zetan,
-            zeta2,
             alpha,
             eta,
         }
@@ -94,12 +92,6 @@ impl Zipf {
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
-    }
-
-    /// Unused normalizer accessor kept for diagnostics.
-    #[must_use]
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 
