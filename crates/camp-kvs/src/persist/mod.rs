@@ -88,13 +88,12 @@
 //!
 //! The writer mutex owns every fact of the journal: the active segment,
 //! what is pending, the armed/degraded state with its trip and re-arm
-//! counts, and every other counter — all fields of one `LogWriter`, whose
-//! methods take `&mut self`. Three atomics sit outside it: a mirror of
-//! the degraded state (stored only under the lock) that lets an append
-//! drop without locking, the `dropped` count that fast path bumps, and
-//! the ack barrier's `UnsyncedFlag`. An appender that read the mirror
-//! just before a trip finds the writer degraded once it holds the lock,
-//! and counts its record dropped there.
+//! counts, and every counter, `dropped` included — all fields of one
+//! `LogWriter`, whose methods take `&mut self`. Every append decides
+//! under that lock whether it is logged or dropped, so none can slip
+//! between a re-arm's snapshot and the moment the engine re-arms: it
+//! waits for the re-arm and lands in the healed log. One lock-free fact
+//! remains, the ack barrier's `UnsyncedFlag`.
 
 mod crc;
 pub mod io;
@@ -110,7 +109,7 @@ use std::fs::{self, OpenOptions};
 use std::io as stdio;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -318,6 +317,7 @@ impl Default for PersistSnapshot {
 #[derive(Debug, Default)]
 struct Counts {
     errors: u64,
+    dropped: u64,
     bytes: u64,
     fsyncs: u64,
     records: u64,
@@ -332,20 +332,6 @@ struct Counts {
     sync_us: LocalHistogram,
 }
 
-/// What callers read — and the append fast path bumps — without taking
-/// the writer lock. The writer lock owns the truth of the first two;
-/// these only mirror it.
-#[derive(Debug)]
-struct Lockless {
-    /// [`LogWriter::degraded`], stored only under the writer lock.
-    degraded: AtomicBool,
-    /// "A commit owes something": frames are pending, or (`--fsync
-    /// always`) written records are unsynced.
-    unsynced: UnsyncedFlag,
-    /// Appends dropped while degraded.
-    dropped: AtomicU64,
-}
-
 /// The write side: the active segment, what is pending, whether the
 /// engine is degraded and every count it keeps — all of it held under
 /// the writer mutex, so each method's `&mut self` is the proof that the
@@ -354,7 +340,10 @@ struct Lockless {
 struct LogWriter {
     backend: Box<dyn IoBackend>,
     options: PersistOptions,
-    lockless: Arc<Lockless>,
+    /// "A commit owes something": frames are pending, or (`--fsync
+    /// always`) written records are unsynced. Shared with [`Persist`],
+    /// which reads it without the lock.
+    unsynced: Arc<UnsyncedFlag>,
     /// Index of the active segment.
     seg_index: u64,
     /// Bytes a `write` has landed in the active segment: where the next
@@ -447,17 +436,17 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Encodes `rec` into `pending` (a degraded writer drops it instead:
-    /// the caller read the lock-free mirror before a trip) and commits
-    /// what the segment can no longer hold, or — if `inline` — at once.
+    /// Encodes `rec` into `pending` (a degraded writer counts it dropped
+    /// instead) and commits what the segment can no longer hold, or — if
+    /// `inline` — at once.
     fn append(&mut self, store: &ShardedStore, rec: &Record<'_>, inline: bool) {
         if self.degraded {
-            self.lockless.note_dropped();
+            self.counts.dropped += 1;
             return;
         }
         record::encode_into(rec, &mut self.pending);
         self.pending_records += 1;
-        self.lockless.unsynced.mark();
+        self.unsynced.mark();
         if self.committed + self.pending.len() as u64 >= self.options.segment_bytes {
             self.rotate(store);
         } else if inline {
@@ -502,7 +491,7 @@ impl LogWriter {
             self.sync_written();
         }
         if self.unsynced_records == 0 || self.options.fsync != FsyncMode::Always {
-            self.lockless.unsynced.clear();
+            self.unsynced.clear();
         }
         if self.runway_end != 0 && self.runway_end.saturating_sub(self.committed) < RUNWAY_LOW_WATER
         {
@@ -553,7 +542,7 @@ impl LogWriter {
     fn mark_clean(&mut self) {
         debug_assert!(self.pending.is_empty());
         self.unsynced_records = 0;
-        self.lockless.unsynced.clear();
+        self.unsynced.clear();
     }
 
     fn note_io_error(&mut self) {
@@ -573,7 +562,7 @@ impl LogWriter {
         if self.degraded {
             return;
         }
-        self.set_degraded(true);
+        self.degraded = true;
         self.counts.trips += 1;
         kvlog!(
             LogLevel::Warn,
@@ -582,14 +571,6 @@ impl LogWriter {
             errors = self.counts.errors,
             hint = "cache keeps serving from memory; background retry will re-arm the log",
         );
-    }
-
-    fn set_degraded(&mut self, degraded: bool) {
-        self.degraded = degraded;
-        // ordering: Relaxed — a hint for the append fast path: the writer
-        // lock orders everything it guards, and an appender that reads
-        // `false` checks `degraded` again under that lock.
-        self.lockless.degraded.store(degraded, Ordering::Relaxed);
     }
 
     /// Rotates the active segment: a plain roll while few segments are
@@ -750,7 +731,7 @@ impl LogWriter {
         match self.snapshot_segment(store, index) {
             Ok(()) => {
                 self.consecutive_errors = 0;
-                self.set_degraded(false);
+                self.degraded = false;
                 self.counts.rearms += 1;
                 kvlog!(
                     LogLevel::Info,
@@ -770,21 +751,14 @@ impl LogWriter {
     }
 }
 
-impl Lockless {
-    /// Counts one append dropped while degraded.
-    fn note_dropped(&self) {
-        // ordering: Relaxed — statistics counter.
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// The append-only persistence engine. One per server; shared between
 /// request workers (appends), the background thread (interval fsync and
 /// degraded retry) and the drain path (seal).
 #[derive(Debug)]
 pub struct Persist {
     writer: Mutex<LogWriter>,
-    lockless: Arc<Lockless>,
+    /// The writer's ack barrier flag, read without the lock.
+    unsynced: Arc<UnsyncedFlag>,
     /// What boot-time recovery found (fixed once `open` returns).
     recovery: RecoverySummary,
     /// The caller promised to [`Persist::commit`] before it
@@ -965,15 +939,11 @@ impl Persist {
         );
         let fsync_interval =
             (options.fsync == FsyncMode::Interval).then_some(options.fsync_interval);
-        let lockless = Arc::new(Lockless {
-            degraded: AtomicBool::new(false),
-            unsynced: UnsyncedFlag::new(),
-            dropped: AtomicU64::new(0),
-        });
+        let unsynced = Arc::new(UnsyncedFlag::new());
         let mut writer = LogWriter {
             backend,
             options,
-            lockless: Arc::clone(&lockless),
+            unsynced: Arc::clone(&unsynced),
             seg_index: next_index,
             committed: 0,
             consecutive_errors: 0,
@@ -994,7 +964,7 @@ impl Persist {
         }
         Ok(Persist {
             writer: Mutex::new(writer),
-            lockless,
+            unsynced,
             recovery: summary,
             deferred: false,
             fsync_interval,
@@ -1002,12 +972,11 @@ impl Persist {
         })
     }
 
-    /// Whether the engine has tripped to `degraded` (lock-free, so it may
-    /// lag a transition in progress).
+    /// Whether the engine has tripped to `degraded` (read under the
+    /// writer lock).
     #[must_use]
     pub fn is_degraded(&self) -> bool {
-        // ordering: Relaxed — see `LogWriter::set_degraded`.
-        self.lockless.degraded.load(Ordering::Relaxed)
+        lock(&self.writer).degraded
     }
 
     /// The caller promises to call [`Persist::commit`] before it
@@ -1024,7 +993,7 @@ impl Persist {
     /// never false for the caller's own uncommitted record.
     #[must_use]
     pub fn needs_commit(&self) -> bool {
-        self.deferred && self.lockless.unsynced.get()
+        self.deferred && self.unsynced.get()
     }
 
     /// The ack barrier: returns once every record appended before the
@@ -1075,16 +1044,7 @@ impl Persist {
     }
 
     fn append_record(&self, store: &ShardedStore, rec: &Record<'_>) {
-        if self.is_degraded() {
-            self.lockless.note_dropped();
-            return;
-        }
-        let writer = &mut *lock(&self.writer);
-        self.append_locked(writer, store, rec);
-    }
-
-    fn append_locked(&self, w: &mut LogWriter, store: &ShardedStore, rec: &Record<'_>) {
-        w.append(store, rec, !self.deferred);
+        lock(&self.writer).append(store, rec, !self.deferred);
     }
 
     /// One degraded-recovery attempt: a fresh segment holding a full
@@ -1155,7 +1115,7 @@ impl Persist {
     }
 
     /// The telemetry counters, read under one brief lock of the writer
-    /// beside the drop counter and the boot-time summary.
+    /// beside the boot-time summary.
     #[must_use]
     pub fn snapshot(&self) -> PersistSnapshot {
         let w = lock(&self.writer);
@@ -1166,9 +1126,7 @@ impl Persist {
             bytes: c.bytes,
             fsyncs: c.fsyncs,
             records: c.records,
-            // ordering: Relaxed — statistics counter; the snapshot is
-            // advisory and never gates an operation.
-            dropped: self.lockless.dropped.load(Ordering::Relaxed),
+            dropped: c.dropped,
             recovered: self.recovery.records,
             quarantined: self.recovery.quarantined,
             torn_bytes: self.recovery.torn_bytes,
@@ -1194,6 +1152,7 @@ mod tests {
     use camp_core::Precision;
     use std::os::unix::fs::FileExt;
     use std::sync::atomic::AtomicU32;
+    use std::sync::mpsc;
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -2177,10 +2136,10 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// An appender that read "active" just before another thread tripped
-    /// the engine reaches the writer only after the trip: its record is
-    /// counted dropped, and nothing is left pending for a commit to write
-    /// into the abandoned segment or for a reply to wait on.
+    /// An appender that reaches the writer just after another thread
+    /// tripped the engine has its record counted dropped, and nothing is
+    /// left pending for a commit to write into the abandoned segment or
+    /// for a reply to wait on.
     #[test]
     fn an_append_that_races_a_trip_is_counted_dropped() {
         let dir = temp_dir("raced-trip");
@@ -2201,14 +2160,7 @@ mod tests {
         assert!(persist.is_degraded());
         assert!(!persist.needs_commit());
         let before = persist.snapshot().dropped;
-        let late = Record::Set {
-            key: b"late",
-            value: b"value",
-            flags: 0,
-            cost: 1,
-            expires_at: 0,
-        };
-        persist.append_locked(&mut lock(&persist.writer), &store, &late);
+        persist.append_set(&store, b"late", b"value", 0, 0, 1);
         assert_eq!(persist.snapshot().dropped, before + 1, "counted dropped");
         let w = lock(&persist.writer);
         assert!(w.pending.is_empty(), "the record was left pending");
@@ -2216,6 +2168,104 @@ mod tests {
         drop(w);
         assert!(!persist.needs_commit(), "a reply would park behind it");
         drop(persist);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// [`RealFs`] whose appends fail while `fail` is set, and whose
+    /// `rename` — the last step of a re-arm's snapshot, after it has
+    /// walked the store — says so on `parked` and waits for `release`.
+    #[derive(Debug)]
+    struct RearmGate {
+        inner: RealFs,
+        fail: Arc<AtomicBool>,
+        parked: mpsc::Sender<()>,
+        release: mpsc::Receiver<()>,
+    }
+
+    impl IoBackend for RearmGate {
+        fn create(&mut self, path: &Path) -> stdio::Result<()> {
+            self.inner.create(path)
+        }
+        fn append(&mut self, buf: &[u8]) -> stdio::Result<()> {
+            if self.fail.load(Ordering::SeqCst) {
+                return Err(stdio::Error::other("injected write failure"));
+            }
+            self.inner.append(buf)
+        }
+        fn sync(&mut self) -> stdio::Result<()> {
+            self.inner.sync()
+        }
+        fn truncate(&mut self, len: u64) -> stdio::Result<()> {
+            self.inner.truncate(len)
+        }
+        fn remove(&mut self, path: &Path) -> stdio::Result<()> {
+            self.inner.remove(path)
+        }
+        fn rename(&mut self, from: &Path, to: &Path) -> stdio::Result<()> {
+            self.parked.send(()).ok();
+            self.release.recv().ok();
+            self.inner.rename(from, to)
+        }
+    }
+
+    /// A write applied to the live store after a re-arm's snapshot has
+    /// walked it, while the re-arm still holds the writer, is not lost:
+    /// its append waits for the re-arm and lands in the healed log, so
+    /// the log again matches the live store.
+    #[test]
+    fn a_write_during_a_rearm_lands_in_the_healed_log() {
+        let dir = temp_dir("rearm-window");
+        let store = sharded();
+        let fail = Arc::new(AtomicBool::new(false));
+        let (parked_tx, parked) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let backend = RearmGate {
+            inner: RealFs::new(),
+            fail: Arc::clone(&fail),
+            parked: parked_tx,
+            release: release_rx,
+        };
+        let opts = PersistOptions {
+            trip_after: 1,
+            ..options(&dir)
+        };
+        let persist = Persist::open_with_backend(opts, Box::new(backend), &store).expect("open");
+        for key in [&b"early"[..], b"tripping"] {
+            fail.store(key == b"tripping", Ordering::SeqCst);
+            store.set(key, b"value", 0, 0, 1).expect("set");
+            persist.append_set(&store, key, b"value", 0, 0, 1);
+        }
+        assert!(persist.is_degraded(), "one failed write trips trip_after=1");
+        fail.store(false, Ordering::SeqCst);
+        let (store, persist) = (&store, &persist);
+        std::thread::scope(|scope| {
+            let rearm = scope.spawn(|| persist.try_rearm(store));
+            parked.recv().expect("the re-arm reaches its rename");
+            let (done_tx, done) = mpsc::channel();
+            scope.spawn(move || {
+                store.set(b"late", b"value", 0, 0, 1).expect("set");
+                persist.append_set(store, b"late", b"value", 0, 0, 1);
+                done_tx.send(()).ok();
+            });
+            // Give an append that does not wait for the writer the time
+            // to return before the re-arm finishes.
+            let returned = done.recv_timeout(Duration::from_millis(200)).is_ok();
+            release.send(()).expect("release the rename");
+            assert!(rearm.join().expect("re-arm thread"), "the re-arm succeeds");
+            if !returned {
+                done.recv().expect("the append returns after the re-arm");
+            }
+        });
+        let snap = persist.snapshot();
+        let counts = (snap.trips, snap.rearms, snap.dropped);
+        assert_eq!(counts, (1, 1, 0), "trips, re-arms, dropped");
+        let recovered = sharded();
+        let _reopened = open_plain(options(&dir), &recovered);
+        assert!(
+            recovered.contains(b"late"),
+            "the healed log lacks a write the live store holds"
+        );
+        assert_eq!(recovered.len(), store.len());
         fs::remove_dir_all(&dir).ok();
     }
 

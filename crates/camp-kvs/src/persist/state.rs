@@ -124,7 +124,7 @@ mod model_tests {
             self.writer.lock().unwrap_or_else(PoisonError::into_inner)
         }
 
-        /// `append_locked` with the commit deferred: the record is only
+        /// `LogWriter::append` with the commit deferred: the record is only
         /// pending. Returns its sequence number.
         fn append(&self) -> u64 {
             let mut w = self.lock_writer();
