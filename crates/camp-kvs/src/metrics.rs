@@ -802,7 +802,7 @@ impl TelemetryReport {
         let flush = Value::Hist(&self.flush_segments, FLUSH_PICKS);
         rows.stat(Detail, "reactor:flush_segments", flush)
             .family(MetricKind::Summary, "camp_reactor_flush_writev_segments")
-            .help("segments batched per scatter-gather (writev) flush call");
+            .help("write calls per flush of a connection's replies");
         rows.stat(Detail, "trace:spans_recorded", self.spans_recorded)
             .family(Counter, "camp_trace_spans_total")
             .help("request spans recorded by the flight recorder");
