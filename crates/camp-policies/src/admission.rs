@@ -6,26 +6,15 @@
 //! not inserting unpopular key-value pairs that are evicted before their
 //! next request." — this module implements that idea as a transparent
 //! wrapper around any [`EvictionPolicy`], so the ablation benches can
-//! measure it over CAMP, LRU and GDS alike.
+//! measure it over CAMP, LRU and GDS alike. The one rule is a second-miss
+//! filter: the rule the `extension-policies` experiment runs.
 
 use crate::policy::{AccessOutcome, CacheKey, EvictionPolicy, PolicyEvent};
 use crate::util::GhostList;
 
-/// The admission decision rules available to [`Admission`].
+/// The admission decision rule of [`Admission`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionRule {
-    /// Admit everything (the identity wrapper, useful as a control).
-    Always,
-    /// Admit only pairs strictly smaller than this many bytes.
-    SizeBelow(u64),
-    /// Admit only pairs whose cost-to-size ratio `cost/size` is at least
-    /// `num/den` (evaluated exactly in integers).
-    RatioAtLeast {
-        /// Numerator of the minimum admissible ratio.
-        num: u64,
-        /// Denominator of the minimum admissible ratio (must be non-zero).
-        den: u64,
-    },
     /// Admit a pair only on its second miss within the last `window`
     /// distinct missed keys (a ghost-based "prove yourself" filter that
     /// screens out one-hit wonders).
@@ -58,41 +47,24 @@ pub enum AdmissionRule {
 #[derive(Debug)]
 pub struct Admission<P, K = u64> {
     inner: P,
-    rule: AdmissionRule,
-    /// `SecondMiss`'s window: keys missed once, weighing 1 each.
+    /// `SecondMiss`'s window: how many keys missed once `ghosts` holds.
+    window: usize,
+    /// Keys missed once, weighing 1 each.
     ghosts: GhostList<K>,
     bypassed: u64,
 }
 
 impl<K: CacheKey, P> Admission<P, K> {
     /// Wraps `inner` with `rule`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rule is `RatioAtLeast` with a zero denominator.
     #[must_use]
     pub fn new(inner: P, rule: AdmissionRule) -> Self {
-        if let AdmissionRule::RatioAtLeast { den, .. } = rule {
-            assert!(den > 0, "ratio denominator must be non-zero");
-        }
+        let AdmissionRule::SecondMiss { window } = rule;
         Admission {
             inner,
-            rule,
+            window,
             ghosts: GhostList::default(),
             bypassed: 0,
         }
-    }
-
-    /// The wrapped policy.
-    #[must_use]
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Consumes the wrapper, returning the wrapped policy.
-    #[must_use]
-    pub fn into_inner(self) -> P {
-        self.inner
     }
 
     /// Misses the rule declined to insert so far.
@@ -101,24 +73,15 @@ impl<K: CacheKey, P> Admission<P, K> {
         self.bypassed
     }
 
-    /// Whether the rule lets the missed pair in.
-    fn approves(&mut self, key: &K, size: u64, cost: u64) -> bool {
-        match self.rule {
-            AdmissionRule::Always => true,
-            AdmissionRule::SizeBelow(limit) => size < limit,
-            AdmissionRule::RatioAtLeast { num, den } => {
-                // cost/size >= num/den  <=>  cost*den >= num*size
-                u128::from(cost) * u128::from(den) >= u128::from(num) * u128::from(size)
-            }
-            AdmissionRule::SecondMiss { window } => {
-                if self.ghosts.remove(key).is_some() {
-                    return true;
-                }
-                self.ghosts.push(key.clone(), 1, ());
-                self.ghosts.trim_to(window as u64);
-                false
-            }
+    /// Whether the rule lets the missed pair in: it was missed once
+    /// within the window.
+    fn approves(&mut self, key: &K) -> bool {
+        if self.ghosts.remove(key).is_some() {
+            return true;
         }
+        self.ghosts.push(key.clone(), 1, ());
+        self.ghosts.trim_to(self.window as u64);
+        false
     }
 }
 
@@ -155,7 +118,7 @@ impl<K: CacheKey, V, P: EvictionPolicy<K, V>> EvictionPolicy<K, V> for Admission
         cost: u64,
         evicted: &mut dyn FnMut(K, V),
     ) -> AccessOutcome {
-        if self.approves(&key, size, cost) {
+        if self.approves(&key) {
             self.inner.admit(key, value, size, cost, evicted)
         } else {
             self.bypassed += 1;
@@ -202,53 +165,6 @@ mod tests {
 
     fn req(key: u64, size: u64, cost: u64) -> CacheRequest {
         CacheRequest::new(key, size, cost)
-    }
-
-    #[test]
-    fn always_is_transparent() {
-        let mut a = Admission::new(Lru::new(30), AdmissionRule::Always);
-        let mut ev = Vec::new();
-        assert_eq!(
-            a.reference(req(1, 10, 0), &mut ev),
-            AccessOutcome::MissInserted
-        );
-        assert_eq!(a.reference(req(1, 10, 0), &mut ev), AccessOutcome::Hit);
-        assert_eq!(a.bypassed(), 0);
-    }
-
-    #[test]
-    fn size_filter_blocks_large_values() {
-        let mut a = Admission::new(Lru::new(100), AdmissionRule::SizeBelow(20));
-        let mut ev = Vec::new();
-        assert_eq!(
-            a.reference(req(1, 25, 0), &mut ev),
-            AccessOutcome::MissBypassed
-        );
-        assert_eq!(
-            a.reference(req(2, 10, 0), &mut ev),
-            AccessOutcome::MissInserted
-        );
-        assert_eq!(a.bypassed(), 1);
-        assert!(!a.contains(&1));
-    }
-
-    #[test]
-    fn ratio_filter_requires_value_density() {
-        let mut a = Admission::new(
-            Lru::new(100),
-            AdmissionRule::RatioAtLeast { num: 1, den: 2 },
-        );
-        let mut ev = Vec::new();
-        // cost 4 / size 10 < 1/2: rejected.
-        assert_eq!(
-            a.reference(req(1, 10, 4), &mut ev),
-            AccessOutcome::MissBypassed
-        );
-        // cost 5 / size 10 == 1/2: admitted.
-        assert_eq!(
-            a.reference(req(2, 10, 5), &mut ev),
-            AccessOutcome::MissInserted
-        );
     }
 
     #[test]
@@ -322,11 +238,16 @@ mod tests {
 
     #[test]
     fn hits_bypass_the_filter() {
-        // Once resident, a key stays manageable even if the rule would now
-        // reject it.
-        let mut a = Admission::new(Lru::new(100), AdmissionRule::SizeBelow(20));
+        // Once resident, a key stays manageable even after its miss has
+        // left the window, when a miss of it would be turned away again.
+        let mut a = Admission::new(Lru::new(100), AdmissionRule::SecondMiss { window: 2 });
         let mut ev = Vec::new();
         a.reference(req(1, 10, 0), &mut ev);
+        a.reference(req(1, 10, 0), &mut ev);
+        for k in 2..=4 {
+            a.reference(req(k, 10, 0), &mut ev);
+        }
         assert_eq!(a.reference(req(1, 10, 0), &mut ev), AccessOutcome::Hit);
+        assert_eq!(a.bypassed(), 4);
     }
 }
