@@ -9,18 +9,15 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use camp_bench::{run_experiment_full, Scale, EXPERIMENTS};
+use camp_bench::{experiment_list, run_experiment_full, Scale};
 
 fn usage() -> String {
-    let mut out = String::from(
+    format!(
         "usage: repro <experiment-id | all> [--scale small|medium|paper] [--out DIR]\n\
          \x20            [--trace FILE] [--plot]\n\
-         \n  experiments:\n",
-    );
-    for (id, desc) in EXPERIMENTS {
-        out.push_str(&format!("    {id:<22} {desc}\n"));
-    }
-    out
+         \n  experiments (an experiment's ids all print its tables):\n{}",
+        experiment_list()
+    )
 }
 
 fn main() -> ExitCode {

@@ -8,30 +8,40 @@
 use camp_core::rounding::{round_regular, round_to_significant_bits};
 use camp_core::{Camp, Precision};
 use camp_policies::{EvictionPolicy, Gds, Lru, PoolSplit, PooledLru};
-use camp_sim::{simulate, OccupancyConfig, Simulation, DEFAULT_RATIOS};
+use camp_sim::{
+    capacity_for_ratio, simulate, sweep_ratios_parallel, OccupancyConfig, SimReport, Simulation,
+    SweepPoint, DEFAULT_RATIOS,
+};
 use camp_workload::{BgConfig, Trace};
 
 use crate::scale::{Scale, HARNESS_SEED};
 use crate::table::{f, Table};
 
+/// What an experiment returns: its tables, each under the name its CSV
+/// is saved as.
+pub type Tables = Vec<(String, Table)>;
+
 /// The precision grid of Figures 5a/5b/8c (∞ is appended separately).
 pub const PRECISION_GRID: [u8; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
 
-fn capacity(trace: &Trace, ratio: f64) -> u64 {
-    camp_sim::capacity_for_ratio(&trace.stats(), ratio)
+/// The cost tiers of the three-tier trace, as pool boundaries.
+const TIERS: [u64; 3] = [1, 100, 10_000];
+
+/// The capacity basis of most figures: the trace's unique bytes.
+fn unique_bytes(trace: &Trace) -> u64 {
+    trace.stats().unique_bytes
 }
 
-/// Capacity for the §3.1 evolving experiments: the paper's ratios there are
-/// relative to a *single* trace file's unique bytes (only one TF's working
-/// set is ever live; "cost-miss ratio and miss rate similar to those
-/// observed in the previous section" only holds on that basis).
-fn capacity_per_tf(trace: &Trace, ratio: f64) -> u64 {
+/// The capacity basis of the §3.1 evolving experiments: the paper's ratios
+/// there are relative to a *single* trace file's unique bytes (only one
+/// TF's working set is ever live; "cost-miss ratio and miss rate similar
+/// to those observed in the previous section" only holds on that basis).
+fn tf_bytes(trace: &Trace) -> u64 {
     let mut sizes: std::collections::HashMap<u64, u64> = Default::default();
     for r in trace.iter().filter(|r| r.trace_id == 0) {
         sizes.insert(r.key, r.size);
     }
-    let tf_bytes: u64 = sizes.values().sum();
-    ((tf_bytes as f64 * ratio).round() as u64).max(1)
+    sizes.values().sum()
 }
 
 fn camp_at(capacity: u64, precision: Precision) -> Box<dyn EvictionPolicy> {
@@ -42,16 +52,41 @@ fn camp_at(capacity: u64, precision: Precision) -> Box<dyn EvictionPolicy> {
 /// per pool — the stronger of the paper's two Figure 5 splits, computed in
 /// advance from the whole trace exactly as the paper allows ("to give
 /// Pooled LRU the greatest advantage").
-fn pooled_cost_proportional(trace: &Trace, capacity: u64) -> PooledLru {
-    let boundaries = [1u64, 100, 10_000];
+fn pooled_cost_proportional(trace: &Trace, capacity: u64) -> Box<dyn EvictionPolicy> {
     let mut weights = [0.0f64; 3];
     for r in trace {
-        let pool = boundaries
-            .partition_point(|&b| b <= r.cost)
-            .saturating_sub(1);
+        let pool = TIERS.partition_point(|&b| b <= r.cost).saturating_sub(1);
         weights[pool] += r.cost as f64;
     }
-    PooledLru::new(capacity, &boundaries, PoolSplit::Weighted(weights.to_vec()))
+    Box::new(PooledLru::new(
+        capacity,
+        &TIERS,
+        PoolSplit::Weighted(weights.to_vec()),
+    ))
+}
+
+fn cost_miss(report: &SimReport) -> String {
+    f(report.metrics.cost_miss_ratio())
+}
+
+fn miss_rate(report: &SimReport) -> String {
+    f(report.metrics.miss_rate())
+}
+
+fn queues(report: &SimReport) -> String {
+    report.queue_count.unwrap_or(0).to_string()
+}
+
+/// One row per sweep point: its ratio, then `cell` of each policy's
+/// report.
+fn ratio_table(header: &[&str], points: &[SweepPoint], cell: fn(&SimReport) -> String) -> Table {
+    let mut table = Table::new(header.to_vec());
+    for point in points {
+        let mut row = vec![format!("{:.2}", point.ratio)];
+        row.extend(point.reports.iter().map(cell));
+        table.row(row);
+    }
+    table
 }
 
 // ---------------------------------------------------------------- table 1
@@ -59,7 +94,7 @@ fn pooled_cost_proportional(trace: &Trace, capacity: u64) -> PooledLru {
 /// Table 1: regular vs CAMP rounding at binary precision 4, on the paper's
 /// four example bit patterns.
 #[must_use]
-pub fn table1() -> Vec<(String, Table)> {
+pub fn table1() -> Tables {
     let examples: [u64; 4] = [0b101101011, 0b001010011, 0b000001010, 0b000000111];
     let mut table = Table::new(vec!["x (binary)", "regular rounding", "CAMP's rounding"]);
     for x in examples {
@@ -77,8 +112,11 @@ pub fn table1() -> Vec<(String, Table)> {
 /// Figure 4: heap nodes visited by GDS vs CAMP as a function of the cache
 /// size ratio, on the three-tier-cost trace.
 #[must_use]
-pub fn fig4(scale: Scale) -> Vec<(String, Table)> {
+pub fn fig4(scale: Scale) -> Tables {
     let trace = scale.three_tier_trace();
+    let points = sweep_ratios_parallel(&trace, unique_bytes(&trace), &DEFAULT_RATIOS, |cap| {
+        vec![Box::new(Gds::new(cap)), camp_at(cap, Precision::Bits(5))]
+    });
     let mut table = Table::new(vec![
         "cache-ratio",
         "gds-visits",
@@ -87,177 +125,151 @@ pub fn fig4(scale: Scale) -> Vec<(String, Table)> {
         "gds-heap-ops",
         "camp-heap-ops",
     ]);
-    for ratio in DEFAULT_RATIOS {
-        let cap = capacity(&trace, ratio);
-        let mut gds = Gds::new(cap);
-        let gds_report = simulate(&mut gds, &trace);
-        let mut camp = Camp::<u64, ()>::new(cap, Precision::Bits(5));
-        let camp_report = simulate(&mut camp, &trace);
-        let gv = gds_report.heap_node_visits.unwrap_or(0);
-        let cv = camp_report.heap_node_visits.unwrap_or(0);
+    for point in &points {
+        let [gds, camp] = &point.reports[..] else {
+            unreachable!("two policies per point")
+        };
+        let gv = gds.heap_node_visits.unwrap_or(0);
+        let cv = camp.heap_node_visits.unwrap_or(0);
         table.row(vec![
-            format!("{ratio:.2}"),
+            format!("{:.2}", point.ratio),
             gv.to_string(),
             cv.to_string(),
             f(gv as f64 / cv.max(1) as f64),
-            gds_report.heap_update_ops.unwrap_or(0).to_string(),
-            camp_report.heap_update_ops.unwrap_or(0).to_string(),
+            gds.heap_update_ops.unwrap_or(0).to_string(),
+            camp.heap_update_ops.unwrap_or(0).to_string(),
         ]);
     }
     vec![("fig4".into(), table)]
 }
 
-// ------------------------------------------------------------- fig 5a/5b
+// -------------------------------------------------------- fig 5a/5b/8c
 
-fn precision_sweep(scale: Scale) -> (Table, Table) {
-    let trace = scale.three_tier_trace();
-    let ratios = [0.1, 0.25, 0.5];
-    let mut cost_table = Table::new(vec![
-        "precision",
-        "cost-miss@0.10",
-        "cost-miss@0.25",
-        "cost-miss@0.50",
-    ]);
-    let mut queue_table = Table::new(vec![
-        "precision",
-        "queues@0.10",
-        "queues@0.25",
-        "queues@0.50",
-    ]);
+/// Figures 5a, 5b and 8c: CAMP across the precision grid and ∞ (the
+/// unrounded, GDS-equivalent configuration). 5a is the cost-miss ratio
+/// and 5b the number of non-empty LRU queues, at three cache sizes of the
+/// three-tier trace; 8c is the queue count at ratio 0.25 on that trace
+/// and on the equi-sized continuous-cost trace — its first column is 5b's
+/// middle one, so the sweep that draws 5b draws it too.
+#[must_use]
+pub fn precision_sweep(scale: Scale) -> Tables {
     let precisions: Vec<Precision> = PRECISION_GRID
         .iter()
         .map(|&p| Precision::Bits(p))
         .chain([Precision::Infinite])
         .collect();
-    for precision in precisions {
-        let mut cost_row = vec![precision.to_string()];
-        let mut queue_row = vec![precision.to_string()];
-        for ratio in ratios {
-            let cap = capacity(&trace, ratio);
-            let mut camp = Camp::<u64, ()>::new(cap, precision);
-            let report = simulate(&mut camp, &trace);
-            cost_row.push(f(report.metrics.cost_miss_ratio()));
-            queue_row.push(report.queue_count.unwrap_or(0).to_string());
-        }
-        cost_table.row(cost_row);
-        queue_table.row(queue_row);
-    }
-    (cost_table, queue_table)
-}
-
-/// Figure 5a: CAMP's cost-miss ratio as a function of precision, at three
-/// cache sizes; ∞ is the unrounded (GDS-equivalent) configuration.
-#[must_use]
-pub fn fig5a(scale: Scale) -> Vec<(String, Table)> {
-    let (cost, _) = precision_sweep(scale);
-    vec![("fig5a".into(), cost)]
-}
-
-/// Figure 5b: the number of non-empty LRU queues as a function of
-/// precision.
-#[must_use]
-pub fn fig5b(scale: Scale) -> Vec<(String, Table)> {
-    let (_, queues) = precision_sweep(scale);
-    vec![("fig5b".into(), queues)]
+    let camps = |cap| -> Vec<Box<dyn EvictionPolicy>> {
+        precisions.iter().map(|&p| camp_at(cap, p)).collect()
+    };
+    let sweep = |trace: Trace, ratios: &[f64]| {
+        sweep_ratios_parallel(&trace, unique_bytes(&trace), ratios, camps)
+    };
+    let three_tier = sweep(scale.three_tier_trace(), &[0.1, 0.25, 0.5]);
+    let equi = sweep(scale.equi_size_trace(), &[0.25]);
+    // One row per precision, one column per sweep point.
+    let by_precision =
+        |header: &[&str], columns: &[&SweepPoint], cell: fn(&SimReport) -> String| {
+            let mut table = Table::new(header.to_vec());
+            for (i, precision) in precisions.iter().enumerate() {
+                let mut row = vec![precision.to_string()];
+                row.extend(columns.iter().map(|point| cell(&point.reports[i])));
+                table.row(row);
+            }
+            table
+        };
+    let columns: Vec<&SweepPoint> = three_tier.iter().collect();
+    vec![
+        (
+            "fig5a".into(),
+            by_precision(
+                &[
+                    "precision",
+                    "cost-miss@0.10",
+                    "cost-miss@0.25",
+                    "cost-miss@0.50",
+                ],
+                &columns,
+                cost_miss,
+            ),
+        ),
+        (
+            "fig5b".into(),
+            by_precision(
+                &["precision", "queues@0.10", "queues@0.25", "queues@0.50"],
+                &columns,
+                queues,
+            ),
+        ),
+        (
+            "fig8c".into(),
+            by_precision(
+                &["precision", "queues(3-tier)", "queues(equi-size)"],
+                &[&three_tier[1], &equi[0]],
+                queues,
+            ),
+        ),
+    ]
 }
 
 // ------------------------------------------------------------- fig 5c/5d
 
-fn ratio_sweep_three_tier(scale: Scale) -> (Table, Table) {
+/// Figures 5c and 5d: cost-miss ratio and miss rate vs cache size ratio
+/// on the same runs (CAMP p=5, LRU, both Pooled-LRU splits, GDS for
+/// reference).
+#[must_use]
+pub fn fig5cd(scale: Scale) -> Tables {
     let trace = scale.three_tier_trace();
-    let mut cost_table = Table::new(vec![
+    let points = sweep_ratios_parallel(&trace, unique_bytes(&trace), &DEFAULT_RATIOS, |cap| {
+        vec![
+            camp_at(cap, Precision::Bits(5)),
+            Box::new(Lru::new(cap)),
+            pooled_cost_proportional(&trace, cap),
+            Box::new(PooledLru::new(cap, &TIERS, PoolSplit::Uniform)),
+            Box::new(Gds::new(cap)),
+        ]
+    });
+    let header = [
         "cache-ratio",
         "camp(p=5)",
         "lru",
         "pooled-cost",
         "pooled-uniform",
         "gds",
-    ]);
-    let mut miss_table = cost_table.clone();
-    for ratio in DEFAULT_RATIOS {
-        let cap = capacity(&trace, ratio);
-        let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
-            camp_at(cap, Precision::Bits(5)),
-            Box::new(Lru::new(cap)),
-            Box::new(pooled_cost_proportional(&trace, cap)),
-            Box::new(PooledLru::new(cap, &[1, 100, 10_000], PoolSplit::Uniform)),
-            Box::new(Gds::new(cap)),
-        ];
-        let mut cost_row = vec![format!("{ratio:.2}")];
-        let mut miss_row = vec![format!("{ratio:.2}")];
-        for policy in &mut policies {
-            let report = simulate(policy.as_mut(), &trace);
-            cost_row.push(f(report.metrics.cost_miss_ratio()));
-            miss_row.push(f(report.metrics.miss_rate()));
-        }
-        cost_table.row(cost_row);
-        miss_table.row(miss_row);
-    }
-    (cost_table, miss_table)
-}
-
-/// Figure 5c: cost-miss ratio vs cache size ratio (CAMP p=5, LRU, both
-/// Pooled-LRU splits, GDS for reference).
-#[must_use]
-pub fn fig5c(scale: Scale) -> Vec<(String, Table)> {
-    let (cost, _) = ratio_sweep_three_tier(scale);
-    vec![("fig5c".into(), cost)]
-}
-
-/// Figure 5d: miss rate vs cache size ratio on the same runs.
-#[must_use]
-pub fn fig5d(scale: Scale) -> Vec<(String, Table)> {
-    let (_, miss) = ratio_sweep_three_tier(scale);
-    vec![("fig5d".into(), miss)]
+    ];
+    vec![
+        ("fig5c".into(), ratio_table(&header, &points, cost_miss)),
+        ("fig5d".into(), ratio_table(&header, &points, miss_rate)),
+    ]
 }
 
 // ------------------------------------------------------------- fig 6a/6b
 
-fn evolving_sweep(scale: Scale) -> (Table, Table) {
+/// Figures 6a and 6b: cost-miss ratio and miss rate vs cache size under
+/// evolving access patterns (ten back-to-back disjoint trace files).
+#[must_use]
+pub fn fig6ab(scale: Scale) -> Tables {
     let trace = scale.evolving_trace();
-    let mut cost_table = Table::new(vec!["cache-ratio", "camp(p=5)", "lru", "pooled-cost"]);
-    let mut miss_table = cost_table.clone();
-    for ratio in [0.05, 0.1, 0.25, 0.5, 0.75, 1.0] {
-        let cap = capacity_per_tf(&trace, ratio);
-        let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
+    let ratios = [0.05, 0.1, 0.25, 0.5, 0.75, 1.0];
+    let points = sweep_ratios_parallel(&trace, tf_bytes(&trace), &ratios, |cap| {
+        vec![
             camp_at(cap, Precision::Bits(5)),
             Box::new(Lru::new(cap)),
-            Box::new(pooled_cost_proportional(&trace, cap)),
-        ];
-        let mut cost_row = vec![format!("{ratio:.2}")];
-        let mut miss_row = vec![format!("{ratio:.2}")];
-        for policy in &mut policies {
-            let report = simulate(policy.as_mut(), &trace);
-            cost_row.push(f(report.metrics.cost_miss_ratio()));
-            miss_row.push(f(report.metrics.miss_rate()));
-        }
-        cost_table.row(cost_row);
-        miss_table.row(miss_row);
-    }
-    (cost_table, miss_table)
-}
-
-/// Figure 6a: cost-miss ratio vs cache size under evolving access patterns
-/// (ten back-to-back disjoint trace files).
-#[must_use]
-pub fn fig6a(scale: Scale) -> Vec<(String, Table)> {
-    let (cost, _) = evolving_sweep(scale);
-    vec![("fig6a".into(), cost)]
-}
-
-/// Figure 6b: miss rate vs cache size on the same workload.
-#[must_use]
-pub fn fig6b(scale: Scale) -> Vec<(String, Table)> {
-    let (_, miss) = evolving_sweep(scale);
-    vec![("fig6b".into(), miss)]
+            pooled_cost_proportional(&trace, cap),
+        ]
+    });
+    let header = ["cache-ratio", "camp(p=5)", "lru", "pooled-cost"];
+    vec![
+        ("fig6a".into(), ratio_table(&header, &points, cost_miss)),
+        ("fig6b".into(), ratio_table(&header, &points, miss_rate)),
+    ]
 }
 
 // ------------------------------------------------------------- fig 6c/6d
 
-fn occupancy_at(scale: Scale, ratio: f64, name: &str) -> Vec<(String, Table)> {
+fn occupancy_at(scale: Scale, ratio: f64, name: &str) -> Tables {
     let trace = scale.evolving_trace();
     let tf_len = scale.evolving_requests();
-    let cap = capacity_per_tf(&trace, ratio);
+    let cap = capacity_for_ratio(tf_bytes(&trace), ratio);
     let sample_every = (trace.len() / 200).max(1);
     let config = OccupancyConfig {
         sample_every,
@@ -269,10 +281,7 @@ fn occupancy_at(scale: Scale, ratio: f64, name: &str) -> Vec<(String, Table)> {
     let policies: Vec<(&str, Box<dyn EvictionPolicy>)> = vec![
         ("camp(p=5)", camp_at(cap, Precision::Bits(5))),
         ("lru", Box::new(Lru::new(cap))),
-        (
-            "pooled-cost",
-            Box::new(pooled_cost_proportional(&trace, cap)),
-        ),
+        ("pooled-cost", pooled_cost_proportional(&trace, cap)),
     ];
     for (label, mut policy) in policies {
         let report = Simulation::new(&trace)
@@ -319,13 +328,13 @@ fn occupancy_at(scale: Scale, ratio: f64, name: &str) -> Vec<(String, Table)> {
 /// Figure 6c: fraction of the cache occupied by TF1 pairs over time, cache
 /// size ratio 0.25.
 #[must_use]
-pub fn fig6c(scale: Scale) -> Vec<(String, Table)> {
+pub fn fig6c(scale: Scale) -> Tables {
     occupancy_at(scale, 0.25, "fig6c")
 }
 
 /// Figure 6d: the same at cache size ratio 0.75.
 #[must_use]
-pub fn fig6d(scale: Scale) -> Vec<(String, Table)> {
+pub fn fig6d(scale: Scale) -> Tables {
     occupancy_at(scale, 0.75, "fig6d")
 }
 
@@ -334,97 +343,44 @@ pub fn fig6d(scale: Scale) -> Vec<(String, Table)> {
 /// Figure 7: miss rate vs cache size with variable-size pairs and constant
 /// cost (cost-miss ratio equals miss rate here, as the paper notes).
 #[must_use]
-pub fn fig7(scale: Scale) -> Vec<(String, Table)> {
+pub fn fig7(scale: Scale) -> Tables {
     let trace = scale.variable_size_trace();
-    let mut table = Table::new(vec!["cache-ratio", "camp(p=5)", "lru", "gds"]);
-    for ratio in DEFAULT_RATIOS {
-        let cap = capacity(&trace, ratio);
-        let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
+    let points = sweep_ratios_parallel(&trace, unique_bytes(&trace), &DEFAULT_RATIOS, |cap| {
+        vec![
             camp_at(cap, Precision::Bits(5)),
             Box::new(Lru::new(cap)),
             Box::new(Gds::new(cap)),
-        ];
-        let mut row = vec![format!("{ratio:.2}")];
-        for policy in &mut policies {
-            let report = simulate(policy.as_mut(), &trace);
-            row.push(f(report.metrics.miss_rate()));
-        }
-        table.row(row);
-    }
-    vec![("fig7".into(), table)]
+        ]
+    });
+    let header = ["cache-ratio", "camp(p=5)", "lru", "gds"];
+    vec![("fig7".into(), ratio_table(&header, &points, miss_rate))]
 }
 
 // ------------------------------------------------------------- fig 8a/8b
 
-fn equi_size_sweep(scale: Scale) -> (Table, Table) {
+/// Figures 8a and 8b: cost-miss ratio and miss rate vs cache size on the
+/// equi-sized, variable-cost trace, from the same runs.
+#[must_use]
+pub fn fig8ab(scale: Scale) -> Tables {
     let trace = scale.equi_size_trace();
-    let mut cost_table = Table::new(vec!["cache-ratio", "camp(p=5)", "lru", "pooled-range"]);
-    let mut miss_table = cost_table.clone();
-    for ratio in DEFAULT_RATIOS {
-        let cap = capacity(&trace, ratio);
+    let points = sweep_ratios_parallel(&trace, unique_bytes(&trace), &DEFAULT_RATIOS, |cap| {
         // The paper's Figure 8 pooling: ranges [1,100), [100,10K), [10K,∞),
         // memory proportional to the lowest cost in each range.
-        let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
+        vec![
             camp_at(cap, Precision::Bits(5)),
             Box::new(Lru::new(cap)),
             Box::new(PooledLru::new(
                 cap,
-                &[1, 100, 10_000],
+                &TIERS,
                 PoolSplit::ProportionalToLowerBound,
             )),
-        ];
-        let mut cost_row = vec![format!("{ratio:.2}")];
-        let mut miss_row = vec![format!("{ratio:.2}")];
-        for policy in &mut policies {
-            let report = simulate(policy.as_mut(), &trace);
-            cost_row.push(f(report.metrics.cost_miss_ratio()));
-            miss_row.push(f(report.metrics.miss_rate()));
-        }
-        cost_table.row(cost_row);
-        miss_table.row(miss_row);
-    }
-    (cost_table, miss_table)
-}
-
-/// Figure 8a: cost-miss ratio vs cache size on the equi-sized,
-/// variable-cost trace.
-#[must_use]
-pub fn fig8a(scale: Scale) -> Vec<(String, Table)> {
-    let (cost, _) = equi_size_sweep(scale);
-    vec![("fig8a".into(), cost)]
-}
-
-/// Figure 8b: miss rate vs cache size on the same runs.
-#[must_use]
-pub fn fig8b(scale: Scale) -> Vec<(String, Table)> {
-    let (_, miss) = equi_size_sweep(scale);
-    vec![("fig8b".into(), miss)]
-}
-
-/// Figure 8c: number of LRU queues vs precision, for both the three-tier
-/// trace and the equi-sized continuous-cost trace.
-#[must_use]
-pub fn fig8c(scale: Scale) -> Vec<(String, Table)> {
-    let three_tier = scale.three_tier_trace();
-    let equi = scale.equi_size_trace();
-    let ratio = 0.25;
-    let mut table = Table::new(vec!["precision", "queues(3-tier)", "queues(equi-size)"]);
-    let precisions: Vec<Precision> = PRECISION_GRID
-        .iter()
-        .map(|&p| Precision::Bits(p))
-        .chain([Precision::Infinite])
-        .collect();
-    for precision in precisions {
-        let mut row = vec![precision.to_string()];
-        for trace in [&three_tier, &equi] {
-            let cap = capacity(trace, ratio);
-            let mut camp = Camp::<u64, ()>::new(cap, precision);
-            let report = simulate(&mut camp, trace);
-            row.push(report.queue_count.unwrap_or(0).to_string());
-        }
-        table.row(row);
-    }
-    vec![("fig8c".into(), table)]
+        ]
+    });
+    let header = ["cache-ratio", "camp(p=5)", "lru", "pooled-range"];
+    vec![
+        ("fig8a".into(), ratio_table(&header, &points, cost_miss)),
+        ("fig8b".into(), ratio_table(&header, &points, miss_rate)),
+    ]
 }
 
 // ------------------------------------------------------------------ fig 9
@@ -433,7 +389,7 @@ pub fn fig8c(scale: Scale) -> Vec<(String, Table)> {
 /// trace against the Twemcache-like server over TCP, once with LRU and
 /// once with CAMP, across cache size ratios.
 #[must_use]
-pub fn fig9(scale: Scale) -> Vec<(String, Table)> {
+pub fn fig9(scale: Scale) -> Tables {
     use camp_kvs::client::Client;
     use camp_kvs::replay::replay_trace;
     use camp_kvs::server::Server;
@@ -494,22 +450,23 @@ pub fn fig9(scale: Scale) -> Vec<(String, Table)> {
 /// disabled in both — the residual approximation error of the queue
 /// structure itself.
 #[must_use]
-pub fn ablation_tiebreak(scale: Scale) -> Vec<(String, Table)> {
+pub fn ablation_tiebreak(scale: Scale) -> Tables {
     let trace = scale.three_tier_trace();
+    let ratios = [0.05, 0.1, 0.25, 0.5, 0.75];
+    let points = sweep_ratios_parallel(&trace, unique_bytes(&trace), &ratios, |cap| {
+        vec![camp_at(cap, Precision::Infinite), Box::new(Gds::new(cap))]
+    });
     let mut table = Table::new(vec!["cache-ratio", "camp(p=inf)", "gds", "relative-delta"]);
-    for ratio in [0.05, 0.1, 0.25, 0.5, 0.75] {
-        let cap = capacity(&trace, ratio);
-        let mut camp = Camp::<u64, ()>::new(cap, Precision::Infinite);
-        let camp_cost = simulate(&mut camp, &trace).metrics.cost_miss_ratio();
-        let mut gds = Gds::new(cap);
-        let gds_cost = simulate(&mut gds, &trace).metrics.cost_miss_ratio();
+    for point in &points {
+        let camp_cost = point.reports[0].metrics.cost_miss_ratio();
+        let gds_cost = point.reports[1].metrics.cost_miss_ratio();
         let delta = if gds_cost > 0.0 {
             (camp_cost - gds_cost) / gds_cost
         } else {
             0.0
         };
         table.row(vec![
-            format!("{ratio:.2}"),
+            format!("{:.2}", point.ratio),
             f(camp_cost),
             f(gds_cost),
             format!("{delta:+.4}"),
@@ -521,10 +478,9 @@ pub fn ablation_tiebreak(scale: Scale) -> Vec<(String, Table)> {
 /// Ablation: the adaptive integerization multiplier vs fixed multipliers
 /// (1 = ratios collapse below one; cache-size = the paper's anti-pattern).
 #[must_use]
-pub fn ablation_multiplier(scale: Scale) -> Vec<(String, Table)> {
+pub fn ablation_multiplier(scale: Scale) -> Tables {
     let trace = scale.variable_size_trace();
-    let ratio = 0.25;
-    let cap = capacity(&trace, ratio);
+    let cap = capacity_for_ratio(unique_bytes(&trace), 0.25);
     let mut table = Table::new(vec!["multiplier", "cost-miss", "miss-rate", "queues"]);
     let configs: Vec<(String, Box<dyn EvictionPolicy>)> = vec![
         (
@@ -568,8 +524,20 @@ pub fn ablation_multiplier(scale: Scale) -> Vec<(String, Table)> {
 
 /// Ablation: the three Pooled-LRU memory splits of the paper, side by side.
 #[must_use]
-pub fn ablation_pooling(scale: Scale) -> Vec<(String, Table)> {
+pub fn ablation_pooling(scale: Scale) -> Tables {
     let trace = scale.three_tier_trace();
+    let ratios = [0.05, 0.25, 0.5, 0.75];
+    let points = sweep_ratios_parallel(&trace, unique_bytes(&trace), &ratios, |cap| {
+        vec![
+            Box::new(PooledLru::new(cap, &TIERS, PoolSplit::Uniform)),
+            pooled_cost_proportional(&trace, cap),
+            Box::new(PooledLru::new(
+                cap,
+                &TIERS,
+                PoolSplit::ProportionalToLowerBound,
+            )),
+        ]
+    });
     let mut table = Table::new(vec![
         "cache-ratio",
         "uniform/cost-miss",
@@ -579,27 +547,10 @@ pub fn ablation_pooling(scale: Scale) -> Vec<(String, Table)> {
         "cost-prop/miss",
         "lower-bound/miss",
     ]);
-    for ratio in [0.05, 0.25, 0.5, 0.75] {
-        let cap = capacity(&trace, ratio);
-        let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
-            Box::new(PooledLru::new(cap, &[1, 100, 10_000], PoolSplit::Uniform)),
-            Box::new(pooled_cost_proportional(&trace, cap)),
-            Box::new(PooledLru::new(
-                cap,
-                &[1, 100, 10_000],
-                PoolSplit::ProportionalToLowerBound,
-            )),
-        ];
-        let mut cost_cells = Vec::new();
-        let mut miss_cells = Vec::new();
-        for policy in &mut policies {
-            let report = simulate(policy.as_mut(), &trace);
-            cost_cells.push(f(report.metrics.cost_miss_ratio()));
-            miss_cells.push(f(report.metrics.miss_rate()));
-        }
-        let mut row = vec![format!("{ratio:.2}")];
-        row.extend(cost_cells);
-        row.extend(miss_cells);
+    for point in &points {
+        let mut row = vec![format!("{:.2}", point.ratio)];
+        row.extend(point.reports.iter().map(cost_miss));
+        row.extend(point.reports.iter().map(miss_rate));
         table.row(row);
     }
     vec![("ablation-pooling".into(), table)]
@@ -608,15 +559,13 @@ pub fn ablation_pooling(scale: Scale) -> Vec<(String, Table)> {
 /// Extension experiment: related-work policies (LRU-K, 2Q, ARC, GD-Wheel)
 /// and admission control next to CAMP on the headline trace.
 #[must_use]
-pub fn extension_policies(scale: Scale) -> Vec<(String, Table)> {
+pub fn extension_policies(scale: Scale) -> Tables {
     use camp_policies::{
         Admission, AdmissionRule, Arc, GdWheel, Gdsf, Lfu, LruK, LruKCache, TwoQ, TwoQCache,
     };
     let trace = scale.three_tier_trace();
-    let mut table = Table::new(vec!["cache-ratio", "policy", "cost-miss", "miss-rate"]);
-    for ratio in [0.1, 0.25, 0.5] {
-        let cap = capacity(&trace, ratio);
-        let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
+    let points = sweep_ratios_parallel(&trace, unique_bytes(&trace), &[0.1, 0.25, 0.5], |cap| {
+        vec![
             camp_at(cap, Precision::Bits(5)),
             Box::new(LruK::new(cap, 2)),
             Box::new(TwoQ::new(cap)),
@@ -628,14 +577,16 @@ pub fn extension_policies(scale: Scale) -> Vec<(String, Table)> {
                 Camp::<u64, ()>::new(cap, Precision::Bits(5)),
                 AdmissionRule::SecondMiss { window: 65_536 },
             )),
-        ];
-        for policy in &mut policies {
-            let report = simulate(policy.as_mut(), &trace);
+        ]
+    });
+    let mut table = Table::new(vec!["cache-ratio", "policy", "cost-miss", "miss-rate"]);
+    for point in &points {
+        for report in &point.reports {
             table.row(vec![
-                format!("{ratio:.2}"),
+                format!("{:.2}", point.ratio),
                 report.policy.clone(),
-                f(report.metrics.cost_miss_ratio()),
-                f(report.metrics.miss_rate()),
+                cost_miss(report),
+                miss_rate(report),
             ]);
         }
     }
@@ -644,7 +595,7 @@ pub fn extension_policies(scale: Scale) -> Vec<(String, Table)> {
 
 /// Extension experiment: the §6 two-level (memory + SSD-model) hierarchy.
 #[must_use]
-pub fn extension_hierarchy(scale: Scale) -> Vec<(String, Table)> {
+pub fn extension_hierarchy(scale: Scale) -> Tables {
     use camp_sim::hierarchy::{simulate_hierarchy, TwoLevelCache};
     let trace = scale.three_tier_trace();
     let unique = trace.stats().unique_bytes;
@@ -681,12 +632,11 @@ pub fn extension_hierarchy(scale: Scale) -> Vec<(String, Table)> {
 /// Extension experiment: windowed cost-miss timeline across the evolving
 /// workload — the §3.1 adaptation dynamics as rates instead of occupancy.
 #[must_use]
-pub fn extension_timeline(scale: Scale) -> Vec<(String, Table)> {
-    use camp_policies::Lru;
+pub fn extension_timeline(scale: Scale) -> Tables {
     use camp_sim::timeline::windowed_metrics;
 
     let trace = scale.evolving_trace();
-    let cap = capacity_per_tf(&trace, 0.25);
+    let cap = capacity_for_ratio(tf_bytes(&trace), 0.25);
     let window = (trace.len() / 40).max(1);
 
     let mut series: Vec<(&str, Vec<camp_sim::timeline::WindowPoint>)> = Vec::new();
@@ -695,7 +645,10 @@ pub fn extension_timeline(scale: Scale) -> Vec<(String, Table)> {
     let mut lru = Lru::new(cap);
     series.push(("lru", windowed_metrics(&mut lru, &trace, window)));
     let mut pooled = pooled_cost_proportional(&trace, cap);
-    series.push(("pooled-cost", windowed_metrics(&mut pooled, &trace, window)));
+    series.push((
+        "pooled-cost",
+        windowed_metrics(pooled.as_mut(), &trace, window),
+    ));
 
     let mut table = Table::new(vec![
         "window-start",
@@ -719,9 +672,7 @@ pub fn extension_timeline(scale: Scale) -> Vec<(String, Table)> {
 /// trace's own distinct cost values when there are at most 8, else from
 /// logarithmic cost ranges.
 #[must_use]
-pub fn custom(trace: &Trace) -> Vec<(String, Table)> {
-    use camp_policies::Lru;
-    let stats = trace.stats();
+pub fn custom(trace: &Trace) -> Tables {
     // Pool boundaries: the distinct costs if few, else log-spaced ranges.
     let mut costs: Vec<u64> = trace.iter().map(|r| r.cost.max(1)).collect();
     costs.sort_unstable();
@@ -741,12 +692,9 @@ pub fn custom(trace: &Trace) -> Vec<(String, Table)> {
             .into_iter()
             .collect()
     };
-
-    let mut cost_table = Table::new(vec!["cache-ratio", "camp(p=5)", "lru", "pooled", "gds"]);
-    let mut miss_table = cost_table.clone();
-    for ratio in [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0] {
-        let cap = camp_sim::capacity_for_ratio(&stats, ratio);
-        let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
+    let ratios = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0];
+    let points = sweep_ratios_parallel(trace, unique_bytes(trace), &ratios, |cap| {
+        vec![
             camp_at(cap, Precision::Bits(5)),
             Box::new(Lru::new(cap)),
             Box::new(PooledLru::new(
@@ -755,20 +703,18 @@ pub fn custom(trace: &Trace) -> Vec<(String, Table)> {
                 PoolSplit::ProportionalToLowerBound,
             )),
             Box::new(Gds::new(cap)),
-        ];
-        let mut cost_row = vec![format!("{ratio:.2}")];
-        let mut miss_row = cost_row.clone();
-        for policy in &mut policies {
-            let report = simulate(policy.as_mut(), trace);
-            cost_row.push(f(report.metrics.cost_miss_ratio()));
-            miss_row.push(f(report.metrics.miss_rate()));
-        }
-        cost_table.row(cost_row);
-        miss_table.row(miss_row);
-    }
+        ]
+    });
+    let header = ["cache-ratio", "camp(p=5)", "lru", "pooled", "gds"];
     vec![
-        ("custom-cost-miss".into(), cost_table),
-        ("custom-miss-rate".into(), miss_table),
+        (
+            "custom-cost-miss".into(),
+            ratio_table(&header, &points, cost_miss),
+        ),
+        (
+            "custom-miss-rate".into(),
+            ratio_table(&header, &points, miss_rate),
+        ),
     ]
 }
 
@@ -776,29 +722,26 @@ pub fn custom(trace: &Trace) -> Vec<(String, Table)> {
 /// counterpart to §3.1's abrupt shifts). CAMP must keep beating LRU on
 /// cost while the working set rotates under it.
 #[must_use]
-pub fn extension_drift(scale: Scale) -> Vec<(String, Table)> {
-    use camp_policies::{Gdsf, Lfu, Lru};
+pub fn extension_drift(scale: Scale) -> Tables {
+    use camp_policies::{Gdsf, Lfu};
     use camp_workload::DriftConfig;
 
     let trace =
         DriftConfig::paper_scaled(scale.members() / 2, scale.requests(), HARNESS_SEED).generate();
-    let mut table = Table::new(vec!["cache-ratio", "camp(p=5)", "lru", "gdsf", "lfu"]);
-    for ratio in [0.05, 0.1, 0.25, 0.5] {
-        let cap = capacity(&trace, ratio);
-        let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
+    let ratios = [0.05, 0.1, 0.25, 0.5];
+    let points = sweep_ratios_parallel(&trace, unique_bytes(&trace), &ratios, |cap| {
+        vec![
             camp_at(cap, Precision::Bits(5)),
             Box::new(Lru::new(cap)),
             Box::new(Gdsf::new(cap)),
             Box::new(Lfu::new(cap)),
-        ];
-        let mut row = vec![format!("{ratio:.2}")];
-        for policy in &mut policies {
-            let report = simulate(policy.as_mut(), &trace);
-            row.push(f(report.metrics.cost_miss_ratio()));
-        }
-        table.row(row);
-    }
-    vec![("extension-drift".into(), table)]
+        ]
+    });
+    let header = ["cache-ratio", "camp(p=5)", "lru", "gdsf", "lfu"];
+    vec![(
+        "extension-drift".into(),
+        ratio_table(&header, &points, cost_miss),
+    )]
 }
 
 #[cfg(test)]

@@ -28,83 +28,136 @@ use std::path::Path;
 pub use crate::scale::Scale;
 pub use crate::table::Table;
 
-/// Every experiment id with a one-line description.
-pub const EXPERIMENTS: &[(&str, &str)] = &[
-    ("table1", "Table 1: regular vs CAMP rounding at precision 4"),
-    (
-        "fig4",
+/// One experiment of [`EXPERIMENTS`].
+#[derive(Debug)]
+pub struct Experiment {
+    /// The ids that run it: the first names it, the rest are aliases —
+    /// one per table it prints that is not named by the first. Any of
+    /// them prints all of its tables.
+    pub ids: &'static [&'static str],
+    /// A one-line description.
+    pub about: &'static str,
+    /// Builds its tables; `None` for `custom`, which needs a user trace.
+    run: Option<fn(Scale) -> experiments::Tables>,
+}
+
+const fn experiment(
+    ids: &'static [&'static str],
+    about: &'static str,
+    run: fn(Scale) -> experiments::Tables,
+) -> Experiment {
+    Experiment {
+        ids,
+        about,
+        run: Some(run),
+    }
+}
+
+/// Every experiment, in the order `all` runs them. Tables drawn from the
+/// same simulations are one experiment, so `all` runs each sweep once.
+pub const EXPERIMENTS: &[Experiment] = &[
+    experiment(
+        &["table1"],
+        "Table 1: regular vs CAMP rounding at precision 4",
+        |_| experiments::table1(),
+    ),
+    experiment(
+        &["fig4"],
         "Fig 4: heap nodes visited, GDS vs CAMP, vs cache size",
+        experiments::fig4,
     ),
-    (
-        "fig5a",
-        "Fig 5a: cost-miss ratio vs precision (3 cache sizes, incl. inf)",
+    experiment(
+        &["fig5a", "fig5b", "fig8c"],
+        "Figs 5a/5b/8c: cost-miss ratio (5a) and LRU queues (5b, 8c) vs precision",
+        experiments::precision_sweep,
     ),
-    ("fig5b", "Fig 5b: number of LRU queues vs precision"),
-    (
-        "fig5c",
-        "Fig 5c: cost-miss ratio vs cache size (CAMP/LRU/Pooled/GDS)",
+    experiment(
+        &["fig5c", "fig5d"],
+        "Figs 5c/5d: cost-miss ratio and miss rate vs cache size \
+         (CAMP/LRU/Pooled/GDS)",
+        experiments::fig5cd,
     ),
-    ("fig5d", "Fig 5d: miss rate vs cache size (same runs)"),
-    (
-        "fig6a",
-        "Fig 6a: cost-miss ratio vs cache size, evolving patterns",
+    experiment(
+        &["fig6a", "fig6b"],
+        "Figs 6a/6b: cost-miss ratio and miss rate vs cache size, evolving patterns",
+        experiments::fig6ab,
     ),
-    (
-        "fig6b",
-        "Fig 6b: miss rate vs cache size, evolving patterns",
+    experiment(
+        &["fig6c"],
+        "Fig 6c: TF1 cache occupancy over time, ratio 0.25",
+        experiments::fig6c,
     ),
-    ("fig6c", "Fig 6c: TF1 cache occupancy over time, ratio 0.25"),
-    ("fig6d", "Fig 6d: TF1 cache occupancy over time, ratio 0.75"),
-    (
-        "fig7",
+    experiment(
+        &["fig6d"],
+        "Fig 6d: TF1 cache occupancy over time, ratio 0.75",
+        experiments::fig6d,
+    ),
+    experiment(
+        &["fig7"],
         "Fig 7: miss rate vs cache size, variable sizes / constant cost",
+        experiments::fig7,
     ),
-    (
-        "fig8a",
-        "Fig 8a: cost-miss ratio vs cache size, equi-size / variable costs",
+    experiment(
+        &["fig8a", "fig8b"],
+        "Figs 8a/8b: cost-miss ratio and miss rate vs cache size, \
+         equi-size / variable costs",
+        experiments::fig8ab,
     ),
-    ("fig8b", "Fig 8b: miss rate vs cache size (same runs)"),
-    ("fig8c", "Fig 8c: queues vs precision, both traces"),
-    (
-        "fig9",
+    experiment(
+        &["fig9", "fig9a", "fig9b", "fig9c"],
         "Figs 9a-9c: live-server replay (cost-miss, run time, miss rate)",
+        experiments::fig9,
     ),
-    ("fig9a", "alias of fig9 (cost-miss table)"),
-    ("fig9b", "alias of fig9 (run-time table)"),
-    ("fig9c", "alias of fig9 (miss-rate table)"),
-    (
-        "ablation-tiebreak",
+    experiment(
+        &["ablation-tiebreak"],
         "CAMP(inf) vs exact GDS: residual approximation error",
+        experiments::ablation_tiebreak,
     ),
-    (
-        "ablation-multiplier",
+    experiment(
+        &["ablation-multiplier"],
         "adaptive vs fixed integerization multiplier",
+        experiments::ablation_multiplier,
     ),
-    (
-        "ablation-pooling",
+    experiment(
+        &["ablation-pooling"],
         "the three Pooled-LRU memory splits side by side",
+        experiments::ablation_pooling,
     ),
-    (
-        "extension-policies",
+    experiment(
+        &["extension-policies"],
         "LRU-K / 2Q / ARC / GD-Wheel / GDSF / LFU / admission vs CAMP",
+        experiments::extension_policies,
     ),
-    (
-        "extension-hierarchy",
+    experiment(
+        &["extension-hierarchy"],
         "two-level memory+SSD hierarchy (paper s6)",
+        experiments::extension_hierarchy,
     ),
-    (
-        "extension-timeline",
+    experiment(
+        &["extension-timeline"],
         "windowed cost-miss timeline over the evolving workload",
+        experiments::extension_timeline,
     ),
-    (
-        "extension-drift",
+    experiment(
+        &["extension-drift"],
         "gradually rotating hot sets: CAMP vs LRU/GDSF/LFU",
+        experiments::extension_drift,
     ),
-    (
-        "custom",
-        "CAMP/LRU/Pooled/GDS comparison on a user trace (--trace FILE)",
-    ),
+    Experiment {
+        ids: &["custom"],
+        about: "CAMP/LRU/Pooled/GDS comparison on a user trace (--trace FILE)",
+        run: None,
+    },
 ];
+
+/// One `--list` line per experiment: its ids, then its description.
+#[must_use]
+pub fn experiment_list() -> String {
+    EXPERIMENTS
+        .iter()
+        .map(|e| format!("    {:<26} {}\n", e.ids.join(" "), e.about))
+        .collect()
+}
 
 /// Runs one experiment (or `all`), returning the rendered report.
 ///
@@ -145,30 +198,24 @@ pub fn run_experiment_full(
     trace_path: Option<&Path>,
     plot: bool,
 ) -> Result<String, String> {
-    let tables: Vec<(String, Table)> = match id {
-        "table1" => experiments::table1(),
-        "fig4" => experiments::fig4(scale),
-        "fig5a" => experiments::fig5a(scale),
-        "fig5b" => experiments::fig5b(scale),
-        "fig5c" => experiments::fig5c(scale),
-        "fig5d" => experiments::fig5d(scale),
-        "fig6a" => experiments::fig6a(scale),
-        "fig6b" => experiments::fig6b(scale),
-        "fig6c" => experiments::fig6c(scale),
-        "fig6d" => experiments::fig6d(scale),
-        "fig7" => experiments::fig7(scale),
-        "fig8a" => experiments::fig8a(scale),
-        "fig8b" => experiments::fig8b(scale),
-        "fig8c" => experiments::fig8c(scale),
-        "fig9" | "fig9a" | "fig9b" | "fig9c" => experiments::fig9(scale),
-        "ablation-tiebreak" => experiments::ablation_tiebreak(scale),
-        "ablation-multiplier" => experiments::ablation_multiplier(scale),
-        "ablation-pooling" => experiments::ablation_pooling(scale),
-        "extension-policies" => experiments::extension_policies(scale),
-        "extension-hierarchy" => experiments::extension_hierarchy(scale),
-        "extension-timeline" => experiments::extension_timeline(scale),
-        "extension-drift" => experiments::extension_drift(scale),
-        "custom" => {
+    if id == "all" {
+        // Each experiment once; `custom` needs a user trace.
+        let mut out = String::new();
+        for run in EXPERIMENTS.iter().filter_map(|e| e.run) {
+            out.push_str(&render(run(scale), scale, out_dir, plot)?);
+            out.push('\n');
+        }
+        return Ok(out);
+    }
+    let Some(experiment) = EXPERIMENTS.iter().find(|e| e.ids.contains(&id)) else {
+        return Err(format!(
+            "unknown experiment `{id}`; known ids:\n{}",
+            experiment_list()
+        ));
+    };
+    let tables = match experiment.run {
+        Some(run) => run(scale),
+        None => {
             let Some(path) = trace_path else {
                 return Err("the custom experiment requires --trace FILE".into());
             };
@@ -179,30 +226,18 @@ pub fn run_experiment_full(
             }
             experiments::custom(&trace)
         }
-        "all" => {
-            let mut out = String::new();
-            for (id, _) in EXPERIMENTS {
-                // Skip the aliases (fig9 covers them) and the
-                // user-trace-only experiment.
-                if matches!(*id, "fig9a" | "fig9b" | "fig9c" | "custom") {
-                    continue;
-                }
-                out.push_str(&run_experiment_full(id, scale, out_dir, None, plot)?);
-                out.push('\n');
-            }
-            return Ok(out);
-        }
-        other => {
-            return Err(format!(
-                "unknown experiment `{other}`; known ids:\n{}",
-                EXPERIMENTS
-                    .iter()
-                    .map(|(id, desc)| format!("  {id:<22} {desc}"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            ))
-        }
     };
+    render(tables, scale, out_dir, plot)
+}
+
+/// Prints each table (with its chart under `plot`) and saves its CSV
+/// under `out_dir`.
+fn render(
+    tables: experiments::Tables,
+    scale: Scale,
+    out_dir: Option<&Path>,
+    plot: bool,
+) -> Result<String, String> {
     let mut out = String::new();
     for (name, table) in tables {
         out.push_str(&format!("== {name} (scale: {scale}) ==\n"));
@@ -243,5 +278,15 @@ mod tests {
         let out = run_experiment("table1", Scale::Small, None).unwrap();
         assert!(out.contains("101100000"), "{out}");
         assert!(out.contains("000000111"), "{out}");
+    }
+
+    #[test]
+    fn every_id_names_one_experiment() {
+        let mut ids: Vec<&str> = EXPERIMENTS.iter().flat_map(|e| e.ids.to_vec()).collect();
+        let count = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), count, "an id names two experiments");
+        assert!(!ids.contains(&"all"));
     }
 }

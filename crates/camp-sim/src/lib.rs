@@ -9,8 +9,8 @@
 //! * cache occupancy per source trace can be sampled over time for the
 //!   evolving-access-pattern experiments ([`simulator::OccupancyConfig`],
 //!   Figures 6c/6d);
-//! * sweeps over the paper's *cache size ratio* axis ([`sweep`]), serial
-//!   and parallel;
+//! * sweeps over the paper's *cache size ratio* axis ([`sweep`]), one
+//!   thread per ratio;
 //! * windowed metric timelines for adaptation dynamics ([`timeline`]);
 //! * a two-level memory+SSD hierarchy, the paper's future-work §6
 //!   ([`hierarchy`]);
@@ -52,7 +52,5 @@ pub use crate::profile::{profile_trace, ProfileReport};
 pub use crate::simulator::{
     simulate, OccupancyConfig, OccupancySample, OccupancySeries, SimReport, Simulation,
 };
-pub use crate::sweep::{
-    capacity_for_ratio, sweep_ratios, sweep_ratios_parallel, SweepPoint, DEFAULT_RATIOS,
-};
+pub use crate::sweep::{capacity_for_ratio, sweep_ratios_parallel, SweepPoint, DEFAULT_RATIOS};
 pub use crate::timeline::{windowed_metrics, WindowPoint};

@@ -1,13 +1,14 @@
-//! Parameter sweeps over cache-size ratios and precisions.
+//! Parameter sweeps over cache-size ratios.
 //!
 //! Every figure in the paper's evaluation plots a metric against either the
 //! *cache size ratio* — "the size of the KVS memory divided by the total
 //! size of the unique objects in the trace file" — or CAMP's precision.
-//! This module provides the shared sweep machinery the `repro` harness
-//! builds each figure from.
+//! [`sweep_ratios_parallel`] is the one loop the `repro` harness builds
+//! each of those figures from: it runs a set of policies at every ratio of
+//! a grid and hands back their [`SimReport`]s.
 
 use camp_policies::EvictionPolicy;
-use camp_workload::{Trace, TraceStats};
+use camp_workload::Trace;
 
 use crate::simulator::{simulate, SimReport};
 
@@ -15,7 +16,10 @@ use crate::simulator::{simulate, SimReport};
 /// ratio axis of every `repro` figure that has one.
 pub const DEFAULT_RATIOS: [f64; 8] = [0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0];
 
-/// Converts a cache-size ratio into a byte capacity for a given trace.
+/// Converts a cache-size ratio into a byte capacity: `ratio` times the
+/// `basis` bytes, rounded, and at least one byte. The basis is usually
+/// the trace's unique bytes ([`camp_workload::TraceStats::unique_bytes`]);
+/// the §3.1 evolving experiments use a single trace file's.
 ///
 /// # Examples
 ///
@@ -27,13 +31,16 @@ pub const DEFAULT_RATIOS: [f64; 8] = [0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0]
 ///     TraceRecord::new(1, 600, 1),
 ///     TraceRecord::new(2, 400, 1),
 /// ]);
-/// let stats = trace.stats();
-/// assert_eq!(capacity_for_ratio(&stats, 0.5), 500);
+/// assert_eq!(capacity_for_ratio(trace.stats().unique_bytes, 0.5), 500);
 /// ```
+///
+/// # Panics
+///
+/// Panics if `ratio` is not positive.
 #[must_use]
-pub fn capacity_for_ratio(stats: &TraceStats, ratio: f64) -> u64 {
+pub fn capacity_for_ratio(basis: u64, ratio: f64) -> u64 {
     assert!(ratio > 0.0, "cache size ratio must be positive");
-    ((stats.unique_bytes as f64 * ratio).round() as u64).max(1)
+    ((basis as f64 * ratio).round() as u64).max(1)
 }
 
 /// One point of a cache-size sweep.
@@ -44,70 +51,61 @@ pub struct SweepPoint {
     pub ratio: f64,
     /// The byte capacity it mapped to.
     pub capacity: u64,
-    /// The full simulation report at this point.
-    pub report: SimReport,
+    /// One full simulation report per policy, in the order the factory
+    /// built them.
+    pub reports: Vec<SimReport>,
 }
 
-/// Runs `make_policy(capacity)` over `trace` at each cache-size ratio.
+/// Runs the policies `make_policies(capacity)` builds over `trace` at each
+/// cache-size ratio of `basis` bytes (see [`capacity_for_ratio`]).
+///
+/// Each ratio gets a thread of its own, which builds its policies and
+/// simulates them one after another — the points are independent, so
+/// paper-scale sweeps (4M rows × 8 ratios) parallelize embarrassingly.
+/// The points come back in the order of `ratios`.
 ///
 /// # Examples
 ///
 /// ```
-/// use camp_policies::Lru;
-/// use camp_sim::sweep::sweep_ratios;
+/// use camp_policies::{EvictionPolicy, Gds, Lru};
+/// use camp_sim::sweep::sweep_ratios_parallel;
 /// use camp_workload::BgConfig;
 ///
 /// let trace = BgConfig::paper_scaled(200, 3_000, 1).generate();
-/// let points = sweep_ratios(&trace, &[0.1, 0.5], |capacity| {
-///     Box::new(Lru::new(capacity))
+/// let basis = trace.stats().unique_bytes;
+/// let points = sweep_ratios_parallel(&trace, basis, &[0.1, 0.5], |capacity| {
+///     let policies: Vec<Box<dyn EvictionPolicy>> =
+///         vec![Box::new(Lru::new(capacity)), Box::new(Gds::new(capacity))];
+///     policies
 /// });
 /// assert_eq!(points.len(), 2);
-/// assert!(points[0].report.metrics.miss_rate() >= points[1].report.metrics.miss_rate());
+/// let lru_miss = |i: usize| points[i].reports[0].metrics.miss_rate();
+/// assert!(lru_miss(0) >= lru_miss(1));
 /// ```
-pub fn sweep_ratios<F>(trace: &Trace, ratios: &[f64], mut make_policy: F) -> Vec<SweepPoint>
+pub fn sweep_ratios_parallel<F>(
+    trace: &Trace,
+    basis: u64,
+    ratios: &[f64],
+    make_policies: F,
+) -> Vec<SweepPoint>
 where
-    F: FnMut(u64) -> Box<dyn EvictionPolicy>,
+    F: Fn(u64) -> Vec<Box<dyn EvictionPolicy>> + Sync,
 {
-    let stats = trace.stats();
-    ratios
-        .iter()
-        .map(|&ratio| {
-            let capacity = capacity_for_ratio(&stats, ratio);
-            let mut policy = make_policy(capacity);
-            let report = simulate(policy.as_mut(), trace);
-            SweepPoint {
-                ratio,
-                capacity,
-                report,
-            }
-        })
-        .collect()
-}
-
-/// Like [`sweep_ratios`], but runs the grid points on parallel threads —
-/// each point is independent, so paper-scale sweeps (4M rows × 8 ratios)
-/// parallelize embarrassingly.
-///
-/// The factory must be callable from any thread; policies themselves are
-/// created and driven entirely within their worker.
-pub fn sweep_ratios_parallel<F>(trace: &Trace, ratios: &[f64], make_policy: F) -> Vec<SweepPoint>
-where
-    F: Fn(u64) -> Box<dyn EvictionPolicy> + Sync,
-{
-    let stats = trace.stats();
     let mut points: Vec<Option<SweepPoint>> = Vec::new();
     points.resize_with(ratios.len(), || None);
     std::thread::scope(|scope| {
         for (slot, &ratio) in points.iter_mut().zip(ratios) {
-            let make_policy = &make_policy;
+            let make_policies = &make_policies;
             scope.spawn(move || {
-                let capacity = capacity_for_ratio(&stats, ratio);
-                let mut policy = make_policy(capacity);
-                let report = simulate(policy.as_mut(), trace);
+                let capacity = capacity_for_ratio(basis, ratio);
+                let reports = make_policies(capacity)
+                    .into_iter()
+                    .map(|mut policy| simulate(policy.as_mut(), trace))
+                    .collect();
                 *slot = Some(SweepPoint {
                     ratio,
                     capacity,
-                    report,
+                    reports,
                 });
             });
         }
@@ -127,56 +125,67 @@ mod tests {
 
     #[test]
     fn capacity_for_ratio_rounds_and_clamps() {
-        let trace = BgConfig::paper_scaled(100, 1_000, 1).generate();
-        let stats = trace.stats();
-        assert_eq!(capacity_for_ratio(&stats, 1.0), stats.unique_bytes);
-        assert!(capacity_for_ratio(&stats, 1e-9) >= 1);
+        let basis = BgConfig::paper_scaled(100, 1_000, 1)
+            .generate()
+            .stats()
+            .unique_bytes;
+        assert_eq!(capacity_for_ratio(basis, 1.0), basis);
+        assert!(capacity_for_ratio(basis, 1e-9) >= 1);
+        assert_eq!(capacity_for_ratio(0, 0.5), 1);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_ratio_panics() {
-        let stats = Trace::default().stats();
-        let _ = capacity_for_ratio(&stats, 0.0);
+        let _ = capacity_for_ratio(1_000, 0.0);
     }
 
     #[test]
     fn sweep_covers_all_ratios_in_order() {
         let trace = BgConfig::paper_scaled(200, 5_000, 2).generate();
-        let points = sweep_ratios(&trace, &DEFAULT_RATIOS, |c| Box::new(Lru::new(c)));
+        let basis = trace.stats().unique_bytes;
+        let points = sweep_ratios_parallel(&trace, basis, &DEFAULT_RATIOS, |c| {
+            vec![Box::new(Lru::new(c)), Box::new(Lru::new(c))]
+        });
         assert_eq!(points.len(), DEFAULT_RATIOS.len());
         for (p, r) in points.iter().zip(DEFAULT_RATIOS) {
             assert_eq!(p.ratio, r);
-            assert_eq!(p.report.capacity, p.capacity);
+            assert_eq!(p.capacity, capacity_for_ratio(basis, r));
+            assert_eq!(p.reports.len(), 2);
+            for report in &p.reports {
+                assert_eq!(report.capacity, p.capacity);
+            }
+            assert_eq!(p.reports[0].metrics, p.reports[1].metrics);
         }
     }
 
     #[test]
-    fn parallel_sweep_matches_serial() {
+    fn sweep_matches_a_plain_simulation_at_each_point() {
         let trace = BgConfig::paper_scaled(300, 10_000, 4).generate();
         let ratios = [0.05, 0.1, 0.25, 0.5];
-        let factory = |c: u64| -> Box<dyn EvictionPolicy> {
-            Box::new(Camp::<u64, ()>::new(c, Precision::Bits(5)))
-        };
-        let serial = sweep_ratios(&trace, &ratios, factory);
-        let parallel = sweep_ratios_parallel(&trace, &ratios, factory);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.ratio, p.ratio);
-            assert_eq!(s.capacity, p.capacity);
-            assert_eq!(s.report.metrics, p.report.metrics);
+        let basis = trace.stats().unique_bytes / 3;
+        let points = sweep_ratios_parallel(&trace, basis, &ratios, |c| {
+            vec![Box::new(Camp::<u64, ()>::new(c, Precision::Bits(5)))]
+        });
+        for (point, ratio) in points.iter().zip(ratios) {
+            let capacity = capacity_for_ratio(basis, ratio);
+            let mut camp = Camp::<u64, ()>::new(capacity, Precision::Bits(5));
+            let alone = simulate(&mut camp, &trace);
+            assert_eq!(point.capacity, capacity);
+            assert_eq!(point.reports[0].metrics, alone.metrics);
+            assert_eq!(point.reports[0].queue_count, alone.queue_count);
         }
     }
 
     #[test]
     fn camp_sweep_cost_improves_with_size() {
         let trace = BgConfig::paper_scaled(300, 20_000, 3).generate();
-        let points = sweep_ratios(&trace, &[0.05, 0.5], |c| {
-            Box::new(Camp::<u64, ()>::new(c, Precision::Bits(5)))
+        let points = sweep_ratios_parallel(&trace, trace.stats().unique_bytes, &[0.05, 0.5], |c| {
+            vec![Box::new(Camp::<u64, ()>::new(c, Precision::Bits(5)))]
         });
         assert!(
-            points[0].report.metrics.cost_miss_ratio()
-                >= points[1].report.metrics.cost_miss_ratio()
+            points[0].reports[0].metrics.cost_miss_ratio()
+                >= points[1].reports[0].metrics.cost_miss_ratio()
         );
     }
 }

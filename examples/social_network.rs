@@ -27,7 +27,7 @@ fn main() {
     );
 
     for ratio in [0.05, 0.25, 0.5] {
-        let capacity = capacity_for_ratio(&stats, ratio);
+        let capacity = capacity_for_ratio(stats.unique_bytes, ratio);
         let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
             Box::new(Camp::<u64, ()>::new(capacity, Precision::Bits(5))),
             Box::new(Lru::new(capacity)),

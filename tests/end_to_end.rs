@@ -3,7 +3,7 @@
 
 use camp::core::{Camp, Precision};
 use camp::policies::{EvictionPolicy, Gds, Lru, PoolSplit, PooledLru};
-use camp::sim::{simulate, sweep_ratios, OccupancyConfig, Simulation};
+use camp::sim::{simulate, sweep_ratios_parallel, OccupancyConfig, Simulation};
 use camp::workload::{evolving_workload, BgConfig};
 
 #[test]
@@ -14,7 +14,7 @@ fn headline_result_camp_beats_lru_and_pooled_on_cost() {
     let trace = BgConfig::paper_scaled(10_000, 200_000, 11).generate();
     let stats = trace.stats();
     for ratio in [0.05, 0.1, 0.25, 0.5] {
-        let cap = camp::sim::capacity_for_ratio(&stats, ratio);
+        let cap = camp::sim::capacity_for_ratio(stats.unique_bytes, ratio);
         let mut camp_policy: Camp<u64, ()> = Camp::new(cap, Precision::Bits(5));
         let mut lru = Lru::new(cap);
         let mut pooled =
@@ -38,7 +38,7 @@ fn camp_matches_gds_decisions_at_any_precision() {
     // Figure 5a end to end: the cost-miss ratio is flat across precision
     // and indistinguishable from exact GDS.
     let trace = BgConfig::paper_scaled(5_000, 150_000, 5).generate();
-    let cap = camp::sim::capacity_for_ratio(&trace.stats(), 0.25);
+    let cap = camp::sim::capacity_for_ratio(trace.stats().unique_bytes, 0.25);
     let mut gds = Gds::new(cap);
     let gds_cost = simulate(&mut gds, &trace).metrics.cost_miss_ratio();
     for p in [1u8, 3, 5, 8] {
@@ -67,7 +67,7 @@ fn camp_heap_work_is_a_fraction_of_gds_heap_work() {
     let stats = trace.stats();
     let mut factors = Vec::new();
     for ratio in [0.1, 0.5, 0.9] {
-        let cap = camp::sim::capacity_for_ratio(&stats, ratio);
+        let cap = camp::sim::capacity_for_ratio(stats.unique_bytes, ratio);
         let mut gds = Gds::new(cap);
         let gds_visits = simulate(&mut gds, &trace).heap_node_visits.unwrap();
         let mut camp_policy: Camp<u64, ()> = Camp::new(cap, Precision::Bits(5));
@@ -138,14 +138,15 @@ fn evolving_patterns_are_adapted_to() {
 #[test]
 fn sweep_api_composes_with_boxed_policies() {
     let trace = BgConfig::paper_scaled(2_000, 40_000, 3).generate();
-    let points = sweep_ratios(&trace, &[0.1, 0.3, 0.6], |cap| {
-        Box::new(Camp::<u64, ()>::new(cap, Precision::Bits(5)))
+    let basis = trace.stats().unique_bytes;
+    let points = sweep_ratios_parallel(&trace, basis, &[0.1, 0.3, 0.6], |cap| {
+        vec![Box::new(Camp::<u64, ()>::new(cap, Precision::Bits(5)))]
     });
     assert_eq!(points.len(), 3);
     // Cost-miss must be non-increasing in capacity.
     let costs: Vec<f64> = points
         .iter()
-        .map(|p| p.report.metrics.cost_miss_ratio())
+        .map(|p| p.reports[0].metrics.cost_miss_ratio())
         .collect();
     assert!(costs.windows(2).all(|w| w[0] >= w[1] - 1e-9), "{costs:?}");
 }
@@ -162,7 +163,7 @@ fn trace_files_roundtrip_through_the_simulator() {
     let reloaded = camp::workload::Trace::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
-    let cap = camp::sim::capacity_for_ratio(&trace.stats(), 0.2);
+    let cap = camp::sim::capacity_for_ratio(trace.stats().unique_bytes, 0.2);
     let mut a: Camp<u64, ()> = Camp::new(cap, Precision::Bits(5));
     let mut b: Camp<u64, ()> = Camp::new(cap, Precision::Bits(5));
     let ra = simulate(&mut a, &trace);
@@ -174,7 +175,7 @@ fn trace_files_roundtrip_through_the_simulator() {
 fn boxed_policy_collection_is_usable_generically() {
     // The trait-object workflow the examples use.
     let trace = BgConfig::paper_scaled(1_000, 30_000, 4).generate();
-    let cap = camp::sim::capacity_for_ratio(&trace.stats(), 0.25);
+    let cap = camp::sim::capacity_for_ratio(trace.stats().unique_bytes, 0.25);
     let mut policies: Vec<Box<dyn EvictionPolicy>> = vec![
         Box::new(Camp::<u64, ()>::new(cap, Precision::Bits(5))),
         Box::new(Lru::new(cap)),
