@@ -1,5 +1,7 @@
-//! One regeneration function per table/figure of the paper, plus the
-//! ablations called out in DESIGN.md.
+//! One regeneration function per experiment — a table or figure of the
+//! paper, or the figures drawn from the same simulations — plus the
+//! ablations called out in DESIGN.md. Every sweep over cache-size ratios
+//! goes through [`sweep_ratios_parallel`].
 //!
 //! Every function returns named [`Table`]s; the `repro` binary prints them
 //! and optionally saves CSVs. Experiments are deterministic given the

@@ -67,16 +67,14 @@ pub struct SweepPoint {
 /// # Examples
 ///
 /// ```
-/// use camp_policies::{EvictionPolicy, Gds, Lru};
+/// use camp_policies::{Gds, Lru};
 /// use camp_sim::sweep::sweep_ratios_parallel;
 /// use camp_workload::BgConfig;
 ///
 /// let trace = BgConfig::paper_scaled(200, 3_000, 1).generate();
 /// let basis = trace.stats().unique_bytes;
 /// let points = sweep_ratios_parallel(&trace, basis, &[0.1, 0.5], |capacity| {
-///     let policies: Vec<Box<dyn EvictionPolicy>> =
-///         vec![Box::new(Lru::new(capacity)), Box::new(Gds::new(capacity))];
-///     policies
+///     vec![Box::new(Lru::new(capacity)), Box::new(Gds::new(capacity))]
 /// });
 /// assert_eq!(points.len(), 2);
 /// let lru_miss = |i: usize| points[i].reports[0].metrics.miss_rate();
