@@ -288,5 +288,12 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), count, "an id names two experiments");
         assert!(!ids.contains(&"all"));
+        // Every table keeps an id of its own name.
+        for table in [
+            "table1", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig6a", "fig6b", "fig6c",
+            "fig6d", "fig7", "fig8a", "fig8b", "fig8c", "fig9a", "fig9b", "fig9c",
+        ] {
+            assert!(ids.contains(&table), "no experiment id {table}");
+        }
     }
 }
