@@ -17,9 +17,10 @@
 //!
 //! The `persist` group times the journal's CPU work per `durable-set`
 //! record, the workload's 512-byte values under 16-byte keys:
-//! `crc32c_555b` checksums one record's 555-byte payload, and
-//! `encode_set_512b` frames one such `set` (header, fields, checksum)
-//! into a reused buffer, as every append and every snapshot copy does.
+//! `crc32c_559b` checksums what one record's checksum covers (its
+//! segment index and 555-byte payload), and `encode_set_512b` frames one
+//! such `set` (header, fields, checksum) into a reused buffer, as every
+//! append and every snapshot copy does.
 //!
 //! The `conn` group times everything a reactor worker does with a
 //! connection's bytes except the syscalls: `process_pipeline32` feeds a
@@ -35,7 +36,7 @@ use std::sync::Arc;
 
 use camp_bench::micro::Group;
 use camp_kvs::net::Loopback;
-use camp_kvs::persist::record::{crc32c, encode_into, Record, FRAME_HEADER_LEN};
+use camp_kvs::persist::record::{crc32c, encode_frame, Record, CHECKED_FROM};
 use camp_kvs::protocol::{parse_command, Command};
 use camp_kvs::resp;
 use camp_kvs::server::ServerOptions;
@@ -150,15 +151,15 @@ fn persist_group() {
         expires_at: 0,
     };
     let mut frame = Vec::new();
-    encode_into(&record, &mut frame);
-    let payload = &frame[FRAME_HEADER_LEN..];
-    assert_eq!(payload.len(), 555);
+    encode_frame(&record, 0, &mut frame);
+    let checked = &frame[CHECKED_FROM..];
+    assert_eq!(checked.len(), 559);
 
     let group = Group::new("persist", PERSIST_OPS, 10);
-    group.case("crc32c_555b", || {
+    group.case("crc32c_559b", || {
         let mut folded = 0u32;
         for _ in 0..PERSIST_OPS {
-            folded ^= crc32c(black_box(payload));
+            folded ^= crc32c(black_box(checked));
         }
         folded
     });
@@ -167,7 +168,7 @@ fn persist_group() {
         let mut bytes = 0u64;
         for _ in 0..PERSIST_OPS {
             buf.clear();
-            encode_into(black_box(&record), &mut buf);
+            encode_frame(black_box(&record), 0, &mut buf);
             bytes += buf.len() as u64;
         }
         bytes

@@ -10,8 +10,10 @@
 //! cargo run --release -p camp-bench --bin repro -- fig9a --scale paper --out results/
 //! ```
 //!
-//! Criterion micro-benchmarks live in `benches/` (policy operation
-//! throughput, heap arity ablation, rounding, slab allocation).
+//! Micro-benchmarks live in `benches/`: plain `main()` binaries timed by
+//! [`micro::Group`] (policy operation throughput, heap arity ablation,
+//! rounding, slab allocation, the server hot path, telemetry), run with
+//! `cargo bench -p camp-bench --bench <name>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

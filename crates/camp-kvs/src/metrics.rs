@@ -892,6 +892,9 @@ impl TelemetryReport {
         rows.stat(table, "persist:reserved_bytes", p.reserved_bytes)
             .family(Counter, "camp_persist_reserved_bytes_total")
             .help("zero bytes those reservations wrote");
+        rows.stat(table, "persist:recycled", p.recycled)
+            .family(Counter, "camp_persist_recycled_total")
+            .help("segments opened on a recycled spare file instead of a fresh one");
         let sync_us = Value::Hist(&p.sync_us, SYNC_PICKS);
         rows.stat(table, "persist:sync_us", sync_us)
             .family(MetricKind::Summary, "camp_persist_sync_us")
@@ -1187,6 +1190,7 @@ mod tests {
                 writes: 6,
                 reserves: 2,
                 reserved_bytes: 8192,
+                recycled: 3,
                 sync_us: {
                     let h = Histogram::new();
                     h.record(300);
@@ -1431,6 +1435,7 @@ mod tests {
             "STAT persist:writes 6",
             "STAT persist:reserves 2",
             "STAT persist:reserved_bytes 8192",
+            "STAT persist:recycled 3",
             "STAT persist:sync_us:p50 303",
             "STAT persist:sync_us:max 900",
             "STAT profile:sample_modulus 64",
@@ -1553,6 +1558,7 @@ mod tests {
             "camp_persist_writes_total 6",
             "camp_persist_reserves_total 2",
             "camp_persist_reserved_bytes_total 8192",
+            "camp_persist_recycled_total 3",
             "# TYPE camp_persist_sync_us summary",
             "camp_persist_sync_us_count 2",
         ] {

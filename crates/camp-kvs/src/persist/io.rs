@@ -24,8 +24,9 @@ const DISK_STREAM_SALT: u64 = 0xD15C_FA17;
 
 /// Everything the log writer does to the filesystem.
 ///
-/// One file is "active" at a time: [`create`](IoBackend::create) opens
-/// it, [`append`](IoBackend::append)/[`sync`](IoBackend::sync)/
+/// One file is "active" at a time: [`create`](IoBackend::create) or
+/// [`recycle`](IoBackend::recycle) opens it,
+/// [`append`](IoBackend::append)/[`sync`](IoBackend::sync)/
 /// [`truncate`](IoBackend::truncate)/[`reserve`](IoBackend::reserve)/
 /// [`rename`](IoBackend::rename) operate on it. On an `append` error an arbitrary prefix of the buffer
 /// may have reached the file — exactly what a real short write does —
@@ -60,6 +61,26 @@ pub trait IoBackend: fmt::Debug + Send {
         let _ = bytes;
         Ok(0)
     }
+    /// Retires the (non-active) segment `path`, which a snapshot has
+    /// superseded. A backend that recycles renames it to `spare` — no
+    /// directory sync: a crash that undoes the rename leaves stale history
+    /// the snapshot's leading `Clear` wipes on replay — and returns `true`:
+    /// the file is a spare, for [`recycle`](IoBackend::recycle). The
+    /// default removes it and returns `false`.
+    fn retire(&mut self, path: &Path, spare: &Path) -> io::Result<bool> {
+        let _ = spare;
+        self.remove(path).map(|()| false)
+    }
+    /// Makes the spare `spare` the active file under `path`, its next
+    /// `append` landing at offset 0 over what its earlier life left, and
+    /// returns the file's length: a runway no reservation has to write.
+    /// The rename is not synced; the caller's [`rename`](IoBackend::rename)
+    /// to the segment's own name is. The default creates `path` afresh and
+    /// returns 0 (a backend whose `retire` keeps no spare is never asked).
+    fn recycle(&mut self, spare: &Path, path: &Path) -> io::Result<u64> {
+        let _ = spare;
+        self.create(path).map(|()| 0)
+    }
 }
 
 /// The production backend: buffered-nothing, straight `std::fs`.
@@ -69,7 +90,8 @@ pub trait IoBackend: fmt::Debug + Send {
 /// `append` that stays below `reserved` overwrites blocks that are
 /// already allocated, written and inside the synced file size, so the
 /// `fdatasync` after it has no metadata to journal; one that passes it
-/// grows the file like any append would.
+/// grows the file like any append would. A recycled file's runway is its
+/// whole length: the blocks of its earlier life.
 #[derive(Debug, Default)]
 pub struct RealFs {
     active: Option<File>,
@@ -147,6 +169,21 @@ impl IoBackend for RealFs {
         file.sync_data()?;
         self.reserved = end;
         Ok(end)
+    }
+
+    fn retire(&mut self, path: &Path, spare: &Path) -> io::Result<bool> {
+        fs::rename(path, spare)?;
+        Ok(true)
+    }
+
+    fn recycle(&mut self, spare: &Path, path: &Path) -> io::Result<u64> {
+        fs::rename(spare, path)?;
+        let file = OpenOptions::new().write(true).open(path)?;
+        let len = file.metadata()?.len();
+        self.cursor = 0;
+        self.reserved = len;
+        self.active = Some(file);
+        Ok(len)
     }
 }
 

@@ -61,19 +61,37 @@
 //! when that is under 1 MiB, else 1 MiB at a time as the records near
 //! its end); commits *overwrite* the runway in place, so the `fdatasync`
 //! behind each finds no new block and no new file size to journal;
-//! *rotate* commits, cuts the unused zeros off and moves on. A failed
-//! write cuts the file back to the last good byte — runway included, so
-//! no frame of the failed batch can outlive it — and the segment grows
-//! the plain way until the next rotation. Recovery reads a zero tail as
-//! the clean end of the log ([`record::scan`]).
+//! *rotate* commits, cuts a fresh segment's unused zeros off and moves
+//! on. A failed write cuts the file back to the last good byte — runway
+//! included, so no frame of the failed batch can outlive it — and the
+//! segment grows the plain way until the next rotation. Recovery reads a
+//! zero tail as the clean end of the log ([`record::scan_segment`]).
 //!
 //! Once `keep_segments` segments are live, a rotation *compacts*: the
 //! next segment is a snapshot of the live store (a [`Record::Clear`] and
 //! one set per item), written and synced under a `.tmp` name that
 //! recovery does not read, then renamed into place with the directory
-//! synced behind it; only then are the older segments deleted. A process
-//! killed mid-snapshot restarts from the older segments, and boot deletes
-//! the half-written file.
+//! synced behind it; only then are the older segments *retired*. A
+//! process killed mid-snapshot restarts from the older segments, and boot
+//! deletes the half-written file.
+//!
+//! Retired segments join a pool of spares (`spare-<index>.camplog`, at
+//! most `keep_segments` of them); segments recovered at boot are deleted
+//! instead, and so are the spares and snapshots a previous process left.
+//! While the pool has a spare, a roll or a snapshot *recycles* it rather
+//! than create a file: the spare takes the segment's `.tmp` name, is
+//! overwritten from offset 0, and its length is its runway — no zeros are
+//! written, nothing is unlinked. Every frame names its segment, so the
+//! earlier life's frames past the new records end the log instead of
+//! replaying, and every write to a recycled file ends with an
+//! [`record::END_MARKER`], so a log that stops between two writes reads
+//! as ended there. The file takes its segment name by a rename with the
+//! directory synced behind it — the snapshot's, or for a roll one of its
+//! own; one directory sync per rotation — before any record in it is
+//! acknowledged. The create-and-reserve path thus runs only while the
+//! pool is empty: for the first `keep_segments` rotations after boot or
+//! after a trip, which deletes the spares. They cost disk: up to
+//! `keep_segments × segment_bytes` beside the live segments.
 //!
 //! # Degraded state
 //!
@@ -241,7 +259,8 @@ pub struct PersistSnapshot {
     pub state: &'static str,
     /// I/O errors observed (append, fsync, repair).
     pub errors: u64,
-    /// Record bytes successfully written.
+    /// Journal bytes successfully written: records, and a recycled
+    /// file's end markers.
     pub bytes: u64,
     /// Successful fsyncs.
     pub fsyncs: u64,
@@ -274,10 +293,13 @@ pub struct PersistSnapshot {
     /// pending, plus a snapshot's flushes.
     pub writes: u64,
     /// Runway reservations (each a write of zeros and a sync of its own,
-    /// not counted in `fsyncs`).
+    /// not counted in `fsyncs`). Only fresh files reserve: a recycled one
+    /// has its length as its runway.
     pub reserves: u64,
     /// Zero bytes those reservations wrote.
     pub reserved_bytes: u64,
+    /// Segments opened on a recycled spare file rather than a fresh one.
+    pub recycled: u64,
     /// Wall time of the engine's segment `fsync`s (every commit's and
     /// every snapshot's), in microseconds — where the time the `set` handler
     /// histogram no longer contains went. Not in it: the sync behind each
@@ -307,6 +329,7 @@ impl Default for PersistSnapshot {
             writes: 0,
             reserves: 0,
             reserved_bytes: 0,
+            recycled: 0,
             sync_us: HistogramSnapshot::empty(),
         }
     }
@@ -326,6 +349,7 @@ struct Counts {
     writes: u64,
     reserves: u64,
     reserved_bytes: u64,
+    recycled: u64,
     snapshots: u64,
     trips: u64,
     rearms: u64,
@@ -365,6 +389,17 @@ struct LogWriter {
     /// Where the active segment's runway ends; 0 when it has none (the
     /// backend does not reserve, or a failed write cut it off).
     runway_end: u64,
+    /// The active segment is a recycled file: its runway is the earlier
+    /// life's bytes past the records — never topped up, never cut off at
+    /// rotation, and ended after every write by an
+    /// [`record::END_MARKER`].
+    recycled: bool,
+    /// Retired segment files waiting to serve again, at most
+    /// `keep_segments`; the next to serve is last.
+    spares: Vec<PathBuf>,
+    /// Index of the first segment this process wrote. The ones before it
+    /// were recovered at boot, and are deleted rather than recycled.
+    first_written: u64,
     /// Tripped after `trip_after` consecutive I/O errors: appends are
     /// dropped until a re-arm rebuilds the log.
     degraded: bool,
@@ -376,29 +411,61 @@ impl LogWriter {
     /// accounted per segment.
     fn start_segment(&mut self, index: u64) -> stdio::Result<()> {
         let path = segment_path(&self.options.data_dir, index);
-        self.create_segment(index, &path)?;
+        self.backend.create(&path)?;
+        self.opened(index, 0, false);
         self.segments.push((index, path));
         Ok(())
     }
 
-    /// Creates the file the active segment `index` is written to under
-    /// `path`, which is not its segment name while a snapshot fills it.
-    fn create_segment(&mut self, index: u64, path: &Path) -> stdio::Result<()> {
+    /// Opens the file the active segment `index` is written to under
+    /// `path`, which is not its segment name yet: a spare from the pool,
+    /// recycled, or — the pool empty, or the recycle failed (counted) — a
+    /// fresh file.
+    fn open_segment(&mut self, index: u64, path: &Path) -> stdio::Result<()> {
+        if let Some(spare) = self.spares.pop() {
+            match self.backend.recycle(&spare, path) {
+                Ok(len) => {
+                    self.opened(index, len, true);
+                    self.counts.recycled += 1;
+                    return Ok(());
+                }
+                Err(_) => {
+                    // The spare may sit under `path` already, and `create`
+                    // would append past its earlier life.
+                    self.note_io_error();
+                    let _ = self.backend.remove(path);
+                }
+            }
+        }
         self.backend.create(path)?;
-        self.seg_index = index;
-        self.committed = 0;
-        self.unsynced_records = 0;
-        self.runway_end = 0;
+        self.opened(index, 0, false);
         Ok(())
     }
 
+    /// Resets what is accounted per segment for the newly opened segment
+    /// `index`, whose runway ends at `runway_end`.
+    fn opened(&mut self, index: u64, runway_end: u64, recycled: bool) {
+        debug_assert!(self.pending.is_empty(), "frames of another segment");
+        self.seg_index = index;
+        self.committed = 0;
+        self.unsynced_records = 0;
+        self.runway_end = runway_end;
+        self.recycled = recycled;
+    }
+
     /// The one place record bytes reach the backend: a single `append`
-    /// of everything pending, which is dropped either way.
-    fn write_pending(&mut self) -> stdio::Result<()> {
+    /// of everything pending — ended, in a recycled file, by an
+    /// [`record::END_MARKER`] — which is dropped either way. Returns the
+    /// bytes written.
+    fn write_pending(&mut self) -> stdio::Result<u64> {
+        if self.recycled {
+            self.pending.extend_from_slice(&record::END_MARKER);
+        }
+        let len = self.pending.len() as u64;
         let result = self.backend.append(&self.pending);
         self.pending.clear();
         self.counts.writes += u64::from(result.is_ok());
-        result
+        result.map(|()| len)
     }
 
     /// Forgets what is pending without writing it.
@@ -408,11 +475,13 @@ impl LogWriter {
     }
 
     /// Cuts the active segment back to `len` bytes of records. Whatever
-    /// runway lay past them goes with the cut (even a failed one: the
-    /// segment then grows the plain way, which is always correct).
+    /// runway lay past them goes with the cut, a recycled file's earlier
+    /// life included (even a failed one: the segment then grows the plain
+    /// way, which is always correct).
     fn truncate(&mut self, len: u64) -> stdio::Result<()> {
         self.committed = len;
         self.runway_end = 0;
+        self.recycled = false;
         self.backend.truncate(len)
     }
 
@@ -422,7 +491,7 @@ impl LogWriter {
     fn extend_runway(&mut self) -> stdio::Result<()> {
         let goal = self.options.segment_bytes.saturating_add(RUNWAY_SLACK);
         let from = self.runway_end.max(self.committed);
-        if from >= goal {
+        if self.recycled || from >= goal {
             return Ok(());
         }
         let want = RUNWAY_CHUNK.min(goal - from);
@@ -444,7 +513,7 @@ impl LogWriter {
             self.counts.dropped += 1;
             return;
         }
-        record::encode_into(rec, &mut self.pending);
+        record::encode_frame(rec, self.seg_index, &mut self.pending);
         self.pending_records += 1;
         self.unsynced.mark();
         if self.committed + self.pending.len() as u64 >= self.options.segment_bytes {
@@ -464,10 +533,9 @@ impl LogWriter {
     /// is written, then settle what the barrier still owes.
     fn commit(&mut self, sync: bool) {
         if !self.pending.is_empty() {
-            let len = self.pending.len() as u64;
             let records = std::mem::take(&mut self.pending_records);
             match self.write_pending() {
-                Ok(()) => {
+                Ok(len) => {
                     self.committed += len;
                     self.unsynced_records += records;
                     self.consecutive_errors = 0;
@@ -564,6 +632,10 @@ impl LogWriter {
         }
         self.degraded = true;
         self.counts.trips += 1;
+        // The re-arm starts from fresh files, as boot does.
+        for spare in std::mem::take(&mut self.spares) {
+            let _ = self.backend.remove(&spare);
+        }
         kvlog!(
             LogLevel::Warn,
             "persist_degraded",
@@ -591,14 +663,14 @@ impl LogWriter {
         self.switch_to_segment(self.seg_index + 1)
     }
 
-    /// Finishes the active segment before another is created. The backend
+    /// Finishes the active segment before another is opened. The backend
     /// can only write and sync its active file: whatever the outgoing
     /// segment still owes (the batch the rotation landed in, an interval
     /// tail) is committed now or never. A failure is counted and the
     /// rotation goes on — the next segment must still open.
     fn leave_segment(&mut self) {
         self.commit(true);
-        if self.runway_end > self.committed {
+        if !self.recycled && self.runway_end > self.committed {
             // Best effort: the unused zeros are only disk space, and the
             // scanner reads them as the end of the log anyway.
             let _ = self.truncate(self.committed);
@@ -606,18 +678,24 @@ impl LogWriter {
     }
 
     /// Moves on to segment `index` — nothing is owed to the one left
-    /// behind any more — and reserves its first stretch of runway.
+    /// behind any more: a spare recycled under the segment's temporary
+    /// name and renamed into place ([`LogWriter::name_segment`]), or, the
+    /// pool empty, a fresh file with its first stretch of runway.
     fn switch_to_segment(&mut self, index: u64) -> stdio::Result<()> {
-        self.start_segment(index)?;
-        self.mark_clean();
-        self.reserve();
-        Ok(())
+        if self.spares.is_empty() {
+            self.start_segment(index)?;
+            self.mark_clean();
+            self.reserve();
+            Ok(())
+        } else {
+            self.name_segment(index, |_| Ok(()))
+        }
     }
 
     /// Compaction: finish the active segment, then move on to a snapshot
     /// segment ([`LogWriter::snapshot_segment`]). A failed snapshot keeps
     /// the old segments and rolls to a plain segment at the same index; if
-    /// even that cannot be created the engine trips to degraded so the
+    /// even that cannot be opened the engine trips to degraded so the
     /// next re-arm rebuilds from the live store.
     fn compact(&mut self, store: &ShardedStore) -> stdio::Result<()> {
         self.leave_segment();
@@ -632,53 +710,79 @@ impl LogWriter {
     /// Makes segment `index` a snapshot of the live store and the active
     /// segment: a [`Record::Clear`] followed by one set per live item,
     /// written and synced under a temporary name, renamed to the segment's
-    /// own name (the directory synced behind it), and only then are the
-    /// older segments deleted. Until the rename a crash finds the old
-    /// segments intact and the temporary file ignored, so a snapshot is
-    /// all or nothing. Because it *leads* with `Clear`, a failed deletion
-    /// is harmless — replay applies the stale history and then wipes it.
-    /// Appends go on in the same file. On failure the temporary file is
-    /// removed, and the caller must open another segment.
+    /// own name ([`LogWriter::name_segment`]), and only then are the older
+    /// segments retired. Until the rename a crash finds the old segments
+    /// intact and the temporary file ignored, so a snapshot is all or
+    /// nothing. Because it *leads* with `Clear`, a retired segment that
+    /// comes back is harmless — replay applies the stale history and then
+    /// wipes it. Appends go on in the same file. On failure the caller
+    /// must open another segment.
     fn snapshot_segment(&mut self, store: &ShardedStore, index: u64) -> stdio::Result<()> {
+        self.name_segment(index, |w| w.write_snapshot(store))?;
+        self.retire_older_segments();
+        Ok(())
+    }
+
+    /// Opens segment `index`'s file under its temporary name
+    /// ([`LogWriter::open_segment`]: a recycled spare if the pool has one),
+    /// runs `fill` on it, then renames it to the segment's own name with
+    /// the directory synced behind it — the one directory sync a rotation
+    /// spends — and makes it the active segment; a fresh file then gets
+    /// its runway. No record is acknowledged from the file before that
+    /// sync: a crash that undid the rename would leave the file under a
+    /// name boot deletes, or under its earlier segment's name, whose index
+    /// its records do not carry. On failure the temporary file is removed.
+    fn name_segment(
+        &mut self,
+        index: u64,
+        fill: impl FnOnce(&mut Self) -> stdio::Result<()>,
+    ) -> stdio::Result<()> {
         let temp = temp_segment_path(&self.options.data_dir, index);
         let path = segment_path(&self.options.data_dir, index);
-        self.create_segment(index, &temp)?;
-        let written = self
-            .write_snapshot(store)
-            .and_then(|()| self.backend.rename(&temp, &path));
-        if let Err(err) = written {
+        self.open_segment(index, &temp)?;
+        let named = fill(self).and_then(|()| self.backend.rename(&temp, &path));
+        if let Err(err) = named {
             let _ = self.backend.remove(&temp);
             return Err(err);
         }
         self.segments.push((index, path));
         self.mark_clean();
         self.reserve();
-        self.drop_older_segments();
         Ok(())
     }
 
-    /// After a snapshot landed in the active segment: forgets and deletes
-    /// every older segment (a failed deletion is harmless — the snapshot
-    /// leads with `Clear`) and counts the snapshot.
-    fn drop_older_segments(&mut self) {
+    /// After a snapshot landed in the active segment: forgets every older
+    /// segment and counts the snapshot. Each one this process wrote joins
+    /// the spare pool while it has room; the rest — and every segment
+    /// recovered at boot — are deleted (a failed retirement or deletion is
+    /// harmless: the snapshot leads with `Clear`).
+    fn retire_older_segments(&mut self) {
         let active = self.seg_index;
         let (kept, stale): (Vec<_>, Vec<_>) = std::mem::take(&mut self.segments)
             .into_iter()
             .partition(|&(index, _)| index == active);
         self.segments = kept;
-        for (_, path) in &stale {
-            let _ = self.backend.remove(path);
+        for (index, path) in stale {
+            if index >= self.first_written && self.spares.len() < self.options.keep_segments {
+                let spare = spare_path(&self.options.data_dir, index);
+                if let Ok(true) = self.backend.retire(&path, &spare) {
+                    self.spares.push(spare);
+                }
+            } else {
+                let _ = self.backend.remove(&path);
+            }
         }
         self.counts.snapshots += 1;
     }
 
-    /// Writes `Clear` + one `Set` per live item into the (fresh) active
-    /// file and fsyncs it. On success `committed` reflects the snapshot
-    /// size.
+    /// Writes `Clear` + one `Set` per live item into the newly opened
+    /// active file and fsyncs it. On success `committed` reflects the
+    /// snapshot size.
     fn write_snapshot(&mut self, store: &ShardedStore) -> stdio::Result<()> {
         const FLUSH_BYTES: usize = 256 * 1024;
         debug_assert!(self.pending.is_empty());
-        record::encode_into(&Record::Clear, &mut self.pending);
+        let segment = self.seg_index;
+        record::encode_frame(&Record::Clear, segment, &mut self.pending);
         let mut written = 0u64;
         let mut records = 1u64;
         let mut failed: Option<stdio::Error> = None;
@@ -686,7 +790,7 @@ impl LogWriter {
             if failed.is_some() {
                 return;
             }
-            record::encode_into(
+            record::encode_frame(
                 &Record::Set {
                     key: item.key,
                     value: item.value,
@@ -694,13 +798,13 @@ impl LogWriter {
                     cost: item.cost,
                     expires_at: item.expires_at,
                 },
+                segment,
                 &mut self.pending,
             );
             records += 1;
             if self.pending.len() >= FLUSH_BYTES {
-                let len = self.pending.len() as u64;
                 match self.write_pending() {
-                    Ok(()) => written += len,
+                    Ok(len) => written += len,
                     Err(err) => failed = Some(err),
                 }
             }
@@ -709,9 +813,7 @@ impl LogWriter {
             return Err(err);
         }
         if !self.pending.is_empty() {
-            let len = self.pending.len() as u64;
-            self.write_pending()?;
-            written += len;
+            written += self.write_pending()?;
         }
         self.timed_sync()?;
         self.committed = written;
@@ -780,13 +882,21 @@ fn temp_segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:08}{SEGMENT_SUFFIX}{TEMP_SUFFIX}"))
 }
 
-/// Deletes the snapshots a killed process left half-written.
-fn remove_temp_segments(dir: &Path) -> stdio::Result<()> {
+/// Where a retired segment waits to be recycled: a name
+/// [`list_segments`] does not match either.
+fn spare_path(dir: &Path, index: u64) -> PathBuf {
+    dir.join(format!("spare-{index:08}{SEGMENT_SUFFIX}"))
+}
+
+/// Deletes the snapshots a killed process left half-written, and the
+/// spares it left: the pool holds only files this process wrote.
+fn remove_leftovers(dir: &Path) -> stdio::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if name.starts_with("seg-") && name.ends_with(TEMP_SUFFIX) {
+        let temp = name.starts_with("seg-") && name.ends_with(TEMP_SUFFIX);
+        if temp || (name.starts_with("spare-") && name.ends_with(SEGMENT_SUFFIX)) {
             fs::remove_file(entry.path())?;
         }
     }
@@ -832,16 +942,16 @@ struct Recovered {
 /// was. What has expired by boot time is then dropped in one pass.
 fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
     const STOPPED: u64 = 0;
-    remove_temp_segments(dir)?;
+    remove_leftovers(dir)?;
     let segments = list_segments(dir)?;
     let mut summary = RecoverySummary {
         segments: segments.len() as u64,
         ..RecoverySummary::default()
     };
     let last_index = segments.len().checked_sub(1);
-    for (pos, (_, path)) in segments.iter().enumerate() {
+    for (pos, &(index, ref path)) in segments.iter().enumerate() {
         let bytes = fs::read(path)?;
-        let scan = record::scan(&bytes, |rec| match rec {
+        let scan = record::scan_segment(&bytes, index, |rec| match rec {
             Record::Set {
                 key,
                 value,
@@ -952,6 +1062,9 @@ impl Persist {
             pending_records: 0,
             unsynced_records: 0,
             runway_end: 0,
+            recycled: false,
+            spares: Vec::new(),
+            first_written: next_index,
             degraded: false,
             counts: Counts::default(),
         };
@@ -1065,7 +1178,8 @@ impl Persist {
         if w.degraded {
             return;
         }
-        record::encode_into(&Record::Seal, &mut w.pending);
+        let segment = w.seg_index;
+        record::encode_frame(&Record::Seal, segment, &mut w.pending);
         w.pending_records += 1;
         w.commit(true);
     }
@@ -1139,6 +1253,7 @@ impl Persist {
             writes: c.writes,
             reserves: c.reserves,
             reserved_bytes: c.reserved_bytes,
+            recycled: c.recycled,
             sync_us: c.sync_us.snapshot(),
         }
     }
@@ -1323,7 +1438,21 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// One framed set, as the writer encodes it.
+    /// One framed set of segment 0, as the writer encodes it.
+    fn written_set(key: &[u8], value: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let set = Record::Set {
+            key,
+            value,
+            flags: 0,
+            cost: 1,
+            expires_at: 0,
+        };
+        record::encode_frame(&set, 0, &mut frame);
+        frame
+    }
+
+    /// One framed set in the parent format.
     fn encoded_set(key: &[u8], value: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
         record::encode_into(
@@ -1355,7 +1484,7 @@ mod tests {
         torn.extend_from_slice(&100u32.to_be_bytes());
         torn.extend_from_slice(&0u32.to_be_bytes());
         torn.extend_from_slice(&[0xAA; 10]);
-        let before = encoded_set(b"good", b"value").len();
+        let before = written_set(b"good", b"value").len();
         assert!(
             fs::read(&seg).expect("read segment").len() > before + torn.len(),
             "the killed writer left its runway behind"
@@ -1387,7 +1516,7 @@ mod tests {
         for i in 0..10u32 {
             let key = format!("k{i}");
             persist.append_set(&store, key.as_bytes(), b"payload-bytes", 0, 0, 1);
-            written += encoded_set(key.as_bytes(), b"payload-bytes").len();
+            written += written_set(key.as_bytes(), b"payload-bytes").len();
         }
         drop(persist);
         // Flip one byte in the middle of the records (not of the file:
@@ -1664,6 +1793,120 @@ mod tests {
         );
         fs::remove_dir_all(&dir).ok();
         fs::remove_dir_all(&image).ok();
+    }
+
+    /// What a [`Counting`] backend was asked to do.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    struct Calls {
+        creates: u64,
+        reserves: u64,
+        removes: u64,
+    }
+
+    /// [`RealFs`] counting the calls that make or unmake a file's blocks.
+    #[derive(Debug)]
+    struct Counting {
+        inner: RealFs,
+        calls: Arc<Mutex<Calls>>,
+    }
+
+    impl IoBackend for Counting {
+        fn create(&mut self, path: &Path) -> stdio::Result<()> {
+            lock(&self.calls).creates += 1;
+            self.inner.create(path)
+        }
+        fn append(&mut self, buf: &[u8]) -> stdio::Result<()> {
+            self.inner.append(buf)
+        }
+        fn sync(&mut self) -> stdio::Result<()> {
+            self.inner.sync()
+        }
+        fn truncate(&mut self, len: u64) -> stdio::Result<()> {
+            self.inner.truncate(len)
+        }
+        fn remove(&mut self, path: &Path) -> stdio::Result<()> {
+            lock(&self.calls).removes += 1;
+            self.inner.remove(path)
+        }
+        fn rename(&mut self, from: &Path, to: &Path) -> stdio::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn reserve(&mut self, bytes: u64) -> stdio::Result<u64> {
+            lock(&self.calls).reserves += 1;
+            self.inner.reserve(bytes)
+        }
+        fn retire(&mut self, path: &Path, spare: &Path) -> stdio::Result<bool> {
+            self.inner.retire(path, spare)
+        }
+        fn recycle(&mut self, spare: &Path, path: &Path) -> stdio::Result<u64> {
+            self.inner.recycle(spare, path)
+        }
+    }
+
+    /// Twenty rotations over real files: the first `KEEP` create and
+    /// reserve (the last of them is the first compaction), after which
+    /// the pool holds the segments that compaction retired and every
+    /// rotation recycles one — no create, no reservation, no unlink.
+    #[test]
+    fn once_the_pool_has_spares_a_rotation_creates_reserves_and_unlinks_nothing() {
+        const KEEP: usize = 3;
+        const KEYS: u32 = 20;
+        let dir = temp_dir("recycle");
+        let store = sharded();
+        let calls = Arc::new(Mutex::new(Calls::default()));
+        let backend = Counting {
+            inner: RealFs::new(),
+            calls: Arc::clone(&calls),
+        };
+        let opts = PersistOptions {
+            segment_bytes: MIN_SEGMENT_BYTES,
+            keep_segments: KEEP,
+            ..options(&dir)
+        };
+        let persist = Persist::open_with_backend(opts, Box::new(backend), &store).expect("open");
+        let mut rotations = 0u64;
+        let mut version = 0u32;
+        while rotations < 20 {
+            let (index, pooled) = {
+                let w = lock(&persist.writer);
+                (w.seg_index, !w.spares.is_empty())
+            };
+            let (calls_before, recycled_before) = (*lock(&calls), persist.snapshot().recycled);
+            let key = format!("key-{}", version % KEYS);
+            let value = format!("value-{version}");
+            version += 1;
+            store
+                .set(key.as_bytes(), value.as_bytes(), 0, 0, 3)
+                .expect("set");
+            persist.append_set(&store, key.as_bytes(), value.as_bytes(), 0, 0, 3);
+            if lock(&persist.writer).seg_index == index {
+                continue;
+            }
+            rotations += 1;
+            let recycled = persist.snapshot().recycled;
+            if pooled {
+                assert_eq!(*lock(&calls), calls_before, "rotation {rotations}");
+                assert_eq!(recycled, recycled_before + 1, "rotation {rotations}");
+            }
+            let files = fs::read_dir(&dir).expect("read the data dir").count();
+            assert!(files <= 2 * KEEP + 1, "rotation {rotations}: {files} files");
+        }
+        let snap = persist.snapshot();
+        assert!(snap.snapshots >= 4, "{snap:?}");
+        assert_eq!(snap.reserves, KEEP as u64 + 1, "{snap:?}");
+        assert_eq!(snap.recycled, rotations - KEEP as u64, "{snap:?}");
+        assert_eq!(lock(&calls).removes, 0);
+        drop(persist);
+
+        let (recovered, summary) = replay(&dir);
+        assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
+        assert_eq!(recovered.len(), KEYS as usize);
+        for i in version - KEYS..version {
+            let key = format!("key-{}", i % KEYS);
+            let hit = recovered.get(key.as_bytes()).expect("recovered key");
+            assert_eq!(hit.value, format!("value-{i}").as_bytes(), "{key}");
+        }
+        fs::remove_dir_all(&dir).ok();
     }
 
     /// Appends `n` small sets (`key-<i>`), mirroring them into `store`.
@@ -1975,7 +2218,7 @@ mod tests {
 
         let bytes = fs::read(segment_path(&dir, 0)).expect("read segment");
         let mut seen = Vec::new();
-        let scan = record::scan(&bytes, |rec| {
+        let scan = record::scan_segment(&bytes, 0, |rec| {
             if let Record::Set { key, value, .. } = rec {
                 seen.push((key.to_vec(), value.len(), value.iter().all(|&b| b == 0xB1)));
             }
@@ -2299,10 +2542,27 @@ mod tests {
     fn sealed_flag_reflects_clean_shutdown() {
         let dir = temp_dir("seal");
         let store = sharded();
-        let persist = open_plain(options(&dir), &store);
-        persist.append_set(&store, b"k", b"v", 0, 0, 1);
+        // Segments small enough that the shutdown leaves spares beside them.
+        let opts = PersistOptions {
+            segment_bytes: MIN_SEGMENT_BYTES,
+            keep_segments: 2,
+            ..options(&dir)
+        };
+        let persist = open_plain(opts, &store);
+        append_sets(&persist, &store, 300);
         persist.seal();
         drop(persist);
+        let spares = fs::read_dir(&dir)
+            .expect("read the data dir")
+            .filter(|e| {
+                e.as_ref()
+                    .expect("entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .starts_with("spare-")
+            })
+            .count();
+        assert!(spares > 0, "no spare on disk");
         let recovered = recover_into(&dir, &sharded()).expect("recover");
         assert!(
             recovered.summary.sealed,

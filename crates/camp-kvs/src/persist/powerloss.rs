@@ -3,24 +3,29 @@
 //! `kill -9` keeps the page cache, so neither `tests/crash_recovery.rs`
 //! nor the benchmark's read-back can see a missing fsync: everything the
 //! process ever `write`-ed is still there after the restart. [`PowerLossFs`]
-//! can: it wraps [`RealFs`], remembers each segment's last-synced length
-//! and how far its runway of synced zeros reaches, and
-//! [`PowerHandle::power_loss`] materialises what the disk would hold if the
-//! machine lost power now — every segment's synced prefix, then zeros to the
-//! end of its runway (the worst case for a write that was overwriting them:
-//! none of it landed). It also decodes what it is asked to write, however
-//! many records one write carries, so a test can ask at any instant whether
-//! a given versioned set is already covered by a completed sync.
+//! can: it wraps [`RealFs`], remembers each file's last-synced length, how
+//! far its runway of synced zeros reaches, what a recycled file's earlier
+//! life left in it, and the name each file has since the last directory
+//! sync, and [`PowerHandle::power_loss`] materialises what the disk would
+//! hold if the machine lost power now — every file under that name, its
+//! synced prefix, then its earlier life's bytes or zeros to the end of its
+//! runway (the worst case for a write that was overwriting them: none of it
+//! landed). It also decodes what it is asked to write, however many
+//! records one write carries, so a test can ask at any instant whether a
+//! given versioned set is already covered by a completed sync.
 //!
-//! The tests drive a real reactor over it. The mutation test flips the
+//! Most tests drive a real reactor over it. The mutation test flips the
 //! reactor's test-only `flush_before_commit` switch and holds the first
 //! sync at a gate, so the early ack is observed deterministically. The
 //! gather test holds a rotation's sync the same way, so a second
-//! connection's batch arrives while the worker is mid-cycle.
+//! connection's batch arrives while the worker is mid-cycle. The recycling
+//! tests drive the writer directly, one acknowledged set at a time, and
+//! cut the power at every record of a recycled segment; their mutant is a
+//! disk whose renames never reach a directory sync.
 
 #![cfg(test)]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -32,7 +37,8 @@ use std::time::Duration;
 use camp_core::Precision;
 
 use super::{
-    record, FsyncMode, IoBackend, Persist, PersistOptions, RealFs, Record, MIN_SEGMENT_BYTES,
+    record, recover_into, FsyncMode, IoBackend, Persist, PersistOptions, RealFs, Record,
+    RecoverySummary, MIN_SEGMENT_BYTES,
 };
 use crate::client::{Client, ClientConfig, Reply};
 use crate::fault::FaultPlan;
@@ -49,21 +55,55 @@ const ROUNDS: u64 = 40;
 /// How long a gated sync (mutation test only) waits to be released.
 const GATE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One segment file as the disk sees it.
+/// One file as the disk sees it: a segment, a spare or a snapshot in the
+/// making.
 #[derive(Debug)]
 struct Segment {
     path: PathBuf,
+    /// The name a power cut finds the file under: set by `create`, and for
+    /// every file by each directory sync (a `rename`). A `retire` or a
+    /// `recycle` renames without one.
+    durable_path: PathBuf,
     len: u64,
     /// Bytes a completed `sync` covers; the rest dies with the power.
     synced_len: u64,
     /// Where the reserved zeros end: synced when they were written, so
     /// they survive — as zeros — whatever was being written over them.
     reserved_to: u64,
+    /// What a recycled file's earlier life left on the disk: past the
+    /// synced prefix it survives whatever was being written over it.
+    previous: Vec<u8>,
+}
+
+impl Segment {
+    fn new(path: &Path, durable_path: PathBuf, previous: Vec<u8>) -> Segment {
+        Segment {
+            path: path.to_path_buf(),
+            durable_path,
+            len: 0,
+            synced_len: 0,
+            reserved_to: 0,
+            previous,
+        }
+    }
+
+    /// The file's bytes after a power cut now: the synced prefix over the
+    /// earlier life's bytes, then zeros to the end of the runway.
+    fn image(&self) -> Vec<u8> {
+        let synced = self.synced_len as usize;
+        let mut survived = self.previous.clone();
+        let len = survived.len().max(synced).max(self.reserved_to as usize);
+        survived.resize(len, 0);
+        File::open(&self.path)
+            .and_then(|mut file| file.read_exact(&mut survived[..synced]))
+            .expect("read a file's synced prefix");
+        survived
+    }
 }
 
 #[derive(Debug, Default)]
 struct Disk {
-    /// Live segments, the active one last.
+    /// Segment, spare and snapshot files, the active one last.
     segments: Vec<Segment>,
     /// Versioned sets written to the active segment since its last sync.
     unsynced: Vec<(Vec<u8>, u64)>,
@@ -81,24 +121,56 @@ impl PowerHandle {
         lock(&self.0).durable.get(key).copied().unwrap_or(0)
     }
 
-    /// Writes into `dest` what the disk would hold if power failed now:
-    /// every segment's last-synced prefix, then its reserved zeros. The
-    /// running server is not disturbed (it never rewrites a synced byte).
-    fn power_loss(&self, dest: &Path) {
-        fs::create_dir_all(dest).expect("create power-loss image dir");
-        // Held across the copies so a concurrent compaction cannot remove
-        // a segment between reading its length and copying it.
+    /// What the disk would hold if power failed now: each file's name and
+    /// [`Segment::image`]. The running server is not disturbed (it never
+    /// rewrites a synced byte).
+    fn image(&self) -> Vec<(PathBuf, Vec<u8>)> {
+        // Held across the reads so a concurrent compaction cannot remove
+        // a file between reading its length and copying it.
         let disk = lock(&self.0);
-        for segment in &disk.segments {
-            let synced = segment.synced_len as usize;
-            let mut survived = vec![0u8; synced.max(segment.reserved_to as usize)];
-            File::open(&segment.path)
-                .and_then(|mut file| file.read_exact(&mut survived[..synced]))
-                .expect("read a segment's synced prefix");
-            let name = segment.path.file_name().expect("segment file name");
-            fs::write(dest.join(name), survived).expect("write power-loss image");
-        }
+        disk.segments
+            .iter()
+            .map(|file| {
+                let name = file.durable_path.file_name().expect("file name");
+                (PathBuf::from(name), file.image())
+            })
+            .collect()
     }
+
+    /// Writes [`PowerHandle::image`] into `dest`.
+    fn power_loss(&self, dest: &Path) {
+        write_image(dest, &self.image());
+    }
+
+    /// The active file's name after a power cut, its synced length, and
+    /// whether it is recycled.
+    fn active(&self) -> (PathBuf, u64, bool) {
+        let disk = lock(&self.0);
+        let file = disk.segments.last().expect("an active file");
+        let name = file.durable_path.file_name().expect("file name");
+        (
+            PathBuf::from(name),
+            file.synced_len,
+            !file.previous.is_empty(),
+        )
+    }
+}
+
+/// Writes a power-loss image's files into `dest`.
+fn write_image(dest: &Path, files: &[(PathBuf, Vec<u8>)]) {
+    fs::create_dir_all(dest).expect("create power-loss image dir");
+    for (name, bytes) in files {
+        fs::write(dest.join(name), bytes).expect("write power-loss image");
+    }
+}
+
+/// The index a segment file's name carries, under its temporary name too.
+fn index_of(path: &Path) -> u64 {
+    let name = path.file_name().and_then(|name| name.to_str());
+    name.and_then(|name| name.strip_prefix("seg-"))
+        .and_then(|name| name.split('.').next())
+        .and_then(|index| index.parse().ok())
+        .expect("a segment file name")
 }
 
 /// `v<version>` (8 digits) — what [`PowerLossFs`] parses back out of the
@@ -119,6 +191,9 @@ struct PowerLossFs {
     /// Mutation test only: each sync first waits for a message, the
     /// sender's drop, or [`GATE_TIMEOUT`].
     gate: Option<Receiver<()>>,
+    /// Whether a `rename` makes the directory durable; the mutation test
+    /// clears it.
+    dir_sync: bool,
 }
 
 impl PowerLossFs {
@@ -128,6 +203,7 @@ impl PowerLossFs {
             inner: RealFs::new(),
             disk: Arc::clone(&disk),
             gate,
+            dir_sync: true,
         };
         (fs, PowerHandle(disk))
     }
@@ -140,19 +216,16 @@ impl IoBackend for PowerLossFs {
         // The segment left behind can never be synced again: whatever it
         // still owed is lost to a power cut for good.
         disk.unsynced.clear();
-        disk.segments.push(Segment {
-            path: path.to_path_buf(),
-            len: 0,
-            synced_len: 0,
-            reserved_to: 0,
-        });
+        disk.segments
+            .push(Segment::new(path, path.to_path_buf(), Vec::new()));
         Ok(())
     }
 
     fn append(&mut self, buf: &[u8]) -> io::Result<()> {
         self.inner.append(buf)?;
         let mut disk = lock(&self.disk);
-        record::scan(buf, |rec| {
+        let index = index_of(&disk.segments.last().expect("append before create").path);
+        record::scan_segment(buf, index, |rec| {
             if let Record::Set { key, value, .. } = rec {
                 if let Some(version) = version_of(value) {
                     disk.unsynced.push((key.to_vec(), version));
@@ -193,6 +266,7 @@ impl IoBackend for PowerLossFs {
         active.len = len;
         active.synced_len = active.synced_len.min(len);
         active.reserved_to = active.reserved_to.min(len);
+        active.previous.truncate(len as usize);
         Ok(())
     }
 
@@ -209,7 +283,34 @@ impl IoBackend for PowerLossFs {
         self.inner.rename(from, to)?;
         let active = disk.segments.last_mut().expect("rename before create");
         active.path = to.to_path_buf();
+        if self.dir_sync {
+            for file in &mut disk.segments {
+                file.durable_path.clone_from(&file.path);
+            }
+        }
         Ok(())
+    }
+
+    fn retire(&mut self, path: &Path, spare: &Path) -> io::Result<bool> {
+        let mut disk = lock(&self.disk);
+        let pooled = self.inner.retire(path, spare)?;
+        let file = disk.segments.iter_mut().find(|file| file.path == path);
+        file.expect("retire a known segment").path = spare.to_path_buf();
+        Ok(pooled)
+    }
+
+    fn recycle(&mut self, spare: &Path, path: &Path) -> io::Result<u64> {
+        let mut disk = lock(&self.disk);
+        let at = disk.segments.iter().position(|file| file.path == spare);
+        let at = at.expect("recycle a known spare");
+        let previous = disk.segments[at].image();
+        let len = self.inner.recycle(spare, path)?;
+        let spare = disk.segments.remove(at);
+        // As at `create`: the segment left behind is never synced again.
+        disk.unsynced.clear();
+        disk.segments
+            .push(Segment::new(path, spare.durable_path, previous));
+        Ok(len)
     }
 
     fn reserve(&mut self, bytes: u64) -> io::Result<u64> {
@@ -573,4 +674,187 @@ fn a_batch_that_arrives_before_the_barrier_joins_its_commit() {
     drop((a, b));
     server.shutdown();
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Keys the recycling tests cycle through: every segment's earlier life
+/// holds older versions of the keys its new life writes.
+const RECYCLE_KEYS: u64 = 8;
+
+/// A writer over a [`PowerLossFs`] whose every append is its own
+/// `--fsync always` commit — acknowledged once it returns — in segments
+/// small enough that the spare pool fills within a few hundred sets.
+struct Recycling {
+    store: ShardedStore,
+    persist: Persist,
+    disk: PowerHandle,
+    dir: PathBuf,
+    /// Every key's last acknowledged version.
+    acked: HashMap<Vec<u8>, u64>,
+    version: u64,
+}
+
+impl Recycling {
+    fn new(tag: &str, dir_sync: bool) -> Recycling {
+        let dir = temp_dir(tag);
+        let (mut backend, disk) = PowerLossFs::new(None);
+        backend.dir_sync = dir_sync;
+        let store = ShardedStore::new(store_config(), 1);
+        let options = PersistOptions {
+            fsync: FsyncMode::Always,
+            segment_bytes: MIN_SEGMENT_BYTES,
+            keep_segments: 2,
+            ..PersistOptions::new(&dir)
+        };
+        let persist = Persist::open_with_backend(options, Box::new(backend), &store)
+            .expect("open over the power-loss backend");
+        Recycling {
+            store,
+            persist,
+            disk,
+            dir,
+            acked: HashMap::new(),
+            version: 0,
+        }
+    }
+
+    /// One acknowledged set of the next version; returns its key.
+    fn set(&mut self) -> Vec<u8> {
+        self.version += 1;
+        let key = format!("k{}", self.version % RECYCLE_KEYS).into_bytes();
+        let value = versioned_value(self.version);
+        self.store
+            .set(&key, value.as_bytes(), 0, 0, 1)
+            .expect("set");
+        self.persist
+            .append_set(&self.store, &key, value.as_bytes(), 0, 0, 1);
+        self.acked.insert(key.clone(), self.version);
+        key
+    }
+}
+
+/// Boots recovery on a power-loss image written into `dest`.
+fn recover_image(files: &[(PathBuf, Vec<u8>)], dest: &Path) -> (ShardedStore, RecoverySummary) {
+    let _ = fs::remove_dir_all(dest);
+    write_image(dest, files);
+    let store = ShardedStore::new(store_config(), 1);
+    let summary = recover_into(dest, &store).expect("recover").summary;
+    (store, summary)
+}
+
+/// Keys of `acked` that `store` does not serve at exactly their
+/// acknowledged version: lost, or rolled back by a stale frame.
+fn lost_or_stale(store: &ShardedStore, acked: &HashMap<Vec<u8>, u64>) -> Vec<String> {
+    let mut wrong: Vec<String> = acked
+        .iter()
+        .filter(|&(key, &version)| {
+            store.get_with(key, |item| version_of(item.value)) != Some(Some(version))
+        })
+        .map(|(key, version)| format!("{}@v{version}", String::from_utf8_lossy(key)))
+        .collect();
+    wrong.sort();
+    wrong
+}
+
+/// A power cut at every record boundary inside three recycled segments
+/// (rolled and snapshot ones), and at every byte of every fourth write
+/// there, over files whose earlier lives hold older versions of the same
+/// keys: recovery serves every acknowledged write at exactly its version,
+/// so no stale frame is replayed, and counts nothing torn or quarantined
+/// at a boundary.
+#[test]
+fn a_power_cut_inside_a_recycled_segment_keeps_every_acked_write() {
+    let mut run = Recycling::new("recycled", true);
+    let image = temp_dir("recycled-image");
+    let mut recycled = HashSet::new();
+    let mut torn_writes = 0;
+    while recycled.len() < 3 {
+        let before = run.disk.image();
+        let (name, synced, _) = run.disk.active();
+        let acked_before = run.acked.clone();
+        let key = run.set();
+        let (name_after, synced_after, is_recycled) = run.disk.active();
+        if !is_recycled {
+            continue;
+        }
+        recycled.insert(name_after.clone());
+        let after = run.disk.image();
+        let (store, summary) = recover_image(&after, &image);
+        assert_eq!(lost_or_stale(&store, &run.acked), Vec::<String>::new());
+        assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
+
+        if name != name_after || !run.version.is_multiple_of(4) {
+            continue;
+        }
+        // The same write cut at every byte: its frame, then the end marker.
+        let active = |files: &[(PathBuf, Vec<u8>)]| {
+            let file = files.iter().find(|(file, _)| *file == name);
+            file.expect("the active file is in the image").1.clone()
+        };
+        let (from, to) = (synced as usize, synced_after as usize);
+        let write = active(&after)[from..to].to_vec();
+        let frame_len = write.len() - record::END_MARKER.len();
+        let mut others = acked_before.clone();
+        let earlier = others.remove(&key);
+        for cut in 1..write.len() {
+            let mut files = before.clone();
+            let file = &mut files
+                .iter_mut()
+                .find(|(file, _)| *file == name)
+                .expect("active")
+                .1;
+            if file.len() < from + cut {
+                file.resize(from + cut, 0);
+            }
+            // What the earlier life held there may leave its own frame
+            // whole (another segment's: a clean end), or complete the new
+            // one.
+            let changed = file[from..from + cut] != write[..cut];
+            file[from..from + cut].copy_from_slice(&write[..cut]);
+            let whole = file[from..].starts_with(&write[..frame_len]);
+            let (store, summary) = recover_image(&files, &image);
+            assert_eq!(
+                lost_or_stale(&store, &others),
+                Vec::<String>::new(),
+                "cut {cut}"
+            );
+            assert_eq!(summary.quarantined, 0, "cut {cut}");
+            let got = store
+                .get_with(&key, |item| version_of(item.value))
+                .flatten();
+            if whole {
+                assert_eq!(got, Some(run.version), "cut {cut}: a whole frame lost");
+            } else {
+                assert_eq!(got, earlier, "cut {cut}: a torn frame replayed");
+                // Past the previous write's end marker, a frame shows as
+                // begun once its magic has landed.
+                let begun = cut >= 4 && changed;
+                assert!(summary.torn_bytes > 0 || !begun, "cut {cut}: {summary:?}");
+            }
+        }
+        torn_writes += 1;
+    }
+    assert!(torn_writes >= 3, "only {torn_writes} writes cut");
+    let snap = run.persist.snapshot();
+    assert!(snap.snapshots >= 1 && snap.recycled >= 3, "{snap:?}");
+    fs::remove_dir_all(&run.dir).ok();
+    fs::remove_dir_all(&image).ok();
+}
+
+/// Mutation: on a disk whose renames never reach a directory sync, a
+/// recycled segment keeps its earlier name through a power cut, and the
+/// acknowledged writes in it are lost — the check above must say so.
+#[test]
+fn a_rename_left_unsynced_is_caught() {
+    let mut run = Recycling::new("unsynced-rename", false);
+    let image = temp_dir("unsynced-rename-image");
+    while !matches!(run.disk.active(), (_, synced, true) if synced > 0) {
+        run.set();
+    }
+    let (store, _) = recover_image(&run.disk.image(), &image);
+    assert!(
+        !lost_or_stale(&store, &run.acked).is_empty(),
+        "a recycled name that never became durable went unnoticed"
+    );
+    fs::remove_dir_all(&run.dir).ok();
+    fs::remove_dir_all(&image).ok();
 }

@@ -4,16 +4,17 @@
 //! # Record layout (all integers big-endian)
 //!
 //! ```text
-//! +--------+--------+--------+----------------------+
-//! | magic  | len    | crc    | payload (len bytes)  |
-//! | u32    | u32    | u32    |                      |
-//! +--------+--------+--------+----------------------+
+//! +--------+--------+--------+---------+----------------------+
+//! | magic  | len    | crc    | segment | payload (len bytes)  |
+//! | u32    | u32    | u32    | u32     |                      |
+//! +--------+--------+--------+---------+----------------------+
 //! ```
 //!
-//! `magic` is the constant `"CPLG"`; `len` counts payload bytes only;
-//! `crc` is CRC32C (Castagnoli) over the payload. The payload begins
-//! with a one-byte kind tag followed by kind-specific fields mirroring
-//! the [`crate::item`] encoding order:
+//! `magic` is the constant `"CPL2"`; `len` counts payload bytes only;
+//! `segment` is the low 32 bits of the index of the segment the frame was
+//! written to; `crc` is CRC32C (Castagnoli) over `segment` and the
+//! payload. The payload begins with a one-byte kind tag followed by
+//! kind-specific fields mirroring the [`crate::item`] encoding order:
 //!
 //! ```text
 //! set    1 | key_len u16 | value_len u32 | flags u32 | cost u64 |
@@ -24,21 +25,42 @@
 //! seal   5 |
 //! ```
 //!
-//! The scanner ([`scan`]) never panics on arbitrary bytes. Where no
-//! verifiable frame starts it asks what lies beyond: nothing but zeros is
-//! the unused end of a reserved segment (clean, counted nowhere); bytes
-//! with no verifiable frame after them are the torn tail of an
-//! interrupted write (counted in [`ScanSummary::torn_bytes`]); bytes
-//! *with* one are mid-log corruption — quarantined, then skipped to that
-//! frame.
+//! The parent format (magic `"CPLG"`, a 12-byte header with no `segment`,
+//! `crc` over the payload alone) is still read: a journal written before
+//! segment files were recycled recovers as it always did.
+//!
+//! The segment index is what makes a recycled file safe: a spare file is
+//! overwritten from offset 0, so past the records of its new life lie
+//! those of its earlier one, checksums intact. A verified frame that
+//! names another segment is such a leftover, and ends the log.
+//!
+//! The scanner ([`scan_segment`]) never panics on arbitrary bytes. Where
+//! no frame of the segment starts it asks what lies beyond: nothing but
+//! zeros, an end marker or another segment's frames end the log cleanly
+//! (counted nowhere); other bytes with no frame of the segment after
+//! them are the torn tail of an interrupted write (counted in
+//! [`ScanSummary::torn_bytes`]); bytes *with* one are mid-log corruption
+//! — quarantined, then skipped to that frame.
 
 pub use super::crc::crc32c;
 
-/// Per-record framing magic: `"CPLG"` (camp persistence log).
-pub const MAGIC: u32 = 0x4350_4C47;
+/// Per-record framing magic: `"CPL2"` (camp persistence log, the
+/// format whose frames name their segment).
+pub const MAGIC: u32 = 0x4350_4C32;
 
-/// Frame header bytes ahead of the payload: magic + len + crc.
-pub const FRAME_HEADER_LEN: usize = 12;
+/// Frame header bytes ahead of the payload: magic + len + crc + segment.
+pub const FRAME_HEADER_LEN: usize = 16;
+
+/// The checksum covers a frame from this offset on: its segment index and
+/// its payload.
+pub const CHECKED_FROM: usize = 12;
+
+/// The parent format's magic, `"CPLG"`: a 12-byte header (magic, len,
+/// crc over the payload) and no segment index.
+const PARENT_MAGIC: u32 = 0x4350_4C47;
+
+/// Frame header bytes ahead of a parent-format payload.
+const PARENT_HEADER_LEN: usize = 12;
 
 /// Upper bound on a sane payload length. Values are capped at the
 /// server's `--max-value-bytes` (1 MiB by default, configurable), so
@@ -100,14 +122,46 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_be_bytes());
 }
 
-/// Appends `record` to `buf` as one framed, checksummed log record.
-/// Keys longer than `u16::MAX` are truncated by the protocol layer long
-/// before this point (the parser caps key length), so the cast is safe.
+/// The segment tag a frame carries: the low 32 bits of the index, which
+/// a file's successive lives never share (indices only grow, and a spare
+/// serves again only after a rotation).
+fn segment_tag(segment: u64) -> u32 {
+    segment as u32
+}
+
+/// Appends `record` to `buf` as one framed, checksummed log record of
+/// segment `segment`: the frame the writer emits.
+pub fn encode_frame(record: &Record<'_>, segment: u64, buf: &mut Vec<u8>) {
+    encode(record, Some(segment_tag(segment)), buf);
+}
+
+/// Appends `record` to `buf` as one parent-format (`"CPLG"`) frame: what
+/// builds before segment recycling wrote, and what recovery still reads.
+/// The writer no longer emits it.
 pub fn encode_into(record: &Record<'_>, buf: &mut Vec<u8>) {
+    encode(record, None, buf);
+}
+
+/// One frame of the current format naming segment tag `segment`, or of
+/// the parent format without one. Keys longer than `u16::MAX` are
+/// truncated by the protocol layer long before this point (the parser
+/// caps key length), so the cast is safe.
+fn encode(record: &Record<'_>, segment: Option<u32>, buf: &mut Vec<u8>) {
     let frame_start = buf.len();
-    push_u32(buf, MAGIC);
+    push_u32(
+        buf,
+        if segment.is_some() {
+            MAGIC
+        } else {
+            PARENT_MAGIC
+        },
+    );
     push_u32(buf, 0); // len placeholder
     push_u32(buf, 0); // crc placeholder
+    let checked_from = buf.len();
+    if let Some(tag) = segment {
+        push_u32(buf, tag);
+    }
     let payload_start = buf.len();
     match *record {
         Record::Set {
@@ -141,7 +195,7 @@ pub fn encode_into(record: &Record<'_>, buf: &mut Vec<u8>) {
         Record::Seal => buf.push(KIND_SEAL),
     }
     let payload_len = (buf.len() - payload_start) as u32;
-    let crc = crc32c(&buf[payload_start..]);
+    let crc = crc32c(&buf[checked_from..]);
     buf[frame_start + 4..frame_start + 8].copy_from_slice(&payload_len.to_be_bytes());
     buf[frame_start + 8..frame_start + 12].copy_from_slice(&crc.to_be_bytes());
 }
@@ -221,17 +275,51 @@ pub struct ScanSummary {
     /// Whether the last verified record was a [`Record::Seal`] — i.e.
     /// the segment was closed by a clean shutdown, not a crash.
     pub sealed: bool,
-    /// Where the log ends: everything from this offset on is torn tail
-    /// or unused reserved zeros, and recovery may cut it off.
+    /// Where the log ends: everything from this offset on is torn tail,
+    /// unused reserved zeros or a recycled file's earlier life, and
+    /// recovery may cut it off.
     pub valid_len: u64,
 }
 
-/// Searches `buf[from..]` for the next frame magic.
+/// What the writer appends after every write to a recycled file: a frame
+/// header's worth of zeros, so the log reads as ended there rather than
+/// in the middle of the earlier life's bytes that follow. The next write
+/// lands after it, and a scan steps over one that a frame of its segment
+/// follows.
+pub const END_MARKER: [u8; FRAME_HEADER_LEN] = [0; FRAME_HEADER_LEN];
+
+/// One checksum-verified frame.
+struct Frame<'a> {
+    payload: &'a [u8],
+    /// Bytes on disk, header included.
+    len: usize,
+    /// The segment tag it carries; `None` for a parent-format frame.
+    segment: Option<u32>,
+}
+
+/// Which frames one scan replays: those of one life of one file.
+#[derive(Debug, Clone, Copy)]
+struct Life {
+    /// The tag of the segment the file is read as; `None` reads only
+    /// parent-format frames.
+    segment: Option<u32>,
+    /// Whether the life's frames are parent-format ones, once one has
+    /// been replayed: a file holds frames of one format, never both.
+    parent: Option<bool>,
+}
+
+impl Life {
+    fn owns(&self, frame: &Frame<'_>) -> bool {
+        let parent = frame.segment.is_none();
+        self.parent.is_none_or(|p| p == parent) && (parent || frame.segment == self.segment)
+    }
+}
+
+/// Searches `buf[from..]` for the next frame magic of either format.
 fn resync(buf: &[u8], from: usize) -> Option<usize> {
-    let needle = MAGIC.to_be_bytes();
     let mut at = from;
     while at + 4 <= buf.len() {
-        if buf[at..at + 4] == needle {
+        if matches!(read_u32(buf, at), Some(MAGIC | PARENT_MAGIC)) {
             return Some(at);
         }
         at += 1;
@@ -239,12 +327,14 @@ fn resync(buf: &[u8], from: usize) -> Option<usize> {
     None
 }
 
-/// The payload of the frame at `buf[at..]`, if a whole one with a sane
-/// length and a matching checksum starts there.
-fn frame_at(buf: &[u8], at: usize) -> Option<&[u8]> {
-    if buf.get(at..at + 4)? != MAGIC.to_be_bytes() {
-        return None;
-    }
+/// The frame at `buf[at..]`, if a whole one with a sane length and a
+/// matching checksum starts there.
+fn frame_at(buf: &[u8], at: usize) -> Option<Frame<'_>> {
+    let (header, segment) = match read_u32(buf, at)? {
+        MAGIC => (FRAME_HEADER_LEN, Some(read_u32(buf, at + CHECKED_FROM)?)),
+        PARENT_MAGIC => (PARENT_HEADER_LEN, None),
+        _ => return None,
+    };
     let len = read_u32(buf, at + 4)? as usize;
     let crc = read_u32(buf, at + 8)?;
     // Every payload leads with its kind byte. An empty one (whose CRC, 0,
@@ -252,47 +342,85 @@ fn frame_at(buf: &[u8], at: usize) -> Option<&[u8]> {
     if len == 0 || len > MAX_PAYLOAD_LEN {
         return None;
     }
-    let start = at + FRAME_HEADER_LEN;
-    let payload = buf.get(start..start + len)?;
-    (crc32c(payload) == crc).then_some(payload)
+    let end = at + header + len;
+    let payload = buf.get(at + header..end)?;
+    let checked = match segment {
+        Some(_) => &buf[at + CHECKED_FROM..end],
+        None => payload,
+    };
+    (crc32c(checked) == crc).then_some(Frame {
+        payload,
+        len: header + len,
+        segment,
+    })
 }
 
-/// The offset of the first verifiable frame in `buf[from..]`.
-fn next_frame(buf: &[u8], from: usize) -> Option<usize> {
+/// The first verifiable frame in `buf[from..]`, of any segment.
+fn next_frame(buf: &[u8], from: usize) -> Option<(usize, Frame<'_>)> {
     let mut at = from;
     while let Some(hit) = resync(buf, at) {
-        if frame_at(buf, hit).is_some() {
-            return Some(hit);
+        if let Some(frame) = frame_at(buf, hit) {
+            return Some((hit, frame));
         }
         at = hit + 1;
     }
     None
 }
 
-/// Scans one segment's bytes front to back, calling `apply` for every
-/// checksum-verified record. Never panics, always terminates: the
-/// cursor strictly advances.
+/// Scans the bytes of segment `segment` front to back, calling `apply` for
+/// every checksum-verified record of that segment. Never panics, always
+/// terminates: the cursor strictly advances.
 ///
-/// Where no verifiable frame starts, what follows decides (the three
-/// end-of-log rules):
+/// The log ends cleanly at a verified frame of another segment — the
+/// earlier life of a recycled file — or of the other format. Where no
+/// verifiable frame starts, what follows decides (the end-of-log rules):
 ///
 /// 1. nothing but zeros — starting with the twelve a frame header would
 ///    occupy — is the unused end of a reserved segment: the log ends
 ///    cleanly and nothing is counted;
-/// 2. bytes with no verifiable frame anywhere after them are the **torn
-///    tail** of an interrupted write, counted in `torn_bytes` up to
-///    their last non-zero byte (whatever zeros trail them were reserved,
-///    not torn);
-/// 3. bytes with a verifiable frame after them are mid-log corruption:
-///    one quarantine, and the scan resumes at that frame.
-pub fn scan(buf: &[u8], mut apply: impl FnMut(Record<'_>)) -> ScanSummary {
+/// 2. an [`END_MARKER`] is stepped over when a frame of the segment
+///    follows it, and otherwise ends the log as cleanly — but for a frame
+///    begun right after it and not finished, a torn tail by rule 3;
+/// 3. bytes with no frame of the segment after them, before any other
+///    segment's, are the **torn tail** of an interrupted write, counted
+///    in `torn_bytes` up to their last non-zero byte (whatever zeros
+///    trail them were reserved, not torn);
+/// 4. bytes with a frame of the segment after them are mid-log
+///    corruption: one quarantine, and the scan resumes at that frame.
+///
+/// Parent-format frames name no segment and belong to any: a journal
+/// written before recycling scans exactly as it always did. Rule 2 holds
+/// only in a log of the current format, where the writer puts the marker.
+pub fn scan_segment(buf: &[u8], segment: u64, apply: impl FnMut(Record<'_>)) -> ScanSummary {
+    let life = Life {
+        segment: Some(segment_tag(segment)),
+        parent: None,
+    };
+    scan_life(buf, life, apply)
+}
+
+/// [`scan_segment`] for a journal that names no segment: parent-format
+/// frames replay, and a frame of the current format ends the log.
+pub fn scan(buf: &[u8], apply: impl FnMut(Record<'_>)) -> ScanSummary {
+    let life = Life {
+        segment: None,
+        parent: None,
+    };
+    scan_life(buf, life, apply)
+}
+
+fn scan_life(buf: &[u8], mut life: Life, mut apply: impl FnMut(Record<'_>)) -> ScanSummary {
     let mut summary = ScanSummary::default();
     // Nothing at or past this offset but zeros.
     let data_end = buf.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1);
     let mut at = 0usize;
     while at < buf.len() {
-        if let Some(payload) = frame_at(buf, at) {
-            match decode_payload(payload) {
+        if let Some(frame) = frame_at(buf, at) {
+            if !life.owns(&frame) {
+                break;
+            }
+            life.parent = Some(frame.segment.is_none());
+            match decode_payload(frame.payload) {
                 Some(record) => {
                     summary.sealed = matches!(record, Record::Seal);
                     summary.applied += 1;
@@ -300,19 +428,34 @@ pub fn scan(buf: &[u8], mut apply: impl FnMut(Record<'_>)) -> ScanSummary {
                 }
                 None => summary.quarantined += 1,
             }
-            at += FRAME_HEADER_LEN + payload.len();
+            at += frame.len;
             continue;
         }
         if at >= data_end {
             break;
         }
+        let marked = life.parent == Some(false) && buf[at..].starts_with(&END_MARKER);
+        if marked && frame_at(buf, at + END_MARKER.len()).is_some_and(|next| life.owns(&next)) {
+            at += END_MARKER.len();
+            continue;
+        }
         match next_frame(buf, at + 1) {
-            Some(next) => {
+            Some((next, frame)) if life.owns(&frame) => {
                 summary.quarantined += 1;
                 at = next;
             }
-            None => {
-                summary.torn_bytes = (data_end - at) as u64;
+            other => {
+                let end = other.map_or(data_end, |(next, _)| next);
+                // Past an end marker lies the earlier life, unless a write
+                // began a frame there and did not finish it.
+                let from = if marked { at + END_MARKER.len() } else { at };
+                if !marked || read_u32(buf, from) == Some(MAGIC) {
+                    let torn = buf[from..end]
+                        .iter()
+                        .rposition(|&b| b != 0)
+                        .map_or(0, |last| last + 1);
+                    summary.torn_bytes = torn as u64;
+                }
                 break;
             }
         }
@@ -435,6 +578,156 @@ mod tests {
                 ..ScanSummary::default()
             }
         );
+    }
+
+    /// One frame as the writer emits it: the current magic, the payload's
+    /// length and a checksum over the segment tag and the payload — the
+    /// tag is the segment index's low 32 bits.
+    #[test]
+    fn writer_frames_are_pinned_with_their_segment() {
+        let mut frame = Vec::new();
+        encode_frame(
+            &Record::Delete { key: b"user:42" },
+            0x1_0000_0007,
+            &mut frame,
+        );
+        let hex = concat!(
+            "43504c32",
+            "0000000a",
+            "7beeb99a",
+            "00000007", // magic, len 10, crc, segment
+            "02",
+            "0007",
+            "757365723a3432",
+        );
+        assert_eq!(to_hex(&frame), hex);
+        let summary = scan_segment(&frame, 7, |record| {
+            assert_eq!(record, Record::Delete { key: b"user:42" });
+        });
+        assert_eq!(
+            (summary.applied, summary.valid_len),
+            (1, frame.len() as u64)
+        );
+        // Read as any other segment, or with no segment, it is another
+        // life's frame: the log ends before it, cleanly.
+        for summary in [scan_segment(&frame, 8, |_| {}), scan(&frame, |_| {})] {
+            assert_eq!(summary, ScanSummary::default());
+        }
+    }
+
+    /// `count` sets of segment `segment`, each of its own key.
+    fn frames_of(segment: u64, count: usize) -> Vec<Vec<u8>> {
+        (0..count)
+            .map(|i| {
+                let key = format!("key-{segment}-{i}");
+                let value = vec![b'v'; 10 + 7 * i];
+                let set = Record::Set {
+                    key: key.as_bytes(),
+                    value: &value,
+                    flags: 0,
+                    cost: 1,
+                    expires_at: 0,
+                };
+                let mut frame = Vec::new();
+                encode_frame(&set, segment, &mut frame);
+                frame
+            })
+            .collect()
+    }
+
+    /// A file recycled as segment 9: segment 30's frames (a byte longer
+    /// than segment 9's, so the two lives' frames do not line up),
+    /// overwritten from offset 0 by `live`.
+    fn recycled(live: &[u8]) -> Vec<u8> {
+        let mut file = segment_from(&frames_of(30, 40));
+        assert!(file.len() > live.len() + 600);
+        file[..live.len()].copy_from_slice(live);
+        file
+    }
+
+    #[test]
+    fn a_stale_frame_after_live_ones_ends_the_log_cleanly() {
+        let live = frames_of(9, 3);
+        let log = segment_from(&live);
+        // Directly after the live frames, or where the writer left an end
+        // marker over the middle of a stale frame.
+        let aligned = [log.clone(), segment_from(&frames_of(3, 5))].concat();
+        let marked = recycled(&[log.clone(), END_MARKER.to_vec()].concat());
+        for file in [aligned, marked] {
+            let summary = scan_segment(&file, 9, |_| {});
+            assert_eq!(
+                summary,
+                ScanSummary {
+                    applied: 3,
+                    valid_len: log.len() as u64,
+                    ..ScanSummary::default()
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn end_markers_between_writes_are_stepped_over() {
+        let live = frames_of(9, 6);
+        let mut log = Vec::new();
+        for write in live.chunks(2) {
+            log.extend(segment_from(write));
+            log.extend_from_slice(&END_MARKER);
+        }
+        let summary = scan_segment(&recycled(&log), 9, |_| {});
+        assert_eq!(summary.applied, 6);
+        assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
+        assert_eq!(summary.valid_len, (log.len() - END_MARKER.len()) as u64);
+    }
+
+    #[test]
+    fn a_live_frame_torn_over_stale_bytes_counts_as_torn() {
+        let live = frames_of(9, 3);
+        let whole = segment_from(&live[..2]);
+        for cut in 1..live[2].len() {
+            let mut log = whole.clone();
+            log.extend_from_slice(&live[2][..cut]);
+            let file = recycled(&log);
+            if file[whole.len()..].starts_with(&live[2]) {
+                continue; // the earlier life held the missing bytes
+            }
+            let summary = scan_segment(&file, 9, |_| {});
+            assert_eq!((summary.applied, summary.quarantined), (2, 0), "cut {cut}");
+            assert!(summary.torn_bytes >= cut as u64, "cut {cut}: {summary:?}");
+            assert_eq!(summary.valid_len, whole.len() as u64, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn a_corrupt_frame_between_live_frames_is_still_quarantined() {
+        let live = frames_of(9, 3);
+        let mut log = segment_from(&live);
+        log.extend_from_slice(&END_MARKER);
+        log[live[0].len() + FRAME_HEADER_LEN + 3] ^= 0x10;
+        let mut keys = Vec::new();
+        let summary = scan_segment(&recycled(&log), 9, |record| {
+            if let Record::Set { key, .. } = record {
+                keys.push(key.to_vec());
+            }
+        });
+        assert_eq!(keys, [b"key-9-0".to_vec(), b"key-9-2".to_vec()]);
+        assert_eq!((summary.quarantined, summary.torn_bytes), (1, 0));
+    }
+
+    #[test]
+    fn a_file_holds_one_format() {
+        // A parent-format frame after current-format ones is another
+        // life's, and so is a current-format frame after parent-format ones.
+        let current = segment_from(&frames_of(9, 2));
+        let parent = segment_from(&sample_records()[..2]);
+        for (file, applied) in [
+            ([current.clone(), parent.clone()].concat(), 2),
+            ([parent.clone(), current.clone()].concat(), 2),
+        ] {
+            let summary = scan_segment(&file, 9, |_| {});
+            assert_eq!((summary.applied, summary.quarantined), (applied, 0));
+            assert_eq!(summary.torn_bytes, 0);
+        }
     }
 
     #[test]
@@ -615,6 +908,51 @@ mod tests {
         assert_eq!(summary.valid_len, 0);
     }
 
+    /// One to four seeded mutations of `segment` — bit flips,
+    /// truncations, insertions, duplications and splices of a fragment of
+    /// one of `donors`.
+    fn mangle(rng: &mut Rng64, segment: &mut Vec<u8>, donors: &[Vec<u8>]) {
+        let mutations = 1 + rng.range_u64(0, 4);
+        for _ in 0..mutations {
+            if segment.is_empty() {
+                break;
+            }
+            match rng.range_u64(0, 5) {
+                0 => {
+                    // Bit flip.
+                    let at = rng.range_usize(0, segment.len());
+                    segment[at] ^= 1 << rng.range_u64(0, 8);
+                }
+                1 => {
+                    // Truncate.
+                    let at = rng.range_usize(0, segment.len());
+                    segment.truncate(at);
+                }
+                2 => {
+                    // Insert a random byte.
+                    let at = rng.range_usize(0, segment.len() + 1);
+                    segment.insert(at, (rng.next_u64() & 0xFF) as u8);
+                }
+                3 => {
+                    // Duplicate a chunk in place.
+                    let at = rng.range_usize(0, segment.len());
+                    let end = (at + rng.range_usize(1, 48)).min(segment.len());
+                    let chunk: Vec<u8> = segment[at..end].to_vec();
+                    segment.splice(at..at, chunk);
+                }
+                _ => {
+                    // Splice a fragment of a donor record in.
+                    let donor = &donors[rng.range_usize(0, donors.len())];
+                    let from = rng.range_usize(0, donor.len());
+                    let to = (from + rng.range_usize(1, 32)).min(donor.len());
+                    let at = rng.range_usize(0, segment.len() + 1);
+                    let frag: Vec<u8> = donor[from..to].to_vec();
+                    segment.splice(at..at, frag);
+                }
+            }
+        }
+    }
+
     /// The recovery fuzzer (the PR 4/PR 5 fuzzer recipe): 20k seeded
     /// mutations — bit flips, truncations, insertions, duplications and
     /// cross-corpus splices — of a valid segment. The scan must always
@@ -635,45 +973,7 @@ mod tests {
         let mut torn_total = 0u64;
         for round in 0..20_000 {
             let mut segment = segment_from(&corpus);
-            let mutations = 1 + rng.range_u64(0, 4);
-            for _ in 0..mutations {
-                if segment.is_empty() {
-                    break;
-                }
-                match rng.range_u64(0, 5) {
-                    0 => {
-                        // Bit flip.
-                        let at = rng.range_usize(0, segment.len());
-                        segment[at] ^= 1 << rng.range_u64(0, 8);
-                    }
-                    1 => {
-                        // Truncate.
-                        let at = rng.range_usize(0, segment.len());
-                        segment.truncate(at);
-                    }
-                    2 => {
-                        // Insert a random byte.
-                        let at = rng.range_usize(0, segment.len() + 1);
-                        segment.insert(at, (rng.next_u64() & 0xFF) as u8);
-                    }
-                    3 => {
-                        // Duplicate a chunk in place.
-                        let at = rng.range_usize(0, segment.len());
-                        let end = (at + rng.range_usize(1, 48)).min(segment.len());
-                        let chunk: Vec<u8> = segment[at..end].to_vec();
-                        segment.splice(at..at, chunk);
-                    }
-                    _ => {
-                        // Splice a fragment of another corpus record in.
-                        let donor = &corpus[rng.range_usize(0, corpus.len())];
-                        let from = rng.range_usize(0, donor.len());
-                        let to = (from + rng.range_usize(1, 32)).min(donor.len());
-                        let at = rng.range_usize(0, segment.len() + 1);
-                        let frag: Vec<u8> = donor[from..to].to_vec();
-                        segment.splice(at..at, frag);
-                    }
-                }
-            }
+            mangle(&mut rng, &mut segment, &corpus);
             let mut corrupt_served = 0u64;
             let summary = scan(&segment, |record| {
                 if !is_known(&record) {
@@ -697,5 +997,45 @@ mod tests {
         // dead code.
         assert!(quarantined_total > 0);
         assert!(torn_total > 0);
+    }
+
+    /// The fuzzer over a recycled file: segment 9's writes (frames, each
+    /// pair ended by a marker) over segment 30's frames, mangled 5k seeded
+    /// ways, donors from both lives. Whatever the damage, every record the
+    /// scan applies is one of segment 9's: the earlier life never replays.
+    #[test]
+    fn mangled_recycled_segments_never_apply_an_earlier_life() {
+        let live = frames_of(9, 6);
+        let mut log = Vec::new();
+        for write in live.chunks(2) {
+            log.extend(segment_from(write));
+            log.extend_from_slice(&END_MARKER);
+        }
+        let file = recycled(&log);
+        let donors = [live.clone(), frames_of(30, 40)].concat();
+        let is_live = |record: &Record<'_>| {
+            let mut frame = Vec::new();
+            encode_frame(record, 9, &mut frame);
+            live.contains(&frame)
+        };
+        assert_eq!(scan_segment(&file, 9, |_| {}).applied, 6);
+        let mut rng = Rng64::seed_from_u64(0x5EC7_C1ED);
+        let mut quarantined_total = 0u64;
+        for round in 0..5_000 {
+            let mut segment = file.clone();
+            mangle(&mut rng, &mut segment, &donors);
+            let mut foreign = 0u64;
+            let summary = scan_segment(&segment, 9, |record| {
+                if !is_live(&record) {
+                    foreign += 1;
+                }
+            });
+            assert_eq!(
+                foreign, 0,
+                "round {round}: applied a record of no live frame"
+            );
+            quarantined_total += summary.quarantined;
+        }
+        assert!(quarantined_total > 0, "no mutation reached a live frame");
     }
 }

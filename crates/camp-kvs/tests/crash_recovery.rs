@@ -427,7 +427,7 @@ fn no_reply_precedes_its_records_write_in_any_fsync_mode() {
         for round in 0..8u64 {
             store_batch(&mut client, round);
             let segment = std::fs::read(dir.join("seg-00000000.camplog")).expect("read segment");
-            let scan = camp_kvs::persist::record::scan(&segment, |_| {});
+            let scan = camp_kvs::persist::record::scan_segment(&segment, 0, |_| {});
             assert_eq!(
                 (scan.applied, scan.quarantined, scan.torn_bytes),
                 ((round + 1) * PIPELINE, 0, 0),
