@@ -88,10 +88,19 @@
 //! as ended there. The file takes its segment name by a rename with the
 //! directory synced behind it — the snapshot's, or for a roll one of its
 //! own; one directory sync per rotation — before any record in it is
-//! acknowledged. The create-and-reserve path thus runs only while the
-//! pool is empty: for the first `keep_segments` rotations after boot or
-//! after a trip, which deletes the spares. They cost disk: up to
-//! `keep_segments × segment_bytes` beside the live segments.
+//! acknowledged. If recycling or the rename fails, the rotation falls
+//! back to a fresh file, and trips if even that cannot be created, so no
+//! record is ever appended to a file the writer has removed. The
+//! create-and-reserve path thus runs only while the pool is empty: for
+//! the first `keep_segments` rotations after boot or after a trip, which
+//! deletes the spares. A fresh segment's file is at most `segment_bytes`
+//! plus 8 KiB of runway; the pool keeps at most one file longer than that
+//! — a snapshot of a store larger than a segment — and only the next
+//! snapshot recycles it, so a rolled segment is read at boot no longer
+//! than a fresh one, and a recycled file left longer than that is cut
+//! back to its records. The spares cost disk beside the live segments: up
+//! to `keep_segments × (segment_bytes + 8 KiB)`, one of them replaced by a
+//! snapshot's length once the store outgrows a segment.
 //!
 //! # Degraded state
 //!
@@ -375,8 +384,11 @@ struct LogWriter {
     /// one.
     committed: u64,
     consecutive_errors: u32,
-    /// All live segments in index order; the active one is last.
-    segments: Vec<(u64, PathBuf)>,
+    /// All live segments in index order, each with its file's length
+    /// once the writer left it: `None` before that, and for the segments
+    /// recovered at boot, which are never recycled. The active one is
+    /// last.
+    segments: Vec<(u64, PathBuf, Option<u64>)>,
     /// Encoded frames no `write` has carried yet: everything appended
     /// since the last commit (and a snapshot's flush buffer). Empty while
     /// degraded.
@@ -390,16 +402,15 @@ struct LogWriter {
     /// backend does not reserve, or a failed write cut it off).
     runway_end: u64,
     /// The active segment is a recycled file: its runway is the earlier
-    /// life's bytes past the records — never topped up, never cut off at
-    /// rotation, and ended after every write by an
-    /// [`record::END_MARKER`].
+    /// life's bytes past the records — never topped up, cut off at
+    /// rotation only past [`LogWriter::spare_cap`], and ended after every
+    /// write by an [`record::END_MARKER`].
     recycled: bool,
-    /// Retired segment files waiting to serve again, at most
-    /// `keep_segments`; the next to serve is last.
-    spares: Vec<PathBuf>,
-    /// Index of the first segment this process wrote. The ones before it
-    /// were recovered at boot, and are deleted rather than recycled.
-    first_written: u64,
+    /// Retired segment files waiting to serve again, with their lengths:
+    /// at most `keep_segments`, and at most one of them longer than
+    /// [`LogWriter::spare_cap`] (kept for the next snapshot). The next
+    /// roll takes the last one that is not.
+    spares: Vec<(PathBuf, u64)>,
     /// Tripped after `trip_after` consecutive I/O errors: appends are
     /// dropped until a re-arm rebuilds the log.
     degraded: bool,
@@ -413,16 +424,53 @@ impl LogWriter {
         let path = segment_path(&self.options.data_dir, index);
         self.backend.create(&path)?;
         self.opened(index, 0, false);
-        self.segments.push((index, path));
+        self.segments.push((index, path, None));
         Ok(())
     }
 
+    /// [`LogWriter::start_segment`], then the fresh file's first stretch
+    /// of runway.
+    fn fresh_segment(&mut self, index: u64) -> stdio::Result<()> {
+        self.start_segment(index)?;
+        self.mark_clean();
+        self.reserve();
+        Ok(())
+    }
+
+    /// After a failed attempt to open segment `index`, which may have left
+    /// the backend's active file one the writer has removed: a fresh file
+    /// as segment `index`, or — if even that cannot be created — a trip,
+    /// so no append lands in a file that is not in the log.
+    fn fresh_segment_or_trip(&mut self, index: u64) {
+        if self.fresh_segment(index).is_err() {
+            self.trip();
+        }
+    }
+
+    /// Takes the spare a new segment recycles out of the pool: for a
+    /// snapshot the long one if the pool has it, else the last spare no
+    /// longer than [`LogWriter::spare_cap`]. A roll never takes a long
+    /// one, so a rolled segment is read at boot no longer than a fresh one.
+    fn take_spare(&mut self, snapshot: bool) -> Option<PathBuf> {
+        let cap = self.spare_cap();
+        let long = self.spares.iter().position(|&(_, len)| len > cap);
+        let at = match long {
+            Some(at) if snapshot => Some(at),
+            _ => self.spares.iter().rposition(|&(_, len)| len <= cap),
+        };
+        at.map(|at| self.spares.remove(at).0)
+    }
+
     /// Opens the file the active segment `index` is written to under
-    /// `path`, which is not its segment name yet: a spare from the pool,
-    /// recycled, or — the pool empty, or the recycle failed (counted) — a
-    /// fresh file.
-    fn open_segment(&mut self, index: u64, path: &Path) -> stdio::Result<()> {
-        if let Some(spare) = self.spares.pop() {
+    /// `path`, which is not its segment name yet: `spare`, recycled, or —
+    /// none given, or the recycle failed (counted) — a fresh file.
+    fn open_segment(
+        &mut self,
+        index: u64,
+        path: &Path,
+        spare: Option<PathBuf>,
+    ) -> stdio::Result<()> {
+        if let Some(spare) = spare {
             match self.backend.recycle(&spare, path) {
                 Ok(len) => {
                     self.opened(index, len, true);
@@ -633,7 +681,7 @@ impl LogWriter {
         self.degraded = true;
         self.counts.trips += 1;
         // The re-arm starts from fresh files, as boot does.
-        for spare in std::mem::take(&mut self.spares) {
+        for (spare, _) in std::mem::take(&mut self.spares) {
             let _ = self.backend.remove(&spare);
         }
         kvlog!(
@@ -658,51 +706,58 @@ impl LogWriter {
         }
     }
 
+    /// Moves on to the next segment: a spare recycled under the segment's
+    /// temporary name and renamed into place ([`LogWriter::name_segment`]),
+    /// or, with no spare a roll may take ([`LogWriter::take_spare`]), a
+    /// fresh file with its first stretch of runway.
+    /// A failed fresh file leaves the writer in the segment it was in; a
+    /// failed recycle falls back to a fresh file.
     fn roll(&mut self) -> stdio::Result<()> {
         self.leave_segment();
-        self.switch_to_segment(self.seg_index + 1)
+        let index = self.seg_index + 1;
+        let Some(spare) = self.take_spare(false) else {
+            return self.fresh_segment(index);
+        };
+        let named = self.name_segment(index, Some(spare), None);
+        if named.is_err() {
+            self.fresh_segment_or_trip(index);
+        }
+        named
     }
 
     /// Finishes the active segment before another is opened. The backend
     /// can only write and sync its active file: whatever the outgoing
     /// segment still owes (the batch the rotation landed in, an interval
     /// tail) is committed now or never. A failure is counted and the
-    /// rotation goes on — the next segment must still open.
+    /// rotation goes on — the next segment must still open. Notes the
+    /// file's length, which decides whether it may serve again as a spare.
     fn leave_segment(&mut self) {
         self.commit(true);
-        if !self.recycled && self.runway_end > self.committed {
-            // Best effort: the unused zeros are only disk space, and the
-            // scanner reads them as the end of the log anyway.
-            let _ = self.truncate(self.committed);
+        let mut len = self.runway_end.max(self.committed);
+        // Best effort: the unused zeros, or a recycled file's earlier life
+        // past what a fresh segment holds, are only disk space, and the
+        // scanner reads them as the end of the log anyway.
+        let cut = !self.recycled || self.runway_end > self.spare_cap();
+        if cut && self.runway_end > self.committed && self.truncate(self.committed).is_ok() {
+            len = self.committed;
         }
-    }
-
-    /// Moves on to segment `index` — nothing is owed to the one left
-    /// behind any more: a spare recycled under the segment's temporary
-    /// name and renamed into place ([`LogWriter::name_segment`]), or, the
-    /// pool empty, a fresh file with its first stretch of runway.
-    fn switch_to_segment(&mut self, index: u64) -> stdio::Result<()> {
-        if self.spares.is_empty() {
-            self.start_segment(index)?;
-            self.mark_clean();
-            self.reserve();
-            Ok(())
-        } else {
-            self.name_segment(index, |_| Ok(()))
+        let active = self.seg_index;
+        if let Some(segment) = self.segments.iter_mut().find(|s| s.0 == active) {
+            segment.2 = Some(len);
         }
     }
 
     /// Compaction: finish the active segment, then move on to a snapshot
     /// segment ([`LogWriter::snapshot_segment`]). A failed snapshot keeps
-    /// the old segments and rolls to a plain segment at the same index; if
-    /// even that cannot be opened the engine trips to degraded so the
-    /// next re-arm rebuilds from the live store.
+    /// the old segments and moves on to a fresh plain segment at the same
+    /// index; if even that cannot be opened the engine trips to degraded
+    /// so the next re-arm rebuilds from the live store.
     fn compact(&mut self, store: &ShardedStore) -> stdio::Result<()> {
         self.leave_segment();
         let index = self.seg_index + 1;
         let snapshot = self.snapshot_segment(store, index);
-        if snapshot.is_err() && self.switch_to_segment(index).is_err() {
-            self.trip();
+        if snapshot.is_err() {
+            self.fresh_segment_or_trip(index);
         }
         snapshot
     }
@@ -718,55 +773,75 @@ impl LogWriter {
     /// wipes it. Appends go on in the same file. On failure the caller
     /// must open another segment.
     fn snapshot_segment(&mut self, store: &ShardedStore, index: u64) -> stdio::Result<()> {
-        self.name_segment(index, |w| w.write_snapshot(store))?;
+        let spare = self.take_spare(true);
+        self.name_segment(index, spare, Some(store))?;
         self.retire_older_segments();
         Ok(())
     }
 
     /// Opens segment `index`'s file under its temporary name
-    /// ([`LogWriter::open_segment`]: a recycled spare if the pool has one),
-    /// runs `fill` on it, then renames it to the segment's own name with
-    /// the directory synced behind it — the one directory sync a rotation
-    /// spends — and makes it the active segment; a fresh file then gets
-    /// its runway. No record is acknowledged from the file before that
+    /// ([`LogWriter::open_segment`]: `spare` recycled, if given), writes
+    /// the snapshot of `snapshot_of` into it if given a store
+    /// ([`LogWriter::write_snapshot`]), then renames it to the segment's
+    /// own name with the directory synced behind it — the one directory
+    /// sync a rotation spends — and makes it the active segment; a fresh
+    /// file then gets its runway. No record is acknowledged from the file before that
     /// sync: a crash that undid the rename would leave the file under a
     /// name boot deletes, or under its earlier segment's name, whose index
-    /// its records do not carry. On failure the temporary file is removed.
+    /// its records do not carry. On failure the temporary file is removed,
+    /// and it may have been the backend's active file: the caller must
+    /// open another segment before anything is appended.
     fn name_segment(
         &mut self,
         index: u64,
-        fill: impl FnOnce(&mut Self) -> stdio::Result<()>,
+        spare: Option<PathBuf>,
+        snapshot_of: Option<&ShardedStore>,
     ) -> stdio::Result<()> {
         let temp = temp_segment_path(&self.options.data_dir, index);
         let path = segment_path(&self.options.data_dir, index);
-        self.open_segment(index, &temp)?;
-        let named = fill(self).and_then(|()| self.backend.rename(&temp, &path));
+        self.open_segment(index, &temp, spare)?;
+        let filled = snapshot_of.map_or(Ok(()), |store| self.write_snapshot(store));
+        let named = filled.and_then(|()| self.backend.rename(&temp, &path));
         if let Err(err) = named {
             let _ = self.backend.remove(&temp);
             return Err(err);
         }
-        self.segments.push((index, path));
+        self.segments.push((index, path, None));
         self.mark_clean();
         self.reserve();
         Ok(())
     }
 
+    /// The length of a fresh segment's file: its records plus the slack
+    /// its runway has. A file longer than this — a snapshot of a store
+    /// larger than a segment, or a segment a large record pushed past its
+    /// end — is a *long* one: the pool keeps at most one, for the next
+    /// snapshot, and a recycled file left longer than this is cut back to
+    /// its records.
+    fn spare_cap(&self) -> u64 {
+        self.options.segment_bytes.saturating_add(RUNWAY_SLACK)
+    }
+
     /// After a snapshot landed in the active segment: forgets every older
-    /// segment and counts the snapshot. Each one this process wrote joins
-    /// the spare pool while it has room; the rest — and every segment
-    /// recovered at boot — are deleted (a failed retirement or deletion is
+    /// segment and counts the snapshot. Each one the writer left joins the
+    /// spare pool while it has room — a long one only if the pool has
+    /// none; the rest are deleted, and so is every segment recovered at
+    /// boot or given up by a trip (a failed retirement or deletion is
     /// harmless: the snapshot leads with `Clear`).
     fn retire_older_segments(&mut self) {
         let active = self.seg_index;
+        let cap = self.spare_cap();
         let (kept, stale): (Vec<_>, Vec<_>) = std::mem::take(&mut self.segments)
             .into_iter()
-            .partition(|&(index, _)| index == active);
+            .partition(|&(index, _, _)| index == active);
         self.segments = kept;
-        for (index, path) in stale {
-            if index >= self.first_written && self.spares.len() < self.options.keep_segments {
+        for (index, path, left_at) in stale {
+            let long_pooled = self.spares.iter().any(|&(_, len)| len > cap);
+            let poolable = left_at.filter(|&len| len <= cap || !long_pooled);
+            if let (Some(len), true) = (poolable, self.spares.len() < self.options.keep_segments) {
                 let spare = spare_path(&self.options.data_dir, index);
                 if let Ok(true) = self.backend.retire(&path, &spare) {
-                    self.spares.push(spare);
+                    self.spares.push((spare, len));
                 }
             } else {
                 let _ = self.backend.remove(&path);
@@ -1057,14 +1132,16 @@ impl Persist {
             seg_index: next_index,
             committed: 0,
             consecutive_errors: 0,
-            segments,
+            segments: segments
+                .into_iter()
+                .map(|(index, path)| (index, path, None))
+                .collect(),
             pending: Vec::new(),
             pending_records: 0,
             unsynced_records: 0,
             runway_end: 0,
             recycled: false,
             spares: Vec::new(),
-            first_written: next_index,
             degraded: false,
             counts: Counts::default(),
         };
@@ -1906,6 +1983,176 @@ mod tests {
             let hit = recovered.get(key.as_bytes()).expect("recovered key");
             assert_eq!(hit.value, format!("value-{i}").as_bytes(), "{key}");
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// [`RealFs`] whose first `rename` after a segment joined the spare
+    /// pool fails: the rotation that recycles a spare cannot name it.
+    #[derive(Debug, Default)]
+    struct FailFirstRecycledRename {
+        inner: RealFs,
+        pooled: bool,
+        failed: bool,
+    }
+
+    impl IoBackend for FailFirstRecycledRename {
+        fn create(&mut self, path: &Path) -> stdio::Result<()> {
+            self.inner.create(path)
+        }
+        fn append(&mut self, buf: &[u8]) -> stdio::Result<()> {
+            self.inner.append(buf)
+        }
+        fn sync(&mut self) -> stdio::Result<()> {
+            self.inner.sync()
+        }
+        fn truncate(&mut self, len: u64) -> stdio::Result<()> {
+            self.inner.truncate(len)
+        }
+        fn remove(&mut self, path: &Path) -> stdio::Result<()> {
+            self.inner.remove(path)
+        }
+        fn rename(&mut self, from: &Path, to: &Path) -> stdio::Result<()> {
+            if self.pooled && !self.failed {
+                self.failed = true;
+                return Err(stdio::Error::other("injected rename failure"));
+            }
+            self.inner.rename(from, to)
+        }
+        fn reserve(&mut self, bytes: u64) -> stdio::Result<u64> {
+            self.inner.reserve(bytes)
+        }
+        fn retire(&mut self, path: &Path, spare: &Path) -> stdio::Result<bool> {
+            let pooled = self.inner.retire(path, spare)?;
+            self.pooled |= pooled;
+            Ok(pooled)
+        }
+        fn recycle(&mut self, spare: &Path, path: &Path) -> stdio::Result<u64> {
+            self.inner.recycle(spare, path)
+        }
+    }
+
+    /// A roll recycles a spare, and the rename to the segment's name
+    /// fails, after the spare already became the backend's active file
+    /// (and was removed). The roll falls back to a fresh segment, so the
+    /// writes acknowledged after it land in the log, not in a file that
+    /// is not in it.
+    #[test]
+    fn a_roll_that_cannot_name_its_recycled_spare_goes_on_in_a_fresh_segment() {
+        let dir = temp_dir("rename-fault");
+        let store = sharded();
+        let opts = PersistOptions {
+            fsync: FsyncMode::Always,
+            segment_bytes: MIN_SEGMENT_BYTES,
+            keep_segments: 2,
+            ..options(&dir)
+        };
+        let backend = FailFirstRecycledRename::default();
+        let persist = Persist::open_with_backend(opts, Box::new(backend), &store).expect("open");
+        let append = |i: u32| {
+            let key = format!("key-{i:05}");
+            store.set(key.as_bytes(), b"value", 0, 0, 3).expect("set");
+            persist.append_set(&store, key.as_bytes(), b"value", 0, 0, 3);
+        };
+        let mut acked = 0u32;
+        while persist.snapshot().errors == 0 {
+            append(acked);
+            acked += 1;
+            assert!(acked < 10_000, "no rename ever failed");
+        }
+        let snap = persist.snapshot();
+        assert_eq!(
+            (snap.errors, snap.trips, snap.recycled),
+            (1, 0, 1),
+            "{snap:?}"
+        );
+        {
+            let w = lock(&persist.writer);
+            let (index, path, _) = w.segments.last().expect("a live segment");
+            assert_eq!(*index, w.seg_index, "the active segment is in the log");
+            assert!(path.exists(), "{path:?}");
+        }
+        // Acknowledged after the failed roll, fewer than fill a segment.
+        for i in acked..acked + 20 {
+            append(i);
+        }
+        acked += 20;
+        assert_eq!(persist.snapshot().dropped, 0);
+        drop(persist);
+
+        let (recovered, summary) = replay(&dir);
+        assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
+        let lost: Vec<u32> = (0..acked)
+            .filter(|i| !recovered.contains(format!("key-{i:05}").as_bytes()))
+            .collect();
+        assert!(lost.is_empty(), "acknowledged keys lost: {lost:?}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Files in `dir` longer than `cap` bytes, as `(name, length)`.
+    fn files_longer_than(dir: &Path, cap: u64) -> Vec<(String, u64)> {
+        fs::read_dir(dir)
+            .expect("read the data dir")
+            .map(|entry| {
+                let entry = entry.expect("entry");
+                let len = entry.metadata().expect("metadata").len();
+                (entry.file_name().to_string_lossy().into_owned(), len)
+            })
+            .filter(|&(_, len)| len > cap)
+            .collect()
+    }
+
+    /// A store larger than a segment makes every snapshot longer than a
+    /// fresh segment. The pool keeps one such file, which only the next
+    /// snapshot recycles: rolls stay as short as fresh segments, and no
+    /// compaction has to create a file. Once the store shrinks, the long
+    /// file is cut back to its records when the writer leaves it.
+    #[test]
+    fn a_store_larger_than_a_segment_keeps_one_long_spare_for_its_snapshots() {
+        const KEEP: usize = 2;
+        let dir = temp_dir("long-snapshot");
+        let store = sharded();
+        let opts = PersistOptions {
+            segment_bytes: MIN_SEGMENT_BYTES,
+            keep_segments: KEEP,
+            ..options(&dir)
+        };
+        let cap = MIN_SEGMENT_BYTES + RUNWAY_SLACK;
+        let persist = open_plain(opts, &store);
+        let value = [b'v'; 200];
+        // Every snapshot holds the 100 live items: 20 000 bytes of values.
+        assert!(100 * value.len() as u64 > cap);
+        for i in 0..2_000u32 {
+            let key = format!("key-{:03}", i % 100);
+            store.set(key.as_bytes(), &value, 0, 0, 3).expect("set");
+            persist.append_set(&store, key.as_bytes(), &value, 0, 0, 3);
+            // The active snapshot segment and the one long spare.
+            let long = files_longer_than(&dir, cap);
+            assert!(long.len() <= 2, "append {i}: {long:?}");
+            // Only a snapshot, the one live segment right after its
+            // compaction, recycles a long file.
+            let w = lock(&persist.writer);
+            assert!(!w.recycled || w.runway_end <= cap || w.segments.len() == 1);
+        }
+        let snap = persist.snapshot();
+        assert!(snap.snapshots >= 10 && snap.recycled > 0, "{snap:?}");
+        assert!(snap.reserves <= KEEP as u64 + 1, "{snap:?}");
+        // Shrink the store to ten small items: within a few compactions
+        // no file is longer than a fresh segment.
+        for i in 10..100u32 {
+            let key = format!("key-{i:03}");
+            store.delete(key.as_bytes());
+            persist.append_delete(&store, key.as_bytes());
+        }
+        for i in 0..400u32 {
+            let key = format!("key-{:03}", i % 10);
+            store.set(key.as_bytes(), b"small", 0, 0, 3).expect("set");
+            persist.append_set(&store, key.as_bytes(), b"small", 0, 0, 3);
+        }
+        assert_eq!(files_longer_than(&dir, cap), []);
+        drop(persist);
+        let (recovered, summary) = replay(&dir);
+        assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
+        assert_eq!(recovered.len(), 10);
         fs::remove_dir_all(&dir).ok();
     }
 

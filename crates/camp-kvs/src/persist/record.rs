@@ -137,8 +137,10 @@ pub fn encode_frame(record: &Record<'_>, segment: u64, buf: &mut Vec<u8>) {
 
 /// Appends `record` to `buf` as one parent-format (`"CPLG"`) frame: what
 /// builds before segment recycling wrote, and what recovery still reads.
-/// The writer no longer emits it.
-pub fn encode_into(record: &Record<'_>, buf: &mut Vec<u8>) {
+/// The writer no longer emits it; tests build parent-format journals
+/// with it.
+#[cfg(test)]
+pub(crate) fn encode_into(record: &Record<'_>, buf: &mut Vec<u8>) {
     encode(record, None, buf);
 }
 
@@ -401,7 +403,10 @@ pub fn scan_segment(buf: &[u8], segment: u64, apply: impl FnMut(Record<'_>)) -> 
 
 /// [`scan_segment`] for a journal that names no segment: parent-format
 /// frames replay, and a frame of the current format ends the log.
-pub fn scan(buf: &[u8], apply: impl FnMut(Record<'_>)) -> ScanSummary {
+/// Recovery always knows the segment; tests read parent-format journals
+/// with this.
+#[cfg(test)]
+pub(crate) fn scan(buf: &[u8], apply: impl FnMut(Record<'_>)) -> ScanSummary {
     let life = Life {
         segment: None,
         parent: None,
@@ -469,7 +474,15 @@ mod tests {
     use super::*;
     use camp_core::rng::Rng64;
 
+    /// One frame of each kind, and `Set`s with a 300-byte and with an
+    /// empty key and value, in the parent format.
     fn sample_records() -> Vec<Vec<u8>> {
+        sample_records_as(None)
+    }
+
+    /// [`sample_records`] as frames of `segment`, or in the parent format
+    /// if there is none.
+    fn sample_records_as(segment: Option<u64>) -> Vec<Vec<u8>> {
         let mut encoded = Vec::new();
         let records = [
             Record::Set {
@@ -503,10 +516,18 @@ mod tests {
         ];
         for record in &records {
             let mut buf = Vec::new();
-            encode_into(record, &mut buf);
+            encode_as(record, segment, &mut buf);
             encoded.push(buf);
         }
         encoded
+    }
+
+    /// A frame of `segment`, or a parent-format one.
+    fn encode_as(record: &Record<'_>, segment: Option<u64>, buf: &mut Vec<u8>) {
+        match segment {
+            Some(segment) => encode_frame(record, segment, buf),
+            None => encode_into(record, buf),
+        }
     }
 
     fn segment_from(parts: &[Vec<u8>]) -> Vec<u8> {
@@ -953,40 +974,64 @@ mod tests {
         }
     }
 
-    /// The recovery fuzzer (the PR 4/PR 5 fuzzer recipe): 20k seeded
-    /// mutations — bit flips, truncations, insertions, duplications and
-    /// cross-corpus splices — of a valid segment. The scan must always
-    /// terminate without panicking, and every record it *applies* must
-    /// be byte-identical to a record from the valid corpus: corruption
-    /// is only ever quarantined or torn, never served.
+    /// The recovery fuzzer: 20k seeded mutations — bit flips,
+    /// truncations, insertions, duplications and cross-corpus splices — of
+    /// each of three valid segments: a parent-format journal, read with no
+    /// segment; the writer's frames on a fresh segment, its zero runway
+    /// behind them; and the same frames in writes each ended by an end
+    /// marker, as the writer puts them in a recycled file. The scan must
+    /// always terminate without panicking, and every record it *applies*
+    /// must be byte-identical to a record from the valid corpus:
+    /// corruption is only ever quarantined or torn, never served.
     #[test]
     fn mangled_segments_never_panic_and_never_apply_corrupt_records() {
-        let corpus = sample_records();
-        let valid: Vec<Vec<u8>> = corpus.clone();
+        let parent = sample_records();
+        fuzz_recovery(&segment_from(&parent), None, 0xD15C_F0CC);
+        let frames = sample_records_as(Some(9));
+        let mut fresh = segment_from(&frames);
+        fresh.resize(fresh.len() + 1024, 0);
+        fuzz_recovery(&fresh, Some(9), 0xD15C_F0CD);
+        let mut marked = Vec::new();
+        for write in frames.chunks(2) {
+            marked.extend(segment_from(write));
+            marked.extend_from_slice(&END_MARKER);
+        }
+        marked.resize(marked.len() + 1024, 0);
+        fuzz_recovery(&marked, Some(9), 0xD15C_F0CE);
+    }
+
+    /// 20k seeded mutations of `valid`, which holds [`sample_records_as`]
+    /// `segment`, each scanned as that segment (or with none).
+    fn fuzz_recovery(valid: &[u8], segment: Option<u64>, seed: u64) {
+        let corpus = sample_records_as(segment);
         let is_known = |record: &Record<'_>| {
             let mut buf = Vec::new();
-            encode_into(record, &mut buf);
-            valid.contains(&buf)
+            encode_as(record, segment, &mut buf);
+            corpus.contains(&buf)
         };
-        let mut rng = Rng64::seed_from_u64(0xD15C_F0CC);
+        let mut rng = Rng64::seed_from_u64(seed);
         let mut quarantined_total = 0u64;
         let mut torn_total = 0u64;
         for round in 0..20_000 {
-            let mut segment = segment_from(&corpus);
-            mangle(&mut rng, &mut segment, &corpus);
+            let mut mangled = valid.to_vec();
+            mangle(&mut rng, &mut mangled, &corpus);
             let mut corrupt_served = 0u64;
-            let summary = scan(&segment, |record| {
+            let apply = |record: Record<'_>| {
                 if !is_known(&record) {
                     corrupt_served += 1;
                 }
-            });
+            };
+            let summary = match segment {
+                Some(segment) => scan_segment(&mangled, segment, apply),
+                None => scan(&mangled, apply),
+            };
             assert_eq!(
                 corrupt_served, 0,
-                "round {round}: scan served a corrupt record"
+                "{segment:?} round {round}: scan served a corrupt record"
             );
             assert!(
                 summary.applied <= (corpus.len() as u64) * 3,
-                "round {round}: applied count exploded"
+                "{segment:?} round {round}: applied count exploded"
             );
             quarantined_total += summary.quarantined;
             torn_total += summary.torn_bytes;
@@ -995,8 +1040,8 @@ mod tests {
         // scanner must both quarantine and tear (mutations hit payloads
         // and tails alike); all-zero counters would mean the checks are
         // dead code.
-        assert!(quarantined_total > 0);
-        assert!(torn_total > 0);
+        assert!(quarantined_total > 0, "{segment:?}");
+        assert!(torn_total > 0, "{segment:?}");
     }
 
     /// The fuzzer over a recycled file: segment 9's writes (frames, each
