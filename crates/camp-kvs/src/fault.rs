@@ -19,10 +19,13 @@
 //!                 P (default 1). DUR takes us/ms/s suffixes: 500us, 1ms, 2s
 //! err=P           probability per command of replying
 //!                 "SERVER_ERROR injected fault" instead of executing
-//! iowrite=P       probability per persistence-log write of an injected
-//!                 short write + EIO (see [`crate::persist`])
-//! fsync=P         probability per persistence-log fsync of a failure
-//! enospc=P        probability per persistence-log write of ENOSPC
+//! iowrite=P       probability per persistence-log call that writes of an
+//!                 EIO: an append (a short write: half of it lands), and a
+//!                 reserve, truncate, remove, retire or recycle
+//! fsync=P         probability per persistence-log sync of a failure: a
+//!                 segment's, and the directory's behind a rename
+//! enospc=P        probability per persistence-log call that allocates of
+//!                 ENOSPC: an append, create, reserve or rename
 //! seed=N          RNG seed (default 0xC0FFEE); each connection derives
 //!                 its own stream from seed ^ connection id
 //! ```
@@ -31,8 +34,9 @@
 //!
 //! The three disk clauses only take effect when the server runs with
 //! `--data-dir`: they drive the [`FaultFs`](crate::persist::FaultFs)
-//! backend under the append-only log, exercising the degraded-state
-//! machine the same way `drop`/`err`/`delay` exercise the network path.
+//! backend under the append-only log, which can fail any of its calls,
+//! exercising the degraded-state machine and segment recycling the same
+//! way `drop`/`err`/`delay` exercise the network path.
 //!
 //! Faults are decided *after* a `set`'s data block is read, so an injected
 //! error or delay never desynchronizes the protocol stream; only `drop`

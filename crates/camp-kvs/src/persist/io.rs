@@ -1,12 +1,11 @@
 //! The write-side I/O seam for the persistence log.
 //!
 //! The log writer talks to disk only through [`IoBackend`], so the
-//! fault-injection backend ([`FaultFs`]) can interpose deterministic
-//! disk failures — short writes, `EIO`, `ENOSPC`, failed fsync — with
-//! the same seeded-`Rng64` recipe as [`crate::fault::FaultPlan`] uses
-//! for network chaos. Recovery *reads* segments through plain
-//! `std::fs` (reading is not a fault surface this PR models; corrupt
-//! bytes are, and the scanner handles those).
+//! fault-injection backend ([`FaultFs`]) can fail any of its calls
+//! deterministically, with the same seeded-`Rng64` recipe as
+//! [`crate::fault::FaultPlan`] uses for network chaos. Recovery *reads*
+//! segments through plain `std::fs`: corrupt bytes, not failed reads, are
+//! its fault surface, and the scanner handles those.
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -21,6 +20,8 @@ use crate::fault::FaultPlan;
 /// Seed whitener so the disk-fault stream is independent of the
 /// network-fault streams derived from the same `--chaos` seed.
 const DISK_STREAM_SALT: u64 = 0xD15C_FA17;
+/// Whitens the stream every call but `append` and `sync` draws from.
+const OTHER_CALLS_SALT: u64 = 0x07E5_CA11;
 
 /// Everything the log writer does to the filesystem.
 ///
@@ -187,16 +188,15 @@ impl IoBackend for RealFs {
     }
 }
 
-/// Deterministic disk-fault injector wrapping another backend.
-///
-/// Fault decisions come from a dedicated `Rng64` stream seeded from the
-/// chaos plan's seed xor `DISK_STREAM_SALT`, so a given `--chaos`
-/// spec replays the identical fault schedule run after run. A faulted
-/// append may first push a *prefix* of the buffer into the inner
-/// backend — a genuine torn record on disk, which is what recovery's
-/// torn-tail rule exists to absorb. `create`/`truncate`/`remove` pass
-/// through unfaulted: they are the repair path. So do `reserve`,
-/// which carries no record, and `rename`.
+/// Deterministic disk-fault injector wrapping another backend: it
+/// forwards every call, and any call can fail ([`crate::fault`] says which
+/// clause hits which call). Decisions come from `Rng64` streams seeded from
+/// the chaos plan's seed, so a `--chaos` spec replays the identical fault
+/// schedule run after run; `append` and `sync` draw from a stream the other
+/// calls do not touch. A short write first lands a *prefix* of the buffer —
+/// a genuine torn record, which recovery's torn-tail rule absorbs — and a
+/// failed directory sync comes after its rename took effect; every other
+/// fault comes before the call reaches the disk.
 #[derive(Debug)]
 pub struct FaultFs {
     inner: Box<dyn IoBackend>,
@@ -204,6 +204,7 @@ pub struct FaultFs {
     fsync_fail_rate: f64,
     enospc_rate: f64,
     rng: Rng64,
+    others: Rng64,
 }
 
 impl FaultFs {
@@ -216,12 +217,25 @@ impl FaultFs {
             fsync_fail_rate: plan.fsync_fail_rate,
             enospc_rate: plan.enospc_rate,
             rng: Rng64::seed_from_u64(plan.seed ^ DISK_STREAM_SALT),
+            others: Rng64::seed_from_u64(plan.seed ^ OTHER_CALLS_SALT),
         }
+    }
+
+    /// The fault a call other than `append` and `sync` meets before it
+    /// reaches the disk: `ENOSPC` if it `allocates`, `EIO` if it `writes`.
+    fn refuse(&mut self, allocates: bool, writes: bool) -> io::Result<()> {
+        let enospc = allocates && self.others.chance(self.enospc_rate);
+        if enospc || (writes && self.others.chance(self.iowrite_rate)) {
+            let what = if enospc { "ENOSPC" } else { "EIO" };
+            return Err(io::Error::other(format!("injected {what}")));
+        }
+        Ok(())
     }
 }
 
 impl IoBackend for FaultFs {
     fn create(&mut self, path: &Path) -> io::Result<()> {
+        self.refuse(true, false)?;
         self.inner.create(path)
     }
 
@@ -248,60 +262,45 @@ impl IoBackend for FaultFs {
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.refuse(false, true)?;
         self.inner.truncate(len)
     }
 
     fn remove(&mut self, path: &Path) -> io::Result<()> {
+        self.refuse(false, true)?;
         self.inner.remove(path)
     }
 
     fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
-        self.inner.rename(from, to)
+        self.refuse(true, false)?;
+        self.inner.rename(from, to)?;
+        if self.others.chance(self.fsync_fail_rate) {
+            return Err(io::Error::other("injected directory fsync failure"));
+        }
+        Ok(())
     }
 
     fn reserve(&mut self, bytes: u64) -> io::Result<u64> {
+        self.refuse(true, true)?;
         self.inner.reserve(bytes)
+    }
+
+    fn retire(&mut self, path: &Path, spare: &Path) -> io::Result<bool> {
+        self.refuse(false, true)?;
+        self.inner.retire(path, spare)
+    }
+
+    fn recycle(&mut self, spare: &Path, path: &Path) -> io::Result<u64> {
+        self.refuse(false, true)?;
+        self.inner.recycle(spare, path)
     }
 }
 
 #[cfg(test)]
-pub(super) mod tests {
+mod tests {
     use super::*;
+    use crate::persist::powerloss::{temp_dir, Call, PowerHandle, PowerLossFs};
     use std::path::PathBuf;
-
-    /// An in-memory backend for observing exactly what reached "disk".
-    #[derive(Debug, Default)]
-    pub(in crate::persist) struct MemFs {
-        bytes: Vec<u8>,
-        syncs: u64,
-        removed: Vec<PathBuf>,
-    }
-
-    impl IoBackend for MemFs {
-        fn create(&mut self, _path: &Path) -> io::Result<()> {
-            self.bytes.clear();
-            Ok(())
-        }
-        fn append(&mut self, buf: &[u8]) -> io::Result<()> {
-            self.bytes.extend_from_slice(buf);
-            Ok(())
-        }
-        fn sync(&mut self) -> io::Result<()> {
-            self.syncs += 1;
-            Ok(())
-        }
-        fn truncate(&mut self, len: u64) -> io::Result<()> {
-            self.bytes.truncate(len as usize);
-            Ok(())
-        }
-        fn remove(&mut self, path: &Path) -> io::Result<()> {
-            self.removed.push(path.to_path_buf());
-            Ok(())
-        }
-        fn rename(&mut self, _from: &Path, _to: &Path) -> io::Result<()> {
-            Ok(())
-        }
-    }
 
     fn plan_with(iowrite: f64, fsync: f64, enospc: f64, seed: u64) -> FaultPlan {
         FaultPlan {
@@ -313,11 +312,25 @@ pub(super) mod tests {
         }
     }
 
+    /// `plan`'s backend over the test disk, whose active file `seg` (in a
+    /// fresh directory) holds `pre`.
+    fn faulty(plan: &FaultPlan, pre: &[u8]) -> (FaultFs, PowerHandle, PathBuf) {
+        let dir = temp_dir("io");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let seg = dir.join("seg-00000000.camplog");
+        let (mut disk, handle) = PowerLossFs::new();
+        disk.create(&seg).expect("create");
+        disk.append(pre).expect("append");
+        (FaultFs::new(Box::new(disk), plan), handle, seg)
+    }
+
     fn fault_schedule(plan: &FaultPlan, appends: usize) -> Vec<bool> {
-        let mut fs = FaultFs::new(Box::new(MemFs::default()), plan);
-        (0..appends)
+        let (mut fs, _, seg) = faulty(plan, b"");
+        let schedule = (0..appends)
             .map(|_| fs.append(&[0u8; 64]).is_err())
-            .collect()
+            .collect();
+        fs::remove_dir_all(seg.parent().expect("dir")).ok();
+        schedule
     }
 
     #[test]
@@ -332,48 +345,101 @@ pub(super) mod tests {
         assert_ne!(a, fault_schedule(&other, 200), "seed changes the stream");
     }
 
+    /// The appends and syncs of one pinned plan fail exactly where they did
+    /// before the other calls could fail: those draw from a stream of
+    /// their own. (`.` an append, `n` its ENOSPC, `w` its short write; `-`
+    /// a sync, `s` its failure.)
+    #[test]
+    fn a_pinned_plan_keeps_its_append_and_sync_schedule() {
+        const SCHEDULE: &str = "..-..-..-..-..-nw-..-..-..-.w-..sw.s..-.w-w.-.w-";
+        let (mut fs, _, seg) = faulty(&plan_with(0.2, 0.2, 0.1, 77), b"");
+        let mut got = String::new();
+        for i in 0..SCHEDULE.len() {
+            // A call of another kind between each two, failing or not.
+            let _ = fs.reserve(16);
+            got.push(if i % 3 == 2 {
+                if fs.sync().is_ok() {
+                    '-'
+                } else {
+                    's'
+                }
+            } else {
+                match fs.append(&[1u8; 8]) {
+                    Ok(()) => '.',
+                    Err(err) if err.to_string().contains("ENOSPC") => 'n',
+                    Err(_) => 'w',
+                }
+            });
+        }
+        assert_eq!(got, SCHEDULE);
+        fs::remove_dir_all(seg.parent().expect("dir")).ok();
+    }
+
     #[test]
     fn short_write_lands_a_real_prefix() {
         let plan = plan_with(1.0, 0.0, 0.0, 1);
-        let mut fs = FaultFs::new(Box::new(MemFs::default()), &plan);
+        let (mut fs, _, seg) = faulty(&plan, b"");
         let buf = [7u8; 100];
         assert!(fs.append(&buf).is_err());
-        // Reach inside: the inner MemFs must hold exactly half the buffer.
-        let dbg = format!("{fs:?}");
-        assert!(dbg.contains("bytes"), "debug shape changed: {dbg}");
-        // Verify via truncate round trip instead of downcasting.
-        fs.truncate(0).expect("truncate passes through");
+        // Exactly half the buffer reached the file.
+        assert_eq!(fs::read(&seg).expect("read"), [7u8; 50]);
+        fs::remove_dir_all(seg.parent().expect("dir")).ok();
     }
 
     #[test]
     fn enospc_writes_nothing() {
-        let mut mem = MemFs::default();
-        mem.append(b"pre").expect("mem append");
         let plan = plan_with(0.0, 0.0, 1.0, 1);
-        let mut fs = FaultFs::new(Box::new(mem), &plan);
+        let (mut fs, _, seg) = faulty(&plan, b"pre");
         assert!(fs.append(&[1u8; 32]).is_err());
-        // ENOSPC rejects before touching the inner backend, so a
-        // subsequent zero-rate plan would still see only "pre" — covered
-        // structurally by the short-write test above.
+        // ENOSPC rejects before touching the inner backend.
+        assert_eq!(fs::read(&seg).expect("read"), b"pre");
+        fs::remove_dir_all(seg.parent().expect("dir")).ok();
     }
 
     #[test]
     fn fsync_faults_do_not_sync() {
         let plan = plan_with(0.0, 1.0, 0.0, 9);
-        let mut fs = FaultFs::new(Box::new(MemFs::default()), &plan);
+        let (mut fs, disk, seg) = faulty(&plan, b"");
         assert!(fs.sync().is_err());
+        assert_eq!(disk.calls(Call::Sync), 0, "the sync never reached the disk");
+        fs::remove_dir_all(seg.parent().expect("dir")).ok();
     }
 
     #[test]
     fn zero_rates_pass_everything_through() {
         let plan = plan_with(0.0, 0.0, 0.0, 5);
-        let mut fs = FaultFs::new(Box::new(MemFs::default()), &plan);
-        fs.create(Path::new("x")).expect("create");
+        let (mut fs, disk, seg) = faulty(&plan, b"");
+        let dir = seg.parent().expect("dir").to_path_buf();
+        let x = dir.join("seg-00000001.camplog");
+        fs.create(&x).expect("create");
         for _ in 0..100 {
             fs.append(&[0u8; 16]).expect("append");
         }
         fs.sync().expect("sync");
-        fs.remove(Path::new("x")).expect("remove");
+        fs.remove(&x).expect("remove");
+        // Every other call reaches the disk too.
+        fs.create(&x).expect("create");
+        fs.reserve(64).expect("reserve");
+        fs.truncate(0).expect("truncate");
+        let named = dir.join("seg-00000002.camplog");
+        fs.rename(&x, &named).expect("rename");
+        let spare = dir.join("spare-00000002.camplog");
+        fs.create(&x).expect("create");
+        assert!(fs.retire(&named, &spare).expect("retire"));
+        fs.recycle(&spare, &dir.join("seg-00000003.camplog.tmp"))
+            .expect("recycle");
+        let calls = [
+            Call::Create,
+            Call::Append,
+            Call::Sync,
+            Call::Remove,
+            Call::Reserve,
+        ];
+        let counts = calls.map(|call| disk.calls(call));
+        assert_eq!(counts, [4, 101, 1, 1, 1]);
+        let calls = [Call::Truncate, Call::Rename, Call::Retire, Call::Recycle];
+        assert_eq!(calls.map(|call| disk.calls(call)), [1; 4]);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

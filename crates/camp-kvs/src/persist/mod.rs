@@ -75,31 +75,27 @@
 //! process killed mid-snapshot restarts from the older segments, and boot
 //! deletes the half-written file.
 //!
-//! Retired segments join a pool of spares (`spare-<index>.camplog`, at
-//! most `keep_segments` of them); segments recovered at boot are deleted
-//! instead, and so are the spares and snapshots a previous process left.
-//! While the pool has a spare, a roll or a snapshot *recycles* it rather
-//! than create a file: the spare takes the segment's `.tmp` name, is
-//! overwritten from offset 0, and its length is its runway — no zeros are
-//! written, nothing is unlinked. Every frame names its segment, so the
-//! earlier life's frames past the new records end the log instead of
-//! replaying, and every write to a recycled file ends with an
-//! [`record::END_MARKER`], so a log that stops between two writes reads
-//! as ended there. The file takes its segment name by a rename with the
-//! directory synced behind it — the snapshot's, or for a roll one of its
-//! own; one directory sync per rotation — before any record in it is
-//! acknowledged. If recycling or the rename fails, the rotation falls
-//! back to a fresh file, and trips if even that cannot be created, so no
-//! record is ever appended to a file the writer has removed. The
-//! create-and-reserve path thus runs only while the pool is empty: for
-//! the first `keep_segments` rotations after boot or after a trip, which
-//! deletes the spares. A fresh segment's file is at most `segment_bytes`
-//! plus 8 KiB of runway; the pool keeps at most one file longer than that
-//! — a snapshot of a store larger than a segment — and only the next
-//! snapshot recycles it, so a rolled segment is read at boot no longer
-//! than a fresh one, and a recycled file left longer than that is cut
-//! back to its records. The spares cost disk beside the live segments: up
-//! to `keep_segments × (segment_bytes + 8 KiB)`, one of them replaced by a
+//! Retired segments join a pool of at most `keep_segments` spares
+//! (`spare-<index>.camplog`); boot deletes the segments it recovered
+//! instead, and the spares and snapshots a previous process left. While
+//! the pool has one, a roll or a snapshot *recycles* a spare instead of
+//! creating a file: under the segment's `.tmp` name, overwritten from
+//! offset 0, its length its runway — no zeros written, nothing unlinked.
+//! Every frame names its segment, so the earlier life's frames end the log
+//! instead of replaying, and every write to a recycled file ends with an
+//! [`record::END_MARKER`]. The file takes its segment name by a rename with
+//! the directory synced behind it (one per rotation) before any record in
+//! it is acknowledged. If the recycle, the rename or its directory sync
+//! fails, the rotation goes on in a fresh file cut to nothing — `create`
+//! opens a spare a rename left under that name — or trips: no record lands
+//! in a removed file, nor behind an earlier life. A failed retire removes
+//! its file, a failed recycle its spare under both names. So only the first
+//! `keep_segments` rotations after boot or a trip create and reserve. A
+//! fresh file is at most `segment_bytes` plus 8 KiB of runway; the pool
+//! keeps at most one longer file, a snapshot of a store larger than a
+//! segment, for the next snapshot, and a recycled file left longer is cut
+//! back to its records. The spares cost up to `keep_segments ×
+//! (segment_bytes + 8 KiB)` beside the live segments, one of them a
 //! snapshot's length once the store outgrows a segment.
 //!
 //! # Degraded state
@@ -438,13 +434,15 @@ impl LogWriter {
     }
 
     /// After a failed attempt to open segment `index`, which may have left
-    /// the backend's active file one the writer has removed: a fresh file
-    /// as segment `index`, or — if even that cannot be created — a trip,
-    /// so no append lands in a file that is not in the log.
+    /// the active file one the writer removed, or a spare under `index`'s
+    /// name: a fresh file as segment `index`, cut to nothing, or a trip.
     fn fresh_segment_or_trip(&mut self, index: u64) {
-        if self.fresh_segment(index).is_err() {
-            self.trip();
+        let emptied = self.start_segment(index).and_then(|()| self.truncate(0));
+        if emptied.is_err() {
+            return self.trip();
         }
+        self.mark_clean();
+        self.reserve();
     }
 
     /// Takes the spare a new segment recycles out of the pool: for a
@@ -478,9 +476,10 @@ impl LogWriter {
                     return Ok(());
                 }
                 Err(_) => {
-                    // The spare may sit under `path` already, and `create`
-                    // would append past its earlier life.
+                    // Out of the pool, and under either name: `create` would
+                    // append past its earlier life.
                     self.note_io_error();
+                    let _ = self.backend.remove(&spare);
                     let _ = self.backend.remove(path);
                 }
             }
@@ -826,8 +825,8 @@ impl LogWriter {
     /// segment and counts the snapshot. Each one the writer left joins the
     /// spare pool while it has room — a long one only if the pool has
     /// none; the rest are deleted, and so is every segment recovered at
-    /// boot or given up by a trip (a failed retirement or deletion is
-    /// harmless: the snapshot leads with `Clear`).
+    /// boot or given up by a trip, and so is one whose retirement failed
+    /// (a failed deletion is harmless: the snapshot leads with `Clear`).
     fn retire_older_segments(&mut self) {
         let active = self.seg_index;
         let cap = self.spare_cap();
@@ -840,8 +839,12 @@ impl LogWriter {
             let poolable = left_at.filter(|&len| len <= cap || !long_pooled);
             if let (Some(len), true) = (poolable, self.spares.len() < self.options.keep_segments) {
                 let spare = spare_path(&self.options.data_dir, index);
-                if let Ok(true) = self.backend.retire(&path, &spare) {
-                    self.spares.push((spare, len));
+                match self.backend.retire(&path, &spare) {
+                    Ok(true) => self.spares.push((spare, len)),
+                    Ok(false) => {}
+                    Err(_) => {
+                        let _ = self.backend.remove(&path);
+                    }
                 }
             } else {
                 let _ = self.backend.remove(&path);
@@ -1338,12 +1341,14 @@ impl Persist {
 
 #[cfg(test)]
 mod tests {
+    use super::powerloss::{write_image, Call, PowerHandle, PowerLossFs};
     use super::*;
     use crate::slab::SlabConfig;
     use crate::store::{EvictionMode, StoreConfig};
     use camp_core::Precision;
+    use std::collections::BTreeSet;
     use std::os::unix::fs::FileExt;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, AtomicUsize};
     use std::sync::mpsc;
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -1372,6 +1377,23 @@ mod tests {
 
     fn open_plain(opts: PersistOptions, store: &ShardedStore) -> Persist {
         Persist::open(opts, &FaultPlan::default(), store).expect("open persist")
+    }
+
+    /// Opens over the test disk, faulted by `plan` ([`FaultFs`]) if it
+    /// carries disk faults.
+    fn open_on_disk(
+        opts: PersistOptions,
+        plan: &FaultPlan,
+        store: &ShardedStore,
+    ) -> (Persist, PowerHandle) {
+        let (disk, handle) = PowerLossFs::new();
+        let backend: Box<dyn IoBackend> = if plan.has_disk_faults() {
+            Box::new(FaultFs::new(Box::new(disk), plan))
+        } else {
+            Box::new(disk)
+        };
+        let persist = Persist::open_with_backend(opts, backend, store).expect("open");
+        (persist, handle)
     }
 
     /// What these tests read back from a recovered store: a live item's
@@ -1756,48 +1778,6 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// [`RealFs`] that copies the data dir aside just before the
-    /// `kill_at`-th write of at least `big` bytes: the files a process
-    /// killed at that instant leaves (the page cache survives a kill, so
-    /// every write before it is there).
-    #[derive(Debug)]
-    struct KillPoint {
-        inner: RealFs,
-        dir: PathBuf,
-        image: PathBuf,
-        big: usize,
-        kill_at: u32,
-        big_writes: u32,
-    }
-
-    impl IoBackend for KillPoint {
-        fn create(&mut self, path: &Path) -> stdio::Result<()> {
-            self.inner.create(path)
-        }
-        fn append(&mut self, buf: &[u8]) -> stdio::Result<()> {
-            if buf.len() >= self.big {
-                self.big_writes += 1;
-                if self.big_writes == self.kill_at {
-                    fs::create_dir_all(&self.image)?;
-                    for entry in fs::read_dir(&self.dir)? {
-                        let path = entry?.path();
-                        fs::copy(&path, self.image.join(path.file_name().expect("name")))?;
-                    }
-                }
-            }
-            self.inner.append(buf)
-        }
-        fn sync(&mut self) -> stdio::Result<()> {
-            self.inner.sync()
-        }
-        fn truncate(&mut self, len: u64) -> stdio::Result<()> {
-            self.inner.truncate(len)
-        }
-        fn remove(&mut self, path: &Path) -> stdio::Result<()> {
-            self.inner.remove(path)
-        }
-    }
-
     /// A process killed while a compaction writes its snapshot loses no
     /// acknowledged write. 2 000 keys of 300 bytes overflow two 256 KiB
     /// segments, so the third rotation compacts, and its snapshot needs
@@ -1821,16 +1801,17 @@ mod tests {
             keep_segments: 2,
             ..options(&dir)
         };
-        fs::create_dir_all(&dir).expect("mkdir");
-        let backend = KillPoint {
-            inner: RealFs::new(),
-            dir: dir.clone(),
-            image: image.clone(),
-            big: BIG,
-            kill_at: 2,
-            big_writes: 0,
-        };
-        let persist = Persist::open_with_backend(opts, Box::new(backend), &store).expect("open");
+        let (persist, disk) = open_on_disk(opts, &FaultPlan::default(), &store);
+        // The process is killed just before its second write of a
+        // snapshot's size: every byte written so far is on disk.
+        let mut big_writes = 0;
+        let kill_image = image.clone();
+        disk.on_call(move |disk, call, bytes| {
+            big_writes += u32::from(call == Call::Append && bytes >= BIG);
+            if big_writes == 2 && !kill_image.exists() {
+                write_image(&kill_image, &disk.kill_image());
+            }
+        });
         let value = [b'v'; 300];
         // Keys `0..acked` are the ones whose append returned before the
         // kill: acknowledged.
@@ -1872,54 +1853,6 @@ mod tests {
         fs::remove_dir_all(&image).ok();
     }
 
-    /// What a [`Counting`] backend was asked to do.
-    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    struct Calls {
-        creates: u64,
-        reserves: u64,
-        removes: u64,
-    }
-
-    /// [`RealFs`] counting the calls that make or unmake a file's blocks.
-    #[derive(Debug)]
-    struct Counting {
-        inner: RealFs,
-        calls: Arc<Mutex<Calls>>,
-    }
-
-    impl IoBackend for Counting {
-        fn create(&mut self, path: &Path) -> stdio::Result<()> {
-            lock(&self.calls).creates += 1;
-            self.inner.create(path)
-        }
-        fn append(&mut self, buf: &[u8]) -> stdio::Result<()> {
-            self.inner.append(buf)
-        }
-        fn sync(&mut self) -> stdio::Result<()> {
-            self.inner.sync()
-        }
-        fn truncate(&mut self, len: u64) -> stdio::Result<()> {
-            self.inner.truncate(len)
-        }
-        fn remove(&mut self, path: &Path) -> stdio::Result<()> {
-            lock(&self.calls).removes += 1;
-            self.inner.remove(path)
-        }
-        fn rename(&mut self, from: &Path, to: &Path) -> stdio::Result<()> {
-            self.inner.rename(from, to)
-        }
-        fn reserve(&mut self, bytes: u64) -> stdio::Result<u64> {
-            lock(&self.calls).reserves += 1;
-            self.inner.reserve(bytes)
-        }
-        fn retire(&mut self, path: &Path, spare: &Path) -> stdio::Result<bool> {
-            self.inner.retire(path, spare)
-        }
-        fn recycle(&mut self, spare: &Path, path: &Path) -> stdio::Result<u64> {
-            self.inner.recycle(spare, path)
-        }
-    }
-
     /// Twenty rotations over real files: the first `KEEP` create and
     /// reserve (the last of them is the first compaction), after which
     /// the pool holds the segments that compaction retired and every
@@ -1930,17 +1863,14 @@ mod tests {
         const KEYS: u32 = 20;
         let dir = temp_dir("recycle");
         let store = sharded();
-        let calls = Arc::new(Mutex::new(Calls::default()));
-        let backend = Counting {
-            inner: RealFs::new(),
-            calls: Arc::clone(&calls),
-        };
         let opts = PersistOptions {
             segment_bytes: MIN_SEGMENT_BYTES,
             keep_segments: KEEP,
             ..options(&dir)
         };
-        let persist = Persist::open_with_backend(opts, Box::new(backend), &store).expect("open");
+        let (persist, disk) = open_on_disk(opts, &FaultPlan::default(), &store);
+        // The calls that make or unmake a file's blocks.
+        let calls = || [Call::Create, Call::Reserve, Call::Remove].map(|call| disk.calls(call));
         let mut rotations = 0u64;
         let mut version = 0u32;
         while rotations < 20 {
@@ -1948,7 +1878,7 @@ mod tests {
                 let w = lock(&persist.writer);
                 (w.seg_index, !w.spares.is_empty())
             };
-            let (calls_before, recycled_before) = (*lock(&calls), persist.snapshot().recycled);
+            let (calls_before, recycled_before) = (calls(), persist.snapshot().recycled);
             let key = format!("key-{}", version % KEYS);
             let value = format!("value-{version}");
             version += 1;
@@ -1962,7 +1892,7 @@ mod tests {
             rotations += 1;
             let recycled = persist.snapshot().recycled;
             if pooled {
-                assert_eq!(*lock(&calls), calls_before, "rotation {rotations}");
+                assert_eq!(calls(), calls_before, "rotation {rotations}");
                 assert_eq!(recycled, recycled_before + 1, "rotation {rotations}");
             }
             let files = fs::read_dir(&dir).expect("read the data dir").count();
@@ -1972,7 +1902,7 @@ mod tests {
         assert!(snap.snapshots >= 4, "{snap:?}");
         assert_eq!(snap.reserves, KEEP as u64 + 1, "{snap:?}");
         assert_eq!(snap.recycled, rotations - KEEP as u64, "{snap:?}");
-        assert_eq!(lock(&calls).removes, 0);
+        assert_eq!(disk.calls(Call::Remove), 0);
         drop(persist);
 
         let (recovered, summary) = replay(&dir);
@@ -1986,51 +1916,6 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// [`RealFs`] whose first `rename` after a segment joined the spare
-    /// pool fails: the rotation that recycles a spare cannot name it.
-    #[derive(Debug, Default)]
-    struct FailFirstRecycledRename {
-        inner: RealFs,
-        pooled: bool,
-        failed: bool,
-    }
-
-    impl IoBackend for FailFirstRecycledRename {
-        fn create(&mut self, path: &Path) -> stdio::Result<()> {
-            self.inner.create(path)
-        }
-        fn append(&mut self, buf: &[u8]) -> stdio::Result<()> {
-            self.inner.append(buf)
-        }
-        fn sync(&mut self) -> stdio::Result<()> {
-            self.inner.sync()
-        }
-        fn truncate(&mut self, len: u64) -> stdio::Result<()> {
-            self.inner.truncate(len)
-        }
-        fn remove(&mut self, path: &Path) -> stdio::Result<()> {
-            self.inner.remove(path)
-        }
-        fn rename(&mut self, from: &Path, to: &Path) -> stdio::Result<()> {
-            if self.pooled && !self.failed {
-                self.failed = true;
-                return Err(stdio::Error::other("injected rename failure"));
-            }
-            self.inner.rename(from, to)
-        }
-        fn reserve(&mut self, bytes: u64) -> stdio::Result<u64> {
-            self.inner.reserve(bytes)
-        }
-        fn retire(&mut self, path: &Path, spare: &Path) -> stdio::Result<bool> {
-            let pooled = self.inner.retire(path, spare)?;
-            self.pooled |= pooled;
-            Ok(pooled)
-        }
-        fn recycle(&mut self, spare: &Path, path: &Path) -> stdio::Result<u64> {
-            self.inner.recycle(spare, path)
-        }
-    }
-
     /// A roll recycles a spare, and the rename to the segment's name
     /// fails, after the spare already became the backend's active file
     /// (and was removed). The roll falls back to a fresh segment, so the
@@ -2038,7 +1923,24 @@ mod tests {
     /// is not in it.
     #[test]
     fn a_roll_that_cannot_name_its_recycled_spare_goes_on_in_a_fresh_segment() {
-        let dir = temp_dir("rename-fault");
+        roll_past_a_failed_rename("rename-fault", false);
+    }
+
+    /// As above, but the rename lands and the directory sync behind it
+    /// fails: the spare sits under the segment's own name, earlier life
+    /// and all. The fresh segment the roll falls back to must start empty:
+    /// appended past that life, its records would come after frames of
+    /// another segment, which end it at boot.
+    #[test]
+    fn a_roll_whose_directory_sync_fails_goes_on_in_an_empty_segment() {
+        roll_past_a_failed_rename("dir-sync-fault", true);
+    }
+
+    /// The first rename once a segment has joined the spare pool — a roll
+    /// naming its recycled spare — fails (after it took effect if
+    /// `landed`); then 20 acknowledged sets, and a kill and a power cut.
+    fn roll_past_a_failed_rename(tag: &str, landed: bool) {
+        let dir = temp_dir(tag);
         let store = sharded();
         let opts = PersistOptions {
             fsync: FsyncMode::Always,
@@ -2046,18 +1948,22 @@ mod tests {
             keep_segments: 2,
             ..options(&dir)
         };
-        let backend = FailFirstRecycledRename::default();
-        let persist = Persist::open_with_backend(opts, Box::new(backend), &store).expect("open");
+        let (persist, disk) = open_on_disk(opts, &FaultPlan::default(), &store);
         let append = |i: u32| {
             let key = format!("key-{i:05}");
             store.set(key.as_bytes(), b"value", 0, 0, 3).expect("set");
             persist.append_set(&store, key.as_bytes(), b"value", 0, 0, 3);
         };
         let mut acked = 0u32;
+        let mut armed = false;
         while persist.snapshot().errors == 0 {
             append(acked);
             acked += 1;
             assert!(acked < 10_000, "no rename ever failed");
+            if !armed && !lock(&persist.writer).spares.is_empty() {
+                disk.fail(Call::Rename, disk.calls(Call::Rename) + 1, landed);
+                armed = true;
+            }
         }
         let snap = persist.snapshot();
         assert_eq!(
@@ -2077,15 +1983,322 @@ mod tests {
         }
         acked += 20;
         assert_eq!(persist.snapshot().dropped, 0);
+        let image = temp_dir(&format!("{tag}-image"));
+        write_image(&image, &disk.image());
         drop(persist);
 
+        for dir in [&dir, &image] {
+            let (recovered, summary) = replay(dir);
+            assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
+            let lost: Vec<u32> = (0..acked)
+                .filter(|i| !recovered.contains(format!("key-{i:05}").as_bytes()))
+                .collect();
+            assert!(lost.is_empty(), "acknowledged keys lost: {lost:?}");
+            fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    /// The data dir's file names.
+    fn names_in(dir: &Path) -> BTreeSet<String> {
+        fs::read_dir(dir)
+            .expect("read the data dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect()
+    }
+
+    /// Retires and recycles that fail — a recycle before it touches the
+    /// file or after it renamed it — leave no file that is in neither the
+    /// log nor the spare pool: after every append the data dir holds
+    /// exactly those.
+    #[test]
+    fn a_failed_recycle_or_retire_leaves_no_file_outside_the_log_and_the_pool() {
+        let dir = temp_dir("leak");
+        let store = sharded();
+        let opts = PersistOptions {
+            fsync: FsyncMode::Always,
+            segment_bytes: MIN_SEGMENT_BYTES,
+            keep_segments: 2,
+            ..options(&dir)
+        };
+        let (persist, disk) = open_on_disk(opts, &FaultPlan::default(), &store);
+        for (call, nth, landed) in [
+            (Call::Retire, 1, false),
+            (Call::Retire, 4, false),
+            (Call::Recycle, 1, false),
+            (Call::Recycle, 3, true),
+        ] {
+            disk.fail(call, nth, landed);
+        }
+        for i in 0..600u32 {
+            let key = format!("key-{:03}", i % 40);
+            store.set(key.as_bytes(), b"value", 0, 0, 3).expect("set");
+            persist.append_set(&store, key.as_bytes(), b"value", 0, 0, 3);
+            let w = lock(&persist.writer);
+            let live = w.segments.iter().map(|(_, path, _)| path);
+            let expected = live
+                .chain(w.spares.iter().map(|(path, _)| path))
+                .map(|path| {
+                    path.file_name()
+                        .expect("name")
+                        .to_string_lossy()
+                        .into_owned()
+                })
+                .collect();
+            assert_eq!(names_in(&dir), expected, "append {i}");
+        }
+        let snap = persist.snapshot();
+        assert!(disk.calls(Call::Recycle) > 3 && disk.calls(Call::Retire) > 4);
+        assert_eq!((snap.errors, snap.trips), (2, 0), "the failed recycles");
+        drop(persist);
         let (recovered, summary) = replay(&dir);
         assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
-        let lost: Vec<u32> = (0..acked)
-            .filter(|i| !recovered.contains(format!("key-{i:05}").as_bytes()))
-            .collect();
-        assert!(lost.is_empty(), "acknowledged keys lost: {lost:?}");
+        assert_eq!(recovered.len(), 40);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Seeds of the sweep below: each is a fresh data dir with traffic, a
+    /// fault plan and cut points of its own.
+    const SWEEP_SEEDS: u64 = 40;
+    /// Steps per seed: each a write, or a re-arm tried while degraded.
+    const SWEEP_STEPS: usize = 240;
+    /// Cuts are drawn among a seed's first calls: fewer than any seed makes.
+    const SWEEP_CALLS: u64 = 400;
+    /// Calls per seed, drawn at random, before which a kill or a power cut
+    /// is imaged.
+    const CUTS: u64 = 8;
+    /// Calls in a row, from a random call on, before each of which both
+    /// are.
+    const CUT_RUN: u64 = 12;
+
+    /// Room for every key the sweep writes: its live store never evicts.
+    fn sweep_store() -> ShardedStore {
+        let config = StoreConfig {
+            slab: SlabConfig::small(64 * 1024, 128),
+            eviction: EvictionMode::Camp(Precision::Bits(5)),
+        };
+        ShardedStore::new(config, 2)
+    }
+
+    /// One write the live store took: the key it touched (`None`: a
+    /// `flush_all`, every key), the value it left (`None`: no item), and
+    /// whether it was acknowledged while the engine was armed — its append
+    /// returned with no error counted, nothing dropped, the engine active.
+    struct Write {
+        key: Option<Vec<u8>>,
+        value: Option<Vec<u8>>,
+        acked: bool,
+    }
+
+    /// The disk before one call: how many writes had begun and how many
+    /// had returned, and what a kill or a power cut would leave.
+    struct Cut {
+        begun: usize,
+        returned: usize,
+        kind: &'static str,
+        files: Vec<(PathBuf, Vec<u8>)>,
+    }
+
+    /// Keys that `store` does not hold at the value of their last
+    /// acknowledged write or of a write begun after it.
+    fn regressed(store: &ShardedStore, writes: &[Write], cut: &Cut) -> Vec<String> {
+        let keys: BTreeSet<&[u8]> = writes.iter().filter_map(|w| w.key.as_deref()).collect();
+        let mut wrong = Vec::new();
+        for key in keys {
+            let touches = |w: &&Write| w.key.as_deref().is_none_or(|k| k == key);
+            let acked = writes[..cut.returned]
+                .iter()
+                .rposition(|w| w.acked && touches(&w));
+            let Some(floor) = acked else { continue };
+            let got = store.get_with(key, |item| item.value.to_vec());
+            if !writes[floor..cut.begun]
+                .iter()
+                .filter(touches)
+                .any(|w| w.value == got)
+            {
+                wrong.push(String::from_utf8_lossy(key).into_owned());
+            }
+        }
+        wrong
+    }
+
+    /// One seed of the sweep, at `MIN_SEGMENT_BYTES` and `keep_segments` 2
+    /// or 3. Traffic: sets of numeric keys and of values up to 1.3 KB,
+    /// incrs, deletes and rare `flush_all`s; in a third of the seeds first
+    /// 40 ballast items of 8 KiB, so that a snapshot takes two writes. A
+    /// re-arm is tried at half the steps while degraded. Faults: a plan of
+    /// `iowrite`, `fsync` and `enospc` rates of 0–10 %, which can fail any
+    /// call. Cuts: [`CUTS`], [`CUT_RUN`], and both images after the last
+    /// write; each is recovered and checked. Returns the engine's counts,
+    /// or what a recovery lost.
+    fn sweep_seed(seed: u64) -> Result<PersistSnapshot, String> {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let mut rate = || [0.0, 0.02, 0.05, 0.1][rng.range_usize(0, 4)];
+        let plan = FaultPlan {
+            iowrite_rate: rate(),
+            fsync_fail_rate: rate(),
+            enospc_rate: rate(),
+            seed,
+            ..FaultPlan::default()
+        };
+        let dir = temp_dir("sweep");
+        let opts = PersistOptions {
+            fsync: FsyncMode::Always,
+            segment_bytes: MIN_SEGMENT_BYTES,
+            keep_segments: rng.range_usize(2, 4),
+            trip_after: [2, 5][rng.range_usize(0, 2)],
+            ..PersistOptions::new(&dir)
+        };
+        let (disk, handle) = PowerLossFs::new();
+        let cuts: Arc<Mutex<Vec<Cut>>> = Arc::default();
+        let progress: Arc<[AtomicUsize; 2]> = Arc::default();
+        let at: Vec<u64> = (0..CUTS).map(|_| rng.range_u64(1, SWEEP_CALLS)).collect();
+        let run = rng.range_u64(SWEEP_CALLS / 4, SWEEP_CALLS);
+        let (hook_cuts, hook_progress) = (Arc::clone(&cuts), Arc::clone(&progress));
+        let (mut calls, mut kinds) = (0, Rng64::seed_from_u64(!seed));
+        handle.on_call(move |disk, _, _| {
+            calls += 1;
+            let in_run = (run..run + CUT_RUN).contains(&calls);
+            let kill = in_run || at.contains(&calls) && kinds.chance(0.5);
+            let power = in_run || at.contains(&calls) && !kill;
+            let begun = hook_progress[0].load(Ordering::Relaxed);
+            let returned = hook_progress[1].load(Ordering::Relaxed);
+            for (cut, kind) in [(kill, "kill"), (power, "power cut")] {
+                if cut {
+                    let files = if kind == "kill" {
+                        disk.kill_image()
+                    } else {
+                        disk.image()
+                    };
+                    lock(&hook_cuts).push(Cut {
+                        begun,
+                        returned,
+                        kind,
+                        files,
+                    });
+                }
+            }
+        });
+        let store = sweep_store();
+        let backend = Box::new(FaultFs::new(Box::new(disk), &plan));
+        let Ok(persist) = Persist::open_with_backend(opts, backend, &store) else {
+            // The plan refused the boot its segment, as a full disk does.
+            return Ok(PersistSnapshot::default());
+        };
+        let mut writes: Vec<Write> = Vec::new();
+        let ballast = rng.chance(0.33);
+        for step in 0..SWEEP_STEPS {
+            if persist.is_degraded() && rng.chance(0.5) {
+                persist.try_rearm(&store);
+                continue;
+            }
+            let n = writes.len();
+            let pick = |rng: &mut Rng64, family: &str, keys: usize| {
+                format!("{family}{:02}", rng.range_usize(0, keys)).into_bytes()
+            };
+            let set = |key: Vec<u8>, value: Vec<u8>| {
+                store.set(&key, &value, 0, 0, 1).expect("set");
+                (Some(key), Some(value))
+            };
+            let (key, value) = match rng.range_u64(0, 200) {
+                _ if ballast && step < 40 => {
+                    set(format!("b{step:02}").into_bytes(), vec![b'b'; 8192])
+                }
+                0 => {
+                    store.flush_all();
+                    (None, None)
+                }
+                1..=60 => set(pick(&mut rng, "n", 8), (n * 1000).to_string().into_bytes()),
+                61..=90 => {
+                    let key = pick(&mut rng, "n", 8);
+                    let Some(next) = store.incr(&key, 7) else {
+                        continue;
+                    };
+                    (Some(key), Some(next.to_string().into_bytes()))
+                }
+                91..=120 => {
+                    let (family, keys) = if rng.chance(0.5) { ("n", 8) } else { ("v", 16) };
+                    let key = pick(&mut rng, family, keys);
+                    if !store.delete(&key) {
+                        continue;
+                    }
+                    (Some(key), None)
+                }
+                _ => {
+                    let mut value = format!("{n}-").into_bytes();
+                    value.resize(value.len() + rng.range_usize(100, 1200), b'x');
+                    set(pick(&mut rng, "v", 16), value)
+                }
+            };
+            writes.push(Write {
+                key: key.clone(),
+                value: value.clone(),
+                acked: false,
+            });
+            progress[0].store(writes.len(), Ordering::Relaxed);
+            let before = persist.snapshot();
+            match (&key, &value) {
+                (None, _) => persist.append_clear(&store),
+                (Some(key), None) => persist.append_delete(&store, key),
+                (Some(key), Some(value)) => persist.append_set(&store, key, value, 0, 0, 1),
+            }
+            let after = persist.snapshot();
+            progress[1].store(writes.len(), Ordering::Relaxed);
+            writes.last_mut().expect("pushed").acked = after.errors == before.errors
+                && after.dropped == before.dropped
+                && after.state == "active";
+        }
+        let stats = store.stats();
+        assert_eq!((stats.evictions, stats.fingerprint_collisions), (0, 0));
+        let done = writes.len();
+        for (kind, files) in [("kill", handle.kill_image()), ("power cut", handle.image())] {
+            let (begun, returned) = (done, done);
+            lock(&cuts).push(Cut {
+                begun,
+                returned,
+                kind,
+                files,
+            });
+        }
+        let counts = persist.snapshot();
+        drop(persist);
+        fs::remove_dir_all(&dir).ok();
+        let image = temp_dir("sweep-image");
+        for cut in lock(&cuts).iter() {
+            fs::remove_dir_all(&image).ok();
+            write_image(&image, &cut.files);
+            let recovered = sweep_store();
+            recover_into(&image, &recovered).expect("recover");
+            let wrong = regressed(&recovered, &writes, cut);
+            if !wrong.is_empty() {
+                let (kind, returned) = (cut.kind, cut.returned);
+                return Err(format!(
+                    "seed {seed}: a {kind} after {returned} of {done} writes lost {wrong:?} \
+                     ({plan:?}, {counts:?})"
+                ));
+            }
+        }
+        fs::remove_dir_all(&image).ok();
+        Ok(counts)
+    }
+
+    /// Every write acknowledged while the engine was armed survives a
+    /// kill or a power cut at any call, under faults that can fail any
+    /// call: [`sweep_seed`] over a fixed set of seeds.
+    #[test]
+    fn a_seeded_sweep_of_disk_faults_kills_and_power_cuts_keeps_every_acked_write() {
+        let mut total = PersistSnapshot::default();
+        for seed in 0..SWEEP_SEEDS {
+            let counts = sweep_seed(seed).unwrap_or_else(|lost| panic!("{lost}"));
+            total.errors += counts.errors;
+            total.recycled += counts.recycled;
+            total.snapshots += counts.snapshots;
+            total.rearms += counts.rearms;
+        }
+        // The sweep reached what it is for.
+        assert!(
+            total.errors > 0 && total.recycled > 0 && total.snapshots > 0 && total.rearms > 0,
+            "{total:?}"
+        );
     }
 
     /// Files in `dir` longer than `cap` bytes, as `(name, length)`.
@@ -2302,7 +2515,7 @@ mod tests {
             keep_segments: 64,
             ..PersistOptions::new(&dir)
         };
-        let persist = Persist::open(opts, &plan, &store).expect("open");
+        let (persist, _disk) = open_on_disk(opts, &plan, &store);
         append_sets(&persist, &store, 400);
         let snap = persist.snapshot();
         assert!(snap.segments >= 3, "rotation must go on: {snap:?}");
@@ -2350,32 +2563,13 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// A plan that short-writes every other append or so, on the first
-    /// seed whose schedule fails the first append and passes the second.
-    fn plan_failing_only_the_first_write() -> FaultPlan {
-        (0..)
-            .map(|seed| FaultPlan {
-                iowrite_rate: 0.5,
-                seed,
-                ..FaultPlan::default()
-            })
-            .find(|plan| {
-                let mut fs = FaultFs::new(Box::<io::tests::MemFs>::default(), plan);
-                fs.append(&[0; 64]).is_err() && fs.append(&[0; 64]).is_ok()
-            })
-            .expect("some seed fails one and passes the next")
-    }
-
     #[test]
     fn no_frame_of_a_short_written_batch_replays_behind_a_later_shorter_one() {
         let dir = temp_dir("stale-batch");
         let store = sharded();
-        let backend = FaultFs::new(
-            Box::new(RealFs::new()),
-            &plan_failing_only_the_first_write(),
-        );
-        let mut persist =
-            Persist::open_with_backend(options(&dir), Box::new(backend), &store).expect("open");
+        let (mut persist, disk) = open_on_disk(options(&dir), &FaultPlan::default(), &store);
+        // The first write is a short one, and fails.
+        disk.fail(Call::Append, 1, true);
         persist.defer_to_commit();
         // Ten records in one write, half of which lands: five whole
         // frames sit in the file when the write reports failure.
@@ -2417,17 +2611,13 @@ mod tests {
         append_sets(&persist, &store, 5);
         drop(persist);
 
-        let plan = FaultPlan {
-            iowrite_rate: 1.0,
-            seed: 3,
-            ..FaultPlan::default()
-        };
         let opts = PersistOptions {
             trip_after: 1,
             ..options(&dir)
         };
-        let persist = Persist::open(opts, &plan, &sharded()).expect("open");
-        persist.seal(); // half the frame lands, then EIO
+        let (persist, disk) = open_on_disk(opts, &FaultPlan::default(), &sharded());
+        disk.fail(Call::Append, 1, true);
+        persist.seal(); // half the frame lands, then the write fails
         let snap = persist.snapshot();
         assert_eq!(
             (snap.errors, snap.records),
@@ -2552,14 +2742,16 @@ mod tests {
         let store = sharded();
         let plan = FaultPlan {
             enospc_rate: 0.4,
-            seed: 1234,
+            // (Seed 1234 draws an ENOSPC for the boot's own `create`, which
+            // refuses the boot, as a full disk does.)
+            seed: 1235,
             ..FaultPlan::default()
         };
         let opts = PersistOptions {
             trip_after: 2,
             ..options(&dir)
         };
-        let persist = Persist::open(opts, &plan, &store).expect("open");
+        let (persist, _disk) = open_on_disk(opts, &plan, &store);
         let check = |dropped: u64| {
             let snap = persist.snapshot();
             let degraded = snap.state == "degraded";
@@ -2643,7 +2835,7 @@ mod tests {
             trip_after: 1,
             ..options(&dir)
         };
-        let mut persist = Persist::open(opts, &plan, &store).expect("open");
+        let (mut persist, _disk) = open_on_disk(opts, &plan, &store);
         persist.defer_to_commit();
         persist.append_set(&store, b"first", b"value", 0, 0, 1);
         persist.commit(); // the write fails, and one error trips the engine
@@ -2661,43 +2853,6 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// [`RealFs`] whose appends fail while `fail` is set, and whose
-    /// `rename` — the last step of a re-arm's snapshot, after it has
-    /// walked the store — says so on `parked` and waits for `release`.
-    #[derive(Debug)]
-    struct RearmGate {
-        inner: RealFs,
-        fail: Arc<AtomicBool>,
-        parked: mpsc::Sender<()>,
-        release: mpsc::Receiver<()>,
-    }
-
-    impl IoBackend for RearmGate {
-        fn create(&mut self, path: &Path) -> stdio::Result<()> {
-            self.inner.create(path)
-        }
-        fn append(&mut self, buf: &[u8]) -> stdio::Result<()> {
-            if self.fail.load(Ordering::SeqCst) {
-                return Err(stdio::Error::other("injected write failure"));
-            }
-            self.inner.append(buf)
-        }
-        fn sync(&mut self) -> stdio::Result<()> {
-            self.inner.sync()
-        }
-        fn truncate(&mut self, len: u64) -> stdio::Result<()> {
-            self.inner.truncate(len)
-        }
-        fn remove(&mut self, path: &Path) -> stdio::Result<()> {
-            self.inner.remove(path)
-        }
-        fn rename(&mut self, from: &Path, to: &Path) -> stdio::Result<()> {
-            self.parked.send(()).ok();
-            self.release.recv().ok();
-            self.inner.rename(from, to)
-        }
-    }
-
     /// A write applied to the live store after a re-arm's snapshot has
     /// walked it, while the re-arm still holds the writer, is not lost:
     /// its append waits for the re-arm and lands in the healed log, so
@@ -2706,27 +2861,29 @@ mod tests {
     fn a_write_during_a_rearm_lands_in_the_healed_log() {
         let dir = temp_dir("rearm-window");
         let store = sharded();
-        let fail = Arc::new(AtomicBool::new(false));
         let (parked_tx, parked) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
-        let backend = RearmGate {
-            inner: RealFs::new(),
-            fail: Arc::clone(&fail),
-            parked: parked_tx,
-            release: release_rx,
-        };
         let opts = PersistOptions {
             trip_after: 1,
             ..options(&dir)
         };
-        let persist = Persist::open_with_backend(opts, Box::new(backend), &store).expect("open");
+        let (persist, disk) = open_on_disk(opts, &FaultPlan::default(), &store);
         for key in [&b"early"[..], b"tripping"] {
-            fail.store(key == b"tripping", Ordering::SeqCst);
+            if key == b"tripping" {
+                disk.fail(Call::Append, disk.calls(Call::Append) + 1, false);
+            }
             store.set(key, b"value", 0, 0, 1).expect("set");
             persist.append_set(&store, key, b"value", 0, 0, 1);
         }
         assert!(persist.is_degraded(), "one failed write trips trip_after=1");
-        fail.store(false, Ordering::SeqCst);
+        // The rename — the last step of the re-arm's snapshot, after it has
+        // walked the store — says so on `parked` and waits for `release`.
+        disk.on_call(move |_, call, _| {
+            if call == Call::Rename {
+                parked_tx.send(()).ok();
+                release_rx.recv().ok();
+            }
+        });
         let (store, persist) = (&store, &persist);
         std::thread::scope(|scope| {
             let rearm = scope.spawn(|| persist.try_rearm(store));

@@ -1,4 +1,5 @@
-//! Power-loss tests for the `--fsync always` ack barrier.
+//! The one test disk of the persistence log, and the power-loss tests of
+//! the `--fsync always` ack barrier.
 //!
 //! `kill -9` keeps the page cache, so neither `tests/crash_recovery.rs`
 //! nor the benchmark's read-back can see a missing fsync: everything the
@@ -10,11 +11,12 @@
 //! hold if the machine lost power now — every file under that name, its
 //! synced prefix, then its earlier life's bytes or zeros to the end of its
 //! runway (the worst case for a write that was overwriting them: none of it
-//! landed). It also decodes what it is asked to write, however many
-//! records one write carries, so a test can ask at any instant whether a
-//! given versioned set is already covered by a completed sync.
+//! landed); [`PowerHandle::kill_image`], what a kill leaves: every byte
+//! written. It decodes what it is asked to write, so a test can ask at any
+//! instant whether a versioned set is covered by a completed sync. Every
+//! persistence test runs over it, alone or under [`super::FaultFs`].
 //!
-//! Most tests drive a real reactor over it. The mutation test flips the
+//! Most tests here drive a real reactor over it. The mutation test flips the
 //! reactor's test-only `flush_before_commit` switch and holds the first
 //! sync at a gate, so the early ack is observed deterministically. The
 //! gather test holds a rotation's sync the same way, so a second
@@ -26,6 +28,7 @@
 #![cfg(test)]
 
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -55,9 +58,25 @@ const ROUNDS: u64 = 40;
 /// How long a gated sync (mutation test only) waits to be released.
 const GATE_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Each kind of call an [`IoBackend`] takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Call {
+    Create,
+    Append,
+    Sync,
+    Truncate,
+    Remove,
+    Rename,
+    Reserve,
+    Retire,
+    Recycle,
+}
+
+type Hook = Box<dyn FnMut(&PowerHandle, Call, usize) + Send>;
+
 /// One file as the disk sees it: a segment, a spare or a snapshot in the
 /// making.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Segment {
     path: PathBuf,
     /// The name a power cut finds the file under: set by `create`, and for
@@ -73,6 +92,8 @@ struct Segment {
     /// What a recycled file's earlier life left on the disk: past the
     /// synced prefix it survives whatever was being written over it.
     previous: Vec<u8>,
+    /// The active file was removed: it takes writes, but no image has it.
+    unlinked: bool,
 }
 
 impl Segment {
@@ -80,10 +101,8 @@ impl Segment {
         Segment {
             path: path.to_path_buf(),
             durable_path,
-            len: 0,
-            synced_len: 0,
-            reserved_to: 0,
             previous,
+            ..Segment::default()
         }
     }
 
@@ -101,7 +120,7 @@ impl Segment {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Disk {
     /// Segment, spare and snapshot files, the active one last.
     segments: Vec<Segment>,
@@ -109,11 +128,26 @@ struct Disk {
     unsynced: Vec<(Vec<u8>, u64)>,
     /// Highest version of each key that a completed sync covers.
     durable: HashMap<Vec<u8>, u64>,
+    /// Calls taken so far, by [`Call`] kind.
+    calls: [u64; 9],
+    /// Scripted faults, `(call, nth, landed)`: the `nth` call of that kind
+    /// fails before it reaches the disk, or (`landed`) after it took effect,
+    /// as a rename whose directory sync fails does (an append: half of it).
+    faults: Vec<(Call, u64, bool)>,
+    /// Runs before every call, with the disk, the call's kind and an
+    /// append's length: a test parks the call there, or images the disk.
+    hook: Option<Hook>,
+}
+
+impl fmt::Debug for Disk {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.segments).finish()
+    }
 }
 
 /// The test's view of the disk behind a [`PowerLossFs`].
 #[derive(Debug, Clone)]
-struct PowerHandle(Arc<Mutex<Disk>>);
+pub(super) struct PowerHandle(Arc<Mutex<Disk>>);
 
 impl PowerHandle {
     /// The highest version of `key` that would survive a power loss now.
@@ -124,16 +158,21 @@ impl PowerHandle {
     /// What the disk would hold if power failed now: each file's name and
     /// [`Segment::image`]. The running server is not disturbed (it never
     /// rewrites a synced byte).
-    fn image(&self) -> Vec<(PathBuf, Vec<u8>)> {
+    pub(super) fn image(&self) -> Vec<(PathBuf, Vec<u8>)> {
         // Held across the reads so a concurrent compaction cannot remove
         // a file between reading its length and copying it.
         let disk = lock(&self.0);
-        disk.segments
-            .iter()
-            .map(|file| {
-                let name = file.durable_path.file_name().expect("file name");
-                (PathBuf::from(name), file.image())
-            })
+        let files = disk.segments.iter().filter(|file| !file.unlinked);
+        files.map(|f| (name(&f.durable_path), f.image())).collect()
+    }
+
+    /// What a process killed now leaves: every file under the name it has,
+    /// with every byte written to it.
+    pub(super) fn kill_image(&self) -> Vec<(PathBuf, Vec<u8>)> {
+        let disk = lock(&self.0);
+        let files = disk.segments.iter().filter(|file| !file.unlinked);
+        files
+            .map(|file| (name(&file.path), fs::read(&file.path).expect("read")))
             .collect()
     }
 
@@ -147,17 +186,33 @@ impl PowerHandle {
     fn active(&self) -> (PathBuf, u64, bool) {
         let disk = lock(&self.0);
         let file = disk.segments.last().expect("an active file");
-        let name = file.durable_path.file_name().expect("file name");
-        (
-            PathBuf::from(name),
-            file.synced_len,
-            !file.previous.is_empty(),
-        )
+        let recycled = !file.previous.is_empty();
+        (name(&file.durable_path), file.synced_len, recycled)
+    }
+
+    /// How many calls of kind `call` the disk has taken.
+    pub(super) fn calls(&self, call: Call) -> u64 {
+        lock(&self.0).calls[call as usize]
+    }
+
+    /// Scripts the `nth` call of kind `call`, counted from the first, to
+    /// fail ([`Disk::faults`]).
+    pub(super) fn fail(&self, call: Call, nth: u64, landed: bool) {
+        lock(&self.0).faults.push((call, nth, landed));
+    }
+
+    /// Runs `hook` before every later call.
+    pub(super) fn on_call(&self, hook: impl FnMut(&PowerHandle, Call, usize) + Send + 'static) {
+        lock(&self.0).hook = Some(Box::new(hook));
     }
 }
 
+fn name(path: &Path) -> PathBuf {
+    PathBuf::from(path.file_name().expect("file name"))
+}
+
 /// Writes a power-loss image's files into `dest`.
-fn write_image(dest: &Path, files: &[(PathBuf, Vec<u8>)]) {
+pub(super) fn write_image(dest: &Path, files: &[(PathBuf, Vec<u8>)]) {
     fs::create_dir_all(dest).expect("create power-loss image dir");
     for (name, bytes) in files {
         fs::write(dest.join(name), bytes).expect("write power-loss image");
@@ -185,43 +240,70 @@ fn version_of(value: &[u8]) -> Option<u64> {
 
 /// [`RealFs`] plus the bookkeeping a power cut needs.
 #[derive(Debug)]
-struct PowerLossFs {
+pub(super) struct PowerLossFs {
     inner: RealFs,
     disk: Arc<Mutex<Disk>>,
-    /// Mutation test only: each sync first waits for a message, the
-    /// sender's drop, or [`GATE_TIMEOUT`].
-    gate: Option<Receiver<()>>,
     /// Whether a `rename` makes the directory durable; the mutation test
     /// clears it.
     dir_sync: bool,
 }
 
 impl PowerLossFs {
-    fn new(gate: Option<Receiver<()>>) -> (PowerLossFs, PowerHandle) {
+    pub(super) fn new() -> (PowerLossFs, PowerHandle) {
         let disk = Arc::new(Mutex::new(Disk::default()));
         let fs = PowerLossFs {
             inner: RealFs::new(),
             disk: Arc::clone(&disk),
-            gate,
             dir_sync: true,
         };
         (fs, PowerHandle(disk))
     }
+
+    /// Where every call starts: runs the hook, counts the call, and fails
+    /// it if a scripted fault does; `Ok(true)` if one lands after it.
+    fn begin(&self, call: Call, bytes: usize) -> io::Result<bool> {
+        let hook = lock(&self.disk).hook.take();
+        // Not under the disk lock: the hook may park, or take an image.
+        if let Some(mut hook) = hook {
+            hook(&PowerHandle(Arc::clone(&self.disk)), call, bytes);
+            lock(&self.disk).hook.get_or_insert(hook);
+        }
+        let mut disk = lock(&self.disk);
+        disk.calls[call as usize] += 1;
+        let nth = disk.calls[call as usize];
+        match disk.faults.iter().position(|f| (f.0, f.1) == (call, nth)) {
+            Some(at) if disk.faults.swap_remove(at).2 => Ok(true),
+            Some(_) => Err(io::Error::other("scripted disk fault")),
+            None => Ok(false),
+        }
+    }
+}
+
+/// A call's `done`, unless a scripted fault `landed` after it.
+fn landed<T>(landed: bool, done: T) -> io::Result<T> {
+    (!landed)
+        .then_some(done)
+        .ok_or_else(|| io::Error::other("scripted disk fault"))
 }
 
 impl IoBackend for PowerLossFs {
     fn create(&mut self, path: &Path) -> io::Result<()> {
+        let fault = self.begin(Call::Create, 0)?;
         self.inner.create(path)?;
         let mut disk = lock(&self.disk);
-        // The segment left behind can never be synced again: whatever it
-        // still owed is lost to a power cut for good.
+        // The file left behind is never synced again: what it owed is lost.
+        // A file a failed rename left here is opened: its length is kept.
         disk.unsynced.clear();
-        disk.segments
-            .push(Segment::new(path, path.to_path_buf(), Vec::new()));
-        Ok(())
+        disk.segments.retain(|f| f.path != path && !f.unlinked);
+        let mut file = Segment::new(path, path.to_path_buf(), Vec::new());
+        file.len = fs::metadata(path)?.len();
+        disk.segments.push(file);
+        landed(fault, ())
     }
 
     fn append(&mut self, buf: &[u8]) -> io::Result<()> {
+        let fault = self.begin(Call::Append, buf.len())?;
+        let buf = if fault { &buf[..buf.len() / 2] } else { buf };
         self.inner.append(buf)?;
         let mut disk = lock(&self.disk);
         let index = index_of(&disk.segments.last().expect("append before create").path);
@@ -234,13 +316,11 @@ impl IoBackend for PowerLossFs {
         });
         let active = disk.segments.last_mut().expect("append before create");
         active.len += buf.len() as u64;
-        Ok(())
+        landed(fault, ())
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if let Some(gate) = &self.gate {
-            let _ = gate.recv_timeout(GATE_TIMEOUT);
-        }
+        let fault = self.begin(Call::Sync, 0)?;
         // The disk lock is not held across the sync: a test thread asking
         // "is this durable yet?" meanwhile must get the honest "no".
         self.inner.sync()?;
@@ -249,6 +329,7 @@ impl IoBackend for PowerLossFs {
             segments,
             unsynced,
             durable,
+            ..
         } = &mut *disk;
         let active = segments.last_mut().expect("sync before create");
         active.synced_len = active.len;
@@ -256,10 +337,11 @@ impl IoBackend for PowerLossFs {
             let entry = durable.entry(key).or_insert(0);
             *entry = (*entry).max(version);
         }
-        Ok(())
+        landed(fault, ())
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
+        let fault = self.begin(Call::Truncate, 0)?;
         self.inner.truncate(len)?;
         let mut disk = lock(&self.disk);
         let active = disk.segments.last_mut().expect("truncate before create");
@@ -267,16 +349,21 @@ impl IoBackend for PowerLossFs {
         active.synced_len = active.synced_len.min(len);
         active.reserved_to = active.reserved_to.min(len);
         active.previous.truncate(len as usize);
-        Ok(())
+        landed(fault, ())
     }
 
     fn remove(&mut self, path: &Path) -> io::Result<()> {
+        let fault = self.begin(Call::Remove, 0)?;
         let mut disk = lock(&self.disk);
-        disk.segments.retain(|segment| segment.path != path);
-        self.inner.remove(path)
+        self.inner.remove(path)?;
+        // The active file keeps taking writes until another replaces it.
+        let files = disk.segments.iter_mut().filter(|file| file.path == path);
+        files.for_each(|file| file.unlinked = true);
+        landed(fault, ())
     }
 
     fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
+        let fault = self.begin(Call::Rename, 0)?;
         // Held across the rename, so a power cut copies the file under
         // the name it has on disk.
         let mut disk = lock(&self.disk);
@@ -288,32 +375,36 @@ impl IoBackend for PowerLossFs {
                 file.durable_path.clone_from(&file.path);
             }
         }
-        Ok(())
+        landed(fault, ())
     }
 
     fn retire(&mut self, path: &Path, spare: &Path) -> io::Result<bool> {
+        let fault = self.begin(Call::Retire, 0)?;
         let mut disk = lock(&self.disk);
         let pooled = self.inner.retire(path, spare)?;
         let file = disk.segments.iter_mut().find(|file| file.path == path);
         file.expect("retire a known segment").path = spare.to_path_buf();
-        Ok(pooled)
+        landed(fault, pooled)
     }
 
     fn recycle(&mut self, spare: &Path, path: &Path) -> io::Result<u64> {
+        let fault = self.begin(Call::Recycle, 0)?;
         let mut disk = lock(&self.disk);
         let at = disk.segments.iter().position(|file| file.path == spare);
         let at = at.expect("recycle a known spare");
         let previous = disk.segments[at].image();
         let len = self.inner.recycle(spare, path)?;
         let spare = disk.segments.remove(at);
-        // As at `create`: the segment left behind is never synced again.
+        // As at `create`: the file left behind is never synced again.
         disk.unsynced.clear();
+        disk.segments.retain(|file| !file.unlinked);
         disk.segments
             .push(Segment::new(path, spare.durable_path, previous));
-        Ok(len)
+        landed(fault, len)
     }
 
     fn reserve(&mut self, bytes: u64) -> io::Result<u64> {
+        let fault = self.begin(Call::Reserve, 0)?;
         // (The sync inside also covers any records written before it; the
         // model does not count on that.)
         let end = self.inner.reserve(bytes)?;
@@ -322,13 +413,13 @@ impl IoBackend for PowerLossFs {
             .last_mut()
             .expect("reserve before create")
             .reserved_to = end;
-        Ok(end)
+        landed(fault, end)
     }
 }
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
-fn temp_dir(tag: &str) -> PathBuf {
+pub(super) fn temp_dir(tag: &str) -> PathBuf {
     // ordering: Relaxed — unique-id counter.
     let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("camp-power-{tag}-{}-{seq}", std::process::id()))
@@ -429,7 +520,7 @@ fn power_loss_image_is_the_synced_prefix_then_the_reserved_zeros() {
     let dir = temp_dir("model");
     let image = temp_dir("model-image");
     fs::create_dir_all(&dir).expect("mkdir");
-    let (mut backend, disk) = PowerLossFs::new(None);
+    let (mut backend, disk) = PowerLossFs::new();
     backend
         .create(&dir.join("seg-00000000.camplog"))
         .expect("create");
@@ -496,7 +587,7 @@ fn power_loss_image_is_the_synced_prefix_then_the_reserved_zeros() {
 fn acked_writes_survive_power_loss_and_syncs_are_shared() {
     let dir = temp_dir("live");
     let image = temp_dir("image");
-    let (backend, disk) = PowerLossFs::new(None);
+    let (backend, disk) = PowerLossFs::new();
     let (server, shared) = start_server(&dir, backend, false);
     // Every ack any client has read so far: key → version.
     let acks: Arc<Mutex<HashMap<String, u64>>> = Arc::default();
@@ -598,7 +689,11 @@ fn acked_writes_survive_power_loss_and_syncs_are_shared() {
 fn flush_before_commit_mutation_is_caught() {
     let dir = temp_dir("mutant");
     let (release, gate): (Sender<()>, Receiver<()>) = mpsc::channel();
-    let (backend, disk) = PowerLossFs::new(Some(gate));
+    let (backend, disk) = PowerLossFs::new();
+    // Each sync first waits for a message, the sender's drop, or the timeout.
+    disk.on_call(move |_, call, _| {
+        let _ = (call == Call::Sync).then(|| gate.recv_timeout(GATE_TIMEOUT));
+    });
     let (server, _shared) = start_server(&dir, backend, true);
     let mut client = connect(&server);
     // One round trip first, so the sets arrive on an established
@@ -627,7 +722,11 @@ fn flush_before_commit_mutation_is_caught() {
 fn a_batch_that_arrives_before_the_barrier_joins_its_commit() {
     let dir = temp_dir("gather");
     let (release, gate): (Sender<()>, Receiver<()>) = mpsc::channel();
-    let (backend, disk) = PowerLossFs::new(Some(gate));
+    let (backend, disk) = PowerLossFs::new();
+    // Each sync first waits for a message, the sender's drop, or the timeout.
+    disk.on_call(move |_, call, _| {
+        let _ = (call == Call::Sync).then(|| gate.recv_timeout(GATE_TIMEOUT));
+    });
     let (server, shared) = start_server_with(&dir, 1, MIN_SEGMENT_BYTES, backend, false);
     let persist = shared.persist.as_ref().expect("persist on");
     let mut a = connect(&server);
@@ -696,7 +795,7 @@ struct Recycling {
 impl Recycling {
     fn new(tag: &str, dir_sync: bool) -> Recycling {
         let dir = temp_dir(tag);
-        let (mut backend, disk) = PowerLossFs::new(None);
+        let (mut backend, disk) = PowerLossFs::new();
         backend.dir_sync = dir_sync;
         let store = ShardedStore::new(store_config(), 1);
         let options = PersistOptions {
