@@ -412,7 +412,11 @@ pub fn fig9(scale: Scale) -> Tables {
 
     for ratio in [0.01, 0.05, 0.1, 0.25, 0.5] {
         let memory = ((unique as f64 * ratio) as u64).max(64 * 1024);
-        // Slabs scale with the memory so class geometry stays meaningful.
+        // Fixed 64 KiB slabs, `memory / 64 KiB` of them (at least one): on
+        // the small-scale trace 1 slab at ratio 0.01 up to 31 at 0.50, for
+        // 29 size classes, so most classes get no slab of their own and most
+        // sets take a random slab eviction. Choosing the geometry by rule is
+        // ROADMAP item 16.
         let slab_size: u32 = 64 * 1024;
         let slab = SlabConfig::small(
             slab_size,

@@ -898,7 +898,7 @@ impl TelemetryReport {
         let sync_us = Value::Hist(&p.sync_us, SYNC_PICKS);
         rows.stat(table, "persist:sync_us", sync_us)
             .family(MetricKind::Summary, "camp_persist_sync_us")
-            .help("wall time of each segment fsync of the durability log, microseconds; excludes runway-reservation syncs and the directory sync after a snapshot rename");
+            .help("wall time of each segment fsync of the durability log, microseconds; excludes runway-reservation syncs and the directory sync after each segment rename");
 
         let modulus = self.shadow_sample_modulus;
         rows.stat(Profile, "profile:sample_modulus", modulus);

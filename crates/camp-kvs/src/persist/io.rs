@@ -34,7 +34,10 @@ const OTHER_CALLS_SALT: u64 = 0x07E5_CA11;
 /// and the caller repairs by truncating back to its last committed
 /// offset.
 pub trait IoBackend: fmt::Debug + Send {
-    /// Opens `path` as the new active file (created empty if absent).
+    /// Opens `path` as the new active file, empty: created, or cut to
+    /// nothing if it exists. The name is not synced; the caller's
+    /// [`rename`](IoBackend::rename) to the segment's own name is. On
+    /// failure no other file has become the active one.
     fn create(&mut self, path: &Path) -> io::Result<()>;
     /// Writes `buf` where the active file's records end.
     fn append(&mut self, buf: &[u8]) -> io::Result<()>;
@@ -43,11 +46,12 @@ pub trait IoBackend: fmt::Debug + Send {
     /// Truncates the active file to `len` bytes; the next `append` lands
     /// there, and whatever runway was reserved past it is gone.
     fn truncate(&mut self, len: u64) -> io::Result<()>;
-    /// Removes a (non-active) segment file.
+    /// Removes a segment, spare or temporary file — the active one too,
+    /// when an attempt to begin a segment in it failed.
     fn remove(&mut self, path: &Path) -> io::Result<()>;
-    /// Renames the active file from `from` to `to`, then syncs the
-    /// directory, so the new name survives a crash. The file stays the
-    /// active one: appends go on where they were.
+    /// Renames the active file from `from` to `to`, replacing any file of
+    /// that name, then syncs the directory, so the new name survives a
+    /// crash. The file stays the active one: appends go on where they were.
     fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
         fs::rename(from, to)?;
         File::open(to.parent().unwrap_or(Path::new(".")))?.sync_all()
@@ -120,13 +124,11 @@ impl IoBackend for RealFs {
     fn create(&mut self, path: &Path) -> io::Result<()> {
         let file = OpenOptions::new()
             .create(true)
-            .truncate(false)
+            .truncate(true)
             .write(true)
             .open(path)?;
-        // What `O_APPEND` used to mean for a file that already exists
-        // (segment indices are never reused, so this is 0 in practice).
-        self.cursor = file.metadata()?.len();
-        self.reserved = self.cursor;
+        self.cursor = 0;
+        self.reserved = 0;
         self.active = Some(file);
         Ok(())
     }
@@ -446,9 +448,12 @@ mod tests {
     fn real_fs_round_trips_on_disk() {
         let dir = std::env::temp_dir().join(format!("camp-persist-io-{}", std::process::id()));
         fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("seg-test.camplog");
+        let path = dir.join("seg-test.camplog.tmp");
+        // `create` starts an empty file, whatever was under the name.
+        fs::write(&path, b"an earlier attempt").expect("write");
         let mut backend = RealFs::new();
         backend.create(&path).expect("create");
+        assert_eq!(fs::read(&path).expect("read"), b"");
         backend.append(b"hello ").expect("append");
         backend.sync().expect("sync");
         // A rename keeps the file active: the next append lands after it.
@@ -470,7 +475,7 @@ mod tests {
     fn real_fs_appends_overwrite_the_runway_they_reserved() {
         let dir = std::env::temp_dir().join(format!("camp-persist-rsv-{}", std::process::id()));
         fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("seg-test.camplog");
+        let path = dir.join("seg-test.camplog.tmp");
         let mut backend = RealFs::new();
         backend.create(&path).expect("create");
         assert_eq!(backend.reserve(100_000).expect("reserve"), 100_000);

@@ -50,51 +50,58 @@
 //! `append_*` callers: tests, the benchmark ledger) gets the same commit
 //! at once, inside the append. Rotation, the seal, a snapshot and the
 //! interval tick commit whatever is pending first; rotation syncs the
-//! segment it leaves before creating the next, in every mode, because
+//! segment it leaves before beginning the next, in every mode, because
 //! the backend can only sync its active file.
 //!
 //! # Segment life cycle
 //!
-//! *Create* opens an empty file; *reserve* asks the backend for a runway
-//! of written-and-synced zeros ahead of the records
-//! ([`IoBackend::reserve`]: the whole segment plus a record of slack
-//! when that is under 1 MiB, else 1 MiB at a time as the records near
-//! its end); commits *overwrite* the runway in place, so the `fdatasync`
-//! behind each finds no new block and no new file size to journal;
-//! *rotate* commits, cuts a fresh segment's unused zeros off and moves
-//! on. A failed write cuts the file back to the last good byte — runway
-//! included, so no frame of the failed batch can outlive it — and the
-//! segment grows the plain way until the next rotation. Recovery reads a
-//! zero tail as the clean end of the log ([`record::scan_segment`]).
+//! A segment *begins* one way, at boot, at a roll, at a compaction and at a
+//! re-arm: its file is opened under the segment's `.tmp` name — a spare from
+//! the pool (below) if there is one it may take, else a new empty file — the
+//! snapshot is written into it if there is one, and it is renamed to
+//! `seg-<index>.camplog` with the directory synced behind it. Only then does
+//! it take records, so none is acknowledged from a file whose name a power
+//! cut can undo. If a step fails, the `.tmp` is removed and the segment
+//! begins once more on a new empty file with no snapshot, whose rename
+//! replaces whatever a half-landed attempt left under the name; if that
+//! fails too, the engine trips. A `create` that fails before any file
+//! became active leaves the writer in the segment it was in, and boot
+//! refuses a data dir on which its segment cannot begin.
 //!
-//! Once `keep_segments` segments are live, a rotation *compacts*: the
-//! next segment is a snapshot of the live store (a [`Record::Clear`] and
-//! one set per item), written and synced under a `.tmp` name that
-//! recovery does not read, then renamed into place with the directory
-//! synced behind it; only then are the older segments *retired*. A
-//! process killed mid-snapshot restarts from the older segments, and boot
-//! deletes the half-written file.
+//! *Reserve* asks the backend for a runway of written-and-synced zeros
+//! ahead of the records ([`IoBackend::reserve`]: the whole segment plus a
+//! record of slack when that is under 1 MiB, else 1 MiB at a time as the
+//! records near its end); commits *overwrite* the runway in place, so the
+//! `fdatasync` behind each finds no new block and no new file size to
+//! journal; *rotate* commits, cuts a fresh segment's unused zeros off and
+//! begins the next. A failed write cuts the file back to the last good
+//! byte — runway included, so no frame of the failed batch can outlive it —
+//! and the segment grows the plain way until the next rotation. Recovery
+//! reads a zero tail as the clean end of the log ([`record::scan_segment`]).
+//!
+//! Once `keep_segments` segments are live, a rotation *compacts*: the next
+//! segment begins with a snapshot of the live store (a [`Record::Clear`]
+//! and one set per item), written and synced before the rename, and only
+//! then are the older segments *retired*. A process killed mid-snapshot
+//! restarts from the older segments, and boot deletes the half-written
+//! file; a snapshot that fails keeps them. Because a snapshot leads with
+//! `Clear`, a retired segment that comes back is harmless: replay applies
+//! its stale history and then wipes it.
 //!
 //! Retired segments join a pool of at most `keep_segments` spares
 //! (`spare-<index>.camplog`); boot deletes the segments it recovered
-//! instead, and the spares and snapshots a previous process left. While
-//! the pool has one, a roll or a snapshot *recycles* a spare instead of
-//! creating a file: under the segment's `.tmp` name, overwritten from
-//! offset 0, its length its runway — no zeros written, nothing unlinked.
-//! Every frame names its segment, so the earlier life's frames end the log
-//! instead of replaying, and every write to a recycled file ends with an
-//! [`record::END_MARKER`]. The file takes its segment name by a rename with
-//! the directory synced behind it (one per rotation) before any record in
-//! it is acknowledged. If the recycle, the rename or its directory sync
-//! fails, the rotation goes on in a fresh file cut to nothing — `create`
-//! opens a spare a rename left under that name — or trips: no record lands
-//! in a removed file, nor behind an earlier life. A failed retire removes
-//! its file, a failed recycle its spare under both names. So only the first
-//! `keep_segments` rotations after boot or a trip create and reserve. A
-//! fresh file is at most `segment_bytes` plus 8 KiB of runway; the pool
-//! keeps at most one longer file, a snapshot of a store larger than a
-//! segment, for the next snapshot, and a recycled file left longer is cut
-//! back to its records. The spares cost up to `keep_segments ×
+//! instead, and the spares and `.tmp` files a previous process left. While
+//! the pool has one, a segment *recycles* a spare instead of creating a
+//! file: overwritten from offset 0, its length its runway — no zeros
+//! written, nothing unlinked. Every frame names its segment, so the earlier
+//! life's frames end the log instead of replaying, and every write to a
+//! recycled file ends with an [`record::END_MARKER`]. A failed retire
+//! removes its file, a failed recycle its spare under both names. So only
+//! the first `keep_segments` rotations after boot or a trip create and
+//! reserve. A fresh file is at most `segment_bytes` plus 8 KiB of runway;
+//! the pool keeps at most one longer file, a snapshot of a store larger
+//! than a segment, for the next snapshot, and a recycled file left longer
+//! is cut back to its records. The spares cost up to `keep_segments ×
 //! (segment_bytes + 8 KiB)` beside the live segments, one of them a
 //! snapshot's length once the store outgrows a segment.
 //!
@@ -103,7 +110,7 @@
 //! After `trip_after` consecutive I/O errors the engine trips to
 //! `degraded`: appends are counted and dropped, the cache keeps
 //! serving, and the background thread retries with jittered exponential
-//! backoff. Re-arming never replays a gap — it starts a fresh segment
+//! backoff. Re-arming never replays a gap — it begins the next segment
 //! with a full snapshot (a [`Record::Clear`] followed by one set per
 //! live item), so the log matches the live store the moment it heals.
 //!
@@ -148,7 +155,7 @@ use self::state::UnsyncedFlag;
 
 /// Segment file extension (files are named `seg-<index>.camplog`).
 const SEGMENT_SUFFIX: &str = ".camplog";
-/// Appended to a segment's name while its snapshot is being written.
+/// Appended to a segment's name until its file has taken that name.
 const TEMP_SUFFIX: &str = ".tmp";
 
 /// Floor for `--segment-bytes`: below this, rotation overhead dominates.
@@ -308,7 +315,7 @@ pub struct PersistSnapshot {
     /// Wall time of the engine's segment `fsync`s (every commit's and
     /// every snapshot's), in microseconds — where the time the `set` handler
     /// histogram no longer contains went. Not in it: the sync behind each
-    /// runway reservation and the directory sync behind a snapshot's
+    /// runway reservation and the directory sync behind each segment's
     /// rename, which the backend issues itself.
     pub sync_us: HistogramSnapshot,
 }
@@ -414,37 +421,6 @@ struct LogWriter {
 }
 
 impl LogWriter {
-    /// Makes segment `index` the active one: create it and reset what is
-    /// accounted per segment.
-    fn start_segment(&mut self, index: u64) -> stdio::Result<()> {
-        let path = segment_path(&self.options.data_dir, index);
-        self.backend.create(&path)?;
-        self.opened(index, 0, false);
-        self.segments.push((index, path, None));
-        Ok(())
-    }
-
-    /// [`LogWriter::start_segment`], then the fresh file's first stretch
-    /// of runway.
-    fn fresh_segment(&mut self, index: u64) -> stdio::Result<()> {
-        self.start_segment(index)?;
-        self.mark_clean();
-        self.reserve();
-        Ok(())
-    }
-
-    /// After a failed attempt to open segment `index`, which may have left
-    /// the active file one the writer removed, or a spare under `index`'s
-    /// name: a fresh file as segment `index`, cut to nothing, or a trip.
-    fn fresh_segment_or_trip(&mut self, index: u64) {
-        let emptied = self.start_segment(index).and_then(|()| self.truncate(0));
-        if emptied.is_err() {
-            return self.trip();
-        }
-        self.mark_clean();
-        self.reserve();
-    }
-
     /// Takes the spare a new segment recycles out of the pool: for a
     /// snapshot the long one if the pool has it, else the last spare no
     /// longer than [`LogWriter::spare_cap`]. A roll never takes a long
@@ -459,33 +435,85 @@ impl LogWriter {
         at.map(|at| self.spares.remove(at).0)
     }
 
-    /// Opens the file the active segment `index` is written to under
-    /// `path`, which is not its segment name yet: `spare`, recycled, or —
-    /// none given, or the recycle failed (counted) — a fresh file.
-    fn open_segment(
+    /// Begins segment `index` — boot's, a roll's, a compaction's or a
+    /// re-arm's — on a spare if the pool lends it one
+    /// ([`LogWriter::take_spare`]), holding a snapshot of `snapshot` if
+    /// given a store ([`LogWriter::try_begin`]). A snapshot that landed
+    /// retires the older segments. A failed attempt is counted. If it failed
+    /// before any file became the backend's active one, the writer stays in
+    /// the segment it was in. Otherwise an armed writer tries once more, on a
+    /// new empty file with no snapshot, and trips if that fails too; a
+    /// degraded one appends nothing, and waits for its next re-arm. `Ok` if
+    /// a segment began: with its snapshot, unless the retry began it.
+    fn begin_segment(&mut self, index: u64, snapshot: Option<&ShardedStore>) -> stdio::Result<()> {
+        let spare = self.take_spare(snapshot.is_some());
+        let (err, left) = match self.try_begin(index, spare, snapshot) {
+            Ok(()) => {
+                if snapshot.is_some() {
+                    self.retire_older_segments();
+                }
+                return Ok(());
+            }
+            Err(failed) => failed,
+        };
+        self.note_io_error();
+        if !left || self.degraded {
+            return Err(err);
+        }
+        let retried = self.try_begin(index, None, None);
+        if retried.is_err() {
+            self.trip();
+        }
+        retried.map_err(|(err, _)| err)
+    }
+
+    /// One attempt at segment `index`: its file is opened under the
+    /// segment's temporary name — `spare` recycled, or else a new empty
+    /// file — and becomes the backend's active one; the snapshot of
+    /// `snapshot` is written into it if given a store
+    /// ([`LogWriter::write_snapshot`]); it is renamed to the segment's own
+    /// name with the directory synced behind it; and only then does it join
+    /// the log and get its runway. No record is acknowledged from the file
+    /// before that sync: a power cut that undid the rename would leave the
+    /// file under a name boot deletes, or under a spare's or an earlier
+    /// segment's, whose index its records do not carry. On failure the
+    /// temporary file is removed (a failed recycle's spare too: it is out of
+    /// the pool, under either name), and the error comes back with whether
+    /// the backend may have made another file its active one by then —
+    /// anything but a failed `create` may have.
+    fn try_begin(
         &mut self,
         index: u64,
-        path: &Path,
         spare: Option<PathBuf>,
-    ) -> stdio::Result<()> {
-        if let Some(spare) = spare {
-            match self.backend.recycle(&spare, path) {
+        snapshot: Option<&ShardedStore>,
+    ) -> Result<(), (stdio::Error, bool)> {
+        let temp = temp_segment_path(&self.options.data_dir, index);
+        match spare {
+            Some(spare) => match self.backend.recycle(&spare, &temp) {
                 Ok(len) => {
                     self.opened(index, len, true);
                     self.counts.recycled += 1;
-                    return Ok(());
                 }
-                Err(_) => {
-                    // Out of the pool, and under either name: `create` would
-                    // append past its earlier life.
-                    self.note_io_error();
+                Err(err) => {
                     let _ = self.backend.remove(&spare);
-                    let _ = self.backend.remove(path);
+                    let _ = self.backend.remove(&temp);
+                    return Err((err, true));
                 }
+            },
+            None => {
+                self.backend.create(&temp).map_err(|err| (err, false))?;
+                self.opened(index, 0, false);
             }
         }
-        self.backend.create(path)?;
-        self.opened(index, 0, false);
+        let path = segment_path(&self.options.data_dir, index);
+        let filled = snapshot.map_or(Ok(()), |store| self.write_snapshot(store));
+        if let Err(err) = filled.and_then(|()| self.backend.rename(&temp, &path)) {
+            let _ = self.backend.remove(&temp);
+            return Err((err, true));
+        }
+        self.segments.push((index, path, None));
+        self.mark_clean();
+        self.reserve();
         Ok(())
     }
 
@@ -614,10 +642,13 @@ impl LogWriter {
         }
     }
 
-    /// Tops the active segment's runway up; a failure is counted.
+    /// Tops the active segment's runway up. A failure is counted, but it
+    /// costs only the runway (the segment grows the plain way), so it does
+    /// not advance the error streak: the appends and syncs that follow say
+    /// whether the disk is sick.
     fn reserve(&mut self) {
         if self.extend_runway().is_err() {
-            self.note_io_error();
+            self.counts.errors += 1;
         }
     }
 
@@ -626,7 +657,7 @@ impl LogWriter {
     /// through here, so `persist:sync_us` sees them.
     /// Two syncs do not: the backend's own `sync_data` behind each runway
     /// reservation ([`IoBackend::reserve`], counted in `reserves`) and the
-    /// directory `sync_all` behind a snapshot's rename
+    /// directory `sync_all` behind each segment's rename
     /// ([`IoBackend::rename`]).
     fn timed_sync(&mut self) -> stdio::Result<()> {
         let started = Instant::now();
@@ -692,43 +723,20 @@ impl LogWriter {
         );
     }
 
-    /// Rotates the active segment: a plain roll while few segments are
-    /// live, a compaction snapshot once `keep_segments` accumulate.
+    /// Leaves the active segment and begins the next
+    /// ([`LogWriter::begin_segment`]): a compaction snapshot of `store` once
+    /// `keep_segments` segments are live, a plain roll before that.
     fn rotate(&mut self, store: &ShardedStore) {
-        let result = if self.segments.len() >= self.options.keep_segments {
-            self.compact(store)
-        } else {
-            self.roll()
-        };
-        if result.is_err() {
-            self.note_io_error();
-        }
-    }
-
-    /// Moves on to the next segment: a spare recycled under the segment's
-    /// temporary name and renamed into place ([`LogWriter::name_segment`]),
-    /// or, with no spare a roll may take ([`LogWriter::take_spare`]), a
-    /// fresh file with its first stretch of runway.
-    /// A failed fresh file leaves the writer in the segment it was in; a
-    /// failed recycle falls back to a fresh file.
-    fn roll(&mut self) -> stdio::Result<()> {
         self.leave_segment();
-        let index = self.seg_index + 1;
-        let Some(spare) = self.take_spare(false) else {
-            return self.fresh_segment(index);
-        };
-        let named = self.name_segment(index, Some(spare), None);
-        if named.is_err() {
-            self.fresh_segment_or_trip(index);
-        }
-        named
+        let compact = self.segments.len() >= self.options.keep_segments;
+        let _ = self.begin_segment(self.seg_index + 1, compact.then_some(store));
     }
 
     /// Finishes the active segment before another is opened. The backend
     /// can only write and sync its active file: whatever the outgoing
     /// segment still owes (the batch the rotation landed in, an interval
     /// tail) is committed now or never. A failure is counted and the
-    /// rotation goes on — the next segment must still open. Notes the
+    /// rotation goes on — the next segment must still begin. Notes the
     /// file's length, which decides whether it may serve again as a spare.
     fn leave_segment(&mut self) {
         self.commit(true);
@@ -744,71 +752,6 @@ impl LogWriter {
         if let Some(segment) = self.segments.iter_mut().find(|s| s.0 == active) {
             segment.2 = Some(len);
         }
-    }
-
-    /// Compaction: finish the active segment, then move on to a snapshot
-    /// segment ([`LogWriter::snapshot_segment`]). A failed snapshot keeps
-    /// the old segments and moves on to a fresh plain segment at the same
-    /// index; if even that cannot be opened the engine trips to degraded
-    /// so the next re-arm rebuilds from the live store.
-    fn compact(&mut self, store: &ShardedStore) -> stdio::Result<()> {
-        self.leave_segment();
-        let index = self.seg_index + 1;
-        let snapshot = self.snapshot_segment(store, index);
-        if snapshot.is_err() {
-            self.fresh_segment_or_trip(index);
-        }
-        snapshot
-    }
-
-    /// Makes segment `index` a snapshot of the live store and the active
-    /// segment: a [`Record::Clear`] followed by one set per live item,
-    /// written and synced under a temporary name, renamed to the segment's
-    /// own name ([`LogWriter::name_segment`]), and only then are the older
-    /// segments retired. Until the rename a crash finds the old segments
-    /// intact and the temporary file ignored, so a snapshot is all or
-    /// nothing. Because it *leads* with `Clear`, a retired segment that
-    /// comes back is harmless — replay applies the stale history and then
-    /// wipes it. Appends go on in the same file. On failure the caller
-    /// must open another segment.
-    fn snapshot_segment(&mut self, store: &ShardedStore, index: u64) -> stdio::Result<()> {
-        let spare = self.take_spare(true);
-        self.name_segment(index, spare, Some(store))?;
-        self.retire_older_segments();
-        Ok(())
-    }
-
-    /// Opens segment `index`'s file under its temporary name
-    /// ([`LogWriter::open_segment`]: `spare` recycled, if given), writes
-    /// the snapshot of `snapshot_of` into it if given a store
-    /// ([`LogWriter::write_snapshot`]), then renames it to the segment's
-    /// own name with the directory synced behind it — the one directory
-    /// sync a rotation spends — and makes it the active segment; a fresh
-    /// file then gets its runway. No record is acknowledged from the file before that
-    /// sync: a crash that undid the rename would leave the file under a
-    /// name boot deletes, or under its earlier segment's name, whose index
-    /// its records do not carry. On failure the temporary file is removed,
-    /// and it may have been the backend's active file: the caller must
-    /// open another segment before anything is appended.
-    fn name_segment(
-        &mut self,
-        index: u64,
-        spare: Option<PathBuf>,
-        snapshot_of: Option<&ShardedStore>,
-    ) -> stdio::Result<()> {
-        let temp = temp_segment_path(&self.options.data_dir, index);
-        let path = segment_path(&self.options.data_dir, index);
-        self.open_segment(index, &temp, spare)?;
-        let filled = snapshot_of.map_or(Ok(()), |store| self.write_snapshot(store));
-        let named = filled.and_then(|()| self.backend.rename(&temp, &path));
-        if let Err(err) = named {
-            let _ = self.backend.remove(&temp);
-            return Err(err);
-        }
-        self.segments.push((index, path, None));
-        self.mark_clean();
-        self.reserve();
-        Ok(())
     }
 
     /// The length of a fresh segment's file: its records plus the slack
@@ -900,34 +843,27 @@ impl LogWriter {
         Ok(())
     }
 
-    /// One re-arm attempt on a degraded writer: a fresh segment holding a
-    /// full snapshot of the live store, written the way compaction writes
-    /// one. Returns whether the engine is active afterwards.
+    /// One re-arm attempt on a degraded writer: the next segment begins
+    /// holding a full snapshot of the live store, as a compaction's does.
+    /// Returns whether the engine is active afterwards.
     fn rearm(&mut self, store: &ShardedStore) -> bool {
         if !self.degraded {
             return true;
         }
-        let index = self.seg_index + 1;
-        match self.snapshot_segment(store, index) {
-            Ok(()) => {
-                self.consecutive_errors = 0;
-                self.degraded = false;
-                self.counts.rearms += 1;
-                kvlog!(
-                    LogLevel::Info,
-                    "persist_rearmed",
-                    items = store.len() as u64,
-                    errors = self.counts.errors,
-                );
-                true
-            }
-            Err(_) => {
-                // The next retry starts clean: appends are dropped while
-                // degraded.
-                self.counts.errors += 1;
-                false
-            }
+        // A failure is counted; appends are dropped until a retry lands.
+        if self.begin_segment(self.seg_index + 1, Some(store)).is_err() {
+            return false;
         }
+        self.consecutive_errors = 0;
+        self.degraded = false;
+        self.counts.rearms += 1;
+        kvlog!(
+            LogLevel::Info,
+            "persist_rearmed",
+            items = store.len() as u64,
+            errors = self.counts.errors,
+        );
+        true
     }
 }
 
@@ -953,22 +889,25 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:08}{SEGMENT_SUFFIX}"))
 }
 
-/// Where a snapshot is written before it becomes a segment: a name
-/// [`list_segments`] does not match, so a process that dies mid-snapshot
-/// leaves the older segments as the whole log.
+/// Where a segment's file is opened, and its snapshot written, before it
+/// takes its name: one [`list_segments`] deletes, so a process that dies
+/// mid-snapshot leaves the older segments as the whole log.
 fn temp_segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("seg-{index:08}{SEGMENT_SUFFIX}{TEMP_SUFFIX}"))
 }
 
 /// Where a retired segment waits to be recycled: a name
-/// [`list_segments`] does not match either.
+/// [`list_segments`] deletes too.
 fn spare_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("spare-{index:08}{SEGMENT_SUFFIX}"))
 }
 
-/// Deletes the snapshots a killed process left half-written, and the
-/// spares it left: the pool holds only files this process wrote.
-fn remove_leftovers(dir: &Path) -> stdio::Result<()> {
+/// Lists `dir`'s segment files in ascending index order, and deletes what
+/// a previous process left beside them: files that never took their segment
+/// name (`.tmp`), and its spares — the pool holds only files this process
+/// wrote.
+fn list_segments(dir: &Path) -> stdio::Result<Vec<(u64, PathBuf)>> {
+    let mut segments = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
@@ -976,25 +915,12 @@ fn remove_leftovers(dir: &Path) -> stdio::Result<()> {
         let temp = name.starts_with("seg-") && name.ends_with(TEMP_SUFFIX);
         if temp || (name.starts_with("spare-") && name.ends_with(SEGMENT_SUFFIX)) {
             fs::remove_file(entry.path())?;
-        }
-    }
-    Ok(())
-}
-
-/// Lists `dir`'s segment files in ascending index order.
-fn list_segments(dir: &Path) -> stdio::Result<Vec<(u64, PathBuf)>> {
-    let mut segments = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix("seg-")
-            .and_then(|s| s.strip_suffix(SEGMENT_SUFFIX))
-        else {
             continue;
-        };
-        if let Ok(index) = stem.parse::<u64>() {
+        }
+        let stem = name
+            .strip_prefix("seg-")
+            .and_then(|s| s.strip_suffix(SEGMENT_SUFFIX));
+        if let Some(index) = stem.and_then(|stem| stem.parse::<u64>().ok()) {
             segments.push((index, entry.path()));
         }
     }
@@ -1020,7 +946,6 @@ struct Recovered {
 /// was. What has expired by boot time is then dropped in one pass.
 fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
     const STOPPED: u64 = 0;
-    remove_leftovers(dir)?;
     let segments = list_segments(dir)?;
     let mut summary = RecoverySummary {
         segments: segments.len() as u64,
@@ -1076,14 +1001,14 @@ fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
 
 impl Persist {
     /// Opens (or creates) the log under `options.data_dir`, replays it
-    /// into `store`, truncates the torn tail, and arms a fresh active
+    /// into `store`, truncates the torn tail, and begins a new active
     /// segment. The backend is [`FaultFs`] when the chaos plan carries
     /// disk-fault rates, [`RealFs`] otherwise.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from directory creation, segment reads,
-    /// torn-tail truncation, or creating the new active segment — boot
+    /// torn-tail truncation, or beginning the new active segment — boot
     /// must not proceed on a data dir it cannot use.
     pub fn open(
         options: PersistOptions,
@@ -1148,13 +1073,9 @@ impl Persist {
             degraded: false,
             counts: Counts::default(),
         };
-        // Always start a fresh segment: recovered segments are immutable
-        // history, never appended to again. A disk that cannot take its
-        // runway is counted, not fatal: appends will say the rest.
-        writer.start_segment(next_index)?;
-        if writer.extend_runway().is_err() {
-            writer.counts.errors += 1;
-        }
+        // Always begin a new segment: recovered segments are immutable
+        // history, never appended to again.
+        writer.begin_segment(next_index, None)?;
         Ok(Persist {
             writer: Mutex::new(writer),
             unsynced,
@@ -1240,7 +1161,7 @@ impl Persist {
         lock(&self.writer).append(store, rec, !self.deferred);
     }
 
-    /// One degraded-recovery attempt: a fresh segment holding a full
+    /// One degraded-recovery attempt: a new segment holding a full
     /// snapshot of the live store, written the way compaction writes one.
     /// On success the log exactly mirrors the cache (no silent gap from
     /// the records dropped while degraded), older segments are deleted,
@@ -1998,6 +1919,58 @@ mod tests {
         }
     }
 
+    /// A roll taken while the pool is empty whose `create` fails before any
+    /// file became active: the error is counted, the writer stays in the
+    /// segment it was in, the next append's roll begins the next segment,
+    /// and every acknowledged set recovers after a kill and a power cut.
+    #[test]
+    fn a_roll_whose_create_fails_stays_in_its_segment() {
+        let dir = temp_dir("create-fault");
+        let store = sharded();
+        let opts = PersistOptions {
+            fsync: FsyncMode::Always,
+            segment_bytes: MIN_SEGMENT_BYTES,
+            keep_segments: 3,
+            ..options(&dir)
+        };
+        let (persist, disk) = open_on_disk(opts, &FaultPlan::default(), &store);
+        // The boot's `create` was the first; the first roll's is the second.
+        disk.fail(Call::Create, 2, false);
+        let append = |i: u32| {
+            let key = format!("key-{i:05}");
+            store.set(key.as_bytes(), b"value", 0, 0, 3).expect("set");
+            persist.append_set(&store, key.as_bytes(), b"value", 0, 0, 3);
+        };
+        let mut acked = 0u32;
+        while persist.snapshot().errors == 0 {
+            append(acked);
+            acked += 1;
+            assert!(acked < 10_000, "no roll ever began");
+        }
+        assert_eq!(lock(&persist.writer).seg_index, 0, "left its segment");
+        append(acked);
+        acked += 1;
+        assert_eq!(lock(&persist.writer).seg_index, 1, "the next roll");
+        let snap = persist.snapshot();
+        assert_eq!(
+            (snap.errors, snap.trips, snap.segments),
+            (1, 0, 2),
+            "{snap:?}"
+        );
+        let image = temp_dir("create-fault-image");
+        write_image(&image, &disk.image());
+        drop(persist);
+        for dir in [&dir, &image] {
+            let (recovered, summary) = replay(dir);
+            assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
+            let lost: Vec<u32> = (0..acked)
+                .filter(|i| !recovered.contains(format!("key-{i:05}").as_bytes()))
+                .collect();
+            assert!(lost.is_empty(), "acknowledged keys lost: {lost:?}");
+            fs::remove_dir_all(dir).ok();
+        }
+    }
+
     /// The data dir's file names.
     fn names_in(dir: &Path) -> BTreeSet<String> {
         fs::read_dir(dir)
@@ -2504,18 +2477,18 @@ mod tests {
     fn failed_sync_at_rotation_is_counted_and_the_next_segment_still_opens() {
         let dir = temp_dir("roll-sync-fault");
         let store = sharded();
-        let plan = FaultPlan {
-            fsync_fail_rate: 1.0,
-            seed: 7,
-            ..FaultPlan::default()
-        };
         let opts = PersistOptions {
             fsync: FsyncMode::Interval,
             segment_bytes: MIN_SEGMENT_BYTES,
             keep_segments: 64,
             ..PersistOptions::new(&dir)
         };
-        let (persist, _disk) = open_on_disk(opts, &plan, &store);
+        let (persist, disk) = open_on_disk(opts, &FaultPlan::default(), &store);
+        // Every segment sync fails; the directory syncs that name the
+        // segments do not, or none could begin.
+        for nth in 1..=400 {
+            disk.fail(Call::Sync, nth, false);
+        }
         append_sets(&persist, &store, 400);
         let snap = persist.snapshot();
         assert!(snap.segments >= 3, "rotation must go on: {snap:?}");

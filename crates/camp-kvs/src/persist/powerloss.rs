@@ -7,8 +7,9 @@
 //! can: it wraps [`RealFs`], remembers each file's last-synced length, how
 //! far its runway of synced zeros reaches, what a recycled file's earlier
 //! life left in it, and the name each file has since the last directory
-//! sync, and [`PowerHandle::power_loss`] materialises what the disk would
-//! hold if the machine lost power now — every file under that name, its
+//! sync (a created file has none until one covers it), and
+//! [`PowerHandle::power_loss`] materialises what the disk would hold if the
+//! machine lost power now — every file that has such a name, under it, its
 //! synced prefix, then its earlier life's bytes or zeros to the end of its
 //! runway (the worst case for a write that was overwriting them: none of it
 //! landed); [`PowerHandle::kill_image`], what a kill leaves: every byte
@@ -79,10 +80,10 @@ type Hook = Box<dyn FnMut(&PowerHandle, Call, usize) + Send>;
 #[derive(Debug, Default)]
 struct Segment {
     path: PathBuf,
-    /// The name a power cut finds the file under: set by `create`, and for
-    /// every file by each directory sync (a `rename`). A `retire` or a
-    /// `recycle` renames without one.
-    durable_path: PathBuf,
+    /// The name a power cut finds the file under: none for a created file
+    /// until a directory sync (any `rename`'s) covers it, which sets it for
+    /// every file. A `retire` or a `recycle` renames without one.
+    durable_path: Option<PathBuf>,
     len: u64,
     /// Bytes a completed `sync` covers; the rest dies with the power.
     synced_len: u64,
@@ -94,10 +95,14 @@ struct Segment {
     previous: Vec<u8>,
     /// The active file was removed: it takes writes, but no image has it.
     unlinked: bool,
+    /// Versioned sets a completed sync covers while the file's name is not
+    /// yet [`Segment::durable_path`]: they become durable with the directory
+    /// sync that makes it so.
+    unnamed: Vec<(Vec<u8>, u64)>,
 }
 
 impl Segment {
-    fn new(path: &Path, durable_path: PathBuf, previous: Vec<u8>) -> Segment {
+    fn new(path: &Path, durable_path: Option<PathBuf>, previous: Vec<u8>) -> Segment {
         Segment {
             path: path.to_path_buf(),
             durable_path,
@@ -126,7 +131,8 @@ struct Disk {
     segments: Vec<Segment>,
     /// Versioned sets written to the active segment since its last sync.
     unsynced: Vec<(Vec<u8>, u64)>,
-    /// Highest version of each key that a completed sync covers.
+    /// Highest version of each key that a completed sync covers, in a file
+    /// whose name a directory sync has covered too.
     durable: HashMap<Vec<u8>, u64>,
     /// Calls taken so far, by [`Call`] kind.
     calls: [u64; 9],
@@ -155,15 +161,16 @@ impl PowerHandle {
         lock(&self.0).durable.get(key).copied().unwrap_or(0)
     }
 
-    /// What the disk would hold if power failed now: each file's name and
-    /// [`Segment::image`]. The running server is not disturbed (it never
-    /// rewrites a synced byte).
+    /// What the disk would hold if power failed now: each file with a
+    /// durable name, under it, and its [`Segment::image`]. The running
+    /// server is not disturbed (it never rewrites a synced byte).
     pub(super) fn image(&self) -> Vec<(PathBuf, Vec<u8>)> {
         // Held across the reads so a concurrent compaction cannot remove
         // a file between reading its length and copying it.
         let disk = lock(&self.0);
         let files = disk.segments.iter().filter(|file| !file.unlinked);
-        files.map(|f| (name(&f.durable_path), f.image())).collect()
+        let named = files.filter_map(|f| Some((name(f.durable_path.as_ref()?), f.image())));
+        named.collect()
     }
 
     /// What a process killed now leaves: every file under the name it has,
@@ -181,13 +188,14 @@ impl PowerHandle {
         write_image(dest, &self.image());
     }
 
-    /// The active file's name after a power cut, its synced length, and
-    /// whether it is recycled.
+    /// The active file's name after a power cut (empty if it has none), its
+    /// synced length, and whether it is recycled.
     fn active(&self) -> (PathBuf, u64, bool) {
         let disk = lock(&self.0);
         let file = disk.segments.last().expect("an active file");
         let recycled = !file.previous.is_empty();
-        (name(&file.durable_path), file.synced_len, recycled)
+        let durable = file.durable_path.as_deref().map_or_else(PathBuf::new, name);
+        (durable, file.synced_len, recycled)
     }
 
     /// How many calls of kind `call` the disk has taken.
@@ -209,6 +217,15 @@ impl PowerHandle {
 
 fn name(path: &Path) -> PathBuf {
     PathBuf::from(path.file_name().expect("file name"))
+}
+
+/// Moves `synced` versioned sets, whose file has its durable name, into
+/// `durable`.
+fn make_durable(durable: &mut HashMap<Vec<u8>, u64>, synced: &mut Vec<(Vec<u8>, u64)>) {
+    for (key, version) in synced.drain(..) {
+        let entry = durable.entry(key).or_insert(0);
+        *entry = (*entry).max(version);
+    }
 }
 
 /// Writes a power-loss image's files into `dest`.
@@ -292,12 +309,9 @@ impl IoBackend for PowerLossFs {
         self.inner.create(path)?;
         let mut disk = lock(&self.disk);
         // The file left behind is never synced again: what it owed is lost.
-        // A file a failed rename left here is opened: its length is kept.
         disk.unsynced.clear();
         disk.segments.retain(|f| f.path != path && !f.unlinked);
-        let mut file = Segment::new(path, path.to_path_buf(), Vec::new());
-        file.len = fs::metadata(path)?.len();
-        disk.segments.push(file);
+        disk.segments.push(Segment::new(path, None, Vec::new()));
         landed(fault, ())
     }
 
@@ -333,9 +347,9 @@ impl IoBackend for PowerLossFs {
         } = &mut *disk;
         let active = segments.last_mut().expect("sync before create");
         active.synced_len = active.len;
-        for (key, version) in unsynced.drain(..) {
-            let entry = durable.entry(key).or_insert(0);
-            *entry = (*entry).max(version);
+        active.unnamed.append(unsynced);
+        if active.durable_path.as_ref() == Some(&active.path) {
+            make_durable(durable, &mut active.unnamed);
         }
         landed(fault, ())
     }
@@ -368,11 +382,17 @@ impl IoBackend for PowerLossFs {
         // the name it has on disk.
         let mut disk = lock(&self.disk);
         self.inner.rename(from, to)?;
+        // A file a half-landed attempt left under `to` is replaced.
+        disk.segments.retain(|file| file.path != to);
         let active = disk.segments.last_mut().expect("rename before create");
         active.path = to.to_path_buf();
         if self.dir_sync {
-            for file in &mut disk.segments {
-                file.durable_path.clone_from(&file.path);
+            let Disk {
+                segments, durable, ..
+            } = &mut *disk;
+            for file in segments {
+                file.durable_path = Some(file.path.clone());
+                make_durable(durable, &mut file.unnamed);
             }
         }
         landed(fault, ())
@@ -521,9 +541,13 @@ fn power_loss_image_is_the_synced_prefix_then_the_reserved_zeros() {
     let image = temp_dir("model-image");
     fs::create_dir_all(&dir).expect("mkdir");
     let (mut backend, disk) = PowerLossFs::new();
+    // A created file's name survives a power cut once a directory sync
+    // covers it: the rename's.
+    let temp = dir.join("seg-00000000.camplog.tmp");
+    backend.create(&temp).expect("create");
     backend
-        .create(&dir.join("seg-00000000.camplog"))
-        .expect("create");
+        .rename(&temp, &dir.join("seg-00000000.camplog"))
+        .expect("rename");
     assert_eq!(backend.reserve(4096).expect("reserve"), 4096);
     let batch = |keys: &[&str], version: u64| {
         let value = versioned_value(version);
@@ -852,6 +876,39 @@ fn lost_or_stale(store: &ShardedStore, acked: &HashMap<Vec<u8>, u64>) -> Vec<Str
         .collect();
     wrong.sort();
     wrong
+}
+
+/// A power cut after every acknowledged set in boot's segment and in the
+/// roll taken while the spare pool is still empty, up to the first
+/// compaction. Both files were created, so only the directory sync behind
+/// the rename that named them lets them survive the cut: recovery must serve
+/// every acknowledged write at exactly its version after each cut.
+#[test]
+fn a_power_cut_after_any_ack_in_a_created_segment_keeps_it() {
+    let mut run = Recycling::new("created", true);
+    let image = temp_dir("created-image");
+    let (mut acks, mut rolled) = (0, false);
+    // Per cut that lost or rolled back an acknowledged write: how many keys.
+    let mut lost = Vec::new();
+    while run.persist.snapshot().snapshots == 0 {
+        run.set();
+        acks += 1;
+        rolled |= lock(&run.persist.writer).seg_index == 1;
+        let (store, _) = recover_image(&run.disk.image(), &image);
+        let wrong = lost_or_stale(&store, &run.acked);
+        if !wrong.is_empty() {
+            lost.push(wrong.len());
+        }
+    }
+    assert!(rolled, "no roll before the first compaction");
+    assert!(
+        lost.is_empty(),
+        "{} of {acks} power cuts lost acknowledged writes, of up to {} keys",
+        lost.len(),
+        lost.iter().max().copied().unwrap_or(0)
+    );
+    fs::remove_dir_all(&run.dir).ok();
+    fs::remove_dir_all(&image).ok();
 }
 
 /// A power cut at every record boundary inside three recycled segments
