@@ -434,9 +434,9 @@ pub fn fig9(scale: Scale) -> Tables {
             let report = replay_trace(&mut client, &trace).expect("replay trace");
             let _ = client.quit();
             server.shutdown();
-            cost_row.push(f(report.cost_miss_ratio()));
+            cost_row.push(f(report.metrics.cost_miss_ratio()));
             time_row.push(format!("{:.2}s", report.wall_time.as_secs_f64()));
-            miss_row.push(f(report.miss_rate()));
+            miss_row.push(f(report.metrics.miss_rate()));
         }
         cost_table.row(cost_row);
         time_table.row(time_row);

@@ -61,6 +61,7 @@ pub mod hash;
 pub mod heap;
 pub mod keyed;
 pub mod lru_list;
+pub mod metrics;
 pub mod policy;
 pub mod rng;
 pub mod rounding;

@@ -78,7 +78,8 @@ pub trait IoBackend: fmt::Debug + Send {
     }
     /// Makes the spare `spare` the active file under `path`, its next
     /// `append` landing at offset 0 over what its earlier life left, and
-    /// returns the file's length: a runway no reservation has to write.
+    /// returns the file's length: where its runway ends, as a created
+    /// file's does once [`reserve`](IoBackend::reserve) has written it.
     /// The rename is not synced; the caller's [`rename`](IoBackend::rename)
     /// to the segment's own name is. The default creates `path` afresh and
     /// returns 0 (a backend whose `retire` keeps no spare is never asked).
@@ -91,12 +92,13 @@ pub trait IoBackend: fmt::Debug + Send {
 /// The production backend: buffered-nothing, straight `std::fs`.
 ///
 /// The active file is written by position, not `O_APPEND`: `cursor` is
-/// where the records end, `reserved` where the zeroed runway ends. An
-/// `append` that stays below `reserved` overwrites blocks that are
-/// already allocated, written and inside the synced file size, so the
-/// `fdatasync` after it has no metadata to journal; one that passes it
-/// grows the file like any append would. A recycled file's runway is its
-/// whole length: the blocks of its earlier life.
+/// where the records end, `reserved` where the runway past them ends: a
+/// recycled file's whole length, and for any file the end of the zeros its
+/// `reserve`s wrote. One rule, whatever the file's history: an `append`
+/// that stays below `reserved` overwrites blocks that are already
+/// allocated, written and inside the synced file size, so the `fdatasync`
+/// after it has no metadata to journal; one that passes it grows the file
+/// like any append would.
 #[derive(Debug, Default)]
 pub struct RealFs {
     active: Option<File>,

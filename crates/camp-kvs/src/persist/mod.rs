@@ -68,12 +68,18 @@
 //! became active leaves the writer in the segment it was in, and boot
 //! refuses a data dir on which its segment cannot begin.
 //!
-//! *Reserve* asks the backend for a runway of written-and-synced zeros
-//! ahead of the records ([`IoBackend::reserve`]: the whole segment plus a
-//! record of slack when that is under 1 MiB, else 1 MiB at a time as the
-//! records near its end); commits *overwrite* the runway in place, so the
+//! Every segment file follows one rule, whether it was created or
+//! recycled. Its *runway* is wherever the file ends — nothing in a new
+//! file, the earlier life's bytes in a spare — and *reserve* tops it up
+//! toward `segment_bytes` plus 8 KiB of slack with written-and-synced zeros
+//! ([`IoBackend::reserve`]: all of it when that is under 1 MiB, else 1 MiB
+//! at a time as the records near its end), so a spare that long already
+//! reserves nothing. Commits *overwrite* the runway in place, so the
 //! `fdatasync` behind each finds no new block and no new file size to
-//! journal; *rotate* commits, cuts a fresh segment's unused zeros off and
+//! journal. Every write ends with an [`record::END_MARKER`], so the log
+//! reads as ended there whatever lies past it; the next write lands after
+//! the marker, and a scan steps over it. *Rotate* commits, cuts the file
+//! back to its records only if it is longer than a fresh segment, and
 //! begins the next. A failed write cuts the file back to the last good
 //! byte — runway included, so no frame of the failed batch can outlive it —
 //! and the segment grows the plain way until the next rotation. Recovery
@@ -92,16 +98,14 @@
 //! (`spare-<index>.camplog`); boot deletes the segments it recovered
 //! instead, and the spares and `.tmp` files a previous process left. While
 //! the pool has one, a segment *recycles* a spare instead of creating a
-//! file: overwritten from offset 0, its length its runway — no zeros
-//! written, nothing unlinked. Every frame names its segment, so the earlier
-//! life's frames end the log instead of replaying, and every write to a
-//! recycled file ends with an [`record::END_MARKER`]. A failed retire
-//! removes its file, a failed recycle its spare under both names. So only
-//! the first `keep_segments` rotations after boot or a trip create and
-//! reserve. A fresh file is at most `segment_bytes` plus 8 KiB of runway;
-//! the pool keeps at most one longer file, a snapshot of a store larger
-//! than a segment, for the next snapshot, and a recycled file left longer
-//! is cut back to its records. The spares cost up to `keep_segments ×
+//! file: overwritten from offset 0, nothing unlinked. Every frame names its
+//! segment, so the earlier life's frames end the log instead of replaying.
+//! A failed retire removes its file, a failed recycle its spare under both
+//! names. So only the first `keep_segments` rotations after boot or a trip
+//! create and reserve. A file is `segment_bytes` plus 8 KiB long when the
+//! writer leaves it, and keeps that length as a spare; the pool keeps at
+//! most one longer file, a snapshot of a store larger than a segment, for
+//! the next snapshot. The spares cost up to `keep_segments ×
 //! (segment_bytes + 8 KiB)` beside the live segments, one of them a
 //! snapshot's length once the store outgrows a segment.
 //!
@@ -119,7 +123,9 @@
 //! The writer mutex owns every fact of the journal: the active segment,
 //! what is pending, the armed/degraded state with its trip and re-arm
 //! counts, and every counter, `dropped` included — all fields of one
-//! `LogWriter`, whose methods take `&mut self`. Every append decides
+//! `LogWriter`, whose methods take `&mut self`. The counters are kept once,
+//! as the [`PersistSnapshot`] the telemetry reads, seeded at open with what
+//! recovery found. Every append decides
 //! under that lock whether it is logged or dropped, so none can slip
 //! between a re-arm's snapshot and the moment the engine re-arms: it
 //! waits for the re-arm and lands in the healed log. One lock-free fact
@@ -271,8 +277,8 @@ pub struct PersistSnapshot {
     pub state: &'static str,
     /// I/O errors observed (append, fsync, repair).
     pub errors: u64,
-    /// Journal bytes successfully written: records, and a recycled
-    /// file's end markers.
+    /// Journal bytes successfully written: records, and the end marker
+    /// each write closes with.
     pub bytes: u64,
     /// Successful fsyncs.
     pub fsyncs: u64,
@@ -305,8 +311,9 @@ pub struct PersistSnapshot {
     /// pending, plus a snapshot's flushes.
     pub writes: u64,
     /// Runway reservations (each a write of zeros and a sync of its own,
-    /// not counted in `fsyncs`). Only fresh files reserve: a recycled one
-    /// has its length as its runway.
+    /// not counted in `fsyncs`). A file reserves until it is as long as a
+    /// fresh segment, and keeps that length as a spare, so a segment that
+    /// recycles one reserves nothing.
     pub reserves: u64,
     /// Zero bytes those reservations wrote.
     pub reserved_bytes: u64,
@@ -347,27 +354,6 @@ impl Default for PersistSnapshot {
     }
 }
 
-/// Everything the journal counts, kept by the writer under its lock;
-/// each field means what [`PersistSnapshot`]'s field of that name does.
-#[derive(Debug, Default)]
-struct Counts {
-    errors: u64,
-    dropped: u64,
-    bytes: u64,
-    fsyncs: u64,
-    records: u64,
-    commits: u64,
-    commit_records: u64,
-    writes: u64,
-    reserves: u64,
-    reserved_bytes: u64,
-    recycled: u64,
-    snapshots: u64,
-    trips: u64,
-    rearms: u64,
-    sync_us: LocalHistogram,
-}
-
 /// The write side: the active segment, what is pending, whether the
 /// engine is degraded and every count it keeps — all of it held under
 /// the writer mutex, so each method's `&mut self` is the proof that the
@@ -401,14 +387,10 @@ struct LogWriter {
     /// Records written to the active segment since the last successful
     /// fsync.
     unsynced_records: u64,
-    /// Where the active segment's runway ends; 0 when it has none (the
-    /// backend does not reserve, or a failed write cut it off).
+    /// Where the active segment's runway ends: where its file ends, or 0
+    /// when it has none (the backend does not reserve, or a failed write
+    /// cut it off).
     runway_end: u64,
-    /// The active segment is a recycled file: its runway is the earlier
-    /// life's bytes past the records — never topped up, cut off at
-    /// rotation only past [`LogWriter::spare_cap`], and ended after every
-    /// write by an [`record::END_MARKER`].
-    recycled: bool,
     /// Retired segment files waiting to serve again, with their lengths:
     /// at most `keep_segments`, and at most one of them longer than
     /// [`LogWriter::spare_cap`] (kept for the next snapshot). The next
@@ -417,7 +399,11 @@ struct LogWriter {
     /// Tripped after `trip_after` consecutive I/O errors: appends are
     /// dropped until a re-arm rebuilds the log.
     degraded: bool,
-    counts: Counts,
+    /// Every count the journal keeps, recovery's included; the snapshot
+    /// [`Persist::snapshot`] reads, but for the fields it fills in itself.
+    counts: PersistSnapshot,
+    /// The engine's segment syncs, for [`PersistSnapshot::sync_us`].
+    sync_us: LocalHistogram,
 }
 
 impl LogWriter {
@@ -491,7 +477,7 @@ impl LogWriter {
         match spare {
             Some(spare) => match self.backend.recycle(&spare, &temp) {
                 Ok(len) => {
-                    self.opened(index, len, true);
+                    self.opened(index, len);
                     self.counts.recycled += 1;
                 }
                 Err(err) => {
@@ -502,7 +488,7 @@ impl LogWriter {
             },
             None => {
                 self.backend.create(&temp).map_err(|err| (err, false))?;
-                self.opened(index, 0, false);
+                self.opened(index, 0);
             }
         }
         let path = segment_path(&self.options.data_dir, index);
@@ -519,23 +505,19 @@ impl LogWriter {
 
     /// Resets what is accounted per segment for the newly opened segment
     /// `index`, whose runway ends at `runway_end`.
-    fn opened(&mut self, index: u64, runway_end: u64, recycled: bool) {
+    fn opened(&mut self, index: u64, runway_end: u64) {
         debug_assert!(self.pending.is_empty(), "frames of another segment");
         self.seg_index = index;
         self.committed = 0;
         self.unsynced_records = 0;
         self.runway_end = runway_end;
-        self.recycled = recycled;
     }
 
     /// The one place record bytes reach the backend: a single `append`
-    /// of everything pending — ended, in a recycled file, by an
-    /// [`record::END_MARKER`] — which is dropped either way. Returns the
-    /// bytes written.
+    /// of everything pending, ended by an [`record::END_MARKER`], which is
+    /// dropped either way. Returns the bytes written.
     fn write_pending(&mut self) -> stdio::Result<u64> {
-        if self.recycled {
-            self.pending.extend_from_slice(&record::END_MARKER);
-        }
+        self.pending.extend_from_slice(&record::END_MARKER);
         let len = self.pending.len() as u64;
         let result = self.backend.append(&self.pending);
         self.pending.clear();
@@ -550,23 +532,21 @@ impl LogWriter {
     }
 
     /// Cuts the active segment back to `len` bytes of records. Whatever
-    /// runway lay past them goes with the cut, a recycled file's earlier
-    /// life included (even a failed one: the segment then grows the plain
-    /// way, which is always correct).
+    /// runway lay past them goes with the cut (even a failed one: the
+    /// segment then grows the plain way, which is always correct).
     fn truncate(&mut self, len: u64) -> stdio::Result<()> {
         self.committed = len;
         self.runway_end = 0;
-        self.recycled = false;
         self.backend.truncate(len)
     }
 
     /// Extends the active segment's runway by up to [`RUNWAY_CHUNK`],
-    /// never past `segment_bytes` plus [`RUNWAY_SLACK`]. After a failure
-    /// the segment goes on without one.
+    /// never past [`LogWriter::spare_cap`], however the file was opened.
+    /// After a failure the segment goes on without one.
     fn extend_runway(&mut self) -> stdio::Result<()> {
-        let goal = self.options.segment_bytes.saturating_add(RUNWAY_SLACK);
+        let goal = self.spare_cap();
         let from = self.runway_end.max(self.committed);
-        if self.recycled || from >= goal {
+        if from >= goal {
             return Ok(());
         }
         let want = RUNWAY_CHUNK.min(goal - from);
@@ -662,8 +642,7 @@ impl LogWriter {
     fn timed_sync(&mut self) -> stdio::Result<()> {
         let started = Instant::now();
         let result = self.backend.sync();
-        self.counts
-            .sync_us
+        self.sync_us
             .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
         self.counts.fsyncs += u64::from(result.is_ok());
         result
@@ -741,11 +720,10 @@ impl LogWriter {
     fn leave_segment(&mut self) {
         self.commit(true);
         let mut len = self.runway_end.max(self.committed);
-        // Best effort: the unused zeros, or a recycled file's earlier life
-        // past what a fresh segment holds, are only disk space, and the
-        // scanner reads them as the end of the log anyway.
-        let cut = !self.recycled || self.runway_end > self.spare_cap();
-        if cut && self.runway_end > self.committed && self.truncate(self.committed).is_ok() {
+        // Best effort: the runway past what a fresh segment holds is only
+        // disk space, and the scanner reads it as the end of the log anyway.
+        let long = self.runway_end > self.spare_cap();
+        if long && self.runway_end > self.committed && self.truncate(self.committed).is_ok() {
             len = self.committed;
         }
         let active = self.seg_index;
@@ -758,8 +736,7 @@ impl LogWriter {
     /// its runway has. A file longer than this — a snapshot of a store
     /// larger than a segment, or a segment a large record pushed past its
     /// end — is a *long* one: the pool keeps at most one, for the next
-    /// snapshot, and a recycled file left longer than this is cut back to
-    /// its records.
+    /// snapshot, and a runway left longer than this is cut off.
     fn spare_cap(&self) -> u64 {
         self.options.segment_bytes.saturating_add(RUNWAY_SLACK)
     }
@@ -875,8 +852,6 @@ pub struct Persist {
     writer: Mutex<LogWriter>,
     /// The writer's ack barrier flag, read without the lock.
     unsynced: Arc<UnsyncedFlag>,
-    /// What boot-time recovery found (fixed once `open` returns).
-    recovery: RecoverySummary,
     /// The caller promised to [`Persist::commit`] before it
     /// acknowledges, so appends do not commit inline.
     deferred: bool,
@@ -1068,10 +1043,15 @@ impl Persist {
             pending_records: 0,
             unsynced_records: 0,
             runway_end: 0,
-            recycled: false,
             spares: Vec::new(),
             degraded: false,
-            counts: Counts::default(),
+            counts: PersistSnapshot {
+                recovered: summary.records,
+                quarantined: summary.quarantined,
+                torn_bytes: summary.torn_bytes,
+                ..PersistSnapshot::default()
+            },
+            sync_us: LocalHistogram::default(),
         };
         // Always begin a new segment: recovered segments are immutable
         // history, never appended to again.
@@ -1079,7 +1059,6 @@ impl Persist {
         Ok(Persist {
             writer: Mutex::new(writer),
             unsynced,
-            recovery: summary,
             deferred: false,
             fsync_interval,
             stop: AtomicBool::new(false),
@@ -1229,33 +1208,15 @@ impl Persist {
         }
     }
 
-    /// The telemetry counters, read under one brief lock of the writer
-    /// beside the boot-time summary.
+    /// The telemetry counters, read under one brief lock of the writer.
     #[must_use]
     pub fn snapshot(&self) -> PersistSnapshot {
         let w = lock(&self.writer);
-        let c = &w.counts;
         PersistSnapshot {
             state: if w.degraded { "degraded" } else { "active" },
-            errors: c.errors,
-            bytes: c.bytes,
-            fsyncs: c.fsyncs,
-            records: c.records,
-            dropped: c.dropped,
-            recovered: self.recovery.records,
-            quarantined: self.recovery.quarantined,
-            torn_bytes: self.recovery.torn_bytes,
-            snapshots: c.snapshots,
-            trips: c.trips,
-            rearms: c.rearms,
             segments: w.segments.len() as u64,
-            commits: c.commits,
-            commit_records: c.commit_records,
-            writes: c.writes,
-            reserves: c.reserves,
-            reserved_bytes: c.reserved_bytes,
-            recycled: c.recycled,
-            sync_us: c.sync_us.snapshot(),
+            sync_us: w.sync_us.snapshot(),
+            ..w.counts.clone()
         }
     }
 }
@@ -1498,19 +1459,21 @@ mod tests {
         drop(persist);
         // Simulate a crash mid-write: a frame header promising more
         // bytes than were written, where the next record would have gone —
-        // at the cursor, over the head of the reserved zeros.
+        // at the cursor, past the first write's end marker, over the head
+        // of the reserved zeros.
         let seg = segment_path(&dir, 0);
         let mut torn = record::MAGIC.to_be_bytes().to_vec();
         torn.extend_from_slice(&100u32.to_be_bytes());
         torn.extend_from_slice(&0u32.to_be_bytes());
         torn.extend_from_slice(&[0xAA; 10]);
         let before = written_set(b"good", b"value").len();
+        let cursor = before + record::END_MARKER.len();
         assert!(
-            fs::read(&seg).expect("read segment").len() > before + torn.len(),
+            fs::read(&seg).expect("read segment").len() > cursor + torn.len(),
             "the killed writer left its runway behind"
         );
         let file = OpenOptions::new().write(true).open(&seg).expect("open");
-        file.write_all_at(&torn, before as u64).expect("tear");
+        file.write_all_at(&torn, cursor as u64).expect("tear");
         drop(file);
 
         let recovered = sharded();
@@ -1522,7 +1485,7 @@ mod tests {
         assert_eq!(
             fs::read(&seg).expect("reread").len(),
             before,
-            "torn tail (and the zeros past it) physically truncated"
+            "torn tail (and the end marker and zeros around it) physically truncated"
         );
         fs::remove_dir_all(&dir).ok();
     }
@@ -1701,11 +1664,11 @@ mod tests {
 
     /// A process killed while a compaction writes its snapshot loses no
     /// acknowledged write. 2 000 keys of 300 bytes overflow two 256 KiB
-    /// segments, so the third rotation compacts, and its snapshot needs
-    /// three writes; the kill lands before the second. The snapshot's
-    /// `Clear` is on disk by then, followed by a third of the items: were
-    /// that file a segment, recovery would wipe the older history and
-    /// rebuild only that third.
+    /// segments, so the second rotation compacts, and its snapshot needs
+    /// two writes; the kill lands before the second. The snapshot's `Clear`
+    /// is on disk by then, followed by half of the items: were that file a
+    /// segment, recovery would wipe the older history and rebuild only that
+    /// half.
     #[test]
     fn a_kill_mid_snapshot_loses_no_acknowledged_write() {
         const KEYS: u32 = 2_000;
@@ -1724,11 +1687,12 @@ mod tests {
         };
         let (persist, disk) = open_on_disk(opts, &FaultPlan::default(), &store);
         // The process is killed just before its second write of a
-        // snapshot's size: every byte written so far is on disk.
+        // snapshot's size (no commit's is half as large): every byte
+        // written so far is on disk.
         let mut big_writes = 0;
         let kill_image = image.clone();
         disk.on_call(move |disk, call, bytes| {
-            big_writes += u32::from(call == Call::Append && bytes >= BIG);
+            big_writes += u32::from(call == Call::Append && bytes >= BIG / 2);
             if big_writes == 2 && !kill_image.exists() {
                 write_image(&kill_image, &disk.kill_image());
             }
@@ -1834,6 +1798,60 @@ mod tests {
             let hit = recovered.get(key.as_bytes()).expect("recovered key");
             assert_eq!(hit.value, format!("value-{i}").as_bytes(), "{key}");
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A created segment keeps its whole runway when the writer leaves it,
+    /// and a spare keeps it too. With a store smaller than a segment, every
+    /// file in the data dir — the active segment, those it left and the
+    /// spares — is exactly a fresh segment's length after every append, and
+    /// a rotation that recycles a spare reserves nothing: no segment grows
+    /// past its file's end.
+    #[test]
+    fn a_created_segment_keeps_its_runway_and_its_spare_reserves_nothing() {
+        const KEEP: usize = 2;
+        const KEYS: u32 = 20;
+        let dir = temp_dir("runway-kept");
+        let store = sharded();
+        let opts = PersistOptions {
+            segment_bytes: MIN_SEGMENT_BYTES,
+            keep_segments: KEEP,
+            ..options(&dir)
+        };
+        let cap = MIN_SEGMENT_BYTES + RUNWAY_SLACK;
+        let (persist, disk) = open_on_disk(opts, &FaultPlan::default(), &store);
+        let mut version = 0u32;
+        while persist.snapshot().recycled < 2 * KEEP as u64 {
+            let reserves = disk.calls(Call::Reserve);
+            let recycled = persist.snapshot().recycled;
+            let key = format!("key-{}", version % KEYS);
+            let value = format!("value-{version}");
+            version += 1;
+            store
+                .set(key.as_bytes(), value.as_bytes(), 0, 0, 3)
+                .expect("set");
+            persist.append_set(&store, key.as_bytes(), value.as_bytes(), 0, 0, 3);
+            if persist.snapshot().recycled > recycled {
+                assert_eq!(disk.calls(Call::Reserve), reserves, "write {version}");
+            }
+            let lengths: Vec<(String, u64)> = names_in(&dir)
+                .into_iter()
+                .map(|name| {
+                    let len = fs::metadata(dir.join(&name)).expect("metadata").len();
+                    (name, len)
+                })
+                .collect();
+            assert!(
+                lengths.iter().all(|&(_, len)| len == cap),
+                "write {version}: {lengths:?}"
+            );
+        }
+        let snap = persist.snapshot();
+        assert_eq!(snap.reserves, KEEP as u64 + 1, "{snap:?}");
+        drop(persist);
+        let (recovered, summary) = replay(&dir);
+        assert_eq!((summary.quarantined, summary.torn_bytes), (0, 0));
+        assert_eq!(recovered.len(), KEYS as usize);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2314,10 +2332,14 @@ mod tests {
             // The active snapshot segment and the one long spare.
             let long = files_longer_than(&dir, cap);
             assert!(long.len() <= 2, "append {i}: {long:?}");
-            // Only a snapshot, the one live segment right after its
-            // compaction, recycles a long file.
-            let w = lock(&persist.writer);
-            assert!(!w.recycled || w.runway_end <= cap || w.segments.len() == 1);
+            // Only a snapshot, the oldest live segment, is ever a long
+            // segment file: no roll recycles the long spare.
+            let oldest = names_in(&dir).into_iter().find(|n| n.starts_with("seg-"));
+            assert!(
+                long.iter()
+                    .all(|(n, _)| !n.starts_with("seg-") || Some(n) == oldest.as_ref()),
+                "append {i}: {long:?}"
+            );
         }
         let snap = persist.snapshot();
         assert!(snap.snapshots >= 10 && snap.recycled > 0, "{snap:?}");

@@ -283,9 +283,9 @@ pub struct ScanSummary {
     pub valid_len: u64,
 }
 
-/// What the writer appends after every write to a recycled file: a frame
-/// header's worth of zeros, so the log reads as ended there rather than
-/// in the middle of the earlier life's bytes that follow. The next write
+/// What the writer appends after every write: a frame header's worth of
+/// zeros, so the log reads as ended there whatever the file holds past it
+/// — reserved zeros, or a recycled file's earlier life. The next write
 /// lands after it, and a scan steps over one that a frame of its segment
 /// follows.
 pub const END_MARKER: [u8; FRAME_HEADER_LEN] = [0; FRAME_HEADER_LEN];

@@ -4,13 +4,16 @@
 //! Section 3 by reading a trace file and issuing requests to the KVS."
 //! [`replay_trace`] does exactly that over the text protocol: `iqget` each
 //! key; on a miss, `iqset` the pair with a value of the traced size and the
-//! traced cost as the hint. It reports the same metrics as the simulator
-//! (cost-miss ratio, miss rate, cold-request exclusion) plus the wall-clock
+//! traced cost as the hint. It counts the simulator's own [`SimMetrics`]
+//! (cost-miss ratio, miss rate, cold-request exclusion) and the wall-clock
 //! run time that Figure 9b plots.
 
+use std::collections::HashSet;
 use std::io;
 use std::time::{Duration, Instant};
 
+use camp_core::metrics::SimMetrics;
+use camp_core::policy::AccessOutcome;
 use camp_workload::Trace;
 
 use crate::client::Client;
@@ -19,45 +22,12 @@ use crate::client::Client;
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct ReplayReport {
-    /// Total requests issued.
-    pub requests: usize,
-    /// First-touch requests (excluded from the rates).
-    pub cold_requests: usize,
-    /// Non-cold hits.
-    pub hits: u64,
-    /// Non-cold misses.
-    pub misses: u64,
-    /// Summed cost of non-cold misses.
-    pub missed_cost: u64,
-    /// Summed cost of all non-cold requests.
-    pub total_cost: u64,
-    /// Sets that the server rejected (object too large / out of memory).
-    pub rejected_sets: u64,
+    /// The paper's metrics, counted as the simulator counts them: each
+    /// request a hit, an inserted miss, or — when the server rejected the
+    /// `iqset` (object too large / out of memory) — a bypassed one.
+    pub metrics: SimMetrics,
     /// End-to-end wall-clock time of the replay (Figure 9b's metric).
     pub wall_time: Duration,
-}
-
-impl ReplayReport {
-    /// Miss rate over non-cold requests.
-    #[must_use]
-    pub fn miss_rate(&self) -> f64 {
-        let counted = self.hits + self.misses;
-        if counted == 0 {
-            0.0
-        } else {
-            self.misses as f64 / counted as f64
-        }
-    }
-
-    /// Cost-miss ratio over non-cold requests.
-    #[must_use]
-    pub fn cost_miss_ratio(&self) -> f64 {
-        if self.total_cost == 0 {
-            0.0
-        } else {
-            self.missed_cost as f64 / self.total_cost as f64
-        }
-    }
 }
 
 /// How much of each traced size is protocol/item overhead versus value
@@ -72,17 +42,8 @@ const VALUE_OVERHEAD: u64 = 64;
 ///
 /// Returns the first I/O error encountered.
 pub fn replay_trace(client: &mut Client, trace: &Trace) -> io::Result<ReplayReport> {
-    let mut seen = std::collections::HashSet::new();
-    let mut report = ReplayReport {
-        requests: 0,
-        cold_requests: 0,
-        hits: 0,
-        misses: 0,
-        missed_cost: 0,
-        total_cost: 0,
-        rejected_sets: 0,
-        wall_time: Duration::ZERO,
-    };
+    let mut seen = HashSet::new();
+    let mut metrics = SimMetrics::default();
     let mut key_buf = Vec::with_capacity(24);
     let mut value_buf: Vec<u8> = Vec::new();
     let started = Instant::now();
@@ -91,32 +52,23 @@ pub fn replay_trace(client: &mut Client, trace: &Trace) -> io::Result<ReplayRepo
         key_buf.extend_from_slice(b"k");
         key_buf.extend_from_slice(record.key.to_string().as_bytes());
 
-        let hit = client.iqget(&key_buf)?.is_some();
-        if !hit {
+        let outcome = if client.iqget(&key_buf)?.is_some() {
+            AccessOutcome::Hit
+        } else {
             let value_len = record.size.saturating_sub(VALUE_OVERHEAD).max(1) as usize;
             if value_buf.len() < value_len {
                 value_buf.resize(value_len, 0xCA);
             }
-            let stored =
-                client.iqset(&key_buf, &value_buf[..value_len], 0, 0, Some(record.cost))?;
-            if !stored {
-                report.rejected_sets += 1;
+            if client.iqset(&key_buf, &value_buf[..value_len], 0, 0, Some(record.cost))? {
+                AccessOutcome::MissInserted
+            } else {
+                AccessOutcome::MissBypassed
             }
-        }
-
-        report.requests += 1;
-        if seen.insert(record.key) {
-            report.cold_requests += 1;
-            continue;
-        }
-        report.total_cost = report.total_cost.saturating_add(record.cost);
-        if hit {
-            report.hits += 1;
-        } else {
-            report.misses += 1;
-            report.missed_cost = report.missed_cost.saturating_add(record.cost);
-        }
+        };
+        metrics.record(seen.insert(record.key), outcome, record.cost);
     }
-    report.wall_time = started.elapsed();
-    Ok(report)
+    Ok(ReplayReport {
+        metrics,
+        wall_time: started.elapsed(),
+    })
 }

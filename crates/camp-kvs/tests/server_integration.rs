@@ -112,7 +112,7 @@ fn camp_server_beats_lru_server_on_cost_miss() {
         let report = replay_trace(&mut client, &trace).unwrap();
         client.quit().unwrap();
         server.shutdown();
-        report
+        report.metrics
     };
 
     let lru = run(EvictionMode::Lru);
@@ -209,7 +209,7 @@ fn sharded_and_unsharded_servers_agree_on_replay_quality() {
         let report = replay_trace(&mut client, &trace).unwrap();
         client.quit().unwrap();
         server.shutdown();
-        report.cost_miss_ratio()
+        report.metrics.cost_miss_ratio()
     };
     let unsharded = run(1);
     let sharded = run(4);

@@ -56,8 +56,8 @@ fn main() -> std::io::Result<()> {
         println!(
             "{:<10} {:>12.4} {:>10.4} {:>9.2}s {:>12}",
             name,
-            report.cost_miss_ratio(),
-            report.miss_rate(),
+            report.metrics.cost_miss_ratio(),
+            report.metrics.miss_rate(),
             report.wall_time.as_secs_f64(),
             stats.evictions,
         );

@@ -24,7 +24,7 @@ fn run_server(trace: &camp::workload::Trace, memory: u64, eviction: EvictionMode
     let report = replay_trace(&mut client, trace).expect("replay");
     let _ = client.quit();
     server.shutdown();
-    report.cost_miss_ratio()
+    report.metrics.cost_miss_ratio()
 }
 
 #[test]
@@ -76,10 +76,10 @@ fn server_replay_is_deterministic_in_hit_accounting() {
         )
         .unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
-        let report = replay_trace(&mut client, &trace).unwrap();
+        let m = replay_trace(&mut client, &trace).unwrap().metrics;
         let _ = client.quit();
         server.shutdown();
-        (report.hits, report.misses, report.missed_cost)
+        (m.hits, m.misses, m.missed_cost)
     };
     assert_eq!(run(), run());
 }
