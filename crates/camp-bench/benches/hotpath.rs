@@ -35,6 +35,7 @@ use std::io::Write;
 use std::sync::Arc;
 
 use camp_bench::micro::Group;
+use camp_kvs::item::Item;
 use camp_kvs::net::Loopback;
 use camp_kvs::persist::record::{crc32c, encode_frame, Record, CHECKED_FROM};
 use camp_kvs::protocol::{parse_command, Command};
@@ -143,13 +144,13 @@ fn store_group() {
 fn persist_group() {
     let key = b"key-000000000123";
     let value = [0xCAu8; 512];
-    let record = Record::Set {
+    let record = Record::Set(Item {
         key,
         value: &value,
         flags: 0,
         cost: 1,
         expires_at: 0,
-    };
+    });
     let mut frame = Vec::new();
     encode_frame(&record, 0, &mut frame);
     let checked = &frame[CHECKED_FROM..];

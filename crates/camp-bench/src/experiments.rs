@@ -115,8 +115,13 @@ pub fn table1() -> Tables {
 /// size ratio, on the three-tier-cost trace.
 #[must_use]
 pub fn fig4(scale: Scale) -> Tables {
-    let trace = scale.three_tier_trace();
-    let points = sweep_ratios_parallel(&trace, unique_bytes(&trace), &DEFAULT_RATIOS, |cap| {
+    fig4_on(&scale.three_tier_trace())
+}
+
+/// [`fig4`] on `trace`.
+#[must_use]
+pub fn fig4_on(trace: &Trace) -> Tables {
+    let points = sweep_ratios_parallel(trace, unique_bytes(trace), &DEFAULT_RATIOS, |cap| {
         vec![Box::new(Gds::new(cap)), camp_at(cap, Precision::Bits(5))]
     });
     let mut table = Table::new(vec![
@@ -389,7 +394,10 @@ pub fn fig8ab(scale: Scale) -> Tables {
 
 /// Figures 9a/9b/9c: the live-server experiment. Replays the three-tier
 /// trace against the Twemcache-like server over TCP, once with LRU and
-/// once with CAMP, across cache size ratios.
+/// once with CAMP, across cache size ratios. Beside the server's cost-miss
+/// ratios (9a) and miss rates (9c) stand the simulator's, on the same
+/// trace with the bytes the server's policy is given (its slabs), so the
+/// gap the slab geometry makes is on the table.
 #[must_use]
 pub fn fig9(scale: Scale) -> Tables {
     use camp_kvs::client::Client;
@@ -406,8 +414,9 @@ pub fn fig9(scale: Scale) -> Tables {
     .generate();
     let unique = trace.stats().unique_bytes;
 
-    let mut cost_table = Table::new(vec!["cache-ratio", "lru", "camp(p=5)"]);
-    let mut time_table = cost_table.clone();
+    let server = ["cache-ratio", "lru", "camp(p=5)"];
+    let mut cost_table = Table::new([&server[..], &["sim-lru", "sim-camp(p=5)"]].concat());
+    let mut time_table = Table::new(server.to_vec());
     let mut miss_table = cost_table.clone();
 
     for ratio in [0.01, 0.05, 0.1, 0.25, 0.5] {
@@ -438,6 +447,16 @@ pub fn fig9(scale: Scale) -> Tables {
             time_row.push(format!("{:.2}s", report.wall_time.as_secs_f64()));
             miss_row.push(f(report.metrics.miss_rate()));
         }
+        let budget = u64::from(slab.slab_size) * u64::from(slab.max_slabs);
+        let sim: [Box<dyn EvictionPolicy>; 2] = [
+            Box::new(Lru::new(budget)),
+            camp_at(budget, Precision::Bits(5)),
+        ];
+        for mut policy in sim {
+            let report = simulate(policy.as_mut(), &trace);
+            cost_row.push(f(report.metrics.cost_miss_ratio()));
+            miss_row.push(f(report.metrics.miss_rate()));
+        }
         cost_table.row(cost_row);
         time_table.row(time_row);
         miss_table.row(miss_row);
@@ -457,9 +476,14 @@ pub fn fig9(scale: Scale) -> Tables {
 /// structure itself.
 #[must_use]
 pub fn ablation_tiebreak(scale: Scale) -> Tables {
-    let trace = scale.three_tier_trace();
+    ablation_tiebreak_on(&scale.three_tier_trace())
+}
+
+/// [`ablation_tiebreak`] on `trace`.
+#[must_use]
+pub fn ablation_tiebreak_on(trace: &Trace) -> Tables {
     let ratios = [0.05, 0.1, 0.25, 0.5, 0.75];
-    let points = sweep_ratios_parallel(&trace, unique_bytes(&trace), &ratios, |cap| {
+    let points = sweep_ratios_parallel(trace, unique_bytes(trace), &ratios, |cap| {
         vec![camp_at(cap, Precision::Infinite), Box::new(Gds::new(cap))]
     });
     let mut table = Table::new(vec!["cache-ratio", "camp(p=inf)", "gds", "relative-delta"]);

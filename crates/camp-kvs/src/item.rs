@@ -13,17 +13,8 @@ pub(crate) const EXPIRY_OFFSET: usize = 2 + 4 + 4 + 8;
 /// The fixed header size in bytes.
 pub const HEADER_LEN: usize = EXPIRY_OFFSET + 8;
 
-/// Reads a big-endian u64 at `at`; the caller has already bounds-checked
-/// `buf` against [`HEADER_LEN`].
-#[inline]
-fn be_u64(buf: &[u8], at: usize) -> u64 {
-    let mut bytes = [0u8; 8];
-    bytes.copy_from_slice(&buf[at..at + 8]);
-    u64::from_be_bytes(bytes)
-}
-
 /// A decoded item.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Item<'a> {
     /// The key bytes.
     pub key: &'a [u8],
@@ -60,18 +51,22 @@ impl<'a> Item<'a> {
     pub fn encode_into(&self, buf: &mut [u8]) {
         let need = Item::encoded_len(self.key.len(), self.value.len());
         assert!(buf.len() >= need, "buffer too small for item");
-        buf[0..HEADER_LEN].copy_from_slice(&self.header());
+        buf[..HEADER_LEN].copy_from_slice(&self.header());
         let key_end = HEADER_LEN + self.key.len();
         buf[HEADER_LEN..key_end].copy_from_slice(self.key);
-        buf[key_end..key_end + self.value.len()].copy_from_slice(self.value);
+        buf[key_end..need].copy_from_slice(self.value);
     }
 
-    /// The encoded fixed header for this item.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key exceeds 64 KiB or the value exceeds 4 GiB — the
-    /// documented contract of [`Item::encode_into`].
+    /// Appends what [`Item::encode_into`] writes to `buf`: the body of a
+    /// journal `Set`. Panics on the lengths it panics on.
+    pub fn append_to(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.header());
+        buf.extend_from_slice(self.key);
+        buf.extend_from_slice(self.value);
+    }
+
+    /// The encoded fixed header for this item. Panics if the key exceeds
+    /// 64 KiB or the value 4 GiB ([`Item::encode_into`]'s contract).
     fn header(&self) -> [u8; HEADER_LEN] {
         // lint:allow(unwrap-in-lib) — enforces the documented "# Panics"
         // contract; the protocol caps keys at 250 B and values at
@@ -88,35 +83,40 @@ impl<'a> Item<'a> {
         header
     }
 
-    /// Decodes an item from a chunk.
+    /// The item `buf` begins with, or `None` if `buf` is shorter than the
+    /// header or than the key and value it declares. Bytes past the item
+    /// (a chunk's slack) are not read.
+    #[must_use]
+    #[inline]
+    pub fn parse(buf: &'a [u8]) -> Option<Item<'a>> {
+        let header: &[u8; HEADER_LEN] = buf.get(..HEADER_LEN)?.try_into().ok()?;
+        let key_len = usize::from(u16::from_be_bytes([header[0], header[1]]));
+        let value_len = u32::from_be_bytes([header[2], header[3], header[4], header[5]]) as usize;
+        let body = &buf[HEADER_LEN..];
+        let key = body.get(..key_len)?;
+        let value = body.get(key_len..key_len.checked_add(value_len)?)?;
+        Some(Item {
+            key,
+            value,
+            flags: u32::from_be_bytes([header[6], header[7], header[8], header[9]]),
+            cost: u64::from_be_bytes(header[10..EXPIRY_OFFSET].try_into().ok()?),
+            expires_at: u64::from_be_bytes(header[EXPIRY_OFFSET..].try_into().ok()?),
+        })
+    }
+
+    /// Decodes the item a chunk holds ([`Item::parse`]).
     ///
     /// # Panics
     ///
-    /// Panics if the chunk contents are malformed (shorter than the header
-    /// claims) — chunks are only ever written by [`Item::encode_into`].
+    /// Panics if the chunk holds no whole item — chunks are only ever
+    /// written by [`Item::encode_into`].
     #[must_use]
     #[inline]
     pub fn decode(buf: &'a [u8]) -> Item<'a> {
-        assert!(buf.len() >= HEADER_LEN, "chunk shorter than item header");
-        let key_len = u16::from_be_bytes([buf[0], buf[1]]) as usize;
-        let value_len = u32::from_be_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
-        let flags = u32::from_be_bytes([buf[6], buf[7], buf[8], buf[9]]);
-        let cost = be_u64(buf, 10);
-        let expires_at = be_u64(buf, EXPIRY_OFFSET);
-        let body = &buf[HEADER_LEN..];
-        assert!(
-            body.len() >= key_len + value_len,
-            "chunk shorter than the encoded item"
-        );
-        let key = &body[..key_len];
-        let value = &body[key_len..key_len + value_len];
-        Item {
-            key,
-            value,
-            flags,
-            cost,
-            expires_at,
-        }
+        let Some(item) = Item::parse(buf) else {
+            panic!("chunk holds no whole item");
+        };
+        item
     }
 }
 

@@ -2,7 +2,10 @@
 //! warm restarts.
 //!
 //! Layout mirrors `net/`: [`record`] is the on-disk codec and recovery
-//! scanner (its CRC32C, in a hardware and a table kernel, is `crc`),
+//! scanner of the one frame format, whose `Set` body is the slab item's
+//! own encoding ([`crate::item`]; the CRC32C, in a hardware and a table
+//! kernel, is `crc`), `legacy` re-frames a segment of the journal's older
+//! format for that scanner once at boot,
 //! [`io`] is the write-side backend seam (real disk or the
 //! deterministic [`FaultFs`] injector), and this module owns the
 //! [`Persist`] engine: rotating segment files under `--data-dir`,
@@ -22,7 +25,9 @@
 //! scanner (with the clock stopped, then dropping what has expired by boot
 //! time), truncates the torn tail a crash left behind, quarantines
 //! corrupt mid-log records, and rebuilds both the sharded store and the
-//! per-item CAMP costs before any listener opens.
+//! per-item CAMP costs before any listener opens. A segment of the older
+//! format is re-framed for the scanner, and boot's own segment then begins
+//! with a snapshot that retires it.
 //!
 //! # The commit path and the ack barrier
 //!
@@ -133,6 +138,7 @@
 
 mod crc;
 pub mod io;
+mod legacy;
 mod powerloss;
 pub mod record;
 mod state;
@@ -153,6 +159,7 @@ use camp_core::rng::Rng64;
 use camp_telemetry::{kvlog, HistogramSnapshot, LocalHistogram, LogLevel};
 
 use crate::fault::FaultPlan;
+use crate::item::Item;
 use crate::shard::ShardedStore;
 use crate::store::unix_now;
 use crate::sync::lock;
@@ -788,17 +795,7 @@ impl LogWriter {
             if failed.is_some() {
                 return;
             }
-            record::encode_frame(
-                &Record::Set {
-                    key: item.key,
-                    value: item.value,
-                    flags: item.flags,
-                    cost: item.cost,
-                    expires_at: item.expires_at,
-                },
-                segment,
-                &mut self.pending,
-            );
+            record::encode_frame(&Record::Set(*item), segment, &mut self.pending);
             records += 1;
             if self.pending.len() >= FLUSH_BYTES {
                 match self.write_pending() {
@@ -904,12 +901,14 @@ fn list_segments(dir: &Path) -> stdio::Result<Vec<(u64, PathBuf)>> {
 }
 
 /// What boot-time replay hands back to [`Persist::open`]: the scan
-/// summary, the surviving segment list, and the index the new active
-/// segment should use.
+/// summary, the surviving segment list, the index the new active
+/// segment should use, and whether a segment was of the older frame
+/// format ([`legacy`]), which the new segment's snapshot retires.
 struct Recovered {
     summary: RecoverySummary,
     segments: Vec<(u64, PathBuf)>,
     next_index: u64,
+    legacy: bool,
 }
 
 /// Replays every segment into `store`, cutting the newest segment back
@@ -927,19 +926,14 @@ fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
         ..RecoverySummary::default()
     };
     let last_index = segments.len().checked_sub(1);
+    let mut legacy = false;
     for (pos, &(index, ref path)) in segments.iter().enumerate() {
         let bytes = fs::read(path)?;
-        let scan = record::scan_segment(&bytes, index, |rec| match rec {
-            Record::Set {
-                key,
-                value,
-                flags,
-                cost,
-                expires_at,
-            } => {
+        let (scan, reframed) = legacy::read_segment(&bytes, index, |rec| match rec {
+            Record::Set(item) => {
                 // Eviction during replay is legal (smaller memory budget
                 // than the log's working set): best effort.
-                let _ = store.set(key, value, flags, expires_at, cost);
+                let _ = store.set(item.key, item.value, item.flags, item.expires_at, item.cost);
             }
             Record::Delete { key } => {
                 let h = store.hash(key);
@@ -952,6 +946,7 @@ fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
             }
             Record::Seal => {}
         });
+        legacy |= reframed;
         summary.records += scan.applied;
         summary.quarantined += scan.quarantined;
         summary.torn_bytes += scan.torn_bytes;
@@ -971,6 +966,7 @@ fn recover_into(dir: &Path, store: &ShardedStore) -> stdio::Result<Recovered> {
         summary,
         segments,
         next_index,
+        legacy,
     })
 }
 
@@ -1014,6 +1010,7 @@ impl Persist {
             summary,
             segments,
             next_index,
+            legacy,
         } = recover_into(&options.data_dir, store)?;
         kvlog!(
             LogLevel::Info,
@@ -1054,8 +1051,9 @@ impl Persist {
             sync_us: LocalHistogram::default(),
         };
         // Always begin a new segment: recovered segments are immutable
-        // history, never appended to again.
-        writer.begin_segment(next_index, None)?;
+        // history, never appended to again. One of the older format is
+        // retired at once, by a snapshot.
+        writer.begin_segment(next_index, legacy.then_some(store))?;
         Ok(Persist {
             writer: Mutex::new(writer),
             unsynced,
@@ -1109,16 +1107,14 @@ impl Persist {
         expires_at: u64,
         cost: u64,
     ) {
-        self.append_record(
-            store,
-            &Record::Set {
-                key,
-                value,
-                flags,
-                cost,
-                expires_at,
-            },
-        );
+        let item = Item {
+            key,
+            value,
+            flags,
+            cost,
+            expires_at,
+        };
+        self.append_record(store, &Record::Set(item));
     }
 
     /// Logs a successful delete.
@@ -1419,33 +1415,21 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// One framed set of segment 0, as the writer encodes it.
-    fn written_set(key: &[u8], value: &[u8]) -> Vec<u8> {
-        let mut frame = Vec::new();
-        let set = Record::Set {
+    /// A set of cost 1 that never expires.
+    fn set_of<'a>(key: &'a [u8], value: &'a [u8]) -> Record<'a> {
+        Record::Set(Item {
             key,
             value,
             flags: 0,
             cost: 1,
             expires_at: 0,
-        };
-        record::encode_frame(&set, 0, &mut frame);
-        frame
+        })
     }
 
-    /// One framed set in the parent format.
-    fn encoded_set(key: &[u8], value: &[u8]) -> Vec<u8> {
+    /// One framed set of segment 0, as the writer encodes it.
+    fn written_set(key: &[u8], value: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
-        record::encode_into(
-            &Record::Set {
-                key,
-                value,
-                flags: 0,
-                cost: 1,
-                expires_at: 0,
-            },
-            &mut frame,
-        );
+        record::encode_frame(&set_of(key, value), 0, &mut frame);
         frame
     }
 
@@ -1539,10 +1523,13 @@ mod tests {
         fs::create_dir_all(&dir).expect("mkdir");
         let mut segment = Vec::new();
         for i in 0..20u32 {
-            segment.extend(encoded_set(format!("key-{i}").as_bytes(), b"old-format"));
+            segment.extend(legacy::tests::frame(&set_of(
+                format!("key-{i}").as_bytes(),
+                b"old-format",
+            )));
         }
-        record::encode_into(&Record::Delete { key: b"key-3" }, &mut segment);
-        record::encode_into(&Record::Seal, &mut segment);
+        segment.extend(legacy::tests::frame(&Record::Delete { key: b"key-3" }));
+        segment.extend(legacy::tests::frame(&Record::Seal));
         let seg = segment_path(&dir, 0);
         fs::write(&seg, &segment).expect("write fixture");
 
@@ -1567,6 +1554,22 @@ mod tests {
         assert_eq!((summary.records, summary.quarantined), (20, 0));
         assert!(summary.torn_bytes > 0 && !summary.sealed);
         assert_eq!(store.len(), 20, "the delete was the torn record");
+
+        // Boot re-frames the file once, and its snapshot retires it.
+        fs::write(&seg, &segment).expect("restore fixture");
+        let store = sharded();
+        let persist = open_plain(options(&dir), &store);
+        assert_eq!(persist.snapshot().snapshots, 1);
+        drop(persist);
+        for entry in fs::read_dir(&dir).expect("list") {
+            let bytes = fs::read(entry.expect("entry").path()).expect("read");
+            assert!(!legacy::tests::holds_frame(&bytes), "an older frame left");
+        }
+        let store = sharded();
+        let _reopened = open_plain(options(&dir), &store);
+        assert_eq!(store.len(), 19);
+        assert_eq!(store.get(b"key-19").expect("hit").value, b"old-format");
+        assert!(store.get(b"key-3").is_none());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1580,7 +1583,7 @@ mod tests {
             let value: Vec<u8> = (0..rng.range_usize(1, 40))
                 .map(|_| (rng.next_u64() & 0xFF) as u8)
                 .collect();
-            encoded_set(format!("key-{i:02}").as_bytes(), &value)
+            written_set(format!("key-{i:02}").as_bytes(), &value)
         };
         let committed: Vec<u8> = (0..12).flat_map(&mut frame).collect();
         let last: Vec<Vec<u8>> = (12..20).map(&mut frame).collect();
@@ -2651,7 +2654,7 @@ mod tests {
         let bytes = fs::read(segment_path(&dir, 0)).expect("read segment");
         let mut seen = Vec::new();
         let scan = record::scan_segment(&bytes, 0, |rec| {
-            if let Record::Set { key, value, .. } = rec {
+            if let Record::Set(Item { key, value, .. }) = rec {
                 seen.push((key.to_vec(), value.len(), value.iter().all(|&b| b == 0xB1)));
             }
         });

@@ -46,6 +46,7 @@ use super::{
 };
 use crate::client::{Client, ClientConfig, Reply};
 use crate::fault::FaultPlan;
+use crate::item::Item;
 use crate::server::{Server, ServerOptions, Shared};
 use crate::shard::ShardedStore;
 use crate::slab::SlabConfig;
@@ -322,9 +323,9 @@ impl IoBackend for PowerLossFs {
         let mut disk = lock(&self.disk);
         let index = index_of(&disk.segments.last().expect("append before create").path);
         record::scan_segment(buf, index, |rec| {
-            if let Record::Set { key, value, .. } = rec {
-                if let Some(version) = version_of(value) {
-                    disk.unsynced.push((key.to_vec(), version));
+            if let Record::Set(item) = rec {
+                if let Some(version) = version_of(item.value) {
+                    disk.unsynced.push((item.key.to_vec(), version));
                 }
             }
         });
@@ -553,14 +554,14 @@ fn power_loss_image_is_the_synced_prefix_then_the_reserved_zeros() {
         let value = versioned_value(version);
         let mut buf = Vec::new();
         for key in keys {
-            let rec = Record::Set {
+            let rec = Record::Set(Item {
                 key: key.as_bytes(),
                 value: value.as_bytes(),
                 flags: 0,
                 cost: 1,
                 expires_at: 0,
-            };
-            record::encode_into(&rec, &mut buf);
+            });
+            record::encode_frame(&rec, 0, &mut buf);
         }
         buf
     };

@@ -13,8 +13,9 @@
 //! `magic` is the constant `"CPL2"`; `len` counts payload bytes only;
 //! `segment` is the low 32 bits of the index of the segment the frame was
 //! written to; `crc` is CRC32C (Castagnoli) over `segment` and the
-//! payload. The payload begins with a one-byte kind tag followed by
-//! kind-specific fields mirroring the [`crate::item`] encoding order:
+//! payload. The payload begins with a one-byte kind tag. A `Set`'s body is
+//! the item exactly as a slab chunk holds it ([`Item::append_to`]), cost
+//! included:
 //!
 //! ```text
 //! set    1 | key_len u16 | value_len u32 | flags u32 | cost u64 |
@@ -25,9 +26,9 @@
 //! seal   5 |
 //! ```
 //!
-//! The parent format (magic `"CPLG"`, a 12-byte header with no `segment`,
-//! `crc` over the payload alone) is still read: a journal written before
-//! segment files were recycled recovers as it always did.
+//! This is the one frame format the scanner reads. A segment written in
+//! the journal's older format is re-framed into this one at boot
+//! (`persist::legacy`) and then compacted away.
 //!
 //! The segment index is what makes a recycled file safe: a spare file is
 //! overwritten from offset 0, so past the records of its new life lie
@@ -44,6 +45,8 @@
 
 pub use super::crc::crc32c;
 
+use crate::item::Item;
+
 /// Per-record framing magic: `"CPL2"` (camp persistence log, the
 /// format whose frames name their segment).
 pub const MAGIC: u32 = 0x4350_4C32;
@@ -54,13 +57,6 @@ pub const FRAME_HEADER_LEN: usize = 16;
 /// The checksum covers a frame from this offset on: its segment index and
 /// its payload.
 pub const CHECKED_FROM: usize = 12;
-
-/// The parent format's magic, `"CPLG"`: a 12-byte header (magic, len,
-/// crc over the payload) and no segment index.
-const PARENT_MAGIC: u32 = 0x4350_4C47;
-
-/// Frame header bytes ahead of a parent-format payload.
-const PARENT_HEADER_LEN: usize = 12;
 
 /// Upper bound on a sane payload length. Values are capped at the
 /// server's `--max-value-bytes` (1 MiB by default, configurable), so
@@ -76,21 +72,10 @@ const KIND_SEAL: u8 = 5;
 /// One decoded log record, borrowing from the scanned buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Record<'a> {
-    /// A successful store (`set`/`add`/`replace`/`incr`/`decr` result),
-    /// carrying everything recovery needs to rebuild the item *and* its
-    /// eviction priority.
-    Set {
-        /// The wire key.
-        key: &'a [u8],
-        /// The stored value bytes.
-        value: &'a [u8],
-        /// Opaque client flags.
-        flags: u32,
-        /// CAMP miss cost at store time.
-        cost: u64,
-        /// Absolute unix expiry (0 = never).
-        expires_at: u64,
-    },
+    /// A successful store (`set`/`add`/`replace`/`incr`/`decr` result):
+    /// the stored item, whose cost lets recovery rebuild its eviction
+    /// priority too.
+    Set(Item<'a>),
     /// A successful delete.
     Delete {
         /// The deleted key.
@@ -110,18 +95,6 @@ pub enum Record<'a> {
     Seal,
 }
 
-fn push_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-fn push_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
 /// The segment tag a frame carries: the low 32 bits of the index, which
 /// a file's successive lives never share (indices only grow, and a spare
 /// serves again only after a rotation).
@@ -130,83 +103,60 @@ fn segment_tag(segment: u64) -> u32 {
 }
 
 /// Appends `record` to `buf` as one framed, checksummed log record of
-/// segment `segment`: the frame the writer emits.
+/// segment `segment`: the frame the writer emits. Keys longer than
+/// `u16::MAX` are refused by the protocol layer long before this point
+/// (the parser caps key length), so the casts are safe.
 pub fn encode_frame(record: &Record<'_>, segment: u64, buf: &mut Vec<u8>) {
-    encode(record, Some(segment_tag(segment)), buf);
-}
-
-/// Appends `record` to `buf` as one parent-format (`"CPLG"`) frame: what
-/// builds before segment recycling wrote, and what recovery still reads.
-/// The writer no longer emits it; tests build parent-format journals
-/// with it.
-#[cfg(test)]
-pub(crate) fn encode_into(record: &Record<'_>, buf: &mut Vec<u8>) {
-    encode(record, None, buf);
-}
-
-/// One frame of the current format naming segment tag `segment`, or of
-/// the parent format without one. Keys longer than `u16::MAX` are
-/// truncated by the protocol layer long before this point (the parser
-/// caps key length), so the cast is safe.
-fn encode(record: &Record<'_>, segment: Option<u32>, buf: &mut Vec<u8>) {
-    let frame_start = buf.len();
-    push_u32(
-        buf,
-        if segment.is_some() {
-            MAGIC
-        } else {
-            PARENT_MAGIC
-        },
-    );
-    push_u32(buf, 0); // len placeholder
-    push_u32(buf, 0); // crc placeholder
-    let checked_from = buf.len();
-    if let Some(tag) = segment {
-        push_u32(buf, tag);
-    }
-    let payload_start = buf.len();
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
     match *record {
-        Record::Set {
-            key,
-            value,
-            flags,
-            cost,
-            expires_at,
-        } => {
+        Record::Set(item) => {
             buf.push(KIND_SET);
-            push_u16(buf, key.len() as u16);
-            push_u32(buf, value.len() as u32);
-            push_u32(buf, flags);
-            push_u64(buf, cost);
-            push_u64(buf, expires_at);
-            buf.extend_from_slice(key);
-            buf.extend_from_slice(value);
+            item.append_to(buf);
         }
         Record::Delete { key } => {
             buf.push(KIND_DELETE);
-            push_u16(buf, key.len() as u16);
+            buf.extend_from_slice(&(key.len() as u16).to_be_bytes());
             buf.extend_from_slice(key);
         }
         Record::Clear => buf.push(KIND_CLEAR),
         Record::Touch { key, expires_at } => {
             buf.push(KIND_TOUCH);
-            push_u16(buf, key.len() as u16);
-            push_u64(buf, expires_at);
+            buf.extend_from_slice(&(key.len() as u16).to_be_bytes());
+            buf.extend_from_slice(&expires_at.to_be_bytes());
             buf.extend_from_slice(key);
         }
         Record::Seal => buf.push(KIND_SEAL),
     }
-    let payload_len = (buf.len() - payload_start) as u32;
-    let crc = crc32c(&buf[checked_from..]);
-    buf[frame_start + 4..frame_start + 8].copy_from_slice(&payload_len.to_be_bytes());
-    buf[frame_start + 8..frame_start + 12].copy_from_slice(&crc.to_be_bytes());
+    finish_frame(buf, start, segment);
+}
+
+/// Appends `payload` to `buf` as a frame of segment `segment`, whatever
+/// it decodes to: how `legacy` re-frames an older frame.
+pub(crate) fn frame_payload(payload: &[u8], segment: u64, buf: &mut Vec<u8>) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    buf.extend_from_slice(payload);
+    finish_frame(buf, start, segment);
+}
+
+/// Fills in the header of the frame at `buf[start..]`, whose payload runs
+/// to the end of `buf`.
+fn finish_frame(buf: &mut [u8], start: usize, segment: u64) {
+    let payload_len = (buf.len() - start - FRAME_HEADER_LEN) as u32;
+    buf[start..start + 4].copy_from_slice(&MAGIC.to_be_bytes());
+    buf[start + 4..start + 8].copy_from_slice(&payload_len.to_be_bytes());
+    buf[start + CHECKED_FROM..start + FRAME_HEADER_LEN]
+        .copy_from_slice(&segment_tag(segment).to_be_bytes());
+    let crc = crc32c(&buf[start + CHECKED_FROM..]);
+    buf[start + 8..start + CHECKED_FROM].copy_from_slice(&crc.to_be_bytes());
 }
 
 fn read_u16(buf: &[u8], at: usize) -> Option<u16> {
     Some(u16::from_be_bytes(buf.get(at..at + 2)?.try_into().ok()?))
 }
 
-fn read_u32(buf: &[u8], at: usize) -> Option<u32> {
+pub(crate) fn read_u32(buf: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_be_bytes(buf.get(at..at + 4)?.try_into().ok()?))
 }
 
@@ -222,24 +172,9 @@ pub fn decode_payload(payload: &[u8]) -> Option<Record<'_>> {
     let (&kind, rest) = payload.split_first()?;
     match kind {
         KIND_SET => {
-            let key_len = usize::from(read_u16(rest, 0)?);
-            let value_len = read_u32(rest, 2)? as usize;
-            let flags = read_u32(rest, 6)?;
-            let cost = read_u64(rest, 10)?;
-            let expires_at = read_u64(rest, 18)?;
-            let key_start = 26usize;
-            let value_start = key_start.checked_add(key_len)?;
-            let end = value_start.checked_add(value_len)?;
-            if end != rest.len() {
-                return None;
-            }
-            Some(Record::Set {
-                key: &rest[key_start..value_start],
-                value: &rest[value_start..end],
-                flags,
-                cost,
-                expires_at,
-            })
+            let item = Item::parse(rest)?;
+            (Item::encoded_len(item.key.len(), item.value.len()) == rest.len())
+                .then_some(Record::Set(item))
         }
         KIND_DELETE => {
             let key_len = usize::from(read_u16(rest, 0)?);
@@ -295,33 +230,15 @@ struct Frame<'a> {
     payload: &'a [u8],
     /// Bytes on disk, header included.
     len: usize,
-    /// The segment tag it carries; `None` for a parent-format frame.
-    segment: Option<u32>,
+    /// The segment tag it carries.
+    segment: u32,
 }
 
-/// Which frames one scan replays: those of one life of one file.
-#[derive(Debug, Clone, Copy)]
-struct Life {
-    /// The tag of the segment the file is read as; `None` reads only
-    /// parent-format frames.
-    segment: Option<u32>,
-    /// Whether the life's frames are parent-format ones, once one has
-    /// been replayed: a file holds frames of one format, never both.
-    parent: Option<bool>,
-}
-
-impl Life {
-    fn owns(&self, frame: &Frame<'_>) -> bool {
-        let parent = frame.segment.is_none();
-        self.parent.is_none_or(|p| p == parent) && (parent || frame.segment == self.segment)
-    }
-}
-
-/// Searches `buf[from..]` for the next frame magic of either format.
+/// Searches `buf[from..]` for the next frame magic.
 fn resync(buf: &[u8], from: usize) -> Option<usize> {
     let mut at = from;
     while at + 4 <= buf.len() {
-        if matches!(read_u32(buf, at), Some(MAGIC | PARENT_MAGIC)) {
+        if read_u32(buf, at) == Some(MAGIC) {
             return Some(at);
         }
         at += 1;
@@ -332,29 +249,29 @@ fn resync(buf: &[u8], from: usize) -> Option<usize> {
 /// The frame at `buf[at..]`, if a whole one with a sane length and a
 /// matching checksum starts there.
 fn frame_at(buf: &[u8], at: usize) -> Option<Frame<'_>> {
-    let (header, segment) = match read_u32(buf, at)? {
-        MAGIC => (FRAME_HEADER_LEN, Some(read_u32(buf, at + CHECKED_FROM)?)),
-        PARENT_MAGIC => (PARENT_HEADER_LEN, None),
-        _ => return None,
-    };
+    if read_u32(buf, at)? != MAGIC {
+        return None;
+    }
     let len = read_u32(buf, at + 4)? as usize;
     let crc = read_u32(buf, at + 8)?;
-    // Every payload leads with its kind byte. An empty one (whose CRC, 0,
-    // would even match) is a header torn over reserved zeros.
+    let segment = read_u32(buf, at + CHECKED_FROM)?;
+    // Every payload leads with its kind byte. An empty one is a header
+    // torn over reserved zeros.
     if len == 0 || len > MAX_PAYLOAD_LEN {
         return None;
     }
-    let end = at + header + len;
-    let payload = buf.get(at + header..end)?;
-    let checked = match segment {
-        Some(_) => &buf[at + CHECKED_FROM..end],
-        None => payload,
-    };
+    let end = at + FRAME_HEADER_LEN + len;
+    let checked = buf.get(at + CHECKED_FROM..end)?;
     (crc32c(checked) == crc).then_some(Frame {
-        payload,
-        len: header + len,
+        payload: &checked[FRAME_HEADER_LEN - CHECKED_FROM..],
+        len: FRAME_HEADER_LEN + len,
         segment,
     })
+}
+
+/// Whether a verifiable frame, of any segment, starts at `buf[at..]`.
+pub(crate) fn is_frame_at(buf: &[u8], at: usize) -> bool {
+    frame_at(buf, at).is_some()
 }
 
 /// The first verifiable frame in `buf[from..]`, of any segment.
@@ -374,8 +291,8 @@ fn next_frame(buf: &[u8], from: usize) -> Option<(usize, Frame<'_>)> {
 /// terminates: the cursor strictly advances.
 ///
 /// The log ends cleanly at a verified frame of another segment — the
-/// earlier life of a recycled file — or of the other format. Where no
-/// verifiable frame starts, what follows decides (the end-of-log rules):
+/// earlier life of a recycled file. Where no verifiable frame starts, what
+/// follows decides (the end-of-log rules):
 ///
 /// 1. nothing but zeros — starting with the twelve a frame header would
 ///    occupy — is the unused end of a reserved segment: the log ends
@@ -389,42 +306,18 @@ fn next_frame(buf: &[u8], from: usize) -> Option<(usize, Frame<'_>)> {
 ///    trail them were reserved, not torn);
 /// 4. bytes with a frame of the segment after them are mid-log
 ///    corruption: one quarantine, and the scan resumes at that frame.
-///
-/// Parent-format frames name no segment and belong to any: a journal
-/// written before recycling scans exactly as it always did. Rule 2 holds
-/// only in a log of the current format, where the writer puts the marker.
-pub fn scan_segment(buf: &[u8], segment: u64, apply: impl FnMut(Record<'_>)) -> ScanSummary {
-    let life = Life {
-        segment: Some(segment_tag(segment)),
-        parent: None,
-    };
-    scan_life(buf, life, apply)
-}
-
-/// [`scan_segment`] for a journal that names no segment: parent-format
-/// frames replay, and a frame of the current format ends the log.
-/// Recovery always knows the segment; tests read parent-format journals
-/// with this.
-#[cfg(test)]
-pub(crate) fn scan(buf: &[u8], apply: impl FnMut(Record<'_>)) -> ScanSummary {
-    let life = Life {
-        segment: None,
-        parent: None,
-    };
-    scan_life(buf, life, apply)
-}
-
-fn scan_life(buf: &[u8], mut life: Life, mut apply: impl FnMut(Record<'_>)) -> ScanSummary {
+pub fn scan_segment(buf: &[u8], segment: u64, mut apply: impl FnMut(Record<'_>)) -> ScanSummary {
+    let tag = segment_tag(segment);
+    let ours = |frame: &Frame<'_>| frame.segment == tag;
     let mut summary = ScanSummary::default();
     // Nothing at or past this offset but zeros.
     let data_end = buf.iter().rposition(|&b| b != 0).map_or(0, |last| last + 1);
     let mut at = 0usize;
     while at < buf.len() {
         if let Some(frame) = frame_at(buf, at) {
-            if !life.owns(&frame) {
+            if !ours(&frame) {
                 break;
             }
-            life.parent = Some(frame.segment.is_none());
             match decode_payload(frame.payload) {
                 Some(record) => {
                     summary.sealed = matches!(record, Record::Seal);
@@ -439,13 +332,13 @@ fn scan_life(buf: &[u8], mut life: Life, mut apply: impl FnMut(Record<'_>)) -> S
         if at >= data_end {
             break;
         }
-        let marked = life.parent == Some(false) && buf[at..].starts_with(&END_MARKER);
-        if marked && frame_at(buf, at + END_MARKER.len()).is_some_and(|next| life.owns(&next)) {
+        let marked = buf[at..].starts_with(&END_MARKER);
+        if marked && frame_at(buf, at + END_MARKER.len()).is_some_and(|next| ours(&next)) {
             at += END_MARKER.len();
             continue;
         }
         match next_frame(buf, at + 1) {
-            Some((next, frame)) if life.owns(&frame) => {
+            Some((next, frame)) if ours(&frame) => {
                 summary.quarantined += 1;
                 at = next;
             }
@@ -470,67 +363,64 @@ fn scan_life(buf: &[u8], mut life: Life, mut apply: impl FnMut(Record<'_>)) -> S
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use camp_core::rng::Rng64;
 
-    /// One frame of each kind, and `Set`s with a 300-byte and with an
-    /// empty key and value, in the parent format.
-    fn sample_records() -> Vec<Vec<u8>> {
-        sample_records_as(None)
+    /// A `Set` of the given fields.
+    fn set<'a>(
+        key: &'a [u8],
+        value: &'a [u8],
+        flags: u32,
+        cost: u64,
+        expires_at: u64,
+    ) -> Record<'a> {
+        Record::Set(Item {
+            key,
+            value,
+            flags,
+            cost,
+            expires_at,
+        })
     }
 
-    /// [`sample_records`] as frames of `segment`, or in the parent format
-    /// if there is none.
-    fn sample_records_as(segment: Option<u64>) -> Vec<Vec<u8>> {
-        let mut encoded = Vec::new();
-        let records = [
-            Record::Set {
-                key: b"user:1",
-                value: b"alice",
-                flags: 7,
-                cost: 1_000,
-                expires_at: 0,
-            },
-            Record::Set {
-                key: b"user:2",
-                value: &[0xAB; 300],
-                flags: 0,
-                cost: 42,
-                expires_at: 99_999,
-            },
+    /// One record of each kind, and `Set`s with a 300-byte and with an
+    /// empty key and value.
+    pub(crate) fn sample_records() -> Vec<Record<'static>> {
+        vec![
+            set(b"user:1", b"alice", 7, 1_000, 0),
+            set(b"user:2", &[0xAB; 300], 0, 42, 99_999),
             Record::Delete { key: b"user:1" },
             Record::Touch {
                 key: b"user:2",
                 expires_at: 123,
             },
             Record::Clear,
-            Record::Set {
-                key: b"",
-                value: b"",
-                flags: u32::MAX,
-                cost: u64::MAX,
-                expires_at: u64::MAX,
-            },
+            set(b"", b"", u32::MAX, u64::MAX, u64::MAX),
             Record::Seal,
-        ];
-        for record in &records {
-            let mut buf = Vec::new();
-            encode_as(record, segment, &mut buf);
-            encoded.push(buf);
-        }
-        encoded
+        ]
     }
 
-    /// A frame of `segment`, or a parent-format one.
-    fn encode_as(record: &Record<'_>, segment: Option<u64>, buf: &mut Vec<u8>) {
-        match segment {
-            Some(segment) => encode_frame(record, segment, buf),
-            None => encode_into(record, buf),
-        }
+    /// [`sample_records`] as frames of `segment`.
+    fn sample_frames(segment: u64) -> Vec<Vec<u8>> {
+        sample_records()
+            .iter()
+            .map(|record| {
+                let mut frame = Vec::new();
+                encode_frame(record, segment, &mut frame);
+                frame
+            })
+            .collect()
     }
 
-    fn segment_from(parts: &[Vec<u8>]) -> Vec<u8> {
+    /// The payload the writer encodes for `record`.
+    fn payload_of(record: &Record<'_>) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_frame(record, 0, &mut frame);
+        frame.split_off(FRAME_HEADER_LEN)
+    }
+
+    pub(crate) fn segment_from(parts: &[Vec<u8>]) -> Vec<u8> {
         parts.iter().flat_map(|p| p.iter().copied()).collect()
     }
 
@@ -538,24 +428,59 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// One frame of each mutating kind, byte for byte as the journal has
-    /// always written them: a checksum kernel or codec change that moves
-    /// one bit here would leave existing data directories unrecoverable.
-    /// The `Set` payload (75 bytes) runs a kernel through nine 8-byte
-    /// words and a 3-byte tail.
+    pub(crate) fn from_hex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|at| u8::from_str_radix(&hex[at..at + 2], 16).expect("hex"))
+            .collect()
+    }
+
+    /// A `Set`'s payload is its kind byte and then the item exactly as a
+    /// slab chunk holds it.
     #[test]
-    fn encoded_frames_are_pinned_to_the_journal_format() {
+    fn a_set_payload_is_the_kind_byte_and_the_item_encoding() {
+        let item = Item {
+            key: b"user:42",
+            value: b"{\"name\":\"ada\"}",
+            flags: 0x00C0_FFEE,
+            cost: 2_500,
+            expires_at: 1_700_000_000,
+        };
+        let mut chunk = vec![0u8; Item::encoded_len(item.key.len(), item.value.len())];
+        item.encode_into(&mut chunk);
+        assert_eq!(
+            payload_of(&Record::Set(item)),
+            [&[KIND_SET][..], &chunk].concat()
+        );
+        assert_eq!(
+            decode_payload(&payload_of(&Record::Set(item))),
+            Some(Record::Set(item))
+        );
+        // A payload longer or shorter than the item it declares is not one.
+        let mut payload = payload_of(&Record::Set(item));
+        payload.push(0);
+        assert_eq!(decode_payload(&payload), None);
+        payload.truncate(payload.len() - 2);
+        assert_eq!(decode_payload(&payload), None);
+    }
+
+    /// The writer's own `Set`, `Touch` and `Clear` frames of segment 7,
+    /// byte for byte: their payloads are those the journal has always
+    /// written (the older format's pins in `legacy` carry the same payload
+    /// hex), behind the header that names the segment.
+    #[test]
+    fn writer_frames_of_each_kind_are_pinned() {
         let pinned = [
             (
-                Record::Set {
-                    key: b"user:42",
-                    value: b"{\"name\":\"ada\",\"langs\":[\"rust\",\"c\"],\"k\":1}",
-                    flags: 0x00C0_FFEE,
-                    cost: 2_500,
-                    expires_at: 1_700_000_000,
-                },
+                set(
+                    b"user:42",
+                    b"{\"name\":\"ada\",\"langs\":[\"rust\",\"c\"],\"k\":1}",
+                    0x00C0_FFEE,
+                    2_500,
+                    1_700_000_000,
+                ),
                 concat!(
-                    "43504c47", "0000004b", "27146bf7", // magic, len 75, crc
+                    "43504c32", "0000004b", "27683311", "00000007", // magic, len 75, crc, segment
                     "01", "0007", "00000029", "00c0ffee", // set, key/value len, flags
                     "00000000000009c4", "000000006553f100", // cost, expires_at
                     "757365723a3432", // key
@@ -563,30 +488,29 @@ mod tests {
                 ),
             ),
             (
-                Record::Delete { key: b"user:42" },
-                concat!("43504c47", "0000000a", "04392254", "02", "0007", "757365723a3432"),
-            ),
-            (
                 Record::Touch {
                     key: b"session:9",
                     expires_at: 86_400,
                 },
                 concat!(
-                    "43504c47", "00000014", "ecaf6bfc", "04", "0009", "0000000000015180",
-                    "73657373696f6e3a39",
+                    "43504c32", "00000014", "f7a6a0af", "00000007", "04", "0009",
+                    "0000000000015180", "73657373696f6e3a39",
                 ),
             ),
-            (Record::Clear, concat!("43504c47", "00000001", "412da0a5", "03")),
+            (
+                Record::Clear,
+                concat!("43504c32", "00000001", "2c4f4c84", "00000007", "03"),
+            ),
         ];
         let mut segment = Vec::new();
         for (record, hex) in &pinned {
             let mut frame = Vec::new();
-            encode_into(record, &mut frame);
+            encode_frame(record, 7, &mut frame);
             assert_eq!(to_hex(&frame), *hex, "{record:?}");
             segment.extend_from_slice(&frame);
         }
         let mut seen = 0;
-        let summary = scan(&segment, |record| {
+        let summary = scan_segment(&segment, 7, |record| {
             assert_eq!(record, pinned[seen].0);
             seen += 1;
         });
@@ -629,28 +553,19 @@ mod tests {
             (summary.applied, summary.valid_len),
             (1, frame.len() as u64)
         );
-        // Read as any other segment, or with no segment, it is another
-        // life's frame: the log ends before it, cleanly.
-        for summary in [scan_segment(&frame, 8, |_| {}), scan(&frame, |_| {})] {
-            assert_eq!(summary, ScanSummary::default());
-        }
+        // Read as any other segment, it is another life's frame: the log
+        // ends before it, cleanly.
+        assert_eq!(scan_segment(&frame, 8, |_| {}), ScanSummary::default());
     }
 
     /// `count` sets of segment `segment`, each of its own key.
-    fn frames_of(segment: u64, count: usize) -> Vec<Vec<u8>> {
+    pub(crate) fn frames_of(segment: u64, count: usize) -> Vec<Vec<u8>> {
         (0..count)
             .map(|i| {
                 let key = format!("key-{segment}-{i}");
                 let value = vec![b'v'; 10 + 7 * i];
-                let set = Record::Set {
-                    key: key.as_bytes(),
-                    value: &value,
-                    flags: 0,
-                    cost: 1,
-                    expires_at: 0,
-                };
                 let mut frame = Vec::new();
-                encode_frame(&set, segment, &mut frame);
+                encode_frame(&set(key.as_bytes(), &value, 0, 1, 0), segment, &mut frame);
                 frame
             })
             .collect()
@@ -727,8 +642,8 @@ mod tests {
         log[live[0].len() + FRAME_HEADER_LEN + 3] ^= 0x10;
         let mut keys = Vec::new();
         let summary = scan_segment(&recycled(&log), 9, |record| {
-            if let Record::Set { key, .. } = record {
-                keys.push(key.to_vec());
+            if let Record::Set(item) = record {
+                keys.push(item.key.to_vec());
             }
         });
         assert_eq!(keys, [b"key-9-0".to_vec(), b"key-9-2".to_vec()]);
@@ -736,43 +651,20 @@ mod tests {
     }
 
     #[test]
-    fn a_file_holds_one_format() {
-        // A parent-format frame after current-format ones is another
-        // life's, and so is a current-format frame after parent-format ones.
-        let current = segment_from(&frames_of(9, 2));
-        let parent = segment_from(&sample_records()[..2]);
-        for (file, applied) in [
-            ([current.clone(), parent.clone()].concat(), 2),
-            ([parent.clone(), current.clone()].concat(), 2),
-        ] {
-            let summary = scan_segment(&file, 9, |_| {});
-            assert_eq!((summary.applied, summary.quarantined), (applied, 0));
-            assert_eq!(summary.torn_bytes, 0);
-        }
-    }
-
-    #[test]
     fn records_round_trip() {
         let mut buf = Vec::new();
-        let original = Record::Set {
-            key: b"k",
-            value: b"v1234",
-            flags: 3,
-            cost: 17,
-            expires_at: 86_400,
-        };
-        encode_into(&original, &mut buf);
+        let original = set(b"k", b"v1234", 3, 17, 86_400);
+        encode_frame(&original, 9, &mut buf);
         let mut seen = Vec::new();
-        let summary = scan(&buf, |r| {
-            if let Record::Set {
-                key,
-                value,
-                flags,
-                cost,
-                expires_at,
-            } = r
-            {
-                seen.push((key.to_vec(), value.to_vec(), flags, cost, expires_at));
+        let summary = scan_segment(&buf, 9, |r| {
+            if let Record::Set(item) = r {
+                seen.push((
+                    item.key.to_vec(),
+                    item.value.to_vec(),
+                    item.flags,
+                    item.cost,
+                    item.expires_at,
+                ));
             }
         });
         assert_eq!(summary.applied, 1);
@@ -786,9 +678,9 @@ mod tests {
 
     #[test]
     fn clean_segment_scans_fully_and_reports_seal() {
-        let segment = segment_from(&sample_records());
+        let segment = segment_from(&sample_frames(9));
         let mut applied = 0u64;
-        let summary = scan(&segment, |_| applied += 1);
+        let summary = scan_segment(&segment, 9, |_| applied += 1);
         assert_eq!(summary.applied, 7);
         assert_eq!(applied, 7);
         assert_eq!(summary.quarantined, 0);
@@ -798,13 +690,13 @@ mod tests {
 
     #[test]
     fn torn_tail_is_counted_not_applied() {
-        let records = sample_records();
+        let records = sample_frames(9);
         let mut segment = segment_from(&records[..2]);
         let full_len = segment.len();
         // Chop the second record mid-payload: a torn tail.
         segment.truncate(full_len - 100);
         let mut applied = 0u64;
-        let summary = scan(&segment, |_| applied += 1);
+        let summary = scan_segment(&segment, 9, |_| applied += 1);
         assert_eq!(applied, 1);
         assert_eq!(summary.applied, 1);
         assert_eq!(summary.quarantined, 0);
@@ -817,13 +709,13 @@ mod tests {
 
     #[test]
     fn reserved_zeros_end_the_log_cleanly() {
-        let records = sample_records();
+        let records = sample_frames(9);
         let log = segment_from(&records[..3]);
         // A whole runway, a header's worth, less than a header's worth.
         for zeros in [4096, FRAME_HEADER_LEN, 5, 0] {
             let mut segment = log.clone();
             segment.resize(log.len() + zeros, 0);
-            let summary = scan(&segment, |_| {});
+            let summary = scan_segment(&segment, 9, |_| {});
             assert_eq!(
                 summary,
                 ScanSummary {
@@ -836,32 +728,23 @@ mod tests {
         }
         // A record whose own payload ends in zeros is not cut short.
         let mut segment = Vec::new();
-        encode_into(
-            &Record::Set {
-                key: b"k",
-                value: &[0; 64],
-                flags: 0,
-                cost: 0,
-                expires_at: 0,
-            },
-            &mut segment,
-        );
+        encode_frame(&set(b"k", &[0; 64], 0, 0, 0), 9, &mut segment);
         let len = segment.len();
         segment.resize(len + 100, 0);
-        let summary = scan(&segment, |_| {});
+        let summary = scan_segment(&segment, 9, |_| {});
         assert_eq!((summary.applied, summary.valid_len), (1, len as u64));
     }
 
     #[test]
     fn zeros_or_garbage_mid_log_are_quarantined_when_a_frame_follows() {
-        let records = sample_records();
+        let records = sample_frames(9);
         for gap in [vec![0u8; 600], vec![0x5A; 37]] {
             let mut segment = segment_from(&records[..2]);
             segment.extend_from_slice(&gap);
             segment.extend(segment_from(&records[2..4]));
             segment.resize(segment.len() + 512, 0);
             let mut applied = 0u64;
-            let summary = scan(&segment, |_| applied += 1);
+            let summary = scan_segment(&segment, 9, |_| applied += 1);
             assert_eq!(applied, 4, "the records past the gap still replay");
             assert_eq!((summary.quarantined, summary.torn_bytes), (1, 0));
         }
@@ -869,14 +752,14 @@ mod tests {
 
     #[test]
     fn garbage_with_no_frame_after_it_is_the_torn_tail() {
-        let records = sample_records();
+        let records = sample_frames(9);
         let log = segment_from(&records[..2]);
         let mut segment = log.clone();
         // Half a frame, then the runway it was being written over.
         segment.extend_from_slice(&records[2][..records[2].len() / 2]);
         let torn = segment.len() - log.len();
         segment.resize(segment.len() + 1000, 0);
-        let summary = scan(&segment, |_| {});
+        let summary = scan_segment(&segment, 9, |_| {});
         assert_eq!(
             summary,
             ScanSummary {
@@ -890,13 +773,13 @@ mod tests {
 
     #[test]
     fn corrupt_middle_record_is_quarantined_and_scan_resyncs() {
-        let records = sample_records();
+        let records = sample_frames(9);
         let mut segment = segment_from(&records[..3]);
         // Flip a payload byte in the middle record.
         let middle_payload_at = records[0].len() + FRAME_HEADER_LEN + 5;
         segment[middle_payload_at] ^= 0xFF;
         let mut applied = 0u64;
-        let summary = scan(&segment, |_| applied += 1);
+        let summary = scan_segment(&segment, 9, |_| applied += 1);
         // First and third records survive; the middle one is quarantined.
         assert_eq!(applied, 2);
         assert!(summary.quarantined >= 1);
@@ -905,11 +788,11 @@ mod tests {
 
     #[test]
     fn garbage_prefix_resyncs_to_real_records() {
-        let records = sample_records();
+        let records = sample_frames(9);
         let mut segment = vec![0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03];
         segment.extend(segment_from(&records[..2]));
         let mut applied = 0u64;
-        let summary = scan(&segment, |_| applied += 1);
+        let summary = scan_segment(&segment, 9, |_| applied += 1);
         assert_eq!(applied, 2);
         assert!(summary.quarantined >= 1);
     }
@@ -921,7 +804,7 @@ mod tests {
         segment.extend_from_slice(&u32::MAX.to_be_bytes()); // absurd len
         segment.extend_from_slice(&0u32.to_be_bytes());
         segment.extend_from_slice(&[0u8; 64]);
-        let summary = scan(&segment, |_| {});
+        let summary = scan_segment(&segment, 9, |_| {});
         assert_eq!(summary.applied, 0);
         // Nothing verifiable follows it, so it is a torn tail, counted up
         // to its last non-zero byte.
@@ -976,62 +859,58 @@ mod tests {
 
     /// The recovery fuzzer: 20k seeded mutations — bit flips,
     /// truncations, insertions, duplications and cross-corpus splices — of
-    /// each of three valid segments: a parent-format journal, read with no
-    /// segment; the writer's frames on a fresh segment, its zero runway
-    /// behind them; and the same frames in writes each ended by an end
-    /// marker, as the writer puts them in a recycled file. The scan must
-    /// always terminate without panicking, and every record it *applies*
-    /// must be byte-identical to a record from the valid corpus:
-    /// corruption is only ever quarantined or torn, never served.
+    /// each of two valid segments: the writer's frames on a fresh segment,
+    /// its zero runway behind them; and the same frames in writes each
+    /// ended by an end marker, as the writer puts them in a recycled file.
+    /// (`legacy` runs the same fuzzer over a journal of the older format.)
+    /// The scan must always terminate without panicking, and every record
+    /// it *applies* must be byte-identical to a record from the valid
+    /// corpus: corruption is only ever quarantined or torn, never served.
     #[test]
     fn mangled_segments_never_panic_and_never_apply_corrupt_records() {
-        let parent = sample_records();
-        fuzz_recovery(&segment_from(&parent), None, 0xD15C_F0CC);
-        let frames = sample_records_as(Some(9));
+        let frames = sample_frames(9);
+        let read = |bytes: &[u8], apply: &mut dyn FnMut(Record<'_>)| scan_segment(bytes, 9, apply);
         let mut fresh = segment_from(&frames);
         fresh.resize(fresh.len() + 1024, 0);
-        fuzz_recovery(&fresh, Some(9), 0xD15C_F0CD);
+        fuzz_recovery(&fresh, &frames, 0xD15C_F0CD, read);
         let mut marked = Vec::new();
         for write in frames.chunks(2) {
             marked.extend(segment_from(write));
             marked.extend_from_slice(&END_MARKER);
         }
         marked.resize(marked.len() + 1024, 0);
-        fuzz_recovery(&marked, Some(9), 0xD15C_F0CE);
+        fuzz_recovery(&marked, &frames, 0xD15C_F0CE, read);
     }
 
-    /// 20k seeded mutations of `valid`, which holds [`sample_records_as`]
-    /// `segment`, each scanned as that segment (or with none).
-    fn fuzz_recovery(valid: &[u8], segment: Option<u64>, seed: u64) {
-        let corpus = sample_records_as(segment);
-        let is_known = |record: &Record<'_>| {
-            let mut buf = Vec::new();
-            encode_as(record, segment, &mut buf);
-            corpus.contains(&buf)
-        };
+    /// 20k seeded mutations of `valid`, which holds [`sample_records`] as
+    /// `donors` frame them, each read by `read`.
+    pub(crate) fn fuzz_recovery(
+        valid: &[u8],
+        donors: &[Vec<u8>],
+        seed: u64,
+        read: impl Fn(&[u8], &mut dyn FnMut(Record<'_>)) -> ScanSummary,
+    ) {
+        let known: Vec<Vec<u8>> = sample_records().iter().map(payload_of).collect();
+        let is_known = |record: &Record<'_>| known.contains(&payload_of(record));
         let mut rng = Rng64::seed_from_u64(seed);
         let mut quarantined_total = 0u64;
         let mut torn_total = 0u64;
         for round in 0..20_000 {
             let mut mangled = valid.to_vec();
-            mangle(&mut rng, &mut mangled, &corpus);
+            mangle(&mut rng, &mut mangled, donors);
             let mut corrupt_served = 0u64;
-            let apply = |record: Record<'_>| {
+            let summary = read(&mangled, &mut |record| {
                 if !is_known(&record) {
                     corrupt_served += 1;
                 }
-            };
-            let summary = match segment {
-                Some(segment) => scan_segment(&mangled, segment, apply),
-                None => scan(&mangled, apply),
-            };
+            });
             assert_eq!(
                 corrupt_served, 0,
-                "{segment:?} round {round}: scan served a corrupt record"
+                "seed {seed:#x} round {round}: scan served a corrupt record"
             );
             assert!(
-                summary.applied <= (corpus.len() as u64) * 3,
-                "{segment:?} round {round}: applied count exploded"
+                summary.applied <= (known.len() as u64) * 3,
+                "seed {seed:#x} round {round}: applied count exploded"
             );
             quarantined_total += summary.quarantined;
             torn_total += summary.torn_bytes;
@@ -1040,8 +919,8 @@ mod tests {
         // scanner must both quarantine and tear (mutations hit payloads
         // and tails alike); all-zero counters would mean the checks are
         // dead code.
-        assert!(quarantined_total > 0, "{segment:?}");
-        assert!(torn_total > 0, "{segment:?}");
+        assert!(quarantined_total > 0, "seed {seed:#x}");
+        assert!(torn_total > 0, "seed {seed:#x}");
     }
 
     /// The fuzzer over a recycled file: segment 9's writes (frames, each

@@ -29,15 +29,20 @@ use std::fmt;
 
 use camp_core::rng::Rng64;
 
-/// Configuration of the slab geometry.
+/// Chunk size of the smallest class (Twemcache default: 120 bytes).
+const MIN_CHUNK: u32 = 120;
+
+/// Chunk growth factor between classes, in percent (Twemcache default:
+/// 125 = 1.25x).
+const GROWTH_PERCENT: u64 = 125;
+
+/// Configuration of the slab geometry: the slab size and the budget. The
+/// chunk classes follow from them and Twemcache's 120-byte smallest chunk
+/// and 1.25x growth ([`SlabConfig::class_sizes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlabConfig {
     /// Bytes per slab (Twemcache default: 1 MiB).
     pub slab_size: u32,
-    /// Chunk size of the smallest class (Twemcache default: 120 bytes).
-    pub min_chunk: u32,
-    /// Chunk growth factor between classes, in percent (125 = 1.25x).
-    pub growth_percent: u32,
     /// Total memory budget, in slabs.
     pub max_slabs: u32,
 }
@@ -50,8 +55,6 @@ impl SlabConfig {
         let slab_size = 1 << 20;
         SlabConfig {
             slab_size,
-            min_chunk: 120,
-            growth_percent: 125,
             max_slabs: u32::try_from((bytes / u64::from(slab_size)).max(1)).unwrap_or(u32::MAX),
         }
     }
@@ -61,8 +64,6 @@ impl SlabConfig {
     pub fn small(slab_size: u32, max_slabs: u32) -> Self {
         SlabConfig {
             slab_size,
-            min_chunk: 120,
-            growth_percent: 125,
             max_slabs,
         }
     }
@@ -71,11 +72,11 @@ impl SlabConfig {
     #[must_use]
     pub fn class_sizes(&self) -> Vec<u32> {
         let mut sizes = Vec::new();
-        let mut size = self.min_chunk.max(8);
+        let mut size = MIN_CHUNK;
         while size < self.slab_size {
             sizes.push(size);
             // Grow by the factor, aligned up to 8 bytes like Twemcache.
-            let grown = (u64::from(size) * u64::from(self.growth_percent) / 100) as u32;
+            let grown = (u64::from(size) * GROWTH_PERCENT / 100) as u32;
             size = (grown.max(size + 8) + 7) & !7;
         }
         sizes.push(self.slab_size); // the whole-slab class

@@ -36,6 +36,8 @@ use std::time::Duration;
 use camp_core::rng::Rng64;
 use camp_core::Precision;
 use camp_kvs::client::{Client, Reply};
+use camp_kvs::item::Item;
+use camp_kvs::persist::record::crc32c;
 use camp_kvs::persist::{FsyncMode, PersistOptions};
 use camp_kvs::server::{Server, ServerOptions};
 use camp_kvs::slab::SlabConfig;
@@ -305,6 +307,55 @@ fn sigkill_rounds_recover_prefix_consistent_state() {
         "after {ROUNDS} rounds of writes, recovery served nothing at all"
     );
     daemon.sigkill();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A data dir of the journal's older frame format — magic `"CPLG"`, the
+/// payload's length and CRC32C, no segment index — boots the daemon, which
+/// serves every key, then again after a SIGKILL; and no file of that
+/// format is left behind.
+#[test]
+fn the_daemon_upgrades_an_older_format_data_dir() {
+    const OLDER_MAGIC: [u8; 4] = 0x4350_4C47u32.to_be_bytes();
+    let dir = temp_dir("older-format");
+    let mut segment = Vec::new();
+    for k in 0..KEYS {
+        let (key, value) = (key_name(k), value_for(k, 1));
+        let item = Item {
+            key: key.as_bytes(),
+            value: value.as_bytes(),
+            flags: k as u32,
+            cost: 1 + k,
+            expires_at: 0,
+        };
+        let mut payload = vec![1u8; 1 + Item::encoded_len(item.key.len(), item.value.len())];
+        item.encode_into(&mut payload[1..]);
+        segment.extend_from_slice(&OLDER_MAGIC);
+        segment.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        segment.extend_from_slice(&crc32c(&payload).to_be_bytes());
+        segment.extend_from_slice(&payload);
+    }
+    std::fs::write(dir.join("seg-00000000.camplog"), &segment).expect("write the older segment");
+    for boot in 0..2 {
+        let daemon = spawn_daemon(&dir, "always");
+        let mut client = Client::connect(&daemon.addr).expect("connect");
+        for k in 0..KEYS {
+            let got = client.get(key_name(k).as_bytes()).expect("get");
+            let got = got.unwrap_or_else(|| panic!("boot {boot}: {} lost", key_name(k)));
+            assert_eq!(got.data, value_for(k, 1).as_bytes(), "boot {boot}");
+            assert_eq!(got.flags, k as u32, "boot {boot}");
+        }
+        drop(client);
+        daemon.sigkill();
+    }
+    for entry in std::fs::read_dir(&dir).expect("list the data dir") {
+        let path = entry.expect("entry").path();
+        let bytes = std::fs::read(&path).expect("read");
+        assert!(
+            !bytes.starts_with(&OLDER_MAGIC),
+            "{path:?} is of the older format"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

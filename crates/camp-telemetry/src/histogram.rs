@@ -289,10 +289,11 @@ impl Histogram {
 ///
 /// It remembers which buckets it has touched, so publishing
 /// ([`Histogram::absorb`]) and reading ([`LocalHistogram::snapshot`]) cost
-/// what was recorded, not the full bucket range — and its bucket array
-/// only reaches as far as the largest value seen, so a tally of
-/// microsecond latencies is a few hundred bytes, not the shared
-/// histogram's 8 KiB.
+/// what was recorded, not the full bucket range. It holds no buckets until
+/// its first record, which allocates all of them at once (the shared
+/// histogram's 8 KiB) and room to list every one as touched, so no later
+/// record allocates — not even one that sets a new high, or touches a
+/// bucket in a histogram that is never absorbed.
 ///
 /// # Examples
 ///
@@ -309,7 +310,7 @@ impl Histogram {
 /// ```
 #[derive(Clone)]
 pub struct LocalHistogram {
-    /// Buckets `0..=` the highest index recorded so far.
+    /// Every bucket once something was recorded; empty before.
     buckets: Vec<u64>,
     /// Indices of the non-zero buckets, in first-touched order.
     touched: Vec<u16>,
@@ -355,7 +356,8 @@ impl LocalHistogram {
     pub fn record(&mut self, value: u64) {
         let index = bucket_index(value);
         if index >= self.buckets.len() {
-            self.buckets.resize(index + 1, 0);
+            self.buckets.resize(BUCKET_COUNT, 0);
+            self.touched.reserve_exact(BUCKET_COUNT);
         }
         let bucket = &mut self.buckets[index];
         if *bucket == 0 {
