@@ -51,10 +51,10 @@ impl<'a> Item<'a> {
     pub fn encode_into(&self, buf: &mut [u8]) {
         let need = Item::encoded_len(self.key.len(), self.value.len());
         assert!(buf.len() >= need, "buffer too small for item");
-        buf[..HEADER_LEN].copy_from_slice(&self.header());
+        buf[0..HEADER_LEN].copy_from_slice(&self.header());
         let key_end = HEADER_LEN + self.key.len();
         buf[HEADER_LEN..key_end].copy_from_slice(self.key);
-        buf[key_end..need].copy_from_slice(self.value);
+        buf[key_end..key_end + self.value.len()].copy_from_slice(self.value);
     }
 
     /// Appends what [`Item::encode_into`] writes to `buf`: the body of a

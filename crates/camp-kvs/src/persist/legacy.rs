@@ -46,7 +46,8 @@ fn payload_at(bytes: &[u8], at: usize) -> Option<&[u8]> {
 fn reframe(bytes: &[u8], segment: u64) -> Option<(Vec<u8>, Vec<usize>)> {
     let (mut out, mut starts) = (Vec::new(), Vec::new());
     let (mut copied, mut at) = (0, 0);
-    // What zeros end the file with are the log's clean end either way.
+    // The zeros a file ends with are the clean end of its log, in either
+    // format.
     let data_end = bytes
         .iter()
         .rposition(|&b| b != 0)

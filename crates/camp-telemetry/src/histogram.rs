@@ -355,7 +355,7 @@ impl LocalHistogram {
     #[inline]
     pub fn record(&mut self, value: u64) {
         let index = bucket_index(value);
-        if index >= self.buckets.len() {
+        if self.buckets.is_empty() {
             self.buckets.resize(BUCKET_COUNT, 0);
             self.touched.reserve_exact(BUCKET_COUNT);
         }
