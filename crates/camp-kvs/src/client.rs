@@ -641,20 +641,6 @@ impl Client {
         })
     }
 
-    /// `stats profile` — the shadow profiler's what-if estimates: hit
-    /// ratio and estimated miss cost at 0.5x/1x/2x the configured capacity
-    /// (`profile:1x:hit_ratio`, `profile:2x:est_miss_cost`, ...).
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors and protocol violations as `io::Error`.
-    pub fn stats_profile(&mut self) -> io::Result<BTreeMap<String, String>> {
-        self.run(true, |conn| {
-            conn.write_all(b"stats profile\r\n")?;
-            conn.read_stat_table()
-        })
-    }
-
     /// `trace` — dumps the server's flight recorder: recent request spans
     /// (`SPAN`/`SLOW` lines with per-phase microsecond timestamps) and
     /// eviction decisions (`EVICTION` lines), newest state first summarized

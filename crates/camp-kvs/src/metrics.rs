@@ -22,7 +22,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::LazyLock;
 
-use camp_policies::ShadowEstimate;
 use camp_telemetry::{Exposition, Histogram, HistogramSnapshot, LocalHistogram, MetricKind};
 
 use crate::persist::PersistSnapshot;
@@ -503,10 +502,6 @@ pub struct TelemetryReport {
     /// Unmatched `iqget` misses whose cost timers are running, across
     /// shards.
     pub iq_miss_registry_size: u64,
-    /// Merged shadow-cache estimates (0.5×/1×/2× capacity), across shards.
-    pub shadow: Vec<ShadowEstimate>,
-    /// The shadow profiler's spatial sampling modulus (1-in-N keys).
-    pub shadow_sample_modulus: u64,
     /// Request spans recorded by the flight recorder so far.
     pub spans_recorded: u64,
     /// Request spans dropped at a connection's pending-span cap — with
@@ -543,23 +538,14 @@ impl TelemetryReport {
     /// and slab-class breakdown.
     #[must_use]
     pub fn summary_lines(&self) -> Vec<String> {
-        let [summary, _, _] = self.stat_tables();
+        let [summary, _] = self.stat_tables();
         summary
     }
 
-    /// The `stats detail` table: the summary, then every other `STAT` row,
-    /// ending with the profile.
+    /// The `stats detail` table: the summary, then every other `STAT` row.
     #[must_use]
     pub fn detail_lines(&self) -> Vec<String> {
         self.stat_tables().concat()
-    }
-
-    /// The `stats profile` table: the online shadow profiler's hit-ratio
-    /// and cost-miss estimates at fractional capacities.
-    #[must_use]
-    pub fn profile_lines(&self) -> Vec<String> {
-        let [_, _, profile] = self.stat_tables();
-        profile
     }
 
     /// The Prometheus text exposition served on `--metrics-addr`: the rows
@@ -583,7 +569,6 @@ impl TelemetryReport {
                     row.labels.iter().map(|(k, v)| (*k, &v[..])).collect();
                 match row.value {
                     Value::Int(v) | Value::Word(_, v) => exp.int_value(name, &labels, v),
-                    Value::Float(v) => exp.value(name, &labels, v),
                     Value::Hist(snap, _) => exp.summary(name, &labels, snap),
                 }
             }
@@ -592,8 +577,8 @@ impl TelemetryReport {
     }
 
     /// Every table's `STAT` lines, indexed by [`Table`].
-    fn stat_tables(&self) -> [Vec<String>; 3] {
-        let mut tables: [Vec<String>; 3] = Default::default();
+    fn stat_tables(&self) -> [Vec<String>; 2] {
+        let mut tables: [Vec<String>; 2] = Default::default();
         // The key of the compound line the previous row wrote a field to.
         let mut open = String::new();
         self.rows(&mut |row| {
@@ -621,7 +606,7 @@ impl TelemetryReport {
     /// cause) is one row per label value.
     fn rows<'a>(&'a self, sink: &mut dyn FnMut(Row<'a>)) {
         use MetricKind::{Counter, Gauge};
-        use Table::{Detail, Profile, Summary};
+        use Table::{Detail, Summary};
         let mut rows = Rows { sink, open: None };
         let shard_count = self.shards.len();
         rows.stat(Summary, "policy", Value::Word(&self.policy, 1))
@@ -899,27 +884,6 @@ impl TelemetryReport {
         rows.stat(table, "persist:sync_us", sync_us)
             .family(MetricKind::Summary, "camp_persist_sync_us")
             .help("wall time of each segment fsync of the durability log, microseconds; excludes runway-reservation syncs and the directory sync after each segment rename");
-
-        let modulus = self.shadow_sample_modulus;
-        rows.stat(Profile, "profile:sample_modulus", modulus);
-        for est in &self.shadow {
-            let scale = est.scale_label();
-            let key = |stat: &str| format!("profile:{scale}:{stat}");
-            rows.stat(Profile, key("capacity"), est.capacity);
-            rows.stat(Profile, key("sampled_gets"), est.sampled_gets)
-                .family(Counter, "camp_shadow_sampled_gets_total")
-                .help("lookups that fell in the shadow profiler's key sample")
-                .label("scale", &scale);
-            rows.stat(Profile, key("sampled_hits"), est.sampled_hits);
-            rows.stat(Profile, key("hit_ratio"), Value::Float(est.hit_ratio))
-                .family(Gauge, "camp_shadow_hit_ratio")
-                .help("estimated hit ratio at fractional capacities (sampled shadow caches)")
-                .label("scale", &scale);
-            rows.stat(Profile, key("est_miss_cost"), est.est_miss_cost)
-                .family(Counter, "camp_shadow_est_miss_cost_total")
-                .help("estimated cumulative miss cost at fractional capacities")
-                .label("scale", &scale);
-        }
         rows.flush();
     }
 }
@@ -928,13 +892,12 @@ impl TelemetryReport {
 /// is off.
 static PERSIST_DISABLED: LazyLock<PersistSnapshot> = LazyLock::new(PersistSnapshot::default);
 
-/// Which `stats` table prints a row: `stats` prints the summary, `stats
-/// profile` the profile, and `stats detail` all three, in this order.
+/// Which `stats` table prints a row: `stats` prints the summary, and
+/// `stats detail` both, in this order.
 #[derive(Debug, Clone, Copy)]
 enum Table {
     Summary,
     Detail,
-    Profile,
 }
 
 /// The `STAT` lines a histogram row prints: `(key suffix, reading)`.
@@ -964,8 +927,6 @@ const MEDIAN_PICK: Picks = &[("_p50", |s| s.quantile(0.5))];
 #[derive(Debug, Clone, Copy)]
 enum Value<'a> {
     Int(u64),
-    /// Four decimals in `STAT`, the shortest exact form in the exposition.
-    Float(f64),
     /// One `STAT` line per pick; a summary in the exposition.
     Hist(&'a HistogramSnapshot, Picks),
     /// A word in `STAT`, a number in the exposition.
@@ -977,7 +938,6 @@ impl Value<'_> {
     fn readings(self) -> Vec<(&'static str, String)> {
         match self {
             Value::Int(value) => vec![("", value.to_string())],
-            Value::Float(value) => vec![("", format!("{value:.4}"))],
             Value::Word(word, _) => vec![("", word.to_owned())],
             Value::Hist(snap, picks) => picks
                 .iter()
@@ -1134,15 +1094,6 @@ mod tests {
             faults_injected: vec![("drop", 7), ("delay", 8), ("error", 9)],
             lock_poison_recovered: 1,
             iq_miss_registry_size: 5,
-            shadow: vec![ShadowEstimate {
-                scale: (1, 2),
-                capacity: 512,
-                sampled_gets: 40,
-                sampled_hits: 30,
-                hit_ratio: 0.75,
-                est_miss_cost: 640,
-            }],
-            shadow_sample_modulus: 64,
             spans_recorded: 11,
             spans_dropped: 5,
             slow_recorded: 2,
@@ -1281,25 +1232,6 @@ mod tests {
             faults_injected: vec![("drop", 0), ("delay", 5), ("error", 6)],
             lock_poison_recovered: 0,
             iq_miss_registry_size: 8,
-            shadow: vec![
-                ShadowEstimate {
-                    scale: (1, 1),
-                    capacity: 1024,
-                    sampled_gets: 3,
-                    sampled_hits: 1,
-                    hit_ratio: 1.0 / 3.0,
-                    est_miss_cost: 77,
-                },
-                ShadowEstimate {
-                    scale: (2, 1),
-                    capacity: 2048,
-                    sampled_gets: 3,
-                    sampled_hits: 2,
-                    hit_ratio: 2.0 / 3.0,
-                    est_miss_cost: 38,
-                },
-            ],
-            shadow_sample_modulus: 16,
             spans_recorded: 31,
             spans_dropped: 0,
             slow_recorded: 0,
@@ -1365,7 +1297,6 @@ mod tests {
                 [
                     include_str!("../tests/golden/sample_summary.txt"),
                     include_str!("../tests/golden/sample_detail.txt"),
-                    include_str!("../tests/golden/sample_profile.txt"),
                     include_str!("../tests/golden/sample_prometheus.txt"),
                 ],
             ),
@@ -1375,15 +1306,13 @@ mod tests {
                 [
                     include_str!("../tests/golden/edge_summary.txt"),
                     include_str!("../tests/golden/edge_detail.txt"),
-                    include_str!("../tests/golden/edge_profile.txt"),
                     include_str!("../tests/golden/edge_prometheus.txt"),
                 ],
             ),
         ];
-        for (name, report, [summary, detail, profile, prometheus]) in cases {
+        for (name, report, [summary, detail, prometheus]) in cases {
             assert_eq!(stat_text(&report.summary_lines()), summary, "{name}");
             assert_eq!(stat_text(&report.detail_lines()), detail, "{name}");
-            assert_eq!(stat_text(&report.profile_lines()), profile, "{name}");
             assert_eq!(
                 family_blocks(&report.render_prometheus()),
                 family_blocks(prometheus),
@@ -1438,20 +1367,9 @@ mod tests {
             "STAT persist:recycled 3",
             "STAT persist:sync_us:p50 303",
             "STAT persist:sync_us:max 900",
-            "STAT profile:sample_modulus 64",
-            "STAT profile:0.5x:hit_ratio 0.7500",
-            "STAT profile:0.5x:est_miss_cost 640",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn profile_lines_stand_alone() {
-        let text = sample_report().profile_lines().join("\n");
-        assert!(text.contains("STAT profile:0.5x:capacity 512"), "{text}");
-        assert!(text.contains("STAT profile:0.5x:sampled_gets 40"), "{text}");
-        assert!(text.contains("STAT profile:0.5x:sampled_hits 30"), "{text}");
     }
 
     #[test]
@@ -1525,9 +1443,6 @@ mod tests {
             "camp_conn_rejected_total{cause=\"value_too_large\"} 3",
             "camp_faults_injected_total{kind=\"drop\"} 7",
             "camp_lock_poison_recovered_total 1",
-            "camp_shadow_hit_ratio{scale=\"0.5x\"} 0.75",
-            "camp_shadow_est_miss_cost_total{scale=\"0.5x\"} 640",
-            "camp_shadow_sampled_gets_total{scale=\"0.5x\"} 40",
             "# TYPE camp_eviction_cost summary",
             "camp_eviction_cost_count 2",
             "# TYPE camp_l_value summary",

@@ -21,10 +21,6 @@
 //!                                                  policy internals), END
 //! stats reset                                   -> RESET (zeroes counters and
 //!                                                  histograms)
-//! stats profile                                 -> shadow-profiler STAT lines
-//!                                                  (hit-ratio / cost-miss
-//!                                                  estimates at 0.5x/1x/2x
-//!                                                  capacity), END
 //! trace                                         -> flight-recorder dump (recent
 //!                                                  spans, slow log, eviction
 //!                                                  events), END
@@ -192,9 +188,6 @@ pub enum StatsScope {
     /// `stats reset`: zero the counters and histograms, re-baselining
     /// measurement (responds `RESET`).
     Reset,
-    /// `stats profile`: the online shadow profiler's hit-ratio and
-    /// cost-miss estimates at fractional capacities.
-    Profile,
 }
 
 /// Which storage command a [`SetHeader`] came from.
@@ -461,7 +454,6 @@ pub fn parse_command_limited(
                 None => StatsScope::Summary,
                 Some(b"detail") => StatsScope::Detail,
                 Some(b"reset") => StatsScope::Reset,
-                Some(b"profile") => StatsScope::Profile,
                 Some(_) => return Err(ProtocolError::new("unknown stats argument")),
             };
             if tokens.next().is_some() {
@@ -574,12 +566,6 @@ mod tests {
                 scope: StatsScope::Reset
             }
         );
-        assert_eq!(
-            parse_command(b"stats profile").unwrap(),
-            Command::Stats {
-                scope: StatsScope::Profile
-            }
-        );
         assert!(parse_command(b"stats bogus").is_err());
         assert!(parse_command(b"stats detail extra").is_err());
     }
@@ -596,6 +582,10 @@ mod tests {
         assert!(parse_command(b"frobnicate x").is_err());
         assert!(parse_command(b"set k x 0 5").is_err());
         assert!(parse_command(b"set k 0 0").is_err());
+        assert_eq!(
+            parse_command(b"stats profile").unwrap_err().to_string(),
+            "CLIENT_ERROR unknown stats argument"
+        );
         let long_key = vec![b'a'; 251];
         let mut line = b"get ".to_vec();
         line.extend_from_slice(&long_key);

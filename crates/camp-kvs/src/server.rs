@@ -688,12 +688,6 @@ pub(crate) fn execute(
                 kvlog!(LogLevel::Info, "stats_reset");
                 writeln_crlf(out, "RESET");
             }
-            StatsScope::Profile => {
-                for stat_line in telemetry_report(shared).profile_lines() {
-                    writeln_crlf(out, &stat_line);
-                }
-                writeln_crlf(out, "END");
-            }
         },
         Command::Trace => {
             for trace_line in trace_lines(shared) {
@@ -790,8 +784,6 @@ fn telemetry_report(shared: &Shared) -> TelemetryReport {
         faults_injected: shared.metrics.faults_snapshot(),
         lock_poison_recovered: crate::sync::poison_recovered_total(),
         iq_miss_registry_size: shared.store.iq_misses_pending() as u64,
-        shadow: shared.store.shadow_estimates(),
-        shadow_sample_modulus: shared.store.shadow_sample_modulus(),
         spans_recorded: shared.recorder.spans_recorded(),
         spans_dropped: shared.metrics.total(Count::SpanDropped),
         slow_recorded: shared.recorder.slow_recorded(),

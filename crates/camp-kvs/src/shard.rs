@@ -20,7 +20,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use camp_policies::{PolicyStats, ShadowEstimate, ShadowProfiler};
+use camp_policies::PolicyStats;
 use camp_telemetry::FlightRecorder;
 
 use crate::fingerprint::{Fingerprinter, Hashed};
@@ -383,24 +383,6 @@ impl ShardedStore {
         }
     }
 
-    /// Cross-shard shadow-profiler estimates: every shard's profiler is
-    /// merged per scale (capacities and sampled counters sum; hit ratios
-    /// recompute over the merged totals). All shard locks are held briefly
-    /// at once so the rows describe one cut — acceptable on this cold path.
-    #[must_use]
-    pub fn shadow_estimates(&self) -> Vec<ShadowEstimate> {
-        let guards: Vec<_> = self.shards.iter().map(|s| lock(s)).collect();
-        let profilers: Vec<&ShadowProfiler> = guards.iter().map(|g| g.profiler()).collect();
-        ShadowProfiler::merged_estimates(&profilers)
-    }
-
-    /// The shadow profilers' spatial sampling modulus (uniform across
-    /// shards).
-    #[must_use]
-    pub fn shadow_sample_modulus(&self) -> u64 {
-        lock(&self.shards[0]).profiler().modulus()
-    }
-
     /// Aggregated slab census `(chunk_size, slabs, items)` across shards.
     #[must_use]
     pub fn slab_census(&self) -> Vec<(u32, usize, u64)> {
@@ -600,23 +582,6 @@ mod tests {
             .collect();
         assert_eq!(budgets, vec![3, 3, 2, 2]);
         assert_eq!(budgets.iter().sum::<u32>(), 10);
-    }
-
-    #[test]
-    fn shadow_estimates_merge_across_shards() {
-        let store = sharded(4);
-        for i in 0..2000u32 {
-            let key = format!("key-{i}");
-            store.set(key.as_bytes(), &[0u8; 40], 0, 0, 1).unwrap();
-            let _ = store.get_with(key.as_bytes(), |_| ());
-        }
-        let merged = store.shadow_estimates();
-        assert_eq!(merged.len(), 3);
-        assert!(merged.iter().any(|e| e.sampled_gets > 0));
-        // Merged capacity at 1x covers (roughly) the whole sampled budget.
-        let one_x = merged.iter().find(|e| e.scale == (1, 1)).unwrap();
-        assert!(one_x.capacity > 0);
-        assert!(store.shadow_sample_modulus() > 1);
     }
 
     #[test]

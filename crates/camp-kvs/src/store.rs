@@ -30,8 +30,8 @@
 //! As in Twemcache, the key lives once — in the slab item — and one hash
 //! table points at items. A wire key is hashed once into a seeded 64-bit
 //! *fingerprint* (see `fingerprint.rs`). The policy — the same
-//! [`EvictionPolicy`] the simulator and the shadow profiler run, built by
-//! the same [`EvictionMode`] — is keyed by the fingerprint and holds each
+//! [`EvictionPolicy`] the simulator runs, built by the same
+//! [`EvictionMode`] — is keyed by the fingerprint and holds each
 //! item's [`ChunkRef`] as its value: it is the store's only index, so
 //! residency cannot disagree between two maps. A read is `policy.get(&fp)`
 //! followed by the key-bytes and expiry checks on the chunk it returns:
@@ -73,9 +73,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use camp_policies::EvictionMode;
-use camp_policies::{
-    AccessOutcome, EvictionPolicy, PolicyEvent, PolicyEventKind, PolicyStats, ShadowProfiler,
-};
+use camp_policies::{AccessOutcome, EvictionPolicy, PolicyEvent, PolicyEventKind, PolicyStats};
 use camp_telemetry::{EvictionTrace, FlightRecorder, HistogramSnapshot, LocalHistogram};
 
 use crate::fingerprint::{FingerprintMap, Fingerprinter, Hashed};
@@ -290,9 +288,6 @@ pub struct Store {
     iq_misses: FingerprintMap<Instant>,
     /// When `iq_misses` was last swept of expired timers.
     iq_last_sweep: Instant,
-    /// Online miss-ratio/cost-miss profiler: spatially sampled shadow
-    /// caches at 0.5×/1×/2× capacity, fed from the get/set/delete paths.
-    profiler: ShadowProfiler,
     /// Where the policy's decisions go; while one is attached the policy
     /// keeps a decision log, turned on again when `flush_all` rebuilds it.
     recorder: Option<Arc<FlightRecorder>>,
@@ -337,7 +332,6 @@ impl Store {
             slabs: SlabAllocator::new(config.slab),
             fingerprinter,
             policy: config.eviction.build_valued(policy_budget(&config.slab)),
-            profiler: ShadowProfiler::new(&config.eviction, policy_budget(&config.slab)),
             mode: config.eviction,
             stats: StoreStats::default(),
             iq_misses: FingerprintMap::default(),
@@ -379,13 +373,6 @@ impl Store {
             trace.record(&event);
             recorder.record_eviction(&eviction_trace(&event));
         });
-    }
-
-    /// The online shadow profiler (hit-ratio and cost-miss estimates at
-    /// fractional capacities).
-    #[must_use]
-    pub fn profiler(&self) -> &ShadowProfiler {
-        &self.profiler
     }
 
     /// The active policy's self-reported name (e.g. `camp(p=5)`).
@@ -432,9 +419,6 @@ impl Store {
         self.stats = StoreStats::default();
         self.trace = EvictionTally::default();
         self.policy.reset_instrumentation();
-        // Re-baseline the profiler's counters but keep its shadow caches
-        // warm — estimates stay meaningful right after a reset.
-        self.profiler.reset_counters();
     }
 
     /// Slab diagnostics: `(chunk_size, slabs, items)` per class.
@@ -489,7 +473,6 @@ impl Store {
         self.policy.take(&fp);
         self.slabs.free(chunk);
         self.stats.expired += 1;
-        self.profiler.record_delete(&fp);
     }
 
     /// Removes every item expired by `now`, as the residency check would
@@ -527,16 +510,10 @@ impl Store {
     ) -> Option<R> {
         let Some(chunk) = self.live(h, now, true) else {
             self.stats.get_misses += 1;
-            // The miss cost is unknown until the pair is set; charging zero
-            // undercounts est_miss_cost equally at every scale, so the
-            // cross-scale deltas the profiler exists for are unaffected.
-            self.profiler.record_get(&h.fp, 0, 0);
             return None;
         };
         let item = Item::decode(self.slabs.read(chunk));
         self.stats.get_hits += 1;
-        let size = Item::encoded_len(h.key.len(), item.value.len()) as u64;
-        self.profiler.record_get(&h.fp, size, item.cost);
         Some(f(&item))
     }
 
@@ -607,7 +584,7 @@ impl Store {
     }
 
     /// A resident key's `(flags, expires_at, cost)` without touching
-    /// recency, stats or the profiler — the one read of an item's expiry
+    /// recency or stats — the one read of an item's expiry
     /// (recovery tests check a journaled `touch` with it).
     #[must_use]
     pub fn peek_meta(&self, key: &[u8]) -> Option<(u32, u64, u64)> {
@@ -712,7 +689,6 @@ impl Store {
             return Err(StoreError::OutOfMemory);
         }
         self.stats.sets += 1;
-        self.profiler.record_set(&h.fp, u64::from(total), cost);
         Ok(())
     }
 
@@ -855,11 +831,9 @@ impl Store {
         self.policy
             .for_each(&mut |_, &chunk| self.slabs.free(chunk));
         // A fresh policy instance is cheaper and simpler than removing every
-        // key from the old one. The decision log is turned back on, and the
-        // shadow caches restart cold to mirror the emptied store.
+        // key from the old one. The decision log is turned back on.
         self.policy = self.mode.build_valued(policy_budget(self.slabs.config()));
         self.policy.log_decisions(self.recorder.is_some());
-        self.profiler = ShadowProfiler::new(&self.mode, policy_budget(self.slabs.config()));
     }
 
     /// Deletes `key`. Returns whether it was resident.
@@ -876,7 +850,6 @@ impl Store {
         self.policy.take(&h.fp);
         self.free_chunk(chunk, chunk.class());
         self.stats.deletes += 1;
-        self.profiler.record_delete(&h.fp);
         true
     }
 
@@ -1886,26 +1859,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn shadow_profiler_tracks_traffic() {
-        let mut store = small_store(EvictionMode::Camp(Precision::Bits(5)));
-        for i in 0..1000u32 {
-            let key = format!("key-{i:04}");
-            store.set(key.as_bytes(), &[0u8; 60], 0, 0, 1).unwrap();
-            read(&mut store, key.as_bytes());
-        }
-        let estimates = store.profiler().estimates();
-        assert_eq!(estimates.len(), 3, "0.5x/1x/2x scales");
-        let sampled: u64 = estimates.iter().map(|e| e.sampled_gets).sum();
-        assert!(sampled > 0, "1000 keys must land some 1-in-64 samples");
-        // reset_stats keeps shadows but re-baselines counters.
-        store.reset_stats();
-        assert_eq!(store.profiler().estimates()[0].sampled_gets, 0);
-        // flush_all restarts the shadows cold.
-        store.flush_all();
-        assert_eq!(store.profiler().estimates().len(), 3);
     }
 
     #[test]

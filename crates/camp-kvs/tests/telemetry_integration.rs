@@ -239,11 +239,11 @@ fn span_field(line: &str, name: &str) -> u64 {
 
 /// The flight recorder end to end over real TCP: `--slow-log 0` promotes
 /// every request to the slow ring, `trace` dumps spans whose phases are
-/// monotonic, eviction decisions carry CAMP's internals, `stats profile`
-/// reports the shadow estimates, and the metrics listener serves both the
-/// `/trace` page and the new Prometheus families.
+/// monotonic, eviction decisions carry CAMP's internals, the metrics
+/// listener serves both the `/trace` page and the recorder's Prometheus
+/// families, and `stats profile` is an unknown stats argument.
 #[test]
-fn trace_dump_is_monotonic_and_profiler_reports() {
+fn trace_dump_is_monotonic_and_the_recorder_is_served() {
     let mut opts = options(EvictionMode::Camp(Precision::Bits(5)), 2);
     opts.slow_log_us = Some(0);
     let server = Server::start_with("127.0.0.1:0", opts).expect("start server");
@@ -317,19 +317,12 @@ fn trace_dump_is_monotonic_and_profiler_reports() {
     assert!(evict_line.contains(" ratio="), "{evict_line}");
     assert!(evict_line.contains(" l="), "{evict_line}");
 
-    // The shadow profiler's what-if table.
-    let profile = client.stats_profile().expect("stats profile");
-    assert_eq!(parse_u64(&profile, "profile:sample_modulus"), 64);
-    for scale in ["0.5x", "1x", "2x"] {
-        assert!(
-            profile.contains_key(&format!("profile:{scale}:hit_ratio")),
-            "{profile:?}"
-        );
-        assert!(parse_u64(&profile, &format!("profile:{scale}:capacity")) > 0);
-    }
-    let half = parse_u64(&profile, "profile:0.5x:capacity");
-    let double = parse_u64(&profile, "profile:2x:capacity");
-    assert!(half < double, "{profile:?}");
+    // No stats table reports a model of the cache beside the store's own.
+    let mut raw = RawConn::connect(&server);
+    assert_eq!(
+        raw.roundtrip(b"stats profile\r\n".to_vec(), 1),
+        ["CLIENT_ERROR unknown stats argument"]
+    );
 
     // `stats detail` carries the trace and reactor sections too.
     let detail = client.stats_detail().expect("stats detail");
@@ -360,9 +353,6 @@ fn trace_dump_is_monotonic_and_profiler_reports() {
         "# TYPE camp_eviction_cost summary",
         "camp_eviction_cost_count",
         "camp_l_value{quantile=\"0.5\"}",
-        "camp_shadow_hit_ratio{scale=\"1x\"}",
-        "camp_shadow_est_miss_cost_total{scale=\"0.5x\"}",
-        "camp_shadow_sampled_gets_total{scale=\"2x\"}",
         "camp_reactor_live_connections{worker=\"0\"}",
         "camp_reactor_epoll_wakeups_total{worker=\"0\"}",
     ] {
@@ -371,6 +361,7 @@ fn trace_dump_is_monotonic_and_profiler_reports() {
             "missing {needle} in:\n{metrics_body}"
         );
     }
+    assert!(!metrics_body.contains("camp_shadow"), "{metrics_body}");
 
     client.quit().unwrap();
     server.shutdown();

@@ -77,7 +77,6 @@ pub mod lru_k;
 pub mod offline;
 pub mod policy;
 pub mod pooled_lru;
-pub mod profiler;
 pub mod spec;
 pub mod two_q;
 
@@ -97,6 +96,5 @@ pub use crate::policy::{
     PolicyGauge, PolicyStats,
 };
 pub use crate::pooled_lru::{PoolSplit, PooledLru};
-pub use crate::profiler::{ShadowEstimate, ShadowProfiler};
 pub use crate::spec::EvictionMode;
 pub use crate::two_q::{TwoQ, TwoQCache};

@@ -13,10 +13,7 @@
 //!   thread per ratio;
 //! * windowed metric timelines for adaptation dynamics ([`timeline`]);
 //! * a two-level memory+SSD hierarchy, the paper's future-work §6
-//!   ([`hierarchy`]);
-//! * offline what-if profiling via the server's spatially sampled shadow
-//!   caches ([`profile`]) — capacity planning from recorded traces and
-//!   validation of the online estimator against ground truth.
+//!   ([`hierarchy`]).
 //!
 //! ## Quick start
 //!
@@ -42,13 +39,11 @@
 
 pub mod hierarchy;
 pub mod metrics;
-pub mod profile;
 pub mod simulator;
 pub mod sweep;
 pub mod timeline;
 
 pub use crate::metrics::SimMetrics;
-pub use crate::profile::{profile_trace, ProfileReport};
 pub use crate::simulator::{
     simulate, OccupancyConfig, OccupancySample, OccupancySeries, SimReport, Simulation,
 };
