@@ -93,13 +93,6 @@ impl Exposition {
         let _ = writeln!(self.out, " {value}");
     }
 
-    /// One float-valued sample.
-    pub fn value(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.out.push_str(name);
-        self.labels(labels);
-        let _ = writeln!(self.out, " {value}");
-    }
-
     /// Summary samples for a histogram: `{quantile="…"}` lines for
     /// p50/p90/p99/p999, plus `_sum` and `_count`. Extra labels are
     /// prepended to the quantile label.
@@ -130,11 +123,9 @@ mod tests {
         let mut exp = Exposition::new();
         exp.family("camp_items", "live items", MetricKind::Gauge);
         exp.int_value("camp_items", &[], 3);
-        exp.value("camp_miss_rate", &[("policy", "camp(p=5)")], 0.25);
         let text = exp.render();
         assert!(text.starts_with("# HELP camp_items live items\n# TYPE camp_items gauge\n"));
         assert!(text.contains("camp_items 3\n"));
-        assert!(text.contains("camp_miss_rate{policy=\"camp(p=5)\"} 0.25\n"));
     }
 
     #[test]
