@@ -1,6 +1,5 @@
 //! The workspace's one fast hasher: a folded-multiply hash for the
-//! policies' own key maps, the shadow profiler's sampling gate and the
-//! server's key fingerprint.
+//! policies' own key maps and the server's key fingerprint.
 //!
 //! Every policy keeps a `key -> entry` map that is probed on every hit,
 //! insert and eviction; with the standard library's SipHash that probe is

@@ -165,7 +165,7 @@ pub enum Command<'a> {
     FlushAll,
     /// `version`.
     Version,
-    /// `stats` / `stats detail` / `stats reset` / `stats profile`.
+    /// `stats` / `stats detail` / `stats reset`.
     Stats {
         /// Which stats surface was requested.
         scope: StatsScope,
